@@ -1,17 +1,13 @@
 """Crash-recovery replay performance.
 
-``replay_data`` used to scan every WAL record and probe the store per
-``apply`` — O(len(wal)) per recovery, paid on every ``recover_site``
-event of a storm.  The per-item newest-``apply`` index makes it
-O(items touched).  The committed ``BENCH_recovery_replay.json``
-baseline records the speedup on logs harvested from a heavy E18 run at
-1x and 4x length; here the assertions pin the *shape* of the win with
-noise-proof bounds:
-
-* the indexed replay never loses to the scan;
-* the indexed replay is sublinear in log length — quadrupling the log
-  must not quadruple the replay time (the scan does, the index reads
-  the same per-item map either way).
+``replay_data`` rides the WAL's per-item newest-``apply`` index, so a
+recovery costs O(items touched), not O(len(wal)) — and it is paid on
+every ``recover_site`` event of a storm.  The committed
+``BENCH_recovery_replay.json`` baseline records the replay time on logs
+harvested from a heavy E18 run at 1x and 4x length; here the assertion
+pins the *shape* with a noise-proof bound: the replay is sublinear in
+log length — quadrupling the log must come nowhere near quadrupling the
+replay time, because the index holds the same per-item map either way.
 """
 
 import time
@@ -45,37 +41,23 @@ def _fresh_store(wal: WriteAheadLog) -> ReplicaStore:
     return store
 
 
-def _best_replay(wal: WriteAheadLog, full_scan: bool, rounds: int = 5) -> float:
+def _best_replay(wal: WriteAheadLog, rounds: int = 20) -> float:
     best = float("inf")
     for _ in range(rounds):
         store = _fresh_store(wal)
         t0 = time.perf_counter()
-        replay_data(wal, store, full_scan=full_scan)
+        replay_data(wal, store)
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-@pytest.mark.perf
-def test_indexed_replay_not_slower_than_scan():
-    wal = _apply_heavy_wal(600)
-    scanned_store = _fresh_store(wal)
-    indexed_store = _fresh_store(wal)
-    replay_data(wal, scanned_store, full_scan=True)
-    replay_data(wal, indexed_store)
-    assert indexed_store.snapshot() == scanned_store.snapshot()
-    assert _best_replay(wal, full_scan=False) < _best_replay(wal, full_scan=True) * 1.25
 
 
 @pytest.mark.perf
 def test_indexed_replay_sublinear_in_wal_length():
     short = _apply_heavy_wal(300)
     long = _apply_heavy_wal(1200)
-    scan_ratio = _best_replay(long, full_scan=True) / _best_replay(short, full_scan=True)
-    indexed_ratio = _best_replay(long, full_scan=False) / _best_replay(short, full_scan=False)
-    # both logs touch the same 16 items, so the indexed replay does the
-    # same work while the scan walks 4x the records; demand a clear
-    # separation rather than exact constants (timers are noisy at µs).
-    assert indexed_ratio < scan_ratio, (
-        f"indexed replay scales no better than the scan: "
-        f"indexed {indexed_ratio:.2f}x vs scan {scan_ratio:.2f}x over a 4x log"
-    )
+    ratio = _best_replay(long) / _best_replay(short)
+    # both logs touch the same 16 items, so the replay does the same
+    # work on either; a record-by-record replay would walk 4x the
+    # records.  Demand a clear separation from 4x rather than an exact
+    # constant (timers are noisy at µs).
+    assert ratio < 2.5, f"replay grows with the log: {ratio:.2f}x over a 4x log"

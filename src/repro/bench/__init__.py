@@ -9,11 +9,10 @@ driven through the PR 1 sweep engine:
   per worker count, compared *exactly* by ``bench diff``;
 * **wall-clock timing** with a :func:`~repro.experiments.stats.mean_ci`
   interval — machine noise, compared only within a configurable ratio;
-* for the A/B microbenches (``net_deliver_fanout``, ``wal_append``,
-  ``trace_record``, ``partition_churn``, ``suite_warm_pool``), the
-  **legacy-vs-optimized speedup** that motivated the optimized hot
-  path, so the win is pinned in-tree and regressions are visible in
-  review.
+* for the A/B microbenches (``zipf_sampling``, ``suite_warm_pool``,
+  ``catalog_memo``, ``sweep_streaming``, ``sweep_resume``), the
+  **paired wall-time ratio** of their two live code paths, so the
+  trade-off is pinned in-tree and regressions are visible in review.
 
 Workflow::
 

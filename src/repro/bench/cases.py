@@ -37,40 +37,36 @@ Representative workloads covered:
 * ``gray_failure`` — a degraded (slow-not-dead) site plus a flapping
   link under an open-loop service
   (:func:`~repro.experiments.resilience_study.run_gray_failure`).
-* ``lock_probe`` — A/B microbench of the vote-hook lock probe: the
-  historical allocating ``all(compatible_with...)`` holder scan vs the
-  exclusive-holder counter (two integer tests); grant decisions are
-  identical on both arms, only the wall time may differ.
-* ``net_deliver_fanout`` — A/B microbench of the ``Network`` fan-out
-  path: legacy per-message connectivity evaluation vs the
-  partition-epoch reachable-peer cache.
-* ``wal_append`` — A/B microbench of the WAL append path: the exact
+* ``lock_probe`` — microbench of the vote-hook lock probe against
+  heavily shared items: compatibility is two integer tests on the
+  exclusive-holder counter, however many readers hold the item.
+* ``net_deliver_fanout`` — microbench of the ``Network`` fan-out path
+  on the partition-epoch reachable-peer cache, through connected,
+  partitioned and crash phases that churn the cache.
+* ``wal_append`` — microbench of the WAL append path: the exact
   per-site ``force`` sequences harvested from ``run_heavy_workload``,
-  replayed against the legacy scan-per-decision log and the
-  group-commit/indexed log.
-* ``trace_record`` — A/B microbench of the trace recorder: the legacy
-  list-of-dataclasses store vs the columnar/slotted store with lazy
-  materialization and indexed queries.
-* ``partition_churn`` — A/B microbench of storm-heavy partition plans:
-  per-event ``PartitionView`` reconstruction vs interned views.
+  replayed into fresh group-commit/indexed logs.
+* ``trace_record`` — microbench of the trace recorder: columnar
+  appends, lazy materialization and indexed analysis queries.
+* ``partition_churn`` — microbench of storm-heavy partition plans
+  against the network's interned ``PartitionView`` cache.
 * ``suite_warm_pool`` — A/B microbench of the sweep executor: a pool
   per sweep vs one persistent warm pool across a campaign of sweeps.
-* ``net_fanout_flyweight`` — A/B microbench of the fan-out allocation
-  layer: legacy per-destination ``Message`` construction vs the shared
-  :class:`~repro.net.message.MessageTemplate` envelope with thin
-  per-destination stamps.  Only the send side is timed — that is the
-  path the flyweight changes — while delivery still runs for counters.
+* ``net_fanout_flyweight`` — microbench of the fan-out allocation
+  layer: one shared :class:`~repro.net.message.MessageTemplate`
+  envelope with thin per-destination stamps.  Only the send side is
+  timed — that is the path the stamps live on — while delivery still
+  runs for counters.
 * ``zipf_sampling`` — A/B microbench of the Zipf item sampler at a
   ~10^5-item catalog: the historical O(n) cumulative scan
   (``sampler="scan"``) vs the O(1) Walker alias table
   (``sampler="alias"``).  The samplers draw the RNG differently by
   design, so counters differ *across arms* (each arm is deterministic;
   distribution equivalence is pinned by a property test).
-* ``recovery_replay`` — A/B microbench of crash recovery's data
-  replay: the legacy full-WAL scan vs the per-item newest-``apply``
-  index, on logs harvested from a heavy E18 run and replayed at 1x and
-  4x length (the committed timing rows show the scan growing with log
-  length while the indexed replay stays flat).
+* ``recovery_replay`` — microbench of crash recovery's data replay
+  over the per-item newest-``apply`` index, on logs harvested from a
+  heavy E18 run and replayed at 1x and 4x length (the committed timing
+  rows show the replay staying flat as the log grows).
 * ``catalog_memo`` — A/B microbench of per-trial catalog construction
   vs :func:`~repro.workload.generators.memoized_catalog` (state-capture
   memo; the RNG-probe counters prove the caller's stream is identical
@@ -87,7 +83,7 @@ Representative workloads covered:
 from __future__ import annotations
 
 import time
-from typing import Any
+from typing import Any, Callable
 
 from repro.bench.suite import BenchCase, BenchSuite
 from repro.common.errors import QuorumUnreachableError, TransactionAborted
@@ -100,6 +96,7 @@ from repro.engine.sink import JsonlSink, ReducerSink, TeeSink, iter_stream_rows
 from repro.engine.spec import SweepSpec
 from repro.net.network import Network
 from repro.net.node import Node
+from repro.replay.recorder import cluster_counters
 from repro.sim.failures import FailurePlan
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import Scheduler
@@ -108,17 +105,11 @@ from repro.storage.wal import WriteAheadLog
 from repro.workload.generators import random_catalog, random_partition_groups
 
 
-def _cluster_counters(cluster: Cluster) -> dict[str, Any]:
-    """The deterministic network / WAL / scheduler tallies of a run."""
-    net = cluster.network
-    return {
-        "messages_sent": net.sent,
-        "messages_delivered": net.delivered,
-        "messages_dropped": net.dropped,
-        "events_run": cluster.scheduler.events_run,
-        "wal_forced": sum(site.wal.forced for site in cluster.sites.values()),
-        "wal_flushes": sum(site.wal.flushes for site in cluster.sites.values()),
-    }
+def _timed(run: Callable[..., dict[str, Any]], *args: Any, **kwargs: Any) -> dict[str, Any]:
+    """Time one driver call end to end; its return value is the counters."""
+    t0 = time.perf_counter()
+    counters = run(*args, **kwargs)
+    return {"counters": counters, "timing": {"wall_s": time.perf_counter() - t0}}
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +188,7 @@ def commit_mix_trial(seed: int, protocol: str, n_txns: int = 16) -> dict[str, An
             continue
         verdict = cluster.outcome(txn).outcome
         tally[verdict] = tally.get(verdict, 0) + 1
-    counters = {**tally, **_cluster_counters(cluster)}
+    counters = {**tally, **cluster_counters(cluster)}
     return {"counters": counters, "timing": {"wall_s": wall}}
 
 
@@ -220,7 +211,7 @@ def heavy_workload_trial(
         seed=seed,
         n_txns=n_txns,
         n_sites=n_sites,
-        probe=lambda cluster: harvested.update(_cluster_counters(cluster)),
+        probe=lambda cluster: harvested.update(cluster_counters(cluster)),
     )
     wall = time.perf_counter() - t0
     counters = {
@@ -250,7 +241,7 @@ def wan_storm_trial(seed: int, protocol: str, heal: bool) -> dict[str, Any]:
     counters = {
         "outcome": scenario.outcome,
         "decided_sites": len(scenario.cluster.tracer.decisions(scenario.txn.txn)),
-        **_cluster_counters(scenario.cluster),
+        **cluster_counters(scenario.cluster),
     }
     return {"counters": counters, "timing": {"wall_s": wall}}
 
@@ -266,9 +257,7 @@ def skewed_contention_trial(
     """One E22 Zipf-contention run (hot-item conflicts are the point)."""
     from repro.experiments.workload_scenarios import run_skewed_contention
 
-    t0 = time.perf_counter()
-    counters = run_skewed_contention(protocol, seed=seed, n_txns=n_txns, zipf_s=zipf_s)
-    return {"counters": counters, "timing": {"wall_s": time.perf_counter() - t0}}
+    return _timed(run_skewed_contention, protocol, seed=seed, n_txns=n_txns, zipf_s=zipf_s)
 
 
 def read_mostly_trial(
@@ -277,11 +266,7 @@ def read_mostly_trial(
     """One E23 read-dominated-mix run."""
     from repro.experiments.workload_scenarios import run_read_mostly
 
-    t0 = time.perf_counter()
-    counters = run_read_mostly(
-        protocol, seed=seed, n_txns=n_txns, read_fraction=read_fraction
-    )
-    return {"counters": counters, "timing": {"wall_s": time.perf_counter() - t0}}
+    return _timed(run_read_mostly, protocol, seed=seed, n_txns=n_txns, read_fraction=read_fraction)
 
 
 def cross_region_trial(
@@ -290,11 +275,7 @@ def cross_region_trial(
     """One E24 cross-region WAN-transaction run."""
     from repro.experiments.workload_scenarios import run_cross_region
 
-    t0 = time.perf_counter()
-    counters = run_cross_region(
-        protocol, seed=seed, n_txns=n_txns, cross_region=cross_region
-    )
-    return {"counters": counters, "timing": {"wall_s": time.perf_counter() - t0}}
+    return _timed(run_cross_region, protocol, seed=seed, n_txns=n_txns, cross_region=cross_region)
 
 
 def elastic_join_trial(
@@ -303,9 +284,7 @@ def elastic_join_trial(
     """One E25 elastic-join-under-storm run."""
     from repro.experiments.workload_scenarios import run_elastic_join
 
-    t0 = time.perf_counter()
-    counters = run_elastic_join(protocol, seed=seed, n_txns=n_txns, n_joins=n_joins)
-    return {"counters": counters, "timing": {"wall_s": time.perf_counter() - t0}}
+    return _timed(run_elastic_join, protocol, seed=seed, n_txns=n_txns, n_joins=n_joins)
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +308,7 @@ def open_loop_service_trial(
         rate=rate,
         duration=duration,
         n_sites=n_sites,
-        probe=lambda cluster: harvested.update(_cluster_counters(cluster)),
+        probe=lambda cluster: harvested.update(cluster_counters(cluster)),
     )
     wall = time.perf_counter() - t0
     counters = {**result.counters(), **harvested}
@@ -347,14 +326,14 @@ def ramp_ceiling_trial(
     trajectories."""
     from repro.experiments.service_study import discover_ceiling
 
-    t0 = time.perf_counter()
-    result = discover_ceiling(
-        protocol,
-        seed=seed,
-        rates=tuple(rates) if rates is not None else (0.5, 1.0, 2.0, 4.0, 8.0),
-        duration=duration,
+    return _timed(
+        lambda: discover_ceiling(
+            protocol,
+            seed=seed,
+            rates=tuple(rates) if rates is not None else (0.5, 1.0, 2.0, 4.0, 8.0),
+            duration=duration,
+        ).counters()
     )
-    return {"counters": result.counters(), "timing": {"wall_s": time.perf_counter() - t0}}
 
 
 # ----------------------------------------------------------------------
@@ -369,9 +348,7 @@ def rolling_upgrade_trial(
     live retrying traffic)."""
     from repro.experiments.resilience_study import run_rolling_upgrade
 
-    t0 = time.perf_counter()
-    counters = run_rolling_upgrade(protocol, seed=seed, n_txns=n_txns, waves=waves)
-    return {"counters": counters, "timing": {"wall_s": time.perf_counter() - t0}}
+    return _timed(run_rolling_upgrade, protocol, seed=seed, n_txns=n_txns, waves=waves)
 
 
 def flash_crowd_trial(
@@ -385,15 +362,14 @@ def flash_crowd_trial(
     adaptive admission window)."""
     from repro.experiments.resilience_study import run_flash_crowd
 
-    t0 = time.perf_counter()
-    counters = run_flash_crowd(
+    return _timed(
+        run_flash_crowd,
         protocol,
         seed=seed,
         duration=duration,
         surge_start=surge_start,
         surge_length=surge_length,
     )
-    return {"counters": counters, "timing": {"wall_s": time.perf_counter() - t0}}
 
 
 def gray_failure_trial(
@@ -407,8 +383,8 @@ def gray_failure_trial(
     """One gray-failure service run (degraded site + flapping link)."""
     from repro.experiments.resilience_study import run_gray_failure
 
-    t0 = time.perf_counter()
-    counters = run_gray_failure(
+    return _timed(
+        run_gray_failure,
         protocol,
         seed=seed,
         rate=rate,
@@ -416,7 +392,6 @@ def gray_failure_trial(
         episode_start=episode_start,
         episode_length=episode_length,
     )
-    return {"counters": counters, "timing": {"wall_s": time.perf_counter() - t0}}
 
 
 # ----------------------------------------------------------------------
@@ -425,21 +400,18 @@ def gray_failure_trial(
 
 
 def lock_probe_trial(
-    seed: int, tracked: bool, n_readers: int = 400, probes: int = 20_000, n_items: int = 12
+    seed: int, n_readers: int = 400, probes: int = 20_000, n_items: int = 12
 ) -> dict[str, Any]:
     """Vote-hook lock probes against heavily shared items.
 
     ``n_readers`` transactions hold shared locks on every item, then a
     prober replays a pre-drawn script of ``try_acquire`` calls (mostly
-    shared, a quarter exclusive).  The ``tracked`` grid axis selects
-    the exclusive-holder counter (``True``) or the historical
-    ``legacy_probe`` allocating compatibility scan (``False``), which
-    walks all ``n_readers`` holders per shared probe.  The script is
-    drawn before the clock starts, so grant/refuse counters must be
-    identical on both arms — only the wall time may differ.
+    shared, a quarter exclusive).  Every probe is answered from the
+    item's exclusive-holder counter, so its cost does not grow with
+    ``n_readers``.  The script is drawn before the clock starts.
     """
     rng = RngRegistry(seed).stream("lock-probe")
-    manager = LockManager(0, legacy_probe=not tracked)
+    manager = LockManager(0)
     items = [f"item-{i}" for i in range(n_items)]
     script = [(rng.choice(items), rng.random() < 0.25) for _ in range(probes)]
 
@@ -487,22 +459,15 @@ def _swallow(msg: Any) -> None:
     """Bench ping handler."""
 
 
-def net_fanout_trial(
-    seed: int, cached: bool, n_sites: int = 24, rounds: int = 40
-) -> dict[str, Any]:
+def net_fanout_trial(seed: int, n_sites: int = 24, rounds: int = 40) -> dict[str, Any]:
     """Broadcast storms through connected, partitioned and crash phases.
 
-    The ``cached`` grid axis selects the legacy per-message connectivity
-    evaluation (``False``) or the partition-epoch reachable-peer cache
-    (``True``); counters must be identical on both sides — only the
-    wall time may differ.  The phase changes (partition, crash, heal,
-    recover) deliberately churn the cache so invalidation cost is part
-    of the measurement.
+    Every storm rides the partition-epoch reachable-peer cache; the
+    phase changes (partition, crash, heal, recover) deliberately churn
+    the cache so invalidation cost is part of the measurement.
     """
     sched = Scheduler()
-    network = Network(
-        sched, Tracer(capacity=0), RngRegistry(seed), fanout_cache=cached
-    )
+    network = Network(sched, Tracer(capacity=0), RngRegistry(seed))
     nodes = [_Sink(i, network) for i in range(n_sites)]
     third = n_sites // 3
     everyone = list(range(n_sites))
@@ -549,24 +514,19 @@ def net_fanout_trial(
 # ----------------------------------------------------------------------
 
 
-def net_fanout_flyweight_trial(
-    seed: int, flyweight: bool, n_sites: int = 32, rounds: int = 60
-) -> dict[str, Any]:
-    """Time the send side of broadcast storms: Message-per-dst vs stamps.
+def net_fanout_flyweight_trial(seed: int, n_sites: int = 32, rounds: int = 60) -> dict[str, Any]:
+    """Time the send side of broadcast storms over shared-envelope stamps.
 
-    The ``flyweight`` grid axis selects legacy per-destination
-    :class:`~repro.net.message.Message` construction (``False``) or the
-    shared-envelope :class:`~repro.net.message.MessageTemplate` stamps
-    (``True``).  Only the ``multicast`` calls are timed — the flyweight
-    changes the allocation layer of the send path, nothing downstream —
-    but every round still drains the scheduler so delivery counters pin
-    behavioural equivalence.  A partitioned phase exercises the drop
-    path's stamp handling too.
+    Each ``multicast`` builds one
+    :class:`~repro.net.message.MessageTemplate` and stamps it per
+    destination.  Only the ``multicast`` calls are timed — the stamps
+    are the allocation layer of the send path, nothing downstream — but
+    every round still drains the scheduler so the delivery counters pin
+    the behaviour.  A partitioned phase exercises the drop path's stamp
+    handling too.
     """
     sched = Scheduler()
-    network = Network(
-        sched, Tracer(capacity=0), RngRegistry(seed), flyweight=flyweight
-    )
+    network = Network(sched, Tracer(capacity=0), RngRegistry(seed))
     nodes = [_Sink(i, network) for i in range(n_sites)]
     everyone = list(range(n_sites))
     half = n_sites // 2
@@ -682,7 +642,6 @@ def zipf_sampling_trial(
 
 def recovery_replay_trial(
     seed: int,
-    indexed: bool,
     n_txns: int = 260,
     n_sites: int = 8,
     replays: int = 5,
@@ -694,12 +653,10 @@ def recovery_replay_trial(
     into fresh logs at 1x and 4x length (the 4x log repeats the
     sequence, modelling a longer history whose re-applied versions are
     stale).  Only :func:`~repro.storage.recovery.replay_data` against
-    fresh version-0 stores is timed: the ``indexed`` grid axis selects
-    the legacy full scan (``False``, O(len(wal))) or the per-item
-    newest-``apply`` index (``True``, O(items touched)).  Both arms
-    must leave byte-identical stores — the checksum counters pin it —
-    while the install counts legitimately differ (the scan walks each
-    item up its version ladder; the index jumps to the newest).
+    fresh version-0 stores is timed; it walks the per-item
+    newest-``apply`` index, O(items touched), so the install counts at
+    1x and 4x are equal and the checksum counters pin the replayed
+    stores.
     """
     from repro.storage.recovery import replay_data
     from repro.storage.store import ReplicaStore
@@ -718,8 +675,8 @@ def recovery_replay_trial(
         )
         return sequences
 
-    # pure function of (seed, shape) and identical on both grid arms,
-    # so one harvest run serves every arm and repeat in this worker
+    # pure function of (seed, shape), so one harvest run serves every
+    # repeat in this worker
     sequences = worker_cache(
         ("recovery-replay-sequences", seed, n_txns, n_sites), harvest_sequences
     )
@@ -749,10 +706,7 @@ def recovery_replay_trial(
         for _ in range(replays):
             stores = {sid: fresh_store(sid, wal) for sid, wal in wals.items()}
             t0 = time.perf_counter()
-            installed = sum(
-                replay_data(wals[sid], stores[sid], full_scan=not indexed)
-                for sid in wals
-            )
+            installed = sum(replay_data(wals[sid], stores[sid]) for sid in wals)
             wall = min(wall, time.perf_counter() - t0)
         for sid in sorted(wals):
             for item, versioned in stores[sid].items():
@@ -830,7 +784,6 @@ def catalog_memo_trial(
 
 def wal_append_trial(
     seed: int,
-    grouped: bool,
     n_txns: int = 260,
     n_sites: int = 8,
     replays: int = 6,
@@ -839,10 +792,10 @@ def wal_append_trial(
 
     A heavy E18 run is executed once (deterministic per seed) and every
     site's ``force`` call sequence is harvested from its log; the
-    sequences are then replayed ``replays`` times into fresh logs in
-    legacy (``grouped=False``) or group-commit/indexed (``True``) mode.
+    sequences are then replayed ``replays`` times into fresh logs.
     Only the replay is timed, so the number is the WAL append path
-    itself under a real workload's record mix.
+    itself (group-commit accounting plus index upkeep) under a real
+    workload's record mix.
     """
     from repro.experiments.workload_study import run_heavy_workload
 
@@ -860,7 +813,7 @@ def wal_append_trial(
     kinds: dict[str, int] = {}
     wall = float("inf")
     for _ in range(replays):
-        logs = {sid: WriteAheadLog(sid, group_commit=grouped) for sid in sequences}
+        logs = {sid: WriteAheadLog(sid) for sid in sequences}
         t0 = time.perf_counter()
         for sid, seq in sequences.items():
             wal = logs[sid]
@@ -903,7 +856,6 @@ _TRACE_MTYPES = (
 
 def trace_record_trial(
     seed: int,
-    columnar: bool,
     n_events: int = 40_000,
     n_sites: int = 24,
     n_txns: int = 48,
@@ -911,17 +863,14 @@ def trace_record_trial(
 ) -> dict[str, Any]:
     """Record a protocol-shaped event mix, then run the analysis queries.
 
-    The ``columnar`` grid axis selects the legacy list-of-frozen-
-    dataclasses store (``False``) or the columnar/slotted store
-    (``True``).  The mix mirrors a commit run — mostly sends and
-    delivers with txn ids, a tail of state transitions, decisions and
-    quorum checks — and the query phase asks what the analysis layer
-    asks (``where`` by category+site, ``count``, per-txn ``decisions``,
-    ``message_counts``).  Counters must be identical on both sides;
-    only the wall time may differ.
+    The mix mirrors a commit run — mostly sends and delivers with txn
+    ids, a tail of state transitions, decisions and quorum checks — and
+    the query phase asks what the analysis layer asks (``where`` by
+    category+site, ``count``, per-txn ``decisions``,
+    ``message_counts``).
     """
     rng = RngRegistry(seed).stream("trace-bench")
-    tracer = Tracer(columnar=columnar)
+    tracer = Tracer()
     n_mtypes = len(_TRACE_MTYPES)
     t0 = time.perf_counter()
     t = 0.0
@@ -984,25 +933,22 @@ def trace_record_trial(
 
 def partition_churn_trial(
     seed: int,
-    intern: bool,
     n_sites: int = 64,
     n_plans: int = 6,
     rounds: int = 120,
 ) -> dict[str, Any]:
     """Replay a storm plan's partition/heal cycle against live views.
 
-    The ``intern`` grid axis selects per-event ``PartitionView``
-    reconstruction (``False``) or the network's interned view cache
-    (``True``).  A handful of distinct group layouts recur across many
-    rounds — exactly the shape of :func:`region_storm_plan` waves — and
-    each partition event also pays its trace record (whose component
-    rendering the interned views memoize).  Counters must be identical
-    on both sides; only the wall time may differ.
+    A handful of distinct group layouts recur across many rounds —
+    exactly the shape of :func:`region_storm_plan` waves — so after the
+    first round every ``set_partition`` is a hit in the network's
+    interned view cache, and each partition event also pays its trace
+    record (whose component rendering the interned views memoize).
     """
     rng = RngRegistry(seed).stream("churn-bench")
     sched = Scheduler()
     tracer = Tracer()
-    network = Network(sched, tracer, RngRegistry(seed), intern_views=intern)
+    network = Network(sched, tracer, RngRegistry(seed))
     for i in range(n_sites):
         _Sink(i, network)
     plans = [
@@ -1726,7 +1672,7 @@ def default_suite(scale: str = "full") -> BenchSuite:
                 spec=SweepSpec(
                     name="bench-lock-probe",
                     task=lock_probe_trial,
-                    grid={"tracked": [False, True]},
+                    grid={},
                     runs=2,
                     seeding="offset",
                     fixed={
@@ -1735,40 +1681,37 @@ def default_suite(scale: str = "full") -> BenchSuite:
                     },
                 ),
                 repeats=repeats,
-                derived=ab_speedup("tracked"),
             ),
             BenchCase(
                 name="net_deliver_fanout",
                 spec=SweepSpec(
                     name="bench-net-deliver-fanout",
                     task=net_fanout_trial,
-                    grid={"cached": [False, True]},
+                    grid={},
                     runs=2,
                     seeding="offset",
                     fixed={"rounds": s["fanout_rounds"]},
                 ),
                 repeats=repeats,
-                derived=ab_speedup("cached"),
             ),
             BenchCase(
                 name="wal_append",
                 spec=SweepSpec(
                     name="bench-wal-append",
                     task=wal_append_trial,
-                    grid={"grouped": [False, True]},
+                    grid={},
                     runs=2,
                     seeding="offset",
                     fixed={"n_txns": s["wal_txns"], "replays": s["wal_replays"]},
                 ),
                 repeats=repeats,
-                derived=ab_speedup("grouped"),
             ),
             BenchCase(
                 name="trace_record",
                 spec=SweepSpec(
                     name="bench-trace-record",
                     task=trace_record_trial,
-                    grid={"columnar": [False, True]},
+                    grid={},
                     runs=2,
                     seeding="offset",
                     fixed={
@@ -1777,14 +1720,13 @@ def default_suite(scale: str = "full") -> BenchSuite:
                     },
                 ),
                 repeats=repeats,
-                derived=ab_speedup("columnar"),
             ),
             BenchCase(
                 name="partition_churn",
                 spec=SweepSpec(
                     name="bench-partition-churn",
                     task=partition_churn_trial,
-                    grid={"intern": [False, True]},
+                    grid={},
                     runs=2,
                     seeding="offset",
                     fixed={
@@ -1793,7 +1735,6 @@ def default_suite(scale: str = "full") -> BenchSuite:
                     },
                 ),
                 repeats=repeats,
-                derived=ab_speedup("intern"),
             ),
             BenchCase(
                 name="suite_warm_pool",
@@ -1816,7 +1757,7 @@ def default_suite(scale: str = "full") -> BenchSuite:
                 spec=SweepSpec(
                     name="bench-net-fanout-flyweight",
                     task=net_fanout_flyweight_trial,
-                    grid={"flyweight": [False, True]},
+                    grid={},
                     runs=2,
                     seeding="offset",
                     fixed={
@@ -1825,7 +1766,6 @@ def default_suite(scale: str = "full") -> BenchSuite:
                     },
                 ),
                 repeats=repeats,
-                derived=ab_speedup("flyweight"),
             ),
             BenchCase(
                 name="zipf_sampling",
@@ -1849,7 +1789,7 @@ def default_suite(scale: str = "full") -> BenchSuite:
                 spec=SweepSpec(
                     name="bench-recovery-replay",
                     task=recovery_replay_trial,
-                    grid={"indexed": [False, True]},
+                    grid={},
                     runs=2,
                     seeding="offset",
                     fixed={
@@ -1858,7 +1798,6 @@ def default_suite(scale: str = "full") -> BenchSuite:
                     },
                 ),
                 repeats=repeats,
-                derived=ab_speedup("indexed"),
             ),
             BenchCase(
                 name="catalog_memo",

@@ -52,24 +52,16 @@ class _ItemLocks:
     #: count of EXCLUSIVE entries in ``holders``, maintained at every
     #: holder mutation.  Compatibility is then two integer tests — S is
     #: grantable iff no exclusive holder, X iff no holder at all — so
-    #: the vote-hook probe never allocates the generator the historical
-    #: ``all(...)`` scan did.
+    #: the vote-hook probe never allocates a generator over the holders.
     exclusive: int = 0
 
 
 class LockManager:
-    """Lock table for the copies hosted at one site.
+    """Lock table for the copies hosted at one site."""
 
-    ``legacy_probe=True`` restores the historical allocating
-    compatibility scan (``all(mode.compatible_with(h) ...)``) in
-    :meth:`_grantable`; the A/B benchmark uses it to pin the speedup
-    and the property suite uses it to prove grant-decision equality.
-    """
-
-    def __init__(self, site: int, *, legacy_probe: bool = False) -> None:
+    def __init__(self, site: int) -> None:
         self.site = site
         self._items: dict[str, _ItemLocks] = {}
-        self._legacy_probe = legacy_probe
 
     def _entry(self, item: str) -> _ItemLocks:
         entry = self._items.get(item)
@@ -118,8 +110,6 @@ class LockManager:
     def _grantable(self, entry: _ItemLocks, mode: LockMode) -> bool:
         if entry.queue:  # FIFO fairness: nobody jumps the queue
             return False
-        if self._legacy_probe:
-            return all(mode.compatible_with(h) for h in entry.holders.values())
         if mode is LockMode.SHARED:
             return not entry.exclusive
         return not entry.holders

@@ -86,9 +86,8 @@ class Cluster:
                 each item's lowest-id host).
             enforce_ignore_rules: pass False only to reproduce
                 Example 3's broken variant.
-            tracer: a pre-configured trace recorder (capacity-bounded,
-                ring-buffered, or the legacy ``columnar=False`` store);
-                default: an unbounded columnar :class:`Tracer`.
+            tracer: a pre-configured trace recorder (capacity-bounded
+                or ring-buffered); default: an unbounded :class:`Tracer`.
         """
         if protocol not in PROTOCOL_NAMES:
             raise ConfigurationError(

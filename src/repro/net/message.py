@@ -7,17 +7,19 @@ carries protocol-specific fields.  Keeping one type means the network,
 tracer, and failure injector never need protocol-specific knowledge.
 
 Hot-path note: a protocol fan-out sends the *same* ``src`` / ``mtype``
-/ ``txn`` / ``payload`` to every destination, yet the legacy path built
-one full :class:`Message` per destination — and a frozen dataclass pays
-one ``object.__setattr__`` call per field on construction.
+/ ``txn`` / ``payload`` to every destination, and a frozen dataclass
+pays one ``object.__setattr__`` call per field on construction.
 :class:`MessageTemplate` is the flyweight answer: the shared envelope
 is built once per fan-out and :meth:`MessageTemplate.for_dst` stamps
 out per-destination messages with plain slot stores (~3x cheaper to
-construct).  A stamp duck-types :class:`Message` exactly — same
-attributes, same ``family`` / ``__str__``, and a ``msg_id`` drawn from
-the *same* process-wide counter, so tracing and duplicate-detection
-semantics are unchanged.  Handlers must treat stamps as immutable, just
-like messages (the payload dict is shared across the whole fan-out).
+construct than a :class:`Message`).  A stamp duck-types
+:class:`Message` exactly — same attributes, same ``family`` /
+``__str__``, and a ``msg_id`` drawn from the *same* process-wide
+counter, so tracing and duplicate-detection semantics are those of a
+message.  Single :meth:`~repro.net.network.Network.send` calls build a
+:class:`Message` directly.  Handlers must treat stamps as immutable,
+just like messages (the payload dict is shared across the whole
+fan-out).
 """
 
 from __future__ import annotations

@@ -30,49 +30,43 @@ Semantics (matching the paper's fault model):
   to it drop as ``departed-in-flight``, distinct from any crash
   reason.
 
-Hot-path notes: connectivity used to be re-evaluated per message (two
-``PartitionView.component_of`` lookups at send time and two more at
-delivery time).  The randomized studies push 10^5+ messages per run, so
-the network now precomputes, per *connectivity epoch*, the reachable
-peer set of each source.  An epoch is bumped — and the cache busted —
-by every event that can change who may talk to whom or who is alive:
-``set_partition``, ``heal``, ``crash_site``, ``recover_site`` and
-``register``.  A message sent under epoch ``e`` to a then-live
-destination is delivered without re-checking connectivity as long as
-the epoch is still ``e`` on arrival (nothing can have changed); any
-epoch change in flight falls back to the full per-message re-check, so
-drop reasons (``partitioned-in-flight``, ``destination-down``) are
-bit-identical to the unoptimized path.  ``fanout_cache=False`` restores
-the legacy per-message evaluation — kept for A/B measurement by the
-``net_deliver_fanout`` bench case.
+Hot paths (the randomized studies push 10^5+ messages per run):
 
-Two further hot paths are cached here:
-
+* **Connectivity is evaluated per epoch, not per message.**  The
+  network precomputes, per *connectivity epoch*, the reachable peer set
+  of each source.  An epoch is bumped — and the cache busted — by every
+  event that can change who may talk to whom or who is alive:
+  ``set_partition``, ``heal``, ``crash_site``, ``recover_site``,
+  ``register``, ``deregister`` and ``place_with``.  A message sent
+  under epoch ``e`` to a then-live destination is delivered without
+  re-checking connectivity as long as the epoch is still ``e`` on
+  arrival (nothing can have changed); any epoch change in flight falls
+  back to the fully checked :meth:`Network._deliver`, so drop reasons
+  (``partitioned-in-flight``, ``destination-down``) are exact.  With a
+  message filter or a lossy link installed every message takes the
+  per-message path (:meth:`Network._send_slow`), which evaluates the
+  filters and draws the loss RNG in send order.
 * **Partition views are interned.**  Storm-heavy failure plans apply
   the same group layout over and over; building a
   :class:`~repro.net.partitions.PartitionView` re-validates the groups
-  and rebuilds every component ``frozenset`` each time.  With
-  ``intern_views=True`` (default) the network keeps a view cache keyed
-  by the normalized group signature — repeated ``set_partition`` calls
-  (and every ``heal``) reuse the cached view, whose memoized
-  ``sorted_components()`` also serves the ``partition`` trace record.
-  The cache is cleared whenever the site universe changes
-  (``register``).  ``intern_views=False`` rebuilds per event — kept
-  for A/B measurement by the ``partition_churn`` bench case.
+  and rebuilds every component ``frozenset`` each time.  The network
+  keeps a view cache keyed by the normalized group signature —
+  repeated ``set_partition`` calls (and every ``heal``) reuse the
+  cached view, whose memoized ``sorted_components()`` also serves the
+  ``partition`` trace record.  The cache is cleared whenever the site
+  universe changes (``register`` / ``deregister``).
 * **Trace appends use the tracer's fast paths.**  The per-message
   ``send`` / ``deliver`` / ``drop`` records go through
   :meth:`Tracer.record_send` and friends, which append straight into
   the columnar store without building a detail dict or a record object.
 * **Fan-outs stamp a shared envelope.**  A protocol fan-out repeats the
-  same ``src`` / ``mtype`` / ``txn`` / ``payload`` per destination; with
-  ``flyweight=True`` (default) :meth:`fanout` builds one
-  :class:`~repro.net.message.MessageTemplate` and stamps a thin
-  per-destination clone (plain slot stores) instead of constructing a
-  full frozen-dataclass :class:`Message` per destination.  Delivery,
-  tracing, drop bookkeeping and ``msg_id`` draws are identical —
-  stamps duck-type messages exactly.  ``flyweight=False`` restores the
-  legacy per-object construction — kept for A/B measurement by the
-  ``net_fanout_flyweight`` bench case.
+  same ``src`` / ``mtype`` / ``txn`` / ``payload`` per destination, so
+  :meth:`fanout` builds one :class:`~repro.net.message.MessageTemplate`
+  and stamps a thin per-destination clone (plain slot stores) instead
+  of constructing a full frozen-dataclass :class:`Message` per
+  destination.  Delivery, tracing, drop bookkeeping and ``msg_id``
+  draws are the same as for a :class:`Message` — stamps duck-type
+  messages exactly.
 """
 
 from __future__ import annotations
@@ -101,9 +95,6 @@ class Network:
         tracer: "Tracer",
         rng: "RngRegistry",
         delay_model: DelayModel | None = None,
-        fanout_cache: bool = True,
-        intern_views: bool = True,
-        flyweight: bool = True,
     ) -> None:
         self._scheduler = scheduler
         self._tracer = tracer
@@ -125,17 +116,13 @@ class Network:
         # counts connectivity/liveness changes; _sendable maps a source
         # to the frozenset of sites in its component under the current
         # epoch; _labels memoizes per-mtype scheduler labels.
-        self._fanout_cache = fanout_cache
         self._epoch = 0
         self._sendable: dict[int, frozenset[int]] = {}
         self._labels: dict[str, str] = {}
-        self._fast_path = fanout_cache
+        self._fast_path = True  # no filters, no lossy links (see _refresh_fast_path)
         # interned partition views, keyed by normalized group signature
         # (None = the healed view); cleared when the universe changes.
-        self._intern_views = intern_views
         self._view_cache: dict[tuple[tuple[int, ...], ...] | None, PartitionView] = {}
-        # shared-envelope fan-out stamps (legacy Message-per-dst when off)
-        self._flyweight = flyweight
 
     # ------------------------------------------------------------------
     # registration and topology
@@ -231,7 +218,7 @@ class Network:
         self._sendable.clear()
 
     def _interned_view(self, groups: Sequence[Sequence[int]] | None) -> PartitionView:
-        """The partition view for ``groups``, interned when enabled.
+        """The interned partition view for ``groups``.
 
         ``None`` means fully connected (the healed view).  The key is
         the group layout verbatim — an equivalent layout written in a
@@ -239,8 +226,6 @@ class Network:
         *new* layout still happens inside the ``PartitionView``
         constructor on first sight.
         """
-        if not self._intern_views:
-            return PartitionView(self._nodes, groups)
         # tuple() is identity on tuples, so pre-normalized plans
         # (FailureInjector actions) build their key without re-copying
         # any group.
@@ -252,9 +237,7 @@ class Network:
 
     def _refresh_fast_path(self) -> None:
         """Fast sends are only legal with no filters and no lossy links."""
-        self._fast_path = (
-            self._fanout_cache and not self._filters and not self._link_loss
-        )
+        self._fast_path = not self._filters and not self._link_loss
 
     @property
     def scheduler(self) -> "Scheduler":
@@ -352,9 +335,7 @@ class Network:
 
     def heal(self) -> None:
         """Restore full connectivity (and clear per-link loss)."""
-        self._partition = (
-            self._interned_view(None) if self._intern_views else self._partition.healed()
-        )
+        self._partition = self._interned_view(None)
         self._link_loss.clear()
         self._bump_epoch()
         self._refresh_fast_path()
@@ -447,7 +428,7 @@ class Network:
         peers = self._sendable.get(src)
         if peers is None:
             # component_of raises on an unknown source, exactly like the
-            # legacy reachable() check did.
+            # per-message reachable() check does.
             peers = self._partition.component_of(src)
             self._sendable[src] = peers
         if dst not in peers:
@@ -493,14 +474,14 @@ class Network:
         check, the reachable-peer set and the virtual clock are read
         once per fan-out instead of once per destination — no events run
         between the per-destination sends, so the clock cannot advance
-        mid-loop.  With ``flyweight=True`` the shared fields live in one
+        mid-loop.  The shared fields live in one
         :class:`~repro.net.message.MessageTemplate` envelope and each
-        destination gets a thin stamp; either way the payload dict is
-        shared across the fan-out — messages are immutable by contract.
+        destination gets a thin stamp; the payload dict is shared across
+        the fan-out — messages are immutable by contract.
 
         Falls back to per-message :meth:`send` whenever filters or lossy
-        links are active (or the cache is disabled), so the fault model
-        and RNG draw order are bit-identical to a manual send loop.
+        links are active, so the fault model and RNG draw order are
+        bit-identical to a manual send loop.
         """
         payload = payload if payload is not None else {}
         if not self._fast_path:
@@ -520,14 +501,11 @@ class Network:
         epoch = self._epoch
         deliver_fast = self._deliver_fast
         now = sched.now
-        template = MessageTemplate(src, mtype, txn, payload) if self._flyweight else None
+        template = MessageTemplate(src, mtype, txn, payload)
         for dst in dsts:
             self.sent += 1
             record_send(now, src, txn, mtype, dst)
-            if template is not None:
-                msg = template.for_dst(dst)
-            else:
-                msg = Message(src, dst, mtype, txn, payload)
+            msg = template.for_dst(dst)
             dst_node = nodes.get(dst)
             if dst_node is None:
                 drop(msg, "unknown-destination")
@@ -549,7 +527,7 @@ class Network:
                 sched.call_fixed(now + delay, self._deliver, msg)
 
     def _send_slow(self, msg: Message) -> None:
-        """The legacy send path: per-message fault evaluation."""
+        """The per-message send path: filters and link loss are live."""
         reason = self._drop_reason_at_send(msg)
         if reason is not None:
             self._drop(msg, reason)

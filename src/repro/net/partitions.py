@@ -85,10 +85,6 @@ class PartitionView:
         """True when ``src`` and ``dst`` are in the same component."""
         return self.component_of(src) is self.component_of(dst)
 
-    def healed(self) -> "PartitionView":
-        """A fully connected view over the same universe."""
-        return PartitionView(self._universe)
-
     def sorted_components(self) -> list[list[int]]:
         """Components as sorted site lists, memoized (do not mutate).
 

@@ -9,23 +9,19 @@ like "no partition aborted after a commit quorum formed" is checked
 against the recorded history of the run.
 
 Hot-path notes: the tracer sits on every delivered message, so the
-default store is **columnar** — parallel arrays for time / site /
-category / txn plus a compact per-category detail encoding — instead
-of a list of frozen dataclasses.  An append is five ``list.append``
-calls and no object construction; :class:`TraceRecord` views are
-materialized lazily (and memoized) only when somebody iterates or
-filters.  Per-category and per-txn row indexes are built lazily on the
-first query and extended incrementally, so :meth:`where` /
-:meth:`count` / :meth:`decisions` / :meth:`message_counts` touch O(k)
-matching rows instead of scanning all O(n).  ``columnar=False``
-restores the legacy list-of-records store — kept for A/B measurement
-by the ``trace_record`` bench case, whose committed baseline pins the
-two stores producing byte-identical records and dumps.
+store is **columnar** — parallel arrays for time / site / category /
+txn plus a compact per-category detail encoding.  An append is five
+``list.append`` calls and no object construction; :class:`TraceRecord`
+views are materialized lazily (and memoized) only when somebody
+iterates or filters.  Per-category and per-txn row indexes are built
+lazily on the first query and extended incrementally, so :meth:`where`
+/ :meth:`count` / :meth:`decisions` / :meth:`message_counts` touch O(k)
+matching rows instead of scanning all O(n).
 
 ``capacity`` bounds memory two ways: the default (truncate) mode drops
-*new* records once full — exactly the legacy semantics — while
-``ring=True`` keeps the *last* ``capacity`` records instead, evicting
-the oldest; either way :attr:`dropped` counts what was discarded.
+*new* records once full, while ``ring=True`` keeps the *last*
+``capacity`` records instead, evicting the oldest; either way
+:attr:`dropped` counts what was discarded.
 """
 
 from __future__ import annotations
@@ -70,9 +66,9 @@ def _expand_detail(category: str, detail: Any) -> dict[str, Any]:
     """Materialize a compact detail column entry into the dict form.
 
     Compact entries are tuples whose layout is fixed per category (the
-    key order matches the historical ``record(...)`` keyword order, so
-    ``str(record)`` and :meth:`Tracer.dump` stay byte-identical to the
-    legacy store):
+    key order matches the equivalent ``record(...)`` keyword order, so
+    ``str(record)`` and :meth:`Tracer.dump` render a fast-path append
+    exactly like a generic one):
 
     * ``send``    -> ``(mtype, dst)``
     * ``deliver`` -> ``(mtype, src)``
@@ -99,25 +95,15 @@ class Tracer:
     Args:
         capacity: record budget (``None`` = unbounded, ``0`` = record
             nothing).
-        columnar: use the columnar/slotted store (default).  ``False``
-            keeps the legacy list-of-dataclasses store for A/B benching.
         ring: with a capacity, keep the *newest* ``capacity`` records
             (a flight recorder for long runs) instead of dropping new
-            ones once full.  Requires the columnar store.
+            ones once full.
     """
 
-    def __init__(
-        self,
-        capacity: int | None = None,
-        columnar: bool = True,
-        ring: bool = False,
-    ) -> None:
+    def __init__(self, capacity: int | None = None, ring: bool = False) -> None:
         if ring and capacity is None:
             raise ValueError("ring mode requires a capacity")
-        if ring and not columnar:
-            raise ValueError("ring mode requires the columnar store")
         self._capacity = capacity
-        self._columnar = columnar
         self._ring = ring
         self._dropped = 0
         # string-interning table for repeated txn / mtype / category
@@ -126,21 +112,18 @@ class Tracer:
         # string objects.  Values are equal either way — dumps and all
         # queries are byte-identical — this is purely a memory win.
         self._strings: dict[str, str] = {}
-        if columnar:
-            # parallel columns; one logical record = one row across all five
-            self._times: list[float] = []
-            self._sites: list[int] = []
-            self._cats: list[str] = []
-            self._txns: list[str] = []
-            self._details: list[Any] = []
-            self._memo: dict[int, TraceRecord] = {}  # row -> materialized view
-            self._by_cat: dict[str, list[int]] = {}
-            self._by_txn: dict[str, list[int]] = {}
-            self._indexed_upto = 0
-            self._next = 0  # ring write slot
-            self._full = False  # ring wrapped at least once
-        else:
-            self._records: list[TraceRecord] = []
+        # parallel columns; one logical record = one row across all five
+        self._times: list[float] = []
+        self._sites: list[int] = []
+        self._cats: list[str] = []
+        self._txns: list[str] = []
+        self._details: list[Any] = []
+        self._memo: dict[int, TraceRecord] = {}  # row -> materialized view
+        self._by_cat: dict[str, list[int]] = {}
+        self._by_txn: dict[str, list[int]] = {}
+        self._indexed_upto = 0
+        self._next = 0  # ring write slot
+        self._full = False  # ring wrapped at least once
 
     # ------------------------------------------------------------------
     # appends
@@ -155,36 +138,21 @@ class Tracer:
         **detail: Any,
     ) -> None:
         """Append one record (past ``capacity``: drop it, or the oldest)."""
-        if not self._columnar:
-            if self._capacity is not None and len(self._records) >= self._capacity:
-                self._dropped += 1
-                return
-            self._records.append(TraceRecord(time, site, category, txn, detail))
-            return
         self._append(time, site, category, txn, detail)
 
     def record_send(self, time: float, site: int, txn: str, mtype: str, dst: int) -> None:
         """Fast-path append of a ``send`` record (no detail dict built)."""
-        if self._columnar:
-            self._append(time, site, "send", txn, (self._intern(mtype), dst))
-        else:
-            self.record(time, site, "send", txn, mtype=mtype, dst=dst)
+        self._append(time, site, "send", txn, (self._intern(mtype), dst))
 
     def record_deliver(self, time: float, site: int, txn: str, mtype: str, src: int) -> None:
         """Fast-path append of a ``deliver`` record."""
-        if self._columnar:
-            self._append(time, site, "deliver", txn, (self._intern(mtype), src))
-        else:
-            self.record(time, site, "deliver", txn, mtype=mtype, src=src)
+        self._append(time, site, "deliver", txn, (self._intern(mtype), src))
 
     def record_drop(
         self, time: float, site: int, txn: str, mtype: str, dst: int, reason: str
     ) -> None:
         """Fast-path append of a ``drop`` record (with its reason)."""
-        if self._columnar:
-            self._append(time, site, "drop", txn, (self._intern(mtype), dst, reason))
-        else:
-            self.record(time, site, "drop", txn, mtype=mtype, dst=dst, reason=reason)
+        self._append(time, site, "drop", txn, (self._intern(mtype), dst, reason))
 
     def _intern(self, s: str) -> str:
         """The canonical instance of a repeated key string (see __init__)."""
@@ -219,7 +187,7 @@ class Tracer:
         self._details.append(detail)
 
     # ------------------------------------------------------------------
-    # row plumbing (columnar store)
+    # row plumbing
     # ------------------------------------------------------------------
 
     def _slot(self, row: int) -> int:
@@ -283,18 +251,14 @@ class Tracer:
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._times) if self._columnar else len(self._records)
+        return len(self._times)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        if not self._columnar:
-            return iter(self._records)
         return (self._rec(row) for row in range(len(self._times)))
 
     @property
     def records(self) -> list[TraceRecord]:
         """Materialized record list, in append order (do not mutate)."""
-        if not self._columnar:
-            return self._records
         return [self._rec(row) for row in range(len(self._times))]
 
     @property
@@ -314,19 +278,6 @@ class Tracer:
         pred: Callable[[TraceRecord], bool] | None = None,
     ) -> list[TraceRecord]:
         """Filter records by category / site / txn and an optional predicate."""
-        if not self._columnar:
-            out = []
-            for rec in self._records:
-                if category is not None and rec.category != category:
-                    continue
-                if site is not None and rec.site != site:
-                    continue
-                if txn is not None and rec.txn != txn:
-                    continue
-                if pred is not None and not pred(rec):
-                    continue
-                out.append(rec)
-            return out
         rows = self._candidate_rows(category, txn)
         cats = self._cats
         sites = self._sites
@@ -363,7 +314,7 @@ class Tracer:
 
     def count(self, category: str, **kwargs: Any) -> int:
         """Count records matching :meth:`where` filters."""
-        if self._columnar and not kwargs:
+        if not kwargs:
             self._ensure_index()
             return len(self._by_cat.get(category, ()))
         return len(self.where(category=category, **kwargs))
@@ -377,32 +328,23 @@ class Tracer:
         different decisions.
         """
         out: dict[int, str] = {}
-        if self._columnar:
-            cats = self._cats
-            sites = self._sites
-            details = self._details
-            for row in self._candidate_rows("decision", txn):
-                slot = self._slot(row)
-                if cats[slot] == "decision" and self._txns[slot] == txn:
-                    out[sites[slot]] = details[slot]["outcome"]
-            return out
-        for rec in self.where(category="decision", txn=txn):
-            out[rec.site] = rec.detail["outcome"]
+        cats = self._cats
+        sites = self._sites
+        details = self._details
+        for row in self._candidate_rows("decision", txn):
+            slot = self._slot(row)
+            if cats[slot] == "decision" and self._txns[slot] == txn:
+                out[sites[slot]] = details[slot]["outcome"]
         return out
 
     def message_counts(self) -> dict[str, int]:
         """Histogram of sent message types (for the Fig. 1 / Fig. 2 benches)."""
-        if self._columnar:
-            self._ensure_index()
-            details = self._details
-            counts = Counter(
-                det[0] if type(det := details[self._slot(row)]) is tuple else det.get("mtype", "?")
-                for row in self._by_cat.get("send", ())
-            )
-        else:
-            counts = Counter(
-                rec.detail.get("mtype", "?") for rec in self.where(category="send")
-            )
+        self._ensure_index()
+        details = self._details
+        counts = Counter(
+            det[0] if type(det := details[self._slot(row)]) is tuple else det.get("mtype", "?")
+            for row in self._by_cat.get("send", ())
+        )
         return dict(counts)
 
     def txn_scope(self, txn: str) -> list[TraceRecord]:
@@ -411,8 +353,6 @@ class Tracer:
         The slice a message-sequence chart renders; served by merging
         the two per-txn row indexes instead of scanning the full trace.
         """
-        if not self._columnar:
-            return [rec for rec in self._records if rec.txn in ("", txn)]
         self._ensure_index()
         rows = sorted(self._by_txn.get("", []) + self._by_txn.get(txn, [])) if txn else None
         if rows is None:

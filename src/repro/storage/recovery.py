@@ -9,14 +9,11 @@ After a crash, a site reconstructs two things:
    (:meth:`~repro.storage.wal.WriteAheadLog.latest_applies`): only the
    newest version of each touched item is considered, O(items touched)
    instead of O(len(wal)) — heavy-traffic logs hold thousands of
-   records but touch a handful of items.  A legacy
-   (``group_commit=False``) log has no index, so the replay falls back
-   to the historical full scan; ``full_scan=True`` forces that path for
-   A/B measurement (the ``recovery_replay`` bench case) and for the
-   equivalence regression tests.  Both paths install the same versions
-   and leave the store byte-identical; only the *count* of installs can
-   differ (the full scan may walk one item through several successive
-   versions where the index jumps straight to the newest).
+   records but touch a handful of items.  The store ends up exactly
+   where an LSN-order replay of every ``apply`` record would leave it;
+   only the *count* of installs is smaller (the index jumps straight to
+   an item's newest version where a record-by-record replay would walk
+   it through each successive one).
 2. **Protocol state** — for each transaction with a ``begin`` but no
    decision, the last logged protocol record determines the durable
    local state the site recovers into: ``begin`` -> Q (it never voted,
@@ -32,33 +29,18 @@ from repro.storage.store import ReplicaStore
 from repro.storage.wal import WriteAheadLog
 
 
-def replay_data(wal: WriteAheadLog, store: ReplicaStore, full_scan: bool = False) -> int:
+def replay_data(wal: WriteAheadLog, store: ReplicaStore) -> int:
     """Re-install committed writes into the store; returns install count.
 
-    Uses the WAL's per-item newest-``apply`` index when it exists (see
-    module docstring); ``full_scan=True`` — or a legacy unindexed log —
-    replays every ``apply`` record in LSN order instead.  Final store
-    state is identical either way.
+    Walks the WAL's per-item newest-``apply`` index (see module
+    docstring): at most one install per hosted item.
     """
-    latest = None if full_scan else wal.latest_applies()
     replayed = 0
-    if latest is not None:
-        for item, (version, value) in latest.items():
-            if not store.hosts(item):
-                continue
-            if store.read(item).version < version:
-                store.write(item, value, version)
-                replayed += 1
-        return replayed
-    for record in wal:
-        if record.kind != "apply":
-            continue
-        item = record.payload["item"]
-        version = record.payload["version"]
+    for item, (version, value) in wal.latest_applies().items():
         if not store.hosts(item):
             continue
         if store.read(item).version < version:
-            store.write(item, record.payload["value"], version)
+            store.write(item, value, version)
             replayed += 1
     return replayed
 

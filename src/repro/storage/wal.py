@@ -34,10 +34,7 @@ models stable-storage writes with a *group-commit buffer*: ``begin`` and
 charged when a record the protocol answers on (``vote``/``pc``/``pa``/
 ``commit``/``abort`` — all of which must hit stable storage before the
 site replies to anyone) closes it.  :attr:`flushes` vs :attr:`forced` exposes
-the batching to the benchmark harness.  ``group_commit=False``
-restores the legacy behaviour — one flush per force and linear scans —
-and is kept for A/B measurement by the ``wal_append`` bench case; the
-record sequence and every query answer are identical in both modes.
+the batching to the benchmark harness.
 """
 
 from __future__ import annotations
@@ -74,12 +71,11 @@ class LogRecord:
 class WriteAheadLog:
     """Append-only, crash-surviving log for one site."""
 
-    def __init__(self, site: int, group_commit: bool = True) -> None:
+    def __init__(self, site: int) -> None:
         self.site = site
         self._records: list[LogRecord] = []
         self._next_lsn = 1
-        self._group_commit = group_commit
-        # per-txn indexes (maintained only in group-commit mode)
+        # per-txn indexes
         self._by_txn: dict[str, list[LogRecord]] = {}
         self._decisions: dict[str, str] = {}
         self._begin_order: list[str] = []
@@ -100,13 +96,12 @@ class WriteAheadLog:
     def force(self, txn: str, kind: str, **payload: Any) -> LogRecord:
         """Append a record and (conceptually) force it to stable storage.
 
-        In group-commit mode the append joins the open batch; any
-        record the protocol replies on (vote/pc/pa/commit/abort) closes
-        the batch with a single flush covering everything buffered
-        before it — the classical group commit, which preserves the
-        paper's durability discipline while batching begins and applies
-        behind the next protocol answer.  Legacy mode charges one flush
-        per record.
+        The append joins the open batch; any record the protocol
+        replies on (vote/pc/pa/commit/abort) closes the batch with a
+        single flush covering everything buffered before it — the
+        classical group commit, which preserves the paper's durability
+        discipline while batching begins and applies behind the next
+        protocol answer.
 
         Raises:
             StorageError: on an unknown record kind, or on an attempt to
@@ -118,11 +113,7 @@ class WriteAheadLog:
             raise StorageError(f"unknown log record kind {kind!r}")
         is_decision = kind in _DECISION_KINDS
         if is_decision:
-            prior = (
-                self._decisions.get(txn)
-                if self._group_commit
-                else self._scan_decision(txn)
-            )
+            prior = self._decisions.get(txn)
             if prior is not None and prior != kind:
                 raise StorageError(
                     f"site {self.site}: txn {txn} already logged {prior}; "
@@ -133,9 +124,6 @@ class WriteAheadLog:
         record = LogRecord(self._next_lsn, txn, kind, payload)
         self._next_lsn += 1
         self._records.append(record)
-        if not self._group_commit:
-            self.flushes += 1
-            return record
         bucket = self._by_txn.get(txn)
         if bucket is None:
             bucket = self._by_txn[txn] = []
@@ -178,55 +166,30 @@ class WriteAheadLog:
 
     def for_txn(self, txn: str) -> list[LogRecord]:
         """All records for one transaction, in LSN order."""
-        if self._group_commit:
-            return list(self._by_txn.get(txn, ()))
-        return [r for r in self._records if r.txn == txn]
+        return list(self._by_txn.get(txn, ()))
 
     def decision(self, txn: str) -> str | None:
         """The logged decision ("commit"/"abort") for txn, if any."""
-        if self._group_commit:
-            return self._decisions.get(txn)
-        return self._scan_decision(txn)
+        return self._decisions.get(txn)
 
-    def _scan_decision(self, txn: str) -> str | None:
-        """Legacy full reverse scan for the decision record."""
-        for record in reversed(self._records):
-            if record.txn == txn and record.kind in _DECISION_KINDS:
-                return record.kind
-        return None
-
-    def latest_applies(self) -> dict[str, tuple[int, Any]] | None:
+    def latest_applies(self) -> dict[str, tuple[int, Any]]:
         """Newest ``apply`` per item: ``item -> (version, value)``.
 
         The recovery index: :func:`~repro.storage.recovery.replay_data`
         re-installs at most one version per item from this map instead
-        of scanning every log record.  ``None`` in legacy
-        (``group_commit=False``) mode, where no indexes are maintained
-        — callers must fall back to the full scan.  The returned dict
-        is the live index; treat it as read-only.
+        of scanning every log record.  The returned dict is the live
+        index; treat it as read-only.
         """
-        if self._group_commit:
-            return self._applies
-        return None
+        return self._applies
 
     def last_protocol_record(self, txn: str) -> LogRecord | None:
         """The most recent non-``apply`` record for txn (recovery anchor)."""
-        records = self._by_txn.get(txn, ()) if self._group_commit else self._records
-        for record in reversed(records):
-            if record.txn == txn and record.kind != "apply":
+        for record in reversed(self._by_txn.get(txn, ())):
+            if record.kind != "apply":
                 return record
         return None
 
     def open_txns(self) -> list[str]:
         """Transactions with a ``begin`` but no decision, in first-seen order."""
-        if self._group_commit:
-            decided = self._decisions
-            return [t for t in self._begin_order if t not in decided]
-        seen: list[str] = []
-        decided_set: set[str] = set()
-        for record in self._records:
-            if record.kind == "begin" and record.txn not in seen:
-                seen.append(record.txn)
-            elif record.kind in _DECISION_KINDS:
-                decided_set.add(record.txn)
-        return [t for t in seen if t not in decided_set]
+        decided = self._decisions
+        return [t for t in self._begin_order if t not in decided]

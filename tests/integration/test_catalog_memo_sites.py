@@ -1,7 +1,7 @@
 """Stream-identity checks for the memoized-catalog call sites.
 
 The experiment drivers that build their catalog through
-:func:`~repro.workload.catalog_memo.memoized_catalog` must be
+:func:`~repro.workload.generators.memoized_catalog` must be
 *bit-identical* to a cold build: the memo captures the pre-build RNG
 state and restores the post-build state on a hit, so a warm run draws
 the exact same stream as a cold one.  Each test clears the worker cache

@@ -4,14 +4,19 @@
 point*: running the same cases twice with the same seeds — or at any
 worker count — must yield byte-identical deterministic payloads, so the
 only way a committed ``BENCH_*.json`` can disagree with a fresh run is
-a genuine behaviour change.  The hypothesis case extends the guarantee
-across seeds for the A/B microbenches, whose legacy and optimized arms
-must also agree with *each other* on every counter.
+a genuine behaviour change.  The hypothesis cases extend the guarantee
+across seeds: the A/B microbenches' two arms must agree with *each
+other* on every counter, and each optimized hot path must agree with a
+naive reference defined in this file (swapped into the trial with
+``mock.patch``, so the trial shape is the committed one).
 """
+
+from collections import Counter
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from repro.bench import compare_case, default_suite, deterministic_payload, encode
+from repro.bench import cases, compare_case, default_suite, deterministic_payload, encode
 from repro.bench.cases import (
     catalog_memo_trial,
     lock_probe_trial,
@@ -26,6 +31,10 @@ from repro.bench.cases import (
     wal_append_trial,
     zipf_sampling_trial,
 )
+from repro.concurrency.locks import LockManager
+from repro.net.network import Network
+from repro.net.partitions import PartitionView
+from repro.sim.trace import TraceRecord
 
 #: cases cheap enough to run repeatedly inside tier-1.
 QUICK_CASES = [
@@ -86,42 +95,120 @@ class TestFixedPoint:
             assert serial == parallel, f"case {name} differs across worker counts"
 
 
+class _SlowPathNetwork(Network):
+    """Every message takes the per-message path: a filter is installed
+    (it drops nothing), so the epoch cache and fan-out stamps never run."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.add_filter(lambda msg: False)
+
+
+class _FreshViewNetwork(Network):
+    """Reference: validate and build a ``PartitionView`` on every event."""
+
+    def _interned_view(self, groups):
+        return PartitionView(self._nodes, groups)
+
+
+class _ScanLockManager(LockManager):
+    """Reference: the compatibility matrix, scanned over every holder."""
+
+    def _grantable(self, entry, mode):
+        return not entry.queue and all(mode.compatible_with(h) for h in entry.holders.values())
+
+
+class _ListTracer:
+    """Reference: a plain list of records, every query a linear scan."""
+
+    dropped = 0
+
+    def __init__(self):
+        self.records = []
+
+    def __len__(self):
+        return len(self.records)
+
+    def record(self, time, site, category, txn="", **detail):
+        self.records.append(TraceRecord(time, site, category, txn, detail))
+
+    def record_send(self, time, site, txn, mtype, dst):
+        self.record(time, site, "send", txn, mtype=mtype, dst=dst)
+
+    def record_deliver(self, time, site, txn, mtype, src):
+        self.record(time, site, "deliver", txn, mtype=mtype, src=src)
+
+    def record_drop(self, time, site, txn, mtype, dst, reason):
+        self.record(time, site, "drop", txn, mtype=mtype, dst=dst, reason=reason)
+
+    def where(self, category=None, site=None, txn=None):
+        return [
+            r
+            for r in self.records
+            if (category is None or r.category == category)
+            and (site is None or r.site == site)
+            and (txn is None or r.txn == txn)
+        ]
+
+    def count(self, category):
+        return len(self.where(category=category))
+
+    def decisions(self, txn):
+        return {r.site: r.detail["outcome"] for r in self.where(category="decision", txn=txn)}
+
+    def message_counts(self):
+        return dict(Counter(r.detail["mtype"] for r in self.where(category="send")))
+
+
+def _scan_replay(wal, store):
+    """Reference recovery: every ``apply`` record, in LSN order."""
+    installs = 0
+    for record in wal:
+        if record.kind != "apply" or not store.hosts(record.payload["item"]):
+            continue
+        item, version = record.payload["item"], record.payload["version"]
+        if store.read(item).version < version:
+            store.write(item, record.payload["value"], version)
+            installs += 1
+    return installs
+
+
 class TestABCountersAgree:
     """The optimized hot paths must change time only, never behaviour."""
 
     @given(st.integers(0, 2**20))
     @settings(max_examples=10, deadline=None)
     def test_fanout_counters_identical_across_modes(self, seed):
-        legacy = net_fanout_trial(seed, cached=False, n_sites=9, rounds=2)
-        cached = net_fanout_trial(seed, cached=True, n_sites=9, rounds=2)
-        assert legacy["counters"] == cached["counters"]
+        with mock.patch.object(cases, "Network", _SlowPathNetwork):
+            slow = net_fanout_trial(seed, n_sites=9, rounds=2)
+        cached = net_fanout_trial(seed, n_sites=9, rounds=2)
+        assert slow["counters"] == cached["counters"]
 
     @given(st.integers(0, 2**20))
     @settings(max_examples=5, deadline=None)
     def test_wal_replay_counters_identical_except_flushes(self, seed):
-        legacy = wal_append_trial(seed, grouped=False, n_txns=12, n_sites=5, replays=1)
-        grouped = wal_append_trial(seed, grouped=True, n_txns=12, n_sites=5, replays=1)
-
-        def sans_flushes(counters):
-            return {k: v for k, v in counters.items() if k != "flushes"}
-
-        assert sans_flushes(legacy["counters"]) == sans_flushes(grouped["counters"])
-        # group commit batches flushes; legacy charges one per record
-        assert grouped["counters"]["flushes"] <= legacy["counters"]["flushes"]
-        assert legacy["counters"]["flushes"] == legacy["counters"]["forced"]
+        counters = wal_append_trial(seed, n_txns=12, n_sites=5, replays=1)["counters"]
+        kinds = {k[len("kind_") :]: v for k, v in counters.items() if k.startswith("kind_")}
+        assert counters["forced"] == sum(kinds.values())
+        # group commit: one flush per record the protocol answers on —
+        # the begins and applies ride the next such record's batch
+        assert counters["flushes"] == sum(kinds.get(k, 0) for k in ("vote", "pc", "pa", "commit", "abort"))
+        assert counters["flushes"] <= counters["forced"]
 
     @given(st.integers(0, 2**20))
     @settings(max_examples=10, deadline=None)
     def test_trace_counters_identical_across_stores(self, seed):
-        legacy = trace_record_trial(seed, columnar=False, n_events=600, queries=12)
-        columnar = trace_record_trial(seed, columnar=True, n_events=600, queries=12)
-        assert legacy["counters"] == columnar["counters"]
+        with mock.patch.object(cases, "Tracer", _ListTracer):
+            naive = trace_record_trial(seed, n_events=600, queries=12)
+        columnar = trace_record_trial(seed, n_events=600, queries=12)
+        assert naive["counters"] == columnar["counters"]
 
     @given(st.integers(0, 2**20))
     @settings(max_examples=10, deadline=None)
     def test_churn_counters_identical_across_interning(self, seed):
-        fresh = partition_churn_trial(seed, intern=False, n_sites=10, rounds=4)
-        interned = partition_churn_trial(seed, intern=True, n_sites=10, rounds=4)
+        with mock.patch.object(cases, "Network", _FreshViewNetwork):
+            fresh = partition_churn_trial(seed, n_sites=10, rounds=4)
+        interned = partition_churn_trial(seed, n_sites=10, rounds=4)
         assert fresh["counters"] == interned["counters"]
 
     @given(st.integers(0, 2**10))
@@ -134,15 +221,17 @@ class TestABCountersAgree:
     @given(st.integers(0, 2**20))
     @settings(max_examples=10, deadline=None)
     def test_flyweight_counters_identical_across_modes(self, seed):
-        legacy = net_fanout_flyweight_trial(seed, flyweight=False, n_sites=8, rounds=2)
-        stamped = net_fanout_flyweight_trial(seed, flyweight=True, n_sites=8, rounds=2)
-        assert legacy["counters"] == stamped["counters"]
+        with mock.patch.object(cases, "Network", _SlowPathNetwork):
+            messages = net_fanout_flyweight_trial(seed, n_sites=8, rounds=2)
+        stamped = net_fanout_flyweight_trial(seed, n_sites=8, rounds=2)
+        assert messages["counters"] == stamped["counters"]
 
     @given(st.integers(0, 2**20))
     @settings(max_examples=5, deadline=None)
     def test_recovery_replay_stores_identical_across_modes(self, seed):
-        scan = recovery_replay_trial(seed, indexed=False, n_txns=24, replays=1)
-        indexed = recovery_replay_trial(seed, indexed=True, n_txns=24, replays=1)
+        with mock.patch("repro.storage.recovery.replay_data", _scan_replay):
+            scan = recovery_replay_trial(seed, n_txns=24, replays=1)
+        indexed = recovery_replay_trial(seed, n_txns=24, replays=1)
         # install counts legitimately differ (version ladder vs newest),
         # but the replayed store state and the log shape must agree
         for key in ("wal_records_1x", "wal_records_4x", "store_checksum_1x", "store_checksum_4x"):
@@ -184,10 +273,11 @@ class TestABCountersAgree:
     @settings(max_examples=10, deadline=None)
     def test_lock_probe_counters_identical_across_modes(self, seed):
         # the exclusive-holder counter must reproduce every grant
-        # decision of the legacy allocating compatibility scan
-        legacy = lock_probe_trial(seed, tracked=False, n_readers=20, probes=200)
-        tracked = lock_probe_trial(seed, tracked=True, n_readers=20, probes=200)
-        assert legacy["counters"] == tracked["counters"]
+        # decision of the compatibility-matrix holder scan
+        with mock.patch.object(cases, "LockManager", _ScanLockManager):
+            scanned = lock_probe_trial(seed, n_readers=20, probes=200)
+        tracked = lock_probe_trial(seed, n_readers=20, probes=200)
+        assert scanned["counters"] == tracked["counters"]
 
     @given(st.integers(0, 2**20))
     @settings(max_examples=5, deadline=None)

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.common.errors import SiteDownError
-from repro.net.message import Message
+from repro.net.message import Message, MessageStamp
 from repro.net.network import Network
 from repro.net.node import Node
+from repro.net.partitions import PartitionView
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import Scheduler
 from repro.sim.trace import Tracer
@@ -220,41 +221,31 @@ class TestViewInterning:
         # site 4 was in no group: a singleton component
         assert network.partition.component_of(4) == frozenset([4])
 
-    def test_intern_disabled_builds_fresh_views(self):
-        scheduler = Scheduler()
-        network = Network(scheduler, Tracer(), RngRegistry(0), intern_views=False)
-        for i in (1, 2, 3):
-            Recorder(i, network)
-        network.set_partition([[1], [2, 3]])
-        first = network.partition
-        network.heal()
-        network.set_partition([[1], [2, 3]])
-        assert network.partition is not first
-        assert network.partition == first  # equal content, fresh object
-
     def test_interned_and_fresh_views_agree(self, net):
         __, network, __nodes = net
-        other = Network(Scheduler(), Tracer(), RngRegistry(0), intern_views=False)
-        for i in (1, 2, 3):
-            Recorder(i, other)
-        for groups in ([[1], [2, 3]], [[1, 2], [3]], [[1], [2], [3]]):
+        layouts = ([[1], [2, 3]], [[1, 2], [3]], [[1], [2], [3]])
+        for groups in layouts + layouts:  # second lap: every view is a cache hit
             network.set_partition(groups)
-            other.set_partition(groups)
-            assert network.partition == other.partition
-            assert network.partition.sorted_components() == other.partition.sorted_components()
+            fresh = PartitionView(network.sites, groups)
+            assert network.partition == fresh
+            assert network.partition.sorted_components() == fresh.sorted_components()
+        network.heal()
+        assert network.partition == PartitionView(network.sites)
 
 
 class TestFanoutFlyweight:
-    def _network(self, flyweight):
+    def _network(self, slow=False):
         scheduler = Scheduler()
-        network = Network(scheduler, Tracer(), RngRegistry(0), flyweight=flyweight)
+        network = Network(scheduler, Tracer(), RngRegistry(0))
+        if slow:
+            # a filter that drops nothing still forces the per-message
+            # path, which builds one full Message per destination
+            network.add_filter(lambda m: False)
         nodes = {i: Recorder(i, network) for i in (1, 2, 3)}
         return scheduler, network, nodes
 
     def test_stamps_deliver_like_messages(self):
-        from repro.net.message import MessageStamp
-
-        scheduler, network, nodes = self._network(flyweight=True)
+        scheduler, network, nodes = self._network()
         payload = {"k": 7}
         network.fanout(1, [2, 3], "test.ping", "T1", payload)
         scheduler.run()
@@ -266,30 +257,24 @@ class TestFanoutFlyweight:
         ids = [nodes[2].received[0].msg_id, nodes[3].received[0].msg_id]
         assert ids[0] != ids[1]
 
-    def test_legacy_flag_builds_full_messages(self):
-        scheduler, network, nodes = self._network(flyweight=False)
-        network.fanout(1, [2, 3], "test.ping", "T1")
-        scheduler.run()
-        assert all(type(n.received[0]) is Message for n in (nodes[2], nodes[3]))
-
     def test_counters_and_trace_identical_across_modes(self):
+        # stamped fan-out vs the per-message path's full Messages
         tallies = []
-        for flyweight in (False, True):
-            scheduler, network, nodes = self._network(flyweight)
+        for slow in (True, False):
+            scheduler, network, nodes = self._network(slow)
             network.fanout(1, [1, 2, 3, 9], "test.ping", "T1")  # 9 unknown
             network.crash_site(3)
             network.fanout(1, [2, 3], "test.ping", "T1")
             scheduler.run()
-            tracer = network.tracer
+            kind = Message if slow else MessageStamp
+            assert [type(m) for m in nodes[2].received] == [kind, kind]
             tallies.append(
                 (
                     network.sent,
                     network.delivered,
                     network.dropped,
-                    tracer.count("send"),
-                    tracer.count("deliver"),
-                    tracer.count("drop"),
-                    len(nodes[2].received),
+                    [str(m) for m in nodes[2].received],
+                    network.tracer.dump(),
                 )
             )
         assert tallies[0] == tallies[1]
@@ -297,7 +282,7 @@ class TestFanoutFlyweight:
     def test_slow_path_still_used_with_filters(self):
         # filters disable the fast path entirely; the flyweight never
         # bypasses the per-message fault evaluation
-        scheduler, network, nodes = self._network(flyweight=True)
+        scheduler, network, nodes = self._network()
         network.add_filter(lambda m: m.dst == 2)
         network.fanout(1, [2, 3], "test.ping", "T1")
         scheduler.run()

@@ -3,8 +3,9 @@
 The cache is only sound if *every* event that can change who may talk
 to whom — partition, heal, crash, recover, registration — busts it.
 These tests pin the invalidation triggers, the fast/slow path handoff
-around filters and lossy links, and the equivalence of the cached and
-legacy fan-out paths on full storms.
+around filters and lossy links, and the equivalence of the cached
+fan-out path and the per-message path (forced by installing a filter
+that matches nothing) on full storms.
 """
 
 import pytest
@@ -25,9 +26,13 @@ class Recorder(Node):
         self.on("t.ping", self.received.append)
 
 
-def build(n=4, cached=True):
+def build(n=4, slow=False):
     scheduler = Scheduler()
-    network = Network(scheduler, Tracer(), RngRegistry(0), fanout_cache=cached)
+    network = Network(scheduler, Tracer(), RngRegistry(0))
+    if slow:
+        # a filter that drops nothing still routes every message through
+        # the per-message path
+        network.add_filter(lambda m: False)
     nodes = {i: Recorder(i, network) for i in range(1, n + 1)}
     return scheduler, network, nodes
 
@@ -93,7 +98,7 @@ class TestEpochInvalidation:
     def test_recover_in_flight_still_delivers(self):
         """A message to a down-but-reachable site takes the checked path;
         if the site recovers before arrival, delivery goes through —
-        same as the legacy evaluation."""
+        same as the per-message evaluation."""
         scheduler, network, nodes = build()
         network.crash_site(2)
         nodes[1].send(2, "t.ping")
@@ -137,19 +142,11 @@ class TestFastSlowHandoff:
         network.heal()  # clears link loss
         assert network._fast_path
 
-    def test_fanout_cache_false_never_uses_fast_path(self):
-        scheduler, network, nodes = build(cached=False)
-        assert not network._fast_path
-        nodes[1].broadcast([2, 3, 4], "t.ping")
-        scheduler.run()
-        assert all(len(nodes[i].received) == 1 for i in (2, 3, 4))
-        assert not network._sendable
-
 
 class TestFanout:
     def test_fanout_matches_manual_sends(self):
-        for cached in (False, True):
-            scheduler, network, nodes = build(cached=cached)
+        for slow in (True, False):
+            scheduler, network, nodes = build(slow=slow)
             network.set_partition([[1, 2, 3], [4]])
             network.crash_site(3)
             nodes[1].broadcast([1, 2, 3, 4], "t.ping", "T1")
@@ -187,8 +184,9 @@ class TestFanout:
         """Full storm with partitions, crashes and heals: both paths
         must agree on every counter and every delivered message."""
         tallies = []
-        for cached in (False, True):
-            scheduler, network, nodes = build(n=9, cached=cached)
+        for slow in (True, False):
+            scheduler, network, nodes = build(n=9, slow=slow)
+            assert network._fast_path is not slow
             everyone = list(nodes)
             for wave in range(3):
                 for node in nodes.values():
@@ -210,6 +208,7 @@ class TestFanout:
                     network.dropped,
                     scheduler.events_run,
                     tuple(len(n.received) for n in nodes.values()),
+                    [str(r) for r in network.tracer.records],
                 )
             )
         assert tallies[0] == tallies[1]

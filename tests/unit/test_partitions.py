@@ -45,12 +45,6 @@ class TestQueries:
         view = PartitionView([1, 2], [[1], [2]])
         assert view.reachable(1, 1)
 
-    def test_healed_restores_connectivity(self):
-        view = PartitionView([1, 2, 3], [[1], [2, 3]])
-        healed = view.healed()
-        assert not healed.is_partitioned
-        assert healed.reachable(1, 2)
-
     def test_components_cover_universe(self):
         view = PartitionView([1, 2, 3, 4, 5], [[1, 3], [2]])
         covered = set()

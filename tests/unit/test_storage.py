@@ -159,9 +159,9 @@ class TestRecovery:
         assert recover_protocol_states(wal)["T1"] is TxnState.Q
 
 
-def _messy_wal(site: int, group_commit: bool) -> WriteAheadLog:
+def _messy_wal(site: int) -> WriteAheadLog:
     """A WAL with stale, duplicate and non-hosted apply records."""
-    wal = WriteAheadLog(site, group_commit=group_commit)
+    wal = WriteAheadLog(site)
     wal.force("T1", "begin")
     wal.force("T1", "apply", item="x", value=10, version=1)
     wal.force("T1", "commit")
@@ -184,13 +184,26 @@ def _fresh_store(site: int) -> ReplicaStore:
     return store
 
 
-class TestIndexedReplay:
-    """The per-item apply index must replay exactly what the scan did."""
+def _scan_replay(wal: WriteAheadLog, store: ReplicaStore) -> int:
+    """Reference replay: every ``apply`` record, in LSN order."""
+    installs = 0
+    for record in wal:
+        if record.kind != "apply" or not store.hosts(record.payload["item"]):
+            continue
+        item, version = record.payload["item"], record.payload["version"]
+        if store.read(item).version < version:
+            store.write(item, record.payload["value"], version)
+            installs += 1
+    return installs
 
-    def test_indexed_matches_full_scan_state(self):
-        wal = _messy_wal(1, group_commit=True)
+
+class TestIndexedReplay:
+    """The per-item apply index must replay exactly what a log scan does."""
+
+    def test_indexed_matches_scan_replay_state(self):
+        wal = _messy_wal(1)
         scanned = _fresh_store(1)
-        replay_data(wal, scanned, full_scan=True)
+        _scan_replay(wal, scanned)
         indexed = _fresh_store(1)
         replay_data(wal, indexed)
         assert indexed.snapshot() == scanned.snapshot()
@@ -201,30 +214,20 @@ class TestIndexedReplay:
     def test_indexed_installs_only_newest_version(self):
         # the scan walks x through v1 then v3 (two installs); the index
         # jumps straight to v3 (one install) — same final state
-        wal = _messy_wal(1, group_commit=True)
-        assert replay_data(wal, _fresh_store(1), full_scan=True) == 2
+        wal = _messy_wal(1)
+        assert _scan_replay(wal, _fresh_store(1)) == 2
         assert replay_data(wal, _fresh_store(1)) == 1
 
     def test_latest_applies_tracks_newest_per_item(self):
-        wal = _messy_wal(1, group_commit=True)
+        wal = _messy_wal(1)
         assert wal.latest_applies() == {
             "x": (3, 20),
             "y": (1, 5),
             "ghost": (4, 9),
         }
 
-    def test_legacy_wal_has_no_index_and_falls_back(self):
-        legacy = _messy_wal(1, group_commit=False)
-        assert legacy.latest_applies() is None
-        store = _fresh_store(1)
-        replayed = replay_data(legacy, store)  # silently takes the full scan
-        reference = _fresh_store(1)
-        replay_data(_messy_wal(1, group_commit=True), reference, full_scan=True)
-        assert store.snapshot() == reference.snapshot()
-        assert replayed == 2  # the scan's install count, not the index's
-
     def test_indexed_replay_is_idempotent(self):
-        wal = _messy_wal(1, group_commit=True)
+        wal = _messy_wal(1)
         store = _fresh_store(1)
         replay_data(wal, store)
         assert replay_data(wal, store) == 0

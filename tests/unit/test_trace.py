@@ -1,9 +1,10 @@
 """Unit tests for the trace recorder.
 
-The columnar store must be observationally identical to the legacy
-list-of-dataclasses store — materialized records compare equal, dumps
-are byte-identical — while the capacity modes differ on purpose:
-truncate drops *new* records, ring drops the *oldest*.
+The columnar store must be observationally a plain list of records —
+materialized views compare equal to hand-built ``TraceRecord`` values,
+every indexed query answers like a naive filter over ``tracer.records``, and
+dumps render record by record — while the capacity modes differ on
+purpose: truncate drops *new* records, ring drops the *oldest*.
 """
 
 import pytest
@@ -68,11 +69,16 @@ class TestQueries:
         tracer.record(1.0, 1, "send", mtype="a.c")
         assert tracer.message_counts() == {"a.b": 2, "a.c": 1}
 
-    @pytest.mark.parametrize("columnar", [True, False])
-    def test_message_counts_buckets_missing_mtype(self, columnar):
-        tracer = Tracer(columnar=columnar)
+    @pytest.mark.parametrize("compact", [True, False])
+    def test_message_counts_buckets_missing_mtype(self, compact):
+        # a send is counted the same whether it carries the fast path's
+        # compact detail or a generic record()'s detail dict
+        tracer = Tracer()
         tracer.record(1.0, 1, "send")
-        tracer.record(1.0, 1, "send", mtype="a.b")
+        if compact:
+            tracer.record_send(1.0, 1, "", "a.b", 2)
+        else:
+            tracer.record(1.0, 1, "send", mtype="a.b")
         assert tracer.message_counts() == {"?": 1, "a.b": 1}
 
     def test_dump_renders_all_records(self, tracer):
@@ -81,43 +87,72 @@ class TestQueries:
         assert "send" in text and "T1" in text
 
 
-def _fill(tracer: Tracer, n: int = 30) -> None:
-    """A deterministic mixed workload exercising every append path."""
+def _fill(tracer: Tracer, n: int = 30) -> list[TraceRecord]:
+    """A deterministic mixed workload exercising every append path.
+
+    Returns the records the appends describe, built by hand — the
+    reference the store's materialized views are compared against.
+    """
+    expected = []
     for i in range(n):
         t = float(i)
         site = i % 5
         txn = f"T{i % 3}"
         kind = i % 6
         if kind == 0:
-            tracer.record_send(t, site, txn, "qtp1.vote-req", (site + 1) % 5)
+            dst = (site + 1) % 5
+            tracer.record_send(t, site, txn, "qtp1.vote-req", dst)
+            rec = TraceRecord(t, site, "send", txn, {"mtype": "qtp1.vote-req", "dst": dst})
         elif kind == 1:
-            tracer.record_deliver(t, site, txn, "qtp1.vote-req", (site + 4) % 5)
+            src = (site + 4) % 5
+            tracer.record_deliver(t, site, txn, "qtp1.vote-req", src)
+            rec = TraceRecord(t, site, "deliver", txn, {"mtype": "qtp1.vote-req", "src": src})
         elif kind == 2:
-            tracer.record_drop(t, site, txn, "qtp1.ack", (site + 2) % 5, "partitioned")
+            dst = (site + 2) % 5
+            tracer.record_drop(t, site, txn, "qtp1.ack", dst, "partitioned")
+            detail = {"mtype": "qtp1.ack", "dst": dst, "reason": "partitioned"}
+            rec = TraceRecord(t, site, "drop", txn, detail)
         elif kind == 3:
             tracer.record(t, site, "state", txn, src="W", dst="PC")
+            rec = TraceRecord(t, site, "state", txn, {"src": "W", "dst": "PC"})
         elif kind == 4:
-            tracer.record(t, site, "decision", txn, outcome="commit")
+            outcome = "commit" if i % 4 else "abort"
+            tracer.record(t, site, "decision", txn, outcome=outcome)
+            rec = TraceRecord(t, site, "decision", txn, {"outcome": outcome})
         else:
             tracer.record(t, -1, "partition", groups=[[0, 1], [2, 3, 4]])
+            rec = TraceRecord(t, -1, "partition", "", {"groups": [[0, 1], [2, 3, 4]]})
+        expected.append(rec)
+    return expected
+
+
+def _naive_where(records, category=None, site=None, txn=None, pred=None):
+    """The reference filter: one pass over the materialized records."""
+    return [
+        r
+        for r in records
+        if (category is None or r.category == category)
+        and (site is None or r.site == site)
+        and (txn is None or r.txn == txn)
+        and (pred is None or pred(r))
+    ]
 
 
 class TestColumnarLegacyEquivalence:
+    """The store against a naive list-of-records reference."""
+
     def test_records_and_dump_identical(self):
-        col = Tracer(columnar=True)
-        leg = Tracer(columnar=False)
-        _fill(col)
-        _fill(leg)
-        assert col.records == leg.records
-        assert col.dump() == leg.dump()
-        assert list(col) == list(leg)
-        assert len(col) == len(leg)
+        tracer = Tracer()
+        expected = _fill(tracer)
+        assert tracer.records == expected
+        assert tracer.dump() == "\n".join(str(r) for r in expected)
+        assert list(tracer) == expected
+        assert len(tracer) == len(expected)
 
     def test_queries_identical(self):
-        col = Tracer(columnar=True)
-        leg = Tracer(columnar=False)
-        _fill(col)
-        _fill(leg)
+        tracer = Tracer()
+        _fill(tracer)
+        records = tracer.records
         for kwargs in [
             {"category": "send"},
             {"category": "send", "site": 0},
@@ -129,12 +164,21 @@ class TestColumnarLegacyEquivalence:
             {"txn": "no-such-txn"},
             {"category": "send", "txn": "T0", "site": 0},
         ]:
-            assert col.where(**kwargs) == leg.where(**kwargs), kwargs
-        assert col.count("deliver") == leg.count("deliver")
-        assert col.count("deliver", site=2) == leg.count("deliver", site=2)
-        assert col.decisions("T1") == leg.decisions("T1")
-        assert col.message_counts() == leg.message_counts()
-        assert col.txn_scope("T0") == leg.txn_scope("T0")
+            assert tracer.where(**kwargs) == _naive_where(records, **kwargs), kwargs
+        assert tracer.count("deliver") == len(_naive_where(records, category="deliver"))
+        assert tracer.count("deliver", site=2) == len(
+            _naive_where(records, category="deliver", site=2)
+        )
+        last_decision = {}
+        for r in _naive_where(records, category="decision", txn="T1"):
+            last_decision[r.site] = r.detail["outcome"]
+        assert tracer.decisions("T1") == last_decision
+        histogram = {}
+        for r in _naive_where(records, category="send"):
+            histogram[r.detail["mtype"]] = histogram.get(r.detail["mtype"], 0) + 1
+        assert tracer.message_counts() == histogram
+        assert tracer.txn_scope("T0") == [r for r in records if r.txn in ("", "T0")]
+        assert tracer.txn_scope("") == [r for r in records if r.txn == ""]
 
     def test_compact_details_expand_in_kwarg_order(self):
         tracer = Tracer()
@@ -165,18 +209,21 @@ class TestColumnarLegacyEquivalence:
 
 
 class TestCapacityTruncate:
-    @pytest.mark.parametrize("columnar", [True, False])
-    def test_drops_new_records_past_capacity(self, columnar):
-        tracer = Tracer(capacity=4, columnar=columnar)
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_drops_new_records_past_capacity(self, indexed):
+        tracer = Tracer(capacity=4)
+        if indexed:
+            tracer.count("send")  # the row indexes exist before the overflow
         _fill(tracer, 10)
         assert len(tracer) == 4
         assert tracer.dropped == 6
         # the *first* four records survive
         assert [r.time for r in tracer.records] == [0.0, 1.0, 2.0, 3.0]
+        assert [r.time for r in tracer.where(category="send")] == [0.0]
 
-    @pytest.mark.parametrize("columnar", [True, False])
-    def test_capacity_zero_records_nothing(self, columnar):
-        tracer = Tracer(capacity=0, columnar=columnar)
+    @pytest.mark.parametrize("ring", [True, False])
+    def test_capacity_zero_records_nothing(self, ring):
+        tracer = Tracer(capacity=0, ring=ring)
         _fill(tracer, 5)
         assert len(tracer) == 0
         assert tracer.dropped == 5
@@ -185,11 +232,9 @@ class TestCapacityTruncate:
 
 
 class TestRingBuffer:
-    def test_ring_requires_capacity_and_columnar(self):
+    def test_ring_requires_capacity(self):
         with pytest.raises(ValueError, match="capacity"):
             Tracer(ring=True)
-        with pytest.raises(ValueError, match="columnar"):
-            Tracer(capacity=4, ring=True, columnar=False)
 
     def test_keeps_newest_and_counts_evictions(self):
         tracer = Tracer(capacity=4, ring=True)

@@ -1,10 +1,10 @@
 """Unit tests for the WAL group-commit buffer and per-txn indexes.
 
-Group-commit mode must be a pure performance change: every query
-(``decision``, ``for_txn``, ``open_txns``, ``last_protocol_record``)
-answers exactly as the legacy scanning implementation does, and the
-irrevocability guard still fires.  Only the flush accounting differs —
-a decision record closes a batch, so flushes <= forced.
+The indexes must be invisible: every query (``decision``, ``for_txn``,
+``open_txns``, ``last_protocol_record``) answers exactly as a linear
+scan over the record list does, and the irrevocability guard still
+fires.  The flush accounting is the group-commit model — a record the
+protocol answers on closes the open batch, so flushes <= forced.
 """
 
 import random
@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.common.errors import StorageError
-from repro.storage.wal import WriteAheadLog
+from repro.storage.wal import _FLUSH_KINDS, WriteAheadLog
 
 
 def random_sequence(seed, n_txns=12, n_ops=120):
@@ -36,35 +36,70 @@ def random_sequence(seed, n_txns=12, n_ops=120):
     return ops
 
 
-def replay(ops, group_commit):
-    wal = WriteAheadLog(7, group_commit=group_commit)
+def replay(ops):
+    wal = WriteAheadLog(7)
     for txn, kind in ops:
         wal.force(txn, kind)
     return wal
 
 
+def scan_decision(records, txn):
+    """Reference: newest decision record for txn, by reverse scan."""
+    for record in reversed(records):
+        if record.txn == txn and record.kind in ("commit", "abort"):
+            return record.kind
+    return None
+
+
+def scan_last_protocol_record(records, txn):
+    """Reference: newest non-apply record for txn, by reverse scan."""
+    for record in reversed(records):
+        if record.txn == txn and record.kind != "apply":
+            return record
+    return None
+
+
+def scan_open_txns(records):
+    """Reference: begun-but-undecided txns in first-seen order."""
+    seen = []
+    decided = set()
+    for record in records:
+        if record.kind == "begin" and record.txn not in seen:
+            seen.append(record.txn)
+        elif record.kind in ("commit", "abort"):
+            decided.add(record.txn)
+    return [t for t in seen if t not in decided]
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("seed", range(5))
     def test_queries_match_legacy(self, seed):
+        """Indexed answers vs a linear scan over ``list(wal)``."""
         ops = random_sequence(seed)
-        legacy = replay(ops, group_commit=False)
-        grouped = replay(ops, group_commit=True)
-        assert [str(r) for r in legacy] == [str(r) for r in grouped]
-        assert legacy.open_txns() == grouped.open_txns()
+        wal = replay(ops)
+        records = list(wal)
+        assert [(r.lsn, r.txn, r.kind) for r in records] == [
+            (lsn, txn, kind) for lsn, (txn, kind) in enumerate(ops, start=1)
+        ]
+        # every _FLUSH_KINDS record closes the batch it joins, which is
+        # therefore never empty: one flush per such record, no others
+        assert wal.flushes == sum(1 for _txn, kind in ops if kind in _FLUSH_KINDS)
+        assert wal.open_txns() == scan_open_txns(records)
         txns = {txn for txn, _ in ops}
         for txn in sorted(txns) + ["T-missing"]:
-            assert legacy.decision(txn) == grouped.decision(txn)
-            assert legacy.for_txn(txn) == grouped.for_txn(txn)
-            assert legacy.last_protocol_record(txn) == grouped.last_protocol_record(txn)
+            assert wal.decision(txn) == scan_decision(records, txn)
+            assert wal.for_txn(txn) == [r for r in records if r.txn == txn]
+            assert wal.last_protocol_record(txn) == scan_last_protocol_record(records, txn)
 
     def test_conflicting_decision_rejected_in_both_modes(self):
-        for mode in (False, True):
-            wal = WriteAheadLog(1, group_commit=mode)
+        # both decision kinds are irrevocable, whichever was logged first
+        for first, second in (("commit", "abort"), ("abort", "commit")):
+            wal = WriteAheadLog(1)
             wal.force("T1", "begin")
-            wal.force("T1", "commit")
-            with pytest.raises(StorageError, match="already logged commit"):
-                wal.force("T1", "abort")
-            wal.force("T1", "commit")  # same decision again is legal
+            wal.force("T1", first)
+            with pytest.raises(StorageError, match=f"already logged {first}"):
+                wal.force("T1", second)
+            wal.force("T1", first)  # same decision again is legal
 
     def test_unknown_kind_rejected(self):
         wal = WriteAheadLog(1)
@@ -100,16 +135,9 @@ class TestGroupCommitAccounting:
         assert wal.flush() == 0
         assert wal.flushes == 1
 
-    def test_legacy_mode_charges_one_flush_per_force(self):
-        wal = WriteAheadLog(1, group_commit=False)
-        wal.force("T1", "begin")
-        wal.force("T1", "vote")
-        wal.force("T1", "commit")
-        assert wal.flushes == wal.forced == 3
-
     def test_grouped_flushes_never_exceed_forced(self):
         ops = random_sequence(3)
-        grouped = replay(ops, group_commit=True)
+        grouped = replay(ops)
         grouped.flush()
         assert 0 < grouped.flushes <= grouped.forced
         # with multi-record transactions, batching must actually batch
