@@ -53,7 +53,15 @@ PROTOCOL_NAMES = ("2pc", "3pc", "skq", "qtp1", "qtp2", "qtpp")
 
 
 class Cluster:
-    """A simulated distributed database running one commit protocol."""
+    """A simulated distributed database running one commit protocol.
+
+    Building one costs O(sites + copies): the site -> hosted-items
+    placement is computed once from the catalog, every site registers on
+    the network in O(1), all engines share one termination rule, and no
+    message handler is bound before its first delivery — a run pays for
+    the sites and message types it touches, not for the installation's
+    size.
+    """
 
     def __init__(
         self,
@@ -101,12 +109,10 @@ class Cluster:
         self.rng = RngRegistry(seed)
         self.network = Network(self.scheduler, self.tracer, self.rng, delay_model)
         self.sites: dict[int, Site] = {}
-        site_ids = sorted(set(catalog.all_sites()) | set(extra_sites))
-        for site_id in site_ids:
-            self.sites[site_id] = Site(site_id, self.network, catalog)
-        self._attach_engines(
-            site_votes, commit_quorum, abort_quorum, primaries, enforce_ignore_rules
-        )
+        hosted = catalog.items_by_site()
+        for site_id in sorted(hosted.keys() | set(extra_sites)):
+            self.sites[site_id] = Site(site_id, self.network, catalog, hosted.get(site_id, ()))
+        self._attach_engines(site_votes, commit_quorum, abort_quorum, primaries)
         self.injector = FailureInjector(
             self.scheduler, self.network, membership=self._apply_membership
         )
@@ -126,7 +132,6 @@ class Cluster:
         commit_quorum: int | None,
         abort_quorum: int | None,
         primaries: Mapping[str, int] | None,
-        enforce_ignore_rules: bool,
     ) -> None:
         if self.protocol == "skq":
             votes = dict(site_votes) if site_votes else {s: 1 for s in self.sites}
@@ -136,20 +141,13 @@ class Cluster:
             self.skeen_rule = SkeenQuorumRule(votes, commit_quorum, abort_quorum)
         if self.protocol == "qtpp":
             self.primary_strategy = PrimaryCopyStrategy(self.catalog, primaries)
+        # engine class, termination rule and extra keywords: the rules
+        # hold no per-site state, so one serves every engine (joiners too)
+        self._engine_spec = self._engine_for_protocol()
         for site in self.sites.values():
-            engine_cls, rule, extra = self._engine_for(site)
-            engine = engine_cls(
-                node=site,
-                wal=site.wal,
-                catalog=self.catalog,
-                rule=rule,
-                hooks=SiteHooks(site),
-                enforce_ignore_rules=enforce_ignore_rules,
-                **extra,
-            )
-            site.attach_engine(engine)
+            self._attach_engine(site)
 
-    def _engine_for(self, site: Site):
+    def _engine_for_protocol(self):
         if self.protocol == "2pc":
             return TwoPCEngine, CooperativeTerminationRule(), {}
         if self.protocol == "3pc":
@@ -165,6 +163,20 @@ class Cluster:
                 {"strategy": self.primary_strategy},
             )
         return QTP2Engine, TerminationRule2(self.catalog), {}
+
+    def _attach_engine(self, site: Site) -> None:
+        """Give ``site`` an engine of this cluster's protocol."""
+        engine_cls, rule, extra = self._engine_spec
+        engine = engine_cls(
+            node=site,
+            wal=site.wal,
+            catalog=self.catalog,
+            rule=rule,
+            hooks=SiteHooks(site),
+            enforce_ignore_rules=self._enforce_ignore_rules,
+            **extra,
+        )
+        site.attach_engine(engine)
 
     # ------------------------------------------------------------------
     # client API
@@ -414,7 +426,8 @@ class Cluster:
             if self.protocol == "skq":
                 self.skeen_rule.discard_site(site_id)
             raise
-        site = Site(site_id, self.network, self.catalog)  # registers on the network
+        hosted = self.catalog.items_by_site().get(site_id, ())
+        site = Site(site_id, self.network, self.catalog, hosted)  # registers on the network
         self.sites[site_id] = site
         if near is not None:
             self.network.place_with(site_id, near)
@@ -432,17 +445,7 @@ class Cluster:
                     best = record
             if best is not None and best.version > 0:
                 site.store.write(item, best.value, best.version)
-        engine_cls, rule, extra = self._engine_for(site)
-        engine = engine_cls(
-            node=site,
-            wal=site.wal,
-            catalog=self.catalog,
-            rule=rule,
-            hooks=SiteHooks(site),
-            enforce_ignore_rules=self._enforce_ignore_rules,
-            **extra,
-        )
-        site.attach_engine(engine)
+        self._attach_engine(site)
         self.tracer.record(
             self.scheduler.now,
             site_id,

@@ -18,7 +18,7 @@ apply an abort (release locks).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.concurrency.locks import LockManager, LockMode
 from repro.net.node import Node
@@ -75,16 +75,25 @@ class SiteHooks(ProtocolHooks):
 class Site(Node):
     """A database site; create via :class:`~repro.db.cluster.Cluster`."""
 
-    def __init__(self, site_id: int, network: "Network", catalog: "ReplicaCatalog") -> None:
+    def __init__(
+        self,
+        site_id: int,
+        network: "Network",
+        catalog: "ReplicaCatalog",
+        hosted: Iterable[str],
+    ) -> None:
+        """Build the site's stack and host ``hosted`` — its entry of
+        :meth:`ReplicaCatalog.items_by_site
+        <repro.replication.catalog.ReplicaCatalog.items_by_site>`, which
+        the cluster computes once for all its sites."""
         super().__init__(site_id, network)
         self.catalog = catalog
         self.wal = WriteAheadLog(site_id)
         self.store = ReplicaStore(site_id)
         self.locks = LockManager(site_id)
         self.engine: "CommitProtocolEngine | None" = None
-        for item in catalog.item_names:
-            if site_id in catalog.item(item).copies:
-                self.store.host(item, value=0, version=0)
+        for item in hosted:
+            self.store.host(item, value=0, version=0)
 
     def attach_engine(self, engine: "CommitProtocolEngine") -> None:
         """Install the commit-protocol engine (exactly once)."""

@@ -17,7 +17,9 @@ termination protocol's job; the election only provides liveness.
 
 ``ElectionMixin`` is mixed into the protocol engines; it expects the
 host class to provide ``node``, ``_records``, a ``_T`` bound, and a
-``_run_termination(txn)`` entry point.
+``_run_termination(txn)`` entry point, and to put
+:data:`ElectionMixin.ELECTION_HANDLERS` into the handler table it hands
+its node.
 """
 
 from __future__ import annotations
@@ -39,9 +41,11 @@ MAX_ELECTION_ROUNDS = 8
 class ElectionMixin:
     """Election behaviour shared by every protocol engine."""
 
-    def _install_election_handlers(self) -> None:
-        self.node.on("elect.inquiry", self._on_elect_inquiry)
-        self.node.on("elect.alive", self._on_elect_alive)
+    #: message type -> handler method name (family-independent)
+    ELECTION_HANDLERS = {
+        "elect.inquiry": "_on_elect_inquiry",
+        "elect.alive": "_on_elect_alive",
+    }
 
     # ------------------------------------------------------------------
     # initiating

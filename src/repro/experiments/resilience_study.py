@@ -75,15 +75,18 @@ def rolling_upgrade_plan(
         )
     plan = FailurePlan()
     anchor = sites[-1]
+    # capture the hosted sets *now*, before any eviction mutates the
+    # catalog: the plan is built against the pristine placement.
+    hosted = catalog.items_by_site()
     for k in range(waves):
         site = sites[k]
-        # capture the hosted set *now*, before any eviction mutates the
-        # catalog: the plan is built against the pristine placement.
-        hosted = [i for i in catalog.item_names if site in catalog.sites_of(i)]
         t_leave = first_leave + k * wave_spacing
         plan.leave(t_leave, site)
         plan.join(
-            t_leave + upgrade_time, site, copies={i: 1 for i in hosted}, near=anchor
+            t_leave + upgrade_time,
+            site,
+            copies={i: 1 for i in hosted.get(site, ())},
+            near=anchor,
         )
     return plan
 

@@ -55,6 +55,14 @@ Hot paths (the randomized studies push 10^5+ messages per run):
   cached view, whose memoized ``sorted_components()`` also serves the
   ``partition`` trace record.  The cache is cleared whenever the site
   universe changes (``register`` / ``deregister``).
+* **Registration is O(1) on a healed network.**  ``register`` adds the
+  node, bumps the epoch once and marks the connectivity view stale;
+  the universal-component view is built on first use
+  (:attr:`Network.partition`), so building an N-site installation
+  constructs one view, not N.  Only a register (or deregister) *under
+  an active partition* rebuilds the view at once, because the existing
+  components must be carried over and the newcomer lands as a
+  singleton.
 * **Trace appends use the tracer's fast paths.**  The per-message
   ``send`` / ``deliver`` / ``drop`` records go through
   :meth:`Tracer.record_send` and friends, which append straight into
@@ -101,7 +109,8 @@ class Network:
         self._rng = rng.stream("net")
         self._delay_model = delay_model or FixedDelay(1.0)
         self._nodes: dict[int, "Node"] = {}
-        self._partition = PartitionView([])
+        # None = healed and not built yet (see the ``partition`` property)
+        self._view: PartitionView | None = None
         self._link_loss: dict[tuple[int, int], float] = {}
         # gray-failure latency overlay: site -> multiplicative factor
         # (absent = 1.0); consulted only when non-empty, so historical
@@ -129,27 +138,21 @@ class Network:
     # ------------------------------------------------------------------
 
     def register(self, node: "Node") -> None:
-        """Add a node to the universe (rebuilds the connectivity view).
+        """Add a node to the universe (one epoch bump per call).
 
         An active partition is preserved: the existing components stay
         exactly as they are and the new node starts as a singleton
         component (a site joining mid-partition cannot conjure links to
         anyone — use :meth:`place_with` to land it in a component).  On
-        a healed network the node simply joins the universal component.
+        a healed network the node simply joins the universal component,
+        whose view is built on first use.
         """
         if node.node_id in self._nodes:
             raise ValueError(f"duplicate node id {node.node_id}")
-        was_partitioned = self._partition.is_partitioned
-        groups = (
-            tuple(tuple(c) for c in self._partition.sorted_components())
-            if was_partitioned
-            else None
-        )
+        groups = self._partitioned_groups()
         self._nodes[node.node_id] = node
-        self._view_cache.clear()  # interned views are universe-specific
         # unlisted sites become singletons, so the new node lands alone
-        self._partition = self._interned_view(groups)
-        self._bump_epoch()
+        self._universe_changed(groups)
 
     def deregister(self, site: int) -> None:
         """Remove a node from the universe (graceful leave, not a crash).
@@ -164,17 +167,15 @@ class Network:
         """
         if site not in self._nodes:
             raise ValueError(f"unknown site {site}")
-        groups = None
-        if self._partition.is_partitioned:
+        groups = self._partitioned_groups()
+        if groups is not None:
             groups = tuple(
                 kept
-                for members in self._partition.sorted_components()
+                for members in groups
                 if (kept := tuple(s for s in members if s != site))
             )
         del self._nodes[site]
-        self._view_cache.clear()  # interned views are universe-specific
-        self._partition = self._interned_view(groups)
-        self._bump_epoch()
+        self._universe_changed(groups)
         self._degraded.pop(site, None)
         stale = [pair for pair in self._link_loss if site in pair]
         for pair in stale:
@@ -190,18 +191,19 @@ class Network:
         physically wired to.  A no-op when the two already share a
         component (in particular on a healed network).
         """
-        component = self._partition.component_of(near)  # raises on unknown near
+        view = self.partition
+        component = view.component_of(near)  # raises on unknown near
         if site in component:
             return
-        self._partition.component_of(site)  # raises on unknown site
+        view.component_of(site)  # raises on unknown site
         groups = []
-        for members in self._partition.sorted_components():
+        for members in view.sorted_components():
             kept = [s for s in members if s != site]
             if near in members:
                 kept.append(site)
             if kept:
                 groups.append(tuple(kept))
-        self._partition = self._interned_view(tuple(groups))
+        self._view = self._interned_view(tuple(groups))
         self._bump_epoch()
         self._tracer.record(
             self._scheduler.now, GLOBAL_SITE, "place", moved=site, near=near
@@ -216,6 +218,25 @@ class Network:
         """Invalidate the reachable-peer cache after a connectivity change."""
         self._epoch += 1
         self._sendable.clear()
+
+    def _partitioned_groups(self) -> tuple[tuple[int, ...], ...] | None:
+        """The active partition's components (``None`` when healed)."""
+        view = self._view
+        if view is None or not view.is_partitioned:
+            return None
+        return tuple(tuple(c) for c in view.sorted_components())
+
+    def _universe_changed(self, groups: Sequence[Sequence[int]] | None) -> None:
+        """The site set changed: re-anchor the view on the new universe.
+
+        Interned views are universe-specific, so the cache goes.  A
+        partition's ``groups`` are rebuilt over the new universe at
+        once (sites in no group become singletons); a healed network
+        only marks its view stale.
+        """
+        self._view_cache.clear()
+        self._view = None if groups is None else self._interned_view(groups)
+        self._bump_epoch()
 
     def _interned_view(self, groups: Sequence[Sequence[int]] | None) -> PartitionView:
         """The interned partition view for ``groups``.
@@ -265,8 +286,11 @@ class Network:
 
     @property
     def partition(self) -> PartitionView:
-        """Current connectivity view."""
-        return self._partition
+        """Current connectivity view (a stale healed view is built here)."""
+        view = self._view
+        if view is None:
+            view = self._view = self._interned_view(None)
+        return view
 
     def active_sites(self, among: Iterable[int] | None = None) -> list[int]:
         """Sites that are currently up (optionally restricted to ``among``)."""
@@ -281,12 +305,11 @@ class Network:
         protocol.
         """
         pool = self._nodes if among is None else among
+        reachable = self.partition.reachable
         return sorted(
             s
             for s in pool
-            if s in self._nodes
-            and self._nodes[s].alive
-            and self._partition.reachable(src, s)
+            if s in self._nodes and self._nodes[s].alive and reachable(src, s)
         )
 
     # ------------------------------------------------------------------
@@ -323,19 +346,19 @@ class Network:
 
     def set_partition(self, groups: Sequence[Sequence[int]]) -> None:
         """Split the network into the given disjoint components."""
-        self._partition = self._interned_view(groups)
+        view = self._view = self._interned_view(groups)
         self._bump_epoch()
         self._tracer.record(
             self._scheduler.now,
             GLOBAL_SITE,
             "partition",
-            groups=self._partition.sorted_components(),
+            groups=view.sorted_components(),
         )
         self._notify("partition")
 
     def heal(self) -> None:
         """Restore full connectivity (and clear per-link loss)."""
-        self._partition = self._interned_view(None)
+        self._view = self._interned_view(None)
         self._link_loss.clear()
         self._bump_epoch()
         self._refresh_fast_path()
@@ -429,7 +452,7 @@ class Network:
         if peers is None:
             # component_of raises on an unknown source, exactly like the
             # per-message reachable() check does.
-            peers = self._partition.component_of(src)
+            peers = self.partition.component_of(src)
             self._sendable[src] = peers
         if dst not in peers:
             self._drop(msg, "partitioned")
@@ -514,7 +537,7 @@ class Network:
                 drop(msg, "sender-down")
                 continue
             if peers is None:
-                peers = self._sendable[src] = self._partition.component_of(src)
+                peers = self._sendable[src] = self.partition.component_of(src)
             if dst not in peers:
                 drop(msg, "partitioned")
                 continue
@@ -555,7 +578,7 @@ class Network:
         p = self._link_loss.get((msg.src, msg.dst))
         if p is not None and (p >= 1.0 or self._rng.random() < p):
             return "link-loss"
-        if not self._partition.reachable(msg.src, msg.dst):
+        if not self.partition.reachable(msg.src, msg.dst):
             return "partitioned"
         return None
 
@@ -589,7 +612,7 @@ class Network:
         # a departed *sender* has no component in the current view; its
         # in-flight tail delivers like a crashed sender's would (leave
         # must never be harsher than crash)
-        if msg.src in self._nodes and not self._partition.reachable(msg.src, msg.dst):
+        if msg.src in self._nodes and not self.partition.reachable(msg.src, msg.dst):
             self._drop(msg, "partitioned-in-flight")
             return
         self.delivered += 1

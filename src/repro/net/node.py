@@ -6,6 +6,16 @@ cancelled when the site crashes (a crashed site must not act).  The
 database :class:`~repro.db.site.Site` and the protocol engines build on
 this class.
 
+Handlers bind on first delivery.  A protocol engine does not register
+its fifteen handlers when it is built; it hands the node its class's
+``mtype -> method name`` table (:meth:`Node.bind_on_delivery`) and the
+node registers a type — through :meth:`Node.on`, still one handler per
+type — the first time a message of that type arrives.  A 32-site
+installation of which a dozen sites ever hear three or four types
+creates a few dozen bound methods, not 480.  A handler registered
+explicitly with :meth:`Node.on` before the first delivery wins over the
+table; a type in neither is traced ``unhandled`` and ignored.
+
 Crash semantics follow the paper's model:
 
 * ``crash()`` cancels every pending timer and flips ``alive``; the
@@ -17,7 +27,7 @@ Crash semantics follow the paper's model:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from repro.common.errors import SiteDownError
 from repro.net.message import Message
@@ -25,6 +35,10 @@ from repro.net.message import Message
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.network import Network
     from repro.sim.scheduler import EventHandle
+
+
+_NO_NAMES: Mapping[str, str] = {}
+_MIN_PRUNE = 64
 
 
 class Node:
@@ -35,7 +49,11 @@ class Node:
         self.network = network
         self.alive = True
         self._handlers: dict[str, Callable[[Message], None]] = {}
+        # handlers not bound yet: method names on _late_owner by mtype
+        self._late_owner: object = None
+        self._late_names: Mapping[str, str] = _NO_NAMES
         self._timers: list["EventHandle"] = []
+        self._prune_at = _MIN_PRUNE  # len(_timers) that triggers a prune
         # the tracer is fixed for the network's lifetime; binding it
         # here saves two attribute hops on every trace() call (state
         # transitions trace on each protocol step)
@@ -52,6 +70,20 @@ class Node:
             raise ValueError(f"node {self.node_id}: duplicate handler for {mtype!r}")
         self._handlers[mtype] = handler
 
+    def bind_on_delivery(self, owner: object, names: Mapping[str, str]) -> None:
+        """Let ``owner``'s methods handle the types in ``names``, lazily.
+
+        ``names`` maps a message type to the name of the ``owner``
+        method that handles it; it is shared (a per-class table), never
+        copied.  Nothing is registered now: :meth:`deliver` calls
+        :meth:`on` with the bound method the first time a type arrives.
+        One owner per node.
+        """
+        if self._late_owner is not None:
+            raise ValueError(f"node {self.node_id}: duplicate handler table")
+        self._late_owner = owner
+        self._late_names = names
+
     def deliver(self, msg: Message) -> None:
         """Called by the network when a message arrives.
 
@@ -61,12 +93,19 @@ class Node:
         """
         if not self.alive:  # defensive; the network already filters
             return
-        handler = self._handlers.get(msg.mtype)
+        mtype = msg.mtype
+        handler = self._handlers.get(mtype)
         if handler is None:
-            self._tracer.record(
-                self.now, self.node_id, "unhandled", msg.txn, mtype=msg.mtype
-            )
-            return
+            name = self._late_names.get(mtype)
+            if name is None:
+                self._tracer.record(
+                    self.now, self.node_id, "unhandled", msg.txn, mtype=mtype
+                )
+                return
+            # first delivery of this type: register it like any other
+            # handler, then dispatch whatever ``on`` stored
+            self.on(mtype, getattr(self._late_owner, name))
+            handler = self._handlers[mtype]
         handler(msg)
 
     # ------------------------------------------------------------------
@@ -123,9 +162,14 @@ class Node:
         handle = self.network.scheduler.call_after(
             delay, self._guarded, fn, args, label=label or f"timer@{self.node_id}"
         )
-        self._timers.append(handle)
-        if len(self._timers) > 64:
-            self._timers = [t for t in self._timers if t.active]
+        timers = self._timers
+        timers.append(handle)
+        if len(timers) > self._prune_at:
+            # drop fired / cancelled handles; the next prune waits until
+            # the list has doubled past the live ones, so a site holding
+            # many active timers filters O(1) entries per set_timer
+            self._timers = live = [t for t in timers if t.active]
+            self._prune_at = max(_MIN_PRUNE, 2 * len(live))
         return handle
 
     def _guarded(self, fn: Callable[..., None], args: tuple[Any, ...]) -> None:
@@ -143,6 +187,7 @@ class Node:
         for timer in self._timers:
             timer.cancel()
         self._timers.clear()
+        self._prune_at = _MIN_PRUNE
         self.on_crash()
 
     def recover(self) -> None:

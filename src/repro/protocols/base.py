@@ -24,6 +24,18 @@ strategy objects:
   site-vote rule, 3PC's committable-present rule, 2PC's cooperative
   rule).  Rules are pure functions over the polled states, which makes
   them directly unit- and property-testable.
+
+Message handlers are declared, not installed.
+:attr:`CommitProtocolEngine.HANDLERS` maps a message kind (the part
+after ``family.``) to the name of the method that handles it; when a
+subclass is defined, ``__init_subclass__`` expands it once with the
+subclass's ``family`` (plus the family-independent election types) into
+the class's ``handler_table``.  An engine hands that shared table to
+its node (:meth:`Node.bind_on_delivery
+<repro.net.node.Node.bind_on_delivery>`), which registers a handler the
+first time a message of its type is delivered — building an engine
+creates no bound methods.  A subclass that handles a new kind overrides
+``HANDLERS = {**CommitProtocolEngine.HANDLERS, "my-kind": "_on_my_kind"}``.
 """
 
 from __future__ import annotations
@@ -31,7 +43,7 @@ from __future__ import annotations
 import enum
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Mapping
 
 from repro.election.bully import ElectionMixin
 from repro.net.message import Message
@@ -230,6 +242,32 @@ class CommitProtocolEngine(ElectionMixin, ABC):
     #: message-type namespace, e.g. ``"qtp1"``; set by subclasses.
     family: str = "abstract"
 
+    #: message kind -> name of the method handling ``<family>.<kind>``
+    HANDLERS: ClassVar[Mapping[str, str]] = {
+        "vote-req": "_on_vote_req",
+        "vote": "_on_vote",
+        "prepare": "_on_prepare",
+        "ack": "_on_prepare_ack",
+        "commit": "_on_commit_cmd",
+        "abort": "_on_abort_cmd",
+        "t.state-req": "_on_term_state_req",
+        "t.state": "_on_term_state",
+        "t.ptc": "_on_term_prepare_commit",
+        "t.pta": "_on_term_prepare_abort",
+        "t.pc-ack": "_on_term_pc_ack",
+        "t.pa-ack": "_on_term_pa_ack",
+        "t.blocked": "_on_term_blocked",
+    }
+    #: full message type -> handler method name, built per subclass
+    handler_table: ClassVar[Mapping[str, str]] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.handler_table = {
+            **{f"{cls.family}.{kind}": name for kind, name in cls.HANDLERS.items()},
+            **cls.ELECTION_HANDLERS,
+        }
+
     def __init__(
         self,
         node: "Node",
@@ -239,7 +277,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         hooks: ProtocolHooks | None = None,
         enforce_ignore_rules: bool = True,
     ) -> None:
-        """Create the engine and install its message handlers.
+        """Create the engine; its handlers bind on first delivery.
 
         Args:
             node: the site's network actor.
@@ -263,26 +301,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         self._term_attempt_counter = 0
         self._T = node.network.T
         self._eps = 1e-6 * self._T
-        self._install_handlers()
-
-    # -- handler installation -------------------------------------------------
-
-    def _install_handlers(self) -> None:
-        fam = self.family
-        self.node.on(f"{fam}.vote-req", self._on_vote_req)
-        self.node.on(f"{fam}.vote", self._on_vote)
-        self.node.on(f"{fam}.prepare", self._on_prepare)
-        self.node.on(f"{fam}.ack", self._on_prepare_ack)
-        self.node.on(f"{fam}.commit", self._on_commit_cmd)
-        self.node.on(f"{fam}.abort", self._on_abort_cmd)
-        self.node.on(f"{fam}.t.state-req", self._on_term_state_req)
-        self.node.on(f"{fam}.t.state", self._on_term_state)
-        self.node.on(f"{fam}.t.ptc", self._on_term_prepare_commit)
-        self.node.on(f"{fam}.t.pta", self._on_term_prepare_abort)
-        self.node.on(f"{fam}.t.pc-ack", self._on_term_pc_ack)
-        self.node.on(f"{fam}.t.pa-ack", self._on_term_pa_ack)
-        self.node.on(f"{fam}.t.blocked", self._on_term_blocked)
-        self._install_election_handlers()
+        node.bind_on_delivery(self, self.handler_table)
 
     # -- small helpers ---------------------------------------------------------
 

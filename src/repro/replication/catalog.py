@@ -123,6 +123,20 @@ class ReplicaCatalog:
         """Every site hosting any copy, sorted."""
         return self.sites_of_any(self._items)
 
+    def items_by_site(self) -> dict[int, list[str]]:
+        """Site -> names of the items it hosts a copy of, sorted.
+
+        The one definition of "hosted at a site": one pass over the
+        copies, computed from the live item map on every call, so it is
+        current after :meth:`admit_site` / :meth:`evict_site` and on a
+        :meth:`fork`.  A site hosting nothing has no entry.
+        """
+        hosted: dict[int, list[str]] = {}
+        for name in sorted(self._items):
+            for site in self._items[name].copies:
+                hosted.setdefault(site, []).append(name)
+        return hosted
+
     def r(self, item: str) -> int:
         """Read quorum r(x)."""
         return self.item(item).read_quorum

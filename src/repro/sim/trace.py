@@ -13,7 +13,13 @@ store is **columnar** — parallel arrays for time / site / category /
 txn plus a compact per-category detail encoding.  An append is five
 ``list.append`` calls and no object construction; :class:`TraceRecord`
 views are materialized lazily (and memoized) only when somebody
-iterates or filters.  Per-category and per-txn row indexes are built
+iterates or filters.  The compact ``send`` / ``deliver`` / ``drop``
+details are **shared**: one tuple per distinct ``(mtype, peer)`` (per
+``(mtype, peer, reason)`` for drops) is built on first sight and
+appended by reference afterwards, so a repeated send/deliver/drop
+append allocates nothing the cyclic collector tracks — a storm leaves
+a few dozen detail tuples behind, not one per message.  Per-category
+and per-txn row indexes are built
 lazily on the first query and extended incrementally, so :meth:`where`
 / :meth:`count` / :meth:`decisions` / :meth:`message_counts` touch O(k)
 matching rows instead of scanning all O(n).
@@ -85,6 +91,13 @@ def _expand_detail(category: str, detail: Any) -> dict[str, Any]:
     raise AssertionError(f"compact detail under unexpected category {category!r}")
 
 
+def _share(table: dict[str, dict[int, tuple]], mtype: str, peer: int, *reason: str) -> tuple:
+    """First sight of a compact detail: build its tuple and keep it in
+    ``table`` (``mtype -> peer -> tuple``) for every later record."""
+    detail = table.setdefault(mtype, {})[peer] = (mtype, peer, *reason)
+    return detail
+
+
 class Tracer:
     """Append-only trace with query helpers.
 
@@ -106,12 +119,13 @@ class Tracer:
         self._capacity = capacity
         self._ring = ring
         self._dropped = 0
-        # string-interning table for repeated txn / mtype / category
-        # keys: drivers build ids like f"T{n}" per record, so without
-        # canonicalization a long trace stores thousands of duplicate
-        # string objects.  Values are equal either way — dumps and all
-        # queries are byte-identical — this is purely a memory win.
-        self._strings: dict[str, str] = {}
+        # shared compact details (see the module docstring):
+        # mtype -> peer -> (mtype, peer) for send and deliver records,
+        # reason -> mtype -> peer -> (mtype, peer, reason) for drops.
+        # Engines build a fresh f"{family}.{kind}" string per message;
+        # a shared tuple keeps the one it was first seen with.
+        self._pairs: dict[str, dict[int, tuple[str, int]]] = {}
+        self._drops: dict[str, dict[str, dict[int, tuple[str, int, str]]]] = {}
         # parallel columns; one logical record = one row across all five
         self._times: list[float] = []
         self._sites: list[int] = []
@@ -142,24 +156,29 @@ class Tracer:
 
     def record_send(self, time: float, site: int, txn: str, mtype: str, dst: int) -> None:
         """Fast-path append of a ``send`` record (no detail dict built)."""
-        self._append(time, site, "send", txn, (self._intern(mtype), dst))
+        try:
+            detail = self._pairs[mtype][dst]
+        except KeyError:
+            detail = _share(self._pairs, mtype, dst)
+        self._append(time, site, "send", txn, detail)
 
     def record_deliver(self, time: float, site: int, txn: str, mtype: str, src: int) -> None:
         """Fast-path append of a ``deliver`` record."""
-        self._append(time, site, "deliver", txn, (self._intern(mtype), src))
+        try:
+            detail = self._pairs[mtype][src]
+        except KeyError:
+            detail = _share(self._pairs, mtype, src)
+        self._append(time, site, "deliver", txn, detail)
 
     def record_drop(
         self, time: float, site: int, txn: str, mtype: str, dst: int, reason: str
     ) -> None:
         """Fast-path append of a ``drop`` record (with its reason)."""
-        self._append(time, site, "drop", txn, (self._intern(mtype), dst, reason))
-
-    def _intern(self, s: str) -> str:
-        """The canonical instance of a repeated key string (see __init__)."""
-        canonical = self._strings.get(s)
-        if canonical is None:
-            canonical = self._strings[s] = s
-        return canonical
+        try:
+            detail = self._drops[reason][mtype][dst]
+        except KeyError:
+            detail = _share(self._drops.setdefault(reason, {}), mtype, dst, reason)
+        self._append(time, site, "drop", txn, detail)
 
     def _append(self, time: float, site: int, category: str, txn: str, detail: Any) -> None:
         cap = self._capacity

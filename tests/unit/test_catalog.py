@@ -1,11 +1,14 @@
 """Unit tests for the replica catalog and quorum planner."""
 
+import random
+
 import pytest
 
 from repro.common.errors import ConfigurationError, QuorumUnreachableError
 from repro.replication.accessor import QuorumPlanner
 from repro.replication.catalog import CatalogBuilder, ItemConfig
 from repro.storage.store import VersionedValue
+from repro.workload.generators import random_catalog
 
 
 class TestConstraints:
@@ -97,6 +100,41 @@ class TestLookups:
 
     def test_contains(self, catalog):
         assert "x" in catalog and "ghost" not in catalog
+
+    def test_items_by_site(self, catalog):
+        assert catalog.items_by_site() == {1: ["x"], 2: ["x"], 3: ["x", "y"], 4: ["x", "y"], 5: ["y"]}
+
+
+def naive_items_by_site(catalog):
+    """The definition ``items_by_site`` replaces: probe every item per site."""
+    return {
+        site: [item for item in catalog.item_names if site in catalog.sites_of(item)]
+        for site in catalog.all_sites()
+    }
+
+
+class TestItemsBySite:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_naive_probe_through_admit_evict_and_fork(self, seed):
+        rng = random.Random(seed)
+        catalog = random_catalog(rng, n_sites=9, n_items=12, replication=3)
+        assert catalog.items_by_site() == naive_items_by_site(catalog)
+        assert sorted(catalog.items_by_site()) == catalog.all_sites()
+
+        pristine = catalog.fork()
+        before = pristine.items_by_site()
+        joined = rng.sample(catalog.item_names, 4)
+        catalog.admit_site(42, {item: 1 for item in joined})
+        assert catalog.items_by_site() == naive_items_by_site(catalog)
+        assert catalog.items_by_site()[42] == sorted(joined)
+
+        leaver = rng.choice([s for s in catalog.all_sites() if s != 42])
+        catalog.evict_site(leaver)
+        assert catalog.items_by_site() == naive_items_by_site(catalog)
+        assert leaver not in catalog.items_by_site()
+
+        # the fork never saw the admit or the evict
+        assert pristine.items_by_site() == before == naive_items_by_site(pristine)
 
 
 class TestPlanner:

@@ -69,6 +69,100 @@ class TestDelivery:
             nodes[1].on("test.ping", lambda m: None)
 
 
+class Owner:
+    """Stands in for a protocol engine: methods named by a shared table."""
+
+    TABLE = {"late.ping": "on_ping", "late.pong": "on_pong"}
+
+    def __init__(self, node):
+        self.pings, self.pongs = [], []
+        node.bind_on_delivery(self, self.TABLE)
+
+    def on_ping(self, msg):
+        self.pings.append(msg)
+
+    def on_pong(self, msg):
+        self.pongs.append(msg)
+
+
+class TestLateBinding:
+    def test_table_entry_binds_on_first_delivery_only(self, net):
+        scheduler, __, nodes = net
+        owner = Owner(nodes[2])
+        assert "late.ping" not in nodes[2]._handlers
+        nodes[1].send(2, "late.ping")
+        nodes[1].send(2, "late.ping")
+        scheduler.run()
+        assert len(owner.pings) == 2
+        assert "late.ping" in nodes[2]._handlers
+        assert "late.pong" not in nodes[2]._handlers  # never delivered, never bound
+
+    def test_late_bind_goes_through_on(self, net):
+        scheduler, __, nodes = net
+        Owner(nodes[2])
+        registered = []
+        original = Node.on
+
+        def spying_on(self, mtype, handler):
+            registered.append((self.node_id, mtype))
+            original(self, mtype, handler)
+
+        Node.on = spying_on
+        try:
+            nodes[1].send(2, "late.ping")
+            nodes[1].send(2, "late.ping")
+            scheduler.run()
+        finally:
+            Node.on = original
+        assert registered == [(2, "late.ping")]  # one call per (node, mtype)
+
+    def test_duplicate_on_after_a_lazy_bind_rejected(self, net):
+        scheduler, __, nodes = net
+        Owner(nodes[2])
+        nodes[1].send(2, "late.ping")
+        scheduler.run()
+        with pytest.raises(ValueError, match="duplicate handler"):
+            nodes[2].on("late.ping", lambda m: None)
+
+    def test_explicit_on_before_first_delivery_wins(self, net):
+        scheduler, __, nodes = net
+        owner = Owner(nodes[2])
+        explicit = []
+        nodes[2].on("late.ping", explicit.append)
+        nodes[1].send(2, "late.ping")
+        nodes[1].send(2, "late.pong")
+        scheduler.run()
+        assert len(explicit) == 1 and owner.pings == []
+        assert len(owner.pongs) == 1  # the rest of the table still binds
+
+    def test_explicit_on_before_the_table_is_handed_over_wins_too(self, net):
+        scheduler, __, nodes = net
+        explicit = []
+        nodes[2].on("late.ping", explicit.append)
+        owner = Owner(nodes[2])
+        nodes[1].send(2, "late.ping")
+        scheduler.run()
+        assert len(explicit) == 1 and owner.pings == []
+
+    def test_second_table_rejected(self, net):
+        __, __, nodes = net
+        Owner(nodes[2])
+        with pytest.raises(ValueError, match="duplicate handler table"):
+            Owner(nodes[2])
+
+    def test_unknown_type_on_a_site_with_an_engine_is_traced_unhandled(self):
+        from repro import CatalogBuilder, Cluster
+
+        catalog = CatalogBuilder().replicated_item("x", [1, 2, 3]).build()
+        cluster = Cluster(catalog, protocol="qtp1")
+        cluster.sites[1].send(2, "qtp1.no-such-kind", "T9")
+        cluster.sites[1].send(2, "2pc.commit", "T9")  # another family's type
+        cluster.run()
+        unhandled = cluster.tracer.where(category="unhandled", site=2)
+        assert [r.detail["mtype"] for r in unhandled] == ["qtp1.no-such-kind", "2pc.commit"]
+        assert cluster.sites[2]._handlers == {}
+
+
 class TestDrops:
     def test_crashed_destination_drops(self, net):
         scheduler, network, nodes = net
@@ -175,6 +269,35 @@ class TestCrashRecovery:
         network.crash_site(1)
         scheduler.run()
         assert fired == []
+
+    def test_many_live_timers_prune_in_linear_total_work(self, net):
+        scheduler, network, nodes = net
+        node = nodes[1]
+        fired = []
+        rebuilds = filtered = 0
+        for k in range(1000):
+            before = node._timers
+            size = len(before) + 1  # what a prune at this call would filter
+            node.set_timer(10.0 + k, fired.append, k)
+            if node._timers is not before:
+                rebuilds += 1
+                filtered += size
+        # every timer is live, so no prune frees anything: the threshold
+        # must back off (65 -> 129 -> 257 -> 513), not re-filter per call
+        assert len(node._timers) == 1000
+        assert rebuilds <= 8  # 936 before
+        assert filtered <= 2 * 1000
+        network.crash_site(1)
+        assert node._timers == []
+        scheduler.run()
+        assert fired == []
+
+    def test_dead_timers_are_still_pruned(self, net):
+        scheduler, __, nodes = net
+        node = nodes[1]
+        for k in range(500):
+            node.set_timer(1.0, lambda: None).cancel()
+        assert len(node._timers) <= 65
 
     def test_timer_on_down_site_rejected(self, net):
         __, network, nodes = net
