@@ -8,6 +8,7 @@ depends on any other ``repro`` package.
 from repro.common.errors import (
     ConfigurationError,
     ElectionError,
+    NotSerializableError,
     ProtocolError,
     QuorumUnreachableError,
     ReproError,
@@ -22,6 +23,7 @@ from repro.common.ids import SiteId, TxnId, make_txn_id
 __all__ = [
     "ConfigurationError",
     "ElectionError",
+    "NotSerializableError",
     "ProtocolError",
     "QuorumUnreachableError",
     "ReproError",

@@ -79,6 +79,17 @@ class TransactionBlocked(ReproError):
         self.txn_id = txn_id
 
 
+class NotSerializableError(ReproError):
+    """A serial order was asked of a history whose conflict graph has a cycle.
+
+    Carries one conflict cycle (transaction ids, in cycle order).
+    """
+
+    def __init__(self, cycle: list[str]) -> None:
+        super().__init__(f"history is not serializable: conflict cycle {cycle}")
+        self.cycle = cycle
+
+
 class QuorumUnreachableError(ReproError):
     """A read/write quorum could not be assembled in the caller's partition.
 

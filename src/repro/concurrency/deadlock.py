@@ -1,7 +1,7 @@
 """Global deadlock detection over per-site lock managers.
 
 The simulator runs an omniscient detector (a union of every site's
-waits-for edges, cycle search via networkx).  A real system would run a
+waits-for edges, then a cycle search).  A real system would run a
 distributed detector or timeouts; for reproducing the paper, deadlock
 handling only needs to exist so random workloads cannot wedge — the
 victim with the lexicographically greatest transaction id is aborted,
@@ -12,17 +12,21 @@ from __future__ import annotations
 
 from typing import Iterable
 
-import networkx as nx
-
+from repro.concurrency.digraph import find_cycle
 from repro.concurrency.locks import LockManager
 
 
-def build_waits_for(managers: Iterable[LockManager]) -> nx.DiGraph:
-    """Union the waits-for edges of many lock managers into one digraph."""
-    graph = nx.DiGraph()
+def build_waits_for(managers: Iterable[LockManager]) -> dict[str, dict[str, None]]:
+    """Union the waits-for edges of many lock managers into one digraph.
+
+    Returns the adjacency mapping ``waiter -> {holder: None}``; every
+    transaction on either end of an edge is a key.
+    """
+    graph: dict[str, dict[str, None]] = {}
     for manager in managers:
         for waiter, holder in manager.waits_edges():
-            graph.add_edge(waiter, holder)
+            graph.setdefault(waiter, {})[holder] = None
+            graph.setdefault(holder, {})
     return graph
 
 
@@ -31,15 +35,11 @@ def find_deadlock(managers: Iterable[LockManager]) -> list[str] | None:
 
     Returns:
         The transactions on one cycle (in cycle order), or None.  When
-        several cycles exist the one found first by networkx is
-        returned; callers re-run detection after aborting a victim.
+        several cycles exist the first one a depth-first search in
+        edge-insertion order closes is returned; callers re-run
+        detection after aborting a victim.
     """
-    graph = build_waits_for(managers)
-    try:
-        cycle_edges = nx.find_cycle(graph)
-    except nx.NetworkXNoCycle:
-        return None
-    return [edge[0] for edge in cycle_edges]
+    return find_cycle(build_waits_for(managers))
 
 
 def choose_victim(cycle: list[str]) -> str:

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
+from repro.common.errors import NotSerializableError
+from repro.concurrency.digraph import find_cycle, topological_order
 
 
 @dataclass(frozen=True)
@@ -43,14 +44,16 @@ class ConflictGraph:
         self._graph = self._build()
 
     @property
-    def graph(self) -> nx.DiGraph:
-        """The underlying digraph (nodes: txn ids)."""
+    def graph(self) -> dict[str, dict[str, str]]:
+        """The adjacency mapping: txn id -> {successor id: conflict kind}.
+
+        Every transaction of the history is a key; a kind is ``"ww"``,
+        ``"wr"`` or ``"rw"`` (the last conflict found for that pair).
+        """
         return self._graph
 
-    def _build(self) -> nx.DiGraph:
-        graph = nx.DiGraph()
-        for txn in self._history:
-            graph.add_node(txn.txn)
+    def _build(self) -> dict[str, dict[str, str]]:
+        graph: dict[str, dict[str, str]] = {txn.txn: {} for txn in self._history}
         by_item_writes: dict[str, list[tuple[int, str]]] = {}
         for txn in self._history:
             for item, version in txn.writes.items():
@@ -61,7 +64,7 @@ class ConflictGraph:
         for writes in by_item_writes.values():
             for (_, earlier), (_, later) in zip(writes, writes[1:]):
                 if earlier != later:
-                    graph.add_edge(earlier, later, kind="ww")
+                    graph[earlier][later] = "ww"
         # wr and rw edges relative to the read version
         for txn in self._history:
             for item, read_version in txn.reads.items():
@@ -69,27 +72,28 @@ class ConflictGraph:
                     if writer == txn.txn:
                         continue
                     if write_version <= read_version:
-                        graph.add_edge(writer, txn.txn, kind="wr")
+                        graph[writer][txn.txn] = "wr"
                     else:
-                        graph.add_edge(txn.txn, writer, kind="rw")
+                        graph[txn.txn][writer] = "rw"
         return graph
 
     def is_serializable(self) -> bool:
         """True when the conflict graph is acyclic."""
-        return nx.is_directed_acyclic_graph(self._graph)
+        return topological_order(self._graph) is not None
 
     def cycle(self) -> list[str] | None:
-        """One conflict cycle (txn ids), or None when serializable."""
-        try:
-            return [e[0] for e in nx.find_cycle(self._graph)]
-        except nx.NetworkXNoCycle:
-            return None
+        """One conflict cycle (txn ids, in cycle order), or None when
+        serializable."""
+        return find_cycle(self._graph)
 
     def serial_order(self) -> list[str]:
         """A witness serial order (topological sort).
 
         Raises:
-            networkx.NetworkXUnfeasible: when the history is not
-                serializable.
+            NotSerializableError: when the history is not serializable;
+                the exception carries one conflict cycle.
         """
-        return list(nx.topological_sort(self._graph))
+        order = topological_order(self._graph)
+        if order is None:
+            raise NotSerializableError(find_cycle(self._graph))
+        return order

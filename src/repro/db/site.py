@@ -101,6 +101,12 @@ class Site(Node):
             raise ValueError(f"site {self.node_id} already has an engine")
         self.engine = engine
 
+    def close(self) -> None:
+        """Drop the engine link too (site <-> engine <-> hooks); the
+        WAL, the store and the lock table stay readable."""
+        super().close()
+        self.engine = None
+
     # ------------------------------------------------------------------
     # crash / recovery
     # ------------------------------------------------------------------

@@ -209,6 +209,18 @@ class Network:
             self._scheduler.now, GLOBAL_SITE, "place", moved=site, near=near
         )
 
+    def close(self) -> None:
+        """Forget every node, observer and filter (the network is done).
+
+        Part of :meth:`Cluster.close <repro.db.cluster.Cluster.close>`:
+        the node table is one half of the node <-> network cycle,
+        observers and filters are callbacks that may hold anything.
+        Counters and the last connectivity view stay readable.
+        """
+        self._nodes.clear()
+        self._observers.clear()
+        self._filters.clear()
+
     @property
     def epoch(self) -> int:
         """The connectivity epoch (bumps on partition/heal/crash/recover/register)."""

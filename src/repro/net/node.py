@@ -195,6 +195,19 @@ class Node:
         self.alive = True
         self.on_recover()
 
+    def close(self) -> None:
+        """Let go of everything that points back at this node's owners.
+
+        Part of :meth:`Cluster.close <repro.db.cluster.Cluster.close>`:
+        the handler table and the late-binding owner hold the engine,
+        the timer list holds callbacks bound to this node.  The node
+        handles nothing afterwards.
+        """
+        self._handlers.clear()
+        self._late_owner = None
+        self._late_names = _NO_NAMES
+        self._timers.clear()
+
     def on_crash(self) -> None:
         """Hook for subclasses (default: nothing)."""
 

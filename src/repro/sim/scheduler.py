@@ -34,7 +34,10 @@ class EventHandle:
 
     Cancellation is lazy: the heap entry stays in the queue but is
     skipped when popped.  ``fired`` distinguishes "ran" from "cancelled"
-    for assertions in tests.
+    for assertions in tests.  A handle that has fired or been cancelled
+    lets go of ``fn`` and ``args``: handles outlive their event in timer
+    tables, and a callback is usually a bound method of whatever owns
+    the table.
     """
 
     __slots__ = ("fn", "args", "time", "cancelled", "fired", "label", "_scheduler")
@@ -59,6 +62,7 @@ class EventHandle:
         if self.cancelled or self.fired:
             return
         self.cancelled = True
+        self.fn = self.args = None
         if self._scheduler is not None:
             self._scheduler._pending -= 1
 
@@ -67,9 +71,10 @@ class EventHandle:
         """True while the event is still pending."""
         return not self.cancelled and not self.fired
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         state = "fired" if self.fired else ("cancelled" if self.cancelled else "pending")
-        return f"<EventHandle {self.label or self.fn.__name__} @{self.time} {state}>"
+        name = self.label or getattr(self.fn, "__name__", None) or repr(self.fn)
+        return f"<EventHandle {name} @{self.time} {state}>"
 
 
 class Scheduler:
@@ -224,9 +229,28 @@ class Scheduler:
                     f"simulation exceeded {self._max_events} events; "
                     "likely a livelock (retry loop without progress)"
                 )
-            handle.fn(*handle.args)
+            fn = handle.fn
+            args = handle.args
+            handle.fn = handle.args = None
+            fn(*args)
             return True
         return False
+
+    def clear(self) -> None:
+        """Drop every queued event; handles still pending read cancelled.
+
+        The cluster's release path (:meth:`Cluster.close
+        <repro.db.cluster.Cluster.close>`): queued callbacks are bound
+        methods of the network, the sites and the engines, so an emptied
+        queue is what lets a finished installation fall by refcount.
+        The clock and ``events_run`` are untouched.
+        """
+        for _time, _seq, handle in self._queue:
+            if type(handle) is not tuple:
+                handle.cancelled = True
+                handle.fn = handle.args = None
+        self._queue.clear()
+        self._pending = 0
 
     def run(self) -> float:
         """Run until the queue drains; returns the final virtual time."""

@@ -215,11 +215,21 @@ class Tracer:
             return (self._next + row) % self._capacity  # type: ignore[operator]
         return row
 
+    def _row_slots(self, rows: Iterable[int]) -> Iterable[tuple[int, int]]:
+        """``(row, physical slot)`` for each logical row of ``rows``.
+
+        The two coincide until a ring wraps, so the bulk readers below
+        pay no :meth:`_slot` call per row on an unwrapped trace.
+        """
+        if self._full:
+            return zip(rows, map(self._slot, rows))
+        return zip(rows, rows)
+
     def _rec(self, row: int) -> TraceRecord:
         """The (memoized) materialized view of logical row ``row``."""
         rec = self._memo.get(row)
         if rec is None:
-            slot = self._slot(row)
+            slot = self._slot(row) if self._full else row
             cat = self._cats[slot]
             rec = TraceRecord(
                 self._times[slot],
@@ -251,8 +261,7 @@ class Tracer:
         by_txn = self._by_txn
         cats = self._cats
         txns = self._txns
-        for row in range(upto, n):
-            slot = self._slot(row)
+        for row, slot in self._row_slots(range(upto, n)):
             cat = cats[slot]
             rows = by_cat.get(cat)
             if rows is None:
@@ -302,8 +311,7 @@ class Tracer:
         sites = self._sites
         txns = self._txns
         out = []
-        for row in rows:
-            slot = self._slot(row)
+        for row, slot in self._row_slots(rows):
             if category is not None and cats[slot] != category:
                 continue
             if site is not None and sites[slot] != site:
@@ -350,8 +358,7 @@ class Tracer:
         cats = self._cats
         sites = self._sites
         details = self._details
-        for row in self._candidate_rows("decision", txn):
-            slot = self._slot(row)
+        for _row, slot in self._row_slots(self._candidate_rows("decision", txn)):
             if cats[slot] == "decision" and self._txns[slot] == txn:
                 out[sites[slot]] = details[slot]["outcome"]
         return out
@@ -361,8 +368,8 @@ class Tracer:
         self._ensure_index()
         details = self._details
         counts = Counter(
-            det[0] if type(det := details[self._slot(row)]) is tuple else det.get("mtype", "?")
-            for row in self._by_cat.get("send", ())
+            det[0] if type(det := details[slot]) is tuple else det.get("mtype", "?")
+            for _row, slot in self._row_slots(self._by_cat.get("send", ()))
         )
         return dict(counts)
 

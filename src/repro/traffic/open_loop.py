@@ -198,6 +198,104 @@ def latency_summary(digest: QuantileDigest) -> dict[str, float]:
     }
 
 
+class _OpenLoopRun:
+    """The live state of one open-loop service run.
+
+    The arrival chain and the adaptive controller re-arm themselves, so
+    they are methods, not closures: a function that schedules itself
+    holds itself through its own closure cell, and that cycle would keep
+    the whole cluster for the cyclic collector after the run.
+    """
+
+    def __init__(
+        self,
+        engine: TrafficEngine,
+        window: int,
+        digest: QuantileDigest,
+        deadline: float,
+        adapt: AdaptiveWindow | None,
+    ) -> None:
+        self.engine = engine
+        self.digest = digest
+        self.deadline = deadline
+        self.adapt = adapt
+        #: the live admission window; only the adaptive controller ever
+        #: writes it, so the fixed-window behavior is unchanged.
+        self.window = min(max(window, adapt.low), adapt.high) if adapt else window
+        self.widened = self.narrowed = 0
+        #: origin -> {txn: submit_time}; dicts, not sets, so retirement
+        #: iterates in insertion order (hash order would leak into the
+        #: digest's min/max fold and break run-to-run determinism).
+        self.in_flight: dict[int, dict[str, float]] = {}
+        self.offered = self.admitted = 0
+        self.shed_backpressure = self.shed_unreachable = 0
+        #: digest snapshot at the last retune, so each reading sees only
+        #: the latencies folded during its own interval
+        self._seen_n = 0
+        self._seen_counts = [0] * digest.bins
+
+    def retire_decided(self) -> None:
+        """Fold the latency of every in-flight txn that has decided."""
+        where = self.engine.cluster.tracer.where
+        digest = self.digest
+        for pending in self.in_flight.values():
+            done = [
+                (txn, records)
+                for txn, records in (
+                    (txn, where(category="decision", txn=txn)) for txn in pending
+                )
+                if records
+            ]
+            for txn, records in done:
+                decided_at = min(record.time for record in records)
+                digest.add(decided_at - pending.pop(txn))
+
+    def arrive(self) -> None:
+        """One arrival: admit or shed it, then arm the next."""
+        engine = self.engine
+        cluster = engine.cluster
+        scheduler = cluster.scheduler
+        self.offered += 1
+        self.retire_decided()
+        op = engine.compiled.next_op(engine.rng)
+        pending = self.in_flight.setdefault(op.origin, {})
+        if op.origin not in cluster.sites or not cluster.sites[op.origin].alive:
+            self.shed_unreachable += 1
+        elif len(pending) >= self.window:
+            self.shed_backpressure += 1
+        else:
+            self.admitted += 1
+            handle = engine._submit_op(op)
+            if handle is not None:
+                pending[handle.txn] = scheduler.now
+        gap = engine.compiled.next_gap(engine.rng, scheduler.now)
+        scheduler.call_fixed_until(scheduler.now + gap, self.deadline, self.arrive)
+
+    def retune(self) -> None:
+        """One reading of the adaptive controller, then arm the next."""
+        adapt = self.adapt
+        digest = self.digest
+        recent_n = digest.n - self._seen_n
+        if recent_n:
+            recent = QuantileDigest(digest.lo, digest.hi, digest.bins)
+            recent.n = recent_n
+            recent.counts = [
+                count - prior for count, prior in zip(digest.counts, self._seen_counts)
+            ]
+            self._seen_n = digest.n
+            self._seen_counts = list(digest.counts)
+            p99 = recent.quantile(0.99)
+            cur = self.window
+            if p99 > adapt.target_p99 * (1.0 + adapt.hysteresis) and cur > adapt.low:
+                self.window = cur - 1
+                self.narrowed += 1
+            elif p99 < adapt.target_p99 * (1.0 - adapt.hysteresis) and cur < adapt.high:
+                self.window = cur + 1
+                self.widened += 1
+        scheduler = self.engine.cluster.scheduler
+        scheduler.call_fixed_until(scheduler.now + adapt.interval, self.deadline, self.retune)
+
+
 def run_open_loop(
     engine: TrafficEngine,
     protocol: str,
@@ -232,101 +330,29 @@ def run_open_loop(
     if window < 1:
         raise ValueError(f"admission window must be >= 1, got {window}")
     spec = engine.compiled.spec
-    rate = float(spec.rate)
     duration = float(spec.duration)
     cluster = engine.cluster
     scheduler = cluster.scheduler
-    rng = engine.rng
     deadline = spec.start + duration
-
     digest = QuantileDigest(0.0, latency_hi, bins)
-    #: origin -> {txn: submit_time}; dicts, not sets, so retirement
-    #: iterates in insertion order (hash order would leak into the
-    #: digest's min/max fold and break run-to-run determinism).
-    in_flight: dict[int, dict[str, float]] = {}
-    counters = {"offered": 0, "admitted": 0, "shed_backpressure": 0, "shed_unreachable": 0}
-    #: the live admission window — a one-cell box so the arrival
-    #: closure and the adaptive controller share it.  Without an
-    #: adaptive policy nothing ever writes it, so the fixed-window
-    #: behavior is unchanged.
-    window_box = {"window": min(max(window, adapt.low), adapt.high) if adapt else window}
-    adaptive = {"widened": 0, "narrowed": 0}
-
-    tracer = cluster.tracer
-
-    def retire_decided() -> None:
-        """Fold the latency of every in-flight txn that has decided."""
-        for origin, pending in in_flight.items():
-            done = [
-                (txn, records)
-                for txn, records in (
-                    (txn, tracer.where(category="decision", txn=txn))
-                    for txn in pending
-                )
-                if records
-            ]
-            for txn, records in done:
-                decided_at = min(record.time for record in records)
-                digest.add(decided_at - pending.pop(txn))
-
-    def arrive() -> None:
-        counters["offered"] += 1
-        retire_decided()
-        op = engine.compiled.next_op(rng)
-        pending = in_flight.setdefault(op.origin, {})
-        if op.origin not in cluster.sites or not cluster.sites[op.origin].alive:
-            counters["shed_unreachable"] += 1
-        elif len(pending) >= window_box["window"]:
-            counters["shed_backpressure"] += 1
-        else:
-            counters["admitted"] += 1
-            handle = engine._submit_op(op)
-            if handle is not None:
-                pending[handle.txn] = scheduler.now
-        gap = engine.compiled.next_gap(rng, scheduler.now)
-        scheduler.call_fixed_until(scheduler.now + gap, deadline, arrive)
+    run = _OpenLoopRun(engine, window, digest, deadline, adapt)
 
     if adapt is not None:
-        #: digest snapshot at the last retune, so each reading sees only
-        #: the latencies folded during its own interval
-        seen = {"n": 0, "counts": [0] * digest.bins}
-
-        def retune() -> None:
-            recent_n = digest.n - seen["n"]
-            if recent_n:
-                recent = QuantileDigest(digest.lo, digest.hi, digest.bins)
-                recent.n = recent_n
-                recent.counts = [
-                    count - prior for count, prior in zip(digest.counts, seen["counts"])
-                ]
-                seen["n"] = digest.n
-                seen["counts"] = list(digest.counts)
-                p99 = recent.quantile(0.99)
-                cur = window_box["window"]
-                if p99 > adapt.target_p99 * (1.0 + adapt.hysteresis) and cur > adapt.low:
-                    window_box["window"] = cur - 1
-                    adaptive["narrowed"] += 1
-                elif p99 < adapt.target_p99 * (1.0 - adapt.hysteresis) and cur < adapt.high:
-                    window_box["window"] = cur + 1
-                    adaptive["widened"] += 1
-            scheduler.call_fixed_until(scheduler.now + adapt.interval, deadline, retune)
-
-        scheduler.call_fixed_until(spec.start + adapt.interval, deadline, retune)
-
-    scheduler.call_fixed_until(spec.start, deadline, arrive)
+        scheduler.call_fixed_until(spec.start + adapt.interval, deadline, run.retune)
+    scheduler.call_fixed_until(spec.start, deadline, run.arrive)
     cluster.run()
-    retire_decided()
-    unresolved = sum(len(pending) for pending in in_flight.values())
+    run.retire_decided()
+    unresolved = sum(len(pending) for pending in run.in_flight.values())
 
     base = tally_stream(protocol, cluster, engine.outcomes, engine.handles, probe=probe)
     return OpenLoopResult(
         protocol=protocol,
-        rate=rate,
+        rate=float(spec.rate),
         duration=duration,
-        offered=counters["offered"],
-        admitted=counters["admitted"],
-        shed_backpressure=counters["shed_backpressure"],
-        shed_unreachable=counters["shed_unreachable"],
+        offered=run.offered,
+        admitted=run.admitted,
+        shed_backpressure=run.shed_backpressure,
+        shed_unreachable=run.shed_unreachable,
         committed=base.committed,
         reads_committed=base.reads_committed,
         client_aborted=base.client_aborted,
@@ -336,9 +362,9 @@ def run_open_loop(
         readable_fraction=base.readable_fraction,
         latency=latency_summary(digest),
         digest_state=digest.state(),
-        window_final=window_box["window"] if adapt is not None else None,
-        window_widened=adaptive["widened"],
-        window_narrowed=adaptive["narrowed"],
+        window_final=run.window if adapt is not None else None,
+        window_widened=run.widened,
+        window_narrowed=run.narrowed,
     )
 
 

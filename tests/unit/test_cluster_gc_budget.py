@@ -1,0 +1,208 @@
+"""Deterministic budgets on what dropping a finished cluster costs.
+
+A cluster owns its scheduler, network, sites and engines, nothing it
+owns points back at it, and ``Cluster.close()`` — run by itself when the
+last outside reference drops — cuts the cycles the run needed.  So with
+the cyclic collector *off*, every part of a finished installation is
+dead the moment the driver lets go, and a collection afterwards finds
+nothing.  Every bar here is a count (live weak references, objects the
+collector finds), never a wall time.
+
+Three driver shapes, the three the end-to-end benchmark times: a WAN
+storm run to quiescence with its coordinator crashed, a closed loop
+under a partition and a crash/recover pair, and an open-loop service
+cut short with events still queued while a degradation, a flapping
+link, a join and a leave are in play.
+"""
+
+import gc
+import random
+import sys
+import weakref
+from unittest import mock
+
+import pytest
+
+from repro import Cluster, FailurePlan, FixedDelay, UniformDelay
+from repro.common.errors import ConfigurationError
+from repro.sim.failures import JoinSite
+from repro.traffic import TrafficEngine
+from repro.workload.generators import (
+    random_catalog,
+    region_storm_plan,
+    wan_catalog,
+    wan_regions,
+)
+from repro.workload.spec import WorkloadSpec
+
+PROTOCOLS = ["2pc", "3pc", "skq", "qtp1", "qtp2"]
+
+
+class Horizon(Exception):
+    """Raised by a scheduled event to cut a run short."""
+
+
+def wan_storm(protocol):
+    """One update on a 4 x 8-site WAN, coordinator crashed, four
+    partition waves, never healed; run to quiescence."""
+    rng = random.Random(7)
+    regions = wan_regions(4, 8)
+    catalog = wan_catalog(rng, n_regions=4, sites_per_region=8, n_items=16, region_replication=3)
+    compiled = WorkloadSpec(n_txns=1, footprint=(2, 4)).compile(catalog, regions)
+    submit_state = rng.getstate()
+    origin, _writes = compiled.next_update(rng)
+    plan = region_storm_plan(rng, regions, waves=4, heal=False)
+    plan.crash(1.5, origin)
+    rng.setstate(submit_state)
+    cluster = Cluster(
+        catalog,
+        protocol=protocol,
+        seed=7,
+        delay_model=FixedDelay(1.0),
+        extra_sites=[s for region in regions for s in region],
+    )
+    engine = TrafficEngine(cluster, compiled, rng)
+    txn = engine.submit_now()
+    cluster.arm_failures(plan)
+    engine.run_to_quiescence()
+    assert cluster.outcome(txn.txn).outcome in ("commit", "abort", "blocked", "mixed")
+    assert cluster.scheduler.pending == 0
+    return cluster, engine
+
+
+def closed_loop(protocol):
+    """Sixty read-modify-write transactions through a partition episode
+    and a crash/recover pair; run to quiescence, then tallied."""
+    rng = random.Random(11)
+    catalog = random_catalog(rng, n_sites=8, n_items=24, replication=3)
+    compiled = WorkloadSpec(n_txns=60, mean_spacing=1.5, footprint=(1, 3)).compile(catalog)
+    plan = (
+        FailurePlan()
+        .partition(20.0, [1, 2, 3, 4, 5], [6, 7, 8])
+        .heal(50.0)
+        .crash(30.0, 2)
+        .recover(70.0, 2)
+    )
+    cluster = Cluster(catalog, protocol=protocol, seed=11, delay_model=UniformDelay(0.2, 1.0))
+    cluster.arm_failures(plan)
+    engine = TrafficEngine(cluster, compiled, rng)
+    engine.run_closed()
+    assert engine.tally(protocol).committed > 0
+    return cluster, engine
+
+
+def open_loop_cut(protocol):
+    """An open-loop service whose run is cut at vt 80, after the
+    arrivals stop (vt 61) and before the fault plan runs out."""
+    rng = random.Random(13)
+    catalog = random_catalog(rng, n_sites=9, n_items=32, replication=3)
+    compiled = WorkloadSpec(
+        arrival="open", rate=2.0, duration=60.0, read_fraction=0.5, footprint=(1, 2)
+    ).compile(catalog)
+    plan = (
+        FailurePlan()
+        .degrade(10.0, 3, 4.0)
+        .flap(15.0, 1, 2, period=6.0, cycles=20)  # edges queued until vt 135
+        .join(20.0, 99, copies={"i0": 1}, near=1)
+        .leave(30.0, 5)
+        .partition(40.0, [1, 2, 3, 4, 99], [6, 7, 8, 9])
+        .crash(200.0, 1)
+    )
+    cluster = Cluster(catalog, protocol=protocol, seed=13, delay_model=UniformDelay(0.2, 1.0))
+    cluster.arm_failures(plan)
+
+    def cut():
+        raise Horizon
+
+    cluster.scheduler.call_at(80.0, cut)
+    engine = TrafficEngine(cluster, compiled, rng)
+    try:
+        engine.run_open(protocol, window=2)
+    except Horizon:
+        pass
+    assert cluster.scheduler.pending > 0  # flap edges, the late crash, timers
+    assert 99 in cluster.sites and 5 in cluster.departed
+    return cluster, engine
+
+
+SHAPES = {"wan_storm": wan_storm, "closed_loop": closed_loop, "open_loop_cut": open_loop_cut}
+
+
+@pytest.fixture
+def collector_off():
+    """Everything between here and the test's own ``gc.collect()`` is
+    reclaimed by reference count or not at all."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_a_finished_cluster_dies_by_refcount(shape, protocol, collector_off):
+    drive = SHAPES[shape]
+    drive(protocol)  # warm imports, per-class tables and first-use caches
+    gc.collect()
+    cluster, engine = drive(protocol)
+    site = next(iter(cluster.departed.values() or cluster.sites.values()))
+    parts = {
+        "cluster": weakref.ref(cluster),
+        "network": weakref.ref(cluster.network),
+        "scheduler": weakref.ref(cluster.scheduler),
+        "site": weakref.ref(site),
+        "engine": weakref.ref(site.engine),
+        "driver": weakref.ref(engine),
+    }
+    del cluster, engine, site
+    assert [name for name, ref in parts.items() if ref() is not None] == []
+    assert gc.collect() == 0  # 800-42 000 objects before, all but 1-4 of them here
+
+
+def test_a_failed_construction_reaches_no_unraisable_hook(monkeypatch, collector_off):
+    catalog = random_catalog(random.Random(1), n_sites=4, n_items=2, replication=3)
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with pytest.raises(ConfigurationError):
+        Cluster(catalog, protocol="nope")
+    assert gc.collect() == 0
+    assert unraisable == []
+
+
+def test_a_half_built_cluster_is_released_too(collector_off):
+    catalog = random_catalog(random.Random(1), n_sites=4, n_items=2, replication=3)
+    networks = []
+
+    def fail(self, *args):
+        networks.append(weakref.ref(self.network))
+        raise ConfigurationError("no engines today")
+
+    with mock.patch.object(Cluster, "_attach_engines", fail):
+        with pytest.raises(ConfigurationError):
+            Cluster(catalog)  # four sites are registered by then
+    assert [ref() for ref in networks] == [None]
+    assert gc.collect() == 0
+
+
+def test_close_twice_is_a_no_op():
+    cluster, _engine = closed_loop("qtp1")
+    forced = {site_id: site.wal.forced for site_id, site in cluster.sites.items()}
+    cluster.close()
+    cluster.close()
+    assert cluster.network.sites == [] and cluster.scheduler.pending == 0
+    assert all(site.engine is None and site._handlers == {} for site in cluster.sites.values())
+    # durable state and the trace stay readable
+    assert {site_id: site.wal.forced for site_id, site in cluster.sites.items()} == forced
+    assert len(cluster.tracer) > 0
+
+
+def test_a_part_kept_past_its_cluster_fails_loudly():
+    cluster, _engine = closed_loop("qtp1")
+    injector = cluster.injector
+    del cluster, _engine
+    with pytest.raises(ReferenceError):
+        injector._apply(JoinSite(0.0, 99))

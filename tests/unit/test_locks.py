@@ -214,7 +214,8 @@ class TestDeadlock:
 
     def test_waits_for_graph_nodes(self):
         graph = build_waits_for(self._cycle())
-        assert set(graph.nodes) == {"T1", "T2"}
+        assert set(graph) == {"T1", "T2"}
+        assert set(graph["T1"]) == {"T2"} and set(graph["T2"]) == {"T1"}
 
 
 class TestProbeParity:

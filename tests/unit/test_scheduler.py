@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event scheduler."""
 
+import functools
+
 import pytest
 
 from repro.sim.scheduler import Scheduler
@@ -115,6 +117,34 @@ class TestCancellation:
         handle.cancel()
         handle.cancel()
         assert scheduler.pending == 1
+
+
+    def test_repr_survives_a_callable_without_a_name(self, scheduler):
+        handle = scheduler.call_at(1.0, functools.partial(print, "tick"))
+        assert "functools.partial" in repr(handle) and "pending" in repr(handle)
+
+    def test_a_spent_handle_lets_go_of_its_callback(self, scheduler):
+        fired = scheduler.call_at(1.0, print)
+        cancelled = scheduler.call_at(2.0, print, "never")
+        cancelled.cancel()
+        scheduler.run()
+        assert fired.fired and fired.fn is None and fired.args is None
+        assert cancelled.fn is None and "cancelled" in repr(cancelled)
+
+
+class TestClear:
+    def test_clear_drops_every_queued_event(self, scheduler):
+        ran = []
+        scheduler.call_fixed(1.0, ran.append, "fixed")
+        handle = scheduler.call_at(2.0, ran.append, "handle")
+        scheduler.run_until(0.5)
+        scheduler.clear()
+        assert scheduler.pending == 0 and not handle.active and handle.fn is None
+        handle.cancel()  # already cancelled: the counter must not go negative
+        assert scheduler.pending == 0
+        assert scheduler.run() == 0.5 and ran == []
+        scheduler.call_fixed(3.0, ran.append, "later")  # still a scheduler
+        assert scheduler.run() == 3.0 and ran == ["later"]
 
 
 class TestPendingCounter:

@@ -1,5 +1,8 @@
 """Unit tests for the conflict-graph serializability checker."""
 
+import pytest
+
+from repro.common.errors import NotSerializableError, ReproError
 from repro.concurrency.serializability import CommittedTxn, ConflictGraph
 
 
@@ -61,3 +64,31 @@ class TestNonSerializable:
             CommittedTxn("T2", reads={"x": 0}, writes={"x": 2}),
         ]
         assert not ConflictGraph(history).is_serializable()
+
+    def test_serial_order_of_a_cyclic_history_raises_a_library_error(self):
+        history = [
+            CommittedTxn("T1", reads={"x": 0}, writes={"y": 1}),
+            CommittedTxn("T2", reads={"y": 0}, writes={"x": 1}),
+        ]
+        with pytest.raises(NotSerializableError) as raised:
+            ConflictGraph(history).serial_order()
+        assert isinstance(raised.value, ReproError)
+        assert set(raised.value.cycle) == {"T1", "T2"}
+
+
+class TestGraphShape:
+    def test_graph_is_the_adjacency_mapping(self):
+        history = [
+            CommittedTxn("T1", writes={"x": 1}),
+            CommittedTxn("T2", reads={"x": 1}, writes={"x": 2}),
+            CommittedTxn("T3", writes={"y": 1}),
+        ]
+        assert ConflictGraph(history).graph == {"T1": {"T2": "wr"}, "T2": {}, "T3": {}}
+
+    def test_a_long_version_chain_needs_no_recursion(self):
+        history = [CommittedTxn(f"T{i}", writes={"x": i}) for i in range(5000)]
+        graph = ConflictGraph(history)
+        assert graph.is_serializable() and graph.cycle() is None
+        assert graph.serial_order() == [f"T{i}" for i in range(5000)]
+        loop = history + [CommittedTxn("T-late", reads={"x": 0}, writes={"x": 5000})]
+        assert len(ConflictGraph(loop).cycle()) == 5000

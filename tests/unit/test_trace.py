@@ -279,6 +279,49 @@ class TestRingBuffer:
         assert tracer.dropped == 2
 
 
+class TestDirectColumnReads:
+    """Until a ring wraps, a logical row *is* its physical slot."""
+
+    @staticmethod
+    def _query_everything(tracer):
+        return (
+            tracer.where(category="send"),
+            tracer.where(txn="T1", site=1),
+            tracer.count("state"),
+            tracer.decisions("T1"),
+            tracer.message_counts(),
+            tracer.txn_scope("T2"),
+        )
+
+    def test_an_unwrapped_trace_never_translates_a_row(self, monkeypatch):
+        tracer = Tracer(capacity=64, ring=True)  # a ring, but not wrapped
+        _fill(tracer, 30)
+        calls = []
+        original = Tracer._slot
+        monkeypatch.setattr(
+            Tracer, "_slot", lambda self, row: calls.append(row) or original(self, row)
+        )
+        answers = self._query_everything(tracer)
+        assert calls == []  # one call per row per query before
+        plain = Tracer()
+        _fill(plain, 30)
+        assert answers == self._query_everything(plain)
+
+    def test_a_wrapped_ring_still_does(self, monkeypatch):
+        tracer = Tracer(capacity=7, ring=True)
+        _fill(tracer, 30)
+        calls = []
+        original = Tracer._slot
+        monkeypatch.setattr(
+            Tracer, "_slot", lambda self, row: calls.append(row) or original(self, row)
+        )
+        full = Tracer()
+        _fill(full, 30)
+        survivors = _naive_where(full.records[-7:], category="decision", txn="T1")
+        assert tracer.decisions("T1") == {r.site: r.detail["outcome"] for r in survivors} != {}
+        assert calls
+
+
 class TestRecordRendering:
     def test_str_shape(self):
         rec = TraceRecord(2.0, 1, "send", "T1", {"mtype": "m", "dst": 3})
