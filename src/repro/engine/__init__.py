@@ -46,12 +46,16 @@ Extreme-scale sweeps (10^5–10^6 cells) add two opt-in layers on top
 (see ``engine/README.md``):
 
 * **streaming result sinks** — ``run_sweep(..., sink=JsonlSink(path))``
-  pushes rows into a :class:`~repro.engine.sink.ResultSink` as they
-  complete instead of accumulating them, and
+  hands rows to a :class:`~repro.engine.sink.ResultSink` a chunk at a
+  time as chunks complete instead of accumulating them, and
   ``run_sweep(..., reduce=RowReducer(...))`` folds rows into exact
-  streaming aggregates per worker chunk; both keep sweep memory flat
-  in cell count while staying byte-identical across backends and
-  worker counts.
+  streaming aggregates per chunk; both keep sweep memory flat in cell
+  count while staying byte-identical across backends and worker
+  counts.  A sink states what it needs from a chunk
+  (:class:`~repro.engine.sink.ChunkPlan`) and the chunk is folded into
+  exactly that (:class:`~repro.engine.sink.FoldedChunk`) where its
+  tasks ran, so for ``JsonlSink`` / ``ReducerSink`` / ``NoopSink`` and
+  tees of them no row crosses the pool boundary.
 * **zero-copy shared payloads** —
   :class:`~repro.engine.shared.SharedPayload` handles let every task of
   a huge sweep read one published catalog/trace instead of re-pickling
@@ -69,6 +73,7 @@ from repro.engine.aggregate import (
     row_digest,
 )
 from repro.engine.executor import (
+    MAX_CHUNK_ROWS,
     WORKER_CACHE_LIMIT,
     SweepOutcome,
     SweepRunner,
@@ -98,6 +103,8 @@ from repro.engine.sink import (
     STREAM_KIND,
     STREAM_SCHEMA,
     CellFoldSink,
+    ChunkPlan,
+    FoldedChunk,
     FoldSink,
     JsonlSink,
     MemorySink,
@@ -106,6 +113,7 @@ from repro.engine.sink import (
     ReducerSink,
     ResultSink,
     TeeSink,
+    fold_chunk,
     iter_stream_rows,
     load_stream,
     scan_partial_stream,
@@ -124,6 +132,7 @@ from repro.engine.store import (
 )
 
 __all__ = [
+    "MAX_CHUNK_ROWS",
     "SCHEMA_VERSION",
     "STREAM_KIND",
     "STREAM_SCHEMA",
@@ -133,10 +142,12 @@ __all__ = [
     "ChaosPlan",
     "ChaosSink",
     "ChaosTask",
+    "ChunkPlan",
     "CountAcc",
     "DigestMergeAcc",
     "FailureManifest",
     "FoldSink",
+    "FoldedChunk",
     "InjectedFault",
     "InjectedSinkError",
     "JsonlSink",
@@ -164,6 +175,7 @@ __all__ = [
     "default_chunksize",
     "default_workers",
     "derive_seed",
+    "fold_chunk",
     "fraction_of",
     "group_by",
     "iter_stream_rows",

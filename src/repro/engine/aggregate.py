@@ -8,11 +8,11 @@ rounds differently from ``((a+b)+c)+d``.  The accumulators here are
 therefore *exact*:
 
 * :class:`CountAcc` — integer tallies (trivially associative).
-* :class:`MeanAcc` — mean / min / max / sd over exact
-  :class:`~fractions.Fraction` sums.  Every float is a dyadic rational,
-  so the running sums are exact and merging partials in any grouping
-  yields the same value; floats only reappear at :meth:`~MeanAcc.summary`
-  time, via one deterministic conversion.
+* :class:`MeanAcc` — mean / min / max / sd over exact sums.  Every
+  float is a dyadic rational, so the running sums are kept as integers
+  over one shared power-of-two denominator and merging partials in any
+  grouping yields the same value; floats only reappear at
+  :meth:`~MeanAcc.summary` time, via one deterministic conversion.
 * :class:`QuantileDigest` — a fixed-size histogram digest (integer bin
   counts, exact min/max) whose percentile estimates depend only on the
   folded multiset, never on fold order.
@@ -30,8 +30,9 @@ stay mergeable.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 from repro.engine.spec import RunResult
 from repro.engine.store import ResultStore, canonical_line
@@ -109,34 +110,67 @@ class CountAcc(Accumulator):
 class MeanAcc(Accumulator):
     """Exact streaming mean / min / max / sd.
 
-    Sums are kept as :class:`~fractions.Fraction` (every float converts
-    exactly), so the merge of any partial grouping equals the serial
-    fold bit-for-bit; ``mean``/``sd`` are converted to float once, at
-    summary time.
+    A row value is JSON data: an ``int``, ``bool`` or ``float``, each a
+    dyadic rational.  The sums are two integers over one shared
+    power-of-two denominator (``total == _num / 2**_exp``,
+    ``total_sq == _sq / 4**_exp``), so an :meth:`add` is shifts and
+    integer adds, and the merge of any partial grouping equals the
+    serial fold bit-for-bit; ``mean``/``sd`` go through one
+    :class:`~fractions.Fraction` division to float, at summary time.
     """
 
     kind = "mean"
 
     def __init__(self) -> None:
         self.n = 0
-        self.total = Fraction(0)
-        self.total_sq = Fraction(0)
+        self._num = 0
+        self._sq = 0
+        self._exp = 0
         self.lo: float | None = None
         self.hi: float | None = None
 
+    @property
+    def total(self) -> Fraction:
+        """The exact sum of the values."""
+        return Fraction(self._num, 1 << self._exp)
+
+    @property
+    def total_sq(self) -> Fraction:
+        """The exact sum of the squared values."""
+        return Fraction(self._sq, 1 << 2 * self._exp)
+
+    def _rescale(self, exp: int) -> None:
+        """Raise the shared denominator to ``2**exp``."""
+        shift = exp - self._exp
+        self._num <<= shift
+        self._sq <<= 2 * shift
+        self._exp = exp
+
     def add(self, value: Any) -> None:
-        exact = Fraction(value)
+        if not isinstance(value, (int, float)):  # bool is an int
+            raise TypeError(f"MeanAcc folds int, bool or float values, got {type(value).__name__}")
+        num, den = value.as_integer_ratio()  # den is a power of two
+        exp = den.bit_length() - 1
+        if exp > self._exp:
+            self._rescale(exp)
+        else:
+            num <<= self._exp - exp
         self.n += 1
-        self.total += exact
-        self.total_sq += exact * exact
+        self._num += num
+        self._sq += num * num
         value = float(value)
-        self.lo = value if self.lo is None else min(self.lo, value)
-        self.hi = value if self.hi is None else max(self.hi, value)
+        if self.lo is None or value < self.lo:
+            self.lo = value
+        if self.hi is None or value > self.hi:
+            self.hi = value
 
     def merge(self, other: "MeanAcc") -> None:
+        if other._exp > self._exp:
+            self._rescale(other._exp)
+        shift = self._exp - other._exp
         self.n += other.n
-        self.total += other.total
-        self.total_sq += other.total_sq
+        self._num += other._num << shift
+        self._sq += other._sq << 2 * shift
         if other.lo is not None:
             self.lo = other.lo if self.lo is None else min(self.lo, other.lo)
         if other.hi is not None:
@@ -149,7 +183,8 @@ class MeanAcc(Accumulator):
         """Unbiased sample variance, computed exactly before conversion."""
         if self.n < 2:
             return 0.0
-        exact = (self.total_sq - self.total * self.total / self.n) / (self.n - 1)
+        total = self.total
+        exact = (self.total_sq - total * total / self.n) / (self.n - 1)
         return max(0.0, float(exact))
 
     def sd(self) -> float:
@@ -389,19 +424,26 @@ class RowReducer:
         self.rows = 0
         self.digest = 0
 
-    def fold(self, result: RunResult, row: Mapping[str, Any] | None = None) -> None:
-        """Fold one live result (``row``: its precomputed canonical form)."""
-        if row is None:
-            row = ResultStore.row_payload(result)
-        self._fold_common(row, result.value)
+    def fold(
+        self,
+        result: RunResult,
+        row: Mapping[str, Any] | None = None,
+        digest: int | None = None,
+    ) -> None:
+        """Fold one live result (``row``, ``digest``: its canonical form
+        and that form's :func:`row_digest`, where the caller already
+        has them)."""
+        if digest is None:
+            digest = row_digest(ResultStore.row_payload(result) if row is None else row)
+        self._fold_common(digest, result.value)
 
     def fold_row(self, row: Mapping[str, Any]) -> None:
         """Fold one row loaded back from an artifact (the eager side)."""
-        self._fold_common(row, row["value"])
+        self._fold_common(row_digest(row), row["value"])
 
-    def _fold_common(self, row: Mapping[str, Any], value: Any) -> None:
+    def _fold_common(self, digest: int, value: Any) -> None:
         self.rows += 1
-        self.digest = merge_digests(self.digest, row_digest(row))
+        self.digest = merge_digests(self.digest, digest)
         for _name, path, acc in self.metrics:
             acc.add(resolve_path(value, path))
 

@@ -20,21 +20,42 @@ Two pool modes exist:
   paying them per sweep.  Results are still bit-identical: warm workers
   hold no per-task state, only imported modules and
   :func:`worker_cache` entries that are pure functions of their keys.
+
+Both go through one dispatch body (:func:`_dispatch`), told only which
+pool to use.  On the streaming paths (``sink=`` / ``reduce=``) the unit
+of work is a **chunk** of at most :data:`MAX_CHUNK_ROWS` consecutive
+tasks: :func:`~repro.engine.sink.fold_chunk` executes it where the pool
+put it (in this process when there is no pool) and folds its rows into
+the pieces the sink tree asked for, and one loop (:func:`_stream`)
+hands the folded chunks to the sink in task order.  For a sink that
+takes its rows folded, no row crosses the process boundary: the parent
+orders chunks, writes their bytes and merges their partials.
 """
 
 from __future__ import annotations
 
 import atexit
+import functools
 import os
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, ContextManager, Iterable, Iterator
 
+from repro.engine.resilience import resolve_policy, run_resilient
+from repro.engine.sink import LIVE_RESULTS, ReducerSink, fold_chunk
 from repro.engine.spec import RunResult, RunTask, SweepSpec
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.aggregate import RowReducer
     from repro.engine.sink import ResultSink
     from repro.engine.store import ResultStore
+
+#: most rows one streamed chunk holds unless ``chunksize=`` says
+#: otherwise.  Bounds the rows alive at once whatever the sweep's size
+#: (peak heap stays flat in cell count, serial included), and keeps
+#: chunks short enough that the parent's gzip of one overlaps the
+#: workers' fold of the next.
+MAX_CHUNK_ROWS = 256
 
 
 def _execute_task(task: RunTask) -> RunResult:
@@ -211,19 +232,23 @@ class SweepRunner:
     def _ensure_pool(self) -> Any:
         """The shared pool, or None when this environment cannot pool."""
         if self._pool is None and not self._pool_failed:
-            try:
-                import multiprocessing
-
-                # import the stack in the *parent* first: fork children
-                # then inherit warm modules outright, and the initializer
-                # only pays real import work under a spawn start method.
-                _warm_worker()
-                ctx = multiprocessing.get_context()
-                self._pool = ctx.Pool(processes=self.workers, initializer=_warm_worker)
-                self.pools_created += 1
-            except _POOL_UNAVAILABLE:
+            # import the stack in the *parent* first: fork children
+            # then inherit warm modules outright, and the initializer
+            # only pays real import work under a spawn start method.
+            # Outside _create_pool's guard: a broken import of this
+            # repo raises, it never degrades the runner to serial.
+            _warm_worker()
+            self._pool = _create_pool(self.workers, initializer=_warm_worker)
+            if self._pool is None:
                 self._pool_failed = True
+            else:
+                self.pools_created += 1
         return self._pool
+
+    @contextmanager
+    def _lease(self) -> Iterator[Any]:
+        """The warm pool, left running for the next sweep."""
+        yield self._ensure_pool()
 
     def run_sweep(
         self,
@@ -236,52 +261,10 @@ class SweepRunner:
         resume_from: Any = None,
     ) -> SweepOutcome:
         """Execute one sweep on the warm pool (API mirrors :func:`run_sweep`)."""
-        if sink is not None and reduce is not None:
-            raise ValueError("pass sink= or reduce=, not both")
-        if on_error is not None or resume_from is not None:
-            # The resilient backend owns its pool (it must be able to
-            # kill and respawn workers); the warm pool stays untouched.
-            if reduce is not None:
-                raise ValueError("on_error/resume_from do not compose with reduce=")
-            from repro.engine.resilience import resolve_policy, run_resilient
-
-            outcome = run_resilient(
-                spec,
-                workers=self.workers,
-                chunksize=chunksize,
-                sink=sink,
-                policy=resolve_policy(on_error),
-                resume_from=resume_from,
-            )
-            self.sweeps_run += 1
-            if store is not None:
-                store.save(outcome)
-            return outcome
-        if sink is not None or reduce is not None:
-            pool = self._ensure_pool() if self.workers > 1 and spec.n_tasks > 1 else None
-            workers = self.workers if pool is not None else 1
-            if reduce is not None:
-                outcome = _run_reduced(spec, workers, chunksize, reduce, pool=pool)
-            else:
-                outcome = _run_sink(spec, workers, chunksize, sink, pool=pool)
-            self.sweeps_run += 1
-            if store is not None:
-                store.save(outcome)
-            return outcome
-        tasks = spec.tasks()
-        pool = self._ensure_pool() if self.workers > 1 and len(tasks) > 1 else None
-        if pool is not None:
-            results = pool.map(
-                _execute_task,
-                tasks,
-                chunksize or default_chunksize(len(tasks), self.workers),
-            )
-        else:
-            results = [task.execute() for task in tasks]
+        outcome = _dispatch(
+            spec, self.workers, chunksize, store, sink, reduce, on_error, resume_from, self._lease
+        )
         self.sweeps_run += 1
-        outcome = SweepOutcome(spec=spec.summary(), results=results)
-        if store is not None:
-            store.save(outcome)
         return outcome
 
     def close(self) -> None:
@@ -318,7 +301,8 @@ def run_sweep(
             a pool cannot be created (restricted environments, missing
             ``fork``/``spawn`` support).
         chunksize: tasks per worker batch; default
-            :func:`default_chunksize`.
+            :func:`default_chunksize`, on the streaming paths capped at
+            :data:`MAX_CHUNK_ROWS` (an explicit value always wins).
         store: when given, the outcome is saved under ``spec.name``
             before returning.  (With a non-row-keeping ``sink`` the
             saved artifact has an empty ``results`` body — stream the
@@ -328,15 +312,19 @@ def run_sweep(
             :class:`SweepRunner` for this worker count, keeping the
             pool warm for later ``run_sweep`` calls, instead of
             creating (and tearing down) a pool just for this sweep.
-        sink: streaming backend — every result is pushed into the sink
-            in task-index order as it completes, tasks are generated
-            lazily, and only row-keeping sinks (``MemorySink``) retain
-            rows in the outcome.  The default (``None``) is the classic
+        sink: streaming backend — rows reach the sink in task-index
+            order, a chunk at a time as chunks complete (folded where
+            their tasks ran for a sink that opts in, see
+            :meth:`~repro.engine.sink.ResultSink.chunk_plan`; as live
+            results otherwise), tasks are generated lazily, and only
+            row-keeping sinks (``MemorySink``) retain rows in the
+            outcome.  The default (``None``) is the classic
             keep-everything path, byte-identical to prior releases.
         reduce: a :class:`~repro.engine.aggregate.RowReducer`
-            *template*: each worker chunk folds its rows into a fresh
-            partial and ships the partial back instead of the row list;
-            partials merge in chunk order and the outcome carries only
+            *template*, never mutated: shorthand for
+            ``sink=ReducerSink(reduce.fresh())`` — each chunk folds its
+            rows into a fresh partial where its tasks ran, partials
+            merge in chunk order and the outcome carries only
             ``aggregate``.  Mutually exclusive with ``sink``.
         on_error: fault policy for failing tasks.  ``None`` (default)
             is the exact historical behaviour — the first task
@@ -364,13 +352,45 @@ def run_sweep(
         its row digest is byte-identical across all backends and worker
         counts.
     """
+    if persistent_pool and workers > 1:
+        return shared_runner(workers).run_sweep(spec, chunksize, store, sink, reduce, on_error, resume_from)
+    return _dispatch(
+        spec,
+        workers,
+        chunksize,
+        store,
+        sink,
+        reduce,
+        on_error,
+        resume_from,
+        functools.partial(_fresh_pool, workers),
+    )
+
+
+def _dispatch(
+    spec: SweepSpec,
+    workers: int,
+    chunksize: int | None,
+    store: "ResultStore | None",
+    sink: "ResultSink | None",
+    reduce: "RowReducer | None",
+    on_error: Any,
+    resume_from: Any,
+    lease: Callable[[], ContextManager[Any]],
+) -> SweepOutcome:
+    """The one body behind :func:`run_sweep` and :meth:`SweepRunner.run_sweep`.
+
+    ``lease()`` is a context manager yielding the pool a parallel sweep
+    runs on — ``None`` where this environment cannot pool, which means
+    serial.  It alone differs between the two callers.
+    """
     if sink is not None and reduce is not None:
         raise ValueError("pass sink= or reduce=, not both")
     if on_error is not None or resume_from is not None:
+        # The resilient backend owns its pool (it must be able to kill
+        # and respawn workers); a warm pool stays untouched.
         if reduce is not None:
             raise ValueError("on_error/resume_from do not compose with reduce=")
-        from repro.engine.resilience import resolve_policy, run_resilient
-
         outcome = run_resilient(
             spec,
             workers=workers,
@@ -379,24 +399,17 @@ def run_sweep(
             policy=resolve_policy(on_error),
             resume_from=resume_from,
         )
-        if store is not None:
-            store.save(outcome)
-        return outcome
-    if persistent_pool and workers > 1:
-        return shared_runner(workers).run_sweep(
-            spec, chunksize=chunksize, store=store, sink=sink, reduce=reduce
-        )
-    if reduce is not None:
-        outcome = _run_reduced(spec, workers, chunksize, reduce, pool=None)
-    elif sink is not None:
-        outcome = _run_sink(spec, workers, chunksize, sink, pool=None)
     else:
-        tasks = spec.tasks()
-        if workers > 1 and len(tasks) > 1:
-            results = _run_pool(tasks, workers, chunksize)
-        else:
-            results = [task.execute() for task in tasks]
-        outcome = SweepOutcome(spec=spec.summary(), results=results)
+        if reduce is not None:
+            sink = ReducerSink(reduce.fresh())  # the template is never mutated
+        parallel = workers > 1 and spec.n_tasks > 1
+        with lease() if parallel else nullcontext() as pool:
+            if sink is not None:
+                outcome = _stream(spec, workers if pool is not None else 1, chunksize, sink, pool)
+            else:
+                outcome = SweepOutcome(
+                    spec=spec.summary(), results=_execute_all(spec.tasks(), workers, chunksize, pool)
+                )
     if store is not None:
         store.save(outcome)
     return outcome
@@ -444,108 +457,45 @@ def shutdown_shared_runners() -> None:
 atexit.register(shutdown_shared_runners)
 
 
-def _run_pool(
-    tasks: list[RunTask],
-    workers: int,
-    chunksize: int | None,
-) -> list[RunResult]:
-    """Map tasks over a process pool; fall back to serial on failure.
+def _create_pool(workers: int, initializer: Callable[[], None] | None = None) -> Any:
+    """A process pool, or None where this environment cannot create one
+    (sandboxes where process creation is forbidden, a task already
+    running inside a daemonic pool worker).
 
-    ``Pool.map`` preserves input order, so no re-sorting is needed; the
-    fallback covers sandboxes where process creation is forbidden and
-    nested pools (a task already running inside a pool worker).
+    Only pool *creation* falls back to serial; an error raised by a
+    task must surface, not silently re-run the whole sweep serially.
     """
     try:
         import multiprocessing
 
-        ctx = multiprocessing.get_context()
-        pool = ctx.Pool(processes=workers)
+        return multiprocessing.get_context().Pool(processes=workers, initializer=initializer)
     except _POOL_UNAVAILABLE:
-        # only pool *creation* falls back; an error raised by a task
-        # must surface, not silently re-run the whole sweep serially
-        return [task.execute() for task in tasks]
-    with pool:
-        return pool.map(
-            _execute_task,
-            tasks,
-            chunksize or default_chunksize(len(tasks), workers),
-        )
+        return None
 
 
-# ----------------------------------------------------------------------
-# streaming backends (sink= / reduce=)
-# ----------------------------------------------------------------------
-
-def _stream_results(
-    spec: SweepSpec,
-    workers: int,
-    chunksize: int | None,
-    pool: Any,
-) -> Iterable[RunResult]:
-    """Results in task-index order, produced incrementally.
-
-    Tasks come from ``spec.iter_tasks()`` (never materialized as a
-    list) and ``Pool.imap`` preserves input order while yielding as
-    chunks complete, so the consumer sees a bounded window of rows no
-    matter how large the sweep is.
-    """
-    n = spec.n_tasks
-    if workers > 1 and n > 1:
+@contextmanager
+def _fresh_pool(workers: int) -> Iterator[Any]:
+    """A pool that lives for one sweep."""
+    pool = _create_pool(workers)
+    try:
+        yield pool
+    finally:
         if pool is not None:
-            return pool.imap(
-                _execute_task,
-                spec.iter_tasks(),
-                chunksize or default_chunksize(n, workers),
-            )
-        return _stream_fresh_pool(spec, workers, chunksize)
-    return (task.execute() for task in spec.iter_tasks())
+            pool.terminate()
+            pool.join()
 
 
-def _stream_fresh_pool(
-    spec: SweepSpec, workers: int, chunksize: int | None
-) -> Iterable[RunResult]:
-    """One-shot-pool flavour of :func:`_stream_results` (same fallback
-    rule as :func:`_run_pool`: only pool *creation* degrades to serial)."""
-    try:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context()
-        pool = ctx.Pool(processes=workers)
-    except _POOL_UNAVAILABLE:
-        yield from (task.execute() for task in spec.iter_tasks())
-        return
-    with pool:
-        yield from pool.imap(
-            _execute_task,
-            spec.iter_tasks(),
-            chunksize or default_chunksize(spec.n_tasks, workers),
-        )
+def _execute_all(tasks: list[RunTask], workers: int, chunksize: int | None, pool: Any) -> list[RunResult]:
+    """The keep-every-row path: all results, in task order
+    (``Pool.map`` preserves input order, so no re-sorting is needed)."""
+    if pool is None:
+        return [task.execute() for task in tasks]
+    return pool.map(_execute_task, tasks, chunksize or default_chunksize(len(tasks), workers))
 
 
-def _run_sink(
-    spec: SweepSpec,
-    workers: int,
-    chunksize: int | None,
-    sink: "ResultSink",
-    pool: Any,
-) -> SweepOutcome:
-    """Drive one sweep through a sink (the ``sink=`` backend).
-
-    On any failure the sink is aborted, not closed — a streaming file
-    sink then leaves a detectably-truncated artifact behind instead of
-    a well-formed file holding half a sweep.
-    """
-    summary = spec.summary()
-    sink.open(summary)
-    try:
-        for result in _stream_results(spec, workers, chunksize, pool):
-            sink.emit(result)
-    except BaseException:
-        sink.abort()
-        raise
-    sink.close()
-    results = list(sink.results) if sink.keeps_rows else []
-    return SweepOutcome(spec=summary, results=results, aggregate=sink.summary())
+# ----------------------------------------------------------------------
+# the streaming backend (sink= / reduce=)
+# ----------------------------------------------------------------------
 
 
 def _chunked(items: Iterable[Any], size: int) -> Iterable[list[Any]]:
@@ -560,57 +510,43 @@ def _chunked(items: Iterable[Any], size: int) -> Iterable[list[Any]]:
         yield chunk
 
 
-def _execute_reduced_chunk(payload: tuple[list[RunTask], "RowReducer"]) -> "RowReducer":
-    """Worker side of ``reduce=``: fold one task chunk into a fresh
-    partial and ship the partial back (top-level so it pickles)."""
-    tasks, template = payload
-    partial = template.fresh()
-    for task in tasks:
-        partial.fold(task.execute())
-    return partial
-
-
-def _run_reduced(
+def _stream(
     spec: SweepSpec,
     workers: int,
     chunksize: int | None,
-    reduce: "RowReducer",
+    sink: "ResultSink",
     pool: Any,
 ) -> SweepOutcome:
-    """Drive one sweep through per-chunk partial reducers (``reduce=``).
+    """Drive one sweep through a sink, a chunk at a time.
 
-    ``reduce`` is a template and is never mutated: every chunk folds
-    into its own fresh partial, and partials merge in chunk (= task)
-    order.  Accumulators are exactly mergeable, so the summary is
-    byte-identical to a serial fold at every worker count.
+    The one loop of the streaming paths, serial and pooled: tasks come
+    from ``spec.iter_tasks()`` (never materialized as a list), each
+    chunk of them is folded by :func:`~repro.engine.sink.fold_chunk` —
+    in a pool worker, or right here — into the pieces ``sink`` asked
+    for, and ``Pool.imap`` hands the folded chunks back in task order.
+
+    A task that raises ends its chunk: the rows before it are still
+    absorbed, then the sink is aborted, not closed — a streaming file
+    sink leaves a detectably-truncated artifact behind, holding every
+    row before the failing one, instead of a well-formed file holding
+    half a sweep — and the task's exception is re-raised.
     """
-    n = spec.n_tasks
-    total = reduce.fresh()
-    if workers > 1 and n > 1:
-        owned = None
-        if pool is None:
-            try:
-                import multiprocessing
-
-                pool = owned = multiprocessing.get_context().Pool(processes=workers)
-            except _POOL_UNAVAILABLE:
-                pool = None
-        if pool is not None:
-            size = chunksize or default_chunksize(n, workers)
-            chunks = ((chunk, reduce) for chunk in _chunked(spec.iter_tasks(), size))
-            try:
-                for partial in pool.imap(_execute_reduced_chunk, chunks):
-                    total.merge(partial)
-            finally:
-                if owned is not None:
-                    owned.terminate()
-                    owned.join()
-            return SweepOutcome(
-                spec=spec.summary(), results=[], aggregate=total.summary()
-            )
-    for task in spec.iter_tasks():
-        total.fold(task.execute())
-    return SweepOutcome(spec=spec.summary(), results=[], aggregate=total.summary())
+    summary = spec.summary()
+    fold = functools.partial(fold_chunk, plan=sink.chunk_plan() or LIVE_RESULTS)
+    size = chunksize or min(default_chunksize(spec.n_tasks, workers), MAX_CHUNK_ROWS)
+    task_chunks = _chunked(spec.iter_tasks(), size)
+    sink.open(summary)
+    try:
+        for chunk in map(fold, task_chunks) if pool is None else pool.imap(fold, task_chunks):
+            sink.absorb(chunk)
+            if chunk.error is not None:
+                raise chunk.error
+    except BaseException:
+        sink.abort()
+        raise
+    sink.close()
+    results = list(sink.results) if sink.keeps_rows else []
+    return SweepOutcome(spec=summary, results=results, aggregate=sink.summary())
 
 
 def map_runs(
@@ -629,6 +565,5 @@ def map_runs(
         RunTask(index=i, sweep="map-runs", task=task, params=dict(params), run=i, seed=s)
         for i, s in enumerate(seeds)
     ]
-    if workers > 1 and len(tasks) > 1:
-        return [r.value for r in _run_pool(tasks, workers, None)]
-    return [t.execute().value for t in tasks]
+    with _fresh_pool(workers) if workers > 1 and len(tasks) > 1 else nullcontext() as pool:
+        return [r.value for r in _execute_all(tasks, workers, None, pool)]

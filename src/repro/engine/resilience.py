@@ -445,6 +445,14 @@ class ChaosSink:
                     )
         self.inner.emit(result, row)
 
+    def chunk_plan(self) -> None:
+        """Never opts in: ``fail_sink(row)`` counts live ``emit`` calls."""
+        return None
+
+    def absorb(self, chunk: Any) -> None:
+        for result in chunk.results:
+            self.emit(result)
+
     def note_quarantined(self, index: int) -> None:
         self.inner.note_quarantined(index)
 
@@ -679,9 +687,12 @@ def run_resilient(
     This is the engine behind ``run_sweep(on_error=..., resume_from=...)``;
     call through :func:`~repro.engine.executor.run_sweep` in normal code.
 
-    Rows are emitted into ``sink`` in task-index order exactly like the
-    streaming path; salvaged rows (under ``resume_from``) are replayed
-    without re-executing their tasks.  The outcome's ``resilience``
+    Rows are emitted into ``sink`` in task-index order, one ``emit``
+    per row in the parent whatever :meth:`ResultSink.chunk_plan` says:
+    retries are settled per task here, a quarantined cell leaves a gap
+    mid-chunk, and ``ChaosPlan.fail_sink(row)`` counts rows.  Salvaged
+    rows (under ``resume_from``) are replayed without re-executing
+    their tasks.  The outcome's ``resilience``
     mapping (also merged into ``aggregate``) carries the provenance:
     ``completed`` / ``resumed`` / ``retried`` / ``quarantined`` /
     ``respawns`` — so partial results are always labelled as such.

@@ -3,12 +3,11 @@
 The default sweep path accumulates every :class:`~repro.engine.spec.RunResult`
 in RAM and hands them back inside the outcome — fine at 10^3 cells,
 fatal at 10^6.  A :class:`ResultSink` decouples *producing* rows from
-*keeping* them: the executor pushes each result into the sink the
-moment it arrives (always in task-index order), and the sink decides
-whether to keep it (:class:`MemorySink`), stream it to disk
-(:class:`JsonlSink`), fold it into aggregates (:class:`ReducerSink`,
-:class:`CellFoldSink`), print it (:class:`PrintingSink`), fan it out
-(:class:`TeeSink`) or drop it (:class:`NoopSink`).
+*keeping* them: the sink decides whether to keep a row
+(:class:`MemorySink`), stream it to disk (:class:`JsonlSink`), fold it
+into aggregates (:class:`ReducerSink`, :class:`CellFoldSink`), print it
+(:class:`PrintingSink`), fan it out (:class:`TeeSink`) or drop it
+(:class:`NoopSink`).
 
 Every sink tracks two backend-independent invariants as it goes:
 ``rows_emitted`` and an order-independent row ``digest`` (see
@@ -18,23 +17,33 @@ a sweep is byte-identical across `MemorySink`/`JsonlSink`/reducers and
 across every worker count — the property the streaming bench case and
 the engine property tests pin.
 
-Lifecycle: ``open(spec_summary)`` → ``emit(result)`` per row →
+Lifecycle: ``open(spec_summary)`` → rows, always in task-index order →
 ``close()``; the executor calls ``abort()`` instead of ``close()`` when
 a task raises, so a partially-written :class:`JsonlSink` file has no
 ``end`` record and its truncation tripwire fires on load.
+
+Rows arrive one *chunk* at a time (``absorb``).  What the chunk holds
+is the sink's choice, stated once per sweep through
+:meth:`ResultSink.chunk_plan`: a sink that opts in names the pieces it
+can take already folded — artifact lines as bytes, a partial reducer, a
+count and a digest — and :func:`fold_chunk` builds exactly those where
+the tasks run, so in a pooled sweep no row crosses the process
+boundary; a sink that does not opt in gets the chunk's live results,
+one ``emit`` each.  The resilient backend (``on_error=`` /
+``resume_from=``) drives ``emit`` per row for every sink.
 """
 
 from __future__ import annotations
 
 import gzip
-import io
 import json
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, TextIO
+from typing import Any, Callable, Iterable, Iterator, Mapping, TextIO
 
 from repro.common.errors import StoreError
 from repro.engine.aggregate import RowReducer, merge_digests, row_digest
-from repro.engine.spec import RunResult
+from repro.engine.resilience import _portable_error
+from repro.engine.spec import RunResult, RunTask
 from repro.engine.store import ResultStore, canonical_line, jsonable
 
 #: streamed-artifact schema version; bump on any layout change.
@@ -42,6 +51,107 @@ STREAM_SCHEMA = 1
 
 #: the header ``kind`` tag distinguishing row streams from traces.
 STREAM_KIND = "repro-sweep-rows"
+
+
+class ChunkPlan:
+    """What a sink tree needs from each chunk of a sweep (picklable: it
+    travels to the pool workers with every chunk of tasks).
+
+    * ``digest`` — the modular sum of the rows' digests;
+    * ``lines`` — the rows' canonical artifact lines, as bytes;
+    * ``reducers`` — empty reducers to fold one partial each from, under
+      the key the asking sink will look its partial up by;
+    * ``results`` — the live results themselves.
+
+    (Plain classes, here and below: two dataclasses cost every
+    ``import repro`` 2 ms of generated code.)
+    """
+
+    def __init__(
+        self,
+        digest: bool = False,
+        lines: bool = False,
+        reducers: Mapping[int, RowReducer] | None = None,
+        results: bool = False,
+    ) -> None:
+        self.digest = digest
+        self.lines = lines
+        self.reducers = dict(reducers or {})
+        self.results = results
+
+
+#: the plan of a sink tree that does not opt in: every live result.
+LIVE_RESULTS = ChunkPlan(results=True)
+
+
+class FoldedChunk:
+    """One chunk of consecutive rows, folded where its tasks ran.
+
+    ``rows`` always counts; ``digest``, ``lines``, ``partials`` and
+    ``results`` are filled only where the :class:`ChunkPlan` asked.
+    ``error`` is the exception that ended the chunk early: the pieces
+    then cover the rows before the failing one.
+    """
+
+    def __init__(self) -> None:
+        self.rows = 0
+        self.digest = 0
+        self.lines = b""
+        self.partials: dict[int, RowReducer] = {}
+        self.results: list[RunResult] = []
+        self.error: BaseException | None = None
+
+    def __getstate__(self) -> dict[str, Any]:
+        """Pickled only to leave a pool worker: the error then travels
+        as ``multiprocessing.Pool`` ships one — itself where it pickles,
+        a faithful stand-in where it does not, the worker's traceback
+        attached as its cause."""
+        state = dict(self.__dict__)
+        if self.error is not None:
+            from multiprocessing.pool import ExceptionWithTraceback
+
+            state["error"] = ExceptionWithTraceback(_portable_error(self.error), self.error.__traceback__)
+        return state
+
+
+def fold_chunk(tasks: Iterable[RunTask], plan: ChunkPlan) -> FoldedChunk:
+    """Execute ``tasks`` and fold their rows into the pieces ``plan`` names.
+
+    The one producer of :class:`FoldedChunk`: pool workers and the
+    serial path both run it, so a row's payload is built once, where
+    its task ran.  A row whose task (or encoding) raises ends the
+    chunk; it is returned with the rows before it and the exception.
+    """
+    chunk = FoldedChunk()
+    chunk.partials = {key: reducer.fresh() for key, reducer in plan.reducers.items()}
+    partials = list(chunk.partials.values())
+    encode = plan.digest or plan.lines or bool(partials)
+    lines: list[str] = []
+    for task in tasks:
+        try:
+            result = task.execute()
+            if encode:
+                row = ResultStore.row_payload(result)
+                digest = row_digest(row)
+                if plan.lines:
+                    line = canonical_line({"type": "row", **row})
+                for partial in partials:
+                    partial.fold(result, row=row, digest=digest)
+        except Exception as exc:
+            chunk.error = exc
+            break
+        # nothing below can raise: count, digest, lines and results
+        # always cover the same rows
+        chunk.rows += 1
+        if encode:
+            chunk.digest = merge_digests(chunk.digest, digest)
+        if plan.lines:
+            lines.append(line)
+        if plan.results:
+            chunk.results.append(result)
+    if lines:
+        chunk.lines = ("\n".join(lines) + "\n").encode("utf-8")
+    return chunk
 
 
 class ResultSink:
@@ -53,6 +163,12 @@ class ResultSink:
     plus, optionally, its precomputed canonical row — a
     :class:`TeeSink` encodes each row once and shares it with every
     branch instead of re-encoding per child.
+
+    A subclass that overrides only ``emit`` sees every live result, in
+    task order, in the parent process.  One that can take its rows
+    already folded overrides :meth:`chunk_plan` and :meth:`absorb`
+    together (a subclass of such a sink that needs live results again
+    returns ``None`` from ``chunk_plan`` and restores this ``absorb``).
     """
 
     #: does this sink retain full rows for the outcome's ``results``?
@@ -82,6 +198,25 @@ class ResultSink:
         self.rows_emitted += 1
         self.digest = merge_digests(self.digest, row_digest(row))
 
+    def chunk_plan(self) -> ChunkPlan | None:
+        """The pieces this sink takes a chunk as, asked once per sweep.
+
+        ``None`` (the default) does not opt in: :meth:`absorb` is handed
+        the chunk's live results.
+        """
+        return None
+
+    def absorb(self, chunk: FoldedChunk) -> None:
+        """Receive one chunk of consecutive rows, in task-index order
+        (the default: ``emit`` each of its live results)."""
+        for result in chunk.results:
+            self.emit(result)
+
+    def _tally(self, chunk: FoldedChunk) -> None:
+        """Fold a chunk's count and digest into this sink's own."""
+        self.rows_emitted += chunk.rows
+        self.digest = merge_digests(self.digest, chunk.digest)
+
     def close(self) -> None:
         """Called once after the last row (success path only)."""
 
@@ -103,6 +238,12 @@ class ResultSink:
 
 class NoopSink(ResultSink):
     """Count and digest rows, keep nothing — the pure-throughput sink."""
+
+    def chunk_plan(self) -> ChunkPlan:
+        return ChunkPlan(digest=True)
+
+    def absorb(self, chunk: FoldedChunk) -> None:
+        self._tally(chunk)
 
 
 class MemorySink(ResultSink):
@@ -200,6 +341,17 @@ class JsonlSink(ResultSink):
             row = ResultStore.row_payload(result)
         super().emit(result, row)
         self._write_line({"type": "row", **row})
+
+    def chunk_plan(self) -> ChunkPlan:
+        return ChunkPlan(digest=True, lines=True)
+
+    def absorb(self, chunk: FoldedChunk) -> None:
+        """One gzip write per chunk: the stream's bytes depend on what
+        is written, never on how it was cut into writes."""
+        self._tally(chunk)
+        if chunk.rows:
+            self._gz.write(chunk.lines)
+            self._lines += chunk.rows
 
     def close(self) -> None:
         if self._gz is None:
@@ -433,6 +585,15 @@ class ReducerSink(ResultSink):
         self.rows_emitted = self.reducer.rows
         self.digest = self.reducer.digest
 
+    def chunk_plan(self) -> ChunkPlan:
+        return ChunkPlan(digest=True, reducers={id(self): self.reducer.fresh()})
+
+    def absorb(self, chunk: FoldedChunk) -> None:
+        """Merge the chunk's partial into the caller's own reducer."""
+        self.reducer.merge(chunk.partials[id(self)])
+        self.rows_emitted = self.reducer.rows
+        self.digest = self.reducer.digest
+
     def summary(self) -> dict[str, Any]:
         out = self.reducer.summary()
         if self.quarantined:
@@ -481,10 +642,11 @@ class CellFoldSink(ResultSink):
 class TeeSink(ResultSink):
     """Fan each row out to several child sinks.
 
-    The canonical row is encoded once here and shared with every child,
-    so ``TeeSink(JsonlSink(...), ReducerSink(...))`` pays one encode
-    per row, not one per branch.  The tee's own digest mirrors the
-    first child's (all children agree by construction).
+    The canonical row is encoded once and shared with every child, so
+    ``TeeSink(JsonlSink(...), ReducerSink(...))`` pays one encode per
+    row, not one per branch.  The tee's own digest mirrors the first
+    child's (all children agree by construction), and its summary is
+    the first child's plus whatever keys the later children add.
     """
 
     def __init__(self, *sinks: ResultSink) -> None:
@@ -518,6 +680,26 @@ class TeeSink(ResultSink):
             sink.emit(result, row)
         self.digest = self.sinks[0].digest
 
+    def chunk_plan(self) -> ChunkPlan:
+        """The union of the children's plans; a child that does not opt
+        in adds the live results."""
+        plans = [sink.chunk_plan() or LIVE_RESULTS for sink in self.sinks]
+        reducers: dict[int, RowReducer] = {}
+        for plan in plans:
+            reducers.update(plan.reducers)
+        return ChunkPlan(
+            digest=any(plan.digest for plan in plans),
+            lines=any(plan.lines for plan in plans),
+            reducers=reducers,
+            results=any(plan.results for plan in plans),
+        )
+
+    def absorb(self, chunk: FoldedChunk) -> None:
+        self.rows_emitted += chunk.rows
+        for sink in self.sinks:
+            sink.absorb(chunk)
+        self.digest = self.sinks[0].digest
+
     def note_quarantined(self, index: int) -> None:
         super().note_quarantined(index)
         for sink in self.sinks:
@@ -532,4 +714,8 @@ class TeeSink(ResultSink):
             sink.abort()
 
     def summary(self) -> dict[str, Any]:
-        return self.sinks[0].summary()
+        out = dict(self.sinks[0].summary())
+        for sink in self.sinks[1:]:
+            for key, value in sink.summary().items():
+                out.setdefault(key, value)  # an earlier child wins a conflict
+        return out

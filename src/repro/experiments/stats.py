@@ -12,8 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-from scipy import stats
+# numpy / scipy (the ``stats`` extra) are imported inside the two
+# functions that need them: the package ``__init__`` imports this
+# module, and the sweep engine's warm-up imports the package.
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,9 @@ def mean_ci(samples: Sequence[float], confidence: float = 0.95) -> MeanCI:
     """
     if not samples:
         raise ValueError("no samples")
+    import numpy as np
+    from scipy import stats
+
     data = np.asarray(samples, dtype=float)
     mean = float(data.mean())
     n = len(data)
@@ -80,6 +84,9 @@ def paired_comparison(a: Sequence[float], b: Sequence[float]) -> PairedCompariso
         raise ValueError("paired samples must have equal length")
     if len(a) < 2:
         raise ValueError("need at least two pairs")
+    import numpy as np
+    from scipy import stats
+
     diffs = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
     if float(np.abs(diffs).sum()) == 0.0:
         return PairedComparison(0.0, 1.0, len(a))

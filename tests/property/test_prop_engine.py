@@ -12,13 +12,27 @@ classic keep-everything path, every sink, and the per-chunk reducer
 path must agree on rows, digests, and aggregates at every worker
 count — and the exact accumulators must satisfy the merge law that
 makes that possible (any partial grouping folds to the same summary).
+
+The chunk cases pin what crosses the pool boundary: whatever the worker
+count, the chunk size and the sink tree, a sweep folded chunk by chunk
+equals a per-row ``open``/``emit``/``close`` drive of the same sinks —
+artifact bytes included — a raising task leaves exactly the rows before
+it, and a chunk-written artifact cut anywhere resumes to the same bytes.
 """
 
+import pickle
 import random
+import tempfile
+import zlib
+from fractions import Fraction
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.common.errors import StoreError
 from repro.engine import (
+    CellFoldSink,
     CountAcc,
     JsonlSink,
     MeanAcc,
@@ -29,11 +43,14 @@ from repro.engine import (
     ResultStore,
     RowReducer,
     SweepSpec,
+    TeeSink,
     derive_seed,
     load_stream,
     merge_digests,
     row_digest,
     run_sweep,
+    scan_partial_stream,
+    shutdown_shared_runners,
 )
 from repro.experiments.sweeps import availability_run
 
@@ -211,6 +228,227 @@ class TestStreamingFixedPoint:
         default = run_sweep(spec, workers=1)
         sunk = run_sweep(spec, workers=2, sink=MemorySink())
         assert sunk.results == default.results
+
+
+def brittle_task(seed: int, fail_at: int) -> float:
+    """Under offset seeding on an empty grid the seed is the task index."""
+    if seed == fail_at:
+        raise RuntimeError(f"task {seed} failed")
+    return random.Random(seed).random()
+
+
+def _fold_first(state, result):
+    return (state or 0.0) + result.value[0]
+
+
+#: sink trees by name: each builds (sink, its parts by role) under ``tmp``
+SINK_TREES = {
+    "jsonl": lambda tmp: _tree(jsonl=JsonlSink(tmp / "rows.jsonl.gz")),
+    "reducer": lambda tmp: _tree(reducer=ReducerSink(_metric_reducer())),
+    "noop": lambda tmp: _tree(noop=NoopSink()),
+    "jsonl+reducer": lambda tmp: _tree(
+        jsonl=JsonlSink(tmp / "rows.jsonl.gz"), reducer=ReducerSink(_metric_reducer())
+    ),
+    "jsonl+cellfold": lambda tmp: _tree(
+        jsonl=JsonlSink(tmp / "rows.jsonl.gz"), folder=CellFoldSink(_fold_first)
+    ),
+}
+
+
+def _tree(**parts):
+    sinks = list(parts.values())
+    return (sinks[0] if len(sinks) == 1 else TeeSink(*sinks)), parts
+
+
+def _observe(sink, parts) -> dict:
+    """Everything a sink tree holds once its sweep is over."""
+    seen = {
+        "rows_emitted": sink.rows_emitted,
+        "digest": sink.digest,
+        "summary": sink.summary(),
+        "parts": {role: (part.rows_emitted, part.digest) for role, part in parts.items()},
+    }
+    if "jsonl" in parts:
+        seen["artifact"] = parts["jsonl"].path.read_bytes()
+    if "reducer" in parts:
+        seen["reduced"] = parts["reducer"].reducer.summary()
+    if "folder" in parts:
+        seen["cells"] = parts["folder"].cells()
+    return seen
+
+
+def _per_row_reference(spec: SweepSpec, tree: str) -> dict:
+    """The sink protocol as it was before chunks: one ``emit`` per row."""
+    with tempfile.TemporaryDirectory() as tmp:
+        sink, parts = SINK_TREES[tree](Path(tmp))
+        sink.open(spec.summary())
+        for task in spec.iter_tasks():
+            sink.emit(task.execute())
+        sink.close()
+        return _observe(sink, parts)
+
+
+class TestChunksEqualRows:
+    @classmethod
+    def teardown_class(cls):
+        shutdown_shared_runners()
+
+    @given(
+        scales=st.lists(st.integers(1, 9), min_size=1, max_size=3, unique=True),
+        runs=st.integers(1, 9),
+        base=st.integers(0, 2**16),
+        seeding=st.sampled_from(["derived", "offset"]),
+        workers=st.sampled_from([1, 2, 3]),
+        chunksize=st.sampled_from([None, 1, 2, 7]),
+        persistent=st.booleans(),
+        tree=st.sampled_from(sorted(SINK_TREES)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_sink_tree_at_every_layout(
+        self, scales, runs, base, seeding, workers, chunksize, persistent, tree
+    ):
+        spec = SweepSpec(
+            "chunks", pure_task, grid={"scale": scales}, runs=runs, base_seed=base, seeding=seeding
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            sink, parts = SINK_TREES[tree](Path(tmp))
+            outcome = run_sweep(
+                spec, workers=workers, chunksize=chunksize, persistent_pool=persistent, sink=sink
+            )
+            seen = _observe(sink, parts)
+        assert seen == _per_row_reference(spec, tree)
+        assert outcome.aggregate == seen["summary"]
+        assert outcome.results == []
+
+    @given(
+        n=st.integers(1, 20),
+        fail_at=st.integers(0, 19),
+        workers=st.sampled_from([1, 2, 3]),
+        chunksize=st.sampled_from([None, 1, 2, 7]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_raising_task_leaves_exactly_the_rows_before_it(self, n, fail_at, workers, chunksize):
+        fail_at = fail_at % n
+        spec = SweepSpec(
+            "brittle", brittle_task, grid={}, runs=n, seeding="offset", fixed={"fail_at": fail_at}
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rows.jsonl.gz"
+            reducer = ReducerSink(RowReducer((("v", "", MeanAcc()),)))
+            with pytest.raises(RuntimeError, match=f"task {fail_at} failed"):
+                run_sweep(
+                    spec,
+                    workers=workers,
+                    chunksize=chunksize,
+                    sink=TeeSink(JsonlSink(path), reducer),
+                )
+            committed = scan_partial_stream(path, expect_spec=spec.summary())
+        assert sorted(committed) == list(range(fail_at))
+        assert reducer.rows_emitted >= fail_at  # the failing chunk's prefix was absorbed
+
+
+class TestChunkWrittenArtifactResumes:
+    """Cut a pooled, chunk-written artifact at any byte: ``resume_from=``
+    rewrites it to the uninterrupted bytes, or refuses loudly where no
+    row could be trusted or none is missing.  (Big enough for several
+    deflate blocks — a small artifact is one block, all or nothing.)"""
+
+    SPEC = SweepSpec("cut-anywhere", pure_task, grid={"scale": [1, 2, 5]}, runs=700)
+    _full: bytes | None = None
+
+    @classmethod
+    def full(cls) -> bytes:
+        if cls._full is None:
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "rows.jsonl.gz"
+                run_sweep(cls.SPEC, workers=2, sink=JsonlSink(path))
+                cls._full = path.read_bytes()
+        return cls._full
+
+    @given(where=st.floats(0.0, 1.0, exclude_max=True), workers=st.sampled_from([1, 2]))
+    @settings(max_examples=12, deadline=None)
+    def test_cut_anywhere_then_resume_equals_uninterrupted(self, where, workers):
+        full = self.full()
+        cut = full[: int(where * len(full))]
+        readable = zlib.decompressobj(wbits=31).decompress(cut) if len(cut) > 10 else b""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rows.jsonl.gz"
+            path.write_bytes(cut)
+            refusal = None
+            if b"\n" not in readable:
+                refusal = "no intact header"  # not even the header line survived
+            elif b'"type":"end"' in readable[: readable.rfind(b"\n")]:
+                refusal = "nothing to resume"  # the whole end record survived
+            if refusal is not None:
+                with pytest.raises(StoreError, match=refusal):
+                    run_sweep(self.SPEC, workers=workers, resume_from=path)
+                return
+            outcome = run_sweep(self.SPEC, workers=workers, resume_from=path)
+            assert path.read_bytes() == full
+        assert outcome.resilience["resumed"] == readable.count(b"\n") - 1
+        assert outcome.resilience["completed"] == self.SPEC.n_tasks
+
+
+def _exact_sums(values) -> tuple[Fraction, Fraction]:
+    exact = [Fraction(v) for v in values]
+    return sum(exact, Fraction(0)), sum((v * v for v in exact), Fraction(0))
+
+
+#: what a JSON row can hold as a number, the awkward corners included
+#: (bounded so that a sum of squares still converts to a float)
+json_numbers = st.one_of(
+    st.floats(-1e150, 1e150),  # subnormals and negatives among them
+    st.floats(-1.0, 1.0),
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 0.0, -0.0]),
+    st.integers(-(2**200), 2**200),
+    st.booleans(),
+)
+
+
+class TestMeanAccAgainstFractions:
+    @given(st.lists(json_numbers, min_size=1, max_size=30), st.integers(0, 30))
+    @settings(max_examples=200, deadline=None)
+    def test_sums_summary_and_pickled_merges_are_exact(self, values, cut):
+        serial = MeanAcc()
+        for v in values:
+            serial.add(v)
+        total, total_sq = _exact_sums(values)
+        assert serial.total == total and serial.total_sq == total_sq
+        n = len(values)
+        floats = [float(v) for v in values]
+        expected = {
+            "kind": "mean",
+            "n": n,
+            "mean": float(total / n),
+            "min": min(floats),
+            "max": max(floats),
+            "sd": (max(0.0, float((total_sq - total * total / n) / (n - 1))) ** 0.5 if n > 1 else 0.0),
+        }
+        assert serial.summary() == expected
+
+        # partials that crossed a process boundary, merged either way round
+        left, right = MeanAcc(), MeanAcc()
+        for v in values[:cut]:
+            left.add(v)
+        for v in values[cut:]:
+            right.add(v)
+        for first, second in ((left, right), (right, left)):
+            merged = pickle.loads(pickle.dumps(first))
+            merged.merge(pickle.loads(pickle.dumps(second)))
+            assert merged.total == total and merged.total_sq == total_sq
+            assert merged.summary() == expected
+
+    @pytest.mark.parametrize("value", ["1.5", None, Fraction(1, 3), 1 + 2j, [1.0]])
+    def test_only_json_numbers_are_accepted(self, value):
+        acc = MeanAcc()
+        with pytest.raises(TypeError):
+            acc.add(value)
+        assert acc.n == 0 and acc.total == 0
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_values_are_refused(self, value):
+        with pytest.raises((ValueError, OverflowError)):
+            MeanAcc().add(value)
 
 
 class TestStreamingAggregatesMatchEager:

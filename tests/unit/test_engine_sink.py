@@ -23,6 +23,7 @@ from repro.engine import (
     NoopSink,
     PrintingSink,
     ReducerSink,
+    ResultSink,
     ResultStore,
     RowReducer,
     SharedPayload,
@@ -45,6 +46,14 @@ def probe_task(seed: int, scale: int = 1) -> dict:
 def fragile_task(seed: int) -> int:
     if seed == 3:
         raise RuntimeError("boom")
+    return seed
+
+
+def untravelling_failure_task(seed: int) -> int:
+    if seed == 2:
+        error = ValueError("cannot travel")
+        error.payload = lambda: None  # makes the exception unpicklable
+        raise error
     return seed
 
 
@@ -148,6 +157,21 @@ class TestJsonlSink:
             run_sweep(spec, sink=JsonlSink(path))
         with pytest.raises(StoreError, match="truncated"):
             list(iter_stream_rows(path))
+
+    def test_pooled_task_failure_keeps_type_message_and_worker_traceback(self, tmp_path):
+        spec = SweepSpec("frail", fragile_task, grid={}, runs=6, seeding="offset")
+        with pytest.raises(RuntimeError, match="boom") as err:
+            run_sweep(spec, workers=2, chunksize=2, sink=JsonlSink(tmp_path / "p.jsonl.gz"))
+        assert "fragile_task" in str(err.value.__cause__)  # the remote traceback
+
+    def test_unpicklable_task_failure_travels_as_a_stand_in(self, tmp_path):
+        spec = SweepSpec("frail", untravelling_failure_task, grid={}, runs=6, seeding="offset")
+        with pytest.raises(ValueError, match="cannot travel"):
+            run_sweep(spec, sink=NoopSink())  # in process: the exception itself
+        path = tmp_path / "p.jsonl.gz"
+        with pytest.raises(RuntimeError, match="ValueError: cannot travel"):
+            run_sweep(spec, workers=2, chunksize=4, sink=JsonlSink(path))
+        assert sorted(scan_partial_stream(path)) == [0, 1]
 
     def test_truncation_tripwire(self, tmp_path):
         path = tmp_path / "cut.jsonl.gz"
@@ -416,11 +440,97 @@ class TestTeeSink:
         assert tee.keeps_rows
         assert outcome.results == memory.results
         assert jsonl.digest == reducer.digest == memory.digest == tee.digest
-        assert tee.summary() == jsonl.summary()
+        # the first child's summary, plus the keys the later children add
+        assert tee.summary() == {**jsonl.summary(), "metrics": reducer.summary()["metrics"]}
+        assert list(tee.summary())[:2] == list(jsonl.summary())
 
     def test_needs_a_child(self):
         with pytest.raises(ValueError):
             TeeSink()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_readme_example_aggregate_carries_the_reducer_metrics(self, tmp_path, workers):
+        """engine/README.md, "The sink hierarchy", taken literally."""
+        my_reducer = _reducer()
+        outcome = run_sweep(
+            _spec(),
+            workers=workers,
+            sink=TeeSink(JsonlSink(tmp_path / "rows.jsonl.gz"), ReducerSink(my_reducer)),
+        )
+        assert outcome.results == []  # nothing was retained
+        assert sorted(outcome.aggregate) == ["digest", "metrics", "rows"]
+        assert outcome.aggregate == my_reducer.summary()
+        assert outcome.aggregate["rows"] == 12
+
+    def test_first_child_wins_a_summary_conflict(self):
+        class Labelled(NoopSink):
+            def __init__(self, label):
+                super().__init__()
+                self.label = label
+
+            def summary(self):
+                return {**super().summary(), "label": self.label, self.label: True}
+
+        tee = TeeSink(Labelled("a"), Labelled("b"))
+        run_sweep(_spec(runs=1), sink=tee)
+        assert tee.summary() == {**tee.sinks[0].summary(), "b": True}
+
+    def test_two_reducers_in_one_tee_each_get_their_own_partials(self):
+        first, second = _reducer(), RowReducer((("x", "x", MeanAcc()),))
+        run_sweep(_spec(), workers=2, chunksize=5, sink=TeeSink(ReducerSink(first), ReducerSink(second)))
+        eager_first, eager_second = _reducer(), RowReducer((("x", "x", MeanAcc()),))
+        for result in run_sweep(_spec()).results:
+            eager_first.fold(result)
+            eager_second.fold(result)
+        assert first.summary() == eager_first.summary()
+        assert second.summary() == eager_second.summary()
+
+
+class OnlyEmit(ResultSink):
+    """A third-party sink written against ``emit`` alone."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def emit(self, result, row=None):
+        super().emit(result, row)
+        self.seen.append(result)
+
+
+class TestSinksThatNeedLiveResults:
+    """A sink that does not opt into folded chunks still sees every
+    live result, in task order, whatever the pool did."""
+
+    def test_emit_only_subclass_sees_every_result_in_order(self):
+        sink = OnlyEmit()
+        outcome = run_sweep(_spec(), workers=2, chunksize=5, sink=sink)
+        assert sink.seen == run_sweep(_spec()).results
+        assert outcome.aggregate == {"rows": 12, "digest": sink.digest}
+        memory = MemorySink()
+        run_sweep(_spec(), sink=memory)
+        assert sink.digest == memory.digest
+
+    def test_emit_only_subclass_beside_a_folded_sink(self, tmp_path):
+        sink, jsonl = OnlyEmit(), JsonlSink(tmp_path / "rows.jsonl.gz")
+        run_sweep(_spec(), workers=2, chunksize=5, sink=TeeSink(jsonl, sink))
+        assert sink.seen == run_sweep(_spec()).results
+        assert sink.digest == jsonl.digest and jsonl.rows_emitted == 12
+
+    def test_chaos_wrapped_sink_counts_live_rows(self, tmp_path):
+        from repro.engine import ChaosPlan, InjectedSinkError
+
+        memory = MemorySink()
+        plan = ChaosPlan(tmp_path / "state")
+        run_sweep(_spec(), workers=2, chunksize=5, sink=plan.wrap_sink(memory))
+        assert memory.results == run_sweep(_spec()).results
+
+        # the fault is keyed by row count, so the proxy must see rows
+        path = tmp_path / "cut.jsonl.gz"
+        plan = ChaosPlan(tmp_path / "state-2").fail_sink(7)
+        with pytest.raises(InjectedSinkError, match="before row 7"):
+            run_sweep(_spec(), workers=2, chunksize=5, sink=plan.wrap_sink(JsonlSink(path)))
+        assert sorted(scan_partial_stream(path)) == list(range(7))
 
 
 class TestSharedPayload:

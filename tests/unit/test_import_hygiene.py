@@ -6,6 +6,10 @@ the cyclic collector's knobs to hide one that is not; and the graph
 questions are answered in ``repro.concurrency.digraph``, so ``import
 repro`` pulls in no networkx (28 000 collector-tracked objects and half
 the import time when it did), nor the ``stats`` extra's numpy / scipy.
+Neither does the sweep engine's warm pool: its warm-up imports the
+experiment drivers, and with the extras missing that import used to
+fail inside the pool-creation guard and turn every persistent sweep
+serial without a word.
 """
 
 import re
@@ -43,3 +47,59 @@ def test_import_repro_loads_nothing_third_party():
         check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+POOL_PROBE_MODULE = """
+import sys
+
+def cell(seed):
+    return sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+"""
+
+POOL_PROBE = """
+import sys
+import pool_probe_cells
+from repro.engine import MemorySink, SweepSpec, run_sweep, shared_runner
+
+spec = SweepSpec("probe", pool_probe_cells.cell, grid={}, runs=8)
+outcome = run_sweep(spec, workers=2, persistent_pool=True, sink=MemorySink())
+runner = shared_runner(2)
+print(runner.pools_created, runner._pool_failed)
+print(sorted(m for m in ("numpy", "scipy") if m in sys.modules))
+print(sorted({name for value in outcome.values() for name in value}))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-S"]], ids=["with-site", "no-site-packages"])
+def test_persistent_sweep_pools_and_loads_no_numpy(tmp_path, flags):
+    """``-S`` is the environment ``dependencies = []`` promises: no
+    site-packages, so no numpy / scipy to import.  The sweep must pool
+    there too, and where the extras exist neither the parent nor a
+    worker may have loaded them."""
+    (tmp_path / "pool_probe_cells.py").write_text(POOL_PROBE_MODULE)
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", POOL_PROBE],
+        env={"PYTHONPATH": f"{SRC}:{tmp_path}"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    pooled, parent_modules, worker_modules = done.stdout.strip().splitlines()
+    assert pooled == "1 False"
+    assert parent_modules == "[]"
+    assert worker_modules == "[]"
+
+
+def test_broken_warm_up_import_raises_instead_of_going_serial(monkeypatch):
+    """Only pool *creation* may degrade a runner to serial."""
+    from repro.engine import SweepRunner, SweepSpec, executor
+
+    def broken() -> None:
+        raise ImportError("No module named 'a_dependency_of_the_drivers'")
+
+    monkeypatch.setattr(executor, "_warm_worker", broken)
+    runner = SweepRunner(workers=2)
+    with pytest.raises(ImportError, match="a_dependency_of_the_drivers"):
+        runner.run_sweep(SweepSpec("broken", abs, grid={}, runs=4))
+    assert runner.pools_created == 0 and not runner._pool_failed
