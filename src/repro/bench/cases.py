@@ -5,6 +5,14 @@ workers) that builds its own simulator from its seed and returns::
 
     {"counters": {...deterministic...}, "timing": {...wall seconds...}}
 
+The eleven scenario-driven cases (``heavy_workload`` … ``gray_failure``
+below) hold no driver code and no clock of their own: each trial is
+``_timed(...)`` around one :func:`~repro.traffic.run_scenario` call —
+through :func:`_scenario_counters` or a public ``run_*`` wrapper — and
+passes the driver's shape keywords on as ``**shape``, so defaults live
+in the scenario constructors only.  ``commit_mix``,
+``trace_replay_tournament`` and the microbenches time a sub-window.
+
 Representative workloads covered:
 
 * ``scheduler_drain`` — the event-queue hot path: schedule / cancel /
@@ -12,9 +20,9 @@ Representative workloads covered:
 * ``commit_mix`` — a 2PC / 3PC / QTP commit mix through a mid-run
   partition episode (the paper's protocol spread, E17-flavoured).
 * ``heavy_workload`` — E18: Poisson traffic through repeated partition
-  episodes (:func:`~repro.experiments.workload_study.run_heavy_workload`).
+  episodes (:func:`~repro.experiments.workload_study.heavy_workload_scenario`).
 * ``wan_storm`` — E21: 32-site WAN region storms
-  (:func:`~repro.workload.scenarios.run_wan_storm`).
+  (:func:`~repro.workload.scenarios.wan_storm_scenario`).
 * ``skewed_contention`` / ``read_mostly`` / ``cross_region_txn`` /
   ``elastic_join`` — E22–E25: the :class:`~repro.workload.spec.WorkloadSpec`
   scenario drivers (Zipf skew, read-dominated mix, cross-region WAN
@@ -23,7 +31,7 @@ Representative workloads covered:
 * ``open_loop_service`` — E26: one open-loop service interval at a
   sustained arrival rate through a partition episode, with streaming
   p50/p99/p999 latency counters
-  (:func:`~repro.experiments.service_study.run_open_loop_service`).
+  (:func:`~repro.experiments.service_study.open_loop_scenario`).
 * ``ramp_ceiling`` — E26 ramp: step the arrival rate across fresh
   service intervals until the p99 knee or the abort-rate SLO trips;
   pins the discovered throughput ceiling
@@ -94,15 +102,36 @@ from repro.engine.executor import SweepRunner, run_sweep, worker_cache
 from repro.engine.shared import SharedPayload
 from repro.engine.sink import JsonlSink, ReducerSink, TeeSink, iter_stream_rows
 from repro.engine.spec import SweepSpec
+from repro.experiments.resilience_study import (
+    run_flash_crowd,
+    run_gray_failure,
+    run_rolling_upgrade,
+)
+from repro.experiments.service_study import discover_ceiling, open_loop_scenario
+from repro.experiments.workload_scenarios import (
+    run_cross_region,
+    run_elastic_join,
+    run_read_mostly,
+    run_skewed_contention,
+)
+from repro.experiments.workload_study import heavy_workload_scenario
 from repro.net.network import Network
 from repro.net.node import Node
-from repro.replay.recorder import cluster_counters
+from repro.replay import (
+    DEFAULT_CONFIGS,
+    cluster_counters,
+    fixed_point_ok,
+    record_heavy_workload,
+    replay_trace,
+)
 from repro.sim.failures import FailurePlan
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import Scheduler
 from repro.sim.trace import Tracer
 from repro.storage.wal import WriteAheadLog
+from repro.traffic import run_scenario
 from repro.workload.generators import random_catalog, random_partition_groups
+from repro.workload.scenarios import wan_storm_scenario
 
 
 def _timed(run: Callable[..., dict[str, Any]], *args: Any, **kwargs: Any) -> dict[str, Any]:
@@ -110,6 +139,13 @@ def _timed(run: Callable[..., dict[str, Any]], *args: Any, **kwargs: Any) -> dic
     t0 = time.perf_counter()
     counters = run(*args, **kwargs)
     return {"counters": counters, "timing": {"wall_s": time.perf_counter() - t0}}
+
+
+def _scenario_counters(scenario: Any, protocol: str, seed: int) -> dict[str, Any]:
+    """One scenario run: its own counters plus the cluster fingerprint
+    (network / WAL / scheduler tallies)."""
+    run = run_scenario(scenario, protocol, seed)
+    return {**run.counters(), **cluster_counters(run.cluster)}
 
 
 # ----------------------------------------------------------------------
@@ -197,33 +233,10 @@ def commit_mix_trial(seed: int, protocol: str, n_txns: int = 16) -> dict[str, An
 # ----------------------------------------------------------------------
 
 
-def heavy_workload_trial(
-    seed: int, protocol: str, n_txns: int = 120, n_sites: int = 12
-) -> dict[str, Any]:
+def heavy_workload_trial(seed: int, protocol: str, **shape: Any) -> dict[str, Any]:
     """One E18 heavy-traffic run; counters from the workload result plus
     the cluster probe (network / WAL / scheduler tallies)."""
-    from repro.experiments.workload_study import run_heavy_workload
-
-    harvested: dict[str, Any] = {}
-    t0 = time.perf_counter()
-    result = run_heavy_workload(
-        protocol,
-        seed=seed,
-        n_txns=n_txns,
-        n_sites=n_sites,
-        probe=lambda cluster: harvested.update(cluster_counters(cluster)),
-    )
-    wall = time.perf_counter() - t0
-    counters = {
-        "submitted": result.submitted,
-        "committed": result.committed,
-        "client_aborted": result.client_aborted,
-        "protocol_aborted": result.protocol_aborted,
-        "blocked": result.blocked,
-        "serializable": result.serializable,
-        **harvested,
-    }
-    return {"counters": counters, "timing": {"wall_s": wall}}
+    return _timed(_scenario_counters, heavy_workload_scenario(**shape), protocol, seed)
 
 
 # ----------------------------------------------------------------------
@@ -233,17 +246,7 @@ def heavy_workload_trial(
 
 def wan_storm_trial(seed: int, protocol: str, heal: bool) -> dict[str, Any]:
     """One E21 region-storm run at full installation scale."""
-    from repro.workload.scenarios import run_wan_storm
-
-    t0 = time.perf_counter()
-    scenario = run_wan_storm(protocol, seed=seed, heal=heal)
-    wall = time.perf_counter() - t0
-    counters = {
-        "outcome": scenario.outcome,
-        "decided_sites": len(scenario.cluster.tracer.decisions(scenario.txn.txn)),
-        **cluster_counters(scenario.cluster),
-    }
-    return {"counters": counters, "timing": {"wall_s": wall}}
+    return _timed(_scenario_counters, wan_storm_scenario(heal=heal), protocol, seed)
 
 
 # ----------------------------------------------------------------------
@@ -251,40 +254,24 @@ def wan_storm_trial(seed: int, protocol: str, heal: bool) -> dict[str, Any]:
 # ----------------------------------------------------------------------
 
 
-def skewed_contention_trial(
-    seed: int, protocol: str, n_txns: int = 80, zipf_s: float = 1.4
-) -> dict[str, Any]:
+def skewed_contention_trial(seed: int, protocol: str, **shape: Any) -> dict[str, Any]:
     """One E22 Zipf-contention run (hot-item conflicts are the point)."""
-    from repro.experiments.workload_scenarios import run_skewed_contention
-
-    return _timed(run_skewed_contention, protocol, seed=seed, n_txns=n_txns, zipf_s=zipf_s)
+    return _timed(run_skewed_contention, protocol, seed=seed, **shape)
 
 
-def read_mostly_trial(
-    seed: int, protocol: str, n_txns: int = 100, read_fraction: float = 0.8
-) -> dict[str, Any]:
+def read_mostly_trial(seed: int, protocol: str, **shape: Any) -> dict[str, Any]:
     """One E23 read-dominated-mix run."""
-    from repro.experiments.workload_scenarios import run_read_mostly
-
-    return _timed(run_read_mostly, protocol, seed=seed, n_txns=n_txns, read_fraction=read_fraction)
+    return _timed(run_read_mostly, protocol, seed=seed, **shape)
 
 
-def cross_region_trial(
-    seed: int, protocol: str, n_txns: int = 40, cross_region: float = 0.6
-) -> dict[str, Any]:
+def cross_region_trial(seed: int, protocol: str, **shape: Any) -> dict[str, Any]:
     """One E24 cross-region WAN-transaction run."""
-    from repro.experiments.workload_scenarios import run_cross_region
-
-    return _timed(run_cross_region, protocol, seed=seed, n_txns=n_txns, cross_region=cross_region)
+    return _timed(run_cross_region, protocol, seed=seed, **shape)
 
 
-def elastic_join_trial(
-    seed: int, protocol: str, n_txns: int = 60, n_joins: int = 3
-) -> dict[str, Any]:
+def elastic_join_trial(seed: int, protocol: str, **shape: Any) -> dict[str, Any]:
     """One E25 elastic-join-under-storm run."""
-    from repro.experiments.workload_scenarios import run_elastic_join
-
-    return _timed(run_elastic_join, protocol, seed=seed, n_txns=n_txns, n_joins=n_joins)
+    return _timed(run_elastic_join, protocol, seed=seed, **shape)
 
 
 # ----------------------------------------------------------------------
@@ -292,48 +279,18 @@ def elastic_join_trial(
 # ----------------------------------------------------------------------
 
 
-def open_loop_service_trial(
-    seed: int, protocol: str, rate: float = 1.5, duration: float = 120.0, n_sites: int = 9
-) -> dict[str, Any]:
+def open_loop_service_trial(seed: int, protocol: str, **shape: Any) -> dict[str, Any]:
     """One E26 open-loop service interval; counters from the service
     result (offered / shed / latency percentiles) plus the cluster
     probe (network / WAL / scheduler tallies)."""
-    from repro.experiments.service_study import run_open_loop_service
-
-    harvested: dict[str, Any] = {}
-    t0 = time.perf_counter()
-    result = run_open_loop_service(
-        protocol,
-        seed=seed,
-        rate=rate,
-        duration=duration,
-        n_sites=n_sites,
-        probe=lambda cluster: harvested.update(cluster_counters(cluster)),
-    )
-    wall = time.perf_counter() - t0
-    counters = {**result.counters(), **harvested}
-    return {"counters": counters, "timing": {"wall_s": wall}}
+    return _timed(_scenario_counters, open_loop_scenario(**shape), protocol, seed)
 
 
-def ramp_ceiling_trial(
-    seed: int,
-    protocol: str,
-    rates: list[float] | None = None,
-    duration: float = 60.0,
-) -> dict[str, Any]:
+def ramp_ceiling_trial(seed: int, protocol: str, **shape: Any) -> dict[str, Any]:
     """One E26 ramp-discovery sweep; counters pin the discovered
     ceiling, what tripped it, and the per-step p99 / committed / shed
     trajectories."""
-    from repro.experiments.service_study import discover_ceiling
-
-    return _timed(
-        lambda: discover_ceiling(
-            protocol,
-            seed=seed,
-            rates=tuple(rates) if rates is not None else (0.5, 1.0, 2.0, 4.0, 8.0),
-            duration=duration,
-        ).counters()
-    )
+    return _timed(lambda: discover_ceiling(protocol, seed=seed, **shape).counters())
 
 
 # ----------------------------------------------------------------------
@@ -341,57 +298,21 @@ def ramp_ceiling_trial(
 # ----------------------------------------------------------------------
 
 
-def rolling_upgrade_trial(
-    seed: int, protocol: str, n_txns: int = 70, waves: int = 3
-) -> dict[str, Any]:
+def rolling_upgrade_trial(seed: int, protocol: str, **shape: Any) -> dict[str, Any]:
     """One E27 rolling-upgrade run (graceful leave/rejoin waves under
     live retrying traffic)."""
-    from repro.experiments.resilience_study import run_rolling_upgrade
-
-    return _timed(run_rolling_upgrade, protocol, seed=seed, n_txns=n_txns, waves=waves)
+    return _timed(run_rolling_upgrade, protocol, seed=seed, **shape)
 
 
-def flash_crowd_trial(
-    seed: int,
-    protocol: str,
-    duration: float = 120.0,
-    surge_start: float = 40.0,
-    surge_length: float = 30.0,
-) -> dict[str, Any]:
+def flash_crowd_trial(seed: int, protocol: str, **shape: Any) -> dict[str, Any]:
     """One E28 flash-crowd run (rate-schedule surge through the
     adaptive admission window)."""
-    from repro.experiments.resilience_study import run_flash_crowd
-
-    return _timed(
-        run_flash_crowd,
-        protocol,
-        seed=seed,
-        duration=duration,
-        surge_start=surge_start,
-        surge_length=surge_length,
-    )
+    return _timed(run_flash_crowd, protocol, seed=seed, **shape)
 
 
-def gray_failure_trial(
-    seed: int,
-    protocol: str,
-    rate: float = 1.5,
-    duration: float = 120.0,
-    episode_start: float = 30.0,
-    episode_length: float = 40.0,
-) -> dict[str, Any]:
+def gray_failure_trial(seed: int, protocol: str, **shape: Any) -> dict[str, Any]:
     """One gray-failure service run (degraded site + flapping link)."""
-    from repro.experiments.resilience_study import run_gray_failure
-
-    return _timed(
-        run_gray_failure,
-        protocol,
-        seed=seed,
-        rate=rate,
-        duration=duration,
-        episode_start=episode_start,
-        episode_length=episode_length,
-    )
+    return _timed(run_gray_failure, protocol, seed=seed, **shape)
 
 
 # ----------------------------------------------------------------------
@@ -640,6 +561,15 @@ def zipf_sampling_trial(
 # ----------------------------------------------------------------------
 
 
+def _heavy_wal_sequences(seed: int, n_txns: int, n_sites: int) -> dict[int, list[Any]]:
+    """Every site's ``force`` sequence from one deterministic E18 run."""
+    run = run_scenario(heavy_workload_scenario(n_txns=n_txns, n_sites=n_sites), "qtp1", seed)
+    return {
+        sid: [(r.txn, r.kind, dict(r.payload)) for r in site.wal]
+        for sid, site in run.cluster.sites.items()
+    }
+
+
 def recovery_replay_trial(
     seed: int,
     n_txns: int = 260,
@@ -661,24 +591,11 @@ def recovery_replay_trial(
     from repro.storage.recovery import replay_data
     from repro.storage.store import ReplicaStore
 
-    def harvest_sequences() -> dict[int, list[Any]]:
-        from repro.experiments.workload_study import run_heavy_workload
-
-        sequences: dict[int, list[Any]] = {}
-
-        def harvest(cluster: Cluster) -> None:
-            for sid, site in cluster.sites.items():
-                sequences[sid] = [(r.txn, r.kind, dict(r.payload)) for r in site.wal]
-
-        run_heavy_workload(
-            "qtp1", seed=seed, n_txns=n_txns, n_sites=n_sites, probe=harvest
-        )
-        return sequences
-
     # pure function of (seed, shape), so one harvest run serves every
     # repeat in this worker
     sequences = worker_cache(
-        ("recovery-replay-sequences", seed, n_txns, n_sites), harvest_sequences
+        ("recovery-replay-sequences", seed, n_txns, n_sites),
+        lambda: _heavy_wal_sequences(seed, n_txns, n_sites),
     )
 
     def build_wal(sid: int, scale: int) -> WriteAheadLog:
@@ -797,17 +714,7 @@ def wal_append_trial(
     itself (group-commit accounting plus index upkeep) under a real
     workload's record mix.
     """
-    from repro.experiments.workload_study import run_heavy_workload
-
-    sequences: dict[int, list[Any]] = {}
-
-    def harvest(cluster: Cluster) -> None:
-        for sid, site in cluster.sites.items():
-            sequences[sid] = [(r.txn, r.kind, r.payload) for r in site.wal]
-
-    run_heavy_workload(
-        "qtp1", seed=seed, n_txns=n_txns, n_sites=n_sites, probe=harvest
-    )
+    sequences = _heavy_wal_sequences(seed, n_txns, n_sites)
     total_forced = 0
     total_flushes = 0
     kinds: dict[str, int] = {}
@@ -1092,13 +999,6 @@ def trace_replay_trial(
     ``fixed_point`` counter pins that replaying a recording of config C
     under config C reproduces the original deterministic counters.
     """
-    from repro.replay import (
-        DEFAULT_CONFIGS,
-        fixed_point_ok,
-        record_heavy_workload,
-        replay_trace,
-    )
-
     trace = worker_cache(
         ("replay-trace", seed, n_txns, n_sites),
         lambda: record_heavy_workload("qtp1", seed=seed, n_txns=n_txns, n_sites=n_sites),

@@ -79,6 +79,7 @@ from repro.engine.executor import (
     SweepRunner,
     default_chunksize,
     default_workers,
+    fold_cells,
     map_runs,
     run_sweep,
     shared_runner,
@@ -175,6 +176,7 @@ __all__ = [
     "default_chunksize",
     "default_workers",
     "derive_seed",
+    "fold_cells",
     "fold_chunk",
     "fraction_of",
     "group_by",

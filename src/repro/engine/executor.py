@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, ContextManager, Iterable, Iterator
 
 from repro.engine.resilience import resolve_policy, run_resilient
-from repro.engine.sink import LIVE_RESULTS, ReducerSink, fold_chunk
+from repro.engine.sink import LIVE_RESULTS, CellFoldSink, ReducerSink, TeeSink, fold_chunk
 from repro.engine.spec import RunResult, RunTask, SweepSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -567,3 +567,29 @@ def map_runs(
     ]
     with _fresh_pool(workers) if workers > 1 and len(tasks) > 1 else nullcontext() as pool:
         return [r.value for r in _execute_all(tasks, workers, None, pool)]
+
+
+def fold_cells(
+    spec: SweepSpec,
+    fold: Callable[[Any, RunResult], Any],
+    workers: int = 1,
+    store: "ResultStore | None" = None,
+    sink: "ResultSink | None" = None,
+) -> list[tuple[dict[str, Any], Any]]:
+    """Run ``spec`` and fold its results per grid cell, in task order.
+
+    Returns :meth:`~repro.engine.sink.CellFoldSink.cells` —
+    ``(params, state)`` per cell, in expansion order.  Without ``sink``
+    the sweep keeps every row (so ``store`` persists the full artifact)
+    and the fold runs over them afterwards; with one, rows stream
+    through the caller's sink and the fold together and no row list ever
+    exists.  Both ways ``fold`` sees the same results in the same order,
+    so the folded states are identical.
+    """
+    folder = CellFoldSink(fold)
+    if sink is None:
+        for result in run_sweep(spec, workers=workers, store=store).results:
+            folder.emit(result)
+    else:
+        run_sweep(spec, workers=workers, store=store, sink=TeeSink(sink, folder))
+    return folder.cells()

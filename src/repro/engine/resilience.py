@@ -47,7 +47,7 @@ import pickle
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.common.errors import StoreError
 from repro.engine.spec import RunResult, RunTask, SweepSpec
@@ -767,8 +767,3 @@ def run_resilient(
         resilience=provenance,
         failures=list(manifest.records),
     )
-
-
-def iter_quarantined(outcome: "SweepOutcome") -> Iterable[TaskFailure]:
-    """The quarantined cells of a resilient outcome (empty otherwise)."""
-    return tuple(outcome.failures or ())

@@ -229,8 +229,3 @@ class SharedPayload:
             else "unmaterialized"
         )
         return f"SharedPayload({self.label!r}, token={self.token!r}, via={channel})"
-
-
-def published_count() -> int:
-    """How many payloads this process currently publishes (tests)."""
-    return len(_PUBLISHED)

@@ -25,10 +25,12 @@ generated from these outputs by ``examples/regenerate_experiments.py``.
 from repro.experiments.ablations import pairing_ablation, timeout_ablation
 from repro.experiments.flows import CommitMetrics, latency_sweep, measure_commit
 from repro.experiments.resilience_study import (
+    rolling_upgrade_scenario,
     run_flash_crowd,
     run_gray_failure,
     run_rolling_upgrade,
 )
+from repro.experiments.service_study import open_loop_scenario
 from repro.experiments.stats import mean_ci, paired_comparison
 from repro.experiments.sweeps import (
     availability_sweep,
@@ -37,14 +39,38 @@ from repro.experiments.sweeps import (
 )
 from repro.experiments.vote_study import vote_assignment_study
 from repro.experiments.workload_scenarios import (
+    cross_region_scenario,
+    elastic_join_scenario,
     run_cross_region,
     run_elastic_join,
     run_read_mostly,
     run_skewed_contention,
 )
-from repro.experiments.workload_study import run_workload, workload_study
+from repro.experiments.workload_study import (
+    heavy_workload_scenario,
+    run_workload,
+    workload_scenario,
+    workload_study,
+)
+from repro.workload.scenarios import wan_storm_scenario
+
+#: every :class:`~repro.traffic.Scenario` constructor by name (E17, E18,
+#: E21, E24–E27; E22, E23, E28 and the gray-failure run are E18 / E26 with
+#: another spec or plan): what ``repro.replay`` can record and replay — a
+#: trace's ``driver`` is a key here — and what the CI record → replay step
+#: iterates.  Adding a scenario is one constructor and one line here.
+SCENARIOS = {
+    "workload": workload_scenario,
+    "heavy_workload": heavy_workload_scenario,
+    "wan_storm": wan_storm_scenario,
+    "cross_region": cross_region_scenario,
+    "elastic_join": elastic_join_scenario,
+    "open_loop": open_loop_scenario,
+    "rolling_upgrade": rolling_upgrade_scenario,
+}
 
 __all__ = [
+    "SCENARIOS",
     "CommitMetrics",
     "availability_sweep",
     "latency_sweep",

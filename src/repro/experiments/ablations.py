@@ -114,7 +114,6 @@ def timeout_ablation(
     (acks arriving after the window closed), which is exactly the
     failure mode a wrong delay estimate causes in practice.
     """
-    from repro.experiments.sweeps import _one_availability_run  # same scenario pool
     from repro.sim.rng import RngRegistry
     from repro.workload.generators import random_catalog, random_fault_plan, random_update
 

@@ -34,16 +34,14 @@ service (the artifact codec round-trips degrade/flap actions).
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any
 
-from repro.concurrency.serializability import ConflictGraph
-from repro.db.cluster import Cluster
 from repro.engine.resilience import RetryPolicy
-from repro.experiments.service_study import run_open_loop_service
+from repro.experiments.service_study import open_loop_scenario
 from repro.sim.failures import FailurePlan, JoinSite, LeaveSite
-from repro.sim.rng import RngRegistry
-from repro.traffic import AdaptiveWindow, TrafficEngine
-from repro.workload.generators import memoized_catalog, random_catalog
+from repro.traffic import AdaptiveWindow, Scenario, run_scenario
+from repro.workload.generators import random_catalog
 from repro.workload.spec import WorkloadSpec
 
 #: the default client retry policy for rolling upgrades: three attempts
@@ -91,9 +89,7 @@ def rolling_upgrade_plan(
     return plan
 
 
-def run_rolling_upgrade(
-    protocol: str,
-    seed: int = 0,
+def rolling_upgrade_scenario(
     n_txns: int = 70,
     n_sites: int = 9,
     n_items: int = 6,
@@ -103,9 +99,52 @@ def run_rolling_upgrade(
     wave_spacing: float = 18.0,
     upgrade_time: float = 9.0,
     mean_spacing: float = 1.2,
-    retry: RetryPolicy | None = UPGRADE_RETRY,
-) -> dict[str, Any]:
-    """E27: wave-by-wave graceful site upgrades under live traffic.
+    retry: "RetryPolicy | dict | None" = UPGRADE_RETRY,
+) -> Scenario:
+    """E27 as a scenario: a retrying closed-loop client while the
+    ``waves`` lowest-numbered sites leave and rejoin one at a time
+    (:func:`rolling_upgrade_plan`).  ``retry`` may be the dict a trace
+    header carries in place of a :class:`RetryPolicy`."""
+    params = dict(locals())
+    if isinstance(retry, dict):
+        retry = RetryPolicy(**retry)
+
+    def plan(rng, cluster, first):
+        sites = sorted(cluster.network.sites)
+        return rolling_upgrade_plan(
+            cluster.catalog, sites, waves, first_leave, wave_spacing, upgrade_time
+        )
+
+    def counters(run):
+        cluster, applied = run.cluster, run.cluster.injector.applied
+        left = [a.site for a in applied if isinstance(a, LeaveSite)]
+        return {
+            **run.result.counters(),
+            "leaves_applied": len(left),
+            "joins_applied": sum(1 for a in applied if isinstance(a, JoinSite)),
+            "sites_restored": sum(1 for s in left if s in cluster.sites),
+            "retry_attempts": run.engine.retry_attempts,
+            "unreachable_origin": run.engine.tallies.get("unreachable_origin", 0),
+            "messages_sent": cluster.network.sent,
+            "messages_delivered": cluster.network.delivered,
+        }
+
+    return Scenario(
+        name="rolling_upgrade",
+        params=params,
+        stream="rolling-upgrade",
+        catalog=(random_catalog, dict(n_sites=n_sites, n_items=n_items, replication=replication)),
+        workload=WorkloadSpec(n_txns=n_txns, mean_spacing=mean_spacing),
+        plan=plan,
+        counters=counters,
+        mutable=True,
+        retry=retry,
+    )
+
+
+def run_rolling_upgrade(protocol: str, seed: int = 0, **shape: Any) -> dict[str, Any]:
+    """E27: wave-by-wave graceful site upgrades under live traffic
+    (``shape`` is :func:`rolling_upgrade_scenario`'s keywords).
 
     ``waves`` sites leave one at a time (catalog hand-off, in-flight
     drain, deregister) and rejoin ``upgrade_time`` virtual seconds
@@ -122,60 +161,7 @@ def run_rolling_upgrade(
     retry work the waves induced, and ``serializable`` that churn never
     cost one-copy serializability.
     """
-    registry = RngRegistry(seed)
-    rng = registry.stream("rolling-upgrade")
-    # mutable: leaves evict and rejoins re-admit catalog placements, so
-    # each trial forks the memoized original
-    catalog = memoized_catalog(
-        rng,
-        ("rolling-upgrade", n_sites, n_items, replication),
-        lambda r: random_catalog(
-            r, n_sites=n_sites, n_items=n_items, replication=replication
-        ),
-        mutable=True,
-    )
-    spec = WorkloadSpec(n_txns=n_txns, mean_spacing=mean_spacing)
-    compiled = spec.compile(catalog)
-    cluster = Cluster(catalog, protocol=protocol, seed=seed)
-
-    upgraded = sorted(cluster.network.sites)
-    plan = rolling_upgrade_plan(
-        catalog, upgraded, waves, first_leave, wave_spacing, upgrade_time
-    )
-    cluster.arm_failures(plan)
-
-    engine = TrafficEngine(cluster, compiled, rng, retry=retry)
-    outcomes, handles = engine.run_closed()
-
-    committed = aborted = blocked = 0
-    for txn in handles:
-        outcome = cluster.outcome(txn).outcome
-        if outcome == "commit":
-            committed += 1
-        elif outcome == "abort":
-            aborted += 1
-        else:
-            blocked += 1
-    history = cluster.committed_history()
-    return {
-        "submitted": len(handles) + len(outcomes),
-        "committed": committed,
-        "client_aborted": sum(1 for o in outcomes.values() if o == "client-aborted"),
-        "protocol_aborted": aborted,
-        "blocked": blocked,
-        "serializable": ConflictGraph(history).is_serializable(),
-        "leaves_applied": sum(
-            1 for a in cluster.injector.applied if isinstance(a, LeaveSite)
-        ),
-        "joins_applied": sum(
-            1 for a in cluster.injector.applied if isinstance(a, JoinSite)
-        ),
-        "sites_restored": sum(1 for s in upgraded[:waves] if s in cluster.sites),
-        "retry_attempts": engine.retry_attempts,
-        "unreachable_origin": engine.tallies.get("unreachable_origin", 0),
-        "messages_sent": cluster.network.sent,
-        "messages_delivered": cluster.network.delivered,
-    }
+    return run_scenario(rolling_upgrade_scenario(**shape), protocol, seed).counters()
 
 
 def run_flash_crowd(
@@ -217,20 +203,15 @@ def run_flash_crowd(
             (surge_start + surge_length, base_rate),
         ),
     )
-    result = run_open_loop_service(
-        protocol,
-        seed=seed,
-        rate=base_rate,
-        duration=duration,
+    scenario = open_loop_scenario(
         n_sites=n_sites,
         n_items=n_items,
         replication=replication,
         window=window,
         episode_window=None,
-        workload=spec,
         adapt=adapt,
     )
-    return dict(result.counters())
+    return run_scenario(scenario, protocol, seed, workload=spec).counters()
 
 
 def gray_failure_plan(
@@ -285,34 +266,18 @@ def run_gray_failure(
     ``failures`` overrides the built-in :func:`gray_failure_plan`
     episode (the replay harness passes the recorded plan through).
     """
-    if failures is None:
-        # derive the same memoized catalog the service will bind (the
-        # memo also restores the stream position, so the arrival draws
-        # are untouched) and aim the episode at sites that exist — a
-        # random catalog does not necessarily host every id in range
-        registry = RngRegistry(seed)
-        rng = registry.stream("open-loop")
-        catalog = memoized_catalog(
-            rng,
-            ("open-loop", n_sites, n_items, replication),
-            lambda r: random_catalog(
-                r, n_sites=n_sites, n_items=n_items, replication=replication
-            ),
-        )
-        hosts = sorted(catalog.all_sites())
-        failures = gray_failure_plan(
+
+    def plan(rng, cluster, first):
+        # aim the episode at sites that exist — a random catalog does
+        # not necessarily host every id in range
+        hosts = sorted(cluster.catalog.all_sites())
+        return gray_failure_plan(
             episode_start, episode_length, slow_site=hosts[0], factor=factor,
             flap_src=hosts[1], flap_dst=hosts[2],
         )
-    result = run_open_loop_service(
-        protocol,
-        seed=seed,
-        rate=rate,
-        duration=duration,
-        n_sites=n_sites,
-        n_items=n_items,
-        replication=replication,
-        window=window,
-        failures=failures,
+
+    scenario = dataclasses.replace(
+        open_loop_scenario(rate, duration, n_sites, n_items, replication, window=window),
+        plan=plan,
     )
-    return dict(result.counters())
+    return run_scenario(scenario, protocol, seed, failures=failures).counters()

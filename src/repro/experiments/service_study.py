@@ -22,20 +22,21 @@ counters are deterministic and the benchmark suite pins them as
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.db.cluster import Cluster
 from repro.sim.failures import FailurePlan
-from repro.sim.rng import RngRegistry
 from repro.traffic import (
     DEFAULT_BINS,
     DEFAULT_WINDOW,
+    AdaptiveWindow,
     OpenLoopResult,
     RampResult,
-    TrafficEngine,
+    Scenario,
     ramp,
+    run_scenario,
 )
-from repro.workload.generators import memoized_catalog, random_catalog
+from repro.workload.generators import random_catalog
 from repro.workload.spec import WorkloadSpec
 
 #: the default service cluster: 9 sites, 6 items, 3-way replication.
@@ -63,9 +64,7 @@ def service_failure_plan(
     )
 
 
-def run_open_loop_service(
-    protocol: str,
-    seed: int = 0,
+def open_loop_scenario(
     rate: float = 1.5,
     duration: float = 120.0,
     n_sites: int = SERVICE_SITES,
@@ -76,13 +75,46 @@ def run_open_loop_service(
     latency_hi: float = 60.0,
     bins: int = DEFAULT_BINS,
     episode_window: "tuple[float, float] | None" = (30.0, 25.0),
+    adapt: "AdaptiveWindow | dict | None" = None,
+) -> Scenario:
+    """E26 as a scenario: a sustained-rate service on a random catalog
+    through one :func:`service_failure_plan` episode (``episode_window
+    = None``: a quiet run).  ``adapt`` may be the dict a trace header
+    carries in place of an :class:`~repro.traffic.AdaptiveWindow`."""
+    params = dict(locals())
+    if isinstance(adapt, dict):
+        adapt = AdaptiveWindow(**adapt)
+
+    def plan(rng, cluster, first):
+        if episode_window is not None:
+            return service_failure_plan(*episode_window, cluster.network.sites)
+
+    return Scenario(
+        name="open_loop",
+        params=params,
+        stream="open-loop",
+        catalog=(random_catalog, dict(n_sites=n_sites, n_items=n_items, replication=replication)),
+        workload=WorkloadSpec(
+            arrival="open", rate=rate, duration=duration, read_fraction=read_fraction
+        ),
+        plan=plan,
+        drive="open",
+        service={"window": window, "latency_hi": latency_hi, "bins": bins, "adapt": adapt},
+    )
+
+
+def run_open_loop_service(
+    protocol: str,
+    seed: int = 0,
+    *,
     workload: object | None = None,
     catalog: object | None = None,
     failures: FailurePlan | None = None,
-    adapt: object | None = None,
     probe: "Callable[[Cluster], None] | None" = None,
+    **shape: Any,
 ) -> OpenLoopResult:
-    """E26: one open-loop service interval under a partition episode.
+    """E26: one open-loop service interval under a partition episode
+    (``shape`` is :func:`open_loop_scenario`'s keywords).
 
     Sustains ``rate`` arrivals per virtual second for ``duration``
     seconds against a ``n_sites``-site cluster; a partition episode
@@ -101,33 +133,8 @@ def run_open_loop_service(
     window, byte-identical).  ``probe`` sees the finished cluster
     before the result is assembled.
     """
-    registry = RngRegistry(seed)
-    rng = registry.stream("open-loop")
-    if catalog is None:
-        catalog = memoized_catalog(
-            rng,
-            ("open-loop", n_sites, n_items, replication),
-            lambda r: random_catalog(
-                r, n_sites=n_sites, n_items=n_items, replication=replication
-            ),
-        )
-    spec = workload if workload is not None else WorkloadSpec(
-        arrival="open", rate=rate, duration=duration, read_fraction=read_fraction
-    )
-    compiled = spec.compile(catalog) if hasattr(spec, "compile") else spec
-    cluster = Cluster(catalog, protocol=protocol, seed=seed)
-    if failures is None and episode_window is not None:
-        failures = service_failure_plan(
-            episode_window[0], episode_window[1], cluster.network.sites
-        )
-    if failures is not None:
-        cluster.arm_failures(failures)
-
-    engine = TrafficEngine(cluster, compiled, rng)
-    return engine.run_open(
-        protocol, window=window, latency_hi=latency_hi, bins=bins, adapt=adapt,
-        probe=probe,
-    )
+    pins = dict(workload=workload, catalog=catalog, failures=failures, probe=probe)
+    return run_scenario(open_loop_scenario(**shape), protocol, seed, **pins).result
 
 
 def discover_ceiling(
@@ -159,16 +166,9 @@ def discover_ceiling(
     """
 
     def step(rate: float) -> OpenLoopResult:
-        return run_open_loop_service(
-            protocol,
-            seed=seed,
-            rate=rate,
-            duration=duration,
-            n_sites=n_sites,
-            n_items=n_items,
-            replication=replication,
-            window=window,
-            episode_window=None,
+        scenario = open_loop_scenario(
+            rate, duration, n_sites, n_items, replication, window=window, episode_window=None
         )
+        return run_scenario(scenario, protocol, seed).result
 
     return ramp(step, rates, knee_factor=knee_factor, abort_threshold=abort_threshold)

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.db.cluster import Cluster
-from repro.engine import CellFoldSink, ResultSink, ResultStore, SweepSpec, TeeSink, run_sweep
+from repro.engine import ResultSink, ResultStore, SweepSpec, fold_cells
 from repro.sim.failures import FailurePlan
 from repro.sim.rng import RngRegistry
 from repro.workload.generators import (
@@ -128,11 +128,6 @@ def availability_run(seed: int, protocol: str) -> tuple[float, float, bool, bool
     )
 
 
-# backward-compatible alias (pre-engine name, positional order differs)
-def _one_availability_run(protocol: str, seed: int) -> tuple[float, float, bool, bool, bool]:
-    return availability_run(seed=seed, protocol=protocol)
-
-
 def _fold_availability(state, result):
     """Per-cell streaming fold over (readable, writable, blocked,
     violated, decided) samples — same additions, in the same order, as
@@ -149,7 +144,7 @@ def _fold_availability(state, result):
     return state
 
 
-def _availability_fold_rows(folder: CellFoldSink) -> list[SweepRow]:
+def _availability_rows(cells) -> list[SweepRow]:
     """One :class:`SweepRow` per folded cell, in expansion order."""
     return [
         SweepRow(
@@ -161,31 +156,8 @@ def _availability_fold_rows(folder: CellFoldSink) -> list[SweepRow]:
             violation_runs=state[4],
             decided_runs=state[5],
         )
-        for params, state in folder.cells()
+        for params, state in cells
     ]
-
-
-def _availability_rows(outcome) -> list[SweepRow]:
-    """Fold raw (readable, writable, blocked, violated, decided) samples
-    into one :class:`SweepRow` per protocol cell."""
-    folder = CellFoldSink(_fold_availability)
-    for result in outcome.results:
-        folder.emit(result)
-    return _availability_fold_rows(folder)
-
-
-def _run_availability_spec(
-    spec: SweepSpec,
-    workers: int,
-    store: ResultStore | None,
-    sink: ResultSink | None,
-) -> list[SweepRow]:
-    """Run an availability-shaped sweep, streaming when a sink is given."""
-    if sink is None:
-        return _availability_rows(run_sweep(spec, workers=workers, store=store))
-    folder = CellFoldSink(_fold_availability)
-    run_sweep(spec, workers=workers, store=store, sink=TeeSink(sink, folder))
-    return _availability_fold_rows(folder)
 
 
 def availability_sweep(
@@ -213,7 +185,7 @@ def availability_sweep(
         base_seed=base_seed,
         seeding="offset",
     )
-    return _run_availability_spec(spec, workers, store, sink)
+    return _availability_rows(fold_cells(spec, _fold_availability, workers, store, sink))
 
 
 @dataclass
@@ -306,13 +278,7 @@ def reenterability_storm(
         seeding="offset",
         fixed={"waves": waves},
     )
-    folder = CellFoldSink(_fold_storm)
-    if sink is None:
-        for result in run_sweep(spec, workers=workers, store=store).results:
-            folder.emit(result)
-    else:
-        run_sweep(spec, workers=workers, store=store, sink=TeeSink(sink, folder))
-    cells = folder.cells()
+    cells = fold_cells(spec, _fold_storm, workers, store, sink)
     state = cells[0][1] if cells else [0, 0, 0, 0]
     return StormResult(
         protocol=protocol,
@@ -410,13 +376,7 @@ def modelcheck(
         seeding="offset",
         fixed={"heal": heal},
     )
-    folder = CellFoldSink(_fold_modelcheck)
-    if sink is None:
-        for result in run_sweep(spec, workers=workers, store=store).results:
-            folder.emit(result)
-    else:
-        run_sweep(spec, workers=workers, store=store, sink=TeeSink(sink, folder))
-    cells = folder.cells()
+    cells = fold_cells(spec, _fold_modelcheck, workers, store, sink)
     atomic, bad_seeds = cells[0][1] if cells else (0, [])
     return ModelCheckResult(protocol, runs, atomic, len(bad_seeds), bad_seeds)
 
@@ -490,4 +450,4 @@ def wan_partition_storm(
             "heal": heal,
         },
     )
-    return _run_availability_spec(spec, workers, store, sink)
+    return _availability_rows(fold_cells(spec, _fold_availability, workers, store, sink))

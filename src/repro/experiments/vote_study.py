@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.db.cluster import Cluster
-from repro.engine import CellFoldSink, ResultSink, ResultStore, SweepSpec, TeeSink, run_sweep
+from repro.engine import ResultSink, ResultStore, SweepSpec, fold_cells
 from repro.replication.catalog import CatalogBuilder, ReplicaCatalog
 from repro.sim.rng import RngRegistry
 from repro.workload.generators import random_fault_plan
@@ -140,12 +140,6 @@ def vote_assignment_study(
         seeding="offset",
         fixed={"n_sites": n_sites},
     )
-    folder = CellFoldSink(_fold_policy)
-    if sink is None:
-        for result in run_sweep(spec, workers=workers, store=store).results:
-            folder.emit(result)
-    else:
-        run_sweep(spec, workers=workers, store=store, sink=TeeSink(sink, folder))
     return [
         PolicyRow(
             policy=params["policy"],
@@ -156,5 +150,5 @@ def vote_assignment_study(
             blocked_runs=state[4],
             violations=state[5],
         )
-        for params, state in folder.cells()
+        for params, state in fold_cells(spec, _fold_policy, workers, store, sink)
     ]

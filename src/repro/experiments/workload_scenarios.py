@@ -25,33 +25,16 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.concurrency.serializability import ConflictGraph
-from repro.db.cluster import Cluster
-from repro.experiments.workload_study import run_heavy_workload
+from repro.experiments.workload_study import heavy_workload_scenario
 from repro.sim.failures import FailurePlan, JoinSite
-from repro.sim.rng import RngRegistry
-from repro.traffic import TrafficEngine
+from repro.traffic import Scenario, run_scenario
 from repro.workload.generators import (
-    memoized_catalog,
     random_catalog,
     random_partition_groups,
     wan_catalog,
     wan_regions,
 )
 from repro.workload.spec import WorkloadSpec
-
-
-def _result_counters(result) -> dict[str, Any]:
-    """The deterministic tallies of a :class:`WorkloadResult`."""
-    return {
-        "submitted": result.submitted,
-        "committed": result.committed,
-        "client_aborted": result.client_aborted,
-        "protocol_aborted": result.protocol_aborted,
-        "blocked": result.blocked,
-        "reads_committed": result.reads_committed,
-        "serializable": result.serializable,
-    }
 
 
 def run_skewed_contention(
@@ -74,24 +57,14 @@ def run_skewed_contention(
     spec = WorkloadSpec(
         n_txns=n_txns, popularity="zipf", zipf_s=zipf_s, mean_spacing=mean_spacing
     )
-    harvested: dict[str, Any] = {}
-
-    def probe(cluster: Cluster) -> None:
-        harvested["hot_txns"] = sum(
-            1
-            for txn in cluster._txns.values()
-            if any(item == cluster.catalog.item_names[0] for item in txn.writes)
-        )
-
-    result = run_heavy_workload(
-        protocol,
-        seed=seed,
-        n_sites=n_sites,
-        n_items=n_items,
-        probe=probe,
-        workload=spec,
-    )
-    return {**_result_counters(result), **harvested}
+    scenario = heavy_workload_scenario(n_sites=n_sites, n_items=n_items)
+    run = run_scenario(scenario, protocol, seed, workload=spec)
+    hot = run.cluster.catalog.item_names[0]
+    return {
+        **run.result.counters(),
+        "reads_committed": run.result.reads_committed,
+        "hot_txns": sum(1 for txn in run.cluster._txns.values() if hot in txn.writes),
+    }
 
 
 def run_read_mostly(
@@ -114,15 +87,12 @@ def run_read_mostly(
     spec = WorkloadSpec(
         n_txns=n_txns, read_fraction=read_fraction, mean_spacing=mean_spacing
     )
-    result = run_heavy_workload(
-        protocol, seed=seed, n_sites=n_sites, n_items=n_items, workload=spec
-    )
-    return _result_counters(result)
+    scenario = heavy_workload_scenario(n_sites=n_sites, n_items=n_items)
+    result = run_scenario(scenario, protocol, seed, workload=spec).result
+    return {**result.counters(), "reads_committed": result.reads_committed}
 
 
-def run_cross_region(
-    protocol: str,
-    seed: int = 0,
+def cross_region_scenario(
     n_txns: int = 40,
     n_regions: int = 3,
     sites_per_region: int = 4,
@@ -131,8 +101,66 @@ def run_cross_region(
     cross_region: float = 0.6,
     mean_spacing: float = 2.0,
     partition_window: tuple[float, float] = (20.0, 60.0),
-) -> dict[str, Any]:
-    """E24: cross-region transactions over the WAN topology.
+) -> Scenario:
+    """E24 as a scenario: direct updates over a WAN catalog, a share of
+    them from regions hosting no copy, cut along region lines for
+    ``partition_window``."""
+    params = dict(locals())
+    regions = wan_regions(n_regions, sites_per_region)
+
+    def counters(run):
+        cluster = run.cluster
+        # undecided at quiescence.  A cross-region coordinator cut
+        # off before any participant durably joined leaves a txn
+        # nobody can decide — but also nobody holds locks for, so
+        # availability is untouched; only undecided txns with live
+        # in-doubt participants actually pin data.
+        holding = sum(
+            bool(cluster.live_undecided(txn))
+            for txn, verdict in run.result.txn_outcomes.items()
+            if verdict not in ("commit", "abort")
+        )
+        return {
+            **run.engine.tallies,
+            "committed": run.result.committed,
+            "protocol_aborted": run.result.protocol_aborted,
+            "blocked": run.result.blocked,
+            "blocked_holding_locks": holding,
+            "messages_sent": cluster.network.sent,
+            "messages_dropped": cluster.network.dropped,
+        }
+
+    return Scenario(
+        name="cross_region",
+        params=params,
+        stream="cross-region",
+        catalog=(
+            wan_catalog,
+            dict(
+                n_regions=n_regions,
+                sites_per_region=sites_per_region,
+                n_items=n_items,
+                region_replication=region_replication,
+            ),
+        ),
+        workload=WorkloadSpec(
+            n_txns=n_txns,
+            footprint=(1, 2),
+            cross_region=cross_region,
+            mean_spacing=mean_spacing,
+        ),
+        plan=lambda rng, cluster, first: FailurePlan()
+        .partition(partition_window[0], *[list(r) for r in regions])
+        .heal(partition_window[1]),
+        counters=counters,
+        drive="direct",
+        regions=regions,
+    )
+
+
+def run_cross_region(protocol: str, seed: int = 0, **shape: Any) -> dict[str, Any]:
+    """E24: cross-region transactions over the WAN topology (``shape``
+    is :func:`cross_region_scenario`'s keywords).
 
     A geo-replicated catalog with copies in ``region_replication`` of
     ``n_regions`` regions; with probability ``cross_region`` an update
@@ -142,67 +170,10 @@ def run_cross_region(
     loses its quorums outright (``refused``), the home slice keeps
     committing inside its region.
     """
-    registry = RngRegistry(seed)
-    rng = registry.stream("cross-region")
-    catalog = memoized_catalog(
-        rng,
-        ("cross-region", n_regions, sites_per_region, n_items, region_replication),
-        lambda r: wan_catalog(
-            r,
-            n_regions=n_regions,
-            sites_per_region=sites_per_region,
-            n_items=n_items,
-            region_replication=region_replication,
-        ),
-    )
-    regions = wan_regions(n_regions, sites_per_region)
-    spec = WorkloadSpec(
-        n_txns=n_txns,
-        footprint=(1, 2),
-        cross_region=cross_region,
-        mean_spacing=mean_spacing,
-    )
-    compiled = spec.compile(catalog, regions)
-    all_sites = [site for region in regions for site in region]
-    cluster = Cluster(catalog, protocol=protocol, seed=seed, extra_sites=all_sites)
-    plan = FailurePlan()
-    plan.partition(partition_window[0], *[list(r) for r in regions])
-    plan.heal(partition_window[1])
-    cluster.arm_failures(plan)
-
-    engine = TrafficEngine(cluster, compiled, rng)
-    engine.run_closed(submit=engine.submit_direct)
-    tallies, handles = engine.tallies, engine.handles
-
-    committed = aborted = blocked = holding = 0
-    for txn in handles:
-        outcome = cluster.outcome(txn).outcome
-        if outcome == "commit":
-            committed += 1
-        elif outcome == "abort":
-            aborted += 1
-        else:
-            # undecided at quiescence.  A cross-region coordinator cut
-            # off before any participant durably joined leaves a txn
-            # nobody can decide — but also nobody holds locks for, so
-            # availability is untouched; only undecided txns with live
-            # in-doubt participants actually pin data.
-            blocked += 1
-            holding += bool(cluster.live_undecided(txn))
-    return {
-        **tallies,
-        "committed": committed,
-        "protocol_aborted": aborted,
-        "blocked": blocked,
-        "blocked_holding_locks": holding,
-        "messages_sent": cluster.network.sent,
-        "messages_dropped": cluster.network.dropped,
-    }
+    return run_scenario(cross_region_scenario(**shape), protocol, seed).counters()
 
 
-def run_elastic_join(
-    protocol: str,
-    seed: int = 0,
+def elastic_join_scenario(
     n_txns: int = 60,
     n_sites: int = 8,
     n_items: int = 6,
@@ -210,8 +181,62 @@ def run_elastic_join(
     n_joins: int = 3,
     join_copies: int = 2,
     mean_spacing: float = 1.5,
-) -> dict[str, Any]:
-    """E25: elastic membership under a partition storm.
+) -> Scenario:
+    """E25 as a scenario: a steady update stream while the network
+    splits, ``n_joins`` sites join inside the partition, a second wave
+    re-partitions old and new sites together, and the storm heals."""
+    params = dict(locals())
+    join_ids = list(range(n_sites + 1, n_sites + 1 + n_joins))
+
+    def plan(rng, cluster, first):
+        initial = list(cluster.network.sites)
+        hot_items = cluster.catalog.item_names[:join_copies]
+        first_wave = random_partition_groups(rng, initial, 2)
+        storm = FailurePlan()
+        storm.partition(15.0, *first_wave)
+        for k, joiner in enumerate(join_ids):
+            # alternate the joiners across the live components
+            near = first_wave[k % len(first_wave)][0]
+            storm.join(20.0 + 3.0 * k, joiner, copies={i: 1 for i in hot_items}, near=near)
+        second_wave = random_partition_groups(rng, initial + join_ids, 3)
+        storm.partition(45.0, *second_wave)
+        storm.heal(70.0)
+        return storm
+
+    def counters(run):
+        cluster, joined = run.cluster, set(join_ids)
+        hot_items = cluster.catalog.item_names[:join_copies]
+        return {
+            **run.result.counters(),
+            "joins_applied": sum(1 for a in cluster.injector.applied if isinstance(a, JoinSite)),
+            "joined_hosting": sum(
+                1 for j in join_ids for i in hot_items if j in cluster.catalog.sites_of(i)
+            ),
+            "participants_with_joined": sum(
+                1 for h in run.engine.handles.values() if joined & set(h.participants)
+            ),
+            "messages_sent": cluster.network.sent,
+            "messages_delivered": cluster.network.delivered,
+        }
+
+    # the interactive drive: the spec has no read fraction, so the
+    # engine's read fast path is dead and the stream is draw-for-draw
+    # the historical update loop
+    return Scenario(
+        name="elastic_join",
+        params=params,
+        stream="elastic-join",
+        catalog=(random_catalog, dict(n_sites=n_sites, n_items=n_items, replication=replication)),
+        workload=WorkloadSpec(n_txns=n_txns, mean_spacing=mean_spacing),
+        plan=plan,
+        counters=counters,
+        mutable=True,
+    )
+
+
+def run_elastic_join(protocol: str, seed: int = 0, **shape: Any) -> dict[str, Any]:
+    """E25: elastic membership under a partition storm (``shape`` is
+    :func:`elastic_join_scenario`'s keywords).
 
     A steady update stream runs while the network splits, ``n_joins``
     fresh sites join *inside the active partition* (each placed next to
@@ -222,68 +247,4 @@ def run_elastic_join(
     ``participants_with_joined`` counter tracks how many transactions
     actually enlisted them.
     """
-    registry = RngRegistry(seed)
-    rng = registry.stream("elastic-join")
-    # mutable: joins admit_site into the catalog mid-run, so each trial
-    # gets a fork and the cached original stays pristine
-    catalog = memoized_catalog(
-        rng,
-        ("elastic-join", n_sites, n_items, replication),
-        lambda r: random_catalog(r, n_sites=n_sites, n_items=n_items, replication=replication),
-        mutable=True,
-    )
-    spec = WorkloadSpec(n_txns=n_txns, mean_spacing=mean_spacing)
-    compiled = spec.compile(catalog)
-    cluster = Cluster(catalog, protocol=protocol, seed=seed)
-
-    initial = list(cluster.network.sites)
-    join_ids = list(range(n_sites + 1, n_sites + 1 + n_joins))
-    hot_items = catalog.item_names[:join_copies]
-    first_wave = random_partition_groups(rng, initial, 2)
-    plan = FailurePlan()
-    plan.partition(15.0, *first_wave)
-    for k, joiner in enumerate(join_ids):
-        # alternate the joiners across the live components
-        near = first_wave[k % len(first_wave)][0]
-        plan.join(20.0 + 3.0 * k, joiner, copies={i: 1 for i in hot_items}, near=near)
-    second_wave = random_partition_groups(rng, initial + join_ids, 3)
-    plan.partition(45.0, *second_wave)
-    plan.heal(70.0)
-    cluster.arm_failures(plan)
-
-    engine = TrafficEngine(cluster, compiled, rng)
-    # the interactive policy: the spec has no read fraction, so the
-    # engine's read fast path is dead and the stream is draw-for-draw
-    # the historical update loop
-    outcomes, handles = engine.run_closed()
-
-    committed = aborted = blocked = 0
-    for txn in handles:
-        outcome = cluster.outcome(txn).outcome
-        if outcome == "commit":
-            committed += 1
-        elif outcome == "abort":
-            aborted += 1
-        else:
-            blocked += 1
-    joined = set(join_ids)
-    history = cluster.committed_history()
-    return {
-        "submitted": len(handles) + len(outcomes),
-        "committed": committed,
-        "client_aborted": sum(1 for o in outcomes.values() if o == "client-aborted"),
-        "protocol_aborted": aborted,
-        "blocked": blocked,
-        "serializable": ConflictGraph(history).is_serializable(),
-        "joins_applied": sum(
-            1 for a in cluster.injector.applied if isinstance(a, JoinSite)
-        ),
-        "joined_hosting": sum(
-            1 for j in join_ids for i in hot_items if j in catalog.sites_of(i)
-        ),
-        "participants_with_joined": sum(
-            1 for h in handles.values() if joined & set(h.participants)
-        ),
-        "messages_sent": cluster.network.sent,
-        "messages_delivered": cluster.network.delivered,
-    }
+    return run_scenario(elastic_join_scenario(**shape), protocol, seed).counters()

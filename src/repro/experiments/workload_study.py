@@ -14,49 +14,64 @@ actually experiences under each protocol:
 Transactions arrive on the virtual clock, so their reads and commits
 genuinely interleave with the fault schedule.
 
-Both drive loops live on the shared :class:`~repro.traffic.TrafficEngine`
-(closed-loop mode); :class:`~repro.traffic.WorkloadResult` and
-:func:`~repro.traffic.tally_stream` are re-exported here for
+Both are :class:`~repro.traffic.Scenario` constructors
+(:func:`workload_scenario`, :func:`heavy_workload_scenario`) run by the
+shared :func:`~repro.traffic.run_scenario`;
+:class:`~repro.traffic.WorkloadResult` is re-exported here for
 compatibility with historical imports.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
 from repro.db.cluster import Cluster
-from repro.engine import CellFoldSink, ResultSink, ResultStore, SweepSpec, TeeSink, run_sweep
+from repro.engine import ResultSink, ResultStore, SweepSpec, fold_cells
 from repro.sim.failures import FailurePlan
-from repro.sim.rng import RngRegistry
-from repro.traffic import TrafficEngine, WorkloadResult, tally_stream
-from repro.workload.generators import (
-    memoized_catalog,
-    random_catalog,
-    random_partition_groups,
-)
+from repro.traffic import Scenario, WorkloadResult, run_scenario
+from repro.workload.generators import random_catalog, random_partition_groups
 from repro.workload.spec import WorkloadSpec
 
 __all__ = [
     "WorkloadResult",
-    "drive_stream",
     "heavy_failure_plan",
     "heavy_traffic_study",
+    "heavy_workload_scenario",
     "run_heavy_workload",
     "run_workload",
-    "tally_stream",
+    "workload_scenario",
     "workload_study",
 ]
 
 
-def run_workload(
-    protocol: str,
+def workload_scenario(
     n_txns: int = 24,
-    seed: int = 0,
     partition_window: tuple[float, float] = (20.0, 70.0),
     arrival_spacing: float = 4.0,
-) -> WorkloadResult:
+) -> Scenario:
+    """E17 as a scenario: a fixed-spacing stream on a 6-site cluster
+    that splits into two random components for ``partition_window``."""
+    params = dict(locals())
+
+    def plan(rng, cluster, first):
+        groups = random_partition_groups(rng, cluster.network.sites, 2)
+        return FailurePlan().partition(partition_window[0], *groups).heal(partition_window[1])
+
+    return Scenario(
+        name="workload",
+        params=params,
+        stream="workload",
+        catalog=(random_catalog, dict(n_sites=6, n_items=4, replication=3)),
+        workload=WorkloadSpec(n_txns=n_txns, arrival="fixed", mean_spacing=arrival_spacing),
+        plan=plan,
+    )
+
+
+def run_workload(protocol: str, *, seed: int = 0, **shape: Any) -> WorkloadResult:
     """Drive ``n_txns`` read-modify-write transactions through a
-    partition episode and tally the outcomes.
+    partition episode and tally the outcomes (``shape`` is
+    :func:`workload_scenario`'s keywords; everything after ``protocol``
+    is keyword-only — ``n_txns`` used to be the second positional).
 
     Every transaction reads one random item and increments it.  The
     network splits into two random components during
@@ -69,26 +84,7 @@ def run_workload(
     item/origin draw order, so the tallies are byte-identical to the
     pre-engine inline loop.
     """
-    registry = RngRegistry(seed)
-    rng = registry.stream("workload")
-    catalog = memoized_catalog(
-        rng,
-        ("e17-workload", 6, 4, 3),
-        lambda r: random_catalog(r, n_sites=6, n_items=4, replication=3),
-    )
-    cluster = Cluster(catalog, protocol=protocol, seed=seed)
-    groups = random_partition_groups(rng, cluster.network.sites, 2)
-    plan = (
-        FailurePlan()
-        .partition(partition_window[0], *groups)
-        .heal(partition_window[1])
-    )
-    cluster.arm_failures(plan)
-
-    spec = WorkloadSpec(n_txns=n_txns, arrival="fixed", mean_spacing=arrival_spacing)
-    engine = TrafficEngine(cluster, spec.compile(catalog), rng)
-    engine.run_closed()
-    return engine.tally(protocol)
+    return run_scenario(workload_scenario(**shape), protocol, seed).result
 
 
 def _fold_workload(state, result):
@@ -115,17 +111,15 @@ def _fold_workload(state, result):
     return state
 
 
-def _workload_fold_rows(
-    folder: CellFoldSink, protocol_of=lambda params: params["protocol"]
-) -> list[WorkloadResult]:
+def _workload_rows(cells) -> list[WorkloadResult]:
     """One summed :class:`WorkloadResult` per folded cell.
 
     Replays the historical float order exactly: ``readable_fraction``
     is ``0.0 + r_0/n + r_1/n + ...`` in sample order.
     """
     rows = []
-    for params, state in folder.cells():
-        total = WorkloadResult(protocol_of(params), 0, 0, 0, 0, 0, True, 0.0)
+    for params, state in cells:
+        total = WorkloadResult(params["protocol"], 0, 0, 0, 0, 0, True, 0.0)
         total.submitted, total.committed = state[0], state[1]
         total.client_aborted, total.protocol_aborted = state[2], state[3]
         total.blocked, total.serializable = state[4], state[5]
@@ -134,28 +128,6 @@ def _workload_fold_rows(
             total.readable_fraction += readable / len(state[6])
         rows.append(total)
     return rows
-
-
-def _fold_workload_rows(outcome, protocol_of=lambda params: params["protocol"]) -> list[WorkloadResult]:
-    """Sum per-run :class:`WorkloadResult` tallies into one row per cell."""
-    folder = CellFoldSink(_fold_workload)
-    for result in outcome.results:
-        folder.emit(result)
-    return _workload_fold_rows(folder, protocol_of)
-
-
-def _run_workload_spec(
-    spec: SweepSpec,
-    workers: int,
-    store: ResultStore | None,
-    sink: ResultSink | None,
-) -> list[WorkloadResult]:
-    """Run a workload-shaped sweep, streaming when a sink is given."""
-    if sink is None:
-        return _fold_workload_rows(run_sweep(spec, workers=workers, store=store))
-    folder = CellFoldSink(_fold_workload)
-    run_sweep(spec, workers=workers, store=store, sink=TeeSink(sink, folder))
-    return _workload_fold_rows(folder)
 
 
 def workload_study(
@@ -181,7 +153,7 @@ def workload_study(
         seeding="offset",
         fixed={"n_txns": n_txns},
     )
-    return _run_workload_spec(spec, workers, store, sink)
+    return _workload_rows(fold_cells(spec, _fold_workload, workers, store, sink))
 
 
 def heavy_failure_plan(
@@ -208,30 +180,7 @@ def heavy_failure_plan(
     return plan
 
 
-def drive_stream(cluster, compiled, rng) -> tuple[dict[str, str], dict[str, object]]:
-    """The E18 driver loop: feed a compiled op stream into a cluster.
-
-    Compatibility wrapper over
-    :meth:`~repro.traffic.TrafficEngine.run_closed` — the interactive
-    drive loop now lives on the shared engine.  Returns
-    ``(outcomes, handles)``: the client-side outcome per transaction
-    (``"read-committed"`` / ``"client-aborted"`` so far; protocol
-    verdicts are filled in by :func:`tally_stream`) and the submitted
-    handles awaiting a verdict.
-
-    ``compiled`` is anything satisfying the
-    :class:`~repro.workload.spec.CompiledWorkload` generator contract
-    (``arrivals`` + ``next_op``) — a compiled spec or a
-    :class:`~repro.replay.RecordedWorkload` replaying a harvested
-    stream.  This split of *stream source* from *driver loop* is what
-    makes a recorded trace just another workload.
-    """
-    return TrafficEngine(cluster, compiled, rng).run_closed()
-
-
-def run_heavy_workload(
-    protocol: str,
-    seed: int = 0,
+def heavy_workload_scenario(
     n_txns: int = 120,
     n_sites: int = 12,
     n_items: int = 8,
@@ -240,12 +189,33 @@ def run_heavy_workload(
     episodes: int = 2,
     episode_length: float = 30.0,
     gap: float = 20.0,
+) -> Scenario:
+    """E18 as a scenario: Poisson arrivals on a random catalog through
+    ``episodes`` partition/heal cycles (:func:`heavy_failure_plan`)."""
+    return Scenario(
+        name="heavy_workload",
+        params=dict(locals()),
+        stream="heavy-workload",
+        catalog=(random_catalog, dict(n_sites=n_sites, n_items=n_items, replication=replication)),
+        workload=WorkloadSpec(n_txns=n_txns, mean_spacing=mean_spacing),
+        plan=lambda rng, cluster, first: heavy_failure_plan(
+            rng, cluster.network.sites, episodes, episode_length, gap
+        ),
+    )
+
+
+def run_heavy_workload(
+    protocol: str,
+    seed: int = 0,
+    *,
     probe: "Callable[[Cluster], None] | None" = None,
     workload: object | None = None,
     catalog: object | None = None,
     failures: FailurePlan | None = None,
+    **shape: Any,
 ) -> WorkloadResult:
-    """E18 (extension) — heavy traffic through repeated partition episodes.
+    """E18 (extension) — heavy traffic through repeated partition episodes
+    (``shape`` is :func:`heavy_workload_scenario`'s keywords).
 
     The large-scale sibling of :func:`run_workload`: Poisson arrivals
     (many transactions genuinely in flight at once), a bigger database,
@@ -276,28 +246,8 @@ def run_heavy_workload(
     benchmark harness uses it to harvest network / WAL / scheduler
     counters without widening the return type.
     """
-    registry = RngRegistry(seed)
-    rng = registry.stream("heavy-workload")
-    if catalog is None:
-        # pure function of (stream state, shape): protocols replaying the
-        # same seed fetch the catalog instead of rebuilding it per trial
-        catalog = memoized_catalog(
-            rng,
-            ("heavy-workload", n_sites, n_items, replication),
-            lambda r: random_catalog(r, n_sites=n_sites, n_items=n_items, replication=replication),
-        )
-    spec = workload if workload is not None else WorkloadSpec(
-        n_txns=n_txns, mean_spacing=mean_spacing
-    )
-    compiled = spec.compile(catalog) if hasattr(spec, "compile") else spec
-    cluster = Cluster(catalog, protocol=protocol, seed=seed)
-    if failures is None:
-        failures = heavy_failure_plan(rng, cluster.network.sites, episodes, episode_length, gap)
-    cluster.arm_failures(failures)
-
-    engine = TrafficEngine(cluster, compiled, rng)
-    engine.run_closed()
-    return engine.tally(protocol, probe=probe)
+    pins = dict(workload=workload, catalog=catalog, failures=failures, probe=probe)
+    return run_scenario(heavy_workload_scenario(**shape), protocol, seed, **pins).result
 
 
 def heavy_traffic_study(
@@ -319,4 +269,4 @@ def heavy_traffic_study(
         seeding="offset",
         fixed={"n_txns": n_txns},
     )
-    return _run_workload_spec(spec, workers, store, sink)
+    return _workload_rows(fold_cells(spec, _fold_workload, workers, store, sink))

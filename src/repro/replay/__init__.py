@@ -1,6 +1,6 @@
 """Trace-record → replay "what-if" engine.
 
-Record the full op + failure stream of a driver run into a compact,
+Record the full op + failure stream of a scenario run into a compact,
 schema-versioned artifact (:mod:`repro.replay.artifact`), replay it as
 just another workload source (:mod:`repro.replay.workload`), and run
 one recorded trace against a matrix of alternative configurations
@@ -23,6 +23,7 @@ from repro.replay.artifact import (
 from repro.replay.recorder import (
     RecordingSpec,
     cluster_counters,
+    record,
     record_heavy_workload,
     record_open_loop_service,
     record_wan_storm,
@@ -62,6 +63,7 @@ __all__ = [
     "encode_catalog",
     "fixed_point_ok",
     "format_diff_table",
+    "record",
     "record_heavy_workload",
     "record_open_loop_service",
     "record_wan_storm",

@@ -2,9 +2,9 @@
 
 Subcommands:
 
-* ``record`` — run a driver (E18 heavy traffic, E21 WAN storm, or the
-  E26 open-loop service) and write its full trace to a compressed,
-  byte-stable artifact.
+* ``record`` — run a scenario (any :data:`~repro.replay.TRACE_DRIVERS`
+  name: E18 heavy traffic, E21 WAN storm, the E26 open-loop service, …)
+  and write its full trace to a compressed, byte-stable artifact.
 * ``replay`` — replay a trace artifact, optionally under an alternative
   configuration; without overrides the replay is fixed-point checked
   against the recorded counters.
@@ -15,16 +15,14 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
 from repro.db.cluster import PROTOCOL_NAMES
-from repro.replay.artifact import RecordedTrace
-from repro.replay.recorder import (
-    record_heavy_workload,
-    record_open_loop_service,
-    record_wan_storm,
-)
+from repro.experiments import SCENARIOS
+from repro.replay.artifact import TRACE_DRIVERS, RecordedTrace
+from repro.replay.recorder import record
 from repro.replay.tournament import (
     DEFAULT_CONFIGS,
     QUORUM_POLICIES,
@@ -75,9 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
     record = sub.add_parser("record", help="run a driver and write its trace")
     record.add_argument(
         "--driver",
-        choices=["heavy_workload", "wan_storm", "open_loop"],
+        choices=list(TRACE_DRIVERS),
         default="heavy_workload",
-        help="which driver to record (default: heavy_workload)",
+        help="which scenario to record (default: heavy_workload)",
     )
     record.add_argument(
         "--protocol",
@@ -89,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     record.add_argument(
         "--n-txns",
         type=int,
-        default=120,
-        help="heavy-workload stream length (default 120; ignored for wan_storm)",
+        help="stream length (default: the scenario's own; ignored by the "
+        "scenarios without one, wan_storm and open_loop)",
     )
     record.add_argument(
         "--out",
@@ -123,12 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_record(args: argparse.Namespace) -> int:
-    if args.driver == "wan_storm":
-        trace = record_wan_storm(args.protocol, seed=args.seed)
-    elif args.driver == "open_loop":
-        trace = record_open_loop_service(args.protocol, seed=args.seed)
-    else:
-        trace = record_heavy_workload(args.protocol, seed=args.seed, n_txns=args.n_txns)
+    constructor = SCENARIOS[args.driver]
+    shape = {}
+    if args.n_txns is not None and "n_txns" in inspect.signature(constructor).parameters:
+        shape["n_txns"] = args.n_txns
+    trace = record(constructor(**shape), args.protocol, seed=args.seed)
     trace.save(args.out)
     print(
         f"recorded {trace.driver} protocol={trace.protocol} seed={trace.seed}: "

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.common.errors import StoreError
+from repro.experiments import SCENARIOS
 from repro.replication.catalog import ItemConfig, ReplicaCatalog
 from repro.sim.failures import (
     CrashSite,
@@ -50,8 +51,10 @@ TRACE_SCHEMA = 1
 #: the header ``kind`` tag distinguishing traces from other artifacts.
 TRACE_KIND = "repro-replay-trace"
 
-#: drivers a trace can be recorded from (and replayed through).
-TRACE_DRIVERS = ("heavy_workload", "wan_storm", "open_loop")
+#: drivers a trace can be recorded from (and replayed through): the
+#: scenario registry's names, so loading accepts exactly what
+#: :func:`~repro.replay.recorder.record` emits.
+TRACE_DRIVERS = tuple(SCENARIOS)
 
 
 # ----------------------------------------------------------------------
@@ -203,13 +206,15 @@ class RecordedTrace:
     """One driver run, harvested in full.
 
     Attributes:
-        driver: which driver produced the run (:data:`TRACE_DRIVERS`).
+        driver: the scenario that produced the run (:data:`TRACE_DRIVERS`).
         protocol: the commit protocol the run used.
         seed: the run seed (drives the cluster's delay/loss RNG).
         spec: the workload spec the stream was generated from.
         catalog: the replica catalog the run compiled against.
-        params: driver shape kwargs needed to rebuild the site universe
-            (e.g. ``n_regions``/``sites_per_region`` for WAN storms).
+        params: the scenario constructor's keywords, JSON-encoded —
+            ``SCENARIOS[driver](**params)`` rebuilds the scenario (every
+            keyword has a default, so a header that carries only a few
+            of them, as older recordings do, still loads).
         arrivals: virtual arrival time per scheduled submission
             (closed-loop drivers; empty for open-loop services).
         gaps: inter-arrival gaps drawn by an open-loop service, one per
@@ -218,7 +223,7 @@ class RecordedTrace:
             stream, aligned 1:1 with ``arrivals`` (closed) or ``gaps``
             (open).
         updates: direct-update draws ``(origin, writes)`` (the WAN
-            storm's single transaction).
+            storm's single transaction, E24's whole stream).
         actions: the fault schedule, in the order it actually fired.
         counters: the run's deterministic cluster counters (messages,
             events, WAL forces) — the fixed-point contract.

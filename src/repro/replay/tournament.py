@@ -29,8 +29,23 @@ from repro.engine import (
     TeeSink,
     run_sweep,
 )
+from repro.experiments import SCENARIOS
 from repro.replication.catalog import ItemConfig, ReplicaCatalog
 from repro.replay.artifact import RecordedTrace
+from repro.replay.recorder import cluster_counters
+from repro.sim.failures import (
+    CrashSite,
+    DegradeSite,
+    FailurePlan,
+    FlapLink,
+    JoinSite,
+    LeaveSite,
+    PartitionNetwork,
+    RecoverSite,
+    RestoreSite,
+    SetLinkLoss,
+)
+from repro.traffic import run_scenario
 
 #: quorum policies :func:`derive_catalog` can impose.
 QUORUM_POLICIES = ("recorded", "majority", "read-one-write-all")
@@ -150,20 +165,6 @@ def project_plan(actions, sites: set[int]):
     degrade/restore/leave of a removed site are dropped, and a flap of
     a removed endpoint is dropped whole (its link never exists).
     """
-    from repro.sim.failures import (
-        CrashSite,
-        DegradeSite,
-        FailurePlan,
-        FlapLink,
-        HealNetwork,
-        JoinSite,
-        LeaveSite,
-        PartitionNetwork,
-        RecoverSite,
-        RestoreSite,
-        SetLinkLoss,
-    )
-
     plan = FailurePlan()
     for action in actions:
         if isinstance(action, (CrashSite, RecoverSite, DegradeSite, RestoreSite, LeaveSite)):
@@ -215,37 +216,68 @@ def replay_trace(
 
     With the default (``recorded``) configuration the replay is the
     fixed point: the row's counters equal the trace's recorded
-    counters byte-for-byte.
+    counters byte-for-byte.  The trace's ``driver`` + ``params`` rebuild
+    its scenario; stream, placement and fault schedule are pinned from
+    the recording, so every scenario replays through this one body.
     """
     cfg = config if config is not None else TournamentConfig("recorded")
     protocol = cfg.protocol if cfg.protocol is not None else trace.protocol
+    scenario = SCENARIOS[trace.driver](**trace.params)
     catalog = (
         derive_catalog(trace.catalog, cfg.quorum, cfg.drop_sites)
         if (cfg.quorum != "recorded" or cfg.drop_sites)
         else trace.catalog
     )
-    if cfg.drop_sites:
-        universe = set(catalog.all_sites())
-        if trace.driver == "wan_storm":
-            from repro.workload.generators import wan_regions
-
-            regions = wan_regions(
-                trace.params["n_regions"], trace.params["sites_per_region"]
-            )
-            universe |= {s for region in regions for s in region}
-        plan = project_plan(trace.actions, universe)
-    else:
-        plan = trace.plan()
+    if scenario.mutable:
+        catalog = catalog.fork()  # the run's joins and leaves must not rewrite the trace
+    # every site an op can originate at: the hosts, a WAN layout's pure
+    # coordinators, and the sites the recorded plan joins mid-run
+    universe = set(catalog.all_sites())
+    universe.update(site for region in scenario.regions or () for site in region)
+    universe.update(a.site for a in trace.actions if isinstance(a, JoinSite))
+    plan = project_plan(trace.actions, universe) if cfg.drop_sites else trace.plan()
     if cfg.crash_origin_at is not None:
         origin = _first_origin(trace)
         if origin is not None:
             plan.crash(cfg.crash_origin_at, origin)
+    workload = trace.workload().project(catalog, sites=universe)
+    if scenario.drive == "single" and not len(workload):
+        raise StoreError(
+            "the recorded update cannot run on the derived catalog "
+            "(origin or every written item was dropped)"
+        )
 
-    if trace.driver == "wan_storm":
-        return _replay_wan(trace, cfg, protocol, catalog, plan)
-    if trace.driver == "open_loop":
-        return _replay_open(trace, cfg, protocol, catalog, plan)
-    return _replay_heavy(trace, cfg, protocol, catalog, plan)
+    run = run_scenario(
+        scenario, protocol, trace.seed, workload=workload, catalog=catalog, failures=plan
+    )
+    result = run.result
+    open_loop = scenario.drive == "open"
+    row = {
+        "config": cfg.name,
+        "protocol": protocol,
+        "submitted": result.admitted if open_loop else result.submitted,
+        "committed": result.committed,
+        "client_aborted": result.client_aborted,
+        "protocol_aborted": result.protocol_aborted,
+        "blocked": result.unresolved if open_loop else result.blocked,
+        "reads_committed": result.reads_committed,
+        "skipped_ops": workload.skipped_ops,
+        "serializable": result.serializable,
+    }
+    if open_loop:
+        # the open-loop drive measures its own latency stream; reuse
+        # the digest's p50 as the comparable latency column
+        row["mean_commit_latency"] = result.latency.get("p50", 0.0)
+        row["offered"] = result.offered
+        row["shed_backpressure"] = result.shed_backpressure
+        row["shed_unreachable"] = result.shed_unreachable
+        row["latency_p99"] = result.latency.get("p99", 0.0)
+        row["latency_p999"] = result.latency.get("p999", 0.0)
+    else:
+        committed = [t for t, o in result.txn_outcomes.items() if o == "commit"]
+        row["mean_commit_latency"] = _mean_commit_latency(run.cluster, committed)
+    row.update(cluster_counters(run.cluster))
+    return row
 
 
 def _first_origin(trace: RecordedTrace) -> int | None:
@@ -256,123 +288,6 @@ def _first_origin(trace: RecordedTrace) -> int | None:
         if op.kind == "update":
             return op.origin
     return None
-
-
-def _replay_heavy(trace, cfg, protocol, catalog, plan) -> dict[str, Any]:
-    from repro.experiments.workload_study import run_heavy_workload
-    from repro.replay.recorder import cluster_counters
-
-    workload = trace.workload().project(catalog)
-    harvested: dict[str, Any] = {}
-    result = run_heavy_workload(
-        protocol,
-        seed=trace.seed,
-        probe=lambda cluster: harvested.update(cluster=cluster),
-        workload=workload,
-        catalog=catalog,
-        failures=plan,
-    )
-    cluster = harvested["cluster"]
-    committed = [t for t, o in result.txn_outcomes.items() if o == "commit"]
-    return {
-        "config": cfg.name,
-        "protocol": protocol,
-        "submitted": result.submitted,
-        "committed": result.committed,
-        "client_aborted": result.client_aborted,
-        "protocol_aborted": result.protocol_aborted,
-        "blocked": result.blocked,
-        "reads_committed": result.reads_committed,
-        "skipped_ops": workload.skipped_ops,
-        "serializable": result.serializable,
-        "mean_commit_latency": _mean_commit_latency(cluster, committed),
-        **cluster_counters(cluster),
-    }
-
-
-def _replay_open(trace, cfg, protocol, catalog, plan) -> dict[str, Any]:
-    from repro.experiments.service_study import run_open_loop_service
-    from repro.replay.recorder import cluster_counters
-
-    workload = trace.workload().project(catalog)
-    harvested: dict[str, Any] = {}
-    result = run_open_loop_service(
-        protocol,
-        seed=trace.seed,
-        window=trace.params.get("window", 4),
-        workload=workload,
-        catalog=catalog,
-        failures=plan,
-        probe=lambda cluster: harvested.update(cluster=cluster),
-    )
-    cluster = harvested["cluster"]
-    return {
-        "config": cfg.name,
-        "protocol": protocol,
-        "submitted": result.admitted,
-        "committed": result.committed,
-        "client_aborted": result.client_aborted,
-        "protocol_aborted": result.protocol_aborted,
-        "blocked": result.unresolved,
-        "reads_committed": result.reads_committed,
-        "skipped_ops": workload.skipped_ops,
-        "serializable": result.serializable,
-        # the open-loop drive measures its own latency stream; reuse
-        # the digest's p50 as the comparable latency column
-        "mean_commit_latency": result.latency.get("p50", 0.0),
-        "offered": result.offered,
-        "shed_backpressure": result.shed_backpressure,
-        "shed_unreachable": result.shed_unreachable,
-        "latency_p99": result.latency.get("p99", 0.0),
-        "latency_p999": result.latency.get("p999", 0.0),
-        **cluster_counters(cluster),
-    }
-
-
-def _replay_wan(trace, cfg, protocol, catalog, plan) -> dict[str, Any]:
-    from repro.replay.recorder import cluster_counters
-    from repro.workload.generators import wan_regions
-    from repro.workload.scenarios import run_wan_storm
-
-    params = trace.params
-    regions = wan_regions(params["n_regions"], params["sites_per_region"])
-    all_sites = [s for region in regions for s in region]
-    workload = trace.workload().project(catalog, sites=all_sites)
-    if not workload._updates:
-        raise StoreError(
-            "recorded WAN update cannot run on the derived catalog "
-            "(origin or every written item was dropped)"
-        )
-    harvested: dict[str, Any] = {}
-    scenario = run_wan_storm(
-        protocol,
-        seed=trace.seed,
-        n_regions=params["n_regions"],
-        sites_per_region=params["sites_per_region"],
-        n_items=params["n_items"],
-        region_replication=params["region_replication"],
-        workload=workload,
-        catalog=catalog,
-        failures=plan,
-        probe=lambda cluster: harvested.update(cluster=cluster),
-    )
-    cluster = harvested["cluster"]
-    outcome = scenario.outcome
-    committed = [scenario.txn.txn] if outcome == "commit" else []
-    return {
-        "config": cfg.name,
-        "protocol": protocol,
-        "submitted": 1,
-        "committed": 1 if outcome == "commit" else 0,
-        "client_aborted": 0,
-        "protocol_aborted": 1 if outcome == "abort" else 0,
-        "blocked": 1 if outcome not in ("commit", "abort") else 0,
-        "reads_committed": 0,
-        "skipped_ops": workload.skipped_ops,
-        "serializable": True,
-        "mean_commit_latency": _mean_commit_latency(cluster, committed),
-        **cluster_counters(cluster),
-    }
 
 
 def fixed_point_ok(trace: RecordedTrace, row: dict[str, Any]) -> bool:

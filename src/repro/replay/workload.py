@@ -139,7 +139,8 @@ class RecordedWorkload:
         (keeping the 1:1 op/arrival alignment the driver loop relies
         on) and tallied in ``skipped_ops`` on the returned stream.
         Updates lose unhosted items individually and are dropped only
-        when nothing (or no origin) remains.
+        when nothing (or no origin) remains — with their arrival slot,
+        in a stream of updates only.
 
         ``sites`` is the replayed cluster's site universe when it is
         wider than the catalog's hosts (the WAN driver registers pure
@@ -170,10 +171,14 @@ class RecordedWorkload:
                 if open_stream and slot_sink:
                     slot_sink[-1] += slot
         updates: list[tuple[int, dict[str, Any]]] = []
-        for origin, writes in self._updates:
+        # a direct-drive stream (E24) has no ops at all: its arrival
+        # slots pair with the updates instead, and drop with them
+        update_slots = [] if self._ops else self._arrivals
+        for index, (origin, writes) in enumerate(self._updates):
             kept = {item: value for item, value in writes.items() if item in hosted_items}
             if origin in hosted_sites and kept:
                 updates.append((origin, kept))
+                arrivals.extend(update_slots[index : index + 1])
             else:
                 skipped += 1
         projected = RecordedWorkload(self.spec, catalog, arrivals, ops, updates, gaps)

@@ -65,6 +65,17 @@ class WorkloadResult:
     #: path (only nonzero for specs with a read fraction).
     reads_committed: int = 0
 
+    def counters(self) -> dict[str, Any]:
+        """Flat deterministic tallies (the bench-baseline fingerprint)."""
+        return {
+            "submitted": self.submitted,
+            "committed": self.committed,
+            "client_aborted": self.client_aborted,
+            "protocol_aborted": self.protocol_aborted,
+            "blocked": self.blocked,
+            "serializable": self.serializable,
+        }
+
     def format_row(self) -> str:
         """One aligned summary line for study tables."""
         return (

@@ -29,14 +29,8 @@ from repro.db.cluster import Cluster
 from repro.db.txn import TxnHandle
 from repro.replication.catalog import CatalogBuilder, ReplicaCatalog
 from repro.sim.failures import FailurePlan
-from repro.sim.rng import RngRegistry
-from repro.traffic import TrafficEngine
-from repro.workload.generators import (
-    memoized_catalog,
-    region_storm_plan,
-    wan_catalog,
-    wan_regions,
-)
+from repro.traffic.scenario import Scenario, run_scenario
+from repro.workload.generators import region_storm_plan, wan_catalog, wan_regions
 from repro.workload.spec import WorkloadSpec
 
 #: the partition of Examples 1, 2 and 4 (Fig. 3).
@@ -133,21 +127,66 @@ def run_example1_scenario(
     return ScenarioResult(cluster, txn, cluster.outcome(txn.txn))
 
 
-def run_wan_storm(
-    protocol: str,
-    seed: int = 0,
+def wan_storm_scenario(
     n_regions: int = 4,
     sites_per_region: int = 8,
     n_items: int = 8,
     region_replication: int = 3,
     waves: int = 4,
     heal: bool = False,
+) -> Scenario:
+    """E21 as a scenario: one multi-item update on a WAN catalog, its
+    coordinator crashed early, ``waves`` region storms through the
+    in-flight termination (healed, coordinator recovered, if ``heal``)."""
+    params = dict(locals())
+    regions = wan_regions(n_regions, sites_per_region)
+
+    def plan(rng, cluster, first):
+        storm = region_storm_plan(rng, regions, waves=waves, heal=heal)
+        storm.crash(rng.uniform(1.0, 2.5), first.origin)
+        if heal:
+            storm.recover(max(a.time for a in storm.actions) + 5.0, first.origin)
+        return storm
+
+    def counters(run):
+        return {
+            "outcome": run.result.txn_outcomes[run.txn.txn],
+            "decided_sites": len(run.cluster.tracer.decisions(run.txn.txn)),
+        }
+
+    return Scenario(
+        name="wan_storm",
+        params=params,
+        stream="wan-storm",
+        catalog=(
+            wan_catalog,
+            dict(
+                n_regions=n_regions,
+                sites_per_region=sites_per_region,
+                n_items=n_items,
+                region_replication=region_replication,
+            ),
+        ),
+        workload=WorkloadSpec(n_txns=1, footprint=(1, 3)),
+        plan=plan,
+        counters=counters,
+        drive="single",
+        regions=regions,
+    )
+
+
+def run_wan_storm(
+    protocol: str,
+    seed: int = 0,
+    *,
     workload: "WorkloadSpec | object | None" = None,
     catalog: "ReplicaCatalog | None" = None,
     failures: FailurePlan | None = None,
     probe=None,
+    **shape,
 ) -> ScenarioResult:
-    """A 32+-site WAN installation under a region-wise partition storm.
+    """A 32+-site WAN installation under a region-wise partition storm
+    (``shape`` is :func:`wan_storm_scenario`'s keywords).
 
     Builds a geo-replicated catalog over ``n_regions × sites_per_region``
     sites, starts one multi-item update, crashes its coordinator early,
@@ -176,40 +215,9 @@ def run_wan_storm(
     alternative configuration.  ``probe``, if given, sees the finished
     :class:`~repro.db.cluster.Cluster` before the report is assembled.
     """
-    registry = RngRegistry(seed)
-    rng = registry.stream("wan-storm")
-    if catalog is None:
-        catalog = memoized_catalog(
-            rng,
-            ("e21-wan-storm", n_regions, sites_per_region, n_items, region_replication),
-            lambda r: wan_catalog(
-                r,
-                n_regions=n_regions,
-                sites_per_region=sites_per_region,
-                n_items=n_items,
-                region_replication=region_replication,
-            ),
-        )
-    regions = wan_regions(n_regions, sites_per_region)
-    all_sites = [s for region in regions for s in region]
-    cluster = Cluster(catalog, protocol=protocol, seed=seed, extra_sites=all_sites)
-    spec = workload if workload is not None else WorkloadSpec(n_txns=1, footprint=(1, 3))
-    compiled = spec.compile(catalog, regions) if hasattr(spec, "compile") else spec
-    engine = TrafficEngine(cluster, compiled, rng)
-    txn = engine.submit_now()
-    if failures is None:
-        plan = region_storm_plan(rng, regions, waves=waves, heal=heal)
-        plan.crash(rng.uniform(1.0, 2.5), txn.origin)
-        if heal:
-            last = max(a.time for a in plan.actions)
-            plan.recover(last + 5.0, txn.origin)
-    else:
-        plan = failures
-    cluster.arm_failures(plan)
-    engine.run_to_quiescence()
-    if probe is not None:
-        probe(cluster)
-    return ScenarioResult(cluster, txn, cluster.outcome(txn.txn))
+    pins = dict(workload=workload, catalog=catalog, failures=failures, probe=probe)
+    run = run_scenario(wan_storm_scenario(**shape), protocol, seed, **pins)
+    return ScenarioResult(run.cluster, run.txn, run.cluster.outcome(run.txn.txn))
 
 
 def run_example3_scenario(

@@ -6,24 +6,32 @@ deterministic counters exactly.  Everything else — artifact round-trips,
 what-if overrides, the tournament sweep — is layered on that guarantee.
 """
 
+import gc
 import gzip
 import json
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import StoreError
+from repro.experiments import SCENARIOS
 from repro.replay import (
     DEFAULT_CONFIGS,
+    TRACE_DRIVERS,
     RecordedTrace,
     TournamentConfig,
     derive_catalog,
+    encode_catalog,
     fixed_point_ok,
+    record,
     record_heavy_workload,
     record_wan_storm,
     replay_trace,
     run_tournament,
 )
+from repro.sim.failures import JoinSite
+from repro.traffic import run_scenario
 
 #: one small E18 recording shared across the read-only tests.
 _TRACE_CACHE: dict[str, RecordedTrace] = {}
@@ -60,6 +68,118 @@ class TestFixedPoint:
     def test_fixed_point_across_seeds_and_protocols(self, seed, protocol):
         trace = record_heavy_workload(protocol, seed=seed, n_txns=10, n_sites=5, n_items=4)
         assert fixed_point_ok(trace, replay_trace(trace))
+
+
+#: every registry entry at a shape small enough for tier-1.
+SMALL_SHAPES = {
+    "workload": dict(n_txns=10),
+    "heavy_workload": dict(n_txns=12, n_sites=6, n_items=4),
+    "wan_storm": dict(n_regions=3, sites_per_region=3, n_items=4, region_replication=2, waves=2),
+    "cross_region": dict(n_txns=12),
+    "elastic_join": dict(n_txns=20),
+    "open_loop": dict(rate=1.0, duration=20.0, n_sites=6),
+    "rolling_upgrade": dict(n_txns=20, waves=2),
+}
+
+
+def small_scenario_trace(name: str, protocol: str, seed: int = 1) -> RecordedTrace:
+    return record(SCENARIOS[name](**SMALL_SHAPES[name]), protocol, seed)
+
+
+class TestEveryScenario:
+    """Whatever the registry holds can be recorded, shipped through the
+    line codec and replayed to its fixed point — with no scenario-specific
+    code anywhere on that path."""
+
+    def test_registry_and_trace_drivers_are_one_list(self):
+        assert TRACE_DRIVERS == tuple(SCENARIOS)
+        assert set(SMALL_SHAPES) == set(SCENARIOS)  # a new scenario joins the test below
+        assert {name: build().name for name, build in SCENARIOS.items()} == {
+            name: name for name in SCENARIOS
+        }
+
+    @pytest.mark.parametrize("protocol", ["2pc", "qtp1"])
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_record_codec_replay_fixed_point(self, name, protocol):
+        recorded = small_scenario_trace(name, protocol)
+        assert recorded.driver == name
+        assert len(recorded.ops) + len(recorded.updates) > 0
+        trace = RecordedTrace.from_lines(json.loads(json.dumps(recorded.to_lines())))
+        placement = encode_catalog(trace.catalog)
+        first = replay_trace(trace)
+        assert fixed_point_ok(trace, first), (trace.counters, first)
+        assert first["skipped_ops"] == 0
+        # a replay leaves the trace as it found it: same row again
+        assert replay_trace(trace) == first
+        assert encode_catalog(trace.catalog) == placement
+
+    def test_record_by_name_uses_the_default_shape(self):
+        trace = record("workload", "qtp1", seed=2)
+        assert trace.driver == "workload"
+        assert trace.params == {
+            "n_txns": 24, "partition_window": [20.0, 70.0], "arrival_spacing": 4.0
+        }
+        assert fixed_point_ok(trace, replay_trace(trace))
+
+    @pytest.mark.parametrize(
+        "name, legacy_keys",
+        [
+            ("heavy_workload", {"n_sites", "n_items", "replication"}),
+            ("open_loop", {"n_sites", "n_items", "replication", "window"}),
+            ("wan_storm", {"n_regions", "sites_per_region", "n_items", "region_replication"}),
+        ],
+    )
+    def test_header_with_the_historical_param_keys_still_replays(self, name, legacy_keys):
+        lines = small_scenario_trace(name, "qtp1").to_lines()
+        assert legacy_keys <= set(lines[0]["params"])
+        lines[0] = dict(
+            lines[0], params={k: v for k, v in lines[0]["params"].items() if k in legacy_keys}
+        )
+        trace = RecordedTrace.from_lines(lines)
+        assert set(trace.params) == legacy_keys
+        assert fixed_point_ok(trace, replay_trace(trace))
+
+    def test_unregistered_driver_is_rejected_on_load(self):
+        lines = small_scenario_trace("workload", "qtp1").to_lines()
+        with pytest.raises(StoreError, match="unknown trace driver"):
+            RecordedTrace.from_lines([dict(lines[0], driver="no_such_scenario")] + lines[1:])
+
+    def test_trace_catalog_is_the_placement_before_the_run(self):
+        # the run's joins admit sites into the live catalog; the trace
+        # must carry what the run *started* from, or a replay would
+        # start from the end state
+        trace = small_scenario_trace("elastic_join", "qtp1")
+        joined = {a.site for a in trace.actions if isinstance(a, JoinSite)}
+        assert joined and not joined & set(trace.catalog.all_sites())
+
+    def test_ops_from_joined_sites_are_replayed_not_skipped(self):
+        trace = small_scenario_trace("elastic_join", "qtp1")
+        joined = {a.site for a in trace.actions if isinstance(a, JoinSite)}
+        assert any(op.origin in joined for op in trace.ops)
+        row = replay_trace(trace, TournamentConfig("as-2pc", protocol="2pc"))
+        assert row["skipped_ops"] == 0 and row["submitted"] == len(trace.ops)
+
+    def test_updates_only_stream_keeps_its_arrival_slots(self):
+        trace = small_scenario_trace("cross_region", "qtp1")
+        assert not trace.ops and len(trace.arrivals) == len(trace.updates) == 12
+        projected = trace.workload().project(trace.catalog, sites=range(1, 13))
+        assert projected.arrivals(None) == trace.arrivals
+        # dropping an update drops its slot with it
+        shrunk = trace.workload().project(derive_catalog(trace.catalog, drop_sites=3))
+        assert shrunk.skipped_ops > 0
+        assert len(shrunk.arrivals(None)) == len(shrunk) == 12 - shrunk.skipped_ops
+
+    def test_a_scenario_run_dies_by_refcount(self):
+        gc.collect()
+        gc.disable()
+        try:
+            run = run_scenario(SCENARIOS["elastic_join"](**SMALL_SHAPES["elastic_join"]), "qtp1", 1)
+            cluster = weakref.ref(run.cluster)
+            assert run.counters()["joins_applied"] == 3
+            del run
+            assert cluster() is None
+        finally:
+            gc.enable()
 
 
 class TestArtifact:

@@ -49,6 +49,47 @@ def test_import_repro_loads_nothing_third_party():
     assert done.stdout.strip() == "[]"
 
 
+def test_scenario_runner_sits_below_the_driver_layers():
+    """``run_scenario`` is what the drivers, the recorder, the replayer
+    and the bench trials stand on; it may import none of them."""
+    probe = (
+        "import sys, repro.traffic.scenario\n"
+        "layers = ('repro.experiments', 'repro.replay', 'repro.bench')\n"
+        "print(sorted(m for m in sys.modules if m.startswith(layers)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "first", ["repro.workload", "repro.workload.scenarios", "repro.traffic", "repro.traffic.scenario"]
+)
+def test_workload_and_scenario_modules_import_in_either_order(first):
+    """``repro.workload``'s package init imports the worked examples,
+    which import the scenario module — which therefore must not import
+    ``repro.workload`` back at module level.  Whichever of them a fresh
+    interpreter meets first, the import completes."""
+    probe = (
+        f"import {first}\n"
+        "from repro.workload import run_example1_scenario\n"
+        "from repro.workload.scenarios import run_wan_storm\n"
+        "from repro.traffic import Scenario, run_scenario"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 POOL_PROBE_MODULE = """
 import sys
 
