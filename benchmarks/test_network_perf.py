@@ -11,10 +11,11 @@ delivery time.  Two claims are pinned here:
   ``tests/property/test_prop_bench.py``);
 * the cached path is not slower than the per-message path.  The
   assertion is deliberately loose so a loaded CI machine cannot flake
-  the suite; ``BENCH_net_deliver_fanout.json`` records the cached
-  path's absolute time.
+  the suite; ``BENCH_net_deliver_fanout.json`` pins the cached path's
+  counters, not its time.
 """
 
+import time
 from unittest import mock
 
 import pytest
@@ -39,8 +40,7 @@ def test_fanout_storm_throughput(benchmark):
         rounds=3,
         iterations=1,
     )
-    counters = result["counters"]
-    assert counters["delivered"] > 0 and counters["dropped"] > 0
+    assert result["delivered"] > 0 and result["dropped"] > 0
 
 
 @pytest.mark.perf
@@ -51,11 +51,13 @@ def test_cached_fanout_not_slower_than_legacy():
     cached = []
     for _ in range(3):
         with mock.patch.object(cases, "Network", _SlowPathNetwork):
+            t0 = time.perf_counter()
             base = net_fanout_trial(1, n_sites=18, rounds=6)
+            slow.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
         fast = net_fanout_trial(1, n_sites=18, rounds=6)
-        assert base["counters"] == fast["counters"]
-        slow.append(base["timing"]["wall_s"])
-        cached.append(fast["timing"]["wall_s"])
+        cached.append(time.perf_counter() - t0)
+        assert base == fast
     assert min(cached) < min(slow) * 1.25, (
         f"epoch cache lost its edge: cached {min(cached):.3f}s "
         f"vs per-message {min(slow):.3f}s"

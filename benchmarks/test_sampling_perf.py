@@ -1,13 +1,13 @@
 """Zipf sampler hot-path performance.
 
-``BENCH_zipf_sampling`` commits the Walker alias table vs the O(n)
-cumulative scan at a ~10^5-item catalog (the scale the workload
-subsystem was built for; the scan is what made those catalogs
+``BENCH_zipf_sampling`` pins the counters of the Walker alias table
+and of the O(n) cumulative scan at a ~10^5-item catalog (the scale the
+workload subsystem was built for; the scan is what made those catalogs
 sampling-bound).
 
 Here the assertions are deliberately loose (the alias arm must never
 *lose*) so a loaded CI machine cannot flake the suite; the committed
-baseline records the actual speedup.  The large-catalog sweep is
+baseline records no time.  The large-catalog sweep is
 ``slow``-marked — the weekly scheduled suite runs it at full 10^5-item
 scale.
 """

@@ -1,8 +1,9 @@
 """Streaming sweep backend performance: memory stays flat in cell count.
 
-The committed ``BENCH_sweep_streaming.json`` baseline records the
-throughput (rows/sec) of the streaming pipeline at the 10^5-cell scale;
-here the assertions pin the *shape* of the win with noise-proof bounds:
+The committed ``BENCH_sweep_streaming.json`` baseline pins the
+streaming pipeline's counters at the 10^5-cell scale (its throughput is
+``benchmarks/e2e``'s ``sweep_stream``); here the assertions pin the
+*shape* of the win with noise-proof bounds:
 the classic keep-everything path allocates O(cells) — quadrupling the
 sweep roughly quadruples its peak heap — while the streaming paths
 (``reduce=`` partial folds, ``sink=JsonlSink``) hold a bounded window

@@ -4,8 +4,8 @@ The log answers the irrevocability check on every decision force, and
 every per-transaction query, from per-transaction indexes — a log that
 re-scanned its record list instead would be quadratic in run length
 for heavy traffic.  The committed ``BENCH_wal_append.json`` baseline
-records the replayed ``run_heavy_workload`` append time; this suite
-pins the shape with noise-proof assertions.
+pins the counters of the replayed ``run_heavy_workload`` appends; this
+suite pins the shape of their time with noise-proof assertions.
 """
 
 import time

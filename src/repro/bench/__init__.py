@@ -1,18 +1,15 @@
-"""Benchmark-regression subsystem — performance as a committed artifact.
+"""Benchmark-regression subsystem — behaviour as a committed artifact.
 
-The repo's performance memory lives in ``BENCH_<case>.json`` files at
-the repository root.  Each records, for one representative workload
-driven through the PR 1 sweep engine:
-
-* **deterministic counters** (messages sent/delivered, WAL records
-  forced, commits/aborts, scheduler events) — byte-stable per seed and
-  per worker count, compared *exactly* by ``bench diff``;
-* **wall-clock timing** with a :func:`~repro.experiments.stats.mean_ci`
-  interval — machine noise, compared only within a configurable ratio;
-* for the A/B microbenches (``zipf_sampling``, ``suite_warm_pool``,
-  ``catalog_memo``, ``sweep_streaming``, ``sweep_resume``), the
-  **paired wall-time ratio** of their two live code paths, so the
-  trade-off is pinned in-tree and regressions are visible in review.
+The repo's behaviour memory lives in ``BENCH_<case>.json`` files at the
+repository root.  Each records, for one representative workload driven
+through the PR 1 sweep engine, its **deterministic counters** (messages
+sent/delivered, WAL records forced, commits/aborts, scheduler events)
+— byte-stable per seed and per worker count, compared *exactly* by
+``bench diff``.  The two-arm cases (``zipf_sampling``,
+``sweep_streaming``, ``sweep_resume``) run two user-facing modes on the
+same seeds, so the file itself shows the arms agreeing (or, for
+``zipf_sampling``, each being deterministic).  Nothing here reads a
+clock or needs a third-party package: wall time is ``benchmarks/e2e``'s.
 
 Workflow::
 
@@ -25,7 +22,6 @@ See ``src/repro/bench/README.md`` for the baseline-update etiquette.
 
 from repro.bench.cases import default_suite
 from repro.bench.diff import (
-    DEFAULT_TIME_TOLERANCE,
     CaseDiff,
     compare_case,
     diff_against_baselines,
@@ -39,13 +35,11 @@ from repro.bench.suite import (
     BenchError,
     BenchSuite,
     BenchTimeout,
-    deterministic_payload,
     encode,
 )
 
 __all__ = [
     "BASELINE_PREFIX",
-    "DEFAULT_TIME_TOLERANCE",
     "SCHEMA_VERSION",
     "BaselineStore",
     "BenchCase",
@@ -55,7 +49,6 @@ __all__ = [
     "CaseDiff",
     "compare_case",
     "default_suite",
-    "deterministic_payload",
     "diff_against_baselines",
     "encode",
     "markdown_summary",

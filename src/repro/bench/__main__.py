@@ -6,23 +6,23 @@ Subcommands:
 * ``run``    — execute the suite and write fresh ``BENCH_*.json`` files
   to ``--out`` (CI uploads these as workflow artifacts).
 * ``diff``   — execute the suite and compare against the committed
-  baselines at ``--root``; ``--check`` exits non-zero on counter drift.
+  baselines at ``--root``; ``--check`` exits non-zero on counter drift
+  (or, without ``--case``, on a committed file no case owns).
 * ``update`` — rewrite the committed baselines (then commit the result;
-  the diff of the JSON is the reviewable performance record).
+  the diff of the JSON is the reviewable behaviour record).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any
 
-from repro.bench.cases import default_suite
+from repro.bench.cases import SCALES, default_suite
 from repro.bench.diff import (
-    DEFAULT_TIME_TOLERANCE,
     diff_against_baselines,
     diff_stored_payloads,
     markdown_summary,
+    orphan_baselines,
 )
 from repro.bench.suite import BaselineStore, BenchSuite
 from repro.engine.executor import SweepRunner
@@ -45,7 +45,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--scale",
-        choices=["full", "quick"],
+        choices=SCALES,
         default="full",
         help="workload scale (quick is for smoke runs; committed baselines "
         "are always full scale)",
@@ -91,13 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--root", default=".", help="directory of committed baselines (default: .)"
     )
     diff.add_argument(
-        "--time-tolerance",
-        type=float,
-        default=DEFAULT_TIME_TOLERANCE,
-        help="allowed wall-time ratio either way before a warning "
-        f"(default {DEFAULT_TIME_TOLERANCE:g}; <= 0 disables the time check)",
-    )
-    diff.add_argument(
         "--fresh",
         metavar="DIR",
         help="compare the BENCH_*.json already written to DIR by `run --out` "
@@ -110,14 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit non-zero on counter drift (the CI gate)",
     )
     diff.add_argument(
-        "--strict-time",
-        action="store_true",
-        help="escalate wall-time warnings to failures under --check",
-    )
-    diff.add_argument(
         "--summary",
         metavar="FILE",
-        help="append a markdown before/after table to FILE (CI passes "
+        help="append a markdown verdict table to FILE (CI passes "
         "$GITHUB_STEP_SUMMARY)",
     )
 
@@ -133,7 +121,7 @@ def _cmd_list(suite: BenchSuite) -> int:
     for case in suite:
         spec = case.spec
         grid = {k: list(v) for k, v in spec.grid.items()}
-        print(f"{case.name}: grid={grid} runs={spec.runs} repeats={case.repeats}")
+        print(f"{case.name}: grid={grid} runs={spec.runs}")
     return 0
 
 
@@ -165,58 +153,43 @@ def _cmd_run(suite: BenchSuite, args: argparse.Namespace) -> int:
             runner.close()
     for name, payload in payloads.items():
         path = store.save(payload)
-        print(f"{name}: wrote {path} ({_timing_note(payload)})")
+        print(f"{name}: wrote {path}")
     return 0
 
 
 def _cmd_diff(suite: BenchSuite, args: argparse.Namespace) -> int:
+    baselines = BaselineStore(args.root)
     if args.fresh:
         results = diff_stored_payloads(
-            BaselineStore(args.fresh),
-            BaselineStore(args.root),
-            names=args.cases or suite.names,
-            time_tolerance=args.time_tolerance,
+            BaselineStore(args.fresh), baselines, names=args.cases or suite.names
         )
     else:
         runner = _runner_for(args)
         try:
             results = diff_against_baselines(
                 suite,
-                BaselineStore(args.root),
+                baselines,
                 names=args.cases,
                 workers=args.workers,
-                time_tolerance=args.time_tolerance,
                 runner=runner,
                 timeout_s=_timeout_for(args),
             )
         finally:
             if runner is not None:
                 runner.close()
+    if not args.cases:
+        results += orphan_baselines(suite, baselines)
     if args.summary:
         with open(args.summary, "a") as fh:
             fh.write(markdown_summary(results))
-    counter_drift = False
-    time_failures = False
     for result in results:
         print(result.describe())
-        if result.speedup is not None:
-            print(f"  speedup: {result.speedup:.2f}x")
-        if result.errors:
-            counter_drift = True
-        if args.strict_time and result.warnings:
-            time_failures = True
-    if counter_drift:
-        print("bench diff: DRIFT — deterministic counters changed; either fix the")
-        print("regression or re-baseline with `python -m repro.bench update`.")
-    elif time_failures:
-        print("bench diff: wall-time drift beyond tolerance (--strict-time); the")
-        print("deterministic counters are clean — check machine load before")
-        print("touching the baselines.")
-    else:
+    if all(result.ok for result in results):
         print(f"bench diff: {len(results)} case(s) clean")
-    if counter_drift or time_failures:
-        return 1 if args.check else 0
-    return 0
+        return 0
+    print("bench diff: DRIFT — deterministic counters changed; either fix the")
+    print("regression or re-baseline with `python -m repro.bench update`.")
+    return 1 if args.check else 0
 
 
 def _cmd_update(suite: BenchSuite, args: argparse.Namespace) -> int:
@@ -234,19 +207,9 @@ def _cmd_update(suite: BenchSuite, args: argparse.Namespace) -> int:
             runner.close()
     for name, payload in payloads.items():
         path = store.save(payload)
-        print(f"{name}: baselined {path} ({_timing_note(payload)})")
+        print(f"{name}: baselined {path}")
     print("commit the rewritten BENCH_*.json files with your change.")
     return 0
-
-
-def _timing_note(payload: dict[str, Any]) -> str:
-    timing = payload.get("timing") or {}
-    mean = (timing.get("wall_s") or {}).get("mean")
-    note = f"wall {mean:.3f}s" if mean is not None else "untimed"
-    derived = timing.get("derived") or {}
-    if "speedup" in derived:
-        note += f", speedup {derived['speedup']:.2f}x"
-    return note
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,18 +1,12 @@
 """Comparing fresh bench runs against committed baselines.
 
-The contract mirrors the suite's split of every case into a
-deterministic part and a timing part:
-
-* **counters, spec, schema, row layout** — compared exactly.  Any
-  difference is a hard failure (:attr:`CaseDiff.errors`): either a
-  genuine regression (a protocol now sends more messages, a workload
-  commits fewer transactions) or an intentional change that must be
-  re-baselined with ``bench update`` and reviewed in the diff of the
-  committed ``BENCH_*.json``.
-* **wall time** — machine-dependent; the fresh mean is compared to the
-  committed mean within a configurable ratio and reported as a warning
-  (:attr:`CaseDiff.warnings`) when it strays outside.  Warnings never
-  fail ``--check`` unless ``--strict-time`` asks them to.
+Everything in a payload — counters, spec, schema, row layout — is
+deterministic and compared exactly.  Any difference is a hard failure
+(:attr:`CaseDiff.errors`): either a genuine regression (a protocol now
+sends more messages, a workload commits fewer transactions) or an
+intentional change that must be re-baselined with ``bench update`` and
+reviewed in the diff of the committed ``BENCH_*.json``.  So is a
+committed file that no registered case owns.
 """
 
 from __future__ import annotations
@@ -20,16 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from repro.bench.suite import (
-    BaselineStore,
-    BenchSuite,
-    deterministic_payload,
-)
+from repro.bench.suite import BaselineStore, BenchSuite
 from repro.common.errors import StoreError
-
-#: how far the fresh wall-time mean may stray from the committed one
-#: (in either direction) before a warning is raised.
-DEFAULT_TIME_TOLERANCE = 5.0
 
 #: cap on per-row mismatch listings so a wholesale drift stays readable.
 MAX_ROW_REPORTS = 12
@@ -41,11 +27,6 @@ class CaseDiff:
 
     case: str
     errors: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-    speedup: float | None = None
-    base_speedup: float | None = None
-    base_wall: float | None = None
-    fresh_wall: float | None = None
 
     @property
     def ok(self) -> bool:
@@ -57,50 +38,27 @@ class CaseDiff:
         status = "ok" if self.ok else "DRIFT"
         lines = [f"{self.case}: {status}"]
         lines.extend(f"  error: {e}" for e in self.errors)
-        lines.extend(f"  warning: {w}" for w in self.warnings)
         return "\n".join(lines)
 
 
-def compare_case(
-    baseline: dict[str, Any],
-    fresh: dict[str, Any],
-    time_tolerance: float = DEFAULT_TIME_TOLERANCE,
-) -> CaseDiff:
+def compare_case(baseline: dict[str, Any], fresh: dict[str, Any]) -> CaseDiff:
     """Compare one fresh payload against its committed baseline."""
     name = fresh.get("case", baseline.get("case", "?"))
     diff = CaseDiff(case=name)
-    base_det = deterministic_payload(baseline)
-    fresh_det = deterministic_payload(fresh)
-    if base_det.get("schema") != fresh_det.get("schema"):
+    if baseline.get("schema") != fresh.get("schema"):
         diff.errors.append(
-            f"schema mismatch: baseline {base_det.get('schema')!r} vs "
-            f"fresh {fresh_det.get('schema')!r} — regenerate with bench update"
+            f"schema mismatch: baseline {baseline.get('schema')!r} vs "
+            f"fresh {fresh.get('schema')!r} — regenerate with bench update"
         )
         return diff
-    if base_det.get("spec") != fresh_det.get("spec"):
+    if baseline.get("spec") != fresh.get("spec"):
         diff.errors.append(
             "sweep spec changed (grid/runs/seeding/task differ from the "
             "committed baseline) — re-baseline with bench update"
         )
         return diff
-    _compare_rows(diff, base_det.get("rows", []), fresh_det.get("rows", []))
-    _compare_timing(diff, baseline.get("timing"), fresh.get("timing"), time_tolerance)
-    diff.base_wall = _wall_mean(baseline.get("timing"))
-    diff.fresh_wall = _wall_mean(fresh.get("timing"))
-    derived = (fresh.get("timing") or {}).get("derived") or {}
-    if "speedup" in derived:
-        diff.speedup = derived["speedup"]
-    base_derived = (baseline.get("timing") or {}).get("derived") or {}
-    if "speedup" in base_derived:
-        diff.base_speedup = base_derived["speedup"]
+    _compare_rows(diff, baseline.get("rows", []), fresh.get("rows", []))
     return diff
-
-
-def _wall_mean(timing: dict[str, Any] | None) -> float | None:
-    """The mean wall time of a payload's timing block, if recorded."""
-    if not timing:
-        return None
-    return (timing.get("wall_s") or {}).get("mean")
 
 
 def _compare_rows(
@@ -144,34 +102,7 @@ def _cell_label(row: dict[str, Any]) -> str:
     return f"{cell or 'single cell'}, run {row.get('run')}"
 
 
-def _compare_timing(
-    diff: CaseDiff,
-    base_timing: dict[str, Any] | None,
-    fresh_timing: dict[str, Any] | None,
-    tolerance: float,
-) -> None:
-    """Ratio check on the mean wall time (noise-tolerant, warning only)."""
-    if tolerance <= 0 or not base_timing or not fresh_timing:
-        return
-    base_mean = (base_timing.get("wall_s") or {}).get("mean")
-    fresh_mean = (fresh_timing.get("wall_s") or {}).get("mean")
-    if not base_mean or not fresh_mean:
-        return
-    ratio = fresh_mean / base_mean
-    if ratio > tolerance or ratio < 1.0 / tolerance:
-        diff.warnings.append(
-            f"wall time {fresh_mean:.3f}s is {ratio:.2f}x the committed "
-            f"{base_mean:.3f}s (tolerance {tolerance:g}x) — investigate or "
-            "re-baseline"
-        )
-
-
-def _compare_to_baseline(
-    name: str,
-    fresh: dict[str, Any],
-    store: BaselineStore,
-    time_tolerance: float,
-) -> CaseDiff:
+def _compare_to_baseline(name: str, fresh: dict[str, Any], store: BaselineStore) -> CaseDiff:
     """Load one committed baseline and compare a fresh payload to it."""
     try:
         baseline = store.load(name)
@@ -185,7 +116,7 @@ def _compare_to_baseline(
         )
     except StoreError as exc:
         return CaseDiff(case=name, errors=[str(exc)])
-    return compare_case(baseline, fresh, time_tolerance)
+    return compare_case(baseline, fresh)
 
 
 def diff_against_baselines(
@@ -193,7 +124,6 @@ def diff_against_baselines(
     store: BaselineStore,
     names: Iterable[str] | None = None,
     workers: int = 1,
-    time_tolerance: float = DEFAULT_TIME_TOLERANCE,
     runner: Any | None = None,
     timeout_s: float | None = None,
 ) -> list[CaseDiff]:
@@ -209,47 +139,48 @@ def diff_against_baselines(
             name,
             suite.run_case(name, workers=workers, runner=runner, timeout_s=timeout_s),
             store,
-            time_tolerance,
         )
         for name in picked
     ]
 
 
+def orphan_baselines(suite: BenchSuite, store: BaselineStore) -> list[CaseDiff]:
+    """Committed baselines that no registered case owns, each an error.
+
+    A renamed or unregistered case leaves its ``BENCH_<old>.json``
+    behind, pinning nothing; a whole-suite ``bench diff`` reports it
+    instead of passing over it.
+    """
+    owned = set(suite.names)
+    return [
+        CaseDiff(
+            case=name,
+            errors=[
+                f"no registered case owns {store.path_for(name)} — delete it, "
+                "or register the case it pins"
+            ],
+        )
+        for name in store.known_cases()
+        if name not in owned
+    ]
+
+
 def markdown_summary(results: list[CaseDiff]) -> str:
-    """A before/after table of the diff, in GitHub-flavoured markdown.
+    """A verdict table of the diff, in GitHub-flavoured markdown.
 
     The CI bench job appends this to the Actions step summary: one row
-    per case with the counter verdict, the committed vs fresh wall
-    times, their ratio, and — for A/B cases — the committed and fresh
-    legacy/optimized speedups.
+    per case with the counter verdict and how many differences (drifted
+    counters, a changed spec, a missing baseline) were reported.
     """
     lines = [
         "### Benchmark diff",
         "",
-        "| case | counters | baseline wall (s) | fresh wall (s) | ratio | committed speedup | fresh speedup |",
-        "| --- | --- | ---: | ---: | ---: | ---: | ---: |",
+        "| case | counters | drifted |",
+        "| --- | --- | ---: |",
     ]
-
-    def fmt(value: float | None, suffix: str = "") -> str:
-        return f"{value:.3f}{suffix}" if value is not None else "—"
-
     for result in results:
-        ratio = (
-            result.fresh_wall / result.base_wall
-            if result.fresh_wall is not None and result.base_wall
-            else None
-        )
-        lines.append(
-            "| {case} | {verdict} | {base} | {fresh} | {ratio} | {base_sp} | {fresh_sp} |".format(
-                case=f"`{result.case}`",
-                verdict="ok" if result.ok else "**DRIFT**",
-                base=fmt(result.base_wall),
-                fresh=fmt(result.fresh_wall),
-                ratio=fmt(ratio, "x"),
-                base_sp=fmt(result.base_speedup, "x"),
-                fresh_sp=fmt(result.speedup, "x"),
-            )
-        )
+        verdict = "ok" if result.ok else "**DRIFT**"
+        lines.append(f"| `{result.case}` | {verdict} | {len(result.errors)} |")
     drifted = [r.case for r in results if not r.ok]
     lines.append("")
     if drifted:
@@ -265,7 +196,6 @@ def diff_stored_payloads(
     fresh_store: BaselineStore,
     baseline_store: BaselineStore,
     names: Iterable[str],
-    time_tolerance: float = DEFAULT_TIME_TOLERANCE,
 ) -> list[CaseDiff]:
     """Compare already-written fresh artifacts against the baselines.
 
@@ -291,5 +221,5 @@ def diff_stored_payloads(
         except StoreError as exc:
             out.append(CaseDiff(case=name, errors=[str(exc)]))
             continue
-        out.append(_compare_to_baseline(name, fresh, baseline_store, time_tolerance))
+        out.append(_compare_to_baseline(name, fresh, baseline_store))
     return out

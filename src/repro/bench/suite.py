@@ -1,35 +1,29 @@
 """Benchmark cases, the suite registry, and baseline artifacts.
 
-A :class:`BenchCase` wraps a :class:`~repro.engine.spec.SweepSpec`
-whose task functions return ``{"counters": {...}, "timing": {...}}``:
+A :class:`BenchCase` names a :class:`~repro.engine.spec.SweepSpec`
+whose task functions return their **counters**: a dict that is a pure
+function of the seed (messages sent/delivered, WAL records forced,
+commits/aborts, events run).  They are the regression gate: any drift
+against the committed baseline fails ``bench diff``.  Nothing here
+reads a clock — host time is measured by ``benchmarks/e2e`` alone.
 
-* ``counters`` are **deterministic** — a pure function of the seed
-  (messages sent/delivered, WAL records forced, commits/aborts, events
-  run).  They are the regression gate: any drift against the committed
-  baseline fails ``bench diff``.
-* ``timing`` rows are wall-clock floats — machine-dependent noise,
-  recorded for trend-reading and compared only within a configurable
-  ratio.
-
-:class:`BenchSuite` runs cases through the PR 1 sweep engine
-(:func:`~repro.engine.executor.run_sweep` — so the whole suite can fan
-out over workers, and counters are bit-identical at every worker
-count), re-runs each case ``repeats`` times for a
-:func:`~repro.experiments.stats.mean_ci` wall-time interval, and
-asserts that the deterministic rows agree across repeats.
+:class:`BenchSuite` runs a case's sweep once through the PR 1 sweep
+engine (:func:`~repro.engine.executor.run_sweep` — so the whole suite
+can fan out over workers, and counters are bit-identical at every
+worker count).
 
 :class:`BaselineStore` reads/writes the committed ``BENCH_<case>.json``
-files at the repo root, canonically encoded so the deterministic
-portion is byte-stable (the fixed-point property tests pin this).
+files at the repo root — ``{case, rows, schema, spec}``, canonically
+encoded so a file is byte-stable (the fixed-point property tests pin
+this).
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.common.errors import StoreError
 from repro.engine.executor import SweepOutcome, SweepRunner, run_sweep
@@ -44,7 +38,7 @@ BASELINE_PREFIX = "BENCH_"
 
 
 class BenchError(RuntimeError):
-    """A benchmark case misbehaved (nondeterminism, bad task contract)."""
+    """A benchmark case misbehaved (bad task contract, overrun)."""
 
 
 class BenchTimeout(BenchError):
@@ -101,75 +95,45 @@ class _CaseWatchdog:
 
 @dataclass(frozen=True)
 class BenchCase:
-    """One registered benchmark: a sweep plus timing policy.
+    """One registered benchmark: a named sweep.
 
     Args:
         name: case identifier; becomes ``BENCH_<name>.json``.
         spec: the deterministic workload.  Task functions must return
-            ``{"counters": dict, "timing": dict}`` (timing optional).
-        repeats: how many times the sweep is re-run for the wall-time
-            confidence interval (counters must agree across repeats).
-        derived: optional hook mapping the per-row timing list to extra
-            derived timing entries (e.g. a legacy/optimized speedup).
+            their counters as a dict.
     """
 
     name: str
     spec: SweepSpec
-    repeats: int = 3
-    derived: Callable[[list[dict[str, Any]]], dict[str, Any]] | None = None
 
     def __post_init__(self) -> None:
         bad = set(self.name) - set("abcdefghijklmnopqrstuvwxyz0123456789_-")
         if bad:
             raise ValueError(f"case name {self.name!r} has unsafe characters {sorted(bad)}")
-        if self.repeats < 1:
-            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
-
-
-def _split_value(case: str, value: Any) -> tuple[dict[str, Any], dict[str, Any]]:
-    """Validate the task contract and split counters from timing."""
-    if not isinstance(value, dict) or "counters" not in value:
-        raise BenchError(
-            f"case {case!r}: task must return {{'counters': ..., 'timing': ...}}, "
-            f"got {type(value).__name__}"
-        )
-    timing = value.get("timing", {})
-    return value["counters"], timing
 
 
 def deterministic_rows(case: str, outcome: SweepOutcome) -> list[dict[str, Any]]:
-    """The counter rows of an executed case sweep (JSON-safe)."""
+    """The counter rows of an executed case sweep (JSON-safe).
+
+    Raises:
+        BenchError: a task broke the contract (returned no dict).
+    """
     rows = []
     for result in outcome.results:
-        counters, _timing = _split_value(case, result.value)
+        if not isinstance(result.value, dict):
+            raise BenchError(
+                f"case {case!r}: task must return its counters as a dict, "
+                f"got {type(result.value).__name__}"
+            )
         rows.append(
             {
                 "params": jsonable(result.params),
                 "run": result.run,
                 "seed": result.seed,
-                "counters": jsonable(counters),
+                "counters": jsonable(result.value),
             }
         )
     return rows
-
-
-def timing_rows(case: str, outcome: SweepOutcome) -> list[dict[str, Any]]:
-    """The wall-clock rows of an executed case sweep (JSON-safe)."""
-    rows = []
-    for result in outcome.results:
-        _counters, timing = _split_value(case, result.value)
-        rows.append({"params": jsonable(result.params), "run": result.run, **jsonable(timing)})
-    return rows
-
-
-def deterministic_payload(payload: dict[str, Any]) -> dict[str, Any]:
-    """A baseline payload with the machine-dependent timing stripped.
-
-    This is the byte-stable portion: two runs of the same suite at any
-    worker count encode it identically, and ``bench diff`` compares
-    exactly this.
-    """
-    return {k: v for k, v in payload.items() if k != "timing"}
 
 
 def encode(payload: dict[str, Any]) -> str:
@@ -216,116 +180,65 @@ class BenchSuite:
         self,
         name: str,
         workers: int = 1,
-        measure_time: bool = True,
         runner: SweepRunner | None = None,
         timeout_s: float | None = None,
     ) -> dict[str, Any]:
-        """Execute one case; returns its full baseline payload.
+        """Execute one case's sweep once; returns its baseline payload.
 
-        With ``measure_time=False`` the sweep runs once and the payload
-        carries no ``timing`` key at all — that is the byte-stable form
-        the fixed-point property tests exercise.  With a ``runner``,
-        the case's sweeps execute on that persistent warm pool (and
-        ``workers`` is ignored in favour of the runner's) — counters
-        are identical either way.
+        With a ``runner``, the sweep executes on that persistent warm
+        pool (and ``workers`` is ignored in favour of the runner's) —
+        counters are identical either way.
 
-        ``timeout_s`` arms a soft per-case watchdog (covering *all*
-        repeats): on expiry the case fails fast as a
-        :class:`BenchTimeout` with every thread's stack dumped to
-        stderr, instead of silently eating the CI job's
+        ``timeout_s`` arms a soft per-case watchdog: on expiry the case
+        fails fast as a :class:`BenchTimeout` with every thread's stack
+        dumped to stderr, instead of silently eating the CI job's
         ``timeout-minutes``.
 
         Raises:
-            BenchError: when the deterministic rows differ between
-                repeats — a case leaking nondeterminism must fail loudly
-                rather than commit an unstable baseline.
+            BenchError: a task did not return its counters as a dict.
             BenchTimeout: the case overran ``timeout_s``.
         """
         case = self.case(name)
-        repeats = case.repeats if measure_time else 1
-        walls: list[float] = []
-        rows: list[dict[str, Any]] | None = None
-        t_rows: list[dict[str, Any]] = []
         watchdog = _CaseWatchdog(case.name, timeout_s)
         try:
             with watchdog:
-                for repeat in range(repeats):
-                    t0 = time.perf_counter()
-                    if runner is not None:
-                        outcome = runner.run_sweep(case.spec)
-                    else:
-                        outcome = run_sweep(case.spec, workers=workers)
-                    walls.append(time.perf_counter() - t0)
-                    fresh = deterministic_rows(case.name, outcome)
-                    if rows is None:
-                        rows = fresh
-                    elif rows != fresh:
-                        raise BenchError(
-                            f"case {case.name!r}: deterministic counters differ between "
-                            "repeats — the workload is leaking nondeterminism"
-                        )
-                    if measure_time:
-                        # every repeat contributes timing samples, so derived
-                        # numbers (the committed speedups) are not a single
-                        # last-repeat measurement
-                        for row in timing_rows(case.name, outcome):
-                            t_rows.append({**row, "repeat": repeat})
+                if runner is not None:
+                    outcome = runner.run_sweep(case.spec)
+                else:
+                    outcome = run_sweep(case.spec, workers=workers)
         except KeyboardInterrupt:
             if not watchdog.fired:
                 raise  # a real Ctrl-C, not the watchdog
             raise BenchTimeout(
                 f"case {case.name!r} overran its {timeout_s:g}s soft timeout "
-                f"({len(walls)}/{repeats} repeats finished; thread stacks were "
-                "dumped to stderr)"
+                "(thread stacks were dumped to stderr)"
             ) from None
-        payload: dict[str, Any] = {
+        return {
             "schema": SCHEMA_VERSION,
             "case": case.name,
             "spec": case.spec.summary(),
-            "rows": rows,
+            "rows": deterministic_rows(case.name, outcome),
         }
-        if measure_time:
-            payload["timing"] = {
-                "wall_s": _summarize(walls),
-                "rows": t_rows,
-                "derived": case.derived(t_rows) if case.derived is not None else {},
-            }
-        return payload
 
     def run(
         self,
         names: Iterable[str] | None = None,
         workers: int = 1,
-        measure_time: bool = True,
         runner: SweepRunner | None = None,
         timeout_s: float | None = None,
     ) -> dict[str, dict[str, Any]]:
         """Execute several cases (default: all), in registration order.
 
         Pass a :class:`~repro.engine.executor.SweepRunner` to run every
-        case's sweeps on one warm pool (the ``--persistent-pool`` CLI
-        mode): seventeen cases × three repeats then cost one pool, not 51.
+        case's sweep on one warm pool (the ``--persistent-pool`` CLI
+        mode): the whole suite then costs one pool, not one per case.
         ``timeout_s`` applies *per case*, not to the whole run.
         """
         picked = list(names) if names is not None else self.names
         return {
-            name: self.run_case(
-                name,
-                workers=workers,
-                measure_time=measure_time,
-                runner=runner,
-                timeout_s=timeout_s,
-            )
+            name: self.run_case(name, workers=workers, runner=runner, timeout_s=timeout_s)
             for name in picked
         }
-
-
-def _summarize(walls: list[float]) -> dict[str, Any]:
-    """Mean and t-interval of the repeat wall times (stats.mean_ci)."""
-    from repro.experiments.stats import mean_ci
-
-    ci = mean_ci(walls)
-    return {"mean": ci.mean, "low": ci.low, "high": ci.high, "n": ci.n}
 
 
 class BaselineStore:

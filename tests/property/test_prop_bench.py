@@ -16,7 +16,7 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from repro.bench import cases, compare_case, default_suite, deterministic_payload, encode
+from repro.bench import cases, compare_case, default_suite, encode
 from repro.bench.cases import (
     catalog_memo_trial,
     lock_probe_trial,
@@ -32,6 +32,7 @@ from repro.bench.cases import (
     zipf_sampling_trial,
 )
 from repro.concurrency.locks import LockManager
+from repro.engine.executor import run_sweep
 from repro.net.network import Network
 from repro.net.partitions import PartitionView
 from repro.sim.trace import TraceRecord
@@ -67,8 +68,7 @@ QUICK_CASES = [
 
 
 def _payload_bytes(suite, name, workers=1):
-    payload = suite.run_case(name, workers=workers, measure_time=False)
-    return encode(deterministic_payload(payload))
+    return encode(suite.run_case(name, workers=workers))
 
 
 class TestFixedPoint:
@@ -82,8 +82,8 @@ class TestFixedPoint:
     def test_diff_of_two_runs_is_clean(self):
         suite = default_suite("quick")
         for name in QUICK_CASES:
-            baseline = suite.run_case(name, measure_time=False)
-            fresh = suite.run_case(name, measure_time=False)
+            baseline = suite.run_case(name)
+            fresh = suite.run_case(name)
             verdict = compare_case(baseline, fresh)
             assert verdict.ok, f"{name}: {verdict.errors}"
 
@@ -160,6 +160,23 @@ class _ListTracer:
         return dict(Counter(r.detail["mtype"] for r in self.where(category="send")))
 
 
+class _PoolPerSweepRunner:
+    """Reference: a process pool created and torn down inside every
+    ``run_sweep`` call, behind the ``SweepRunner`` surface the trial uses."""
+
+    def __init__(self, workers):
+        self.workers = workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+    def run_sweep(self, spec):
+        return run_sweep(spec, workers=self.workers)
+
+
 def _scan_replay(wal, store):
     """Reference recovery: every ``apply`` record, in LSN order."""
     installs = 0
@@ -182,12 +199,12 @@ class TestABCountersAgree:
         with mock.patch.object(cases, "Network", _SlowPathNetwork):
             slow = net_fanout_trial(seed, n_sites=9, rounds=2)
         cached = net_fanout_trial(seed, n_sites=9, rounds=2)
-        assert slow["counters"] == cached["counters"]
+        assert slow == cached
 
     @given(st.integers(0, 2**20))
     @settings(max_examples=5, deadline=None)
     def test_wal_replay_counters_identical_except_flushes(self, seed):
-        counters = wal_append_trial(seed, n_txns=12, n_sites=5, replays=1)["counters"]
+        counters = wal_append_trial(seed, n_txns=12, n_sites=5)
         kinds = {k[len("kind_") :]: v for k, v in counters.items() if k.startswith("kind_")}
         assert counters["forced"] == sum(kinds.values())
         # group commit: one flush per record the protocol answers on —
@@ -201,7 +218,7 @@ class TestABCountersAgree:
         with mock.patch.object(cases, "Tracer", _ListTracer):
             naive = trace_record_trial(seed, n_events=600, queries=12)
         columnar = trace_record_trial(seed, n_events=600, queries=12)
-        assert naive["counters"] == columnar["counters"]
+        assert naive == columnar
 
     @given(st.integers(0, 2**20))
     @settings(max_examples=10, deadline=None)
@@ -209,14 +226,15 @@ class TestABCountersAgree:
         with mock.patch.object(cases, "Network", _FreshViewNetwork):
             fresh = partition_churn_trial(seed, n_sites=10, rounds=4)
         interned = partition_churn_trial(seed, n_sites=10, rounds=4)
-        assert fresh["counters"] == interned["counters"]
+        assert fresh == interned
 
     @given(st.integers(0, 2**10))
     @settings(max_examples=3, deadline=None)
     def test_warm_pool_counters_identical_across_executors(self, seed):
-        cold = suite_warm_pool_trial(seed, warm=False, n_sweeps=2, runs_per_sweep=2)
-        warm = suite_warm_pool_trial(seed, warm=True, n_sweeps=2, runs_per_sweep=2)
-        assert cold["counters"] == warm["counters"]
+        with mock.patch.object(cases, "SweepRunner", _PoolPerSweepRunner):
+            cold = suite_warm_pool_trial(seed, n_sweeps=2, runs_per_sweep=2)
+        warm = suite_warm_pool_trial(seed, n_sweeps=2, runs_per_sweep=2)
+        assert cold == warm
 
     @given(st.integers(0, 2**20))
     @settings(max_examples=10, deadline=None)
@@ -224,28 +242,33 @@ class TestABCountersAgree:
         with mock.patch.object(cases, "Network", _SlowPathNetwork):
             messages = net_fanout_flyweight_trial(seed, n_sites=8, rounds=2)
         stamped = net_fanout_flyweight_trial(seed, n_sites=8, rounds=2)
-        assert messages["counters"] == stamped["counters"]
+        assert messages == stamped
 
     @given(st.integers(0, 2**20))
     @settings(max_examples=5, deadline=None)
     def test_recovery_replay_stores_identical_across_modes(self, seed):
         with mock.patch("repro.storage.recovery.replay_data", _scan_replay):
-            scan = recovery_replay_trial(seed, n_txns=24, replays=1)
-        indexed = recovery_replay_trial(seed, n_txns=24, replays=1)
+            scan = recovery_replay_trial(seed, n_txns=24)
+        indexed = recovery_replay_trial(seed, n_txns=24)
         # install counts legitimately differ (version ladder vs newest),
         # but the replayed store state and the log shape must agree
         for key in ("wal_records_1x", "wal_records_4x", "store_checksum_1x", "store_checksum_4x"):
-            assert scan["counters"][key] == indexed["counters"][key], key
-        assert indexed["counters"]["installed_1x"] <= scan["counters"]["installed_1x"]
+            assert scan[key] == indexed[key], key
+        assert indexed["installed_1x"] <= scan["installed_1x"]
 
     @given(st.integers(0, 2**20))
     @settings(max_examples=5, deadline=None)
     def test_catalog_memo_counters_identical_across_modes(self, seed):
-        rebuilt = catalog_memo_trial(seed, memo=False, reuses=3)
-        memoized = catalog_memo_trial(seed, memo=True, reuses=3)
+        # reference: no memo at all, a fresh build per cell (the trial
+        # imports the name inside the function, so patch the source)
+        with mock.patch(
+            "repro.workload.generators.memoized_catalog", lambda rng, key, build: build(rng)
+        ):
+            rebuilt = catalog_memo_trial(seed, reuses=3)
+        memoized = catalog_memo_trial(seed, reuses=3)
         # probe_sum pins the post-build RNG stream: state-capture hits
         # must leave the caller's draws bit-identical to a rebuild
-        assert rebuilt["counters"] == memoized["counters"]
+        assert rebuilt == memoized
 
     @given(st.integers(0, 2**20))
     @settings(max_examples=5, deadline=None)
@@ -255,7 +278,7 @@ class TestABCountersAgree:
         # accumulate-then-aggregate path
         memory = sweep_streaming_trial(seed, streaming=False, n_cells=80, n_items=60)
         streaming = sweep_streaming_trial(seed, streaming=True, n_cells=80, n_items=60)
-        assert memory["counters"] == streaming["counters"]
+        assert memory == streaming
 
     @given(st.integers(0, 2**20))
     @settings(max_examples=5, deadline=None)
@@ -265,9 +288,9 @@ class TestABCountersAgree:
         # counters), with zero retries and zero quarantined cells
         plain = sweep_resume_trial(seed, resilient=False, n_cells=60, n_items=40)
         resilient = sweep_resume_trial(seed, resilient=True, n_cells=60, n_items=40)
-        assert plain["counters"] == resilient["counters"]
-        assert resilient["counters"]["retried"] == 0
-        assert resilient["counters"]["quarantined"] == 0
+        assert plain == resilient
+        assert resilient["retried"] == 0
+        assert resilient["quarantined"] == 0
 
     @given(st.integers(0, 2**20))
     @settings(max_examples=10, deadline=None)
@@ -277,7 +300,7 @@ class TestABCountersAgree:
         with mock.patch.object(cases, "LockManager", _ScanLockManager):
             scanned = lock_probe_trial(seed, n_readers=20, probes=200)
         tracked = lock_probe_trial(seed, n_readers=20, probes=200)
-        assert scanned["counters"] == tracked["counters"]
+        assert scanned == tracked
 
     @given(st.integers(0, 2**20))
     @settings(max_examples=5, deadline=None)
@@ -288,4 +311,4 @@ class TestABCountersAgree:
         for alias in (False, True):
             first = zipf_sampling_trial(seed, alias=alias, n_items=300, draws=40, fp_draws=8)
             second = zipf_sampling_trial(seed, alias=alias, n_items=300, draws=40, fp_draws=8)
-            assert first["counters"] == second["counters"]
+            assert first == second

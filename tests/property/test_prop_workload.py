@@ -28,11 +28,7 @@ SCENARIO_SWEEPS = [
 
 
 def _artifact(task, grid, fixed, base_seed, workers):
-    """Canonical bytes of the sweep's deterministic portion.
-
-    The trials time themselves (``timing.wall_s``), so the comparison
-    strips that and keeps exactly what ``bench diff`` gates on.
-    """
+    """Canonical bytes of the sweep: exactly what ``bench diff`` gates on."""
     spec = SweepSpec(
         "workload-equiv",
         task,
@@ -49,7 +45,7 @@ def _artifact(task, grid, fixed, base_seed, workers):
             "params": r.params,
             "run": r.run,
             "seed": r.seed,
-            "counters": r.value["counters"],
+            "counters": r.value,
         }
         for r in outcome.results
     ]
@@ -70,7 +66,7 @@ class TestScenarioSweepDeterminism:
             protocol = grid["protocol"][0]
             first = task(7, protocol=protocol, **fixed)
             second = task(7, protocol=protocol, **fixed)
-            assert first["counters"] == second["counters"], task.__name__
+            assert first == second, task.__name__
 
 
 class TestSamplerDistributions:

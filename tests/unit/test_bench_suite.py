@@ -1,6 +1,8 @@
 """Unit tests for the bench suite registry, baselines and differ."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -12,23 +14,23 @@ from repro.bench import (
     BenchSuite,
     compare_case,
     default_suite,
-    deterministic_payload,
     encode,
 )
+from repro.bench.__main__ import main
+from repro.bench.diff import orphan_baselines
 from repro.common.errors import StoreError
 from repro.engine.spec import SweepSpec
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 def counting_task(seed: int, scale: int = 1) -> dict:
     """Deterministic toy task obeying the bench contract."""
-    return {
-        "counters": {"value": (seed % 97) * scale, "scale": scale},
-        "timing": {"wall_s": 0.001},
-    }
+    return {"value": (seed % 97) * scale, "scale": scale}
 
 
 def bad_task(seed: int) -> int:
-    """Violates the contract: no counters dict."""
+    """Violates the contract: counters must be a dict."""
     return seed
 
 
@@ -37,7 +39,7 @@ def sleepy_task(seed: int) -> dict:
     import time
 
     time.sleep(0.4)
-    return {"counters": {"v": seed}, "timing": {"wall_s": 0.001}}
+    return {"v": seed}
 
 
 def tiny_case(name="toy", runs=2, task=counting_task, grid=None):
@@ -46,7 +48,6 @@ def tiny_case(name="toy", runs=2, task=counting_task, grid=None):
     return BenchCase(
         name=name,
         spec=SweepSpec(name=f"bench-{name}", task=task, grid=grid, runs=runs),
-        repeats=2,
     )
 
 
@@ -54,18 +55,11 @@ class TestSuite:
     def test_run_case_payload_shape(self):
         suite = BenchSuite([tiny_case()])
         payload = suite.run_case("toy")
+        assert set(payload) == {"schema", "case", "spec", "rows"}
         assert payload["schema"] == SCHEMA_VERSION
         assert payload["case"] == "toy"
         assert len(payload["rows"]) == 4  # 2 cells x 2 runs
-        assert all("counters" in row for row in payload["rows"])
-        wall = payload["timing"]["wall_s"]
-        assert wall["n"] == 2 and wall["low"] <= wall["mean"] <= wall["high"]
-
-    def test_measure_time_false_strips_timing(self):
-        suite = BenchSuite([tiny_case()])
-        payload = suite.run_case("toy", measure_time=False)
-        assert "timing" not in payload
-        assert deterministic_payload(payload) == payload
+        assert all(set(row["counters"]) == {"value", "scale"} for row in payload["rows"])
 
     def test_bad_task_contract_raises(self):
         suite = BenchSuite([tiny_case(task=bad_task, grid={})])
@@ -127,14 +121,14 @@ class TestSoftTimeout:
 
     def test_fast_case_is_untouched_by_the_watchdog(self):
         suite = BenchSuite([tiny_case()])
-        with_watchdog = suite.run_case("toy", timeout_s=60.0, measure_time=False)
-        without = suite.run_case("toy", measure_time=False)
+        with_watchdog = suite.run_case("toy", timeout_s=60.0)
+        without = suite.run_case("toy")
         assert with_watchdog == without
 
     def test_zero_and_none_disable_the_watchdog(self):
         suite = BenchSuite([tiny_case()])
-        assert suite.run_case("toy", timeout_s=0, measure_time=False)["case"] == "toy"
-        assert suite.run_case("toy", timeout_s=None, measure_time=False)["case"] == "toy"
+        assert suite.run_case("toy", timeout_s=0)["case"] == "toy"
+        assert suite.run_case("toy", timeout_s=None)["case"] == "toy"
 
 
 class TestBaselineStore:
@@ -160,6 +154,47 @@ class TestBaselineStore:
             BaselineStore(tmp_path).load("toy")
 
 
+class TestCommittedBaselines:
+    """The 26 files at the repo root, read but never re-run (milliseconds)."""
+
+    def test_every_file_is_counter_only_canonical_and_owned_by_the_registry(self):
+        suite = default_suite("full")
+        store = BaselineStore(REPO)
+        assert store.known_cases() == sorted(suite.names)
+        for case in suite:
+            text = store.path_for(case.name).read_text()
+            payload = json.loads(text)
+            assert set(payload) == {"case", "rows", "schema", "spec"}, case.name
+            assert encode(payload) == text, f"{case.name}: not canonical — hand-edited?"
+            assert payload["case"] == case.name
+            # a registry edit shipped without `bench update` stops here
+            assert payload["spec"] == case.spec.summary(), case.name
+
+
+class TestOrphanBaselines:
+    def test_a_file_no_case_owns_is_an_error(self, tmp_path):
+        suite = BenchSuite([tiny_case()])
+        store = BaselineStore(tmp_path)
+        payload = suite.run_case("toy")
+        store.save(payload)
+        assert orphan_baselines(suite, store) == []
+        store.save({**payload, "case": "renamed_away"})
+        (orphan,) = orphan_baselines(suite, store)
+        assert orphan.case == "renamed_away" and not orphan.ok
+        assert "no registered case owns" in orphan.errors[0]
+
+    def test_whole_suite_diff_fails_on_an_orphan_and_a_named_case_does_not(self, tmp_path, capsys):
+        # the committed files stand in for a fresh run, so no sweep executes
+        for path in REPO.glob("BENCH_*.json"):
+            shutil.copy(path, tmp_path)
+        diff = ["diff", "--check", "--fresh", str(REPO), "--root", str(tmp_path)]
+        assert main(diff) == 0
+        shutil.copy(tmp_path / "BENCH_commit_mix.json", tmp_path / "BENCH_ghost.json")
+        assert main(diff) == 1
+        assert "no registered case owns" in capsys.readouterr().out
+        assert main([*diff, "--case", "commit_mix"]) == 0
+
+
 class TestCompare:
     def _payload(self, **overrides):
         suite = BenchSuite([tiny_case()])
@@ -171,7 +206,7 @@ class TestCompare:
         base = self._payload()
         fresh = json.loads(encode(base))
         verdict = compare_case(base, fresh)
-        assert verdict.ok and not verdict.warnings
+        assert verdict.ok
 
     def test_counter_drift_is_a_hard_error(self):
         base = self._payload()
@@ -201,25 +236,3 @@ class TestCompare:
         fresh["schema"] = SCHEMA_VERSION + 1
         verdict = compare_case(base, fresh)
         assert any("schema mismatch" in e for e in verdict.errors)
-
-    def test_wall_time_noise_within_tolerance_is_silent(self):
-        base = self._payload()
-        fresh = json.loads(encode(base))
-        fresh["timing"]["wall_s"]["mean"] = base["timing"]["wall_s"]["mean"] * 2.0
-        verdict = compare_case(base, fresh, time_tolerance=5.0)
-        assert verdict.ok and not verdict.warnings
-
-    def test_wall_time_blowup_warns_but_does_not_fail(self):
-        base = self._payload()
-        fresh = json.loads(encode(base))
-        fresh["timing"]["wall_s"]["mean"] = base["timing"]["wall_s"]["mean"] * 50.0
-        verdict = compare_case(base, fresh, time_tolerance=5.0)
-        assert verdict.ok
-        assert any("wall time" in w for w in verdict.warnings)
-
-    def test_speedup_surfaces_from_derived_timing(self):
-        base = self._payload()
-        fresh = json.loads(encode(base))
-        fresh["timing"]["derived"] = {"speedup": 1.8}
-        verdict = compare_case(base, fresh)
-        assert verdict.speedup == 1.8

@@ -19,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[2] / "src"
+REPO = Path(__file__).resolve().parents[2]
+SRC = REPO / "src"
 BANNED = {
     # docs included: `git grep` for these under src/ must stay empty
     "collector-knobs": re.compile(r"\bgc\.(?:disable|freeze|set_threshold|collect)\b"),
@@ -47,6 +48,37 @@ def test_import_repro_loads_nothing_third_party():
         check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+BENCH_WITHOUT_EXTRAS = """
+import sys
+
+class Blocked:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in ("numpy", "scipy", "networkx"):
+            raise ModuleNotFoundError(f"No module named {name!r} (blocked by the test)")
+
+sys.meta_path.insert(0, Blocked())
+from repro.bench.__main__ import main
+
+sys.exit(main(["diff", "--check", "--case", "scheduler_drain", "--case", "commit_mix"]))
+"""
+
+
+def test_bench_gate_runs_on_the_standard_library_alone():
+    """``pyproject.toml`` declares the bench standard-library only: the
+    gate must run two real cases against their committed baselines with
+    every extra unimportable."""
+    done = subprocess.run(
+        [sys.executable, "-c", BENCH_WITHOUT_EXTRAS],
+        env={"PYTHONPATH": str(SRC)},
+        cwd=REPO,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "bench diff: 2 case(s) clean" in done.stdout
 
 
 def test_scenario_runner_sits_below_the_driver_layers():

@@ -8,10 +8,19 @@ those concepts again.
 
 The retired names are spelled in two pieces (``_kw``) so that a
 repo-wide grep for them keeps coming back empty.
+
+The bench gate's clock is retired the same way: host time has one
+owner (``benchmarks/e2e``), so nothing under ``src/repro/bench/`` may
+read a clock or spell a timing field, and the keywords that existed to
+serve the clock — or to select a slow arm nobody runs — are rejected.
 """
+
+import re
+from pathlib import Path
 
 import pytest
 
+from repro.bench import BenchCase, BenchSuite, cases, compare_case
 from repro.bench.cases import default_suite
 from repro.concurrency.locks import LockManager
 from repro.net.network import Network
@@ -21,6 +30,9 @@ from repro.sim.trace import Tracer
 from repro.storage.recovery import replay_data
 from repro.storage.store import ReplicaStore
 from repro.storage.wal import WriteAheadLog
+
+BENCH_SRC = Path(cases.__file__).parent
+TOY_SPEC = default_suite("quick").case("scheduler_drain").spec
 
 
 def _kw(head: str, tail: str, value: bool) -> dict[str, bool]:
@@ -41,6 +53,15 @@ RETIRED_KEYWORDS = {
         WriteAheadLog(1), ReplicaStore(1), **_kw("full", "scan", True)
     ),
     "LockManager-legacy-probe": lambda: LockManager(1, **_kw("legacy", "probe", True)),
+    "BenchCase-repeats": lambda: BenchCase("toy", TOY_SPEC, repeats=3),
+    "BenchCase-derived": lambda: BenchCase("toy", TOY_SPEC, derived=None),
+    "run_case-measure-time": lambda: BenchSuite().run_case("toy", measure_time=False),
+    "run-measure-time": lambda: BenchSuite().run(measure_time=False),
+    "compare_case-time-tolerance": lambda: compare_case({}, {}, time_tolerance=5.0),
+    "catalog_memo_trial-memo": lambda: cases.catalog_memo_trial(0, memo=True),
+    "suite_warm_pool_trial-warm": lambda: cases.suite_warm_pool_trial(0, warm=True),
+    "recovery_replay_trial-replays": lambda: cases.recovery_replay_trial(0, replays=1),
+    "wal_append_trial-replays": lambda: cases.wal_append_trial(0, replays=1),
 }
 
 
@@ -52,5 +73,30 @@ def test_retired_keyword_is_rejected(call):
 
 def test_no_bench_case_selects_a_retired_arm():
     retired_axes = {"tracked", "cached", "grouped", "columnar", "intern", "flyweight", "indexed"}
+    retired_axes |= {"memo", "warm"}
     for case in default_suite():
         assert not retired_axes & set(case.spec.grid), case.name
+
+
+#: what only the gate's own clock ever needed (the soft-timeout watchdog
+#: is a ``threading.Timer``; bare ``derived`` is a seeding mode and stays).
+CLOCK_WORDS = re.compile(
+    r"perf_counter|import time|\"timing\"|wall_s|measure_time|time_tolerance|strict_time"
+    r"|repeats=|derived=|mean_ci|experiments\.stats"
+)
+
+
+def test_the_bench_gate_reads_no_clock():
+    files = sorted(BENCH_SRC.glob("*.py"))
+    assert {p.name for p in files} >= {"cases.py", "suite.py", "diff.py", "__main__.py"}
+    hits = {p.name: sorted(set(CLOCK_WORDS.findall(p.read_text()))) for p in files}
+    assert {name: found for name, found in hits.items() if found} == {}
+
+
+@pytest.mark.parametrize("flag", ["--time-tolerance", "--strict-time"])
+def test_retired_cli_flag_is_rejected(flag, capsys):
+    from repro.bench.__main__ import build_parser
+
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["diff", flag, "25"])
+    assert "unrecognized arguments" in capsys.readouterr().err
