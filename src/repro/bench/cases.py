@@ -85,9 +85,9 @@ Representative workloads covered:
   streaming ``TeeSink(JsonlSink, ReducerSink)`` pipeline over one
   :class:`~repro.engine.shared.SharedPayload` catalog.  Counters (row
   digest + exact aggregates) are byte-identical across arms.
-* ``sweep_resume`` — A/B microbench of the same streaming sweep, plain
-  vs the fault-free resilient (``on_error="retry"``) path; the artifact
-  SHA in the counters is identical across arms.
+* ``sweep_resume`` — the same streaming sweep with and without a retry
+  policy (``on_error="retry"``, zero faults injected); the artifact SHA
+  in the counters is identical across arms.
 """
 
 from __future__ import annotations
@@ -1043,15 +1043,14 @@ def sweep_resume_trial(
     n_cells: int = 1_000,
     n_items: int = 200,
 ) -> dict[str, Any]:
-    """A/B of the plain streaming sweep vs the fault-free resilient path.
+    """The same streaming sweep with and without a retry policy.
 
-    Both arms run the same probe sweep into a ``JsonlSink`` artifact;
-    ``resilient=True`` routes through ``run_sweep(on_error="retry")`` —
-    the crash-recovering backend (guarded chunks over a respawnable
-    pool, parent-side retry settle) with **zero faults injected**.  The
-    committed counters include a truncated SHA-256 of the artifact
-    bytes, so the baseline itself proves the resilient path writes the
-    exact bytes the plain path writes.
+    Both arms run the same probe sweep into a ``JsonlSink`` artifact
+    through the engine's one loop; they differ only by the policy
+    handed to it — ``resilient=True`` passes ``on_error="retry"``, with
+    **zero faults injected**.  The committed counters include a
+    truncated SHA-256 of the artifact bytes, so the baseline itself
+    proves a policy that never fires changes no byte.
     """
     import hashlib
     import tempfile

@@ -10,10 +10,9 @@ ad-hoc ``for`` loops into one engine:
 * :class:`~repro.engine.spec.RunTask` — one (cell, run) unit of work
   carrying a seed derived deterministically from the spec, never from
   execution order.
-* :func:`~repro.engine.executor.run_sweep` — a ``multiprocessing``
-  executor with chunked batching and a serial fallback; results come
-  back in task order, so output is **bit-identical at every worker
-  count**.
+* :func:`~repro.engine.executor.run_sweep` — a process-pool executor
+  with chunked batching and a serial fallback; results come back in
+  task order, so output is **bit-identical at every worker count**.
 * :class:`~repro.engine.executor.SweepRunner` — the persistent-pool
   executor: one warm worker pool (pre-imported simulator stack,
   :func:`~repro.engine.executor.worker_cache` for shared catalogs)
@@ -97,7 +96,6 @@ from repro.engine.resilience import (
     TaskFailure,
     WorkerCrashError,
     resolve_policy,
-    run_resilient,
 )
 from repro.engine.shared import SharedPayload
 from repro.engine.sink import (
@@ -188,7 +186,6 @@ __all__ = [
     "merge_digests",
     "resolve_policy",
     "row_digest",
-    "run_resilient",
     "run_sweep",
     "scan_partial_stream",
     "shared_runner",

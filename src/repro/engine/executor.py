@@ -8,7 +8,7 @@ batch them onto workers in any layout.  Results are always returned in
 task-index order, so a sweep's output is bit-identical at every worker
 count — a property the suite's property tests pin down.
 
-Two pool modes exist:
+Two pool modes exist, one loop runs on both:
 
 * the default creates a pool per :func:`run_sweep` call — simple, and
   fine when one sweep dominates the session;
@@ -21,15 +21,18 @@ Two pool modes exist:
   hold no per-task state, only imported modules and
   :func:`worker_cache` entries that are pure functions of their keys.
 
-Both go through one dispatch body (:func:`_dispatch`), told only which
-pool to use.  On the streaming paths (``sink=`` / ``reduce=``) the unit
-of work is a **chunk** of at most :data:`MAX_CHUNK_ROWS` consecutive
-tasks: :func:`~repro.engine.sink.fold_chunk` executes it where the pool
-put it (in this process when there is no pool) and folds its rows into
-the pieces the sink tree asked for, and one loop (:func:`_stream`)
-hands the folded chunks to the sink in task order.  For a sink that
-takes its rows folded, no row crosses the process boundary: the parent
-orders chunks, writes their bytes and merges their partials.
+The pool is a ``concurrent.futures.ProcessPoolExecutor`` either way,
+and every sweep — keep-every-row, ``sink=``, ``reduce=``, with or
+without ``on_error=`` / ``resume_from=`` — is one call of
+:func:`_stream`.  The unit of work is a **chunk** of at most
+:data:`MAX_CHUNK_ROWS` consecutive tasks:
+:func:`~repro.engine.sink.fold_chunk` executes it where the pool put it
+(in this process when there is no pool), settles its retries there and
+folds its rows into the pieces the sink tree asked for; one generator
+(:func:`_folded_chunks`) submits chunks within a bounded window, hands
+them back in task order and replaces a pool that lost a worker.  For a
+sink that takes its rows folded, no row crosses the process boundary:
+the parent orders chunks, writes their bytes and merges their partials.
 """
 
 from __future__ import annotations
@@ -37,12 +40,22 @@ from __future__ import annotations
 import atexit
 import functools
 import os
-from contextlib import contextmanager, nullcontext
+from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, ContextManager, Iterable, Iterator
+from itertools import islice
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
-from repro.engine.resilience import resolve_policy, run_resilient
-from repro.engine.sink import LIVE_RESULTS, CellFoldSink, ReducerSink, TeeSink, fold_chunk
+from repro.engine.resilience import RetryPolicy, WorkerCrashError, resolve_policy, salvage
+from repro.engine.sink import (
+    LIVE_RESULTS,
+    CellFoldSink,
+    FoldedChunk,
+    JsonlSink,
+    MemorySink,
+    ReducerSink,
+    TeeSink,
+    fold_chunk,
+)
 from repro.engine.spec import RunResult, RunTask, SweepSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -56,11 +69,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: chunks short enough that the parent's gzip of one overlaps the
 #: workers' fold of the next.
 MAX_CHUNK_ROWS = 256
-
-
-def _execute_task(task: RunTask) -> RunResult:
-    """Top-level trampoline so tasks pickle into pool workers."""
-    return task.execute()
 
 
 def default_workers() -> int:
@@ -125,7 +133,7 @@ def clear_worker_cache() -> None:
 
 
 def _warm_worker() -> None:
-    """Pool initializer: pre-import the simulator stack.
+    """Pre-import the simulator stack.
 
     A cold worker pays these imports lazily inside its first task; a
     spawned (non-fork) worker pays them per *pool*.  Importing them in
@@ -138,11 +146,38 @@ def _warm_worker() -> None:
     import repro.workload.scenarios  # noqa: F401
 
 
-#: exceptions meaning "this environment cannot create that pool" — the
-#: serial fallback covers them; anything else is a real bug and raises.
-#: AssertionError is multiprocessing's daemonic-children refusal, hit
-#: when a bench task running *inside* a pool worker opens its own pool.
-_POOL_UNAVAILABLE = (ImportError, OSError, PermissionError, AssertionError)
+#: set in every pool worker: a sweep issued from inside one runs serially
+#: (executor workers are not daemonic, so nothing else would stop a
+#: bench task that opens its own runner from forking grandchildren).
+_IN_WORKER = False
+
+
+def _init_worker(warm: bool) -> None:
+    """Pool initializer: mark the process, and warm it on a warm pool."""
+    global _IN_WORKER
+    _IN_WORKER = True
+    if warm:
+        _warm_worker()
+
+
+def _create_pool(workers: int, warm: bool) -> Any:
+    """A process pool, or None where there cannot be one: this
+    environment forbids it, or this process is itself a pool worker.
+
+    ``concurrent.futures.ProcessPoolExecutor`` is the one standard
+    library pool that reports a dead worker (``BrokenProcessPool``)
+    instead of waiting for it forever.  Only pool *creation* falls back
+    to serial; an error raised by a task must surface, not silently
+    re-run the whole sweep serially.
+    """
+    if _IN_WORKER:
+        return None
+    try:
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(warm,))
+    except (ImportError, OSError, NotImplementedError):  # no semaphores, no processes here
+        return None
 
 
 @dataclass
@@ -154,8 +189,8 @@ class SweepOutcome:
     order-independent row digest, and any reducer metrics.  On the
     default (row-keeping) path it stays ``None``.
 
-    ``resilience`` is populated only by the fault-tolerant path
-    (``on_error=`` / ``resume_from=``): completed/resumed/retried/
+    ``resilience`` is populated only when ``on_error=`` or
+    ``resume_from=`` was passed: completed/resumed/retried/
     quarantined/respawns provenance, so a partial result can never be
     mistaken for a full one.  ``failures`` then lists the quarantined
     cells as :class:`~repro.engine.resilience.TaskFailure` records.
@@ -222,6 +257,10 @@ class SweepRunner:
     seeds travel with tasks and warm workers hold no run state.
     """
 
+    #: pre-import the simulator stack here and in every worker (the pool
+    #: that lives for one sweep has nothing to amortize that over)
+    _warm = True
+
     def __init__(self, workers: int | None = None) -> None:
         self.workers = workers if workers is not None else default_workers()
         self._pool: Any = None
@@ -230,25 +269,21 @@ class SweepRunner:
         self.pools_created = 0
 
     def _ensure_pool(self) -> Any:
-        """The shared pool, or None when this environment cannot pool."""
+        """The pool, or None when this environment cannot pool."""
         if self._pool is None and not self._pool_failed:
-            # import the stack in the *parent* first: fork children
-            # then inherit warm modules outright, and the initializer
-            # only pays real import work under a spawn start method.
-            # Outside _create_pool's guard: a broken import of this
-            # repo raises, it never degrades the runner to serial.
-            _warm_worker()
-            self._pool = _create_pool(self.workers, initializer=_warm_worker)
+            if self._warm:
+                # import the stack in the *parent* first: fork children
+                # then inherit warm modules outright, and the initializer
+                # only pays real import work under a spawn start method.
+                # Outside _create_pool's guard: a broken import of this
+                # repo raises, it never degrades the runner to serial.
+                _warm_worker()
+            self._pool = _create_pool(self.workers, self._warm)
             if self._pool is None:
                 self._pool_failed = True
             else:
                 self.pools_created += 1
         return self._pool
-
-    @contextmanager
-    def _lease(self) -> Iterator[Any]:
-        """The warm pool, left running for the next sweep."""
-        yield self._ensure_pool()
 
     def run_sweep(
         self,
@@ -260,18 +295,42 @@ class SweepRunner:
         on_error: Any = None,
         resume_from: Any = None,
     ) -> SweepOutcome:
-        """Execute one sweep on the warm pool (API mirrors :func:`run_sweep`)."""
-        outcome = _dispatch(
-            spec, self.workers, chunksize, store, sink, reduce, on_error, resume_from, self._lease
+        """Execute one sweep on the warm pool (API mirrors :func:`run_sweep`).
+
+        ``on_error=`` / ``resume_from=`` choose the retry policy, the
+        salvage prelude and whether the outcome carries ``resilience``
+        provenance — nothing else: every sweep runs the same loop
+        (:func:`_stream`) on the same pool.
+        """
+        if sink is not None and reduce is not None:
+            raise ValueError("pass sink= or reduce=, not both")
+        if sink is None and resume_from is not None:
+            sink = JsonlSink(resume_from)
+        if reduce is not None:
+            reducer = ReducerSink(reduce.fresh())  # the template is never mutated
+            sink = reducer if sink is None else TeeSink(reducer, sink)
+        tasks: Iterable[RunTask] = spec.iter_tasks()
+        resumed = None if on_error is None else 0
+        if resume_from is not None:
+            salvaged = salvage(spec, sink, resume_from)
+            resumed = len(salvaged)
+            tasks = (salvaged.get(task.index, task) for task in tasks)
+        if sink is None:
+            sink = _KeepRows() if resumed is None else MemorySink()
+        outcome = _stream(
+            spec.summary(), tasks, spec.n_tasks, chunksize, sink, self, resolve_policy(on_error), resumed
         )
+        if store is not None:
+            store.save(outcome)
         self.sweeps_run += 1
         return outcome
 
     def close(self) -> None:
-        """Tear the pool down (idempotent)."""
+        """Tear the pool down (idempotent); the next parallel sweep
+        creates a fresh one — which is also how a pool that lost a
+        worker is replaced."""
         if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
+            self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
 
     def __enter__(self) -> "SweepRunner":
@@ -279,6 +338,12 @@ class SweepRunner:
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
+
+
+class _OneSweepRunner(SweepRunner):
+    """The pool that lives for one sweep."""
+
+    _warm = False
 
 
 def run_sweep(
@@ -301,8 +366,8 @@ def run_sweep(
             a pool cannot be created (restricted environments, missing
             ``fork``/``spawn`` support).
         chunksize: tasks per worker batch; default
-            :func:`default_chunksize`, on the streaming paths capped at
-            :data:`MAX_CHUNK_ROWS` (an explicit value always wins).
+            :func:`default_chunksize`, capped at :data:`MAX_CHUNK_ROWS`
+            (an explicit value always wins).
         store: when given, the outcome is saved under ``spec.name``
             before returning.  (With a non-row-keeping ``sink`` the
             saved artifact has an empty ``results`` body — stream the
@@ -334,16 +399,17 @@ def run_sweep(
             ``"quarantine"`` additionally records cells that exhaust
             their retries into the outcome's failure manifest and
             keeps sweeping; pass a ``RetryPolicy`` for full control.
-            Any non-``None`` value routes execution through the
-            resilient backend, which also survives worker-process
-            death (the pool is respawned and unacknowledged chunks
-            re-dispatched, exactly-once by task index).
+            Retries run where the task ran.  A policy also lets the
+            sweep survive worker-process death (the pool is replaced
+            and the chunks in flight submitted again, exactly-once by
+            task index); without one a dead worker raises
+            :class:`~repro.engine.resilience.WorkerCrashError`.
         resume_from: path of a partial :class:`~repro.engine.sink.JsonlSink`
             artifact from a crashed run.  Committed rows are salvaged
             and replayed instead of re-executed, and the finished
             artifact is byte-identical to an uninterrupted run.  When
             ``sink`` is ``None``, a ``JsonlSink`` at that path is
-            implied.  Composes with ``on_error``; not with ``reduce``.
+            implied.  Composes with ``on_error`` and with ``reduce``.
 
     Returns:
         A :class:`SweepOutcome` whose ``results`` are in task order —
@@ -354,65 +420,8 @@ def run_sweep(
     """
     if persistent_pool and workers > 1:
         return shared_runner(workers).run_sweep(spec, chunksize, store, sink, reduce, on_error, resume_from)
-    return _dispatch(
-        spec,
-        workers,
-        chunksize,
-        store,
-        sink,
-        reduce,
-        on_error,
-        resume_from,
-        functools.partial(_fresh_pool, workers),
-    )
-
-
-def _dispatch(
-    spec: SweepSpec,
-    workers: int,
-    chunksize: int | None,
-    store: "ResultStore | None",
-    sink: "ResultSink | None",
-    reduce: "RowReducer | None",
-    on_error: Any,
-    resume_from: Any,
-    lease: Callable[[], ContextManager[Any]],
-) -> SweepOutcome:
-    """The one body behind :func:`run_sweep` and :meth:`SweepRunner.run_sweep`.
-
-    ``lease()`` is a context manager yielding the pool a parallel sweep
-    runs on — ``None`` where this environment cannot pool, which means
-    serial.  It alone differs between the two callers.
-    """
-    if sink is not None and reduce is not None:
-        raise ValueError("pass sink= or reduce=, not both")
-    if on_error is not None or resume_from is not None:
-        # The resilient backend owns its pool (it must be able to kill
-        # and respawn workers); a warm pool stays untouched.
-        if reduce is not None:
-            raise ValueError("on_error/resume_from do not compose with reduce=")
-        outcome = run_resilient(
-            spec,
-            workers=workers,
-            chunksize=chunksize,
-            sink=sink,
-            policy=resolve_policy(on_error),
-            resume_from=resume_from,
-        )
-    else:
-        if reduce is not None:
-            sink = ReducerSink(reduce.fresh())  # the template is never mutated
-        parallel = workers > 1 and spec.n_tasks > 1
-        with lease() if parallel else nullcontext() as pool:
-            if sink is not None:
-                outcome = _stream(spec, workers if pool is not None else 1, chunksize, sink, pool)
-            else:
-                outcome = SweepOutcome(
-                    spec=spec.summary(), results=_execute_all(spec.tasks(), workers, chunksize, pool)
-                )
-    if store is not None:
-        store.save(outcome)
-    return outcome
+    with _OneSweepRunner(workers) as runner:
+        return runner.run_sweep(spec, chunksize, store, sink, reduce, on_error, resume_from)
 
 
 #: process-wide persistent runners, one per worker count.
@@ -457,96 +466,152 @@ def shutdown_shared_runners() -> None:
 atexit.register(shutdown_shared_runners)
 
 
-def _create_pool(workers: int, initializer: Callable[[], None] | None = None) -> Any:
-    """A process pool, or None where this environment cannot create one
-    (sandboxes where process creation is forbidden, a task already
-    running inside a daemonic pool worker).
+# ----------------------------------------------------------------------
+# the one loop
+# ----------------------------------------------------------------------
 
-    Only pool *creation* falls back to serial; an error raised by a
-    task must surface, not silently re-run the whole sweep serially.
-    """
-    try:
-        import multiprocessing
 
-        return multiprocessing.get_context().Pool(processes=workers, initializer=initializer)
-    except _POOL_UNAVAILABLE:
+class _KeepRows(MemorySink):
+    """The default path's sink: every live result kept, none encoded —
+    so no digest, and no summary for the outcome's ``aggregate``."""
+
+    def absorb(self, chunk: FoldedChunk) -> None:
+        self.rows_emitted += chunk.rows
+        self.results.extend(chunk.results)
+
+    def summary(self) -> None:  # type: ignore[override]
         return None
 
 
-@contextmanager
-def _fresh_pool(workers: int) -> Iterator[Any]:
-    """A pool that lives for one sweep."""
-    pool = _create_pool(workers)
-    try:
-        yield pool
-    finally:
-        if pool is not None:
-            pool.terminate()
-            pool.join()
-
-
-def _execute_all(tasks: list[RunTask], workers: int, chunksize: int | None, pool: Any) -> list[RunResult]:
-    """The keep-every-row path: all results, in task order
-    (``Pool.map`` preserves input order, so no re-sorting is needed)."""
-    if pool is None:
-        return [task.execute() for task in tasks]
-    return pool.map(_execute_task, tasks, chunksize or default_chunksize(len(tasks), workers))
-
-
-# ----------------------------------------------------------------------
-# the streaming backend (sink= / reduce=)
-# ----------------------------------------------------------------------
-
-
-def _chunked(items: Iterable[Any], size: int) -> Iterable[list[Any]]:
+def _chunked(items: Iterable[Any], size: int) -> Iterator[list[Any]]:
     """Split an iterable into lists of at most ``size`` items."""
-    chunk: list[Any] = []
-    for item in items:
-        chunk.append(item)
-        if len(chunk) >= size:
-            yield chunk
-            chunk = []
-    if chunk:
+    items = iter(items)
+    while chunk := list(islice(items, size)):
+        yield chunk
+
+
+def _folded_chunks(
+    task_chunks: Iterator[list[RunTask]],
+    fold: Callable[[list[RunTask]], FoldedChunk],
+    runner: SweepRunner,
+    pool: Any,
+    policy: RetryPolicy | None,
+) -> Iterator[FoldedChunk]:
+    """Each chunk of tasks folded, in task order: here when ``pool`` is
+    None, else on the pool — the one place work is submitted to it.
+
+    At most ``2 * workers + 2`` chunks are in flight (submitted, not yet
+    yielded), whatever the sweep's size.  A worker that dies breaks the
+    pool: ``runner`` replaces it and the chunks in flight are submitted
+    again, so every chunk — hence every task index — is yielded exactly
+    once; that is allowed ``policy.respawn_limit`` times, and with no
+    policy not at all.
+
+    Raises:
+        WorkerCrashError: a worker died and the pool may not be
+            replaced (again).
+    """
+    if pool is None:
+        yield from map(fold, task_chunks)
+        return
+    from concurrent.futures.process import BrokenProcessPool
+
+    depth = 2 * runner.workers + 2
+    first_pool = runner.pools_created
+    in_flight: deque[list[RunTask]] = deque()  # chunks not yet yielded, oldest first
+    futures: deque[Any] = deque()  # theirs; shorter while some await (re)submission
+    while True:
+        in_flight.extend(islice(task_chunks, depth - len(in_flight)))
+        if not in_flight:
+            return
+        try:
+            while len(futures) < len(in_flight):
+                futures.append(pool.submit(fold, in_flight[len(futures)]))
+            chunk = futures[0].result()
+        except BrokenProcessPool as exc:
+            runner.close()
+            limit = 0 if policy is None else policy.respawn_limit
+            if runner.pools_created - first_pool >= limit:
+                raise WorkerCrashError(
+                    f"a pool worker died mid-chunk and this sweep has used up its {limit} pool "
+                    "respawn(s) (RetryPolicy.respawn_limit; 0 without on_error=)"
+                ) from exc
+            pool = runner._ensure_pool()
+            futures.clear()
+            continue
+        in_flight.popleft()
+        futures.popleft()
         yield chunk
 
 
 def _stream(
-    spec: SweepSpec,
-    workers: int,
+    summary: dict[str, Any],
+    tasks: Iterable[RunTask],
+    n_tasks: int,
     chunksize: int | None,
-    sink: "ResultSink",
-    pool: Any,
+    sink: ResultSink,
+    runner: SweepRunner,
+    policy: RetryPolicy | None = None,
+    resumed: int | None = None,
 ) -> SweepOutcome:
     """Drive one sweep through a sink, a chunk at a time.
 
-    The one loop of the streaming paths, serial and pooled: tasks come
-    from ``spec.iter_tasks()`` (never materialized as a list), each
-    chunk of them is folded by :func:`~repro.engine.sink.fold_chunk` —
-    in a pool worker, or right here — into the pieces ``sink`` asked
-    for, and ``Pool.imap`` hands the folded chunks back in task order.
+    The one loop of every mode, serial and pooled: ``tasks`` is walked
+    lazily (never materialized as a list), each chunk of them is folded
+    by :func:`~repro.engine.sink.fold_chunk` — in a pool worker, or
+    right here — into the pieces ``sink`` asked for, retries settled
+    where the task ran, and the folded chunks reach the sink in task
+    order.  ``resumed`` (not None under ``on_error=`` / ``resume_from=``)
+    is the number of salvaged rows among ``tasks``; the outcome then
+    carries its ``resilience`` provenance.
 
     A task that raises ends its chunk: the rows before it are still
     absorbed, then the sink is aborted, not closed — a streaming file
     sink leaves a detectably-truncated artifact behind, holding every
     row before the failing one, instead of a well-formed file holding
-    half a sweep — and the task's exception is re-raised.
+    half a sweep — and the task's exception is re-raised.  A lost
+    worker that may not be replaced aborts the same way, after the
+    last whole chunk before the lost one.
     """
-    summary = spec.summary()
-    fold = functools.partial(fold_chunk, plan=sink.chunk_plan() or LIVE_RESULTS)
-    size = chunksize or min(default_chunksize(spec.n_tasks, workers), MAX_CHUNK_ROWS)
-    task_chunks = _chunked(spec.iter_tasks(), size)
+    pool = runner._ensure_pool() if runner.workers > 1 and n_tasks > 1 else None
+    first_pool = runner.pools_created
+    size = chunksize or min(
+        default_chunksize(n_tasks, runner.workers if pool is not None else 1), MAX_CHUNK_ROWS
+    )
+    fold = functools.partial(fold_chunk, plan=sink.chunk_plan() or LIVE_RESULTS, policy=policy)
+    failures: list[Any] = []
+    rows = retried = 0
     sink.open(summary)
     try:
-        for chunk in map(fold, task_chunks) if pool is None else pool.imap(fold, task_chunks):
+        for chunk in _folded_chunks(_chunked(tasks, size), fold, runner, pool, policy):
             sink.absorb(chunk)
+            for failure in chunk.failures:
+                sink.note_quarantined(failure.index)
+            failures += chunk.failures
+            rows += chunk.rows
+            retried += chunk.retried
             if chunk.error is not None:
                 raise chunk.error
     except BaseException:
         sink.abort()
         raise
     sink.close()
-    results = list(sink.results) if sink.keeps_rows else []
-    return SweepOutcome(spec=summary, results=results, aggregate=sink.summary())
+    outcome = SweepOutcome(
+        spec=summary,
+        results=list(sink.results) if sink.keeps_rows else [],
+        aggregate=sink.summary(),
+        failures=failures,
+    )
+    if resumed is not None:
+        outcome.resilience = {
+            "completed": rows,
+            "resumed": resumed,
+            "retried": retried,
+            "quarantined": [failure.index for failure in failures],
+            "respawns": runner.pools_created - first_pool,
+        }
+        outcome.aggregate = {**outcome.aggregate, "resilience": outcome.resilience}
+    return outcome
 
 
 def map_runs(
@@ -560,13 +625,12 @@ def map_runs(
     A one-cell sweep without declaring a spec — handy for quick studies
     and for porting existing ``for i in range(runs)`` loops.
     """
-    seeds = list(seeds)
     tasks = [
         RunTask(index=i, sweep="map-runs", task=task, params=dict(params), run=i, seed=s)
         for i, s in enumerate(seeds)
     ]
-    with _fresh_pool(workers) if workers > 1 and len(tasks) > 1 else nullcontext() as pool:
-        return [r.value for r in _execute_all(tasks, workers, None, pool)]
+    with _OneSweepRunner(workers) as runner:
+        return _stream({"name": "map-runs"}, tasks, len(tasks), None, _KeepRows(), runner).values()
 
 
 def fold_cells(

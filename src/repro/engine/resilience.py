@@ -1,33 +1,35 @@
 """Fault-tolerant sweep execution: retry, quarantine, crash recovery.
 
-The repo simulates commit protocols under injected faults, but until
-this layer the harness *running* those simulations was itself fragile:
-one raising task aborted a whole 10^5-cell sweep, a dying worker
-process hung the pool, and a truncated artifact could only be thrown
-away.  This module makes the sweep engine crash-tolerant the same way
-the paper's protocols are — deterministically, so every recovery path
-converges to the bytes an uninterrupted run would have produced:
+The repo simulates commit protocols under injected faults; this module
+makes the harness *running* those simulations crash-tolerant the same
+way the paper's protocols are — deterministically, so every recovery
+path converges to the bytes an uninterrupted run would have produced.
+It holds the policies, records and preludes; the sweep itself runs in
+the one loop every sweep runs in (:mod:`repro.engine.executor`):
 
 * :class:`RetryPolicy` — capped re-execution of failed tasks with
-  bounded, deterministic backoff.  Tasks re-run *from their pinned
-  per-cell seed* (the seed travels with the task), so a retry that
-  succeeds is byte-identical to a first-try success.
+  bounded, deterministic backoff, settled where the task ran
+  (:func:`~repro.engine.sink.fold_chunk`).  Tasks re-run *from their
+  pinned per-cell seed* (the seed travels with the task), so a retry
+  that succeeds is byte-identical to a first-try success.
 * **Quarantine** — ``RetryPolicy(quarantine=True)`` records poison
   cells as :class:`TaskFailure` entries in an explicit
   :class:`FailureManifest` and keeps sweeping; the outcome (and the
   artifact's ``end`` record) carries the quarantined indices so a
   partial result can never be mistaken for a full one.
-* **Worker-crash recovery** — the resilient parallel backend dispatches
-  task chunks over a :class:`concurrent.futures.ProcessPoolExecutor`;
-  when a worker dies mid-chunk (``BrokenProcessPool``), the pool is
-  respawned and only *unacknowledged* chunks are re-dispatched, so
-  every task index contributes exactly one row.
+* **Worker-crash recovery** — every pool is a
+  :class:`concurrent.futures.ProcessPoolExecutor`, so a worker that
+  dies mid-chunk is *seen* (``BrokenProcessPool``).  Under a policy the
+  pool is replaced and the chunks not yet handed to the sink are
+  submitted again — at most ``respawn_limit`` times — so every task
+  index contributes exactly one row; with no policy the sweep aborts
+  with :class:`WorkerCrashError` at once instead of hanging.
 * **Resume** — ``run_sweep(resume_from=path)`` salvages the committed
-  rows of a partial :class:`~repro.engine.sink.JsonlSink` artifact,
-  skips re-executing those task indices, and replays the salvaged rows
-  through the sink pipeline, so the finished artifact is byte-identical
-  to an uninterrupted run (the crash-anywhere property the chaos tests
-  pin).
+  rows of a partial :class:`~repro.engine.sink.JsonlSink` artifact
+  (:func:`salvage`) and stands each in for its task, so it folds
+  through the sink pipeline in index order without re-executing and
+  the finished artifact is byte-identical to an uninterrupted run (the
+  crash-anywhere property the chaos tests pin).
 * :class:`ChaosPlan` — a seeded, declarative fault harness for the
   sweep engine itself (kill a worker at a chosen task, fail a task N
   times, fail a sink write), in the same chainable-action style as
@@ -35,31 +37,33 @@ converges to the bytes an uninterrupted run would have produced:
   marker files so a fault fires exactly the scheduled number of times
   across processes and across resumed runs.
 
-Everything here is opt-in: ``run_sweep``'s default (``on_error=None``)
-stays the exact historical abort-everything behaviour.
+Retry, quarantine, respawn and resume are opt-in (``on_error=`` /
+``resume_from=``), compose with every sink, with ``reduce=`` and with
+the warm pool, and leave a fault-free sweep's summaries and artifacts
+byte-for-byte what they are without them.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import pickle
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.common.errors import StoreError
 from repro.engine.spec import RunResult, RunTask, SweepSpec
 from repro.engine.store import jsonable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.engine.executor import SweepOutcome
     from repro.engine.sink import JsonlSink, ResultSink
 
 
 class WorkerCrashError(RuntimeError):
-    """The pool kept losing workers beyond the policy's respawn budget."""
+    """A pool worker died and the sweep may not replace the pool: no
+    policy, or one whose respawn budget is spent."""
 
 
 class InjectedFault(RuntimeError):
@@ -131,9 +135,10 @@ class RetryPolicy:
 def resolve_policy(on_error: Any) -> RetryPolicy | None:
     """Normalize a ``run_sweep(on_error=...)`` argument.
 
-    ``None``/``"raise"`` mean the historical abort-everything path
-    (returns ``None``); ``"retry"`` and ``"quarantine"`` are shorthands
-    for the common policies; a :class:`RetryPolicy` passes through.
+    ``None``/``"raise"`` mean no policy — the first task exception
+    aborts the sweep (returns ``None``); ``"retry"`` and
+    ``"quarantine"`` are shorthands for the common policies; a
+    :class:`RetryPolicy` passes through.
     """
     if on_error is None or on_error == "raise":
         return None
@@ -232,18 +237,15 @@ class FailureManifest:
                 f"failure manifest {path} has schema {payload.get('schema')!r}, "
                 f"this library reads schema {MANIFEST_SCHEMA}"
             )
-        records = [
-            TaskFailure(
-                index=r["index"],
-                params=r["params"],
-                run=r["run"],
-                seed=r["seed"],
-                attempts=r["attempts"],
-                error=r["error"],
-                message=r["message"],
-            )
-            for r in payload.get("quarantined", [])
-        ]
+        try:
+            records = [
+                TaskFailure(**{name: r[name] for name in TaskFailure.__dataclass_fields__})
+                for r in payload.get("quarantined", [])
+            ]
+        except (KeyError, TypeError) as exc:
+            raise StoreError(
+                f"failure manifest {path} has a malformed quarantined record: {exc!r}"
+            ) from None
         return cls(sweep=payload.get("sweep", ""), records=records)
 
 
@@ -399,51 +401,27 @@ class ChaosTask:
 class ChaosSink:
     """A sink proxy that injects scheduled I/O errors before delegating.
 
-    Delegates the whole :class:`~repro.engine.sink.ResultSink` surface
-    to the wrapped sink, so it can stand anywhere a sink can — including
-    inside a :class:`~repro.engine.sink.TeeSink`.
+    Holds its one child the way a :class:`~repro.engine.sink.TeeSink`
+    holds several (``sinks``) and hands everything but ``emit`` straight
+    to it, so it can stand anywhere a sink can — including inside a tee.
     """
 
     def __init__(self, inner: "ResultSink", plan: ChaosPlan) -> None:
-        self.inner = inner
+        self.sinks = (inner,)
         self.plan = plan
 
-    @property
-    def keeps_rows(self) -> bool:
-        return self.inner.keeps_rows
-
-    @property
-    def results(self) -> list[RunResult]:
-        return self.inner.results
-
-    @property
-    def rows_emitted(self) -> int:
-        return self.inner.rows_emitted
-
-    @property
-    def digest(self) -> int:
-        return self.inner.digest
-
-    @property
-    def quarantined(self) -> list[int]:
-        return self.inner.quarantined
-
-    @property
-    def spec(self) -> dict[str, Any] | None:
-        return self.inner.spec
-
-    def open(self, spec_summary: dict[str, Any]) -> None:
-        self.inner.open(spec_summary)
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self.sinks[0], name)
 
     def emit(self, result: RunResult, row: Any = None) -> None:
-        count = self.inner.rows_emitted
+        count = self.rows_emitted
         for action in self.plan.actions:
             if isinstance(action, FailSink) and action.row == count:
                 if self.plan.claim(f"sink-{count}"):
                     raise InjectedSinkError(
                         f"injected sink I/O error before row {count}"
                     )
-        self.inner.emit(result, row)
+        self.sinks[0].emit(result, row)
 
     def chunk_plan(self) -> None:
         """Never opts in: ``fail_sink(row)`` counts live ``emit`` calls."""
@@ -452,41 +430,6 @@ class ChaosSink:
     def absorb(self, chunk: Any) -> None:
         for result in chunk.results:
             self.emit(result)
-
-    def note_quarantined(self, index: int) -> None:
-        self.inner.note_quarantined(index)
-
-    def close(self) -> None:
-        self.inner.close()
-
-    def abort(self) -> None:
-        self.inner.abort()
-
-    def summary(self) -> dict[str, Any]:
-        return self.inner.summary()
-
-
-# ----------------------------------------------------------------------
-# the resilient executor
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class _Failed:
-    """Worker-side envelope for one failed task (picklable)."""
-
-    task: RunTask
-    error: BaseException
-
-
-@dataclass
-class _Stats:
-    """Mutable provenance counters for one resilient sweep."""
-
-    resumed: int = 0
-    completed: int = 0
-    retried: int = 0
-    respawns: int = 0
 
 
 def _portable_error(exc: BaseException) -> BaseException:
@@ -499,271 +442,70 @@ def _portable_error(exc: BaseException) -> BaseException:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def _guarded_chunk(tasks: list[RunTask]) -> list[Any]:
-    """Worker side: execute one chunk, converting per-task exceptions
-    into :class:`_Failed` envelopes instead of poisoning the pool."""
-    out: list[Any] = []
-    for task in tasks:
-        try:
-            out.append(task.execute())
-        except Exception as exc:
-            out.append(_Failed(task=task, error=_portable_error(exc)))
-    return out
-
-
-def _guard_one(task: RunTask) -> Any:
-    """Serial flavour of :func:`_guarded_chunk`."""
-    try:
-        return task.execute()
-    except Exception as exc:
-        return _Failed(task=task, error=exc)
-
-
-def _chunk_list(items: list[Any], size: int) -> list[list[Any]]:
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
-def _resilient_raw_stream(
-    tasks: list[RunTask],
-    workers: int,
-    chunksize: int | None,
-    policy: RetryPolicy,
-    stats: _Stats,
-) -> Iterator[Any]:
-    """``RunResult | _Failed`` per task, in task order, surviving worker
-    death.
-
-    The parallel backend dispatches chunks over a
-    ``ProcessPoolExecutor``; a chunk is *acknowledged* once its result
-    list is back in the parent.  When a worker dies, every
-    unacknowledged chunk is re-dispatched onto a fresh pool — at most
-    ``policy.respawn_limit`` times — so each task index yields exactly
-    one item no matter how many workers were lost.
-    """
-    import multiprocessing
-
-    from repro.engine.executor import _POOL_UNAVAILABLE, default_chunksize
-
-    if workers <= 1 or len(tasks) <= 1 or multiprocessing.current_process().daemon:
-        for task in tasks:
-            yield _guard_one(task)
-        return
-
-    from concurrent.futures import FIRST_COMPLETED, CancelledError, wait
-    from concurrent.futures.process import BrokenProcessPool
-
-    size = chunksize or default_chunksize(len(tasks), workers)
-    chunks = _chunk_list(tasks, size)
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=workers)
-        futures: dict[Any, int] = {}
-        for cid, chunk in enumerate(chunks):
-            futures[pool.submit(_guarded_chunk, chunk)] = cid
-    except _POOL_UNAVAILABLE:
-        for task in tasks:
-            yield _guard_one(task)
-        return
-
-    acked: dict[int, list[Any]] = {}
-    next_cid = 0
-    try:
-        while next_cid < len(chunks):
-            if not futures:  # pragma: no cover - defensive
-                raise WorkerCrashError("resilient pool lost track of pending chunks")
-            done, _pending = wait(list(futures), return_when=FIRST_COMPLETED)
-            broken = False
-            for future in done:
-                cid = futures.pop(future)
-                try:
-                    acked[cid] = future.result()
-                except (BrokenProcessPool, CancelledError, OSError):
-                    broken = True
-            if broken:
-                stats.respawns += 1
-                if stats.respawns > policy.respawn_limit:
-                    raise WorkerCrashError(
-                        f"workers kept dying: {stats.respawns} pool respawns "
-                        f"exceeded the policy limit of {policy.respawn_limit}"
-                    )
-                pool.shutdown(wait=False, cancel_futures=True)
-                futures.clear()
-                pool = ProcessPoolExecutor(max_workers=workers)
-                for cid, chunk in enumerate(chunks):
-                    if cid not in acked:
-                        futures[pool.submit(_guarded_chunk, chunk)] = cid
-            while next_cid in acked:
-                yield from acked.pop(next_cid)
-                next_cid += 1
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-def _settle(
-    item: Any,
-    policy: RetryPolicy,
-    stats: _Stats,
-    sleep: Callable[[float], None] = time.sleep,
-) -> RunResult | TaskFailure:
-    """Apply retry/backoff/quarantine to one raw stream item.
-
-    Retries run in the parent from the task's pinned seed, so a retry
-    that succeeds is indistinguishable from a first-try success.
-    """
-    if isinstance(item, RunResult):
-        stats.completed += 1
-        return item
-    task, error = item.task, item.error
-    attempt = 1
-    while attempt < policy.max_attempts:
-        delay = policy.delay(attempt)
-        if delay > 0:
-            sleep(delay)
-        attempt += 1
-        stats.retried += 1
-        try:
-            result = task.execute()
-        except Exception as exc:
-            error = exc
-            continue
-        stats.completed += 1
-        return result
-    if policy.quarantine:
-        return TaskFailure(
-            index=task.index,
-            params=jsonable(task.params),
-            run=task.run,
-            seed=task.seed,
-            attempts=attempt,
-            error=type(error).__name__,
-            message=str(error),
-        )
-    raise error
+# ----------------------------------------------------------------------
+# resume
+# ----------------------------------------------------------------------
 
 
 def _find_jsonl(sink: Any, path: Path) -> "JsonlSink | None":
     """The JsonlSink writing ``path`` inside a (possibly nested) sink tree."""
-    from repro.engine.sink import JsonlSink, TeeSink
+    from repro.engine.sink import JsonlSink
 
-    if isinstance(sink, ChaosSink):
-        return _find_jsonl(sink.inner, path)
     if isinstance(sink, JsonlSink) and Path(sink.path) == path:
         return sink
-    if isinstance(sink, TeeSink):
-        for child in sink.sinks:
-            found = _find_jsonl(child, path)
-            if found is not None:
-                return found
+    for child in getattr(sink, "sinks", ()):
+        found = _find_jsonl(child, path)
+        if found is not None:
+            return found
     return None
 
 
-def _result_from_row(row: dict[str, Any]) -> RunResult:
-    """Reconstruct a salvaged artifact row as a RunResult.
+def _stored(value: Any, /, **_cell: Any) -> Any:
+    """The task of a salvaged row: its committed value, whatever the cell."""
+    return value
 
-    The value is the row's JSON form (``jsonable`` is idempotent), so
-    re-emitting it through any sink reproduces the original canonical
-    line — and hence the original digest and artifact bytes.
+
+def salvage(spec: SweepSpec, sink: "ResultSink", path: str | Path) -> dict[int, RunTask]:
+    """The resume prelude: the committed rows of the partial artifact at
+    ``path``, by task index, each as a task whose execution returns the
+    stored value.
+
+    Such a task folds through :func:`~repro.engine.sink.fold_chunk` like
+    any other, in index order, without re-running its cell; its value is
+    the row's JSON form (``jsonable`` is idempotent), so every sink sees
+    the original canonical line — and hence the original digest and
+    artifact bytes.
+
+    Raises:
+        ValueError: ``sink`` holds no ``JsonlSink`` at ``path``.
+        StoreError: everything :func:`~repro.engine.sink.scan_partial_stream`
+            raises, plus salvaged indices outside the spec's range.
     """
-    return RunResult(
-        index=row["index"],
-        params=row["params"],
-        run=row["run"],
-        seed=row["seed"],
-        value=row["value"],
-    )
+    from repro.engine.sink import scan_partial_stream
 
-
-def run_resilient(
-    spec: SweepSpec,
-    workers: int = 1,
-    chunksize: int | None = None,
-    sink: "ResultSink | None" = None,
-    policy: RetryPolicy | None = None,
-    resume_from: str | Path | None = None,
-) -> "SweepOutcome":
-    """Execute one sweep under the resilience layer.
-
-    This is the engine behind ``run_sweep(on_error=..., resume_from=...)``;
-    call through :func:`~repro.engine.executor.run_sweep` in normal code.
-
-    Rows are emitted into ``sink`` in task-index order, one ``emit``
-    per row in the parent whatever :meth:`ResultSink.chunk_plan` says:
-    retries are settled per task here, a quarantined cell leaves a gap
-    mid-chunk, and ``ChaosPlan.fail_sink(row)`` counts rows.  Salvaged
-    rows (under ``resume_from``) are replayed without re-executing
-    their tasks.  The outcome's ``resilience``
-    mapping (also merged into ``aggregate``) carries the provenance:
-    ``completed`` / ``resumed`` / ``retried`` / ``quarantined`` /
-    ``respawns`` — so partial results are always labelled as such.
-    """
-    from repro.engine.executor import SweepOutcome
-    from repro.engine.sink import MemorySink, scan_partial_stream
-
-    if policy is None:
-        policy = RetryPolicy(max_attempts=1)
-    summary = spec.summary()
-    committed: dict[int, dict[str, Any]] = {}
-    if resume_from is not None:
-        resume_from = Path(resume_from)
-        if sink is None:
-            from repro.engine.sink import JsonlSink
-
-            sink = JsonlSink(resume_from)
-        elif _find_jsonl(sink, resume_from) is None:
-            raise ValueError(
-                f"resume_from={str(resume_from)!r} names no JsonlSink in the "
-                "given sink tree; resume rewrites that artifact in place, so "
-                "the sink must include a JsonlSink at the same path"
-            )
-        committed = scan_partial_stream(resume_from, expect_spec=jsonable(summary))
-        n = spec.n_tasks
-        stray = [i for i in committed if not (0 <= i < n)]
-        if stray:
-            raise StoreError(
-                f"partial artifact {resume_from} holds task indices {stray[:5]} "
-                f"outside this spec's 0..{n - 1} range; refusing to resume"
-            )
-    if sink is None:
-        sink = MemorySink()
-
-    stats = _Stats(resumed=len(committed))
-    manifest = FailureManifest(sweep=spec.name)
-    pending = [t for t in spec.iter_tasks() if t.index not in committed]
-    raw = _resilient_raw_stream(pending, workers, chunksize, policy, stats)
-
-    sink.open(summary)
-    try:
-        for index in range(spec.n_tasks):
-            row = committed.get(index)
-            if row is not None:
-                sink.emit(_result_from_row(row), row=row)
-                continue
-            settled = _settle(next(raw), policy, stats)
-            if isinstance(settled, TaskFailure):
-                manifest.records.append(settled)
-                sink.note_quarantined(settled.index)
-            else:
-                sink.emit(settled)
-    except BaseException:
-        sink.abort()
-        raise
-    sink.close()
-
-    provenance: dict[str, Any] = {
-        "completed": stats.completed + stats.resumed,
-        "resumed": stats.resumed,
-        "retried": stats.retried,
-        "quarantined": manifest.indices(),
-        "respawns": stats.respawns,
+    path = Path(path)
+    if _find_jsonl(sink, path) is None:
+        raise ValueError(
+            f"resume_from={str(path)!r} names no JsonlSink in the "
+            "given sink tree; resume rewrites that artifact in place, so "
+            "the sink must include a JsonlSink at the same path"
+        )
+    committed = scan_partial_stream(path, expect_spec=spec.summary())
+    n = spec.n_tasks
+    stray = [i for i in committed if not (0 <= i < n)]
+    if stray:
+        raise StoreError(
+            f"partial artifact {path} holds task indices {stray[:5]} "
+            f"outside this spec's 0..{n - 1} range; refusing to resume"
+        )
+    return {
+        index: RunTask(
+            index=index,
+            sweep=spec.name,
+            task=functools.partial(_stored, row["value"]),
+            params=row["params"],
+            run=row["run"],
+            seed=row["seed"],
+        )
+        for index, row in committed.items()
     }
-    aggregate = dict(sink.summary())
-    aggregate["resilience"] = provenance
-    results = list(sink.results) if sink.keeps_rows else []
-    return SweepOutcome(
-        spec=summary,
-        results=results,
-        aggregate=aggregate,
-        resilience=provenance,
-        failures=list(manifest.records),
-    )

@@ -29,20 +29,23 @@ can take already folded — artifact lines as bytes, a partial reducer, a
 count and a digest — and :func:`fold_chunk` builds exactly those where
 the tasks run, so in a pooled sweep no row crosses the process
 boundary; a sink that does not opt in gets the chunk's live results,
-one ``emit`` each.  The resilient backend (``on_error=`` /
-``resume_from=``) drives ``emit`` per row for every sink.
+one ``emit`` each.  That holds under ``on_error=`` / ``resume_from=``
+too: retries are settled inside :func:`fold_chunk`, a quarantined cell
+is a gap in its chunk (``FoldedChunk.failures``), and a salvaged row is
+a task that returns its stored value.
 """
 
 from __future__ import annotations
 
 import gzip
 import json
+import time
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, TextIO
 
 from repro.common.errors import StoreError
 from repro.engine.aggregate import RowReducer, merge_digests, row_digest
-from repro.engine.resilience import _portable_error
+from repro.engine.resilience import RetryPolicy, TaskFailure, _portable_error
 from repro.engine.spec import RunResult, RunTask
 from repro.engine.store import ResultStore, canonical_line, jsonable
 
@@ -89,6 +92,8 @@ class FoldedChunk:
 
     ``rows`` always counts; ``digest``, ``lines``, ``partials`` and
     ``results`` are filled only where the :class:`ChunkPlan` asked.
+    ``failures`` are the cells the retry policy quarantined (no row
+    exists for them) and ``retried`` the re-executions it spent.
     ``error`` is the exception that ended the chunk early: the pieces
     then cover the rows before the failing one.
     """
@@ -99,13 +104,14 @@ class FoldedChunk:
         self.lines = b""
         self.partials: dict[int, RowReducer] = {}
         self.results: list[RunResult] = []
+        self.failures: list[TaskFailure] = []
+        self.retried = 0
         self.error: BaseException | None = None
 
     def __getstate__(self) -> dict[str, Any]:
         """Pickled only to leave a pool worker: the error then travels
-        as ``multiprocessing.Pool`` ships one — itself where it pickles,
-        a faithful stand-in where it does not, the worker's traceback
-        attached as its cause."""
+        as itself where it pickles, as a faithful stand-in where it
+        does not, the worker's traceback attached as its cause."""
         state = dict(self.__dict__)
         if self.error is not None:
             from multiprocessing.pool import ExceptionWithTraceback
@@ -114,39 +120,65 @@ class FoldedChunk:
         return state
 
 
-def fold_chunk(tasks: Iterable[RunTask], plan: ChunkPlan) -> FoldedChunk:
+def fold_chunk(tasks: Iterable[RunTask], plan: ChunkPlan, policy: RetryPolicy | None = None) -> FoldedChunk:
     """Execute ``tasks`` and fold their rows into the pieces ``plan`` names.
 
-    The one producer of :class:`FoldedChunk`: pool workers and the
-    serial path both run it, so a row's payload is built once, where
-    its task ran.  A row whose task (or encoding) raises ends the
-    chunk; it is returned with the rows before it and the exception.
+    The one place a sweep task is executed and the one producer of
+    :class:`FoldedChunk`: pool workers and the serial path both run it,
+    so a row's payload is built once, where its task ran — and a failed
+    task is retried there too, from its pinned seed, as ``policy``
+    allows.  A task out of attempts is quarantined (``policy.quarantine``)
+    or ends the chunk, as a row whose encoding raises always does; the
+    chunk is returned with the rows before it and the exception.
     """
     chunk = FoldedChunk()
     chunk.partials = {key: reducer.fresh() for key, reducer in plan.reducers.items()}
     partials = list(chunk.partials.values())
     encode = plan.digest or plan.lines or bool(partials)
+    attempts = 1 if policy is None else policy.max_attempts
     lines: list[str] = []
     for task in tasks:
-        try:
-            result = task.execute()
-            if encode:
+        for attempt in range(1, attempts + 1):
+            try:
+                result = task.execute()
+                break
+            except Exception as exc:
+                error = exc
+                if attempt < attempts:
+                    chunk.retried += 1
+                    time.sleep(policy.delay(attempt))
+        else:  # out of attempts
+            if policy is None or not policy.quarantine:
+                chunk.error = error
+                break
+            chunk.failures.append(
+                TaskFailure(
+                    index=task.index,
+                    params=jsonable(task.params),
+                    run=task.run,
+                    seed=task.seed,
+                    attempts=attempts,
+                    error=type(error).__name__,
+                    message=str(error),
+                )
+            )
+            continue
+        if encode:
+            try:
                 row = ResultStore.row_payload(result)
                 digest = row_digest(row)
                 if plan.lines:
                     line = canonical_line({"type": "row", **row})
                 for partial in partials:
                     partial.fold(result, row=row, digest=digest)
-        except Exception as exc:
-            chunk.error = exc
-            break
-        # nothing below can raise: count, digest, lines and results
-        # always cover the same rows
-        chunk.rows += 1
-        if encode:
+            except Exception as exc:
+                chunk.error = exc
+                break
             chunk.digest = merge_digests(chunk.digest, digest)
-        if plan.lines:
-            lines.append(line)
+            if plan.lines:
+                lines.append(line)
+        # count, digest, lines and results always cover the same rows
+        chunk.rows += 1
         if plan.results:
             chunk.results.append(result)
     if lines:
@@ -185,7 +217,7 @@ class ResultSink:
         self.spec = spec_summary
 
     def note_quarantined(self, index: int) -> None:
-        """Record a poison cell the resilient executor quarantined
+        """Record a poison cell the retry policy quarantined
         instead of emitting — no row exists for it, but the gap must be
         attributable, so sinks carry the indices into their summaries
         (and :class:`JsonlSink` into the artifact's ``end`` record)."""
@@ -379,6 +411,41 @@ class JsonlSink(ResultSink):
         self._gz = self._file = None
 
 
+def _read_header(f: TextIO, path: str | Path) -> tuple[dict[str, Any], int]:
+    """The header of the row stream open (text mode) at ``f``, and the
+    offset just past its line.
+
+    The one header check of every reader.  Offsets, here and in the
+    readers, are into the *decompressed* stream — the address a reader
+    can actually seek to after gunzipping, and the only stable
+    coordinate (compressed offsets shift with level).
+
+    Raises:
+        StoreError: no intact first record, or one that is not this
+            library's row-stream header (type, kind, schema).
+    """
+    start = offset = 0
+    try:
+        for line in f:
+            start, offset = offset, offset + len(line.encode("utf-8"))
+            if line.strip():
+                header = json.loads(line)
+                break
+        else:
+            raise StoreError(f"empty row-stream artifact {path} (no intact header)")
+    except (OSError, EOFError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise StoreError(f"cannot read row-stream artifact {path}: no intact header: {exc}") from None
+    where = f"at byte offset {start} (decompressed)"
+    if not isinstance(header, dict) or header.get("type") != "header" or header.get("kind") != STREAM_KIND:
+        raise StoreError(f"{path} is not a sweep row stream (bad header {where})")
+    if header.get("schema") != STREAM_SCHEMA:
+        raise StoreError(
+            f"row stream {path} has schema {header.get('schema')!r} in its header {where}, "
+            f"this library reads schema {STREAM_SCHEMA}; regenerate it"
+        )
+    return header, offset
+
+
 def iter_stream_rows(path: str | Path) -> Iterator[dict[str, Any]]:
     """Stream the row records of a :class:`JsonlSink` artifact.
 
@@ -387,57 +454,37 @@ def iter_stream_rows(path: str | Path) -> Iterator[dict[str, Any]]:
 
     Raises:
         StoreError: unreadable/corrupt file, foreign or
-            schema-mismatched header, or truncation (missing/short
-            ``end`` record).
+            schema-mismatched header, a record that is not a ``row``
+            object, or truncation (missing/short ``end`` record).
     """
     try:
         with gzip.open(path, "rt", encoding="utf-8") as f:
-            # Offsets are into the *decompressed* stream — the address a
-            # reader can actually seek to after gunzipping, and the only
-            # stable coordinate (compressed offsets shift with level).
-            offset = 0
-            count = 0
-            header: dict[str, Any] | None = None
+            _header, offset = _read_header(f, path)
+            count = 1
             for line in f:
-                line_offset = offset
+                where = f"at byte offset {offset} (decompressed)"
                 offset += len(line.encode("utf-8"))
                 if not line.strip():
                     continue
                 try:
                     record = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    raise StoreError(
-                        f"row stream {path} has a corrupt record at byte offset "
-                        f"{line_offset} (decompressed): {exc}"
-                    ) from None
+                    raise StoreError(f"row stream {path} has a corrupt record {where}: {exc}") from None
+                if not isinstance(record, dict):
+                    raise StoreError(f"row stream {path} has a record that is not an object {where}")
                 count += 1
-                if header is None:
-                    header = record
-                    if header.get("type") != "header" or header.get("kind") != STREAM_KIND:
-                        raise StoreError(f"{path} is not a sweep row stream (bad header)")
-                    if header.get("schema") != STREAM_SCHEMA:
-                        raise StoreError(
-                            f"row stream {path} has schema {header.get('schema')!r}, "
-                            f"this library reads schema {STREAM_SCHEMA}; regenerate it"
-                        )
-                    continue
                 if record.get("type") == "end":
                     if record.get("records") != count - 1:
                         raise StoreError(
-                            f"row stream {path} is inconsistent: end record at byte "
-                            f"offset {line_offset} (decompressed) claims "
-                            f"{record.get('records')} lines, found {count - 1}"
+                            f"row stream {path} is inconsistent: end record {where} "
+                            f"claims {record.get('records')} lines, found {count - 1}"
                         )
                     return
                 if record.get("type") != "row":
                     raise StoreError(
-                        f"row stream {path} has unknown record type "
-                        f"{record.get('type')!r} at byte offset {line_offset} "
-                        f"(decompressed)"
+                        f"row stream {path} has unknown record type {record.get('type')!r} {where}"
                     )
                 yield {k: v for k, v in record.items() if k != "type"}
-            if header is None:
-                raise StoreError(f"empty row-stream artifact {path}")
     except (OSError, EOFError, UnicodeDecodeError) as exc:
         raise StoreError(f"cannot read row-stream artifact {path}: {exc}") from None
     raise StoreError(
@@ -453,23 +500,15 @@ def load_stream(path: str | Path) -> tuple[dict[str, Any], list[dict[str, Any]]]
     :func:`iter_stream_rows` and never materialize the list.
 
     Raises:
-        StoreError: everything :func:`iter_stream_rows` raises, plus
-            unreadable/empty headers — no raw ``OSError`` leaks out.
+        StoreError: everything :func:`iter_stream_rows` raises — no raw
+            ``OSError`` leaks out.
     """
     try:
         with gzip.open(path, "rt", encoding="utf-8") as f:
-            first = None
-            for line in f:
-                if line.strip():
-                    first = json.loads(line)
-                    break
-    except (OSError, EOFError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            header, _offset = _read_header(f, path)
+    except OSError as exc:
         raise StoreError(f"cannot read row-stream artifact {path}: {exc}") from None
-    if first is None:
-        raise StoreError(f"empty row-stream artifact {path}")
-    spec = first.get("spec") if isinstance(first, dict) else None
-    rows = list(iter_stream_rows(path))
-    return spec or {}, rows
+    return header.get("spec") or {}, list(iter_stream_rows(path))
 
 
 def scan_partial_stream(
@@ -480,9 +519,9 @@ def scan_partial_stream(
     The read side of the resume protocol: returns ``{task_index: row}``
     for the longest clean prefix of row records, deduplicated by task
     index (first occurrence wins).  Damage *after* the clean prefix —
-    a truncated gzip stream, a record cut mid-line by a crash — is
-    expected and silently ends the scan; damage *before* any row could
-    be trusted is not:
+    a truncated gzip stream, a record cut mid-line by a crash, a record
+    that is not a ``row`` object — is expected and silently ends the
+    scan; damage *before* any row could be trusted is not:
 
     Raises:
         StoreError: missing-or-broken header, foreign ``kind``,
@@ -504,27 +543,10 @@ def scan_partial_stream(
         raise StoreError(f"cannot read partial artifact {path}: {exc}") from None
     with f:
         try:
-            first = None
-            for line in f:
-                if line.strip():
-                    first = json.loads(line)
-                    break
-        except (OSError, EOFError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise StoreError(
-                f"partial artifact {path} has no intact header: {exc}"
-            ) from None
-        if first is None:
-            raise StoreError(f"partial artifact {path} has no intact header (empty)")
-        if first.get("type") != "header" or first.get("kind") != STREAM_KIND:
-            raise StoreError(
-                f"{path} is not a sweep row stream (bad header); refusing to resume"
-            )
-        if first.get("schema") != STREAM_SCHEMA:
-            raise StoreError(
-                f"partial artifact {path} has schema {first.get('schema')!r}, "
-                f"this library resumes schema {STREAM_SCHEMA}"
-            )
-        if expect_spec is not None and first.get("spec") != jsonable(expect_spec):
+            header, _offset = _read_header(f, path)
+        except StoreError as exc:
+            raise StoreError(f"{exc}; refusing to resume") from None
+        if expect_spec is not None and header.get("spec") != jsonable(expect_spec):
             raise StoreError(
                 f"partial artifact {path} was written by a different sweep spec; "
                 f"refusing to resume into it"
@@ -536,6 +558,8 @@ def scan_partial_stream(
                 if not line.endswith("\n"):
                     break  # the crash cut this record mid-line
                 record = json.loads(line)
+                if not isinstance(record, dict):
+                    break  # not even an object — trust ends at the last clean row
                 if record.get("type") == "end":
                     raise StoreError(
                         f"artifact {path} is complete (end record present); "

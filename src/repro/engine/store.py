@@ -135,8 +135,8 @@ class ResultStore:
         """The artifact dict for an executed sweep.
 
         The ``resilience`` block (retry/quarantine/resume provenance)
-        appears only when the sweep actually ran under the resilient
-        path, so fault-free artifacts keep their historical bytes.
+        appears only when the sweep was given ``on_error=`` or
+        ``resume_from=``, so fault-free artifacts keep their bytes.
         """
         out = {
             "schema": SCHEMA_VERSION,

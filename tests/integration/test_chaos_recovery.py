@@ -3,18 +3,24 @@ harness: worker-process death, sink I/O faults with resume, and
 quarantine manifests — each pinned against the byte-identity invariant
 (every recovery path converges to the uninterrupted artifact)."""
 
+import faulthandler
 import random
+import sys
 
 import pytest
 
+from repro.common.errors import StoreError
 from repro.engine import (
     ChaosPlan,
     FailureManifest,
     JsonlSink,
     RetryPolicy,
+    SweepRunner,
     SweepSpec,
     WorkerCrashError,
+    iter_stream_rows,
     run_sweep,
+    scan_partial_stream,
 )
 from repro.engine.resilience import InjectedSinkError
 
@@ -82,6 +88,40 @@ class TestWorkerCrashRecovery:
                 workers=2,
                 on_error=RetryPolicy(max_attempts=1, respawn_limit=0),
             )
+
+
+    def test_dead_worker_without_a_policy_raises_instead_of_hanging(self, tmp_path):
+        plan = ChaosPlan(tmp_path / "state").kill_worker(9)
+        path = tmp_path / "rows.jsonl.gz"
+        # the regression is a sweep that waits for the dead worker forever
+        faulthandler.dump_traceback_later(30, exit=True, file=sys.__stderr__)
+        try:
+            with pytest.raises(WorkerCrashError, match="respawn"):
+                run_sweep(_spec(plan.wrap(cell_task)), workers=2, chunksize=4, sink=JsonlSink(path))
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+        # truncated, holding only whole chunks before the lost one (tasks 8..11)
+        committed = sorted(scan_partial_stream(path))
+        assert committed in ([], [0, 1, 2, 3], [0, 1, 2, 3, 4, 5, 6, 7])
+        with pytest.raises(StoreError, match="truncated"):
+            list(iter_stream_rows(path))
+
+    def test_warm_pool_is_replaced_in_place_and_stays_usable(self, tmp_path):
+        reference = _reference_bytes(tmp_path / "ref-state", tmp_path / "ref.jsonl.gz")
+
+        plan = ChaosPlan(tmp_path / "state").kill_worker(9)
+        spec = _spec(plan.wrap(cell_task))
+        path = tmp_path / "rows.jsonl.gz"
+        with SweepRunner(workers=2) as runner:
+            outcome = runner.run_sweep(spec, chunksize=4, sink=JsonlSink(path), on_error="retry")
+            assert outcome.resilience["respawns"] == 1
+            assert runner.pools_created == 2
+            assert path.read_bytes() == reference
+            # the next sweep runs on the replacement pool
+            again = runner.run_sweep(spec, sink=JsonlSink(path))
+            assert again.resilience is None
+            assert runner.pools_created == 2
+            assert path.read_bytes() == reference
 
 
 class TestSinkFaultResume:

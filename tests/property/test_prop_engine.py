@@ -14,10 +14,13 @@ count — and the exact accumulators must satisfy the merge law that
 makes that possible (any partial grouping folds to the same summary).
 
 The chunk cases pin what crosses the pool boundary: whatever the worker
-count, the chunk size and the sink tree, a sweep folded chunk by chunk
-equals a per-row ``open``/``emit``/``close`` drive of the same sinks —
-artifact bytes included — a raising task leaves exactly the rows before
-it, and a chunk-written artifact cut anywhere resumes to the same bytes.
+count, the chunk size, the sink tree (``reduce=`` among them) and the
+fault policy (none, a retried fault, a quarantined cell, a crash plus
+``resume_from=``), a sweep folded chunk by chunk equals a per-row
+``open``/``emit``/``close`` drive of the same sinks — artifact bytes,
+provenance and failure manifest included — a raising task leaves
+exactly the rows before it, and a chunk-written artifact cut anywhere
+resumes to the same bytes.
 """
 
 import pickle
@@ -33,7 +36,10 @@ from hypothesis import given, settings, strategies as st
 from repro.common.errors import StoreError
 from repro.engine import (
     CellFoldSink,
+    ChaosPlan,
     CountAcc,
+    FailureManifest,
+    InjectedSinkError,
     JsonlSink,
     MeanAcc,
     MemorySink,
@@ -41,6 +47,7 @@ from repro.engine import (
     QuantileDigest,
     ReducerSink,
     ResultStore,
+    RetryPolicy,
     RowReducer,
     SweepSpec,
     TeeSink,
@@ -277,13 +284,17 @@ def _observe(sink, parts) -> dict:
     return seen
 
 
-def _per_row_reference(spec: SweepSpec, tree: str) -> dict:
-    """The sink protocol as it was before chunks: one ``emit`` per row."""
+def _per_row_reference(spec: SweepSpec, tree: str, quarantined: int | None = None) -> dict:
+    """The sink protocol as it was before chunks: one ``emit`` per row
+    (a quarantined cell is a gap the sink is told about)."""
     with tempfile.TemporaryDirectory() as tmp:
         sink, parts = SINK_TREES[tree](Path(tmp))
         sink.open(spec.summary())
         for task in spec.iter_tasks():
-            sink.emit(task.execute())
+            if task.index == quarantined:
+                sink.note_quarantined(task.index)
+            else:
+                sink.emit(task.execute())
         sink.close()
         return _observe(sink, parts)
 
@@ -301,24 +312,92 @@ class TestChunksEqualRows:
         workers=st.sampled_from([1, 2, 3]),
         chunksize=st.sampled_from([None, 1, 2, 7]),
         persistent=st.booleans(),
-        tree=st.sampled_from(sorted(SINK_TREES)),
+        tree=st.sampled_from([*sorted(SINK_TREES), "reduce="]),
+        policy=st.sampled_from([None, "retry", "quarantine", "resume"]),
+        at=st.integers(0, 26),
     )
-    @settings(max_examples=40, deadline=None)
-    def test_every_sink_tree_at_every_layout(
-        self, scales, runs, base, seeding, workers, chunksize, persistent, tree
+    @settings(max_examples=80, deadline=None)
+    def test_every_sink_tree_at_every_layout_under_every_policy(
+        self, scales, runs, base, seeding, workers, chunksize, persistent, tree, policy, at
     ):
-        spec = SweepSpec(
-            "chunks", pure_task, grid={"scale": scales}, runs=runs, base_seed=base, seeding=seeding
-        )
-        with tempfile.TemporaryDirectory() as tmp:
-            sink, parts = SINK_TREES[tree](Path(tmp))
-            outcome = run_sweep(
-                spec, workers=workers, chunksize=chunksize, persistent_pool=persistent, sink=sink
+        """``policy`` picks what goes wrong at task ``at``: nothing, a
+        fault that heals on the third attempt, a poison cell, or a sink
+        crash followed by ``resume_from=``.  Every one must leave what a
+        per-row drive of the same sinks over the fault-free sweep leaves
+        (less the quarantined cell), plus honest provenance."""
+
+        def spec_of(task) -> SweepSpec:
+            return SweepSpec(
+                "chunks", task, grid={"scale": scales}, runs=runs, base_seed=base, seeding=seeding
             )
-            seen = _observe(sink, parts)
-        assert seen == _per_row_reference(spec, tree)
-        assert outcome.aggregate == seen["summary"]
+
+        n = spec_of(pure_task).n_tasks
+        at %= n
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            chaos, healed = ChaosPlan(tmp / "state"), ChaosPlan(tmp / "healed")
+            spec = reference_spec = spec_of(pure_task)
+            kwargs: dict = {}
+            expected = {"completed": n, "resumed": 0, "retried": 0, "quarantined": [], "respawns": 0}
+            if policy == "retry":
+                spec = spec_of(chaos.fail_task(at, attempts=2).wrap(pure_task))
+                kwargs["on_error"] = RetryPolicy(max_attempts=3, backoff=0.0)
+                expected["retried"] = 2
+            elif policy == "quarantine":
+                spec = spec_of(chaos.fail_task(at, attempts=9).wrap(pure_task))
+                kwargs["on_error"] = RetryPolicy(max_attempts=2, backoff=0.0, quarantine=True)
+                expected.update(completed=n - 1, retried=1, quarantined=[at])
+            elif policy == "resume":
+                kwargs["resume_from"] = tmp / "rows.jsonl.gz"
+                with pytest.raises(InjectedSinkError):
+                    run_sweep(spec, sink=chaos.fail_sink(at).wrap_sink(JsonlSink(tmp / "rows.jsonl.gz")))
+                expected["resumed"] = at
+            if spec is not reference_spec:  # same header, every fault already spent
+                reference_spec = spec_of(healed.fail_task(at, attempts=9).wrap(pure_task))
+                healed.claim_all()
+            gap = at if policy == "quarantine" else None
+            layout = dict(workers=workers, chunksize=chunksize, persistent_pool=persistent)
+
+            if tree == "reduce=":
+                outcome = run_sweep(spec, reduce=_metric_reducer(), **layout, **kwargs)
+                summary = _per_row_reference(reference_spec, "reducer", gap)["summary"]
+                if policy == "resume":
+                    artifact = _per_row_reference(reference_spec, "jsonl")["artifact"]
+                    assert (tmp / "rows.jsonl.gz").read_bytes() == artifact
+            elif policy == "resume" and "jsonl" not in tree:
+                sink, _parts = SINK_TREES[tree](tmp)
+                with pytest.raises(ValueError, match="names no JsonlSink"):
+                    run_sweep(spec, sink=sink, **layout, **kwargs)
+                return
+            else:
+                sink, parts = SINK_TREES[tree](tmp)
+                outcome = run_sweep(spec, sink=sink, **layout, **kwargs)
+                seen = _observe(sink, parts)
+                assert seen == _per_row_reference(reference_spec, tree, gap)
+                summary = seen["summary"]
         assert outcome.results == []
+        if policy is None:
+            assert outcome.aggregate == summary
+            assert outcome.resilience is None and outcome.failures == []
+            return
+        assert outcome.aggregate == {**summary, "resilience": expected}
+        assert outcome.resilience == expected
+        manifest = FailureManifest(spec.name, outcome.failures).payload()["quarantined"]
+        if policy != "quarantine":
+            assert manifest == []
+            return
+        (poisoned,) = (task for task in spec.iter_tasks() if task.index == at)
+        assert manifest == [
+            {
+                "index": at,
+                "params": poisoned.params,
+                "run": poisoned.run,
+                "seed": poisoned.seed,
+                "attempts": 2,
+                "error": "InjectedFault",
+                "message": f"injected fault at task {at} (attempt marker 1)",
+            }
+        ]
 
     @given(
         n=st.integers(1, 20),

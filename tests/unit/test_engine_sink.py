@@ -274,6 +274,36 @@ class TestCorruptionErrorsNameOffsets:
             list(iter_stream_rows(path))
         assert f"byte offset {len(header) + len(row) + 2}" in str(err.value)
 
+    READERS = {
+        "iter_stream_rows": lambda path: list(iter_stream_rows(path)),
+        "load_stream": load_stream,
+        "scan_partial_stream": scan_partial_stream,
+    }
+
+    @pytest.mark.parametrize("first_line", ["[1,2]", "3", "null", '"header"', '{"type":"row","index":0}'])
+    @pytest.mark.parametrize("reader", READERS.values(), ids=READERS.keys())
+    def test_first_record_that_is_no_header_names_path_and_offset(self, tmp_path, reader, first_line):
+        """Valid JSON that is not a header object (not an object at all,
+        among others) is a StoreError from the one header check."""
+        path = self._artifact(tmp_path, ["", first_line])
+        with pytest.raises(StoreError, match="bad header") as err:
+            reader(path)
+        assert str(path) in str(err.value)
+        assert "byte offset 1 (decompressed)" in str(err.value)  # past the blank line
+
+    @pytest.mark.parametrize("stray", ["[1]", "7", "null", '"row"'])
+    def test_record_that_is_not_an_object_names_offset_or_ends_the_prefix(self, tmp_path, stray):
+        header = json.dumps({"type": "header", "schema": STREAM_SCHEMA, "kind": STREAM_KIND})
+        rows = [json.dumps({"type": "row", "index": i, "value": i}) for i in (0, 1)]
+        path = self._artifact(tmp_path, [header, rows[0], stray, rows[1]])
+        for reader in (self.READERS["iter_stream_rows"], load_stream):
+            with pytest.raises(StoreError, match="not an object") as err:
+                reader(path)
+            assert str(path) in str(err.value)
+            assert f"byte offset {len(header) + len(rows[0]) + 2}" in str(err.value)
+        # to the salvage scan it is damage after the clean prefix
+        assert sorted(scan_partial_stream(path)) == [0]
+
     def test_truncated_stream_reports_clean_prefix_end(self, tmp_path):
         path = tmp_path / "full.jsonl.gz"
         run_sweep(_spec(runs=2), sink=JsonlSink(path))

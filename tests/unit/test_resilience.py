@@ -143,6 +143,19 @@ class TestFailureManifest:
             FailureManifest.load(stale)
 
 
+    @pytest.mark.parametrize(
+        "quarantined", [[{"index": 1}], 3, [3], [None], {"index": 1}], ids=repr
+    )
+    def test_load_rejects_malformed_records(self, tmp_path, quarantined):
+        path = tmp_path / "bent.json"
+        path.write_text(
+            json.dumps({"kind": MANIFEST_KIND, "schema": MANIFEST_SCHEMA, "quarantined": quarantined})
+        )
+        with pytest.raises(StoreError, match="malformed quarantined record") as err:
+            FailureManifest.load(path)
+        assert str(path) in str(err.value)
+
+
 class TestChaosPlan:
     def test_chaining_and_len(self, tmp_path):
         plan = ChaosPlan(tmp_path).kill_worker(7).fail_task(12, attempts=2).fail_sink(30)
@@ -300,12 +313,39 @@ class TestRetryAndQuarantineSemantics:
         assert payload["resilience"]["quarantined"] == [2]
         assert payload["resilience"]["resumed"] == 0
 
-    def test_on_error_rejects_reduce(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_on_error_composes_with_reduce(self, tmp_path, workers):
         from repro.engine import CountAcc, RowReducer
 
         reducer = RowReducer((("v", "", CountAcc()),))
-        with pytest.raises(ValueError, match="reduce"):
-            run_sweep(_spec(), reduce=reducer, on_error="retry")
+        reference = run_sweep(_spec(), reduce=reducer)
+        assert reference.resilience is None
+
+        plan = ChaosPlan(tmp_path / "state").fail_task(2, attempts=2)
+        spec = _spec(task=plan.wrap(steady_task))
+        retried = run_sweep(
+            spec, workers=workers, reduce=reducer, on_error=RetryPolicy(max_attempts=3, backoff=0.0)
+        )
+        assert retried.resilience["retried"] == 2
+        provenance = retried.aggregate.pop("resilience")
+        assert provenance == retried.resilience
+        assert retried.aggregate == reference.aggregate
+        assert reducer.rows == 0  # still a template
+
+        # a crashed artifact resumed under reduce=: the salvaged rows fold
+        # into the reducer without re-running, the summary is the whole sweep's
+        path = tmp_path / "rows.jsonl.gz"
+        crash = ChaosPlan(tmp_path / "crash").fail_sink(4)
+        with pytest.raises(InjectedSinkError):
+            run_sweep(_spec(), sink=crash.wrap_sink(JsonlSink(path)))
+        resumed = run_sweep(_spec(), workers=workers, reduce=reducer, resume_from=path)
+        assert resumed.resilience["resumed"] == 4
+        assert resumed.resilience["completed"] == 6
+        del resumed.aggregate["resilience"]
+        assert resumed.aggregate == reference.aggregate
+        full = tmp_path / "full.jsonl.gz"
+        run_sweep(_spec(), sink=JsonlSink(full))
+        assert path.read_bytes() == full.read_bytes()
 
     def test_resume_from_requires_matching_jsonl_in_tree(self, tmp_path):
         with pytest.raises(ValueError, match="names no JsonlSink"):

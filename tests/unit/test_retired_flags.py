@@ -13,6 +13,11 @@ The bench gate's clock is retired the same way: host time has one
 owner (``benchmarks/e2e``), so nothing under ``src/repro/bench/`` may
 read a clock or spell a timing field, and the keywords that existed to
 serve the clock — or to select a slow arm nobody runs — are rejected.
+
+The sweep engine's second and third execution loops are retired too:
+one function executes a sweep task, one constructs a pool, one submits
+to it, and the names of the deleted loops (and of the pool library they
+rode) do not come back under ``src/repro/engine/``.
 """
 
 import re
@@ -100,3 +105,52 @@ def test_retired_cli_flag_is_rejected(flag, capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["diff", flag, "25"])
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+ENGINE_SRC = Path(cases.__file__).parent.parent / "engine"
+
+#: the deleted loops and the pool library two of them rode
+RETIRED_ENGINE_WORDS = re.compile(
+    "|".join(
+        head + tail
+        for head, tail in [
+            ("_execute", "_all"),
+            ("_execute", "_task"),
+            ("run_", "resilient"),
+            ("_resilient", "_raw_stream"),
+            ("_sett", r"le\b"),
+            ("_guarded", "_chunk"),
+            ("_guard", "_one"),
+            ("_Fai", "led"),
+            ("_Sta", r"ts\b"),
+            ("_chunk", "_list"),
+            ("multiprocessing", r"\.Pool"),
+            (r"\.im", r"ap\("),
+            ("pool", r"\.map\("),
+        ]
+    )
+)
+
+
+def test_the_engine_has_one_sweep_loop_on_one_pool():
+    files = sorted(ENGINE_SRC.glob("*"))
+    sources = {p.name: p.read_text() for p in files if p.suffix in (".py", ".md")}
+    assert {"executor.py", "sink.py", "resilience.py", "README.md"} <= set(sources)
+    hits = {name: sorted(set(RETIRED_ENGINE_WORDS.findall(text))) for name, text in sources.items()}
+    assert {name: found for name, found in hits.items() if found} == {}
+
+    def sites(call: str) -> list[str]:
+        return [
+            f"{name}:{text[: match.start()].count(chr(10)) + 1}"
+            for name, text in sources.items()
+            if name.endswith(".py")
+            for match in re.finditer(call, text)
+        ]
+
+    (executes,) = sites(r"\.execute\(\)")  # a sweep task runs in fold_chunk and nowhere else
+    assert executes.startswith("sink.py:")
+    fold_chunk = sources["sink.py"].split("\ndef fold_chunk(")[1].split("\nclass ")[0]
+    assert ".execute()" in fold_chunk
+    (constructs,) = sites(r"ProcessPoolExecutor\(")
+    (submits,) = sites(r"\.submit\(")
+    assert constructs.startswith("executor.py:") and submits.startswith("executor.py:")

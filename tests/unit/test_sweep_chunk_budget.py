@@ -18,6 +18,7 @@ from repro.engine import (
     CountAcc,
     JsonlSink,
     MeanAcc,
+    NoopSink,
     ReducerSink,
     ResultStore,
     RowReducer,
@@ -74,11 +75,15 @@ def sweep(runner: SweepRunner, path, **kwargs):
     return outcome, reducer
 
 
-def test_pooled_sweep_makes_no_per_row_call_in_the_parent(tmp_path, parent_calls):
+@pytest.mark.parametrize("on_error", [None, "retry"])
+def test_pooled_sweep_makes_no_per_row_call_in_the_parent(tmp_path, parent_calls, on_error):
+    """Under a retry policy too: retries are settled where the task
+    ran, so the policy changes nothing about what the parent does."""
     with SweepRunner(workers=2) as runner:
-        outcome, reducer = sweep(runner, tmp_path / "rows.jsonl.gz", chunksize=CHUNK)
+        runner.run_sweep(SweepSpec("can-pool", cell, grid={}, runs=2), sink=NoopSink())
         if runner.pools_created == 0:
             pytest.skip("this environment cannot create a process pool")
+        outcome, reducer = sweep(runner, tmp_path / "rows.jsonl.gz", chunksize=CHUNK, on_error=on_error)
     per_row = [name for name in parent_calls if name != "gzip_write"]
     assert per_row == []  # a payload, two digests and a fold per row (960 calls) before
     # the header, one write per chunk, the end record

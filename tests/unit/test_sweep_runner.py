@@ -1,5 +1,12 @@
 """Unit tests for the persistent-pool sweep executor."""
 
+import json
+import os
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
 from repro.engine.executor import (
     SweepRunner,
     clear_worker_cache,
@@ -9,7 +16,9 @@ from repro.engine.executor import (
     worker_cache,
 )
 from repro.engine.spec import SweepSpec
-from repro.bench.cases import warm_pool_probe
+from repro.bench.cases import suite_warm_pool_trial, warm_pool_probe
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 def _spec(name: str, runs: int = 4) -> SweepSpec:
@@ -60,6 +69,44 @@ class TestSweepRunner:
         with SweepRunner(workers=1) as runner:
             runner.run_sweep(_spec("stored"), store=store)
         assert store.load("stored")["spec"]["name"] == "stored"
+
+
+def nested_campaign(seed: int, **shape) -> dict:
+    """The warm-pool bench trial as a sweep task, reporting where it
+    ran and how many pools the runner it opens in there created."""
+    runners = []
+    init = SweepRunner.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        runners.append(self)
+
+    with mock.patch.object(SweepRunner, "__init__", recording):
+        counters = suite_warm_pool_trial(seed, **shape)
+    return {
+        "counters": counters,
+        "pools_created": [runner.pools_created for runner in runners],
+        "pid": os.getpid(),
+    }
+
+
+class TestNestedSweepsStaySerial:
+    def test_a_campaign_inside_a_pool_worker_forks_no_grandchildren(self):
+        """Executor workers are not daemonic, so nothing but the
+        engine's own mark stops a worker from pooling."""
+        committed = json.loads((REPO / "BENCH_suite_warm_pool.json").read_text())
+        spec = SweepSpec(
+            "nested", nested_campaign, grid={}, runs=2, seeding="offset", fixed=committed["spec"]["fixed"]
+        )
+        with SweepRunner(workers=2) as runner:
+            outcome = runner.run_sweep(spec, chunksize=1)
+            if runner.pools_created == 0:
+                pytest.skip("this environment cannot create a process pool")
+        for result, row in zip(outcome.results, committed["rows"], strict=True):
+            assert result.seed == row["seed"]
+            assert result.value["pid"] != os.getpid()
+            assert result.value["pools_created"] == [0]
+            assert result.value["counters"] == row["counters"]
 
 
 class TestPersistentPoolFlag:
