@@ -64,8 +64,8 @@ Representative workloads covered:
 * ``suite_warm_pool`` — microbench of the sweep executor: a campaign
   of small sweeps on one persistent warm pool.
 * ``net_fanout_flyweight`` — microbench of the fan-out allocation
-  layer: one shared :class:`~repro.net.message.MessageTemplate`
-  envelope with thin per-destination stamps.
+  layer: a thin :class:`~repro.net.message.MessageStamp` per
+  destination over one shared payload.
 * ``zipf_sampling`` — A/B microbench of the Zipf item sampler at a
   ~10^5-item catalog: the historical O(n) cumulative scan
   (``sampler="scan"``) vs the O(1) Walker alias table
@@ -412,11 +412,11 @@ def net_fanout_trial(seed: int, n_sites: int = 24, rounds: int = 40) -> dict[str
 
 
 def net_fanout_flyweight_trial(seed: int, n_sites: int = 32, rounds: int = 60) -> dict[str, Any]:
-    """Broadcast storms over shared-envelope stamps.
+    """Broadcast storms over per-destination stamps.
 
-    Each ``multicast`` builds one
-    :class:`~repro.net.message.MessageTemplate` and stamps it per
-    destination; every round drains the scheduler so the delivery
+    Each ``multicast`` stamps one
+    :class:`~repro.net.message.MessageStamp` per destination over the
+    shared payload; every round drains the scheduler so the delivery
     counters pin the behaviour.  A partitioned phase exercises the drop
     path's stamp handling too.
     """

@@ -452,8 +452,10 @@ class Cluster:
         self.injector.arm(plan)
 
     def _on_connectivity_change(self, event: str) -> None:
+        # a storm changes connectivity under 32 engines of which a
+        # handful track a transaction; the rest have nothing to re-arm
         for site in self.sites.values():
-            if site.alive and site.engine is not None:
+            if site.alive and site.engine is not None and site.engine.records():
                 site.engine.kick()
 
     # ------------------------------------------------------------------

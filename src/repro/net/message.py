@@ -6,20 +6,20 @@ string namespaces the protocol family (``"2pc.vote-req"``,
 carries protocol-specific fields.  Keeping one type means the network,
 tracer, and failure injector never need protocol-specific knowledge.
 
-Hot-path note: a protocol fan-out sends the *same* ``src`` / ``mtype``
-/ ``txn`` / ``payload`` to every destination, and a frozen dataclass
-pays one ``object.__setattr__`` call per field on construction.
-:class:`MessageTemplate` is the flyweight answer: the shared envelope
-is built once per fan-out and :meth:`MessageTemplate.for_dst` stamps
-out per-destination messages with plain slot stores (~3x cheaper to
-construct than a :class:`Message`).  A stamp duck-types
+Hot-path note: a frozen dataclass pays one ``object.__setattr__`` call
+per field on construction, so nothing in flight is one.  Every message
+the library itself sends — a single :meth:`Node.send
+<repro.net.node.Node.send>` as much as each destination of a fan-out —
+is a :class:`MessageStamp`, whose constructor is six plain slot stores
+(~3x cheaper than a :class:`Message`).  A stamp duck-types
 :class:`Message` exactly — same attributes, same ``family`` /
 ``__str__``, and a ``msg_id`` drawn from the *same* process-wide
 counter, so tracing and duplicate-detection semantics are those of a
-message.  Single :meth:`~repro.net.network.Network.send` calls build a
-:class:`Message` directly.  Handlers must treat stamps as immutable,
-just like messages (the payload dict is shared across the whole
-fan-out).
+message.  :class:`Message` stays the public value type: tests, message
+filters and the network's filtered / lossy path construct it, and
+:meth:`Network.send <repro.net.network.Network.send>` takes either.
+Handlers must treat stamps as immutable, just like messages (the
+payload dict is shared across a whole fan-out).
 """
 
 from __future__ import annotations
@@ -66,22 +66,23 @@ class Message:
 
 
 class MessageStamp:
-    """A per-destination stamp of a :class:`MessageTemplate` envelope.
+    """A message in flight, built with plain slot stores.
 
     Field-compatible with :class:`Message` (the network, tracer and
-    every handler read the same attribute names); constructed via
-    :meth:`MessageTemplate.for_dst`, never directly.  Immutable by
+    every handler read the same attribute names) and the one
+    constructor behind everything the library sends.  Immutable by
     contract — nothing in the library mutates a message in flight.
     """
 
     __slots__ = ("src", "dst", "mtype", "txn", "payload", "msg_id")
 
-    src: int
-    dst: int
-    mtype: str
-    txn: str
-    payload: dict[str, Any]
-    msg_id: int
+    def __init__(self, src: int, dst: int, mtype: str, txn: str, payload: dict[str, Any]) -> None:
+        self.src = src
+        self.dst = dst
+        self.mtype = mtype
+        self.txn = txn
+        self.payload = payload
+        self.msg_id = next(_msg_counter)
 
     @property
     def family(self) -> str:
@@ -105,10 +106,9 @@ class MessageStamp:
 class MessageTemplate:
     """The shared envelope of one fan-out (flyweight for :class:`Message`).
 
-    Holds the fields every destination shares; :meth:`for_dst` clones a
-    thin :class:`MessageStamp` per destination with plain slot stores —
-    no dataclass ``__setattr__`` round-trips — while still drawing each
-    stamp's ``msg_id`` from the process-wide message counter.
+    Holds the fields every destination shares; :meth:`for_dst` stamps a
+    :class:`MessageStamp` per destination, each with its own ``msg_id``
+    from the process-wide message counter.
     """
 
     __slots__ = ("src", "mtype", "txn", "payload")
@@ -123,11 +123,4 @@ class MessageTemplate:
 
     def for_dst(self, dst: int) -> MessageStamp:
         """Stamp the envelope for one destination (fresh ``msg_id``)."""
-        stamp = MessageStamp.__new__(MessageStamp)
-        stamp.src = self.src
-        stamp.dst = dst
-        stamp.mtype = self.mtype
-        stamp.txn = self.txn
-        stamp.payload = self.payload
-        stamp.msg_id = next(_msg_counter)
-        return stamp
+        return MessageStamp(self.src, dst, self.mtype, self.txn, self.payload)

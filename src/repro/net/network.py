@@ -66,15 +66,20 @@ Hot paths (the randomized studies push 10^5+ messages per run):
 * **Trace appends use the tracer's fast paths.**  The per-message
   ``send`` / ``deliver`` / ``drop`` records go through
   :meth:`Tracer.record_send` and friends, which append straight into
-  the columnar store without building a detail dict or a record object.
-* **Fan-outs stamp a shared envelope.**  A protocol fan-out repeats the
-  same ``src`` / ``mtype`` / ``txn`` / ``payload`` per destination, so
-  :meth:`fanout` builds one :class:`~repro.net.message.MessageTemplate`
-  and stamps a thin per-destination clone (plain slot stores) instead
-  of constructing a full frozen-dataclass :class:`Message` per
-  destination.  Delivery, tracing, drop bookkeeping and ``msg_id``
-  draws are the same as for a :class:`Message` — stamps duck-type
-  messages exactly.
+  the columnar store — one call, no detail dict, no record object.
+* **Every message in flight is a stamp.**  :meth:`fanout` and
+  :meth:`Node.send <repro.net.node.Node.send>` construct a
+  :class:`~repro.net.message.MessageStamp` (plain slot stores) per
+  destination, never a frozen-dataclass :class:`Message`; only the
+  filtered / lossy arm of :meth:`fanout` builds the public value type,
+  because filters are written against it.  Delivery, tracing, drop
+  bookkeeping and ``msg_id`` draws are the same for both — stamps
+  duck-type messages exactly.
+* **The clock is an attribute load.**  ``send``, ``fanout``, the
+  deliveries and ``_drop`` read :attr:`Scheduler.now
+  <repro.sim.scheduler.Scheduler.now>` off the scheduler this network
+  holds — a plain attribute, read once per ``send`` / ``fanout``; no
+  property sits between an event and the time it happens at.
 """
 
 from __future__ import annotations
@@ -82,7 +87,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.net.delays import DelayModel, FixedDelay
-from repro.net.message import Message, MessageTemplate
+from repro.net.message import Message, MessageStamp
 from repro.net.partitions import PartitionView
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -316,13 +321,13 @@ class Network:
         newly elected coordinator can poll in phase 1 of a termination
         protocol.
         """
-        pool = self._nodes if among is None else among
-        reachable = self.partition.reachable
-        return sorted(
-            s
-            for s in pool
-            if s in self._nodes and self._nodes[s].alive and reachable(src, s)
-        )
+        nodes = self._nodes
+        live = [s for s in (nodes if among is None else among) if s in nodes and nodes[s].alive]
+        if not live:
+            return live
+        # one component lookup per call, not one reachable() per site
+        component = self.partition.component_of(src)
+        return sorted(s for s in live if s in component)
 
     # ------------------------------------------------------------------
     # fault control (called by the FailureInjector and by tests)
@@ -443,7 +448,8 @@ class Network:
         src = msg.src
         dst = msg.dst
         sched = self._scheduler
-        self._tracer.record_send(sched.now, src, msg.txn, msg.mtype, dst)
+        now = sched.now
+        self._tracer.record_send(now, src, msg.txn, msg.mtype, dst)
         if not self._fast_path:
             self._send_slow(msg)
             return
@@ -483,11 +489,11 @@ class Network:
             # epoch is unchanged on arrival nothing can have changed,
             # so delivery skips the per-message re-checks.  Deliveries
             # are never cancelled, so no EventHandle is needed.
-            sched.call_fixed(sched.now + delay, self._deliver_fast, dst_node, msg, self._epoch)
+            sched.call_fixed(now + delay, self._deliver_fast, dst_node, msg, self._epoch)
         else:
             # destined to drop as "destination-down" unless the target
             # recovers in flight — keep the fully checked path.
-            sched.call_fixed(sched.now + delay, self._deliver, msg)
+            sched.call_fixed(now + delay, self._deliver, msg)
 
     def fanout(
         self,
@@ -509,10 +515,9 @@ class Network:
         check, the reachable-peer set and the virtual clock are read
         once per fan-out instead of once per destination — no events run
         between the per-destination sends, so the clock cannot advance
-        mid-loop.  The shared fields live in one
-        :class:`~repro.net.message.MessageTemplate` envelope and each
-        destination gets a thin stamp; the payload dict is shared across
-        the fan-out — messages are immutable by contract.
+        mid-loop.  Each destination gets a
+        :class:`~repro.net.message.MessageStamp`; the payload dict is
+        shared across the fan-out — messages are immutable by contract.
 
         Falls back to per-message :meth:`send` whenever filters or lossy
         links are active, so the fault model and RNG draw order are
@@ -536,11 +541,10 @@ class Network:
         epoch = self._epoch
         deliver_fast = self._deliver_fast
         now = sched.now
-        template = MessageTemplate(src, mtype, txn, payload)
         for dst in dsts:
             self.sent += 1
             record_send(now, src, txn, mtype, dst)
-            msg = template.for_dst(dst)
+            msg = MessageStamp(src, dst, mtype, txn, payload)
             dst_node = nodes.get(dst)
             if dst_node is None:
                 drop(msg, "unknown-destination")

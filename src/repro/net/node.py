@@ -16,6 +16,15 @@ creates a few dozen bound methods, not 480.  A handler registered
 explicitly with :meth:`Node.on` before the first delivery wins over the
 table; a type in neither is traced ``unhandled`` and ignored.
 
+What a node binds once.  The tracer and the scheduler are fixed for
+the network's lifetime, so a node takes both when it is built:
+:attr:`Node.now`, :meth:`Node.trace` and :meth:`Node.set_timer` read
+the clock as ``self._scheduler.now`` — two attribute loads — and a
+timer is one :meth:`Scheduler.call_at
+<repro.sim.scheduler.Scheduler.call_at>` after the node's own
+liveness and negative-delay checks.  :meth:`Node.send` stamps its
+message the way a fan-out does (:class:`~repro.net.message.MessageStamp`).
+
 Crash semantics follow the paper's model:
 
 * ``crash()`` cancels every pending timer and flips ``alive``; the
@@ -30,7 +39,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from repro.common.errors import SiteDownError
-from repro.net.message import Message
+from repro.net.message import Message, MessageStamp
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.network import Network
@@ -54,10 +63,11 @@ class Node:
         self._late_names: Mapping[str, str] = _NO_NAMES
         self._timers: list["EventHandle"] = []
         self._prune_at = _MIN_PRUNE  # len(_timers) that triggers a prune
-        # the tracer is fixed for the network's lifetime; binding it
-        # here saves two attribute hops on every trace() call (state
-        # transitions trace on each protocol step)
+        # the tracer and the scheduler are fixed for the network's
+        # lifetime; bound here, every trace(), set_timer() and clock
+        # read is attribute loads, not a chain of properties
         self._tracer = network.tracer
+        self._scheduler = network.scheduler
         network.register(self)
 
     # ------------------------------------------------------------------
@@ -99,7 +109,7 @@ class Node:
             name = self._late_names.get(mtype)
             if name is None:
                 self._tracer.record(
-                    self.now, self.node_id, "unhandled", msg.txn, mtype=mtype
+                    self._scheduler.now, self.node_id, "unhandled", msg.txn, mtype=mtype
                 )
                 return
             # first delivery of this type: register it like any other
@@ -115,20 +125,21 @@ class Node:
     @property
     def now(self) -> float:
         """Current virtual time."""
-        return self.network.scheduler.now
+        return self._scheduler.now
 
     def send(self, dst: int, mtype: str, txn: str = "", **payload: Any) -> None:
-        """Send one message (no-op with an error if this site is down)."""
+        """Send one message; raises :class:`SiteDownError` if this site is down."""
         if not self.alive:
             raise SiteDownError(f"site {self.node_id} is down")
-        self.network.send(Message(self.node_id, dst, mtype, txn, payload))
+        self.network.send(MessageStamp(self.node_id, dst, mtype, txn, payload))
 
     def broadcast(self, dsts: list[int], mtype: str, txn: str = "", **payload: Any) -> None:
         """Send the same message to every destination (excluding self).
 
         Routed through :meth:`Network.fanout
         <repro.net.network.Network.fanout>`, which hoists the per-source
-        connectivity work out of the per-destination loop.
+        connectivity work out of the per-destination loop.  Raises
+        :class:`SiteDownError` if this site is down.
         """
         if not self.alive:
             raise SiteDownError(f"site {self.node_id} is down")
@@ -149,7 +160,7 @@ class Node:
         Same :meth:`Network.fanout <repro.net.network.Network.fanout>`
         hot path as :meth:`broadcast`; the payload dict is shared across
         the fan-out, which is safe because messages are immutable by
-        contract.
+        contract.  Raises :class:`SiteDownError` if this site is down.
         """
         if not self.alive:
             raise SiteDownError(f"site {self.node_id} is down")
@@ -159,8 +170,11 @@ class Node:
         """Schedule a callback that is cancelled if this site crashes first."""
         if not self.alive:
             raise SiteDownError(f"site {self.node_id} is down")
-        handle = self.network.scheduler.call_after(
-            delay, self._guarded, fn, args, label=label or f"timer@{self.node_id}"
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        sched = self._scheduler
+        handle = sched.call_at(
+            sched.now + delay, self._guarded, fn, args, label=label or f"timer@{self.node_id}"
         )
         timers = self._timers
         timers.append(handle)
@@ -216,7 +230,7 @@ class Node:
 
     def trace(self, category: str, txn: str = "", **detail: Any) -> None:
         """Record a trace event attributed to this site."""
-        self._tracer.record(self.now, self.node_id, category, txn, **detail)
+        self._tracer.record(self._scheduler.now, self.node_id, category, txn, **detail)
 
     def __repr__(self) -> str:
         status = "up" if self.alive else "DOWN"

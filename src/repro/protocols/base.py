@@ -142,6 +142,11 @@ class ProtocolHooks:
 # ----------------------------------------------------------------------
 
 
+#: the terminal states, as one constant: ``decided`` is read on every
+#: protocol step, and an enum member lookup costs more than the test
+_DECIDED = (TxnState.C, TxnState.A)
+
+
 @dataclass
 class TxnRecord:
     """Everything one site knows about one in-flight transaction.
@@ -175,7 +180,7 @@ class TxnRecord:
     @property
     def decided(self) -> bool:
         """True once the local state is terminal (C or A)."""
-        return self.state in (TxnState.C, TxnState.A)
+        return self.state in _DECIDED
 
     @property
     def items(self) -> list[str]:

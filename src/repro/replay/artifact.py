@@ -414,11 +414,21 @@ class RecordedTrace:
 
         Raises:
             StoreError: on unreadable, corrupt, truncated, or
-                schema-incompatible artifacts.
+                schema-incompatible artifacts; a line that is valid
+                JSON but not an object is named by path and number.
         """
+        lines = []
         try:
             with gzip.open(path, "rt", encoding="utf-8") as f:
-                lines = [json.loads(line) for line in f if line.strip()]
+                for number, line in enumerate(f, 1):
+                    if not line.strip():
+                        continue
+                    record = json.loads(line)
+                    if not isinstance(record, dict):
+                        raise StoreError(
+                            f"trace artifact {path}: line {number} is not a JSON object"
+                        )
+                    lines.append(record)
         except (OSError, EOFError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise StoreError(f"cannot read trace artifact {path}: {exc}") from None
         return cls.from_lines(lines)

@@ -20,7 +20,11 @@ on push / cancel / fire rather than an O(n) queue scan.  Events that
 can never be cancelled (message deliveries, which make up nearly all
 events in protocol runs) can skip the :class:`EventHandle` allocation
 entirely via :meth:`Scheduler.call_fixed`, which stores a bare
-``(fn, args)`` tuple in the heap entry instead.
+``(fn, args)`` tuple in the heap entry instead.  The clock,
+:attr:`Scheduler.now`, is a plain attribute that only this module
+writes (a guard test holds every other module to that): the network,
+the nodes and the tracer's callers read it on every event, and an
+attribute load is all a read costs.
 """
 
 from __future__ import annotations
@@ -99,15 +103,11 @@ class Scheduler:
         # reaches the handle.
         self._queue: list[tuple[float, int, EventHandle]] = []
         self._seq = 0
-        self._now = 0.0
+        #: current virtual time; written by this class and nobody else
+        self.now = 0.0
         self._events_run = 0
         self._pending = 0
         self._max_events = 10_000_000
-
-    @property
-    def now(self) -> float:
-        """Current virtual time."""
-        return self._now
 
     @property
     def events_run(self) -> int:
@@ -131,8 +131,8 @@ class Scheduler:
         Scheduling in the past is a programming error and raises
         ``ValueError`` rather than silently reordering history.
         """
-        if time < self._now:
-            raise ValueError(f"cannot schedule at {time} < now {self._now}")
+        if time < self.now:
+            raise ValueError(f"cannot schedule at {time} < now {self.now}")
         handle = EventHandle(fn, args, time, label=label)
         handle._scheduler = self
         self._seq += 1
@@ -150,7 +150,7 @@ class Scheduler:
         """Schedule ``fn(*args)`` after a relative ``delay >= 0``."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        return self.call_at(self._now + delay, fn, *args, label=label)
+        return self.call_at(self.now + delay, fn, *args, label=label)
 
     def call_fixed(self, time: float, fn: Callable[..., None], *args: Any) -> None:
         """Schedule a *non-cancellable* event at absolute time ``time``.
@@ -160,8 +160,8 @@ class Scheduler:
         Used by the network for message deliveries, which are never
         cancelled (a crash drops the message at delivery time instead).
         """
-        if time < self._now:
-            raise ValueError(f"cannot schedule at {time} < now {self._now}")
+        if time < self.now:
+            raise ValueError(f"cannot schedule at {time} < now {self.now}")
         self._seq += 1
         self._pending += 1
         heapq.heappush(self._queue, (time, self._seq, (fn, args)))
@@ -177,7 +177,7 @@ class Scheduler:
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        self.call_fixed(self._now + delay, fn, *args)
+        self.call_fixed(self.now + delay, fn, *args)
 
     def call_fixed_until(
         self, time: float, deadline: float, fn: Callable[..., None], *args: Any
@@ -207,7 +207,7 @@ class Scheduler:
             time, _seq, handle = heapq.heappop(queue)
             if type(handle) is tuple:
                 # call_fixed entry: not cancellable, no flags to update.
-                self._now = time
+                self.now = time
                 self._pending -= 1
                 self._events_run += 1
                 if self._events_run > self._max_events:
@@ -220,7 +220,7 @@ class Scheduler:
             if handle.cancelled:
                 # counter already decremented at cancel()
                 continue
-            self._now = time
+            self.now = time
             handle.fired = True
             self._pending -= 1
             self._events_run += 1
@@ -256,7 +256,7 @@ class Scheduler:
         """Run until the queue drains; returns the final virtual time."""
         while self.step():
             pass
-        return self._now
+        return self.now
 
     def run_until(self, deadline: float) -> float:
         """Run all events with ``time <= deadline``; advance clock to deadline.
@@ -273,8 +273,8 @@ class Scheduler:
             if time > deadline:
                 break
             self.step()
-        self._now = max(self._now, deadline)
-        return self._now
+        self.now = max(self.now, deadline)
+        return self.now
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Scheduler now={self._now} pending={self.pending}>"
+        return f"<Scheduler now={self.now} pending={self.pending}>"

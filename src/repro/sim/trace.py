@@ -18,11 +18,26 @@ details are **shared**: one tuple per distinct ``(mtype, peer)`` (per
 ``(mtype, peer, reason)`` for drops) is built on first sight and
 appended by reference afterwards, so a repeated send/deliver/drop
 append allocates nothing the cyclic collector tracks — a storm leaves
-a few dozen detail tuples behind, not one per message.  Per-category
+a few dozen detail tuples behind, not one per message.  On an unbounded
+tracer :meth:`Tracer.record_send` / :meth:`~Tracer.record_deliver` /
+:meth:`~Tracer.record_drop` do those five appends in place — one call
+per message row; only a tracer with a ``capacity`` routes them through
+``_append``, where the truncate / ring branch lives (the generic
+:meth:`Tracer.record` always goes that way).  Per-category
 and per-txn row indexes are built
 lazily on the first query and extended incrementally, so :meth:`where`
 / :meth:`count` / :meth:`decisions` / :meth:`message_counts` touch O(k)
 matching rows instead of scanning all O(n).
+
+A reader that follows the run as it goes — the open-loop service
+retiring decided transactions at each arrival — uses the cursor read
+:meth:`Tracer.since` instead of a query: it keeps a position, gets the
+``(time, site, txn)`` of one category's records appended after it, and
+pays O(new rows) with no index and no :class:`TraceRecord` built.  A
+position counts records ever stored, so it survives ring eviction:
+what a ring evicted before the reader came back is skipped, never
+replayed, and a ring must hold at least what is appended between two
+reads for its reader to see every record.
 
 ``capacity`` bounds memory two ways: the default (truncate) mode drops
 *new* records once full, while ``ring=True`` keeps the *last*
@@ -160,7 +175,14 @@ class Tracer:
             detail = self._pairs[mtype][dst]
         except KeyError:
             detail = _share(self._pairs, mtype, dst)
-        self._append(time, site, "send", txn, detail)
+        if self._capacity is not None:
+            self._append(time, site, "send", txn, detail)
+            return
+        self._times.append(time)
+        self._sites.append(site)
+        self._cats.append("send")
+        self._txns.append(txn)
+        self._details.append(detail)
 
     def record_deliver(self, time: float, site: int, txn: str, mtype: str, src: int) -> None:
         """Fast-path append of a ``deliver`` record."""
@@ -168,7 +190,14 @@ class Tracer:
             detail = self._pairs[mtype][src]
         except KeyError:
             detail = _share(self._pairs, mtype, src)
-        self._append(time, site, "deliver", txn, detail)
+        if self._capacity is not None:
+            self._append(time, site, "deliver", txn, detail)
+            return
+        self._times.append(time)
+        self._sites.append(site)
+        self._cats.append("deliver")
+        self._txns.append(txn)
+        self._details.append(detail)
 
     def record_drop(
         self, time: float, site: int, txn: str, mtype: str, dst: int, reason: str
@@ -178,7 +207,14 @@ class Tracer:
             detail = self._drops[reason][mtype][dst]
         except KeyError:
             detail = _share(self._drops.setdefault(reason, {}), mtype, dst, reason)
-        self._append(time, site, "drop", txn, detail)
+        if self._capacity is not None:
+            self._append(time, site, "drop", txn, detail)
+            return
+        self._times.append(time)
+        self._sites.append(site)
+        self._cats.append("drop")
+        self._txns.append(txn)
+        self._details.append(detail)
 
     def _append(self, time: float, site: int, category: str, txn: str, detail: Any) -> None:
         cap = self._capacity
@@ -362,6 +398,34 @@ class Tracer:
             if cats[slot] == "decision" and self._txns[slot] == txn:
                 out[sites[slot]] = details[slot]["outcome"]
         return out
+
+    def since(self, position: int, category: str) -> tuple[int, list[tuple[float, int, str]]]:
+        """The ``category`` records appended after ``position``: a cursor read.
+
+        Returns ``(new position, [(time, site, txn), ...])`` in append
+        order; a caller that starts at 0 and feeds each returned
+        position into its next call sees every record of the category
+        once.  The cost is O(records appended since ``position``): the
+        new rows' category column is scanned in place — no index is
+        built and no :class:`TraceRecord` is materialized.
+
+        A position counts records ever stored, so it stays valid while
+        a ring evicts: records evicted before the caller came back for
+        them are skipped, not replayed — a ring has to hold at least
+        what is appended between two reads for its reader to see it
+        all.  Records a full truncating tracer refused were never
+        stored and are never seen, exactly as with :meth:`where`.
+        """
+        stored = len(self._times)
+        evicted = self._dropped if self._ring else 0
+        rows = range(max(position - evicted, 0), stored)
+        times, sites, cats, txns = self._times, self._sites, self._cats, self._txns
+        found = [
+            (times[slot], sites[slot], txns[slot])
+            for slot in (map(self._slot, rows) if self._full else rows)
+            if cats[slot] == category
+        ]
+        return evicted + stored, found
 
     def message_counts(self) -> dict[str, int]:
         """Histogram of sent message types (for the Fig. 1 / Fig. 2 benches)."""

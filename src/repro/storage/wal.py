@@ -39,8 +39,7 @@ the batching to the benchmark harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 from repro.common.errors import StorageError
 
@@ -54,14 +53,15 @@ _DECISION_KINDS = ("commit", "abort")
 _FLUSH_KINDS = frozenset({"vote", "pc", "pa", "commit", "abort"})
 
 
-@dataclass(frozen=True)
-class LogRecord:
-    """One durable log record."""
+class LogRecord(NamedTuple):
+    """One durable log record (immutable: a tuple, built in one C call —
+    a frozen dataclass pays an ``object.__setattr__`` per field on every
+    ``force``)."""
 
     lsn: int
     txn: str
     kind: str
-    payload: dict[str, Any] = field(default_factory=dict)
+    payload: dict[str, Any]
 
     def __str__(self) -> str:
         body = f" {self.payload}" if self.payload else ""

@@ -21,7 +21,11 @@ way on the virtual clock:
   protocol decision minus submit time) folds into a fixed-size
   :class:`~repro.engine.aggregate.QuantileDigest`; no per-op lists,
   so memory is constant in the offered load and the p50/p99/p999
-  estimates are a pure function of the folded multiset.  Read-only
+  estimates are a pure function of the folded multiset.  Decisions
+  are read at each arrival from a cursor over the trace
+  (:meth:`Tracer.since <repro.sim.trace.Tracer.since>`): the cost is
+  the records appended since the previous arrival, whatever the number
+  of transactions in flight.  Read-only
   fast-path commits and client-side aborts complete synchronously on
   the virtual clock (zero latency) and are tallied, not folded.
 * **throughput-ceiling discovery** — :func:`ramp` steps the arrival
@@ -42,6 +46,7 @@ the closed-loop baselines pin.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
@@ -223,10 +228,12 @@ class _OpenLoopRun:
         #: writes it, so the fixed-window behavior is unchanged.
         self.window = min(max(window, adapt.low), adapt.high) if adapt else window
         self.widened = self.narrowed = 0
-        #: origin -> {txn: submit_time}; dicts, not sets, so retirement
-        #: iterates in insertion order (hash order would leak into the
-        #: digest's min/max fold and break run-to-run determinism).
-        self.in_flight: dict[int, dict[str, float]] = {}
+        #: in-flight txn -> (origin, submit time), and per origin how
+        #: many of them it holds (what the admission window bounds)
+        self.submitted: dict[str, tuple[int, float]] = {}
+        self.in_flight: Counter[int] = Counter()
+        #: trace position the decisions have been read up to
+        self._cursor = 0
         self.offered = self.admitted = 0
         self.shed_backpressure = self.shed_unreachable = 0
         #: digest snapshot at the last retune, so each reading sees only
@@ -235,20 +242,20 @@ class _OpenLoopRun:
         self._seen_counts = [0] * digest.bins
 
     def retire_decided(self) -> None:
-        """Fold the latency of every in-flight txn that has decided."""
-        where = self.engine.cluster.tracer.where
-        digest = self.digest
-        for pending in self.in_flight.values():
-            done = [
-                (txn, records)
-                for txn, records in (
-                    (txn, where(category="decision", txn=txn)) for txn in pending
-                )
-                if records
-            ]
-            for txn, records in done:
-                decided_at = min(record.time for record in records)
-                digest.add(decided_at - pending.pop(txn))
+        """Fold the latency of every in-flight txn that has decided.
+
+        Reads only the decision records appended since the last call
+        (:meth:`Tracer.since <repro.sim.trace.Tracer.since>`).  Records
+        append in clock order, so the first decision seen for a
+        transaction is its earliest; its later ones find it retired.
+        """
+        self._cursor, decisions = self.engine.cluster.tracer.since(self._cursor, "decision")
+        submitted = self.submitted
+        for decided_at, _site, txn in decisions:
+            if txn in submitted:
+                origin, submitted_at = submitted.pop(txn)
+                self.in_flight[origin] -= 1
+                self.digest.add(decided_at - submitted_at)
 
     def arrive(self) -> None:
         """One arrival: admit or shed it, then arm the next."""
@@ -258,16 +265,16 @@ class _OpenLoopRun:
         self.offered += 1
         self.retire_decided()
         op = engine.compiled.next_op(engine.rng)
-        pending = self.in_flight.setdefault(op.origin, {})
         if op.origin not in cluster.sites or not cluster.sites[op.origin].alive:
             self.shed_unreachable += 1
-        elif len(pending) >= self.window:
+        elif self.in_flight[op.origin] >= self.window:
             self.shed_backpressure += 1
         else:
             self.admitted += 1
             handle = engine._submit_op(op)
             if handle is not None:
-                pending[handle.txn] = scheduler.now
+                self.submitted[handle.txn] = (op.origin, scheduler.now)
+                self.in_flight[op.origin] += 1
         gap = engine.compiled.next_gap(engine.rng, scheduler.now)
         scheduler.call_fixed_until(scheduler.now + gap, self.deadline, self.arrive)
 
@@ -342,7 +349,7 @@ def run_open_loop(
     scheduler.call_fixed_until(spec.start, deadline, run.arrive)
     cluster.run()
     run.retire_decided()
-    unresolved = sum(len(pending) for pending in run.in_flight.values())
+    unresolved = len(run.submitted)
 
     base = tally_stream(protocol, cluster, engine.outcomes, engine.handles, probe=probe)
     return OpenLoopResult(

@@ -201,12 +201,21 @@ class TestArtifact:
         loaded.save(again)
         assert path.read_bytes() == again.read_bytes()
 
-    def test_truncated_artifact_rejected(self):
+    def test_truncated_artifact_rejected(self, tmp_path):
         lines = small_trace().to_lines()
         with pytest.raises(StoreError):
             RecordedTrace.from_lines(lines[:-2] + [lines[-1]])
         with pytest.raises(StoreError):
             RecordedTrace.from_lines(lines[:-1])
+        # a good header, then valid JSON that is not an object where
+        # the end record belongs: named by path and line, never a raw
+        # AttributeError from the end-record check
+        for tail in ("[1]", '"end"'):
+            path = tmp_path / "tail.jsonl.gz"
+            with gzip.open(path, "wt") as fh:
+                fh.write(json.dumps(lines[0]) + "\n" + tail + "\n")
+            with pytest.raises(StoreError, match=r"tail\.jsonl\.gz: line 2 is not a JSON object"):
+                RecordedTrace.load(path)
 
     def test_corrupt_gzip_rejected(self, tmp_path):
         path = tmp_path / "junk.jsonl.gz"
@@ -220,6 +229,12 @@ class TestArtifact:
             fh.write("{this is not json\n")
         with pytest.raises(StoreError):
             RecordedTrace.load(path)
+        # valid JSON, but the only line is not an object
+        for only in ("[1,2]", "3"):
+            with gzip.open(path, "wt") as fh:
+                fh.write(only + "\n")
+            with pytest.raises(StoreError, match=r"bad\.jsonl\.gz: line 1 is not a JSON object"):
+                RecordedTrace.load(path)
 
     def test_schema_mismatch_rejected(self):
         lines = small_trace().to_lines()

@@ -1,0 +1,165 @@
+"""Deterministic budgets on what one simulated event costs in hops.
+
+The shape is the end-to-end benchmark's ``wan_termination`` storm (4
+regions x 8 sites, one multi-item update whose coordinator crashes
+under region-aligned partition waves), one per protocol, run to
+quiescence under ``cProfile``.  Every bar is a call count read from the
+profile — never a wall time: a per-event read of the clock, the
+scheduler or the tracer is an attribute load, a message in flight is
+never a frozen dataclass, a per-message trace row and a timer are one
+call each, and a connectivity change kicks only the engines that track
+a transaction.  The open-loop bar is the same idea one layer up:
+retiring decided transactions reads a cursor, not the trace once per
+in-flight transaction.
+"""
+
+import cProfile
+import random
+from unittest import mock
+
+import pytest
+
+from repro import Cluster, FixedDelay
+from repro.experiments.service_study import run_open_loop_service
+from repro.net.message import Message
+from repro.net.network import Network
+from repro.net.node import Node
+from repro.protocols.base import CommitProtocolEngine
+from repro.sim.scheduler import Scheduler
+from repro.sim.trace import Tracer
+from repro.traffic import TrafficEngine
+from repro.traffic.open_loop import _OpenLoopRun
+from repro.workload.generators import region_storm_plan, wan_catalog, wan_regions
+from repro.workload.spec import WorkloadSpec
+
+PROTOCOLS = ["2pc", "3pc", "skq", "qtp1", "qtp2"]
+REGIONS = wan_regions(4, 8)
+ALL_SITES = [s for region in REGIONS for s in region]
+
+#: the per-event reads that must be attribute loads; each is counted
+#: only while it still is a property (``Scheduler.now`` no longer is)
+CLOCK_AND_BINDINGS = [(Scheduler, "now"), (Network, "scheduler"), (Network, "tracer"), (Node, "now")]
+
+
+def armed_storm(seed, protocol):
+    """A fresh 32-site WAN cluster with its one update submitted and a
+    healing two-wave storm plus the coordinator's crash armed; nothing
+    has run yet."""
+    rng = random.Random(seed)
+    catalog = wan_catalog(rng, n_regions=4, sites_per_region=8, n_items=16, region_replication=3)
+    compiled = WorkloadSpec(n_txns=1, footprint=(2, 4)).compile(catalog, REGIONS)
+    submit_state = rng.getstate()
+    origin, _writes = compiled.next_update(rng)
+    plan = region_storm_plan(rng, REGIONS, waves=2, heal=True)
+    plan.crash(rng.uniform(1.0, 2.5), origin)
+    plan.recover(max(a.time for a in plan.actions) + 5.0, origin)
+    cluster = Cluster(
+        catalog, protocol=protocol, seed=seed, delay_model=FixedDelay(1.0), extra_sites=ALL_SITES
+    )
+    submit_rng = random.Random()
+    submit_rng.setstate(submit_state)
+    engine = TrafficEngine(cluster, compiled, submit_rng)
+    engine.submit_now()
+    cluster.arm_failures(plan)
+    return cluster, engine
+
+
+class RunProfile:
+    """Call counts of one ``Scheduler.run``, by code object."""
+
+    def __init__(self, cluster, engine):
+        profile = cProfile.Profile()
+        profile.enable()
+        engine.run_to_quiescence()
+        profile.disable()
+        self.entries = {entry.code: entry for entry in profile.getstats()}
+        self.events = cluster.scheduler.events_run
+
+    def calls(self, fn):
+        entry = self.entries.get(fn.__code__)
+        return entry.callcount if entry is not None else 0
+
+    def calls_from(self, caller, callee):
+        """Direct calls of ``callee`` made by ``caller``."""
+        entry = self.entries.get(caller.__code__)
+        subcalls = (entry.calls or ()) if entry is not None else ()
+        return sum(sub.callcount for sub in subcalls if sub.code is callee.__code__)
+
+
+@pytest.fixture(params=PROTOCOLS, scope="module")
+def storm_profile(request):
+    cluster, engine = armed_storm(4, request.param)
+    kicks_due = []
+    # subscribed after the cluster's own observer: by then the kicks of
+    # this change are done, and a kick neither adds nor drops a record
+    cluster.network.subscribe(
+        lambda event: kicks_due.append(
+            sum(1 for s in cluster.sites.values() if s.alive and s.engine.records())
+        )
+    )
+    profile = RunProfile(cluster, engine)
+    assert profile.events > 100 and cluster.network.sent > 50  # the storm did run
+    assert isinstance(cluster.tracer, Tracer) and cluster.tracer.dropped == 0
+    return profile, kicks_due
+
+
+class TestStormHopBudget:
+    def test_clock_and_bindings_are_attribute_loads(self, storm_profile):
+        profile, _ = storm_profile
+        getters = [
+            cls.__dict__[name].fget
+            for cls, name in CLOCK_AND_BINDINGS
+            if isinstance(cls.__dict__.get(name), property)
+        ]
+        assert Node.__dict__["now"].fget in getters  # the public property stays
+        calls = sum(profile.calls(getter) for getter in getters)
+        assert calls <= 0.05 * profile.events  # 3.4 per event before
+
+    def test_no_frozen_message_is_built(self, storm_profile):
+        profile, _ = storm_profile
+        assert profile.calls(Message.__init__) == 0  # one per Node.send before
+
+    def test_message_rows_append_in_place(self, storm_profile):
+        profile, _ = storm_profile
+        rows = 0
+        for fast_path in (Tracer.record_send, Tracer.record_deliver, Tracer.record_drop):
+            rows += profile.calls(fast_path)
+            assert profile.calls_from(fast_path, Tracer._append) == 0
+        assert rows > 100
+
+    def test_a_timer_is_one_scheduler_call(self, storm_profile):
+        profile, _ = storm_profile
+        timers = profile.calls(Node.set_timer)
+        assert timers > 10
+        assert profile.calls_from(Node.set_timer, Scheduler.call_after) == 0
+        assert profile.calls_from(Node.set_timer, Scheduler.call_at) == timers
+
+    def test_only_engines_holding_a_record_are_kicked(self, storm_profile):
+        profile, kicks_due = storm_profile
+        assert len(kicks_due) >= 4  # two waves, the heal, the recovery
+        assert 0 < sum(kicks_due) < len(kicks_due) * len(ALL_SITES)
+        assert profile.calls(CommitProtocolEngine.kick) == sum(kicks_due)
+
+
+class TestOpenLoopHopBudget:
+    def test_retiring_decisions_never_queries_the_trace(self):
+        retiring = []
+        queried = []
+        retire, where = _OpenLoopRun.retire_decided, Tracer.where
+
+        def counted_retire(self):
+            retiring.append(1)
+            try:
+                retire(self)
+            finally:
+                retiring.pop()
+
+        def counted_where(self, *args, **kwargs):
+            queried.extend(retiring)
+            return where(self, *args, **kwargs)
+
+        with mock.patch.object(_OpenLoopRun, "retire_decided", counted_retire):
+            with mock.patch.object(Tracer, "where", counted_where):
+                result = run_open_loop_service("qtp1", seed=2, n_sites=9, rate=1.5, duration=60.0)
+        assert result.offered > 50 and result.latency["n"] > 10
+        assert queried == []  # one query per in-flight txn per arrival before

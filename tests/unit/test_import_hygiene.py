@@ -12,6 +12,7 @@ fail inside the pool-creation guard and turn every persistent sweep
 serial without a word.
 """
 
+import ast
 import re
 import subprocess
 import sys
@@ -176,3 +177,95 @@ def test_broken_warm_up_import_raises_instead_of_going_serial(monkeypatch):
     with pytest.raises(ImportError, match="a_dependency_of_the_drivers"):
         runner.run_sweep(SweepSpec("broken", abs, grid={}, runs=4))
     assert runner.pools_created == 0 and not runner._pool_failed
+
+
+# ----------------------------------------------------------------------
+# the per-event path: one clock writer, one frozen message, no reaching in
+# ----------------------------------------------------------------------
+
+PACKAGE = SRC / "repro"
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {
+        str(path.relative_to(PACKAGE)): ast.parse(path.read_text())
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+
+
+def test_only_the_scheduler_assigns_the_clock():
+    """``Scheduler.now`` is a plain attribute so that a read costs an
+    attribute load; what a property used to guarantee — nobody else
+    moves the clock — is held here instead."""
+    writers = set()
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            flat = [t for target in targets for t in ast.walk(target)]
+            if any(isinstance(t, ast.Attribute) and t.attr == "now" for t in flat):
+                writers.add(name)
+    assert writers == {"sim/scheduler.py"}
+
+
+def _message_calls(node, function=None, guard=None):
+    """``(function, innermost enclosing if-test)`` of every
+    ``Message(...)`` call under ``node``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    elif isinstance(node, ast.If):
+        guard = ast.unparse(node.test)
+    elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Message":
+        yield function, guard
+    for child in ast.iter_child_nodes(node):
+        yield from _message_calls(child, function, guard)
+
+
+def test_the_one_frozen_message_is_built_on_the_filtered_path():
+    """Everything the library sends is a stamp; ``Message`` — the public
+    value type — is constructed under ``src/repro/`` only where filters
+    or lossy links force the per-message path of ``Network.fanout``."""
+    built = [
+        (name, *call) for name, tree in _trees().items() for call in _message_calls(tree)
+    ]
+    assert built == [("net/network.py", "fanout", "not self._fast_path")]
+
+
+def _private_names(tree: ast.Module, classes: set[str]) -> set[str]:
+    """Underscore names the given classes define: methods, class
+    attributes and everything assigned through ``self``."""
+    names = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef) or cls.name not in classes:
+            continue
+        for node in ast.walk(cls):
+            if isinstance(node, (ast.FunctionDef, ast.Name)):
+                names.add(node.name if isinstance(node, ast.FunctionDef) else node.id)
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "self":
+                names.add(node.attr)
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_traffic_and_db_reach_into_no_tracer_and_no_engine():
+    """The decision cursor and the kick filter go through public reads
+    (``Tracer.since``, ``CommitProtocolEngine.records``); nothing in the
+    layers above reads the tracer's columns or an engine's tables."""
+    trees = _trees()
+    private = _private_names(trees["sim/trace.py"], {"Tracer"})
+    private |= _private_names(trees["protocols/base.py"], {"CommitProtocolEngine"})
+    private |= _private_names(trees["election/bully.py"], {"ElectionMixin"})
+    assert {"_append", "_by_cat", "_times", "_records", "_rounds"} <= private
+    reached = [
+        (name, node.lineno, node.attr)
+        for name, tree in trees.items()
+        if name.startswith(("traffic/", "db/"))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in private
+        and getattr(node.value, "id", None) != "self"
+    ]
+    assert reached == []

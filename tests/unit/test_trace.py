@@ -322,6 +322,61 @@ class TestDirectColumnReads:
         assert calls
 
 
+class TestCursor:
+    """``since`` hands each record of a category to its reader once."""
+
+    @staticmethod
+    def _keys(records, category):
+        return [(r.time, r.site, r.txn) for r in records if r.category == category]
+
+    def test_reads_resume_where_the_last_one_stopped(self):
+        tracer = Tracer()
+        position, rows = tracer.since(0, "decision")
+        assert (position, rows) == (0, [])
+        seen = []
+        for _ in range(3):
+            expected = _fill(tracer, 12)  # times restart at 0; order is what counts
+            position, rows = tracer.since(position, "decision")
+            assert rows == self._keys(expected, "decision") != []
+            seen += rows
+        assert position == len(tracer) == 36
+        assert seen == self._keys(tracer.records, "decision")
+        assert tracer.since(position, "decision") == (36, [])
+        assert tracer.since(0, "send")[1] == self._keys(tracer.records, "send")
+
+    def test_a_read_builds_no_index_and_no_record(self):
+        tracer = Tracer()
+        _fill(tracer, 30)
+        assert tracer.since(0, "decision")[1]
+        assert tracer._memo == {} and tracer._by_cat == {} and tracer._indexed_upto == 0
+
+    def test_a_full_truncating_tracer_hands_out_what_it_stored(self):
+        tracer = Tracer(capacity=10)
+        expected = _fill(tracer, 30)
+        position, rows = tracer.since(0, "decision")
+        assert position == 10 and rows == self._keys(expected[:10], "decision")
+        assert tracer.since(position, "decision") == (10, [])
+
+    def test_a_ring_skips_what_it_evicted_before_the_reader_came_back(self):
+        tracer = Tracer(capacity=7, ring=True)
+        expected = _fill(tracer, 5)
+        position, rows = tracer.since(0, "decision")
+        assert position == 5 and rows == self._keys(expected, "decision")
+        later = [
+            TraceRecord(float(10 + i), i % 3, "decision", f"T{i}", {"outcome": "commit"})
+            for i in range(12)
+        ]
+        for rec in later[:4]:  # wraps, but the ring still holds all four
+            tracer.record(rec.time, rec.site, rec.category, rec.txn, **rec.detail)
+        position, rows = tracer.since(position, "decision")
+        assert position == 9 and rows == self._keys(later[:4], "decision")
+        for rec in later[4:]:  # eight more: the first of them is evicted unread
+            tracer.record(rec.time, rec.site, rec.category, rec.txn, **rec.detail)
+        position, rows = tracer.since(position, "decision")
+        assert position == 17 and rows == self._keys(later[5:], "decision")
+        assert tracer.since(position, "decision") == (17, [])
+
+
 class TestRecordRendering:
     def test_str_shape(self):
         rec = TraceRecord(2.0, 1, "send", "T1", {"mtype": "m", "dst": 3})
