@@ -35,8 +35,8 @@ from repro.bench.suite import (
     BenchError,
     BenchSuite,
     BenchTimeout,
-    encode,
 )
+from repro.engine.store import canonical_document as encode  # the baseline encoding
 
 __all__ = [
     "BASELINE_PREFIX",

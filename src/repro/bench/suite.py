@@ -20,15 +20,13 @@ this).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
-from repro.common.errors import StoreError
 from repro.engine.executor import SweepOutcome, SweepRunner, run_sweep
 from repro.engine.spec import SweepSpec
-from repro.engine.store import jsonable
+from repro.engine.store import jsonable, read_document, write_document
 
 #: bump when the BENCH_<case>.json layout changes shape.
 SCHEMA_VERSION = 1
@@ -134,11 +132,6 @@ def deterministic_rows(case: str, outcome: SweepOutcome) -> list[dict[str, Any]]
             }
         )
     return rows
-
-
-def encode(payload: dict[str, Any]) -> str:
-    """Canonical baseline encoding (sorted keys, fixed indentation)."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 class BenchSuite:
@@ -253,29 +246,19 @@ class BaselineStore:
 
     def save(self, payload: dict[str, Any]) -> Path:
         """Write one case's baseline; returns its path."""
-        path = self.path_for(payload["case"])
-        self.root.mkdir(parents=True, exist_ok=True)
-        path.write_text(encode(payload))
-        return path
+        return write_document(self.path_for(payload["case"]), payload)
 
     def load(self, case: str) -> dict[str, Any]:
         """Read a committed baseline back.
 
         Raises:
             FileNotFoundError: no baseline for that case.
-            StoreError: the baseline's schema version does not match
-                this library's — stale baselines must be regenerated
-                with ``bench update``, never silently reinterpreted.
+            StoreError: everything
+                :func:`~repro.engine.store.read_document` rejects — a
+                stale baseline must be regenerated with ``bench
+                update``, never silently reinterpreted.
         """
-        payload = json.loads(self.path_for(case).read_text())
-        found = payload.get("schema")
-        if found != SCHEMA_VERSION:
-            raise StoreError(
-                f"baseline {case!r} has schema {found!r}, this library "
-                f"writes {SCHEMA_VERSION}; regenerate it with "
-                "`python -m repro.bench update`"
-            )
-        return payload
+        return read_document(self.path_for(case), "bench baseline", SCHEMA_VERSION, "rows")
 
     def known_cases(self) -> list[str]:
         """Case names with a committed baseline, sorted."""

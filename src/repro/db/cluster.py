@@ -637,10 +637,6 @@ class Cluster:
         """The network's longest end-to-end delay."""
         return self.network.T
 
-    def txn_handle(self, txn: str) -> TxnHandle:
-        """The handle for a submitted transaction."""
-        return self._txns[txn]
-
     def states(self, txn: str) -> dict[int, str]:
         """Current local state name of ``txn`` at every live participant."""
         out = {}

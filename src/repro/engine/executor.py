@@ -233,14 +233,6 @@ class SweepOutcome:
             groups.setdefault(key, (params, []))[1].append(result)
         return list(groups.values())
 
-    def cell(self, **params: Any) -> list[RunResult]:
-        """Results of the single cell matching ``params`` (subset match)."""
-        return [
-            r
-            for r in self.results
-            if all(r.params.get(k) == v for k, v in params.items())
-        ]
-
 
 class SweepRunner:
     """A sweep executor that keeps one warm process pool across sweeps.

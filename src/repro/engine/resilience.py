@@ -46,7 +46,6 @@ byte-for-byte what they are without them.
 from __future__ import annotations
 
 import functools
-import json
 import os
 import pickle
 from dataclasses import dataclass, field
@@ -55,7 +54,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.common.errors import StoreError
 from repro.engine.spec import RunResult, RunTask, SweepSpec
-from repro.engine.store import jsonable
+from repro.engine.store import jsonable, read_document, write_document
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.sink import JsonlSink, ResultSink
@@ -172,16 +171,8 @@ class TaskFailure:
     message: str
 
     def payload(self) -> dict[str, Any]:
-        """The manifest row (JSON-safe)."""
-        return {
-            "index": self.index,
-            "params": jsonable(self.params),
-            "run": self.run,
-            "seed": self.seed,
-            "attempts": self.attempts,
-            "error": self.error,
-            "message": self.message,
-        }
+        """The manifest row (JSON-safe): every field under its own name."""
+        return jsonable(self)
 
 
 @dataclass
@@ -214,10 +205,7 @@ class FailureManifest:
 
     def save(self, path: str | Path) -> Path:
         """Write the manifest canonically; returns its path."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.payload(), sort_keys=True, indent=2) + "\n")
-        return path
+        return write_document(path, self.payload())
 
     @classmethod
     def load(cls, path: str | Path) -> "FailureManifest":
@@ -226,21 +214,15 @@ class FailureManifest:
         Raises:
             StoreError: unreadable/foreign/schema-mismatched document.
         """
+        what = "sweep failure manifest"
         try:
-            payload = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise StoreError(f"cannot read failure manifest {path}: {exc}") from None
-        if not isinstance(payload, dict) or payload.get("kind") != MANIFEST_KIND:
-            raise StoreError(f"{path} is not a sweep failure manifest")
-        if payload.get("schema") != MANIFEST_SCHEMA:
-            raise StoreError(
-                f"failure manifest {path} has schema {payload.get('schema')!r}, "
-                f"this library reads schema {MANIFEST_SCHEMA}"
-            )
+            payload = read_document(path, what, MANIFEST_SCHEMA, "quarantined", MANIFEST_KIND)
+        except FileNotFoundError as exc:
+            raise StoreError(f"cannot read {what} {path}: {exc}") from None
         try:
             records = [
                 TaskFailure(**{name: r[name] for name in TaskFailure.__dataclass_fields__})
-                for r in payload.get("quarantined", [])
+                for r in payload["quarantined"]
             ]
         except (KeyError, TypeError) as exc:
             raise StoreError(

@@ -37,7 +37,6 @@ a task that returns its stored value.
 
 from __future__ import annotations
 
-import gzip
 import json
 import time
 from pathlib import Path
@@ -47,7 +46,7 @@ from repro.common.errors import StoreError
 from repro.engine.aggregate import RowReducer, merge_digests, row_digest
 from repro.engine.resilience import RetryPolicy, TaskFailure, _portable_error
 from repro.engine.spec import RunResult, RunTask
-from repro.engine.store import ResultStore, canonical_line, jsonable
+from repro.engine.store import DAMAGE, JsonlReader, ResultStore, canonical_line, gzip_writer, jsonable
 
 #: streamed-artifact schema version; bump on any layout change.
 STREAM_SCHEMA = 1
@@ -316,16 +315,13 @@ class PrintingSink(ResultSink):
 class JsonlSink(ResultSink):
     """Stream rows into a schema-versioned gzip'd JSONL artifact.
 
-    The on-disk dialect mirrors ``replay/artifact.py``: one canonical
-    JSON object per line (``sort_keys`` + compact separators), a typed
-    ``header`` first line carrying schema/kind/sweep/spec, one ``row``
-    line per result, and a final ``end`` record with the line count as
-    a truncation tripwire.  Compression pins ``mtime=0`` and an empty
-    embedded filename, so two runs of the same sweep produce identical
-    *bytes* regardless of worker count, wall clock, or output path
-    — incremental writes and a single batch write are byte-identical
-    too, because zlib's output is a pure function of the byte stream
-    when nothing flushes mid-stream.
+    The library's one gzip-JSONL framing (:mod:`repro.engine.store`)
+    under the ``kind`` tag :data:`STREAM_KIND`: a ``header`` line
+    carrying schema/kind/sweep/spec, one ``row`` line per result, and a
+    final ``end`` record with the line count as a truncation tripwire.
+    Two runs of the same sweep produce identical *bytes* regardless of
+    worker count, wall clock, or output path — incremental writes and a
+    single batch write are byte-identical too.
 
     ``compresslevel`` defaults to 6 (zlib default): at 10^5+ rows/sec
     the level-9 sliver of extra compression costs more wall time than
@@ -344,16 +340,7 @@ class JsonlSink(ResultSink):
         super().open(spec_summary)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._file = open(self.path, "wb")
-        # filename="" suppresses the FNAME header (GzipFile would lift
-        # the path off the fileobj); mtime=0 pins the timestamp — the
-        # artifact's bytes then depend only on its logical content.
-        self._gz = gzip.GzipFile(
-            fileobj=self._file,
-            mode="wb",
-            compresslevel=self.compresslevel,
-            mtime=0,
-            filename="",
-        )
+        self._gz = gzip_writer(self._file, self.compresslevel)
         self._write_line(
             {
                 "type": "header",
@@ -411,39 +398,17 @@ class JsonlSink(ResultSink):
         self._gz = self._file = None
 
 
-def _read_header(f: TextIO, path: str | Path) -> tuple[dict[str, Any], int]:
-    """The header of the row stream open (text mode) at ``f``, and the
-    offset just past its line.
+def _open_stream(path: str | Path) -> JsonlReader:
+    """A reader over the row stream at ``path``, its header checked."""
+    return JsonlReader(path, "row stream", STREAM_KIND, STREAM_SCHEMA)
 
-    The one header check of every reader.  Offsets, here and in the
-    readers, are into the *decompressed* stream — the address a reader
-    can actually seek to after gunzipping, and the only stable
-    coordinate (compressed offsets shift with level).
 
-    Raises:
-        StoreError: no intact first record, or one that is not this
-            library's row-stream header (type, kind, schema).
-    """
-    start = offset = 0
-    try:
-        for line in f:
-            start, offset = offset, offset + len(line.encode("utf-8"))
-            if line.strip():
-                header = json.loads(line)
-                break
-        else:
-            raise StoreError(f"empty row-stream artifact {path} (no intact header)")
-    except (OSError, EOFError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise StoreError(f"cannot read row-stream artifact {path}: no intact header: {exc}") from None
-    where = f"at byte offset {start} (decompressed)"
-    if not isinstance(header, dict) or header.get("type") != "header" or header.get("kind") != STREAM_KIND:
-        raise StoreError(f"{path} is not a sweep row stream (bad header {where})")
-    if header.get("schema") != STREAM_SCHEMA:
-        raise StoreError(
-            f"row stream {path} has schema {header.get('schema')!r} in its header {where}, "
-            f"this library reads schema {STREAM_SCHEMA}; regenerate it"
-        )
-    return header, offset
+def _rows(reader: JsonlReader) -> Iterator[dict[str, Any]]:
+    for record in reader.records:
+        kind = record.pop("type", None)
+        if kind != "row":
+            raise reader.fail(f"has unknown record type {kind!r}")
+        yield record
 
 
 def iter_stream_rows(path: str | Path) -> Iterator[dict[str, Any]]:
@@ -453,44 +418,13 @@ def iter_stream_rows(path: str | Path) -> Iterator[dict[str, Any]]:
     after the last, holding only one line in memory at a time.
 
     Raises:
-        StoreError: unreadable/corrupt file, foreign or
-            schema-mismatched header, a record that is not a ``row``
-            object, or truncation (missing/short ``end`` record).
+        StoreError: everything :class:`~repro.engine.store.JsonlReader`
+            rejects (unreadable/corrupt file, foreign or
+            schema-mismatched header, a line that is not an object,
+            truncation), or a record that is not a ``row``.
     """
-    try:
-        with gzip.open(path, "rt", encoding="utf-8") as f:
-            _header, offset = _read_header(f, path)
-            count = 1
-            for line in f:
-                where = f"at byte offset {offset} (decompressed)"
-                offset += len(line.encode("utf-8"))
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise StoreError(f"row stream {path} has a corrupt record {where}: {exc}") from None
-                if not isinstance(record, dict):
-                    raise StoreError(f"row stream {path} has a record that is not an object {where}")
-                count += 1
-                if record.get("type") == "end":
-                    if record.get("records") != count - 1:
-                        raise StoreError(
-                            f"row stream {path} is inconsistent: end record {where} "
-                            f"claims {record.get('records')} lines, found {count - 1}"
-                        )
-                    return
-                if record.get("type") != "row":
-                    raise StoreError(
-                        f"row stream {path} has unknown record type {record.get('type')!r} {where}"
-                    )
-                yield {k: v for k, v in record.items() if k != "type"}
-    except (OSError, EOFError, UnicodeDecodeError) as exc:
-        raise StoreError(f"cannot read row-stream artifact {path}: {exc}") from None
-    raise StoreError(
-        f"row stream {path} is truncated (no end record; clean prefix ends at "
-        f"byte offset {offset} decompressed)"
-    )
+    with _open_stream(path) as reader:
+        yield from _rows(reader)
 
 
 def load_stream(path: str | Path) -> tuple[dict[str, Any], list[dict[str, Any]]]:
@@ -503,12 +437,8 @@ def load_stream(path: str | Path) -> tuple[dict[str, Any], list[dict[str, Any]]]
         StoreError: everything :func:`iter_stream_rows` raises — no raw
             ``OSError`` leaks out.
     """
-    try:
-        with gzip.open(path, "rt", encoding="utf-8") as f:
-            header, _offset = _read_header(f, path)
-    except OSError as exc:
-        raise StoreError(f"cannot read row-stream artifact {path}: {exc}") from None
-    return header.get("spec") or {}, list(iter_stream_rows(path))
+    with _open_stream(path) as reader:
+        return reader.header.get("spec") or {}, list(_rows(reader))
 
 
 def scan_partial_stream(
@@ -518,10 +448,13 @@ def scan_partial_stream(
 
     The read side of the resume protocol: returns ``{task_index: row}``
     for the longest clean prefix of row records, deduplicated by task
-    index (first occurrence wins).  Damage *after* the clean prefix —
-    a truncated gzip stream, a record cut mid-line by a crash, a record
-    that is not a ``row`` object — is expected and silently ends the
-    scan; damage *before* any row could be trusted is not:
+    index (first occurrence wins).  The header goes through the one
+    framing's check; the rows do not go through
+    :meth:`~repro.engine.store.JsonlReader.records`, because salvage is
+    the opposite policy: damage *after* the clean prefix — a truncated
+    gzip stream, a record cut mid-line by a crash, a record that is not
+    a ``row`` object — is expected and silently ends the scan; damage
+    *before* any row could be trusted is not:
 
     Raises:
         StoreError: missing-or-broken header, foreign ``kind``,
@@ -538,23 +471,17 @@ def scan_partial_stream(
         return {}
     committed: dict[int, dict[str, Any]] = {}
     try:
-        f = gzip.open(path, "rt", encoding="utf-8")
-    except OSError as exc:
-        raise StoreError(f"cannot read partial artifact {path}: {exc}") from None
-    with f:
-        try:
-            header, _offset = _read_header(f, path)
-        except StoreError as exc:
-            raise StoreError(f"{exc}; refusing to resume") from None
-        if expect_spec is not None and header.get("spec") != jsonable(expect_spec):
+        reader = _open_stream(path)
+    except StoreError as exc:
+        raise StoreError(f"{exc}; refusing to resume") from None
+    with reader:
+        if expect_spec is not None and reader.header.get("spec") != jsonable(expect_spec):
             raise StoreError(
                 f"partial artifact {path} was written by a different sweep spec; "
                 f"refusing to resume into it"
             )
         try:
-            for line in f:
-                if not line.strip():
-                    continue
+            for line in reader.lines():
                 if not line.endswith("\n"):
                     break  # the crash cut this record mid-line
                 record = json.loads(line)
@@ -571,7 +498,7 @@ def scan_partial_stream(
                 if not isinstance(index, int):
                     break
                 committed.setdefault(index, {k: v for k, v in record.items() if k != "type"})
-        except (OSError, EOFError, UnicodeDecodeError, json.JSONDecodeError):
+        except (*DAMAGE, json.JSONDecodeError):
             pass  # truncated gzip stream: the clean prefix ends here
     return committed
 

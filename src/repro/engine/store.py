@@ -1,4 +1,5 @@
-"""Persistence and aggregation of sweep artifacts.
+"""Persistence and aggregation of sweep artifacts, and the two framings
+every artifact of the library goes through.
 
 A :class:`ResultStore` writes one JSON file per sweep under a root
 directory.  Artifacts are schema-versioned and canonically encoded
@@ -6,6 +7,23 @@ directory.  Artifacts are schema-versioned and canonically encoded
 the same sweep at any worker count produces byte-identical files —
 suitable for committing as ``BENCH_*.json`` trajectories and diffing
 across PRs.
+
+The framings, decided here and nowhere else:
+
+* **gzip-JSONL** (:func:`gzip_writer` / :class:`JsonlReader`): one
+  :func:`canonical_line` per record, a typed ``header`` first, an
+  ``end`` record carrying the line count last, compressed so that equal
+  content is equal bytes — sweep row streams (:mod:`repro.engine.sink`)
+  and replay traces (:mod:`repro.replay.artifact`).
+* **canonical documents** (:func:`write_document` /
+  :func:`read_document`): one indented, key-sorted JSON object with a
+  ``schema`` field — :class:`ResultStore` artifacts, failure manifests
+  (:mod:`repro.engine.resilience`), ``BENCH_*.json`` baselines.
+
+Whatever a read trips over — an unreadable file, damaged compression,
+corrupt JSON, valid JSON that is not an object, a foreign or stale
+header, a missing or miscounting ``end`` record — is a ``StoreError``
+naming the path and, inside a stream, the line and byte offset.
 
 The module-level helpers (:func:`mean_of`, :func:`fraction_of`,
 :func:`count_where`, :func:`group_by`) operate on plain result rows —
@@ -17,10 +35,12 @@ sides of a save/load round trip.
 from __future__ import annotations
 
 import dataclasses
+import gzip
 import json
+import zlib
 from collections.abc import Mapping
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.common.errors import StoreError
 from repro.engine.shared import SharedPayload
@@ -40,11 +60,181 @@ _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 def canonical_line(value: Any) -> str:
     """One-line canonical JSON (sorted keys, no whitespace).
 
-    The byte-stable compact form shared by streamed JSONL rows, row
-    digests and the replay artifacts — same dialect as
-    ``replay/artifact.py``.
+    The byte-stable compact form of every JSONL record and row digest.
     """
     return _CANONICAL.encode(value)
+
+
+def canonical_document(payload: dict[str, Any]) -> str:
+    """Canonical document encoding (sorted keys, fixed indentation):
+    byte-stable across runs, diffable across commits."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def write_document(path: str | Path, payload: dict[str, Any]) -> Path:
+    """Write ``payload`` canonically at ``path`` (parents created);
+    returns the path."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(canonical_document(payload))
+    return path
+
+
+def read_document(
+    path: str | Path, what: str, schema: int, body: str, kind: str | None = None
+) -> dict[str, Any]:
+    """Read a canonical document back, checked.
+
+    Raises:
+        FileNotFoundError: no file at ``path``.
+        StoreError: unreadable or corrupt JSON, not an object, another
+            ``kind`` tag, another ``schema`` (a stale payload must be
+            regenerated, not reinterpreted under the current layout),
+            or no list under ``body``.
+    """
+    try:
+        payload = json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError) as exc:  # bad bytes, bad JSON
+        raise StoreError(f"cannot read {what} {path}: {exc}") from None
+    if not isinstance(payload, dict) or payload.get("kind") != kind:
+        raise StoreError(f"{path} is not a {what}")
+    if payload.get("schema") != schema:
+        raise StoreError(
+            f"{what} {path} has schema {payload.get('schema')!r}, "
+            f"this library reads schema {schema}; regenerate it"
+        )
+    if not isinstance(payload.get(body), list):
+        raise StoreError(f"{what} {path} has a malformed {body} record: not a list")
+    return payload
+
+
+def gzip_writer(fileobj: IO[bytes], compresslevel: int) -> gzip.GzipFile:
+    """The write side of the gzip-JSONL framing, over an open binary file.
+
+    ``filename=""`` suppresses the FNAME header (``GzipFile`` would lift
+    the path off the fileobj) and ``mtime=0`` pins the timestamp: the
+    bytes then depend only on what is written — not on the clock, the
+    output path, or how the stream was cut into writes (zlib's output is
+    a pure function of its input when nothing flushes mid-stream).
+    """
+    return gzip.GzipFile(
+        fileobj=fileobj, mode="wb", compresslevel=compresslevel, mtime=0, filename=""
+    )
+
+
+#: what reading a damaged or truncated gzip text stream raises.
+DAMAGE = (OSError, EOFError, zlib.error, UnicodeDecodeError)
+
+_NOT_AN_OBJECT = "is not a JSON object (valid JSON, but not an object)"
+
+
+def check_header(
+    header: Any, what: str, kind: str, schema: int, fail: Callable[[str], StoreError]
+) -> dict[str, Any]:
+    """The one header check: an object of ``type`` header, this ``kind``,
+    this ``schema`` (``fail(problem)`` builds the error to raise)."""
+    if not isinstance(header, dict):
+        raise fail(f"{_NOT_AN_OBJECT}, no {what} header (bad header)")
+    if header.get("type") != "header" or header.get("kind") != kind:
+        raise fail(f"is not a {what} header (bad header)")
+    if header.get("schema") != schema:
+        raise fail(
+            f"is a header of schema {header.get('schema')!r}, this library "
+            f"reads {what} schema {schema}; regenerate it"
+        )
+    return header
+
+
+def check_end(end: Any, found: int, fail: Callable[[str], StoreError]) -> None:
+    """The one truncation tripwire: ``end`` must be the end record and
+    count the ``found`` lines before it."""
+    if not isinstance(end, dict) or end.get("type") != "end" or end.get("records") != found:
+        raise fail(
+            f"is an inconsistent end record for the {found} lines before it "
+            "(a truncated or spliced artifact)"
+        )
+
+
+class JsonlReader:
+    """The read side of the gzip-JSONL framing.
+
+    Opening checks the header and keeps it as ``header``; ``records``
+    then yields every record up to the ``end`` record, whose count it
+    checks — a damaged stream, a line that is not a JSON object, a
+    miscounting or missing ``end`` record is a ``StoreError``.  ``line``
+    and ``offset`` address the record last read: its 1-based number and
+    the offset of its first byte in the *decompressed* stream — the
+    address a reader can seek to after gunzipping, and the only stable
+    one (compressed offsets shift with level).
+    """
+
+    def __init__(self, path: str | Path, what: str, kind: str, schema: int) -> None:
+        self.path, self.what, self._expect = path, what, (kind, schema)
+        self.line = self.offset = self._next = 0
+        try:
+            self._file = gzip.open(path, "rt", encoding="utf-8")
+        except OSError as exc:
+            raise StoreError(f"cannot read {what} {path}: {exc}") from None
+        self.records = self._read()
+        try:
+            self.header = next(self.records)
+        except BaseException:
+            self._file.close()
+            raise
+
+    def __enter__(self) -> "JsonlReader":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self._file.close()
+
+    def fail(self, problem: str) -> StoreError:
+        """The error for the record last read, to be raised."""
+        return StoreError(
+            f"{self.what} {self.path}: line {self.line} {problem}, "
+            f"at byte offset {self.offset} (decompressed)"
+        )
+
+    def lines(self) -> Iterator[str]:
+        """The non-blank lines not yet read, raw; a damaged stream
+        raises one of :data:`DAMAGE` from here."""
+        for text in self._file:
+            self.line += 1
+            self.offset, self._next = self._next, self._next + len(text.encode("utf-8"))
+            if text.strip():
+                yield text
+
+    def _read(self) -> Iterator[dict[str, Any]]:
+        """The header, then ``records``."""
+        count = 0
+        try:
+            for text in self.lines():
+                try:
+                    record = json.loads(text)
+                except ValueError as exc:
+                    raise self.fail(f"is corrupt ({exc})") from None
+                if count == 0:
+                    check_header(record, self.what, *self._expect, self.fail)
+                elif not isinstance(record, dict):
+                    raise self.fail(_NOT_AN_OBJECT)
+                elif record.get("type") == "end":
+                    check_end(record, count, self.fail)
+                    for _ in self.lines():  # reading on to the end checks the CRC
+                        raise self.fail("follows the end record")
+                    return
+                count += 1
+                yield record
+        except DAMAGE as exc:
+            stage = f"damaged past line {self.line}" if count else "no intact header"
+            raise StoreError(f"cannot read {self.what} {self.path}: {stage}: {exc}") from None
+        if count == 0:
+            raise StoreError(f"empty {self.what} {self.path} (no intact header)")
+        raise StoreError(
+            f"{self.what} {self.path} is truncated (no end record; clean prefix "
+            f"ends at byte offset {self._next} decompressed)"
+        )
 
 
 def jsonable(value: Any) -> Any:
@@ -84,30 +274,16 @@ class ResultStore:
 
     def save(self, outcome: SweepOutcome) -> Path:
         """Write an executed sweep's artifact; returns its path."""
-        payload = self.payload(outcome)
-        path = self.path_for(outcome.name)
-        self.root.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.encode(payload))
-        return path
+        return write_document(self.path_for(outcome.name), self.payload(outcome))
 
     def load(self, sweep_name: str) -> dict[str, Any]:
         """Read an artifact back as plain data.
 
         Raises:
             FileNotFoundError: no artifact for that sweep.
-            StoreError: the artifact's schema version does not match
-                this library's — a stale payload must be regenerated,
-                not silently reinterpreted under the current layout.
+            StoreError: everything :func:`read_document` rejects.
         """
-        payload = json.loads(self.path_for(sweep_name).read_text())
-        found = payload.get("schema")
-        if found != SCHEMA_VERSION:
-            raise StoreError(
-                f"artifact {sweep_name!r} has schema {found!r}, "
-                f"this library reads schema {SCHEMA_VERSION}; regenerate it "
-                "with the current library instead of reusing stale results"
-            )
-        return payload
+        return read_document(self.path_for(sweep_name), "sweep artifact", SCHEMA_VERSION, "results")
 
     def results(self, sweep_name: str) -> list[dict[str, Any]]:
         """The result rows of a stored sweep."""
@@ -149,10 +325,8 @@ class ResultStore:
             out["resilience"] = jsonable(resilience)
         return out
 
-    @staticmethod
-    def encode(payload: dict[str, Any]) -> str:
-        """Canonical artifact encoding (byte-stable across runs)."""
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    #: canonical artifact encoding (byte-stable across runs).
+    encode = staticmethod(canonical_document)
 
 
 def _get(row: Any, field: str) -> Any:

@@ -101,26 +101,3 @@ class MessageStamp:
             f"mtype={self.mtype!r}, txn={self.txn!r}, "
             f"payload={self.payload!r}, msg_id={self.msg_id!r})"
         )
-
-
-class MessageTemplate:
-    """The shared envelope of one fan-out (flyweight for :class:`Message`).
-
-    Holds the fields every destination shares; :meth:`for_dst` stamps a
-    :class:`MessageStamp` per destination, each with its own ``msg_id``
-    from the process-wide message counter.
-    """
-
-    __slots__ = ("src", "mtype", "txn", "payload")
-
-    def __init__(
-        self, src: int, mtype: str, txn: str = "", payload: dict[str, Any] | None = None
-    ) -> None:
-        self.src = src
-        self.mtype = mtype
-        self.txn = txn
-        self.payload = payload if payload is not None else {}
-
-    def for_dst(self, dst: int) -> MessageStamp:
-        """Stamp the envelope for one destination (fresh ``msg_id``)."""
-        return MessageStamp(self.src, dst, self.mtype, self.txn, self.payload)

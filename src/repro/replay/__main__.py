@@ -19,6 +19,7 @@ import inspect
 import json
 import sys
 
+from repro.common.errors import StoreError
 from repro.db.cluster import PROTOCOL_NAMES
 from repro.experiments import SCENARIOS
 from repro.replay.artifact import TRACE_DRIVERS, RecordedTrace
@@ -178,9 +179,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "record":
         return _cmd_record(args)
-    if args.command == "replay":
-        return _cmd_replay(args)
-    return _cmd_diff(args)
+    try:
+        return _cmd_replay(args) if args.command == "replay" else _cmd_diff(args)
+    except StoreError as exc:  # an unreadable, truncated or malformed artifact
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

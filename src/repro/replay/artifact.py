@@ -9,40 +9,27 @@ verbatim under the recorded configuration reproduces those counters
 byte-for-byte (the cluster's own RNG is seeded from the recorded seed;
 the driver RNG fed *only* the recorded draws).
 
-On disk a trace is gzip-compressed JSONL: one canonical JSON object
-per line (``sort_keys`` + compact separators, the same canonical form
-:class:`~repro.engine.store.ResultStore` uses), compressed with
-``mtime=0`` so identical traces are identical *bytes* and can be
-committed like any other baseline artifact.  The final line is an
-``end`` record carrying the line count, so truncation is detected on
-load rather than surfacing as a half-replayed run.
+On disk a trace is the library's one gzip-JSONL framing
+(:mod:`repro.engine.store`) under the ``kind`` tag :data:`TRACE_KIND`:
+one canonical JSON object per line, compressed with ``mtime=0`` so
+identical traces are identical *bytes* and can be committed like any
+other baseline artifact.  The final line is an ``end`` record carrying
+the line count, so truncation is detected on load rather than surfacing
+as a half-replayed run.  A ``failure`` record is a fault action in the
+wire form its class declares (:func:`repro.sim.failures.encode_action`).
 """
 
 from __future__ import annotations
 
-import gzip
 import io
-import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, Iterable
 
-from repro.common.errors import StoreError
+from repro.common.errors import ReproError, StoreError
+from repro.engine.store import JsonlReader, canonical_line, check_end, check_header, gzip_writer
 from repro.experiments import SCENARIOS
 from repro.replication.catalog import ItemConfig, ReplicaCatalog
-from repro.sim.failures import (
-    CrashSite,
-    DegradeSite,
-    FailureAction,
-    FailurePlan,
-    FlapLink,
-    HealNetwork,
-    JoinSite,
-    LeaveSite,
-    PartitionNetwork,
-    RecoverSite,
-    RestoreSite,
-    SetLinkLoss,
-)
+from repro.sim.failures import FailureAction, FailurePlan, decode_action, encode_action
 from repro.workload.spec import WorkloadOp, WorkloadSpec
 
 #: artifact schema version; bump on any incompatible layout change.
@@ -56,108 +43,9 @@ TRACE_KIND = "repro-replay-trace"
 #: :func:`~repro.replay.recorder.record` emits.
 TRACE_DRIVERS = tuple(SCENARIOS)
 
-
-# ----------------------------------------------------------------------
-# failure-action codec
-# ----------------------------------------------------------------------
-
-def encode_action(action: FailureAction) -> dict[str, Any]:
-    """One JSON-able dict per fault action."""
-    if isinstance(action, CrashSite):
-        return {"action": "crash", "time": action.time, "site": action.site}
-    if isinstance(action, RecoverSite):
-        return {"action": "recover", "time": action.time, "site": action.site}
-    if isinstance(action, PartitionNetwork):
-        return {
-            "action": "partition",
-            "time": action.time,
-            "groups": [list(g) for g in action.groups],
-        }
-    if isinstance(action, HealNetwork):
-        return {"action": "heal", "time": action.time}
-    if isinstance(action, SetLinkLoss):
-        return {
-            "action": "sever",
-            "time": action.time,
-            "src": action.src,
-            "dst": action.dst,
-            "p": action.p,
-        }
-    if isinstance(action, JoinSite):
-        return {
-            "action": "join",
-            "time": action.time,
-            "site": action.site,
-            "copies": [list(pair) for pair in action.copies],
-            "near": action.near,
-        }
-    if isinstance(action, DegradeSite):
-        return {
-            "action": "degrade",
-            "time": action.time,
-            "site": action.site,
-            "factor": action.factor,
-        }
-    if isinstance(action, RestoreSite):
-        return {"action": "restore", "time": action.time, "site": action.site}
-    if isinstance(action, FlapLink):
-        return {
-            "action": "flap",
-            "time": action.time,
-            "src": action.src,
-            "dst": action.dst,
-            "period": action.period,
-            "duty": action.duty,
-            "cycles": action.cycles,
-        }
-    if isinstance(action, LeaveSite):
-        return {"action": "leave", "time": action.time, "site": action.site}
-    raise StoreError(f"cannot encode failure action {action!r}")
-
-
-def decode_action(payload: dict[str, Any]) -> FailureAction:
-    """Inverse of :func:`encode_action`."""
-    kind = payload.get("action")
-    try:
-        if kind == "crash":
-            return CrashSite(payload["time"], payload["site"])
-        if kind == "recover":
-            return RecoverSite(payload["time"], payload["site"])
-        if kind == "partition":
-            return PartitionNetwork(
-                payload["time"], tuple(tuple(g) for g in payload["groups"])
-            )
-        if kind == "heal":
-            return HealNetwork(payload["time"])
-        if kind == "sever":
-            return SetLinkLoss(
-                payload["time"], payload["src"], payload["dst"], payload["p"]
-            )
-        if kind == "join":
-            return JoinSite(
-                payload["time"],
-                payload["site"],
-                tuple((item, votes) for item, votes in payload["copies"]),
-                payload.get("near"),
-            )
-        if kind == "degrade":
-            return DegradeSite(payload["time"], payload["site"], payload["factor"])
-        if kind == "restore":
-            return RestoreSite(payload["time"], payload["site"])
-        if kind == "flap":
-            return FlapLink(
-                payload["time"],
-                payload["src"],
-                payload["dst"],
-                payload["period"],
-                payload["duty"],
-                payload["cycles"],
-            )
-        if kind == "leave":
-            return LeaveSite(payload["time"], payload["site"])
-    except KeyError as exc:
-        raise StoreError(f"failure action missing field {exc}") from None
-    raise StoreError(f"unknown failure action kind {kind!r}")
+#: what building a value from a malformed record raises (``StoreError``
+#: and an invalid placement's ``ConfigurationError`` included).
+_MALFORMED = (KeyError, TypeError, ValueError, ReproError)
 
 
 # ----------------------------------------------------------------------
@@ -193,7 +81,7 @@ def decode_catalog(payload: dict[str, Any]) -> ReplicaCatalog:
             )
             for item in payload["items"]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise StoreError(f"malformed catalog record: {exc}") from None
 
 
@@ -321,22 +209,26 @@ class RecordedTrace:
                 truncation (bad or absent ``end`` record), or any
                 malformed record.
         """
+        what = "trace artifact"
         if not lines:
-            raise StoreError("empty trace artifact")
-        header = lines[0]
-        if header.get("type") != "header" or header.get("kind") != TRACE_KIND:
-            raise StoreError("not a replay trace artifact (bad header)")
-        if header.get("schema") != TRACE_SCHEMA:
-            raise StoreError(
-                f"trace schema {header.get('schema')!r} != supported {TRACE_SCHEMA}"
-            )
+            raise StoreError(f"empty {what}")
+
+        def fail_at(number: int) -> Callable[[str], StoreError]:
+            return lambda problem: StoreError(f"{what}: line {number} {problem}")
+
+        header = check_header(lines[0], what, TRACE_KIND, TRACE_SCHEMA, fail_at(1))
+        check_end(lines[-1], len(lines) - 1, fail_at(len(lines)))
+        return cls._build(header, enumerate(lines[1:-1], 2), what)
+
+    @classmethod
+    def _build(
+        cls, header: dict[str, Any], body: Iterable[tuple[int, dict[str, Any]]], source: str
+    ) -> "RecordedTrace":
+        """A trace from a checked header and the numbered records
+        between it and the ``end`` record; ``source`` names the
+        artifact in errors."""
         if header.get("driver") not in TRACE_DRIVERS:
-            raise StoreError(f"unknown trace driver {header.get('driver')!r}")
-        end = lines[-1]
-        if end.get("type") != "end" or end.get("records") != len(lines) - 1:
-            raise StoreError(
-                "truncated trace artifact: end record missing or line count mismatch"
-            )
+            raise StoreError(f"{source}: unknown trace driver {header.get('driver')!r}")
         try:
             spec_fields = dict(header["spec"])
             spec_fields["footprint"] = tuple(spec_fields["footprint"])
@@ -352,8 +244,11 @@ class RecordedTrace:
                 catalog=ReplicaCatalog(()),  # placeholder until the catalog record
                 params=dict(header.get("params", {})),
             )
-            saw_catalog = False
-            for line in lines[1:-1]:
+        except _MALFORMED as exc:
+            raise StoreError(f"{source}: malformed trace header: {exc}") from None
+        saw_catalog = False
+        for number, line in body:
+            try:
                 kind = line["type"]
                 if kind == "catalog":
                     trace.catalog = decode_catalog(line)
@@ -369,19 +264,21 @@ class RecordedTrace:
                 elif kind == "update":
                     trace.updates.append((line["origin"], dict(line["writes"])))
                 elif kind == "failure":
-                    trace.actions.append(decode_action(line))
+                    trace.actions.append(
+                        decode_action({k: v for k, v in line.items() if k != "type"})
+                    )
                 elif kind == "counters":
                     trace.counters = dict(line["counters"])
                 elif kind == "result":
                     trace.result = dict(line["result"])
                 else:
                     raise StoreError(f"unknown trace record type {kind!r}")
-        except StoreError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StoreError(f"malformed trace record: {exc}") from None
+            except _MALFORMED as exc:
+                raise StoreError(
+                    f"{source}: line {number} is a malformed trace record: {exc}"
+                ) from None
         if not saw_catalog:
-            raise StoreError("trace artifact has no catalog record")
+            raise StoreError(f"{source} has no catalog record")
         return trace
 
     # ------------------------------------------------------------------
@@ -390,16 +287,9 @@ class RecordedTrace:
 
     def encode(self) -> bytes:
         """The compressed artifact bytes (a pure function of content)."""
-        text = "".join(
-            json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n"
-            for line in self.to_lines()
-        )
         buffer = io.BytesIO()
-        # mtime=0 (and no embedded filename, since we pass a fileobj)
-        # keeps identical traces identical on disk — the same property
-        # ResultStore's canonical JSON gives uncompressed artifacts.
-        with gzip.GzipFile(fileobj=buffer, mode="wb", mtime=0) as zf:
-            zf.write(text.encode("utf-8"))
+        with gzip_writer(buffer, compresslevel=9) as zf:
+            zf.write("".join(canonical_line(line) + "\n" for line in self.to_lines()).encode("utf-8"))
         return buffer.getvalue()
 
     def save(self, path: str) -> str:
@@ -414,21 +304,9 @@ class RecordedTrace:
 
         Raises:
             StoreError: on unreadable, corrupt, truncated, or
-                schema-incompatible artifacts; a line that is valid
-                JSON but not an object is named by path and number.
+                schema-incompatible artifacts; a malformed line is
+                named by path and number.
         """
-        lines = []
-        try:
-            with gzip.open(path, "rt", encoding="utf-8") as f:
-                for number, line in enumerate(f, 1):
-                    if not line.strip():
-                        continue
-                    record = json.loads(line)
-                    if not isinstance(record, dict):
-                        raise StoreError(
-                            f"trace artifact {path}: line {number} is not a JSON object"
-                        )
-                    lines.append(record)
-        except (OSError, EOFError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise StoreError(f"cannot read trace artifact {path}: {exc}") from None
-        return cls.from_lines(lines)
+        with JsonlReader(path, "trace artifact", TRACE_KIND, TRACE_SCHEMA) as reader:
+            numbered = ((reader.line, record) for record in reader.records)
+            return cls._build(reader.header, numbered, f"trace artifact {path}")

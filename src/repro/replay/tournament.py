@@ -33,18 +33,7 @@ from repro.experiments import SCENARIOS
 from repro.replication.catalog import ItemConfig, ReplicaCatalog
 from repro.replay.artifact import RecordedTrace
 from repro.replay.recorder import cluster_counters
-from repro.sim.failures import (
-    CrashSite,
-    DegradeSite,
-    FailurePlan,
-    FlapLink,
-    JoinSite,
-    LeaveSite,
-    PartitionNetwork,
-    RecoverSite,
-    RestoreSite,
-    SetLinkLoss,
-)
+from repro.sim.failures import FailurePlan, JoinSite
 from repro.traffic import run_scenario
 
 #: quorum policies :func:`derive_catalog` can impose.
@@ -163,31 +152,12 @@ def project_plan(actions, sites: set[int]):
     sites survive; a join whose ``near`` anchor was removed re-anchors
     to ``None``.  Gray actions project like their fail-stop cousins:
     degrade/restore/leave of a removed site are dropped, and a flap of
-    a removed endpoint is dropped whole (its link never exists).
+    a removed endpoint is dropped whole (its link never exists).  Each
+    rule is its action class's
+    :meth:`~repro.sim.failures.FailureAction.within`.
     """
-    plan = FailurePlan()
-    for action in actions:
-        if isinstance(action, (CrashSite, RecoverSite, DegradeSite, RestoreSite, LeaveSite)):
-            if action.site in sites:
-                plan.actions.append(action)
-        elif isinstance(action, PartitionNetwork):
-            groups = tuple(
-                kept
-                for group in action.groups
-                if (kept := tuple(s for s in group if s in sites))
-            )
-            if groups:
-                plan.actions.append(PartitionNetwork(action.time, groups))
-        elif isinstance(action, (SetLinkLoss, FlapLink)):
-            if action.src in sites and action.dst in sites:
-                plan.actions.append(action)
-        elif isinstance(action, JoinSite):
-            if action.near is not None and action.near not in sites:
-                action = JoinSite(action.time, action.site, action.copies, None)
-            plan.actions.append(action)
-        else:  # HealNetwork and any future site-agnostic action
-            plan.actions.append(action)
-    return plan
+    kept = (action.within(sites) for action in actions)
+    return FailurePlan([action for action in kept if action is not None])
 
 
 def _mean_commit_latency(cluster, committed: Sequence[str]) -> float:

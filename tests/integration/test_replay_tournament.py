@@ -311,6 +311,43 @@ class TestTournament:
         assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
 
 
+    def test_shared_trace_returns_the_default_rows_and_releases_its_handle(self):
+        from repro.engine import shared
+
+        published = set(shared._PUBLISHED)
+        default = run_tournament(small_trace())
+        for workers in (1, 2):
+            assert run_tournament(small_trace(), workers=workers, share_trace=True) == default
+            assert set(shared._PUBLISHED) == published
+
+
+class TestCommandLine:
+    """``replay`` / ``diff`` on an artifact the reader refuses: one
+    ``error:`` line on stderr and exit status 2, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["replay", "diff"])
+    def test_unreadable_or_truncated_artifact_exits_2(self, tmp_path, capsys, command):
+        from repro.replay.__main__ import main
+
+        whole = small_trace().encode()
+        cut = tmp_path / "cut.jsonl.gz"
+        cut.write_bytes(whole[: len(whole) // 2])
+        for path in (cut, tmp_path / "never-written.jsonl.gz"):
+            assert main([command, str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert str(path) in err
+
+    def test_a_whole_artifact_still_replays_to_its_fixed_point(self, tmp_path, capsys):
+        from repro.replay.__main__ import main
+
+        path = tmp_path / "whole.jsonl.gz"
+        small_trace().save(path)
+        assert main(["replay", str(path)]) == 0
+        assert "fixed point" in capsys.readouterr().out
+
+
 @pytest.mark.slow
 class TestDeepTournament:
     """Full-scale E18 harvest replayed across the whole default matrix."""

@@ -1,52 +1,37 @@
-"""Unit tests for the message flyweight (template + stamps)."""
+"""Unit tests for the in-flight message stamp."""
 
-from repro.net.message import Message, MessageStamp, MessageTemplate
+from repro.net.message import Message, MessageStamp
 
 
-class TestMessageTemplate:
+class TestMessageStamp:
     def test_stamp_carries_envelope_fields(self):
         payload = {"vote": "yes"}
-        template = MessageTemplate(1, "qtp1.vote", "T1", payload)
-        stamp = template.for_dst(7)
+        stamp = MessageStamp(1, 7, "qtp1.vote", "T1", payload)
         assert stamp.src == 1
         assert stamp.dst == 7
         assert stamp.mtype == "qtp1.vote"
         assert stamp.txn == "T1"
-        assert stamp.payload is payload  # shared across the fan-out
-
-    def test_default_txn_and_payload(self):
-        template = MessageTemplate(2, "elect.announce")
-        stamp = template.for_dst(3)
-        assert stamp.txn == ""
-        assert stamp.payload == {}
-
-    def test_stamps_share_one_payload(self):
-        template = MessageTemplate(1, "a.b", "T", {"k": 1})
-        first = template.for_dst(2)
-        second = template.for_dst(3)
-        assert first.payload is second.payload
+        assert stamp.payload is payload  # shared across a fan-out, never copied
 
     def test_msg_ids_unique_and_from_shared_counter(self):
-        template = MessageTemplate(1, "a.b")
-        a = template.for_dst(2)
+        a = MessageStamp(1, 2, "a.b", "", {})
         message = Message(1, 3, "a.b")
-        b = template.for_dst(4)
+        b = MessageStamp(1, 4, "a.b", "", {})
         # stamps and full messages draw from the same counter, in order
         assert a.msg_id < message.msg_id < b.msg_id
 
     def test_family_matches_message(self):
-        template = MessageTemplate(1, "qtp1.t.state", "T")
-        assert template.for_dst(2).family == Message(1, 2, "qtp1.t.state", "T").family
+        stamp = MessageStamp(1, 2, "qtp1.t.state", "T", {})
+        assert stamp.family == Message(1, 2, "qtp1.t.state", "T").family
 
     def test_str_matches_message(self):
         payload = {"k": 1}
-        stamp = MessageTemplate(1, "a.b", "T9", payload).for_dst(2)
+        stamp = MessageStamp(1, 2, "a.b", "T9", payload)
         assert str(stamp) == str(Message(1, 2, "a.b", "T9", payload))
 
     def test_stamp_duck_types_message_attribute_set(self):
         # every attribute the network / tracer / handlers read off a
         # Message must exist on a stamp
-        stamp = MessageTemplate(1, "a.b", "T").for_dst(2)
+        stamp = MessageStamp(1, 2, "a.b", "T", {})
         for name in ("src", "dst", "mtype", "txn", "payload", "msg_id", "family"):
             assert hasattr(stamp, name), name
-        assert isinstance(stamp, MessageStamp)
