@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from operator import itemgetter
 from typing import Any
 
 from repro.engine.spec import RunResult
@@ -97,11 +98,10 @@ class CountAcc(Accumulator):
             self.counts[value] = self.counts.get(value, 0) + count
 
     def summary(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "counts": {str(k): self.counts[k] for k in sorted(self.counts, key=str)},
-        }
+        # each key stringified once; the sort is stable, so of two keys
+        # with one string form (1 and "1") the later-inserted count wins
+        counts = sorted([(str(k), n) for k, n in self.counts.items()], key=itemgetter(0))
+        return {"kind": self.kind, "n": self.n, "counts": dict(counts)}
 
     def fresh(self) -> "CountAcc":
         return CountAcc()

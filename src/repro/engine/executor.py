@@ -25,12 +25,14 @@ The pool is a ``concurrent.futures.ProcessPoolExecutor`` either way,
 and every sweep — keep-every-row, ``sink=``, ``reduce=``, with or
 without ``on_error=`` / ``resume_from=`` — is one call of
 :func:`_stream`.  The unit of work is a **chunk** of at most
-:data:`MAX_CHUNK_ROWS` consecutive tasks:
-:func:`~repro.engine.sink.fold_chunk` executes it where the pool put it
-(in this process when there is no pool), settles its retries there and
-folds its rows into the pieces the sink tree asked for; one generator
-(:func:`_folded_chunks`) submits chunks within a bounded window, hands
-them back in task order and replaces a pool that lost a worker.  For a
+:data:`MAX_CHUNK_ROWS` consecutive tasks, described by cell × run
+ranges (:class:`~repro.engine.spec.TaskChunk`) rather than built:
+:func:`~repro.engine.sink.fold_chunk` expands and executes it where the
+pool put it (in this process when there is no pool), settles its
+retries there and folds its rows into the pieces the sink tree asked
+for; one generator (:func:`_folded_chunks`) submits chunks within a
+bounded window, hands them back in task order and replaces a pool that
+lost a worker.  For a
 sink that takes its rows folded, no row crosses the process boundary:
 the parent orders chunks, writes their bytes and merges their partials.
 """
@@ -79,7 +81,7 @@ def default_workers() -> int:
 def default_chunksize(n_tasks: int, workers: int) -> int:
     """Batch tasks so each worker sees a few chunks, not one task each.
 
-    Four chunks per worker amortizes task pickling without letting one
+    Four chunks per worker amortizes per-chunk dispatch without letting one
     slow chunk straggle the whole pool.
     """
     return max(1, n_tasks // (workers * 4) or 1)
@@ -246,7 +248,7 @@ class SweepRunner:
     exactly like :func:`run_sweep`.
 
     Results are bit-identical to the per-sweep-pool and serial paths —
-    seeds travel with tasks and warm workers hold no run state.
+    seeds derive from the spec and warm workers hold no run state.
     """
 
     #: pre-import the simulator stack here and in every worker (the pool
@@ -301,16 +303,16 @@ class SweepRunner:
         if reduce is not None:
             reducer = ReducerSink(reduce.fresh())  # the template is never mutated
             sink = reducer if sink is None else TeeSink(reducer, sink)
-        tasks: Iterable[RunTask] = spec.iter_tasks()
+        salvaged: dict[int, RunTask] = {}
         resumed = None if on_error is None else 0
         if resume_from is not None:
             salvaged = salvage(spec, sink, resume_from)
             resumed = len(salvaged)
-            tasks = (salvaged.get(task.index, task) for task in tasks)
         if sink is None:
             sink = _KeepRows() if resumed is None else MemorySink()
+        chunks = functools.partial(_spec_chunks, spec, salvaged)
         outcome = _stream(
-            spec.summary(), tasks, spec.n_tasks, chunksize, sink, self, resolve_policy(on_error), resumed
+            spec.summary(), chunks, spec.n_tasks, chunksize, sink, self, resolve_policy(on_error), resumed
         )
         if store is not None:
             store.save(outcome)
@@ -475,16 +477,18 @@ class _KeepRows(MemorySink):
         return None
 
 
-def _chunked(items: Iterable[Any], size: int) -> Iterator[list[Any]]:
-    """Split an iterable into lists of at most ``size`` items."""
-    items = iter(items)
-    while chunk := list(islice(items, size)):
-        yield chunk
+def _spec_chunks(spec: SweepSpec, salvaged: dict[int, RunTask], size: int) -> Iterator[Iterable[RunTask]]:
+    """``spec``'s chunks of ``size`` tasks, as descriptions — except
+    that a chunk up to the last salvaged row is expanded here, each
+    salvaged row standing in for its task."""
+    last = max(salvaged, default=-1)
+    for chunk in spec.iter_chunks(size):
+        yield chunk if chunk.start > last else [salvaged.get(task.index, task) for task in chunk]
 
 
 def _folded_chunks(
-    task_chunks: Iterator[list[RunTask]],
-    fold: Callable[[list[RunTask]], FoldedChunk],
+    task_chunks: Iterator[Iterable[RunTask]],
+    fold: Callable[[Iterable[RunTask]], FoldedChunk],
     runner: SweepRunner,
     pool: Any,
     policy: RetryPolicy | None,
@@ -510,7 +514,7 @@ def _folded_chunks(
 
     depth = 2 * runner.workers + 2
     first_pool = runner.pools_created
-    in_flight: deque[list[RunTask]] = deque()  # chunks not yet yielded, oldest first
+    in_flight: deque[Iterable[RunTask]] = deque()  # chunks not yet yielded, oldest first
     futures: deque[Any] = deque()  # theirs; shorter while some await (re)submission
     while True:
         in_flight.extend(islice(task_chunks, depth - len(in_flight)))
@@ -538,7 +542,7 @@ def _folded_chunks(
 
 def _stream(
     summary: dict[str, Any],
-    tasks: Iterable[RunTask],
+    chunks: Callable[[int], Iterator[Iterable[RunTask]]],
     n_tasks: int,
     chunksize: int | None,
     sink: ResultSink,
@@ -548,14 +552,15 @@ def _stream(
 ) -> SweepOutcome:
     """Drive one sweep through a sink, a chunk at a time.
 
-    The one loop of every mode, serial and pooled: ``tasks`` is walked
-    lazily (never materialized as a list), each chunk of them is folded
-    by :func:`~repro.engine.sink.fold_chunk` — in a pool worker, or
-    right here — into the pieces ``sink`` asked for, retries settled
-    where the task ran, and the folded chunks reach the sink in task
-    order.  ``resumed`` (not None under ``on_error=`` / ``resume_from=``)
-    is the number of salvaged rows among ``tasks``; the outcome then
-    carries its ``resilience`` provenance.
+    The one loop of every mode, serial and pooled: ``chunks(size)``
+    cuts the ``n_tasks`` tasks into chunks of at most ``size``, walked
+    lazily; each is folded by :func:`~repro.engine.sink.fold_chunk` — in
+    a pool worker, or right here — into the pieces ``sink`` asked for,
+    its tasks expanded and retries settled where they run, and the
+    folded chunks reach the sink in task order.  ``resumed`` (not None
+    under ``on_error=`` / ``resume_from=``) is the number of salvaged
+    rows among the tasks; the outcome then carries its ``resilience``
+    provenance.
 
     A task that raises ends its chunk: the rows before it are still
     absorbed, then the sink is aborted, not closed — a streaming file
@@ -575,7 +580,7 @@ def _stream(
     rows = retried = 0
     sink.open(summary)
     try:
-        for chunk in _folded_chunks(_chunked(tasks, size), fold, runner, pool, policy):
+        for chunk in _folded_chunks(chunks(size), fold, runner, pool, policy):
             sink.absorb(chunk)
             for failure in chunk.failures:
                 sink.note_quarantined(failure.index)
@@ -621,8 +626,12 @@ def map_runs(
         RunTask(index=i, sweep="map-runs", task=task, params=dict(params), run=i, seed=s)
         for i, s in enumerate(seeds)
     ]
+
+    def chunks(size: int) -> Iterator[Iterable[RunTask]]:
+        return (tasks[lo : lo + size] for lo in range(0, len(tasks), size))
+
     with _OneSweepRunner(workers) as runner:
-        return _stream({"name": "map-runs"}, tasks, len(tasks), None, _KeepRows(), runner).values()
+        return _stream({"name": "map-runs"}, chunks, len(tasks), None, _KeepRows(), runner).values()
 
 
 def fold_cells(

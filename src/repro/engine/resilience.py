@@ -10,7 +10,7 @@ the one loop every sweep runs in (:mod:`repro.engine.executor`):
 * :class:`RetryPolicy` — capped re-execution of failed tasks with
   bounded, deterministic backoff, settled where the task ran
   (:func:`~repro.engine.sink.fold_chunk`).  Tasks re-run *from their
-  pinned per-cell seed* (the seed travels with the task), so a retry
+  pinned per-cell seed* (the task carries its seed), so a retry
   that succeeds is byte-identical to a first-try success.
 * **Quarantine** — ``RetryPolicy(quarantine=True)`` records poison
   cells as :class:`TaskFailure` entries in an explicit

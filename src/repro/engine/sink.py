@@ -122,7 +122,10 @@ class FoldedChunk:
 def fold_chunk(tasks: Iterable[RunTask], plan: ChunkPlan, policy: RetryPolicy | None = None) -> FoldedChunk:
     """Execute ``tasks`` and fold their rows into the pieces ``plan`` names.
 
-    The one place a sweep task is executed and the one producer of
+    ``tasks`` is usually a :class:`~repro.engine.spec.TaskChunk`, so the
+    tasks and their seeds are built here as they are iterated; a chunk
+    holding salvaged rows is a plain list of tasks.  The one place a
+    sweep task is executed and the one producer of
     :class:`FoldedChunk`: pool workers and the serial path both run it,
     so a row's payload is built once, where its task ran — and a failed
     task is retried there too, from its pinned seed, as ``policy``

@@ -7,6 +7,19 @@ Each task carries its own seed, derived deterministically from the spec
 results whether the tasks run serially, fanned out over a process pool,
 or in any interleaving in between.
 
+Expansion happens where the tasks run.  A sweep cuts its spec into
+:class:`TaskChunk`s — the spec's name, task, ``fixed``, ``base_seed``
+and ``seeding`` plus one ``(first_index, cell_params, run_lo, run_hi)``
+entry per cell — so the process that plans a sweep walks cells, never
+runs; iterating a chunk builds its tasks, in a pool worker or here.
+Seeds come from a per-cell seeder (:func:`cell_seeder`): the canonical
+JSON key :func:`derive_seed` hashes for run ``r`` of a cell is the
+cell's prefix ``[base_seed, sweep, sorted(params), `` followed by
+``r]``, so the seeder hashes the prefix once per cell and each run
+copies that SHA-256 state and feeds it its own few bytes — the same
+bytes, hence the same seed, as :func:`derive_seed`, which stays the
+reference.  :meth:`SweepSpec.iter_tasks` is the same expansion.
+
 Task functions must be module-level callables (so they pickle by
 reference into worker processes) and must accept their seed as a
 ``seed=`` keyword argument alongside the cell parameters::
@@ -18,9 +31,11 @@ reference into worker processes) and must accept their seed as a
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
@@ -36,7 +51,8 @@ def derive_seed(base_seed: int, sweep: str, params: Mapping[str, Any], run: int)
     SHA-256 over a canonical JSON encoding — ``hash()`` is salted per
     process and would break cross-process reproducibility.  Distinct
     cells get statistically independent streams even for adjacent base
-    seeds.
+    seeds.  The reference definition: sweeps derive the same values
+    through :func:`cell_seeder`.
     """
     key = json.dumps(
         [base_seed, sweep, sorted(params.items(), key=lambda kv: kv[0]), run],
@@ -45,6 +61,34 @@ def derive_seed(base_seed: int, sweep: str, params: Mapping[str, Any], run: int)
     )
     digest = hashlib.sha256(key.encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
+
+
+def cell_seeder(
+    base_seed: int, sweep: str, params: Mapping[str, Any], seeding: str = "derived"
+) -> Callable[[int], int]:
+    """The seeds of one cell's runs, as a function of the run index.
+
+    Under ``"derived"`` seeding it returns ``derive_seed(base_seed,
+    sweep, params, run)``: the cell's share of the canonical key — every
+    byte before the run index — is hashed once, here, and each call
+    copies that SHA-256 state and adds ``b"%d]" % run``.  Under
+    ``"offset"`` it returns ``base_seed + run``.
+    """
+    if seeding == "offset":
+        return functools.partial(operator.add, base_seed)
+    key = json.dumps(
+        [base_seed, sweep, sorted(params.items(), key=operator.itemgetter(0))],
+        sort_keys=True,
+        default=str,
+    )
+    prefix = hashlib.sha256(key[:-1].encode() + b", ")  # the list stays open for the run
+
+    def seed(run: int) -> int:
+        digest = prefix.copy()
+        digest.update(b"%d]" % run)
+        return int.from_bytes(digest.digest()[:8], "big") >> 1
+
+    return seed
 
 
 @dataclass(frozen=True)
@@ -166,29 +210,39 @@ class SweepSpec:
 
     def seed_for(self, params: Mapping[str, Any], run: int) -> int:
         """The seed of run ``run`` in cell ``params``."""
-        if self.seeding == "offset":
-            return self.base_seed + run
-        return derive_seed(self.base_seed, self.name, params, run)
+        return cell_seeder(self.base_seed, self.name, params, self.seeding)(run)
+
+    def iter_chunks(self, size: int) -> Iterator["TaskChunk"]:
+        """The tasks in index order, cut into :class:`TaskChunk`s of at
+        most ``size`` consecutive tasks.
+
+        Walks cells, never runs: a cell whose runs straddle a chunk
+        boundary becomes one entry in each chunk it reaches.
+        """
+        runs = self.runs
+        entries: list[tuple[int, dict[str, Any], int, int]] = []
+        index, room = 0, size
+        for cell in self.iter_cells():
+            lo = 0
+            while lo < runs:
+                hi = min(runs, lo + room)
+                entries.append((index, cell, lo, hi))
+                index += hi - lo
+                room -= hi - lo
+                lo = hi
+                if room == 0:
+                    yield TaskChunk(self, entries)
+                    entries, room = [], size
+        if entries:
+            yield TaskChunk(self, entries)
 
     def iter_tasks(self) -> Iterator[RunTask]:
         """Expand lazily into tasks (cells × runs), in index order.
 
-        Identical content to :meth:`tasks` — the streaming executor
-        paths consume this one task at a time so sweep memory stays
-        flat in cell count.
+        Identical content to :meth:`tasks`, and the same expansion a
+        sweep's chunks go through — here one chunk per cell.
         """
-        index = 0
-        for cell in self.iter_cells():
-            for run in range(self.runs):
-                yield RunTask(
-                    index=index,
-                    sweep=self.name,
-                    task=self.task,
-                    params={**cell, **self.fixed},
-                    run=run,
-                    seed=self.seed_for(cell, run),
-                )
-                index += 1
+        return itertools.chain.from_iterable(self.iter_chunks(self.runs))
 
     def tasks(self) -> list[RunTask]:
         """Expand into the full task list (cells × runs)."""
@@ -216,3 +270,36 @@ class SweepSpec:
             "base_seed": self.base_seed,
             "seeding": self.seeding,
         }
+
+
+class TaskChunk:
+    """Consecutive tasks of one spec, described rather than built: what
+    a sweep hands the pool per chunk.
+
+    ``entries`` holds one ``(first_index, cell_params, run_lo, run_hi)``
+    tuple per grid cell the chunk reaches.  Iterating the chunk builds
+    its :class:`RunTask`s, seeds included — one :func:`cell_seeder` per
+    entry — wherever it is iterated: in the pool worker that folds it,
+    or in this process when there is no pool.  (A plain class: a
+    dataclass would cost every ``import repro`` its generated code.)
+    """
+
+    def __init__(self, spec: SweepSpec, entries: list[tuple[int, dict[str, Any], int, int]]) -> None:
+        self.sweep = spec.name
+        self.task = spec.task
+        self.fixed = dict(spec.fixed)
+        self.base_seed = spec.base_seed
+        self.seeding = spec.seeding
+        self.entries = entries
+
+    @property
+    def start(self) -> int:
+        """The index of the chunk's first task."""
+        return self.entries[0][0]
+
+    def __iter__(self) -> Iterator[RunTask]:
+        sweep, task, fixed = self.sweep, self.task, self.fixed
+        for first, cell, lo, hi in self.entries:
+            seed = cell_seeder(self.base_seed, sweep, cell, self.seeding)
+            for run in range(lo, hi):
+                yield RunTask(first + run - lo, sweep, task, {**cell, **fixed}, run, seed(run))

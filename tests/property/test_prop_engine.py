@@ -5,7 +5,10 @@ The multiprocess cases execute the *same* spec serially and under
 several pool widths and require byte-identical artifacts — the property
 the acceptance bar for the parallel engine rests on.  The hypothesis
 cases pin down the seed derivation itself: total, deterministic,
-injective across cells and runs, and independent of grid ordering.
+injective across cells and runs, and independent of grid ordering —
+and that a sweep's chunks, described as cell × run ranges and expanded
+where they run, are the per-task expansion with every seed equal to
+:func:`derive_seed`'s, whatever the grid values, seeding and chunk size.
 
 The streaming cases extend the fixed point across *backends*: the
 classic keep-everything path, every sink, and the per-chunk reducer
@@ -49,6 +52,7 @@ from repro.engine import (
     ResultStore,
     RetryPolicy,
     RowReducer,
+    SharedPayload,
     SweepSpec,
     TeeSink,
     derive_seed,
@@ -59,6 +63,7 @@ from repro.engine import (
     scan_partial_stream,
     shutdown_shared_runners,
 )
+from repro.engine.spec import cell_seeder
 from repro.experiments.sweeps import availability_run
 
 param_values = st.one_of(st.integers(-5, 5), st.sampled_from(["a", "b", "qtp1"]))
@@ -133,6 +138,91 @@ class TestSpecExpansion:
         for t in spec.tasks():
             by_cell.setdefault(t.params["scale"], []).append(t.seed)
         assert all(seeds == [9, 10, 11, 12] for seeds in by_cell.values())
+
+
+def _reference_expansion(spec: SweepSpec) -> list[tuple]:
+    """The reference expansion, ``(index, params, run, seed)`` per task:
+    one task per (cell, run), each seed straight from :func:`derive_seed`."""
+    out = []
+    for cell in spec.iter_cells():
+        for run in range(spec.runs):
+            if spec.seeding == "offset":
+                seed = spec.base_seed + run
+            else:
+                seed = derive_seed(spec.base_seed, spec.name, cell, run)
+            out.append((len(out), {**cell, **spec.fixed}, run, seed))
+    return out
+
+
+#: grid values, the ones ``derive_seed`` can only key through
+#: ``default=str`` among them
+grid_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False),
+    st.text(max_size=4),
+    st.frozensets(st.integers(-3, 3), max_size=3),
+    st.complex_numbers(allow_nan=False, allow_infinity=False, max_magnitude=1e6),
+    st.tuples(st.integers(0, 3), st.text(max_size=2)),
+)
+
+
+class TestChunkExpansion:
+    """A sweep's chunks cross the pool boundary as cell × run ranges and
+    are expanded where they run; cut anywhere and concatenated, they are
+    the per-task expansion, seed for seed."""
+
+    @given(
+        grid=st.dictionaries(
+            st.sampled_from(["protocol", "waves", "n"]),
+            st.lists(grid_values, min_size=1, max_size=3),
+            max_size=3,
+        ),
+        runs=st.integers(1, 9),
+        base=st.integers(-(2**63), 2**63),
+        name=st.text(max_size=6),
+        seeding=st.sampled_from(["derived", "offset"]),
+        fixed=st.sampled_from(["none", "plain", "shared"]),
+        size=st.integers(1, 12),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_chunks_concatenate_to_the_per_task_expansion(self, grid, runs, base, name, seeding, fixed, size):
+        payload = SharedPayload.publish({"catalog": [1, 2, 3]}, label="prop")
+        try:
+            extra = {"none": {}, "plain": {"scale": 2}, "shared": {"scale": 2, "catalog": payload}}[fixed]
+            spec = SweepSpec(
+                name, pure_task, grid=grid, runs=runs, base_seed=base, seeding=seeding, fixed=extra
+            )
+            expected = _reference_expansion(spec)
+            chunks = list(spec.iter_chunks(size))
+            assert [len(list(chunk)) for chunk in chunks[:-1]] == [size] * (len(chunks) - 1)
+            assert [chunk.start for chunk in chunks] == list(range(0, spec.n_tasks, size))
+            for expansion in (
+                [task for chunk in chunks for task in chunk],
+                # what a pool worker expands: the chunk after a pickle round trip
+                [task for chunk in chunks for task in pickle.loads(pickle.dumps(chunk))],
+                list(spec.iter_tasks()),
+                spec.tasks(),
+            ):
+                fields = [(t.index, t.params, t.run, t.seed) for t in expansion]
+                assert fields == expected
+                assert {(t.sweep, t.task) for t in expansion} == {(name, pure_task)}
+        finally:
+            payload.release()
+
+    @given(
+        params=st.dictionaries(st.text(max_size=4), grid_values, max_size=3),
+        base=st.integers(-(2**63), 2**63),
+        name=st.text(max_size=6),
+        runs=st.lists(st.integers(0, 2**64), max_size=5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cell_seeder_is_derive_seed(self, params, base, name, runs):
+        seed = cell_seeder(base, name, params)
+        for run in [*range(12), *runs]:
+            assert seed(run) == derive_seed(base, name, params, run)
+            assert cell_seeder(base, name, params, "offset")(run) == base + run
 
 
 class TestSerialParallelEquivalence:
