@@ -14,6 +14,18 @@ Checked properties:
 * **Lemmas 1 and 2** — every decision after the first agrees with the
   first (the per-transaction form of the two lemmas: later terminators
   either match the first terminator or stay blocked).
+
+Every property is judged from the generic rows of one transaction —
+``decision``, ``decision-conflict``, ``illegal-transition``,
+``blocked`` — read through :meth:`~repro.sim.trace.Tracer.entries` and
+:meth:`~repro.sim.trace.Tracer.count`.  Those rows are indexed by
+``(category, txn)`` as they are appended (see :mod:`repro.sim.trace`),
+so a verdict reads a handful of positions: it builds no
+:class:`~repro.sim.trace.TraceRecord` and reads no ``send`` /
+``deliver`` / ``drop`` / ``state`` row, however long the run.  A
+position counts records ever stored, so the same index serves a
+bounded tracer: a ring's verdict is judged from the rows it still
+holds, a truncating tracer's from the rows it kept.
 """
 
 from __future__ import annotations
@@ -82,20 +94,18 @@ def check_atomicity(
     """
     decisions: dict[int, str] = {}
     conflicts = 0
-    for rec in tracer.where(category="decision", txn=txn):
-        prior = decisions.get(rec.site)
-        outcome = rec.detail["outcome"]
+    for _time, site, detail in tracer.entries("decision", txn):
+        prior = decisions.get(site)
+        outcome = detail["outcome"]
         if prior is not None and prior != outcome:
             conflicts += 1
-        decisions.setdefault(rec.site, outcome)
+        decisions.setdefault(site, outcome)
     conflicts += tracer.count("decision-conflict", txn=txn)
     illegal = tracer.count("illegal-transition", txn=txn)
     committed = sorted(s for s, o in decisions.items() if o == "commit" and s in participants)
     aborted = sorted(s for s, o in decisions.items() if o == "abort" and s in participants)
     undecided = sorted(s for s in participants if s not in decisions)
-    blocked = sorted(
-        {rec.site for rec in tracer.where(category="blocked", txn=txn)} & set(undecided)
-    )
+    blocked = sorted({site for _time, site, _ in tracer.entries("blocked", txn)} & set(undecided))
     return ConsistencyReport(
         txn=txn,
         committed_sites=committed,
@@ -109,8 +119,5 @@ def check_atomicity(
 
 def first_decision_consistency(tracer: Tracer, txn: str) -> bool:
     """The Lemma 1/2 property: all decisions agree with the first one."""
-    records = tracer.where(category="decision", txn=txn)
-    if not records:
-        return True
-    first = records[0].detail["outcome"]
-    return all(rec.detail["outcome"] == first for rec in records)
+    outcomes = [detail["outcome"] for _time, _site, detail in tracer.entries("decision", txn)]
+    return all(outcome == outcomes[0] for outcome in outcomes)

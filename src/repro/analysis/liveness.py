@@ -51,17 +51,12 @@ class TerminationTimeline:
 
 def termination_timeline(tracer: Tracer, txn: str) -> TerminationTimeline:
     """Extract the liveness timeline of one transaction from a trace."""
-    begins = tracer.where(category="coord-begin", txn=txn)
-    begin_time = begins[0].time if begins else 0.0
-    # two indexed category lookups instead of one full-trace scan
-    faults = [
-        r.time
-        for category in ("crash", "partition")
-        for r in tracer.where(category=category)
-    ]
+    begins = tracer.entries("coord-begin", txn)
+    begin_time = begins[0][0] if begins else 0.0
+    # two indexed category reads instead of one full-trace scan
+    faults = [time for category in ("crash", "partition") for time, _, _ in tracer.entries(category)]
     first_fault = min(faults) if faults else math.nan
-    decisions = tracer.where(category="decision", txn=txn)
-    last_decision = max((r.time for r in decisions), default=math.nan)
+    last_decision = max((time for time, _, _ in tracer.entries("decision", txn)), default=math.nan)
     return TerminationTimeline(
         txn=txn,
         begin_time=begin_time,

@@ -305,6 +305,8 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         self._rounds: dict[str, _CoordinationRound] = {}
         self._term_attempt_counter = 0
         self._T = node.network.T
+        self._tracer = node.network.tracer
+        self._scheduler = node.network.scheduler
         self._eps = 1e-6 * self._T
         node.bind_on_delivery(self, self.handler_table)
 
@@ -335,7 +337,10 @@ class CommitProtocolEngine(ElectionMixin, ABC):
                 "illegal-transition", record.txn, src=src.name, dst=dst.name, via=via
             )
         record.state = dst
-        self.node.trace("state", record.txn, src=src.name, dst=dst.name, via=via)
+        # one call: the tracer shares a (src, dst, via) tuple per triple
+        self._tracer.record_state(
+            self._scheduler.now, self.node.node_id, record.txn, src._name_, dst._name_, via
+        )
 
     def _arm_watchdog(self, record: TxnRecord, factor: float = 3.0) -> None:
         """Expect coordinator contact within ``factor * T`` or elect."""

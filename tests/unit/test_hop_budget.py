@@ -11,25 +11,40 @@ call each, and a connectivity change kicks only the engines that track
 a transaction.  The open-loop bar is the same idea one layer up:
 retiring decided transactions reads a cursor, not the trace once per
 in-flight transaction.
+
+The trace bars run on the storm and on a 12-site closed loop (the
+benchmark's ``closed_heavy`` shape, cut to 60 transactions): a state
+transition is one call into :mod:`repro.sim.trace`, and judging a
+finished cluster (``TrafficEngine.tally`` → ``Cluster.outcome``)
+builds no :class:`~repro.sim.trace.TraceRecord` and reads no ``send``
+/ ``deliver`` / ``drop`` / ``state`` row.
 """
 
 import cProfile
 import random
+from collections import Counter
 from unittest import mock
 
 import pytest
 
-from repro import Cluster, FixedDelay
+from repro import Cluster, FailurePlan, FixedDelay, UniformDelay
 from repro.experiments.service_study import run_open_loop_service
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.node import Node
 from repro.protocols.base import CommitProtocolEngine
+from repro.sim import trace
 from repro.sim.scheduler import Scheduler
-from repro.sim.trace import Tracer
+from repro.sim.trace import TraceRecord, Tracer
 from repro.traffic import TrafficEngine
 from repro.traffic.open_loop import _OpenLoopRun
-from repro.workload.generators import region_storm_plan, wan_catalog, wan_regions
+from repro.workload.generators import (
+    random_catalog,
+    random_partition_groups,
+    region_storm_plan,
+    wan_catalog,
+    wan_regions,
+)
 from repro.workload.spec import WorkloadSpec
 
 PROTOCOLS = ["2pc", "3pc", "skq", "qtp1", "qtp2"]
@@ -44,7 +59,8 @@ CLOCK_AND_BINDINGS = [(Scheduler, "now"), (Network, "scheduler"), (Network, "tra
 def armed_storm(seed, protocol):
     """A fresh 32-site WAN cluster with its one update submitted and a
     healing two-wave storm plus the coordinator's crash armed; nothing
-    has run yet."""
+    has run yet.  Returns the cluster, its traffic engine and the
+    update's txn id."""
     rng = random.Random(seed)
     catalog = wan_catalog(rng, n_regions=4, sites_per_region=8, n_items=16, region_replication=3)
     compiled = WorkloadSpec(n_txns=1, footprint=(2, 4)).compile(catalog, REGIONS)
@@ -59,36 +75,62 @@ def armed_storm(seed, protocol):
     submit_rng = random.Random()
     submit_rng.setstate(submit_state)
     engine = TrafficEngine(cluster, compiled, submit_rng)
-    engine.submit_now()
+    txn = engine.submit_now().txn
     cluster.arm_failures(plan)
-    return cluster, engine
+    return cluster, engine, txn
+
+
+def closed_loop(seed, protocol):
+    """A fresh 12-site closed loop with a partition episode and a
+    crash / recover pair armed; nothing has run yet."""
+    rng = random.Random(seed)
+    catalog = random_catalog(rng, n_sites=12, n_items=64, replication=3)
+    sites = sorted(catalog.all_sites())
+    plan = FailurePlan().partition(20.0, *random_partition_groups(rng, sites, 2)).heal(50.0)
+    plan.crash(60.0, sites[3]).recover(90.0, sites[3])
+    compiled = WorkloadSpec(n_txns=60, mean_spacing=1.5, footprint=(1, 3)).compile(catalog)
+    cluster = Cluster(catalog, protocol=protocol, seed=seed, delay_model=UniformDelay(0.2, 1.0))
+    cluster.arm_failures(plan)
+    return cluster, TrafficEngine(cluster, compiled, random.Random(seed))
 
 
 class RunProfile:
-    """Call counts of one ``Scheduler.run``, by code object."""
+    """Call counts of one run to quiescence, by code object; keeps the
+    finished cluster and ``judge``, the call that gives its verdict."""
 
-    def __init__(self, cluster, engine):
+    def __init__(self, cluster, run, judge):
         profile = cProfile.Profile()
         profile.enable()
-        engine.run_to_quiescence()
+        run()
         profile.disable()
         self.entries = {entry.code: entry for entry in profile.getstats()}
         self.events = cluster.scheduler.events_run
+        self.cluster, self.judge = cluster, judge
 
     def calls(self, fn):
         entry = self.entries.get(fn.__code__)
         return entry.callcount if entry is not None else 0
 
+    def _subcalls(self, caller):
+        entry = self.entries.get(caller.__code__)
+        return (entry.calls or ()) if entry is not None else ()
+
     def calls_from(self, caller, callee):
         """Direct calls of ``callee`` made by ``caller``."""
-        entry = self.entries.get(caller.__code__)
-        subcalls = (entry.calls or ()) if entry is not None else ()
-        return sum(sub.callcount for sub in subcalls if sub.code is callee.__code__)
+        return sum(sub.callcount for sub in self._subcalls(caller) if sub.code is callee.__code__)
+
+    def calls_into(self, caller, module):
+        """Direct calls ``caller`` made to functions defined in ``module``."""
+        return sum(
+            sub.callcount
+            for sub in self._subcalls(caller)
+            if getattr(sub.code, "co_filename", None) == module.__file__
+        )
 
 
 @pytest.fixture(params=PROTOCOLS, scope="module")
 def storm_profile(request):
-    cluster, engine = armed_storm(4, request.param)
+    cluster, engine, txn = armed_storm(4, request.param)
     kicks_due = []
     # subscribed after the cluster's own observer: by then the kicks of
     # this change are done, and a kick neither adds nor drops a record
@@ -97,10 +139,18 @@ def storm_profile(request):
             sum(1 for s in cluster.sites.values() if s.alive and s.engine.records())
         )
     )
-    profile = RunProfile(cluster, engine)
+    profile = RunProfile(cluster, engine.run_to_quiescence, lambda: cluster.outcome(txn))
     assert profile.events > 100 and cluster.network.sent > 50  # the storm did run
     assert isinstance(cluster.tracer, Tracer) and cluster.tracer.dropped == 0
     return profile, kicks_due
+
+
+@pytest.fixture(params=PROTOCOLS, scope="module")
+def closed_profile(request):
+    cluster, engine = closed_loop(5, request.param)
+    profile = RunProfile(cluster, engine.run_closed, lambda: engine.tally(request.param))
+    assert len(engine.handles) > 20 and cluster.network.sent > 500  # the loop did run
+    return profile
 
 
 class TestStormHopBudget:
@@ -163,3 +213,70 @@ class TestOpenLoopHopBudget:
                 result = run_open_loop_service("qtp1", seed=2, n_sites=9, rate=1.5, duration=60.0)
         assert result.offered > 50 and result.latency["n"] > 10
         assert queried == []  # one query per in-flight txn per arrival before
+
+
+class ReadLog(list):
+    """A trace column that notes every slot a reader takes from it."""
+
+    def __init__(self, column, read):
+        super().__init__(column)
+        self.read = read
+
+    def __getitem__(self, slot):
+        self.read.update(range(len(self))[slot] if isinstance(slot, slice) else (slot,))
+        return super().__getitem__(slot)
+
+    def __iter__(self):
+        self.read.update(range(len(self)))
+        return super().__iter__()
+
+
+def one_call_per_state_row(profile):
+    tracer = profile.cluster.tracer
+    rows = tracer.count("state")
+    assert rows >= 10
+    # one record_state per transition (Node.trace -> record -> _append before)
+    assert profile.calls_into(CommitProtocolEngine._transition, trace) == rows
+    assert profile.calls_from(CommitProtocolEngine._transition, Tracer.record_state) == rows
+    # record_state itself calls back in only on a triple's first sight
+    triples = {tuple(rec.detail.values()) for rec in tracer.where(category="state")}
+    assert profile.calls_into(Tracer.record_state, trace) == len(triples) < rows
+
+
+def verdict_reads_only_verdict_rows(profile):
+    """Judge the finished cluster with its columns logged: the verdict
+    builds no record and reads only verdict rows."""
+    tracer = profile.cluster.tracer
+    cats = list(tracer._cats)
+    read = set()
+    columns = {
+        name: ReadLog(getattr(tracer, name), read)
+        for name in ("_times", "_sites", "_cats", "_txns", "_details")
+    }
+    built = []
+    init = TraceRecord.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    with mock.patch.object(TraceRecord, "__init__", counted), mock.patch.multiple(tracer, **columns):
+        profile.judge()
+    kinds = Counter(cats[slot] for slot in read)
+    assert kinds["decision"] > 0  # the verdicts did read the trace
+    assert built == []  # one TraceRecord per decision read before
+    assert not kinds.keys() & {"send", "deliver", "drop", "state"}  # every row was read before
+
+
+class TestTraceRowBudget:
+    def test_a_state_transition_is_one_trace_call_in_a_storm(self, storm_profile):
+        one_call_per_state_row(storm_profile[0])
+
+    def test_a_state_transition_is_one_trace_call_in_a_closed_loop(self, closed_profile):
+        one_call_per_state_row(closed_profile)
+
+    def test_a_storm_outcome_reads_only_verdict_rows(self, storm_profile):
+        verdict_reads_only_verdict_rows(storm_profile[0])
+
+    def test_a_closed_loop_tally_reads_only_verdict_rows(self, closed_profile):
+        verdict_reads_only_verdict_rows(closed_profile)

@@ -251,14 +251,15 @@ def _private_names(tree: ast.Module, classes: set[str]) -> set[str]:
 
 
 def test_traffic_and_db_reach_into_no_tracer_and_no_engine():
-    """The decision cursor and the kick filter go through public reads
-    (``Tracer.since``, ``CommitProtocolEngine.records``); nothing in the
-    layers above reads the tracer's columns or an engine's tables."""
+    """The decision cursor, the verdict reads and the kick filter go
+    through public reads (``Tracer.since``, ``Tracer.entries``,
+    ``CommitProtocolEngine.records``); nothing in the layers above reads
+    the tracer's columns or indexes, or an engine's tables."""
     trees = _trees()
     private = _private_names(trees["sim/trace.py"], {"Tracer"})
     private |= _private_names(trees["protocols/base.py"], {"CommitProtocolEngine"})
     private |= _private_names(trees["election/bully.py"], {"ElectionMixin"})
-    assert {"_append", "_by_cat", "_times", "_records", "_rounds"} <= private
+    assert {"_append", "_by_cat", "_by_key", "_times", "_records", "_rounds", "_tracer"} <= private
     reached = [
         (name, node.lineno, node.attr)
         for name, tree in trees.items()

@@ -185,10 +185,13 @@ class TestColumnarLegacyEquivalence:
         tracer.record_send(1.0, 0, "T", "m", 2)
         tracer.record_deliver(2.0, 2, "T", "m", 0)
         tracer.record_drop(3.0, 0, "T", "m", 2, "sender-down")
-        send, deliver, drop = tracer.records
+        tracer.record_state(4.0, 2, "T", "W", "PC", "prepare")
+        send, deliver, drop, state = tracer.records
         assert list(send.detail) == ["mtype", "dst"]
         assert list(deliver.detail) == ["mtype", "src"]
         assert list(drop.detail) == ["mtype", "dst", "reason"]
+        assert state.detail == {"src": "W", "dst": "PC", "via": "prepare"}
+        assert list(state.detail) == ["src", "dst", "via"]
         assert drop.detail["reason"] == "sender-down"
 
     def test_materialized_views_are_memoized(self):
@@ -278,9 +281,24 @@ class TestRingBuffer:
         assert [r.time for r in tracer.records] == [3.0, 4.0, 5.0]
         assert tracer.dropped == 2
 
+    def test_indexes_stay_bounded_over_many_laps(self):
+        # one index for every mode: a ring's evicted positions are cut
+        # out once per lap, so the indexes and the memo never outgrow
+        # two laps, however long the run
+        capacity = 7
+        tracer = Tracer(capacity=capacity, ring=True)
+        for _ in range(40):
+            _fill(tracer, 11)
+            TestDirectColumnReads._query_everything(tracer)
+            for index in (tracer._by_cat, tracer._by_key, tracer._by_txn):
+                assert sum(map(len, index.values())) <= 2 * capacity
+            assert len(tracer._memo) <= 2 * capacity
+        assert tracer.dropped == 40 * 11 - capacity
+
 
 class TestDirectColumnReads:
-    """Until a ring wraps, a logical row *is* its physical slot."""
+    """Until a ring wraps, a position *is* its slot: nothing is
+    translated.  After, it answers from its window."""
 
     @staticmethod
     def _query_everything(tracer):
@@ -291,35 +309,43 @@ class TestDirectColumnReads:
             tracer.decisions("T1"),
             tracer.message_counts(),
             tracer.txn_scope("T2"),
+            tracer.entries("decision", "T1"),
         )
 
-    def test_an_unwrapped_trace_never_translates_a_row(self, monkeypatch):
+    @staticmethod
+    def _spy_slots(monkeypatch):
+        """Record, per ``_slots`` call, whether it translated anything."""
+        translated = []
+        original = Tracer._slots
+
+        def spy(self, positions):
+            slots = original(self, positions)
+            translated.append(slots is not positions)
+            return slots
+
+        monkeypatch.setattr(Tracer, "_slots", spy)
+        return translated
+
+    def test_an_unwrapped_ring_never_translates_a_position(self, monkeypatch):
         tracer = Tracer(capacity=64, ring=True)  # a ring, but not wrapped
         _fill(tracer, 30)
-        calls = []
-        original = Tracer._slot
-        monkeypatch.setattr(
-            Tracer, "_slot", lambda self, row: calls.append(row) or original(self, row)
-        )
+        translated = self._spy_slots(monkeypatch)
         answers = self._query_everything(tracer)
-        assert calls == []  # one call per row per query before
+        assert translated and not any(translated)  # no modulo, no second list
         plain = Tracer()
         _fill(plain, 30)
         assert answers == self._query_everything(plain)
 
-    def test_a_wrapped_ring_still_does(self, monkeypatch):
+    def test_a_wrapped_ring_does(self, monkeypatch):
         tracer = Tracer(capacity=7, ring=True)
         _fill(tracer, 30)
-        calls = []
-        original = Tracer._slot
-        monkeypatch.setattr(
-            Tracer, "_slot", lambda self, row: calls.append(row) or original(self, row)
-        )
         full = Tracer()
         _fill(full, 30)
         survivors = _naive_where(full.records[-7:], category="decision", txn="T1")
+        translated = self._spy_slots(monkeypatch)
         assert tracer.decisions("T1") == {r.site: r.detail["outcome"] for r in survivors} != {}
-        assert calls
+        assert tracer.entries("decision", "T1") == [(r.time, r.site, r.detail) for r in survivors]
+        assert translated and all(translated)
 
 
 class TestCursor:
@@ -347,8 +373,12 @@ class TestCursor:
     def test_a_read_builds_no_index_and_no_record(self):
         tracer = Tracer()
         _fill(tracer, 30)
-        assert tracer.since(0, "decision")[1]
-        assert tracer._memo == {} and tracer._by_cat == {} and tracer._indexed_upto == 0
+        # generic rows were indexed as they landed; a cursor read adds nothing
+        indexed = {cat: list(rows) for cat, rows in tracer._by_cat.items()}
+        assert set(indexed) == {"decision", "partition"}
+        assert tracer.since(0, "decision")[1] and tracer.since(0, "send")[1]
+        assert tracer._memo == {} and tracer._by_cat == indexed
+        assert tracer._scanned == {} and tracer._by_txn == {} and tracer._txn_upto == 0
 
     def test_a_full_truncating_tracer_hands_out_what_it_stored(self):
         tracer = Tracer(capacity=10)
