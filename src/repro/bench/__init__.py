@@ -6,9 +6,9 @@ through the PR 1 sweep engine, its **deterministic counters** (messages
 sent/delivered, WAL records forced, commits/aborts, scheduler events)
 — byte-stable per seed and per worker count, compared *exactly* by
 ``bench diff``.  The two-arm cases (``zipf_sampling``,
-``sweep_streaming``, ``sweep_resume``) run two user-facing modes on the
-same seeds, so the file itself shows the arms agreeing (or, for
-``zipf_sampling``, each being deterministic).  Nothing here reads a
+``sweep_streaming``) run two user-facing modes on the same seeds, so
+the file itself shows the arms agreeing (or, for ``zipf_sampling``,
+each being deterministic).  Nothing here reads a
 clock or needs a third-party package: wall time is ``benchmarks/e2e``'s.
 
 Workflow::

@@ -85,9 +85,6 @@ Representative workloads covered:
   streaming ``TeeSink(JsonlSink, ReducerSink)`` pipeline over one
   :class:`~repro.engine.shared.SharedPayload` catalog.  Counters (row
   digest + exact aggregates) are byte-identical across arms.
-* ``sweep_resume`` — the same streaming sweep with and without a retry
-  policy (``on_error="retry"``, zero faults injected); the artifact SHA
-  in the counters is identical across arms.
 """
 
 from __future__ import annotations
@@ -1037,62 +1034,6 @@ def sweep_streaming_trial(
     }
 
 
-def sweep_resume_trial(
-    seed: int,
-    resilient: bool,
-    n_cells: int = 1_000,
-    n_items: int = 200,
-) -> dict[str, Any]:
-    """The same streaming sweep with and without a retry policy.
-
-    Both arms run the same probe sweep into a ``JsonlSink`` artifact
-    through the engine's one loop; they differ only by the policy
-    handed to it — ``resilient=True`` passes ``on_error="retry"``, with
-    **zero faults injected**.  The committed counters include a
-    truncated SHA-256 of the artifact bytes, so the baseline itself
-    proves a policy that never fires changes no byte.
-    """
-    import hashlib
-    import tempfile
-    from pathlib import Path
-
-    handle = worker_cache(
-        ("resume-bench-payload", n_items),
-        lambda: SharedPayload.publish(
-            _zipf_bench_catalog(n_items), label="resume-bench-catalog"
-        ),
-    )
-    spec = SweepSpec(
-        name="bench-sweep-resume-cells",
-        task=streaming_probe_cell,
-        grid={},
-        runs=n_cells,
-        base_seed=seed,
-        seeding="offset",
-        fixed={"catalog": handle, "n_items": n_items},
-    )
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "rows.jsonl.gz"
-        if resilient:
-            outcome = run_sweep(spec, sink=JsonlSink(path), on_error="retry")
-        else:
-            outcome = run_sweep(spec, sink=JsonlSink(path))
-        artifact_sha = hashlib.sha256(path.read_bytes()).hexdigest()
-        rows_loaded = sum(1 for _row in iter_stream_rows(path))
-    agg = outcome.aggregate or {}
-    resilience = outcome.resilience or {}
-    return {
-        "rows": agg["rows"],
-        "row_digest": agg["digest"],
-        "rows_loaded": rows_loaded,
-        # identical in both arms by the crash-anywhere property;
-        # truncated so the committed JSON stays readable in review
-        "artifact_sha": artifact_sha[:16],
-        "retried": resilience.get("retried", 0),
-        "quarantined": len(resilience.get("quarantined", [])),
-    }
-
-
 # ----------------------------------------------------------------------
 # the default suite
 # ----------------------------------------------------------------------
@@ -1237,13 +1178,6 @@ CASES: dict[str, _Row] = {
         1,
         full={"n_cells": 100_000, "n_items": 50_000},
         quick={"n_cells": 2_000, "n_items": 500},
-    ),
-    "sweep_resume": _Row(
-        sweep_resume_trial,
-        {"resilient": [False, True]},
-        1,
-        full={"n_cells": 50_000, "n_items": 20_000},
-        quick={"n_cells": 1_000, "n_items": 200},
     ),
 }
 

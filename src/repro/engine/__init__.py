@@ -76,26 +76,14 @@ from repro.engine.executor import (
     WORKER_CACHE_LIMIT,
     SweepOutcome,
     SweepRunner,
+    WorkerCrashError,
     default_chunksize,
     default_workers,
     fold_cells,
-    map_runs,
     run_sweep,
     shared_runner,
     shutdown_shared_runners,
     worker_cache,
-)
-from repro.engine.resilience import (
-    ChaosPlan,
-    ChaosSink,
-    ChaosTask,
-    FailureManifest,
-    InjectedFault,
-    InjectedSinkError,
-    RetryPolicy,
-    TaskFailure,
-    WorkerCrashError,
-    resolve_policy,
 )
 from repro.engine.shared import SharedPayload
 from repro.engine.sink import (
@@ -104,18 +92,15 @@ from repro.engine.sink import (
     CellFoldSink,
     ChunkPlan,
     FoldedChunk,
-    FoldSink,
     JsonlSink,
     MemorySink,
     NoopSink,
-    PrintingSink,
     ReducerSink,
     ResultSink,
     TeeSink,
     fold_chunk,
     iter_stream_rows,
     load_stream,
-    scan_partial_stream,
 )
 from repro.engine.spec import RunResult, RunTask, SweepSpec, derive_seed
 from repro.engine.store import (
@@ -138,27 +123,18 @@ __all__ = [
     "WORKER_CACHE_LIMIT",
     "Accumulator",
     "CellFoldSink",
-    "ChaosPlan",
-    "ChaosSink",
-    "ChaosTask",
     "ChunkPlan",
     "CountAcc",
     "DigestMergeAcc",
-    "FailureManifest",
-    "FoldSink",
     "FoldedChunk",
-    "InjectedFault",
-    "InjectedSinkError",
     "JsonlSink",
     "MeanAcc",
     "MemorySink",
     "NoopSink",
-    "PrintingSink",
     "QuantileDigest",
     "ReducerSink",
     "ResultSink",
     "ResultStore",
-    "RetryPolicy",
     "RowReducer",
     "RunResult",
     "RunTask",
@@ -166,7 +142,6 @@ __all__ = [
     "SweepOutcome",
     "SweepRunner",
     "SweepSpec",
-    "TaskFailure",
     "TeeSink",
     "WorkerCrashError",
     "canonical_line",
@@ -181,13 +156,10 @@ __all__ = [
     "iter_stream_rows",
     "jsonable",
     "load_stream",
-    "map_runs",
     "mean_of",
     "merge_digests",
-    "resolve_policy",
     "row_digest",
     "run_sweep",
-    "scan_partial_stream",
     "shared_runner",
     "shutdown_shared_runners",
     "values_of",

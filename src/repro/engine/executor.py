@@ -22,19 +22,22 @@ Two pool modes exist, one loop runs on both:
   :func:`worker_cache` entries that are pure functions of their keys.
 
 The pool is a ``concurrent.futures.ProcessPoolExecutor`` either way,
-and every sweep — keep-every-row, ``sink=``, ``reduce=``, with or
-without ``on_error=`` / ``resume_from=`` — is one call of
-:func:`_stream`.  The unit of work is a **chunk** of at most
+and every sweep — keep-every-row, ``sink=``, ``reduce=`` — is one call
+of :func:`_stream`.  The unit of work is a **chunk** of at most
 :data:`MAX_CHUNK_ROWS` consecutive tasks, described by cell × run
 ranges (:class:`~repro.engine.spec.TaskChunk`) rather than built:
 :func:`~repro.engine.sink.fold_chunk` expands and executes it where the
-pool put it (in this process when there is no pool), settles its
-retries there and folds its rows into the pieces the sink tree asked
-for; one generator (:func:`_folded_chunks`) submits chunks within a
-bounded window, hands them back in task order and replaces a pool that
-lost a worker.  For a
-sink that takes its rows folded, no row crosses the process boundary:
-the parent orders chunks, writes their bytes and merges their partials.
+pool put it (in this process when there is no pool) and folds its rows
+into the pieces the sink tree asked for; one generator
+(:func:`_folded_chunks`) submits chunks within a bounded window and
+hands them back in task order.  For a sink that takes its rows folded,
+no row crosses the process boundary: the parent orders chunks, writes
+their bytes and merges their partials.
+
+A failing task or a dead worker ends the sweep at once: the sink is
+aborted (a :class:`~repro.engine.sink.JsonlSink` artifact is left
+detectably truncated) and the error is raised — a task's own
+exception, or :class:`WorkerCrashError`.
 """
 
 from __future__ import annotations
@@ -45,20 +48,18 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
-from repro.engine.resilience import RetryPolicy, WorkerCrashError, resolve_policy, salvage
 from repro.engine.sink import (
     LIVE_RESULTS,
     CellFoldSink,
     FoldedChunk,
-    JsonlSink,
     MemorySink,
     ReducerSink,
     TeeSink,
     fold_chunk,
 )
-from repro.engine.spec import RunResult, RunTask, SweepSpec
+from repro.engine.spec import RunResult, SweepSpec, TaskChunk
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.aggregate import RowReducer
@@ -71,6 +72,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: chunks short enough that the parent's gzip of one overlaps the
 #: workers' fold of the next.
 MAX_CHUNK_ROWS = 256
+
+
+class WorkerCrashError(RuntimeError):
+    """A pool worker died mid-sweep; the sweep was abandoned."""
 
 
 def default_workers() -> int:
@@ -190,19 +195,11 @@ class SweepOutcome:
     ``reduce=``): the sink or reducer summary — row count, the
     order-independent row digest, and any reducer metrics.  On the
     default (row-keeping) path it stays ``None``.
-
-    ``resilience`` is populated only when ``on_error=`` or
-    ``resume_from=`` was passed: completed/resumed/retried/
-    quarantined/respawns provenance, so a partial result can never be
-    mistaken for a full one.  ``failures`` then lists the quarantined
-    cells as :class:`~repro.engine.resilience.TaskFailure` records.
     """
 
     spec: dict[str, Any]
     results: list[RunResult] = field(default_factory=list)
     aggregate: dict[str, Any] | None = None
-    resilience: dict[str, Any] | None = None
-    failures: list[Any] = field(default_factory=list)
 
     @property
     def name(self) -> str:
@@ -212,28 +209,6 @@ class SweepOutcome:
     def values(self) -> list[Any]:
         """Raw task return values, in task order."""
         return [r.value for r in self.results]
-
-    def by_cell(self) -> list[tuple[dict[str, Any], list[RunResult]]]:
-        """Results grouped per grid cell, preserving expansion order.
-
-        All results of one sweep share a parameter-name set, so the
-        cell key is the value tuple under one sorted name list computed
-        once — not a re-sorted item tuple per result.  (Rows with a
-        divergent name set — hand-built outcomes — fall back to the
-        per-row sorted-items key.)
-        """
-        groups: dict[tuple, tuple[dict[str, Any], list[RunResult]]] = {}
-        names: tuple[str, ...] | None = None
-        for result in self.results:
-            params = result.params
-            if names is None or len(params) != len(names):
-                names = tuple(sorted(params))
-            try:
-                key = tuple(params[name] for name in names)
-            except KeyError:  # divergent name set
-                key = tuple(sorted(params.items(), key=lambda kv: kv[0]))
-            groups.setdefault(key, (params, []))[1].append(result)
-        return list(groups.values())
 
 
 class SweepRunner:
@@ -286,34 +261,17 @@ class SweepRunner:
         store: "ResultStore | None" = None,
         sink: "ResultSink | None" = None,
         reduce: "RowReducer | None" = None,
-        on_error: Any = None,
-        resume_from: Any = None,
     ) -> SweepOutcome:
         """Execute one sweep on the warm pool (API mirrors :func:`run_sweep`).
 
-        ``on_error=`` / ``resume_from=`` choose the retry policy, the
-        salvage prelude and whether the outcome carries ``resilience``
-        provenance — nothing else: every sweep runs the same loop
-        (:func:`_stream`) on the same pool.
+        A worker that dies closes the pool (:class:`WorkerCrashError`);
+        the runner's next parallel sweep creates a fresh one.
         """
         if sink is not None and reduce is not None:
             raise ValueError("pass sink= or reduce=, not both")
-        if sink is None and resume_from is not None:
-            sink = JsonlSink(resume_from)
         if reduce is not None:
-            reducer = ReducerSink(reduce.fresh())  # the template is never mutated
-            sink = reducer if sink is None else TeeSink(reducer, sink)
-        salvaged: dict[int, RunTask] = {}
-        resumed = None if on_error is None else 0
-        if resume_from is not None:
-            salvaged = salvage(spec, sink, resume_from)
-            resumed = len(salvaged)
-        if sink is None:
-            sink = _KeepRows() if resumed is None else MemorySink()
-        chunks = functools.partial(_spec_chunks, spec, salvaged)
-        outcome = _stream(
-            spec.summary(), chunks, spec.n_tasks, chunksize, sink, self, resolve_policy(on_error), resumed
-        )
+            sink = ReducerSink(reduce.fresh())  # the template is never mutated
+        outcome = _stream(spec, chunksize, _KeepRows() if sink is None else sink, self)
         if store is not None:
             store.save(outcome)
         self.sweeps_run += 1
@@ -348,8 +306,6 @@ def run_sweep(
     persistent_pool: bool = False,
     sink: "ResultSink | None" = None,
     reduce: "RowReducer | None" = None,
-    on_error: Any = None,
-    resume_from: Any = None,
 ) -> SweepOutcome:
     """Execute a sweep and (optionally) persist its artifact.
 
@@ -385,25 +341,6 @@ def run_sweep(
             rows into a fresh partial where its tasks ran, partials
             merge in chunk order and the outcome carries only
             ``aggregate``.  Mutually exclusive with ``sink``.
-        on_error: fault policy for failing tasks.  ``None`` (default)
-            is the exact historical behaviour — the first task
-            exception aborts the sweep.  ``"retry"`` re-runs failed
-            tasks from their pinned per-cell seed under the default
-            :class:`~repro.engine.resilience.RetryPolicy`;
-            ``"quarantine"`` additionally records cells that exhaust
-            their retries into the outcome's failure manifest and
-            keeps sweeping; pass a ``RetryPolicy`` for full control.
-            Retries run where the task ran.  A policy also lets the
-            sweep survive worker-process death (the pool is replaced
-            and the chunks in flight submitted again, exactly-once by
-            task index); without one a dead worker raises
-            :class:`~repro.engine.resilience.WorkerCrashError`.
-        resume_from: path of a partial :class:`~repro.engine.sink.JsonlSink`
-            artifact from a crashed run.  Committed rows are salvaged
-            and replayed instead of re-executed, and the finished
-            artifact is byte-identical to an uninterrupted run.  When
-            ``sink`` is ``None``, a ``JsonlSink`` at that path is
-            implied.  Composes with ``on_error`` and with ``reduce``.
 
     Returns:
         A :class:`SweepOutcome` whose ``results`` are in task order —
@@ -411,11 +348,15 @@ def run_sweep(
         additionally seat the sink/reducer summary in ``aggregate``;
         its row digest is byte-identical across all backends and worker
         counts.
+
+    Raises:
+        WorkerCrashError: a pool worker died.  Like a task's own
+            exception, it aborts the sink first.
     """
     if persistent_pool and workers > 1:
-        return shared_runner(workers).run_sweep(spec, chunksize, store, sink, reduce, on_error, resume_from)
+        return shared_runner(workers).run_sweep(spec, chunksize, store, sink, reduce)
     with _OneSweepRunner(workers) as runner:
-        return runner.run_sweep(spec, chunksize, store, sink, reduce, on_error, resume_from)
+        return runner.run_sweep(spec, chunksize, store, sink, reduce)
 
 
 #: process-wide persistent runners, one per worker count.
@@ -477,35 +418,22 @@ class _KeepRows(MemorySink):
         return None
 
 
-def _spec_chunks(spec: SweepSpec, salvaged: dict[int, RunTask], size: int) -> Iterator[Iterable[RunTask]]:
-    """``spec``'s chunks of ``size`` tasks, as descriptions — except
-    that a chunk up to the last salvaged row is expanded here, each
-    salvaged row standing in for its task."""
-    last = max(salvaged, default=-1)
-    for chunk in spec.iter_chunks(size):
-        yield chunk if chunk.start > last else [salvaged.get(task.index, task) for task in chunk]
-
-
 def _folded_chunks(
-    task_chunks: Iterator[Iterable[RunTask]],
-    fold: Callable[[Iterable[RunTask]], FoldedChunk],
+    task_chunks: Iterator[TaskChunk],
+    fold: Callable[[TaskChunk], FoldedChunk],
     runner: SweepRunner,
     pool: Any,
-    policy: RetryPolicy | None,
 ) -> Iterator[FoldedChunk]:
     """Each chunk of tasks folded, in task order: here when ``pool`` is
     None, else on the pool — the one place work is submitted to it.
 
     At most ``2 * workers + 2`` chunks are in flight (submitted, not yet
-    yielded), whatever the sweep's size.  A worker that dies breaks the
-    pool: ``runner`` replaces it and the chunks in flight are submitted
-    again, so every chunk — hence every task index — is yielded exactly
-    once; that is allowed ``policy.respawn_limit`` times, and with no
-    policy not at all.
+    yielded), whatever the sweep's size.
 
     Raises:
-        WorkerCrashError: a worker died and the pool may not be
-            replaced (again).
+        WorkerCrashError: a worker died.  The runner's pool is closed
+            first, so a persistent runner creates a fresh one for its
+            next sweep.
     """
     if pool is None:
         yield from map(fold, task_chunks)
@@ -513,125 +441,59 @@ def _folded_chunks(
     from concurrent.futures.process import BrokenProcessPool
 
     depth = 2 * runner.workers + 2
-    first_pool = runner.pools_created
-    in_flight: deque[Iterable[RunTask]] = deque()  # chunks not yet yielded, oldest first
-    futures: deque[Any] = deque()  # theirs; shorter while some await (re)submission
+    futures: deque[Any] = deque()  # oldest first
     while True:
-        in_flight.extend(islice(task_chunks, depth - len(in_flight)))
-        if not in_flight:
-            return
         try:
-            while len(futures) < len(in_flight):
-                futures.append(pool.submit(fold, in_flight[len(futures)]))
-            chunk = futures[0].result()
+            futures.extend(pool.submit(fold, chunk) for chunk in islice(task_chunks, depth - len(futures)))
+            if not futures:
+                return
+            chunk = futures.popleft().result()
         except BrokenProcessPool as exc:
             runner.close()
-            limit = 0 if policy is None else policy.respawn_limit
-            if runner.pools_created - first_pool >= limit:
-                raise WorkerCrashError(
-                    f"a pool worker died mid-chunk and this sweep has used up its {limit} pool "
-                    "respawn(s) (RetryPolicy.respawn_limit; 0 without on_error=)"
-                ) from exc
-            pool = runner._ensure_pool()
-            futures.clear()
-            continue
-        in_flight.popleft()
-        futures.popleft()
+            raise WorkerCrashError("a pool worker died mid-chunk; the sweep was abandoned") from exc
         yield chunk
 
 
-def _stream(
-    summary: dict[str, Any],
-    chunks: Callable[[int], Iterator[Iterable[RunTask]]],
-    n_tasks: int,
-    chunksize: int | None,
-    sink: ResultSink,
-    runner: SweepRunner,
-    policy: RetryPolicy | None = None,
-    resumed: int | None = None,
-) -> SweepOutcome:
+def _stream(spec: SweepSpec, chunksize: int | None, sink: ResultSink, runner: SweepRunner) -> SweepOutcome:
     """Drive one sweep through a sink, a chunk at a time.
 
-    The one loop of every mode, serial and pooled: ``chunks(size)``
-    cuts the ``n_tasks`` tasks into chunks of at most ``size``, walked
-    lazily; each is folded by :func:`~repro.engine.sink.fold_chunk` — in
-    a pool worker, or right here — into the pieces ``sink`` asked for,
-    its tasks expanded and retries settled where they run, and the
-    folded chunks reach the sink in task order.  ``resumed`` (not None
-    under ``on_error=`` / ``resume_from=``) is the number of salvaged
-    rows among the tasks; the outcome then carries its ``resilience``
-    provenance.
+    The one loop of every mode, serial and pooled: the spec's tasks are
+    cut into chunks of at most ``chunksize`` (default: see
+    :func:`run_sweep`), walked lazily; each is folded by
+    :func:`~repro.engine.sink.fold_chunk` — in a pool worker, or right
+    here — into the pieces ``sink`` asked for, its tasks expanded where
+    they run, and the folded chunks reach the sink in task order.
 
     A task that raises ends its chunk: the rows before it are still
     absorbed, then the sink is aborted, not closed — a streaming file
     sink leaves a detectably-truncated artifact behind, holding every
     row before the failing one, instead of a well-formed file holding
     half a sweep — and the task's exception is re-raised.  A lost
-    worker that may not be replaced aborts the same way, after the
-    last whole chunk before the lost one.
+    worker aborts the same way, after the last whole chunk before the
+    lost one.
     """
+    n_tasks = spec.n_tasks
     pool = runner._ensure_pool() if runner.workers > 1 and n_tasks > 1 else None
-    first_pool = runner.pools_created
     size = chunksize or min(
         default_chunksize(n_tasks, runner.workers if pool is not None else 1), MAX_CHUNK_ROWS
     )
-    fold = functools.partial(fold_chunk, plan=sink.chunk_plan() or LIVE_RESULTS, policy=policy)
-    failures: list[Any] = []
-    rows = retried = 0
+    fold = functools.partial(fold_chunk, plan=sink.chunk_plan() or LIVE_RESULTS)
+    summary = spec.summary()
     sink.open(summary)
     try:
-        for chunk in _folded_chunks(chunks(size), fold, runner, pool, policy):
+        for chunk in _folded_chunks(spec.iter_chunks(size), fold, runner, pool):
             sink.absorb(chunk)
-            for failure in chunk.failures:
-                sink.note_quarantined(failure.index)
-            failures += chunk.failures
-            rows += chunk.rows
-            retried += chunk.retried
             if chunk.error is not None:
                 raise chunk.error
     except BaseException:
         sink.abort()
         raise
     sink.close()
-    outcome = SweepOutcome(
+    return SweepOutcome(
         spec=summary,
         results=list(sink.results) if sink.keeps_rows else [],
         aggregate=sink.summary(),
-        failures=failures,
     )
-    if resumed is not None:
-        outcome.resilience = {
-            "completed": rows,
-            "resumed": resumed,
-            "retried": retried,
-            "quarantined": [failure.index for failure in failures],
-            "respawns": runner.pools_created - first_pool,
-        }
-        outcome.aggregate = {**outcome.aggregate, "resilience": outcome.resilience}
-    return outcome
-
-
-def map_runs(
-    task: Callable[..., Any],
-    seeds: Iterable[int],
-    workers: int = 1,
-    **params: Any,
-) -> list[Any]:
-    """Convenience: run ``task(seed=s, **params)`` for every seed.
-
-    A one-cell sweep without declaring a spec — handy for quick studies
-    and for porting existing ``for i in range(runs)`` loops.
-    """
-    tasks = [
-        RunTask(index=i, sweep="map-runs", task=task, params=dict(params), run=i, seed=s)
-        for i, s in enumerate(seeds)
-    ]
-
-    def chunks(size: int) -> Iterator[Iterable[RunTask]]:
-        return (tasks[lo : lo + size] for lo in range(0, len(tasks), size))
-
-    with _OneSweepRunner(workers) as runner:
-        return _stream({"name": "map-runs"}, chunks, len(tasks), None, _KeepRows(), runner).values()
 
 
 def fold_cells(

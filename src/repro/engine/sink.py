@@ -5,9 +5,8 @@ in RAM and hands them back inside the outcome — fine at 10^3 cells,
 fatal at 10^6.  A :class:`ResultSink` decouples *producing* rows from
 *keeping* them: the sink decides whether to keep a row
 (:class:`MemorySink`), stream it to disk (:class:`JsonlSink`), fold it
-into aggregates (:class:`ReducerSink`, :class:`CellFoldSink`), print it
-(:class:`PrintingSink`), fan it out (:class:`TeeSink`) or drop it
-(:class:`NoopSink`).
+into aggregates (:class:`ReducerSink`, :class:`CellFoldSink`), fan it
+out (:class:`TeeSink`) or drop it (:class:`NoopSink`).
 
 Every sink tracks two backend-independent invariants as it goes:
 ``rows_emitted`` and an order-independent row ``digest`` (see
@@ -19,8 +18,9 @@ the engine property tests pin.
 
 Lifecycle: ``open(spec_summary)`` → rows, always in task-index order →
 ``close()``; the executor calls ``abort()`` instead of ``close()`` when
-a task raises, so a partially-written :class:`JsonlSink` file has no
-``end`` record and its truncation tripwire fires on load.
+a task raises or a worker dies, so a partially-written
+:class:`JsonlSink` file has no ``end`` record and its truncation
+tripwire fires on load.
 
 Rows arrive one *chunk* at a time (``absorb``).  What the chunk holds
 is the sink's choice, stated once per sweep through
@@ -29,24 +29,18 @@ can take already folded — artifact lines as bytes, a partial reducer, a
 count and a digest — and :func:`fold_chunk` builds exactly those where
 the tasks run, so in a pooled sweep no row crosses the process
 boundary; a sink that does not opt in gets the chunk's live results,
-one ``emit`` each.  That holds under ``on_error=`` / ``resume_from=``
-too: retries are settled inside :func:`fold_chunk`, a quarantined cell
-is a gap in its chunk (``FoldedChunk.failures``), and a salvaged row is
-a task that returns its stored value.
+one ``emit`` each.
 """
 
 from __future__ import annotations
 
-import json
-import time
+import pickle
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, TextIO
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
-from repro.common.errors import StoreError
 from repro.engine.aggregate import RowReducer, merge_digests, row_digest
-from repro.engine.resilience import RetryPolicy, TaskFailure, _portable_error
 from repro.engine.spec import RunResult, RunTask
-from repro.engine.store import DAMAGE, JsonlReader, ResultStore, canonical_line, gzip_writer, jsonable
+from repro.engine.store import JsonlReader, ResultStore, canonical_line, gzip_writer, jsonable
 
 #: streamed-artifact schema version; bump on any layout change.
 STREAM_SCHEMA = 1
@@ -91,8 +85,6 @@ class FoldedChunk:
 
     ``rows`` always counts; ``digest``, ``lines``, ``partials`` and
     ``results`` are filled only where the :class:`ChunkPlan` asked.
-    ``failures`` are the cells the retry policy quarantined (no row
-    exists for them) and ``retried`` the re-executions it spent.
     ``error`` is the exception that ended the chunk early: the pieces
     then cover the rows before the failing one.
     """
@@ -103,8 +95,6 @@ class FoldedChunk:
         self.lines = b""
         self.partials: dict[int, RowReducer] = {}
         self.results: list[RunResult] = []
-        self.failures: list[TaskFailure] = []
-        self.retried = 0
         self.error: BaseException | None = None
 
     def __getstate__(self) -> dict[str, Any]:
@@ -119,66 +109,48 @@ class FoldedChunk:
         return state
 
 
-def fold_chunk(tasks: Iterable[RunTask], plan: ChunkPlan, policy: RetryPolicy | None = None) -> FoldedChunk:
+def _portable_error(exc: BaseException) -> BaseException:
+    """The exception itself when it pickles, else a faithful stand-in
+    (an unpicklable exception must not poison the result pipe)."""
+    try:
+        pickle.dumps(exc)
+        return exc
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+
+
+def fold_chunk(tasks: Iterable[RunTask], plan: ChunkPlan) -> FoldedChunk:
     """Execute ``tasks`` and fold their rows into the pieces ``plan`` names.
 
     ``tasks`` is usually a :class:`~repro.engine.spec.TaskChunk`, so the
-    tasks and their seeds are built here as they are iterated; a chunk
-    holding salvaged rows is a plain list of tasks.  The one place a
-    sweep task is executed and the one producer of
+    tasks and their seeds are built here as they are iterated.  The one
+    place a sweep task is executed and the one producer of
     :class:`FoldedChunk`: pool workers and the serial path both run it,
-    so a row's payload is built once, where its task ran — and a failed
-    task is retried there too, from its pinned seed, as ``policy``
-    allows.  A task out of attempts is quarantined (``policy.quarantine``)
-    or ends the chunk, as a row whose encoding raises always does; the
-    chunk is returned with the rows before it and the exception.
+    so a row's payload is built once, where its task ran.  A task that
+    raises, or a row whose encoding raises, ends the chunk: it is
+    returned with the rows before it and the exception.
     """
     chunk = FoldedChunk()
     chunk.partials = {key: reducer.fresh() for key, reducer in plan.reducers.items()}
     partials = list(chunk.partials.values())
     encode = plan.digest or plan.lines or bool(partials)
-    attempts = 1 if policy is None else policy.max_attempts
     lines: list[str] = []
     for task in tasks:
-        for attempt in range(1, attempts + 1):
-            try:
-                result = task.execute()
-                break
-            except Exception as exc:
-                error = exc
-                if attempt < attempts:
-                    chunk.retried += 1
-                    time.sleep(policy.delay(attempt))
-        else:  # out of attempts
-            if policy is None or not policy.quarantine:
-                chunk.error = error
-                break
-            chunk.failures.append(
-                TaskFailure(
-                    index=task.index,
-                    params=jsonable(task.params),
-                    run=task.run,
-                    seed=task.seed,
-                    attempts=attempts,
-                    error=type(error).__name__,
-                    message=str(error),
-                )
-            )
-            continue
-        if encode:
-            try:
+        try:
+            result = task.execute()
+            if encode:
                 row = ResultStore.row_payload(result)
                 digest = row_digest(row)
                 if plan.lines:
                     line = canonical_line({"type": "row", **row})
                 for partial in partials:
                     partial.fold(result, row=row, digest=digest)
-            except Exception as exc:
-                chunk.error = exc
-                break
-            chunk.digest = merge_digests(chunk.digest, digest)
-            if plan.lines:
-                lines.append(line)
+                chunk.digest = merge_digests(chunk.digest, digest)
+                if plan.lines:
+                    lines.append(line)
+        except Exception as exc:
+            chunk.error = exc
+            break
         # count, digest, lines and results always cover the same rows
         chunk.rows += 1
         if plan.results:
@@ -212,18 +184,10 @@ class ResultSink:
         self.rows_emitted = 0
         self.digest = 0
         self.spec: dict[str, Any] | None = None
-        self.quarantined: list[int] = []
 
     def open(self, spec_summary: dict[str, Any]) -> None:
         """Called once before the first row."""
         self.spec = spec_summary
-
-    def note_quarantined(self, index: int) -> None:
-        """Record a poison cell the retry policy quarantined
-        instead of emitting — no row exists for it, but the gap must be
-        attributable, so sinks carry the indices into their summaries
-        (and :class:`JsonlSink` into the artifact's ``end`` record)."""
-        self.quarantined.append(index)
 
     def emit(self, result: RunResult, row: Mapping[str, Any] | None = None) -> None:
         """Receive one result, in task-index order."""
@@ -258,16 +222,8 @@ class ResultSink:
         """Called instead of :meth:`close` when the sweep fails."""
 
     def summary(self) -> dict[str, Any]:
-        """The sink's JSON-able aggregate, seated in the outcome.
-
-        The ``quarantined`` key appears only when cells were actually
-        quarantined, so fault-free summaries keep their historical shape
-        byte-for-byte.
-        """
-        out: dict[str, Any] = {"rows": self.rows_emitted, "digest": self.digest}
-        if self.quarantined:
-            out["quarantined"] = sorted(self.quarantined)
-        return out
+        """The sink's JSON-able aggregate, seated in the outcome."""
+        return {"rows": self.rows_emitted, "digest": self.digest}
 
 
 class NoopSink(ResultSink):
@@ -292,27 +248,6 @@ class MemorySink(ResultSink):
     def emit(self, result: RunResult, row: Mapping[str, Any] | None = None) -> None:
         super().emit(result, row)
         self.results.append(result)
-
-
-class PrintingSink(ResultSink):
-    """Write one canonical JSON line per row to a text stream.
-
-    Progress/debug sink for long sweeps — pipe it to a pager or a log
-    file.  Lines are the same canonical row encoding every other
-    backend digests, so ad-hoc downstream tooling sees stable bytes.
-    """
-
-    def __init__(self, stream: TextIO | None = None) -> None:
-        super().__init__()
-        import sys
-
-        self.stream = stream if stream is not None else sys.stdout
-
-    def emit(self, result: RunResult, row: Mapping[str, Any] | None = None) -> None:
-        if row is None:
-            row = ResultStore.row_payload(result)
-        super().emit(result, row)
-        self.stream.write(canonical_line(row) + "\n")
 
 
 class JsonlSink(ResultSink):
@@ -378,14 +313,7 @@ class JsonlSink(ResultSink):
     def close(self) -> None:
         if self._gz is None:
             return
-        end: dict[str, Any] = {"type": "end", "records": self._lines}
-        if self.quarantined:
-            # Poison cells leave index gaps in the stream; the end
-            # record owns up to them so a reader can distinguish "these
-            # cells failed" from "this artifact is damaged".  Absent on
-            # fault-free runs, keeping historical artifacts byte-stable.
-            end["quarantined"] = sorted(self.quarantined)
-        self._write_line(end)
+        self._write_line({"type": "end", "records": self._lines})
         self._gz.close()
         self._file.close()
         self._gz = self._file = None
@@ -444,84 +372,6 @@ def load_stream(path: str | Path) -> tuple[dict[str, Any], list[dict[str, Any]]]
         return reader.header.get("spec") or {}, list(_rows(reader))
 
 
-def scan_partial_stream(
-    path: str | Path, expect_spec: Mapping[str, Any] | None = None
-) -> dict[int, dict[str, Any]]:
-    """Salvage the committed rows of a *partial* :class:`JsonlSink` artifact.
-
-    The read side of the resume protocol: returns ``{task_index: row}``
-    for the longest clean prefix of row records, deduplicated by task
-    index (first occurrence wins).  The header goes through the one
-    framing's check; the rows do not go through
-    :meth:`~repro.engine.store.JsonlReader.records`, because salvage is
-    the opposite policy: damage *after* the clean prefix — a truncated
-    gzip stream, a record cut mid-line by a crash, a record that is not
-    a ``row`` object — is expected and silently ends the scan; damage
-    *before* any row could be trusted is not:
-
-    Raises:
-        StoreError: missing-or-broken header, foreign ``kind``,
-            mismatched ``schema``, a header ``spec`` differing from
-            ``expect_spec`` (resuming someone else's sweep would
-            silently mix incompatible rows), or a *complete* artifact
-            (an ``end`` record means there is nothing to resume).
-
-    A nonexistent ``path`` is a fresh start, not an error — crash-loop
-    automation can pass ``resume_from=`` unconditionally.
-    """
-    path = Path(path)
-    if not path.exists():
-        return {}
-    committed: dict[int, dict[str, Any]] = {}
-    try:
-        reader = _open_stream(path)
-    except StoreError as exc:
-        raise StoreError(f"{exc}; refusing to resume") from None
-    with reader:
-        if expect_spec is not None and reader.header.get("spec") != jsonable(expect_spec):
-            raise StoreError(
-                f"partial artifact {path} was written by a different sweep spec; "
-                f"refusing to resume into it"
-            )
-        try:
-            for line in reader.lines():
-                if not line.endswith("\n"):
-                    break  # the crash cut this record mid-line
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    break  # not even an object — trust ends at the last clean row
-                if record.get("type") == "end":
-                    raise StoreError(
-                        f"artifact {path} is complete (end record present); "
-                        f"there is nothing to resume"
-                    )
-                if record.get("type") != "row":
-                    break  # foreign record — trust ends at the last clean row
-                index = record.get("index")
-                if not isinstance(index, int):
-                    break
-                committed.setdefault(index, {k: v for k, v in record.items() if k != "type"})
-        except (*DAMAGE, json.JSONDecodeError):
-            pass  # truncated gzip stream: the clean prefix ends here
-    return committed
-
-
-class FoldSink(ResultSink):
-    """Apply one callable per row — the quick-lambda sink.
-
-    The callable runs in the parent process, so closures are fine (it
-    never pickles); digests/row counts track alongside.
-    """
-
-    def __init__(self, fold: Callable[[RunResult], None]) -> None:
-        super().__init__()
-        self._fold = fold
-
-    def emit(self, result: RunResult, row: Mapping[str, Any] | None = None) -> None:
-        super().emit(result, row)
-        self._fold(result)
-
-
 class ReducerSink(ResultSink):
     """Fold rows into a :class:`~repro.engine.aggregate.RowReducer`.
 
@@ -549,22 +399,20 @@ class ReducerSink(ResultSink):
         self.digest = self.reducer.digest
 
     def summary(self) -> dict[str, Any]:
-        out = self.reducer.summary()
-        if self.quarantined:
-            out = {**out, "quarantined": sorted(self.quarantined)}
-        return out
+        return self.reducer.summary()
 
 
 class CellFoldSink(ResultSink):
-    """Streaming per-cell fold — ``by_cell()`` without holding rows.
+    """Streaming per-cell fold: results grouped per grid cell without
+    holding rows.
 
     ``fold(state, result) -> state`` runs once per row against its
     cell's accumulated state (``None`` on the cell's first row); cells
     appear in first-emission order, which for an in-order executor is
-    exactly the spec's expansion order — the same order ``by_cell()``
-    yields.  Row digests are skipped: driver folds run on the hot
-    default path too, where paying a canonical-JSON encode per row just
-    for bookkeeping would tax every study.
+    exactly the spec's expansion order.  Row digests are skipped:
+    driver folds run on the hot default path too, where paying a
+    canonical-JSON encode per row just for bookkeeping would tax every
+    study.
     """
 
     def __init__(self, fold: Callable[[Any, RunResult], Any]) -> None:
@@ -580,9 +428,10 @@ class CellFoldSink(ResultSink):
             self._names = tuple(sorted(params))
         try:
             key = tuple(params[name] for name in self._names)
+            seat = self._groups.get(key)
         except (KeyError, TypeError):  # divergent name set / unhashable value
             key = tuple(sorted((k, repr(v)) for k, v in params.items()))
-        seat = self._groups.get(key)
+            seat = self._groups.get(key)
         if seat is None:
             self._groups[key] = (params, self._fold(None, result))
         else:
@@ -653,11 +502,6 @@ class TeeSink(ResultSink):
         for sink in self.sinks:
             sink.absorb(chunk)
         self.digest = self.sinks[0].digest
-
-    def note_quarantined(self, index: int) -> None:
-        super().note_quarantined(index)
-        for sink in self.sinks:
-            sink.note_quarantined(index)
 
     def close(self) -> None:
         for sink in self.sinks:

@@ -97,9 +97,7 @@ class RunTask:
 
     ``index`` is the task's position in the spec's expansion order;
     executors must report results in index order so output never
-    depends on completion order.  It is also the coordinate the
-    resilience layer keys on: retries, chunk re-dispatch after a worker
-    crash, and resume dedup all identify work by task index.
+    depends on completion order.
     """
 
     index: int
@@ -125,12 +123,6 @@ class RunTask:
             }
         else:
             call_params = params
-        if getattr(self.task, "needs_task_index", False):
-            # Index-aware tasks (the chaos harness keys fault schedules
-            # by task index) get it as an extra keyword; it never enters
-            # params, the seed derivation, or the result row.
-            call_params = dict(call_params)
-            call_params["task_index"] = self.index
         value = self.task(seed=self.seed, **call_params)
         return RunResult(
             index=self.index,
@@ -291,11 +283,6 @@ class TaskChunk:
         self.base_seed = spec.base_seed
         self.seeding = spec.seeding
         self.entries = entries
-
-    @property
-    def start(self) -> int:
-        """The index of the chunk's first task."""
-        return self.entries[0][0]
 
     def __iter__(self) -> Iterator[RunTask]:
         sweep, task, fixed = self.sweep, self.task, self.fixed

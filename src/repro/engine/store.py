@@ -17,8 +17,8 @@ The framings, decided here and nowhere else:
   and replay traces (:mod:`repro.replay.artifact`).
 * **canonical documents** (:func:`write_document` /
   :func:`read_document`): one indented, key-sorted JSON object with a
-  ``schema`` field — :class:`ResultStore` artifacts, failure manifests
-  (:mod:`repro.engine.resilience`), ``BENCH_*.json`` baselines.
+  ``schema`` field — :class:`ResultStore` artifacts and ``BENCH_*.json``
+  baselines.
 
 Whatever a read trips over — an unreadable file, damaged compression,
 corrupt JSON, valid JSON that is not an object, a foreign or stale
@@ -308,22 +308,13 @@ class ResultStore:
 
     @staticmethod
     def payload(outcome: SweepOutcome) -> dict[str, Any]:
-        """The artifact dict for an executed sweep.
-
-        The ``resilience`` block (retry/quarantine/resume provenance)
-        appears only when the sweep was given ``on_error=`` or
-        ``resume_from=``, so fault-free artifacts keep their bytes.
-        """
-        out = {
+        """The artifact dict for an executed sweep."""
+        return {
             "schema": SCHEMA_VERSION,
             "sweep": outcome.name,
             "spec": outcome.spec,
             "results": [ResultStore.row_payload(r) for r in outcome.results],
         }
-        resilience = getattr(outcome, "resilience", None)
-        if resilience is not None:
-            out["resilience"] = jsonable(resilience)
-        return out
 
     #: canonical artifact encoding (byte-stable across runs).
     encode = staticmethod(canonical_document)

@@ -37,10 +37,9 @@ from __future__ import annotations
 import dataclasses
 from typing import Any
 
-from repro.engine.resilience import RetryPolicy
 from repro.experiments.service_study import open_loop_scenario
 from repro.sim.failures import FailurePlan, JoinSite, LeaveSite
-from repro.traffic import AdaptiveWindow, Scenario, run_scenario
+from repro.traffic import AdaptiveWindow, RetryPolicy, Scenario, run_scenario
 from repro.workload.generators import random_catalog
 from repro.workload.spec import WorkloadSpec
 

@@ -10,7 +10,7 @@ ceiling discovery, and :mod:`repro.traffic.scenario` for the
 documents the semantics and comparability rules.
 """
 
-from repro.traffic.engine import TrafficEngine, WorkloadResult, tally_stream
+from repro.traffic.engine import RetryPolicy, TrafficEngine, WorkloadResult, tally_stream
 from repro.traffic.open_loop import (
     DEFAULT_BINS,
     DEFAULT_WINDOW,
@@ -29,6 +29,7 @@ __all__ = [
     "AdaptiveWindow",
     "OpenLoopResult",
     "RampResult",
+    "RetryPolicy",
     "Scenario",
     "ScenarioRun",
     "TrafficEngine",

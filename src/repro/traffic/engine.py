@@ -48,6 +48,44 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.cluster import Cluster
 
 
+@dataclass(frozen=True)
+class RetryPolicy:
+    """The interactive client's retry policy: how often a client-aborted
+    transaction is re-submitted, and after how long.
+
+    Args:
+        max_attempts: total submissions allowed per op (first try
+            included); ``1`` disables retry.
+        backoff: base delay, in virtual seconds, before the second
+            attempt; doubles per further attempt.  ``0.0`` retries
+            immediately.
+        backoff_cap: upper bound on any single delay — backoff is
+            bounded, never unbounded exponential.
+
+    A frozen value object with no RNG and no jitter, so a run under a
+    policy is as deterministic as one without.
+    """
+
+    max_attempts: int = 3
+    backoff: float = 0.05
+    backoff_cap: float = 1.0
+    # Unread: kept as a trace header holds every field, and the E27 recording pins those bytes.
+    quarantine: bool = False
+    respawn_limit: int = 3
+
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
+        if self.backoff < 0 or self.backoff_cap < 0:
+            raise ValueError("backoff delays cannot be negative")
+
+    def delay(self, attempt: int) -> float:
+        """Virtual seconds to wait before attempt ``attempt + 1``."""
+        if self.backoff <= 0.0:
+            return 0.0
+        return min(self.backoff_cap, self.backoff * (2 ** (attempt - 1)))
+
+
 @dataclass
 class WorkloadResult:
     """What the client population experienced in one run."""
@@ -144,8 +182,8 @@ class TrafficEngine:
         self.cluster = cluster
         self.compiled = compiled
         self.rng = rng
-        #: client retry policy for the interactive submit path (an
-        #: :class:`~repro.engine.resilience.RetryPolicy` or ``None``).
+        #: client retry policy for the interactive submit path (a
+        #: :class:`RetryPolicy` or ``None``).
         #: ``None`` — and ``max_attempts=1`` — are byte-identical to
         #: the historical no-retry client.
         self.retry = retry

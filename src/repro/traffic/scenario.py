@@ -74,7 +74,7 @@ class Scenario:
             it; ``None`` for a flat installation.
         mutable: the plan changes placement (joins, leaves), so the run
             works on a fork of the memoized catalog.
-        retry: client :class:`~repro.engine.resilience.RetryPolicy`.
+        retry: client :class:`~repro.traffic.engine.RetryPolicy`.
         service: open-loop settings passed to
             :func:`~repro.traffic.open_loop.run_open_loop` (``window``,
             ``latency_hi``, ``bins``, ``adapt``).

@@ -8,7 +8,6 @@ up in the right counters and *only* the right counters.
 
 import pytest
 
-from repro.engine.resilience import RetryPolicy
 from repro.experiments.resilience_study import (
     gray_failure_plan,
     rolling_upgrade_plan,
@@ -17,7 +16,7 @@ from repro.experiments.resilience_study import (
     run_rolling_upgrade,
 )
 from repro.sim.rng import RngRegistry
-from repro.traffic import AdaptiveWindow
+from repro.traffic import AdaptiveWindow, RetryPolicy
 from repro.workload.generators import random_catalog
 
 

@@ -25,7 +25,6 @@ from repro.bench.cases import (
     partition_churn_trial,
     recovery_replay_trial,
     suite_warm_pool_trial,
-    sweep_resume_trial,
     sweep_streaming_trial,
     trace_record_trial,
     wal_append_trial,
@@ -63,7 +62,6 @@ QUICK_CASES = [
     "catalog_memo",
     "trace_replay_tournament",
     "sweep_streaming",
-    "sweep_resume",
 ]
 
 
@@ -279,18 +277,6 @@ class TestABCountersAgree:
         memory = sweep_streaming_trial(seed, streaming=False, n_cells=80, n_items=60)
         streaming = sweep_streaming_trial(seed, streaming=True, n_cells=80, n_items=60)
         assert memory == streaming
-
-    @given(st.integers(0, 2**20))
-    @settings(max_examples=5, deadline=None)
-    def test_sweep_resume_counters_identical_across_modes(self, seed):
-        # the fault-free resilient path must write the exact artifact
-        # bytes the plain streaming path writes (artifact_sha is in the
-        # counters), with zero retries and zero quarantined cells
-        plain = sweep_resume_trial(seed, resilient=False, n_cells=60, n_items=40)
-        resilient = sweep_resume_trial(seed, resilient=True, n_cells=60, n_items=40)
-        assert plain == resilient
-        assert resilient["retried"] == 0
-        assert resilient["quarantined"] == 0
 
     @given(st.integers(0, 2**20))
     @settings(max_examples=10, deadline=None)

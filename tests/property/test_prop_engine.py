@@ -17,32 +17,26 @@ count — and the exact accumulators must satisfy the merge law that
 makes that possible (any partial grouping folds to the same summary).
 
 The chunk cases pin what crosses the pool boundary: whatever the worker
-count, the chunk size, the sink tree (``reduce=`` among them) and the
-fault policy (none, a retried fault, a quarantined cell, a crash plus
-``resume_from=``), a sweep folded chunk by chunk equals a per-row
-``open``/``emit``/``close`` drive of the same sinks — artifact bytes,
-provenance and failure manifest included — a raising task leaves
-exactly the rows before it, and a chunk-written artifact cut anywhere
-resumes to the same bytes.
+count, the chunk size and the sink tree (``reduce=`` among them), a
+sweep folded chunk by chunk equals a per-row ``open``/``emit``/``close``
+drive of the same sinks — artifact bytes included — and a raising task
+leaves exactly the rows before it.
 """
 
+import gzip
+import json
 import pickle
 import random
 import tempfile
-import zlib
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.errors import StoreError
 from repro.engine import (
     CellFoldSink,
-    ChaosPlan,
     CountAcc,
-    FailureManifest,
-    InjectedSinkError,
     JsonlSink,
     MeanAcc,
     MemorySink,
@@ -50,7 +44,6 @@ from repro.engine import (
     QuantileDigest,
     ReducerSink,
     ResultStore,
-    RetryPolicy,
     RowReducer,
     SharedPayload,
     SweepSpec,
@@ -60,7 +53,6 @@ from repro.engine import (
     merge_digests,
     row_digest,
     run_sweep,
-    scan_partial_stream,
     shutdown_shared_runners,
 )
 from repro.engine.spec import cell_seeder
@@ -197,7 +189,7 @@ class TestChunkExpansion:
             expected = _reference_expansion(spec)
             chunks = list(spec.iter_chunks(size))
             assert [len(list(chunk)) for chunk in chunks[:-1]] == [size] * (len(chunks) - 1)
-            assert [chunk.start for chunk in chunks] == list(range(0, spec.n_tasks, size))
+            assert [chunk.entries[0][0] for chunk in chunks] == list(range(0, spec.n_tasks, size))
             for expansion in (
                 [task for chunk in chunks for task in chunk],
                 # what a pool worker expands: the chunk after a pickle round trip
@@ -374,19 +366,24 @@ def _observe(sink, parts) -> dict:
     return seen
 
 
-def _per_row_reference(spec: SweepSpec, tree: str, quarantined: int | None = None) -> dict:
-    """The sink protocol as it was before chunks: one ``emit`` per row
-    (a quarantined cell is a gap the sink is told about)."""
+def _per_row_reference(spec: SweepSpec, tree: str) -> dict:
+    """The sink protocol as it was before chunks: one ``emit`` per row."""
     with tempfile.TemporaryDirectory() as tmp:
         sink, parts = SINK_TREES[tree](Path(tmp))
         sink.open(spec.summary())
         for task in spec.iter_tasks():
-            if task.index == quarantined:
-                sink.note_quarantined(task.index)
-            else:
-                sink.emit(task.execute())
+            sink.emit(task.execute())
         sink.close()
         return _observe(sink, parts)
+
+
+def _committed_indices(path: Path) -> list[int]:
+    """The task indices of the rows an aborted artifact holds."""
+    header, *records = gzip.decompress(path.read_bytes()).splitlines()
+    assert json.loads(header)["type"] == "header"
+    rows = [json.loads(record) for record in records]
+    assert all(row["type"] == "row" for row in rows)  # no end record
+    return [row["index"] for row in rows]
 
 
 class TestChunksEqualRows:
@@ -403,91 +400,29 @@ class TestChunksEqualRows:
         chunksize=st.sampled_from([None, 1, 2, 7]),
         persistent=st.booleans(),
         tree=st.sampled_from([*sorted(SINK_TREES), "reduce="]),
-        policy=st.sampled_from([None, "retry", "quarantine", "resume"]),
-        at=st.integers(0, 26),
     )
     @settings(max_examples=80, deadline=None)
-    def test_every_sink_tree_at_every_layout_under_every_policy(
-        self, scales, runs, base, seeding, workers, chunksize, persistent, tree, policy, at
+    def test_every_sink_tree_at_every_layout(
+        self, scales, runs, base, seeding, workers, chunksize, persistent, tree
     ):
-        """``policy`` picks what goes wrong at task ``at``: nothing, a
-        fault that heals on the third attempt, a poison cell, or a sink
-        crash followed by ``resume_from=``.  Every one must leave what a
-        per-row drive of the same sinks over the fault-free sweep leaves
-        (less the quarantined cell), plus honest provenance."""
-
-        def spec_of(task) -> SweepSpec:
-            return SweepSpec(
-                "chunks", task, grid={"scale": scales}, runs=runs, base_seed=base, seeding=seeding
-            )
-
-        n = spec_of(pure_task).n_tasks
-        at %= n
+        """Every layout must leave what a per-row drive of the same sinks
+        over the same sweep leaves."""
+        spec = SweepSpec(
+            "chunks", pure_task, grid={"scale": scales}, runs=runs, base_seed=base, seeding=seeding
+        )
+        layout = dict(workers=workers, chunksize=chunksize, persistent_pool=persistent)
         with tempfile.TemporaryDirectory() as tmp:
-            tmp = Path(tmp)
-            chaos, healed = ChaosPlan(tmp / "state"), ChaosPlan(tmp / "healed")
-            spec = reference_spec = spec_of(pure_task)
-            kwargs: dict = {}
-            expected = {"completed": n, "resumed": 0, "retried": 0, "quarantined": [], "respawns": 0}
-            if policy == "retry":
-                spec = spec_of(chaos.fail_task(at, attempts=2).wrap(pure_task))
-                kwargs["on_error"] = RetryPolicy(max_attempts=3, backoff=0.0)
-                expected["retried"] = 2
-            elif policy == "quarantine":
-                spec = spec_of(chaos.fail_task(at, attempts=9).wrap(pure_task))
-                kwargs["on_error"] = RetryPolicy(max_attempts=2, backoff=0.0, quarantine=True)
-                expected.update(completed=n - 1, retried=1, quarantined=[at])
-            elif policy == "resume":
-                kwargs["resume_from"] = tmp / "rows.jsonl.gz"
-                with pytest.raises(InjectedSinkError):
-                    run_sweep(spec, sink=chaos.fail_sink(at).wrap_sink(JsonlSink(tmp / "rows.jsonl.gz")))
-                expected["resumed"] = at
-            if spec is not reference_spec:  # same header, every fault already spent
-                reference_spec = spec_of(healed.fail_task(at, attempts=9).wrap(pure_task))
-                healed.claim_all()
-            gap = at if policy == "quarantine" else None
-            layout = dict(workers=workers, chunksize=chunksize, persistent_pool=persistent)
-
             if tree == "reduce=":
-                outcome = run_sweep(spec, reduce=_metric_reducer(), **layout, **kwargs)
-                summary = _per_row_reference(reference_spec, "reducer", gap)["summary"]
-                if policy == "resume":
-                    artifact = _per_row_reference(reference_spec, "jsonl")["artifact"]
-                    assert (tmp / "rows.jsonl.gz").read_bytes() == artifact
-            elif policy == "resume" and "jsonl" not in tree:
-                sink, _parts = SINK_TREES[tree](tmp)
-                with pytest.raises(ValueError, match="names no JsonlSink"):
-                    run_sweep(spec, sink=sink, **layout, **kwargs)
-                return
+                outcome = run_sweep(spec, reduce=_metric_reducer(), **layout)
+                summary = _per_row_reference(spec, "reducer")["summary"]
             else:
-                sink, parts = SINK_TREES[tree](tmp)
-                outcome = run_sweep(spec, sink=sink, **layout, **kwargs)
+                sink, parts = SINK_TREES[tree](Path(tmp))
+                outcome = run_sweep(spec, sink=sink, **layout)
                 seen = _observe(sink, parts)
-                assert seen == _per_row_reference(reference_spec, tree, gap)
+                assert seen == _per_row_reference(spec, tree)
                 summary = seen["summary"]
         assert outcome.results == []
-        if policy is None:
-            assert outcome.aggregate == summary
-            assert outcome.resilience is None and outcome.failures == []
-            return
-        assert outcome.aggregate == {**summary, "resilience": expected}
-        assert outcome.resilience == expected
-        manifest = FailureManifest(spec.name, outcome.failures).payload()["quarantined"]
-        if policy != "quarantine":
-            assert manifest == []
-            return
-        (poisoned,) = (task for task in spec.iter_tasks() if task.index == at)
-        assert manifest == [
-            {
-                "index": at,
-                "params": poisoned.params,
-                "run": poisoned.run,
-                "seed": poisoned.seed,
-                "attempts": 2,
-                "error": "InjectedFault",
-                "message": f"injected fault at task {at} (attempt marker 1)",
-            }
-        ]
+        assert outcome.aggregate == summary
 
     @given(
         n=st.integers(1, 20),
@@ -511,51 +446,9 @@ class TestChunksEqualRows:
                     chunksize=chunksize,
                     sink=TeeSink(JsonlSink(path), reducer),
                 )
-            committed = scan_partial_stream(path, expect_spec=spec.summary())
-        assert sorted(committed) == list(range(fail_at))
+            committed = _committed_indices(path)
+        assert committed == list(range(fail_at))
         assert reducer.rows_emitted >= fail_at  # the failing chunk's prefix was absorbed
-
-
-class TestChunkWrittenArtifactResumes:
-    """Cut a pooled, chunk-written artifact at any byte: ``resume_from=``
-    rewrites it to the uninterrupted bytes, or refuses loudly where no
-    row could be trusted or none is missing.  (Big enough for several
-    deflate blocks — a small artifact is one block, all or nothing.)"""
-
-    SPEC = SweepSpec("cut-anywhere", pure_task, grid={"scale": [1, 2, 5]}, runs=700)
-    _full: bytes | None = None
-
-    @classmethod
-    def full(cls) -> bytes:
-        if cls._full is None:
-            with tempfile.TemporaryDirectory() as tmp:
-                path = Path(tmp) / "rows.jsonl.gz"
-                run_sweep(cls.SPEC, workers=2, sink=JsonlSink(path))
-                cls._full = path.read_bytes()
-        return cls._full
-
-    @given(where=st.floats(0.0, 1.0, exclude_max=True), workers=st.sampled_from([1, 2]))
-    @settings(max_examples=12, deadline=None)
-    def test_cut_anywhere_then_resume_equals_uninterrupted(self, where, workers):
-        full = self.full()
-        cut = full[: int(where * len(full))]
-        readable = zlib.decompressobj(wbits=31).decompress(cut) if len(cut) > 10 else b""
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "rows.jsonl.gz"
-            path.write_bytes(cut)
-            refusal = None
-            if b"\n" not in readable:
-                refusal = "no intact header"  # not even the header line survived
-            elif b'"type":"end"' in readable[: readable.rfind(b"\n")]:
-                refusal = "nothing to resume"  # the whole end record survived
-            if refusal is not None:
-                with pytest.raises(StoreError, match=refusal):
-                    run_sweep(self.SPEC, workers=workers, resume_from=path)
-                return
-            outcome = run_sweep(self.SPEC, workers=workers, resume_from=path)
-            assert path.read_bytes() == full
-        assert outcome.resilience["resumed"] == readable.count(b"\n") - 1
-        assert outcome.resilience["completed"] == self.SPEC.n_tasks
 
 
 def _exact_sums(values) -> tuple[Fraction, Fraction]:

@@ -29,7 +29,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Cluster, FixedDelay
 from repro.common.errors import SiteDownError
-from repro.engine.resilience import RetryPolicy
 from repro.net.message import Message
 from repro.net.node import Node
 from repro.replay.recorder import cluster_counters
@@ -37,7 +36,7 @@ from repro.sim.failures import FailurePlan
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import Scheduler
 from repro.sim.trace import Tracer
-from repro.traffic import AdaptiveWindow, TrafficEngine
+from repro.traffic import AdaptiveWindow, RetryPolicy, TrafficEngine
 from repro.traffic.open_loop import _OpenLoopRun
 from repro.workload.generators import (
     random_catalog,

@@ -1,8 +1,8 @@
 """Properties of the one artifact reader and the one action table.
 
 * **Readers fail loudly.**  Take a valid row stream, a valid trace (one
-  per ``TRACE_DRIVERS`` name), a failure manifest and a ``ResultStore``
-  / ``BENCH_*`` document; truncate it, flip a byte, delete a line or
+  per ``TRACE_DRIVERS`` name) and a ``ResultStore`` / ``BENCH_*``
+  document; truncate it, flip a byte, delete a line or
   replace a line with some other valid JSON value.  The load then
   either returns exactly what the untouched artifact holds or raises
   ``StoreError`` — never another exception, never a partial load.
@@ -26,7 +26,6 @@ from hypothesis import given, settings, strategies as st
 from repro.bench import BaselineStore
 from repro.common.errors import StoreError
 from repro.engine import JsonlSink, ResultStore, SweepSpec, load_stream, run_sweep
-from repro.engine.resilience import FailureManifest, TaskFailure
 from repro.replay import (
     TRACE_DRIVERS,
     RecordedTrace,
@@ -75,11 +74,6 @@ def _baseline_content(path):
     return BaselineStore(path.parent).load(path.stem[len("BENCH_") :])
 
 
-def _manifest_content(path):
-    manifest = FailureManifest.load(path)
-    return manifest.sweep, manifest.records
-
-
 _ARTIFACTS: dict[str, tuple[str, bytes, object]] = {}
 
 
@@ -101,13 +95,10 @@ def artifacts() -> dict[str, tuple[str, bytes, object]]:
             {"case": "toy", "schema": 1, "spec": SPEC.summary(), "rows": [{"run": 0, "counters": {"n": 3}}]}
         )
         _ARTIFACTS["baseline"] = (baseline.name, baseline.read_bytes(), _baseline_content)
-        failure = TaskFailure(4, {"scale": 2}, 1, 7, 3, "ValueError", "poison")
-        manifest = FailureManifest("fuzzed", [failure]).save(tmp / "failures.json")
-        _ARTIFACTS["manifest"] = (manifest.name, manifest.read_bytes(), _manifest_content)
     return _ARTIFACTS
 
 
-ARTIFACT_NAMES = ["rows", *(f"trace-{name}" for name in TRACE_DRIVERS), "store", "baseline", "manifest"]
+ARTIFACT_NAMES = ["rows", *(f"trace-{name}" for name in TRACE_DRIVERS), "store", "baseline"]
 
 #: valid JSON that is no record of any artifact: scalars, arrays, objects
 #: of no known type, and failure records only a type check can refuse.
@@ -179,9 +170,7 @@ class TestReadersFailLoudly:
                 # well-formed document of the right schema (a digit
                 # inside a value) loads as what the bytes now say —
                 # whole, never partial
-                assert json.loads(mutated) is not None
-                if name != "manifest":
-                    assert loaded == json.loads(mutated)
+                assert loaded == json.loads(mutated)
 
 
 class TestDocumentsNameThePath:

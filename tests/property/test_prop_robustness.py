@@ -16,14 +16,13 @@ historical byte-exact behavior while pinning the "on" side's algebra:
 from hypothesis import given, settings, strategies as st
 
 from repro.db.cluster import Cluster
-from repro.engine.resilience import RetryPolicy
 from repro.experiments.resilience_study import gray_failure_plan, run_rolling_upgrade
 from repro.experiments.service_study import run_open_loop_service
 from repro.replay import DEFAULT_CONFIGS, RecordedTrace, fixed_point_ok, replay_trace
 from repro.replay.recorder import cluster_counters, record_open_loop_service
 from repro.sim.failures import FailurePlan
 from repro.sim.rng import RngRegistry
-from repro.traffic import TrafficEngine
+from repro.traffic import RetryPolicy, TrafficEngine
 from repro.workload.generators import memoized_catalog, random_catalog
 from repro.workload.spec import WorkloadSpec
 

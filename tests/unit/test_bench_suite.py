@@ -105,7 +105,6 @@ class TestSuite:
             "catalog_memo",
             "trace_replay_tournament",
             "sweep_streaming",
-            "sweep_resume",
         ]
         with pytest.raises(ValueError, match="unknown scale"):
             default_suite("huge")

@@ -16,12 +16,10 @@ from repro.engine import (
     STREAM_SCHEMA,
     CellFoldSink,
     CountAcc,
-    FoldSink,
     JsonlSink,
     MeanAcc,
     MemorySink,
     NoopSink,
-    PrintingSink,
     ReducerSink,
     ResultSink,
     ResultStore,
@@ -29,10 +27,10 @@ from repro.engine import (
     SharedPayload,
     SweepSpec,
     TeeSink,
+    fold_cells,
     iter_stream_rows,
     load_stream,
     run_sweep,
-    scan_partial_stream,
 )
 from repro.engine.executor import WORKER_CACHE_LIMIT, clear_worker_cache, worker_cache
 
@@ -70,6 +68,15 @@ def _reducer() -> RowReducer:
     return RowReducer((("x", "x", MeanAcc()), ("even", "even", CountAcc())))
 
 
+def _committed_indices(path) -> list[int]:
+    """The task indices of the rows an aborted artifact holds."""
+    header, *records = gzip.decompress(path.read_bytes()).splitlines()
+    assert json.loads(header)["type"] == "header"
+    rows = [json.loads(record) for record in records]
+    assert all(row["type"] == "row" for row in rows)  # no end record
+    return [row["index"] for row in rows]
+
+
 class TestMemorySinkIsTheDefaultPath:
     def test_results_and_artifact_identical_to_default(self):
         default = run_sweep(_spec())
@@ -94,18 +101,6 @@ class TestNoopSink:
         run_sweep(_spec(), sink=memory)
         assert noop.digest == memory.digest
         assert noop.rows_emitted == memory.rows_emitted
-
-
-class TestPrintingSink:
-    def test_writes_one_canonical_line_per_row(self):
-        stream = io.StringIO()
-        run_sweep(_spec(runs=3), sink=PrintingSink(stream))
-        lines = [line for line in stream.getvalue().splitlines() if line]
-        eager = run_sweep(_spec(runs=3))
-        assert [json.loads(line) for line in lines] == [
-            json.loads(json.dumps(ResultStore.row_payload(r), sort_keys=True))
-            for r in eager.results
-        ]
 
 
 class TestJsonlSink:
@@ -171,7 +166,7 @@ class TestJsonlSink:
         path = tmp_path / "p.jsonl.gz"
         with pytest.raises(RuntimeError, match="ValueError: cannot travel"):
             run_sweep(spec, workers=2, chunksize=4, sink=JsonlSink(path))
-        assert sorted(scan_partial_stream(path)) == [0, 1]
+        assert _committed_indices(path) == [0, 1]
 
     def test_truncation_tripwire(self, tmp_path):
         path = tmp_path / "cut.jsonl.gz"
@@ -277,7 +272,6 @@ class TestCorruptionErrorsNameOffsets:
     READERS = {
         "iter_stream_rows": lambda path: list(iter_stream_rows(path)),
         "load_stream": load_stream,
-        "scan_partial_stream": scan_partial_stream,
     }
 
     @pytest.mark.parametrize("first_line", ["[1,2]", "3", "null", '"header"', '{"type":"row","index":0}'])
@@ -292,7 +286,7 @@ class TestCorruptionErrorsNameOffsets:
         assert "byte offset 1 (decompressed)" in str(err.value)  # past the blank line
 
     @pytest.mark.parametrize("stray", ["[1]", "7", "null", '"row"'])
-    def test_record_that_is_not_an_object_names_offset_or_ends_the_prefix(self, tmp_path, stray):
+    def test_record_that_is_not_an_object_names_offset(self, tmp_path, stray):
         header = json.dumps({"type": "header", "schema": STREAM_SCHEMA, "kind": STREAM_KIND})
         rows = [json.dumps({"type": "row", "index": i, "value": i}) for i in (0, 1)]
         path = self._artifact(tmp_path, [header, rows[0], stray, rows[1]])
@@ -301,8 +295,6 @@ class TestCorruptionErrorsNameOffsets:
                 reader(path)
             assert str(path) in str(err.value)
             assert f"byte offset {len(header) + len(rows[0]) + 2}" in str(err.value)
-        # to the salvage scan it is damage after the clean prefix
-        assert sorted(scan_partial_stream(path)) == [0]
 
     def test_truncated_stream_reports_clean_prefix_end(self, tmp_path):
         path = tmp_path / "full.jsonl.gz"
@@ -326,96 +318,7 @@ class TestCorruptionErrorsNameOffsets:
             load_stream(empty)
 
 
-class TestScanPartialStream:
-    """The salvage half of the resume protocol."""
-
-    def _aborted(self, tmp_path):
-        path = tmp_path / "partial.jsonl.gz"
-        spec = SweepSpec("frail", fragile_task, grid={}, runs=6, seeding="offset")
-        with pytest.raises(RuntimeError, match="boom"):
-            run_sweep(spec, sink=JsonlSink(path))
-        return path, spec
-
-    def test_salvages_committed_prefix_of_aborted_artifact(self, tmp_path):
-        path, spec = self._aborted(tmp_path)
-        committed = scan_partial_stream(path, expect_spec=spec.summary())
-        assert sorted(committed) == [0, 1, 2]  # seed 3 aborted the sweep
-        assert committed[2]["value"] == 2
-        assert all(row["index"] == i for i, row in committed.items())
-
-    def test_nonexistent_path_is_a_fresh_start(self, tmp_path):
-        assert scan_partial_stream(tmp_path / "never-written.jsonl.gz") == {}
-
-    def test_complete_artifact_is_rejected(self, tmp_path):
-        path = tmp_path / "done.jsonl.gz"
-        run_sweep(_spec(runs=2), sink=JsonlSink(path))
-        with pytest.raises(StoreError, match="nothing to resume"):
-            scan_partial_stream(path)
-
-    def test_foreign_header_schema_and_spec_are_rejected(self, tmp_path):
-        foreign = tmp_path / "foreign.jsonl.gz"
-        foreign.write_bytes(
-            gzip.compress(json.dumps({"type": "header", "kind": "other"}).encode())
-        )
-        with pytest.raises(StoreError, match="refusing to resume"):
-            scan_partial_stream(foreign)
-
-        stale = tmp_path / "stale.jsonl.gz"
-        stale.write_bytes(
-            gzip.compress(
-                json.dumps(
-                    {"type": "header", "kind": STREAM_KIND, "schema": STREAM_SCHEMA + 1}
-                ).encode()
-            )
-        )
-        with pytest.raises(StoreError, match="schema"):
-            scan_partial_stream(stale)
-
-        path, spec = self._aborted(tmp_path)
-        other = SweepSpec("other", fragile_task, grid={}, runs=6, seeding="offset")
-        with pytest.raises(StoreError, match="different sweep spec"):
-            scan_partial_stream(path, expect_spec=other.summary())
-
-    def test_unreadable_and_headerless_artifacts_are_rejected(self, tmp_path):
-        not_gzip = tmp_path / "raw.jsonl.gz"
-        not_gzip.write_bytes(b"plainly not gzip")
-        with pytest.raises(StoreError, match="no intact header"):
-            scan_partial_stream(not_gzip)
-        empty = tmp_path / "void.jsonl.gz"
-        empty.write_bytes(gzip.compress(b""))
-        with pytest.raises(StoreError, match="no intact header"):
-            scan_partial_stream(empty)
-
-    def test_record_cut_mid_line_ends_the_scan_silently(self, tmp_path):
-        path, _ = self._aborted(tmp_path)
-        logical = gzip.decompress(path.read_bytes()).splitlines(keepends=True)
-        # chop the final committed row in half, crash-style: no newline
-        damaged = b"".join(logical[:-1]) + logical[-1][: len(logical[-1]) // 2]
-        cut = tmp_path / "cut.jsonl.gz"
-        cut.write_bytes(gzip.compress(damaged, mtime=0))
-        assert sorted(scan_partial_stream(cut)) == [0, 1]
-
-    def test_truncated_gzip_stream_ends_the_scan_silently(self, tmp_path):
-        path, _ = self._aborted(tmp_path)
-        raw = path.read_bytes()
-        torn = tmp_path / "torn.jsonl.gz"
-        torn.write_bytes(raw[: len(raw) - 8])  # lose the gzip trailer + tail
-        committed = scan_partial_stream(torn)
-        assert set(committed) <= {0, 1, 2}
-
-    def test_duplicate_indices_keep_the_first_row(self, tmp_path):
-        lines = [
-            json.dumps({"type": "header", "schema": STREAM_SCHEMA, "kind": STREAM_KIND}),
-            json.dumps({"type": "row", "index": 0, "value": "first"}),
-            json.dumps({"type": "row", "index": 0, "value": "second"}),
-        ]
-        path = tmp_path / "dupes.jsonl.gz"
-        path.write_bytes(gzip.compress(("\n".join(lines) + "\n").encode(), mtime=0))
-        committed = scan_partial_stream(path)
-        assert committed[0]["value"] == "first"
-
-
-class TestReducerAndFoldSinks:
+class TestReducerSink:
     def test_reducer_sink_matches_eager_fold(self):
         eager = _reducer()
         for result in run_sweep(_spec()).results:
@@ -440,24 +343,55 @@ class TestReducerAndFoldSinks:
         with pytest.raises(ValueError, match="not both"):
             run_sweep(_spec(), sink=NoopSink(), reduce=_reducer())
 
-    def test_fold_sink_sees_every_result_in_order(self):
-        seen = []
-        run_sweep(_spec(runs=3), sink=FoldSink(seen.append))
-        assert [r.index for r in seen] == list(range(len(seen)))
-        assert seen == run_sweep(_spec(runs=3)).results
+
+def mix_task(seed: int, mix: list, w: dict) -> int:
+    return sum(mix) * w["a"] + seed % 7
+
+
+def sized_task(seed: int, cell: object) -> int:
+    return len(repr(cell)) * 10 + seed
+
+
+#: grid values no dict can key by, one cell kind each
+UNHASHABLE_CELLS = {
+    "lists": [[1, 2], [3], [1, 2, 3]],
+    "dicts": [{"a": 1}, {"a": 2}],
+    "tuples-holding-lists": [(1, [2]), (1, [3])],
+}
 
 
 class TestCellFoldSink:
-    def test_matches_by_cell_grouping(self):
+    def test_matches_a_grouping_of_the_rows(self):
         outcome = run_sweep(_spec())
         folder = CellFoldSink(lambda state, r: (state or 0) + r.value["x"])
         for result in outcome.results:
             folder.emit(result)
-        expected = [
-            (params, sum(r.value["x"] for r in results))
-            for params, results in outcome.by_cell()
-        ]
+        groups: dict = {}
+        for result in outcome.results:
+            groups.setdefault(result.params["scale"], (result.params, []))[1].append(result)
+        expected = [(params, sum(r.value["x"] for r in results)) for params, results in groups.values()]
         assert folder.cells() == expected
+
+    def test_unhashable_cell_values_fall_back_to_their_repr(self):
+        """List-valued grid cells and a dict-valued ``fixed`` cannot key
+        a dict; the cells still fold apart, in expansion order."""
+        spec = SweepSpec("t", mix_task, grid={"mix": [[1, 2], [3]]}, runs=2, fixed={"w": {"a": 1}})
+        cells = fold_cells(spec, lambda state, r: [*(state or []), r.value])
+        values = run_sweep(spec).values()
+        assert cells == [
+            ({"mix": [1, 2], "w": {"a": 1}}, values[:2]),
+            ({"mix": [3], "w": {"a": 1}}, values[2:]),
+        ]
+
+    @pytest.mark.parametrize("through", ["rows", "sink"])
+    @pytest.mark.parametrize("grid", UNHASHABLE_CELLS.values(), ids=UNHASHABLE_CELLS.keys())
+    def test_unhashable_cells_fold_apart_whatever_their_kind(self, grid, through):
+        spec = SweepSpec("t", sized_task, grid={"cell": grid}, runs=3, seeding="offset")
+        cells = fold_cells(
+            spec, lambda state, r: [*(state or []), r.value], sink=None if through == "rows" else NoopSink()
+        )
+        values = run_sweep(spec).values()
+        assert cells == [({"cell": cell}, values[3 * i : 3 * i + 3]) for i, cell in enumerate(grid)]
 
 
 class TestTeeSink:
@@ -546,21 +480,6 @@ class TestSinksThatNeedLiveResults:
         run_sweep(_spec(), workers=2, chunksize=5, sink=TeeSink(jsonl, sink))
         assert sink.seen == run_sweep(_spec()).results
         assert sink.digest == jsonl.digest and jsonl.rows_emitted == 12
-
-    def test_chaos_wrapped_sink_counts_live_rows(self, tmp_path):
-        from repro.engine import ChaosPlan, InjectedSinkError
-
-        memory = MemorySink()
-        plan = ChaosPlan(tmp_path / "state")
-        run_sweep(_spec(), workers=2, chunksize=5, sink=plan.wrap_sink(memory))
-        assert memory.results == run_sweep(_spec()).results
-
-        # the fault is keyed by row count, so the proxy must see rows
-        path = tmp_path / "cut.jsonl.gz"
-        plan = ChaosPlan(tmp_path / "state-2").fail_sink(7)
-        with pytest.raises(InjectedSinkError, match="before row 7"):
-            run_sweep(_spec(), workers=2, chunksize=5, sink=plan.wrap_sink(JsonlSink(path)))
-        assert sorted(scan_partial_stream(path)) == list(range(7))
 
 
 class TestSharedPayload:

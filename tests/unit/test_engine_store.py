@@ -13,7 +13,6 @@ from repro.engine import (
     fraction_of,
     group_by,
     jsonable,
-    map_runs,
     mean_of,
     run_sweep,
     values_of,
@@ -141,14 +140,3 @@ class TestAggregationHelpers:
     def test_empty_inputs(self):
         assert mean_of([]) == 0.0
         assert fraction_of([], lambda v: True) == 0.0
-
-
-class TestMapRuns:
-    def test_maps_seeds_in_order(self):
-        out = map_runs(trial, seeds=[3, 1, 2], kind="a")
-        assert [v["score"] for v in out] == [3.0, 1.0, 2.0]
-
-    def test_parallel_matches_serial(self):
-        serial = map_runs(trial, seeds=range(10), kind="b")
-        parallel = map_runs(trial, seeds=range(10), workers=3, kind="b")
-        assert serial == parallel

@@ -17,17 +17,34 @@ serve the clock — or to select a slow arm nobody runs — are rejected.
 The sweep engine's second and third execution loops are retired too:
 one function executes a sweep task, one constructs a pool, one submits
 to it, and the names of the deleted loops (and of the pool library they
-rode) do not come back under ``src/repro/engine/``.
+rode) do not come back under ``src/repro/engine/``.  So is its
+fault-tolerance arm: ``run_sweep`` takes no retry policy and resumes no
+artifact, and the names of the chaos harness, the salvage scan and the
+pool replacement stay out of the engine.
 """
 
+import importlib
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
+import repro.engine as engine
 from repro.bench import BenchCase, BenchSuite, cases, compare_case
 from repro.bench.cases import default_suite
 from repro.concurrency.locks import LockManager
+from repro.engine import (
+    FoldedChunk,
+    NoopSink,
+    ResultSink,
+    SweepOutcome,
+    SweepRunner,
+    SweepSpec,
+    TeeSink,
+    run_sweep,
+)
+from repro.engine.spec import TaskChunk
 from repro.net.network import Network
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import Scheduler
@@ -38,9 +55,10 @@ from repro.storage.wal import WriteAheadLog
 
 BENCH_SRC = Path(cases.__file__).parent
 TOY_SPEC = default_suite("quick").case("scheduler_drain").spec
+SWEEP = SweepSpec("retired", cases.warm_pool_probe, grid={}, runs=2, fixed={"n_events": 10})
 
 
-def _kw(head: str, tail: str, value: bool) -> dict[str, bool]:
+def _kw(head: str, tail: str, value: object) -> dict[str, object]:
     return {f"{head}_{tail}": value}
 
 
@@ -67,6 +85,12 @@ RETIRED_KEYWORDS = {
     "suite_warm_pool_trial-warm": lambda: cases.suite_warm_pool_trial(0, warm=True),
     "recovery_replay_trial-replays": lambda: cases.recovery_replay_trial(0, replays=1),
     "wal_append_trial-replays": lambda: cases.wal_append_trial(0, replays=1),
+    "run_sweep-on-error": lambda: run_sweep(SWEEP, **_kw("on", "error", "retry")),
+    "run_sweep-resume-from": lambda: run_sweep(SWEEP, **_kw("resume", "from", "rows.jsonl.gz")),
+    "SweepRunner.run_sweep-on-error": lambda: SweepRunner(1).run_sweep(SWEEP, **_kw("on", "error", "retry")),
+    "SweepRunner.run_sweep-resume-from": lambda: SweepRunner(1).run_sweep(
+        SWEEP, **_kw("resume", "from", "rows.jsonl.gz")
+    ),
 }
 
 
@@ -78,7 +102,7 @@ def test_retired_keyword_is_rejected(call):
 
 def test_no_bench_case_selects_a_retired_arm():
     retired_axes = {"tracked", "cached", "grouped", "columnar", "intern", "flyweight", "indexed"}
-    retired_axes |= {"memo", "warm"}
+    retired_axes |= {"memo", "warm", "resilient"}
     for case in default_suite():
         assert not retired_axes & set(case.spec.grid), case.name
 
@@ -127,6 +151,11 @@ RETIRED_ENGINE_WORDS = re.compile(
             ("multiprocessing", r"\.Pool"),
             (r"\.im", r"ap\("),
             ("pool", r"\.map\("),
+            ("Chaos", "Plan"),
+            ("scan_partial", "_stream"),
+            ("note_quar", "antined"),
+            ("resp", "awn"),
+            ("resil", "ience"),
         ]
     )
 )
@@ -135,7 +164,7 @@ RETIRED_ENGINE_WORDS = re.compile(
 def test_the_engine_has_one_sweep_loop_on_one_pool():
     files = sorted(ENGINE_SRC.glob("*"))
     sources = {p.name: p.read_text() for p in files if p.suffix in (".py", ".md")}
-    assert {"executor.py", "sink.py", "resilience.py", "README.md"} <= set(sources)
+    assert {"executor.py", "sink.py", "README.md"} <= set(sources)
     hits = {name: sorted(set(RETIRED_ENGINE_WORDS.findall(text))) for name, text in sources.items()}
     assert {name: found for name, found in hits.items() if found} == {}
 
@@ -154,3 +183,70 @@ def test_the_engine_has_one_sweep_loop_on_one_pool():
     (constructs,) = sites(r"ProcessPoolExecutor\(")
     (submits,) = sites(r"\.submit\(")
     assert constructs.startswith("executor.py:") and submits.startswith("executor.py:")
+
+
+#: what the fault-tolerance arm exported, and the names only tests called
+RETIRED_ENGINE_NAMES = [
+    head + tail
+    for head, tail in [
+        ("Chaos", "Plan"),
+        ("Chaos", "Task"),
+        ("Chaos", "Sink"),
+        ("Kill", "Worker"),
+        ("Fail", "Task"),
+        ("Fail", "Sink"),
+        ("Injected", "Fault"),
+        ("Injected", "SinkError"),
+        ("CHAOS_KILL", "_EXIT"),
+        ("Failure", "Manifest"),
+        ("Task", "Failure"),
+        ("resolve", "_policy"),
+        ("scan_partial", "_stream"),
+        ("Retry", "Policy"),  # the traffic client's policy now; repro.traffic exports it
+        ("Printing", "Sink"),
+        ("Fold", "Sink"),
+        ("map", "_runs"),
+    ]
+]
+
+
+@pytest.mark.parametrize("name", RETIRED_ENGINE_NAMES)
+def test_retired_engine_name_is_not_exported(name):
+    assert name not in engine.__all__
+    assert not hasattr(engine, name)
+
+
+def test_the_fault_tolerance_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.engine." + "resil" + "ience")
+
+
+RETIRED_ATTRIBUTES = {
+    "SweepOutcome.by_cell": (lambda: SweepOutcome(spec={"name": "x"}), "by" + "_cell"),
+    "SweepOutcome.resilience": (lambda: SweepOutcome(spec={"name": "x"}), "resil" + "ience"),
+    "SweepOutcome.failures": (lambda: SweepOutcome(spec={"name": "x"}), "failures"),
+    "FoldedChunk.failures": (FoldedChunk, "failures"),
+    "FoldedChunk.retried": (FoldedChunk, "retried"),
+    "ResultSink.quarantined": (ResultSink, "quar" + "antined"),
+    "ResultSink.note_quarantined": (ResultSink, "note_quar" + "antined"),
+    "TeeSink.note_quarantined": (lambda: TeeSink(NoopSink()), "note_quar" + "antined"),
+    "TaskChunk.start": (lambda: TaskChunk(SWEEP, []), "start"),
+}
+
+
+@pytest.mark.parametrize("build, attribute", RETIRED_ATTRIBUTES.values(), ids=RETIRED_ATTRIBUTES.keys())
+def test_retired_engine_attribute_is_gone(build, attribute):
+    assert not hasattr(build(), attribute)
+
+
+#: the keywords each entry point keeps: two fewer on each than before
+#: the fault-tolerance arm went
+SWEEP_SIGNATURES = {
+    "run_sweep": (run_sweep, ["spec", "workers", "chunksize", "store", "persistent_pool", "sink", "reduce"]),
+    "SweepRunner.run_sweep": (SweepRunner.run_sweep, ["self", "spec", "chunksize", "store", "sink", "reduce"]),
+}
+
+
+@pytest.mark.parametrize("function, names", SWEEP_SIGNATURES.values(), ids=SWEEP_SIGNATURES.keys())
+def test_the_sweep_entry_points_keep_their_keywords(function, names):
+    assert list(inspect.signature(function).parameters) == names

@@ -19,9 +19,7 @@ from unittest import mock
 import pytest
 
 from repro.engine import (
-    ChaosPlan,
     CountAcc,
-    InjectedSinkError,
     JsonlSink,
     MeanAcc,
     NoopSink,
@@ -85,15 +83,12 @@ def sweep(runner: SweepRunner, path, **kwargs):
     return outcome, reducer
 
 
-@pytest.mark.parametrize("on_error", [None, "retry"])
-def test_pooled_sweep_makes_no_per_row_call_in_the_parent(tmp_path, parent_calls, on_error):
-    """Under a retry policy too: retries are settled where the task
-    ran, so the policy changes nothing about what the parent does."""
+def test_pooled_sweep_makes_no_per_row_call_in_the_parent(tmp_path, parent_calls):
     with SweepRunner(workers=2) as runner:
         runner.run_sweep(SweepSpec("can-pool", cell, grid={}, runs=2), sink=NoopSink())
         if runner.pools_created == 0:
             pytest.skip("this environment cannot create a process pool")
-        outcome, reducer = sweep(runner, tmp_path / "rows.jsonl.gz", chunksize=CHUNK, on_error=on_error)
+        outcome, reducer = sweep(runner, tmp_path / "rows.jsonl.gz", chunksize=CHUNK)
     # the workers build the tasks and derive their seeds: 242 of each
     # here before (the probe sweep's 2 and these 240)
     assert parent_calls.count("RunTask") == parent_calls.count("sha256") == 0
@@ -124,32 +119,6 @@ def test_serial_sweep_builds_each_row_once(tmp_path, parent_calls):
     assert parent_calls.count("sha256") == ROWS + CHUNKS
     assert parent_calls.count("fold") == ROWS
     assert parent_calls.count("gzip_write") <= CHUNKS + 2
-
-
-def test_pooled_resume_expands_only_the_chunks_holding_salvaged_rows(tmp_path, parent_calls):
-    """A crash cut the artifact in the middle of a chunk: the salvaged
-    rows stand in for their tasks in the chunks up to the cut, which the
-    parent builds; every later chunk crosses as a description.  The
-    finished artifact is the uninterrupted run's, to the byte."""
-    cut = 2 * CHUNK + CHUNK // 2
-    path, reference = tmp_path / "rows.jsonl.gz", tmp_path / "reference.jsonl.gz"
-    with SweepRunner(workers=1) as runner:
-        sweep(runner, reference)
-        spec = SweepSpec("budget", cell, grid={}, runs=ROWS)
-        with pytest.raises(InjectedSinkError):
-            crashing = ChaosPlan(tmp_path / "chaos").fail_sink(cut).wrap_sink(JsonlSink(path))
-            runner.run_sweep(spec, sink=crashing)
-    with SweepRunner(workers=2) as runner:
-        runner.run_sweep(SweepSpec("can-pool", cell, grid={}, runs=2), sink=NoopSink())
-        if runner.pools_created == 0:
-            pytest.skip("this environment cannot create a process pool")
-        parent_calls.clear()
-        outcome, reducer = sweep(runner, path, chunksize=CHUNK, resume_from=path)
-    assert outcome.resilience["resumed"] == cut
-    # the salvaged rows, then the three chunks they reach (the third holds the cut)
-    assert parent_calls.count("RunTask") == cut + 3 * CHUNK
-    assert outcome.aggregate["rows"] == reducer.rows == ROWS
-    assert path.read_bytes() == reference.read_bytes()
 
 
 def test_default_chunks_are_capped(tmp_path):

@@ -1,20 +1,28 @@
 """Unit tests for the persistent-pool sweep executor."""
 
+import faulthandler
+import gzip
 import json
 import os
+import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
+from repro.common.errors import StoreError
+from repro.engine.aggregate import CountAcc, RowReducer
 from repro.engine.executor import (
     SweepRunner,
+    WorkerCrashError,
     clear_worker_cache,
     run_sweep,
     shared_runner,
     shutdown_shared_runners,
     worker_cache,
 )
+from repro.engine.sink import JsonlSink, MemorySink, NoopSink, ReducerSink, TeeSink, iter_stream_rows
 from repro.engine.spec import SweepSpec
 from repro.bench.cases import suite_warm_pool_trial, warm_pool_probe
 
@@ -107,6 +115,115 @@ class TestNestedSweepsStaySerial:
             assert result.value["pid"] != os.getpid()
             assert result.value["pools_created"] == [0]
             assert result.value["counters"] == row["counters"]
+
+
+def dying_cell(seed: int, parent: int, die_at: int) -> int:
+    """Kills the pool worker running run ``die_at`` (offset seeding on an
+    empty grid: the seed is the run); in the ``parent`` process it just
+    returns, so a serial sweep of the same spec completes."""
+    if seed == die_at and os.getpid() != parent:
+        os._exit(86)
+    return seed
+
+
+def _dying(die_at: int) -> SweepSpec:
+    fixed = {"parent": os.getpid(), "die_at": die_at}
+    return SweepSpec("dying", dying_cell, grid={}, runs=16, seeding="offset", fixed=fixed)
+
+
+class Lifecycle(NoopSink):
+    """Records the lifecycle calls the executor makes."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def open(self, spec_summary):
+        super().open(spec_summary)
+        self.calls.append("open")
+
+    def absorb(self, chunk):
+        super().absorb(chunk)
+        self.calls.append("absorb")
+
+    def close(self):
+        self.calls.append("close")
+
+    def abort(self):
+        self.calls.append("abort")
+
+
+DEAD_WORKER_SINKS = {
+    "keep-rows": lambda tmp: None,
+    "memory": lambda tmp: MemorySink(),
+    "reducer": lambda tmp: ReducerSink(RowReducer((("v", "", CountAcc()),))),
+    "tee-jsonl-noop": lambda tmp: TeeSink(JsonlSink(tmp / "rows.jsonl.gz"), NoopSink()),
+}
+
+
+@pytest.fixture
+def watchdog():
+    """The regression a dead worker risks is a sweep that waits for it
+    forever: dump every stack and exit instead."""
+    faulthandler.dump_traceback_later(30, exit=True, file=sys.__stderr__)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.fixture
+def pooling():
+    with SweepRunner(workers=2) as runner:
+        runner.run_sweep(_dying(-1))
+        if runner.pools_created == 0:
+            pytest.skip("this environment cannot create a process pool")
+
+
+class TestDeadWorker:
+    def test_a_dead_worker_ends_the_sweep_and_leaves_a_truncated_artifact(
+        self, tmp_path, pooling, watchdog
+    ):
+        path = tmp_path / "rows.jsonl.gz"
+        with pytest.raises(WorkerCrashError):
+            run_sweep(_dying(9), workers=2, chunksize=4, sink=JsonlSink(path))
+        with pytest.raises(StoreError, match="truncated"):
+            list(iter_stream_rows(path))
+        # only whole chunks before the lost one (runs 8..11) were written
+        rows = [json.loads(line) for line in gzip.decompress(path.read_bytes()).splitlines()[1:]]
+        assert [row["index"] for row in rows] in ([], [0, 1, 2, 3], list(range(8)))
+
+    def test_the_runner_pools_afresh_for_its_next_sweep(self, tmp_path, pooling, watchdog):
+        serial = tmp_path / "serial.jsonl.gz"
+        run_sweep(_dying(-1), workers=1, sink=JsonlSink(serial))
+        path = tmp_path / "rows.jsonl.gz"
+        with SweepRunner(workers=2) as runner:
+            with pytest.raises(WorkerCrashError):
+                runner.run_sweep(_dying(9), chunksize=4, sink=JsonlSink(path))
+            runner.run_sweep(_dying(-1), chunksize=4, sink=JsonlSink(path))
+            assert runner.pools_created == 2
+        assert path.read_bytes() == serial.read_bytes()
+
+    @pytest.mark.parametrize("make", DEAD_WORKER_SINKS.values(), ids=DEAD_WORKER_SINKS.keys())
+    def test_every_sink_path_ends_with_worker_crash_error(self, tmp_path, pooling, watchdog, make):
+        with pytest.raises(WorkerCrashError) as err:
+            run_sweep(_dying(9), workers=2, chunksize=4, sink=make(tmp_path))
+        assert isinstance(err.value.__cause__, BrokenProcessPool)
+
+    def test_the_sink_is_aborted_never_closed(self, pooling, watchdog):
+        sink = Lifecycle()
+        with pytest.raises(WorkerCrashError):
+            run_sweep(_dying(9), workers=2, chunksize=4, sink=sink)
+        assert sink.calls[0] == "open" and sink.calls[-1] == "abort"
+        assert "close" not in sink.calls
+        # only whole chunks before the lost one (runs 8..11) were absorbed
+        assert sink.rows_emitted in (0, 4, 8)
+
+    def test_the_dead_pool_is_released_at_once(self, pooling, watchdog):
+        with SweepRunner(workers=2) as runner:
+            with pytest.raises(WorkerCrashError):
+                runner.run_sweep(_dying(9), chunksize=4)
+            assert runner._pool is None
+            assert runner.pools_created == 1
+            assert runner.sweeps_run == 0
 
 
 class TestPersistentPoolFlag:

@@ -11,14 +11,13 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.db.cluster import Cluster
-from repro.engine.resilience import RetryPolicy
 from repro.experiments.service_study import (
     discover_ceiling,
     run_open_loop_service,
     service_failure_plan,
 )
 from repro.sim.rng import RngRegistry
-from repro.traffic import AdaptiveWindow, OpenLoopResult, TrafficEngine, ramp
+from repro.traffic import AdaptiveWindow, OpenLoopResult, RetryPolicy, TrafficEngine, ramp
 from repro.workload.generators import random_catalog
 from repro.workload.spec import WorkloadSpec
 
@@ -165,6 +164,47 @@ class TestOpenLoop:
             probe=lambda cluster: seen.update(events=cluster.scheduler.events_run),
         )
         assert seen["events"] > 0
+
+
+class TestRetryPolicy:
+    def test_defaults_are_bounded(self):
+        policy = RetryPolicy()
+        assert policy.max_attempts == 3
+        assert not policy.quarantine
+        assert policy.backoff_cap >= policy.backoff
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="max_attempts"):
+            RetryPolicy(max_attempts=0)
+        with pytest.raises(ValueError, match="negative"):
+            RetryPolicy(backoff=-0.1)
+        with pytest.raises(ValueError, match="negative"):
+            RetryPolicy(backoff_cap=-1.0)
+
+    def test_delay_doubles_and_caps(self):
+        policy = RetryPolicy(backoff=0.1, backoff_cap=0.35)
+        assert [policy.delay(k) for k in (1, 2, 3, 4)] == [0.1, 0.2, 0.35, 0.35]
+
+    def test_zero_backoff_means_immediate(self):
+        assert RetryPolicy(backoff=0.0).delay(1) == 0.0
+        assert RetryPolicy(backoff=0.0).delay(9) == 0.0
+
+    def test_policy_is_frozen(self):
+        with pytest.raises(AttributeError):
+            RetryPolicy().max_attempts = 7
+
+    def test_header_form_keeps_every_field_in_order(self):
+        """A trace header carries ``jsonable(policy)``; the E27
+        recording's pinned bytes hold all five fields, in this order."""
+        from repro.engine import jsonable
+
+        assert list(jsonable(RetryPolicy())) == [
+            "max_attempts",
+            "backoff",
+            "backoff_cap",
+            "quarantine",
+            "respawn_limit",
+        ]
 
 
 class TestRetryingClient:
