@@ -68,6 +68,7 @@ from repro.engine.aggregate import (
     MeanAcc,
     QuantileDigest,
     RowReducer,
+    encode_row,
     merge_digests,
     row_digest,
 )
@@ -149,6 +150,7 @@ __all__ = [
     "default_chunksize",
     "default_workers",
     "derive_seed",
+    "encode_row",
     "fold_cells",
     "fold_chunk",
     "fraction_of",

@@ -25,6 +25,17 @@ fold produces.  The digest itself is an order-independent sum of
 per-row SHA-256 hashes — each row's canonical encoding already embeds
 its task index, so content *and* position are pinned while partials
 stay mergeable.
+
+A live row is encoded once, by :func:`encode_row`: its ``value`` goes
+through ``jsonable`` and the canonical encoder, its header (``index``,
+``params``, ``run``, ``seed``) is formatted into a prefix, and both the
+digest input and the artifact line are spliced from those two pieces —
+the keys sort, so ``"type"`` falls between ``"seed"`` and ``"value"``.
+The cell's ``params`` encoding (:func:`encode_params`) is the caller's
+to reuse: ``fold_chunk`` makes it once per cell, not once per row.
+:func:`row_digest` over :meth:`ResultStore.row_payload` stays the
+reference definition, and the digest of a row read back from an
+artifact.
 """
 
 from __future__ import annotations
@@ -36,17 +47,49 @@ from operator import itemgetter
 from typing import Any
 
 from repro.engine.spec import RunResult
-from repro.engine.store import ResultStore, canonical_line
+from repro.engine.store import canonical_line, jsonable
 
 #: digests are reduced into this modulus (63-bit, like derived seeds,
 #: so they survive any JSON round trip losslessly).
 DIGEST_MOD = 1 << 63
 
 
-def row_digest(row: Mapping[str, Any]) -> int:
-    """A 63-bit digest of one canonical result row."""
-    data = canonical_line(row).encode("utf-8")
+def _digest_of(data: bytes) -> int:
     return int.from_bytes(hashlib.sha256(data).digest()[:8], "big") % DIGEST_MOD
+
+
+def row_digest(row: Mapping[str, Any]) -> int:
+    """A 63-bit digest of one canonical result row (the reference
+    definition: :func:`encode_row` gives the same digest of a live
+    result)."""
+    return _digest_of(canonical_line(row).encode("utf-8"))
+
+
+def encode_params(params: Mapping[str, Any]) -> str:
+    """A cell's ``params`` as they appear in its rows' canonical lines."""
+    return canonical_line(jsonable(params))
+
+
+def encode_row(result: RunResult, params: str | None = None) -> tuple[int, str]:
+    """One live result's ``(digest, artifact line)``, from one encode.
+
+    The digest equals ``row_digest(ResultStore.row_payload(result))``
+    and the line ``canonical_line({"type": "row", **that row})``, byte
+    for byte.  ``params`` is :func:`encode_params` of the result's
+    params, where the caller already has it.
+    """
+    if params is None:
+        params = encode_params(result.params)
+    index, run, seed = result.index, result.run, result.seed
+    if type(index) is int and type(run) is int and type(seed) is int:
+        head = '{"index":%d,"params":%s,"run":%d,"seed":%d,' % (index, params, run, seed)
+    else:  # a bool or an int subclass: JSON spells it its own way, not "%d"
+        head = '{"index":%s,"params":%s,"run":%s,"seed":%s,' % (
+            canonical_line(index), params, canonical_line(run), canonical_line(seed)
+        )
+    value = canonical_line(jsonable(result.value))
+    digest = _digest_of(f'{head}"value":{value}}}'.encode())
+    return digest, f'{head}"type":"row","value":{value}}}'
 
 
 def merge_digests(a: int, b: int) -> int:
@@ -424,17 +467,11 @@ class RowReducer:
         self.rows = 0
         self.digest = 0
 
-    def fold(
-        self,
-        result: RunResult,
-        row: Mapping[str, Any] | None = None,
-        digest: int | None = None,
-    ) -> None:
-        """Fold one live result (``row``, ``digest``: its canonical form
-        and that form's :func:`row_digest`, where the caller already
-        has them)."""
+    def fold(self, result: RunResult, digest: int | None = None) -> None:
+        """Fold one live result (``digest``: its :func:`encode_row`
+        digest, where the caller already has it)."""
         if digest is None:
-            digest = row_digest(ResultStore.row_payload(result) if row is None else row)
+            digest = encode_row(result)[0]
         self._fold_common(digest, result.value)
 
     def fold_row(self, row: Mapping[str, Any]) -> None:

@@ -10,11 +10,16 @@ out (:class:`TeeSink`) or drop it (:class:`NoopSink`).
 
 Every sink tracks two backend-independent invariants as it goes:
 ``rows_emitted`` and an order-independent row ``digest`` (see
-:mod:`repro.engine.aggregate`).  Because both the eager path and every
-sink encode rows through :meth:`ResultStore.row_payload`, the digest of
-a sweep is byte-identical across `MemorySink`/`JsonlSink`/reducers and
-across every worker count — the property the streaming bench case and
-the engine property tests pin.
+:mod:`repro.engine.aggregate`).  Every live row is encoded by the one
+row encoder, :func:`~repro.engine.aggregate.encode_row`, which splices
+the row's digest input and its artifact line from one canonical encode
+of its ``value`` and one formatted header; both equal what
+:meth:`ResultStore.row_payload` and :func:`canonical_line` give, byte
+for byte.  So the digest of a sweep is byte-identical across
+`MemorySink`/`JsonlSink`/reducers and across every worker count — the
+property the streaming bench case and the engine property tests pin.
+Per-cell work stays out of the per-row loop: a cell's rows share one
+``params`` dict, and :func:`fold_chunk` encodes it once per cell.
 
 Lifecycle: ``open(spec_summary)`` → rows, always in task-index order →
 ``close()``; the executor calls ``abort()`` instead of ``close()`` when
@@ -38,9 +43,9 @@ import pickle
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
-from repro.engine.aggregate import RowReducer, merge_digests, row_digest
+from repro.engine.aggregate import RowReducer, encode_params, encode_row, merge_digests
 from repro.engine.spec import RunResult, RunTask
-from repro.engine.store import JsonlReader, ResultStore, canonical_line, gzip_writer, jsonable
+from repro.engine.store import JsonlReader, canonical_line, gzip_writer, jsonable
 
 #: streamed-artifact schema version; bump on any layout change.
 STREAM_SCHEMA = 1
@@ -126,8 +131,9 @@ def fold_chunk(tasks: Iterable[RunTask], plan: ChunkPlan) -> FoldedChunk:
     tasks and their seeds are built here as they are iterated.  The one
     place a sweep task is executed and the one producer of
     :class:`FoldedChunk`: pool workers and the serial path both run it,
-    so a row's payload is built once, where its task ran.  A task that
-    raises, or a row whose encoding raises, ends the chunk: it is
+    so a row is encoded once (:func:`encode_row`), where its task ran,
+    and a cell's ``params`` once per run of rows sharing them.  A task
+    that raises, or a row whose encoding raises, ends the chunk: it is
     returned with the rows before it and the exception.
     """
     chunk = FoldedChunk()
@@ -135,16 +141,18 @@ def fold_chunk(tasks: Iterable[RunTask], plan: ChunkPlan) -> FoldedChunk:
     partials = list(chunk.partials.values())
     encode = plan.digest or plan.lines or bool(partials)
     lines: list[str] = []
+    params: Any = None
+    params_line: str | None = None  # None: encode_row encodes the params itself
     for task in tasks:
         try:
             result = task.execute()
             if encode:
-                row = ResultStore.row_payload(result)
-                digest = row_digest(row)
-                if plan.lines:
-                    line = canonical_line({"type": "row", **row})
+                if result.params is not params:
+                    params_line = encode_params(result.params)
+                    params = result.params
+                digest, line = encode_row(result, params_line)
                 for partial in partials:
-                    partial.fold(result, row=row, digest=digest)
+                    partial.fold(result, digest)
                 chunk.digest = merge_digests(chunk.digest, digest)
                 if plan.lines:
                     lines.append(line)
@@ -166,8 +174,8 @@ class ResultSink:
     Subclasses extend :meth:`emit` (always calling ``super().emit`` or
     maintaining the counters themselves) and may override the lifecycle
     hooks, which default to no-ops.  ``emit`` receives the live result
-    plus, optionally, its precomputed canonical row — a
-    :class:`TeeSink` encodes each row once and shares it with every
+    plus, optionally, its :func:`encode_row` ``(digest, line)`` pair —
+    a :class:`TeeSink` encodes each row once and shares it with every
     branch instead of re-encoding per child.
 
     A subclass that overrides only ``emit`` sees every live result, in
@@ -189,12 +197,12 @@ class ResultSink:
         """Called once before the first row."""
         self.spec = spec_summary
 
-    def emit(self, result: RunResult, row: Mapping[str, Any] | None = None) -> None:
+    def emit(self, result: RunResult, encoded: tuple[int, str] | None = None) -> None:
         """Receive one result, in task-index order."""
-        if row is None:
-            row = ResultStore.row_payload(result)
+        if encoded is None:
+            encoded = encode_row(result)
         self.rows_emitted += 1
-        self.digest = merge_digests(self.digest, row_digest(row))
+        self.digest = merge_digests(self.digest, encoded[0])
 
     def chunk_plan(self) -> ChunkPlan | None:
         """The pieces this sink takes a chunk as, asked once per sweep.
@@ -245,8 +253,8 @@ class MemorySink(ResultSink):
         super().__init__()
         self.results: list[RunResult] = []
 
-    def emit(self, result: RunResult, row: Mapping[str, Any] | None = None) -> None:
-        super().emit(result, row)
+    def emit(self, result: RunResult, encoded: tuple[int, str] | None = None) -> None:
+        super().emit(result, encoded)
         self.results.append(result)
 
 
@@ -280,24 +288,26 @@ class JsonlSink(ResultSink):
         self._file = open(self.path, "wb")
         self._gz = gzip_writer(self._file, self.compresslevel)
         self._write_line(
-            {
-                "type": "header",
-                "schema": STREAM_SCHEMA,
-                "kind": STREAM_KIND,
-                "sweep": spec_summary.get("name"),
-                "spec": jsonable(spec_summary),
-            }
+            canonical_line(
+                {
+                    "type": "header",
+                    "schema": STREAM_SCHEMA,
+                    "kind": STREAM_KIND,
+                    "sweep": spec_summary.get("name"),
+                    "spec": jsonable(spec_summary),
+                }
+            )
         )
 
-    def _write_line(self, record: dict[str, Any]) -> None:
-        self._gz.write((canonical_line(record) + "\n").encode("utf-8"))
+    def _write_line(self, line: str) -> None:
+        self._gz.write((line + "\n").encode("utf-8"))
         self._lines += 1
 
-    def emit(self, result: RunResult, row: Mapping[str, Any] | None = None) -> None:
-        if row is None:
-            row = ResultStore.row_payload(result)
-        super().emit(result, row)
-        self._write_line({"type": "row", **row})
+    def emit(self, result: RunResult, encoded: tuple[int, str] | None = None) -> None:
+        if encoded is None:
+            encoded = encode_row(result)
+        super().emit(result, encoded)
+        self._write_line(encoded[1])
 
     def chunk_plan(self) -> ChunkPlan:
         return ChunkPlan(digest=True, lines=True)
@@ -313,7 +323,7 @@ class JsonlSink(ResultSink):
     def close(self) -> None:
         if self._gz is None:
             return
-        self._write_line({"type": "end", "records": self._lines})
+        self._write_line(canonical_line({"type": "end", "records": self._lines}))
         self._gz.close()
         self._file.close()
         self._gz = self._file = None
@@ -384,8 +394,8 @@ class ReducerSink(ResultSink):
         super().__init__()
         self.reducer = reducer
 
-    def emit(self, result: RunResult, row: Mapping[str, Any] | None = None) -> None:
-        self.reducer.fold(result, row=row)
+    def emit(self, result: RunResult, encoded: tuple[int, str] | None = None) -> None:
+        self.reducer.fold(result, None if encoded is None else encoded[0])
         self.rows_emitted = self.reducer.rows
         self.digest = self.reducer.digest
 
@@ -421,7 +431,7 @@ class CellFoldSink(ResultSink):
         self._groups: dict[tuple, tuple[dict[str, Any], Any]] = {}
         self._names: tuple[str, ...] | None = None
 
-    def emit(self, result: RunResult, row: Mapping[str, Any] | None = None) -> None:
+    def emit(self, result: RunResult, encoded: tuple[int, str] | None = None) -> None:
         self.rows_emitted += 1
         params = result.params
         if self._names is None or len(params) != len(self._names):
@@ -475,12 +485,12 @@ class TeeSink(ResultSink):
         for sink in self.sinks:
             sink.open(spec_summary)
 
-    def emit(self, result: RunResult, row: Mapping[str, Any] | None = None) -> None:
-        if row is None:
-            row = ResultStore.row_payload(result)
+    def emit(self, result: RunResult, encoded: tuple[int, str] | None = None) -> None:
+        if encoded is None:
+            encoded = encode_row(result)
         self.rows_emitted += 1
         for sink in self.sinks:
-            sink.emit(result, row)
+            sink.emit(result, encoded)
         self.digest = self.sinks[0].digest
 
     def chunk_plan(self) -> ChunkPlan:

@@ -272,8 +272,11 @@ class TaskChunk:
     tuple per grid cell the chunk reaches.  Iterating the chunk builds
     its :class:`RunTask`s, seeds included — one :func:`cell_seeder` per
     entry — wherever it is iterated: in the pool worker that folds it,
-    or in this process when there is no pool.  (A plain class: a
-    dataclass would cost every ``import repro`` its generated code.)
+    or in this process when there is no pool.  An entry's tasks share
+    one ``params`` dict (the cell merged with ``fixed`` once), so a
+    consumer can tell a cell's rows apart by identity and encode the
+    cell once.  (A plain class: a dataclass would cost every ``import
+    repro`` its generated code.)
     """
 
     def __init__(self, spec: SweepSpec, entries: list[tuple[int, dict[str, Any], int, int]]) -> None:
@@ -288,5 +291,6 @@ class TaskChunk:
         sweep, task, fixed = self.sweep, self.task, self.fixed
         for first, cell, lo, hi in self.entries:
             seed = cell_seeder(self.base_seed, sweep, cell, self.seeding)
+            params = {**cell, **fixed}
             for run in range(lo, hi):
-                yield RunTask(first + run - lo, sweep, task, {**cell, **fixed}, run, seed(run))
+                yield RunTask(first + run - lo, sweep, task, params, run, seed(run))

@@ -20,6 +20,16 @@ The framings, decided here and nowhere else:
   ``schema`` field — :class:`ResultStore` artifacts and ``BENCH_*.json``
   baselines.
 
+A result row's JSON shape is defined once, by
+:meth:`ResultStore.row_payload`, and encoded by :func:`canonical_line`.
+That pair is the reference: the eager artifact body goes through it,
+and so does a row read back from a stream.  A sweep's live rows take a
+cheaper route to the same bytes — :func:`repro.engine.aggregate.encode_row`
+encodes a row's ``value`` once and splices its digest input and its
+artifact line around a formatted header, with the cell's ``params``
+encoded once per cell — and the engine property tests pin the two
+routes equal.
+
 Whatever a read trips over — an unreadable file, damaged compression,
 corrupt JSON, valid JSON that is not an object, a foreign or stale
 header, a missing or miscounting ``end`` record — is a ``StoreError``
@@ -242,9 +252,14 @@ def jsonable(value: Any) -> Any:
 
     Dataclasses flatten to dicts, tuples/sets to lists (sets sorted for
     determinism), shared-payload handles to their content-free
-    ``describe()`` form; everything else must already be
-    JSON-encodable.  Leaf scalars are tested first: they are most of
-    what a row holds.
+    ``describe()`` form, mapping keys to strings; everything else must
+    already be JSON-encodable.  Leaf scalars are tested first: they are
+    most of what a row holds.
+
+    Raises:
+        TypeError: a value it cannot encode, or two keys of one mapping
+            that stringify alike (``1`` and ``"1"``): one would
+            silently overwrite the other.
     """
     if value is None or isinstance(value, (str, int, float)):  # bool is an int
         return value
@@ -253,12 +268,25 @@ def jsonable(value: Any) -> Any:
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {f.name: jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, Mapping):
-        return {str(k): jsonable(v) for k, v in value.items()}
+        out = {str(k): jsonable(v) for k, v in value.items()}
+        if len(out) != len(value):
+            _raise_key_collision(value)
+        return out
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     if isinstance(value, (set, frozenset)):
         return sorted(jsonable(v) for v in value)
     raise TypeError(f"cannot encode {type(value).__name__} into a sweep artifact")
+
+
+def _raise_key_collision(mapping: Mapping[Any, Any]) -> None:
+    seen: dict[str, Any] = {}
+    for key in mapping:
+        first = seen.setdefault(str(key), key)
+        if first is not key:
+            raise TypeError(
+                f"mapping keys {first!r} and {key!r} both encode as {str(key)!r} in a sweep artifact"
+            )
 
 
 class ResultStore:
@@ -294,9 +322,11 @@ class ResultStore:
         """One result's canonical artifact row.
 
         The single definition of a row's JSON shape — the eager
-        artifact body, the streamed JSONL rows and the row digests all
-        encode through here, which is what makes their checksums
-        comparable across backends.
+        artifact body encodes through here, and
+        :func:`~repro.engine.aggregate.encode_row`, which streams rows
+        and digests them, must give ``canonical_line`` of this row byte
+        for byte: that is what makes checksums comparable across
+        backends.
         """
         return {
             "index": result.index,

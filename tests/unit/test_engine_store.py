@@ -46,6 +46,28 @@ class TestJsonable:
         with pytest.raises(TypeError, match="cannot encode"):
             jsonable(object())
 
+    @pytest.mark.parametrize(
+        "mapping, keys",
+        [
+            ({1: "a", "1": "b"}, ("1", "'1'")),
+            ({True: "x", "True": "y"}, ("True", "'True'")),
+            ({"n": {None: 0, "None": 1}}, ("None", "'None'")),
+        ],
+    )
+    def test_keys_that_stringify_alike_are_rejected_not_dropped(self, mapping, keys):
+        with pytest.raises(TypeError, match="both encode as") as raised:
+            jsonable(mapping)
+        for key in keys:
+            assert key in str(raised.value)
+
+    def test_distinct_stringified_keys_still_encode(self):
+        assert jsonable({1: "a", 2.5: "b", None: "c", "x": "d"}) == {
+            "1": "a",
+            "2.5": "b",
+            "None": "c",
+            "x": "d",
+        }
+
 
 class TestResultStore:
     def _outcome(self):

@@ -32,7 +32,7 @@ from repro.engine import (
     TeeSink,
     aggregate,
     iter_stream_rows,
-    sink as sink_module,
+    store,
 )
 
 ROWS, CHUNK = 240, 16
@@ -57,11 +57,11 @@ def parent_calls():
     """Call counts of the per-row functions, as made in *this* process
     (pool workers fork their own copy of the list)."""
     calls: list[str] = []
-    row_digest = counted(calls, "row_digest", aggregate.row_digest)
     row_payload = staticmethod(counted(calls, "row_payload", ResultStore.row_payload))
     patches = [
-        mock.patch.object(aggregate, "row_digest", row_digest),
-        mock.patch.object(sink_module, "row_digest", row_digest),
+        mock.patch.object(aggregate, "row_digest", counted(calls, "row_digest", aggregate.row_digest)),
+        # every canonical JSON encode: a row's value, a cell's params, a record
+        mock.patch.object(store._CANONICAL, "encode", counted(calls, "encode", store._CANONICAL.encode)),
         mock.patch.object(RowReducer, "fold", counted(calls, "fold", RowReducer.fold)),
         mock.patch.object(ResultStore, "row_payload", row_payload),
         mock.patch.object(gzip.GzipFile, "write", counted(calls, "gzip_write", gzip.GzipFile.write)),
@@ -92,8 +92,9 @@ def test_pooled_sweep_makes_no_per_row_call_in_the_parent(tmp_path, parent_calls
     # the workers build the tasks and derive their seeds: 242 of each
     # here before (the probe sweep's 2 and these 240)
     assert parent_calls.count("RunTask") == parent_calls.count("sha256") == 0
-    per_row = [name for name in parent_calls if name != "gzip_write"]
+    per_row = [name for name in parent_calls if name not in ("gzip_write", "encode")]
     assert per_row == []  # a payload, two digests and a fold per row (960 calls) before
+    assert parent_calls.count("encode") == 2  # the header and the end record
     # the header, one write per chunk, the end record
     assert parent_calls.count("gzip_write") <= CHUNKS + 2  # one per row (242) before
 
@@ -106,15 +107,19 @@ def test_pooled_sweep_makes_no_per_row_call_in_the_parent(tmp_path, parent_calls
 
 
 def test_serial_sweep_builds_each_row_once(tmp_path, parent_calls):
-    """In process the same chunk function runs: one task, one payload,
-    one digest and one fold per row (three encodes and two digests
-    before), a cell's seed prefix hashed once per chunk instead of one
-    hash per seed, and still one gzip write per chunk."""
+    """In process the same chunk function runs: one task, one canonical
+    encode, one digest and one fold per row (a payload and two encodes
+    before), a cell's params encoded and its seed prefix hashed once per
+    chunk it reaches, and still one gzip write per chunk."""
     with SweepRunner(workers=1) as runner:
         sweep(runner, tmp_path / "rows.jsonl.gz", chunksize=CHUNK)
     assert parent_calls.count("RunTask") == ROWS
-    assert parent_calls.count("row_payload") == ROWS
-    assert parent_calls.count("row_digest") == ROWS
+    # the row encoder splices the digest input and the artifact line
+    # from one encode; the reference pair is never called
+    assert parent_calls.count("row_payload") == parent_calls.count("row_digest") == 0
+    # each row's value, each chunk entry's params (one cell here, so
+    # one entry per chunk), the artifact's header and end record
+    assert parent_calls.count("encode") == ROWS + CHUNKS + 2
     # the row digests, and one seed prefix per cell per chunk it reaches
     assert parent_calls.count("sha256") == ROWS + CHUNKS
     assert parent_calls.count("fold") == ROWS
