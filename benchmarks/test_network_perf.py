@@ -7,22 +7,23 @@ the per-message path, which evaluates connectivity at send time *and*
 delivery time.  Two claims are pinned here:
 
 * the two paths agree on every counter under a storm with partitions,
-  crashes and heals (also property-tested in
+  crashes and heals (and, over whole scenario runs, in
   ``tests/property/test_prop_bench.py``);
 * the cached path is not slower than the per-message path.  The
   assertion is deliberately loose so a loaded CI machine cannot flake
-  the suite; ``BENCH_net_deliver_fanout.json`` pins the cached path's
-  counters, not its time.
+  the suite; the scenario cases' ``BENCH_*.json`` pin the cached
+  path's counters, not its time.
 """
 
 import time
-from unittest import mock
 
 import pytest
 
-from repro.bench import cases
-from repro.bench.cases import net_fanout_trial
 from repro.net.network import Network
+from repro.net.node import Node
+from repro.sim.rng import RngRegistry
+from repro.sim.scheduler import Scheduler
+from repro.sim.trace import Tracer
 
 
 class _SlowPathNetwork(Network):
@@ -33,13 +34,53 @@ class _SlowPathNetwork(Network):
         self.add_filter(lambda msg: False)
 
 
+class _Sink(Node):
+    """A node that swallows storm pings."""
+
+    def __init__(self, node_id: int, network: Network) -> None:
+        super().__init__(node_id, network)
+        self.on("storm.ping", lambda msg: None)
+
+
+def fanout_storm(seed: int, network_class=Network, n_sites: int = 18, rounds: int = 6) -> dict:
+    """Broadcast storms through connected, partitioned and crash phases;
+    every phase change busts the reachable-peer cache."""
+    sched = Scheduler()
+    network = network_class(sched, Tracer(capacity=0), RngRegistry(seed))
+    nodes = [_Sink(i, network) for i in range(n_sites)]
+    everyone = list(range(n_sites))
+    third = n_sites // 3
+
+    def storm() -> None:
+        for node in nodes:
+            if node.alive:
+                node.broadcast(everyone, "storm.ping", "T")
+        sched.run()
+
+    for _ in range(rounds):
+        storm()  # connected, weighted double: most protocol traffic runs unpartitioned
+        storm()
+        network.set_partition([everyone[: 2 * third], everyone[2 * third :]])
+        storm()
+        network.crash_site(0)
+        network.crash_site(n_sites - 1)
+        network.set_partition([everyone[:third], everyone[third : 2 * third], everyone[2 * third :]])
+        storm()
+        network.heal()
+        network.recover_site(0)
+        network.recover_site(n_sites - 1)
+    return {
+        "sent": network.sent,
+        "delivered": network.delivered,
+        "dropped": network.dropped,
+        "events_run": sched.events_run,
+        "epochs": network.epoch,
+    }
+
+
 @pytest.mark.perf
 def test_fanout_storm_throughput(benchmark):
-    result = benchmark.pedantic(
-        lambda: net_fanout_trial(0, n_sites=18, rounds=6),
-        rounds=3,
-        iterations=1,
-    )
+    result = benchmark.pedantic(lambda: fanout_storm(0), rounds=3, iterations=1)
     assert result["delivered"] > 0 and result["dropped"] > 0
 
 
@@ -50,12 +91,11 @@ def test_cached_fanout_not_slower_than_legacy():
     slow = []
     cached = []
     for _ in range(3):
-        with mock.patch.object(cases, "Network", _SlowPathNetwork):
-            t0 = time.perf_counter()
-            base = net_fanout_trial(1, n_sites=18, rounds=6)
-            slow.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
-        fast = net_fanout_trial(1, n_sites=18, rounds=6)
+        base = fanout_storm(1, _SlowPathNetwork)
+        slow.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        fast = fanout_storm(1)
         cached.append(time.perf_counter() - t0)
         assert base == fast
     assert min(cached) < min(slow) * 1.25, (

@@ -2,13 +2,13 @@
 
 ``replay_data`` rides the WAL's per-item newest-``apply`` index, so a
 recovery costs O(items touched), not O(len(wal)) — and it is paid on
-every ``recover_site`` event of a storm.  The committed
-``BENCH_recovery_replay.json`` baseline pins the replay's counters on
-logs harvested from a heavy E18 run at 1x and 4x length; here the
-assertion pins the *shape* of its time with a noise-proof bound: the
-replay is sublinear in log length — quadrupling the log must come
-nowhere near quadrupling the replay time, because the index holds the
-same per-item map either way.
+every ``recover_site`` event of a storm.
+``tests/property/test_prop_bench.py`` holds the replay against an
+LSN-order scan on logs harvested from a heavy E18 run at 1x and 4x
+length; here the assertion pins the *shape* of its time with a
+noise-proof bound: the replay is sublinear in log length — quadrupling
+the log must come nowhere near quadrupling the replay time, because the
+index holds the same per-item map either way.
 """
 
 import time

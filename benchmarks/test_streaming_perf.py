@@ -1,12 +1,12 @@
 """Streaming sweep backend performance: memory stays flat in cell count.
 
-The committed ``BENCH_sweep_streaming.json`` baseline pins the
-streaming pipeline's counters at the 10^5-cell scale (its throughput is
+``tests/property/test_prop_engine.py`` pins that the streaming
+pipeline folds the rows the classic path keeps (its throughput is
 ``benchmarks/e2e``'s ``sweep_stream``); here the assertions pin the
 *shape* of the win with noise-proof bounds:
 the classic keep-everything path allocates O(cells) — quadrupling the
 sweep roughly quadruples its peak heap — while the streaming paths
-(``reduce=`` partial folds, ``sink=JsonlSink``) hold a bounded window
+(``ReducerSink`` partial folds, ``JsonlSink``) hold a bounded window
 of rows whatever the sweep size.
 """
 
@@ -15,7 +15,7 @@ import tracemalloc
 
 import pytest
 
-from repro.engine import JsonlSink, MeanAcc, RowReducer, SweepSpec, run_sweep
+from repro.engine import JsonlSink, MeanAcc, ReducerSink, RowReducer, SweepSpec, run_sweep
 
 
 def _probe(seed: int) -> dict:
@@ -39,7 +39,7 @@ def _run(n_cells: int, backend: str, tmp_path=None) -> None:
         outcome = run_sweep(_spec(n_cells))
         assert len(outcome.results) == n_cells
     elif backend == "reduce":
-        outcome = run_sweep(_spec(n_cells), reduce=_reducer())
+        outcome = run_sweep(_spec(n_cells), sink=ReducerSink(_reducer()))
         assert outcome.aggregate["rows"] == n_cells
     else:  # jsonl
         sink = JsonlSink(tmp_path / f"{n_cells}.jsonl.gz")
@@ -83,11 +83,11 @@ def test_reduce_backend_peak_memory_flat_in_cell_count():
     # the classic path grows with the row list (4x cells => roughly 4x
     # heap); the reducer path folds rows as they arrive and must not
     assert reduce_ratio < memory_ratio, (
-        f"reduce= scales no better than keep-everything: "
+        f"ReducerSink scales no better than keep-everything: "
         f"reduce {reduce_ratio:.2f}x vs memory {memory_ratio:.2f}x over a 4x sweep"
     )
     assert reduce_ratio < 2.0, (
-        f"reduce= peak heap grew {reduce_ratio:.2f}x over a 4x sweep — "
+        f"ReducerSink peak heap grew {reduce_ratio:.2f}x over a 4x sweep — "
         "the streaming backend is accumulating rows"
     )
 

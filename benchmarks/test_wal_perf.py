@@ -3,9 +3,9 @@
 The log answers the irrevocability check on every decision force, and
 every per-transaction query, from per-transaction indexes — a log that
 re-scanned its record list instead would be quadratic in run length
-for heavy traffic.  The committed ``BENCH_wal_append.json`` baseline
-pins the counters of the replayed ``run_heavy_workload`` appends; this
-suite pins the shape of their time with noise-proof assertions.
+for heavy traffic.  The scenario baselines pin the WAL's counters
+(``wal_forced`` / ``wal_flushes`` in every ``BENCH_*.json`` row); this
+suite pins the shape of its time with noise-proof assertions.
 """
 
 import time

@@ -25,7 +25,6 @@ from repro.bench.diff import (
     orphan_baselines,
 )
 from repro.bench.suite import BaselineStore, BenchSuite
-from repro.engine.executor import SweepRunner
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -49,13 +48,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default="full",
         help="workload scale (quick is for smoke runs; committed baselines "
         "are always full scale)",
-    )
-    parser.add_argument(
-        "--persistent-pool",
-        action="store_true",
-        help="run every case's sweeps on one warm worker pool instead of a "
-        "pool per sweep (needs --workers > 1; counters are identical "
-        "either way)",
     )
     parser.add_argument(
         "--timeout-s",
@@ -125,13 +117,6 @@ def _cmd_list(suite: BenchSuite) -> int:
     return 0
 
 
-def _runner_for(args: argparse.Namespace) -> SweepRunner | None:
-    """A persistent warm pool when ``--persistent-pool`` asks for one."""
-    if getattr(args, "persistent_pool", False) and args.workers > 1:
-        return SweepRunner(workers=args.workers)
-    return None
-
-
 def _timeout_for(args: argparse.Namespace) -> float | None:
     """The per-case soft timeout, with 0 (or less) meaning disabled."""
     timeout = getattr(args, "timeout_s", None)
@@ -140,17 +125,7 @@ def _timeout_for(args: argparse.Namespace) -> float | None:
 
 def _cmd_run(suite: BenchSuite, args: argparse.Namespace) -> int:
     store = BaselineStore(args.out)
-    runner = _runner_for(args)
-    try:
-        payloads = suite.run(
-            args.cases,
-            workers=args.workers,
-            runner=runner,
-            timeout_s=_timeout_for(args),
-        )
-    finally:
-        if runner is not None:
-            runner.close()
+    payloads = suite.run(args.cases, workers=args.workers, timeout_s=_timeout_for(args))
     for name, payload in payloads.items():
         path = store.save(payload)
         print(f"{name}: wrote {path}")
@@ -164,19 +139,9 @@ def _cmd_diff(suite: BenchSuite, args: argparse.Namespace) -> int:
             BaselineStore(args.fresh), baselines, names=args.cases or suite.names
         )
     else:
-        runner = _runner_for(args)
-        try:
-            results = diff_against_baselines(
-                suite,
-                baselines,
-                names=args.cases,
-                workers=args.workers,
-                runner=runner,
-                timeout_s=_timeout_for(args),
-            )
-        finally:
-            if runner is not None:
-                runner.close()
+        results = diff_against_baselines(
+            suite, baselines, names=args.cases, workers=args.workers, timeout_s=_timeout_for(args)
+        )
     if not args.cases:
         results += orphan_baselines(suite, baselines)
     if args.summary:
@@ -194,17 +159,7 @@ def _cmd_diff(suite: BenchSuite, args: argparse.Namespace) -> int:
 
 def _cmd_update(suite: BenchSuite, args: argparse.Namespace) -> int:
     store = BaselineStore(args.root)
-    runner = _runner_for(args)
-    try:
-        payloads = suite.run(
-            args.cases,
-            workers=args.workers,
-            runner=runner,
-            timeout_s=_timeout_for(args),
-        )
-    finally:
-        if runner is not None:
-            runner.close()
+    payloads = suite.run(args.cases, workers=args.workers, timeout_s=_timeout_for(args))
     for name, payload in payloads.items():
         path = store.save(payload)
         print(f"{name}: baselined {path}")

@@ -5,12 +5,16 @@ workers) that builds its own simulator from its seed and returns its
 counters: a dict that is a pure function of the seed and the keywords.
 No trial reads a clock — wall time belongs to ``benchmarks/e2e``.
 
-The eleven scenario-driven cases (``heavy_workload`` … ``gray_failure``
-below) hold no driver code of their own: each trial is one
-:func:`~repro.traffic.run_scenario` call — through
-:func:`_scenario_counters` or a public ``run_*`` wrapper — and passes
-the driver's shape keywords on as ``**shape``, so defaults live in the
-scenario constructors only.
+Every case but one pins a whole commit and termination trajectory —
+the runs Huang & Li's claims are about.  The eleven scenario-driven
+cases (``heavy_workload`` … ``gray_failure`` below) hold no driver code
+of their own: each trial is one :func:`~repro.traffic.run_scenario`
+call — through :func:`_scenario_counters` or a public ``run_*`` wrapper
+— and passes the driver's shape keywords on as ``**shape``, so defaults
+live in the scenario constructors only.  The hot paths those runs cross
+(event queue, fan-out cache, locks, WAL, trace, recovery) are pinned by
+their counters here and held against naive references in
+``tests/property/test_prop_bench.py``.
 
 A case is declared in one place, a row of :data:`CASES` at the bottom
 of this module: its trial, grid, run count and the trial's keywords at
@@ -18,8 +22,6 @@ full and at quick scale.
 
 Representative workloads covered:
 
-* ``scheduler_drain`` — the event-queue hot path: schedule / cancel /
-  drain, both handle-carrying and ``call_fixed`` entries.
 * ``commit_mix`` — a 2PC / 3PC / QTP commit mix through a mid-run
   partition episode (the paper's protocol spread, E17-flavoured).
 * ``heavy_workload`` — E18: Poisson traffic through repeated partition
@@ -48,43 +50,15 @@ Representative workloads covered:
 * ``gray_failure`` — a degraded (slow-not-dead) site plus a flapping
   link under an open-loop service
   (:func:`~repro.experiments.resilience_study.run_gray_failure`).
-* ``lock_probe`` — microbench of the vote-hook lock probe against
-  heavily shared items: compatibility is two integer tests on the
-  exclusive-holder counter, however many readers hold the item.
-* ``net_deliver_fanout`` — microbench of the ``Network`` fan-out path
-  on the partition-epoch reachable-peer cache, through connected,
-  partitioned and crash phases that churn the cache.
-* ``wal_append`` — microbench of the WAL append path: the exact
-  per-site ``force`` sequences harvested from ``run_heavy_workload``,
-  replayed into fresh group-commit/indexed logs.
-* ``trace_record`` — microbench of the trace recorder: columnar
-  appends, lazy materialization and indexed analysis queries.
-* ``partition_churn`` — microbench of storm-heavy partition plans
-  against the network's interned ``PartitionView`` cache.
-* ``suite_warm_pool`` — microbench of the sweep executor: a campaign
-  of small sweeps on one persistent warm pool.
-* ``net_fanout_flyweight`` — microbench of the fan-out allocation
-  layer: a thin :class:`~repro.net.message.MessageStamp` per
-  destination over one shared payload.
-* ``zipf_sampling`` — A/B microbench of the Zipf item sampler at a
-  ~10^5-item catalog: the historical O(n) cumulative scan
-  (``sampler="scan"``) vs the O(1) Walker alias table
-  (``sampler="alias"``).  The samplers draw the RNG differently by
-  design, so counters differ *across arms* (each arm is deterministic;
-  distribution equivalence is pinned by a property test).
-* ``recovery_replay`` — microbench of crash recovery's data replay
-  over the per-item newest-``apply`` index, on logs harvested from a
-  heavy E18 run and replayed at 1x and 4x length (the install counts
-  are equal: the replay does not grow with the log).
-* ``catalog_memo`` — microbench of per-cell catalog fetches through
-  :func:`~repro.workload.generators.memoized_catalog` (state-capture
-  memo; the RNG-probe counter pins the caller's stream position after
-  every hit).
-* ``sweep_streaming`` — A/B microbench of the extreme-scale sweep
-  backend at 10^5 cells: the classic accumulate-all-rows path vs the
-  streaming ``TeeSink(JsonlSink, ReducerSink)`` pipeline over one
-  :class:`~repro.engine.shared.SharedPayload` catalog.  Counters (row
-  digest + exact aggregates) are byte-identical across arms.
+* ``trace_replay_tournament`` — record one E18 run and replay it
+  across the default what-if matrix (the record→replay fixed point).
+* ``zipf_sampling`` — the one microbench, and the only pin of the
+  alias sampler's draws: Zipf item picks at a ~10^5-item catalog
+  through the historical O(n) cumulative scan (``sampler="scan"``) and
+  the O(1) Walker alias table (``sampler="alias"``).  The samplers
+  draw the RNG differently by design, so counters differ *across arms*
+  (each arm is deterministic; distribution equivalence is pinned by a
+  property test).
 """
 
 from __future__ import annotations
@@ -93,12 +67,8 @@ from typing import Any, Callable, NamedTuple
 
 from repro.bench.suite import BenchCase, BenchSuite
 from repro.common.errors import QuorumUnreachableError, TransactionAborted
-from repro.concurrency.locks import LockManager, LockMode
 from repro.db.cluster import Cluster
-from repro.engine.aggregate import CountAcc, MeanAcc, QuantileDigest, RowReducer
-from repro.engine.executor import SweepRunner, run_sweep, worker_cache
-from repro.engine.shared import SharedPayload
-from repro.engine.sink import JsonlSink, ReducerSink, TeeSink, iter_stream_rows
+from repro.engine.executor import worker_cache
 from repro.engine.spec import SweepSpec
 from repro.experiments.resilience_study import (
     run_flash_crowd,
@@ -113,8 +83,6 @@ from repro.experiments.workload_scenarios import (
     run_skewed_contention,
 )
 from repro.experiments.workload_study import heavy_workload_scenario
-from repro.net.network import Network
-from repro.net.node import Node
 from repro.replay import (
     DEFAULT_CONFIGS,
     cluster_counters,
@@ -124,9 +92,6 @@ from repro.replay import (
 )
 from repro.sim.failures import FailurePlan
 from repro.sim.rng import RngRegistry
-from repro.sim.scheduler import Scheduler
-from repro.sim.trace import Tracer
-from repro.storage.wal import WriteAheadLog
 from repro.traffic import run_scenario
 from repro.workload.generators import random_catalog, random_partition_groups
 from repro.workload.scenarios import wan_storm_scenario
@@ -137,35 +102,6 @@ def _scenario_counters(scenario: Any, protocol: str, seed: int) -> dict[str, Any
     (network / WAL / scheduler tallies)."""
     run = run_scenario(scenario, protocol, seed)
     return {**run.counters(), **cluster_counters(run.cluster)}
-
-
-# ----------------------------------------------------------------------
-# scheduler drain
-# ----------------------------------------------------------------------
-
-
-def scheduler_drain_trial(seed: int, n_events: int = 20_000) -> dict[str, Any]:
-    """Schedule ``n_events`` (hash-scattered times), cancel a third,
-    add a ``call_fixed`` batch, drain — the PR 1 scheduler mix plus the
-    non-cancellable fast entries deliveries now use."""
-    sched = Scheduler()
-    handles = [
-        sched.call_at(float((i * 2654435761 + seed) % 997), _noop) for i in range(n_events)
-    ]
-    for handle in handles[::3]:
-        handle.cancel()
-    for i in range(n_events // 2):
-        sched.call_fixed(float((i * 40503 + seed) % 997), _noop)
-    sched.run()
-    return {
-        "events_run": sched.events_run,
-        "pending_after": sched.pending,
-        "final_now": sched.now,
-    }
-
-
-def _noop() -> None:
-    """Scheduler filler event."""
 
 
 # ----------------------------------------------------------------------
@@ -299,150 +235,6 @@ def gray_failure_trial(seed: int, protocol: str, **shape: Any) -> dict[str, Any]
 
 
 # ----------------------------------------------------------------------
-# lock-probe microbench
-# ----------------------------------------------------------------------
-
-
-def lock_probe_trial(
-    seed: int, n_readers: int = 400, probes: int = 20_000, n_items: int = 12
-) -> dict[str, Any]:
-    """Vote-hook lock probes against heavily shared items.
-
-    ``n_readers`` transactions hold shared locks on every item, then a
-    prober replays a pre-drawn script of ``try_acquire`` calls (mostly
-    shared, a quarter exclusive).  Every probe is answered from the
-    item's exclusive-holder counter, so its cost does not grow with
-    ``n_readers``.
-    """
-    rng = RngRegistry(seed).stream("lock-probe")
-    manager = LockManager(0)
-    items = [f"item-{i}" for i in range(n_items)]
-    script = [(rng.choice(items), rng.random() < 0.25) for _ in range(probes)]
-
-    granted = refused = 0
-    for reader in range(n_readers):
-        for item in items:
-            manager.try_acquire(f"reader-{reader}", item, LockMode.SHARED)
-    for item, exclusive in script:
-        mode = LockMode.EXCLUSIVE if exclusive else LockMode.SHARED
-        if manager.try_acquire("prober", item, mode):
-            granted += 1
-            manager.release_all("prober")
-        else:
-            refused += 1
-    for reader in range(n_readers):
-        manager.release_all(f"reader-{reader}")
-    return {
-        "granted": granted,
-        "refused": refused,
-        "probes": probes,
-        "readers": n_readers,
-        "table_empty": not manager._items,
-    }
-
-
-# ----------------------------------------------------------------------
-# Network.deliver fan-out microbench
-# ----------------------------------------------------------------------
-
-
-class _Sink(Node):
-    """Minimal node that swallows bench pings."""
-
-    def __init__(self, node_id: int, network: Network) -> None:
-        super().__init__(node_id, network)
-        self.on("bench.ping", _swallow)
-
-
-def _swallow(msg: Any) -> None:
-    """Bench ping handler."""
-
-
-def net_fanout_trial(seed: int, n_sites: int = 24, rounds: int = 40) -> dict[str, Any]:
-    """Broadcast storms through connected, partitioned and crash phases.
-
-    Every storm rides the partition-epoch reachable-peer cache; the
-    phase changes (partition, crash, heal, recover) deliberately churn
-    the cache so invalidation is part of the pinned behaviour.
-    """
-    sched = Scheduler()
-    network = Network(sched, Tracer(capacity=0), RngRegistry(seed))
-    nodes = [_Sink(i, network) for i in range(n_sites)]
-    third = n_sites // 3
-    everyone = list(range(n_sites))
-
-    def storm() -> None:
-        for node in nodes:
-            if node.alive:
-                node.broadcast(everyone, "bench.ping", "T")
-        sched.run()
-
-    for _ in range(rounds):
-        # phase 1: fully connected fan-out (the common protocol case,
-        # weighted double — most protocol traffic runs unpartitioned)
-        storm()
-        storm()
-        # phase 2: two components — cross-component fan-out drops
-        network.set_partition([everyone[: 2 * third], everyone[2 * third :]])
-        storm()
-        # phase 3: crashes + a three-way split mid-flight
-        network.crash_site(0)
-        network.crash_site(n_sites - 1)
-        network.set_partition([everyone[:third], everyone[third : 2 * third], everyone[2 * third :]])
-        storm()
-        # phase 4: heal and recover — cache busted again
-        network.heal()
-        network.recover_site(0)
-        network.recover_site(n_sites - 1)
-    return {
-        "sent": network.sent,
-        "delivered": network.delivered,
-        "dropped": network.dropped,
-        "events_run": sched.events_run,
-        "epochs": network.epoch,
-    }
-
-
-# ----------------------------------------------------------------------
-# fan-out flyweight microbench
-# ----------------------------------------------------------------------
-
-
-def net_fanout_flyweight_trial(seed: int, n_sites: int = 32, rounds: int = 60) -> dict[str, Any]:
-    """Broadcast storms over per-destination stamps.
-
-    Each ``multicast`` stamps one
-    :class:`~repro.net.message.MessageStamp` per destination over the
-    shared payload; every round drains the scheduler so the delivery
-    counters pin the behaviour.  A partitioned phase exercises the drop
-    path's stamp handling too.
-    """
-    sched = Scheduler()
-    network = Network(sched, Tracer(capacity=0), RngRegistry(seed))
-    nodes = [_Sink(i, network) for i in range(n_sites)]
-    everyone = list(range(n_sites))
-    half = n_sites // 2
-
-    def storm() -> None:
-        for node in nodes:
-            node.multicast(everyone, "bench.ping", "T")
-
-    for _ in range(rounds):
-        storm()
-        storm()
-        network.set_partition([everyone[:half], everyone[half:]])
-        storm()
-        network.heal()
-        sched.run()
-    return {
-        "sent": network.sent,
-        "delivered": network.delivered,
-        "dropped": network.dropped,
-        "events_run": sched.events_run,
-    }
-
-
-# ----------------------------------------------------------------------
 # Zipf sampling microbench
 # ----------------------------------------------------------------------
 
@@ -516,373 +308,6 @@ def zipf_sampling_trial(
 
 
 # ----------------------------------------------------------------------
-# recovery replay microbench
-# ----------------------------------------------------------------------
-
-
-def _heavy_wal_sequences(seed: int, n_txns: int, n_sites: int) -> dict[int, list[Any]]:
-    """Every site's ``force`` sequence from one deterministic E18 run."""
-    run = run_scenario(heavy_workload_scenario(n_txns=n_txns, n_sites=n_sites), "qtp1", seed)
-    return {
-        sid: [(r.txn, r.kind, dict(r.payload)) for r in site.wal]
-        for sid, site in run.cluster.sites.items()
-    }
-
-
-def recovery_replay_trial(
-    seed: int,
-    n_txns: int = 260,
-    n_sites: int = 8,
-) -> dict[str, Any]:
-    """Replay crash recovery against WALs harvested from a heavy run.
-
-    A deterministic E18 run is executed once per seed and every site's
-    ``force`` sequence is harvested; the sequences are then appended
-    into fresh logs at 1x and 4x length (the 4x log repeats the
-    sequence, modelling a longer history whose re-applied versions are
-    stale).  :func:`~repro.storage.recovery.replay_data` then runs
-    against fresh version-0 stores; it walks the per-item
-    newest-``apply`` index, O(items touched), so the install counts at
-    1x and 4x are equal and the checksum counters pin the replayed
-    stores.
-    """
-    from repro.storage.recovery import replay_data
-    from repro.storage.store import ReplicaStore
-
-    sequences = _heavy_wal_sequences(seed, n_txns, n_sites)
-
-    def build_wal(sid: int, scale: int) -> WriteAheadLog:
-        wal = WriteAheadLog(sid)
-        for _ in range(scale):
-            for txn, kind, payload in sequences[sid]:
-                wal.force(txn, kind, **payload)
-        return wal
-
-    def fresh_store(sid: int, wal: WriteAheadLog) -> ReplicaStore:
-        store = ReplicaStore(sid)
-        for record in wal:
-            if record.kind == "apply" and not store.hosts(record.payload["item"]):
-                store.host(record.payload["item"], value=0, version=0)
-        return store
-
-    counters: dict[str, Any] = {}
-    for scale in (1, 4):
-        wals = {sid: build_wal(sid, scale) for sid in sequences}
-        stores = {sid: fresh_store(sid, wal) for sid, wal in wals.items()}
-        installed = sum(replay_data(wals[sid], stores[sid]) for sid in wals)
-        checksum = 0
-        for sid in sorted(wals):
-            for item, versioned in stores[sid].items():
-                checksum += versioned.version * 31 + (versioned.value or 0)
-        counters[f"wal_records_{scale}x"] = sum(len(w) for w in wals.values())
-        counters[f"installed_{scale}x"] = installed
-        counters[f"store_checksum_{scale}x"] = checksum
-    return counters
-
-
-# ----------------------------------------------------------------------
-# catalog memo microbench
-# ----------------------------------------------------------------------
-
-
-def catalog_memo_trial(
-    seed: int,
-    n_regions: int = 4,
-    sites_per_region: int = 8,
-    n_items: int = 48,
-    reuses: int = 12,
-) -> dict[str, Any]:
-    """Fetch one sweep's catalog memoized, once per grid cell.
-
-    Emulates the ``seeding="offset"`` shape: ``reuses`` grid cells each
-    re-derive the same named stream for the same seed and need the same
-    catalog.  :func:`~repro.workload.generators.memoized_catalog`
-    builds it once (a :func:`~repro.workload.generators.wan_catalog`)
-    and answers every later cell by state-capture hit.  The RNG probe
-    drawn *after* the catalog must be what a fresh build per cell would
-    leave — that is the stream-identity contract the memo keeps.
-    """
-    from repro.workload.generators import memoized_catalog, wan_catalog
-
-    checksum = 0
-    probe_sum = 0.0
-    key = ("catalog-memo-bench", seed, n_regions, sites_per_region, n_items)
-
-    def build(r: Any) -> Any:
-        return wan_catalog(
-            r,
-            n_regions=n_regions,
-            sites_per_region=sites_per_region,
-            n_items=n_items,
-            region_replication=3,
-        )
-
-    for _cell in range(reuses):
-        rng = RngRegistry(seed).stream("catalog-memo-bench")
-        catalog = memoized_catalog(rng, key, build)
-        probe_sum += rng.random()  # stream position after the build
-        names = catalog.item_names
-        checksum += len(names) + sum(catalog.v(i) for i in names[:8])
-    return {
-        "reuses": reuses,
-        "checksum": checksum,
-        "probe_sum": probe_sum,
-    }
-
-
-# ----------------------------------------------------------------------
-# WAL append microbench
-# ----------------------------------------------------------------------
-
-
-def wal_append_trial(
-    seed: int,
-    n_txns: int = 260,
-    n_sites: int = 8,
-) -> dict[str, Any]:
-    """Replay ``run_heavy_workload``'s exact WAL force sequences.
-
-    A heavy E18 run is executed once (deterministic per seed) and every
-    site's ``force`` call sequence is harvested from its log; the
-    sequences are then replayed into fresh logs, so the counters are
-    the WAL append path itself (group-commit accounting plus index
-    upkeep) under a real workload's record mix.
-    """
-    sequences = _heavy_wal_sequences(seed, n_txns, n_sites)
-    total_forced = 0
-    total_flushes = 0
-    kinds: dict[str, int] = {}
-    logs = {sid: WriteAheadLog(sid) for sid in sequences}
-    for sid, seq in sequences.items():
-        wal = logs[sid]
-        for txn, kind, payload in seq:
-            wal.force(txn, kind, **payload)
-    for wal in logs.values():
-        total_forced += wal.forced
-        total_flushes += wal.flushes
-        for record in wal:
-            kinds[record.kind] = kinds.get(record.kind, 0) + 1
-    return {
-        "forced": total_forced,
-        "flushes": total_flushes,
-        "open_txns": sum(len(w.open_txns()) for w in logs.values()),
-        **{f"kind_{k}": v for k, v in sorted(kinds.items())},
-    }
-
-
-# ----------------------------------------------------------------------
-# trace recorder microbench
-# ----------------------------------------------------------------------
-
-#: message types the synthetic trace mix draws from (protocol-shaped).
-_TRACE_MTYPES = (
-    "qtp1.vote-req",
-    "qtp1.vote",
-    "qtp1.prepare",
-    "qtp1.ack",
-    "qtp1.decision",
-    "term.state-req",
-    "term.state",
-)
-
-
-def trace_record_trial(
-    seed: int,
-    n_events: int = 40_000,
-    n_sites: int = 24,
-    n_txns: int = 48,
-    queries: int = 120,
-) -> dict[str, Any]:
-    """Record a protocol-shaped event mix, then run the analysis queries.
-
-    The mix mirrors a commit run — mostly sends and delivers with txn
-    ids, a tail of state transitions, decisions and quorum checks — and
-    the query phase asks what the analysis layer asks (``where`` by
-    category+site, ``count``, per-txn ``decisions``,
-    ``message_counts``).
-    """
-    rng = RngRegistry(seed).stream("trace-bench")
-    tracer = Tracer()
-    n_mtypes = len(_TRACE_MTYPES)
-    t = 0.0
-    for _ in range(n_events):
-        t += 0.25
-        kind = rng.randrange(100)
-        site = rng.randrange(n_sites)
-        txn = f"T{rng.randrange(n_txns)}"
-        if kind < 35:
-            tracer.record_send(
-                t, site, txn, _TRACE_MTYPES[rng.randrange(n_mtypes)], rng.randrange(n_sites)
-            )
-        elif kind < 65:
-            tracer.record_deliver(
-                t, site, txn, _TRACE_MTYPES[rng.randrange(n_mtypes)], rng.randrange(n_sites)
-            )
-        elif kind < 72:
-            tracer.record_drop(
-                t,
-                site,
-                txn,
-                _TRACE_MTYPES[rng.randrange(n_mtypes)],
-                rng.randrange(n_sites),
-                "partitioned",
-            )
-        elif kind < 90:
-            tracer.record(t, site, "state", txn, src="W", dst="PC")
-        elif kind < 96:
-            tracer.record(t, site, "decision", txn, outcome="commit" if kind % 2 else "abort")
-        else:
-            tracer.record(t, site, "quorum", txn, ok=bool(kind % 2))
-    query_hits = 0
-    cats = ("send", "deliver", "decision", "state", "drop")
-    for q in range(queries):
-        cat = cats[q % len(cats)]
-        query_hits += len(tracer.where(category=cat, site=q % n_sites))
-        query_hits += tracer.count(cat)
-    decided_sites = 0
-    for i in range(n_txns):
-        decided_sites += len(tracer.decisions(f"T{i}"))
-    histogram = tracer.message_counts()
-    return {
-        "records": len(tracer),
-        "dropped": tracer.dropped,
-        "query_hits": query_hits,
-        "decided_sites": decided_sites,
-        "mtypes": len(histogram),
-        "messages_counted": sum(histogram.values()),
-    }
-
-
-# ----------------------------------------------------------------------
-# partition churn microbench
-# ----------------------------------------------------------------------
-
-
-def partition_churn_trial(
-    seed: int,
-    n_sites: int = 64,
-    n_plans: int = 6,
-    rounds: int = 120,
-) -> dict[str, Any]:
-    """Replay a storm plan's partition/heal cycle against live views.
-
-    A handful of distinct group layouts recur across many rounds —
-    exactly the shape of :func:`region_storm_plan` waves — so after the
-    first round every ``set_partition`` is a hit in the network's
-    interned view cache, and each partition event also pays its trace
-    record (whose component rendering the interned views memoize).
-    """
-    rng = RngRegistry(seed).stream("churn-bench")
-    sched = Scheduler()
-    tracer = Tracer()
-    network = Network(sched, tracer, RngRegistry(seed))
-    for i in range(n_sites):
-        _Sink(i, network)
-    plans = [
-        tuple(tuple(g) for g in random_partition_groups(rng, network.sites, 1 + q % 3))
-        for q in range(n_plans)
-    ]
-    checksum = 0
-    for r in range(rounds):
-        for plan in plans:
-            network.set_partition(plan)
-            view = network.partition
-            checksum += len(view.components)
-            # the questions termination keeps asking under a storm
-            src = (r + len(plan)) % n_sites
-            checksum += len(view.component_of(src))
-            checksum += view.reachable(src, (src + 7) % n_sites)
-        network.heal()
-    return {
-        "epochs": network.epoch,
-        "partitions_traced": tracer.count("partition"),
-        "heals_traced": tracer.count("heal"),
-        "checksum": checksum,
-    }
-
-
-# ----------------------------------------------------------------------
-# persistent-pool executor microbench
-# ----------------------------------------------------------------------
-
-
-def _probe_catalog() -> Any:
-    """A small pure catalog (no RNG) for the warm-pool probe task."""
-    from repro.replication.catalog import CatalogBuilder
-
-    builder = CatalogBuilder()
-    for i in range(4):
-        builder.replicated_item(f"p{i}", sites=[1, 2, 3], r=2, w=2)
-    return builder.build()
-
-
-def warm_pool_probe(seed: int, n_events: int = 500) -> dict[str, Any]:
-    """One small sweep task: a mini scheduler drain over a cached catalog.
-
-    Deliberately light — the ``suite_warm_pool`` case exercises the
-    executor, not the task.  The catalog goes through
-    :func:`~repro.engine.executor.worker_cache`, so a warm worker
-    builds it once across every sweep of the campaign.
-    """
-    catalog = worker_cache(("bench-probe-catalog",), _probe_catalog)
-    sched = Scheduler()
-    for i in range(n_events):
-        sched.call_fixed(float((i * 2654435761 + seed) % 211), _noop)
-    sched.run()
-    return {
-        "events_run": sched.events_run,
-        "items": len(catalog.item_names),
-        "final_now": sched.now,
-    }
-
-
-def suite_warm_pool_trial(
-    seed: int,
-    n_sweeps: int = 6,
-    runs_per_sweep: int = 8,
-    pool_workers: int = 2,
-    probe_events: int = 500,
-) -> dict[str, Any]:
-    """Run a campaign of small sweeps on one warm pool.
-
-    A single :class:`~repro.engine.executor.SweepRunner` is kept alive
-    across the whole campaign — the shape of the bench suite itself,
-    whose cases all ride one warm pool under ``--persistent-pool``.
-    Counters must be what a process pool created and torn down inside
-    every ``run_sweep`` call yields.  In environments where pools
-    cannot be created at all (sandboxes, nested pools) the runner
-    degrades to serial and the counters stay identical.
-    """
-    specs = [
-        SweepSpec(
-            name=f"warm-pool-{i}",
-            task=warm_pool_probe,
-            grid={},
-            runs=runs_per_sweep,
-            base_seed=seed * 1009 + i,
-            fixed={"n_events": probe_events},
-        )
-        for i in range(n_sweeps)
-    ]
-    with SweepRunner(workers=pool_workers) as runner:
-        outcomes = [runner.run_sweep(spec) for spec in specs]
-    events = 0
-    checksum = 0
-    tasks = 0
-    for outcome in outcomes:
-        for result in outcome.results:
-            tasks += 1
-            events += result.value["events_run"]
-            checksum += int(result.value["final_now"]) + result.seed % 997
-    return {
-        "sweeps": len(outcomes),
-        "tasks": tasks,
-        "events_run": events,
-        "checksum": checksum,
-    }
-
-
-# ----------------------------------------------------------------------
 # trace-replay tournament
 # ----------------------------------------------------------------------
 
@@ -923,125 +348,14 @@ def trace_replay_trial(
 
 
 # ----------------------------------------------------------------------
-# streaming sweep microbench
-# ----------------------------------------------------------------------
-
-
-def streaming_probe_cell(seed: int, catalog: Any, n_items: int) -> dict[str, Any]:
-    """One cheap probe row against the shared bench catalog.
-
-    The work per cell is deliberately tiny — a quorum lookup plus a few
-    RNG draws — so the case exercises the *engine's* per-row path (task
-    dispatch, row encoding, sink write), not a simulator.  ``catalog``
-    arrives as a resolved :class:`~repro.engine.shared.SharedPayload`,
-    so every one of the 10^5 cells reads the same published object
-    instead of re-pickling a 50k-item catalog per task.
-    """
-    rng = RngRegistry(seed).stream("streaming-probe")
-    pick = rng.randrange(n_items)
-    return {
-        "votes": catalog.v(f"i{pick:07d}"),
-        "latency": rng.expovariate(1.0) + 0.5,
-        "committed": rng.random() < 0.9,
-        "hot": pick < 10,
-    }
-
-
-def _streaming_reducer() -> RowReducer:
-    """The aggregate layout both arms of ``sweep_streaming`` fold into."""
-    return RowReducer(
-        (
-            ("latency", "latency", MeanAcc()),
-            ("latency_digest", "latency", QuantileDigest(0.0, 20.0)),
-            ("committed", "committed", CountAcc()),
-            ("votes", "votes", MeanAcc()),
-        )
-    )
-
-
-def sweep_streaming_trial(
-    seed: int,
-    streaming: bool,
-    n_cells: int = 2_000,
-    n_items: int = 500,
-) -> dict[str, Any]:
-    """A/B of the classic accumulate-then-aggregate sweep vs streaming.
-
-    Both arms execute the same inner sweep — ``n_cells`` probe rows
-    against one :class:`~repro.engine.shared.SharedPayload` catalog
-    (published once per process via ``worker_cache``) — and fold the
-    same :func:`_streaming_reducer` aggregates:
-
-    * ``streaming=False`` — the historical shape: the default
-      ``run_sweep`` keeps every row in RAM, then the reducer folds the
-      accumulated list.
-    * ``streaming=True`` — the extreme-scale shape: rows flow through
-      ``TeeSink(JsonlSink, ReducerSink)``, so aggregation and the
-      gzip'd JSONL artifact are built incrementally and no row list
-      ever exists; the artifact is then re-counted via
-      :func:`~repro.engine.sink.iter_stream_rows` to pin the round
-      trip.
-
-    The counters come from the reducer summary plus the order-independent
-    row digest, so they are byte-identical across arms and across
-    worker counts — that equality is the CI gate on the streaming
-    backend.
-    """
-    import tempfile
-    from pathlib import Path
-
-    handle = worker_cache(
-        ("streaming-bench-payload", n_items),
-        lambda: SharedPayload.publish(
-            _zipf_bench_catalog(n_items), label="streaming-bench-catalog"
-        ),
-    )
-    spec = SweepSpec(
-        name="bench-sweep-streaming-cells",
-        task=streaming_probe_cell,
-        grid={},
-        runs=n_cells,
-        base_seed=seed,
-        seeding="offset",
-        fixed={"catalog": handle, "n_items": n_items},
-    )
-    reducer = _streaming_reducer()
-    if streaming:
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "rows.jsonl.gz"
-            run_sweep(spec, sink=TeeSink(JsonlSink(path), ReducerSink(reducer)))
-            rows_loaded = sum(1 for _row in iter_stream_rows(path))
-    else:
-        outcome = run_sweep(spec)
-        for result in outcome.results:
-            reducer.fold(result)
-        rows_loaded = len(outcome.results)
-    agg = reducer.summary()
-    latency = agg["metrics"]["latency"]
-    digest = agg["metrics"]["latency_digest"]
-    committed = agg["metrics"]["committed"]["counts"]
-    return {
-        "rows": agg["rows"],
-        "row_digest": agg["digest"],
-        "rows_loaded": rows_loaded,
-        "latency_mean": round(latency["mean"], 6),
-        "latency_sd": round(latency["sd"], 6),
-        "latency_p50": round(digest["p50"], 6),
-        "latency_p99": round(digest["p99"], 6),
-        "committed_true": committed.get("True", 0),
-        "committed_false": committed.get("False", 0),
-        "votes_mean": round(agg["metrics"]["votes"]["mean"], 6),
-    }
-
-
-# ----------------------------------------------------------------------
 # the default suite
 # ----------------------------------------------------------------------
 
 
 class _Row(NamedTuple):
-    """One case, declared once: its trial, its sweep shape, and the
-    trial's keywords at full (committed baselines) and quick (tests)
+    """One case, declared once: its trial, its sweep shape (every case
+    seeds ``offset``: the protocols of a grid replay the same runs), and
+    the trial's keywords at full (committed baselines) and quick (tests)
     scale."""
 
     task: Callable[..., dict[str, Any]]
@@ -1049,16 +363,12 @@ class _Row(NamedTuple):
     runs: int
     full: dict[str, Any]
     quick: dict[str, Any]
-    seeding: str = "offset"
 
 
 #: the registry, in run order: ``BENCH_<name>.json`` is the sweep
 #: ``bench-<name>``.  Adding a case is one trial function above plus
 #: one row here (then ``bench update``).
 CASES: dict[str, _Row] = {
-    "scheduler_drain": _Row(
-        scheduler_drain_trial, {}, 2, full={"n_events": 20_000}, quick={"n_events": 2_000}, seeding="derived"
-    ),
     "commit_mix": _Row(
         commit_mix_trial,
         {"protocol": ["2pc", "3pc", "qtp1", "qtp2"]},
@@ -1123,39 +433,6 @@ CASES: dict[str, _Row] = {
         full={"rate": 1.5, "duration": 120.0, "episode_start": 30.0, "episode_length": 40.0},
         quick={"rate": 0.8, "duration": 40.0, "episode_start": 10.0, "episode_length": 20.0},
     ),
-    "lock_probe": _Row(
-        lock_probe_trial,
-        {},
-        2,
-        full={"n_readers": 400, "probes": 20_000},
-        quick={"n_readers": 40, "probes": 1_000},
-    ),
-    "net_deliver_fanout": _Row(net_fanout_trial, {}, 2, full={"rounds": 40}, quick={"rounds": 3}),
-    "wal_append": _Row(wal_append_trial, {}, 2, full={"n_txns": 400}, quick={"n_txns": 40}),
-    "trace_record": _Row(
-        trace_record_trial,
-        {},
-        2,
-        full={"n_events": 40_000, "queries": 120},
-        quick={"n_events": 3_000, "queries": 20},
-    ),
-    "partition_churn": _Row(
-        partition_churn_trial, {}, 2, full={"n_sites": 64, "rounds": 120}, quick={"n_sites": 12, "rounds": 6}
-    ),
-    "suite_warm_pool": _Row(
-        suite_warm_pool_trial,
-        {},
-        2,
-        full={"n_sweeps": 6, "runs_per_sweep": 8},
-        quick={"n_sweeps": 2, "runs_per_sweep": 3},
-    ),
-    "net_fanout_flyweight": _Row(
-        net_fanout_flyweight_trial,
-        {},
-        2,
-        full={"n_sites": 32, "rounds": 60},
-        quick={"n_sites": 10, "rounds": 4},
-    ),
     "zipf_sampling": _Row(
         zipf_sampling_trial,
         {"alias": [False, True]},
@@ -1163,21 +440,12 @@ CASES: dict[str, _Row] = {
         full={"n_items": 100_000, "draws": 240, "fp_draws": 40},
         quick={"n_items": 2_000, "draws": 60, "fp_draws": 10},
     ),
-    "recovery_replay": _Row(recovery_replay_trial, {}, 2, full={"n_txns": 260}, quick={"n_txns": 40}),
-    "catalog_memo": _Row(catalog_memo_trial, {}, 2, full={"reuses": 12}, quick={"reuses": 4}),
     "trace_replay_tournament": _Row(
         trace_replay_trial,
         {},
         2,
         full={"configs": ["recorded", "2pc", "3pc", "rowa"], "n_txns": 60, "n_sites": 8},
         quick={"configs": ["recorded", "2pc", "3pc", "rowa"], "n_txns": 16, "n_sites": 6},
-    ),
-    "sweep_streaming": _Row(
-        sweep_streaming_trial,
-        {"streaming": [False, True]},
-        1,
-        full={"n_cells": 100_000, "n_items": 50_000},
-        quick={"n_cells": 2_000, "n_items": 500},
     ),
 }
 
@@ -1198,7 +466,7 @@ def default_suite(scale: str = "full") -> BenchSuite:
                 task=row.task,
                 grid=row.grid,
                 runs=row.runs,
-                seeding=row.seeding,
+                seeding="offset",
                 fixed=getattr(row, scale),
             ),
         )

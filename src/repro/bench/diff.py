@@ -124,22 +124,12 @@ def diff_against_baselines(
     store: BaselineStore,
     names: Iterable[str] | None = None,
     workers: int = 1,
-    runner: Any | None = None,
     timeout_s: float | None = None,
 ) -> list[CaseDiff]:
-    """Run the suite fresh and compare each case to its baseline.
-
-    ``runner`` (a :class:`~repro.engine.executor.SweepRunner`) executes
-    every case on one persistent warm pool — the ``--persistent-pool``
-    CLI mode.
-    """
+    """Run the suite fresh and compare each case to its baseline."""
     picked = list(names) if names is not None else suite.names
     return [
-        _compare_to_baseline(
-            name,
-            suite.run_case(name, workers=workers, runner=runner, timeout_s=timeout_s),
-            store,
-        )
+        _compare_to_baseline(name, suite.run_case(name, workers=workers, timeout_s=timeout_s), store)
         for name in picked
     ]
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
-from repro.engine.executor import SweepOutcome, SweepRunner, run_sweep
+from repro.engine.executor import SweepOutcome, run_sweep
 from repro.engine.spec import SweepSpec
 from repro.engine.store import jsonable, read_document, write_document
 
@@ -173,14 +173,9 @@ class BenchSuite:
         self,
         name: str,
         workers: int = 1,
-        runner: SweepRunner | None = None,
         timeout_s: float | None = None,
     ) -> dict[str, Any]:
         """Execute one case's sweep once; returns its baseline payload.
-
-        With a ``runner``, the sweep executes on that persistent warm
-        pool (and ``workers`` is ignored in favour of the runner's) —
-        counters are identical either way.
 
         ``timeout_s`` arms a soft per-case watchdog: on expiry the case
         fails fast as a :class:`BenchTimeout` with every thread's stack
@@ -195,10 +190,7 @@ class BenchSuite:
         watchdog = _CaseWatchdog(case.name, timeout_s)
         try:
             with watchdog:
-                if runner is not None:
-                    outcome = runner.run_sweep(case.spec)
-                else:
-                    outcome = run_sweep(case.spec, workers=workers)
+                outcome = run_sweep(case.spec, workers=workers)
         except KeyboardInterrupt:
             if not watchdog.fired:
                 raise  # a real Ctrl-C, not the watchdog
@@ -217,21 +209,14 @@ class BenchSuite:
         self,
         names: Iterable[str] | None = None,
         workers: int = 1,
-        runner: SweepRunner | None = None,
         timeout_s: float | None = None,
     ) -> dict[str, dict[str, Any]]:
         """Execute several cases (default: all), in registration order.
 
-        Pass a :class:`~repro.engine.executor.SweepRunner` to run every
-        case's sweep on one warm pool (the ``--persistent-pool`` CLI
-        mode): the whole suite then costs one pool, not one per case.
         ``timeout_s`` applies *per case*, not to the whole run.
         """
         picked = list(names) if names is not None else self.names
-        return {
-            name: self.run_case(name, workers=workers, runner=runner, timeout_s=timeout_s)
-            for name in picked
-        }
+        return {name: self.run_case(name, workers=workers, timeout_s=timeout_s) for name in picked}
 
 
 class BaselineStore:

@@ -41,24 +41,19 @@ sequence in every cell (the paired-comparison design the paper's
 studies use), while the default ``"derived"`` hashing gives every cell
 an independent stream.
 
-Extreme-scale sweeps (10^5–10^6 cells) add two opt-in layers on top
-(see ``engine/README.md``):
-
-* **streaming result sinks** — ``run_sweep(..., sink=JsonlSink(path))``
-  hands rows to a :class:`~repro.engine.sink.ResultSink` a chunk at a
-  time as chunks complete instead of accumulating them, and
-  ``run_sweep(..., reduce=RowReducer(...))`` folds rows into exact
-  streaming aggregates per chunk; both keep sweep memory flat in cell
-  count while staying byte-identical across backends and worker
-  counts.  A sink states what it needs from a chunk
-  (:class:`~repro.engine.sink.ChunkPlan`) and the chunk is folded into
-  exactly that (:class:`~repro.engine.sink.FoldedChunk`) where its
-  tasks ran, so for ``JsonlSink`` / ``ReducerSink`` / ``NoopSink`` and
-  tees of them no row crosses the pool boundary.
-* **zero-copy shared payloads** —
-  :class:`~repro.engine.shared.SharedPayload` handles let every task of
-  a huge sweep read one published catalog/trace instead of re-pickling
-  it per task.
+Extreme-scale sweeps (10^5–10^6 cells) stream instead (see
+``engine/README.md``): ``run_sweep(..., sink=JsonlSink(path))`` hands
+rows to a :class:`~repro.engine.sink.ResultSink` a chunk at a time as
+chunks complete instead of accumulating them, and
+``sink=ReducerSink(RowReducer(...))`` folds them into exact streaming
+aggregates per chunk; both keep sweep memory flat in cell count while
+staying byte-identical across backends and worker counts.  A sink
+states what it needs from a chunk (:class:`~repro.engine.sink.ChunkPlan`)
+and the chunk is folded into exactly that
+(:class:`~repro.engine.sink.FoldedChunk`) where its tasks ran, so for
+``JsonlSink`` / ``ReducerSink`` / ``NoopSink`` and tees of them no row
+crosses the pool boundary.  A sweep's ``fixed`` values cross the pool
+once per chunk, not once per task.
 """
 
 from repro.engine.aggregate import (
@@ -86,7 +81,6 @@ from repro.engine.executor import (
     shutdown_shared_runners,
     worker_cache,
 )
-from repro.engine.shared import SharedPayload
 from repro.engine.sink import (
     STREAM_KIND,
     STREAM_SCHEMA,
@@ -139,7 +133,6 @@ __all__ = [
     "RowReducer",
     "RunResult",
     "RunTask",
-    "SharedPayload",
     "SweepOutcome",
     "SweepRunner",
     "SweepSpec",

@@ -15,15 +15,15 @@ Two pool modes exist, one loop runs on both:
 * :class:`SweepRunner` (or ``persistent_pool=True``) keeps **one warm
   pool alive across sweeps**.  Workers are created once with an
   initializer that pre-imports the simulator stack, so a campaign of
-  many small sweeps (the bench suite's cases, a 10^5-run study split
+  many small sweeps (repeated passes of one sweep, a 10^5-run study split
   into shards) amortizes process creation and module import instead of
   paying them per sweep.  Results are still bit-identical: warm workers
   hold no per-task state, only imported modules and
   :func:`worker_cache` entries that are pure functions of their keys.
 
 The pool is a ``concurrent.futures.ProcessPoolExecutor`` either way,
-and every sweep — keep-every-row, ``sink=``, ``reduce=`` — is one call
-of :func:`_stream`.  The unit of work is a **chunk** of at most
+and every sweep — keep-every-row or ``sink=`` — is one call of
+:func:`_stream`.  The unit of work is a **chunk** of at most
 :data:`MAX_CHUNK_ROWS` consecutive tasks, described by cell × run
 ranges (:class:`~repro.engine.spec.TaskChunk`) rather than built:
 :func:`~repro.engine.sink.fold_chunk` expands and executes it where the
@@ -55,14 +55,12 @@ from repro.engine.sink import (
     CellFoldSink,
     FoldedChunk,
     MemorySink,
-    ReducerSink,
     TeeSink,
     fold_chunk,
 )
 from repro.engine.spec import RunResult, SweepSpec, TaskChunk
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.aggregate import RowReducer
     from repro.engine.sink import ResultSink
     from repro.engine.store import ResultStore
 
@@ -155,7 +153,7 @@ def _warm_worker() -> None:
 
 #: set in every pool worker: a sweep issued from inside one runs serially
 #: (executor workers are not daemonic, so nothing else would stop a
-#: bench task that opens its own runner from forking grandchildren).
+#: task that opens its own runner from forking grandchildren).
 _IN_WORKER = False
 
 
@@ -191,10 +189,10 @@ def _create_pool(workers: int, warm: bool) -> Any:
 class SweepOutcome:
     """An executed sweep: the spec summary plus ordered results.
 
-    ``aggregate`` is populated by the streaming paths (``sink=`` /
-    ``reduce=``): the sink or reducer summary — row count, the
-    order-independent row digest, and any reducer metrics.  On the
-    default (row-keeping) path it stays ``None``.
+    ``aggregate`` is populated by the streaming path (``sink=``): the
+    sink summary — row count, the order-independent row digest, and any
+    reducer metrics.  On the default (row-keeping) path it stays
+    ``None``.
     """
 
     spec: dict[str, Any]
@@ -260,17 +258,17 @@ class SweepRunner:
         chunksize: int | None = None,
         store: "ResultStore | None" = None,
         sink: "ResultSink | None" = None,
-        reduce: "RowReducer | None" = None,
     ) -> SweepOutcome:
         """Execute one sweep on the warm pool (API mirrors :func:`run_sweep`).
 
         A worker that dies closes the pool (:class:`WorkerCrashError`);
         the runner's next parallel sweep creates a fresh one.
         """
-        if sink is not None and reduce is not None:
-            raise ValueError("pass sink= or reduce=, not both")
-        if reduce is not None:
-            sink = ReducerSink(reduce.fresh())  # the template is never mutated
+        if store is not None and sink is not None and not sink.keeps_rows:
+            raise ValueError(
+                f"sweep {spec.name!r}: store= saves the outcome's rows and this sink keeps "
+                "none; stream them through a JsonlSink instead, or tee a MemorySink in"
+            )
         outcome = _stream(spec, chunksize, _KeepRows() if sink is None else sink, self)
         if store is not None:
             store.save(outcome)
@@ -305,7 +303,6 @@ def run_sweep(
     store: "ResultStore | None" = None,
     persistent_pool: bool = False,
     sink: "ResultSink | None" = None,
-    reduce: "RowReducer | None" = None,
 ) -> SweepOutcome:
     """Execute a sweep and (optionally) persist its artifact.
 
@@ -319,10 +316,10 @@ def run_sweep(
             :func:`default_chunksize`, capped at :data:`MAX_CHUNK_ROWS`
             (an explicit value always wins).
         store: when given, the outcome is saved under ``spec.name``
-            before returning.  (With a non-row-keeping ``sink`` the
-            saved artifact has an empty ``results`` body — stream the
-            rows through a :class:`~repro.engine.sink.JsonlSink`
-            instead when they must be persisted.)
+            before returning.  Only with the default path or a sink
+            that keeps rows: stream the rows through a
+            :class:`~repro.engine.sink.JsonlSink` instead when a sink
+            must drop them.
         persistent_pool: run on the process-wide shared
             :class:`SweepRunner` for this worker count, keeping the
             pool warm for later ``run_sweep`` calls, instead of
@@ -335,12 +332,6 @@ def run_sweep(
             row-keeping sinks (``MemorySink``) retain rows in the
             outcome.  The default (``None``) is the classic
             keep-everything path, byte-identical to prior releases.
-        reduce: a :class:`~repro.engine.aggregate.RowReducer`
-            *template*, never mutated: shorthand for
-            ``sink=ReducerSink(reduce.fresh())`` — each chunk folds its
-            rows into a fresh partial where its tasks ran, partials
-            merge in chunk order and the outcome carries only
-            ``aggregate``.  Mutually exclusive with ``sink``.
 
     Returns:
         A :class:`SweepOutcome` whose ``results`` are in task order —
@@ -350,13 +341,15 @@ def run_sweep(
         counts.
 
     Raises:
+        ValueError: ``store`` with a ``sink`` that keeps no rows (the
+            saved artifact would hold none), before any task runs.
         WorkerCrashError: a pool worker died.  Like a task's own
             exception, it aborts the sink first.
     """
     if persistent_pool and workers > 1:
-        return shared_runner(workers).run_sweep(spec, chunksize, store, sink, reduce)
+        return shared_runner(workers).run_sweep(spec, chunksize, store, sink)
     with _OneSweepRunner(workers) as runner:
-        return runner.run_sweep(spec, chunksize, store, sink, reduce)
+        return runner.run_sweep(spec, chunksize, store, sink)
 
 
 #: process-wide persistent runners, one per worker count.
@@ -510,8 +503,9 @@ def fold_cells(
     the sweep keeps every row (so ``store`` persists the full artifact)
     and the fold runs over them afterwards; with one, rows stream
     through the caller's sink and the fold together and no row list ever
-    exists.  Both ways ``fold`` sees the same results in the same order,
-    so the folded states are identical.
+    exists (so ``store`` is refused unless that sink keeps rows).  Both
+    ways ``fold`` sees the same results in the same order, so the folded
+    states are identical.
     """
     folder = CellFoldSink(fold)
     if sink is None:

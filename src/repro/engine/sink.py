@@ -17,7 +17,7 @@ of its ``value`` and one formatted header; both equal what
 :meth:`ResultStore.row_payload` and :func:`canonical_line` give, byte
 for byte.  So the digest of a sweep is byte-identical across
 `MemorySink`/`JsonlSink`/reducers and across every worker count — the
-property the streaming bench case and the engine property tests pin.
+property the engine property tests pin.
 Per-cell work stays out of the per-row loop: a cell's rows share one
 ``params`` dict, and :func:`fold_chunk` encodes it once per cell.
 

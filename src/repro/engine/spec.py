@@ -39,8 +39,6 @@ import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from repro.engine.shared import SharedPayload
-
 #: seed strategies a spec may choose from.
 SEED_MODES = ("derived", "offset")
 
@@ -108,22 +106,8 @@ class RunTask:
     seed: int
 
     def execute(self) -> "RunResult":
-        """Run the task function; bind the seed and cell by keyword.
-
-        :class:`~repro.engine.shared.SharedPayload` parameters are
-        resolved into the *call* only — the result keeps the handle, so
-        a pool worker ships the cheap handle back instead of re-pickling
-        the payload into every row.
-        """
-        params = self.params
-        if any(isinstance(v, SharedPayload) for v in params.values()):
-            call_params = {
-                k: (v.get() if isinstance(v, SharedPayload) else v)
-                for k, v in params.items()
-            }
-        else:
-            call_params = params
-        value = self.task(seed=self.seed, **call_params)
+        """Run the task function; bind the seed and cell by keyword."""
+        value = self.task(seed=self.seed, **self.params)
         return RunResult(
             index=self.index,
             params=self.params,
@@ -254,10 +238,7 @@ class SweepSpec:
             "name": self.name,
             "task": f"{self.task.__module__}.{self.task.__qualname__}",
             "grid": {k: list(v) for k, v in self.grid.items()},
-            "fixed": {
-                k: (v.describe() if isinstance(v, SharedPayload) else v)
-                for k, v in self.fixed.items()
-            },
+            "fixed": dict(self.fixed),
             "runs": self.runs,
             "base_seed": self.base_seed,
             "seeding": self.seeding,

@@ -53,7 +53,6 @@ from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.common.errors import StoreError
-from repro.engine.shared import SharedPayload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.executor import SweepOutcome
@@ -251,8 +250,7 @@ def jsonable(value: Any) -> Any:
     """Recursively convert a task's return value to JSON-safe data.
 
     Dataclasses flatten to dicts, tuples/sets to lists (sets sorted for
-    determinism), shared-payload handles to their content-free
-    ``describe()`` form, mapping keys to strings; everything else must
+    determinism), mapping keys to strings; everything else must
     already be JSON-encodable.  Leaf scalars are tested first: they are
     most of what a row holds.
 
@@ -263,8 +261,6 @@ def jsonable(value: Any) -> Any:
     """
     if value is None or isinstance(value, (str, int, float)):  # bool is an int
         return value
-    if isinstance(value, SharedPayload):
-        return value.describe()
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {f.name: jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, Mapping):

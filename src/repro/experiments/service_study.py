@@ -22,9 +22,8 @@ counters are deterministic and the benchmark suite pins them as
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
-from repro.db.cluster import Cluster
 from repro.sim.failures import FailurePlan
 from repro.traffic import (
     DEFAULT_BINS,
@@ -110,7 +109,6 @@ def run_open_loop_service(
     workload: object | None = None,
     catalog: object | None = None,
     failures: FailurePlan | None = None,
-    probe: "Callable[[Cluster], None] | None" = None,
     **shape: Any,
 ) -> OpenLoopResult:
     """E26: one open-loop service interval under a partition episode
@@ -130,10 +128,9 @@ def run_open_loop_service(
     stream (e.g. a :class:`~repro.replay.RecordedWorkload`).  ``adapt``
     passes an :class:`~repro.traffic.AdaptiveWindow` controller through
     to the service (``None`` — the default — is the historical fixed
-    window, byte-identical).  ``probe`` sees the finished cluster
-    before the result is assembled.
+    window, byte-identical).
     """
-    pins = dict(workload=workload, catalog=catalog, failures=failures, probe=probe)
+    pins = dict(workload=workload, catalog=catalog, failures=failures)
     return run_scenario(open_loop_scenario(**shape), protocol, seed, **pins).result
 
 

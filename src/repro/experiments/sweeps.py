@@ -33,7 +33,8 @@ streaming backend — rows flow through the caller's sink (e.g. a
 ``JsonlSink`` persisting 10^5 rows incrementally) *and* through the
 driver's own per-cell fold, and the returned aggregates are identical
 to the default path because the folds do the same arithmetic in the
-same order.
+same order.  ``store=`` needs the rows, so it is refused (``ValueError``)
+beside a ``sink=`` that keeps none.
 """
 
 from __future__ import annotations

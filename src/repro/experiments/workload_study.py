@@ -23,9 +23,8 @@ compatibility with historical imports.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
-from repro.db.cluster import Cluster
 from repro.engine import ResultSink, ResultStore, SweepSpec, fold_cells
 from repro.sim.failures import FailurePlan
 from repro.traffic import Scenario, WorkloadResult, run_scenario
@@ -208,7 +207,6 @@ def run_heavy_workload(
     protocol: str,
     seed: int = 0,
     *,
-    probe: "Callable[[Cluster], None] | None" = None,
     workload: object | None = None,
     catalog: object | None = None,
     failures: FailurePlan | None = None,
@@ -241,12 +239,11 @@ def run_heavy_workload(
     ``catalog`` / ``failures`` override the generated placement and
     fault schedule — the replay tournament pins all three (stream,
     catalog, plan) from a recorded artifact, leaving this function as
-    pure driver loop.  ``probe``, if given, is called with the finished
-    :class:`Cluster` just before the result is assembled — the
-    benchmark harness uses it to harvest network / WAL / scheduler
-    counters without widening the return type.
+    pure driver loop.  :func:`~repro.traffic.run_scenario` on
+    :func:`heavy_workload_scenario` is the same run with the finished
+    cluster handed back.
     """
-    pins = dict(workload=workload, catalog=catalog, failures=failures, probe=probe)
+    pins = dict(workload=workload, catalog=catalog, failures=failures)
     return run_scenario(heavy_workload_scenario(**shape), protocol, seed, **pins).result
 
 

@@ -24,7 +24,6 @@ from repro.engine import (
     MemorySink,
     ResultSink,
     ResultStore,
-    SharedPayload,
     SweepSpec,
     TeeSink,
     run_sweep,
@@ -292,7 +291,6 @@ def run_tournament(
     store: ResultStore | None = None,
     persistent_pool: bool = False,
     sink: ResultSink | None = None,
-    share_trace: bool = False,
 ) -> list[dict[str, Any]]:
     """Replay ``trace`` under every configuration; rows in config order.
 
@@ -303,21 +301,13 @@ def run_tournament(
     ``sink`` routes a large what-if matrix through the streaming
     backend — rows flow into the caller's sink as cells finish instead
     of accumulating (the return value is then assembled from a
-    row-keeping tee so config order is preserved).  ``share_trace``
-    publishes the trace's JSONL records once as a
-    :class:`~repro.engine.SharedPayload` instead of re-pickling them
-    into every cell — the win at big matrices; opt-in because the spec
-    summary (and so a persisted artifact's header) then carries the
-    handle's content-free ``{"shared": ...}`` form rather than the full
-    line list.
+    row-keeping tee so config order is preserved).  The trace's JSONL
+    records ride the spec's ``fixed``, so they cross the pool once per
+    chunk, not once per cell.
     """
     configs = tuple(configs)
     if not configs:
         raise StoreError("tournament needs at least one configuration")
-    lines: Any = trace.to_lines()
-    handle = None
-    if share_trace:
-        lines = handle = SharedPayload.publish(lines, label="replay-trace-lines")
     spec = SweepSpec(
         name="replay-tournament",
         task=tournament_run,
@@ -325,27 +315,14 @@ def run_tournament(
         runs=1,
         base_seed=trace.seed,
         seeding="offset",
-        fixed={"trace_lines": lines, "configs": configs},
+        fixed={"trace_lines": trace.to_lines(), "configs": configs},
     )
-    try:
-        if sink is not None:
-            keeper = sink if sink.keeps_rows else MemorySink()
-            tee = sink if keeper is sink else TeeSink(sink, keeper)
-            run_sweep(
-                spec,
-                workers=workers,
-                store=store,
-                persistent_pool=persistent_pool,
-                sink=tee,
-            )
-            return [r.value for r in keeper.results]
-        outcome = run_sweep(
-            spec, workers=workers, store=store, persistent_pool=persistent_pool
-        )
-    finally:
-        if handle is not None:
-            handle.release()
-    return outcome.values()
+    if sink is not None:
+        keeper = sink if sink.keeps_rows else MemorySink()
+        tee = sink if keeper is sink else TeeSink(sink, keeper)
+        run_sweep(spec, workers=workers, store=store, persistent_pool=persistent_pool, sink=tee)
+        return [r.value for r in keeper.results]
+    return run_sweep(spec, workers=workers, store=store, persistent_pool=persistent_pool).values()
 
 
 def diff_rows(

@@ -129,14 +129,8 @@ def tally_stream(
     cluster: "Cluster",
     outcomes: dict[str, str],
     handles: dict[str, object],
-    probe: "Callable[[Cluster], None] | None" = None,
 ) -> WorkloadResult:
-    """Resolve submitted handles against protocol verdicts and tally.
-
-    ``probe`` runs after the verdict loop, just before the result is
-    assembled — the historical hook position, preserved so harvested
-    counters are byte-identical to the pre-split driver.
-    """
+    """Resolve submitted handles against protocol verdicts and tally."""
     committed = protocol_aborted = blocked = 0
     for txn in handles:
         report = cluster.outcome(txn)
@@ -151,8 +145,6 @@ def tally_stream(
     client_aborted = sum(1 for o in outcomes.values() if o == "client-aborted")
     reads_committed = sum(1 for o in outcomes.values() if o == "read-committed")
 
-    if probe is not None:
-        probe(cluster)
     history = cluster.committed_history()
     return WorkloadResult(
         protocol=protocol,
@@ -342,13 +334,9 @@ class TrafficEngine:
     # tally
     # ------------------------------------------------------------------
 
-    def tally(
-        self, protocol: str, probe: "Callable[[Cluster], None] | None" = None
-    ) -> WorkloadResult:
+    def tally(self, protocol: str) -> WorkloadResult:
         """Resolve this engine's handles into a :class:`WorkloadResult`."""
-        return tally_stream(
-            protocol, self.cluster, self.outcomes, self.handles, probe=probe
-        )
+        return tally_stream(protocol, self.cluster, self.outcomes, self.handles)
 
     # ------------------------------------------------------------------
     # open-loop drive (implemented in repro.traffic.open_loop)

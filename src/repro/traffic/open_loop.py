@@ -311,7 +311,6 @@ def run_open_loop(
     latency_hi: float = 60.0,
     bins: int = DEFAULT_BINS,
     adapt: AdaptiveWindow | None = None,
-    probe: Callable[[Any], None] | None = None,
 ) -> OpenLoopResult:
     """Drive the engine's stream as an open-loop service.
 
@@ -331,8 +330,6 @@ def run_open_loop(
             window against the streaming p99 every ``adapt.interval``
             seconds.  ``None`` (default) keeps the fixed window and a
             byte-identical event sequence.
-        probe: sees the finished cluster before the result is
-            assembled (the benchmark harness harvests counters here).
     """
     if window < 1:
         raise ValueError(f"admission window must be >= 1, got {window}")
@@ -351,7 +348,7 @@ def run_open_loop(
     run.retire_decided()
     unresolved = len(run.submitted)
 
-    base = tally_stream(protocol, cluster, engine.outcomes, engine.handles, probe=probe)
+    base = tally_stream(protocol, cluster, engine.outcomes, engine.handles)
     return OpenLoopResult(
         protocol=protocol,
         rate=float(spec.rate),

@@ -14,8 +14,8 @@ position in full):
 3. **plan** — drawn and armed before any arrival is scheduled, so fault
    events keep the scheduler sequence numbers they always had;
 4. **drive** — closed, direct, single or open;
-5. **tally** — ``probe`` sees the finished cluster after the verdict
-   loop, before the result is assembled.
+5. **tally** — the verdict loop; the finished cluster comes back on the
+   :class:`ScenarioRun`.
 
 The three pins (``workload`` / ``catalog`` / ``failures``) replace what
 steps 1–3 would generate, so a recorded trace and a live generator are
@@ -126,7 +126,6 @@ def run_scenario(
     workload: object | None = None,
     catalog: ReplicaCatalog | None = None,
     failures: FailurePlan | None = None,
-    probe: "Callable[[Cluster], None] | None" = None,
 ) -> ScenarioRun:
     """Run ``scenario`` once under ``protocol`` (see the module docstring
     for the order of steps and why it is fixed).
@@ -135,8 +134,7 @@ def run_scenario(
     ``compile`` method is taken to *be* a compiled stream already (a
     :class:`~repro.replay.RecordedWorkload`).  ``catalog`` / ``failures``
     pin the placement and the fault schedule; a pinned catalog is used
-    as given, so hand a ``mutable`` scenario a fork.  ``probe`` is
-    called with the finished cluster.
+    as given, so hand a ``mutable`` scenario a fork.
     """
     from repro.workload.generators import memoized_catalog
 
@@ -164,11 +162,11 @@ def run_scenario(
         cluster.arm_failures(failures)
 
     if scenario.drive == "open":
-        result = engine.run_open(protocol, probe=probe, **scenario.service)
+        result = engine.run_open(protocol, **scenario.service)
     else:
         if scenario.drive == "single":
             engine.run_to_quiescence()
         else:
             engine.run_closed(engine.submit_direct if scenario.drive == "direct" else None)
-        result = engine.tally(protocol, probe=probe)
+        result = engine.tally(protocol)
     return ScenarioRun(scenario, cluster, engine, result, txn)

@@ -182,7 +182,6 @@ def run_wan_storm(
     workload: "WorkloadSpec | object | None" = None,
     catalog: "ReplicaCatalog | None" = None,
     failures: FailurePlan | None = None,
-    probe=None,
     **shape,
 ) -> ScenarioResult:
     """A 32+-site WAN installation under a region-wise partition storm
@@ -212,10 +211,9 @@ def run_wan_storm(
     :class:`~repro.replay.RecordedWorkload`), and ``catalog`` /
     ``failures`` pin the placement and fault schedule — together these
     let the replay tournament re-run a recorded storm under an
-    alternative configuration.  ``probe``, if given, sees the finished
-    :class:`~repro.db.cluster.Cluster` before the report is assembled.
+    alternative configuration.
     """
-    pins = dict(workload=workload, catalog=catalog, failures=failures, probe=probe)
+    pins = dict(workload=workload, catalog=catalog, failures=failures)
     run = run_scenario(wan_storm_scenario(**shape), protocol, seed, **pins)
     return ScenarioResult(run.cluster, run.txn, run.cluster.outcome(run.txn.txn))
 

@@ -37,10 +37,9 @@ class TestStreamIdentity:
 
     def test_run_wan_storm_cold_vs_warm(self):
         clear_worker_cache()
-        probes = []
-        kwargs = dict(seed=2, n_regions=3, sites_per_region=4, probe=probes.append)
+        kwargs = dict(seed=2, n_regions=3, sites_per_region=4)
         cold = run_wan_storm("qtp1", **kwargs)
         warm = run_wan_storm("qtp1", **kwargs)
         assert cold.outcome == warm.outcome
         assert cold.states() == warm.states()
-        assert cluster_counters(probes[0]) == cluster_counters(probes[1])
+        assert cluster_counters(cold.cluster) == cluster_counters(warm.cluster)

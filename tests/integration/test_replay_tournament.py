@@ -311,16 +311,6 @@ class TestTournament:
         assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
 
 
-    def test_shared_trace_returns_the_default_rows_and_releases_its_handle(self):
-        from repro.engine import shared
-
-        published = set(shared._PUBLISHED)
-        default = run_tournament(small_trace())
-        for workers in (1, 2):
-            assert run_tournament(small_trace(), workers=workers, share_trace=True) == default
-            assert set(shared._PUBLISHED) == published
-
-
 class TestCommandLine:
     """``replay`` / ``diff`` on an artifact the reader refuses: one
     ``error:`` line on stderr and exit status 2, never a traceback."""

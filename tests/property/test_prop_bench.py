@@ -1,68 +1,49 @@
-"""Bench-suite determinism properties.
+"""Bench-suite determinism properties, and the pinned hot paths held
+against naive references.
 
 ``bench diff`` is only a trustworthy gate if the suite is a *fixed
 point*: running the same cases twice with the same seeds — or at any
 worker count — must yield byte-identical deterministic payloads, so the
 only way a committed ``BENCH_*.json`` can disagree with a fresh run is
-a genuine behaviour change.  The hypothesis cases extend the guarantee
-across seeds: the A/B microbenches' two arms must agree with *each
-other* on every counter, and each optimized hot path must agree with a
-naive reference defined in this file (swapped into the trial with
-``mock.patch``, so the trial shape is the committed one).
+a genuine behaviour change.
+
+The hypothesis cases extend the guarantee across seeds: each optimized
+hot path must agree with a naive reference defined in this file.  A
+reference that drops into a cluster (the network, a site's lock
+manager, the catalog memo) is patched in for whole scenario runs — the
+trajectories the committed baselines pin — and must leave every
+counter unchanged.  One that does not (the trace store, crash
+recovery's replay, the pool-per-sweep runner) is driven by a small
+trial here, against the optimized path, on the same seeds.
 """
 
+import contextlib
 from collections import Counter
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from repro.bench import cases, compare_case, default_suite, encode
-from repro.bench.cases import (
-    catalog_memo_trial,
-    lock_probe_trial,
-    net_fanout_flyweight_trial,
-    net_fanout_trial,
-    partition_churn_trial,
-    recovery_replay_trial,
-    suite_warm_pool_trial,
-    sweep_streaming_trial,
-    trace_record_trial,
-    wal_append_trial,
-    zipf_sampling_trial,
-)
+from repro.bench import compare_case, default_suite, encode
+from repro.bench.cases import zipf_sampling_trial
 from repro.concurrency.locks import LockManager
-from repro.engine.executor import run_sweep
+from repro.engine import SweepRunner, SweepSpec, run_sweep
+from repro.experiments.workload_study import heavy_workload_scenario
 from repro.net.network import Network
 from repro.net.partitions import PartitionView
-from repro.sim.trace import TraceRecord
+from repro.replay import cluster_counters
+from repro.sim.rng import RngRegistry
+from repro.sim.scheduler import Scheduler
+from repro.sim.trace import Tracer, TraceRecord
+from repro.storage.recovery import replay_data
+from repro.storage.store import ReplicaStore
+from repro.storage.wal import WriteAheadLog
+from repro.traffic import run_scenario
+from repro.workload.scenarios import wan_storm_scenario
+from repro.workload.spec import WorkloadSpec
 
-#: cases cheap enough to run repeatedly inside tier-1.
-QUICK_CASES = [
-    "scheduler_drain",
-    "commit_mix",
-    "heavy_workload",
-    "net_deliver_fanout",
-    "wal_append",
-    "trace_record",
-    "partition_churn",
-    "suite_warm_pool",
-    "skewed_contention",
-    "read_mostly",
-    "cross_region_txn",
-    "elastic_join",
-    "open_loop_service",
-    "ramp_ceiling",
-    "rolling_upgrade",
-    "flash_crowd",
-    "gray_failure",
-    "lock_probe",
-    "net_fanout_flyweight",
-    "zipf_sampling",
-    "recovery_replay",
-    "catalog_memo",
-    "trace_replay_tournament",
-    "sweep_streaming",
-]
+#: every registered case is cheap enough at quick scale to run
+#: repeatedly inside tier-1.
+QUICK_CASES = default_suite("quick").names
 
 
 def _payload_bytes(suite, name, workers=1):
@@ -116,6 +97,31 @@ class _ScanLockManager(LockManager):
         return not entry.queue and all(mode.compatible_with(h) for h in entry.holders.values())
 
 
+def _rebuilt_catalog(rng, key, build, mutable=False):
+    """Reference: no memo at all, a fresh build per run."""
+    return build(rng)
+
+
+def _runs(seed):
+    """Whole runs a reference must leave unchanged: partition episodes,
+    Zipf contention on a hot item, and region storms that crash the
+    coordinator, with and without the heal that recovers it."""
+    zipf = WorkloadSpec(n_txns=30, popularity="zipf", zipf_s=1.4, mean_spacing=1.2)
+    return [
+        run_scenario(heavy_workload_scenario(n_txns=24, n_sites=6), "qtp1", seed),
+        run_scenario(heavy_workload_scenario(n_sites=10, n_items=8), "2pc", seed, workload=zipf),
+        run_scenario(wan_storm_scenario(), "qtp1", seed),
+        run_scenario(wan_storm_scenario(heal=True), "qtp2", seed),
+    ]
+
+
+def _counters(seed, target=None, reference=None):
+    """The runs' counters and cluster fingerprints, with ``reference``
+    patched over ``target`` while they run."""
+    with mock.patch(target, reference) if target else contextlib.nullcontext():
+        return [{**run.counters(), **cluster_counters(run.cluster)} for run in _runs(seed)]
+
+
 class _ListTracer:
     """Reference: a plain list of records, every query a linear scan."""
 
@@ -158,21 +164,45 @@ class _ListTracer:
         return dict(Counter(r.detail["mtype"] for r in self.where(category="send")))
 
 
-class _PoolPerSweepRunner:
-    """Reference: a process pool created and torn down inside every
-    ``run_sweep`` call, behind the ``SweepRunner`` surface the trial uses."""
+#: message types the synthetic trace mix draws from (protocol-shaped).
+_MTYPES = ("qtp1.vote-req", "qtp1.vote", "qtp1.prepare", "qtp1.ack", "qtp1.decision", "term.state")
 
-    def __init__(self, workers):
-        self.workers = workers
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return None
-
-    def run_sweep(self, spec):
-        return run_sweep(spec, workers=self.workers)
+def _trace_mix(seed, tracer, n_events=600, n_sites=24, n_txns=48, queries=12):
+    """Record a commit-run-shaped mix — mostly sends and delivers, a tail
+    of state transitions, decisions and quorum checks — then ask what the
+    analysis layer asks."""
+    rng = RngRegistry(seed).stream("trace-bench")
+    for step in range(n_events):
+        t, kind, site = step * 0.25, rng.randrange(100), rng.randrange(n_sites)
+        txn = f"T{rng.randrange(n_txns)}"
+        if kind < 72:
+            mtype, peer = _MTYPES[rng.randrange(len(_MTYPES))], rng.randrange(n_sites)
+            if kind < 35:
+                tracer.record_send(t, site, txn, mtype, peer)
+            elif kind < 65:
+                tracer.record_deliver(t, site, txn, mtype, peer)
+            else:
+                tracer.record_drop(t, site, txn, mtype, peer, "partitioned")
+        elif kind < 90:
+            tracer.record(t, site, "state", txn, src="W", dst="PC")
+        elif kind < 96:
+            tracer.record(t, site, "decision", txn, outcome="commit" if kind % 2 else "abort")
+        else:
+            tracer.record(t, site, "quorum", txn, ok=bool(kind % 2))
+    cats = ("send", "deliver", "decision", "state", "drop")
+    hits = sum(
+        len(tracer.where(category=cats[q % 5], site=q % n_sites)) + tracer.count(cats[q % 5])
+        for q in range(queries)
+    )
+    histogram = tracer.message_counts()
+    return {
+        "records": len(tracer),
+        "dropped": tracer.dropped,
+        "query_hits": hits,
+        "decided_sites": sum(len(tracer.decisions(f"T{i}")) for i in range(n_txns)),
+        "histogram": histogram,
+    }
 
 
 def _scan_replay(wal, store):
@@ -188,105 +218,128 @@ def _scan_replay(wal, store):
     return installs
 
 
-class TestABCountersAgree:
+def _replayed(seed, replay):
+    """Every site's log of a heavy E18 run, forced once and four times
+    over into fresh logs (the repeats are stale versions), then
+    ``replay``-ed into version-0 stores: per scale, the installs and the
+    stores' contents."""
+    run = run_scenario(heavy_workload_scenario(n_txns=24, n_sites=8), "qtp1", seed)
+    out = {}
+    for scale in (1, 4):
+        installs, stores = 0, []
+        for site in run.cluster.sites.values():
+            wal, store = WriteAheadLog(site.node_id), ReplicaStore(site.node_id)
+            for record in list(site.wal) * scale:
+                wal.force(record.txn, record.kind, **record.payload)
+                if record.kind == "apply" and not store.hosts(record.payload["item"]):
+                    store.host(record.payload["item"], value=0, version=0)
+            installs += replay(wal, store)
+            stores.append(sorted(store.items()))
+        out[scale] = installs, stores
+    return out
+
+
+def _noop():
+    """Scheduler filler event."""
+
+
+def drain(seed, n_events):
+    """A tiny sweep task: a scheduler drain over hash-scattered times."""
+    sched = Scheduler()
+    for i in range(n_events):
+        sched.call_fixed(float((i * 2654435761 + seed) % 211), _noop)
+    sched.run()
+    return {"events_run": sched.events_run, "final_now": sched.now}
+
+
+class _PoolPerSweepRunner:
+    """Reference: a process pool created and torn down inside every
+    ``run_sweep`` call, behind the ``SweepRunner`` surface."""
+
+    def __init__(self, workers):
+        self.workers = workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+    def run_sweep(self, spec):
+        return run_sweep(spec, workers=self.workers)
+
+
+def _campaign(seed, runner):
+    """A campaign of small sweeps on one runner: every sweep's rows."""
+    specs = [
+        SweepSpec(f"campaign-{i}", drain, grid={}, runs=3, base_seed=seed * 1009 + i, fixed={"n_events": 50})
+        for i in range(2)
+    ]
+    with runner:
+        return [runner.run_sweep(spec).results for spec in specs]
+
+
+class TestHotPathsAgreeWithReferences:
     """The optimized hot paths must change time only, never behaviour."""
 
     @given(st.integers(0, 2**20))
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=20, deadline=None)
     def test_fanout_counters_identical_across_modes(self, seed):
-        with mock.patch.object(cases, "Network", _SlowPathNetwork):
-            slow = net_fanout_trial(seed, n_sites=9, rounds=2)
-        cached = net_fanout_trial(seed, n_sites=9, rounds=2)
-        assert slow == cached
-
-    @given(st.integers(0, 2**20))
-    @settings(max_examples=5, deadline=None)
-    def test_wal_replay_counters_identical_except_flushes(self, seed):
-        counters = wal_append_trial(seed, n_txns=12, n_sites=5)
-        kinds = {k[len("kind_") :]: v for k, v in counters.items() if k.startswith("kind_")}
-        assert counters["forced"] == sum(kinds.values())
-        # group commit: one flush per record the protocol answers on —
-        # the begins and applies ride the next such record's batch
-        assert counters["flushes"] == sum(kinds.get(k, 0) for k in ("vote", "pc", "pa", "commit", "abort"))
-        assert counters["flushes"] <= counters["forced"]
-
-    @given(st.integers(0, 2**20))
-    @settings(max_examples=10, deadline=None)
-    def test_trace_counters_identical_across_stores(self, seed):
-        with mock.patch.object(cases, "Tracer", _ListTracer):
-            naive = trace_record_trial(seed, n_events=600, queries=12)
-        columnar = trace_record_trial(seed, n_events=600, queries=12)
-        assert naive == columnar
+        # the per-message path checks connectivity at send and at
+        # delivery and builds a full Message per fan-out destination
+        assert _counters(seed, "repro.db.cluster.Network", _SlowPathNetwork) == _counters(seed)
 
     @given(st.integers(0, 2**20))
     @settings(max_examples=10, deadline=None)
     def test_churn_counters_identical_across_interning(self, seed):
-        with mock.patch.object(cases, "Network", _FreshViewNetwork):
-            fresh = partition_churn_trial(seed, n_sites=10, rounds=4)
-        interned = partition_churn_trial(seed, n_sites=10, rounds=4)
-        assert fresh == interned
-
-    @given(st.integers(0, 2**10))
-    @settings(max_examples=3, deadline=None)
-    def test_warm_pool_counters_identical_across_executors(self, seed):
-        with mock.patch.object(cases, "SweepRunner", _PoolPerSweepRunner):
-            cold = suite_warm_pool_trial(seed, n_sweeps=2, runs_per_sweep=2)
-        warm = suite_warm_pool_trial(seed, n_sweeps=2, runs_per_sweep=2)
-        assert cold == warm
+        assert _counters(seed, "repro.db.cluster.Network", _FreshViewNetwork) == _counters(seed)
 
     @given(st.integers(0, 2**20))
     @settings(max_examples=10, deadline=None)
-    def test_flyweight_counters_identical_across_modes(self, seed):
-        with mock.patch.object(cases, "Network", _SlowPathNetwork):
-            messages = net_fanout_flyweight_trial(seed, n_sites=8, rounds=2)
-        stamped = net_fanout_flyweight_trial(seed, n_sites=8, rounds=2)
-        assert messages == stamped
-
-    @given(st.integers(0, 2**20))
-    @settings(max_examples=5, deadline=None)
-    def test_recovery_replay_stores_identical_across_modes(self, seed):
-        with mock.patch("repro.storage.recovery.replay_data", _scan_replay):
-            scan = recovery_replay_trial(seed, n_txns=24)
-        indexed = recovery_replay_trial(seed, n_txns=24)
-        # install counts legitimately differ (version ladder vs newest),
-        # but the replayed store state and the log shape must agree
-        for key in ("wal_records_1x", "wal_records_4x", "store_checksum_1x", "store_checksum_4x"):
-            assert scan[key] == indexed[key], key
-        assert indexed["installed_1x"] <= scan["installed_1x"]
+    def test_lock_counters_identical_across_modes(self, seed):
+        # the exclusive-holder counter must reproduce every grant
+        # decision of the compatibility-matrix holder scan
+        assert _counters(seed, "repro.db.site.LockManager", _ScanLockManager) == _counters(seed)
 
     @given(st.integers(0, 2**20))
     @settings(max_examples=5, deadline=None)
     def test_catalog_memo_counters_identical_across_modes(self, seed):
-        # reference: no memo at all, a fresh build per cell (the trial
-        # imports the name inside the function, so patch the source)
-        with mock.patch(
-            "repro.workload.generators.memoized_catalog", lambda rng, key, build: build(rng)
-        ):
-            rebuilt = catalog_memo_trial(seed, reuses=3)
-        memoized = catalog_memo_trial(seed, reuses=3)
-        # probe_sum pins the post-build RNG stream: state-capture hits
-        # must leave the caller's draws bit-identical to a rebuild
-        assert rebuilt == memoized
+        # the second memoized pass is all hits: state capture must leave
+        # every later draw where a rebuild leaves it
+        rebuilt = _counters(seed, "repro.workload.generators.memoized_catalog", _rebuilt_catalog)
+        assert _counters(seed) == _counters(seed) == rebuilt
 
     @given(st.integers(0, 2**20))
     @settings(max_examples=5, deadline=None)
-    def test_sweep_streaming_counters_identical_across_backends(self, seed):
-        # the streaming pipeline (JsonlSink + per-row reducer) must fold
-        # the exact same rows, digest, and aggregates as the classic
-        # accumulate-then-aggregate path
-        memory = sweep_streaming_trial(seed, streaming=False, n_cells=80, n_items=60)
-        streaming = sweep_streaming_trial(seed, streaming=True, n_cells=80, n_items=60)
-        assert memory == streaming
+    def test_wal_group_commit_flushes_once_per_answered_record(self, seed):
+        for run in _runs(seed):
+            for site in run.cluster.sites.values():
+                kinds = Counter(record.kind for record in site.wal)
+                assert site.wal.forced == len(site.wal)
+                # one flush per record the protocol answers on — the
+                # begins and applies ride the next such record's batch
+                assert site.wal.flushes == sum(kinds[k] for k in ("vote", "pc", "pa", "commit", "abort"))
 
     @given(st.integers(0, 2**20))
     @settings(max_examples=10, deadline=None)
-    def test_lock_probe_counters_identical_across_modes(self, seed):
-        # the exclusive-holder counter must reproduce every grant
-        # decision of the compatibility-matrix holder scan
-        with mock.patch.object(cases, "LockManager", _ScanLockManager):
-            scanned = lock_probe_trial(seed, n_readers=20, probes=200)
-        tracked = lock_probe_trial(seed, n_readers=20, probes=200)
-        assert scanned == tracked
+    def test_trace_counters_identical_across_stores(self, seed):
+        assert _trace_mix(seed, _ListTracer()) == _trace_mix(seed, Tracer())
+
+    @given(st.integers(0, 2**20))
+    @settings(max_examples=5, deadline=None)
+    def test_recovery_replay_stores_identical_across_modes(self, seed):
+        scan, indexed = _replayed(seed, _scan_replay), _replayed(seed, replay_data)
+        for scale in (1, 4):
+            # install counts legitimately differ (version ladder vs
+            # newest), but the replayed stores must agree
+            assert scan[scale][1] == indexed[scale][1], scale
+            assert indexed[scale][0] <= scan[scale][0]
+        assert indexed[4][0] == indexed[1][0]  # the replay does not grow with the log
+
+    @given(st.integers(0, 2**10))
+    @settings(max_examples=3, deadline=None)
+    def test_warm_pool_rows_identical_across_executors(self, seed):
+        assert _campaign(seed, _PoolPerSweepRunner(2)) == _campaign(seed, SweepRunner(2))
 
     @given(st.integers(0, 2**20))
     @settings(max_examples=5, deadline=None)

@@ -17,7 +17,7 @@ count — and the exact accumulators must satisfy the merge law that
 makes that possible (any partial grouping folds to the same summary).
 
 The chunk cases pin what crosses the pool boundary: whatever the worker
-count, the chunk size and the sink tree (``reduce=`` among them), a
+count, the chunk size and the sink tree, a
 sweep folded chunk by chunk equals a per-row ``open``/``emit``/``close``
 drive of the same sinks — artifact bytes included — and a raising task
 leaves exactly the rows before it.
@@ -45,7 +45,6 @@ from repro.engine import (
     ReducerSink,
     ResultStore,
     RowReducer,
-    SharedPayload,
     SweepSpec,
     TeeSink,
     derive_seed,
@@ -175,33 +174,27 @@ class TestChunkExpansion:
         base=st.integers(-(2**63), 2**63),
         name=st.text(max_size=6),
         seeding=st.sampled_from(["derived", "offset"]),
-        fixed=st.sampled_from(["none", "plain", "shared"]),
+        fixed=st.sampled_from(["none", "plain"]),
         size=st.integers(1, 12),
     )
     @settings(max_examples=150, deadline=None)
     def test_chunks_concatenate_to_the_per_task_expansion(self, grid, runs, base, name, seeding, fixed, size):
-        payload = SharedPayload.publish({"catalog": [1, 2, 3]}, label="prop")
-        try:
-            extra = {"none": {}, "plain": {"scale": 2}, "shared": {"scale": 2, "catalog": payload}}[fixed]
-            spec = SweepSpec(
-                name, pure_task, grid=grid, runs=runs, base_seed=base, seeding=seeding, fixed=extra
-            )
-            expected = _reference_expansion(spec)
-            chunks = list(spec.iter_chunks(size))
-            assert [len(list(chunk)) for chunk in chunks[:-1]] == [size] * (len(chunks) - 1)
-            assert [chunk.entries[0][0] for chunk in chunks] == list(range(0, spec.n_tasks, size))
-            for expansion in (
-                [task for chunk in chunks for task in chunk],
-                # what a pool worker expands: the chunk after a pickle round trip
-                [task for chunk in chunks for task in pickle.loads(pickle.dumps(chunk))],
-                list(spec.iter_tasks()),
-                spec.tasks(),
-            ):
-                fields = [(t.index, t.params, t.run, t.seed) for t in expansion]
-                assert fields == expected
-                assert {(t.sweep, t.task) for t in expansion} == {(name, pure_task)}
-        finally:
-            payload.release()
+        extra = {"none": {}, "plain": {"scale": 2, "catalog": [1, 2, 3]}}[fixed]
+        spec = SweepSpec(name, pure_task, grid=grid, runs=runs, base_seed=base, seeding=seeding, fixed=extra)
+        expected = _reference_expansion(spec)
+        chunks = list(spec.iter_chunks(size))
+        assert [len(list(chunk)) for chunk in chunks[:-1]] == [size] * (len(chunks) - 1)
+        assert [chunk.entries[0][0] for chunk in chunks] == list(range(0, spec.n_tasks, size))
+        for expansion in (
+            [task for chunk in chunks for task in chunk],
+            # what a pool worker expands: the chunk after a pickle round trip
+            [task for chunk in chunks for task in pickle.loads(pickle.dumps(chunk))],
+            list(spec.iter_tasks()),
+            spec.tasks(),
+        ):
+            fields = [(t.index, t.params, t.run, t.seed) for t in expansion]
+            assert fields == expected
+            assert {(t.sweep, t.task) for t in expansion} == {(name, pure_task)}
 
     @given(
         params=st.dictionaries(st.text(max_size=4), grid_values, max_size=3),
@@ -288,8 +281,6 @@ class TestStreamingFixedPoint:
             jsonl = JsonlSink(tmp_path / f"w{w}.jsonl.gz")
             run_sweep(self._spec(), workers=w, sink=jsonl)
             digests.add((jsonl.rows_emitted, jsonl.digest))
-            reduced = run_sweep(self._spec(), workers=w, reduce=_metric_reducer())
-            digests.add((reduced.aggregate["rows"], reduced.aggregate["digest"]))
         assert len(digests) == 1
 
     def test_stream_artifact_bytes_identical_across_workers(self, tmp_path):
@@ -399,7 +390,7 @@ class TestChunksEqualRows:
         workers=st.sampled_from([1, 2, 3]),
         chunksize=st.sampled_from([None, 1, 2, 7]),
         persistent=st.booleans(),
-        tree=st.sampled_from([*sorted(SINK_TREES), "reduce="]),
+        tree=st.sampled_from(sorted(SINK_TREES)),
     )
     @settings(max_examples=80, deadline=None)
     def test_every_sink_tree_at_every_layout(
@@ -412,17 +403,12 @@ class TestChunksEqualRows:
         )
         layout = dict(workers=workers, chunksize=chunksize, persistent_pool=persistent)
         with tempfile.TemporaryDirectory() as tmp:
-            if tree == "reduce=":
-                outcome = run_sweep(spec, reduce=_metric_reducer(), **layout)
-                summary = _per_row_reference(spec, "reducer")["summary"]
-            else:
-                sink, parts = SINK_TREES[tree](Path(tmp))
-                outcome = run_sweep(spec, sink=sink, **layout)
-                seen = _observe(sink, parts)
-                assert seen == _per_row_reference(spec, tree)
-                summary = seen["summary"]
+            sink, parts = SINK_TREES[tree](Path(tmp))
+            outcome = run_sweep(spec, sink=sink, **layout)
+            seen = _observe(sink, parts)
+            assert seen == _per_row_reference(spec, tree)
         assert outcome.results == []
-        assert outcome.aggregate == summary
+        assert outcome.aggregate == seen["summary"]
 
     @given(
         n=st.integers(1, 20),
@@ -528,7 +514,7 @@ class TestStreamingAggregatesMatchEager:
             eager = _metric_reducer()
             for row in store.load("agg")["results"]:
                 eager.fold_row(row)
-        streamed = run_sweep(spec, workers=2, chunksize=chunksize, reduce=_metric_reducer())
+        streamed = run_sweep(spec, workers=2, chunksize=chunksize, sink=ReducerSink(_metric_reducer()))
         assert streamed.aggregate == eager.summary()
 
     @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=40),

@@ -6,7 +6,7 @@ and a formatted header.  The reference is
 ``canonical_line({"type": "row", **ResultStore.row_payload(r)})`` for
 the line and ``row_digest(ResultStore.row_payload(r))`` for the digest;
 over generated rows — escaped and unicode keys, nested containers and
-dataclasses, shared-payload params, signed zeros, non-finite floats,
+dataclasses, signed zeros, non-finite floats,
 big ints, empty params, header fields that JSON spells its own way —
 and over real sweeps in both seeding modes, the two must agree.
 """
@@ -22,7 +22,6 @@ from repro.engine import (
     ChunkPlan,
     ResultStore,
     RunResult,
-    SharedPayload,
     SweepSpec,
     canonical_line,
     encode_row,
@@ -51,13 +50,6 @@ class Tally(int):
         return f"tally-{int(self)}"
 
 
-SHARED = SharedPayload.publish([1, 2, 3], label="encoder-payload")
-
-
-def teardown_module(module):
-    SHARED.release()
-
-
 keys = st.text(max_size=6)  # quotes, backslashes, control and non-ASCII characters
 floats = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
@@ -77,9 +69,7 @@ values = st.recursive(
     ),
     max_leaves=12,
 )
-params = st.dictionaries(
-    keys, st.one_of(values, st.just(SHARED), st.builds(Point, floats, st.just(()))), max_size=4
-)
+params = st.dictionaries(keys, st.one_of(values, st.builds(Point, floats, st.just(()))), max_size=4)
 header_ints = st.one_of(ints, st.integers(0, 2**63 - 1))
 # a header field that is not exactly an int must not go through "%d"
 odd_headers = st.one_of(st.booleans(), st.sampled_from(list(Level)), st.builds(Tally, st.integers(-5, 5)))
@@ -133,7 +123,7 @@ class TestEncodeRow:
 
 
 def echo(seed: int, **cell) -> dict:
-    """A task whose value carries its cell back (shared payloads resolved)."""
+    """A task whose value carries its cell back."""
     return {"seed": seed, "cell": cell, "half": seed / 2}
 
 
@@ -152,11 +142,11 @@ class TestSweepsEncodeLikeReference:
         runs=st.integers(1, 5),
         chunk=st.integers(1, 7),
         seeding=st.sampled_from(["derived", "offset"]),
-        shared=st.booleans(),
+        with_fixed=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_chunk_lines_and_digest_are_the_reference(self, grid, runs, chunk, seeding, shared):
-        fixed = {"payload": SHARED} if shared else {}
+    def test_chunk_lines_and_digest_are_the_reference(self, grid, runs, chunk, seeding, with_fixed):
+        fixed = {"payload": [1, 2, 3]} if with_fixed else {}
         spec = SweepSpec("encode", echo, grid=grid, runs=runs, base_seed=5, seeding=seeding, fixed=fixed)
         lines, digest = [], 0
         for task in spec.iter_tasks():

@@ -80,7 +80,6 @@ class TestSuite:
     def test_default_suite_registers_expected_cases(self):
         suite = default_suite("quick")
         assert suite.names == [
-            "scheduler_drain",
             "commit_mix",
             "heavy_workload",
             "wan_storm",
@@ -93,18 +92,8 @@ class TestSuite:
             "rolling_upgrade",
             "flash_crowd",
             "gray_failure",
-            "lock_probe",
-            "net_deliver_fanout",
-            "wal_append",
-            "trace_record",
-            "partition_churn",
-            "suite_warm_pool",
-            "net_fanout_flyweight",
             "zipf_sampling",
-            "recovery_replay",
-            "catalog_memo",
             "trace_replay_tournament",
-            "sweep_streaming",
         ]
         with pytest.raises(ValueError, match="unknown scale"):
             default_suite("huge")
@@ -154,7 +143,7 @@ class TestBaselineStore:
 
 
 class TestCommittedBaselines:
-    """The 26 files at the repo root, read but never re-run (milliseconds)."""
+    """The 14 files at the repo root, read but never re-run (milliseconds)."""
 
     def test_every_file_is_counter_only_canonical_and_owned_by_the_registry(self):
         suite = default_suite("full")

@@ -1,11 +1,9 @@
 """Unit tests for the streaming sweep backend: result sinks, the
-JSONL row-stream artifact, shared payloads, and the bounded worker
-cache."""
+JSONL row-stream artifact, and the bounded worker cache."""
 
 import gzip
 import io
 import json
-import pickle
 import random
 
 import pytest
@@ -24,7 +22,6 @@ from repro.engine import (
     ResultSink,
     ResultStore,
     RowReducer,
-    SharedPayload,
     SweepSpec,
     TeeSink,
     fold_cells,
@@ -53,11 +50,6 @@ def untravelling_failure_task(seed: int) -> int:
         error.payload = lambda: None  # makes the exception unpicklable
         raise error
     return seed
-
-
-def payload_probe_task(seed: int, table: object) -> int:
-    """Reads a resolved SharedPayload value."""
-    return table[seed % len(table)] + seed
 
 
 def _spec(name: str = "s", runs: int = 6, task=probe_task, **kwargs) -> SweepSpec:
@@ -327,21 +319,35 @@ class TestReducerSink:
         assert outcome.results == []
         assert outcome.aggregate == eager.summary()
 
-    def test_reduce_kwarg_matches_sink_and_serial(self):
-        serial = run_sweep(_spec(), reduce=_reducer())
-        parallel = run_sweep(_spec(), workers=2, chunksize=2, reduce=_reducer())
-        sunk = run_sweep(_spec(), sink=ReducerSink(_reducer()))
-        assert serial.aggregate == parallel.aggregate == sunk.aggregate
+    def test_serial_and_pooled_reducer_sinks_agree(self):
+        serial = run_sweep(_spec(), sink=ReducerSink(_reducer()))
+        parallel = run_sweep(_spec(), workers=2, chunksize=2, sink=ReducerSink(_reducer()))
+        assert serial.aggregate == parallel.aggregate
         assert serial.results == parallel.results == []
 
-    def test_reduce_template_is_never_mutated(self):
-        template = _reducer()
-        run_sweep(_spec(), reduce=template)
-        assert template.rows == 0 and template.digest == 0
 
-    def test_sink_and_reduce_are_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            run_sweep(_spec(), sink=NoopSink(), reduce=_reducer())
+def never_run(seed: int) -> int:
+    raise AssertionError("a refused sweep ran a task")
+
+
+class TestStoreNeedsRows:
+    """``store=`` saves the outcome's rows: a sink that keeps none would
+    leave an artifact that claims its runs and holds no row."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_store_with_a_row_dropping_sink_is_refused_before_any_task(self, tmp_path, workers):
+        spec = SweepSpec("quiet", never_run, grid={}, runs=5)
+        store = ResultStore(tmp_path)
+        with pytest.raises(ValueError, match="keeps none"):
+            run_sweep(spec, workers=workers, store=store, sink=NoopSink())
+        with pytest.raises(ValueError, match="keeps none"):
+            fold_cells(spec, lambda state, r: r, store=store, sink=NoopSink())
+        assert not store.path_for("quiet").exists()
+
+    def test_store_with_a_row_keeping_sink_saves_every_row(self, tmp_path):
+        store = ResultStore(tmp_path)
+        run_sweep(_spec(), store=store, sink=TeeSink(NoopSink(), MemorySink()))
+        assert len(store.load("s")["results"]) == 12
 
 
 def mix_task(seed: int, mix: list, w: dict) -> int:
@@ -480,88 +486,6 @@ class TestSinksThatNeedLiveResults:
         run_sweep(_spec(), workers=2, chunksize=5, sink=TeeSink(jsonl, sink))
         assert sink.seen == run_sweep(_spec()).results
         assert sink.digest == jsonl.digest and jsonl.rows_emitted == 12
-
-
-class TestSharedPayload:
-    def test_publish_resolves_to_same_object(self):
-        table = [10, 20, 30]
-        handle = SharedPayload.publish(table, label="t")
-        try:
-            assert handle.get() is table
-            assert handle.describe() == {"shared": "t"}
-        finally:
-            handle.release()
-
-    def test_pickle_round_trip_resolves_without_registry(self):
-        from repro.engine import shared as shared_mod
-
-        handle = SharedPayload.publish({"k": list(range(50))}, label="remote")
-        try:
-            clone = pickle.loads(pickle.dumps(handle))
-            # simulate a foreign process: neither registry holds the token
-            shared_mod._PUBLISHED.pop(handle.token, None)
-            shared_mod._ATTACHED.pop(handle.token, None)
-            value = clone.get()
-            assert value == {"k": list(range(50))}
-            assert clone.get() is value  # per-process attach cache
-        finally:
-            handle.release()
-
-    def test_inline_fallback_when_shared_memory_unavailable(self, monkeypatch):
-        from multiprocessing import shared_memory
-
-        from repro.engine import shared as shared_mod
-
-        def refuse(*args, **kwargs):
-            raise OSError("no shm here")
-
-        monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
-        handle = SharedPayload.publish([1, 2, 3], label="inline")
-        try:
-            clone = pickle.loads(pickle.dumps(handle))
-            shared_mod._PUBLISHED.pop(handle.token, None)
-            shared_mod._ATTACHED.pop(handle.token, None)
-            assert clone.get() == [1, 2, 3]
-        finally:
-            handle.release()
-
-    def test_release_then_resolve_fails_loudly(self):
-        handle = SharedPayload.publish([1], label="gone")
-        handle.release()
-        with pytest.raises(StoreError):
-            handle.get()
-
-    def test_handles_compare_and_hash_by_token(self):
-        handle = SharedPayload.publish("v", label="eq")
-        try:
-            clone = pickle.loads(pickle.dumps(handle))
-            assert handle == clone and hash(handle) == hash(clone)
-            assert handle != SharedPayload.publish("v", label="eq")
-        finally:
-            handle.release()
-
-    def test_sweep_resolves_payloads_and_headers_stay_content_free(self):
-        table = list(range(100, 110))
-        handle = SharedPayload.publish(table, label="table")
-        try:
-            spec = SweepSpec(
-                "shared",
-                payload_probe_task,
-                grid={},
-                runs=4,
-                seeding="offset",
-                fixed={"table": handle},
-            )
-            serial = run_sweep(spec)
-            parallel = run_sweep(spec, workers=2)
-            assert serial.results == parallel.results
-            assert serial.values() == [table[s % len(table)] + s for s in range(4)]
-            # artifact headers carry the label, never pickled bytes
-            assert serial.spec["fixed"] == {"table": {"shared": "table"}}
-            # results keep the cheap handle, not the resolved value
-            assert serial.results[0].params["table"] == handle
-        finally:
-            handle.release()
 
 
 class TestWorkerCacheBound:

@@ -62,7 +62,7 @@ class Blocked:
 sys.meta_path.insert(0, Blocked())
 from repro.bench.__main__ import main
 
-sys.exit(main(["diff", "--check", "--case", "scheduler_drain", "--case", "commit_mix"]))
+sys.exit(main(["diff", "--check", "--case", "commit_mix", "--case", "wan_storm"]))
 """
 
 

@@ -21,6 +21,13 @@ rode) do not come back under ``src/repro/engine/``.  So is its
 fault-tolerance arm: ``run_sweep`` takes no retry policy and resumes no
 artifact, and the names of the chaos harness, the salvage scan and the
 pool replacement stay out of the engine.
+
+So are the bench registry's counter-only microbenches and what only
+they exercised: the eleven retired cases stay unregistered and
+unbaselined, the shared-payload transport stays deleted, and the
+keywords that carried it or them — a tournament's shared trace, the
+sweep's ``reduce=`` shorthand, the drivers' cluster probe, the bench's
+warm-pool runner — are rejected.
 """
 
 import importlib
@@ -31,13 +38,15 @@ from pathlib import Path
 import pytest
 
 import repro.engine as engine
-from repro.bench import BenchCase, BenchSuite, cases, compare_case
+from repro.bench import BenchCase, BenchSuite, cases, compare_case, diff_against_baselines
 from repro.bench.cases import default_suite
 from repro.concurrency.locks import LockManager
 from repro.engine import (
+    CountAcc,
     FoldedChunk,
     NoopSink,
     ResultSink,
+    RowReducer,
     SweepOutcome,
     SweepRunner,
     SweepSpec,
@@ -45,17 +54,30 @@ from repro.engine import (
     run_sweep,
 )
 from repro.engine.spec import TaskChunk
+from repro.experiments.service_study import run_open_loop_service
+from repro.experiments.workload_study import run_heavy_workload
 from repro.net.network import Network
+from repro.replay import run_tournament
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import Scheduler
 from repro.sim.trace import Tracer
 from repro.storage.recovery import replay_data
 from repro.storage.store import ReplicaStore
 from repro.storage.wal import WriteAheadLog
+from repro.traffic import run_scenario
+from repro.workload.scenarios import run_wan_storm
 
 BENCH_SRC = Path(cases.__file__).parent
-TOY_SPEC = default_suite("quick").case("scheduler_drain").spec
-SWEEP = SweepSpec("retired", cases.warm_pool_probe, grid={}, runs=2, fixed={"n_events": 10})
+REPO = BENCH_SRC.parents[2]
+TOY_SPEC = default_suite("quick").case("commit_mix").spec
+
+
+def toy_task(seed: int) -> int:
+    return seed
+
+
+SWEEP = SweepSpec("retired", toy_task, grid={}, runs=2)
+REDUCER = RowReducer((("v", "", CountAcc()),))
 
 
 def _kw(head: str, tail: str, value: object) -> dict[str, object]:
@@ -81,16 +103,22 @@ RETIRED_KEYWORDS = {
     "run_case-measure-time": lambda: BenchSuite().run_case("toy", measure_time=False),
     "run-measure-time": lambda: BenchSuite().run(measure_time=False),
     "compare_case-time-tolerance": lambda: compare_case({}, {}, time_tolerance=5.0),
-    "catalog_memo_trial-memo": lambda: cases.catalog_memo_trial(0, memo=True),
-    "suite_warm_pool_trial-warm": lambda: cases.suite_warm_pool_trial(0, warm=True),
-    "recovery_replay_trial-replays": lambda: cases.recovery_replay_trial(0, replays=1),
-    "wal_append_trial-replays": lambda: cases.wal_append_trial(0, replays=1),
     "run_sweep-on-error": lambda: run_sweep(SWEEP, **_kw("on", "error", "retry")),
     "run_sweep-resume-from": lambda: run_sweep(SWEEP, **_kw("resume", "from", "rows.jsonl.gz")),
     "SweepRunner.run_sweep-on-error": lambda: SweepRunner(1).run_sweep(SWEEP, **_kw("on", "error", "retry")),
     "SweepRunner.run_sweep-resume-from": lambda: SweepRunner(1).run_sweep(
         SWEEP, **_kw("resume", "from", "rows.jsonl.gz")
     ),
+    "run_sweep-reduce": lambda: run_sweep(SWEEP, reduce=REDUCER),
+    "SweepRunner.run_sweep-reduce": lambda: SweepRunner(1).run_sweep(SWEEP, reduce=REDUCER),
+    "run_tournament-share-trace": lambda: run_tournament(None, **_kw("share", "trace", True)),
+    "run_scenario-probe": lambda: run_scenario(None, "qtp1", 0, probe=print),
+    "run_heavy_workload-probe": lambda: run_heavy_workload("qtp1", probe=print),
+    "run_wan_storm-probe": lambda: run_wan_storm("qtp1", probe=print),
+    "run_open_loop_service-probe": lambda: run_open_loop_service("qtp1", probe=print),
+    "run_case-runner": lambda: BenchSuite().run_case("toy", runner=None),
+    "run-runner": lambda: BenchSuite().run(runner=None),
+    "diff_against_baselines-runner": lambda: diff_against_baselines(BenchSuite(), None, runner=None),
 }
 
 
@@ -102,9 +130,33 @@ def test_retired_keyword_is_rejected(call):
 
 def test_no_bench_case_selects_a_retired_arm():
     retired_axes = {"tracked", "cached", "grouped", "columnar", "intern", "flyweight", "indexed"}
-    retired_axes |= {"memo", "warm", "resilient"}
+    retired_axes |= {"memo", "warm", "resilient", "streaming"}
     for case in default_suite():
         assert not retired_axes & set(case.spec.grid), case.name
+
+
+#: the counter-only microbenches of synthetic inputs; what each pinned is
+#: held against its reference in tests/property/test_prop_bench.py or by
+#: the scenario baselines
+RETIRED_CASES = [
+    "scheduler_drain",
+    "lock_probe",
+    "net_deliver_fanout",
+    "net_fanout_flyweight",
+    "wal_append",
+    "trace_record",
+    "partition_churn",
+    "suite_warm_pool",
+    "recovery_replay",
+    "catalog_memo",
+    "sweep_streaming",
+]
+
+
+@pytest.mark.parametrize("name", RETIRED_CASES)
+def test_retired_case_stays_unregistered(name):
+    assert name not in cases.CASES
+    assert not (REPO / f"BENCH_{name}.json").exists()
 
 
 #: what only the gate's own clock ever needed (the soft-timeout watchdog
@@ -129,6 +181,15 @@ def test_retired_cli_flag_is_rejected(flag, capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["diff", flag, "25"])
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "diff", "update"])
+def test_the_warm_pool_flag_is_rejected(command, capsys):
+    from repro.bench.__main__ import main
+
+    with pytest.raises(SystemExit):
+        main([command, "--persistent-pool"])
+    assert "unrecognized arguments: --persistent-pool" in capsys.readouterr().err
 
 
 ENGINE_SRC = Path(cases.__file__).parent.parent / "engine"
@@ -206,6 +267,7 @@ RETIRED_ENGINE_NAMES = [
         ("Printing", "Sink"),
         ("Fold", "Sink"),
         ("map", "_runs"),
+        ("Shared", "Payload"),
     ]
 ]
 
@@ -216,9 +278,10 @@ def test_retired_engine_name_is_not_exported(name):
     assert not hasattr(engine, name)
 
 
-def test_the_fault_tolerance_module_is_gone():
+@pytest.mark.parametrize("module", ["resil" + "ience", "shared"])
+def test_the_retired_engine_module_is_gone(module):
     with pytest.raises(ModuleNotFoundError):
-        importlib.import_module("repro.engine." + "resil" + "ience")
+        importlib.import_module("repro.engine." + module)
 
 
 RETIRED_ATTRIBUTES = {
@@ -240,10 +303,11 @@ def test_retired_engine_attribute_is_gone(build, attribute):
 
 
 #: the keywords each entry point keeps: two fewer on each than before
-#: the fault-tolerance arm went
+#: the fault-tolerance arm went, and one fewer again since ``reduce=``
+#: (a second spelling of ``sink=ReducerSink(...)``) did
 SWEEP_SIGNATURES = {
-    "run_sweep": (run_sweep, ["spec", "workers", "chunksize", "store", "persistent_pool", "sink", "reduce"]),
-    "SweepRunner.run_sweep": (SweepRunner.run_sweep, ["self", "spec", "chunksize", "store", "sink", "reduce"]),
+    "run_sweep": (run_sweep, ["spec", "workers", "chunksize", "store", "persistent_pool", "sink"]),
+    "SweepRunner.run_sweep": (SweepRunner.run_sweep, ["self", "spec", "chunksize", "store", "sink"]),
 }
 
 

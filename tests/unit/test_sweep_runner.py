@@ -6,7 +6,6 @@ import json
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -24,9 +23,20 @@ from repro.engine.executor import (
 )
 from repro.engine.sink import JsonlSink, MemorySink, NoopSink, ReducerSink, TeeSink, iter_stream_rows
 from repro.engine.spec import SweepSpec
-from repro.bench.cases import suite_warm_pool_trial, warm_pool_probe
+from repro.sim.scheduler import Scheduler
 
-REPO = Path(__file__).resolve().parents[2]
+
+def _noop() -> None:
+    """Scheduler filler event."""
+
+
+def warm_pool_probe(seed: int, n_events: int) -> dict:
+    """A small sweep task: a scheduler drain over hash-scattered times."""
+    sched = Scheduler()
+    for i in range(n_events):
+        sched.call_fixed(float((i * 2654435761 + seed) % 211), _noop)
+    sched.run()
+    return {"events_run": sched.events_run, "final_now": sched.now}
 
 
 def _spec(name: str, runs: int = 4) -> SweepSpec:
@@ -37,6 +47,17 @@ def _spec(name: str, runs: int = 4) -> SweepSpec:
         runs=runs,
         fixed={"n_events": 50},
     )
+
+
+def campaign(seed: int) -> list:
+    """A campaign of small sweeps on one two-worker runner: every row."""
+    fixed = {"n_events": 50}
+    specs = [
+        SweepSpec(f"campaign-{i}", warm_pool_probe, grid={}, runs=3, base_seed=seed * 1009 + i, fixed=fixed)
+        for i in range(2)
+    ]
+    with SweepRunner(workers=2) as runner:
+        return [runner.run_sweep(spec).values() for spec in specs]
 
 
 class TestSweepRunner:
@@ -79,9 +100,9 @@ class TestSweepRunner:
         assert store.load("stored")["spec"]["name"] == "stored"
 
 
-def nested_campaign(seed: int, **shape) -> dict:
-    """The warm-pool bench trial as a sweep task, reporting where it
-    ran and how many pools the runner it opens in there created."""
+def nested_campaign(seed: int) -> dict:
+    """:func:`campaign` as a sweep task, reporting where it ran and how
+    many pools the runner it opens in there created."""
     runners = []
     init = SweepRunner.__init__
 
@@ -90,7 +111,7 @@ def nested_campaign(seed: int, **shape) -> dict:
         runners.append(self)
 
     with mock.patch.object(SweepRunner, "__init__", recording):
-        counters = suite_warm_pool_trial(seed, **shape)
+        counters = campaign(seed)
     return {
         "counters": counters,
         "pools_created": [runner.pools_created for runner in runners],
@@ -102,19 +123,16 @@ class TestNestedSweepsStaySerial:
     def test_a_campaign_inside_a_pool_worker_forks_no_grandchildren(self):
         """Executor workers are not daemonic, so nothing but the
         engine's own mark stops a worker from pooling."""
-        committed = json.loads((REPO / "BENCH_suite_warm_pool.json").read_text())
-        spec = SweepSpec(
-            "nested", nested_campaign, grid={}, runs=2, seeding="offset", fixed=committed["spec"]["fixed"]
-        )
+        spec = SweepSpec("nested", nested_campaign, grid={}, runs=2, seeding="offset")
         with SweepRunner(workers=2) as runner:
             outcome = runner.run_sweep(spec, chunksize=1)
             if runner.pools_created == 0:
                 pytest.skip("this environment cannot create a process pool")
-        for result, row in zip(outcome.results, committed["rows"], strict=True):
-            assert result.seed == row["seed"]
+        for result in outcome.results:
             assert result.value["pid"] != os.getpid()
             assert result.value["pools_created"] == [0]
-            assert result.value["counters"] == row["counters"]
+            # the serial campaign in there yields what the pooled one here does
+            assert result.value["counters"] == campaign(result.seed)
 
 
 def dying_cell(seed: int, parent: int, die_at: int) -> int:

@@ -13,11 +13,13 @@ from repro.common.errors import ConfigurationError
 from repro.db.cluster import Cluster
 from repro.experiments.service_study import (
     discover_ceiling,
+    open_loop_scenario,
     run_open_loop_service,
     service_failure_plan,
 )
+from repro.experiments.workload_study import heavy_workload_scenario, run_heavy_workload
 from repro.sim.rng import RngRegistry
-from repro.traffic import AdaptiveWindow, OpenLoopResult, RetryPolicy, TrafficEngine, ramp
+from repro.traffic import AdaptiveWindow, OpenLoopResult, RetryPolicy, TrafficEngine, ramp, run_scenario
 from repro.workload.generators import random_catalog
 from repro.workload.spec import WorkloadSpec
 
@@ -54,12 +56,10 @@ class TestClosedLoop:
         second = _engine().run_closed()[0]
         assert first == second
 
-    def test_tally_probe_sees_finished_cluster(self):
-        engine = _engine()
-        engine.run_closed()
-        seen = {}
-        engine.tally("qtp1", probe=lambda cluster: seen.update(now=cluster.scheduler.now))
-        assert seen["now"] == engine.cluster.scheduler.now
+    def test_the_run_hands_back_the_finished_cluster(self):
+        run = run_scenario(heavy_workload_scenario(n_txns=12, n_sites=6), "qtp1", 0)
+        assert run.cluster.scheduler.pending == 0 and run.cluster.scheduler.now > 0
+        assert run.result == run_heavy_workload("qtp1", 0, n_txns=12, n_sites=6)
 
     def test_read_only_ops_commit_on_fast_path(self):
         spec = WorkloadSpec(
@@ -154,16 +154,10 @@ class TestOpenLoop:
         )
         assert quiet.committed >= stormy.committed
 
-    def test_probe_sees_finished_cluster(self):
-        seen = {}
-        run_open_loop_service(
-            "qtp1",
-            seed=0,
-            rate=1.0,
-            duration=20.0,
-            probe=lambda cluster: seen.update(events=cluster.scheduler.events_run),
-        )
-        assert seen["events"] > 0
+    def test_the_run_hands_back_the_finished_cluster(self):
+        run = run_scenario(open_loop_scenario(rate=1.0, duration=20.0), "qtp1", 0)
+        assert run.cluster.scheduler.events_run > 0
+        assert run.result.counters() == run_open_loop_service("qtp1", 0, rate=1.0, duration=20.0).counters()
 
 
 class TestRetryPolicy:
