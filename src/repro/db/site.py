@@ -63,7 +63,7 @@ class SiteHooks(ProtocolHooks):
                 continue
             value, version = writes[item]
             if site.store.read(item).version < version:
-                site.wal.force(txn, "apply", item=item, value=value, version=version)
+                site.wal.apply(txn, item, value, version)
                 site.store.write(item, value, version)
         site.locks.release_all(txn)
 

@@ -382,14 +382,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         # the coordinator's begin record makes the commit attempt itself
         # durable, so a recovered coordinator knows which transactions it
         # left in flight (classical 2PC recovery depends on this).
-        self.wal.force(
-            txn,
-            "begin",
-            role="coordinator",
-            writes={k: list(v) for k, v in writes.items()},
-            participants=participants,
-            coordinator=self.site,
-        )
+        self.wal.begin(txn, writes, participants, self.site, role="coordinator")
         self.node.trace("coord-begin", txn, participants=participants, items=sorted(writes))
         self.node.multicast(
             participants,
@@ -471,7 +464,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
             # original round stands down.
             self.node.trace("coord-stale-round", round_.txn, outcome=outcome, decided=prior)
             return
-        self.wal.force(round_.txn, outcome, role="coordinator")
+        self.wal.decide(round_.txn, outcome, role="coordinator")
         self.node.trace("coord-decision", round_.txn, outcome=outcome)
         self.node.multicast(round_.participants, self._m(outcome), round_.txn)
 
@@ -483,15 +476,9 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         if msg.txn in self._records:
             return  # duplicate vote-req
         record = self._record_from_payload(msg.txn, msg.payload)
-        self.wal.force(
-            msg.txn,
-            "begin",
-            writes={k: list(v) for k, v in record.writes.items()},
-            participants=record.participants,
-            coordinator=record.coordinator,
-        )
+        self.wal.begin(msg.txn, record.writes, record.participants, record.coordinator)
         yes = self.hooks.vote(msg.txn, record.writes)
-        self.wal.force(msg.txn, "vote", vote="yes" if yes else "no")
+        self.wal.vote(msg.txn, yes)
         if yes:
             self._transition(record, TxnState.W, via="vote-yes")
             self.node.send(record.coordinator, self._m("vote"), msg.txn, yes=True)
@@ -516,7 +503,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         if record is None:
             return
         if record.state is TxnState.W:
-            self.wal.force(msg.txn, "pc")
+            self.wal.pc(msg.txn)
             self._transition(record, TxnState.PC, via="prepare")
             self.node.send(msg.src, self._m("ack"), msg.txn)
             self._arm_watchdog(record)
@@ -557,7 +544,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
                     via=via,
                 )
             return
-        self.wal.force(record.txn, outcome)
+        self.wal.decide(record.txn, outcome)
         self._transition(record, wanted, via=via)
         record.cancel_all_timers()
         record.blocked = False
@@ -613,20 +600,16 @@ class CommitProtocolEngine(ElectionMixin, ABC):
             # initial state Q — exactly the case the termination rules
             # treat as an immediate abort.  Materialize the record so a
             # later ABORT command has something to act on.  (A durable
-            # decision in the WAL means the record was merely not yet
-            # rebuilt; answer with the decision, never with Q.)
+            # participant decision in the WAL means the record was merely
+            # not yet rebuilt; answer with the decision, never with Q.  A
+            # coordinator-role decision is not this participant's: its
+            # half never joined, so it answers Q and takes the command.)
             record = self._record_from_payload(msg.txn, msg.payload)
-            decision = self.wal.decision(msg.txn)
+            decision = self.wal.participant_decision(msg.txn)
             if decision is not None:
                 record.state = TxnState.C if decision == "commit" else TxnState.A
             else:
-                self.wal.force(
-                    msg.txn,
-                    "begin",
-                    writes=dict(msg.payload["writes"]),
-                    participants=record.participants,
-                    coordinator=record.coordinator,
-                )
+                self.wal.begin(msg.txn, record.writes, record.participants, record.coordinator)
         self.node.send(
             msg.src,
             self._m("t.state"),
@@ -705,7 +688,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         if record.state not in (TxnState.W, TxnState.PC, TxnState.PA):
             return  # Q never voted; it must not enter a committable state
         if record.state is not TxnState.PC:
-            self.wal.force(msg.txn, "pc")
+            self.wal.pc(msg.txn)
             self._transition(record, TxnState.PC, via=f"t.ptc-from-{msg.src}")
         self.node.send(
             msg.src, self._m("t.pc-ack"), msg.txn, attempt=msg.payload["attempt"]
@@ -723,7 +706,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         if record.state not in (TxnState.W, TxnState.PA, TxnState.PC):
             return
         if record.state is not TxnState.PA:
-            self.wal.force(msg.txn, "pa")
+            self.wal.pa(msg.txn)
             self._transition(record, TxnState.PA, via=f"t.pta-from-{msg.src}")
         self.node.send(
             msg.src, self._m("t.pa-ack"), msg.txn, attempt=msg.payload["attempt"]
@@ -817,9 +800,14 @@ class CommitProtocolEngine(ElectionMixin, ABC):
 
         Participant records are rebuilt from their durable state (Q, W,
         PC, PA) and armed with a watchdog so the site rejoins
-        termination.  Coordinator roles recover by re-broadcasting a
-        logged decision, or — for undecided attempts — through the
-        family hook :meth:`_recover_undecided_coordinator`.
+        termination.  Only a *participant-role* decision makes the
+        record terminal: a coordinator that forced its decision but
+        crashed before its own command reached its participant half
+        rebuilds that half undecided, and the re-broadcast command then
+        decides it (and applies its writes) through :meth:`_decide`.
+        Coordinator roles recover by re-broadcasting a logged decision,
+        or — for undecided attempts — through the family hook
+        :meth:`_recover_undecided_coordinator`.
 
         Returns the transactions recovered into an undecided
         participant state.
@@ -828,13 +816,14 @@ class CommitProtocolEngine(ElectionMixin, ABC):
 
         recovered = []
         undecided = recover_protocol_states(self.wal)
-        for begin in self.wal:
-            if begin.kind != "begin" or begin.payload.get("role") == "coordinator":
+        coordinated = {}  # txn -> (writes, participants) of its first coordinator begin
+        for txn, role, writes, participants, coordinator in self.wal.begins():
+            if role == "coordinator":
+                coordinated.setdefault(txn, (writes, participants))
                 continue
-            txn = begin.txn
             if txn in self._records:
                 continue
-            decision = self.wal.decision(txn)
+            decision = self.wal.participant_decision(txn)
             if decision is not None:
                 # decided before the crash: rebuild the terminal record
                 # so termination polls are answered with C / A, never Q
@@ -845,39 +834,25 @@ class CommitProtocolEngine(ElectionMixin, ABC):
                 state = undecided.get(txn, TxnState.Q)
             record = TxnRecord(
                 txn=txn,
-                coordinator=begin.payload["coordinator"],
-                participants=list(begin.payload["participants"]),
-                writes={k: (v[0], v[1]) for k, v in begin.payload["writes"].items()},
+                coordinator=coordinator,
+                participants=list(participants),
+                writes=dict(writes),
                 state=state,
             )
             self._records[txn] = record
             if not record.decided:
                 recovered.append(txn)
                 self._arm_watchdog(record)
-        self._recover_coordinator_roles()
-        return recovered
-
-    def _recover_coordinator_roles(self) -> None:
-        seen: set[str] = set()
-        for begin in self.wal:
-            if begin.kind != "begin" or begin.payload.get("role") != "coordinator":
-                continue
-            if begin.txn in seen:
-                continue
-            seen.add(begin.txn)
-            participants = list(begin.payload["participants"])
-            decision = self.wal.decision(begin.txn)
+        for txn, (writes, participants) in coordinated.items():
+            decision = self.wal.decision(txn)
             if decision is not None:
                 # the decision may not have reached everyone; re-announce
                 # (participants absorb duplicates idempotently)
-                self.node.trace("coord-recovery", begin.txn, rebroadcast=decision)
-                self.node.multicast(participants, self._m(decision), begin.txn)
+                self.node.trace("coord-recovery", txn, rebroadcast=decision)
+                self.node.multicast(participants, self._m(decision), txn)
             else:
-                self._recover_undecided_coordinator(
-                    begin.txn,
-                    {k: (v[0], v[1]) for k, v in begin.payload["writes"].items()},
-                    participants,
-                )
+                self._recover_undecided_coordinator(txn, dict(writes), list(participants))
+        return recovered
 
     def _recover_undecided_coordinator(
         self,

@@ -71,6 +71,6 @@ class TwoPCEngine(CommitProtocolEngine):
         in W (2PC's cooperative termination cannot decide from W
         states).
         """
-        self.wal.force(txn, "abort", role="coordinator")
+        self.wal.decide(txn, "abort", role="coordinator")
         self.node.trace("coord-recovery", txn, rebroadcast="abort", presumed=True)
         self.node.multicast(participants, self._m("abort"), txn)

@@ -3,8 +3,10 @@
 Commit protocols are meaningless without a notion of what survives a
 crash.  Each site owns:
 
-* a :class:`~repro.storage.wal.WriteAheadLog` — an append-only list of
-  forced records; everything written before a crash survives it;
+* a :class:`~repro.storage.wal.WriteAheadLog` — append-only rows of
+  forced records, stored by shape and read back as
+  :class:`~repro.storage.wal.LogRecord` views; everything written
+  before a crash survives it;
 * a :class:`~repro.storage.store.ReplicaStore` — the versioned copies
   of data items this site hosts (Gifford's scheme identifies the most
   recent copy by version number);

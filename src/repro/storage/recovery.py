@@ -14,12 +14,18 @@ After a crash, a site reconstructs two things:
    only the *count* of installs is smaller (the index jumps straight to
    an item's newest version where a record-by-record replay would walk
    it through each successive one).
-2. **Protocol state** — for each transaction with a ``begin`` but no
-   decision, the last logged protocol record determines the durable
-   local state the site recovers into: ``begin`` -> Q (it never voted,
-   so by the paper's termination rules it is safe to treat as initial
-   and abort-leaning), ``vote yes`` -> W, ``pc`` -> PC, ``pa`` -> PA.
-   A site that recovers in W/PC/PA rejoins the termination protocol.
+2. **Protocol state** — for each transaction whose *participant half*
+   has a ``begin`` but no decision, its last logged protocol record
+   determines the durable local state the site recovers into: ``begin``
+   -> Q (it never voted, so by the paper's termination rules it is safe
+   to treat as initial and abort-leaning), ``vote yes`` -> W, ``pc`` ->
+   PC, ``pa`` -> PA.  A site that recovers in W/PC/PA rejoins the
+   termination protocol.  Coordinator-role rows (the coordinator's own
+   begin and decision) are not the participant's: a coordinator that
+   forced its decision and crashed before the command reached its own
+   participant half recovers that half from the half's last record, so
+   the re-broadcast command runs the decision, and applies its writes,
+   through the engine.
 """
 
 from __future__ import annotations
@@ -46,17 +52,21 @@ def replay_data(wal: WriteAheadLog, store: ReplicaStore) -> int:
 
 
 def recover_protocol_states(wal: WriteAheadLog) -> dict[str, TxnState]:
-    """Durable local state of every undecided transaction on this site.
+    """Durable local state of every transaction this site's participant
+    half left undecided.
 
     Returns:
         Mapping txn id -> recovered :class:`TxnState` (one of Q, W, PC,
-        PA; decided transactions are not in the map).
+        PA; transactions the participant half decided are not in the
+        map).
     """
     states: dict[str, TxnState] = {}
-    for txn in wal.open_txns():
-        anchor = wal.last_protocol_record(txn)
-        if anchor is None:  # pragma: no cover - open_txns guarantees a begin
+    for txn, role, *_ in wal.begins():
+        if role == "coordinator" or txn in states or wal.participant_decision(txn):
             continue
+        for anchor in reversed(wal.for_txn(txn)):
+            if anchor.kind != "apply" and anchor.payload.get("role") != "coordinator":
+                break
         if anchor.kind == "begin":
             states[txn] = TxnState.Q
         elif anchor.kind == "vote":

@@ -1,45 +1,74 @@
 """Write-ahead log.
 
-The log is the only thing a site keeps across a crash.  Records are
-appended with :meth:`WriteAheadLog.force` — named after the classical
-"force-write" that must hit stable storage before the protocol takes
-its next step (Gray's notes [9], Lampson & Sturgis [11]).
+The log is the only thing a site keeps across a crash.  Every protocol
+step appends a record that must hit stable storage before the site
+takes its next step — the classical "force-write" (Gray's notes [9],
+Lampson & Sturgis [11]).
 
 Record kinds used by the commit protocols:
 
 =============  =====================================================
 kind           meaning
 =============  =====================================================
-``begin``      site became a participant of txn (payload: writeset)
+``begin``      site became a participant of txn (payload: writeset,
+               participants, coordinator; ``role="coordinator"`` on
+               the coordinator's own begin)
 ``vote``       site voted yes/no (payload: vote)
 ``pc``         site entered the PC (prepare-to-commit) state
 ``pa``         site entered the PA (prepare-to-abort) state
-``commit``     site committed the transaction (irrevocable)
-``abort``      site aborted the transaction (irrevocable)
+``commit``     site committed the transaction (irrevocable;
+               ``role="coordinator"`` when the coordinator decided)
+``abort``      site aborted the transaction (irrevocable; same role)
 ``apply``      a committed write was applied (payload: item, value,
                version) — replayed by recovery into the replica store
 =============  =====================================================
 
-Hot-path notes: heavy-traffic runs append thousands of records per
-site, and the commit protocols interrogate the log constantly
-(``decision`` on every decision force and throughout termination,
-``for_txn`` per in-doubt transaction per connectivity change).  The
-log therefore keeps per-transaction indexes — ``decision`` and
-``for_txn`` are O(1)/O(k) instead of a full reverse scan — plus a
-per-*item* newest-``apply`` index (:meth:`WriteAheadLog.latest_applies`)
-so crash recovery replays O(items touched) instead of rescanning the
-whole log (see :func:`~repro.storage.recovery.replay_data`) — and
-models stable-storage writes with a *group-commit buffer*: ``begin`` and
-``apply`` records accumulate in the open batch, and a single flush is
-charged when a record the protocol answers on (``vote``/``pc``/``pa``/
-``commit``/``abort`` — all of which must hit stable storage before the
-site replies to anyone) closes it.  :attr:`flushes` vs :attr:`forced` exposes
-the batching to the benchmark harness.
+**Rows by shape.**  A heavy run forces tens of thousands of records and
+reads almost none of them back until a crash, so the log stores rows,
+not records: three parallel columns (txn, kind, payload), where a row's
+position is its LSN − 1.  The protocol appends through one typed call
+per kind — :meth:`~WriteAheadLog.begin`, :meth:`~WriteAheadLog.vote`,
+:meth:`~WriteAheadLog.pc`, :meth:`~WriteAheadLog.pa`,
+:meth:`~WriteAheadLog.decide`, :meth:`~WriteAheadLog.apply` — and each
+stores its payload in the kind's own shape: a begin keeps ``(role,
+writes, participants, coordinator)``, a vote ``"yes"``/``"no"``, an
+apply ``(item, value, version)``, a pc/pa/decision its role or None.
+The generic :meth:`~WriteAheadLog.force` (tests and tools) stores its
+keyword dict as-is.
+
+A begin row keeps the engine's writeset mapping (item -> ``(value,
+version)``) and its participant list *by reference*.  That is safe
+because nothing mutates either once the commit starts: the coordinator
+copies the caller's writeset before its round begins, a participant
+builds both from the vote-req payload, and no code path writes to a
+round's or a record's writeset or participant list afterwards.
+
+**Views on read.**  A :class:`LogRecord` is built, and memoised, only
+when something reads the row back: iteration, :meth:`for_txn` (crash
+recovery), :meth:`last_protocol_record` or the return value of
+:meth:`force`.  A view equals the record the row stands for field for
+field — a begin's ``writes`` rendered as ``{item: [value, version]}``.
+The per-transaction position index, the begin positions (crash recovery
+reads begins in their stored shape through :meth:`begins`) and the
+per-*item* newest-``apply`` index (:meth:`latest_applies`, so recovery
+replays O(items touched); see :func:`~repro.storage.recovery.replay_data`)
+are likewise built on the first read and extended by later ones over
+the rows appended since.  What the protocol asks while it runs stays O(1)
+and eager: :meth:`decision` and :meth:`participant_decision` (the
+decision index is also where irrevocability is enforced), and the
+group-commit accounting.
+
+**Group commit.**  Stable-storage writes are modelled with a group-commit
+buffer: ``begin`` and ``apply`` rows accumulate in the open batch, and a
+single flush is charged when a row the protocol answers on (``vote``/
+``pc``/``pa``/``commit``/``abort`` — all of which must hit stable storage
+before the site replies to anyone) closes it.  :attr:`flushes` vs
+:attr:`forced` exposes the batching to the benchmark harness.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, NamedTuple
+from typing import Any, Iterator, Mapping, NamedTuple
 
 from repro.common.errors import StorageError
 
@@ -54,9 +83,7 @@ _FLUSH_KINDS = frozenset({"vote", "pc", "pa", "commit", "abort"})
 
 
 class LogRecord(NamedTuple):
-    """One durable log record (immutable: a tuple, built in one C call —
-    a frozen dataclass pays an ``object.__setattr__`` per field on every
-    ``force``)."""
+    """One durable log record, as read back (immutable: a tuple)."""
 
     lsn: int
     txn: str
@@ -68,33 +95,138 @@ class LogRecord(NamedTuple):
         return f"[{self.lsn}] {self.txn} {self.kind}{body}"
 
 
+#: one begin row as recovery reads it: (txn, role, writes, participants,
+#: coordinator), writes as item -> (value, version).
+BeginRow = tuple[str, str | None, Mapping[str, tuple[Any, int]], list[int], int]
+
+
+def _payload_view(kind: str, row: Any) -> dict[str, Any]:
+    """The record payload a typed row stands for (a generic row's dict
+    is its payload already)."""
+    if type(row) is dict:
+        return row
+    if kind == "begin":
+        role, writes, participants, coordinator = row
+        body: dict[str, Any] = {"role": role} if role else {}
+        body["writes"] = {item: list(pair) for item, pair in writes.items()}
+        body["participants"] = participants
+        body["coordinator"] = coordinator
+        return body
+    if kind == "vote":
+        return {"vote": row}
+    if kind == "apply":
+        item, value, version = row
+        return {"item": item, "value": value, "version": version}
+    return {"role": row} if row else {}  # pc / pa / commit / abort
+
+
 class WriteAheadLog:
     """Append-only, crash-surviving log for one site."""
 
     def __init__(self, site: int) -> None:
         self.site = site
-        self._records: list[LogRecord] = []
-        self._next_lsn = 1
-        # per-txn indexes
-        self._by_txn: dict[str, list[LogRecord]] = {}
+        # the rows, by shape: row i has LSN i + 1
+        self._txns: list[str] = []
+        self._kinds: list[str] = []
+        self._payloads: list[Any] = []
+        # decision indexes, kept on append: any role, and participant role
         self._decisions: dict[str, str] = {}
-        self._begin_order: list[str] = []
-        self._has_begin: set[str] = set()
-        # item -> (version, value) of the newest apply record, so
-        # recovery replays per item touched, not per log record.
-        self._applies: dict[str, tuple[int, Any]] = {}
+        self._participant_decisions: dict[str, str] = {}
         # group-commit accounting: records in the open batch, and how
         # many stable-storage flushes have been charged so far.
         self._unflushed = 0
         self.flushes = 0
+        # built on read (see _index / _view): rows indexed so far, txn ->
+        # row positions, begin positions, item -> (version, value) of the
+        # newest apply, memoised views
+        self._indexed = 0
+        self._by_txn: dict[str, list[int]] = {}
+        self._begins: list[int] = []
+        self._applies: dict[str, tuple[int, Any]] = {}
+        self._views: dict[int, LogRecord] = {}
 
     @property
     def forced(self) -> int:
         """Total records appended (the deterministic bench counter)."""
-        return len(self._records)
+        return len(self._kinds)
+
+    # -- typed appends (the protocol's commit path) ----------------------------
+
+    def begin(
+        self,
+        txn: str,
+        writes: Mapping[str, tuple[Any, int]],
+        participants: list[int],
+        coordinator: int,
+        role: str | None = None,
+    ) -> None:
+        """Log joining txn; ``writes`` and ``participants`` are kept by
+        reference (see the module docstring).  Rides the open batch."""
+        self._txns.append(txn)
+        self._kinds.append("begin")
+        self._payloads.append((role, writes, participants, coordinator))
+        self._unflushed += 1
+
+    def vote(self, txn: str, yes: bool) -> None:
+        """Log the site's vote; closes the open batch."""
+        self._txns.append(txn)
+        self._kinds.append("vote")
+        self._payloads.append("yes" if yes else "no")
+        self._unflushed = 0
+        self.flushes += 1
+
+    def pc(self, txn: str) -> None:
+        """Log entering PC; closes the open batch."""
+        self._txns.append(txn)
+        self._kinds.append("pc")
+        self._payloads.append(None)
+        self._unflushed = 0
+        self.flushes += 1
+
+    def pa(self, txn: str) -> None:
+        """Log entering PA; closes the open batch."""
+        self._txns.append(txn)
+        self._kinds.append("pa")
+        self._payloads.append(None)
+        self._unflushed = 0
+        self.flushes += 1
+
+    def decide(self, txn: str, outcome: str, role: str | None = None) -> None:
+        """Log a ``"commit"``/``"abort"`` decision; closes the open batch.
+
+        Raises:
+            StorageError: see :meth:`force`.
+        """
+        if outcome not in _DECISION_KINDS:
+            raise StorageError(f"unknown decision kind {outcome!r}")
+        self._log_decision(txn, outcome, role)
+        self._txns.append(txn)
+        self._kinds.append(outcome)
+        self._payloads.append(role)
+        self._unflushed = 0
+        self.flushes += 1
+
+    def apply(self, txn: str, item: str, value: Any, version: int) -> None:
+        """Log one applied committed write; rides the open batch."""
+        self._txns.append(txn)
+        self._kinds.append("apply")
+        self._payloads.append((item, value, version))
+        self._unflushed += 1
+
+    def _log_decision(self, txn: str, outcome: str, role: str | None) -> None:
+        prior = self._decisions.setdefault(txn, outcome)
+        if prior != outcome:
+            raise StorageError(
+                f"site {self.site}: txn {txn} already logged {prior}; cannot log {outcome}"
+            )
+        if role != "coordinator":
+            self._participant_decisions[txn] = outcome
+
+    # -- the generic entry (tests and tools) -----------------------------------
 
     def force(self, txn: str, kind: str, **payload: Any) -> LogRecord:
-        """Append a record and (conceptually) force it to stable storage.
+        """Append a record of any kind and (conceptually) force it to
+        stable storage; returns its view.
 
         The append joins the open batch; any record the protocol
         replies on (vote/pc/pa/commit/abort) closes the batch with a
@@ -111,41 +243,19 @@ class WriteAheadLog:
         """
         if kind not in _VALID_KINDS:
             raise StorageError(f"unknown log record kind {kind!r}")
-        is_decision = kind in _DECISION_KINDS
-        if is_decision:
-            prior = self._decisions.get(txn)
-            if prior is not None and prior != kind:
-                raise StorageError(
-                    f"site {self.site}: txn {txn} already logged {prior}; "
-                    f"cannot log {kind}"
-                )
+        if kind in _DECISION_KINDS:
+            self._log_decision(txn, kind, payload.get("role"))
         # the **payload kwargs dict is freshly built per call, so the
-        # record can take ownership outright — no defensive re-copy.
-        record = LogRecord(self._next_lsn, txn, kind, payload)
-        self._next_lsn += 1
-        self._records.append(record)
-        bucket = self._by_txn.get(txn)
-        if bucket is None:
-            bucket = self._by_txn[txn] = []
-        bucket.append(record)
-        if kind == "begin" and txn not in self._has_begin:
-            self._has_begin.add(txn)
-            self._begin_order.append(txn)
-        self._unflushed += 1
-        if is_decision and txn not in self._decisions:
-            self._decisions[txn] = kind
-        elif kind == "apply" and "item" in record.payload:
-            # synthetic tests may force bare applies; only well-formed
-            # records (the protocol always writes item/value/version)
-            # enter the recovery index
-            item = record.payload["item"]
-            version = record.payload.get("version", 0)
-            prior = self._applies.get(item)
-            if prior is None or version > prior[0]:
-                self._applies[item] = (version, record.payload.get("value"))
+        # row can take ownership outright — no defensive re-copy.
+        self._txns.append(txn)
+        self._kinds.append(kind)
+        self._payloads.append(payload)
         if kind in _FLUSH_KINDS:
-            self.flush()
-        return record
+            self._unflushed = 0
+            self.flushes += 1
+        else:
+            self._unflushed += 1
+        return self._view(len(self._kinds) - 1)
 
     def flush(self) -> int:
         """Close the open group-commit batch; returns its record count.
@@ -158,19 +268,69 @@ class WriteAheadLog:
             self._unflushed = 0
         return batch
 
+    # -- reads ------------------------------------------------------------------
+
+    def _view(self, pos: int) -> LogRecord:
+        """The memoised record of row ``pos``."""
+        view = self._views.get(pos)
+        if view is None:
+            kind = self._kinds[pos]
+            payload = _payload_view(kind, self._payloads[pos])
+            view = self._views[pos] = LogRecord(pos + 1, self._txns[pos], kind, payload)
+        return view
+
+    def _index(self) -> dict[str, list[int]]:
+        """Extend the read-side indexes over the rows appended since the
+        last read; returns txn -> row positions."""
+        by_txn = self._by_txn
+        end = len(self._kinds)
+        for pos in range(self._indexed, end):
+            txn, kind = self._txns[pos], self._kinds[pos]
+            bucket = by_txn.get(txn)
+            if bucket is None:
+                by_txn[txn] = [pos]
+            else:
+                bucket.append(pos)
+            if kind == "begin":
+                self._begins.append(pos)
+            elif kind == "apply":
+                row = self._payloads[pos]
+                if type(row) is dict:
+                    # synthetic tests may force bare applies; only
+                    # well-formed records enter the recovery index
+                    if "item" not in row:
+                        continue
+                    item, value, version = row["item"], row.get("value"), row.get("version", 0)
+                else:
+                    item, value, version = row
+                prior = self._applies.get(item)
+                if prior is None or version > prior[0]:
+                    self._applies[item] = (version, value)
+        self._indexed = end
+        return by_txn
+
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._kinds)
 
     def __iter__(self) -> Iterator[LogRecord]:
-        return iter(self._records)
+        view = self._view
+        return (view(pos) for pos in range(len(self._kinds)))
 
     def for_txn(self, txn: str) -> list[LogRecord]:
         """All records for one transaction, in LSN order."""
-        return list(self._by_txn.get(txn, ()))
+        view = self._view
+        return [view(pos) for pos in self._index().get(txn, ())]
 
     def decision(self, txn: str) -> str | None:
-        """The logged decision ("commit"/"abort") for txn, if any."""
+        """The logged decision ("commit"/"abort") for txn, if any, in
+        either role."""
         return self._decisions.get(txn)
+
+    def participant_decision(self, txn: str) -> str | None:
+        """The decision this site logged *as a participant* — not the
+        coordinator-role row a coordinator forces before its own
+        participant half hears the command."""
+        return self._participant_decisions.get(txn)
 
     def latest_applies(self) -> dict[str, tuple[int, Any]]:
         """Newest ``apply`` per item: ``item -> (version, value)``.
@@ -178,18 +338,37 @@ class WriteAheadLog:
         The recovery index: :func:`~repro.storage.recovery.replay_data`
         re-installs at most one version per item from this map instead
         of scanning every log record.  The returned dict is the live
-        index; treat it as read-only.
+        index, current as of this call; treat it as read-only.
         """
+        self._index()
         return self._applies
 
     def last_protocol_record(self, txn: str) -> LogRecord | None:
-        """The most recent non-``apply`` record for txn (recovery anchor)."""
-        for record in reversed(self._by_txn.get(txn, ())):
-            if record.kind != "apply":
-                return record
+        """The most recent non-``apply`` record for txn, in either role
+        (crash recovery anchors a participant on its own records only;
+        see :func:`~repro.storage.recovery.recover_protocol_states`)."""
+        kinds = self._kinds
+        for pos in reversed(self._index().get(txn, ())):
+            if kinds[pos] != "apply":
+                return self._view(pos)
         return None
 
     def open_txns(self) -> list[str]:
         """Transactions with a ``begin`` but no decision, in first-seen order."""
-        decided = self._decisions
-        return [t for t in self._begin_order if t not in decided]
+        self._index()
+        begun = dict.fromkeys(self._txns[pos] for pos in self._begins)
+        return [t for t in begun if t not in self._decisions]
+
+    def begins(self) -> list[BeginRow]:
+        """Every ``begin`` row in LSN order, as recovery reads it:
+        ``(txn, role, writes, participants, coordinator)`` with writes
+        as item -> ``(value, version)``."""
+        self._index()
+        rows: list[BeginRow] = []
+        for pos in self._begins:
+            row = self._payloads[pos]
+            if type(row) is dict:  # a generic begin: writes were given as lists
+                writes = {item: (pair[0], pair[1]) for item, pair in row.get("writes", {}).items()}
+                row = (row.get("role"), writes, row.get("participants", []), row.get("coordinator"))
+            rows.append((self._txns[pos], *row))
+        return rows

@@ -6,7 +6,15 @@ the decided transaction; a later termination poll materialized it as
 Q ("never voted"), which drives the immediate-abort branch — a new
 coordinator would then abort a committed transaction.  These tests pin
 the minimal schedule and the two layers of the fix.
+
+An exhaustive cut-point probe (crash the coordinator after every event
+of one update) found the converse: a recovered coordinator took its own
+decision for its participant half's, and kept a stale copy.
 """
+
+import itertools
+
+import pytest
 
 from repro import CatalogBuilder, Cluster, FailurePlan
 from repro.net.message import Message
@@ -107,3 +115,65 @@ class TestDecidedRecoveryRegression:
             )
         )
         assert engine.record(txn.txn).state is TxnState.C
+
+
+def crashed_coordinator_cluster(protocol, cut, split):
+    """One update of ``x`` (on five sites, r=2, w=4) from site 1, cut
+    after ``cut`` events: site 1 crashes there (cut off from the rest
+    first when ``split``), and everything heals and recovers 200 later.
+    Returns the run-to-quiescence cluster and the transaction, or None
+    when the update has fewer than ``cut`` events."""
+    catalog = CatalogBuilder().replicated_item("x", sites=[1, 2, 3, 4, 5], r=2, w=4).build()
+    cluster = Cluster(catalog, protocol=protocol, seed=0)
+    txn = cluster.update(1, {"x": 7})
+    for _ in range(cut):
+        if not cluster.scheduler.step():
+            return None
+    now = cluster.scheduler.now
+    plan = FailurePlan()
+    if split:
+        plan.partition(now, [1], [2, 3, 4, 5])
+    cluster.arm_failures(plan.crash(now, 1).heal(now + 200).recover(now + 200, 1))
+    cluster.run()
+    return cluster, txn.txn
+
+
+def copies(cluster):
+    return {s: (site.store.read("x").value, site.store.read("x").version) for s, site in cluster.sites.items()}
+
+
+class TestRecoveredCoordinatorDecidesItsParticipantHalf:
+    """A coordinator that forced COMMIT and crashed before its own
+    COMMIT reached its participant half used to rebuild that half as
+    committed from the *coordinator-role* decision: ``_decide`` never
+    ran, so the write was never applied and the re-broadcast COMMIT was
+    absorbed as a duplicate — a stale copy on a site whose state said C.
+    Only a participant-role decision makes the rebuilt record terminal."""
+
+    def test_roadmap_repro(self):
+        cluster, txn = crashed_coordinator_cluster("qtp1", 18, split=True)
+        assert cluster.sites[1].wal.decision(txn) == "commit"
+        assert cluster.live_undecided(txn) == []
+        assert copies(cluster) == {s: (7, 1) for s in range(1, 6)}
+        assert set(cluster.outcome(txn).committed_sites) == {1, 2, 3, 4, 5}
+        # the half recovered in its own last state (PC), not as Q
+        states = [r.detail for r in cluster.tracer.where(category="state", site=1, txn=txn)]
+        assert [(d["src"], d["dst"]) for d in states] == [("Q", "W"), ("W", "PC"), ("PC", "C")]
+
+    @pytest.mark.parametrize("protocol", ["2pc", "3pc", "skq", "qtp1", "qtp2"])
+    def test_every_cut_of_one_update(self, protocol):
+        runs = 0
+        for split in (False, True):
+            for cut in itertools.count():
+                built = crashed_coordinator_cluster(protocol, cut, split)
+                if built is None:
+                    break
+                cluster, txn = built
+                runs += 1
+                where = (protocol, cut, split)
+                assert cluster.live_undecided(txn) == [], where
+                assert cluster.tracer.count("illegal-transition") == 0, where
+                newest = max(version for _value, version in copies(cluster).values())
+                expected = (7, 1) if newest else (0, 0)
+                assert copies(cluster) == {s: expected for s in range(1, 6)}, where
+        assert runs > 30  # the update has that many events to cut after

@@ -12,19 +12,22 @@ hot path must agree with a naive reference defined in this file.  A
 reference that drops into a cluster (the network, a site's lock
 manager, the catalog memo) is patched in for whole scenario runs — the
 trajectories the committed baselines pin — and must leave every
-counter unchanged.  One that does not (the trace store, crash
-recovery's replay, the pool-per-sweep runner) is driven by a small
-trial here, against the optimized path, on the same seeds.
+counter unchanged.  One that does not (the trace store, the write-ahead
+log, crash recovery's replay, the pool-per-sweep runner) is driven by a
+small trial here, against the optimized path, on the same seeds.
 """
 
 import contextlib
+import random
 from collections import Counter
+from typing import Any, Iterator, NamedTuple
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from repro.bench import compare_case, default_suite, encode
 from repro.bench.cases import zipf_sampling_trial
+from repro.common.errors import StorageError
 from repro.concurrency.locks import LockManager
 from repro.engine import SweepRunner, SweepSpec, run_sweep
 from repro.experiments.workload_study import heavy_workload_scenario
@@ -34,9 +37,9 @@ from repro.replay import cluster_counters
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import Scheduler
 from repro.sim.trace import Tracer, TraceRecord
-from repro.storage.recovery import replay_data
+from repro.storage.recovery import recover_protocol_states, replay_data
 from repro.storage.store import ReplicaStore
-from repro.storage.wal import WriteAheadLog
+from repro.storage.wal import LogRecord, WriteAheadLog
 from repro.traffic import run_scenario
 from repro.workload.scenarios import wan_storm_scenario
 from repro.workload.spec import WorkloadSpec
@@ -239,6 +242,209 @@ def _replayed(seed, replay):
     return out
 
 
+class _ListWriteAheadLog:
+    """Reference: a plain list of records, one built per append, every
+    query answered off per-transaction lists of records (the log as it
+    was before rows were stored by shape); ``begins`` and
+    ``participant_decision`` are linear scans."""
+
+    _VALID_KINDS = {"begin", "vote", "pc", "pa", "commit", "abort", "apply"}
+    _FLUSH_KINDS = frozenset({"vote", "pc", "pa", "commit", "abort"})
+
+    def __init__(self, site):
+        self.site = site
+        self._records = []
+        self._next_lsn = 1
+        self._by_txn = {}
+        self._decisions = {}
+        self._begin_order = []
+        self._has_begin = set()
+        self._applies = {}
+        self._unflushed = 0
+        self.flushes = 0
+
+    @property
+    def forced(self):
+        return len(self._records)
+
+    def force(self, txn, kind, **payload):
+        if kind not in self._VALID_KINDS:
+            raise StorageError(f"unknown log record kind {kind!r}")
+        is_decision = kind in ("commit", "abort")
+        if is_decision:
+            prior = self._decisions.get(txn)
+            if prior is not None and prior != kind:
+                raise StorageError(
+                    f"site {self.site}: txn {txn} already logged {prior}; cannot log {kind}"
+                )
+        record = LogRecord(self._next_lsn, txn, kind, payload)
+        self._next_lsn += 1
+        self._records.append(record)
+        self._by_txn.setdefault(txn, []).append(record)
+        if kind == "begin" and txn not in self._has_begin:
+            self._has_begin.add(txn)
+            self._begin_order.append(txn)
+        self._unflushed += 1
+        if is_decision and txn not in self._decisions:
+            self._decisions[txn] = kind
+        elif kind == "apply" and "item" in payload:
+            item, version = payload["item"], payload.get("version", 0)
+            prior = self._applies.get(item)
+            if prior is None or version > prior[0]:
+                self._applies[item] = (version, payload.get("value"))
+        if kind in self._FLUSH_KINDS:
+            self.flush()
+        return record
+
+    def flush(self):
+        batch = self._unflushed
+        if batch:
+            self.flushes += 1
+            self._unflushed = 0
+        return batch
+
+    def __len__(self):
+        return len(self._records)
+
+    def __iter__(self):
+        return iter(self._records)
+
+    def for_txn(self, txn):
+        return list(self._by_txn.get(txn, ()))
+
+    def decision(self, txn):
+        return self._decisions.get(txn)
+
+    def participant_decision(self, txn):
+        for record in self._records:
+            if record.txn == txn and record.kind in ("commit", "abort"):
+                if record.payload.get("role") != "coordinator":
+                    return record.kind
+        return None
+
+    def latest_applies(self):
+        return self._applies
+
+    def last_protocol_record(self, txn):
+        for record in reversed(self._by_txn.get(txn, ())):
+            if record.kind != "apply":
+                return record
+        return None
+
+    def open_txns(self):
+        return [t for t in self._begin_order if t not in self._decisions]
+
+    def begins(self):
+        return [
+            (
+                record.txn,
+                record.payload.get("role"),
+                {item: tuple(pair) for item, pair in record.payload.get("writes", {}).items()},
+                record.payload.get("participants", []),
+                record.payload.get("coordinator"),
+            )
+            for record in self._records
+            if record.kind == "begin"
+        ]
+
+
+class _Op(NamedTuple):
+    """One append: the typed call the log under test takes (None: the
+    generic ``force``) and the generic ``force`` the reference takes."""
+
+    txn: str
+    typed: tuple[str, tuple[Any, ...], dict[str, Any]] | None
+    kind: str
+    payload: dict[str, Any]
+
+
+def _wal_ops(seed: int, n_ops: int = 150) -> Iterator[_Op | None]:
+    """A random legal append sequence mixing every typed append with the
+    generic ``force`` (bare and unknown kinds included) and conflicting
+    decisions; ``None`` marks a read between appends."""
+    rng = random.Random(seed)
+    txns = [f"T{i}" for i in range(rng.randint(1, 8))]
+    items = ["x", "y", "z"]
+    for _ in range(n_ops):
+        txn, draw = rng.choice(txns), rng.random()
+        role = rng.choice([None, "coordinator"])
+        roled = {"role": role} if role else {}
+        if draw < 0.1:
+            yield None
+        elif draw < 0.25:
+            picked = rng.sample(items, rng.randint(1, 3))
+            writes = {item: (rng.randrange(100), rng.randint(1, 9)) for item in picked}
+            participants = sorted(rng.sample(range(1, 9), rng.randint(1, 4)))
+            coordinator = rng.randint(1, 8)
+            payload = {
+                **roled,
+                "writes": {item: list(pair) for item, pair in writes.items()},
+                "participants": participants,
+                "coordinator": coordinator,
+            }
+            typed = ("begin", (txn, writes, participants, coordinator), {"role": role})
+            yield _Op(txn, typed, "begin", payload)
+        elif draw < 0.4:
+            yes = rng.random() < 0.8
+            yield _Op(txn, ("vote", (txn, yes), {}), "vote", {"vote": "yes" if yes else "no"})
+        elif draw < 0.55:
+            kind = rng.choice(["pc", "pa"])
+            yield _Op(txn, (kind, (txn,), {}), kind, {})
+        elif draw < 0.7:
+            outcome = rng.choice(["commit", "abort"])
+            yield _Op(txn, ("decide", (txn, outcome), {"role": role}), outcome, roled)
+        elif draw < 0.85:
+            item, value, version = rng.choice(items), rng.randrange(100), rng.randint(0, 9)
+            payload = {"item": item, "value": value, "version": version}
+            yield _Op(txn, ("apply", (txn, item, value, version), {}), "apply", payload)
+        else:
+            kind = rng.choice(sorted(_ListWriteAheadLog._VALID_KINDS) + ["checkpoint"])
+            payload = rng.choice([{}, {"note": rng.randrange(5)}, roled])
+            if kind == "apply" and rng.random() < 0.5:
+                payload = {"item": rng.choice(items), "value": 1, "version": rng.randint(0, 9)}
+            yield _Op(txn, None, kind, payload)
+
+
+def _append(log, op, typed):
+    """Append ``op``, typed where it has a typed call and ``typed``:
+    what the append returned, or the error it raised."""
+    try:
+        if typed and op.typed is not None:
+            name, args, kwargs = op.typed
+            return "ok", getattr(log, name)(*args, **kwargs)
+        return "ok", log.force(op.txn, op.kind, **op.payload)
+    except StorageError as error:
+        return "raised", str(error)
+
+
+def _wal_answers(wal, txns):
+    """Everything a reader can ask the log, in comparable form."""
+    return {
+        "records": [(record, str(record)) for record in wal],
+        "len": len(wal),
+        "for_txn": {txn: wal.for_txn(txn) for txn in txns},
+        "last": {txn: wal.last_protocol_record(txn) for txn in txns},
+        "decision": {txn: wal.decision(txn) for txn in txns},
+        "participant_decision": {txn: wal.participant_decision(txn) for txn in txns},
+        "open": wal.open_txns(),
+        "applies": dict(wal.latest_applies()),
+        "begins": wal.begins(),
+        "forced": wal.forced,
+        "flushes": wal.flushes,
+        "recovered": recover_protocol_states(wal),
+    }
+
+
+def _recovery_of(wal, site_id):
+    """What crash recovery reads off ``wal``: the protocol states, and a
+    replay into version-0 stores of every applied item."""
+    store = ReplicaStore(site_id)
+    for item in wal.latest_applies():
+        store.host(item, value=0, version=0)
+    installs = replay_data(wal, store)
+    return recover_protocol_states(wal), installs, sorted(store.items())
+
+
 def _noop():
     """Scheduler filler event."""
 
@@ -319,6 +525,41 @@ class TestHotPathsAgreeWithReferences:
                 # one flush per record the protocol answers on — the
                 # begins and applies ride the next such record's batch
                 assert site.wal.flushes == sum(kinds[k] for k in ("vote", "pc", "pa", "commit", "abort"))
+
+    @given(st.integers(0, 2**20))
+    @settings(max_examples=40, deadline=None)
+    def test_wal_rows_read_back_as_the_record_list(self, seed):
+        # typed appends and generic forces, read back at random points
+        # (so the lazy index and views are extended, not only built)
+        wal, naive = WriteAheadLog(7), _ListWriteAheadLog(7)
+        txns = ["T-missing"]
+        for op in _wal_ops(seed):
+            if op is None:
+                assert _wal_answers(wal, txns) == _wal_answers(naive, txns)
+                continue
+            txns.append(op.txn)
+            got, want = _append(wal, op, typed=True), _append(naive, op, typed=False)
+            if op.typed is not None and want[0] == "ok":
+                want = ("ok", None)  # a typed append returns nothing
+            assert got == want, op
+        assert _wal_answers(wal, txns) == _wal_answers(naive, txns)
+
+    @given(st.integers(0, 2**20))
+    @settings(max_examples=3, deadline=None)
+    def test_recovery_reads_the_same_off_rows_and_records(self, seed):
+        # a storm whose coordinator stays down holds coordinator-role
+        # rows beside undecided participant halves
+        recovered = 0
+        for run in _runs(seed)[2:]:
+            for site in run.cluster.sites.values():
+                naive = _ListWriteAheadLog(site.node_id)
+                for record in site.wal:
+                    naive.force(record.txn, record.kind, **record.payload)
+                assert list(naive) == list(site.wal)
+                ours = _recovery_of(site.wal, site.node_id)
+                assert ours == _recovery_of(naive, site.node_id)
+                recovered += len(ours[0])
+        assert recovered > 0
 
     @given(st.integers(0, 2**20))
     @settings(max_examples=10, deadline=None)

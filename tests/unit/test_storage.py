@@ -52,6 +52,23 @@ class TestWal:
         wal.force("T1", "commit")
         assert wal.open_txns() == ["T2"]
 
+    def test_decide_rejects_a_non_decision(self):
+        wal = WriteAheadLog(1)
+        with pytest.raises(StorageError, match="unknown decision kind"):
+            wal.decide("T1", "pc")
+        assert wal.forced == 0
+
+    def test_participant_decision_ignores_the_coordinator_role(self):
+        wal = WriteAheadLog(1)
+        wal.begin("T1", {"x": (7, 1)}, [1, 2], 1, role="coordinator")
+        wal.begin("T1", {"x": (7, 1)}, [1, 2], 1)
+        wal.decide("T1", "commit", role="coordinator")
+        assert (wal.decision("T1"), wal.participant_decision("T1")) == ("commit", None)
+        with pytest.raises(StorageError, match="already logged commit"):
+            wal.decide("T1", "abort")  # irrevocable across roles
+        wal.decide("T1", "commit")
+        assert wal.participant_decision("T1") == "commit"
+
     def test_last_protocol_record_skips_apply(self):
         wal = WriteAheadLog(1)
         wal.force("T1", "begin")
