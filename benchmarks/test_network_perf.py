@@ -46,7 +46,7 @@ def fanout_storm(seed: int, network_class=Network, n_sites: int = 18, rounds: in
     """Broadcast storms through connected, partitioned and crash phases;
     every phase change busts the reachable-peer cache."""
     sched = Scheduler()
-    network = network_class(sched, Tracer(capacity=0), RngRegistry(seed))
+    network = network_class(sched, Tracer(), RngRegistry(seed))
     nodes = [_Sink(i, network) for i in range(n_sites)]
     everyone = list(range(n_sites))
     third = n_sites // 3

@@ -22,10 +22,8 @@ Every property is judged from the generic rows of one transaction —
 ``(category, txn)`` as they are appended (see :mod:`repro.sim.trace`),
 so a verdict reads a handful of positions: it builds no
 :class:`~repro.sim.trace.TraceRecord` and reads no ``send`` /
-``deliver`` / ``drop`` / ``state`` row, however long the run.  A
-position counts records ever stored, so the same index serves a
-bounded tracer: a ring's verdict is judged from the rows it still
-holds, a truncating tracer's from the rows it kept.
+``deliver`` / ``drop`` / ``state`` row, however long the run.  The
+tracer keeps every row, so a verdict sees every site's decision.
 """
 
 from __future__ import annotations

@@ -5,10 +5,9 @@ repository root.  Each records, for one representative workload driven
 through the PR 1 sweep engine, its **deterministic counters** (messages
 sent/delivered, WAL records forced, commits/aborts, scheduler events)
 — byte-stable per seed and per worker count, compared *exactly* by
-``bench diff``.  Every case but ``zipf_sampling`` is a whole commit
-and termination run; that one pins the Zipf sampler's two user-facing
-modes on the same seeds, each deterministic.  Nothing here reads a
-clock or needs a third-party package: wall time is ``benchmarks/e2e``'s.
+``bench diff``.  Every case is a whole commit and termination run.
+Nothing here reads a clock or needs a third-party package: wall time
+is ``benchmarks/e2e``'s.
 
 Workflow::
 

@@ -5,8 +5,8 @@ workers) that builds its own simulator from its seed and returns its
 counters: a dict that is a pure function of the seed and the keywords.
 No trial reads a clock — wall time belongs to ``benchmarks/e2e``.
 
-Every case but one pins a whole commit and termination trajectory —
-the runs Huang & Li's claims are about.  The eleven scenario-driven
+Every case pins a whole commit and termination trajectory — the runs
+Huang & Li's claims are about.  The eleven scenario-driven
 cases (``heavy_workload`` … ``gray_failure`` below) hold no driver code
 of their own: each trial is one :func:`~repro.traffic.run_scenario`
 call — through :func:`_scenario_counters` or a public ``run_*`` wrapper
@@ -52,13 +52,6 @@ Representative workloads covered:
   (:func:`~repro.experiments.resilience_study.run_gray_failure`).
 * ``trace_replay_tournament`` — record one E18 run and replay it
   across the default what-if matrix (the record→replay fixed point).
-* ``zipf_sampling`` — the one microbench, and the only pin of the
-  alias sampler's draws: Zipf item picks at a ~10^5-item catalog
-  through the historical O(n) cumulative scan (``sampler="scan"``) and
-  the O(1) Walker alias table (``sampler="alias"``).  The samplers
-  draw the RNG differently by design, so counters differ *across arms*
-  (each arm is deterministic; distribution equivalence is pinned by a
-  property test).
 """
 
 from __future__ import annotations
@@ -68,7 +61,6 @@ from typing import Any, Callable, NamedTuple
 from repro.bench.suite import BenchCase, BenchSuite
 from repro.common.errors import QuorumUnreachableError, TransactionAborted
 from repro.db.cluster import Cluster
-from repro.engine.executor import worker_cache
 from repro.engine.spec import SweepSpec
 from repro.experiments.resilience_study import (
     run_flash_crowd,
@@ -235,79 +227,6 @@ def gray_failure_trial(seed: int, protocol: str, **shape: Any) -> dict[str, Any]
 
 
 # ----------------------------------------------------------------------
-# Zipf sampling microbench
-# ----------------------------------------------------------------------
-
-
-def _zipf_bench_catalog(n_items: int) -> Any:
-    """A huge synthetic catalog (pure — no RNG, so worker-cacheable).
-
-    Every item shares one frozen copies mapping (three sites, one vote
-    each) to keep 10^5 :class:`ItemConfig` rows cheap; names are
-    zero-padded so rank order equals name order.
-    """
-    from repro.replication.catalog import ItemConfig, ReplicaCatalog
-
-    copies = {1: 1, 2: 1, 3: 1}
-    return ReplicaCatalog(
-        ItemConfig(f"i{i:07d}", copies, 2, 2) for i in range(n_items)
-    )
-
-
-def zipf_sampling_trial(
-    seed: int,
-    alias: bool,
-    n_items: int = 100_000,
-    draws: int = 240,
-    fp_draws: int = 40,
-    zipf_s: float = 1.1,
-) -> dict[str, Any]:
-    """Draw Zipf item picks and footprints from a very large catalog.
-
-    The ``alias`` grid axis selects the historical cumulative scan
-    (``False``, O(n) per draw — and O(n) list copies per footprint) or
-    the Walker alias table (``True``, O(1) per draw with
-    rejection-on-alias footprints).  Counters are deterministic per arm
-    but differ across arms — the two samplers consume the RNG
-    differently by design; their *distributions* agree (see
-    ``tests/property/test_prop_workload.py``).
-    """
-    from repro.workload.spec import WorkloadSpec
-
-    catalog = worker_cache(
-        ("zipf-bench-catalog", n_items), lambda: _zipf_bench_catalog(n_items)
-    )
-    rng = RngRegistry(seed).stream("zipf-sampling")
-    spec = WorkloadSpec(
-        popularity="zipf",
-        zipf_s=zipf_s,
-        footprint=(2, 4),
-        sampler="alias" if alias else "scan",
-    )
-    compiled = spec.compile(catalog)
-    head = 0  # draws landing on the ten hottest ranks
-    index_sum = 0
-    for _ in range(draws):
-        rank = int(compiled.pick_item(rng)[1:])
-        index_sum += rank
-        head += rank < 10
-    fp_items = 0
-    fp_index_sum = 0
-    for _ in range(fp_draws):
-        picked = compiled.pick_items(rng)
-        fp_items += len(picked)
-        fp_index_sum += sum(int(name[1:]) for name in picked)
-    return {
-        "draws": draws,
-        "head_hits": head,
-        "index_sum": index_sum,
-        "fp_draws": fp_draws,
-        "fp_items": fp_items,
-        "fp_index_sum": fp_index_sum,
-    }
-
-
-# ----------------------------------------------------------------------
 # trace-replay tournament
 # ----------------------------------------------------------------------
 
@@ -432,13 +351,6 @@ CASES: dict[str, _Row] = {
         2,
         full={"rate": 1.5, "duration": 120.0, "episode_start": 30.0, "episode_length": 40.0},
         quick={"rate": 0.8, "duration": 40.0, "episode_start": 10.0, "episode_length": 20.0},
-    ),
-    "zipf_sampling": _Row(
-        zipf_sampling_trial,
-        {"alias": [False, True]},
-        2,
-        full={"n_items": 100_000, "draws": 240, "fp_draws": 40},
-        quick={"n_items": 2_000, "draws": 60, "fp_draws": 10},
     ),
     "trace_replay_tournament": _Row(
         trace_replay_trial,

@@ -131,7 +131,6 @@ class Cluster:
         abort_quorum: int | None = None,
         primaries: Mapping[str, int] | None = None,
         enforce_ignore_rules: bool = True,
-        tracer: Tracer | None = None,
     ) -> None:
         """Build a cluster.
 
@@ -150,8 +149,6 @@ class Cluster:
                 each item's lowest-id host).
             enforce_ignore_rules: pass False only to reproduce
                 Example 3's broken variant.
-            tracer: a pre-configured trace recorder (capacity-bounded
-                or ring-buffered); default: an unbounded :class:`Tracer`.
         """
         if protocol not in PROTOCOL_NAMES:
             raise ConfigurationError(
@@ -161,7 +158,7 @@ class Cluster:
         self.protocol = protocol
         self._enforce_ignore_rules = enforce_ignore_rules
         self.scheduler = Scheduler()
-        self.tracer = tracer if tracer is not None else Tracer()
+        self.tracer = Tracer()
         self.rng = RngRegistry(seed)
         self.network = Network(self.scheduler, self.tracer, self.rng, delay_model)
         self.sites: dict[int, Site] = {}

@@ -38,6 +38,11 @@ TRACE_SCHEMA = 1
 #: the header ``kind`` tag distinguishing traces from other artifacts.
 TRACE_KIND = "repro-replay-trace"
 
+#: the spec record's ``sampler`` value: every artifact carries it, and
+#: the cumulative scan is the only Zipf pick there is.  Written as a
+#: constant so the bytes of every artifact stay what they were.
+TRACE_SAMPLER = "scan"
+
 #: drivers a trace can be recorded from (and replayed through): the
 #: scenario registry's names, so loading accepts exactly what
 #: :func:`~repro.replay.recorder.record` emits.
@@ -164,7 +169,7 @@ class RecordedTrace:
             "start": spec.start,
             "cross_region": spec.cross_region,
             "value_pool": spec.value_pool,
-            "sampler": spec.sampler,
+            "sampler": TRACE_SAMPLER,
         }
         if spec.arrival == "open":
             spec_record["rate"] = spec.rate
@@ -231,6 +236,11 @@ class RecordedTrace:
             raise StoreError(f"{source}: unknown trace driver {header.get('driver')!r}")
         try:
             spec_fields = dict(header["spec"])
+            sampler = spec_fields.pop("sampler", TRACE_SAMPLER)
+            if sampler != TRACE_SAMPLER:
+                raise StoreError(
+                    f"spec field 'sampler' is {sampler!r}; only {TRACE_SAMPLER!r} is supported"
+                )
             spec_fields["footprint"] = tuple(spec_fields["footprint"])
             if spec_fields.get("rate_schedule") is not None:
                 spec_fields["rate_schedule"] = tuple(

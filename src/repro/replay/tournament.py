@@ -9,8 +9,8 @@ are pure configuration effects: the what-if question experiment
 sweeps can only approximate statistically, answered exactly.
 
 Cells fan out through the sweep engine
-(:func:`~repro.engine.run_sweep`), so a tournament rides the warm
-worker pool like any other study and is byte-identical at every worker
+(:func:`~repro.engine.run_sweep`) like any other study, one pool per
+tournament when ``workers > 1``, and are byte-identical at every worker
 count.
 """
 
@@ -20,14 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.common.errors import StoreError
-from repro.engine import (
-    MemorySink,
-    ResultSink,
-    ResultStore,
-    SweepSpec,
-    TeeSink,
-    run_sweep,
-)
+from repro.engine import SweepSpec, run_sweep
 from repro.experiments import SCENARIOS
 from repro.replication.catalog import ItemConfig, ReplicaCatalog
 from repro.replay.artifact import RecordedTrace
@@ -124,7 +117,10 @@ def derive_catalog(
     r/w per the policy; shrunk items whose recorded quorums no longer
     satisfy the vote constraints fall back to majority.
     """
-    dropped = set(sorted(catalog.all_sites())[len(catalog.all_sites()) - drop_sites:])
+    sites = sorted(catalog.all_sites())
+    if drop_sites >= len(sites):
+        raise StoreError("derived catalog is empty: drop_sites removed every copy")
+    dropped = set(sites[len(sites) - drop_sites :])
     items = []
     for name in catalog.item_names:
         config = catalog.item(name)
@@ -276,11 +272,9 @@ def tournament_run(
     configs: tuple[TournamentConfig, ...],
 ) -> dict[str, Any]:
     """One tournament cell (module-level so the sweep engine can pickle
-    it to pool workers).  The trace travels as its JSONL records —
-    JSON-safe, so a tournament sweep can be persisted to a
-    :class:`~repro.engine.ResultStore` like any other — and ``seed`` is
-    the engine's derived seed; the replay is pinned to the trace's own
-    recorded seed regardless."""
+    it to pool workers).  The trace travels as its JSONL records, and
+    ``seed`` is the engine's derived seed; the replay is pinned to the
+    trace's own recorded seed regardless."""
     return replay_trace(RecordedTrace.from_lines(trace_lines), configs[index])
 
 
@@ -288,22 +282,13 @@ def run_tournament(
     trace: RecordedTrace,
     configs: Sequence[TournamentConfig] = DEFAULT_CONFIGS,
     workers: int = 1,
-    store: ResultStore | None = None,
-    persistent_pool: bool = False,
-    sink: ResultSink | None = None,
 ) -> list[dict[str, Any]]:
     """Replay ``trace`` under every configuration; rows in config order.
 
     Fans out through :func:`~repro.engine.run_sweep`, so results are
-    byte-identical at every worker count and can be persisted to a
-    :class:`~repro.engine.ResultStore` like any sweep.
-
-    ``sink`` routes a large what-if matrix through the streaming
-    backend — rows flow into the caller's sink as cells finish instead
-    of accumulating (the return value is then assembled from a
-    row-keeping tee so config order is preserved).  The trace's JSONL
-    records ride the spec's ``fixed``, so they cross the pool once per
-    chunk, not once per cell.
+    byte-identical at every worker count.  The trace's JSONL records
+    ride the spec's ``fixed``, so they cross the pool once per chunk,
+    not once per cell.
     """
     configs = tuple(configs)
     if not configs:
@@ -317,12 +302,7 @@ def run_tournament(
         seeding="offset",
         fixed={"trace_lines": trace.to_lines(), "configs": configs},
     )
-    if sink is not None:
-        keeper = sink if sink.keeps_rows else MemorySink()
-        tee = sink if keeper is sink else TeeSink(sink, keeper)
-        run_sweep(spec, workers=workers, store=store, persistent_pool=persistent_pool, sink=tee)
-        return [r.value for r in keeper.results]
-    return run_sweep(spec, workers=workers, store=store, persistent_pool=persistent_pool).values()
+    return run_sweep(spec, workers=workers).values()
 
 
 def diff_rows(

@@ -19,9 +19,7 @@ site / category / txn / detail — and a row has one of two shapes:
   allocates nothing the cyclic collector tracks.  Each has a one-call
   fast-path append (:meth:`Tracer.record_send`, :meth:`~Tracer.record_deliver`,
   :meth:`~Tracer.record_drop`, :meth:`~Tracer.record_state`) that does
-  the five column appends in place on an unbounded tracer; only a
-  tracer with a ``capacity`` routes them through ``_append``, where the
-  truncate / ring branch lives.  :func:`_expand_detail` renders the
+  the five column appends in place.  :func:`_expand_detail` renders the
   tuple with the keys and key order of the equivalent ``record(...)``.
 * a *generic* row (everything else — decisions, quorum checks,
   elections, faults; about one row in ten) comes through
@@ -40,33 +38,27 @@ per-txn index (all categories) only when a query filters by txn alone
 (:meth:`~Tracer.txn_scope`, ``where(txn=...)``).  Each lazily built
 index remembers how far it has read and is extended, never rebuilt.
 
-**Positions.**  Every index — and the cursor :meth:`Tracer.since` hands
-out — counts records ever stored, not slots: the record stored ``k``-th
-sits at position ``k`` for as long as it is kept.  A truncating or
-unbounded tracer stores position ``k`` in slot ``k``; a ring in slot
-``k % capacity``.  So one index serves all three modes: a ring's
-eviction only makes its oldest positions stale, a reader skips those,
-and once per lap (every ``capacity`` evictions) they are cut out of
-every index and the memo, which keeps a ring's memory bounded.
+**Positions.**  The tracer has one storage mode: every row is kept,
+for the life of the run.  The record stored ``k``-th sits in slot ``k``
+of every column, and every index — and the cursor :meth:`Tracer.since`
+hands out — holds these positions.
 
 A reader that follows the run as it goes — the open-loop service
 retiring decided transactions at each arrival — uses the cursor read
 :meth:`Tracer.since` instead of a query: it keeps a position, gets the
 ``(time, site, txn)`` of one category's records appended after it, and
-pays O(new rows) with no index and no :class:`TraceRecord` built.  What
-a ring evicted before the reader came back is skipped, never replayed,
-so a ring must hold at least what is appended between two reads for
-its reader to see every record.
+pays O(new rows) with no index and no :class:`TraceRecord` built.
 
-``capacity`` bounds memory two ways: the default (truncate) mode drops
-*new* records once full, while ``ring=True`` keeps the *last*
-``capacity`` records instead, evicting the oldest; either way
-:attr:`dropped` counts what was discarded.
+There is deliberately no bounded mode.  Atomicity and termination are
+judged from every site's decision record, and those verdicts
+(``Cluster.outcome``, ``live_undecided``, ``committed_history``, the
+open-loop decision cursor) read them from this trace; a tracer that
+refused new rows or evicted old ones would hand those readers a partial
+history and turn a wrong verdict into a silent one.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -146,22 +138,11 @@ class Tracer:
 
     The helpers cover the questions the analysis layer asks most:
     "all decision records for txn", "did site s ever enter state PC",
-    "how many messages of type m were sent".
-
-    Args:
-        capacity: record budget (``None`` = unbounded, ``0`` = record
-            nothing).
-        ring: with a capacity, keep the *newest* ``capacity`` records
-            (a flight recorder for long runs) instead of dropping new
-            ones once full.
+    "how many messages of type m were sent".  Every row is kept (see
+    the module docstring).
     """
 
-    def __init__(self, capacity: int | None = None, ring: bool = False) -> None:
-        if ring and capacity is None:
-            raise ValueError("ring mode requires a capacity")
-        self._capacity = capacity
-        self._ring = ring
-        self._dropped = 0
+    def __init__(self) -> None:
         # shared compact details (see the module docstring):
         # mtype -> peer -> (mtype, peer) for send and deliver records,
         # reason -> mtype -> peer -> (mtype, peer, reason) for drops,
@@ -197,9 +178,9 @@ class Tracer:
         txn: str = "",
         **detail: Any,
     ) -> None:
-        """Append one record (past ``capacity``: drop it, or the oldest)."""
+        """Append one record."""
         position = self._append(time, site, category, txn, detail)
-        if position is None or category in SCANNED:
+        if category in SCANNED:
             return
         rows = self._by_cat.get(category)
         if rows is None:
@@ -219,9 +200,6 @@ class Tracer:
             detail = self._pairs[mtype][dst]
         except KeyError:
             detail = _share(self._pairs, mtype, dst)
-        if self._capacity is not None:
-            self._append(time, site, "send", txn, detail)
-            return
         self._times.append(time)
         self._sites.append(site)
         self._cats.append("send")
@@ -234,9 +212,6 @@ class Tracer:
             detail = self._pairs[mtype][src]
         except KeyError:
             detail = _share(self._pairs, mtype, src)
-        if self._capacity is not None:
-            self._append(time, site, "deliver", txn, detail)
-            return
         self._times.append(time)
         self._sites.append(site)
         self._cats.append("deliver")
@@ -251,9 +226,6 @@ class Tracer:
             detail = self._drops[reason][mtype][dst]
         except KeyError:
             detail = _share(self._drops.setdefault(reason, {}), mtype, dst, reason)
-        if self._capacity is not None:
-            self._append(time, site, "drop", txn, detail)
-            return
         self._times.append(time)
         self._sites.append(site)
         self._cats.append("drop")
@@ -268,84 +240,33 @@ class Tracer:
             detail = self._states[via][src][dst]
         except KeyError:
             detail = _share(self._states.setdefault(via, {}), src, dst, via)
-        if self._capacity is not None:
-            self._append(time, site, "state", txn, detail)
-            return
         self._times.append(time)
         self._sites.append(site)
         self._cats.append("state")
         self._txns.append(txn)
         self._details.append(detail)
 
-    def _append(
-        self, time: float, site: int, category: str, txn: str, detail: Any
-    ) -> int | None:
-        """Store one row; its position, or ``None`` when it was refused."""
-        cap = self._capacity
-        stored = len(self._times)
-        if cap is not None and stored >= cap:
-            if not self._ring or cap == 0:
-                self._dropped += 1
-                return None
-            # ring eviction: the new row takes the oldest row's slot
-            evicted = self._dropped
-            slot = evicted % cap
-            self._times[slot] = time
-            self._sites[slot] = site
-            self._cats[slot] = category
-            self._txns[slot] = txn
-            self._details[slot] = detail
-            self._dropped = evicted + 1
-            if slot == cap - 1:
-                self._trim()
-            return evicted + cap
+    def _append(self, time: float, site: int, category: str, txn: str, detail: Any) -> int:
+        """Store one row; its position."""
+        position = len(self._times)
         self._times.append(time)
         self._sites.append(site)
         self._cats.append(category)
         self._txns.append(txn)
         self._details.append(detail)
-        return stored  # nothing was evicted before a ring filled up
-
-    def _trim(self) -> None:
-        """A ring lap is done: cut the evicted positions out of every
-        index and the memo."""
-        first = self._dropped
-        for index in (self._by_cat, self._by_key, self._by_txn):
-            for key, rows in list(index.items()):
-                if rows[0] < first:
-                    del rows[: bisect_left(rows, first)]
-                    if not rows:
-                        del index[key]
-        self._memo = {pos: rec for pos, rec in self._memo.items() if pos >= first}
+        return position
 
     # ------------------------------------------------------------------
     # positions
     # ------------------------------------------------------------------
 
-    def _first(self) -> int:
-        """Position of the oldest stored record (a ring's evictions)."""
-        return self._dropped if self._ring else 0
-
-    def _slots(self, positions: Sequence[int]) -> Sequence[int]:
-        """The column slot of each position: ``positions`` itself until a
-        ring wraps, so an unwrapped tracer translates nothing."""
-        if self._ring and self._dropped:
-            cap = self._capacity
-            return [pos % cap for pos in positions]  # type: ignore[operator]
-        return positions
-
     def _scan(self, start: int, category: str) -> tuple[list[int], int]:
-        """Positions of the stored ``category`` records from ``start`` on,
-        and the position after the last stored record: one read of the
-        category column over the new rows."""
-        first = self._first()
-        end = first + len(self._cats)
-        rows = range(max(start, first), end)
-        slots = self._slots(rows)
+        """Positions of the ``category`` records from ``start`` on, and the
+        position after the last record: one read of the category column
+        over the new rows."""
+        end = len(self._cats)
         cats = self._cats
-        if slots is rows:
-            return [pos for pos in rows if cats[pos] == category], end
-        return [pos for pos, slot in zip(rows, slots) if cats[slot] == category], end
+        return [pos for pos in range(start, end) if cats[pos] == category], end
 
     def _index_scanned(self, category: str) -> None:
         """Extend a scanned category's two indexes over the new rows."""
@@ -355,54 +276,46 @@ class Tracer:
         self._by_cat.setdefault(category, []).extend(positions)
         by_key = self._by_key
         txns = self._txns
-        for pos, slot in zip(positions, self._slots(positions)):
-            by_key.setdefault((category, txns[slot]), []).append(pos)
+        for pos in positions:
+            by_key.setdefault((category, txns[pos]), []).append(pos)
 
     def _index_txns(self) -> None:
         """Extend the per-txn index over the new rows."""
-        first = self._first()
-        end = first + len(self._txns)
-        positions = range(max(self._txn_upto, first), end)
+        end = len(self._txns)
         by_txn = self._by_txn
         txns = self._txns
-        for pos, slot in zip(positions, self._slots(positions)):
-            by_txn.setdefault(txns[slot], []).append(pos)
+        for pos in range(self._txn_upto, end):
+            by_txn.setdefault(txns[pos], []).append(pos)
         self._txn_upto = end
 
     def _rows(self, category: str | None, txn: str | None) -> Sequence[int]:
-        """The live positions matching both filters exactly, in order."""
-        first = self._first()
+        """The positions matching both filters exactly, in order."""
         if category is None:
             if txn is None:
-                return range(first, first + len(self._times))
+                return range(len(self._times))
             self._index_txns()
-            rows = self._by_txn.get(txn, ())
-        else:
-            if category in SCANNED:
-                self._index_scanned(category)
-            if txn is None:
-                rows = self._by_cat.get(category, ())
-            else:
-                rows = self._by_key.get((category, txn), ())
-        if first and rows and rows[0] < first:  # a ring evicted them since its last lap
-            return rows[bisect_left(rows, first) :]
-        return rows
+            return self._by_txn.get(txn, ())
+        if category in SCANNED:
+            self._index_scanned(category)
+        if txn is None:
+            return self._by_cat.get(category, ())
+        return self._by_key.get((category, txn), ())
 
     def _recs(self, positions: Sequence[int]) -> Iterator[TraceRecord]:
         """The (memoized) materialized views of the records at ``positions``."""
-        return map(self._rec, positions, self._slots(positions))
+        return map(self._rec, positions)
 
-    def _rec(self, pos: int, slot: int) -> TraceRecord:
-        """The (memoized) view of the record at ``pos``, stored in ``slot``."""
+    def _rec(self, pos: int) -> TraceRecord:
+        """The (memoized) view of the record at ``pos``."""
         rec = self._memo.get(pos)
         if rec is None:
-            cat = self._cats[slot]
+            cat = self._cats[pos]
             rec = TraceRecord(
-                self._times[slot],
-                self._sites[slot],
+                self._times[pos],
+                self._sites[pos],
                 cat,
-                self._txns[slot],
-                _expand_detail(cat, self._details[slot]),
+                self._txns[pos],
+                _expand_detail(cat, self._details[pos]),
             )
             self._memo[pos] = rec
         return rec
@@ -422,11 +335,6 @@ class Tracer:
         """Materialized record list, in append order (do not mutate)."""
         return list(self)
 
-    @property
-    def dropped(self) -> int:
-        """Records discarded: refused past capacity, or evicted (ring)."""
-        return self._dropped
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -442,7 +350,7 @@ class Tracer:
         rows = self._rows(category, txn)
         if site is not None:
             sites = self._sites
-            rows = [pos for pos, slot in zip(rows, self._slots(rows)) if sites[slot] == site]
+            rows = [pos for pos in rows if sites[pos] == site]
         out = list(self._recs(rows))
         if pred is not None:
             out = [rec for rec in out if pred(rec)]
@@ -466,11 +374,11 @@ class Tracer:
         built and, for a generic category, no message row is read.
         A detail is the record's own dict: do not mutate it.
         """
-        slots = self._slots(self._rows(category, txn))
+        rows = self._rows(category, txn)
         times, sites, details = self._times, self._sites, self._details
         if category in SCANNED:
-            return [(times[s], sites[s], _expand_detail(category, details[s])) for s in slots]
-        return [(times[s], sites[s], details[s]) for s in slots]
+            return [(times[p], sites[p], _expand_detail(category, details[p])) for p in rows]
+        return [(times[p], sites[p], details[p]) for p in rows]
 
     def decisions(self, txn: str) -> dict[int, str]:
         """Map site -> final decision ("commit"/"abort") for a transaction.
@@ -491,24 +399,17 @@ class Tracer:
         once.  The cost is O(records appended since ``position``): the
         new rows' category column is scanned in place — no index is
         built and no :class:`TraceRecord` is materialized.
-
-        A position counts records ever stored, so it stays valid while
-        a ring evicts: records evicted before the caller came back for
-        them are skipped, not replayed — a ring has to hold at least
-        what is appended between two reads for its reader to see it
-        all.  Records a full truncating tracer refused were never
-        stored and are never seen, exactly as with :meth:`where`.
         """
         positions, end = self._scan(position, category)
         times, sites, txns = self._times, self._sites, self._txns
-        return end, [(times[s], sites[s], txns[s]) for s in self._slots(positions)]
+        return end, [(times[p], sites[p], txns[p]) for p in positions]
 
     def message_counts(self) -> dict[str, int]:
         """Histogram of sent message types (for the Fig. 1 / Fig. 2 benches)."""
         details = self._details
         counts = Counter(
-            det[0] if type(det := details[slot]) is tuple else det.get("mtype", "?")
-            for slot in self._slots(self._rows("send", None))
+            det[0] if type(det := details[pos]) is tuple else det.get("mtype", "?")
+            for pos in self._rows("send", None)
         )
         return dict(counts)
 

@@ -31,25 +31,16 @@ draw sequences bit-for-bit**:
 This is what lets E18 and E21 run on specs while their committed
 ``BENCH_*.json`` trajectories stay byte-identical.
 
-Sampler modes
--------------
+Zipf picks
+----------
 
-Zipf item picks support two samplers.  The default, ``sampler="scan"``,
-is the historical cumulative-weight scan — one ``rng.random()`` per
-draw, O(n) in the catalog size, bit-for-bit the stream every committed
-trajectory was pinned on (the weight *total* is precomputed once at
-compile time; summation order is unchanged, so the product
-``rng.random() * total`` is the exact float the per-draw ``sum`` used
-to produce).  ``sampler="alias"`` builds a Walker alias table at
-compile time and draws in O(1) — still one ``rng.random()`` per draw —
-with rejection-on-alias for without-replacement footprints instead of
-the O(n) pop-and-rescan loop.  The alias sampler consumes the RNG
-differently (same count of draws for single picks, but different
-values feed the selection), so its streams are **not** comparable to
-scan streams; it is opt-in precisely so historical trajectories never
-shift.  Distribution equivalence of the two samplers is pinned by a
-frequency-tolerance property test, and the ``zipf_sampling`` bench case
-commits the speedup at ~10^5-item catalogs.
+A Zipf item pick is the historical cumulative-weight scan — one
+``rng.random()`` per draw, O(n) in the catalog size, bit-for-bit the
+stream every committed trajectory was pinned on (the weight *total* is
+precomputed once at compile time; summation order is unchanged, so the
+product ``rng.random() * total`` is the exact float the per-draw
+``sum`` used to produce).  A ranged footprint draws without
+replacement: each pick removes its item and rescans what is left.
 """
 
 from __future__ import annotations
@@ -70,45 +61,6 @@ POPULARITY_MODES = ("uniform", "zipf")
 #: up front); ``"open"`` is the open-loop service mode (duration-
 #: bounded, gaps drawn one at a time via ``next_gap``).
 ARRIVAL_MODES = ("poisson", "fixed", "open")
-
-#: weighted-pick samplers a spec may choose from.
-SAMPLER_MODES = ("scan", "alias")
-
-
-def build_alias_table(weights: Sequence[float]) -> tuple[list[float], list[int]]:
-    """Walker's alias method: O(n) setup for O(1) weighted draws.
-
-    Returns ``(prob, alias)``: cell ``i`` keeps the draw with
-    probability ``prob[i]`` and defers to ``alias[i]`` otherwise.  The
-    classic small/large worklist construction; cells are filled in
-    deterministic index order so the table — hence every draw — is a
-    pure function of the weights.
-    """
-    n = len(weights)
-    if n == 0:
-        raise ConfigurationError("alias table needs at least one weight")
-    total = sum(weights)
-    if total <= 0:
-        raise ConfigurationError("alias table needs a positive weight total")
-    prob = [0.0] * n
-    alias = list(range(n))
-    scaled = [w * n / total for w in weights]
-    small = [i for i in range(n) if scaled[i] < 1.0]
-    large = [i for i in range(n) if scaled[i] >= 1.0]
-    while small and large:
-        s = small.pop()
-        g = large.pop()
-        prob[s] = scaled[s]
-        alias[s] = g
-        scaled[g] = (scaled[g] + scaled[s]) - 1.0
-        (small if scaled[g] < 1.0 else large).append(g)
-    # leftovers are 1.0 up to float round-off
-    for i in large:
-        prob[i] = 1.0
-    for i in small:
-        prob[i] = 1.0
-    return prob, alias
-
 
 @dataclass(frozen=True)
 class WorkloadOp:
@@ -165,10 +117,6 @@ class WorkloadSpec:
             the draw entirely.
         value_pool: value range for direct-update drivers
             (``rng.randrange(value_pool)`` per written item).
-        sampler: Zipf pick implementation — ``"scan"`` (default, the
-            historical cumulative scan, O(n) per draw) or ``"alias"``
-            (Walker alias table, O(1) per draw, different RNG stream —
-            see the module docstring).  Ignored for uniform popularity.
     """
 
     n_txns: int = 60
@@ -181,7 +129,6 @@ class WorkloadSpec:
     start: float = 1.0
     cross_region: float = 0.0
     value_pool: int = 1000
-    sampler: str = "scan"
     rate: float | None = None
     duration: float | None = None
     rate_schedule: tuple[tuple[float, float], ...] | None = None
@@ -218,10 +165,6 @@ class WorkloadSpec:
             )
         if self.value_pool < 1:
             raise ConfigurationError(f"value_pool must be >= 1, got {self.value_pool}")
-        if self.sampler not in SAMPLER_MODES:
-            raise ConfigurationError(
-                f"sampler must be one of {SAMPLER_MODES}, got {self.sampler!r}"
-            )
         if self.arrival == "open":
             if self.rate is None or self.rate <= 0:
                 raise ConfigurationError(
@@ -276,8 +219,6 @@ class WorkloadSpec:
         parts = [f"n={self.n_txns}", self.popularity]
         if self.popularity == "zipf":
             parts.append(f"s={self.zipf_s:g}")
-            if self.sampler != "scan":
-                parts.append(self.sampler)
         if self.read_fraction:
             parts.append(f"reads={self.read_fraction:.0%}")
         parts.append(f"footprint={self.footprint[0]}-{self.footprint[1]}")
@@ -314,7 +255,7 @@ class CompiledWorkload:
             self._weights = [
                 1.0 / (rank**spec.zipf_s) for rank in range(1, len(self._names) + 1)
             ]
-            # the scan sampler's normalizer, summed once here in the
+            # the cumulative scan's normalizer, summed once here in the
             # same order the per-draw sum() used, so the product
             # rng.random() * total is bit-identical to the historical
             # per-call recomputation.
@@ -322,10 +263,6 @@ class CompiledWorkload:
         else:
             self._weights = None
             self._weight_total = 0.0
-        if spec.sampler == "alias" and self._weights is not None:
-            self._alias_prob, self._alias = build_alias_table(self._weights)
-        else:
-            self._alias_prob = self._alias = None
         # per-item foreign-site pools for the cross-region pattern: all
         # sites of regions hosting no copy of the item.
         self._foreign: dict[str, list[int]] = {}
@@ -422,24 +359,11 @@ class CompiledWorkload:
                 return i
         return len(weights) - 1
 
-    def _alias_pick(self, rng: random.Random) -> int:
-        """Index of one alias-table draw (one ``rng.random()``, O(1)).
-
-        The standard one-uniform trick: the integer part of
-        ``u * n`` picks the cell, the fractional part decides between
-        the cell and its alias.
-        """
-        u = rng.random() * len(self._alias_prob)
-        i = int(u)
-        return i if (u - i) < self._alias_prob[i] else self._alias[i]
-
     def pick_item(self, rng: random.Random) -> str:
         """One item by popularity (uniform: one ``choice``; zipf: one
         ``random``)."""
         if self._weights is None:
             return rng.choice(self._names)
-        if self._alias_prob is not None:
-            return self._names[self._alias_pick(rng)]
         return self._names[self._weighted_pick(rng, self._weights, self._weight_total)]
 
     def pick_items(self, rng: random.Random) -> list[str]:
@@ -450,37 +374,9 @@ class CompiledWorkload:
         n = rng.randint(lo, min(hi, len(self._names)))
         if self._weights is None:
             return rng.sample(self._names, n)
-        if self._alias_prob is not None:
-            # rejection-on-alias: O(1) draws, retried on duplicates —
-            # for n << catalog size this beats rebuilding per draw; a
-            # hot item that is already picked just re-rolls.  The draw
-            # budget bounds the degenerate regime (n a large fraction
-            # of a skewed catalog, where the unpicked tail carries
-            # vanishing mass and rejection would spin); exhausting it
-            # falls back to the bounded scan loop for the remainder —
-            # still deterministic, since the budget spends a fixed
-            # number of draws before the switch.
-            names = self._names
-            picked: list[str] = []
-            seen: set[int] = set()
-            budget = 16 * n + 64
-            while len(picked) < n and budget:
-                budget -= 1
-                i = self._alias_pick(rng)
-                if i not in seen:
-                    seen.add(i)
-                    picked.append(names[i])
-            if len(picked) < n:
-                rest_names = [nm for j, nm in enumerate(names) if j not in seen]
-                rest_weights = [w for j, w in enumerate(self._weights) if j not in seen]
-                for __ in range(n - len(picked)):
-                    i = self._weighted_pick(rng, rest_weights, sum(rest_weights))
-                    picked.append(rest_names.pop(i))
-                    rest_weights.pop(i)
-            return picked
         names = list(self._names)
         weights = list(self._weights)
-        picked = []
+        picked: list[str] = []
         for __ in range(n):  # weighted, without replacement
             i = self._weighted_pick(rng, weights, sum(weights))
             picked.append(names.pop(i))
@@ -505,7 +401,7 @@ class CompiledWorkload:
         return rng.choice(self.catalog.sites_of(item))
 
     # ------------------------------------------------------------------
-    # the driver-facing sampler
+    # the driver-facing draws
     # ------------------------------------------------------------------
 
     def next_op(self, rng: random.Random) -> WorkloadOp:

@@ -248,6 +248,14 @@ class TestArtifact:
         with pytest.raises(StoreError):
             RecordedTrace.from_lines([header] + lines[1:])
 
+    def test_a_sampler_other_than_the_scan_is_refused_by_name(self):
+        # every artifact carries "sampler": "scan" (a format constant);
+        # no other value has a sampler to replay it
+        lines = small_trace().to_lines()
+        header = dict(lines[0], spec=dict(lines[0]["spec"], sampler="alias"))
+        with pytest.raises(StoreError, match=r"malformed trace header: spec field 'sampler' is 'alias'"):
+            RecordedTrace.from_lines([header] + lines[1:])
+
 
 class TestWhatIfConfigs:
     def test_protocol_override_changes_engine_not_stream(self):
@@ -328,6 +336,18 @@ class TestCommandLine:
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
             assert str(path) in err
+
+    @pytest.mark.parametrize("drop", [6, 7, 11])
+    def test_dropping_every_site_exits_2(self, tmp_path, capsys, drop):
+        from repro.replay.__main__ import main
+
+        path = tmp_path / "whole.jsonl.gz"
+        small_trace().save(path)
+        assert len(small_trace().catalog.all_sites()) == 6
+        assert main(["replay", str(path), "--drop-sites", str(drop)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: derived catalog is empty") and err.count("\n") == 1
 
     def test_a_whole_artifact_still_replays_to_its_fixed_point(self, tmp_path, capsys):
         from repro.replay.__main__ import main

@@ -26,7 +26,6 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from repro.bench import compare_case, default_suite, encode
-from repro.bench.cases import zipf_sampling_trial
 from repro.common.errors import StorageError
 from repro.concurrency.locks import LockManager
 from repro.engine import SweepRunner, SweepSpec, run_sweep
@@ -128,8 +127,6 @@ def _counters(seed, target=None, reference=None):
 class _ListTracer:
     """Reference: a plain list of records, every query a linear scan."""
 
-    dropped = 0
-
     def __init__(self):
         self.records = []
 
@@ -201,7 +198,6 @@ def _trace_mix(seed, tracer, n_events=600, n_sites=24, n_txns=48, queries=12):
     histogram = tracer.message_counts()
     return {
         "records": len(tracer),
-        "dropped": tracer.dropped,
         "query_hits": hits,
         "decided_sites": sum(len(tracer.decisions(f"T{i}")) for i in range(n_txns)),
         "histogram": histogram,
@@ -581,14 +577,3 @@ class TestHotPathsAgreeWithReferences:
     @settings(max_examples=3, deadline=None)
     def test_warm_pool_rows_identical_across_executors(self, seed):
         assert _campaign(seed, _PoolPerSweepRunner(2)) == _campaign(seed, SweepRunner(2))
-
-    @given(st.integers(0, 2**20))
-    @settings(max_examples=5, deadline=None)
-    def test_zipf_sampling_arms_each_deterministic(self, seed):
-        # the two arms consume the RNG differently by design (the alias
-        # sampler is opt-in for that reason); each arm must still be a
-        # pure function of its seed
-        for alias in (False, True):
-            first = zipf_sampling_trial(seed, alias=alias, n_items=300, draws=40, fp_draws=8)
-            second = zipf_sampling_trial(seed, alias=alias, n_items=300, draws=40, fp_draws=8)
-            assert first == second

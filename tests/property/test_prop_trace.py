@@ -2,15 +2,13 @@
 
 A random interleaving of the five append kinds — the generic
 ``record(...)`` and the ``send`` / ``deliver`` / ``drop`` / ``state``
-fast paths — is fed to an unbounded, a truncating (``capacity=k``) and
-a ring (``capacity=k, ring=True``) tracer, with queries at random
-points.  Whatever the indexes hold (generic rows indexed as they land,
-fast-path categories indexed when a query names them, the per-txn
-index built for txn-only queries, a ring's stale positions skipped and
-trimmed once per lap), every answer must equal a test-local filter of
-``tracer.records``.  Separately, the store itself must hold exactly
-what a plain list with the same capacity rule would, and render
-exactly like a tracer fed only through ``record(...)``.
+fast paths — is fed to a tracer, with queries at random points.
+Whatever the indexes hold (generic rows indexed as they land, fast-path
+categories indexed when a query names them, the per-txn index built
+for txn-only queries), every answer must equal a test-local filter of
+``tracer.records``.  Separately, the store itself must hold every row
+appended, in order, and render exactly like a tracer fed only through
+``record(...)``.
 """
 
 from collections import Counter
@@ -46,11 +44,6 @@ QUERIES = st.one_of(
     st.tuples(st.just("entries"), CATEGORY, MAYBE(TXNS)),
 )
 STEPS = st.lists(st.one_of(APPENDS, APPENDS, APPENDS, QUERIES), max_size=80)
-MODES = st.one_of(
-    st.just((None, False)),
-    st.tuples(st.integers(0, 9), st.just(False)),
-    st.tuples(st.integers(1, 9), st.just(True)),
-)
 
 
 def append(tracer, time, step, generic_only=False):
@@ -89,8 +82,8 @@ def ask(tracer, query, cursors):
     return getattr(tracer, kind)(*args)
 
 
-def reference(records, first, query, cursors):
-    """The same answer, filtered from ``records`` (kept from ``first`` on)."""
+def reference(records, query, cursors):
+    """The same answer, filtered from ``records``."""
     kind, *args = query
     if kind == "where":
         category, site, txn, after = args
@@ -120,60 +113,53 @@ def reference(records, first, query, cursors):
         start = cursors.get(category, 0)
         found = [
             (r.time, r.site, r.txn)
-            for pos, r in enumerate(records, start=first)
+            for pos, r in enumerate(records)
             if pos >= start and r.category == category
         ]
-        return first + len(records), found
+        return len(records), found
     category, txn = args
     return [(r.time, r.site, r.detail) for r in records if r.category == category and txn in (None, r.txn)]
 
 
-def check_query(tracer, ring, query, cursors):
+def check_query(tracer, query, cursors):
     """Answer ``query``, then compare it with a filter of ``records``
     (read afterwards, so the query meets views it has not memoized)."""
     answer = ask(tracer, query, cursors)
-    first = tracer.dropped if ring else 0  # a position counts records ever stored
-    assert answer == reference(tracer.records, first, query, cursors)
+    assert answer == reference(tracer.records, query, cursors)
     if query[0] == "since":
         cursors[query[1]] = answer[0]
 
 
 @settings(max_examples=300, deadline=None)
-@given(steps=STEPS, mode=MODES)
-def test_every_query_is_a_filter_of_the_records(steps, mode):
-    capacity, ring = mode
-    tracer = Tracer(capacity=capacity, ring=ring)
+@given(steps=STEPS)
+def test_every_query_is_a_filter_of_the_records(steps):
+    tracer = Tracer()
     cursors = {}
     for time, step in enumerate(steps):
         if step[0] in ("send", "deliver", "drop", "state", "record"):
             append(tracer, float(time), step)
         else:
-            check_query(tracer, ring, step, cursors)
+            check_query(tracer, step, cursors)
     # one more round after the last append: every index catches up
     for category in CATEGORIES:
-        check_query(tracer, ring, ("entries", category, None), cursors)
-        check_query(tracer, ring, ("since", category), cursors)
-    check_query(tracer, ring, ("txn_scope", "T1"), cursors)
+        check_query(tracer, ("entries", category, None), cursors)
+        check_query(tracer, ("since", category), cursors)
+    check_query(tracer, ("txn_scope", "T1"), cursors)
 
 
 @settings(max_examples=300, deadline=None)
-@given(steps=STEPS, mode=MODES)
-def test_fast_paths_store_what_the_generic_append_stores(steps, mode):
-    capacity, ring = mode
-    fast, generic = Tracer(capacity=capacity, ring=ring), Tracer(capacity=capacity, ring=ring)
-    kept = []  # a plain list under the same capacity rule
+@given(steps=STEPS)
+def test_fast_paths_store_what_the_generic_append_stores(steps):
+    fast, generic = Tracer(), Tracer()
+    kept = []  # the time of every row appended
     for time, step in enumerate(steps):
         if step[0] not in ("send", "deliver", "drop", "state", "record"):
-            check_query(fast, ring, step, {})  # queries in between change nothing
+            check_query(fast, step, {})  # queries in between change nothing
             continue
         append(fast, float(time), step)
         append(generic, float(time), step, generic_only=True)
         kept.append(float(time))
-        if capacity is not None and len(kept) > capacity:
-            del kept[0 if ring else -1]
     assert fast.records == generic.records
     assert fast.dump() == generic.dump()
     assert [r.time for r in fast.records] == kept
-    assert fast.dropped == generic.dropped == len(
-        [s for s in steps if s[0] in ("send", "deliver", "drop", "state", "record")]
-    ) - len(kept)
+    assert len(fast) == len(generic) == len(kept)

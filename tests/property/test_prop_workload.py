@@ -69,63 +69,69 @@ class TestScenarioSweepDeterminism:
             assert first == second, task.__name__
 
 
-class TestSamplerDistributions:
-    """Alias and scan sample the *same* Zipf law.
+class TestZipfLaw:
+    """The cumulative scan samples the exact Zipf law.
 
-    The two samplers consume the RNG differently, so their streams are
-    incomparable draw-for-draw — the equivalence bar is distributional:
-    on a fixed seed and a small catalog, per-item frequencies must agree
-    within a tolerance far tighter than the gap between adjacent Zipf
-    ranks.
+    On a fixed seed and a small catalog, per-item frequencies must sit
+    within a tolerance of the pmf ``rank**-s`` (normalised) far tighter
+    than the gap between adjacent Zipf ranks.
     """
 
-    def _frequencies(self, sampler, seed, n_draws=6000, zipf_s=1.3):
+    ZIPF_S = 1.3
+
+    @staticmethod
+    def _catalog():
         import random
 
         from repro.workload.generators import random_catalog
+
+        return random_catalog(random.Random(4), n_sites=6, n_items=6, replication=3)
+
+    @classmethod
+    def _law(cls, catalog):
+        weights = [rank**-cls.ZIPF_S for rank in range(1, len(catalog.item_names) + 1)]
+        total = sum(weights)
+        return {name: w / total for name, w in zip(catalog.item_names, weights)}
+
+    @staticmethod
+    def _tvd(freqs, law):
+        return sum(abs(freqs[k] - law[k]) for k in law) / 2
+
+    @given(st.integers(0, 2**16))
+    @settings(max_examples=5, deadline=None)
+    def test_single_pick_frequencies_follow_the_law(self, seed):
+        import random
+
         from repro.workload.spec import WorkloadSpec
 
-        catalog = random_catalog(random.Random(4), n_sites=6, n_items=6, replication=3)
+        catalog = self._catalog()
+        compiled = WorkloadSpec(popularity="zipf", zipf_s=self.ZIPF_S).compile(catalog)
+        rng = random.Random(seed)
+        draws = 6000
+        counts = {name: 0 for name in catalog.item_names}
+        for __ in range(draws):
+            counts[compiled.pick_item(rng)] += 1
+        # a 6k-draw empirical distribution stays well within 0.05 of its law
+        tvd = self._tvd({name: c / draws for name, c in counts.items()}, self._law(catalog))
+        assert tvd < 0.05, f"scan diverges from the Zipf law: TVD {tvd:.3f}"
+
+    @given(st.integers(0, 2**16))
+    @settings(max_examples=5, deadline=None)
+    def test_footprint_first_pick_follows_the_law(self, seed):
+        import random
+
+        from repro.workload.spec import WorkloadSpec
+
+        catalog = self._catalog()
         compiled = WorkloadSpec(
-            popularity="zipf", zipf_s=zipf_s, sampler=sampler
+            popularity="zipf", zipf_s=self.ZIPF_S, footprint=(2, 3)
         ).compile(catalog)
         rng = random.Random(seed)
-        counts = {name: 0 for name in catalog.item_names}
-        for __ in range(n_draws):
-            counts[compiled.pick_item(rng)] += 1
-        return {name: c / n_draws for name, c in counts.items()}
-
-    @given(st.integers(0, 2**16))
-    @settings(max_examples=5, deadline=None)
-    def test_single_pick_frequencies_agree(self, seed):
-        scan = self._frequencies("scan", seed)
-        alias = self._frequencies("alias", seed)
-        # total-variation distance between two 6k-draw empirical
-        # distributions of the same law stays well under 0.05
-        tvd = sum(abs(scan[k] - alias[k]) for k in scan) / 2
-        assert tvd < 0.05, f"samplers diverge: TVD {tvd:.3f}"
-
-    @given(st.integers(0, 2**16))
-    @settings(max_examples=5, deadline=None)
-    def test_footprint_first_pick_frequencies_agree(self, seed):
-        import random
-
-        from repro.workload.generators import random_catalog
-        from repro.workload.spec import WorkloadSpec
-
-        catalog = random_catalog(random.Random(4), n_sites=6, n_items=6, replication=3)
         draws = 3000
-        freqs = {}
-        for sampler in ("scan", "alias"):
-            compiled = WorkloadSpec(
-                popularity="zipf", zipf_s=1.3, footprint=(2, 3), sampler=sampler
-            ).compile(catalog)
-            rng = random.Random(seed)
-            counts = {name: 0 for name in catalog.item_names}
-            for __ in range(draws):
-                picked = compiled.pick_items(rng)
-                assert len(set(picked)) == len(picked)  # without replacement
-                counts[picked[0]] += 1
-            freqs[sampler] = {name: c / draws for name, c in counts.items()}
-        tvd = sum(abs(freqs["scan"][k] - freqs["alias"][k]) for k in freqs["scan"]) / 2
-        assert tvd < 0.06, f"footprint first-pick diverges: TVD {tvd:.3f}"
+        counts = {name: 0 for name in catalog.item_names}
+        for __ in range(draws):
+            picked = compiled.pick_items(rng)
+            assert len(set(picked)) == len(picked)  # without replacement
+            counts[picked[0]] += 1
+        tvd = self._tvd({name: c / draws for name, c in counts.items()}, self._law(catalog))
+        assert tvd < 0.06, f"footprint first pick diverges from the Zipf law: TVD {tvd:.3f}"

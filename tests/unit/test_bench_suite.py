@@ -92,7 +92,6 @@ class TestSuite:
             "rolling_upgrade",
             "flash_crowd",
             "gray_failure",
-            "zipf_sampling",
             "trace_replay_tournament",
         ]
         with pytest.raises(ValueError, match="unknown scale"):

@@ -1,0 +1,29 @@
+"""``derive_catalog``: a what-if catalog without its highest hosting sites.
+
+Dropping ``k`` of ``n`` hosting sites keeps the ``n - k`` lowest; a
+``k`` that leaves no site is refused, however far past ``n`` it goes.
+"""
+
+import pytest
+
+from repro.common.errors import StoreError
+from repro.replay import derive_catalog
+from repro.replication.catalog import ItemConfig, ReplicaCatalog
+
+#: six hosting sites, every item on three of them
+SIX_SITES = ReplicaCatalog(
+    ItemConfig(name, {site: 1 for site in sites}, 2, 2)
+    for name, sites in [("x", (1, 2, 3)), ("y", (3, 4, 5)), ("z", (1, 5, 6)), ("w", (2, 4, 6))]
+)
+
+
+@pytest.mark.parametrize("drop", [0, 1, 3, 5])
+def test_keeps_the_lowest_sites(drop):
+    derived = derive_catalog(SIX_SITES, drop_sites=drop)
+    assert sorted(derived.all_sites()) == list(range(1, 7 - drop))
+
+
+@pytest.mark.parametrize("drop", [6, 7, 11])
+def test_dropping_every_site_is_refused(drop):
+    with pytest.raises(StoreError, match="derived catalog is empty"):
+        derive_catalog(SIX_SITES, drop_sites=drop)

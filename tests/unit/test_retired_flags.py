@@ -28,6 +28,12 @@ unbaselined, the shared-payload transport stays deleted, and the
 keywords that carried it or them — a tournament's shared trace, the
 sweep's ``reduce=`` shorthand, the drivers' cluster probe, the bench's
 warm-pool runner — are rejected.
+
+So are the modes no run selected: the tracer keeps every row (no
+truncating or ring capacity, and a cluster builds its own), a Zipf pick
+is the cumulative scan (no alias sampler, and no ``zipf_sampling``
+case whose ``alias`` axis was its only caller), and a tournament takes
+no store, pool or sink of its own.
 """
 
 import importlib
@@ -41,6 +47,7 @@ import repro.engine as engine
 from repro.bench import BenchCase, BenchSuite, cases, compare_case, diff_against_baselines
 from repro.bench.cases import default_suite
 from repro.concurrency.locks import LockManager
+from repro.db.cluster import Cluster
 from repro.engine import (
     CountAcc,
     FoldedChunk,
@@ -66,6 +73,7 @@ from repro.storage.store import ReplicaStore
 from repro.storage.wal import WriteAheadLog
 from repro.traffic import run_scenario
 from repro.workload.scenarios import run_wan_storm
+from repro.workload.spec import WorkloadSpec
 
 BENCH_SRC = Path(cases.__file__).parent
 REPO = BENCH_SRC.parents[2]
@@ -119,6 +127,13 @@ RETIRED_KEYWORDS = {
     "run_case-runner": lambda: BenchSuite().run_case("toy", runner=None),
     "run-runner": lambda: BenchSuite().run(runner=None),
     "diff_against_baselines-runner": lambda: diff_against_baselines(BenchSuite(), None, runner=None),
+    "Tracer-capacity": lambda: Tracer(capacity=8),
+    "Tracer-ring": lambda: Tracer(ring=True),
+    "Cluster-tracer": lambda: Cluster(None, tracer=Tracer()),
+    "WorkloadSpec-sampler": lambda: WorkloadSpec(sampler="scan"),
+    "run_tournament-store": lambda: run_tournament(None, store=None),
+    "run_tournament-persistent-pool": lambda: run_tournament(None, **_kw("persistent", "pool", True)),
+    "run_tournament-sink": lambda: run_tournament(None, sink=None),
 }
 
 
@@ -130,7 +145,7 @@ def test_retired_keyword_is_rejected(call):
 
 def test_no_bench_case_selects_a_retired_arm():
     retired_axes = {"tracked", "cached", "grouped", "columnar", "intern", "flyweight", "indexed"}
-    retired_axes |= {"memo", "warm", "resilient", "streaming"}
+    retired_axes |= {"memo", "warm", "resilient", "streaming", "alias"}
     for case in default_suite():
         assert not retired_axes & set(case.spec.grid), case.name
 
@@ -150,6 +165,7 @@ RETIRED_CASES = [
     "recovery_replay",
     "catalog_memo",
     "sweep_streaming",
+    "zipf_sampling",
 ]
 
 
@@ -302,12 +318,14 @@ def test_retired_engine_attribute_is_gone(build, attribute):
     assert not hasattr(build(), attribute)
 
 
-#: the keywords each entry point keeps: two fewer on each than before
-#: the fault-tolerance arm went, and one fewer again since ``reduce=``
-#: (a second spelling of ``sink=ReducerSink(...)``) did
+#: the keywords each entry point keeps: two fewer on each sweep entry
+#: than before the fault-tolerance arm went, and one fewer again since
+#: ``reduce=`` (a second spelling of ``sink=ReducerSink(...)``) did; a
+#: tournament passes only ``workers`` on to its sweep
 SWEEP_SIGNATURES = {
     "run_sweep": (run_sweep, ["spec", "workers", "chunksize", "store", "persistent_pool", "sink"]),
     "SweepRunner.run_sweep": (SweepRunner.run_sweep, ["self", "spec", "chunksize", "store", "sink"]),
+    "run_tournament": (run_tournament, ["trace", "configs", "workers"]),
 }
 
 

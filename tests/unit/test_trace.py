@@ -3,8 +3,7 @@
 The columnar store must be observationally a plain list of records —
 materialized views compare equal to hand-built ``TraceRecord`` values,
 every indexed query answers like a naive filter over ``tracer.records``, and
-dumps render record by record — while the capacity modes differ on
-purpose: truncate drops *new* records, ring drops the *oldest*.
+dumps render record by record.  Every row appended is kept.
 """
 
 import pytest
@@ -21,13 +20,6 @@ class TestRecording:
         tracer.record(1.0, 1, "a")
         tracer.record(2.0, 2, "b")
         assert [r.category for r in tracer] == ["a", "b"]
-
-    def test_capacity_drops_overflow(self):
-        tracer = Tracer(capacity=2)
-        for i in range(5):
-            tracer.record(float(i), 0, "x")
-        assert len(tracer) == 2
-        assert tracer.dropped == 3
 
 
 class TestQueries:
@@ -211,143 +203,6 @@ class TestColumnarLegacyEquivalence:
         assert tracer.decisions("T") == {1: "abort"}
 
 
-class TestCapacityTruncate:
-    @pytest.mark.parametrize("indexed", [True, False])
-    def test_drops_new_records_past_capacity(self, indexed):
-        tracer = Tracer(capacity=4)
-        if indexed:
-            tracer.count("send")  # the row indexes exist before the overflow
-        _fill(tracer, 10)
-        assert len(tracer) == 4
-        assert tracer.dropped == 6
-        # the *first* four records survive
-        assert [r.time for r in tracer.records] == [0.0, 1.0, 2.0, 3.0]
-        assert [r.time for r in tracer.where(category="send")] == [0.0]
-
-    @pytest.mark.parametrize("ring", [True, False])
-    def test_capacity_zero_records_nothing(self, ring):
-        tracer = Tracer(capacity=0, ring=ring)
-        _fill(tracer, 5)
-        assert len(tracer) == 0
-        assert tracer.dropped == 5
-        assert tracer.records == []
-        assert tracer.where(category="send") == []
-
-
-class TestRingBuffer:
-    def test_ring_requires_capacity(self):
-        with pytest.raises(ValueError, match="capacity"):
-            Tracer(ring=True)
-
-    def test_keeps_newest_and_counts_evictions(self):
-        tracer = Tracer(capacity=4, ring=True)
-        _fill(tracer, 10)
-        assert len(tracer) == 4
-        assert tracer.dropped == 6
-        # the *last* four records survive, oldest -> newest
-        assert [r.time for r in tracer.records] == [6.0, 7.0, 8.0, 9.0]
-
-    def test_under_capacity_behaves_plainly(self):
-        tracer = Tracer(capacity=10, ring=True)
-        _fill(tracer, 6)
-        assert len(tracer) == 6
-        assert tracer.dropped == 0
-        assert [r.time for r in tracer.records] == [float(i) for i in range(6)]
-
-    def test_queries_after_wrap_match_surviving_window(self):
-        ring = Tracer(capacity=7, ring=True)
-        full = Tracer()
-        _fill(ring, 30)
-        _fill(full, 30)
-        survivors = full.records[-7:]
-        assert ring.records == survivors
-        assert ring.where(category="send") == [
-            r for r in survivors if r.category == "send"
-        ]
-        assert ring.count("state") == sum(1 for r in survivors if r.category == "state")
-        expected = {}
-        for r in survivors:
-            if r.category == "send":
-                expected[r.detail["mtype"]] = expected.get(r.detail["mtype"], 0) + 1
-        assert ring.message_counts() == expected
-
-    def test_interleaved_queries_and_wraps(self):
-        tracer = Tracer(capacity=3, ring=True)
-        tracer.record_send(1.0, 0, "T", "m", 1)
-        assert tracer.count("send") == 1
-        for t in (2.0, 3.0, 4.0, 5.0):
-            tracer.record_send(t, 0, "T", "m", 1)
-        assert tracer.count("send") == 3
-        assert [r.time for r in tracer.records] == [3.0, 4.0, 5.0]
-        assert tracer.dropped == 2
-
-    def test_indexes_stay_bounded_over_many_laps(self):
-        # one index for every mode: a ring's evicted positions are cut
-        # out once per lap, so the indexes and the memo never outgrow
-        # two laps, however long the run
-        capacity = 7
-        tracer = Tracer(capacity=capacity, ring=True)
-        for _ in range(40):
-            _fill(tracer, 11)
-            TestDirectColumnReads._query_everything(tracer)
-            for index in (tracer._by_cat, tracer._by_key, tracer._by_txn):
-                assert sum(map(len, index.values())) <= 2 * capacity
-            assert len(tracer._memo) <= 2 * capacity
-        assert tracer.dropped == 40 * 11 - capacity
-
-
-class TestDirectColumnReads:
-    """Until a ring wraps, a position *is* its slot: nothing is
-    translated.  After, it answers from its window."""
-
-    @staticmethod
-    def _query_everything(tracer):
-        return (
-            tracer.where(category="send"),
-            tracer.where(txn="T1", site=1),
-            tracer.count("state"),
-            tracer.decisions("T1"),
-            tracer.message_counts(),
-            tracer.txn_scope("T2"),
-            tracer.entries("decision", "T1"),
-        )
-
-    @staticmethod
-    def _spy_slots(monkeypatch):
-        """Record, per ``_slots`` call, whether it translated anything."""
-        translated = []
-        original = Tracer._slots
-
-        def spy(self, positions):
-            slots = original(self, positions)
-            translated.append(slots is not positions)
-            return slots
-
-        monkeypatch.setattr(Tracer, "_slots", spy)
-        return translated
-
-    def test_an_unwrapped_ring_never_translates_a_position(self, monkeypatch):
-        tracer = Tracer(capacity=64, ring=True)  # a ring, but not wrapped
-        _fill(tracer, 30)
-        translated = self._spy_slots(monkeypatch)
-        answers = self._query_everything(tracer)
-        assert translated and not any(translated)  # no modulo, no second list
-        plain = Tracer()
-        _fill(plain, 30)
-        assert answers == self._query_everything(plain)
-
-    def test_a_wrapped_ring_does(self, monkeypatch):
-        tracer = Tracer(capacity=7, ring=True)
-        _fill(tracer, 30)
-        full = Tracer()
-        _fill(full, 30)
-        survivors = _naive_where(full.records[-7:], category="decision", txn="T1")
-        translated = self._spy_slots(monkeypatch)
-        assert tracer.decisions("T1") == {r.site: r.detail["outcome"] for r in survivors} != {}
-        assert tracer.entries("decision", "T1") == [(r.time, r.site, r.detail) for r in survivors]
-        assert translated and all(translated)
-
-
 class TestCursor:
     """``since`` hands each record of a category to its reader once."""
 
@@ -379,32 +234,6 @@ class TestCursor:
         assert tracer.since(0, "decision")[1] and tracer.since(0, "send")[1]
         assert tracer._memo == {} and tracer._by_cat == indexed
         assert tracer._scanned == {} and tracer._by_txn == {} and tracer._txn_upto == 0
-
-    def test_a_full_truncating_tracer_hands_out_what_it_stored(self):
-        tracer = Tracer(capacity=10)
-        expected = _fill(tracer, 30)
-        position, rows = tracer.since(0, "decision")
-        assert position == 10 and rows == self._keys(expected[:10], "decision")
-        assert tracer.since(position, "decision") == (10, [])
-
-    def test_a_ring_skips_what_it_evicted_before_the_reader_came_back(self):
-        tracer = Tracer(capacity=7, ring=True)
-        expected = _fill(tracer, 5)
-        position, rows = tracer.since(0, "decision")
-        assert position == 5 and rows == self._keys(expected, "decision")
-        later = [
-            TraceRecord(float(10 + i), i % 3, "decision", f"T{i}", {"outcome": "commit"})
-            for i in range(12)
-        ]
-        for rec in later[:4]:  # wraps, but the ring still holds all four
-            tracer.record(rec.time, rec.site, rec.category, rec.txn, **rec.detail)
-        position, rows = tracer.since(position, "decision")
-        assert position == 9 and rows == self._keys(later[:4], "decision")
-        for rec in later[4:]:  # eight more: the first of them is evicted unread
-            tracer.record(rec.time, rec.site, rec.category, rec.txn, **rec.detail)
-        position, rows = tracer.since(position, "decision")
-        assert position == 17 and rows == self._keys(later[5:], "decision")
-        assert tracer.since(position, "decision") == (17, [])
 
 
 class TestRecordRendering:

@@ -31,7 +31,6 @@ class TestValidation:
             {"mean_spacing": 0.0},
             {"cross_region": -0.1},
             {"value_pool": 0},
-            {"sampler": "rejection"},
         ],
     )
     def test_bad_knobs_rejected(self, kwargs):
@@ -162,97 +161,19 @@ class TestZipf:
         assert a == b
 
     def test_precomputed_total_matches_per_draw_sum(self, catalog):
-        # the scan sampler's normalizer is summed once at compile time;
+        # the scan's normalizer is summed once at compile time;
         # it must be the exact float sum() produced per draw historically
         compiled = WorkloadSpec(popularity="zipf", zipf_s=1.3).compile(catalog)
         assert compiled._weight_total == sum(compiled._weights)
 
-
-class TestAliasSampler:
-    def test_alias_table_is_a_distribution(self, catalog):
-        from repro.workload.spec import build_alias_table
-
-        weights = [1.0 / (r**1.2) for r in range(1, 10)]
-        prob, alias = build_alias_table(weights)
-        assert len(prob) == len(alias) == len(weights)
-        assert all(0.0 <= p <= 1.0 + 1e-12 for p in prob)
-        assert all(0 <= a < len(weights) for a in alias)
-        # reconstructed cell masses must match the normalized weights
-        n = len(weights)
-        total = sum(weights)
-        mass = [0.0] * n
-        for i in range(n):
-            mass[i] += prob[i] / n
-            mass[alias[i]] += (1.0 - prob[i]) / n
-        for i in range(n):
-            assert mass[i] == pytest.approx(weights[i] / total)
-
-    def test_alias_table_rejects_degenerate_weights(self):
-        from repro.common.errors import ConfigurationError
-        from repro.workload.spec import build_alias_table
-
-        with pytest.raises(ConfigurationError):
-            build_alias_table([])
-        with pytest.raises(ConfigurationError):
-            build_alias_table([0.0, 0.0])
-
-    def test_alias_pick_is_skewed_like_scan(self, catalog):
-        compiled = WorkloadSpec(
-            popularity="zipf", zipf_s=1.5, sampler="alias"
-        ).compile(catalog)
-        rng = random.Random(11)
-        counts = {name: 0 for name in catalog.item_names}
-        for __ in range(4000):
-            counts[compiled.pick_item(rng)] += 1
-        ordered = [counts[name] for name in catalog.item_names]
-        assert ordered[0] == max(ordered)
-        assert ordered[0] > 3 * ordered[-1]
-
-    def test_alias_footprint_distinct_items(self, catalog):
-        compiled = WorkloadSpec(
-            popularity="zipf", footprint=(2, 4), sampler="alias"
-        ).compile(catalog)
-        rng = random.Random(5)
-        for __ in range(200):
-            items = compiled.pick_items(rng)
-            assert 2 <= len(items) <= 4
-            assert len(set(items)) == len(items)
-
-    def test_alias_full_catalog_footprint_terminates(self, catalog):
-        # the degenerate regime the draw budget exists for: a footprint
-        # spanning the whole catalog under skew must fall back to the
-        # bounded scan loop instead of rejection-spinning on the tail
+    def test_full_catalog_footprint_is_a_permutation(self, catalog):
+        # a footprint spanning the whole catalog under heavy skew still
+        # draws every item once
         n = len(catalog.item_names)
-        compiled = WorkloadSpec(
-            popularity="zipf", zipf_s=2.5, footprint=(n, n), sampler="alias"
-        ).compile(catalog)
+        compiled = WorkloadSpec(popularity="zipf", zipf_s=2.5, footprint=(n, n)).compile(catalog)
         rng = random.Random(13)
         for __ in range(20):
-            picked = compiled.pick_items(rng)
-            assert sorted(picked) == catalog.item_names  # a full permutation
-
-    def test_alias_deterministic_in_seed(self, catalog):
-        compiled = WorkloadSpec(
-            popularity="zipf", footprint=(1, 3), sampler="alias"
-        ).compile(catalog)
-        a = [compiled.next_update(random.Random(9)) for __ in range(5)]
-        b = [compiled.next_update(random.Random(9)) for __ in range(5)]
-        assert a == b
-
-    def test_alias_ignored_for_uniform_popularity(self, catalog):
-        # uniform specs never build a table and replay the historical
-        # choice/sample stream untouched
-        scan = WorkloadSpec(footprint=(1, 2))
-        alias = WorkloadSpec(footprint=(1, 2), sampler="alias")
-        a = [scan.compile(catalog).next_update(random.Random(3)) for __ in range(8)]
-        b = [alias.compile(catalog).next_update(random.Random(3)) for __ in range(8)]
-        assert a == b
-
-    def test_scan_default_unchanged_by_sampler_field(self, catalog):
-        # adding the sampler knob must not shift the default stream
-        compiled = WorkloadSpec(popularity="zipf", zipf_s=1.5).compile(catalog)
-        assert compiled._alias_prob is None
-        assert compiled.spec.sampler == "scan"
+            assert sorted(compiled.pick_items(rng)) == catalog.item_names
 
 
 class TestReadMix:
