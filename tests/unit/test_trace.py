@@ -203,6 +203,68 @@ class TestColumnarLegacyEquivalence:
         assert tracer.decisions("T") == {1: "abort"}
 
 
+def _query_everything(tracer: Tracer):
+    """One of each read the indexes serve."""
+    return (
+        tracer.where(category="send"),
+        tracer.where(txn="T1", site=1),
+        tracer.count("state"),
+        tracer.decisions("T1"),
+        tracer.message_counts(),
+        tracer.txn_scope("T2"),
+        tracer.entries("decision", "T1"),
+    )
+
+
+class TestEveryRowIsKept:
+    """One storage mode: the verdict readers see the whole history."""
+
+    def test_a_long_run_keeps_every_row(self):
+        tracer = Tracer()
+        expected = []
+        for _ in range(100):
+            expected += _fill(tracer, 30)
+        assert len(tracer) == 3000
+        assert tracer.records == expected
+        assert tracer.decisions("T1") == {
+            r.site: r.detail["outcome"] for r in _naive_where(expected, "decision", txn="T1")
+        }
+
+    def test_a_position_is_its_slot(self):
+        tracer = Tracer()
+        expected = _fill(tracer, 60)
+        _query_everything(tracer)
+        tracer.where(category="deliver")
+        tracer.where(category="drop")
+        for (category, txn), positions in tracer._by_key.items():
+            assert [expected[p] for p in positions] == _naive_where(
+                expected, category, txn=txn
+            )
+        for txn, positions in tracer._by_txn.items():
+            assert [expected[p] for p in positions] == _naive_where(expected, txn=txn)
+
+    def test_interleaved_queries_and_appends_match_a_naive_filter(self):
+        # the indexes are extended over each batch, never rebuilt, and
+        # hold every position exactly once however long the run
+        tracer, reference = Tracer(), Tracer()
+        for _ in range(40):
+            _fill(tracer, 11)
+            _fill(reference, 11)
+            assert _query_everything(tracer) == _query_everything(_rebuilt(reference))
+            assert sum(map(len, tracer._by_txn.values())) == len(tracer)
+            for index in (tracer._by_cat, tracer._by_key, tracer._by_txn):
+                for positions in index.values():
+                    assert positions == sorted(set(positions))
+
+
+def _rebuilt(tracer: Tracer) -> Tracer:
+    """A fresh tracer holding ``tracer``'s records, indexed from scratch."""
+    fresh = Tracer()
+    for r in tracer.records:
+        fresh.record(r.time, r.site, r.category, r.txn, **r.detail)
+    return fresh
+
+
 class TestCursor:
     """``since`` hands each record of a category to its reader once."""
 
@@ -234,6 +296,47 @@ class TestCursor:
         assert tracer.since(0, "decision")[1] and tracer.since(0, "send")[1]
         assert tracer._memo == {} and tracer._by_cat == indexed
         assert tracer._scanned == {} and tracer._by_txn == {} and tracer._txn_upto == 0
+
+    def test_a_reader_that_falls_behind_still_gets_every_record(self):
+        tracer = Tracer()
+        expected = _fill(tracer, 5)
+        position, rows = tracer.since(0, "decision")
+        assert position == 5 and rows == self._keys(expected, "decision")
+        later = [
+            TraceRecord(float(10 + i), i % 3, "decision", f"T{i}", {"outcome": "commit"})
+            for i in range(500)
+        ]
+        for rec in later:  # many more rows than the reader has seen
+            tracer.record(rec.time, rec.site, rec.category, rec.txn, **rec.detail)
+        position, rows = tracer.since(position, "decision")
+        assert position == 505 and rows == self._keys(later, "decision")
+        assert tracer.since(position, "decision") == (505, [])
+
+    def test_readers_keep_their_own_positions(self):
+        # the cursor is the caller's: two readers at different paces
+        # each see every record of their category once
+        tracer = Tracer()
+        fast, slow = (0, []), (0, [])
+        for batch in range(6):
+            _fill(tracer, 12)
+            position, rows = tracer.since(fast[0], "decision")
+            fast = (position, fast[1] + rows)
+            if batch % 3 == 2:
+                position, rows = tracer.since(slow[0], "send")
+                slow = (position, slow[1] + rows)
+        assert fast == (len(tracer), self._keys(tracer.records, "decision"))
+        assert slow == (len(tracer), self._keys(tracer.records, "send"))
+
+    @pytest.mark.parametrize(
+        "category", ["send", "deliver", "drop", "state", "decision", "partition"]
+    )
+    def test_a_cursor_read_agrees_with_the_indexed_query(self, category):
+        tracer = Tracer()
+        _fill(tracer, 48)
+        indexed = [(r.time, r.site, r.txn) for r in tracer.where(category=category)]
+        assert indexed
+        assert tracer.since(0, category) == (48, indexed)
+        assert tracer.since(24, category)[1] == [row for row in indexed if row[0] >= 24.0]
 
 
 class TestRecordRendering:

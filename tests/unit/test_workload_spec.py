@@ -31,6 +31,9 @@ class TestValidation:
             {"mean_spacing": 0.0},
             {"cross_region": -0.1},
             {"value_pool": 0},
+            {"arrival": "open", "duration": 60.0},  # no rate
+            {"arrival": "open", "rate": 1.0},  # no duration
+            {"rate": 1.0},  # a rate on a closed spec
         ],
     )
     def test_bad_knobs_rejected(self, kwargs):
@@ -174,6 +177,36 @@ class TestZipf:
         rng = random.Random(13)
         for __ in range(20):
             assert sorted(compiled.pick_items(rng)) == catalog.item_names
+
+    def test_single_pick_draws_one_random(self, catalog):
+        # the scan consumes exactly one rng.random() per pick, whatever
+        # item it lands on: the stream every pinned trajectory assumes
+        compiled = WorkloadSpec(popularity="zipf", zipf_s=1.5).compile(catalog)
+        for seed in range(40):
+            a, b = random.Random(seed), random.Random(seed)
+            compiled.pick_item(a)
+            b.random()
+            assert a.getstate() == b.getstate()
+
+    def test_footprint_draws_one_randint_then_one_random_per_item(self, catalog):
+        compiled = WorkloadSpec(popularity="zipf", footprint=(2, 4)).compile(catalog)
+        for seed in range(40):
+            a, b = random.Random(seed), random.Random(seed)
+            picked = compiled.pick_items(a)
+            assert len(picked) == b.randint(2, 4)
+            for __ in picked:
+                b.random()
+            assert a.getstate() == b.getstate()
+
+    def test_uniform_popularity_builds_no_weights(self, catalog):
+        # zipf_s only shapes a zipf spec: a uniform spec replays the
+        # same choice/sample stream whatever its exponent
+        flat = WorkloadSpec(footprint=(1, 2)).compile(catalog)
+        steep = WorkloadSpec(footprint=(1, 2), zipf_s=2.5).compile(catalog)
+        assert flat._weights is None and steep._weights is None
+        a = [flat.next_update(random.Random(3)) for __ in range(8)]
+        b = [steep.next_update(random.Random(3)) for __ in range(8)]
+        assert a == b
 
 
 class TestReadMix:
