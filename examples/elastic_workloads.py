@@ -18,10 +18,11 @@ Run:  python examples/elastic_workloads.py
 """
 
 from repro.db.cluster import Cluster
-from repro.experiments.workload_scenarios import run_elastic_join
-from repro.experiments.workload_study import run_heavy_workload
+from repro.experiments.workload_scenarios import elastic_join_scenario
+from repro.experiments.workload_study import heavy_workload_scenario
 from repro.replication.catalog import CatalogBuilder
 from repro.sim.failures import FailurePlan
+from repro.traffic import run_scenario
 from repro.workload.spec import WorkloadSpec
 
 
@@ -31,7 +32,7 @@ def skew_vs_uniform() -> None:
         ("uniform", WorkloadSpec(n_txns=60, mean_spacing=1.2)),
         ("zipf1.6", WorkloadSpec(n_txns=60, mean_spacing=1.2, popularity="zipf", zipf_s=1.6)),
     ]:
-        result = run_heavy_workload("qtp1", seed=0, workload=spec)
+        result = run_scenario(heavy_workload_scenario(), "qtp1", 0, workload=spec).result
         print(
             f"  {label:<8} committed={result.committed:<3} "
             f"lock-conflict-aborts={result.client_aborted:<3} "
@@ -42,7 +43,7 @@ def skew_vs_uniform() -> None:
 def read_mostly() -> None:
     print("== 2. A read-mostly mix (80% read-only)")
     spec = WorkloadSpec(n_txns=60, read_fraction=0.8, mean_spacing=1.0)
-    result = run_heavy_workload("qtp1", seed=0, workload=spec)
+    result = run_scenario(heavy_workload_scenario(), "qtp1", 0, workload=spec).result
     print(
         f"  reads-committed={result.reads_committed} updates-committed={result.committed} "
         f"client-aborted={result.client_aborted} 1SR={result.serializable}"
@@ -78,7 +79,8 @@ def elastic_join() -> None:
         f"{7 in follow_up.participants} "
         f"(outcome={cluster.outcome(follow_up.txn).outcome})"
     )
-    print(f"  storm summary: {run_elastic_join('qtp1', seed=0)}")
+    storm = run_scenario(elastic_join_scenario(), "qtp1", 0)
+    print(f"  storm summary: {storm.counters()}")
 
 
 def main() -> None:

@@ -20,12 +20,13 @@ demonstrations on the default 9-site service cluster:
 Run:  python examples/open_loop_service.py
 """
 
-from repro.experiments.service_study import discover_ceiling, run_open_loop_service
+from repro.experiments.service_study import discover_ceiling, open_loop_scenario
+from repro.traffic import run_scenario
 
 
 def one_interval() -> None:
     print("== 1. One open-loop service interval (9 sites, partition mid-service)")
-    result = run_open_loop_service("qtp1", seed=0, rate=1.5, duration=120.0)
+    result = run_scenario(open_loop_scenario(rate=1.5, duration=120.0), "qtp1", 0).result
     print(f"  {result.format_row()}")
     print(
         f"  offered={result.offered} = admitted({result.admitted}) "
@@ -43,7 +44,7 @@ def one_interval() -> None:
 def protocol_comparison() -> None:
     print("== 2. The same offered stream under each commit protocol")
     for protocol in ("2pc", "3pc", "qtp1", "qtp2"):
-        result = run_open_loop_service(protocol, seed=0, rate=1.5, duration=120.0)
+        result = run_scenario(open_loop_scenario(rate=1.5, duration=120.0), protocol, 0).result
         print(f"  {result.format_row()}")
 
 

@@ -12,13 +12,8 @@ Run:  python examples/replay_tournament.py [--seed N] [--txns N]
 
 import argparse
 
-from repro.replay import (
-    fixed_point_ok,
-    format_diff_table,
-    record_heavy_workload,
-    replay_trace,
-    run_tournament,
-)
+from repro.experiments.workload_study import heavy_workload_scenario
+from repro.replay import fixed_point_ok, format_diff_table, record, replay_trace, run_tournament
 
 
 def main() -> None:
@@ -30,7 +25,7 @@ def main() -> None:
     print("=" * 72)
     print(f"recording E18 heavy traffic: qtp1, seed={args.seed}, {args.txns} txns")
     print("=" * 72)
-    trace = record_heavy_workload("qtp1", seed=args.seed, n_txns=args.txns)
+    trace = record(heavy_workload_scenario(n_txns=args.txns), "qtp1", seed=args.seed)
     print(
         f"harvested {len(trace.ops)} ops, {len(trace.updates)} updates, "
         f"{len(trace.actions)} fault actions"

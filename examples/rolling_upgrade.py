@@ -20,16 +20,17 @@ Run:  python examples/rolling_upgrade.py
 """
 
 from repro.experiments.resilience_study import (
-    run_flash_crowd,
-    run_gray_failure,
-    run_rolling_upgrade,
+    flash_crowd_scenario,
+    gray_failure_scenario,
+    rolling_upgrade_scenario,
 )
+from repro.traffic import run_scenario
 
 
 def rolling_upgrade() -> None:
     print("== 1. Rolling upgrade: 3 waves of leave -> upgrade -> rejoin")
     for protocol in ("qtp1", "qtp2"):
-        r = run_rolling_upgrade(protocol, seed=0)
+        r = run_scenario(rolling_upgrade_scenario(), protocol, 0).counters()
         print(
             f"  {protocol:<5} committed={r['committed']:<4} "
             f"waves={r['leaves_applied']}/{r['joins_applied']} "
@@ -40,7 +41,7 @@ def rolling_upgrade() -> None:
 
 def flash_crowd() -> None:
     print("== 2. Flash crowd: 6x surge through the adaptive admission window")
-    r = run_flash_crowd("qtp2", seed=0)
+    r = run_scenario(flash_crowd_scenario(), "qtp2", 0).counters()
     print(
         f"  offered={r['offered']} admitted={r['admitted']} "
         f"shed={r['shed_backpressure']}"
@@ -53,8 +54,8 @@ def flash_crowd() -> None:
 
 def gray_failure() -> None:
     print("== 3. Gray failure: slow site + flapping link, nothing ever down")
-    quiet = run_gray_failure("qtp2", seed=0, factor=1.0)
-    gray = run_gray_failure("qtp2", seed=0, factor=6.0)
+    quiet = run_scenario(gray_failure_scenario(factor=1.0), "qtp2", 0).counters()
+    gray = run_scenario(gray_failure_scenario(factor=6.0), "qtp2", 0).counters()
     print(
         f"  factor=1 committed={quiet['committed']:<4} "
         f"protocol_aborted={quiet['protocol_aborted']}"

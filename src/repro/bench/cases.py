@@ -6,12 +6,12 @@ counters: a dict that is a pure function of the seed and the keywords.
 No trial reads a clock — wall time belongs to ``benchmarks/e2e``.
 
 Every case pins a whole commit and termination trajectory — the runs
-Huang & Li's claims are about.  The eleven scenario-driven
-cases (``heavy_workload`` … ``gray_failure`` below) hold no driver code
-of their own: each trial is one :func:`~repro.traffic.run_scenario`
-call — through :func:`_scenario_counters` or a public ``run_*`` wrapper
-— and passes the driver's shape keywords on as ``**shape``, so defaults
-live in the scenario constructors only.  The hot paths those runs cross
+Huang & Li's claims are about.  The scenario-driven cases
+(``heavy_workload`` … ``gray_failure`` below) hold no driver code of
+their own: each trial is one :func:`~repro.traffic.run_scenario` call on
+a registered :data:`~repro.experiments.SCENARIOS` constructor and passes
+the trial's shape keywords on as ``**shape``, so defaults live in the
+scenario constructors only.  The hot paths those runs cross
 (event queue, fan-out cache, locks, WAL, trace, recovery) are pinned by
 their counters here and held against naive references in
 ``tests/property/test_prop_bench.py``.
@@ -20,36 +20,14 @@ A case is declared in one place, a row of :data:`CASES` at the bottom
 of this module: its trial, grid, run count and the trial's keywords at
 full and at quick scale.
 
-Representative workloads covered:
+Which experiment and which scenario each case pins is the table in
+:mod:`repro.experiments`.  Three cases are not one scenario run:
 
 * ``commit_mix`` — a 2PC / 3PC / QTP commit mix through a mid-run
   partition episode (the paper's protocol spread, E17-flavoured).
-* ``heavy_workload`` — E18: Poisson traffic through repeated partition
-  episodes (:func:`~repro.experiments.workload_study.heavy_workload_scenario`).
-* ``wan_storm`` — E21: 32-site WAN region storms
-  (:func:`~repro.workload.scenarios.wan_storm_scenario`).
-* ``skewed_contention`` / ``read_mostly`` / ``cross_region_txn`` /
-  ``elastic_join`` — E22–E25: the :class:`~repro.workload.spec.WorkloadSpec`
-  scenario drivers (Zipf skew, read-dominated mix, cross-region WAN
-  transactions, elastic membership under a partition storm), pinned
-  from day one (:mod:`repro.experiments.workload_scenarios`).
-* ``open_loop_service`` — E26: one open-loop service interval at a
-  sustained arrival rate through a partition episode, with streaming
-  p50/p99/p999 latency counters
-  (:func:`~repro.experiments.service_study.open_loop_scenario`).
 * ``ramp_ceiling`` — E26 ramp: step the arrival rate across fresh
-  service intervals until the p99 knee or the abort-rate SLO trips;
-  pins the discovered throughput ceiling
+  service intervals until the p99 knee or the abort-rate SLO trips
   (:func:`~repro.experiments.service_study.discover_ceiling`).
-* ``rolling_upgrade`` — E27: wave-by-wave graceful leave/rejoin under
-  live closed-loop traffic with a retrying client
-  (:func:`~repro.experiments.resilience_study.run_rolling_upgrade`).
-* ``flash_crowd`` — E28: a piecewise-constant arrival-rate surge
-  through the adaptive admission controller
-  (:func:`~repro.experiments.resilience_study.run_flash_crowd`).
-* ``gray_failure`` — a degraded (slow-not-dead) site plus a flapping
-  link under an open-loop service
-  (:func:`~repro.experiments.resilience_study.run_gray_failure`).
 * ``trace_replay_tournament`` — record one E18 run and replay it
   across the default what-if matrix (the record→replay fixed point).
 """
@@ -63,25 +41,19 @@ from repro.common.errors import QuorumUnreachableError, TransactionAborted
 from repro.db.cluster import Cluster
 from repro.engine.spec import SweepSpec
 from repro.experiments.resilience_study import (
-    run_flash_crowd,
-    run_gray_failure,
-    run_rolling_upgrade,
+    flash_crowd_scenario,
+    gray_failure_scenario,
+    rolling_upgrade_scenario,
 )
 from repro.experiments.service_study import discover_ceiling, open_loop_scenario
 from repro.experiments.workload_scenarios import (
-    run_cross_region,
-    run_elastic_join,
-    run_read_mostly,
-    run_skewed_contention,
+    cross_region_scenario,
+    elastic_join_scenario,
+    read_mostly_scenario,
+    skewed_contention_scenario,
 )
 from repro.experiments.workload_study import heavy_workload_scenario
-from repro.replay import (
-    DEFAULT_CONFIGS,
-    cluster_counters,
-    fixed_point_ok,
-    record_heavy_workload,
-    replay_trace,
-)
+from repro.replay import DEFAULT_CONFIGS, cluster_counters, fixed_point_ok, record, replay_trace
 from repro.sim.failures import FailurePlan
 from repro.sim.rng import RngRegistry
 from repro.traffic import run_scenario
@@ -167,22 +139,22 @@ def wan_storm_trial(seed: int, protocol: str, heal: bool) -> dict[str, Any]:
 
 def skewed_contention_trial(seed: int, protocol: str, **shape: Any) -> dict[str, Any]:
     """One E22 Zipf-contention run (hot-item conflicts are the point)."""
-    return run_skewed_contention(protocol, seed=seed, **shape)
+    return run_scenario(skewed_contention_scenario(**shape), protocol, seed).counters()
 
 
 def read_mostly_trial(seed: int, protocol: str, **shape: Any) -> dict[str, Any]:
     """One E23 read-dominated-mix run."""
-    return run_read_mostly(protocol, seed=seed, **shape)
+    return run_scenario(read_mostly_scenario(**shape), protocol, seed).counters()
 
 
 def cross_region_trial(seed: int, protocol: str, **shape: Any) -> dict[str, Any]:
     """One E24 cross-region WAN-transaction run."""
-    return run_cross_region(protocol, seed=seed, **shape)
+    return run_scenario(cross_region_scenario(**shape), protocol, seed).counters()
 
 
 def elastic_join_trial(seed: int, protocol: str, **shape: Any) -> dict[str, Any]:
     """One E25 elastic-join-under-storm run."""
-    return run_elastic_join(protocol, seed=seed, **shape)
+    return run_scenario(elastic_join_scenario(**shape), protocol, seed).counters()
 
 
 # ----------------------------------------------------------------------
@@ -212,18 +184,18 @@ def ramp_ceiling_trial(seed: int, protocol: str, **shape: Any) -> dict[str, Any]
 def rolling_upgrade_trial(seed: int, protocol: str, **shape: Any) -> dict[str, Any]:
     """One E27 rolling-upgrade run (graceful leave/rejoin waves under
     live retrying traffic)."""
-    return run_rolling_upgrade(protocol, seed=seed, **shape)
+    return run_scenario(rolling_upgrade_scenario(**shape), protocol, seed).counters()
 
 
 def flash_crowd_trial(seed: int, protocol: str, **shape: Any) -> dict[str, Any]:
     """One E28 flash-crowd run (rate-schedule surge through the
     adaptive admission window)."""
-    return run_flash_crowd(protocol, seed=seed, **shape)
+    return run_scenario(flash_crowd_scenario(**shape), protocol, seed).counters()
 
 
 def gray_failure_trial(seed: int, protocol: str, **shape: Any) -> dict[str, Any]:
     """One gray-failure service run (degraded site + flapping link)."""
-    return run_gray_failure(protocol, seed=seed, **shape)
+    return run_scenario(gray_failure_scenario(**shape), protocol, seed).counters()
 
 
 # ----------------------------------------------------------------------
@@ -244,7 +216,7 @@ def trace_replay_trial(
     ``fixed_point`` counter pins that replaying a recording of config C
     under config C reproduces the original deterministic counters.
     """
-    trace = record_heavy_workload("qtp1", seed=seed, n_txns=n_txns, n_sites=n_sites)
+    trace = record(heavy_workload_scenario(n_txns=n_txns, n_sites=n_sites), "qtp1", seed)
     by_name = {c.name: c for c in DEFAULT_CONFIGS}
     counters: dict[str, Any] = {}
     for name in configs:

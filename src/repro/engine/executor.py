@@ -55,7 +55,6 @@ from repro.engine.sink import (
     CellFoldSink,
     FoldedChunk,
     MemorySink,
-    TeeSink,
     fold_chunk,
 )
 from repro.engine.spec import RunResult, SweepSpec, TaskChunk
@@ -494,23 +493,15 @@ def fold_cells(
     fold: Callable[[Any, RunResult], Any],
     workers: int = 1,
     store: "ResultStore | None" = None,
-    sink: "ResultSink | None" = None,
 ) -> list[tuple[dict[str, Any], Any]]:
     """Run ``spec`` and fold its results per grid cell, in task order.
 
     Returns :meth:`~repro.engine.sink.CellFoldSink.cells` —
-    ``(params, state)`` per cell, in expansion order.  Without ``sink``
-    the sweep keeps every row (so ``store`` persists the full artifact)
-    and the fold runs over them afterwards; with one, rows stream
-    through the caller's sink and the fold together and no row list ever
-    exists (so ``store`` is refused unless that sink keeps rows).  Both
-    ways ``fold`` sees the same results in the same order, so the folded
-    states are identical.
+    ``(params, state)`` per cell, in expansion order.  The sweep keeps
+    every row (so ``store`` persists the full artifact) and the fold
+    runs over them afterwards.
     """
     folder = CellFoldSink(fold)
-    if sink is None:
-        for result in run_sweep(spec, workers=workers, store=store).results:
-            folder.emit(result)
-    else:
-        run_sweep(spec, workers=workers, store=store, sink=TeeSink(sink, folder))
+    for result in run_sweep(spec, workers=workers, store=store).results:
+        folder.emit(result)
     return folder.cells()

@@ -5,41 +5,41 @@ faults (crash, partition, loss), these drivers stress the *in-between*
 failure modes real installations live with — planned membership churn,
 load surges, and sites that are slow rather than dead:
 
-* **E27 rolling upgrade** (:func:`run_rolling_upgrade`) — waves of
+* **E27 rolling upgrade** (:func:`rolling_upgrade_scenario`) — waves of
   sites gracefully leave (:meth:`FailurePlan.leave
   <repro.sim.failures.FailurePlan.leave>`: catalog hand-off, drain,
   deregister) and rejoin upgraded, all under live closed-loop traffic
   with a retrying client.  The question: does a planned wave-by-wave
   decommission preserve commit availability the way a crash never can,
   and do client retries paper over the transient aborts?
-* **E28 flash crowd** (:func:`run_flash_crowd`) — an open-loop service
+* **E28 flash crowd** (:func:`flash_crowd_scenario`) — an open-loop service
   whose arrival rate follows a piecewise-constant schedule (quiet →
   surge → quiet) while an :class:`~repro.traffic.AdaptiveWindow`
   controller retunes the admission window against the streaming p99.
   The question: how much of the surge is shed vs absorbed, and does
   the controller widen back out after the crowd passes?
-* **gray failure** (:func:`run_gray_failure`) — one degraded site
+* **gray failure** (:func:`gray_failure_scenario`) — one degraded site
   (every delivery touching it stretched by ``factor``) plus a flapping
   link, under a fixed-window open-loop service.  Nothing is ever
   *down*, so the fail-stop counters stay quiet — the damage shows up
   only in the latency tail, which is exactly what makes gray failures
   hard to see.
 
-All three are deterministic drivers returning flat counter dicts; the
-benchmark suite pins them as ``BENCH_rolling_upgrade.json`` /
-``BENCH_flash_crowd.json`` / ``BENCH_gray_failure.json``, and the
-gray-failure run is recordable/replayable like any other open-loop
-service (the artifact codec round-trips degrade/flap actions).
+All three are registered :class:`~repro.traffic.Scenario` constructors —
+run them with ``run_scenario(scenario, protocol, seed)``; the benchmark
+suite pins their counters as ``BENCH_rolling_upgrade.json`` /
+``BENCH_flash_crowd.json`` / ``BENCH_gray_failure.json``, and each is
+recordable and replayable like any other scenario (the artifact codec
+round-trips leave/join/degrade/flap actions).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any
 
 from repro.experiments.service_study import open_loop_scenario
 from repro.sim.failures import FailurePlan, JoinSite, LeaveSite
-from repro.traffic import AdaptiveWindow, RetryPolicy, Scenario, run_scenario
+from repro.traffic import AdaptiveWindow, RetryPolicy, Scenario
 from repro.workload.generators import random_catalog
 from repro.workload.spec import WorkloadSpec
 
@@ -56,7 +56,7 @@ def rolling_upgrade_plan(
     wave_spacing: float,
     upgrade_time: float,
 ) -> FailurePlan:
-    """The wave-by-wave leave/rejoin schedule for :func:`run_rolling_upgrade`.
+    """The wave-by-wave leave/rejoin schedule for :func:`rolling_upgrade_scenario`.
 
     Wave ``k`` gracefully removes ``sites[k]`` at
     ``first_leave + k * wave_spacing`` and rejoins it ``upgrade_time``
@@ -103,7 +103,9 @@ def rolling_upgrade_scenario(
     """E27 as a scenario: a retrying closed-loop client while the
     ``waves`` lowest-numbered sites leave and rejoin one at a time
     (:func:`rolling_upgrade_plan`).  ``retry`` may be the dict a trace
-    header carries in place of a :class:`RetryPolicy`."""
+    header carries in place of a :class:`RetryPolicy`.  Ops whose
+    origin is mid-upgrade are tallied ``unreachable_origin``;
+    ``sites_restored`` counts upgraded sites back at quiescence."""
     params = dict(locals())
     if isinstance(retry, dict):
         retry = RetryPolicy(**retry)
@@ -141,31 +143,7 @@ def rolling_upgrade_scenario(
     )
 
 
-def run_rolling_upgrade(protocol: str, seed: int = 0, **shape: Any) -> dict[str, Any]:
-    """E27: wave-by-wave graceful site upgrades under live traffic
-    (``shape`` is :func:`rolling_upgrade_scenario`'s keywords).
-
-    ``waves`` sites leave one at a time (catalog hand-off, in-flight
-    drain, deregister) and rejoin ``upgrade_time`` virtual seconds
-    later hosting the same items, while a closed-loop interactive
-    stream keeps submitting — with a client :class:`RetryPolicy`, so a
-    transient abort during a wave is re-submitted after deterministic
-    capped backoff rather than counted as lost.  Ops whose origin is
-    mid-upgrade are tallied ``unreachable_origin``, never silently
-    dropped.
-
-    The counters to watch: ``leaves_applied`` / ``joins_applied``
-    confirm every wave completed, ``sites_restored`` that each upgraded
-    site is back in the live set at quiescence, ``retry_attempts`` the
-    retry work the waves induced, and ``serializable`` that churn never
-    cost one-copy serializability.
-    """
-    return run_scenario(rolling_upgrade_scenario(**shape), protocol, seed).counters()
-
-
-def run_flash_crowd(
-    protocol: str,
-    seed: int = 0,
+def flash_crowd_scenario(
     base_rate: float = 1.0,
     surge_rate: float = 6.0,
     surge_start: float = 40.0,
@@ -175,34 +153,26 @@ def run_flash_crowd(
     n_items: int = 12,
     replication: int = 3,
     window: int = 4,
-    adapt: AdaptiveWindow | None = None,
-) -> dict[str, Any]:
-    """E28: a flash crowd through the adaptive admission controller.
+    adapt: "AdaptiveWindow | dict | None" = None,
+) -> Scenario:
+    """E28 as a scenario: a flash crowd through the adaptive admission
+    controller — the E26 service, quiet network, surging arrival rate.
 
     The arrival rate follows a three-step schedule — ``base_rate``
     until ``surge_start``, ``surge_rate`` for ``surge_length`` seconds,
-    then back to ``base_rate`` — on a quiet network (the surge *is* the
-    event).  The default :class:`~repro.traffic.AdaptiveWindow` narrows
-    the per-site window when the windowed p99 blows past its target —
-    commit latency here is protocol-round-bound, so the default target
-    sits below the contended tail and the pinned trajectory is the
-    shedding arm.  The ``window_narrowed`` / ``window_widened`` /
-    ``window_final`` counters are the controller's trajectory, and
-    ``shed_backpressure`` is the traffic it refused to keep the tail.
+    then back to ``base_rate`` (the surge *is* the event).  The default
+    :class:`~repro.traffic.AdaptiveWindow` narrows the per-site window
+    when the windowed p99 blows past its target — commit latency here
+    is protocol-round-bound, so the default target sits below the
+    contended tail and the pinned trajectory is the shedding arm.  The
+    ``window_narrowed`` / ``window_widened`` / ``window_final`` counters
+    are the controller's trajectory, and ``shed_backpressure`` is the
+    traffic it refused to keep the tail.
     """
+    params = dict(locals())
     if adapt is None:
         adapt = AdaptiveWindow(target_p99=3.0, low=1, high=12, interval=10.0)
-    spec = WorkloadSpec(
-        arrival="open",
-        rate=base_rate,
-        duration=duration,
-        rate_schedule=(
-            (0.0, base_rate),
-            (surge_start, surge_rate),
-            (surge_start + surge_length, base_rate),
-        ),
-    )
-    scenario = open_loop_scenario(
+    service = open_loop_scenario(
         n_sites=n_sites,
         n_items=n_items,
         replication=replication,
@@ -210,7 +180,21 @@ def run_flash_crowd(
         episode_window=None,
         adapt=adapt,
     )
-    return run_scenario(scenario, protocol, seed, workload=spec).counters()
+    return dataclasses.replace(
+        service,
+        name="flash_crowd",
+        params=params,
+        workload=WorkloadSpec(
+            arrival="open",
+            rate=base_rate,
+            duration=duration,
+            rate_schedule=(
+                (0.0, base_rate),
+                (surge_start, surge_rate),
+                (surge_start + surge_length, base_rate),
+            ),
+        ),
+    )
 
 
 def gray_failure_plan(
@@ -235,9 +219,7 @@ def gray_failure_plan(
     )
 
 
-def run_gray_failure(
-    protocol: str,
-    seed: int = 0,
+def gray_failure_scenario(
     rate: float = 1.5,
     duration: float = 120.0,
     n_sites: int = 9,
@@ -247,24 +229,21 @@ def run_gray_failure(
     episode_start: float = 30.0,
     episode_length: float = 40.0,
     factor: float = 6.0,
-    failures: FailurePlan | None = None,
-) -> dict[str, Any]:
-    """The gray-failure service run: slow, not dead.
+) -> Scenario:
+    """The gray-failure run as a scenario: the E26 service, slow, not
+    dead.
 
     One open-loop interval where the first hosting site delivers
     ``factor`` times slower (every message in or out stretched at the
     delay-sampling layer) and the link between the next two hosting
-    sites flaps on a deterministic duty cycle —
-    while every site stays *alive*, so ``shed_unreachable`` and the
+    sites flaps on a deterministic duty cycle (:func:`gray_failure_plan`)
+    — while every site stays *alive*, so ``shed_unreachable`` and the
     crash counters stay at their quiet-run values.  The episode shows
     up only where gray failures always do — stretched decisions that
     trip protocol timeouts (``protocol_aborted`` up, ``committed``
-    down) and a fatter latency distribution — which is the signature
-    this driver exists to measure.
-
-    ``failures`` overrides the built-in :func:`gray_failure_plan`
-    episode (the replay harness passes the recorded plan through).
+    down) and a fatter latency distribution.
     """
+    params = dict(locals())
 
     def plan(rng, cluster, first):
         # aim the episode at sites that exist — a random catalog does
@@ -275,8 +254,9 @@ def run_gray_failure(
             flap_src=hosts[1], flap_dst=hosts[2],
         )
 
-    scenario = dataclasses.replace(
+    return dataclasses.replace(
         open_loop_scenario(rate, duration, n_sites, n_items, replication, window=window),
+        name="gray_failure",
+        params=params,
         plan=plan,
     )
-    return run_scenario(scenario, protocol, seed, failures=failures).counters()

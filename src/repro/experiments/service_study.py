@@ -6,10 +6,11 @@ A service asks the open-loop question instead: *at a sustained arrival
 rate λ, what do clients experience* — tail latency, shed traffic,
 sustainable throughput — while partitions come and go.  Two drivers:
 
-* :func:`run_open_loop_service` — one service interval: a
+* :func:`open_loop_scenario` — one service interval: a
   duration-bounded arrival stream (exponential gaps at ``rate``)
   through per-site admission control, with commit/abort latency folded
-  into a streaming digest (p50/p99/p999, constant memory).
+  into a streaming digest (p50/p99/p999, constant memory); run it with
+  ``run_scenario(open_loop_scenario(...), protocol, seed)``.
 * :func:`discover_ceiling` — the SLO ramp: step the arrival rate
   across a schedule of fresh service intervals until the p99 knee or
   the abort-rate threshold trips; the last untripped rate is the
@@ -22,7 +23,7 @@ counters are deterministic and the benchmark suite pins them as
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.sim.failures import FailurePlan
 from repro.traffic import (
@@ -78,8 +79,10 @@ def open_loop_scenario(
 ) -> Scenario:
     """E26 as a scenario: a sustained-rate service on a random catalog
     through one :func:`service_failure_plan` episode (``episode_window
-    = None``: a quiet run).  ``adapt`` may be the dict a trace header
-    carries in place of an :class:`~repro.traffic.AdaptiveWindow`."""
+    = (start, length)``; ``None``: a quiet run).  ``adapt`` may be the
+    dict a trace header carries in place of an
+    :class:`~repro.traffic.AdaptiveWindow` (``None``: the fixed
+    per-site in-flight ``window``)."""
     params = dict(locals())
     if isinstance(adapt, dict):
         adapt = AdaptiveWindow(**adapt)
@@ -100,38 +103,6 @@ def open_loop_scenario(
         drive="open",
         service={"window": window, "latency_hi": latency_hi, "bins": bins, "adapt": adapt},
     )
-
-
-def run_open_loop_service(
-    protocol: str,
-    seed: int = 0,
-    *,
-    workload: object | None = None,
-    catalog: object | None = None,
-    failures: FailurePlan | None = None,
-    **shape: Any,
-) -> OpenLoopResult:
-    """E26: one open-loop service interval under a partition episode
-    (``shape`` is :func:`open_loop_scenario`'s keywords).
-
-    Sustains ``rate`` arrivals per virtual second for ``duration``
-    seconds against a ``n_sites``-site cluster; a partition episode
-    (``episode_window = (start, length)``, or ``None`` for a quiet run)
-    cuts the cluster mid-service.  Admission is per-site: each origin
-    carries a bounded in-flight ``window``, saturated arrivals are shed
-    with backpressure, arrivals at dead sites are shed as unreachable.
-
-    ``workload`` / ``catalog`` / ``failures`` pin the stream, the
-    placement and the fault schedule (the replay harness records and
-    re-drives services exactly like the closed-loop drivers); anything
-    without a ``compile`` method is taken to already *be* a compiled
-    stream (e.g. a :class:`~repro.replay.RecordedWorkload`).  ``adapt``
-    passes an :class:`~repro.traffic.AdaptiveWindow` controller through
-    to the service (``None`` — the default — is the historical fixed
-    window, byte-identical).
-    """
-    pins = dict(workload=workload, catalog=catalog, failures=failures)
-    return run_scenario(open_loop_scenario(**shape), protocol, seed, **pins).result
 
 
 def discover_ceiling(

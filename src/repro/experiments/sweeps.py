@@ -26,15 +26,6 @@ worker count.  The ``seeding="offset"`` mode (seed = base_seed + run)
 keeps the historical trajectories: every protocol sees the *same*
 scenario sequence, and results match the pre-engine serial loops
 exactly.
-
-Each driver also accepts a ``sink=`` argument (a
-:class:`repro.engine.ResultSink`): when given, the sweep runs on the
-streaming backend — rows flow through the caller's sink (e.g. a
-``JsonlSink`` persisting 10^5 rows incrementally) *and* through the
-driver's own per-cell fold, and the returned aggregates are identical
-to the default path because the folds do the same arithmetic in the
-same order.  ``store=`` needs the rows, so it is refused (``ValueError``)
-beside a ``sink=`` that keeps none.
 """
 
 from __future__ import annotations
@@ -42,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.db.cluster import Cluster
-from repro.engine import ResultSink, ResultStore, SweepSpec, fold_cells
+from repro.engine import ResultStore, SweepSpec, fold_cells
 from repro.sim.failures import FailurePlan
 from repro.sim.rng import RngRegistry
 from repro.workload.generators import (
@@ -52,7 +43,8 @@ from repro.workload.generators import (
     random_partition_groups,
     random_update,
 )
-from repro.workload.scenarios import run_wan_storm
+from repro.traffic import run_scenario
+from repro.workload.scenarios import wan_storm_scenario
 
 
 @dataclass
@@ -167,7 +159,6 @@ def availability_sweep(
     base_seed: int = 0,
     workers: int = 1,
     store: ResultStore | None = None,
-    sink: ResultSink | None = None,
 ) -> list[SweepRow]:
     """E11: mean post-failure availability per protocol.
 
@@ -186,7 +177,7 @@ def availability_sweep(
         base_seed=base_seed,
         seeding="offset",
     )
-    return _availability_rows(fold_cells(spec, _fold_availability, workers, store, sink))
+    return _availability_rows(fold_cells(spec, _fold_availability, workers, store))
 
 
 @dataclass
@@ -261,7 +252,6 @@ def reenterability_storm(
     waves: int = 3,
     workers: int = 1,
     store: ResultStore | None = None,
-    sink: ResultSink | None = None,
 ) -> StormResult:
     """E13: repeated partition waves *during* termination, then heal.
 
@@ -279,7 +269,7 @@ def reenterability_storm(
         seeding="offset",
         fixed={"waves": waves},
     )
-    cells = fold_cells(spec, _fold_storm, workers, store, sink)
+    cells = fold_cells(spec, _fold_storm, workers, store)
     state = cells[0][1] if cells else [0, 0, 0, 0]
     return StormResult(
         protocol=protocol,
@@ -358,7 +348,6 @@ def modelcheck(
     heal: bool = True,
     workers: int = 1,
     store: ResultStore | None = None,
-    sink: ResultSink | None = None,
 ) -> ModelCheckResult:
     """E14: randomized fault schedules; assert atomic commitment.
 
@@ -377,7 +366,7 @@ def modelcheck(
         seeding="offset",
         fixed={"heal": heal},
     )
-    cells = fold_cells(spec, _fold_modelcheck, workers, store, sink)
+    cells = fold_cells(spec, _fold_modelcheck, workers, store)
     atomic, bad_seeds = cells[0][1] if cells else (0, [])
     return ModelCheckResult(protocol, runs, atomic, len(bad_seeds), bad_seeds)
 
@@ -395,21 +384,19 @@ def wan_storm_run(
     Same tuple shape as :func:`availability_run` so the two sweeps
     aggregate through the same :class:`SweepRow`.
     """
-    result = run_wan_storm(
-        protocol,
-        seed=seed,
-        n_regions=n_regions,
-        sites_per_region=sites_per_region,
-        waves=waves,
-        heal=heal,
+    scenario = wan_storm_scenario(
+        n_regions=n_regions, sites_per_region=sites_per_region, waves=waves, heal=heal
     )
-    availability = result.cluster.availability()
+    run = run_scenario(scenario, protocol, seed)
+    cluster, txn = run.cluster, run.txn.txn
+    report = cluster.outcome(txn)
+    availability = cluster.availability()
     return (
         availability.readable_fraction,
         availability.writable_fraction,
-        bool(result.cluster.live_undecided(result.txn.txn)),
-        not result.report.atomic,
-        result.report.outcome in ("commit", "abort"),
+        bool(cluster.live_undecided(txn)),
+        not report.atomic,
+        report.outcome in ("commit", "abort"),
     )
 
 
@@ -423,7 +410,6 @@ def wan_partition_storm(
     heal: bool = False,
     workers: int = 1,
     store: ResultStore | None = None,
-    sink: ResultSink | None = None,
 ) -> list[SweepRow]:
     """E21: region-wise partition storms over a 32+-site installation.
 
@@ -451,4 +437,4 @@ def wan_partition_storm(
             "heal": heal,
         },
     )
-    return _availability_rows(fold_cells(spec, _fold_availability, workers, store, sink))
+    return _availability_rows(fold_cells(spec, _fold_availability, workers, store))

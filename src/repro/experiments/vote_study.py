@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.db.cluster import Cluster
-from repro.engine import ResultSink, ResultStore, SweepSpec, fold_cells
+from repro.engine import ResultStore, SweepSpec, fold_cells
 from repro.replication.catalog import CatalogBuilder, ReplicaCatalog
 from repro.sim.rng import RngRegistry
 from repro.workload.generators import random_fault_plan
@@ -128,7 +128,6 @@ def vote_assignment_study(
     n_sites: int = 5,
     workers: int = 1,
     store: ResultStore | None = None,
-    sink: ResultSink | None = None,
 ) -> list[PolicyRow]:
     """E19: same faults, different vote assignments, QTP1 throughout."""
     spec = SweepSpec(
@@ -150,5 +149,5 @@ def vote_assignment_study(
             blocked_runs=state[4],
             violations=state[5],
         )
-        for params, state in fold_cells(spec, _fold_policy, workers, store, sink)
+        for params, state in fold_cells(spec, _fold_policy, workers, store)
     ]

@@ -1,33 +1,37 @@
 """The scenario-diversity drivers (E22–E25) over :class:`WorkloadSpec`.
 
 Four contention regimes the uniform generators cannot reach, each a
-deterministic driver returning a flat dict of counters (the benchmark
-suite pins their trajectories as ``BENCH_*.json`` baselines):
+:class:`~repro.traffic.Scenario` whose counters the benchmark suite
+pins as ``BENCH_*.json`` baselines:
 
-* **E22 skewed contention** (:func:`run_skewed_contention`) — Zipf item
-  popularity concentrates the stream on a few hot items, so the no-wait
-  locking policy and the vote hook fire constantly.  Rides the E18
-  driver with a Zipf spec.
-* **E23 read-mostly** (:func:`run_read_mostly`) — a read-dominated mix:
-  most transactions are read-only (client-side fast path), updates
-  still pay the full commit protocol.  Rides the E18 driver.
-* **E24 cross-region transactions** (:func:`run_cross_region`) — a WAN
-  catalog where a slice of the stream originates in regions hosting no
-  copy of the item: every quorum those transactions assemble is remote,
-  and a region-aligned partition cuts them off entirely.
-* **E25 elastic join under storm** (:func:`run_elastic_join`) — sites
-  join mid-run (``FailurePlan.join``) while partition waves are in
+* **E22 skewed contention** (:func:`skewed_contention_scenario`) — Zipf
+  item popularity concentrates the stream on a few hot items, so the
+  no-wait locking policy and the vote hook fire constantly.  The E18
+  scenario with a Zipf spec.
+* **E23 read-mostly** (:func:`read_mostly_scenario`) — a read-dominated
+  mix: most transactions are read-only (client-side fast path), updates
+  still pay the full commit protocol.  The E18 scenario with a
+  read-mostly spec.
+* **E24 cross-region transactions** (:func:`cross_region_scenario`) — a
+  WAN catalog where a slice of the stream originates in regions hosting
+  no copy of the item: every quorum those transactions assemble is
+  remote, and a region-aligned partition cuts them off entirely.
+* **E25 elastic join under storm** (:func:`elastic_join_scenario`) —
+  sites join mid-run (``FailurePlan.join``) while partition waves are in
   flight; joined sites land inside an existing component, host copies,
   and become participants of later transactions.
+
+Run any of them with ``run_scenario(scenario, protocol, seed)`` and
+read ``.counters()`` off the finished run.
 """
 
 from __future__ import annotations
 
-from typing import Any
+import dataclasses
 
 from repro.experiments.workload_study import heavy_workload_scenario
 from repro.sim.failures import FailurePlan, JoinSite
-from repro.traffic import Scenario, run_scenario
+from repro.traffic import Scenario
 from repro.workload.generators import (
     random_catalog,
     random_partition_groups,
@@ -37,46 +41,56 @@ from repro.workload.generators import (
 from repro.workload.spec import WorkloadSpec
 
 
-def run_skewed_contention(
-    protocol: str,
-    seed: int = 0,
+def _with_reads_committed(run) -> dict:
+    """E18's counters plus the read-only fast path's commits."""
+    return {**run.result.counters(), "reads_committed": run.result.reads_committed}
+
+
+def skewed_contention_scenario(
     n_txns: int = 80,
     n_sites: int = 10,
     n_items: int = 8,
     zipf_s: float = 1.4,
     mean_spacing: float = 1.2,
-) -> dict[str, Any]:
-    """E22: Zipf-skewed traffic through partition episodes.
+) -> Scenario:
+    """E22 as a scenario: Zipf-skewed traffic through E18's partition
+    episodes.
 
-    Same harness as E18, but the item picks follow a Zipf law: the
-    hottest item draws an outsized share of the stream, so most
-    transactions collide on the same copies — ``client_aborted`` (the
-    no-wait policy's lock-conflict count) is the contention meter the
-    uniform stream keeps near zero.
+    The item picks follow a Zipf law: the hottest item draws an
+    outsized share of the stream, so most transactions collide on the
+    same copies — ``client_aborted`` (the no-wait policy's lock-conflict
+    count) is the contention meter the uniform stream keeps near zero,
+    and ``hot_txns`` counts the transactions that wrote the hottest item.
     """
-    spec = WorkloadSpec(
-        n_txns=n_txns, popularity="zipf", zipf_s=zipf_s, mean_spacing=mean_spacing
+    params = dict(locals())
+
+    def counters(run):
+        hot = run.cluster.catalog.item_names[0]
+        return {
+            **_with_reads_committed(run),
+            "hot_txns": sum(1 for txn in run.cluster._txns.values() if hot in txn.writes),
+        }
+
+    return dataclasses.replace(
+        heavy_workload_scenario(n_sites=n_sites, n_items=n_items),
+        name="skewed_contention",
+        params=params,
+        workload=WorkloadSpec(
+            n_txns=n_txns, popularity="zipf", zipf_s=zipf_s, mean_spacing=mean_spacing
+        ),
+        counters=counters,
     )
-    scenario = heavy_workload_scenario(n_sites=n_sites, n_items=n_items)
-    run = run_scenario(scenario, protocol, seed, workload=spec)
-    hot = run.cluster.catalog.item_names[0]
-    return {
-        **run.result.counters(),
-        "reads_committed": run.result.reads_committed,
-        "hot_txns": sum(1 for txn in run.cluster._txns.values() if hot in txn.writes),
-    }
 
 
-def run_read_mostly(
-    protocol: str,
-    seed: int = 0,
+def read_mostly_scenario(
     n_txns: int = 100,
     n_sites: int = 10,
     n_items: int = 8,
     read_fraction: float = 0.8,
     mean_spacing: float = 1.0,
-) -> dict[str, Any]:
-    """E23: a read-dominated mix through partition episodes.
+) -> Scenario:
+    """E23 as a scenario: a read-dominated mix through E18's partition
+    episodes.
 
     Most of the stream is read-only — quorum reads under shared locks,
     committed on the client-side fast path — while the update tail
@@ -84,12 +98,16 @@ def run_read_mostly(
     client population actually sees while updates hold locks and the
     network partitions.
     """
-    spec = WorkloadSpec(
-        n_txns=n_txns, read_fraction=read_fraction, mean_spacing=mean_spacing
+    params = dict(locals())
+    return dataclasses.replace(
+        heavy_workload_scenario(n_sites=n_sites, n_items=n_items),
+        name="read_mostly",
+        params=params,
+        workload=WorkloadSpec(
+            n_txns=n_txns, read_fraction=read_fraction, mean_spacing=mean_spacing
+        ),
+        counters=_with_reads_committed,
     )
-    scenario = heavy_workload_scenario(n_sites=n_sites, n_items=n_items)
-    result = run_scenario(scenario, protocol, seed, workload=spec).result
-    return {**result.counters(), "reads_committed": result.reads_committed}
 
 
 def cross_region_scenario(
@@ -104,7 +122,8 @@ def cross_region_scenario(
 ) -> Scenario:
     """E24 as a scenario: direct updates over a WAN catalog, a share of
     them from regions hosting no copy, cut along region lines for
-    ``partition_window``."""
+    ``partition_window``: that slice loses its quorums outright
+    (``refused``) while the home slice keeps committing."""
     params = dict(locals())
     regions = wan_regions(n_regions, sites_per_region)
 
@@ -158,21 +177,6 @@ def cross_region_scenario(
     )
 
 
-def run_cross_region(protocol: str, seed: int = 0, **shape: Any) -> dict[str, Any]:
-    """E24: cross-region transactions over the WAN topology (``shape``
-    is :func:`cross_region_scenario`'s keywords).
-
-    A geo-replicated catalog with copies in ``region_replication`` of
-    ``n_regions`` regions; with probability ``cross_region`` an update
-    originates in a region hosting *no copy* of its first item, so its
-    every quorum crosses a region boundary.  Mid-run the network
-    partitions along region lines: the spanning slice of the stream
-    loses its quorums outright (``refused``), the home slice keeps
-    committing inside its region.
-    """
-    return run_scenario(cross_region_scenario(**shape), protocol, seed).counters()
-
-
 def elastic_join_scenario(
     n_txns: int = 60,
     n_sites: int = 8,
@@ -184,7 +188,8 @@ def elastic_join_scenario(
 ) -> Scenario:
     """E25 as a scenario: a steady update stream while the network
     splits, ``n_joins`` sites join inside the partition, a second wave
-    re-partitions old and new sites together, and the storm heals."""
+    re-partitions old and new sites together, and the storm heals;
+    ``participants_with_joined`` counts transactions enlisting a joiner."""
     params = dict(locals())
     join_ids = list(range(n_sites + 1, n_sites + 1 + n_joins))
 
@@ -233,18 +238,3 @@ def elastic_join_scenario(
         mutable=True,
     )
 
-
-def run_elastic_join(protocol: str, seed: int = 0, **shape: Any) -> dict[str, Any]:
-    """E25: elastic membership under a partition storm (``shape`` is
-    :func:`elastic_join_scenario`'s keywords).
-
-    A steady update stream runs while the network splits, ``n_joins``
-    fresh sites join *inside the active partition* (each placed next to
-    an existing site, hosting copies of the first ``join_copies``
-    items), a second wave re-partitions across old and new sites, and
-    the storm heals.  Joined sites receive a component-local state
-    transfer, then simply show up as reachable participants: the
-    ``participants_with_joined`` counter tracks how many transactions
-    actually enlisted them.
-    """
-    return run_scenario(elastic_join_scenario(**shape), protocol, seed).counters()

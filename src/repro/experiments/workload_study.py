@@ -14,9 +14,11 @@ actually experiences under each protocol:
 Transactions arrive on the virtual clock, so their reads and commits
 genuinely interleave with the fault schedule.
 
-Both are :class:`~repro.traffic.Scenario` constructors
-(:func:`workload_scenario`, :func:`heavy_workload_scenario`) run by the
-shared :func:`~repro.traffic.run_scenario`;
+E17 and its heavy-traffic sibling E18 are
+:class:`~repro.traffic.Scenario` constructors (:func:`workload_scenario`,
+:func:`heavy_workload_scenario`) run by the shared
+:func:`~repro.traffic.run_scenario`; the two studies sum their tallies
+over seeds;
 :class:`~repro.traffic.WorkloadResult` is re-exported here for
 compatibility with historical imports.
 """
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.engine import ResultSink, ResultStore, SweepSpec, fold_cells
+from repro.engine import ResultStore, SweepSpec, fold_cells
 from repro.sim.failures import FailurePlan
 from repro.traffic import Scenario, WorkloadResult, run_scenario
 from repro.workload.generators import random_catalog, random_partition_groups
@@ -36,8 +38,6 @@ __all__ = [
     "heavy_failure_plan",
     "heavy_traffic_study",
     "heavy_workload_scenario",
-    "run_heavy_workload",
-    "run_workload",
     "workload_scenario",
     "workload_study",
 ]
@@ -49,7 +49,8 @@ def workload_scenario(
     arrival_spacing: float = 4.0,
 ) -> Scenario:
     """E17 as a scenario: a fixed-spacing stream on a 6-site cluster
-    that splits into two random components for ``partition_window``."""
+    that splits into two random components for ``partition_window``;
+    every transaction reads one random item and increments it."""
     params = dict(locals())
 
     def plan(rng, cluster, first):
@@ -66,23 +67,8 @@ def workload_scenario(
     )
 
 
-def run_workload(protocol: str, *, seed: int = 0, **shape: Any) -> WorkloadResult:
-    """Drive ``n_txns`` read-modify-write transactions through a
-    partition episode and tally the outcomes (``shape`` is
-    :func:`workload_scenario`'s keywords; everything after ``protocol``
-    is keyword-only — ``n_txns`` used to be the second positional).
-
-    Every transaction reads one random item and increments it.  The
-    network splits into two random components during
-    ``partition_window`` and heals afterwards; transactions arriving
-    mid-episode run against whatever their origin's component offers.
-
-    The stream is a fixed-spacing :class:`WorkloadSpec` driven through
-    the shared :class:`~repro.traffic.TrafficEngine` — fixed arrivals
-    draw no RNG and the default spec shape replays the historical
-    item/origin draw order, so the tallies are byte-identical to the
-    pre-engine inline loop.
-    """
+def _workload_run(seed: int, protocol: str, **shape: Any) -> WorkloadResult:
+    """One E17 sample (module-level so the sweep pickles it)."""
     return run_scenario(workload_scenario(**shape), protocol, seed).result
 
 
@@ -136,7 +122,6 @@ def workload_study(
     base_seed: int = 0,
     workers: int = 1,
     store: ResultStore | None = None,
-    sink: ResultSink | None = None,
 ) -> list[WorkloadResult]:
     """E17 aggregated: sum the tallies over several seeds per protocol.
 
@@ -145,14 +130,14 @@ def workload_study(
     """
     spec = SweepSpec(
         name="e17-workload",
-        task=run_workload,
+        task=_workload_run,
         grid={"protocol": list(protocols)},
         runs=runs,
         base_seed=base_seed,
         seeding="offset",
         fixed={"n_txns": n_txns},
     )
-    return _workload_rows(fold_cells(spec, _fold_workload, workers, store, sink))
+    return _workload_rows(fold_cells(spec, _fold_workload, workers, store))
 
 
 def heavy_failure_plan(
@@ -190,7 +175,10 @@ def heavy_workload_scenario(
     gap: float = 20.0,
 ) -> Scenario:
     """E18 as a scenario: Poisson arrivals on a random catalog through
-    ``episodes`` partition/heal cycles (:func:`heavy_failure_plan`)."""
+    ``episodes`` partition/heal cycles (:func:`heavy_failure_plan`):
+    many transactions in flight at once, and still every committed
+    history one-copy serializable and nothing blocked after the final
+    heal.  E22 and E23 are this scenario with another spec."""
     return Scenario(
         name="heavy_workload",
         params=dict(locals()),
@@ -203,48 +191,9 @@ def heavy_workload_scenario(
     )
 
 
-def run_heavy_workload(
-    protocol: str,
-    seed: int = 0,
-    *,
-    workload: object | None = None,
-    catalog: object | None = None,
-    failures: FailurePlan | None = None,
-    **shape: Any,
-) -> WorkloadResult:
-    """E18 (extension) — heavy traffic through repeated partition episodes
-    (``shape`` is :func:`heavy_workload_scenario`'s keywords).
-
-    The large-scale sibling of :func:`run_workload`: Poisson arrivals
-    (many transactions genuinely in flight at once), a bigger database,
-    and ``episodes`` successive partition/heal cycles instead of one.
-    Each episode splits the network into 2–3 random components.  The
-    correctness bar is unchanged — every committed history must be
-    one-copy serializable and nothing may stay blocked after the final
-    heal — measured here under real contention.
-
-    The transaction stream comes from a
-    :class:`~repro.workload.spec.WorkloadSpec`: the default spec
-    (uniform popularity, single-item read-modify-write, Poisson
-    arrivals from ``n_txns`` / ``mean_spacing``) replays the historical
-    stream draw-for-draw, and passing ``workload`` opens the other
-    regimes — Zipf skew, read-mostly mixes, wider footprints (the
-    spec's ``n_txns`` / spacing then replace the arguments).  Anything
-    without a ``compile`` method is taken to *be* a compiled stream
-    already (e.g. a :class:`~repro.replay.RecordedWorkload` replaying a
-    harvested trace) and is driven as-is.  Read-only operations commit
-    on the client-side fast path and are tallied in
-    ``reads_committed``.
-
-    ``catalog`` / ``failures`` override the generated placement and
-    fault schedule — the replay tournament pins all three (stream,
-    catalog, plan) from a recorded artifact, leaving this function as
-    pure driver loop.  :func:`~repro.traffic.run_scenario` on
-    :func:`heavy_workload_scenario` is the same run with the finished
-    cluster handed back.
-    """
-    pins = dict(workload=workload, catalog=catalog, failures=failures)
-    return run_scenario(heavy_workload_scenario(**shape), protocol, seed, **pins).result
+def _heavy_workload_run(seed: int, protocol: str, **shape: Any) -> WorkloadResult:
+    """One E18 sample (module-level so the sweep pickles it)."""
+    return run_scenario(heavy_workload_scenario(**shape), protocol, seed).result
 
 
 def heavy_traffic_study(
@@ -254,16 +203,15 @@ def heavy_traffic_study(
     base_seed: int = 0,
     workers: int = 1,
     store: ResultStore | None = None,
-    sink: ResultSink | None = None,
 ) -> list[WorkloadResult]:
     """E18 aggregated: heavy-traffic tallies per protocol, same seeds."""
     spec = SweepSpec(
         name="e18-heavy-traffic",
-        task=run_heavy_workload,
+        task=_heavy_workload_run,
         grid={"protocol": list(protocols)},
         runs=runs,
         base_seed=base_seed,
         seeding="offset",
         fixed={"n_txns": n_txns},
     )
-    return _workload_rows(fold_cells(spec, _fold_workload, workers, store, sink))
+    return _workload_rows(fold_cells(spec, _fold_workload, workers, store))

@@ -20,14 +20,7 @@ from repro.replay.artifact import (
     encode_action,
     encode_catalog,
 )
-from repro.replay.recorder import (
-    RecordingSpec,
-    cluster_counters,
-    record,
-    record_heavy_workload,
-    record_open_loop_service,
-    record_wan_storm,
-)
+from repro.replay.recorder import RecordingSpec, cluster_counters, record
 from repro.replay.tournament import (
     DEFAULT_CONFIGS,
     DIFF_METRICS,
@@ -64,9 +57,6 @@ __all__ = [
     "fixed_point_ok",
     "format_diff_table",
     "record",
-    "record_heavy_workload",
-    "record_open_loop_service",
-    "record_wan_storm",
     "replay_trace",
     "run_tournament",
     "tournament_run",

@@ -35,6 +35,11 @@ from repro.replay.tournament import (
 )
 
 
+def _takes_n_txns(constructor) -> bool:
+    """Does this scenario constructor take a stream length?"""
+    return "n_txns" in inspect.signature(constructor).parameters
+
+
 def _add_overrides(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--protocol",
@@ -85,11 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="commit protocol for the recorded run (default: qtp1)",
     )
     record.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
+    fixed_length = [name for name, build in SCENARIOS.items() if not _takes_n_txns(build)]
     record.add_argument(
         "--n-txns",
         type=int,
         help="stream length (default: the scenario's own; ignored by the "
-        "scenarios without one, wan_storm and open_loop)",
+        f"scenarios without one: {', '.join(fixed_length)})",
     )
     record.add_argument(
         "--out",
@@ -124,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_record(args: argparse.Namespace) -> int:
     constructor = SCENARIOS[args.driver]
     shape = {}
-    if args.n_txns is not None and "n_txns" in inspect.signature(constructor).parameters:
+    if args.n_txns is not None and _takes_n_txns(constructor):
         shape["n_txns"] = args.n_txns
     trace = record(constructor(**shape), args.protocol, seed=args.seed)
     trace.save(args.out)

@@ -19,11 +19,8 @@ from typing import Any
 
 from repro.engine import jsonable
 from repro.experiments import SCENARIOS
-from repro.experiments.service_study import open_loop_scenario
-from repro.experiments.workload_study import heavy_workload_scenario
 from repro.replay.artifact import RecordedTrace
 from repro.traffic import Scenario, run_scenario
-from repro.workload.scenarios import wan_storm_scenario
 from repro.workload.spec import WorkloadSpec
 
 
@@ -143,46 +140,3 @@ def record(
         result=jsonable(run.counters()),
     )
 
-
-def record_heavy_workload(
-    protocol: str, seed: int = 0, *, workload: WorkloadSpec | None = None, **shape: Any
-) -> RecordedTrace:
-    """Run E18 once and harvest the full trace.
-
-    Same signature surface as
-    :func:`~repro.experiments.workload_study.run_heavy_workload`
-    (``shape`` is the scenario constructor's keywords).
-    """
-    return record(heavy_workload_scenario(**shape), protocol, seed, workload=workload)
-
-
-def record_open_loop_service(
-    protocol: str,
-    seed: int = 0,
-    *,
-    workload: WorkloadSpec | None = None,
-    failures=None,
-    **shape: Any,
-) -> RecordedTrace:
-    """Run one E26 open-loop service interval and harvest the trace.
-
-    ``shape`` is :func:`~repro.experiments.service_study.open_loop_scenario`'s
-    keywords; the admission ``window`` rides in ``params`` with the rest
-    of them because it shapes the run but is not part of the workload
-    spec.
-
-    ``failures`` passes an explicit :class:`~repro.sim.failures.FailurePlan`
-    through to the service (gray-failure plans included — the artifact
-    codec round-trips degrade/flap/leave actions), overriding the
-    driver's default crash episode.
-    """
-    return record(
-        open_loop_scenario(**shape), protocol, seed, workload=workload, failures=failures
-    )
-
-
-def record_wan_storm(
-    protocol: str, seed: int = 0, *, workload: WorkloadSpec | None = None, **shape: Any
-) -> RecordedTrace:
-    """Run E21 once and harvest the full trace (single-update stream)."""
-    return record(wan_storm_scenario(**shape), protocol, seed, workload=workload)

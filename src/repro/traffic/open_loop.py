@@ -50,6 +50,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
+from repro.common.errors import ConfigurationError
 from repro.engine.aggregate import QuantileDigest
 from repro.traffic.engine import TrafficEngine, tally_stream
 
@@ -316,8 +317,10 @@ def run_open_loop(
 
     The compiled workload must be an open-arrival spec (or a recorded
     open-loop stream): ``spec.rate`` / ``spec.duration`` bound the
-    arrival chain, ``next_op`` / ``next_gap`` feed it.  The cluster's
-    failure plan, if any, must already be armed.
+    arrival chain, ``next_op`` / ``next_gap`` feed it; any other
+    ``arrival`` raises :class:`~repro.common.errors.ConfigurationError`
+    before anything is scheduled.  The cluster's failure plan, if any,
+    must already be armed.
 
     Args:
         engine: the traffic engine (cluster + compiled stream + rng).
@@ -334,6 +337,11 @@ def run_open_loop(
     if window < 1:
         raise ValueError(f"admission window must be >= 1, got {window}")
     spec = engine.compiled.spec
+    if spec.arrival != "open":
+        raise ConfigurationError(
+            f"the open-loop service needs arrival='open' (a rate and a duration), "
+            f"got arrival={spec.arrival!r}: drive closed workloads with run_closed"
+        )
     duration = float(spec.duration)
     cluster = engine.cluster
     scheduler = cluster.scheduler

@@ -14,10 +14,11 @@ Examples 1–4 all share one database (the paper's Fig. 3 layout):
 Example 3 (Fig. 7) uses a 5-site database with both items replicated
 at sites 2–5 and a healed partition giving rise to two coordinators.
 
-Each ``run_*`` function builds a fresh cluster, replays the scenario
-deterministically, and returns a :class:`ScenarioResult` holding the
-cluster plus the derived verdicts — tests, benches and examples all
-consume the same object.
+Each ``run_example*_scenario`` function builds a fresh cluster, replays
+the scenario deterministically, and returns a :class:`ScenarioResult`
+holding the cluster plus the derived verdicts — tests, benches and
+examples all consume the same object.  E21, the WAN-scale sibling of
+Fig. 3, is the registered :func:`wan_storm_scenario`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.db.cluster import Cluster
 from repro.db.txn import TxnHandle
 from repro.replication.catalog import CatalogBuilder, ReplicaCatalog
 from repro.sim.failures import FailurePlan
-from repro.traffic.scenario import Scenario, run_scenario
+from repro.traffic.scenario import Scenario
 from repro.workload.generators import region_storm_plan, wan_catalog, wan_regions
 from repro.workload.spec import WorkloadSpec
 
@@ -137,7 +138,9 @@ def wan_storm_scenario(
 ) -> Scenario:
     """E21 as a scenario: one multi-item update on a WAN catalog, its
     coordinator crashed early, ``waves`` region storms through the
-    in-flight termination (healed, coordinator recovered, if ``heal``)."""
+    in-flight termination (healed, coordinator recovered, if ``heal``):
+    the E11 question at installation scale, or with ``heal`` the E13
+    one — does every site terminate consistently?"""
     params = dict(locals())
     regions = wan_regions(n_regions, sites_per_region)
 
@@ -173,49 +176,6 @@ def wan_storm_scenario(
         drive="single",
         regions=regions,
     )
-
-
-def run_wan_storm(
-    protocol: str,
-    seed: int = 0,
-    *,
-    workload: "WorkloadSpec | object | None" = None,
-    catalog: "ReplicaCatalog | None" = None,
-    failures: FailurePlan | None = None,
-    **shape,
-) -> ScenarioResult:
-    """A 32+-site WAN installation under a region-wise partition storm
-    (``shape`` is :func:`wan_storm_scenario`'s keywords).
-
-    Builds a geo-replicated catalog over ``n_regions × sites_per_region``
-    sites, starts one multi-item update, crashes its coordinator early,
-    then drives ``waves`` successive region-aligned partitionings (with
-    stragglers) through the in-flight termination.  The scaled-up
-    sibling of the Fig. 3 scenario: same questions — who terminates,
-    what stays accessible — at installation scale.
-
-    The update comes from a :class:`~repro.workload.spec.WorkloadSpec`
-    compiled against the WAN catalog and region layout; the default
-    spec (uniform popularity, 1–3 item footprint) replays the
-    historical ``random_update`` stream draw-for-draw, and passing
-    ``workload`` skews the pick or forces a cross-region origin.
-
-    With ``heal=False`` (default) the storm ends partitioned, so
-    availability reflects what termination salvaged *inside* the final
-    components (the E11 question).  With ``heal=True`` the network
-    heals and the coordinator recovers, so the run asks the E13
-    question instead: does every site terminate consistently?
-
-    ``workload`` may also be an already-compiled stream (anything
-    without a ``compile`` method, e.g. a
-    :class:`~repro.replay.RecordedWorkload`), and ``catalog`` /
-    ``failures`` pin the placement and fault schedule — together these
-    let the replay tournament re-run a recorded storm under an
-    alternative configuration.
-    """
-    pins = dict(workload=workload, catalog=catalog, failures=failures)
-    run = run_scenario(wan_storm_scenario(**shape), protocol, seed, **pins)
-    return ScenarioResult(run.cluster, run.txn, run.cluster.outcome(run.txn.txn))
 
 
 def run_example3_scenario(

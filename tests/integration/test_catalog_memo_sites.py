@@ -11,9 +11,10 @@ every deterministic output.
 
 from repro.engine.executor import clear_worker_cache
 from repro.experiments.sweeps import modelcheck_run, storm_run
-from repro.experiments.workload_study import run_workload
+from repro.experiments.workload_study import workload_scenario
 from repro.replay import cluster_counters
-from repro.workload.scenarios import run_wan_storm
+from repro.traffic import run_scenario
+from repro.workload.scenarios import wan_storm_scenario
 
 
 class TestStreamIdentity:
@@ -31,15 +32,16 @@ class TestStreamIdentity:
 
     def test_run_workload_cold_vs_warm(self):
         clear_worker_cache()
-        cold = run_workload("qtp1", n_txns=10, seed=4)
-        warm = run_workload("qtp1", n_txns=10, seed=4)
+        cold = run_scenario(workload_scenario(n_txns=10), "qtp1", 4).result
+        warm = run_scenario(workload_scenario(n_txns=10), "qtp1", 4).result
         assert cold == warm
 
     def test_run_wan_storm_cold_vs_warm(self):
         clear_worker_cache()
-        kwargs = dict(seed=2, n_regions=3, sites_per_region=4)
-        cold = run_wan_storm("qtp1", **kwargs)
-        warm = run_wan_storm("qtp1", **kwargs)
-        assert cold.outcome == warm.outcome
-        assert cold.states() == warm.states()
+        scenario = wan_storm_scenario(n_regions=3, sites_per_region=4)
+        cold = run_scenario(scenario, "qtp1", 2)
+        warm = run_scenario(scenario, "qtp1", 2)
+        txn = cold.txn.txn
+        assert cold.cluster.outcome(txn).outcome == warm.cluster.outcome(txn).outcome
+        assert cold.cluster.states(txn) == warm.cluster.states(txn)
         assert cluster_counters(cold.cluster) == cluster_counters(warm.cluster)

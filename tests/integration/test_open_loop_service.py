@@ -2,14 +2,15 @@
 
 import pytest
 
-from repro.experiments.service_study import discover_ceiling, run_open_loop_service
+from repro.experiments.service_study import discover_ceiling, open_loop_scenario
+from repro.traffic import run_scenario
 
 PROTOCOLS = ("2pc", "qtp1", "qtp2")
 
 
 class TestOpenLoopService:
     def test_accounting_holds_through_a_partition_episode(self):
-        result = run_open_loop_service("qtp1", seed=0, rate=1.5, duration=60.0)
+        result = run_scenario(open_loop_scenario(rate=1.5, duration=60.0), "qtp1", 0).result
         assert result.offered == (
             result.admitted + result.shed_backpressure + result.shed_unreachable
         )

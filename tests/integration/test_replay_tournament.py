@@ -25,13 +25,13 @@ from repro.replay import (
     encode_catalog,
     fixed_point_ok,
     record,
-    record_heavy_workload,
-    record_wan_storm,
     replay_trace,
     run_tournament,
 )
+from repro.experiments.workload_study import heavy_workload_scenario
 from repro.sim.failures import JoinSite
 from repro.traffic import run_scenario
+from repro.workload.scenarios import wan_storm_scenario
 
 #: one small E18 recording shared across the read-only tests.
 _TRACE_CACHE: dict[str, RecordedTrace] = {}
@@ -39,8 +39,8 @@ _TRACE_CACHE: dict[str, RecordedTrace] = {}
 
 def small_trace() -> RecordedTrace:
     if "heavy" not in _TRACE_CACHE:
-        _TRACE_CACHE["heavy"] = record_heavy_workload(
-            "qtp1", seed=3, n_txns=20, n_sites=6, n_items=5
+        _TRACE_CACHE["heavy"] = record(
+            heavy_workload_scenario(n_txns=20, n_sites=6, n_items=5), "qtp1", seed=3
         )
     return _TRACE_CACHE["heavy"]
 
@@ -52,7 +52,7 @@ class TestFixedPoint:
         assert fixed_point_ok(trace, row), (trace.counters, row)
 
     def test_wan_storm_replay_reproduces_counters(self):
-        trace = record_wan_storm("qtp1", seed=1, n_regions=3, sites_per_region=4)
+        trace = record(wan_storm_scenario(n_regions=3, sites_per_region=4), "qtp1", seed=1)
         row = replay_trace(trace)
         assert fixed_point_ok(trace, row), (trace.counters, row)
 
@@ -66,7 +66,7 @@ class TestFixedPoint:
     @given(st.integers(0, 2**16), st.sampled_from(["2pc", "3pc", "qtp1", "qtp2"]))
     @settings(max_examples=6, deadline=None)
     def test_fixed_point_across_seeds_and_protocols(self, seed, protocol):
-        trace = record_heavy_workload(protocol, seed=seed, n_txns=10, n_sites=5, n_items=4)
+        trace = record(heavy_workload_scenario(n_txns=10, n_sites=5, n_items=4), protocol, seed)
         assert fixed_point_ok(trace, replay_trace(trace))
 
 
@@ -79,6 +79,10 @@ SMALL_SHAPES = {
     "elastic_join": dict(n_txns=20),
     "open_loop": dict(rate=1.0, duration=20.0, n_sites=6),
     "rolling_upgrade": dict(n_txns=20, waves=2),
+    "skewed_contention": dict(n_txns=16, n_sites=6, n_items=4),
+    "read_mostly": dict(n_txns=16, n_sites=6, n_items=4),
+    "flash_crowd": dict(duration=30.0, surge_start=10.0, surge_length=10.0, n_sites=6),
+    "gray_failure": dict(rate=1.0, duration=30.0, episode_start=8.0, episode_length=12.0),
 }
 
 
@@ -281,7 +285,7 @@ class TestWhatIfConfigs:
         # coordinator's original round, fed late PC-acks across a
         # partition, raced its own termination attempt's abort.  The
         # stale round must stand down, not contradict the log.
-        trace = record_heavy_workload("qtp1", seed=0, n_txns=24)
+        trace = record(heavy_workload_scenario(n_txns=24), "qtp1", seed=0)
         row = replay_trace(trace, TournamentConfig("as-3pc", protocol="3pc"))
         total = (
             row["committed"] + row["client_aborted"]
@@ -313,7 +317,7 @@ class TestTournament:
     @given(st.integers(0, 2**10))
     @settings(max_examples=3, deadline=None)
     def test_serial_and_parallel_tournaments_byte_identical(self, seed):
-        trace = record_heavy_workload("qtp1", seed=seed, n_txns=10, n_sites=5, n_items=4)
+        trace = record(heavy_workload_scenario(n_txns=10, n_sites=5, n_items=4), "qtp1", seed)
         serial = run_tournament(trace, workers=1)
         parallel = run_tournament(trace, workers=2)
         assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
@@ -363,7 +367,7 @@ class TestDeepTournament:
     """Full-scale E18 harvest replayed across the whole default matrix."""
 
     def test_full_scale_matrix(self):
-        trace = record_heavy_workload("qtp1", seed=0)
+        trace = record("heavy_workload", "qtp1", seed=0)
         rows = run_tournament(trace)
         assert fixed_point_ok(trace, rows[0])
         by_name = {r["config"]: r for r in rows}

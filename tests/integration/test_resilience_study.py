@@ -9,20 +9,20 @@ up in the right counters and *only* the right counters.
 import pytest
 
 from repro.experiments.resilience_study import (
+    flash_crowd_scenario,
     gray_failure_plan,
+    gray_failure_scenario,
     rolling_upgrade_plan,
-    run_flash_crowd,
-    run_gray_failure,
-    run_rolling_upgrade,
+    rolling_upgrade_scenario,
 )
 from repro.sim.rng import RngRegistry
-from repro.traffic import AdaptiveWindow, RetryPolicy
+from repro.traffic import AdaptiveWindow, run_scenario
 from repro.workload.generators import random_catalog
 
 
 class TestRollingUpgrade:
     def test_every_wave_completes_and_restores(self):
-        result = run_rolling_upgrade("qtp2", seed=3, n_txns=50, waves=3)
+        result = run_scenario(rolling_upgrade_scenario(n_txns=50, waves=3), "qtp2", 3).counters()
         assert result["leaves_applied"] == 3
         assert result["joins_applied"] == 3
         assert result["sites_restored"] == 3
@@ -30,14 +30,14 @@ class TestRollingUpgrade:
         assert result["committed"] > 0
 
     def test_retries_absorb_upgrade_aborts(self):
-        result = run_rolling_upgrade("qtp2", seed=3, n_txns=50, waves=3)
+        result = run_scenario(rolling_upgrade_scenario(n_txns=50, waves=3), "qtp2", 3).counters()
         assert result["retry_attempts"] > 0
         # re-submissions inflate the submitted count past the op count
         assert result["submitted"] >= 50
 
     def test_deterministic(self):
-        first = run_rolling_upgrade("qtp1", seed=7, n_txns=40, waves=2)
-        second = run_rolling_upgrade("qtp1", seed=7, n_txns=40, waves=2)
+        first = run_scenario(rolling_upgrade_scenario(n_txns=40, waves=2), "qtp1", 7).counters()
+        second = run_scenario(rolling_upgrade_scenario(n_txns=40, waves=2), "qtp1", 7).counters()
         assert first == second
 
     def test_plan_needs_a_surviving_anchor(self):
@@ -50,7 +50,7 @@ class TestRollingUpgrade:
 
 class TestFlashCrowd:
     def test_controller_reacts_to_the_surge(self):
-        result = run_flash_crowd("qtp2", seed=3)
+        result = run_scenario(flash_crowd_scenario(), "qtp2", 3).counters()
         # the default target sits below the contended tail: the surge
         # drives the controller down the shedding arm
         assert result["window_narrowed"] >= 1
@@ -58,25 +58,24 @@ class TestFlashCrowd:
         assert result["shed_backpressure"] > 0
 
     def test_surge_offers_more_than_quiet_baseline(self):
-        crowd = run_flash_crowd("qtp2", seed=3)
-        quiet = run_flash_crowd("qtp2", seed=3, surge_rate=1.0)
+        crowd = run_scenario(flash_crowd_scenario(), "qtp2", 3).counters()
+        quiet = run_scenario(flash_crowd_scenario(surge_rate=1.0), "qtp2", 3).counters()
         assert crowd["offered"] > quiet["offered"]
 
     def test_custom_controller_passes_through(self):
-        result = run_flash_crowd(
-            "qtp2", seed=3,
-            adapt=AdaptiveWindow(target_p99=100.0, low=1, high=12, interval=10.0),
-        )
+        lenient = AdaptiveWindow(target_p99=100.0, low=1, high=12, interval=10.0)
+        result = run_scenario(flash_crowd_scenario(adapt=lenient), "qtp2", 3).counters()
         assert result["window_narrowed"] == 0
 
     def test_deterministic(self):
-        assert run_flash_crowd("2pc", seed=5) == run_flash_crowd("2pc", seed=5)
+        first = run_scenario(flash_crowd_scenario(), "2pc", 5).counters()
+        assert first == run_scenario(flash_crowd_scenario(), "2pc", 5).counters()
 
 
 class TestGrayFailure:
     def test_episode_fattens_the_tail_without_killing_anyone(self):
-        quiet = run_gray_failure("qtp2", seed=3, factor=1.0)
-        gray = run_gray_failure("qtp2", seed=3, factor=12.0)
+        quiet = run_scenario(gray_failure_scenario(factor=1.0), "qtp2", 3).counters()
+        gray = run_scenario(gray_failure_scenario(factor=12.0), "qtp2", 3).counters()
         # nothing is ever down: unreachable-shedding stays at the quiet
         # run's value, the damage shows up as timed-out decisions
         assert gray["shed_unreachable"] == quiet["shed_unreachable"]
@@ -88,10 +87,11 @@ class TestGrayFailure:
                                  flap_src=None, flap_dst=None)
         # a plan naming nonexistent sites must fail loudly, not silently
         with pytest.raises(ValueError, match="unknown site"):
-            run_gray_failure("qtp2", seed=3, failures=plan)
+            run_scenario(gray_failure_scenario(), "qtp2", 3, failures=plan)
 
     def test_deterministic(self):
-        assert run_gray_failure("qtp1", seed=9) == run_gray_failure("qtp1", seed=9)
+        first = run_scenario(gray_failure_scenario(), "qtp1", 9).counters()
+        assert first == run_scenario(gray_failure_scenario(), "qtp1", 9).counters()
 
 
 @pytest.mark.slow
@@ -105,12 +105,9 @@ class TestDeepRollingUpgradeSweep:
         for protocol in ("2pc", "qtp1", "qtp2"):
             for waves in (1, 2, 3):
                 for seed in range(3):
-                    first = run_rolling_upgrade(
-                        protocol, seed=seed, n_txns=60, waves=waves
-                    )
-                    second = run_rolling_upgrade(
-                        protocol, seed=seed, n_txns=60, waves=waves
-                    )
+                    scenario = rolling_upgrade_scenario(n_txns=60, waves=waves)
+                    first = run_scenario(scenario, protocol, seed).counters()
+                    second = run_scenario(scenario, protocol, seed).counters()
                     assert first == second, (
                         f"diverged at {protocol} waves={waves} seed={seed}"
                     )

@@ -4,7 +4,8 @@ import pytest
 
 from repro.experiments.sweeps import wan_partition_storm, wan_storm_run
 from repro.workload.generators import region_storm_plan, wan_catalog, wan_regions
-from repro.workload.scenarios import run_wan_storm
+from repro.traffic import run_scenario
+from repro.workload.scenarios import wan_storm_scenario
 from repro.sim.rng import RngRegistry
 
 
@@ -52,13 +53,14 @@ class TestWanGenerators:
 
 class TestWanStormScenario:
     def test_installation_scale(self):
-        result = run_wan_storm("qtp1", seed=0)
-        assert len(result.cluster.sites) == 32
+        run = run_scenario(wan_storm_scenario(), "qtp1", 0)
+        assert len(run.cluster.sites) == 32
 
     def test_deterministic(self):
-        a = run_wan_storm("qtp1", seed=5)
-        b = run_wan_storm("qtp1", seed=5)
-        assert a.outcome == b.outcome
+        a = run_scenario(wan_storm_scenario(), "qtp1", 5)
+        b = run_scenario(wan_storm_scenario(), "qtp1", 5)
+        assert a.counters() == b.counters()
+        assert a.cluster.outcome(a.txn.txn).outcome == b.cluster.outcome(b.txn.txn).outcome
         assert a.cluster.scheduler.events_run == b.cluster.scheduler.events_run
 
     def test_unhealed_storm_leaves_partial_availability(self):
@@ -70,15 +72,16 @@ class TestWanStormScenario:
     @pytest.mark.parametrize("protocol", ["qtp1", "qtp2"])
     def test_healed_storm_terminates_consistently(self, protocol):
         for seed in range(3):
-            result = run_wan_storm(protocol, seed=seed, heal=True)
-            assert result.report.atomic
-            assert not result.cluster.live_undecided(result.txn.txn)
+            run = run_scenario(wan_storm_scenario(heal=True), protocol, seed)
+            assert run.cluster.outcome(run.txn.txn).atomic
+            assert not run.cluster.live_undecided(run.txn.txn)
 
     def test_safety_at_scale(self):
         """Theorem 1 at 32 sites: no atomicity violation, healed or not."""
         for seed in range(3):
             for heal in (False, True):
-                assert run_wan_storm("qtp1", seed=seed, heal=heal).report.atomic
+                run = run_scenario(wan_storm_scenario(heal=heal), "qtp1", seed)
+                assert run.cluster.outcome(run.txn.txn).atomic
 
 
 class TestWanSweep:

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.experiments.workload_study import run_workload, workload_study
+from repro.experiments.workload_study import workload_scenario, workload_study
+from repro.traffic import run_scenario
 
 
 class TestRunWorkload:
     def test_tallies_are_complete(self):
-        result = run_workload("qtp1", n_txns=12, seed=3)
+        result = run_scenario(workload_scenario(n_txns=12), "qtp1", 3).result
         total = (
             result.committed
             + result.client_aborted
@@ -19,22 +20,22 @@ class TestRunWorkload:
 
     def test_every_run_serializable(self):
         for seed in range(4):
-            assert run_workload("qtp2", n_txns=12, seed=seed).serializable
+            assert run_scenario(workload_scenario(n_txns=12), "qtp2", seed).result.serializable
 
     def test_deterministic(self):
-        a = run_workload("qtp1", n_txns=12, seed=5)
-        b = run_workload("qtp1", n_txns=12, seed=5)
+        a = run_scenario(workload_scenario(n_txns=12), "qtp1", 5).result
+        b = run_scenario(workload_scenario(n_txns=12), "qtp1", 5).result
         assert a.txn_outcomes == b.txn_outcomes
 
     def test_partition_actually_causes_friction(self):
         """With the partition window covering the whole run, some
         transactions must fail to commit (otherwise the episode tested
         nothing)."""
-        result = run_workload("qtp1", n_txns=16, seed=1, partition_window=(2.0, 200.0))
+        result = run_scenario(workload_scenario(n_txns=16, partition_window=(2.0, 200.0)), "qtp1", 1).result
         assert result.committed < result.submitted
 
     def test_outcomes_vocabulary(self):
-        result = run_workload("2pc", n_txns=10, seed=2)
+        result = run_scenario(workload_scenario(n_txns=10), "2pc", 2).result
         assert set(result.txn_outcomes.values()) <= {
             "commit",
             "abort",

@@ -380,15 +380,21 @@ class TestActionTable:
 # ----------------------------------------------------------------------
 
 #: SHA-256 of ``record(name, "qtp1", 0).encode()``, computed at the
-#: commit before the trace and the row stream shared one framing.
+#: commit before the trace and the row stream shared one framing (the
+#: four scenarios registered later — E22, E23, E28, gray failure — when
+#: they joined the registry, with every bench baseline unmoved).
 TRACE_SHA256 = {
     "workload": "cede7fa2fb63400c63ebf2ae50a5bfc06338931dcf64890334e5af843baa1b12",
     "heavy_workload": "2356f065f883d24d5b83a7baf8435e58765da3968b41b833bb02416b1fafd4b2",
     "wan_storm": "c3c562efdbd7d2abd89df9442242a51dd87a70e332aadc7ceca72984b9be6978",
+    "skewed_contention": "5faef7ab7f87cab6b93f9bf15a1863c44c894074a5e7428ef7a28ed7eb9b6211",
+    "read_mostly": "afeb22bef01ae926a2c75c8e2438c8fd78b00e96ab8f59a7fe80c6763e3a2b1b",
     "cross_region": "393f063a5afb1b6749bc4e83dfa9042098a8d4b06eec77fbbc75e77a38db1c30",
     "elastic_join": "6957dbebbb0a588218cf2ae2fcc150485f7dfe4ec4492d4802c73b1457c6278f",
     "open_loop": "0a9b131f18807a7e3df77b70151056f80d49ef3fc209d34d159def7a502ca579",
     "rolling_upgrade": "f00bb337978d5de390df7615f8339c4f4e65bf388c5980442aad8e6e44c55297",
+    "flash_crowd": "03e667f0109c6f1ed9bb3c97a2d728e1af47d668460998c09270242c8c08c368",
+    "gray_failure": "00c73743138e71d1aae63ca5e88af2865e8b50a25336ff58d52cb206e3dfd47e",
 }
 
 

@@ -16,13 +16,13 @@ historical byte-exact behavior while pinning the "on" side's algebra:
 from hypothesis import given, settings, strategies as st
 
 from repro.db.cluster import Cluster
-from repro.experiments.resilience_study import gray_failure_plan, run_rolling_upgrade
-from repro.experiments.service_study import run_open_loop_service
-from repro.replay import DEFAULT_CONFIGS, RecordedTrace, fixed_point_ok, replay_trace
-from repro.replay.recorder import cluster_counters, record_open_loop_service
+from repro.experiments.resilience_study import gray_failure_plan, rolling_upgrade_scenario
+from repro.experiments.service_study import open_loop_scenario
+from repro.replay import DEFAULT_CONFIGS, RecordedTrace, fixed_point_ok, record, replay_trace
+from repro.replay.recorder import cluster_counters
 from repro.sim.failures import FailurePlan
 from repro.sim.rng import RngRegistry
-from repro.traffic import RetryPolicy, TrafficEngine
+from repro.traffic import RetryPolicy, TrafficEngine, run_scenario
 from repro.workload.generators import memoized_catalog, random_catalog
 from repro.workload.spec import WorkloadSpec
 
@@ -62,11 +62,10 @@ class TestRetriesOffByteIdentity:
     @given(st.integers(0, 2**10), st.sampled_from(["qtp1", "qtp2"]))
     @settings(max_examples=4, deadline=None)
     def test_upgrade_driver_with_retries_off_matches(self, seed, protocol):
-        off = run_rolling_upgrade(protocol, seed=seed, n_txns=30, waves=2, retry=None)
-        one = run_rolling_upgrade(
-            protocol, seed=seed, n_txns=30, waves=2,
-            retry=RetryPolicy(max_attempts=1),
-        )
+        once = RetryPolicy(max_attempts=1)
+        off = run_scenario(rolling_upgrade_scenario(n_txns=30, waves=2, retry=None), protocol, seed)
+        one = run_scenario(rolling_upgrade_scenario(n_txns=30, waves=2, retry=once), protocol, seed)
+        off, one = off.counters(), one.counters()
         assert one == off
         assert one["retry_attempts"] == 0
 
@@ -86,12 +85,10 @@ class TestDegradeUnitFactorNoop:
         site = sorted(catalog.all_sites())[0]
 
         def service(failures):
-            result = run_open_loop_service(
-                protocol, seed=seed, rate=1.2, duration=20.0,
-                n_sites=6, n_items=4, replication=3,
-                episode_window=None, failures=failures,
+            scenario = open_loop_scenario(
+                rate=1.2, duration=20.0, n_sites=6, n_items=4, replication=3, episode_window=None
             )
-            return dict(result.counters())
+            return dict(run_scenario(scenario, protocol, seed, failures=failures).counters())
 
         quiet = service(None)
         unit = service(FailurePlan().degrade(5.0, site, 1.0).restore(15.0, site))
@@ -176,10 +173,8 @@ class TestGrayRecordReplayFixedPoint:
             6.0, 10.0, slow_site=hosts[0], factor=5.0,
             flap_src=hosts[1], flap_dst=hosts[2],
         )
-        return record_open_loop_service(
-            protocol, seed=seed, rate=1.2, duration=24.0,
-            n_sites=6, n_items=4, replication=3, failures=plan,
-        )
+        service = open_loop_scenario(rate=1.2, duration=24.0, n_sites=6, n_items=4, replication=3)
+        return record(service, protocol, seed, failures=plan)
 
     @given(st.integers(0, 2**16), st.sampled_from(["2pc", "qtp2"]))
     @settings(max_examples=4, deadline=None)

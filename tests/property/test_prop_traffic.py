@@ -11,27 +11,15 @@ committed ones.
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import ResultStore, SweepSpec, run_sweep
-from repro.experiments.service_study import run_open_loop_service
-from repro.replay import (
-    DEFAULT_CONFIGS,
-    RecordedTrace,
-    fixed_point_ok,
-    record_open_loop_service,
-    replay_trace,
-)
+from repro.experiments.service_study import open_loop_scenario
+from repro.replay import DEFAULT_CONFIGS, RecordedTrace, fixed_point_ok, record, replay_trace
+from repro.traffic import run_scenario
 
 
 def open_loop_task(seed: int, protocol: str, rate: float) -> dict:
     """One small service interval, counters only (sweep-task shape)."""
-    result = run_open_loop_service(
-        protocol,
-        seed=seed,
-        rate=rate,
-        duration=25.0,
-        n_sites=6,
-        episode_window=(8.0, 6.0),
-    )
-    return result.counters()
+    scenario = open_loop_scenario(rate=rate, duration=25.0, n_sites=6, episode_window=(8.0, 6.0))
+    return run_scenario(scenario, protocol, seed).counters()
 
 
 class TestOpenLoopSweepFixedPoint:
@@ -55,9 +43,7 @@ class TestOpenLoopAccounting:
     @given(st.integers(0, 2**16), st.sampled_from(["2pc", "qtp1", "qtp2"]))
     @settings(max_examples=8, deadline=None)
     def test_identities_hold_at_every_seed(self, seed, protocol):
-        result = run_open_loop_service(
-            protocol, seed=seed, rate=1.5, duration=20.0, n_sites=6
-        )
+        result = run_scenario(open_loop_scenario(rate=1.5, duration=20.0, n_sites=6), protocol, seed).result
         assert (
             result.offered
             == result.admitted + result.shed_backpressure + result.shed_unreachable
@@ -78,9 +64,7 @@ class TestRecordReplayFixedPoint:
     @given(st.integers(0, 2**16), st.sampled_from(["2pc", "qtp1"]))
     @settings(max_examples=5, deadline=None)
     def test_recorded_replay_reproduces_counters(self, seed, protocol):
-        trace = record_open_loop_service(
-            protocol, seed=seed, rate=1.0, duration=20.0, n_sites=6
-        )
+        trace = record(open_loop_scenario(rate=1.0, duration=20.0, n_sites=6), protocol, seed)
         recorded = next(c for c in DEFAULT_CONFIGS if c.name == "recorded")
         row = replay_trace(trace, recorded)
         assert fixed_point_ok(trace, row), (
@@ -88,7 +72,7 @@ class TestRecordReplayFixedPoint:
         )
 
     def test_artifact_bytes_stable_through_round_trip(self, tmp_path):
-        trace = record_open_loop_service("qtp1", seed=7, rate=1.0, duration=20.0)
+        trace = record(open_loop_scenario(rate=1.0, duration=20.0), "qtp1", seed=7)
         path = tmp_path / "trace.jsonl.gz"
         trace.save(path)
         reloaded = RecordedTrace.load(path)

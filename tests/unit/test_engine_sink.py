@@ -340,8 +340,6 @@ class TestStoreNeedsRows:
         store = ResultStore(tmp_path)
         with pytest.raises(ValueError, match="keeps none"):
             run_sweep(spec, workers=workers, store=store, sink=NoopSink())
-        with pytest.raises(ValueError, match="keeps none"):
-            fold_cells(spec, lambda state, r: r, store=store, sink=NoopSink())
         assert not store.path_for("quiet").exists()
 
     def test_store_with_a_row_keeping_sink_saves_every_row(self, tmp_path):
@@ -389,13 +387,10 @@ class TestCellFoldSink:
             ({"mix": [3], "w": {"a": 1}}, values[2:]),
         ]
 
-    @pytest.mark.parametrize("through", ["rows", "sink"])
     @pytest.mark.parametrize("grid", UNHASHABLE_CELLS.values(), ids=UNHASHABLE_CELLS.keys())
-    def test_unhashable_cells_fold_apart_whatever_their_kind(self, grid, through):
+    def test_unhashable_cells_fold_apart_whatever_their_kind(self, grid):
         spec = SweepSpec("t", sized_task, grid={"cell": grid}, runs=3, seeding="offset")
-        cells = fold_cells(
-            spec, lambda state, r: [*(state or []), r.value], sink=None if through == "rows" else NoopSink()
-        )
+        cells = fold_cells(spec, lambda state, r: [*(state or []), r.value])
         values = run_sweep(spec).values()
         assert cells == [({"cell": cell}, values[3 * i : 3 * i + 3]) for i, cell in enumerate(grid)]
 

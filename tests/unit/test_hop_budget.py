@@ -28,7 +28,7 @@ from unittest import mock
 import pytest
 
 from repro import Cluster, FailurePlan, FixedDelay, UniformDelay
-from repro.experiments.service_study import run_open_loop_service
+from repro.experiments.service_study import open_loop_scenario
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.node import Node
@@ -36,7 +36,7 @@ from repro.protocols.base import CommitProtocolEngine
 from repro.sim import trace
 from repro.sim.scheduler import Scheduler
 from repro.sim.trace import TraceRecord, Tracer
-from repro.traffic import TrafficEngine
+from repro.traffic import TrafficEngine, run_scenario
 from repro.traffic.open_loop import _OpenLoopRun
 from repro.workload.generators import (
     random_catalog,
@@ -210,7 +210,8 @@ class TestOpenLoopHopBudget:
 
         with mock.patch.object(_OpenLoopRun, "retire_decided", counted_retire):
             with mock.patch.object(Tracer, "where", counted_where):
-                result = run_open_loop_service("qtp1", seed=2, n_sites=9, rate=1.5, duration=60.0)
+                scenario = open_loop_scenario(n_sites=9, rate=1.5, duration=60.0)
+                result = run_scenario(scenario, "qtp1", 2).result
         assert result.offered > 50 and result.latency["n"] > 10
         assert queried == []  # one query per in-flight txn per arrival before
 

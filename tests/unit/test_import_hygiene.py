@@ -111,7 +111,7 @@ def test_workload_and_scenario_modules_import_in_either_order(first):
     probe = (
         f"import {first}\n"
         "from repro.workload import run_example1_scenario\n"
-        "from repro.workload.scenarios import run_wan_storm\n"
+        "from repro.workload.scenarios import wan_storm_scenario\n"
         "from repro.traffic import Scenario, run_scenario"
     )
     done = subprocess.run(

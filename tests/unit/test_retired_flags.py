@@ -34,6 +34,12 @@ truncating or ring capacity, and a cluster builds its own), a Zipf pick
 is the cumulative scan (no alias sampler, and no ``zipf_sampling``
 case whose ``alias`` axis was its only caller), and a tournament takes
 no store, pool or sink of its own.
+
+So are the macro experiments' pass-through wrappers: a scenario is run
+by ``run_scenario`` and recorded by ``record`` and by nothing else, so
+the fourteen ``run_*`` / ``record_*`` functions that only forwarded to
+them stay undefined and unexported, and neither a study driver nor
+``fold_cells`` takes the ``sink=`` no caller passed.
 """
 
 import importlib
@@ -58,11 +64,19 @@ from repro.engine import (
     SweepRunner,
     SweepSpec,
     TeeSink,
+    fold_cells,
     run_sweep,
 )
 from repro.engine.spec import TaskChunk
-from repro.experiments.service_study import run_open_loop_service
-from repro.experiments.workload_study import run_heavy_workload
+from repro.experiments import (
+    availability_sweep,
+    modelcheck,
+    reenterability_storm,
+    vote_assignment_study,
+    workload_study,
+)
+from repro.experiments.sweeps import wan_partition_storm
+from repro.experiments.workload_study import heavy_traffic_study
 from repro.net.network import Network
 from repro.replay import run_tournament
 from repro.sim.rng import RngRegistry
@@ -72,7 +86,6 @@ from repro.storage.recovery import replay_data
 from repro.storage.store import ReplicaStore
 from repro.storage.wal import WriteAheadLog
 from repro.traffic import run_scenario
-from repro.workload.scenarios import run_wan_storm
 from repro.workload.spec import WorkloadSpec
 
 BENCH_SRC = Path(cases.__file__).parent
@@ -82,6 +95,10 @@ TOY_SPEC = default_suite("quick").case("commit_mix").spec
 
 def toy_task(seed: int) -> int:
     return seed
+
+
+def toy_fold(state, result):
+    raise AssertionError("a refused sweep folded a row")
 
 
 SWEEP = SweepSpec("retired", toy_task, grid={}, runs=2)
@@ -121,9 +138,6 @@ RETIRED_KEYWORDS = {
     "SweepRunner.run_sweep-reduce": lambda: SweepRunner(1).run_sweep(SWEEP, reduce=REDUCER),
     "run_tournament-share-trace": lambda: run_tournament(None, **_kw("share", "trace", True)),
     "run_scenario-probe": lambda: run_scenario(None, "qtp1", 0, probe=print),
-    "run_heavy_workload-probe": lambda: run_heavy_workload("qtp1", probe=print),
-    "run_wan_storm-probe": lambda: run_wan_storm("qtp1", probe=print),
-    "run_open_loop_service-probe": lambda: run_open_loop_service("qtp1", probe=print),
     "run_case-runner": lambda: BenchSuite().run_case("toy", runner=None),
     "run-runner": lambda: BenchSuite().run(runner=None),
     "diff_against_baselines-runner": lambda: diff_against_baselines(BenchSuite(), None, runner=None),
@@ -134,6 +148,14 @@ RETIRED_KEYWORDS = {
     "run_tournament-store": lambda: run_tournament(None, store=None),
     "run_tournament-persistent-pool": lambda: run_tournament(None, **_kw("persistent", "pool", True)),
     "run_tournament-sink": lambda: run_tournament(None, sink=None),
+    "availability_sweep-sink": lambda: availability_sweep(sink=None),
+    "reenterability_storm-sink": lambda: reenterability_storm(sink=None),
+    "modelcheck-sink": lambda: modelcheck("qtp1", sink=None),
+    "wan_partition_storm-sink": lambda: wan_partition_storm(sink=None),
+    "workload_study-sink": lambda: workload_study(sink=None),
+    "heavy_traffic_study-sink": lambda: heavy_traffic_study(sink=None),
+    "vote_assignment_study-sink": lambda: vote_assignment_study(sink=None),
+    "fold_cells-sink": lambda: fold_cells(SWEEP, toy_fold, sink=None),
 }
 
 
@@ -326,9 +348,60 @@ SWEEP_SIGNATURES = {
     "run_sweep": (run_sweep, ["spec", "workers", "chunksize", "store", "persistent_pool", "sink"]),
     "SweepRunner.run_sweep": (SweepRunner.run_sweep, ["self", "spec", "chunksize", "store", "sink"]),
     "run_tournament": (run_tournament, ["trace", "configs", "workers"]),
+    "fold_cells": (fold_cells, ["spec", "fold", "workers", "store"]),
 }
 
 
 @pytest.mark.parametrize("function, names", SWEEP_SIGNATURES.values(), ids=SWEEP_SIGNATURES.keys())
 def test_the_sweep_entry_points_keep_their_keywords(function, names):
     assert list(inspect.signature(function).parameters) == names
+
+
+#: the pass-through wrappers around ``run_scenario`` / ``record``: every
+#: caller builds the scenario and calls the one runner itself
+RETIRED_WRAPPERS = [
+    head + tail
+    for head, tail in [
+        ("run_skewed", "_contention"),
+        ("run_read", "_mostly"),
+        ("run_cross", "_region"),
+        ("run_elastic", "_join"),
+        ("run_rolling", "_upgrade"),
+        ("run_flash", "_crowd"),
+        ("run_gray", "_failure"),
+        ("run_open_loop", "_service"),
+        ("run_heavy", "_workload"),
+        ("run_work", "load"),
+        ("run_wan", "_storm"),
+        ("record_heavy", "_workload"),
+        ("record_open_loop", "_service"),
+        ("record_wan", "_storm"),
+    ]
+]
+
+#: every package and module that used to define or export one of them
+WRAPPER_HOMES = [
+    "repro",
+    "repro.experiments",
+    "repro.experiments.resilience_study",
+    "repro.experiments.service_study",
+    "repro.experiments.workload_scenarios",
+    "repro.experiments.workload_study",
+    "repro.replay",
+    "repro.replay.recorder",
+    "repro.traffic",
+    "repro.workload",
+    "repro.workload.scenarios",
+]
+
+
+@pytest.mark.parametrize("name", RETIRED_WRAPPERS)
+def test_retired_wrapper_is_neither_defined_nor_exported(name):
+    for home in WRAPPER_HOMES:
+        module = importlib.import_module(home)
+        assert not hasattr(module, name), f"{home}.{name}"
+        assert name not in getattr(module, "__all__", ()), home
+    defined = re.compile(rf"^\s*def {name}\(", re.MULTILINE)
+    src = REPO / "src" / "repro"
+    assert [p.name for p in src.rglob("*.py") if defined.search(p.read_text())] == []
+

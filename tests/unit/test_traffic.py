@@ -14,12 +14,19 @@ from repro.db.cluster import Cluster
 from repro.experiments.service_study import (
     discover_ceiling,
     open_loop_scenario,
-    run_open_loop_service,
     service_failure_plan,
 )
-from repro.experiments.workload_study import heavy_workload_scenario, run_heavy_workload
+from repro.experiments.workload_study import heavy_workload_scenario
 from repro.sim.rng import RngRegistry
-from repro.traffic import AdaptiveWindow, OpenLoopResult, RetryPolicy, TrafficEngine, ramp, run_scenario
+from repro.traffic import (
+    AdaptiveWindow,
+    OpenLoopResult,
+    RetryPolicy,
+    TrafficEngine,
+    ramp,
+    run_open_loop,
+    run_scenario,
+)
 from repro.workload.generators import random_catalog
 from repro.workload.spec import WorkloadSpec
 
@@ -57,9 +64,10 @@ class TestClosedLoop:
         assert first == second
 
     def test_the_run_hands_back_the_finished_cluster(self):
-        run = run_scenario(heavy_workload_scenario(n_txns=12, n_sites=6), "qtp1", 0)
+        scenario = heavy_workload_scenario(n_txns=12, n_sites=6)
+        run = run_scenario(scenario, "qtp1", 0)
         assert run.cluster.scheduler.pending == 0 and run.cluster.scheduler.now > 0
-        assert run.result == run_heavy_workload("qtp1", 0, n_txns=12, n_sites=6)
+        assert run.result == run_scenario(scenario, "qtp1", 0).result
 
     def test_read_only_ops_commit_on_fast_path(self):
         spec = WorkloadSpec(
@@ -96,6 +104,15 @@ class TestOpenSpec:
         with pytest.raises(ConfigurationError):
             engine.compiled.next_gap(engine.rng)
 
+    def test_open_drive_refuses_a_closed_spec_before_scheduling(self):
+        engine = _engine(spec=WorkloadSpec(n_txns=5))
+        with pytest.raises(ConfigurationError, match="arrival='poisson'"):
+            run_open_loop(engine, "qtp1")
+        assert engine.cluster.scheduler.pending == 0
+        # and through the scenario runner, as the same named error
+        with pytest.raises(ConfigurationError, match="arrival"):
+            run_scenario(open_loop_scenario(), "qtp1", 0, workload=WorkloadSpec(n_txns=5))
+
     def test_describe_names_the_service(self):
         spec = WorkloadSpec(arrival="open", rate=1.5, duration=60.0)
         assert "open@1.5/s x60s" in spec.describe()
@@ -103,7 +120,7 @@ class TestOpenSpec:
 
 class TestOpenLoop:
     def test_admission_accounting_identity(self):
-        result = run_open_loop_service("qtp1", seed=1, rate=1.2, duration=40.0)
+        result = run_scenario(open_loop_scenario(rate=1.2, duration=40.0), "qtp1", 1).result
         assert result.offered > 0
         assert (
             result.offered
@@ -119,45 +136,44 @@ class TestOpenLoop:
         )
 
     def test_latency_digest_counts_decided_updates(self):
-        result = run_open_loop_service("qtp1", seed=1, rate=1.2, duration=40.0)
+        result = run_scenario(open_loop_scenario(rate=1.2, duration=40.0), "qtp1", 1).result
         latency = result.latency
         assert latency["n"] == result.committed + result.protocol_aborted
         assert latency["p50"] <= latency["p99"] <= latency["p999"]
         assert result.counters()["latency_p999"] == latency["p999"]
 
     def test_two_runs_identical(self):
-        first = run_open_loop_service("qtp1", seed=3, rate=1.0, duration=30.0)
-        second = run_open_loop_service("qtp1", seed=3, rate=1.0, duration=30.0)
+        first = run_scenario(open_loop_scenario(rate=1.0, duration=30.0), "qtp1", 3).result
+        second = run_scenario(open_loop_scenario(rate=1.0, duration=30.0), "qtp1", 3).result
         assert first.counters() == second.counters()
         assert first.digest_state == second.digest_state
 
     def test_window_one_sheds_under_load(self):
         # a tiny admission window at a high rate must shed traffic
-        result = run_open_loop_service(
-            "qtp1", seed=2, rate=8.0, duration=20.0, window=1, episode_window=None
-        )
+        scenario = open_loop_scenario(rate=8.0, duration=20.0, window=1, episode_window=None)
+        result = run_scenario(scenario, "qtp1", 2).result
         assert result.shed_backpressure > 0
         assert result.shed_rate > 0.0
 
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError):
-            run_open_loop_service("qtp1", seed=0, rate=1.0, duration=10.0, window=0)
+            run_scenario(open_loop_scenario(rate=1.0, duration=10.0, window=0), "qtp1", 0)
 
     def test_partition_episode_sheds_unreachable(self):
         # the minority partition component refuses quorums; arrivals at
         # dead sites would be shed_unreachable, partition aborts show up
         # as client/protocol aborts — either way the quiet run commits
         # at least as much as the partitioned one
-        stormy = run_open_loop_service("qtp1", seed=4, rate=1.5, duration=60.0)
-        quiet = run_open_loop_service(
-            "qtp1", seed=4, rate=1.5, duration=60.0, episode_window=None
-        )
+        stormy = run_scenario(open_loop_scenario(rate=1.5, duration=60.0), "qtp1", 4).result
+        calm = open_loop_scenario(rate=1.5, duration=60.0, episode_window=None)
+        quiet = run_scenario(calm, "qtp1", 4).result
         assert quiet.committed >= stormy.committed
 
     def test_the_run_hands_back_the_finished_cluster(self):
-        run = run_scenario(open_loop_scenario(rate=1.0, duration=20.0), "qtp1", 0)
+        scenario = open_loop_scenario(rate=1.0, duration=20.0)
+        run = run_scenario(scenario, "qtp1", 0)
         assert run.cluster.scheduler.events_run > 0
-        assert run.result.counters() == run_open_loop_service("qtp1", 0, rate=1.0, duration=20.0).counters()
+        assert run.result.counters() == run_scenario(scenario, "qtp1", 0).result.counters()
 
 
 class TestRetryPolicy:
@@ -251,9 +267,8 @@ class TestAdaptiveWindow:
             AdaptiveWindow(target_p99=1.0, hysteresis=1.0)
 
     def test_none_keeps_historical_counters(self):
-        fixed = run_open_loop_service(
-            "qtp1", seed=2, rate=1.2, duration=30.0, episode_window=None
-        )
+        scenario = open_loop_scenario(rate=1.2, duration=30.0, episode_window=None)
+        fixed = run_scenario(scenario, "qtp1", 2).result
         assert "window_final" not in fixed.counters()
         assert "window_widened" not in fixed.counters()
 
@@ -261,43 +276,40 @@ class TestAdaptiveWindow:
         # commit latency is protocol-round-bound (seconds); a huge
         # target leaves the controller below the dead band every
         # interval, so it widens toward `high`
-        result = run_open_loop_service(
-            "qtp1", seed=2, rate=1.2, duration=60.0, window=2,
-            episode_window=None,
+        scenario = open_loop_scenario(
+            rate=1.2, duration=60.0, window=2, episode_window=None,
             adapt=AdaptiveWindow(target_p99=100.0, low=1, high=6, interval=10.0),
         )
+        result = run_scenario(scenario, "qtp1", 2).result
         counters = result.counters()
         assert counters["window_widened"] >= 1
         assert counters.get("window_narrowed", 0) == 0
         assert counters["window_final"] > 2
 
     def test_tight_target_narrows_and_sheds(self):
-        result = run_open_loop_service(
-            "qtp1", seed=2, rate=4.0, duration=60.0, window=6,
-            episode_window=None,
+        scenario = open_loop_scenario(
+            rate=4.0, duration=60.0, window=6, episode_window=None,
             adapt=AdaptiveWindow(target_p99=0.5, low=1, high=8, interval=10.0),
         )
+        result = run_scenario(scenario, "qtp1", 2).result
         counters = result.counters()
         assert counters["window_narrowed"] >= 1
         assert counters["window_final"] < 6
         assert result.shed_backpressure > 0
 
     def test_window_clamped_to_bounds(self):
-        result = run_open_loop_service(
-            "qtp1", seed=2, rate=4.0, duration=90.0, window=2,
-            episode_window=None,
+        scenario = open_loop_scenario(
+            rate=4.0, duration=90.0, window=2, episode_window=None,
             adapt=AdaptiveWindow(target_p99=0.5, low=2, high=8, interval=10.0),
         )
+        result = run_scenario(scenario, "qtp1", 2).result
         assert result.counters()["window_final"] == 2
 
     def test_adaptive_runs_are_deterministic(self):
         adapt = AdaptiveWindow(target_p99=3.0, low=1, high=8, interval=10.0)
-        first = run_open_loop_service(
-            "qtp2", seed=6, rate=2.0, duration=50.0, episode_window=None, adapt=adapt
-        )
-        second = run_open_loop_service(
-            "qtp2", seed=6, rate=2.0, duration=50.0, episode_window=None, adapt=adapt
-        )
+        scenario = open_loop_scenario(rate=2.0, duration=50.0, episode_window=None, adapt=adapt)
+        first = run_scenario(scenario, "qtp2", 6).result
+        second = run_scenario(scenario, "qtp2", 6).result
         assert first.counters() == second.counters()
 
 
