@@ -21,18 +21,30 @@ therefore *exact*:
 (:func:`row_digest`), so a worker can fold its chunk of results into a
 small partial and ship *that* back instead of the raw row list; the
 parent merges partials in chunk order and gets the same bytes a serial
-fold produces.  The digest itself is an order-independent sum of
+fold produces.  A worker folds a row as plain fields
+(:meth:`RowReducer.fold_fields`: task index, digest, value), never as a
+:class:`RunResult`; each reducer splits its metric paths once, when it
+is built — once per chunk — and a plain ``dict`` row value is indexed
+without :func:`resolve_path`'s ABC checks.  :class:`CountAcc` builds its
+summary once per state, so a sweep's aggregate and a later
+``summary()`` of the same reducer stringify and sort its keys once.
+``MeanAcc`` and ``QuantileDigest`` refuse a non-finite value before
+they change any state, and a reducer names the metric and the task of
+a row it cannot fold.  The digest itself is an order-independent sum of
 per-row SHA-256 hashes — each row's canonical encoding already embeds
 its task index, so content *and* position are pinned while partials
 stay mergeable.
 
-A live row is encoded once, by :func:`encode_row`: its ``value`` goes
-through ``jsonable`` and the canonical encoder, its header (``index``,
-``params``, ``run``, ``seed``) is formatted into a prefix, and both the
-digest input and the artifact line are spliced from those two pieces —
-the keys sort, so ``"type"`` falls between ``"seed"`` and ``"value"``.
-The cell's ``params`` encoding (:func:`encode_params`) is the caller's
-to reuse: ``fold_chunk`` makes it once per cell, not once per row.
+A live row is encoded once, by :func:`encode_row` or its fields form
+:func:`encode_fields` (what ``fold_chunk`` calls: the row's
+``(index, params, run, seed, value)`` with no :class:`RunResult`
+built): its ``value`` goes through ``jsonable`` and the canonical
+encoder, its header (``index``, ``params``, ``run``, ``seed``) is
+formatted into a prefix, and both the digest input and the artifact
+line are spliced from those two pieces — the keys sort, so ``"type"``
+falls between ``"seed"`` and ``"value"``.  The cell's ``params``
+encoding (:func:`encode_params`) is the caller's to reuse:
+``fold_chunk`` makes it once per cell, not once per row.
 :func:`row_digest` over :meth:`ResultStore.row_payload` stays the
 reference definition, and the digest of a row read back from an
 artifact.
@@ -43,11 +55,12 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from math import isfinite
 from operator import itemgetter
 from typing import Any
 
 from repro.engine.spec import RunResult
-from repro.engine.store import canonical_line, jsonable
+from repro.engine.store import canonical_line, jsonable, raise_key_collision
 
 #: digests are reduced into this modulus (63-bit, like derived seeds,
 #: so they survive any JSON round trip losslessly).
@@ -80,14 +93,20 @@ def encode_row(result: RunResult, params: str | None = None) -> tuple[int, str]:
     """
     if params is None:
         params = encode_params(result.params)
-    index, run, seed = result.index, result.run, result.seed
+    return encode_fields(result.index, params, result.run, result.seed, result.value)
+
+
+def encode_fields(index: int, params: str, run: int, seed: int, value: Any) -> tuple[int, str]:
+    """:func:`encode_row`'s fields form: the row of a task that ran as
+    plain fields, no :class:`RunResult` built (``params`` already
+    encoded by :func:`encode_params`)."""
     if type(index) is int and type(run) is int and type(seed) is int:
         head = '{"index":%d,"params":%s,"run":%d,"seed":%d,' % (index, params, run, seed)
     else:  # a bool or an int subclass: JSON spells it its own way, not "%d"
         head = '{"index":%s,"params":%s,"run":%s,"seed":%s,' % (
             canonical_line(index), params, canonical_line(run), canonical_line(seed)
         )
-    value = canonical_line(jsonable(result.value))
+    value = canonical_line(jsonable(value))
     digest = _digest_of(f'{head}"value":{value}}}'.encode())
     return digest, f'{head}"type":"row","value":{value}}}'
 
@@ -123,28 +142,46 @@ class Accumulator:
 
 
 class CountAcc(Accumulator):
-    """Tally of distinct (hashable) values — commits, outcomes, flags."""
+    """Tally of distinct (hashable) values — commits, outcomes, flags.
+
+    The summary reports each key under ``str(key)``, sorted by that
+    string.  It is built once per state: a second :meth:`summary` of an
+    unchanged tally copies the first instead of stringifying and
+    sorting every key again, and :meth:`add` / :meth:`merge` drop it.
+    """
 
     kind = "count"
 
     def __init__(self) -> None:
         self.n = 0
         self.counts: dict[Any, int] = {}
+        self._summary: dict[str, Any] | None = None
 
     def add(self, value: Any) -> None:
         self.n += 1
         self.counts[value] = self.counts.get(value, 0) + 1
+        self._summary = None
 
     def merge(self, other: "CountAcc") -> None:
         self.n += other.n
         for value, count in other.counts.items():
             self.counts[value] = self.counts.get(value, 0) + count
+        self._summary = None
 
     def summary(self) -> dict[str, Any]:
-        # each key stringified once; the sort is stable, so of two keys
-        # with one string form (1 and "1") the later-inserted count wins
-        counts = sorted([(str(k), n) for k, n in self.counts.items()], key=itemgetter(0))
-        return {"kind": self.kind, "n": self.n, "counts": dict(counts)}
+        """``{"kind", "n", "counts"}``, a fresh dict on every call.
+
+        Raises:
+            TypeError: two tallied keys that stringify alike (``1`` and
+                ``"1"``): one count would silently overwrite the other.
+        """
+        if self._summary is None:
+            named = [(str(k), n) for k, n in self.counts.items()]  # each key stringified once
+            counts = dict(sorted(named, key=itemgetter(0)))
+            if len(counts) != len(named):
+                raise_key_collision(self.counts, "a CountAcc summary")
+            self._summary = {"kind": self.kind, "n": self.n, "counts": counts}
+        return {**self._summary, "counts": dict(self._summary["counts"])}
 
     def fresh(self) -> "CountAcc":
         return CountAcc()
@@ -192,7 +229,10 @@ class MeanAcc(Accumulator):
     def add(self, value: Any) -> None:
         if not isinstance(value, (int, float)):  # bool is an int
             raise TypeError(f"MeanAcc folds int, bool or float values, got {type(value).__name__}")
-        num, den = value.as_integer_ratio()  # den is a power of two
+        try:
+            num, den = value.as_integer_ratio()  # den is a power of two
+        except (OverflowError, ValueError):  # an infinity, a NaN
+            raise ValueError(f"MeanAcc folds finite values, got {value!r}") from None
         exp = den.bit_length() - 1
         if exp > self._exp:
             self._rescale(exp)
@@ -292,11 +332,22 @@ class QuantileDigest(Accumulator):
 
     def add(self, value: Any) -> None:
         value = float(value)
+        if not isfinite(value):
+            raise ValueError(f"QuantileDigest folds finite values, got {value!r}")
+        # the bin first: a huge finite value scales to an infinity
+        scaled = (value - self.lo) / (self.hi - self.lo) * self.bins
+        if scaled < 0:
+            index = 0
+        elif scaled < self.bins:
+            index = int(scaled)
+        else:
+            index = self.bins - 1
         self.n += 1
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-        index = int((value - self.lo) / (self.hi - self.lo) * self.bins)
-        self.counts[min(max(index, 0), self.bins - 1)] += 1
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
+        self.counts[index] += 1
 
     def merge(self, other: "QuantileDigest") -> None:
         if (other.lo, other.hi, other.bins) != (self.lo, self.hi, self.bins):
@@ -436,10 +487,16 @@ def resolve_path(value: Any, path: str) -> Any:
     reads an attribute — so live dataclass results and rows loaded from
     a JSON artifact resolve identically.
     """
-    if not path:
-        return value
-    for part in path.split("."):
-        if isinstance(value, Mapping):
+    return _resolve(value, path.split(".")) if path else value
+
+
+def _resolve(value: Any, parts: Sequence[str]) -> Any:
+    """:func:`resolve_path` over a path already split into segments; a
+    plain ``dict`` is indexed without the ABC checks."""
+    for part in parts:
+        if type(value) is dict:
+            value = value[part]
+        elif isinstance(value, Mapping):
             value = value[part]
         elif isinstance(value, Sequence) and not isinstance(value, str):
             value = value[int(part)]
@@ -453,10 +510,20 @@ class RowReducer:
 
     ``metrics`` is a tuple of ``(name, path, accumulator_template)``
     triples; folding a result resolves each path inside the row's
-    ``value`` and feeds the matching accumulator.  Reducers pickle into
-    pool workers (:meth:`fresh` gives each worker chunk a clean one),
-    partials merge exactly, and :meth:`summary` is byte-identical
+    ``value`` and feeds the matching accumulator.  The paths are split
+    into segments once, when the reducer is built — and a sweep builds
+    one per chunk (:meth:`fresh`) — not once per row.  Reducers pickle
+    into pool workers (:meth:`fresh` gives each worker chunk a clean
+    one), partials merge exactly, and :meth:`summary` is byte-identical
     between a serial fold and any chunked layout.
+
+    A row whose metric cannot be folded (an accumulator's plain
+    ``TypeError`` or ``ValueError``: a NaN, a string where a number
+    belongs) raises that error type again, naming the metric and the
+    row's task index.  The row is then not counted; the metrics before
+    the failing one in ``metrics`` order already hold it — the sweep
+    has failed, so its reducer's state is a record of how far it got,
+    not a result.
     """
 
     def __init__(self, metrics: tuple[tuple[str, str, Accumulator], ...] = ()) -> None:
@@ -466,23 +533,33 @@ class RowReducer:
         self.metrics = tuple(metrics)
         self.rows = 0
         self.digest = 0
+        self._folds = tuple(
+            (name, tuple(path.split(".")) if path else (), acc) for name, path, acc in self.metrics
+        )
 
     def fold(self, result: RunResult, digest: int | None = None) -> None:
         """Fold one live result (``digest``: its :func:`encode_row`
         digest, where the caller already has it)."""
         if digest is None:
             digest = encode_row(result)[0]
-        self._fold_common(digest, result.value)
+        self.fold_fields(result.index, digest, result.value)
 
     def fold_row(self, row: Mapping[str, Any]) -> None:
         """Fold one row loaded back from an artifact (the eager side)."""
-        self._fold_common(row_digest(row), row["value"])
+        self.fold_fields(row.get("index"), row_digest(row), row["value"])
 
-    def _fold_common(self, digest: int, value: Any) -> None:
+    def fold_fields(self, index: Any, digest: int, value: Any) -> None:
+        """Fold one row given as fields: its task index, its
+        :func:`encode_fields` digest and its ``value``."""
+        for name, parts, acc in self._folds:
+            try:
+                acc.add(_resolve(value, parts))
+            except (TypeError, ValueError) as exc:
+                if type(exc) not in (TypeError, ValueError):  # a subclass may take other arguments
+                    raise
+                raise type(exc)(f"metric {name!r} of task {index}: {exc}") from exc
         self.rows += 1
-        self.digest = merge_digests(self.digest, digest)
-        for _name, path, acc in self.metrics:
-            acc.add(resolve_path(value, path))
+        self.digest = (self.digest + digest) % DIGEST_MOD
 
     def merge(self, other: "RowReducer") -> None:
         """Fold another partial in (chunk order = task order)."""

@@ -11,15 +11,27 @@ out (:class:`TeeSink`) or drop it (:class:`NoopSink`).
 Every sink tracks two backend-independent invariants as it goes:
 ``rows_emitted`` and an order-independent row ``digest`` (see
 :mod:`repro.engine.aggregate`).  Every live row is encoded by the one
-row encoder, :func:`~repro.engine.aggregate.encode_row`, which splices
-the row's digest input and its artifact line from one canonical encode
-of its ``value`` and one formatted header; both equal what
+row encoder, :func:`~repro.engine.aggregate.encode_row` — in
+:func:`fold_chunk` its fields form,
+:func:`~repro.engine.aggregate.encode_fields` — which splices the row's
+digest input and its artifact line from one canonical encode of its
+``value`` and one formatted header; both equal what
 :meth:`ResultStore.row_payload` and :func:`canonical_line` give, byte
 for byte.  So the digest of a sweep is byte-identical across
 `MemorySink`/`JsonlSink`/reducers and across every worker count — the
 property the engine property tests pin.
 Per-cell work stays out of the per-row loop: a cell's rows share one
 ``params`` dict, and :func:`fold_chunk` encodes it once per cell.
+
+What a worker builds per row: :func:`fold_chunk` walks a chunk's plain
+``(index, params, run, seed)`` fields, calls the task function, and
+encodes, digests and folds the row from those fields and the returned
+value.  Per row that is one fields tuple, the row's encoded strings and
+its digest — never a :class:`~repro.engine.spec.RunTask`.  A
+:class:`~repro.engine.spec.RunResult` exists only where the chunk's
+plan asks for live results: for a sink that does not opt in
+(:class:`MemorySink`, :class:`CellFoldSink`, a plain ``emit``
+override), or the default keep-every-row sweep.
 
 Lifecycle: ``open(spec_summary)`` → rows, always in task-index order →
 ``close()``; the executor calls ``abort()`` instead of ``close()`` when
@@ -41,10 +53,17 @@ from __future__ import annotations
 
 import pickle
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
-from repro.engine.aggregate import RowReducer, encode_params, encode_row, merge_digests
-from repro.engine.spec import RunResult, RunTask
+from repro.engine.aggregate import (
+    DIGEST_MOD,
+    RowReducer,
+    encode_fields,
+    encode_params,
+    encode_row,
+    merge_digests,
+)
+from repro.engine.spec import RunResult, TaskChunk
 from repro.engine.store import JsonlReader, canonical_line, gzip_writer, jsonable
 
 #: streamed-artifact schema version; bump on any layout change.
@@ -124,48 +143,59 @@ def _portable_error(exc: BaseException) -> BaseException:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def fold_chunk(tasks: Iterable[RunTask], plan: ChunkPlan) -> FoldedChunk:
-    """Execute ``tasks`` and fold their rows into the pieces ``plan`` names.
+def fold_chunk(chunk: TaskChunk, plan: ChunkPlan) -> FoldedChunk:
+    """Run ``chunk``'s tasks and fold their rows into the pieces ``plan`` names.
 
-    ``tasks`` is usually a :class:`~repro.engine.spec.TaskChunk`, so the
-    tasks and their seeds are built here as they are iterated.  The one
-    place a sweep task is executed and the one producer of
-    :class:`FoldedChunk`: pool workers and the serial path both run it,
-    so a row is encoded once (:func:`encode_row`), where its task ran,
-    and a cell's ``params`` once per run of rows sharing them.  A task
-    that raises, or a row whose encoding raises, ends the chunk: it is
-    returned with the rows before it and the exception.
+    The one place a sweep task is run and the one producer of
+    :class:`FoldedChunk`: pool workers and the serial path both call
+    it, so a row is encoded once, where its task ran.  One loop walks
+    the chunk's plain ``(index, params, run, seed)`` fields
+    (:meth:`TaskChunk.fields`), calls the task function and encodes,
+    digests and folds the row from those fields and its value
+    (:func:`encode_fields`, :meth:`RowReducer.fold_fields`).  No
+    :class:`~repro.engine.spec.RunTask` is built, and a
+    :class:`RunResult` only where the plan asks for live results.  A
+    cell's ``params`` are encoded once per run of rows sharing them.
+
+    A task that raises, or a row whose encoding or metric fold raises,
+    ends the chunk: it is returned with the rows before it and the
+    exception.
     """
-    chunk = FoldedChunk()
-    chunk.partials = {key: reducer.fresh() for key, reducer in plan.reducers.items()}
-    partials = list(chunk.partials.values())
+    folded = FoldedChunk()
+    folded.partials = {key: reducer.fresh() for key, reducer in plan.reducers.items()}
+    partials = list(folded.partials.values())
     encode = plan.digest or plan.lines or bool(partials)
+    keep_lines, keep_results = plan.lines, plan.results
     lines: list[str] = []
-    params: Any = None
-    params_line: str | None = None  # None: encode_row encodes the params itself
-    for task in tasks:
-        try:
-            result = task.execute()
+    results = folded.results
+    task = chunk.task
+    rows = digests = 0
+    encoded: Any = None  # the params dict params_line encodes
+    params_line = ""
+    try:
+        for index, params, run, seed in chunk.fields():
+            value = task(seed=seed, **params)
             if encode:
-                if result.params is not params:
-                    params_line = encode_params(result.params)
-                    params = result.params
-                digest, line = encode_row(result, params_line)
+                if params is not encoded:
+                    params_line = encode_params(params)
+                    encoded = params
+                digest, line = encode_fields(index, params_line, run, seed, value)
                 for partial in partials:
-                    partial.fold(result, digest)
-                chunk.digest = merge_digests(chunk.digest, digest)
-                if plan.lines:
+                    partial.fold_fields(index, digest, value)
+                digests += digest
+                if keep_lines:
                     lines.append(line)
-        except Exception as exc:
-            chunk.error = exc
-            break
-        # count, digest, lines and results always cover the same rows
-        chunk.rows += 1
-        if plan.results:
-            chunk.results.append(result)
+            # count, digest, lines and results always cover the same rows
+            rows += 1
+            if keep_results:
+                results.append(RunResult(index, params, run, seed, value))
+    except Exception as exc:
+        folded.error = exc
+    folded.rows = rows
+    folded.digest = digests % DIGEST_MOD
     if lines:
-        chunk.lines = ("\n".join(lines) + "\n").encode("utf-8")
-    return chunk
+        folded.lines = ("\n".join(lines) + "\n").encode("utf-8")
+    return folded
 
 
 class ResultSink:

@@ -11,7 +11,9 @@ Expansion happens where the tasks run.  A sweep cuts its spec into
 :class:`TaskChunk`s — the spec's name, task, ``fixed``, ``base_seed``
 and ``seeding`` plus one ``(first_index, cell_params, run_lo, run_hi)``
 entry per cell — so the process that plans a sweep walks cells, never
-runs; iterating a chunk builds its tasks, in a pool worker or here.
+runs; a chunk expands into its tasks' plain ``(index, params, run,
+seed)`` fields (:meth:`TaskChunk.fields`) in a pool worker or here, and
+a :class:`RunTask` is built from them only where one is asked for.
 Seeds come from a per-cell seeder (:func:`cell_seeder`): the canonical
 JSON key :func:`derive_seed` hashes for run ``r`` of a cell is the
 cell's prefix ``[base_seed, sweep, sorted(params), `` followed by
@@ -250,14 +252,15 @@ class TaskChunk:
     a sweep hands the pool per chunk.
 
     ``entries`` holds one ``(first_index, cell_params, run_lo, run_hi)``
-    tuple per grid cell the chunk reaches.  Iterating the chunk builds
-    its :class:`RunTask`s, seeds included — one :func:`cell_seeder` per
-    entry — wherever it is iterated: in the pool worker that folds it,
-    or in this process when there is no pool.  An entry's tasks share
-    one ``params`` dict (the cell merged with ``fixed`` once), so a
-    consumer can tell a cell's rows apart by identity and encode the
-    cell once.  (A plain class: a dataclass would cost every ``import
-    repro`` its generated code.)
+    tuple per grid cell the chunk reaches.  :meth:`fields` expands it
+    into its tasks' plain fields, seeds included — one
+    :func:`cell_seeder` per entry — wherever it is walked: in the pool
+    worker that folds it, or in this process when there is no pool.
+    Iterating the chunk builds a :class:`RunTask` from each; the sweep
+    itself never does.  An entry's tasks share one ``params`` dict (the
+    cell merged with ``fixed`` once), so a consumer can tell a cell's
+    rows apart by identity and encode the cell once.  (A plain class: a
+    dataclass would cost every ``import repro`` its generated code.)
     """
 
     def __init__(self, spec: SweepSpec, entries: list[tuple[int, dict[str, Any], int, int]]) -> None:
@@ -268,10 +271,19 @@ class TaskChunk:
         self.seeding = spec.seeding
         self.entries = entries
 
-    def __iter__(self) -> Iterator[RunTask]:
-        sweep, task, fixed = self.sweep, self.task, self.fixed
+    def fields(self) -> Iterator[tuple[int, dict[str, Any], int, int]]:
+        """The chunk's tasks as plain ``(index, params, run, seed)``
+        tuples, in index order — the one expansion of a chunk: what
+        :func:`~repro.engine.sink.fold_chunk` runs, and what iterating
+        the chunk builds each :class:`RunTask` from."""
+        sweep, fixed = self.sweep, self.fixed
         for first, cell, lo, hi in self.entries:
             seed = cell_seeder(self.base_seed, sweep, cell, self.seeding)
             params = {**cell, **fixed}
             for run in range(lo, hi):
-                yield RunTask(first + run - lo, sweep, task, params, run, seed(run))
+                yield first + run - lo, params, run, seed(run)
+
+    def __iter__(self) -> Iterator[RunTask]:
+        sweep, task = self.sweep, self.task
+        for index, params, run, seed in self.fields():
+            yield RunTask(index, sweep, task, params, run, seed)

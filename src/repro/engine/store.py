@@ -246,27 +246,42 @@ class JsonlReader:
         )
 
 
+#: the exact types :func:`jsonable` passes through untouched.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
 def jsonable(value: Any) -> Any:
     """Recursively convert a task's return value to JSON-safe data.
 
     Dataclasses flatten to dicts, tuples/sets to lists (sets sorted for
     determinism), mapping keys to strings; everything else must
-    already be JSON-encodable.  Leaf scalars are tested first: they are
-    most of what a row holds.
+    already be JSON-encodable.  Exact scalar types are tested first, by
+    one set lookup: they are most of what a row holds.  A flat ``dict``
+    of ``str`` keys and exact scalar values — a typical row value — is
+    copied as is, without the recursive walk.
 
     Raises:
         TypeError: a value it cannot encode, or two keys of one mapping
             that stringify alike (``1`` and ``"1"``): one would
             silently overwrite the other.
     """
-    if value is None or isinstance(value, (str, int, float)):  # bool is an int
+    kind = type(value)
+    if kind in _SCALARS:
+        return value
+    if kind is dict:
+        for key, item in value.items():
+            if type(key) is not str or type(item) not in _SCALARS:
+                break
+        else:
+            return dict(value)
+    if isinstance(value, (str, int, float)):  # a subclass of one: an IntEnum, say
         return value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {f.name: jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, Mapping):
         out = {str(k): jsonable(v) for k, v in value.items()}
         if len(out) != len(value):
-            _raise_key_collision(value)
+            raise_key_collision(value)
         return out
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
@@ -275,14 +290,14 @@ def jsonable(value: Any) -> Any:
     raise TypeError(f"cannot encode {type(value).__name__} into a sweep artifact")
 
 
-def _raise_key_collision(mapping: Mapping[Any, Any]) -> None:
+def raise_key_collision(mapping: Mapping[Any, Any], where: str = "a sweep artifact") -> None:
+    """Raise ``TypeError`` naming the first two keys of ``mapping`` that
+    stringify alike, as keys in ``where``."""
     seen: dict[str, Any] = {}
     for key in mapping:
         first = seen.setdefault(str(key), key)
         if first is not key:
-            raise TypeError(
-                f"mapping keys {first!r} and {key!r} both encode as {str(key)!r} in a sweep artifact"
-            )
+            raise TypeError(f"mapping keys {first!r} and {key!r} both encode as {str(key)!r} in {where}")
 
 
 class ResultStore:

@@ -275,10 +275,14 @@ def test_the_engine_has_one_sweep_loop_on_one_pool():
             for match in re.finditer(call, text)
         ]
 
-    (executes,) = sites(r"\.execute\(\)")  # a sweep task runs in fold_chunk and nowhere else
-    assert executes.startswith("sink.py:")
+    # a sweep calls a task function on a chunk's plain fields in
+    # fold_chunk and nowhere else; RunTask.execute, the one-task API,
+    # calls it on its own attributes and the engine never calls that
+    (calls,) = sites(r"task\(seed=seed, \*\*params\)")
+    assert calls.startswith("sink.py:")
     fold_chunk = sources["sink.py"].split("\ndef fold_chunk(")[1].split("\nclass ")[0]
-    assert ".execute()" in fold_chunk
+    assert "task(seed=seed, **params)" in fold_chunk
+    assert sites(r"\.execute\(\)") == []
     (constructs,) = sites(r"ProcessPoolExecutor\(")
     (submits,) = sites(r"\.submit\(")
     assert constructs.startswith("executor.py:") and submits.startswith("executor.py:")

@@ -2,7 +2,8 @@
 
 Chunks, not rows, cross the pool boundary — in both directions.  Going
 in, a chunk is a description of its tasks (cell × run ranges); the
-worker builds the tasks and derives their seeds.  Coming back, for a
+worker expands it into plain fields and derives the seeds, and on a
+folded plan no ``RunTask`` or ``RunResult`` is built anywhere.  Coming back, for a
 sink tree that takes its rows folded (``TeeSink(JsonlSink,
 ReducerSink)`` is the end-to-end benchmark's ``sweep_stream`` tree) the
 workers encode, digest and fold every row, and the parent only orders
@@ -26,6 +27,7 @@ from repro.engine import (
     ReducerSink,
     ResultStore,
     RowReducer,
+    RunResult,
     RunTask,
     SweepRunner,
     SweepSpec,
@@ -63,9 +65,11 @@ def parent_calls():
         # every canonical JSON encode: a row's value, a cell's params, a record
         mock.patch.object(store._CANONICAL, "encode", counted(calls, "encode", store._CANONICAL.encode)),
         mock.patch.object(RowReducer, "fold", counted(calls, "fold", RowReducer.fold)),
+        mock.patch.object(RowReducer, "fold_fields", counted(calls, "fold_fields", RowReducer.fold_fields)),
         mock.patch.object(ResultStore, "row_payload", row_payload),
         mock.patch.object(gzip.GzipFile, "write", counted(calls, "gzip_write", gzip.GzipFile.write)),
         mock.patch.object(RunTask, "__init__", counted(calls, "RunTask", RunTask.__init__)),
+        mock.patch.object(RunResult, "__init__", counted(calls, "RunResult", RunResult.__init__)),
         # a SHA-256 begun here: a seed's (one per cell) or a row digest's
         mock.patch.object(hashlib, "sha256", counted(calls, "sha256", hashlib.sha256)),
     ]
@@ -89,9 +93,10 @@ def test_pooled_sweep_makes_no_per_row_call_in_the_parent(tmp_path, parent_calls
         if runner.pools_created == 0:
             pytest.skip("this environment cannot create a process pool")
         outcome, reducer = sweep(runner, tmp_path / "rows.jsonl.gz", chunksize=CHUNK)
-    # the workers build the tasks and derive their seeds: 242 of each
+    # the workers expand the tasks and derive their seeds: 242 of each
     # here before (the probe sweep's 2 and these 240)
-    assert parent_calls.count("RunTask") == parent_calls.count("sha256") == 0
+    assert parent_calls.count("RunTask") == parent_calls.count("RunResult") == 0
+    assert parent_calls.count("sha256") == 0
     per_row = [name for name in parent_calls if name not in ("gzip_write", "encode")]
     assert per_row == []  # a payload, two digests and a fold per row (960 calls) before
     assert parent_calls.count("encode") == 2  # the header and the end record
@@ -107,13 +112,15 @@ def test_pooled_sweep_makes_no_per_row_call_in_the_parent(tmp_path, parent_calls
 
 
 def test_serial_sweep_builds_each_row_once(tmp_path, parent_calls):
-    """In process the same chunk function runs: one task, one canonical
-    encode, one digest and one fold per row (a payload and two encodes
-    before), a cell's params encoded and its seed prefix hashed once per
-    chunk it reaches, and still one gzip write per chunk."""
+    """In process the same chunk function runs: one task call, one
+    canonical encode, one digest and one fold per row (a payload and two
+    encodes before), a cell's params encoded and its seed prefix hashed
+    once per chunk it reaches, and still one gzip write per chunk.  The
+    rows are folded as plain fields: no ``RunTask`` per row (one each
+    before) and, the plan asking for no live results, no ``RunResult``."""
     with SweepRunner(workers=1) as runner:
         sweep(runner, tmp_path / "rows.jsonl.gz", chunksize=CHUNK)
-    assert parent_calls.count("RunTask") == ROWS
+    assert parent_calls.count("RunTask") == parent_calls.count("RunResult") == 0
     # the row encoder splices the digest input and the artifact line
     # from one encode; the reference pair is never called
     assert parent_calls.count("row_payload") == parent_calls.count("row_digest") == 0
@@ -122,8 +129,21 @@ def test_serial_sweep_builds_each_row_once(tmp_path, parent_calls):
     assert parent_calls.count("encode") == ROWS + CHUNKS + 2
     # the row digests, and one seed prefix per cell per chunk it reaches
     assert parent_calls.count("sha256") == ROWS + CHUNKS
-    assert parent_calls.count("fold") == ROWS
+    # the fields fold, once per row; the result fold (which used to
+    # take each row) is not called at all
+    assert parent_calls.count("fold_fields") == ROWS
+    assert parent_calls.count("fold") == 0
     assert parent_calls.count("gzip_write") <= CHUNKS + 2
+
+
+def test_a_plan_with_live_results_builds_one_run_result_per_row(parent_calls):
+    """The live-results plan (a sink that keeps rows) still builds no
+    ``RunTask``, and exactly one ``RunResult`` per row."""
+    with SweepRunner(workers=1) as runner:
+        outcome = runner.run_sweep(SweepSpec("live", cell, grid={}, runs=ROWS), chunksize=CHUNK)
+    assert len(outcome.results) == ROWS
+    assert parent_calls.count("RunTask") == 0
+    assert parent_calls.count("RunResult") == ROWS
 
 
 def test_default_chunks_are_capped(tmp_path):
