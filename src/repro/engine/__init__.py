@@ -48,12 +48,12 @@ chunks complete instead of accumulating them, and
 ``sink=ReducerSink(RowReducer(...))`` folds them into exact streaming
 aggregates per chunk; both keep sweep memory flat in cell count while
 staying byte-identical across backends and worker counts.  A sink
-states what it needs from a chunk (:class:`~repro.engine.sink.ChunkPlan`)
-and the chunk is folded into exactly that
-(:class:`~repro.engine.sink.FoldedChunk`) where its tasks ran, so for
-``JsonlSink`` / ``ReducerSink`` / ``NoopSink`` and tees of them no row
-crosses the pool boundary.  A sweep's ``fixed`` values cross the pool
-once per chunk, not once per task.
+states what it needs from a chunk (:class:`~repro.engine.sink.ChunkPlan`),
+the chunk is folded into exactly that
+(:class:`~repro.engine.sink.FoldedChunk`) where its tasks ran, and the
+sink's ``emit`` takes it whole — the one thing a sink ever receives —
+so no row crosses the pool boundary.  A sweep's ``fixed`` values cross
+the pool once per chunk, not once per task.
 """
 
 from repro.engine.aggregate import (
@@ -63,7 +63,6 @@ from repro.engine.aggregate import (
     MeanAcc,
     QuantileDigest,
     RowReducer,
-    encode_row,
     merge_digests,
     row_digest,
 )
@@ -84,12 +83,9 @@ from repro.engine.executor import (
 from repro.engine.sink import (
     STREAM_KIND,
     STREAM_SCHEMA,
-    CellFoldSink,
     ChunkPlan,
     FoldedChunk,
     JsonlSink,
-    MemorySink,
-    NoopSink,
     ReducerSink,
     ResultSink,
     TeeSink,
@@ -117,15 +113,12 @@ __all__ = [
     "STREAM_SCHEMA",
     "WORKER_CACHE_LIMIT",
     "Accumulator",
-    "CellFoldSink",
     "ChunkPlan",
     "CountAcc",
     "DigestMergeAcc",
     "FoldedChunk",
     "JsonlSink",
     "MeanAcc",
-    "MemorySink",
-    "NoopSink",
     "QuantileDigest",
     "ReducerSink",
     "ResultSink",
@@ -143,7 +136,6 @@ __all__ = [
     "default_chunksize",
     "default_workers",
     "derive_seed",
-    "encode_row",
     "fold_cells",
     "fold_chunk",
     "fraction_of",

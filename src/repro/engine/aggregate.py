@@ -22,29 +22,28 @@ therefore *exact*:
 small partial and ship *that* back instead of the raw row list; the
 parent merges partials in chunk order and gets the same bytes a serial
 fold produces.  A worker folds a row as plain fields
-(:meth:`RowReducer.fold_fields`: task index, digest, value), never as a
-:class:`RunResult`; each reducer splits its metric paths once, when it
-is built — once per chunk — and a plain ``dict`` row value is indexed
-without :func:`resolve_path`'s ABC checks.  :class:`CountAcc` builds its
-summary once per state, so a sweep's aggregate and a later
-``summary()`` of the same reducer stringify and sort its keys once.
-``MeanAcc`` and ``QuantileDigest`` refuse a non-finite value before
-they change any state, and a reducer names the metric and the task of
-a row it cannot fold.  The digest itself is an order-independent sum of
-per-row SHA-256 hashes — each row's canonical encoding already embeds
-its task index, so content *and* position are pinned while partials
-stay mergeable.
+(:meth:`RowReducer.fold`: task index, digest, value), never as a
+:class:`~repro.engine.spec.RunResult`; each reducer splits its metric
+paths once, when it is built — once per chunk — and a plain ``dict``
+row value is indexed without :func:`resolve_path`'s ABC checks.
+:class:`CountAcc` builds its summary once per state, so a sweep's
+aggregate and a later ``summary()`` of the same reducer stringify and
+sort its keys once.  ``MeanAcc`` and ``QuantileDigest`` refuse a
+non-finite value before they change any state, and a reducer names the
+metric and the task of a row it cannot fold.  The digest itself is an
+order-independent sum of per-row SHA-256 hashes — each row's canonical
+encoding already embeds its task index, so content *and* position are
+pinned while partials stay mergeable.
 
-A live row is encoded once, by :func:`encode_row` or its fields form
-:func:`encode_fields` (what ``fold_chunk`` calls: the row's
-``(index, params, run, seed, value)`` with no :class:`RunResult`
-built): its ``value`` goes through ``jsonable`` and the canonical
-encoder, its header (``index``, ``params``, ``run``, ``seed``) is
-formatted into a prefix, and both the digest input and the artifact
-line are spliced from those two pieces — the keys sort, so ``"type"``
-falls between ``"seed"`` and ``"value"``.  The cell's ``params``
-encoding (:func:`encode_params`) is the caller's to reuse:
-``fold_chunk`` makes it once per cell, not once per row.
+A live row is encoded once, by :func:`encode_fields` (what
+``fold_chunk`` calls: the row's ``(index, params, run, seed, value)``
+with no object built around it): its ``value`` goes through
+``jsonable`` and the canonical encoder, its header (``index``,
+``params``, ``run``, ``seed``) is formatted into a prefix, and both the
+digest input and the artifact line are spliced from those two pieces —
+the keys sort, so ``"type"`` falls between ``"seed"`` and ``"value"``.
+The cell's ``params`` encoding (:func:`encode_params`) is the caller's
+to reuse: ``fold_chunk`` makes it once per cell, not once per row.
 :func:`row_digest` over :meth:`ResultStore.row_payload` stays the
 reference definition, and the digest of a row read back from an
 artifact.
@@ -59,7 +58,6 @@ from math import isfinite
 from operator import itemgetter
 from typing import Any
 
-from repro.engine.spec import RunResult
 from repro.engine.store import canonical_line, jsonable, raise_key_collision
 
 #: digests are reduced into this modulus (63-bit, like derived seeds,
@@ -73,8 +71,8 @@ def _digest_of(data: bytes) -> int:
 
 def row_digest(row: Mapping[str, Any]) -> int:
     """A 63-bit digest of one canonical result row (the reference
-    definition: :func:`encode_row` gives the same digest of a live
-    result)."""
+    definition: :func:`encode_fields` gives the same digest of a live
+    row)."""
     return _digest_of(canonical_line(row).encode("utf-8"))
 
 
@@ -83,23 +81,14 @@ def encode_params(params: Mapping[str, Any]) -> str:
     return canonical_line(jsonable(params))
 
 
-def encode_row(result: RunResult, params: str | None = None) -> tuple[int, str]:
-    """One live result's ``(digest, artifact line)``, from one encode.
-
-    The digest equals ``row_digest(ResultStore.row_payload(result))``
-    and the line ``canonical_line({"type": "row", **that row})``, byte
-    for byte.  ``params`` is :func:`encode_params` of the result's
-    params, where the caller already has it.
-    """
-    if params is None:
-        params = encode_params(result.params)
-    return encode_fields(result.index, params, result.run, result.seed, result.value)
-
-
 def encode_fields(index: int, params: str, run: int, seed: int, value: Any) -> tuple[int, str]:
-    """:func:`encode_row`'s fields form: the row of a task that ran as
-    plain fields, no :class:`RunResult` built (``params`` already
-    encoded by :func:`encode_params`)."""
+    """One live row's ``(digest, artifact line)``, from one encode.
+
+    The row is a task's plain fields, ``params`` already encoded by
+    :func:`encode_params`.  The digest equals
+    ``row_digest(ResultStore.row_payload(result))`` and the line
+    ``canonical_line({"type": "row", **that row})``, byte for byte.
+    """
     if type(index) is int and type(run) is int and type(seed) is int:
         head = '{"index":%d,"params":%s,"run":%d,"seed":%d,' % (index, params, run, seed)
     else:  # a bool or an int subclass: JSON spells it its own way, not "%d"
@@ -406,7 +395,7 @@ class QuantileDigest(Accumulator):
     def state(self) -> dict[str, Any]:
         """The digest's full JSON-able state (exact bin counts).
 
-        Round-trips through :meth:`from_state` / :meth:`absorb`, so a
+        Round-trips through :meth:`from_state` (then :meth:`merge`), so a
         run can ship its latency digest inside a result row and a later
         consumer can merge digests across runs without ever having seen
         the raw samples.
@@ -436,16 +425,12 @@ class QuantileDigest(Accumulator):
         digest.max = state["max"]
         return digest
 
-    def absorb(self, state: Mapping[str, Any]) -> None:
-        """Merge a serialized digest state in (see :meth:`state`)."""
-        self.merge(QuantileDigest.from_state(state))
-
 
 class DigestMergeAcc(Accumulator):
     """Fold serialized digest states from result rows into one digest.
 
     Rows produced by open-loop service runs carry their latency digest
-    as a :meth:`QuantileDigest.state` dict; this accumulator absorbs
+    as a :meth:`QuantileDigest.state` dict; this accumulator merges
     those states so a sweep's reducer can report fleet-wide tail
     percentiles (p999 included) without per-op lists ever existing.
     Merging bin counts is integer addition, so partials grouped any way
@@ -458,7 +443,7 @@ class DigestMergeAcc(Accumulator):
         self.digest = QuantileDigest(lo, hi, bins)
 
     def add(self, value: Any) -> None:
-        self.digest.absorb(value)
+        self.digest.merge(QuantileDigest.from_state(value))
 
     def merge(self, other: "DigestMergeAcc") -> None:
         self.digest.merge(other.digest)
@@ -537,20 +522,10 @@ class RowReducer:
             (name, tuple(path.split(".")) if path else (), acc) for name, path, acc in self.metrics
         )
 
-    def fold(self, result: RunResult, digest: int | None = None) -> None:
-        """Fold one live result (``digest``: its :func:`encode_row`
-        digest, where the caller already has it)."""
-        if digest is None:
-            digest = encode_row(result)[0]
-        self.fold_fields(result.index, digest, result.value)
-
-    def fold_row(self, row: Mapping[str, Any]) -> None:
-        """Fold one row loaded back from an artifact (the eager side)."""
-        self.fold_fields(row.get("index"), row_digest(row), row["value"])
-
-    def fold_fields(self, index: Any, digest: int, value: Any) -> None:
-        """Fold one row given as fields: its task index, its
-        :func:`encode_fields` digest and its ``value``."""
+    def fold(self, index: Any, digest: int, value: Any) -> None:
+        """Fold one row given as fields: its task index, its digest
+        (:func:`encode_fields`, or :func:`row_digest` of a row read
+        back) and its ``value``."""
         for name, parts, acc in self._folds:
             try:
                 acc.add(_resolve(value, parts))

@@ -30,9 +30,9 @@ ranges (:class:`~repro.engine.spec.TaskChunk`) rather than built:
 pool put it (in this process when there is no pool) and folds its rows
 into the pieces the sink tree asked for; one generator
 (:func:`_folded_chunks`) submits chunks within a bounded window and
-hands them back in task order.  For a sink that takes its rows folded,
-no row crosses the process boundary: the parent orders chunks, writes
-their bytes and merges their partials.
+hands them back in task order.  With a sink, no row crosses the process
+boundary: the parent orders chunks, writes their bytes and merges their
+partials.
 
 A failing task or a dead worker ends the sweep at once: the sink is
 aborted (a :class:`~repro.engine.sink.JsonlSink` artifact is left
@@ -50,17 +50,10 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
-from repro.engine.sink import (
-    LIVE_RESULTS,
-    CellFoldSink,
-    FoldedChunk,
-    MemorySink,
-    fold_chunk,
-)
+from repro.engine.sink import ChunkPlan, FoldedChunk, ResultSink, fold_chunk
 from repro.engine.spec import RunResult, SweepSpec, TaskChunk
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.sink import ResultSink
     from repro.engine.store import ResultStore
 
 #: most rows one streamed chunk holds unless ``chunksize=`` says
@@ -263,12 +256,16 @@ class SweepRunner:
         A worker that dies closes the pool (:class:`WorkerCrashError`);
         the runner's next parallel sweep creates a fresh one.
         """
-        if store is not None and sink is not None and not sink.keeps_rows:
+        if chunksize is not None and chunksize < 1:
+            raise ValueError(f"sweep {spec.name!r}: chunksize must be >= 1, got {chunksize}")
+        if store is not None and sink is not None:
             raise ValueError(
-                f"sweep {spec.name!r}: store= saves the outcome's rows and this sink keeps "
-                "none; stream them through a JsonlSink instead, or tee a MemorySink in"
+                f"sweep {spec.name!r}: store= saves the outcome's rows and a sink keeps "
+                "none; stream them through a JsonlSink instead"
             )
-        outcome = _stream(spec, chunksize, _KeepRows() if sink is None else sink, self)
+        keep = _KeepRows()
+        summary = _stream(spec, chunksize, keep if sink is None else sink, self)
+        outcome = SweepOutcome(summary, keep.results, None if sink is None else sink.summary())
         if store is not None:
             store.save(outcome)
         self.sweeps_run += 1
@@ -311,26 +308,25 @@ def run_sweep(
             in this process, which is also the automatic fallback when
             a pool cannot be created (restricted environments, missing
             ``fork``/``spawn`` support).
-        chunksize: tasks per worker batch; default
-            :func:`default_chunksize`, capped at :data:`MAX_CHUNK_ROWS`
-            (an explicit value always wins).
+        chunksize: tasks per worker batch, at least 1; default
+            (``None``) :func:`default_chunksize`, capped at
+            :data:`MAX_CHUNK_ROWS` (an explicit value always wins).
         store: when given, the outcome is saved under ``spec.name``
-            before returning.  Only with the default path or a sink
-            that keeps rows: stream the rows through a
-            :class:`~repro.engine.sink.JsonlSink` instead when a sink
-            must drop them.
+            before returning.  Only on the default path: a sink keeps
+            no rows, so stream them through a
+            :class:`~repro.engine.sink.JsonlSink` instead.
         persistent_pool: run on the process-wide shared
             :class:`SweepRunner` for this worker count, keeping the
             pool warm for later ``run_sweep`` calls, instead of
             creating (and tearing down) a pool just for this sweep.
         sink: streaming backend — rows reach the sink in task-index
-            order, a chunk at a time as chunks complete (folded where
-            their tasks ran for a sink that opts in, see
-            :meth:`~repro.engine.sink.ResultSink.chunk_plan`; as live
-            results otherwise), tasks are generated lazily, and only
-            row-keeping sinks (``MemorySink``) retain rows in the
-            outcome.  The default (``None``) is the classic
-            keep-everything path, byte-identical to prior releases.
+            order, a chunk at a time as chunks complete, folded where
+            their tasks ran into the pieces its
+            :meth:`~repro.engine.sink.ResultSink.chunk_plan` names;
+            tasks are generated lazily and the outcome keeps no rows.
+            A sink serves one sweep.  The default (``None``) is the
+            classic keep-everything path, byte-identical to prior
+            releases.
 
     Returns:
         A :class:`SweepOutcome` whose ``results`` are in task order —
@@ -340,8 +336,9 @@ def run_sweep(
         counts.
 
     Raises:
-        ValueError: ``store`` with a ``sink`` that keeps no rows (the
-            saved artifact would hold none), before any task runs.
+        ValueError: before any task runs — ``store`` with a ``sink``
+            (the saved artifact would hold no row), a ``chunksize``
+            below 1, or a ``sink`` that already served a sweep.
         WorkerCrashError: a pool worker died.  Like a task's own
             exception, it aborts the sink first.
     """
@@ -398,16 +395,18 @@ atexit.register(shutdown_shared_runners)
 # ----------------------------------------------------------------------
 
 
-class _KeepRows(MemorySink):
-    """The default path's sink: every live result kept, none encoded —
-    so no digest, and no summary for the outcome's ``aggregate``."""
+class _KeepRows(ResultSink):
+    """The default path's sink: every live result kept, none encoded."""
 
-    def absorb(self, chunk: FoldedChunk) -> None:
-        self.rows_emitted += chunk.rows
+    def __init__(self) -> None:
+        super().__init__()
+        self.results: list[RunResult] = []
+
+    def chunk_plan(self) -> ChunkPlan:
+        return ChunkPlan(results=True)
+
+    def emit(self, chunk: FoldedChunk) -> None:
         self.results.extend(chunk.results)
-
-    def summary(self) -> None:  # type: ignore[override]
-        return None
 
 
 def _folded_chunks(
@@ -446,8 +445,9 @@ def _folded_chunks(
         yield chunk
 
 
-def _stream(spec: SweepSpec, chunksize: int | None, sink: ResultSink, runner: SweepRunner) -> SweepOutcome:
-    """Drive one sweep through a sink, a chunk at a time.
+def _stream(spec: SweepSpec, chunksize: int | None, sink: ResultSink, runner: SweepRunner) -> dict[str, Any]:
+    """Drive one sweep through a sink, a chunk at a time; return the
+    spec summary the sink was opened with.
 
     The one loop of every mode, serial and pooled: the spec's tasks are
     cut into chunks of at most ``chunksize`` (default: see
@@ -457,7 +457,7 @@ def _stream(spec: SweepSpec, chunksize: int | None, sink: ResultSink, runner: Sw
     they run, and the folded chunks reach the sink in task order.
 
     A task that raises ends its chunk: the rows before it are still
-    absorbed, then the sink is aborted, not closed — a streaming file
+    emitted, then the sink is aborted, not closed — a streaming file
     sink leaves a detectably-truncated artifact behind, holding every
     row before the failing one, instead of a well-formed file holding
     half a sweep — and the task's exception is re-raised.  A lost
@@ -469,23 +469,19 @@ def _stream(spec: SweepSpec, chunksize: int | None, sink: ResultSink, runner: Sw
     size = chunksize or min(
         default_chunksize(n_tasks, runner.workers if pool is not None else 1), MAX_CHUNK_ROWS
     )
-    fold = functools.partial(fold_chunk, plan=sink.chunk_plan() or LIVE_RESULTS)
+    fold = functools.partial(fold_chunk, plan=sink.chunk_plan())
     summary = spec.summary()
     sink.open(summary)
     try:
         for chunk in _folded_chunks(spec.iter_chunks(size), fold, runner, pool):
-            sink.absorb(chunk)
+            sink.emit(chunk)
             if chunk.error is not None:
                 raise chunk.error
     except BaseException:
         sink.abort()
         raise
     sink.close()
-    return SweepOutcome(
-        spec=summary,
-        results=list(sink.results) if sink.keeps_rows else [],
-        aggregate=sink.summary(),
-    )
+    return summary
 
 
 def fold_cells(
@@ -496,12 +492,18 @@ def fold_cells(
 ) -> list[tuple[dict[str, Any], Any]]:
     """Run ``spec`` and fold its results per grid cell, in task order.
 
-    Returns :meth:`~repro.engine.sink.CellFoldSink.cells` —
+    ``fold(state, result) -> state`` runs once per row against its
+    cell's state (``None`` on the cell's first row); returns
     ``(params, state)`` per cell, in expansion order.  The sweep keeps
     every row (so ``store`` persists the full artifact) and the fold
-    runs over them afterwards.
+    runs over them afterwards, a cell keyed by its parameter values (by
+    their ``repr`` where one is unhashable).
     """
-    folder = CellFoldSink(fold)
+    cells: dict[tuple, list] = {}
     for result in run_sweep(spec, workers=workers, store=store).results:
-        folder.emit(result)
-    return folder.cells()
+        try:
+            seat = cells.setdefault(tuple(result.params.values()), [result.params, None])
+        except TypeError:  # an unhashable value
+            seat = cells.setdefault(tuple(map(repr, result.params.items())), [result.params, None])
+        seat[1] = fold(seat[1], result)
+    return [(params, state) for params, state in cells.values()]

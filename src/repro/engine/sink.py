@@ -3,64 +3,51 @@
 The default sweep path accumulates every :class:`~repro.engine.spec.RunResult`
 in RAM and hands them back inside the outcome — fine at 10^3 cells,
 fatal at 10^6.  A :class:`ResultSink` decouples *producing* rows from
-*keeping* them: the sink decides whether to keep a row
-(:class:`MemorySink`), stream it to disk (:class:`JsonlSink`), fold it
-into aggregates (:class:`ReducerSink`, :class:`CellFoldSink`), fan it
-out (:class:`TeeSink`) or drop it (:class:`NoopSink`).
+*keeping* them: the sink streams them to disk (:class:`JsonlSink`),
+folds them into aggregates (:class:`ReducerSink`), fans them out
+(:class:`TeeSink`) or only counts and digests them (the base
+:class:`ResultSink`).
 
 Every sink tracks two backend-independent invariants as it goes:
 ``rows_emitted`` and an order-independent row ``digest`` (see
-:mod:`repro.engine.aggregate`).  Every live row is encoded by the one
-row encoder, :func:`~repro.engine.aggregate.encode_row` — in
-:func:`fold_chunk` its fields form,
-:func:`~repro.engine.aggregate.encode_fields` — which splices the row's
-digest input and its artifact line from one canonical encode of its
-``value`` and one formatted header; both equal what
-:meth:`ResultStore.row_payload` and :func:`canonical_line` give, byte
-for byte.  So the digest of a sweep is byte-identical across
-`MemorySink`/`JsonlSink`/reducers and across every worker count — the
-property the engine property tests pin.
-Per-cell work stays out of the per-row loop: a cell's rows share one
-``params`` dict, and :func:`fold_chunk` encodes it once per cell.
+:mod:`repro.engine.aggregate`).  Every row is encoded once, where its
+task ran, by :func:`~repro.engine.aggregate.encode_fields`, which
+splices the row's digest input and its artifact line from one
+canonical encode of its ``value`` and one formatted header; both equal
+what :meth:`ResultStore.row_payload` and :func:`canonical_line` give,
+byte for byte.  So the digest of a sweep is byte-identical across
+sinks and across every worker count — the property the engine property
+tests pin.  Per-cell work stays out of the per-row loop: a cell's rows
+share one ``params`` dict, and :func:`fold_chunk` encodes it once per
+cell.
 
-What a worker builds per row: :func:`fold_chunk` walks a chunk's plain
-``(index, params, run, seed)`` fields, calls the task function, and
-encodes, digests and folds the row from those fields and the returned
-value.  Per row that is one fields tuple, the row's encoded strings and
-its digest — never a :class:`~repro.engine.spec.RunTask`.  A
-:class:`~repro.engine.spec.RunResult` exists only where the chunk's
-plan asks for live results: for a sink that does not opt in
-(:class:`MemorySink`, :class:`CellFoldSink`, a plain ``emit``
-override), or the default keep-every-row sweep.
-
-Lifecycle: ``open(spec_summary)`` → rows, always in task-index order →
-``close()``; the executor calls ``abort()`` instead of ``close()`` when
-a task raises or a worker dies, so a partially-written
+Lifecycle: ``open(spec_summary)`` → chunks, always in task-index order
+→ ``close()``; the executor calls ``abort()`` instead of ``close()``
+when a task raises or a worker dies, so a partially-written
 :class:`JsonlSink` file has no ``end`` record and its truncation
-tripwire fires on load.
+tripwire fires on load.  A sink serves one sweep: a second ``open``
+raises ``ValueError`` before any task runs.
 
-Rows arrive one *chunk* at a time (``absorb``).  What the chunk holds
-is the sink's choice, stated once per sweep through
-:meth:`ResultSink.chunk_plan`: a sink that opts in names the pieces it
-can take already folded — artifact lines as bytes, a partial reducer, a
-count and a digest — and :func:`fold_chunk` builds exactly those where
-the tasks run, so in a pooled sweep no row crosses the process
-boundary; a sink that does not opt in gets the chunk's live results,
-one ``emit`` each.
+A sink receives one thing, a :class:`FoldedChunk` of consecutive rows
+(``emit``).  What the chunk holds is the sink's choice, stated once per
+sweep through :meth:`ResultSink.chunk_plan`: artifact lines as bytes, a
+partial reducer, a count and a digest.  :func:`fold_chunk` builds
+exactly those where the tasks run — walking a chunk's plain ``(index,
+params, run, seed)`` fields, never a :class:`~repro.engine.spec.RunTask`
+— so in a pooled sweep no row crosses the process boundary.
 """
 
 from __future__ import annotations
 
 import pickle
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 from repro.engine.aggregate import (
     DIGEST_MOD,
     RowReducer,
     encode_fields,
     encode_params,
-    encode_row,
     merge_digests,
 )
 from repro.engine.spec import RunResult, TaskChunk
@@ -81,7 +68,8 @@ class ChunkPlan:
     * ``lines`` — the rows' canonical artifact lines, as bytes;
     * ``reducers`` — empty reducers to fold one partial each from, under
       the key the asking sink will look its partial up by;
-    * ``results`` — the live results themselves.
+    * ``results`` — the live results themselves (the default
+      keep-every-row sweep).
 
     (Plain classes, here and below: two dataclasses cost every
     ``import repro`` 2 ms of generated code.)
@@ -98,10 +86,6 @@ class ChunkPlan:
         self.lines = lines
         self.reducers = dict(reducers or {})
         self.results = results
-
-
-#: the plan of a sink tree that does not opt in: every live result.
-LIVE_RESULTS = ChunkPlan(results=True)
 
 
 class FoldedChunk:
@@ -152,7 +136,7 @@ def fold_chunk(chunk: TaskChunk, plan: ChunkPlan) -> FoldedChunk:
     the chunk's plain ``(index, params, run, seed)`` fields
     (:meth:`TaskChunk.fields`), calls the task function and encodes,
     digests and folds the row from those fields and its value
-    (:func:`encode_fields`, :meth:`RowReducer.fold_fields`).  No
+    (:func:`encode_fields`, :meth:`RowReducer.fold`).  No
     :class:`~repro.engine.spec.RunTask` is built, and a
     :class:`RunResult` only where the plan asks for live results.  A
     cell's ``params`` are encoded once per run of rows sharing them.
@@ -181,7 +165,7 @@ def fold_chunk(chunk: TaskChunk, plan: ChunkPlan) -> FoldedChunk:
                     encoded = params
                 digest, line = encode_fields(index, params_line, run, seed, value)
                 for partial in partials:
-                    partial.fold_fields(index, digest, value)
+                    partial.fold(index, digest, value)
                 digests += digest
                 if keep_lines:
                     lines.append(line)
@@ -198,25 +182,25 @@ def fold_chunk(chunk: TaskChunk, plan: ChunkPlan) -> FoldedChunk:
     return folded
 
 
+def _refuse_reuse(sink: ResultSink) -> None:
+    """Raise unless ``sink`` has never been opened: its counts, its
+    reducer and its artifact describe one sweep."""
+    if sink.spec is not None:
+        raise ValueError(
+            f"{type(sink).__name__} already served sweep {sink.spec.get('name')!r}; "
+            "a sink serves one sweep, so make a new one"
+        )
+
+
 class ResultSink:
     """Base sink: bookkeeping only (row count + order-independent digest).
 
-    Subclasses extend :meth:`emit` (always calling ``super().emit`` or
-    maintaining the counters themselves) and may override the lifecycle
-    hooks, which default to no-ops.  ``emit`` receives the live result
-    plus, optionally, its :func:`encode_row` ``(digest, line)`` pair —
-    a :class:`TeeSink` encodes each row once and shares it with every
-    branch instead of re-encoding per child.
-
-    A subclass that overrides only ``emit`` sees every live result, in
-    task order, in the parent process.  One that can take its rows
-    already folded overrides :meth:`chunk_plan` and :meth:`absorb`
-    together (a subclass of such a sink that needs live results again
-    returns ``None`` from ``chunk_plan`` and restores this ``absorb``).
+    Every sink takes its rows as folded chunks (:class:`FoldedChunk`),
+    in task order, through :meth:`emit`, and states once per sweep what
+    the chunks must hold (:meth:`chunk_plan`).  This one asks for the count and the
+    digest and adds them up; a subclass asks for more and extends both
+    methods.  The lifecycle hooks default to no-ops.
     """
-
-    #: does this sink retain full rows for the outcome's ``results``?
-    keeps_rows = False
 
     def __init__(self) -> None:
         self.rows_emitted = 0
@@ -224,37 +208,25 @@ class ResultSink:
         self.spec: dict[str, Any] | None = None
 
     def open(self, spec_summary: dict[str, Any]) -> None:
-        """Called once before the first row."""
+        """Called once before the first chunk.
+
+        Raises:
+            ValueError: the sink already served a sweep.
+        """
+        _refuse_reuse(self)
         self.spec = spec_summary
 
-    def emit(self, result: RunResult, encoded: tuple[int, str] | None = None) -> None:
-        """Receive one result, in task-index order."""
-        if encoded is None:
-            encoded = encode_row(result)
-        self.rows_emitted += 1
-        self.digest = merge_digests(self.digest, encoded[0])
+    def chunk_plan(self) -> ChunkPlan:
+        """The pieces this sink takes a chunk as, asked once per sweep."""
+        return ChunkPlan(digest=True)
 
-    def chunk_plan(self) -> ChunkPlan | None:
-        """The pieces this sink takes a chunk as, asked once per sweep.
-
-        ``None`` (the default) does not opt in: :meth:`absorb` is handed
-        the chunk's live results.
-        """
-        return None
-
-    def absorb(self, chunk: FoldedChunk) -> None:
-        """Receive one chunk of consecutive rows, in task-index order
-        (the default: ``emit`` each of its live results)."""
-        for result in chunk.results:
-            self.emit(result)
-
-    def _tally(self, chunk: FoldedChunk) -> None:
-        """Fold a chunk's count and digest into this sink's own."""
+    def emit(self, chunk: FoldedChunk) -> None:
+        """Receive one chunk of consecutive rows, in task-index order."""
         self.rows_emitted += chunk.rows
         self.digest = merge_digests(self.digest, chunk.digest)
 
     def close(self) -> None:
-        """Called once after the last row (success path only)."""
+        """Called once after the last chunk (success path only)."""
 
     def abort(self) -> None:
         """Called instead of :meth:`close` when the sweep fails."""
@@ -262,30 +234,6 @@ class ResultSink:
     def summary(self) -> dict[str, Any]:
         """The sink's JSON-able aggregate, seated in the outcome."""
         return {"rows": self.rows_emitted, "digest": self.digest}
-
-
-class NoopSink(ResultSink):
-    """Count and digest rows, keep nothing — the pure-throughput sink."""
-
-    def chunk_plan(self) -> ChunkPlan:
-        return ChunkPlan(digest=True)
-
-    def absorb(self, chunk: FoldedChunk) -> None:
-        self._tally(chunk)
-
-
-class MemorySink(ResultSink):
-    """Keep every row in RAM — the classic (and default) behaviour."""
-
-    keeps_rows = True
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.results: list[RunResult] = []
-
-    def emit(self, result: RunResult, encoded: tuple[int, str] | None = None) -> None:
-        super().emit(result, encoded)
-        self.results.append(result)
 
 
 class JsonlSink(ResultSink):
@@ -310,7 +258,6 @@ class JsonlSink(ResultSink):
         self.compresslevel = compresslevel
         self._file: Any = None
         self._gz: Any = None
-        self._lines = 0
 
     def open(self, spec_summary: dict[str, Any]) -> None:
         super().open(spec_summary)
@@ -331,32 +278,23 @@ class JsonlSink(ResultSink):
 
     def _write_line(self, line: str) -> None:
         self._gz.write((line + "\n").encode("utf-8"))
-        self._lines += 1
-
-    def emit(self, result: RunResult, encoded: tuple[int, str] | None = None) -> None:
-        if encoded is None:
-            encoded = encode_row(result)
-        super().emit(result, encoded)
-        self._write_line(encoded[1])
 
     def chunk_plan(self) -> ChunkPlan:
         return ChunkPlan(digest=True, lines=True)
 
-    def absorb(self, chunk: FoldedChunk) -> None:
+    def emit(self, chunk: FoldedChunk) -> None:
         """One gzip write per chunk: the stream's bytes depend on what
         is written, never on how it was cut into writes."""
-        self._tally(chunk)
+        super().emit(chunk)
         if chunk.rows:
             self._gz.write(chunk.lines)
-            self._lines += chunk.rows
 
     def close(self) -> None:
-        if self._gz is None:
-            return
-        self._write_line(canonical_line({"type": "end", "records": self._lines}))
-        self._gz.close()
-        self._file.close()
-        self._gz = self._file = None
+        """The ``end`` record (it counts the header and the rows), then
+        the teardown :meth:`abort` does."""
+        if self._gz is not None:
+            self._write_line(canonical_line({"type": "end", "records": self.rows_emitted + 1}))
+        self.abort()
 
     def abort(self) -> None:
         """Tear down WITHOUT the end record: the file stays detectably
@@ -417,23 +355,19 @@ class ReducerSink(ResultSink):
 
     The streaming twin of "run the sweep, then aggregate the rows": the
     outcome's ``aggregate`` carries the reducer summary and the raw
-    rows are never retained.
+    rows are never retained.  Each chunk folds its rows into a fresh
+    clone of the reducer where its tasks ran; :meth:`emit` merges that
+    partial into the caller's own reducer.
     """
 
     def __init__(self, reducer: RowReducer) -> None:
         super().__init__()
         self.reducer = reducer
 
-    def emit(self, result: RunResult, encoded: tuple[int, str] | None = None) -> None:
-        self.reducer.fold(result, None if encoded is None else encoded[0])
-        self.rows_emitted = self.reducer.rows
-        self.digest = self.reducer.digest
-
     def chunk_plan(self) -> ChunkPlan:
         return ChunkPlan(digest=True, reducers={id(self): self.reducer.fresh()})
 
-    def absorb(self, chunk: FoldedChunk) -> None:
-        """Merge the chunk's partial into the caller's own reducer."""
+    def emit(self, chunk: FoldedChunk) -> None:
         self.reducer.merge(chunk.partials[id(self)])
         self.rows_emitted = self.reducer.rows
         self.digest = self.reducer.digest
@@ -442,54 +376,15 @@ class ReducerSink(ResultSink):
         return self.reducer.summary()
 
 
-class CellFoldSink(ResultSink):
-    """Streaming per-cell fold: results grouped per grid cell without
-    holding rows.
-
-    ``fold(state, result) -> state`` runs once per row against its
-    cell's accumulated state (``None`` on the cell's first row); cells
-    appear in first-emission order, which for an in-order executor is
-    exactly the spec's expansion order.  Row digests are skipped:
-    driver folds run on the hot default path too, where paying a
-    canonical-JSON encode per row just for bookkeeping would tax every
-    study.
-    """
-
-    def __init__(self, fold: Callable[[Any, RunResult], Any]) -> None:
-        super().__init__()
-        self._fold = fold
-        self._groups: dict[tuple, tuple[dict[str, Any], Any]] = {}
-        self._names: tuple[str, ...] | None = None
-
-    def emit(self, result: RunResult, encoded: tuple[int, str] | None = None) -> None:
-        self.rows_emitted += 1
-        params = result.params
-        if self._names is None or len(params) != len(self._names):
-            self._names = tuple(sorted(params))
-        try:
-            key = tuple(params[name] for name in self._names)
-            seat = self._groups.get(key)
-        except (KeyError, TypeError):  # divergent name set / unhashable value
-            key = tuple(sorted((k, repr(v)) for k, v in params.items()))
-            seat = self._groups.get(key)
-        if seat is None:
-            self._groups[key] = (params, self._fold(None, result))
-        else:
-            self._groups[key] = (seat[0], self._fold(seat[1], result))
-
-    def cells(self) -> list[tuple[dict[str, Any], Any]]:
-        """``(cell_params, folded_state)`` pairs in first-seen order."""
-        return list(self._groups.values())
-
-
 class TeeSink(ResultSink):
-    """Fan each row out to several child sinks.
+    """Fan each chunk out to several child sinks.
 
-    The canonical row is encoded once and shared with every child, so
-    ``TeeSink(JsonlSink(...), ReducerSink(...))`` pays one encode per
-    row, not one per branch.  The tee's own digest mirrors the first
-    child's (all children agree by construction), and its summary is
-    the first child's plus whatever keys the later children add.
+    The chunk is folded once, to the union of the children's plans, and
+    shared with every child, so ``TeeSink(JsonlSink(...),
+    ReducerSink(...))`` pays one encode per row, not one per branch.
+    The tee's own digest mirrors the first child's (all children agree
+    by construction), and its summary is the first child's plus
+    whatever keys the later children add.
     """
 
     def __init__(self, *sinks: ResultSink) -> None:
@@ -498,35 +393,16 @@ class TeeSink(ResultSink):
             raise ValueError("TeeSink needs at least one child sink")
         self.sinks = tuple(sinks)
 
-    @property
-    def keeps_rows(self) -> bool:  # type: ignore[override]
-        return any(sink.keeps_rows for sink in self.sinks)
-
-    @property
-    def results(self) -> list[RunResult]:
-        """The rows of the first row-keeping child."""
-        for sink in self.sinks:
-            if sink.keeps_rows:
-                return sink.results
-        return []
-
     def open(self, spec_summary: dict[str, Any]) -> None:
+        for sink in (self, *self.sinks):  # all checked before any is opened
+            _refuse_reuse(sink)
         super().open(spec_summary)
         for sink in self.sinks:
             sink.open(spec_summary)
 
-    def emit(self, result: RunResult, encoded: tuple[int, str] | None = None) -> None:
-        if encoded is None:
-            encoded = encode_row(result)
-        self.rows_emitted += 1
-        for sink in self.sinks:
-            sink.emit(result, encoded)
-        self.digest = self.sinks[0].digest
-
     def chunk_plan(self) -> ChunkPlan:
-        """The union of the children's plans; a child that does not opt
-        in adds the live results."""
-        plans = [sink.chunk_plan() or LIVE_RESULTS for sink in self.sinks]
+        """The union of the children's plans."""
+        plans = [sink.chunk_plan() for sink in self.sinks]
         reducers: dict[int, RowReducer] = {}
         for plan in plans:
             reducers.update(plan.reducers)
@@ -537,10 +413,10 @@ class TeeSink(ResultSink):
             results=any(plan.results for plan in plans),
         )
 
-    def absorb(self, chunk: FoldedChunk) -> None:
+    def emit(self, chunk: FoldedChunk) -> None:
         self.rows_emitted += chunk.rows
         for sink in self.sinks:
-            sink.absorb(chunk)
+            sink.emit(chunk)
         self.digest = self.sinks[0].digest
 
     def close(self) -> None:

@@ -195,8 +195,11 @@ class SweepSpec:
         most ``size`` consecutive tasks.
 
         Walks cells, never runs: a cell whose runs straddle a chunk
-        boundary becomes one entry in each chunk it reaches.
+        boundary becomes one entry in each chunk it reaches.  A ``size``
+        below 1 raises ``ValueError``: such a chunk would never advance.
         """
+        if size < 1:
+            raise ValueError(f"sweep {self.name!r}: chunk size must be >= 1, got {size}")
         runs = self.runs
         entries: list[tuple[int, dict[str, Any], int, int]] = []
         index, room = 0, size

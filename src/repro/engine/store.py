@@ -24,7 +24,7 @@ A result row's JSON shape is defined once, by
 :meth:`ResultStore.row_payload`, and encoded by :func:`canonical_line`.
 That pair is the reference: the eager artifact body goes through it,
 and so does a row read back from a stream.  A sweep's live rows take a
-cheaper route to the same bytes — :func:`repro.engine.aggregate.encode_row`
+cheaper route to the same bytes — :func:`repro.engine.aggregate.encode_fields`
 encodes a row's ``value`` once and splices its digest input and its
 artifact line around a formatted header, with the cell's ``params``
 encoded once per cell — and the engine property tests pin the two
@@ -334,7 +334,7 @@ class ResultStore:
 
         The single definition of a row's JSON shape — the eager
         artifact body encodes through here, and
-        :func:`~repro.engine.aggregate.encode_row`, which streams rows
+        :func:`~repro.engine.aggregate.encode_fields`, which streams rows
         and digests them, must give ``canonical_line`` of this row byte
         for byte: that is what makes checksums comparable across
         backends.

@@ -123,7 +123,7 @@ class OpenLoopResult:
     #: streaming latency summary: n / min / max / p50 / p99 / p999.
     latency: dict[str, float] = field(default_factory=dict)
     #: the full digest state (exact bin counts), mergeable across runs
-    #: via :meth:`~repro.engine.aggregate.QuantileDigest.absorb`.
+    #: via :class:`~repro.engine.aggregate.DigestMergeAcc`.
     digest_state: dict[str, Any] = field(default_factory=dict)
     #: adaptive-admission trajectory (``None`` unless an
     #: :class:`AdaptiveWindow` drove the run; counters stay conditional

@@ -17,10 +17,11 @@ count — and the exact accumulators must satisfy the merge law that
 makes that possible (any partial grouping folds to the same summary).
 
 The chunk cases pin what crosses the pool boundary: whatever the worker
-count, the chunk size and the sink tree, a
-sweep folded chunk by chunk equals a per-row ``open``/``emit``/``close``
-drive of the same sinks — artifact bytes included — and a raising task
-leaves exactly the rows before it.
+count, the chunk size and the sink tree, a sweep folded chunk by chunk
+equals a per-row ``open``/``emit``/``close`` drive of the same sinks —
+each row its own chunk, built from the reference row definitions —
+artifact bytes included, and a raising task leaves exactly the rows
+before it.
 """
 
 import gzip
@@ -35,18 +36,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import (
-    CellFoldSink,
     CountAcc,
+    FoldedChunk,
     JsonlSink,
     MeanAcc,
-    MemorySink,
-    NoopSink,
     QuantileDigest,
     ReducerSink,
+    ResultSink,
     ResultStore,
     RowReducer,
     SweepSpec,
     TeeSink,
+    canonical_line,
     derive_seed,
     load_stream,
     merge_digests,
@@ -264,18 +265,10 @@ class TestStreamingFixedPoint:
     def _spec(self) -> SweepSpec:
         return SweepSpec("fp", pure_task, grid={"scale": [1, 2, 5]}, runs=6)
 
-    def test_memory_sink_matches_default_path_bytes(self):
-        for w in (1, 3):
-            default = run_sweep(self._spec(), workers=w)
-            sunk = run_sweep(self._spec(), workers=w, sink=MemorySink())
-            assert ResultStore.encode(ResultStore.payload(sunk)) == ResultStore.encode(
-                ResultStore.payload(default)
-            )
-
     def test_digest_identical_across_backends_and_workers(self, tmp_path):
         digests = set()
         for w in (1, 2, 3):
-            for make in (NoopSink, MemorySink, lambda: ReducerSink(_metric_reducer())):
+            for make in (ResultSink, lambda: ReducerSink(_metric_reducer())):
                 outcome = run_sweep(self._spec(), workers=w, sink=make())
                 digests.add((outcome.aggregate["rows"], outcome.aggregate["digest"]))
             jsonl = JsonlSink(tmp_path / f"w{w}.jsonl.gz")
@@ -300,14 +293,18 @@ class TestStreamingFixedPoint:
         assert rows == store.load("fp")["results"]
 
     def test_simulation_task_streams_identically(self, tmp_path):
-        """The real thing: cluster simulations through the sink path."""
+        """The real thing: cluster simulations, serial and pooled."""
         spec = SweepSpec(
             "sim", availability_run, grid={"protocol": ["skq", "qtp1"]}, runs=3,
             seeding="offset",
         )
         default = run_sweep(spec, workers=1)
-        sunk = run_sweep(spec, workers=2, sink=MemorySink())
-        assert sunk.results == default.results
+        pooled = run_sweep(spec, workers=2)
+        assert pooled.results == default.results
+        digest = 0
+        for result in default.results:
+            digest = merge_digests(digest, row_digest(ResultStore.row_payload(result)))
+        assert run_sweep(spec, workers=2, sink=ResultSink()).aggregate == {"rows": 6, "digest": digest}
 
 
 def brittle_task(seed: int, fail_at: int) -> float:
@@ -317,20 +314,16 @@ def brittle_task(seed: int, fail_at: int) -> float:
     return random.Random(seed).random()
 
 
-def _fold_first(state, result):
-    return (state or 0.0) + result.value[0]
-
-
 #: sink trees by name: each builds (sink, its parts by role) under ``tmp``
 SINK_TREES = {
     "jsonl": lambda tmp: _tree(jsonl=JsonlSink(tmp / "rows.jsonl.gz")),
     "reducer": lambda tmp: _tree(reducer=ReducerSink(_metric_reducer())),
-    "noop": lambda tmp: _tree(noop=NoopSink()),
+    "base": lambda tmp: _tree(base=ResultSink()),
     "jsonl+reducer": lambda tmp: _tree(
         jsonl=JsonlSink(tmp / "rows.jsonl.gz"), reducer=ReducerSink(_metric_reducer())
     ),
-    "jsonl+cellfold": lambda tmp: _tree(
-        jsonl=JsonlSink(tmp / "rows.jsonl.gz"), folder=CellFoldSink(_fold_first)
+    "reducer+jsonl+base": lambda tmp: _tree(
+        reducer=ReducerSink(_metric_reducer()), jsonl=JsonlSink(tmp / "rows.jsonl.gz"), base=ResultSink()
     ),
 }
 
@@ -352,18 +345,30 @@ def _observe(sink, parts) -> dict:
         seen["artifact"] = parts["jsonl"].path.read_bytes()
     if "reducer" in parts:
         seen["reduced"] = parts["reducer"].reducer.summary()
-    if "folder" in parts:
-        seen["cells"] = parts["folder"].cells()
     return seen
 
 
+def _row_chunk(result, plan) -> FoldedChunk:
+    """One row as a chunk of its own, built from the reference row
+    definitions (``row_payload``, ``row_digest``, ``canonical_line``)."""
+    row = ResultStore.row_payload(result)
+    chunk = FoldedChunk()
+    chunk.rows, chunk.digest = 1, row_digest(row)
+    chunk.lines = (canonical_line({"type": "row", **row}) + "\n").encode()
+    for key, template in plan.reducers.items():
+        chunk.partials[key] = template.fresh()
+        chunk.partials[key].fold(result.index, chunk.digest, result.value)
+    return chunk
+
+
 def _per_row_reference(spec: SweepSpec, tree: str) -> dict:
-    """The sink protocol as it was before chunks: one ``emit`` per row."""
+    """The sinks driven one executed ``RunTask`` at a time."""
     with tempfile.TemporaryDirectory() as tmp:
         sink, parts = SINK_TREES[tree](Path(tmp))
+        plan = sink.chunk_plan()
         sink.open(spec.summary())
         for task in spec.iter_tasks():
-            sink.emit(task.execute())
+            sink.emit(_row_chunk(task.execute(), plan))
         sink.close()
         return _observe(sink, parts)
 
@@ -434,7 +439,7 @@ class TestChunksEqualRows:
                 )
             committed = _committed_indices(path)
         assert committed == list(range(fail_at))
-        assert reducer.rows_emitted >= fail_at  # the failing chunk's prefix was absorbed
+        assert reducer.rows_emitted >= fail_at  # the failing chunk's prefix was emitted
 
 
 def _exact_sums(values) -> tuple[Fraction, Fraction]:
@@ -513,7 +518,7 @@ class TestStreamingAggregatesMatchEager:
             run_sweep(spec, store=store)
             eager = _metric_reducer()
             for row in store.load("agg")["results"]:
-                eager.fold_row(row)
+                eager.fold(row["index"], row_digest(row), row["value"])
         streamed = run_sweep(spec, workers=2, chunksize=chunksize, sink=ReducerSink(_metric_reducer()))
         assert streamed.aggregate == eager.summary()
 

@@ -5,11 +5,11 @@ plain ``(index, params, run, seed)`` fields and folds each row from
 those fields and its value: no ``RunTask``, and a ``RunResult`` only
 when the plan asks for live results.  The reference is the per-row
 path it replaced — iterate the chunk's ``RunTask`` objects, ``execute``
-each, ``encode_row`` the result and ``RowReducer.fold`` it.  Over random
-grids, ``fixed`` values, both seedings, chunk sizes 1–7, every plan
-shape, a task that raises mid-chunk and a pickled chunk, the two must
-give the same row count, digest, lines, partial summaries, live
-results and error.
+each, encode the ``RunResult``'s fields (``encode_fields``) and
+``RowReducer.fold`` them.  Over random grids, ``fixed`` values, both
+seedings, chunk sizes 1–7, every plan shape, a task that raises
+mid-chunk and a pickled chunk, the two must give the same row count,
+digest, lines, partial summaries, live results and error.
 """
 
 import pickle
@@ -25,10 +25,10 @@ from repro.engine import (
     QuantileDigest,
     RowReducer,
     SweepSpec,
-    encode_row,
     fold_chunk,
     merge_digests,
 )
+from repro.engine.aggregate import encode_fields, encode_params
 
 
 @dataclass(frozen=True)
@@ -88,9 +88,10 @@ def reference(chunk, plan: ChunkPlan) -> dict:
         try:
             result = task.execute()
             if encode:
-                row_digest, line = encode_row(result)
+                params = encode_params(result.params)
+                row_digest, line = encode_fields(result.index, params, result.run, result.seed, result.value)
                 for partial in partials.values():
-                    partial.fold(result, row_digest)
+                    partial.fold(result.index, row_digest, result.value)
                 digest = merge_digests(digest, row_digest)
                 lines.append(line)
         except Exception as exc:

@@ -1,6 +1,6 @@
 """The one row encoder equals the reference row definition, byte for byte.
 
-:func:`~repro.engine.aggregate.encode_row` splices a row's digest input
+:func:`~repro.engine.aggregate.encode_fields` splices a row's digest input
 and its artifact line from one canonical encode of the row's ``value``
 and a formatted header.  The reference is
 ``canonical_line({"type": "row", **ResultStore.row_payload(r)})`` for
@@ -24,12 +24,11 @@ from repro.engine import (
     RunResult,
     SweepSpec,
     canonical_line,
-    encode_row,
     fold_chunk,
     merge_digests,
     row_digest,
 )
-from repro.engine.aggregate import encode_params
+from repro.engine.aggregate import encode_fields, encode_params
 
 
 @dataclass(frozen=True)
@@ -80,13 +79,16 @@ def reference(result: RunResult) -> tuple[int, str]:
     return row_digest(row), canonical_line({"type": "row", **row})
 
 
+def encode(result: RunResult) -> tuple[int, str]:
+    """The row encoder on a result's fields, as a sweep calls it."""
+    return encode_fields(result.index, encode_params(result.params), result.run, result.seed, result.value)
+
+
 def assert_encodes_like_reference(result: RunResult) -> None:
-    digest, line = encode_row(result)
-    assert (digest, line) == reference(result)
-    assert encode_row(result, encode_params(result.params)) == (digest, line)
+    assert encode(result) == reference(result)
 
 
-class TestEncodeRow:
+class TestEncodeFields:
     @given(header_ints, params, header_ints, header_ints, values)
     @settings(max_examples=300, deadline=None)
     def test_spliced_row_is_the_reference_row(self, index, cell, run, seed, value):
@@ -105,7 +107,7 @@ class TestEncodeRow:
 
     def test_bool_and_int_subclass_headers_are_spelt_as_json_spells_them(self):
         result = RunResult(True, {}, Level.HIGH, Tally(3), None)
-        _digest, line = encode_row(result)
+        _digest, line = encode(result)
         assert line == '{"index":true,"params":{},"run":7,"seed":3,"type":"row","value":null}'
         assert line == reference(result)[1]
 
@@ -113,7 +115,7 @@ class TestEncodeRow:
         value = {"z": -0.0, "n": float("nan"), "i": float("inf"), "big": 2**70, "é\"\\": [(1,)]}
         result = RunResult(0, {}, 0, 2**62, value)
         assert_encodes_like_reference(result)
-        assert json.loads(encode_row(result)[1])["value"]["big"] == 2**70
+        assert json.loads(encode(result)[1])["value"]["big"] == 2**70
 
     @given(params)
     @settings(max_examples=100, deadline=None)

@@ -12,12 +12,9 @@ from repro.common.errors import StoreError
 from repro.engine import (
     STREAM_KIND,
     STREAM_SCHEMA,
-    CellFoldSink,
     CountAcc,
     JsonlSink,
     MeanAcc,
-    MemorySink,
-    NoopSink,
     ReducerSink,
     ResultSink,
     ResultStore,
@@ -27,6 +24,8 @@ from repro.engine import (
     fold_cells,
     iter_stream_rows,
     load_stream,
+    merge_digests,
+    row_digest,
     run_sweep,
 )
 from repro.engine.executor import WORKER_CACHE_LIMIT, clear_worker_cache, worker_cache
@@ -60,6 +59,14 @@ def _reducer() -> RowReducer:
     return RowReducer((("x", "x", MeanAcc()), ("even", "even", CountAcc())))
 
 
+def _fold_eagerly(reducer: RowReducer, results) -> RowReducer:
+    """Fold kept results one at a time, through the reference row
+    encoding."""
+    for result in results:
+        reducer.fold(result.index, row_digest(ResultStore.row_payload(result)), result.value)
+    return reducer
+
+
 def _committed_indices(path) -> list[int]:
     """The task indices of the rows an aborted artifact holds."""
     header, *records = gzip.decompress(path.read_bytes()).splitlines()
@@ -69,30 +76,19 @@ def _committed_indices(path) -> list[int]:
     return [row["index"] for row in rows]
 
 
-class TestMemorySinkIsTheDefaultPath:
-    def test_results_and_artifact_identical_to_default(self):
-        default = run_sweep(_spec())
-        sunk = run_sweep(_spec(), sink=MemorySink())
-        assert sunk.results == default.results
-        assert ResultStore.encode(ResultStore.payload(sunk)) == ResultStore.encode(
-            ResultStore.payload(default)
-        )
-
-    def test_aggregate_carries_rows_and_digest(self):
-        outcome = run_sweep(_spec(), sink=MemorySink())
-        assert outcome.aggregate["rows"] == len(outcome.results)
-        assert outcome.aggregate["digest"] > 0
-
-
-class TestNoopSink:
-    def test_keeps_nothing_but_digests_everything(self):
-        noop = NoopSink()
-        outcome = run_sweep(_spec(), sink=noop)
-        assert outcome.results == []
-        memory = MemorySink()
-        run_sweep(_spec(), sink=memory)
-        assert noop.digest == memory.digest
-        assert noop.rows_emitted == memory.rows_emitted
+class TestResultSink:
+    def test_counts_and_digests_the_rows_the_default_path_keeps(self):
+        """The base sink keeps nothing; its count and digest are those of
+        the default path's rows under the reference encoding."""
+        kept = run_sweep(_spec()).results
+        digest = 0
+        for result in kept:
+            digest = merge_digests(digest, row_digest(ResultStore.row_payload(result)))
+        for workers in (1, 2):
+            sink = ResultSink()
+            outcome = run_sweep(_spec(), workers=workers, chunksize=5, sink=sink)
+            assert outcome.results == []
+            assert outcome.aggregate == {"rows": len(kept), "digest": digest} == sink.summary()
 
 
 class TestJsonlSink:
@@ -154,7 +150,7 @@ class TestJsonlSink:
     def test_unpicklable_task_failure_travels_as_a_stand_in(self, tmp_path):
         spec = SweepSpec("frail", untravelling_failure_task, grid={}, runs=6, seeding="offset")
         with pytest.raises(ValueError, match="cannot travel"):
-            run_sweep(spec, sink=NoopSink())  # in process: the exception itself
+            run_sweep(spec, sink=ResultSink())  # in process: the exception itself
         path = tmp_path / "p.jsonl.gz"
         with pytest.raises(RuntimeError, match="ValueError: cannot travel"):
             run_sweep(spec, workers=2, chunksize=4, sink=JsonlSink(path))
@@ -312,9 +308,7 @@ class TestCorruptionErrorsNameOffsets:
 
 class TestReducerSink:
     def test_reducer_sink_matches_eager_fold(self):
-        eager = _reducer()
-        for result in run_sweep(_spec()).results:
-            eager.fold(result)
+        eager = _fold_eagerly(_reducer(), run_sweep(_spec()).results)
         outcome = run_sweep(_spec(), sink=ReducerSink(_reducer()))
         assert outcome.results == []
         assert outcome.aggregate == eager.summary()
@@ -331,21 +325,67 @@ def never_run(seed: int) -> int:
 
 
 class TestStoreNeedsRows:
-    """``store=`` saves the outcome's rows: a sink that keeps none would
-    leave an artifact that claims its runs and holds no row."""
+    """``store=`` saves the outcome's rows: a sink keeps none, so a sink
+    would leave an artifact that claims its runs and holds no row."""
+
+    SINKS = {
+        "base": lambda tmp: ResultSink(),
+        "reducer": lambda tmp: ReducerSink(_reducer()),
+        "tee": lambda tmp: TeeSink(ResultSink(), JsonlSink(tmp / "rows.jsonl.gz")),
+    }
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_store_with_a_row_dropping_sink_is_refused_before_any_task(self, tmp_path, workers):
+    @pytest.mark.parametrize("make", SINKS.values(), ids=SINKS.keys())
+    def test_store_with_any_sink_is_refused_before_any_task(self, tmp_path, workers, make):
         spec = SweepSpec("quiet", never_run, grid={}, runs=5)
         store = ResultStore(tmp_path)
         with pytest.raises(ValueError, match="keeps none"):
-            run_sweep(spec, workers=workers, store=store, sink=NoopSink())
+            run_sweep(spec, workers=workers, store=store, sink=make(tmp_path))
         assert not store.path_for("quiet").exists()
+        assert not (tmp_path / "rows.jsonl.gz").exists()
 
-    def test_store_with_a_row_keeping_sink_saves_every_row(self, tmp_path):
+    def test_store_on_the_default_path_saves_every_row(self, tmp_path):
         store = ResultStore(tmp_path)
-        run_sweep(_spec(), store=store, sink=TeeSink(NoopSink(), MemorySink()))
+        run_sweep(_spec(), store=store)
         assert len(store.load("s")["results"]) == 12
+
+
+class TestOneSweepPerSink:
+    """A sink's count, digest, reducer and artifact describe one sweep:
+    opening it for a second is refused before any task runs, and what
+    the first sweep left stays as it was."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_jsonl_sink_is_not_reopened(self, tmp_path, workers):
+        path = tmp_path / "rows.jsonl.gz"
+        sink = JsonlSink(path)
+        assert run_sweep(_spec(runs=5), workers=workers, sink=sink).aggregate["rows"] == 10
+        written = path.read_bytes()
+        with pytest.raises(ValueError, match="JsonlSink already served sweep 's'"):
+            run_sweep(SweepSpec("again", never_run, grid={}, runs=5), workers=workers, sink=sink)
+        assert path.read_bytes() == written
+        assert len(list(iter_stream_rows(path))) == sink.rows_emitted == 10
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_reducer_sink_is_not_reopened(self, workers):
+        sink = ReducerSink(_reducer())
+        first = run_sweep(_spec(runs=5), workers=workers, sink=sink).aggregate
+        with pytest.raises(ValueError, match="ReducerSink already served"):
+            run_sweep(SweepSpec("again", never_run, grid={}, runs=5), workers=workers, sink=sink)
+        assert sink.summary() == first and first["rows"] == 10
+
+    def test_a_tee_and_a_tee_of_used_children_are_not_reopened(self, tmp_path):
+        jsonl, reducer = JsonlSink(tmp_path / "rows.jsonl.gz"), ReducerSink(_reducer())
+        tee = TeeSink(jsonl, reducer)
+        run_sweep(_spec(runs=5), sink=tee)
+        again = SweepSpec("again", never_run, grid={}, runs=5)
+        with pytest.raises(ValueError, match="TeeSink already served"):
+            run_sweep(again, sink=tee)
+        fresh = JsonlSink(tmp_path / "fresh.jsonl.gz")
+        with pytest.raises(ValueError, match="ReducerSink already served"):
+            run_sweep(again, sink=TeeSink(fresh, reducer))
+        assert not fresh.path.exists()  # no child was opened
+        assert tee.rows_emitted == jsonl.rows_emitted == reducer.rows_emitted == 10
 
 
 def mix_task(seed: int, mix: list, w: dict) -> int:
@@ -364,17 +404,23 @@ UNHASHABLE_CELLS = {
 }
 
 
-class TestCellFoldSink:
-    def test_matches_a_grouping_of_the_rows(self):
+class TestFoldCells:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matches_a_grouping_of_the_rows(self, workers):
         outcome = run_sweep(_spec())
-        folder = CellFoldSink(lambda state, r: (state or 0) + r.value["x"])
-        for result in outcome.results:
-            folder.emit(result)
+        cells = fold_cells(_spec(), lambda state, r: (state or 0) + r.value["x"], workers=workers)
         groups: dict = {}
         for result in outcome.results:
             groups.setdefault(result.params["scale"], (result.params, []))[1].append(result)
         expected = [(params, sum(r.value["x"] for r in results)) for params, results in groups.values()]
-        assert folder.cells() == expected
+        assert cells == expected
+
+    def test_cells_straddling_chunks_fold_as_one(self):
+        """A cell whose runs span two chunks reaches the fold as two
+        ``params`` dicts; it is still one cell."""
+        spec = SweepSpec("t", probe_task, grid={"scale": [1, 3]}, runs=300)  # > MAX_CHUNK_ROWS
+        cells = fold_cells(spec, lambda state, r: (state or 0) + 1)
+        assert cells == [({"scale": 1}, 300), ({"scale": 3}, 300)]
 
     def test_unhashable_cell_values_fall_back_to_their_repr(self):
         """List-valued grid cells and a dict-valued ``fixed`` cannot key
@@ -396,15 +442,15 @@ class TestCellFoldSink:
 
 
 class TestTeeSink:
-    def test_children_agree_and_rows_come_from_keeper(self, tmp_path):
-        memory = MemorySink()
+    def test_children_agree(self, tmp_path):
+        base = ResultSink()
         jsonl = JsonlSink(tmp_path / "rows.jsonl.gz")
         reducer = ReducerSink(_reducer())
-        tee = TeeSink(jsonl, reducer, memory)
+        tee = TeeSink(jsonl, reducer, base)
         outcome = run_sweep(_spec(), sink=tee)
-        assert tee.keeps_rows
-        assert outcome.results == memory.results
-        assert jsonl.digest == reducer.digest == memory.digest == tee.digest
+        assert outcome.results == []
+        assert jsonl.digest == reducer.digest == base.digest == tee.digest
+        assert tee.rows_emitted == base.rows_emitted == 12
         # the first child's summary, plus the keys the later children add
         assert tee.summary() == {**jsonl.summary(), "metrics": reducer.summary()["metrics"]}
         assert list(tee.summary())[:2] == list(jsonl.summary())
@@ -428,7 +474,7 @@ class TestTeeSink:
         assert outcome.aggregate["rows"] == 12
 
     def test_first_child_wins_a_summary_conflict(self):
-        class Labelled(NoopSink):
+        class Labelled(ResultSink):
             def __init__(self, label):
                 super().__init__()
                 self.label = label
@@ -443,44 +489,11 @@ class TestTeeSink:
     def test_two_reducers_in_one_tee_each_get_their_own_partials(self):
         first, second = _reducer(), RowReducer((("x", "x", MeanAcc()),))
         run_sweep(_spec(), workers=2, chunksize=5, sink=TeeSink(ReducerSink(first), ReducerSink(second)))
-        eager_first, eager_second = _reducer(), RowReducer((("x", "x", MeanAcc()),))
-        for result in run_sweep(_spec()).results:
-            eager_first.fold(result)
-            eager_second.fold(result)
+        kept = run_sweep(_spec()).results
+        eager_first = _fold_eagerly(_reducer(), kept)
+        eager_second = _fold_eagerly(RowReducer((("x", "x", MeanAcc()),)), kept)
         assert first.summary() == eager_first.summary()
         assert second.summary() == eager_second.summary()
-
-
-class OnlyEmit(ResultSink):
-    """A third-party sink written against ``emit`` alone."""
-
-    def __init__(self):
-        super().__init__()
-        self.seen = []
-
-    def emit(self, result, row=None):
-        super().emit(result, row)
-        self.seen.append(result)
-
-
-class TestSinksThatNeedLiveResults:
-    """A sink that does not opt into folded chunks still sees every
-    live result, in task order, whatever the pool did."""
-
-    def test_emit_only_subclass_sees_every_result_in_order(self):
-        sink = OnlyEmit()
-        outcome = run_sweep(_spec(), workers=2, chunksize=5, sink=sink)
-        assert sink.seen == run_sweep(_spec()).results
-        assert outcome.aggregate == {"rows": 12, "digest": sink.digest}
-        memory = MemorySink()
-        run_sweep(_spec(), sink=memory)
-        assert sink.digest == memory.digest
-
-    def test_emit_only_subclass_beside_a_folded_sink(self, tmp_path):
-        sink, jsonl = OnlyEmit(), JsonlSink(tmp_path / "rows.jsonl.gz")
-        run_sweep(_spec(), workers=2, chunksize=5, sink=TeeSink(jsonl, sink))
-        assert sink.seen == run_sweep(_spec()).results
-        assert sink.digest == jsonl.digest and jsonl.rows_emitted == 12
 
 
 class TestWorkerCacheBound:

@@ -133,10 +133,10 @@ def cell(seed):
 POOL_PROBE = """
 import sys
 import pool_probe_cells
-from repro.engine import MemorySink, SweepSpec, run_sweep, shared_runner
+from repro.engine import SweepSpec, run_sweep, shared_runner
 
 spec = SweepSpec("probe", pool_probe_cells.cell, grid={}, runs=8)
-outcome = run_sweep(spec, workers=2, persistent_pool=True, sink=MemorySink())
+outcome = run_sweep(spec, workers=2, persistent_pool=True)
 runner = shared_runner(2)
 print(runner.pools_created, runner._pool_failed)
 print(sorted(m for m in ("numpy", "scipy") if m in sys.modules))

@@ -18,12 +18,14 @@ from repro.engine import (
     ChunkPlan,
     CountAcc,
     MeanAcc,
-    NoopSink,
     QuantileDigest,
     ReducerSink,
+    ResultSink,
+    ResultStore,
     RowReducer,
     SweepSpec,
     fold_chunk,
+    row_digest,
     run_sweep,
 )
 
@@ -84,7 +86,8 @@ def test_a_chunk_that_meets_one_ends_with_the_metric_and_the_task_index(bad):
     # the partial holds exactly the rows before the failing one
     reference = _reducer()
     for task in islice(_spec(3, bad).iter_tasks(), 3):
-        reference.fold(task.execute())
+        result = task.execute()
+        reference.fold(result.index, row_digest(ResultStore.row_payload(result)), result.value)
     assert folded.partials[0].summary() == reference.summary()
     assert folded.digest == reference.digest
 
@@ -96,5 +99,5 @@ def test_a_sweep_that_meets_one_raises_naming_the_metric_and_the_task(workers):
 
 
 def test_a_sink_that_folds_no_metric_takes_the_row():
-    outcome = run_sweep(_spec(7), workers=1, sink=NoopSink())
+    outcome = run_sweep(_spec(7), workers=1, sink=ResultSink())
     assert outcome.aggregate["rows"] == 12

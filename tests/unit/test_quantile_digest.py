@@ -3,7 +3,7 @@
 The quantile clamp must test ``is not None``, never truthiness: an
 observed extreme of exactly 0.0 is a real bound (latency digests start
 at 0), and the empty digest returns a defined sentinel instead of
-raising mid-sweep.  The state/absorb surface ships digests inside
+raising mid-sweep.  The state/from_state surface ships digests inside
 result rows; :class:`DigestMergeAcc` folds those states with the exact
 merge law every accumulator promises.
 """
@@ -80,15 +80,15 @@ class TestDigestState:
         with pytest.raises(ValueError):
             QuantileDigest.from_state(state)
 
-    def test_absorb_equals_direct_fold(self):
+    def test_merged_states_equal_direct_fold(self):
         left, right = QuantileDigest(0.0, 10.0), QuantileDigest(0.0, 10.0)
         serial = QuantileDigest(0.0, 10.0)
         for i, value in enumerate((1.0, 2.0, 3.0, 7.0, 8.5, 0.0)):
             (left if i % 2 else right).add(value)
             serial.add(value)
         combined = QuantileDigest(0.0, 10.0)
-        combined.absorb(left.state())
-        combined.absorb(right.state())
+        combined.merge(QuantileDigest.from_state(left.state()))
+        combined.merge(QuantileDigest.from_state(right.state()))
         assert combined.state() == serial.state()
 
     def test_merge_rejects_mismatched_layout(self):

@@ -23,8 +23,8 @@ from repro.engine import (
     CountAcc,
     JsonlSink,
     MeanAcc,
-    NoopSink,
     ReducerSink,
+    ResultSink,
     ResultStore,
     RowReducer,
     RunResult,
@@ -65,7 +65,6 @@ def parent_calls():
         # every canonical JSON encode: a row's value, a cell's params, a record
         mock.patch.object(store._CANONICAL, "encode", counted(calls, "encode", store._CANONICAL.encode)),
         mock.patch.object(RowReducer, "fold", counted(calls, "fold", RowReducer.fold)),
-        mock.patch.object(RowReducer, "fold_fields", counted(calls, "fold_fields", RowReducer.fold_fields)),
         mock.patch.object(ResultStore, "row_payload", row_payload),
         mock.patch.object(gzip.GzipFile, "write", counted(calls, "gzip_write", gzip.GzipFile.write)),
         mock.patch.object(RunTask, "__init__", counted(calls, "RunTask", RunTask.__init__)),
@@ -89,7 +88,7 @@ def sweep(runner: SweepRunner, path, **kwargs):
 
 def test_pooled_sweep_makes_no_per_row_call_in_the_parent(tmp_path, parent_calls):
     with SweepRunner(workers=2) as runner:
-        runner.run_sweep(SweepSpec("can-pool", cell, grid={}, runs=2), sink=NoopSink())
+        runner.run_sweep(SweepSpec("can-pool", cell, grid={}, runs=2), sink=ResultSink())
         if runner.pools_created == 0:
             pytest.skip("this environment cannot create a process pool")
         outcome, reducer = sweep(runner, tmp_path / "rows.jsonl.gz", chunksize=CHUNK)
@@ -129,10 +128,8 @@ def test_serial_sweep_builds_each_row_once(tmp_path, parent_calls):
     assert parent_calls.count("encode") == ROWS + CHUNKS + 2
     # the row digests, and one seed prefix per cell per chunk it reaches
     assert parent_calls.count("sha256") == ROWS + CHUNKS
-    # the fields fold, once per row; the result fold (which used to
-    # take each row) is not called at all
-    assert parent_calls.count("fold_fields") == ROWS
-    assert parent_calls.count("fold") == 0
+    # the fields fold, once per row
+    assert parent_calls.count("fold") == ROWS
     assert parent_calls.count("gzip_write") <= CHUNKS + 2
 
 
@@ -154,13 +151,13 @@ def test_default_chunks_are_capped(tmp_path):
     rows = 8 * MAX_CHUNK_ROWS + 1  # a quarter of it is more than one chunk may hold
     spec = SweepSpec("capped", cell, grid={}, runs=rows)
     seen: list[int] = []
-    original = JsonlSink.absorb
+    original = JsonlSink.emit
 
-    def absorbing(self, chunk):
+    def emitting(self, chunk):
         seen.append(chunk.rows)
         return original(self, chunk)
 
-    with mock.patch.object(JsonlSink, "absorb", absorbing):
+    with mock.patch.object(JsonlSink, "emit", emitting):
         with SweepRunner(workers=1) as runner:
             runner.run_sweep(spec, sink=JsonlSink(tmp_path / "rows.jsonl.gz"))
     assert seen == [MAX_CHUNK_ROWS] * 8 + [1]

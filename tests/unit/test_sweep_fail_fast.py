@@ -17,15 +17,13 @@ import pytest
 
 from repro.common.errors import StoreError
 from repro.engine import (
-    CellFoldSink,
     ChunkPlan,
     CountAcc,
     JsonlSink,
     MeanAcc,
-    MemorySink,
-    NoopSink,
     ReducerSink,
     ResultSink,
+    ResultStore,
     RowReducer,
     SweepRunner,
     SweepSpec,
@@ -33,6 +31,8 @@ from repro.engine import (
     fold_chunk,
     iter_stream_rows,
     load_stream,
+    merge_digests,
+    row_digest,
     run_sweep,
 )
 from repro.engine.sink import _portable_error
@@ -140,7 +140,7 @@ class TestTheArtifactStopsAtTheFailingTask:
             read(path)
 
 
-class Recording(MemorySink):
+class Recording(ResultSink):
     """Records the lifecycle calls the executor makes."""
 
     def __init__(self):
@@ -151,9 +151,9 @@ class Recording(MemorySink):
         super().open(spec_summary)
         self.calls.append("open")
 
-    def absorb(self, chunk):
-        super().absorb(chunk)
-        self.calls.append("absorb")
+    def emit(self, chunk):
+        super().emit(chunk)
+        self.calls.append("emit")
 
     def close(self):
         self.calls.append("close")
@@ -167,27 +167,25 @@ class TestTheSinkLifecycle:
     def test_a_clean_sweep_closes_the_sink(self, workers):
         sink = Recording()
         run_sweep(_spec(-1), workers=workers, chunksize=4, sink=sink)
-        assert sink.calls == ["open", "absorb", "absorb", "absorb", "close"]
-        assert [r.index for r in sink.results] == list(range(RUNS))
+        assert sink.calls == ["open", "emit", "emit", "emit", "close"]
+        assert sink.rows_emitted == RUNS
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_failing_task_aborts_the_sink_after_the_rows_before_it(self, workers):
         sink = Recording()
         with pytest.raises(ValueError, match="task 6 failed"):
             run_sweep(_spec(6), workers=workers, chunksize=4, sink=sink)
-        # chunk 4..7 ends at task 6: its rows 4 and 5 are absorbed, no later chunk is
-        assert sink.calls == ["open", "absorb", "absorb", "abort"]
-        assert [r.index for r in sink.results] == list(range(6))
+        # chunk 4..7 ends at task 6: its rows 4 and 5 are emitted, no later chunk is
+        assert sink.calls == ["open", "emit", "emit", "abort"]
+        assert sink.rows_emitted == 6
 
 
 SINKS = {
-    "memory": lambda path: MemorySink(),
-    "noop": lambda path: NoopSink(),
+    "base": lambda path: ResultSink(),
     "reducer": lambda path: ReducerSink(_reducer()),
     "jsonl": lambda path: JsonlSink(path),
-    "cell-fold": lambda path: CellFoldSink(lambda state, result: (state or 0) + 1),
     "tee-jsonl-reducer": lambda path: TeeSink(JsonlSink(path), ReducerSink(_reducer())),
-    "tee-memory-noop": lambda path: TeeSink(MemorySink(), NoopSink()),
+    "tee-reducer-base": lambda path: TeeSink(ReducerSink(_reducer()), ResultSink()),
 }
 
 
@@ -201,17 +199,15 @@ class TestEverySinkStopsAtTheFailingTask:
             run_sweep(_spec(7), workers=workers, chunksize=3, sink=sink)
         prefix = _prefix(_spec(7), 7)
         assert sink.rows_emitted == 7
-        if not isinstance(sink, CellFoldSink):  # which skips row digests
-            reference = ResultSink()
-            for result in prefix:
-                reference.emit(result)
-            assert sink.digest == reference.digest
-        if sink.keeps_rows:
-            assert sink.results == prefix
+        digests = [row_digest(ResultStore.row_payload(result)) for result in prefix]
+        reference = 0
+        for digest in digests:
+            reference = merge_digests(reference, digest)
+        assert sink.digest == reference
         if "metrics" in sink.summary():
             eager = _reducer()
-            for result in prefix:
-                eager.fold(result)
+            for result, digest in zip(prefix, digests):
+                eager.fold(result.index, digest, result.value)
             assert sink.summary()["metrics"] == eager.summary()["metrics"]
         if path.exists():
             assert [row["index"] for row in _committed_rows(path)] == list(range(7))
@@ -221,7 +217,7 @@ class TestTheErrorCrossesThePool:
     @pytest.mark.parametrize("kind", FAILURES)
     def test_the_task_error_reaches_the_caller(self, kind):
         with pytest.raises(Exception) as err:
-            run_sweep(_spec(3, kind), workers=2, chunksize=2, sink=NoopSink())
+            run_sweep(_spec(3, kind), workers=2, chunksize=2, sink=ResultSink())
         assert type(err.value).__name__ == FAILURES[kind][1]
         assert "task 3" in str(err.value)
         assert "failing_at" in str(err.value.__cause__)  # the worker's traceback

@@ -21,7 +21,7 @@ from repro.engine.executor import (
     shutdown_shared_runners,
     worker_cache,
 )
-from repro.engine.sink import JsonlSink, MemorySink, NoopSink, ReducerSink, TeeSink, iter_stream_rows
+from repro.engine.sink import JsonlSink, ReducerSink, ResultSink, TeeSink, iter_stream_rows
 from repro.engine.spec import SweepSpec
 from repro.sim.scheduler import Scheduler
 
@@ -149,7 +149,7 @@ def _dying(die_at: int) -> SweepSpec:
     return SweepSpec("dying", dying_cell, grid={}, runs=16, seeding="offset", fixed=fixed)
 
 
-class Lifecycle(NoopSink):
+class Lifecycle(ResultSink):
     """Records the lifecycle calls the executor makes."""
 
     def __init__(self):
@@ -160,9 +160,9 @@ class Lifecycle(NoopSink):
         super().open(spec_summary)
         self.calls.append("open")
 
-    def absorb(self, chunk):
-        super().absorb(chunk)
-        self.calls.append("absorb")
+    def emit(self, chunk):
+        super().emit(chunk)
+        self.calls.append("emit")
 
     def close(self):
         self.calls.append("close")
@@ -173,9 +173,8 @@ class Lifecycle(NoopSink):
 
 DEAD_WORKER_SINKS = {
     "keep-rows": lambda tmp: None,
-    "memory": lambda tmp: MemorySink(),
     "reducer": lambda tmp: ReducerSink(RowReducer((("v", "", CountAcc()),))),
-    "tee-jsonl-noop": lambda tmp: TeeSink(JsonlSink(tmp / "rows.jsonl.gz"), NoopSink()),
+    "tee-jsonl-base": lambda tmp: TeeSink(JsonlSink(tmp / "rows.jsonl.gz"), ResultSink()),
 }
 
 
@@ -232,7 +231,7 @@ class TestDeadWorker:
             run_sweep(_dying(9), workers=2, chunksize=4, sink=sink)
         assert sink.calls[0] == "open" and sink.calls[-1] == "abort"
         assert "close" not in sink.calls
-        # only whole chunks before the lost one (runs 8..11) were absorbed
+        # only whole chunks before the lost one (runs 8..11) were emitted
         assert sink.rows_emitted in (0, 4, 8)
 
     def test_the_dead_pool_is_released_at_once(self, pooling, watchdog):
@@ -242,6 +241,50 @@ class TestDeadWorker:
             assert runner._pool is None
             assert runner.pools_created == 1
             assert runner.sweeps_run == 0
+
+
+def never_run(seed: int) -> int:
+    raise AssertionError("a refused sweep ran a task")
+
+
+class Unopenable(ResultSink):
+    """Fails the test loudly if a sweep gets as far as opening it."""
+
+    def open(self, spec_summary):
+        raise AssertionError("a refused sweep opened its sink")
+
+
+class TestChunksizeBelowOne:
+    """A chunk of fewer than one task never advances the sweep: such a
+    ``chunksize`` is refused before the sink is opened or a task runs
+    (``None`` is the default)."""
+
+    @pytest.mark.parametrize("chunksize", [0, -1, -7])
+    def test_run_sweep_refuses_it(self, chunksize):
+        spec = SweepSpec("tiny", never_run, grid={}, runs=3)
+        with pytest.raises(ValueError, match=f"chunksize must be >= 1, got {chunksize}"):
+            run_sweep(spec, chunksize=chunksize, sink=Unopenable())
+        with pytest.raises(ValueError, match="chunksize must be >= 1"):
+            run_sweep(spec, workers=2, persistent_pool=True, chunksize=chunksize, sink=Unopenable())
+        shutdown_shared_runners()
+
+    @pytest.mark.parametrize("chunksize", [0, -1])
+    def test_a_runner_refuses_it(self, chunksize):
+        spec = SweepSpec("tiny", never_run, grid={}, runs=3)
+        with SweepRunner(workers=2) as runner:
+            with pytest.raises(ValueError, match="chunksize must be >= 1"):
+                runner.run_sweep(spec, chunksize=chunksize, sink=Unopenable())
+            assert (runner.pools_created, runner.sweeps_run) == (0, 0)
+
+    def test_the_default_path_refuses_zero(self):
+        """Zero used to mean the default chunk size."""
+        with pytest.raises(ValueError, match="chunksize must be >= 1"):
+            run_sweep(SweepSpec("tiny", never_run, grid={}, runs=3), chunksize=0)
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_iter_chunks_refuses_it(self, size):
+        with pytest.raises(ValueError, match=f"chunk size must be >= 1, got {size}"):
+            next(SweepSpec("tiny", never_run, grid={}, runs=3).iter_chunks(size))
 
 
 class TestPersistentPoolFlag:
