@@ -135,7 +135,8 @@ class Cluster:
         """Build a cluster.
 
         Args:
-            catalog: replica placement and quorum sizes.
+            catalog: replica placement and quorum sizes — the first
+                membership epoch.
             protocol: one of :data:`PROTOCOL_NAMES` (``qtpp`` is the §5
                 generalization over the primary-copy strategy).
             seed: run seed (drives delays, loss, workload randomness).
@@ -154,7 +155,10 @@ class Cluster:
             raise ConfigurationError(
                 f"unknown protocol {protocol!r}; choose from {PROTOCOL_NAMES}"
             )
+        #: the current placement (a join or a leave swaps in the next),
+        #: and every one so far by epoch: a transaction keeps its own
         self.catalog = catalog
+        self.epochs: dict[int, ReplicaCatalog] = {catalog.epoch: catalog}
         self.protocol = protocol
         self._enforce_ignore_rules = enforce_ignore_rules
         self.scheduler = Scheduler()
@@ -168,7 +172,7 @@ class Cluster:
         self._closed = False  # from here on close() has something to release
         hosted = catalog.items_by_site()
         for site_id in sorted(hosted.keys() | set(extra_sites)):
-            self.sites[site_id] = Site(site_id, self.network, catalog, hosted.get(site_id, ()))
+            self.sites[site_id] = Site(site_id, self.network, hosted.get(site_id, ()))
         self._attach_engines(site_votes, commit_quorum, abort_quorum, primaries)
         self.injector = FailureInjector(
             self.scheduler, self.network, membership=_weakly(self._apply_membership)
@@ -231,14 +235,14 @@ class Cluster:
         if self.protocol == "skq":
             return SkeenEngine, self.skeen_rule, {}
         if self.protocol == "qtp1":
-            return QTP1Engine, TerminationRule1(self.catalog), {}
+            return QTP1Engine, TerminationRule1(), {}
         if self.protocol == "qtpp":
             return (
                 QTPPrimaryEngine,
                 PrimaryTerminationRule(self.primary_strategy),
                 {"strategy": self.primary_strategy},
             )
-        return QTP2Engine, TerminationRule2(self.catalog), {}
+        return QTP2Engine, TerminationRule2(), {}
 
     def _attach_engine(self, site: Site) -> None:
         """Give ``site`` an engine of this cluster's protocol."""
@@ -247,6 +251,7 @@ class Cluster:
             node=site,
             wal=site.wal,
             catalog=self.catalog,
+            epochs=self.epochs,
             rule=rule,
             hooks=SiteHooks(site),
             enforce_ignore_rules=self._enforce_ignore_rules,
@@ -467,23 +472,24 @@ class Cluster:
     ) -> Site:
         """Register a brand-new site mid-run (elastic membership).
 
-        Builds the full database stack for the site — WAL, replica
-        store, lock manager and a protocol engine running this
-        cluster's protocol — admits its ``copies`` into the shared
-        catalog (quorums re-derived majority-style, see
+        Makes the next catalog current — this one plus the site's
+        ``copies``, quorums re-derived majority-style (see
         :meth:`ReplicaCatalog.admit_site
-        <repro.replication.catalog.ReplicaCatalog.admit_site>`), and
-        registers it on the network.  An active partition is preserved:
-        the site joins as a singleton component unless ``near`` names
-        the site it is wired to, in which case it lands in ``near``'s
-        component.
+        <repro.replication.catalog.ReplicaCatalog.admit_site>`) — then
+        builds the full database stack for the site — WAL, replica
+        store, lock manager and a protocol engine running this cluster's
+        protocol — and registers it on the network.  An active partition
+        is preserved: the site joins as a singleton component unless
+        ``near`` names the site it is wired to, in which case it lands
+        in ``near``'s component.
 
         Joined copies receive a component-local state transfer (the
         newest reachable version; stale start at version 0 otherwise,
         which version masking already handles), so the join never
         *lowers* availability inside its component.  Commit protocols
         need no special case — later transactions simply see a new
-        reachable participant with catalog votes.
+        reachable participant with catalog votes, while one in flight
+        keeps the quorums of the epoch it started in.
 
         Raises:
             ConfigurationError: duplicate site id, unknown items, or a
@@ -495,25 +501,17 @@ class Cluster:
         if near is not None and near not in self.sites:
             raise ConfigurationError(f"cannot join near unknown site {near}")
         copies = dict(copies or {})
+        catalog = self.catalog.admit_site(site_id, copies)
         if self.protocol == "skq":
-            # validate the vote admission before any state is built
             self.skeen_rule.add_site(site_id)
-        try:
-            self.catalog.admit_site(site_id, copies)
-        except ConfigurationError:
-            if self.protocol == "skq":
-                self.skeen_rule.discard_site(site_id)
-            raise
-        hosted = self.catalog.items_by_site().get(site_id, ())
-        site = Site(site_id, self.network, self.catalog, hosted)  # registers on the network
+        self._enter_epoch(catalog)
+        site = Site(site_id, self.network, sorted(copies))  # registers on the network
         self.sites[site_id] = site
         if near is not None:
             self.network.place_with(site_id, near)
         # component-local state transfer for the joined copies
         for item in sorted(copies):
-            reachable = self.network.reachable_from(
-                site_id, self.catalog.sites_of(item)
-            )
+            reachable = self.network.reachable_from(site_id, catalog.sites_of(item))
             best = None
             for host in reachable:
                 if host == site_id:
@@ -543,19 +541,22 @@ class Cluster:
 
         Three phases, all at virtual time:
 
-        1. **Hand-off** — the site's copies are evicted from the shared
-           catalog (quorum votes re-derived majority-style over the
-           survivors, see :meth:`ReplicaCatalog.evict_site
-           <repro.replication.catalog.ReplicaCatalog.evict_site>`), so
-           no later transaction enlists it; its newest versions are
-           pushed to the staler reachable surviving hosts first, so the
-           hand-off never loses an installed write inside its component.
-        2. **Drain** — while the site still holds undecided transactions
+        1. **Hand-off** — the next catalog, without the site's copies
+           (quorum votes re-derived majority-style over the survivors,
+           see :meth:`ReplicaCatalog.evict_site
+           <repro.replication.catalog.ReplicaCatalog.evict_site>`),
+           becomes current, so no later transaction enlists it; its
+           newest versions are pushed to the staler reachable surviving
+           hosts first, so the hand-off never loses an installed write
+           inside its component.
+        2. **Drain** — while the site still acts for some transaction
+           (see :meth:`Site.in_flight <repro.db.site.Site.in_flight>`)
            it stays registered (its votes and locks keep serving the
            in-flight commit procedures), re-checked every
            ``drain_interval`` virtual seconds up to ``drain_polls``
            times.  A site that cannot drain in budget (e.g. blocked
-           behind a partition) departs anyway, traced ``leave-forced``.
+           behind a partition) departs anyway, traced ``leave-forced``,
+           its timers cancelled.
         3. **Deregister** — the network removes the node (messages in
            flight to it drop as ``departed-in-flight``) and the cluster
            moves it to :attr:`departed`.  Unlike a crash, nothing is
@@ -574,13 +575,14 @@ class Cluster:
                 f"site {site_id} is down; a graceful leave needs a live site "
                 "(crash/recover is the fail-stop path)"
             )
-        evicted = self.catalog.evict_site(site_id)  # validates before mutating
+        catalog, evicted = self.catalog.evict_site(site_id)
+        self._enter_epoch(catalog)
         # push the leaver's newest versions to staler reachable survivors
         for item in sorted(evicted):
             record = site.store.read(item)
             if record.version <= 0:
                 continue
-            for host in self.network.reachable_from(site_id, self.catalog.sites_of(item)):
+            for host in self.network.reachable_from(site_id, catalog.sites_of(item)):
                 if host == site_id:
                     continue
                 copy = self.sites[host].store.read(item)
@@ -590,10 +592,17 @@ class Cluster:
             self.scheduler.now, site_id, "leave-begin", items=sorted(evicted)
         )
         interval = drain_interval if drain_interval is not None else max(self.network.T, 1.0)
-        if site.undecided_txns():
+        if site.in_flight():
             self._poll_drain_after(site_id, interval, drain_polls - 1)
         else:
             self._finish_leave(site_id, forced=False)
+
+    def _enter_epoch(self, catalog: ReplicaCatalog) -> None:
+        """Make ``catalog`` current for the transactions begun from now on."""
+        self.catalog = catalog
+        self.epochs[catalog.epoch] = catalog
+        for site in self.sites.values():
+            site.engine.catalog = catalog
 
     def _poll_drain_after(self, site_id: int, interval: float, polls_left: int) -> None:
         # the queue entry must not hold the cluster (see _weakly)
@@ -603,16 +612,17 @@ class Cluster:
 
     def _drain_poll(self, site_id: int, interval: float, polls_left: int) -> None:
         """Phase 2 of :meth:`leave_site`: one drain check of the leaver."""
-        undecided = self.sites[site_id].undecided_txns()
-        if undecided and polls_left > 0:
+        busy = self.sites[site_id].in_flight()
+        if busy and polls_left > 0:
             self._poll_drain_after(site_id, interval, polls_left - 1)
             return
-        self._finish_leave(site_id, forced=bool(undecided))
+        self._finish_leave(site_id, forced=busy)
 
     def _finish_leave(self, site_id: int, forced: bool) -> None:
         """Phase 3 of :meth:`leave_site`: deregister the drained site."""
         if forced:
             self.tracer.record(self.scheduler.now, site_id, "leave-forced")
+            self.sites[site_id].cancel_timers()  # a departed site must not act
         if self.protocol == "skq":
             self.skeen_rule.discard_site(site_id)
         self.network.deregister(site_id)  # traces the canonical "leave"

@@ -31,7 +31,6 @@ from repro.storage.wal import WriteAheadLog
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.network import Network
     from repro.protocols.base import CommitProtocolEngine
-    from repro.replication.catalog import ReplicaCatalog
 
 
 class SiteHooks(ProtocolHooks):
@@ -79,7 +78,6 @@ class Site(Node):
         self,
         site_id: int,
         network: "Network",
-        catalog: "ReplicaCatalog",
         hosted: Iterable[str],
     ) -> None:
         """Build the site's stack and host ``hosted`` — its entry of
@@ -87,7 +85,6 @@ class Site(Node):
         <repro.replication.catalog.ReplicaCatalog.items_by_site>`, which
         the cluster computes once for all its sites."""
         super().__init__(site_id, network)
-        self.catalog = catalog
         self.wal = WriteAheadLog(site_id)
         self.store = ReplicaStore(site_id)
         self.locks = LockManager(site_id)
@@ -144,3 +141,11 @@ class Site(Node):
         return {
             txn for txn, rec in self.engine.records().items() if not rec.decided
         }
+
+    def in_flight(self) -> bool:
+        """Does this site still act for some transaction?  Either it is
+        undecided here, or this site coordinates it and the round's
+        vote or ack window has yet to close (closing it sends)."""
+        return bool(self.undecided_txns()) or (
+            self.engine is not None and bool(self.engine.open_rounds())
+        )

@@ -55,11 +55,7 @@ def _adversarial_scenario(protocol: str, cross_pair: bool) -> PairingResult:
     catalog = CatalogBuilder().replicated_item("x", sites=[1, 2, 3, 4], r=2, w=3).build()
     cluster = Cluster(catalog, protocol=protocol)
     if cross_pair:
-        crossed = (
-            TerminationRule1(catalog)
-            if protocol == "qtp2"
-            else TerminationRule2(catalog)
-        )
+        crossed = TerminationRule1() if protocol == "qtp2" else TerminationRule2()
         for site in cluster.sites.values():
             site.engine.rule = crossed
     # the prepare round reaches only sites 1 and 2

@@ -118,14 +118,14 @@ def run_decision_matrix(rules: list[TerminationRule] | None = None) -> DecisionM
     catalog = example1_catalog()
     if rules is None:
         rules = [
-            TerminationRule1(catalog),
-            TerminationRule2(catalog),
+            TerminationRule1(),
+            TerminationRule2(),
             SkeenQuorumRule({s: 1 for s in range(1, 9)}, vc=5, va=4),
         ]
     items = ["x", "y"]
     rows = []
     for label, states in DECISION_MATRIX_CASES:
         rows.append(
-            (label, [rule.evaluate(items, states).value for rule in rules])
+            (label, [rule.evaluate(items, states, catalog=catalog).value for rule in rules])
         )
     return DecisionMatrix(rules=[rule.name for rule in rules], rows=rows)

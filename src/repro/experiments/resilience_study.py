@@ -138,7 +138,6 @@ def rolling_upgrade_scenario(
         workload=WorkloadSpec(n_txns=n_txns, mean_spacing=mean_spacing),
         plan=plan,
         counters=counters,
-        mutable=True,
         retry=retry,
     )
 

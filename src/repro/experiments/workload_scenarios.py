@@ -235,6 +235,5 @@ def elastic_join_scenario(
         workload=WorkloadSpec(n_txns=n_txns, mean_spacing=mean_spacing),
         plan=plan,
         counters=counters,
-        mutable=True,
     )
 

@@ -198,11 +198,15 @@ class Node:
     def crash(self) -> None:
         """Lose volatile state: cancel timers, stop acting."""
         self.alive = False
+        self.cancel_timers()
+        self.on_crash()
+
+    def cancel_timers(self) -> None:
+        """Cancel every pending timer of this node."""
         for timer in self._timers:
             timer.cancel()
         self._timers.clear()
         self._prune_at = _MIN_PRUNE
-        self.on_crash()
 
     def recover(self) -> None:
         """Come back up; subclasses rebuild from durable state."""

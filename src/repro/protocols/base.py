@@ -77,9 +77,11 @@ class TerminationRule(ABC):
     ``states`` maps each *reachable, active* participant to the local
     state it reported in phase 1; ``items`` is the transaction's
     writeset W(TR); ``participants`` is the transaction's full
-    participant set (site-quorum rules size their quorums against it —
-    the data-item rules get their totals from the catalog and ignore
-    it).  Implementations must be side-effect free.
+    participant set and ``catalog`` the catalog of the epoch the
+    transaction started in.  Site-quorum rules size their quorums
+    against the participants, the data-item rules count votes in the
+    catalog; each ignores the other.  Implementations must be side-effect
+    free.
     """
 
     #: short name used in traces and experiment tables.
@@ -91,6 +93,7 @@ class TerminationRule(ABC):
         items: list[str],
         states: Mapping[int, TxnState],
         participants: Iterable[int] | None = None,
+        catalog: "ReplicaCatalog | None" = None,
     ) -> Decision:
         """Phase-2 decision given phase-1 state reports."""
 
@@ -99,6 +102,7 @@ class TerminationRule(ABC):
         items: list[str],
         supporters: Iterable[int],
         participants: Iterable[int] | None = None,
+        catalog: "ReplicaCatalog | None" = None,
     ) -> bool:
         """Phase 3a: may COMMIT be sent given PC-repliers + PC-ACKers?"""
         return True
@@ -108,6 +112,7 @@ class TerminationRule(ABC):
         items: list[str],
         supporters: Iterable[int],
         participants: Iterable[int] | None = None,
+        catalog: "ReplicaCatalog | None" = None,
     ) -> bool:
         """Phase 3b: may ABORT be sent given PA-repliers + PA-ACKers?"""
         return True
@@ -160,6 +165,8 @@ class TxnRecord:
     coordinator: int
     participants: list[int]
     writes: dict[str, tuple[Any, int]]
+    #: the membership epoch the transaction started in (its quorums)
+    epoch: int = 0
     state: TxnState = TxnState.Q
     blocked: bool = False
 
@@ -225,9 +232,12 @@ class _CoordinationRound:
     txn: str
     writes: dict[str, tuple[Any, int]]
     participants: list[int]
+    catalog: "ReplicaCatalog"
     phase: str = "voting"  # voting -> preparing -> done
     votes: dict[int, bool] = field(default_factory=dict)
     ackers: set[int] = field(default_factory=set)
+    #: the vote or ack window's timer (it fires the round's next step)
+    window: "EventHandle | None" = None
 
 
 # ----------------------------------------------------------------------
@@ -278,6 +288,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         node: "Node",
         wal: WriteAheadLog,
         catalog: "ReplicaCatalog",
+        epochs: Mapping[int, "ReplicaCatalog"],
         rule: TerminationRule,
         hooks: ProtocolHooks | None = None,
         enforce_ignore_rules: bool = True,
@@ -287,7 +298,10 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         Args:
             node: the site's network actor.
             wal: the site's write-ahead log.
-            catalog: the replica catalog (vote oracle).
+            catalog: the current replica catalog: new transactions
+                start in its epoch.  The owner swaps in the next one.
+            epochs: every catalog a transaction here may have started
+                in, by epoch (the vote oracle); the owner adds to it.
             rule: termination decision logic for this protocol family.
             hooks: database-layer callbacks (default: vote yes, no-op).
             enforce_ignore_rules: when False, participants respond to
@@ -298,6 +312,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         self.node = node
         self.wal = wal
         self.catalog = catalog
+        self.epochs = epochs
         self.rule = rule
         self.hooks = hooks or ProtocolHooks()
         self.enforce_ignore_rules = enforce_ignore_rules
@@ -322,6 +337,15 @@ class CommitProtocolEngine(ElectionMixin, ABC):
     def records(self) -> dict[str, TxnRecord]:
         """All participant records at this site (live view)."""
         return self._records
+
+    def open_rounds(self) -> list[str]:
+        """Transactions this site coordinates whose vote or ack window
+        is still armed."""
+        return [
+            txn
+            for txn, round_ in self._rounds.items()
+            if round_.phase != "done" and round_.window is not None and round_.window.active
+        ]
 
     @property
     def site(self) -> int:
@@ -377,12 +401,13 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         if participants is None:
             participants = self.catalog.sites_of_any(writes)
         participants = sorted(participants)
-        round_ = _CoordinationRound(txn, writes, participants)
+        catalog = self.catalog
+        round_ = _CoordinationRound(txn, writes, participants, catalog)
         self._rounds[txn] = round_
         # the coordinator's begin record makes the commit attempt itself
         # durable, so a recovered coordinator knows which transactions it
         # left in flight (classical 2PC recovery depends on this).
-        self.wal.begin(txn, writes, participants, self.site, role="coordinator")
+        self.wal.begin(txn, writes, participants, self.site, catalog.epoch, role="coordinator")
         self.node.trace("coord-begin", txn, participants=participants, items=sorted(writes))
         self.node.multicast(
             participants,
@@ -391,8 +416,9 @@ class CommitProtocolEngine(ElectionMixin, ABC):
             writes={k: list(v) for k, v in writes.items()},
             participants=participants,
             coordinator=self.site,
+            epoch=catalog.epoch,
         )
-        self.node.set_timer(
+        round_.window = self.node.set_timer(
             2 * self._T + self._eps, self._vote_window_closed, txn, label="vote-window"
         )
 
@@ -423,7 +449,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
     def _send_prepare(self, round_: _CoordinationRound, window_factor: float = 2.0) -> None:
         """Broadcast PREPARE(-TO-COMMIT) and open the ack window."""
         self.node.multicast(round_.participants, self._m("prepare"), round_.txn)
-        self.node.set_timer(
+        round_.window = self.node.set_timer(
             window_factor * self._T + self._eps,
             self._ack_window_closed,
             round_.txn,
@@ -476,7 +502,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         if msg.txn in self._records:
             return  # duplicate vote-req
         record = self._record_from_payload(msg.txn, msg.payload)
-        self.wal.begin(msg.txn, record.writes, record.participants, record.coordinator)
+        self.wal.begin(msg.txn, record.writes, record.participants, record.coordinator, record.epoch)
         yes = self.hooks.vote(msg.txn, record.writes)
         self.wal.vote(msg.txn, yes)
         if yes:
@@ -494,6 +520,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
             coordinator=payload["coordinator"],
             participants=list(payload["participants"]),
             writes=writes,
+            epoch=payload["epoch"],
         )
         self._records[txn] = record
         return record
@@ -560,7 +587,11 @@ class CommitProtocolEngine(ElectionMixin, ABC):
     # ==========================================================================
 
     def _run_termination(self, txn: str) -> None:
-        """Phase 1: poll every reachable participant for its local state."""
+        """Phase 1: poll every reachable participant for its local state.
+
+        A coordinator that holds no copy is polled too: it may have
+        logged the decision whose commands never arrived.
+        """
         record = self._records.get(txn)
         if record is None or record.decided:
             return
@@ -570,7 +601,10 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         record.term_states = {}
         record.term_supporters = set()
         record.term_mode = ""
-        reachable = self.node.network.reachable_from(self.site, record.participants)
+        polled = record.participants
+        if record.coordinator not in polled:
+            polled = [*polled, record.coordinator]
+        reachable = self.node.network.reachable_from(self.site, polled)
         self.node.trace(
             "term-phase1", txn, attempt=record.term_attempt, polled=reachable
         )
@@ -582,6 +616,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
             coordinator=self.site,
             writes={k: list(v) for k, v in record.writes.items()},
             participants=record.participants,
+            epoch=record.epoch,
         )
         record.set_timer(
             self.node,
@@ -594,6 +629,19 @@ class CommitProtocolEngine(ElectionMixin, ABC):
 
     def _on_term_state_req(self, msg: Message) -> None:
         record = self._records.get(msg.txn)
+        if record is None and self.site not in msg.payload["participants"]:
+            # the transaction's coordinator, holding no copy: it answers
+            # with the decision it logged, and stays silent until then
+            decision = self.wal.decision(msg.txn)
+            if decision is not None:
+                self.node.send(
+                    msg.src,
+                    self._m("t.state"),
+                    msg.txn,
+                    attempt=msg.payload["attempt"],
+                    state="C" if decision == "commit" else "A",
+                )
+            return
         if record is None:
             # A site with no record *and no durable trace* of the
             # transaction never received the vote-req: it is in the
@@ -609,7 +657,9 @@ class CommitProtocolEngine(ElectionMixin, ABC):
             if decision is not None:
                 record.state = TxnState.C if decision == "commit" else TxnState.A
             else:
-                self.wal.begin(msg.txn, record.writes, record.participants, record.coordinator)
+                self.wal.begin(
+                    msg.txn, record.writes, record.participants, record.coordinator, record.epoch
+                )
         self.node.send(
             msg.src,
             self._m("t.state"),
@@ -634,7 +684,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
             return
         states = dict(record.term_states)
         decision = self.rule.evaluate(
-            record.items, states, participants=record.participants
+            record.items, states, participants=record.participants, catalog=self.epochs[record.epoch]
         )
         self.node.trace(
             "term-phase2",
@@ -732,14 +782,15 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         if record is None or record.decided or record.term_attempt != attempt:
             return
         supporters = set(record.term_supporters)
+        catalog = self.epochs[record.epoch]
         if record.term_mode == "commit-round":
             ok = self.rule.commit_round_ok(
-                record.items, supporters, participants=record.participants
+                record.items, supporters, participants=record.participants, catalog=catalog
             )
             outcome = "commit"
         else:
             ok = self.rule.abort_round_ok(
-                record.items, supporters, participants=record.participants
+                record.items, supporters, participants=record.participants, catalog=catalog
             )
             outcome = "abort"
         self.node.trace(
@@ -817,7 +868,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         recovered = []
         undecided = recover_protocol_states(self.wal)
         coordinated = {}  # txn -> (writes, participants) of its first coordinator begin
-        for txn, role, writes, participants, coordinator in self.wal.begins():
+        for txn, role, writes, participants, coordinator, epoch in self.wal.begins():
             if role == "coordinator":
                 coordinated.setdefault(txn, (writes, participants))
                 continue
@@ -837,6 +888,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
                 coordinator=coordinator,
                 participants=list(participants),
                 writes=dict(writes),
+                epoch=epoch,
                 state=state,
             )
             self._records[txn] = record

@@ -34,7 +34,8 @@ class _QuorumCommitEngine(CommitProtocolEngine):
         self._send_prepare(round_)
 
     def _commit_quorum_reached(self, round_: _CoordinationRound) -> bool:
-        """Variant-specific PC-ACK sufficiency test."""
+        """Variant-specific PC-ACK sufficiency test, in the catalog of
+        the epoch the transaction started in."""
         raise NotImplementedError
 
     def _on_ack_progress(self, round_: _CoordinationRound) -> None:
@@ -64,10 +65,8 @@ class QTP1Engine(_QuorumCommitEngine):
     family = "qtp1"
 
     def _commit_quorum_reached(self, round_: _CoordinationRound) -> bool:
-        items = sorted(round_.writes)
-        return all(
-            self.catalog.votes(x, round_.ackers) >= self.catalog.w(x) for x in items
-        )
+        catalog = round_.catalog
+        return all(catalog.votes(x, round_.ackers) >= catalog.w(x) for x in sorted(round_.writes))
 
 
 class QTP2Engine(_QuorumCommitEngine):
@@ -76,7 +75,5 @@ class QTP2Engine(_QuorumCommitEngine):
     family = "qtp2"
 
     def _commit_quorum_reached(self, round_: _CoordinationRound) -> bool:
-        items = sorted(round_.writes)
-        return any(
-            self.catalog.votes(x, round_.ackers) >= self.catalog.r(x) for x in items
-        )
+        catalog = round_.catalog
+        return any(catalog.votes(x, round_.ackers) >= catalog.r(x) for x in sorted(round_.writes))

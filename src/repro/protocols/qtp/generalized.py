@@ -51,6 +51,7 @@ class PrimaryTerminationRule(TerminationRule):
         items: list[str],
         states: Mapping[int, TxnState],
         participants: Iterable[int] | None = None,
+        catalog=None,
     ) -> Decision:
         if not states:
             return Decision.BLOCK
@@ -78,6 +79,7 @@ class PrimaryTerminationRule(TerminationRule):
         items: list[str],
         supporters: Iterable[int],
         participants: Iterable[int] | None = None,
+        catalog=None,
     ) -> bool:
         return self.strategy.holds_all_primaries(items, supporters)
 
@@ -86,6 +88,7 @@ class PrimaryTerminationRule(TerminationRule):
         items: list[str],
         supporters: Iterable[int],
         participants: Iterable[int] | None = None,
+        catalog=None,
     ) -> bool:
         return self.strategy.holds_some_primary(items, supporters)
 

@@ -57,41 +57,24 @@ def votes_by_state(
 
 
 class _QtpRuleBase(TerminationRule):
-    """Shared plumbing of the two rules: catalog-backed vote tests."""
-
-    def __init__(self, catalog: ReplicaCatalog) -> None:
-        self.catalog = catalog
+    """Shared plumbing of the two rules: vote tests in the catalog of
+    the transaction's epoch (the engine passes it with every call)."""
 
     # -- threshold predicates over a site set --------------------------------
 
-    def _w_all(self, items: list[str], sites: Iterable[int]) -> bool:
+    @staticmethod
+    def _w_all(catalog: ReplicaCatalog, items: list[str], sites: Iterable[int]) -> bool:
         """>= w(x) votes for *every* item x from ``sites``."""
         site_set = set(sites)
         return bool(items) and all(
-            self.catalog.votes(x, site_set) >= self.catalog.w(x) for x in items
+            catalog.votes(x, site_set) >= catalog.w(x) for x in items
         )
 
-    def _r_some(self, items: list[str], sites: Iterable[int]) -> bool:
+    @staticmethod
+    def _r_some(catalog: ReplicaCatalog, items: list[str], sites: Iterable[int]) -> bool:
         """>= r(x) votes for *some* item x from ``sites``."""
         site_set = set(sites)
-        return any(
-            self.catalog.votes(x, site_set) >= self.catalog.r(x) for x in items
-        )
-
-    def _r_all(self, items: list[str], sites: Iterable[int]) -> bool:
-        """>= r(x) votes for *every* item x (used nowhere by the paper,
-        provided for ablation variants)."""
-        site_set = set(sites)
-        return bool(items) and all(
-            self.catalog.votes(x, site_set) >= self.catalog.r(x) for x in items
-        )
-
-    def _w_some(self, items: list[str], sites: Iterable[int]) -> bool:
-        """>= w(x) votes for *some* item x (ablation helper)."""
-        site_set = set(sites)
-        return any(
-            self.catalog.votes(x, site_set) >= self.catalog.w(x) for x in items
-        )
+        return any(catalog.votes(x, site_set) >= catalog.r(x) for x in items)
 
 
 class TerminationRule1(_QtpRuleBase):
@@ -104,37 +87,38 @@ class TerminationRule1(_QtpRuleBase):
         items: list[str],
         states: Mapping[int, TxnState],
         participants: Iterable[int] | None = None,
+        catalog: ReplicaCatalog | None = None,
     ) -> Decision:
         if not states:
             return Decision.BLOCK
         groups = votes_by_state(states)
         pc = groups.get(TxnState.PC, set())
         pa = groups.get(TxnState.PA, set())
-        if TxnState.C in groups or self._w_all(items, pc):
+        if TxnState.C in groups or self._w_all(catalog, items, pc):
             return Decision.COMMIT
         if (
             TxnState.A in groups
             or TxnState.Q in groups
-            or self._r_some(items, pa)
+            or self._r_some(catalog, items, pa)
         ):
             return Decision.ABORT
         not_pa = set(states) - pa
-        if pc and self._w_all(items, not_pa):
+        if pc and self._w_all(catalog, items, not_pa):
             return Decision.TRY_COMMIT
         not_pc = set(states) - pc
-        if self._r_some(items, not_pc):
+        if self._r_some(catalog, items, not_pc):
             return Decision.TRY_ABORT
         return Decision.BLOCK
 
     def commit_round_ok(
-        self, items: list[str], supporters: Iterable[int], participants=None
+        self, items: list[str], supporters: Iterable[int], participants=None, catalog=None
     ) -> bool:
-        return self._w_all(items, supporters)
+        return self._w_all(catalog, items, supporters)
 
     def abort_round_ok(
-        self, items: list[str], supporters: Iterable[int], participants=None
+        self, items: list[str], supporters: Iterable[int], participants=None, catalog=None
     ) -> bool:
-        return self._r_some(items, supporters)
+        return self._r_some(catalog, items, supporters)
 
 
 class TerminationRule2(_QtpRuleBase):
@@ -147,34 +131,35 @@ class TerminationRule2(_QtpRuleBase):
         items: list[str],
         states: Mapping[int, TxnState],
         participants: Iterable[int] | None = None,
+        catalog: ReplicaCatalog | None = None,
     ) -> Decision:
         if not states:
             return Decision.BLOCK
         groups = votes_by_state(states)
         pc = groups.get(TxnState.PC, set())
         pa = groups.get(TxnState.PA, set())
-        if TxnState.C in groups or self._r_some(items, pc):
+        if TxnState.C in groups or self._r_some(catalog, items, pc):
             return Decision.COMMIT
         if (
             TxnState.A in groups
             or TxnState.Q in groups
-            or self._w_all(items, pa)
+            or self._w_all(catalog, items, pa)
         ):
             return Decision.ABORT
         not_pa = set(states) - pa
-        if pc and self._r_some(items, not_pa):
+        if pc and self._r_some(catalog, items, not_pa):
             return Decision.TRY_COMMIT
         not_pc = set(states) - pc
-        if self._w_all(items, not_pc):
+        if self._w_all(catalog, items, not_pc):
             return Decision.TRY_ABORT
         return Decision.BLOCK
 
     def commit_round_ok(
-        self, items: list[str], supporters: Iterable[int], participants=None
+        self, items: list[str], supporters: Iterable[int], participants=None, catalog=None
     ) -> bool:
-        return self._r_some(items, supporters)
+        return self._r_some(catalog, items, supporters)
 
     def abort_round_ok(
-        self, items: list[str], supporters: Iterable[int], participants=None
+        self, items: list[str], supporters: Iterable[int], participants=None, catalog=None
     ) -> bool:
-        return self._w_all(items, supporters)
+        return self._w_all(catalog, items, supporters)

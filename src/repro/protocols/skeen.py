@@ -126,6 +126,7 @@ class SkeenQuorumRule(TerminationRule):
         items: list[str],
         states: Mapping[int, TxnState],
         participants: Iterable[int] | None = None,
+        catalog=None,
     ) -> Decision:
         if not states:
             return Decision.BLOCK
@@ -156,6 +157,7 @@ class SkeenQuorumRule(TerminationRule):
         items: list[str],
         supporters: Iterable[int],
         participants: Iterable[int] | None = None,
+        catalog=None,
     ) -> bool:
         vc, __ = self._quorums(participants)
         return self._weight(supporters) >= vc
@@ -165,6 +167,7 @@ class SkeenQuorumRule(TerminationRule):
         items: list[str],
         supporters: Iterable[int],
         participants: Iterable[int] | None = None,
+        catalog=None,
     ) -> bool:
         __, va = self._quorums(participants)
         return self._weight(supporters) >= va

@@ -41,6 +41,7 @@ class ThreePCTerminationRule(TerminationRule):
         items: list[str],
         states: Mapping[int, TxnState],
         participants=None,
+        catalog=None,
     ) -> Decision:
         reported = set(states.values())
         if TxnState.C in reported:
@@ -55,7 +56,7 @@ class ThreePCTerminationRule(TerminationRule):
             return Decision.BLOCK
         return Decision.ABORT
 
-    def commit_round_ok(self, items: list[str], supporters, participants=None) -> bool:
+    def commit_round_ok(self, items: list[str], supporters, participants=None, catalog=None) -> bool:
         """Site failures only: whoever did not ack is presumed crashed."""
         return True
 

@@ -41,6 +41,7 @@ class CooperativeTerminationRule(TerminationRule):
         items: list[str],
         states: Mapping[int, TxnState],
         participants=None,
+        catalog=None,
     ) -> Decision:
         reported = set(states.values())
         if TxnState.C in reported:

@@ -57,9 +57,8 @@ class RecordingSpec:
         self.gaps: list[float] = []
 
     def compile(self, catalog, regions=None) -> "_RecordingWorkload":
-        """Bind like a spec would, capturing the binding as a side effect
-        (a fork: the run may go on to change the placement it was given)."""
-        self.catalog = catalog.fork()
+        """Bind like a spec would, capturing the binding as a side effect."""
+        self.catalog = catalog
         return _RecordingWorkload(self.spec.compile(catalog, regions), self)
 
 
@@ -70,7 +69,16 @@ class _RecordingWorkload:
         self._inner = inner
         self._log = log
         self.spec = inner.spec
-        self.catalog = inner.catalog
+
+    @property
+    def catalog(self):
+        """The inner stream's placement (re-pointing it re-points the
+        inner stream, which draws the origins)."""
+        return self._inner.catalog
+
+    @catalog.setter
+    def catalog(self, catalog) -> None:
+        self._inner.catalog = catalog
 
     def arrivals(self, rng) -> list[float]:
         times = self._inner.arrivals(rng)

@@ -193,8 +193,6 @@ def replay_trace(
         if (cfg.quorum != "recorded" or cfg.drop_sites)
         else trace.catalog
     )
-    if scenario.mutable:
-        catalog = catalog.fork()  # the run's joins and leaves must not rewrite the trace
     # every site an op can originate at: the hosts, a WAN layout's pure
     # coordinators, and the sites the recorded plan joins mid-run
     universe = set(catalog.all_sites())

@@ -8,6 +8,12 @@ the integration the paper advocates:
    from ``w(x)`` / ``r(x)``;
 3. the **termination protocols** (Fig. 5 / Fig. 8) evaluate commit and
    abort quorums over it.
+
+Placement is a value.  A catalog never changes; a join or a leave
+builds the next one, numbered one :attr:`~ReplicaCatalog.epoch` later.
+Layers 2 and 3 count a transaction's votes in the catalog of the epoch
+it started in, so a membership change never re-derives ``w(x)`` under
+a transaction in flight.
 """
 
 from __future__ import annotations
@@ -69,24 +75,26 @@ class ItemConfig:
 
 
 class ReplicaCatalog:
-    """Map of items to their placement and quorum sizes.
+    """Map of items to their placement and quorum sizes, for one epoch.
 
-    Immutable in normal operation — every layer reads it live.  The
-    sanctioned mutations are :meth:`admit_site` and :meth:`evict_site`
-    (elastic membership): a site joining mid-run adds copies, a site
-    leaving gracefully sheds them, and because the protocol engines and
-    quorum planners all hold *this* object, they see the new placement
-    the moment it lands — a joined site is simply a new reachable
-    participant, a departed one simply stops being enlisted.
+    Immutable: a catalog is a value.  Elastic membership does not edit
+    it — :meth:`admit_site` and :meth:`evict_site` return the *next*
+    catalog, one :attr:`epoch` later, and leave this one as it was.
+    Whoever runs the installation (a :class:`~repro.db.cluster.Cluster`)
+    decides which epoch is current; a transaction keeps the epoch it
+    started in, so the ``w(x)`` / ``r(x)`` its commit and termination
+    count against cannot change under it.
     """
 
-    def __init__(self, items: Iterable[ItemConfig]) -> None:
+    def __init__(self, items: Iterable[ItemConfig], epoch: int = 0) -> None:
         self._items: dict[str, ItemConfig] = {}
         for config in items:
             if config.name in self._items:
                 raise ConfigurationError(f"duplicate item {config.name!r}")
             config.validate()
             self._items[config.name] = config
+        #: membership epoch: 0 when built, one more per join or leave
+        self.epoch = epoch
 
     # ------------------------------------------------------------------
     # lookup
@@ -127,9 +135,7 @@ class ReplicaCatalog:
         """Site -> names of the items it hosts a copy of, sorted.
 
         The one definition of "hosted at a site": one pass over the
-        copies, computed from the live item map on every call, so it is
-        current after :meth:`admit_site` / :meth:`evict_site` and on a
-        :meth:`fork`.  A site hosting nothing has no entry.
+        copies.  A site hosting nothing has no entry.
         """
         hosted: dict[int, list[str]] = {}
         for name in sorted(self._items):
@@ -166,117 +172,70 @@ class ReplicaCatalog:
         """Do ``sites`` hold at least w(x) votes for ``item``?"""
         return self.votes(item, sites) >= self.w(item)
 
-    def fork(self) -> "ReplicaCatalog":
-        """A mutation-isolated copy of this catalog.
-
-        Shares the frozen per-item :class:`ItemConfig` objects (they are
-        immutable) but owns its item map, so :meth:`admit_site` on the
-        fork never leaks into the original.  Used by the catalog memo:
-        a cached catalog handed to a driver that joins sites mid-run
-        must not poison later trials in the same worker.  Skips
-        re-validation — the source catalog already validated every item.
-        """
-        clone = ReplicaCatalog.__new__(ReplicaCatalog)
-        clone._items = dict(self._items)
-        return clone
-
     # ------------------------------------------------------------------
-    # elastic membership
+    # elastic membership: the next epoch
     # ------------------------------------------------------------------
 
-    def admit_site(
-        self,
-        site: int,
-        copies: Mapping[str, int],
-        rebalance: bool = True,
-    ) -> None:
-        """Add a joining site's copies to existing items, in place.
+    def admit_site(self, site: int, copies: Mapping[str, int]) -> "ReplicaCatalog":
+        """The next catalog: this one plus a joining site's copies.
 
-        With ``rebalance=True`` (default) each touched item's quorums
-        are re-derived majority-style over the enlarged vote total
-        (``w = v//2 + 1``, ``r = v - w + 1`` — the same defaults
-        :meth:`CatalogBuilder.replicated_item` uses), so the Gifford
-        constraints hold by construction.  With ``rebalance=False`` the
-        old quorums are kept and re-validated — the join is rejected if
-        the added votes break ``r + w > v`` or ``2w > v``.
-
-        Either way validation runs *before* any item is touched, so a
-        rejected join leaves the catalog unchanged.
+        Each touched item's quorums are re-derived majority-style over
+        the enlarged vote total (``w = v//2 + 1``, ``r = v - w + 1`` —
+        the same defaults :meth:`CatalogBuilder.replicated_item` uses),
+        so the Gifford constraints hold by construction.
 
         Raises:
-            ConfigurationError: unknown item, non-positive votes, a
-                duplicate copy, or (``rebalance=False``) broken quorum
-                constraints.
+            ConfigurationError: unknown item, non-positive votes or a
+                duplicate copy.
         """
-        updated: dict[str, ItemConfig] = {}
+        updated = dict(self._items)
         for item in sorted(copies):
-            votes = copies[item]
             config = self.item(item)
             if site in config.copies:
                 raise ConfigurationError(
                     f"site {site} already hosts a copy of {item!r}"
                 )
-            new_copies = {**config.copies, site: votes}
-            v = sum(new_copies.values())
-            if rebalance:
-                w = v // 2 + 1
-                r = v - w + 1
-            else:
-                r, w = config.read_quorum, config.write_quorum
-            candidate = ItemConfig(item, new_copies, r, w)
-            candidate.validate()
-            updated[item] = candidate
-        self._items.update(updated)
+            updated[item] = _majority(item, {**config.copies, site: copies[item]})
+        return ReplicaCatalog(updated.values(), self.epoch + 1)
 
-    def evict_site(self, site: int, rebalance: bool = True) -> dict[str, int]:
-        """Remove a leaving site's copies from every item, in place.
+    def evict_site(self, site: int) -> tuple["ReplicaCatalog", dict[str, int]]:
+        """The next catalog: this one without a leaving site's copies.
 
         The dual of :meth:`admit_site` (graceful decommission): each
-        item the site hosts sheds that copy's votes, and with
-        ``rebalance=True`` (default) the quorums are re-derived
-        majority-style over the shrunken vote total (``w = v//2 + 1``,
-        ``r = v - w + 1``) — the same hand-off arithmetic a join uses,
-        run in reverse.  With ``rebalance=False`` the old quorums are
-        kept and re-validated, so the eviction is rejected when the
-        remaining votes can no longer satisfy them.
-
-        Validation runs *before* any item is touched: an eviction that
-        would leave some item with no copies at all (the departing site
-        held the only one) raises and leaves the catalog unchanged.
+        item the site hosts sheds that copy's votes and has its quorums
+        re-derived majority-style over the shrunken vote total — the
+        same hand-off arithmetic a join uses, run in reverse.
 
         Returns:
-            the evicted copies as ``{item: votes}`` — what the site
-            handed off, for the caller's bookkeeping.
+            ``(catalog, evicted)``: the next catalog, and the evicted
+            copies as ``{item: votes}`` — what the site handed off.
 
         Raises:
-            ConfigurationError: an item would lose its last copy, or
-                (``rebalance=False``) the shrunken votes break the
-                quorum constraints.
+            ConfigurationError: an item would lose its last copy (the
+                departing site held the only one).
         """
-        updated: dict[str, ItemConfig] = {}
+        updated = dict(self._items)
         evicted: dict[str, int] = {}
         for item in sorted(self._items):
             config = self._items[item]
             if site not in config.copies:
                 continue
-            new_copies = {s: v for s, v in config.copies.items() if s != site}
-            if not new_copies:
+            remaining = {s: v for s, v in config.copies.items() if s != site}
+            if not remaining:
                 raise ConfigurationError(
                     f"site {site} holds the only copy of {item!r}; "
                     "cannot evict without losing the item"
                 )
-            v = sum(new_copies.values())
-            if rebalance:
-                w = v // 2 + 1
-                r = v - w + 1
-            else:
-                r, w = config.read_quorum, config.write_quorum
-            candidate = ItemConfig(item, new_copies, r, w)
-            candidate.validate()
-            updated[item] = candidate
+            updated[item] = _majority(item, remaining)
             evicted[item] = config.copies[site]
-        self._items.update(updated)
-        return evicted
+        return ReplicaCatalog(updated.values(), self.epoch + 1), evicted
+
+
+def _majority(name: str, copies: Mapping[int, int]) -> ItemConfig:
+    """``name`` over ``copies`` with majority-style quorums."""
+    v = sum(copies.values())
+    w = v // 2 + 1
+    return ItemConfig(name, copies, v - w + 1, w)
 
 
 class CatalogBuilder:

@@ -31,7 +31,7 @@ action                wire name      class       effect
                                                  oscillation of one directed
                                                  link
 ``JoinSite``          ``join``       membership  brand-new site registered,
-                                                 catalog rebalanced (elastic
+                                                 next catalog built (elastic
                                                  scale-out)
 ``LeaveSite``         ``leave``      membership  graceful decommission:
                                                  drain in-flight txns, hand
@@ -278,8 +278,8 @@ class LeaveSite(_SiteAction):
     """Gracefully decommission ``site`` at ``time``.
 
     The dual of :class:`JoinSite`: the site drains its in-flight
-    transactions, hands its quorum votes off through the catalog's
-    rebalance machinery, then deregisters from the network.  Unlike a
+    transactions, hands its quorum votes off (the next catalog
+    re-derives the survivors' quorums), then deregisters from the network.  Unlike a
     crash, no state is lost and counters record a *leave*, not a
     failure.  Needs the membership handler, like joins.
     """

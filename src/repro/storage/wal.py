@@ -11,7 +11,8 @@ Record kinds used by the commit protocols:
 kind           meaning
 =============  =====================================================
 ``begin``      site became a participant of txn (payload: writeset,
-               participants, coordinator; ``role="coordinator"`` on
+               participants, coordinator, the membership epoch whose
+               catalog holds its quorums; ``role="coordinator"`` on
                the coordinator's own begin)
 ``vote``       site voted yes/no (payload: vote)
 ``pc``         site entered the PC (prepare-to-commit) state
@@ -31,7 +32,7 @@ per kind — :meth:`~WriteAheadLog.begin`, :meth:`~WriteAheadLog.vote`,
 :meth:`~WriteAheadLog.pc`, :meth:`~WriteAheadLog.pa`,
 :meth:`~WriteAheadLog.decide`, :meth:`~WriteAheadLog.apply` — and each
 stores its payload in the kind's own shape: a begin keeps ``(role,
-writes, participants, coordinator)``, a vote ``"yes"``/``"no"``, an
+writes, participants, coordinator, epoch)``, a vote ``"yes"``/``"no"``, an
 apply ``(item, value, version)``, a pc/pa/decision its role or None.
 The generic :meth:`~WriteAheadLog.force` (tests and tools) stores its
 keyword dict as-is.
@@ -96,8 +97,8 @@ class LogRecord(NamedTuple):
 
 
 #: one begin row as recovery reads it: (txn, role, writes, participants,
-#: coordinator), writes as item -> (value, version).
-BeginRow = tuple[str, str | None, Mapping[str, tuple[Any, int]], list[int], int]
+#: coordinator, epoch), writes as item -> (value, version).
+BeginRow = tuple[str, str | None, Mapping[str, tuple[Any, int]], list[int], int, int]
 
 
 def _payload_view(kind: str, row: Any) -> dict[str, Any]:
@@ -106,11 +107,12 @@ def _payload_view(kind: str, row: Any) -> dict[str, Any]:
     if type(row) is dict:
         return row
     if kind == "begin":
-        role, writes, participants, coordinator = row
+        role, writes, participants, coordinator, epoch = row
         body: dict[str, Any] = {"role": role} if role else {}
         body["writes"] = {item: list(pair) for item, pair in writes.items()}
         body["participants"] = participants
         body["coordinator"] = coordinator
+        body["epoch"] = epoch
         return body
     if kind == "vote":
         return {"vote": row}
@@ -158,13 +160,15 @@ class WriteAheadLog:
         writes: Mapping[str, tuple[Any, int]],
         participants: list[int],
         coordinator: int,
+        epoch: int,
         role: str | None = None,
     ) -> None:
-        """Log joining txn; ``writes`` and ``participants`` are kept by
-        reference (see the module docstring).  Rides the open batch."""
+        """Log joining txn in membership ``epoch``; ``writes`` and
+        ``participants`` are kept by reference (see the module
+        docstring).  Rides the open batch."""
         self._txns.append(txn)
         self._kinds.append("begin")
-        self._payloads.append((role, writes, participants, coordinator))
+        self._payloads.append((role, writes, participants, coordinator, epoch))
         self._unflushed += 1
 
     def vote(self, txn: str, yes: bool) -> None:
@@ -361,14 +365,15 @@ class WriteAheadLog:
 
     def begins(self) -> list[BeginRow]:
         """Every ``begin`` row in LSN order, as recovery reads it:
-        ``(txn, role, writes, participants, coordinator)`` with writes
-        as item -> ``(value, version)``."""
+        ``(txn, role, writes, participants, coordinator, epoch)`` with
+        writes as item -> ``(value, version)``."""
         self._index()
         rows: list[BeginRow] = []
         for pos in self._begins:
             row = self._payloads[pos]
             if type(row) is dict:  # a generic begin: writes were given as lists
                 writes = {item: (pair[0], pair[1]) for item, pair in row.get("writes", {}).items()}
-                row = (row.get("role"), writes, row.get("participants", []), row.get("coordinator"))
+                row = (row.get("role"), writes, row.get("participants", []),
+                       row.get("coordinator"), row.get("epoch", 0))
             rows.append((self._txns[pos], *row))
         return rows

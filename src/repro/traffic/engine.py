@@ -193,6 +193,12 @@ class TrafficEngine:
         #: counters are untouched).
         self.last_outcome: str | None = None
 
+    def placed(self):
+        """The compiled stream, set to draw origins from the cluster's
+        current catalog: a joined site issues work, a departed one not."""
+        self.compiled.catalog = self.cluster.catalog
+        return self.compiled
+
     # ------------------------------------------------------------------
     # submit policies
     # ------------------------------------------------------------------
@@ -206,7 +212,7 @@ class TrafficEngine:
         nothing from the workload generator, so the offered stream stays
         a pure function of the seed whether retries are on or off.
         """
-        op = self.compiled.next_op(self.rng)
+        op = self.placed().next_op(self.rng)
         if self.retry is None or self.retry.max_attempts <= 1:
             self._submit_op(op)
             return
@@ -281,12 +287,12 @@ class TrafficEngine:
         a missing write quorum as ``refused``.
         """
         cluster = self.cluster
-        origin, writes = self.compiled.next_update(self.rng)
+        origin, writes = self.placed().next_update(self.rng)
         if origin not in cluster.sites or not cluster.sites[origin].alive:
             self.tallies["unreachable_origin"] = self.tallies.get("unreachable_origin", 0) + 1
             return
         first = next(iter(writes))
-        remote = origin not in self.compiled.catalog.sites_of(first)
+        remote = origin not in cluster.catalog.sites_of(first)
         self.tallies["submitted"] += 1
         self.tallies["cross_origin"] += remote
         try:
@@ -303,7 +309,7 @@ class TrafficEngine:
         (the WAN storm submits at t=0, before any fault fires) and a
         missing quorum there is a configuration error, not traffic.
         """
-        origin, writes = self.compiled.next_update(self.rng)
+        origin, writes = self.placed().next_update(self.rng)
         return self.cluster.update(origin, writes)
 
     # ------------------------------------------------------------------

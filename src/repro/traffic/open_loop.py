@@ -265,7 +265,7 @@ class _OpenLoopRun:
         scheduler = cluster.scheduler
         self.offered += 1
         self.retire_decided()
-        op = engine.compiled.next_op(engine.rng)
+        op = engine.placed().next_op(engine.rng)
         if op.origin not in cluster.sites or not cluster.sites[op.origin].alive:
             self.shed_unreachable += 1
         elif self.in_flight[op.origin] >= self.window:

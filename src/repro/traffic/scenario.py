@@ -72,8 +72,6 @@ class Scenario:
         regions: WAN region layout — every listed site is registered
             (pure coordinators included) and the spec compiles against
             it; ``None`` for a flat installation.
-        mutable: the plan changes placement (joins, leaves), so the run
-            works on a fork of the memoized catalog.
         retry: client :class:`~repro.traffic.engine.RetryPolicy`.
         service: open-loop settings passed to
             :func:`~repro.traffic.open_loop.run_open_loop` (``window``,
@@ -89,7 +87,6 @@ class Scenario:
     counters: Callable[["ScenarioRun"], dict[str, Any]] = lambda run: run.result.counters()
     drive: str = "closed"
     regions: Sequence[Sequence[int]] | None = None
-    mutable: bool = False
     retry: Any = None
     service: Mapping[str, Any] = field(default_factory=dict)
 
@@ -133,8 +130,9 @@ def run_scenario(
     ``workload`` replaces the default spec; anything without a
     ``compile`` method is taken to *be* a compiled stream already (a
     :class:`~repro.replay.RecordedWorkload`).  ``catalog`` / ``failures``
-    pin the placement and the fault schedule; a pinned catalog is used
-    as given, so hand a ``mutable`` scenario a fork.
+    pin the placement and the fault schedule.  A catalog is a value, so
+    the memoized or pinned one is handed over as it is: the plan's joins
+    and leaves give the cluster new catalogs and leave this one alone.
     """
     from repro.workload.generators import memoized_catalog
 
@@ -145,7 +143,6 @@ def run_scenario(
             rng,
             (scenario.stream, *shape.values()),
             lambda r: build(r, **shape),
-            mutable=scenario.mutable,
         )
     spec = workload if workload is not None else scenario.workload
     compiled = spec.compile(catalog, scenario.regions) if hasattr(spec, "compile") else spec

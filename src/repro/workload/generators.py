@@ -21,10 +21,10 @@ per-process :func:`~repro.engine.executor.worker_cache`, so persistent
 warm pool workers keep them across sweeps; a small FIFO bound per tag
 keeps 10^5-run sweeps from hoarding memory.
 
-Drivers whose runs *mutate* the catalog (elastic joins call
-``admit_site``) pass ``mutable=True`` and receive a
-:meth:`~repro.replication.catalog.ReplicaCatalog.fork` — the cached
-original stays pristine.
+A cached catalog is shared by every run that fetches it, which is safe
+because a catalog is immutable: a run whose plan joins or leaves sites
+builds new catalogs (:meth:`~repro.replication.catalog.ReplicaCatalog.admit_site`
+returns the next one) and never changes the cached entry.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ def memoized_catalog(
     rng: random.Random,
     key: tuple[Any, ...],
     build: Callable[[random.Random], ReplicaCatalog],
-    mutable: bool = False,
 ) -> ReplicaCatalog:
     """Build — or fetch — a catalog drawn from a shared RNG stream.
 
@@ -56,9 +55,6 @@ def memoized_catalog(
     the builder would have received the identical stream, and restoring
     the stored post-build state leaves the caller's subsequent draws
     bit-identical to an actual rebuild (see module docstring).
-
-    ``mutable=True`` returns a fork so in-run catalog mutation
-    (``admit_site``) cannot poison the cached original.
     """
     memo: dict[Any, tuple[ReplicaCatalog, Any]] = worker_cache(
         ("catalog-memo", key[0]), dict
@@ -73,7 +69,7 @@ def memoized_catalog(
     else:
         catalog, post_state = hit
         rng.setstate(post_state)
-    return catalog.fork() if mutable else catalog
+    return catalog
 
 
 def random_catalog(

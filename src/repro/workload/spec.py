@@ -237,9 +237,12 @@ class WorkloadSpec:
 class CompiledWorkload:
     """A :class:`WorkloadSpec` bound to a catalog; the drivers' generator.
 
-    Create via :meth:`WorkloadSpec.compile`.  All state is immutable
-    after construction; the methods draw only from the ``rng`` passed
-    in, so one compiled workload can serve any number of runs.
+    Create via :meth:`WorkloadSpec.compile`.  The methods draw only
+    from the ``rng`` passed in, so one compiled workload can serve any
+    number of runs.  Everything but :attr:`catalog` is fixed at compile
+    time; origins are drawn from :attr:`catalog`, which a
+    :class:`~repro.traffic.TrafficEngine` points at its cluster's
+    current placement before each draw.
     """
 
     def __init__(
@@ -249,6 +252,7 @@ class CompiledWorkload:
         regions: Sequence[Sequence[int]] | None,
     ) -> None:
         self.spec = spec
+        #: the placement origins are drawn from (see the class docstring)
         self.catalog = catalog
         self._names = catalog.item_names
         if spec.popularity == "zipf":

@@ -57,6 +57,7 @@ class TestIdempotency:
                     "writes": {"x": [5, 1]},
                     "participants": [1, 2, 3],
                     "coordinator": 1,
+                    "epoch": 0,
                 },
             )
         )
@@ -124,6 +125,7 @@ class TestStaleTerminationMessages:
                     "coordinator": 2,
                     "writes": {"x": [1, 1]},
                     "participants": [1, 2, 3],
+                    "epoch": 0,
                 },
             )
         )
@@ -138,7 +140,7 @@ class TestStaleTerminationMessages:
             Message(
                 2, 3, "qtp1.t.state-req", "T-q",
                 {"attempt": 1, "coordinator": 2, "writes": {"x": [1, 1]},
-                 "participants": [1, 2, 3]},
+                 "participants": [1, 2, 3], "epoch": 0},
             )
         )
         engine._on_term_prepare_commit(

@@ -111,6 +111,7 @@ class TestDecidedRecoveryRegression:
                     "coordinator": 3,
                     "writes": {"x": [5, 1]},
                     "participants": [1, 2, 3],
+                    "epoch": 0,
                 },
             )
         )

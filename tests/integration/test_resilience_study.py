@@ -28,6 +28,9 @@ class TestRollingUpgrade:
         assert result["sites_restored"] == 3
         assert result["serializable"] is True
         assert result["committed"] > 0
+        # origins come from the current placement: a departed site is
+        # never drawn while it is away
+        assert result["unreachable_origin"] == 0
 
     def test_retries_absorb_upgrade_aborts(self):
         result = run_scenario(rolling_upgrade_scenario(n_txns=50, waves=3), "qtp2", 3).counters()

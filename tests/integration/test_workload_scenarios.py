@@ -9,6 +9,7 @@ from repro.experiments.workload_scenarios import (
     skewed_contention_scenario,
 )
 from repro.experiments.workload_study import heavy_workload_scenario
+from repro.sim.failures import JoinSite
 from repro.traffic import run_scenario
 from repro.workload.spec import WorkloadSpec
 
@@ -70,11 +71,16 @@ class TestCrossRegion:
 
 class TestElasticJoin:
     def test_joins_apply_and_enlist_participants(self):
-        out = run_scenario(elastic_join_scenario(n_txns=60, n_joins=3), "qtp1", 0).counters()
+        run = run_scenario(elastic_join_scenario(n_txns=60, n_joins=3), "qtp1", 0)
+        out = run.counters()
         assert out["joins_applied"] == 3
         assert out["joined_hosting"] == 3 * 2  # every joiner hosts both hot items
         assert out["participants_with_joined"] > 0
         assert out["serializable"]
+        # the stream draws origins from the current placement: a joined
+        # site issues transactions too
+        joined = {a.site for a in run.cluster.injector.applied if isinstance(a, JoinSite)}
+        assert joined & {handle.origin for handle in run.engine.handles.values()}
 
     def test_consistent_across_protocols(self):
         for protocol in ("qtp1", "qtp2", "2pc"):

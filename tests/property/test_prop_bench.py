@@ -99,7 +99,7 @@ class _ScanLockManager(LockManager):
         return not entry.queue and all(mode.compatible_with(h) for h in entry.holders.values())
 
 
-def _rebuilt_catalog(rng, key, build, mutable=False):
+def _rebuilt_catalog(rng, key, build):
     """Reference: no memo at all, a fresh build per run."""
     return build(rng)
 
@@ -338,6 +338,7 @@ class _ListWriteAheadLog:
                 {item: tuple(pair) for item, pair in record.payload.get("writes", {}).items()},
                 record.payload.get("participants", []),
                 record.payload.get("coordinator"),
+                record.payload.get("epoch", 0),
             )
             for record in self._records
             if record.kind == "begin"
@@ -372,13 +373,15 @@ def _wal_ops(seed: int, n_ops: int = 150) -> Iterator[_Op | None]:
             writes = {item: (rng.randrange(100), rng.randint(1, 9)) for item in picked}
             participants = sorted(rng.sample(range(1, 9), rng.randint(1, 4)))
             coordinator = rng.randint(1, 8)
+            epoch = rng.randint(0, 3)
             payload = {
                 **roled,
                 "writes": {item: list(pair) for item, pair in writes.items()},
                 "participants": participants,
                 "coordinator": coordinator,
+                "epoch": epoch,
             }
-            typed = ("begin", (txn, writes, participants, coordinator), {"role": role})
+            typed = ("begin", (txn, writes, participants, coordinator, epoch), {"role": role})
             yield _Op(txn, typed, "begin", payload)
         elif draw < 0.4:
             yes = rng.random() < 0.8

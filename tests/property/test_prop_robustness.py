@@ -110,34 +110,19 @@ class TestLeaveThenJoinRoundTrip:
         hosts = sorted(catalog.all_sites())
         site = hosts[site_idx % len(hosts)]
         before = self._snapshot(catalog)
-        evicted = catalog.evict_site(site)
+        shrunk, evicted = catalog.evict_site(site)
         admitted_back = {name for name in before if site in before[name][0]}
         assert set(evicted) == admitted_back
-        catalog.admit_site(site, evicted)
-        assert self._snapshot(catalog) == before
+        restored = shrunk.admit_site(site, evicted)
+        assert self._snapshot(restored) == before == self._snapshot(catalog)
+        assert restored.epoch == catalog.epoch + 2
         # the hand-off re-derives majority quorums over the restored
         # vote total for every touched item (untouched items keep their
         # originally drawn assignment), so Gifford holds by construction
         for name in sorted(admitted_back):
-            v = catalog.v(name)
-            assert catalog.w(name) == v // 2 + 1
-            assert catalog.r(name) == v - catalog.w(name) + 1
-
-    @given(st.integers(0, 2**16))
-    @settings(max_examples=10, deadline=None)
-    def test_fixed_quorums_round_trip_exactly(self, seed):
-        # rebalance=False keeps the drawn (possibly non-majority)
-        # quorums, so the round trip restores the catalog bit-for-bit
-        rng = RngRegistry(seed).stream("roundtrip-fixed")
-        catalog = random_catalog(rng, n_sites=7, n_items=5, replication=4)
-        site = sorted(catalog.all_sites())[0]
-        before = {name: catalog.item(name) for name in catalog.item_names}
-        try:
-            evicted = catalog.evict_site(site, rebalance=False)
-        except Exception:
-            return  # shrunken votes cannot satisfy the kept quorums
-        catalog.admit_site(site, evicted, rebalance=False)
-        assert {name: catalog.item(name) for name in catalog.item_names} == before
+            v = restored.v(name)
+            assert restored.w(name) == v // 2 + 1
+            assert restored.r(name) == v - restored.w(name) + 1
 
     @given(st.integers(0, 2**10), st.sampled_from(["qtp1", "qtp2"]))
     @settings(max_examples=4, deadline=None)
@@ -157,7 +142,9 @@ class TestLeaveThenJoinRoundTrip:
         cluster.arm_failures(plan)
         cluster.scheduler.run()
         assert site in cluster.sites
-        assert {i: sorted(catalog.sites_of(i)) for i in catalog.item_names} == placement
+        current = cluster.catalog
+        assert current.epoch == catalog.epoch + 2
+        assert {i: sorted(current.sites_of(i)) for i in current.item_names} == placement
 
 
 class TestGrayRecordReplayFixedPoint:

@@ -69,32 +69,32 @@ class TestRule1CrossPartitionSafety:
         in PC), no disjoint partition can complete an abort round: the
         r(x) votes it would need from non-PC sites cannot exist."""
         catalog, states_a, states_b = data
-        rule = TerminationRule1(catalog)
-        if rule.evaluate(["x"], states_a) is Decision.COMMIT and states_b:
+        rule = TerminationRule1()
+        if rule.evaluate(["x"], states_a, catalog=catalog) is Decision.COMMIT and states_b:
             # every site of B is outside A's PC set; B's abort round
             # needs r(x) votes from B sites (all non-PC w.r.t. A's quorum)
-            assert not rule.abort_round_ok(["x"], set(states_b))
+            assert not rule.abort_round_ok(["x"], set(states_b), catalog=catalog)
 
     @given(catalog_and_split())
     @settings(max_examples=300, deadline=None)
     def test_abort_completion_excludes_remote_immediate_commit(self, data):
         catalog, states_a, states_b = data
-        rule = TerminationRule1(catalog)
-        if states_b and rule.abort_round_ok(["x"], set(states_b)):
+        rule = TerminationRule1()
+        if states_b and rule.abort_round_ok(["x"], set(states_b), catalog=catalog):
             # B holds >= r votes, so A holds <= v - r < w votes: A can
             # never have w(x) votes in PC
             pc_a = {s for s, state in states_a.items() if state is TxnState.PC}
             assert catalog.votes("x", pc_a) < catalog.w("x")
-            assert rule.evaluate(["x"], states_a) is not Decision.COMMIT
+            assert rule.evaluate(["x"], states_a, catalog=catalog) is not Decision.COMMIT
 
     @given(catalog_and_split())
     @settings(max_examples=300, deadline=None)
     def test_two_commit_rounds_cannot_both_complete_disjointly(self, data):
         """w + w > v: two disjoint site sets can never both hold w votes."""
         catalog, states_a, states_b = data
-        rule = TerminationRule1(catalog)
-        both = rule.commit_round_ok(["x"], set(states_a)) and rule.commit_round_ok(
-            ["x"], set(states_b)
+        rule = TerminationRule1()
+        both = rule.commit_round_ok(["x"], set(states_a), catalog=catalog) and rule.commit_round_ok(
+            ["x"], set(states_b), catalog=catalog
         )
         assert not both
 
@@ -106,9 +106,9 @@ class TestRule2CrossPartitionSafety:
         """Rule 2: commit round secures r(x) votes; abort round needs
         w(x) votes from the disjoint remainder; r + w > v forbids both."""
         catalog, states_a, states_b = data
-        rule = TerminationRule2(catalog)
-        both = rule.commit_round_ok(["x"], set(states_a)) and rule.abort_round_ok(
-            ["x"], set(states_b)
+        rule = TerminationRule2()
+        both = rule.commit_round_ok(["x"], set(states_a), catalog=catalog) and rule.abort_round_ok(
+            ["x"], set(states_b), catalog=catalog
         )
         assert not both
 
@@ -116,9 +116,9 @@ class TestRule2CrossPartitionSafety:
     @settings(max_examples=300, deadline=None)
     def test_immediate_branches_disjoint_partitions_agree(self, data):
         catalog, states_a, states_b = data
-        rule = TerminationRule2(catalog)
-        d_a = rule.evaluate(["x"], states_a)
-        d_b = rule.evaluate(["x"], states_b)
+        rule = TerminationRule2()
+        d_a = rule.evaluate(["x"], states_a, catalog=catalog)
+        d_b = rule.evaluate(["x"], states_b, catalog=catalog)
         # immediate decisions (not TRY) in disjoint partitions never conflict
         if d_a is Decision.COMMIT and states_b:
             assert d_b is not Decision.ABORT
@@ -131,8 +131,8 @@ class TestRuleTotality:
     @settings(max_examples=200, deadline=None)
     def test_rules_always_return_a_decision(self, data):
         catalog, states_a, __ = data
-        for rule in (TerminationRule1(catalog), TerminationRule2(catalog)):
-            decision = rule.evaluate(["x"], states_a)
+        for rule in (TerminationRule1(), TerminationRule2()):
+            decision = rule.evaluate(["x"], states_a, catalog=catalog)
             assert isinstance(decision, Decision)
 
     @given(catalog_and_split())
@@ -140,8 +140,9 @@ class TestRuleTotality:
     def test_rules_are_pure(self, data):
         """Evaluating twice gives the same answer (no hidden state)."""
         catalog, states_a, __ = data
-        rule = TerminationRule1(catalog)
-        assert rule.evaluate(["x"], states_a) is rule.evaluate(["x"], states_a)
+        rule = TerminationRule1()
+        first = rule.evaluate(["x"], states_a, catalog=catalog)
+        assert first is rule.evaluate(["x"], states_a, catalog=catalog)
 
     @given(catalog_and_split())
     @settings(max_examples=200, deadline=None)
@@ -151,5 +152,5 @@ class TestRuleTotality:
         sites = catalog.sites_of("x")
         states = dict(states_a)
         states[sites[0]] = TxnState.C
-        for rule in (TerminationRule1(catalog), TerminationRule2(catalog)):
-            assert rule.evaluate(["x"], states) is Decision.COMMIT
+        for rule in (TerminationRule1(), TerminationRule2()):
+            assert rule.evaluate(["x"], states, catalog=catalog) is Decision.COMMIT

@@ -115,26 +115,59 @@ def naive_items_by_site(catalog):
 
 class TestItemsBySite:
     @pytest.mark.parametrize("seed", range(5))
-    def test_matches_the_naive_probe_through_admit_evict_and_fork(self, seed):
+    def test_matches_the_naive_probe_through_admit_and_evict(self, seed):
         rng = random.Random(seed)
         catalog = random_catalog(rng, n_sites=9, n_items=12, replication=3)
         assert catalog.items_by_site() == naive_items_by_site(catalog)
         assert sorted(catalog.items_by_site()) == catalog.all_sites()
 
-        pristine = catalog.fork()
-        before = pristine.items_by_site()
         joined = rng.sample(catalog.item_names, 4)
-        catalog.admit_site(42, {item: 1 for item in joined})
-        assert catalog.items_by_site() == naive_items_by_site(catalog)
-        assert catalog.items_by_site()[42] == sorted(joined)
+        grown = catalog.admit_site(42, {item: 1 for item in joined})
+        assert grown.items_by_site() == naive_items_by_site(grown)
+        assert grown.items_by_site()[42] == sorted(joined)
 
-        leaver = rng.choice([s for s in catalog.all_sites() if s != 42])
-        catalog.evict_site(leaver)
-        assert catalog.items_by_site() == naive_items_by_site(catalog)
-        assert leaver not in catalog.items_by_site()
+        leaver = rng.choice([s for s in grown.all_sites() if s != 42])
+        shrunk, __ = grown.evict_site(leaver)
+        assert shrunk.items_by_site() == naive_items_by_site(shrunk)
+        assert leaver not in shrunk.items_by_site()
 
-        # the fork never saw the admit or the evict
-        assert pristine.items_by_site() == before == naive_items_by_site(pristine)
+
+def _placement(catalog):
+    return {name: catalog.item(name) for name in catalog.item_names}
+
+
+class TestMembershipReturnsTheNextCatalog:
+    """A catalog is a value: a join or a leave builds the next epoch's
+    catalog and leaves the original equal to what it was."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_admit_and_evict_leave_the_original_unchanged(self, seed):
+        rng = random.Random(seed)
+        catalog = random_catalog(rng, n_sites=9, n_items=12, replication=3)
+        before = _placement(catalog)
+
+        item = catalog.item_names[0]
+        grown = catalog.admit_site(99, {item: 1})
+        assert grown is not catalog and grown.epoch == catalog.epoch + 1
+        assert 99 in grown.sites_of(item)
+        assert 99 not in catalog.sites_of(item)
+
+        leaver = catalog.sites_of(item)[0]
+        shrunk, evicted = catalog.evict_site(leaver)
+        assert shrunk.epoch == catalog.epoch + 1
+        assert leaver not in shrunk.all_sites() and item in evicted
+
+        assert _placement(catalog) == before and catalog.epoch == 0
+
+    def test_a_rejected_change_builds_nothing(self):
+        catalog = CatalogBuilder().replicated_item("x", sites=[1]).item(
+            "y", {1: 1, 2: 1, 3: 1}, r=2, w=2
+        ).build()
+        with pytest.raises(ConfigurationError):
+            catalog.evict_site(1)  # the only copy of x
+        with pytest.raises(ConfigurationError):
+            catalog.admit_site(2, {"y": 1})  # 2 already hosts y
+        assert catalog.sites_of("x") == [1] and catalog.epoch == 0
 
 
 class TestPlanner:

@@ -188,18 +188,6 @@ class TestMemoizedCatalog:
         b = memoized_catalog(random.Random(2), key, self._build)
         assert a is not b  # different seed, different catalog
 
-    def test_mutable_returns_isolated_fork(self):
-        from repro.engine.executor import clear_worker_cache
-
-        clear_worker_cache()
-        key = ("memo-test-mutable", 6, 4, 3)
-        first = memoized_catalog(random.Random(7), key, self._build, mutable=True)
-        item = first.item_names[0]
-        first.admit_site(99, {item: 1})
-        second = memoized_catalog(random.Random(7), key, self._build, mutable=True)
-        assert 99 in first.sites_of(item)
-        assert 99 not in second.sites_of(item)  # the cached original is pristine
-
     def test_memo_is_fifo_bounded(self):
         from repro.engine.executor import clear_worker_cache, worker_cache
 

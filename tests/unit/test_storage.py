@@ -60,8 +60,8 @@ class TestWal:
 
     def test_participant_decision_ignores_the_coordinator_role(self):
         wal = WriteAheadLog(1)
-        wal.begin("T1", {"x": (7, 1)}, [1, 2], 1, role="coordinator")
-        wal.begin("T1", {"x": (7, 1)}, [1, 2], 1)
+        wal.begin("T1", {"x": (7, 1)}, [1, 2], 1, 0, role="coordinator")
+        wal.begin("T1", {"x": (7, 1)}, [1, 2], 1, 0)
         wal.decide("T1", "commit", role="coordinator")
         assert (wal.decision("T1"), wal.participant_decision("T1")) == ("commit", None)
         with pytest.raises(StorageError, match="already logged commit"):

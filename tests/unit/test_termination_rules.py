@@ -15,6 +15,7 @@ from repro.protocols.skeen import SkeenQuorumRule
 from repro.protocols.states import TxnState
 from repro.protocols.threepc import ThreePCTerminationRule
 from repro.protocols.twopc import CooperativeTerminationRule
+from repro.replication.catalog import CatalogBuilder
 from repro.common.errors import ConfigurationError
 
 Q, W, PA, PC, A, C = (
@@ -28,15 +29,24 @@ Q, W, PA, PC, A, C = (
 
 ITEMS = ["x", "y"]
 
+#: the Fig. 3 database (the ``paper_catalog`` fixture): the QTP rules
+#: count votes in the catalog they are handed with each call
+FIG3 = (
+    CatalogBuilder()
+    .replicated_item("x", sites=[1, 2, 3, 4], r=2, w=3)
+    .replicated_item("y", sites=[5, 6, 7, 8], r=2, w=3)
+    .build()
+)
+
 
 @pytest.fixture
-def rule1(paper_catalog):
-    return TerminationRule1(paper_catalog)
+def rule1():
+    return TerminationRule1()
 
 
 @pytest.fixture
-def rule2(paper_catalog):
-    return TerminationRule2(paper_catalog)
+def rule2():
+    return TerminationRule2()
 
 
 class TestVotesByState:
@@ -49,66 +59,66 @@ class TestRule1:
     """Fig. 5, branch by branch."""
 
     def test_empty_states_block(self, rule1):
-        assert rule1.evaluate(ITEMS, {}) is Decision.BLOCK
+        assert rule1.evaluate(ITEMS, {}, catalog=FIG3) is Decision.BLOCK
 
     def test_commit_on_any_commit_state(self, rule1):
-        assert rule1.evaluate(ITEMS, {1: C, 2: W}) is Decision.COMMIT
+        assert rule1.evaluate(ITEMS, {1: C, 2: W}, catalog=FIG3) is Decision.COMMIT
 
     def test_commit_on_w_votes_in_pc_for_every_item(self, rule1):
         # w(x)=3 from {1,2,3}, w(y)=3 from {5,6,7} — all in PC
         states = {1: PC, 2: PC, 3: PC, 5: PC, 6: PC, 7: PC}
-        assert rule1.evaluate(ITEMS, states) is Decision.COMMIT
+        assert rule1.evaluate(ITEMS, states, catalog=FIG3) is Decision.COMMIT
 
     def test_no_commit_if_only_one_item_covered(self, rule1):
         # w(x) in PC but y has no PC votes: "every data item" fails
         states = {1: PC, 2: PC, 3: PC, 5: W, 6: W, 7: W}
-        assert rule1.evaluate(ITEMS, states) is not Decision.COMMIT
+        assert rule1.evaluate(ITEMS, states, catalog=FIG3) is not Decision.COMMIT
 
     def test_abort_on_any_abort_state(self, rule1):
-        assert rule1.evaluate(ITEMS, {1: A, 2: PC}) is Decision.ABORT
+        assert rule1.evaluate(ITEMS, {1: A, 2: PC}, catalog=FIG3) is Decision.ABORT
 
     def test_abort_on_any_initial_state(self, rule1):
-        assert rule1.evaluate(ITEMS, {1: Q, 2: W}) is Decision.ABORT
+        assert rule1.evaluate(ITEMS, {1: Q, 2: W}, catalog=FIG3) is Decision.ABORT
 
     def test_abort_on_r_votes_in_pa_for_some_item(self, rule1):
         # r(x)=2 from PA sites {1,2}
         states = {1: PA, 2: PA, 3: W}
-        assert rule1.evaluate(ITEMS, states) is Decision.ABORT
+        assert rule1.evaluate(ITEMS, states, catalog=FIG3) is Decision.ABORT
 
     def test_try_commit_needs_pc_witness(self, rule1):
         # votes suffice but nobody is in PC -> not try-commit
         states = {1: W, 2: W, 3: W, 5: W, 6: W, 7: W}
-        assert rule1.evaluate(ITEMS, states) is Decision.TRY_ABORT
+        assert rule1.evaluate(ITEMS, states, catalog=FIG3) is Decision.TRY_ABORT
 
     def test_try_commit_on_w_votes_from_non_pa(self, rule1):
         states = {1: PC, 2: W, 3: W, 5: W, 6: W, 7: W}
-        assert rule1.evaluate(ITEMS, states) is Decision.TRY_COMMIT
+        assert rule1.evaluate(ITEMS, states, catalog=FIG3) is Decision.TRY_COMMIT
 
     def test_pa_votes_do_not_count_toward_commit(self, rule1):
         # site 3 in PA: non-PA x votes = {1,2} = 2 < w(x)=3
         states = {1: PC, 2: W, 3: PA, 5: W, 6: W, 7: W}
-        result = rule1.evaluate(ITEMS, states)
+        result = rule1.evaluate(ITEMS, states, catalog=FIG3)
         assert result is not Decision.TRY_COMMIT
         # ...but those W sites still allow an abort try via r(x) from non-PC
         assert result is Decision.ABORT or result is Decision.TRY_ABORT
 
     def test_try_abort_on_r_votes_from_non_pc(self, rule1):
         # G1 of Example 1: sites 2,3 hold r(x)=2 votes, both W
-        assert rule1.evaluate(ITEMS, {2: W, 3: W}) is Decision.TRY_ABORT
+        assert rule1.evaluate(ITEMS, {2: W, 3: W}, catalog=FIG3) is Decision.TRY_ABORT
 
     def test_g2_of_example1_blocks(self, rule1):
         # site4 (1 x-vote, not in PC) + site5 in PC: no branch fires
-        assert rule1.evaluate(ITEMS, {4: W, 5: PC}) is Decision.BLOCK
+        assert rule1.evaluate(ITEMS, {4: W, 5: PC}, catalog=FIG3) is Decision.BLOCK
 
     def test_commit_round_requires_w_every_item(self, rule1):
-        assert rule1.commit_round_ok(ITEMS, {1, 2, 3, 5, 6, 7})
-        assert not rule1.commit_round_ok(ITEMS, {1, 2, 3, 5, 6})
-        assert not rule1.commit_round_ok(ITEMS, {1, 2, 5, 6, 7})
+        assert rule1.commit_round_ok(ITEMS, {1, 2, 3, 5, 6, 7}, catalog=FIG3)
+        assert not rule1.commit_round_ok(ITEMS, {1, 2, 3, 5, 6}, catalog=FIG3)
+        assert not rule1.commit_round_ok(ITEMS, {1, 2, 5, 6, 7}, catalog=FIG3)
 
     def test_abort_round_requires_r_some_item(self, rule1):
-        assert rule1.abort_round_ok(ITEMS, {2, 3})     # r(x)
-        assert rule1.abort_round_ok(ITEMS, {6, 7})     # r(y)
-        assert not rule1.abort_round_ok(ITEMS, {3, 6})  # 1 vote each
+        assert rule1.abort_round_ok(ITEMS, {2, 3}, catalog=FIG3)     # r(x)
+        assert rule1.abort_round_ok(ITEMS, {6, 7}, catalog=FIG3)     # r(y)
+        assert not rule1.abort_round_ok(ITEMS, {3, 6}, catalog=FIG3)  # 1 vote each
 
 
 class TestRule2:
@@ -116,49 +126,49 @@ class TestRule2:
 
     def test_commit_on_r_votes_in_pc_for_some_item(self, rule2):
         states = {1: PC, 2: PC, 3: W}  # r(x)=2 in PC
-        assert rule2.evaluate(ITEMS, states) is Decision.COMMIT
+        assert rule2.evaluate(ITEMS, states, catalog=FIG3) is Decision.COMMIT
 
     def test_rule1_would_not_commit_there(self, rule1):
         states = {1: PC, 2: PC, 3: W}
-        assert rule1.evaluate(ITEMS, states) is not Decision.COMMIT
+        assert rule1.evaluate(ITEMS, states, catalog=FIG3) is not Decision.COMMIT
 
     def test_abort_needs_w_votes_in_pa_for_every_item(self, rule2):
         # w(x) and w(y) both fully in PA
         states = {1: PA, 2: PA, 3: PA, 5: PA, 6: PA, 7: PA}
-        assert rule2.evaluate(ITEMS, states) is Decision.ABORT
+        assert rule2.evaluate(ITEMS, states, catalog=FIG3) is Decision.ABORT
 
     def test_partial_pa_does_not_abort(self, rule2):
         # r(x) votes in PA is enough for rule 1 but not rule 2
         states = {1: PA, 2: PA, 3: W}
-        result = rule2.evaluate(ITEMS, states)
+        result = rule2.evaluate(ITEMS, states, catalog=FIG3)
         assert result is not Decision.ABORT
 
     def test_g1_of_example1_blocks_under_rule2(self, rule2):
         # sites 2,3 in W: try-abort needs w votes of EVERY item from
         # non-PC -> x has only 2 < 3 -> block (Example 1 under TP2)
-        assert rule2.evaluate(ITEMS, {2: W, 3: W}) is Decision.BLOCK
+        assert rule2.evaluate(ITEMS, {2: W, 3: W}, catalog=FIG3) is Decision.BLOCK
 
     def test_try_commit_on_r_votes_from_non_pa(self, rule2):
         states = {1: PC, 2: W}  # r(x)=2 votes from non-PA, PC witness
-        assert rule2.evaluate(ITEMS, states) is Decision.TRY_COMMIT
+        assert rule2.evaluate(ITEMS, states, catalog=FIG3) is Decision.TRY_COMMIT
 
     def test_try_abort_needs_w_every_item(self, rule2):
         states = {1: W, 2: W, 3: W, 5: W, 6: W, 7: W}
-        assert rule2.evaluate(ITEMS, states) is Decision.TRY_ABORT
+        assert rule2.evaluate(ITEMS, states, catalog=FIG3) is Decision.TRY_ABORT
 
     def test_commit_round_r_some(self, rule2):
-        assert rule2.commit_round_ok(ITEMS, {1, 2})
-        assert not rule2.commit_round_ok(ITEMS, {1, 5})
+        assert rule2.commit_round_ok(ITEMS, {1, 2}, catalog=FIG3)
+        assert not rule2.commit_round_ok(ITEMS, {1, 5}, catalog=FIG3)
 
     def test_abort_round_w_every(self, rule2):
-        assert rule2.abort_round_ok(ITEMS, {1, 2, 3, 5, 6, 7})
-        assert not rule2.abort_round_ok(ITEMS, {1, 2, 3})
+        assert rule2.abort_round_ok(ITEMS, {1, 2, 3, 5, 6, 7}, catalog=FIG3)
+        assert not rule2.abort_round_ok(ITEMS, {1, 2, 3}, catalog=FIG3)
 
     def test_immediate_abort_on_q(self, rule2):
-        assert rule2.evaluate(ITEMS, {1: Q, 2: PC}) is Decision.ABORT
+        assert rule2.evaluate(ITEMS, {1: Q, 2: PC}, catalog=FIG3) is Decision.ABORT
 
     def test_immediate_commit_on_c(self, rule2):
-        assert rule2.evaluate(ITEMS, {1: C}) is Decision.COMMIT
+        assert rule2.evaluate(ITEMS, {1: C}, catalog=FIG3) is Decision.COMMIT
 
 
 class TestSkeenRule:
