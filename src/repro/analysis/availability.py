@@ -114,7 +114,9 @@ def availability_snapshot(
     for component in partition.components:
         live = sorted(set(component) & active_sites)
         for item in catalog.item_names:
-            hosting = [s for s in live if s in catalog.item(item).copies]
+            config = catalog.item(item)  # one lookup: sites, votes, r, w
+            copies = config.copies
+            hosting = [s for s in live if s in copies]
             blocked = tuple(
                 sorted(
                     s
@@ -123,16 +125,15 @@ def availability_snapshot(
                     and lock_managers[s].is_locked(item, blocked_txns.get(s, set()))
                 )
             )
-            usable = [s for s in hosting if s not in blocked]
-            usable_votes = catalog.votes(item, usable)
+            usable_votes = sum(copies[s] for s in hosting if s not in blocked)
             rows.append(
                 ItemAvailability(
                     component=frozenset(component),
                     item=item,
                     usable_votes=usable_votes,
-                    total_votes=catalog.v(item),
-                    readable=usable_votes >= catalog.r(item),
-                    writable=usable_votes >= catalog.w(item),
+                    total_votes=config.total_votes,
+                    readable=usable_votes >= config.read_quorum,
+                    writable=usable_votes >= config.write_quorum,
                     blocked_sites=blocked,
                 )
             )

@@ -16,7 +16,7 @@ items inaccessible").
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 
@@ -45,30 +45,53 @@ class LockRequest:
     on_grant: Callable[[], None] | None = None
 
 
-@dataclass
 class _ItemLocks:
-    holders: dict[str, LockMode] = field(default_factory=dict)
-    queue: list[LockRequest] = field(default_factory=list)
-    #: count of EXCLUSIVE entries in ``holders``, maintained at every
-    #: holder mutation.  Compatibility is then two integer tests — S is
-    #: grantable iff no exclusive holder, X iff no holder at all — so
-    #: the vote-hook probe never allocates a generator over the holders.
-    exclusive: int = 0
+    """One item's row of the lock table."""
+
+    __slots__ = ("seq", "holders", "queue", "exclusive")
+
+    def __init__(self, seq: int) -> None:
+        #: creation number: the entry's place in the table's insertion order
+        self.seq = seq
+        self.holders: dict[str, LockMode] = {}
+        self.queue: list[LockRequest] = []
+        #: count of EXCLUSIVE entries in ``holders``, maintained at every
+        #: holder mutation.  Compatibility is then two integer tests — S
+        #: is grantable iff no exclusive holder, X iff no holder at all —
+        #: so the vote-hook probe never allocates a generator over the
+        #: holders.
+        self.exclusive = 0
 
 
 class LockManager:
-    """Lock table for the copies hosted at one site."""
+    """Lock table for the copies hosted at one site.
+
+    Besides the per-item table, the manager indexes it by transaction:
+    ``txn -> {item: entry}`` for every item the transaction holds or
+    waits on, kept at every grant and every queued request, so
+    :meth:`release_all` visits only that transaction's items.
+    """
 
     def __init__(self, site: int) -> None:
         self.site = site
         self._items: dict[str, _ItemLocks] = {}
+        self._by_txn: dict[str, dict[str, _ItemLocks]] = {}
+        self._created = 0
 
     def _entry(self, item: str) -> _ItemLocks:
         entry = self._items.get(item)
         if entry is None:
-            entry = _ItemLocks()
-            self._items[item] = entry
+            entry = self._items[item] = _ItemLocks(self._created)
+            self._created += 1
         return entry
+
+    def _index(self, txn: str, item: str, entry: _ItemLocks) -> None:
+        """Note that ``txn`` holds or waits on ``item``."""
+        touched = self._by_txn.get(txn)
+        if touched is None:
+            self._by_txn[txn] = {item: entry}
+        else:
+            touched[item] = entry
 
     # ------------------------------------------------------------------
     # acquisition / release
@@ -100,6 +123,7 @@ class LockManager:
             request = LockRequest(txn, item, mode, on_grant=on_grant)
             entry.queue.append(request)
             return False
+        self._index(txn, item, entry)
         if self._grantable(entry, mode):
             entry.holders[txn] = mode
             entry.exclusive += mode is LockMode.EXCLUSIVE
@@ -127,59 +151,71 @@ class LockManager:
         """
         entry = self._items.get(item)
         if entry is None:  # unlocked item: grant installs the entry
-            entry = _ItemLocks()
-            entry.holders[txn] = mode
-            entry.exclusive += mode is LockMode.EXCLUSIVE
-            self._items[item] = entry
-            return True
-        held = entry.holders.get(txn)
-        if held is not None:
-            if held is mode or held is LockMode.EXCLUSIVE:
-                return True
-            if len(entry.holders) == 1:
-                entry.holders[txn] = LockMode.EXCLUSIVE
-                entry.exclusive += 1
-                return True
-            return False
-        if self._grantable(entry, mode):
-            entry.holders[txn] = mode
-            entry.exclusive += mode is LockMode.EXCLUSIVE
-            return True
-        return False
+            entry = self._items[item] = _ItemLocks(self._created)
+            self._created += 1
+        else:
+            held = entry.holders.get(txn)
+            if held is not None:
+                if held is mode or held is LockMode.EXCLUSIVE:
+                    return True
+                if len(entry.holders) == 1:
+                    entry.holders[txn] = LockMode.EXCLUSIVE
+                    entry.exclusive += 1
+                    return True
+                return False
+            if not self._grantable(entry, mode):
+                return False
+        entry.holders[txn] = mode
+        entry.exclusive += mode is LockMode.EXCLUSIVE
+        touched = self._by_txn.get(txn)  # _index, inlined on the hot path
+        if touched is None:
+            self._by_txn[txn] = {item: entry}
+        else:
+            touched[item] = entry
+        return True
 
     def release_all(self, txn: str) -> list[str]:
         """Release every lock held by ``txn``; returns the items released.
 
         Queued requests that become grantable are granted (and their
         ``on_grant`` callbacks invoked) before returning.  Every item
-        whose holder set *or* queue changed is woken: dropping an
-        ungranted request from the head of a queue can unblock the
-        waiters behind it (FIFO fairness kept them waiting on a request
-        that will now never be granted), so waking only the items the
-        transaction actually held would leave them blocked forever.
+        whose holder set *or* queue changed, and that still has waiters,
+        is woken: dropping an ungranted request from the head of a queue
+        can unblock the waiters behind it (FIFO fairness kept them
+        waiting on a request that will now never be granted), so waking
+        only the items the transaction actually held would leave them
+        blocked forever.
+
+        Cost: O(items ``txn`` holds or waits on), whatever the size of
+        the table — the transaction index names them.  The items come
+        back in no particular order.
         """
+        touched = self._by_txn.pop(txn, None)
+        if touched is None:
+            return []
         released = []
-        touched = []
-        for item, entry in self._items.items():
-            changed = False
+        queued = []
+        for item, entry in touched.items():
             held = entry.holders.pop(txn, None)
             if held is not None:
                 entry.exclusive -= held is LockMode.EXCLUSIVE
                 released.append(item)
-                changed = True
-            if entry.queue and any(r.txn == txn for r in entry.queue):
+            if entry.queue:
                 entry.queue = [r for r in entry.queue if r.txn != txn]
-                changed = True
-            if changed:
-                touched.append(item)
-        for item in touched:
-            self._wake(item)
+                if entry.queue:
+                    queued.append((entry.seq, item))
+        if queued:
+            # waiters are woken in the table's order, so grant callbacks
+            # fire in the order a scan of the whole table would fire them
+            queued.sort()
+            for __, item in queued:
+                self._wake(item)
         # drop entries left with neither holders nor waiters, so that
         # long sweeps probing many items do not grow the table forever
-        for item in touched:
-            entry = self._items[item]
+        table = self._items
+        for item, entry in touched.items():
             if not entry.holders and not entry.queue:
-                del self._items[item]
+                del table[item]
         return released
 
     def _wake(self, item: str) -> None:
@@ -235,7 +271,8 @@ class LockManager:
 
     def held_by(self, txn: str) -> list[str]:
         """All items on which ``txn`` currently holds a lock."""
-        return sorted(i for i, e in self._items.items() if txn in e.holders)
+        touched = self._by_txn.get(txn, {})
+        return sorted(i for i, e in touched.items() if txn in e.holders)
 
     def waits_edges(self) -> list[tuple[str, str]]:
         """(waiter, holder) pairs for the deadlock detector."""

@@ -21,11 +21,11 @@ name       protocol                                        termination
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Container, Iterable, Mapping
 
 from repro.analysis.availability import AvailabilityReport, availability_snapshot
 from repro.analysis.consistency import ConsistencyReport, check_atomicity
-from repro.common.errors import ConfigurationError, QuorumUnreachableError
+from repro.common.errors import ConfigurationError, QuorumUnreachableError, SiteDownError
 from repro.concurrency.serializability import CommittedTxn
 from repro.common.ids import make_txn_id
 from repro.db.site import Site, SiteHooks
@@ -156,8 +156,10 @@ class Cluster:
                 f"unknown protocol {protocol!r}; choose from {PROTOCOL_NAMES}"
             )
         #: the current placement (a join or a leave swaps in the next),
-        #: and every one so far by epoch: a transaction keeps its own
+        #: its quorum planner, and every placement so far by epoch: a
+        #: transaction keeps its own
         self.catalog = catalog
+        self.planner = QuorumPlanner(catalog)
         self.epochs: dict[int, ReplicaCatalog] = {catalog.epoch: catalog}
         self.protocol = protocol
         self._enforce_ignore_rules = enforce_ignore_rules
@@ -283,26 +285,50 @@ class Cluster:
         Raises:
             QuorumUnreachableError: the origin's partition lacks a
                 write quorum for some written item.
+            SiteDownError: the origin is down (crashed, or left);
+                nothing was registered or logged.
         """
         self._counter += 1
         txn = txn_id or make_txn_id(origin, self._counter)
+        origin_site = self.sites.get(origin)
+        if origin_site is None or not origin_site.alive:
+            raise SiteDownError(f"site {origin} is down")
+        planner = self.planner
+        live = self.network.live_peers(origin)
         versioned: dict[str, tuple[Any, int]] = {}
+        hosts: set[int] = set()
         for item in sorted(writes):
-            hosting = self.network.reachable_from(origin, self.catalog.sites_of(item))
-            gathered = self.catalog.votes(item, hosting)
-            if gathered < self.catalog.w(item):
-                raise QuorumUnreachableError(item, "write", gathered, self.catalog.w(item))
-            versions = [self.sites[s].store.read(item).version for s in hosting]
-            versioned[item] = (writes[item], QuorumPlanner.next_version(versions))
-        participants = tuple(
-            self.network.reachable_from(origin, self.catalog.sites_of_any(versioned))
-        )
+            item_hosts, version = self.write_target(planner, live, item)
+            hosts.update(item_hosts)
+            versioned[item] = (writes[item], version)
+        participants = tuple(sorted(hosts))
         handle = TxnHandle(txn, origin, versioned, participants)
         self._txns[txn] = handle
-        origin_site = self.sites[origin]
         assert origin_site.engine is not None
         origin_site.engine.begin_commit(txn, versioned, participants=participants)
         return handle
+
+    def write_target(
+        self, planner: QuorumPlanner, live: Container[int], item: str, base: int | None = None
+    ) -> tuple[list[int], int]:
+        """Where a write of ``item`` goes, and the version it installs.
+
+        The one write-quorum rule of :meth:`update` and
+        :meth:`InteractiveTransaction.submit
+        <repro.db.transactions.InteractiveTransaction.submit>`: the
+        write goes to every copy in ``live`` (in ranked order), which
+        must muster ``w(x)`` votes, and installs one past ``base`` —
+        the version the transaction read — or, when it read none, one
+        past the newest of those copies.
+
+        Raises:
+            QuorumUnreachableError: ``live`` lacks ``w(x)`` votes.
+        """
+        hosts = planner.write_hosts(item, live)
+        if base is None:
+            sites = self.sites
+            return hosts, QuorumPlanner.next_version(sites[s].store.read(item).version for s in hosts)
+        return hosts, base + 1
 
     def transaction(self, origin: int, txn_id: str | None = None) -> "InteractiveTransaction":
         """Open an interactive transaction (quorum reads + staged writes).
@@ -361,9 +387,9 @@ class Cluster:
             QuorumUnreachableError: when the origin's partition cannot
                 assemble a read quorum of unlocked copies.
         """
-        planner = QuorumPlanner(self.catalog)
+        planner = self.planner
         blocked = self.blocked_map()
-        hosting = self.network.reachable_from(origin, self.catalog.sites_of(item))
+        hosting = self.network.reachable_from(origin, planner.catalog.sites_of(item))
         usable = [
             s
             for s in hosting
@@ -600,6 +626,7 @@ class Cluster:
     def _enter_epoch(self, catalog: ReplicaCatalog) -> None:
         """Make ``catalog`` current for the transactions begun from now on."""
         self.catalog = catalog
+        self.planner = QuorumPlanner(catalog)
         self.epochs[catalog.epoch] = catalog
         for site in self.sites.values():
             site.engine.catalog = catalog

@@ -15,6 +15,18 @@ user of the database holds while executing:
    releases *all* the transaction's locks — including read locks at
    sites that host none of the written items.
 
+A transaction whose origin site is down (crashed, or left) is refused
+before it takes a lock, registers, or writes a log row: :meth:`read`
+and :meth:`submit` release whatever it already holds and raise
+:class:`TransactionAborted` — the client's site is gone, and so is the
+transaction.
+
+Each :meth:`read` and :meth:`submit` reads the cluster's current
+placement once (through :attr:`Cluster.planner
+<repro.db.cluster.Cluster.planner>`) and plans against the copies live
+and reachable from the origin, walking each item's precomputed vote
+ranking; nothing is sorted per call.
+
 Lock conflicts surface immediately as :class:`TransactionAborted`
 (no waiting): a participant that cannot lock now votes no / a reader
 that cannot lock now aborts.  This no-wait policy makes deadlock
@@ -34,7 +46,7 @@ from __future__ import annotations
 import enum
 from typing import TYPE_CHECKING, Any
 
-from repro.common.errors import ProtocolError, TransactionAborted
+from repro.common.errors import ConfigurationError, ProtocolError, TransactionAborted
 from repro.common.ids import make_txn_id
 from repro.concurrency.locks import LockMode
 from repro.db.txn import TxnHandle
@@ -42,6 +54,7 @@ from repro.replication.accessor import QuorumPlanner
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.cluster import Cluster
+    from repro.net.network import LivePeers
 
 
 class TxnPhase(enum.Enum):
@@ -65,7 +78,6 @@ class InteractiveTransaction:
         self.origin = origin
         self.txn = txn_id or make_txn_id(origin)
         self.phase = TxnPhase.ACTIVE
-        self._planner = QuorumPlanner(cluster.catalog)
         self._reads: dict[str, int] = {}  # item -> version read
         self._read_values: dict[str, Any] = {}
         self._writes: dict[str, Any] = {}
@@ -85,8 +97,8 @@ class InteractiveTransaction:
 
         Raises:
             TransactionAborted: a quorum copy is locked by another
-                transaction (no-wait policy) — the transaction is dead;
-                its locks are already released.
+                transaction (no-wait policy), or the origin is down —
+                the transaction is dead; its locks are already released.
             QuorumUnreachableError: the origin's partition lacks r(x)
                 votes; the transaction stays ACTIVE (the caller may try
                 other items or abort).
@@ -96,28 +108,25 @@ class InteractiveTransaction:
             return self._writes[item]
         if item in self._read_values:
             return self._read_values[item]
-        network = self._cluster.network
-        hosting = network.reachable_from(self.origin, self._cluster.catalog.sites_of(item))
-        quorum = self._planner.plan_read(item, hosting)
+        cluster = self._cluster
+        live = self._live_peers()
+        quorum = cluster.planner.plan_read(item, live)
+        sites = cluster.sites
         for site in quorum:
-            manager = self._cluster.sites[site].locks
-            if not manager.try_acquire(self.txn, item, LockMode.SHARED):
+            if not sites[site].locks.try_acquire(self.txn, item, LockMode.SHARED):
                 self._release_everywhere()
                 self.phase = TxnPhase.ABORTED
                 raise TransactionAborted(self.txn, f"read lock conflict on {item!r} at site {site}")
             self._locked_sites.add(site)
-        replies = {s: self._cluster.sites[s].store.read(item) for s in quorum}
-        result = QuorumPlanner.resolve_read(item, replies)
-        self._reads[item] = result.version
-        self._read_values[item] = result.value
-        return result.value
+        newest = QuorumPlanner.newest([sites[s].store.read(item) for s in quorum])
+        self._reads[item] = newest.version
+        self._read_values[item] = newest.value
+        return newest.value
 
     def write(self, item: str, value: Any) -> None:
         """Stage a write; it takes effect only if the commit succeeds."""
         self._require(TxnPhase.ACTIVE)
         if item not in self._cluster.catalog:
-            from repro.common.errors import ConfigurationError
-
             raise ConfigurationError(f"unknown item {item!r}")
         self._writes[item] = value
 
@@ -129,37 +138,33 @@ class InteractiveTransaction:
         commit protocol over writeset hosts plus read-locked sites.
         Drive the simulation (``cluster.run()``) afterwards and inspect
         ``cluster.outcome(...)``.
+
+        Raises:
+            QuorumUnreachableError: the origin's partition lacks w(x)
+                votes for a written item; the transaction stays ACTIVE.
+            TransactionAborted: the origin is down; nothing was
+                registered or logged, and the locks are released.
         """
         self._require(TxnPhase.ACTIVE)
-        catalog = self._cluster.catalog
+        cluster = self._cluster
         if not self._writes:
             self._release_everywhere()
             self.phase = TxnPhase.COMMITTED
-            self._cluster.record_footprint(self.txn, self._reads, {})
+            cluster.record_footprint(self.txn, self._reads, {})
             return TxnHandle(self.txn, self.origin, {}, ())
-        from repro.common.errors import QuorumUnreachableError
-
+        live = self._live_peers()
+        planner = cluster.planner
         versioned: dict[str, tuple[Any, int]] = {}
         write_hosts: set[int] = set()
         for item in sorted(self._writes):
-            hosting = self._cluster.network.reachable_from(
-                self.origin, catalog.sites_of(item)
-            )
-            gathered = catalog.votes(item, hosting)
-            if gathered < catalog.w(item):
-                raise QuorumUnreachableError(item, "write", gathered, catalog.w(item))
-            write_hosts.update(hosting)
-            if item in self._reads:
-                base = self._reads[item]
-            else:
-                versions = [self._cluster.sites[s].store.read(item).version for s in hosting]
-                base = max(versions, default=0)
-            versioned[item] = (self._writes[item], base + 1)
+            hosts, version = cluster.write_target(planner, live, item, self._reads.get(item))
+            write_hosts.update(hosts)
+            versioned[item] = (self._writes[item], version)
         participants = sorted(write_hosts | self._locked_sites)
         handle = TxnHandle(self.txn, self.origin, versioned, tuple(participants))
         self.phase = TxnPhase.SUBMITTED
-        self._cluster.register_submitted(handle, dict(self._reads))
-        origin_site = self._cluster.sites[self.origin]
+        cluster.register_submitted(handle, dict(self._reads))
+        origin_site = cluster.sites[self.origin]
         if origin_site.engine is None:  # pragma: no cover - sites always get engines
             raise ProtocolError(f"site {self.origin} has no engine")
         origin_site.engine.begin_commit(self.txn, versioned, participants=participants)
@@ -180,6 +185,19 @@ class InteractiveTransaction:
             raise ProtocolError(
                 f"transaction {self.txn} is {self.phase.value}, not {phase.value}"
             )
+
+    def _live_peers(self) -> "LivePeers":
+        """The copies the origin can use now; refuses a down origin.
+
+        Checked before any lock, registration or log row: a client at a
+        crashed (or departed) site must leave nothing behind.
+        """
+        site = self._cluster.sites.get(self.origin)
+        if site is None or not site.alive:
+            self._release_everywhere()
+            self.phase = TxnPhase.ABORTED
+            raise TransactionAborted(self.txn, f"origin site {self.origin} is down")
+        return self._cluster.network.live_peers(self.origin)
 
     def _release_everywhere(self) -> None:
         for site in self._locked_sites:

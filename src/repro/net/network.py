@@ -99,6 +99,25 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 GLOBAL_SITE = -1  # trace attribution for network-wide events
 
 
+class LivePeers:
+    """``site in peers``: ``site`` is up and shares a source's component.
+
+    The membership test :meth:`Network.reachable_from` applies, one site
+    at a time and without building a list — what a quorum planner walks
+    its ranked copies against.  Read it at once: it holds the source's
+    component of the connectivity epoch it was made in.
+    """
+
+    __slots__ = ("_component", "_nodes")
+
+    def __init__(self, component: frozenset[int], nodes: dict[int, "Node"]) -> None:
+        self._component = component
+        self._nodes = nodes
+
+    def __contains__(self, site: object) -> bool:
+        return site in self._component and self._nodes[site].alive
+
+
 class Network:
     """Simulated point-to-point network over registered nodes."""
 
@@ -328,6 +347,22 @@ class Network:
         # one component lookup per call, not one reachable() per site
         component = self.partition.component_of(src)
         return sorted(s for s in live if s in component)
+
+    def live_peers(self, src: int) -> LivePeers:
+        """The live sites ``src`` can reach now, as a membership test.
+
+        ``site in network.live_peers(src)`` agrees with ``site in
+        network.reachable_from(src)``, but the component comes from the
+        per-epoch reachable-peer cache :meth:`send` and :meth:`fanout`
+        keep, and nothing is sorted.
+
+        Raises:
+            ValueError: ``src`` is not a registered site.
+        """
+        peers = self._sendable.get(src)
+        if peers is None:
+            peers = self._sendable[src] = self.partition.component_of(src)
+        return LivePeers(peers, self._nodes)
 
     # ------------------------------------------------------------------
     # fault control (called by the FailureInjector and by tests)

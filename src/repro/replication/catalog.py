@@ -19,6 +19,7 @@ a transaction in flight.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from repro.common.errors import ConfigurationError
@@ -33,12 +34,25 @@ class ItemConfig:
         copies: site -> votes held by that site's copy.
         read_quorum: r(x).
         write_quorum: w(x).
+        ranked: the hosting sites by descending votes, ties by
+            ascending site — the order the quorum planner takes copies
+            in.  A config never changes, so this is derived once, on
+            first use, and kept: a config built for one membership
+            epoch (or carried over unchanged into the next) is ranked
+            at most once, and one never planned against costs nothing.
     """
 
     name: str
     copies: Mapping[int, int]
     read_quorum: int
     write_quorum: int
+
+    @cached_property
+    def ranked(self) -> tuple[int, ...]:
+        sites = sorted(self.copies)
+        # a stable sort keeps equal votes in ascending site order, also
+        # when reversed
+        return tuple(sorted(sites, key=self.copies.__getitem__, reverse=True))
 
     @property
     def total_votes(self) -> int:
@@ -84,6 +98,11 @@ class ReplicaCatalog:
     decides which epoch is current; a transaction keeps the epoch it
     started in, so the ``w(x)`` / ``r(x)`` its commit and termination
     count against cannot change under it.
+
+    Because a catalog never changes, what is derived from placement is
+    derived at most once per epoch: each :class:`ItemConfig` keeps its
+    vote-ranked :attr:`~ItemConfig.ranked` order once first read, so
+    the quorum planner never sorts per call.
     """
 
     def __init__(self, items: Iterable[ItemConfig], epoch: int = 0) -> None:

@@ -1,11 +1,15 @@
 """Integration tests for the interactive transaction API."""
 
+import contextlib
+import random
+
 import pytest
 
 from repro import CatalogBuilder, Cluster, FailurePlan, QuorumUnreachableError, TransactionAborted
-from repro.common.errors import ConfigurationError, ProtocolError
+from repro.common.errors import ConfigurationError, ProtocolError, SiteDownError
 from repro.concurrency.serializability import ConflictGraph
 from repro.db.transactions import TxnPhase
+from repro.workload.generators import random_catalog
 
 
 @pytest.fixture
@@ -226,3 +230,63 @@ class TestSerializabilityEndToEnd:
         # site 3's copy is stale; a healed read quorum masks it
         cluster.network.heal()
         assert cluster.read(3, "x").value == 100
+
+
+class TestDownOrigin:
+    """A client at a crashed (or departed) site is refused before it
+    takes a lock, registers, or writes a log row."""
+
+    @pytest.fixture
+    def crashed(self):
+        catalog = random_catalog(random.Random(1), n_sites=6, n_items=4, replication=3)
+        assert 4 not in catalog.sites_of("i0")  # the read goes remote
+        cluster = Cluster(catalog, protocol="qtp1")
+        cluster.network.crash_site(4)
+        return cluster
+
+    @staticmethod
+    def _held(cluster, txn):
+        return {s: site.locks.held_by(txn) for s, site in cluster.sites.items() if site.locks.held_by(txn)}
+
+    def test_read_at_a_crashed_origin_takes_no_lock(self, crashed):
+        txn = crashed.transaction(4)
+        with pytest.raises(TransactionAborted, match="origin site 4 is down"):
+            txn.read("i0")
+        assert txn.phase is TxnPhase.ABORTED
+        assert self._held(crashed, txn.txn) == {}
+
+    def test_submit_after_the_origin_crashed_leaves_nothing(self, catalog):
+        cluster = Cluster(catalog, protocol="qtp1", extra_sites=[4])
+        txn = cluster.transaction(4)
+        txn.read("x")  # origin still up: S locks at a read quorum
+        txn.write("x", 1)
+        cluster.network.crash_site(4)
+        with pytest.raises(TransactionAborted, match="origin site 4 is down"):
+            txn.submit()
+        assert txn.phase is TxnPhase.ABORTED
+        assert self._held(cluster, txn.txn) == {}
+        assert txn.txn not in cluster._txns  # never registered
+        assert cluster.sites[4].wal.begins() == []
+        # the copies it had read-locked are free for the next writer
+        writer = cluster.transaction(1)
+        writer.write("x", 2)
+        handle = writer.submit()
+        cluster.run()
+        assert cluster.outcome(handle.txn).outcome == "commit"
+
+    def test_a_later_writer_of_the_item_commits(self, crashed):
+        reader = crashed.transaction(4)
+        with contextlib.suppress(TransactionAborted, SiteDownError):
+            reader.write("i0", reader.read("i0") + 1)
+            reader.submit()
+        writer = crashed.transaction(1)
+        writer.write("i0", 7)
+        handle = writer.submit()
+        crashed.run()
+        assert crashed.outcome(handle.txn).outcome == "commit"
+
+    def test_update_at_a_crashed_origin_registers_and_logs_nothing(self, crashed):
+        with pytest.raises(SiteDownError):
+            crashed.update(4, {"i0": 1})
+        assert crashed._txns == {}  # never registered
+        assert crashed.sites[4].wal.begins() == []
