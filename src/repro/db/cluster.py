@@ -220,7 +220,9 @@ class Cluster:
             # explicit quorums pin Vc/Va globally (the paper's Example 1
             # setup); otherwise they adapt per transaction to its
             # participants' vote total (majority-style defaults).
-            self.skeen_rule = SkeenQuorumRule(votes, commit_quorum, abort_quorum)
+            self.skeen_rule = SkeenQuorumRule(
+                votes, commit_quorum, abort_quorum, epoch=self.catalog.epoch
+            )
         if self.protocol == "qtpp":
             self.primary_strategy = PrimaryCopyStrategy(self.catalog, primaries)
         # engine class, termination rule and extra keywords: the rules
@@ -481,9 +483,10 @@ class Cluster:
 
     def _on_connectivity_change(self, event: str) -> None:
         # a storm changes connectivity under 32 engines of which a
-        # handful track a transaction; the rest have nothing to re-arm
+        # handful hold an undecided transaction; the rest have nothing
+        # to re-arm
         for site in self.sites.values():
-            if site.alive and site.engine is not None and site.engine.records():
+            if site.alive and site.engine is not None and site.engine.undecided:
                 site.engine.kick()
 
     # ------------------------------------------------------------------
@@ -529,7 +532,8 @@ class Cluster:
         copies = dict(copies or {})
         catalog = self.catalog.admit_site(site_id, copies)
         if self.protocol == "skq":
-            self.skeen_rule.add_site(site_id)
+            # the next epoch's site votes, derived beside its catalog
+            self.skeen_rule.admit_site(site_id, catalog.epoch)
         self._enter_epoch(catalog)
         site = Site(site_id, self.network, sorted(copies))  # registers on the network
         self.sites[site_id] = site
@@ -602,6 +606,9 @@ class Cluster:
                 "(crash/recover is the fail-stop path)"
             )
         catalog, evicted = self.catalog.evict_site(site_id)
+        if self.protocol == "skq":
+            # transactions begun before the leave keep the leaver's votes
+            self.skeen_rule.evict_site(site_id, catalog.epoch)
         self._enter_epoch(catalog)
         # push the leaver's newest versions to staler reachable survivors
         for item in sorted(evicted):
@@ -649,9 +656,11 @@ class Cluster:
         """Phase 3 of :meth:`leave_site`: deregister the drained site."""
         if forced:
             self.tracer.record(self.scheduler.now, site_id, "leave-forced")
-            self.sites[site_id].cancel_timers()  # a departed site must not act
-        if self.protocol == "skq":
-            self.skeen_rule.discard_site(site_id)
+            # a departed site must not act: its node's timers, and the
+            # engine's, which the engine alone registers
+            site = self.sites[site_id]
+            site.cancel_timers()
+            site.engine.cancel_timers()
         self.network.deregister(site_id)  # traces the canonical "leave"
         self.departed[site_id] = self.sites.pop(site_id)
 

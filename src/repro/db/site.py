@@ -138,14 +138,11 @@ class Site(Node):
         """Transactions at this site that have not reached a decision."""
         if self.engine is None:
             return set()
-        return {
-            txn for txn, rec in self.engine.records().items() if not rec.decided
-        }
+        return set(self.engine.undecided)
 
     def in_flight(self) -> bool:
         """Does this site still act for some transaction?  Either it is
         undecided here, or this site coordinates it and the round's
         vote or ack window has yet to close (closing it sends)."""
-        return bool(self.undecided_txns()) or (
-            self.engine is not None and bool(self.engine.open_rounds())
-        )
+        engine = self.engine
+        return engine is not None and bool(engine.undecided or engine.open_rounds())

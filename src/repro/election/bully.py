@@ -16,10 +16,13 @@ the partition heals mid-election (Example 3's scenario).  Safety is the
 termination protocol's job; the election only provides liveness.
 
 ``ElectionMixin`` is mixed into the protocol engines; it expects the
-host class to provide ``node``, ``_records``, a ``_T`` bound, and a
+host class to provide ``node``, ``_records``, a ``_T`` bound, its
+``_scheduler``, its family's ``mtypes`` table and a
 ``_run_termination(txn)`` entry point, and to put
 :data:`ElectionMixin.ELECTION_HANDLERS` into the handler table it hands
-its node.
+its node.  The election's windows are the record's timers
+(:meth:`TxnRecord.set_timer <repro.protocols.base.TxnRecord.set_timer>`):
+the engine is their one registry, as for every engine timer.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ class ElectionMixin:
         self.node.multicast(higher, "elect.inquiry", txn)
         window = 2 * self._T * (1 + 1e-6) if higher else 0.0
         record.set_timer(
-            self.node, window, self._election_window_closed, txn, label="elect-window"
+            self._scheduler, window, self._election_window_closed, txn, label="elect-window"
         )
 
     def _election_window_closed(self, txn: str) -> None:
@@ -86,7 +89,7 @@ class ElectionMixin:
             # Defer to the higher site; if it never follows through,
             # the watchdog re-triggers a fresh election.
             record.set_timer(
-                self.node,
+                self._scheduler,
                 5 * self._T,
                 self.start_election,
                 txn,
@@ -110,7 +113,7 @@ class ElectionMixin:
         if record.decided:
             # Share the decision instead of re-running termination.
             outcome = "commit" if record.state is TxnState.C else "abort"
-            self.node.send(msg.src, f"{self.family}.{outcome}", msg.txn)
+            self.node.send(msg.src, self.mtypes[outcome], msg.txn)
             return
         if not record.electing and not record.terminating:
             self.start_election(msg.txn)

@@ -1,10 +1,22 @@
 """Message-driven actor base class.
 
 A :class:`Node` is one site's network persona: it registers handlers by
-message type, sends messages, and owns timers that are automatically
-cancelled when the site crashes (a crashed site must not act).  The
-database :class:`~repro.db.site.Site` and the protocol engines build on
-this class.
+message type, sends messages, and owns the timers armed through
+:meth:`Node.set_timer`, which are automatically cancelled when the site
+crashes (a crashed site must not act).  The database
+:class:`~repro.db.site.Site` and the protocol engines build on this
+class.
+
+The protocol engines' timers are not node timers.  A watchdog,
+election or termination window and a coordinator's vote or ack window
+is one :meth:`Scheduler.call_at <repro.sim.scheduler.Scheduler.call_at>`
+registered only in the engine (see :mod:`repro.protocols.base`); it
+never passes through :meth:`Node.set_timer` or :meth:`Node._guarded`.
+A crash reaches them through :meth:`on_crash` — the site's hook calls
+the engine's, which cancels them — and a forced leave through
+:meth:`CommitProtocolEngine.cancel_timers
+<repro.protocols.base.CommitProtocolEngine.cancel_timers>`.
+:meth:`Node.set_timer` stays the node-level API for everything else.
 
 Handlers bind on first delivery.  A protocol engine does not register
 its fifteen handlers when it is built; it hands the node its class's
@@ -20,15 +32,16 @@ What a node binds once.  The tracer and the scheduler are fixed for
 the network's lifetime, so a node takes both when it is built:
 :attr:`Node.now`, :meth:`Node.trace` and :meth:`Node.set_timer` read
 the clock as ``self._scheduler.now`` — two attribute loads — and a
-timer is one :meth:`Scheduler.call_at
+node timer is one :meth:`Scheduler.call_at
 <repro.sim.scheduler.Scheduler.call_at>` after the node's own
 liveness and negative-delay checks.  :meth:`Node.send` stamps its
 message the way a fan-out does (:class:`~repro.net.message.MessageStamp`).
 
 Crash semantics follow the paper's model:
 
-* ``crash()`` cancels every pending timer and flips ``alive``; the
-  network then drops traffic in both directions.
+* ``crash()`` flips ``alive``, cancels every pending node timer and
+  runs :meth:`on_crash` (where an engine cancels its own); the network
+  then drops traffic in both directions.
 * ``recover()`` flips ``alive`` back and invokes :meth:`on_recover`,
   where subclasses reconstruct state from durable storage (the WAL).
   Volatile state does *not* survive.

@@ -30,12 +30,37 @@ Message handlers are declared, not installed.
 after ``family.``) to the name of the method that handles it; when a
 subclass is defined, ``__init_subclass__`` expands it once with the
 subclass's ``family`` (plus the family-independent election types) into
-the class's ``handler_table``.  An engine hands that shared table to
-its node (:meth:`Node.bind_on_delivery
-<repro.net.node.Node.bind_on_delivery>`), which registers a handler the
-first time a message of its type is delivered — building an engine
-creates no bound methods.  A subclass that handles a new kind overrides
+the class's ``handler_table``, and into :attr:`~CommitProtocolEngine.mtypes`,
+the ``kind -> "family.kind"`` table every send reads (no message type
+is formatted per send).  An engine hands the handler table to its node
+(:meth:`Node.bind_on_delivery <repro.net.node.Node.bind_on_delivery>`),
+which registers a handler the first time a message of its type is
+delivered — building an engine creates no bound methods.  A subclass
+that handles a new kind overrides
 ``HANDLERS = {**CommitProtocolEngine.HANDLERS, "my-kind": "_on_my_kind"}``.
+
+What a protocol step costs does not grow with the transaction's
+history:
+
+* **The engine owns its timers.**  A record's timers (watchdog,
+  election and termination-phase windows) live in that record's label
+  table, and a coordination round's vote and ack windows on the round;
+  each is one :meth:`Scheduler.call_at
+  <repro.sim.scheduler.Scheduler.call_at>` registered nowhere else.
+  None goes through :meth:`Node.set_timer <repro.net.node.Node.set_timer>`,
+  so a crash (:meth:`CommitProtocolEngine.on_crash`) and a forced leave
+  cancel them here, through :meth:`CommitProtocolEngine.cancel_timers`.
+* **Write sets travel by reference.**  vote-req and t.state-req carry
+  the coordinator's (or terminator's) ``writes`` mapping itself, and a
+  participant's record keeps it as it came; messages are immutable by
+  contract, and nothing writes to a write set once it is sent.
+* **Tallies fold one reply at a time.**  A round keeps the
+  participants whose vote, then whose ack, it still awaits; the quorum
+  engines keep what each item still lacks of its threshold.  A repeated
+  reply changes nothing.
+* **Kicks visit only undecided records.**  :attr:`CommitProtocolEngine.undecided`
+  holds the undecided records, kept up to date wherever a record is
+  created, decided, rebuilt or dropped.
 """
 
 from __future__ import annotations
@@ -47,13 +72,13 @@ from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Mapping
 
 from repro.election.bully import ElectionMixin
 from repro.net.message import Message
-from repro.protocols.states import TxnState, can_transition
+from repro.protocols.states import LEGAL_TRANSITIONS, TxnState
 from repro.storage.wal import WriteAheadLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.node import Node
     from repro.replication.catalog import ReplicaCatalog
-    from repro.sim.scheduler import EventHandle
+    from repro.sim.scheduler import EventHandle, Scheduler
 
 
 # ----------------------------------------------------------------------
@@ -152,7 +177,7 @@ class ProtocolHooks:
 _DECIDED = (TxnState.C, TxnState.A)
 
 
-@dataclass
+@dataclass(slots=True)
 class TxnRecord:
     """Everything one site knows about one in-flight transaction.
 
@@ -196,21 +221,31 @@ class TxnRecord:
 
     def set_timer(
         self,
-        node: "Node",
+        scheduler: "Scheduler",
         delay: float,
         fn: Callable[..., None],
         *args: Any,
         label: str,
     ) -> None:
-        """(Re)arm a named timer; the previous timer of that label dies."""
-        self.cancel_timer(label)
+        """(Re)arm a named timer; the previous timer of that label dies.
+
+        The record's label table is the timer's one registry: the timer
+        is a single :meth:`Scheduler.call_at
+        <repro.sim.scheduler.Scheduler.call_at>`, and only
+        :meth:`cancel_timer` / :meth:`cancel_all_timers` (a decision,
+        a crash, a forced leave) cancel it — the node never sees it.
+        """
+        timers = self._timers
+        handle = timers.pop(label, None)
+        if handle is not None:
+            handle.cancel()
         if delay <= 0:
             # fires on the very next tick and is never cancelled (nothing
             # holds a handle to it), so it can skip the EventHandle
             # allocation entirely.
-            node.network.scheduler.call_fixed_after(0, fn, *args)
+            scheduler.call_fixed_after(0, fn, *args)
             return
-        self._timers[label] = node.set_timer(delay, fn, *args, label=label)
+        timers[label] = scheduler.call_at(scheduler.now + delay, fn, *args, label=label)
 
     def cancel_timer(self, label: str) -> None:
         """Cancel one named timer if armed."""
@@ -236,8 +271,27 @@ class _CoordinationRound:
     phase: str = "voting"  # voting -> preparing -> done
     votes: dict[int, bool] = field(default_factory=dict)
     ackers: set[int] = field(default_factory=set)
-    #: the vote or ack window's timer (it fires the round's next step)
-    window: "EventHandle | None" = None
+    #: participants whose yes vote (voting), then whose ack (preparing,
+    #: for the families that wait for every ack) is still awaited
+    waiting: set[int] = field(default_factory=set)
+    #: the vote window's timer, then the ack window's (each fires the
+    #: round's next step); registered here and nowhere else
+    vote_window: "EventHandle | None" = None
+    ack_window: "EventHandle | None" = None
+    #: the family's running ack tally, when it keeps one (the quorum
+    #: engines: what each written item still lacks of its threshold)
+    tally: Any = None
+
+    def armed(self) -> bool:
+        """Is the round open with its current window still pending?"""
+        window = self.ack_window if self.ack_window is not None else self.vote_window
+        return self.phase != "done" and window is not None and window.active
+
+    def cancel_windows(self) -> None:
+        """Cancel both windows (a crash or a forced leave)."""
+        for window in (self.vote_window, self.ack_window):
+            if window is not None:
+                window.cancel()
 
 
 # ----------------------------------------------------------------------
@@ -275,11 +329,15 @@ class CommitProtocolEngine(ElectionMixin, ABC):
     }
     #: full message type -> handler method name, built per subclass
     handler_table: ClassVar[Mapping[str, str]] = {}
+    #: message kind -> full message type ``"<family>.<kind>"``, built
+    #: per subclass: what every send of the family reads
+    mtypes: ClassVar[Mapping[str, str]] = {}
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
+        cls.mtypes = {kind: f"{cls.family}.{kind}" for kind in cls.HANDLERS}
         cls.handler_table = {
-            **{f"{cls.family}.{kind}": name for kind, name in cls.HANDLERS.items()},
+            **{cls.mtypes[kind]: name for kind, name in cls.HANDLERS.items()},
             **cls.ELECTION_HANDLERS,
         }
 
@@ -317,6 +375,9 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         self.hooks = hooks or ProtocolHooks()
         self.enforce_ignore_rules = enforce_ignore_rules
         self._records: dict[str, TxnRecord] = {}
+        #: the records not yet decided, in creation order (live view;
+        #: the engine keeps it, everyone else only reads it)
+        self.undecided: dict[str, TxnRecord] = {}
         self._rounds: dict[str, _CoordinationRound] = {}
         self._term_attempt_counter = 0
         self._T = node.network.T
@@ -326,9 +387,6 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         node.bind_on_delivery(self, self.handler_table)
 
     # -- small helpers ---------------------------------------------------------
-
-    def _m(self, kind: str) -> str:
-        return f"{self.family}.{kind}"
 
     def record(self, txn: str) -> TxnRecord | None:
         """The participant record for ``txn`` at this site, if any."""
@@ -341,11 +399,14 @@ class CommitProtocolEngine(ElectionMixin, ABC):
     def open_rounds(self) -> list[str]:
         """Transactions this site coordinates whose vote or ack window
         is still armed."""
-        return [
-            txn
-            for txn, round_ in self._rounds.items()
-            if round_.phase != "done" and round_.window is not None and round_.window.active
-        ]
+        return [txn for txn, round_ in self._rounds.items() if round_.armed()]
+
+    def _add_record(self, record: TxnRecord) -> TxnRecord:
+        """Register a record built in its starting state."""
+        self._records[record.txn] = record
+        if not record.decided:
+            self.undecided[record.txn] = record
+        return record
 
     @property
     def site(self) -> int:
@@ -354,9 +415,9 @@ class CommitProtocolEngine(ElectionMixin, ABC):
 
     def _transition(self, record: TxnRecord, dst: TxnState, via: str) -> None:
         src = record.state
-        if src == dst:
+        if src is dst:
             return
-        if not can_transition(src, dst):
+        if (src, dst) not in LEGAL_TRANSITIONS:
             self.node.trace(
                 "illegal-transition", record.txn, src=src.name, dst=dst.name, via=via
             )
@@ -371,7 +432,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         if record.decided or record.blocked:
             return
         record.set_timer(
-            self.node,
+            self._scheduler,
             factor * self._T + self._eps,
             self.start_election,
             record.txn,
@@ -402,7 +463,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
             participants = self.catalog.sites_of_any(writes)
         participants = sorted(participants)
         catalog = self.catalog
-        round_ = _CoordinationRound(txn, writes, participants, catalog)
+        round_ = _CoordinationRound(txn, writes, participants, catalog, waiting=set(participants))
         self._rounds[txn] = round_
         # the coordinator's begin record makes the commit attempt itself
         # durable, so a recovered coordinator knows which transactions it
@@ -411,15 +472,16 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         self.node.trace("coord-begin", txn, participants=participants, items=sorted(writes))
         self.node.multicast(
             participants,
-            self._m("vote-req"),
+            self.mtypes["vote-req"],
             txn,
-            writes={k: list(v) for k, v in writes.items()},
+            writes=writes,
             participants=participants,
             coordinator=self.site,
             epoch=catalog.epoch,
         )
-        round_.window = self.node.set_timer(
-            2 * self._T + self._eps, self._vote_window_closed, txn, label="vote-window"
+        sched = self._scheduler
+        round_.vote_window = sched.call_at(
+            sched.now + 2 * self._T + self._eps, self._vote_window_closed, txn, label="vote-window"
         )
 
     def _vote_window_closed(self, txn: str) -> None:
@@ -434,11 +496,14 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         round_ = self._rounds.get(msg.txn)
         if round_ is None or round_.phase != "voting":
             return
-        round_.votes[msg.src] = bool(msg.payload["yes"])
-        if not msg.payload["yes"]:
+        yes = bool(msg.payload["yes"])
+        round_.votes[msg.src] = yes
+        if not yes:
             self._coord_decide(round_, "abort")
             return
-        if all(round_.votes.get(s) for s in round_.participants):
+        waiting = round_.waiting
+        waiting.discard(msg.src)
+        if not waiting:
             round_.phase = "preparing"
             self._all_voted_yes(round_)
 
@@ -448,9 +513,11 @@ class CommitProtocolEngine(ElectionMixin, ABC):
 
     def _send_prepare(self, round_: _CoordinationRound, window_factor: float = 2.0) -> None:
         """Broadcast PREPARE(-TO-COMMIT) and open the ack window."""
-        self.node.multicast(round_.participants, self._m("prepare"), round_.txn)
-        round_.window = self.node.set_timer(
-            window_factor * self._T + self._eps,
+        self.node.multicast(round_.participants, self.mtypes["prepare"], round_.txn)
+        round_.waiting = set(round_.participants)
+        sched = self._scheduler
+        round_.ack_window = sched.call_at(
+            sched.now + window_factor * self._T + self._eps,
             self._ack_window_closed,
             round_.txn,
             label="ack-window",
@@ -460,11 +527,15 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         round_ = self._rounds.get(msg.txn)
         if round_ is None or round_.phase != "preparing":
             return
-        round_.ackers.add(msg.src)
-        self._on_ack_progress(round_)
+        ackers = round_.ackers
+        if msg.src in ackers:
+            return  # a repeated ack changes nothing
+        ackers.add(msg.src)
+        self._on_ack_progress(round_, msg.src)
 
-    def _on_ack_progress(self, round_: _CoordinationRound) -> None:
-        """Family hook: called after each PC-ACK (quorum protocols commit early)."""
+    def _on_ack_progress(self, round_: _CoordinationRound, acker: int) -> None:
+        """Family hook: ``acker``'s first PC-ACK was just added to
+        ``round_.ackers`` (quorum protocols commit early)."""
 
     def _ack_window_closed(self, txn: str) -> None:
         round_ = self._rounds.get(txn)
@@ -492,7 +563,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
             return
         self.wal.decide(round_.txn, outcome, role="coordinator")
         self.node.trace("coord-decision", round_.txn, outcome=outcome)
-        self.node.multicast(round_.participants, self._m(outcome), round_.txn)
+        self.node.multicast(round_.participants, self.mtypes[outcome], round_.txn)
 
     # ==========================================================================
     # participant side: the Fig. 6 state machine
@@ -507,23 +578,26 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         self.wal.vote(msg.txn, yes)
         if yes:
             self._transition(record, TxnState.W, via="vote-yes")
-            self.node.send(record.coordinator, self._m("vote"), msg.txn, yes=True)
+            self.node.send(record.coordinator, self.mtypes["vote"], msg.txn, yes=True)
             self._arm_watchdog(record)
         else:
-            self.node.send(record.coordinator, self._m("vote"), msg.txn, yes=False)
+            self.node.send(record.coordinator, self.mtypes["vote"], msg.txn, yes=False)
             self._decide(record, "abort", via="vote-no")
 
-    def _record_from_payload(self, txn: str, payload: Mapping[str, Any]) -> TxnRecord:
-        writes = {k: (v[0], v[1]) for k, v in payload["writes"].items()}
-        record = TxnRecord(
-            txn=txn,
-            coordinator=payload["coordinator"],
-            participants=list(payload["participants"]),
-            writes=writes,
-            epoch=payload["epoch"],
+    def _record_from_payload(
+        self, txn: str, payload: Mapping[str, Any], state: TxnState = TxnState.Q
+    ) -> TxnRecord:
+        # the write set as sent: the sender's mapping, shared, not copied
+        return self._add_record(
+            TxnRecord(
+                txn=txn,
+                coordinator=payload["coordinator"],
+                participants=list(payload["participants"]),
+                writes=payload["writes"],
+                epoch=payload["epoch"],
+                state=state,
+            )
         )
-        self._records[txn] = record
-        return record
 
     def _on_prepare(self, msg: Message) -> None:
         record = self._records.get(msg.txn)
@@ -532,10 +606,10 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         if record.state is TxnState.W:
             self.wal.pc(msg.txn)
             self._transition(record, TxnState.PC, via="prepare")
-            self.node.send(msg.src, self._m("ack"), msg.txn)
+            self.node.send(msg.src, self.mtypes["ack"], msg.txn)
             self._arm_watchdog(record)
         elif record.state is TxnState.PC:
-            self.node.send(msg.src, self._m("ack"), msg.txn)  # idempotent re-ack
+            self.node.send(msg.src, self.mtypes["ack"], msg.txn)  # idempotent re-ack
         # PA / decided: ignore (the Fig. 6 no-PC<->PA rule)
 
     def _on_commit_cmd(self, msg: Message) -> None:
@@ -573,6 +647,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
             return
         self.wal.decide(record.txn, outcome)
         self._transition(record, wanted, via=via)
+        self.undecided.pop(record.txn, None)
         record.cancel_all_timers()
         record.blocked = False
         record.terminating = False
@@ -610,16 +685,16 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         )
         self.node.multicast(
             reachable,
-            self._m("t.state-req"),
+            self.mtypes["t.state-req"],
             txn,
             attempt=record.term_attempt,
             coordinator=self.site,
-            writes={k: list(v) for k, v in record.writes.items()},
+            writes=record.writes,
             participants=record.participants,
             epoch=record.epoch,
         )
         record.set_timer(
-            self.node,
+            self._scheduler,
             2 * self._T + self._eps,
             self._term_phase2,
             txn,
@@ -636,7 +711,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
             if decision is not None:
                 self.node.send(
                     msg.src,
-                    self._m("t.state"),
+                    self.mtypes["t.state"],
                     msg.txn,
                     attempt=msg.payload["attempt"],
                     state="C" if decision == "commit" else "A",
@@ -652,17 +727,18 @@ class CommitProtocolEngine(ElectionMixin, ABC):
             # not yet rebuilt; answer with the decision, never with Q.  A
             # coordinator-role decision is not this participant's: its
             # half never joined, so it answers Q and takes the command.)
-            record = self._record_from_payload(msg.txn, msg.payload)
             decision = self.wal.participant_decision(msg.txn)
             if decision is not None:
-                record.state = TxnState.C if decision == "commit" else TxnState.A
+                state = TxnState.C if decision == "commit" else TxnState.A
+                record = self._record_from_payload(msg.txn, msg.payload, state)
             else:
+                record = self._record_from_payload(msg.txn, msg.payload)
                 self.wal.begin(
                     msg.txn, record.writes, record.participants, record.coordinator, record.epoch
                 )
         self.node.send(
             msg.src,
-            self._m("t.state"),
+            self.mtypes["t.state"],
             msg.txn,
             attempt=msg.payload["attempt"],
             state=record.state.name,
@@ -716,9 +792,9 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         self, record: TxnRecord, mtype: str, states: Mapping[int, TxnState]
     ) -> None:
         wait_sites = [s for s, st in states.items() if st is TxnState.W]
-        self.node.multicast(wait_sites, self._m(mtype), record.txn, attempt=record.term_attempt)
+        self.node.multicast(wait_sites, self.mtypes[mtype], record.txn, attempt=record.term_attempt)
         record.set_timer(
-            self.node,
+            self._scheduler,
             2 * self._T + self._eps,
             self._term_round_closed,
             record.txn,
@@ -741,7 +817,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
             self.wal.pc(msg.txn)
             self._transition(record, TxnState.PC, via=f"t.ptc-from-{msg.src}")
         self.node.send(
-            msg.src, self._m("t.pc-ack"), msg.txn, attempt=msg.payload["attempt"]
+            msg.src, self.mtypes["t.pc-ack"], msg.txn, attempt=msg.payload["attempt"]
         )
         self._arm_watchdog(record)
 
@@ -759,7 +835,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
             self.wal.pa(msg.txn)
             self._transition(record, TxnState.PA, via=f"t.pta-from-{msg.src}")
         self.node.send(
-            msg.src, self._m("t.pa-ack"), msg.txn, attempt=msg.payload["attempt"]
+            msg.src, self.mtypes["t.pa-ack"], msg.txn, attempt=msg.payload["attempt"]
         )
         self._arm_watchdog(record)
 
@@ -813,7 +889,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         """Send the final command to every reachable participant."""
         reachable = self.node.network.reachable_from(self.site, record.participants)
         self.node.trace("term-decision", record.txn, outcome=outcome, informed=reachable)
-        self.node.multicast(reachable, self._m(outcome), record.txn)
+        self.node.multicast(reachable, self.mtypes[outcome], record.txn)
         record.terminating = False
 
     def _term_block(self, record: TxnRecord) -> None:
@@ -824,7 +900,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         record.cancel_timer("elect-defer-watchdog")
         self.node.trace("blocked", record.txn, reason="no-quorum")
         reachable = self.node.network.reachable_from(self.site, record.participants)
-        self.node.broadcast(reachable, self._m("t.blocked"), record.txn)
+        self.node.broadcast(reachable, self.mtypes["t.blocked"], record.txn)
 
     def _on_term_blocked(self, msg: Message) -> None:
         record = self._records.get(msg.txn)
@@ -841,10 +917,19 @@ class CommitProtocolEngine(ElectionMixin, ABC):
 
     def on_crash(self) -> None:
         """Volatile protocol state is lost (records, rounds, timers)."""
+        self.cancel_timers()
+        self._records.clear()
+        self.undecided.clear()
+        self._rounds.clear()
+
+    def cancel_timers(self) -> None:
+        """Cancel every timer this engine armed: each record's and each
+        coordination round's windows.  The engine is their only
+        registry, so a crash and a forced leave cancel them here."""
         for record in self._records.values():
             record.cancel_all_timers()
-        self._records.clear()
-        self._rounds.clear()
+        for round_ in self._rounds.values():
+            round_.cancel_windows()
 
     def rebuild_from_wal(self) -> list[str]:
         """Reconstruct participant and coordinator roles after recovery.
@@ -883,15 +968,16 @@ class CommitProtocolEngine(ElectionMixin, ABC):
                 state = TxnState.C if decision == "commit" else TxnState.A
             else:
                 state = undecided.get(txn, TxnState.Q)
-            record = TxnRecord(
-                txn=txn,
-                coordinator=coordinator,
-                participants=list(participants),
-                writes=dict(writes),
-                epoch=epoch,
-                state=state,
+            record = self._add_record(
+                TxnRecord(
+                    txn=txn,
+                    coordinator=coordinator,
+                    participants=list(participants),
+                    writes=dict(writes),
+                    epoch=epoch,
+                    state=state,
+                )
             )
-            self._records[txn] = record
             if not record.decided:
                 recovered.append(txn)
                 self._arm_watchdog(record)
@@ -901,7 +987,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
                 # the decision may not have reached everyone; re-announce
                 # (participants absorb duplicates idempotently)
                 self.node.trace("coord-recovery", txn, rebroadcast=decision)
-                self.node.multicast(participants, self._m(decision), txn)
+                self.node.multicast(participants, self.mtypes[decision], txn)
             else:
                 self._recover_undecided_coordinator(txn, dict(writes), list(participants))
         return recovered
@@ -929,11 +1015,10 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         the connectivity change, so acting on it could re-block the
         transaction on stale information), then re-arms the watchdog;
         the usual watchdog -> election -> termination chain does the
-        rest in the new connectivity epoch.
+        rest in the new connectivity epoch.  Visits only the undecided
+        records: a kick costs what is in doubt here, not the history.
         """
-        for record in self._records.values():
-            if record.decided:
-                continue
+        for record in self.undecided.values():
             record.blocked = False
             record.election_rounds = 0
             record.terminating = False

@@ -106,7 +106,7 @@ class QTPPrimaryEngine(CommitProtocolEngine):
     def _all_voted_yes(self, round_: _CoordinationRound) -> None:
         self._send_prepare(round_)
 
-    def _on_ack_progress(self, round_: _CoordinationRound) -> None:
+    def _on_ack_progress(self, round_: _CoordinationRound, acker: int) -> None:
         items = sorted(round_.writes)
         if self.strategy.holds_all_primaries(items, round_.ackers):
             self.node.trace(

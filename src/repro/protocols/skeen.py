@@ -18,7 +18,7 @@ a PA state used while forming abort quorums).
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.common.errors import ConfigurationError
 from repro.protocols.base import (
@@ -28,6 +28,9 @@ from repro.protocols.base import (
     _CoordinationRound,
 )
 from repro.protocols.states import TxnState
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.replication.catalog import ReplicaCatalog
 
 
 class SkeenQuorumRule(TerminationRule):
@@ -41,6 +44,16 @@ class SkeenQuorumRule(TerminationRule):
     selects the majority-style default per transaction:
     ``Vc = floor(Vp / 2) + 1`` and ``Va = Vp - Vc + 1`` where ``Vp`` is
     the participants' total votes.
+
+    **One vote table per membership epoch.**  Like the replica catalog,
+    the site votes are a value per epoch: :meth:`admit_site` and
+    :meth:`evict_site` derive the next epoch's table and never edit an
+    earlier one.  A transaction's quorums are sized from the table of
+    the epoch it started in — the epoch of the ``catalog`` the engine
+    hands every call — so a leave that finishes under a transaction in
+    flight cannot shrink the ``Vp`` its ``Vc`` / ``Va`` come from, and
+    quorums sized before and after a membership change still intersect.
+    A call without a catalog reads the current epoch's table.
     """
 
     name = "skeen-site-quorum"
@@ -50,6 +63,7 @@ class SkeenQuorumRule(TerminationRule):
         site_votes: Mapping[int, int],
         vc: int | None = None,
         va: int | None = None,
+        epoch: int = 0,
     ) -> None:
         """Configure the weighted site votes.
 
@@ -59,6 +73,8 @@ class SkeenQuorumRule(TerminationRule):
                 majority default.
             va: explicit abort quorum, or None for the complement
                 default.
+            epoch: the membership epoch ``site_votes`` belong to (the
+                epoch of the installation's first catalog).
 
         Raises:
             ConfigurationError: for explicit quorums violating
@@ -76,12 +92,15 @@ class SkeenQuorumRule(TerminationRule):
                 )
             if vc > total or va > total:
                 raise ConfigurationError("a quorum exceeds the total votes")
-        self._votes = dict(site_votes)
+        #: site votes by membership epoch; the newest is the current one
+        self._tables: dict[int, dict[int, int]] = {epoch: dict(site_votes)}
+        self._epoch = epoch
         self.vc = vc
         self.va = va
 
-    def add_site(self, site: int, votes: int = 1) -> None:
-        """Admit a joining site's votes (elastic membership).
+    def admit_site(self, site: int, epoch: int, votes: int = 1) -> None:
+        """Derive ``epoch``'s table: the current one plus a joining
+        site's votes (elastic membership).
 
         Adaptive (per-transaction) quorums simply see the larger pool.
         Explicitly pinned quorums must keep covering the installation:
@@ -91,33 +110,54 @@ class SkeenQuorumRule(TerminationRule):
         Raises:
             ConfigurationError: non-positive votes, a duplicate site, or
                 pinned quorums that the enlarged total would invalidate.
+                A rejected join derives nothing.
         """
+        current = self._tables[self._epoch]
         if votes <= 0:
             raise ConfigurationError(f"site {site} votes must be positive")
-        if site in self._votes:
+        if site in current:
             raise ConfigurationError(f"site {site} already holds votes")
         if self.vc is not None and self.va is not None:
-            total = sum(self._votes.values()) + votes
+            total = sum(current.values()) + votes
             if self.vc + self.va <= total:
                 raise ConfigurationError(
                     f"admitting site {site} raises the vote total to {total}, "
                     f"invalidating the pinned quorums Vc={self.vc}, Va={self.va}"
                 )
-        self._votes[site] = votes
+        self._tables[epoch] = {**current, site: votes}
+        self._epoch = epoch
 
-    def discard_site(self, site: int) -> None:
-        """Withdraw a site's votes (rollback of a failed join)."""
-        self._votes.pop(site, None)
+    def evict_site(self, site: int, epoch: int) -> None:
+        """Derive ``epoch``'s table: the current one without a leaving
+        site's votes.  Earlier epochs keep them."""
+        current = self._tables[self._epoch]
+        self._tables[epoch] = {s: v for s, v in current.items() if s != site}
+        self._epoch = epoch
 
-    def _weight(self, sites: Iterable[int]) -> int:
-        return sum(self._votes.get(s, 0) for s in set(sites))
+    def votes(self, catalog: "ReplicaCatalog | None" = None) -> Mapping[int, int]:
+        """The site votes of ``catalog``'s epoch (default: the current one).
 
-    def _quorums(self, participants: Iterable[int] | None) -> tuple[int, int]:
+        Raises:
+            ConfigurationError: the rule holds no table for that epoch.
+        """
+        epoch = self._epoch if catalog is None else catalog.epoch
+        try:
+            return self._tables[epoch]
+        except KeyError:
+            raise ConfigurationError(f"no site votes for epoch {epoch}") from None
+
+    @staticmethod
+    def _weight(sites: Iterable[int], votes: Mapping[int, int]) -> int:
+        return sum(votes.get(s, 0) for s in set(sites))
+
+    def _quorums(
+        self, participants: Iterable[int] | None, votes: Mapping[int, int]
+    ) -> tuple[int, int]:
         """Effective (Vc, Va) for this transaction."""
         if self.vc is not None and self.va is not None:
             return self.vc, self.va
-        pool = self._votes if participants is None else participants
-        total = self._weight(pool)
+        pool = votes if participants is None else participants
+        total = self._weight(pool, votes)
         vc = total // 2 + 1
         return vc, total - vc + 1
 
@@ -130,25 +170,26 @@ class SkeenQuorumRule(TerminationRule):
     ) -> Decision:
         if not states:
             return Decision.BLOCK
-        vc, va = self._quorums(participants)
+        votes = self.votes(catalog)
+        vc, va = self._quorums(participants, votes)
         by_state: dict[TxnState, set[int]] = {}
         for site, state in states.items():
             by_state.setdefault(state, set()).add(site)
         pc = by_state.get(TxnState.PC, set())
         pa = by_state.get(TxnState.PA, set())
-        if TxnState.C in by_state or self._weight(pc) >= vc:
+        if TxnState.C in by_state or self._weight(pc, votes) >= vc:
             return Decision.COMMIT
         if (
             TxnState.A in by_state
             or TxnState.Q in by_state
-            or self._weight(pa) >= va
+            or self._weight(pa, votes) >= va
         ):
             return Decision.ABORT
         not_pa = set(states) - pa
-        if pc and self._weight(not_pa) >= vc:
+        if pc and self._weight(not_pa, votes) >= vc:
             return Decision.TRY_COMMIT
         not_pc = set(states) - pc
-        if self._weight(not_pc) >= va:
+        if self._weight(not_pc, votes) >= va:
             return Decision.TRY_ABORT
         return Decision.BLOCK
 
@@ -159,8 +200,9 @@ class SkeenQuorumRule(TerminationRule):
         participants: Iterable[int] | None = None,
         catalog=None,
     ) -> bool:
-        vc, __ = self._quorums(participants)
-        return self._weight(supporters) >= vc
+        votes = self.votes(catalog)
+        vc, __ = self._quorums(participants, votes)
+        return self._weight(supporters, votes) >= vc
 
     def abort_round_ok(
         self,
@@ -169,8 +211,9 @@ class SkeenQuorumRule(TerminationRule):
         participants: Iterable[int] | None = None,
         catalog=None,
     ) -> bool:
-        __, va = self._quorums(participants)
-        return self._weight(supporters) >= va
+        votes = self.votes(catalog)
+        __, va = self._quorums(participants, votes)
+        return self._weight(supporters, votes) >= va
 
 
 class SkeenEngine(CommitProtocolEngine):
@@ -181,8 +224,10 @@ class SkeenEngine(CommitProtocolEngine):
     def _all_voted_yes(self, round_: _CoordinationRound) -> None:
         self._send_prepare(round_)
 
-    def _on_ack_progress(self, round_: _CoordinationRound) -> None:
-        if set(round_.participants) <= round_.ackers:
+    def _on_ack_progress(self, round_: _CoordinationRound, acker: int) -> None:
+        waiting = round_.waiting
+        waiting.discard(acker)
+        if not waiting:  # every participant has acked
             self._coord_decide(round_, "commit")
 
     def _on_ack_timeout(self, round_: _CoordinationRound) -> None:

@@ -44,6 +44,16 @@ class TxnState(enum.Enum):
     A = "abort"
     C = "commit"
 
+    #: Hash by identity, as equality already is (an Enum member equals
+    #: only itself).  ``Enum.__hash__`` hashes the member's name in
+    #: Python, and every state transition hashes two states; the slot
+    #: inherited from ``object`` is C-level.  Nothing can tell the two
+    #: apart: no code iterates a set or dict of states into output
+    #: (membership tests and insertion-ordered dicts only), and the
+    #: old name-based hash was salted per process anyway, so no order
+    #: ever depended on it.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.name
 
@@ -106,6 +116,4 @@ def can_transition(src: TxnState, dst: TxnState) -> bool:
     Self-loops are legal everywhere (re-delivered commands are absorbed
     idempotently); any terminal -> different-state move is illegal.
     """
-    if src == dst:
-        return True
-    return (src, dst) in LEGAL_TRANSITIONS
+    return src is dst or (src, dst) in LEGAL_TRANSITIONS

@@ -69,8 +69,10 @@ class ThreePCEngine(CommitProtocolEngine):
     def _all_voted_yes(self, round_: _CoordinationRound) -> None:
         self._send_prepare(round_)
 
-    def _on_ack_progress(self, round_: _CoordinationRound) -> None:
-        if set(round_.participants) <= round_.ackers:
+    def _on_ack_progress(self, round_: _CoordinationRound, acker: int) -> None:
+        waiting = round_.waiting
+        waiting.discard(acker)
+        if not waiting:  # every participant has acked
             self._coord_decide(round_, "commit")
 
     def _on_ack_timeout(self, round_: _CoordinationRound) -> None:

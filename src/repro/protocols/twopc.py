@@ -74,4 +74,4 @@ class TwoPCEngine(CommitProtocolEngine):
         """
         self.wal.decide(txn, "abort", role="coordinator")
         self.node.trace("coord-recovery", txn, rebroadcast="abort", presumed=True)
-        self.node.multicast(participants, self._m("abort"), txn)
+        self.node.multicast(participants, self.mtypes["abort"], txn)

@@ -4,15 +4,15 @@ A node registers a protocol handler the first time a message of its
 type is delivered, the tracer appends one shared detail tuple per
 distinct ``(mtype, peer[, reason])`` straight into its columns, the
 clock is an attribute the scheduler alone writes, a node's ``send``
-stamps its message, a timer is one ``call_at``, a connectivity change
-kicks only the engines that track a transaction, and the open-loop
-service reads decisions from a trace cursor.  All of it must be
-invisible in everything a run leaves behind.  The reference defined in
-this file — every table entry bound when the engine is built, a fresh
-detail tuple per record routed through ``Tracer._append``, the clock
-behind a chain of properties, a frozen ``Message`` per ``send``,
-``call_after`` timers, every engine kicked, one trace query per
-in-flight transaction per arrival — is patched over the shipped code
+stamps its message, a connectivity change kicks only the engines that
+hold an undecided transaction, and the open-loop service reads
+decisions from a trace cursor.  All of it must be invisible in
+everything a run leaves behind.  The reference defined in this file —
+every table entry bound when the engine is built, a fresh detail tuple
+per record routed through ``Tracer._append``, the clock behind a chain
+of properties, a frozen ``Message`` per ``send``, every engine kicked,
+one trace query per in-flight transaction per arrival — is patched over
+the shipped code
 with ``mock.patch``, and the same seeded storm (coordinator crash, two
 region-aligned partition waves, heal and recovery on every other seed)
 is run both ways; so is an open-loop service under gray faults.
@@ -94,17 +94,6 @@ def _message_send(self, dst, mtype, txn="", **payload):
     self.network.send(Message(self.node_id, dst, mtype, txn, payload))
 
 
-def _call_after_timer(self, delay, fn, *args, label=""):
-    if not self.alive:
-        raise SiteDownError(f"site {self.node_id} is down")
-    HOPS["call_after"] += 1
-    handle = self.network.scheduler.call_after(
-        delay, self._guarded, fn, args, label=label or f"timer@{self.node_id}"
-    )
-    self._timers.append(handle)  # crash() cancels these; pruning is cost only
-    return handle
-
-
 def _kick_everyone(self, event):
     for site in self.sites.values():
         if site.alive and site.engine is not None:
@@ -137,7 +126,6 @@ def reference_arm():
         stack.enter_context(patch(Node, "now", property(_chained_now)))
         stack.enter_context(patch(Node, "trace", _chained_trace))
         stack.enter_context(patch(Node, "send", _message_send))
-        stack.enter_context(patch(Node, "set_timer", _call_after_timer))
         stack.enter_context(patch(Cluster, "_on_connectivity_change", _kick_everyone))
         stack.enter_context(patch(_OpenLoopRun, "retire_decided", _polling_retire))
         yield
@@ -194,7 +182,7 @@ class TestStormEquivalence:
         lazy = sum(len(site._handlers) for site in lazy_cluster.sites.values())
         assert eager == 15 * len(ALL_SITES) and lazy < eager
         assert "_now" in vars(eager_cluster.scheduler) and "now" in vars(lazy_cluster.scheduler)
-        assert HOPS["now"] > 0 and HOPS["call_after"] > 0
+        assert HOPS["now"] > 0
         assert HOPS["kick"] >= 2 * len(ALL_SITES) - 2  # everyone up, every change
         if lazy_cluster.message_counts().get("elect.alive"):  # the storm's single sends
             assert HOPS["message"] > 0

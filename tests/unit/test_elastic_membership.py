@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.db.cluster import Cluster
+from repro.net.delays import FixedDelay
 from repro.net.network import Network
 from repro.net.node import Node
 from repro.replication.catalog import CatalogBuilder
@@ -162,6 +163,53 @@ class TestClusterJoin:
         txn = cluster.update(origin=1, writes={"x": 5})
         cluster.run()
         assert cluster.outcome(txn.txn).outcome == "commit"
+
+
+class TestSkeenVotesPerEpoch:
+    """skq sizes a transaction's adaptive ``Vc`` / ``Va`` from the site
+    votes of the epoch it started in; a leave that finishes under it
+    used to shrink ``Vp`` (one vote table, edited in place)."""
+
+    def test_a_finished_leave_keeps_the_quorums_of_earlier_epochs(self):
+        cluster = Cluster(small_catalog(), protocol="skq")
+        first = cluster.catalog
+        cluster.leave_site(3)  # nothing in flight: it finishes at once
+        assert 3 in cluster.departed and cluster.catalog.epoch == first.epoch + 1
+        rule = cluster.skeen_rule
+        # a transaction of epoch 0 over 1, 2, 3: Vp = 3, Vc = Va = 2
+        assert not rule.abort_round_ok(["x"], {1}, participants=[1, 2, 3], catalog=first)
+        assert rule.abort_round_ok(["x"], {1, 2}, participants=[1, 2, 3], catalog=first)
+        assert not rule.commit_round_ok(["x"], {1}, participants=[1, 2, 3], catalog=first)
+        # the new epoch holds no votes of the leaver
+        assert rule.votes(cluster.catalog) == {1: 1, 2: 1, 4: 1}
+        assert rule.votes(first) == {1: 1, 2: 1, 3: 1, 4: 1}
+
+    def test_a_join_derives_the_next_table_and_leaves_the_old_alone(self):
+        cluster = Cluster(small_catalog(), protocol="skq")
+        first = cluster.catalog
+        cluster.join_site(7, {"x": 1})
+        rule = cluster.skeen_rule
+        assert rule.votes(first) == {1: 1, 2: 1, 3: 1, 4: 1}
+        assert rule.votes(cluster.catalog) == {1: 1, 2: 1, 3: 1, 4: 1, 7: 1}
+        assert rule.votes() is rule.votes(cluster.catalog)  # no catalog: the current epoch
+
+    def test_a_lone_participant_cannot_abort_after_a_forced_leave(self):
+        # T over 1, 2, 3 (coordinated by 4, which crashes before the
+        # votes arrive); 3 is forced out in W, then 1 and 2 are cut
+        # apart.  With Vp = 3 (Va = 2) neither can abort alone; counted
+        # in the shrunken table (Va = 1) each aborted on its own.
+        cluster = Cluster(small_catalog(), protocol="skq", delay_model=FixedDelay(1.0))
+        cluster.arm_failures(FailurePlan().crash(1.5, 4).partition(2.5, [1], [2], [4]))
+        txn = cluster.update(origin=4, writes={"x": 1}).txn
+        cluster.run_until(1.5)
+        assert cluster.states(txn) == {1: "W", 2: "W", 3: "W"}
+        cluster.leave_site(3, drain_interval=0.5, drain_polls=1)
+        cluster.run_until(40.0)
+        assert 3 in cluster.departed
+        assert cluster.tracer.where(category="leave-forced")
+        assert cluster.states(txn) == {1: "W", 2: "W"}
+        blocked = {rec.site for rec in cluster.tracer.where(category="blocked", txn=txn)}
+        assert blocked == {1, 2}
 
 
 class TestPlanJoin:

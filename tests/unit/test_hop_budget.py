@@ -6,11 +6,13 @@ under region-aligned partition waves), one per protocol, run to
 quiescence under ``cProfile``.  Every bar is a call count read from the
 profile — never a wall time: a per-event read of the clock, the
 scheduler or the tracer is an attribute load, a message in flight is
-never a frozen dataclass, a per-message trace row and a timer are one
-call each, and a connectivity change kicks only the engines that track
-a transaction.  The open-loop bar is the same idea one layer up:
-retiring decided transactions reads a cursor, not the trace once per
-in-flight transaction.
+never a frozen dataclass, a per-message trace row is one call, an
+engine timer is one ``Scheduler.call_at`` that never passes through the
+node, a state transition hashes no state in Python, and a connectivity
+change kicks only the engines that hold an undecided transaction.  The
+open-loop bar is the same idea one layer up: retiring decided
+transactions reads a cursor, not the trace once per in-flight
+transaction.
 
 The trace bars run on the storm and on a 12-site closed loop (the
 benchmark's ``closed_heavy`` shape, cut to 60 transactions): a state
@@ -21,6 +23,7 @@ builds no :class:`~repro.sim.trace.TraceRecord` and reads no ``send``
 """
 
 import cProfile
+import enum
 import random
 from collections import Counter
 from unittest import mock
@@ -32,7 +35,7 @@ from repro.experiments.service_study import open_loop_scenario
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.node import Node
-from repro.protocols.base import CommitProtocolEngine
+from repro.protocols.base import CommitProtocolEngine, TxnRecord
 from repro.sim import trace
 from repro.sim.scheduler import Scheduler
 from repro.sim.trace import TraceRecord, Tracer
@@ -133,10 +136,15 @@ def storm_profile(request):
     cluster, engine, txn = armed_storm(4, request.param)
     kicks_due = []
     # subscribed after the cluster's own observer: by then the kicks of
-    # this change are done, and a kick neither adds nor drops a record
+    # this change are done, and a kick neither adds, drops nor decides
+    # a record; per change, (engines holding an undecided record,
+    # engines holding any record)
     cluster.network.subscribe(
         lambda event: kicks_due.append(
-            sum(1 for s in cluster.sites.values() if s.alive and s.engine.records())
+            (
+                sum(1 for s in cluster.sites.values() if s.alive and s.engine.undecided),
+                sum(1 for s in cluster.sites.values() if s.alive and s.engine.records()),
+            )
         )
     )
     profile = RunProfile(cluster, engine.run_to_quiescence, lambda: cluster.outcome(txn))
@@ -179,16 +187,52 @@ class TestStormHopBudget:
 
     def test_a_timer_is_one_scheduler_call(self, storm_profile):
         profile, _ = storm_profile
-        timers = profile.calls(Node.set_timer)
-        assert timers > 10
-        assert profile.calls_from(Node.set_timer, Scheduler.call_after) == 0
-        assert profile.calls_from(Node.set_timer, Scheduler.call_at) == timers
+        windows = engine_timers_are_one_scheduler_call(profile)
+        # a storm arms no cancellable timer besides the engines'
+        assert profile.calls(Scheduler.call_at) == (
+            profile.calls_from(TxnRecord.set_timer, Scheduler.call_at) + windows
+        )
 
-    def test_only_engines_holding_a_record_are_kicked(self, storm_profile):
+    def test_only_engines_holding_an_undecided_record_are_kicked(self, storm_profile):
         profile, kicks_due = storm_profile
         assert len(kicks_due) >= 4  # two waves, the heal, the recovery
-        assert 0 < sum(kicks_due) < len(kicks_due) * len(ALL_SITES)
-        assert profile.calls(CommitProtocolEngine.kick) == sum(kicks_due)
+        undecided = sum(due for due, _ in kicks_due)
+        holding = sum(held for _, held in kicks_due)
+        assert 0 < undecided <= holding < len(kicks_due) * len(ALL_SITES)
+        # every engine holding a record was kicked before, decided or not
+        assert profile.calls(CommitProtocolEngine.kick) == undecided
+
+
+def engine_timers_are_one_scheduler_call(profile):
+    """Each engine timer arm is one ``Scheduler.call_at`` (a zero delay:
+    one ``call_fixed_after``), registered by the engine alone: no engine
+    timer is armed through ``Node.set_timer`` or fires through
+    ``Node._guarded``.  Returns the number of round windows armed."""
+    record_arms = profile.calls(TxnRecord.set_timer)
+    assert record_arms > 10
+    assert (
+        profile.calls_from(TxnRecord.set_timer, Scheduler.call_at)
+        + profile.calls_from(TxnRecord.set_timer, Scheduler.call_fixed_after)
+        == record_arms
+    )
+    windows = 0
+    for arm in (CommitProtocolEngine.begin_commit, CommitProtocolEngine._send_prepare):
+        assert profile.calls_from(arm, Scheduler.call_at) == profile.calls(arm)
+        windows += profile.calls(arm)
+    assert profile.calls(Scheduler.call_after) == 0
+    # one registration and a direct fire: the node sees none of it
+    assert profile.calls(Node.set_timer) == 0  # every engine timer before
+    assert profile.calls(Node._guarded) == 0  # every engine timer fire before
+    return windows
+
+
+def no_state_is_hashed_in_python(profile):
+    """``TxnState`` hashes by identity: a transition's legality check
+    (and every other state lookup) calls no Python-level
+    ``Enum.__hash__`` — two per transition before."""
+    assert profile.calls(CommitProtocolEngine._transition) >= 10
+    assert profile.calls_from(CommitProtocolEngine._transition, enum.Enum.__hash__) == 0
+    assert profile.calls(enum.Enum.__hash__) == 0
 
 
 class TestOpenLoopHopBudget:
@@ -267,6 +311,19 @@ def verdict_reads_only_verdict_rows(profile):
     assert kinds["decision"] > 0  # the verdicts did read the trace
     assert built == []  # one TraceRecord per decision read before
     assert not kinds.keys() & {"send", "deliver", "drop", "state"}  # every row was read before
+
+
+class TestClosedLoopHopBudget:
+    def test_a_timer_is_one_scheduler_call(self, closed_profile):
+        engine_timers_are_one_scheduler_call(closed_profile)
+
+
+class TestStateHashBudget:
+    def test_a_storm_hashes_no_state_in_python(self, storm_profile):
+        no_state_is_hashed_in_python(storm_profile[0])
+
+    def test_a_closed_loop_hashes_no_state_in_python(self, closed_profile):
+        no_state_is_hashed_in_python(closed_profile)
 
 
 class TestTraceRowBudget:
