@@ -8,13 +8,20 @@ guarantee, availability shaped by where the primaries sit instead of
 where the vote mass sits.
 """
 
-from repro import Cluster, FailurePlan
+from repro import CatalogBuilder, Cluster, FailurePlan
 from repro.experiments.sweeps import modelcheck
-from repro.workload.scenarios import EXAMPLE1_GROUPS, example1_catalog
+from repro.workload.scenarios import EXAMPLE1_GROUPS
 
 
 def run_fig3_with_primaries(primaries):
-    cluster = Cluster(example1_catalog(), protocol="qtpp", primaries=primaries)
+    # the Fig. 3 database with the given primaries
+    catalog = (
+        CatalogBuilder()
+        .replicated_item("x", sites=[1, 2, 3, 4], r=2, w=3, primary=primaries["x"])
+        .replicated_item("y", sites=[5, 6, 7, 8], r=2, w=3, primary=primaries["y"])
+        .build()
+    )
+    cluster = Cluster(catalog, protocol="qtpp")
     cluster.network.add_filter(lambda m: m.mtype.endswith(".prepare") and m.dst != 5)
     txn = cluster.update(origin=1, writes={"x": 1, "y": 2})
     cluster.arm_failures(

@@ -15,6 +15,7 @@ name       protocol                                        termination
 ``skq``    Skeen's site-quorum protocol [16]               site votes
 ``qtp1``   the paper's commit protocol 1 (Fig. 9)          Fig. 5
 ``qtp2``   the paper's commit protocol 2 (Fig. 9)          Fig. 8
+``qtpp``   the §5 primary-copy commit protocol             Fig. 5 (§5)
 =========  ==============================================  ===========
 """
 
@@ -35,7 +36,6 @@ from repro.net.network import Network
 from repro.protocols.qtp.commit import QTP1Engine, QTP2Engine
 from repro.protocols.qtp.generalized import PrimaryTerminationRule, QTPPrimaryEngine
 from repro.protocols.qtp.quorums import TerminationRule1, TerminationRule2
-from repro.replication.primary import PrimaryCopyStrategy
 from repro.protocols.skeen import SkeenEngine, SkeenQuorumRule
 from repro.protocols.threepc import ThreePCEngine, ThreePCTerminationRule
 from repro.protocols.twopc import CooperativeTerminationRule, TwoPCEngine
@@ -126,28 +126,25 @@ class Cluster:
         seed: int = 0,
         delay_model: DelayModel | None = None,
         extra_sites: Iterable[int] = (),
-        site_votes: Mapping[int, int] | None = None,
         commit_quorum: int | None = None,
         abort_quorum: int | None = None,
-        primaries: Mapping[str, int] | None = None,
         enforce_ignore_rules: bool = True,
     ) -> None:
         """Build a cluster.
 
         Args:
-            catalog: replica placement and quorum sizes — the first
-                membership epoch.
+            catalog: replica placement, quorum sizes and primaries — the
+                first membership epoch.
             protocol: one of :data:`PROTOCOL_NAMES` (``qtpp`` is the §5
-                generalization over the primary-copy strategy).
+                generalization over the primary-copy strategy; it reads
+                each item's primary from the catalog).
             seed: run seed (drives delays, loss, workload randomness).
             delay_model: message latency model; default FixedDelay(1).
             extra_sites: sites hosting no copies (pure coordinators).
-            site_votes: for ``skq``: votes per site (default 1 each).
-            commit_quorum: for ``skq``: explicit Vc (default: adaptive
-                majority over each transaction's participants).
+            commit_quorum: for ``skq`` (one vote per site): explicit Vc
+                (default: adaptive majority over each transaction's
+                participants).
             abort_quorum: for ``skq``: explicit Va.
-            primaries: for ``qtpp``: item -> primary site (default:
-                each item's lowest-id host).
             enforce_ignore_rules: pass False only to reproduce
                 Example 3's broken variant.
         """
@@ -171,11 +168,14 @@ class Cluster:
         #: sites that left gracefully (kept for post-run inspection —
         #: their WALs and stores survive the decommission by design).
         self.departed: dict[int, Site] = {}
+        #: sites that began a graceful leave and are still draining:
+        #: they no longer count towards skq's site total
+        self._draining: set[int] = set()
         self._closed = False  # from here on close() has something to release
         hosted = catalog.items_by_site()
         for site_id in sorted(hosted.keys() | set(extra_sites)):
             self.sites[site_id] = Site(site_id, self.network, hosted.get(site_id, ()))
-        self._attach_engines(site_votes, commit_quorum, abort_quorum, primaries)
+        self._attach_engines(commit_quorum, abort_quorum)
         self.injector = FailureInjector(
             self.scheduler, self.network, membership=_weakly(self._apply_membership)
         )
@@ -208,49 +208,32 @@ class Cluster:
 
     __del__ = close
 
-    def _attach_engines(
-        self,
-        site_votes: Mapping[int, int] | None,
-        commit_quorum: int | None,
-        abort_quorum: int | None,
-        primaries: Mapping[str, int] | None,
-    ) -> None:
-        if self.protocol == "skq":
-            votes = dict(site_votes) if site_votes else {s: 1 for s in self.sites}
-            # explicit quorums pin Vc/Va globally (the paper's Example 1
-            # setup); otherwise they adapt per transaction to its
-            # participants' vote total (majority-style defaults).
-            self.skeen_rule = SkeenQuorumRule(
-                votes, commit_quorum, abort_quorum, epoch=self.catalog.epoch
-            )
-        if self.protocol == "qtpp":
-            self.primary_strategy = PrimaryCopyStrategy(self.catalog, primaries)
-        # engine class, termination rule and extra keywords: the rules
-        # hold no per-site state, so one serves every engine (joiners too)
-        self._engine_spec = self._engine_for_protocol()
+    def _attach_engines(self, commit_quorum: int | None, abort_quorum: int | None) -> None:
+        # engine class and termination rule: the rules hold no per-site
+        # or per-epoch state, so one serves every engine (joiners too)
+        self._engine_spec = self._engine_for_protocol(commit_quorum, abort_quorum)
         for site in self.sites.values():
             self._attach_engine(site)
 
-    def _engine_for_protocol(self):
+    def _engine_for_protocol(self, commit_quorum: int | None, abort_quorum: int | None):
         if self.protocol == "2pc":
-            return TwoPCEngine, CooperativeTerminationRule(), {}
+            return TwoPCEngine, CooperativeTerminationRule()
         if self.protocol == "3pc":
-            return ThreePCEngine, ThreePCTerminationRule(), {}
+            return ThreePCEngine, ThreePCTerminationRule()
         if self.protocol == "skq":
-            return SkeenEngine, self.skeen_rule, {}
+            # explicit quorums pin Vc/Va globally (the paper's Example 1
+            # setup); otherwise they adapt per transaction to its
+            # participants (majority-style defaults)
+            return SkeenEngine, SkeenQuorumRule(commit_quorum, abort_quorum, len(self.sites))
         if self.protocol == "qtp1":
-            return QTP1Engine, TerminationRule1(), {}
+            return QTP1Engine, TerminationRule1()
         if self.protocol == "qtpp":
-            return (
-                QTPPrimaryEngine,
-                PrimaryTerminationRule(self.primary_strategy),
-                {"strategy": self.primary_strategy},
-            )
-        return QTP2Engine, TerminationRule2(), {}
+            return QTPPrimaryEngine, PrimaryTerminationRule()
+        return QTP2Engine, TerminationRule2()
 
     def _attach_engine(self, site: Site) -> None:
         """Give ``site`` an engine of this cluster's protocol."""
-        engine_cls, rule, extra = self._engine_spec
+        engine_cls, rule = self._engine_spec
         engine = engine_cls(
             node=site,
             wal=site.wal,
@@ -259,7 +242,6 @@ class Cluster:
             rule=rule,
             hooks=SiteHooks(site),
             enforce_ignore_rules=self._enforce_ignore_rules,
-            **extra,
         )
         site.attach_engine(engine)
 
@@ -321,12 +303,18 @@ class Cluster:
         write goes to every copy in ``live`` (in ranked order), which
         must muster ``w(x)`` votes, and installs one past ``base`` —
         the version the transaction read — or, when it read none, one
-        past the newest of those copies.
+        past the newest of those copies.  Under ``qtpp`` ``live`` must
+        also hold the item's primary (§5: only the primary's partition
+        may write it); without it the transaction could never gather
+        its primary's ack, vote or state, and would block for good.
 
         Raises:
-            QuorumUnreachableError: ``live`` lacks ``w(x)`` votes.
+            QuorumUnreachableError: ``live`` lacks ``w(x)`` votes, or
+                the primary under ``qtpp``.
         """
         hosts = planner.write_hosts(item, live)
+        if self.protocol == "qtpp" and planner.catalog.primary(item) not in live:
+            raise QuorumUnreachableError(item, "primary-copy write", 0, 1)
         if base is None:
             sites = self.sites
             return hosts, QuorumPlanner.next_version(sites[s].store.read(item).version for s in hosts)
@@ -532,8 +520,7 @@ class Cluster:
         copies = dict(copies or {})
         catalog = self.catalog.admit_site(site_id, copies)
         if self.protocol == "skq":
-            # the next epoch's site votes, derived beside its catalog
-            self.skeen_rule.admit_site(site_id, catalog.epoch)
+            self._engine_spec[1].check_total(len(self.sites) - len(self._draining) + 1)
         self._enter_epoch(catalog)
         site = Site(site_id, self.network, sorted(copies))  # registers on the network
         self.sites[site_id] = site
@@ -606,10 +593,8 @@ class Cluster:
                 "(crash/recover is the fail-stop path)"
             )
         catalog, evicted = self.catalog.evict_site(site_id)
-        if self.protocol == "skq":
-            # transactions begun before the leave keep the leaver's votes
-            self.skeen_rule.evict_site(site_id, catalog.epoch)
         self._enter_epoch(catalog)
+        self._draining.add(site_id)
         # push the leaver's newest versions to staler reachable survivors
         for item in sorted(evicted):
             record = site.store.read(item)
@@ -663,6 +648,7 @@ class Cluster:
             site.engine.cancel_timers()
         self.network.deregister(site_id)  # traces the canonical "leave"
         self.departed[site_id] = self.sites.pop(site_id)
+        self._draining.discard(site_id)
 
     def _apply_membership(self, action: "JoinSite | LeaveSite") -> None:
         """The failure injector's membership hook (join / leave plans)."""

@@ -120,7 +120,7 @@ def run_decision_matrix(rules: list[TerminationRule] | None = None) -> DecisionM
         rules = [
             TerminationRule1(),
             TerminationRule2(),
-            SkeenQuorumRule({s: 1 for s in range(1, 9)}, vc=5, va=4),
+            SkeenQuorumRule(vc=5, va=4, sites=8),
         ]
     items = ["x", "y"]
     rows = []

@@ -103,10 +103,11 @@ class TerminationRule(ABC):
     state it reported in phase 1; ``items`` is the transaction's
     writeset W(TR); ``participants`` is the transaction's full
     participant set and ``catalog`` the catalog of the epoch the
-    transaction started in.  Site-quorum rules size their quorums
-    against the participants, the data-item rules count votes in the
-    catalog; each ignores the other.  Implementations must be side-effect
-    free.
+    transaction started in — its placement, votes and primaries.  A
+    rule reads whichever of them its quorums are made of (see
+    :class:`~repro.protocols.qtp.quorums.QuorumTerminationRule`).
+    Implementations must be side-effect free and hold no state that
+    changes during a run.
     """
 
     #: short name used in traces and experiment tables.

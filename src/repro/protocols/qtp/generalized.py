@@ -1,8 +1,11 @@
 """The §5 generalization: quorum termination over primary copies.
 
-Substituting the primary-copy strategy for Gifford voting in the
-Fig. 5 skeleton gives a third termination rule.  The structural
-translation (strategy access-right -> quorum condition):
+Substituting the primary-copy strategy (Alsberg & Day [1] / true-copy
+[12]: a partition may read or write an item iff it holds the site of
+the item's primary copy) for Gifford voting in Fig. 5 gives a third
+termination rule.  It is Fig. 5's table
+(:class:`~repro.protocols.qtp.quorums.QuorumTerminationRule`) over a
+third predicate pair:
 
 =========================  ================================
 Gifford (rule 1)           primary-copy
@@ -11,11 +14,11 @@ w(x) votes for every x     the primaries of every x
 r(x) votes for some x      the primary of some x
 =========================  ================================
 
-1. COMMIT  — (>= 1 commit state) or (primaries of every x in PC)
-2. ABORT   — (>= 1 abort / initial state) or (primary of some x in PA)
-3. TRY_COMMIT — (∃ PC) and (primaries of every x among non-PA sites)
-4. TRY_ABORT  — (primary of some x among non-PC sites)
-5. BLOCK
+The primaries are part of placement: each
+:class:`~repro.replication.catalog.ItemConfig` names its own, and a
+transaction reads them (:meth:`ReplicaCatalog.primary
+<repro.replication.catalog.ReplicaCatalog.primary>`) in the catalog of
+the epoch it started in.
 
 Safety comes from primary uniqueness exactly as it came from quorum
 intersection: once the primaries of every written item sit in PC, no
@@ -24,73 +27,26 @@ abort branches are dead everywhere, forever; and symmetrically an
 in-PA primary of x forever bars the all-primaries commit condition.
 
 The matching commit protocol (:class:`QTPPrimaryEngine`) commits as
-soon as the PC-ACKs cover every written item's primary — usually far
+soon as the PC-ACKs satisfy the rule's commit predicate — usually far
 fewer acks than CP1's write quorums.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
-
-from repro.protocols.base import CommitProtocolEngine, Decision, TerminationRule, _CoordinationRound
-from repro.protocols.qtp.quorums import votes_by_state
-from repro.protocols.states import TxnState
-from repro.replication.primary import PrimaryCopyStrategy
+from repro.protocols.base import CommitProtocolEngine, _CoordinationRound
+from repro.protocols.qtp.quorums import QuorumTerminationRule
 
 
-class PrimaryTerminationRule(TerminationRule):
-    """Fig. 5's skeleton instantiated over the primary-copy strategy."""
+class PrimaryTerminationRule(QuorumTerminationRule):
+    """Fig. 5's table over the primary-copy strategy."""
 
     name = "qtp-primary"
 
-    def __init__(self, strategy: PrimaryCopyStrategy) -> None:
-        self.strategy = strategy
+    def commits(self, items, sites, participants, catalog) -> bool:
+        return bool(items) and all(catalog.primary(x) in sites for x in items)
 
-    def evaluate(
-        self,
-        items: list[str],
-        states: Mapping[int, TxnState],
-        participants: Iterable[int] | None = None,
-        catalog=None,
-    ) -> Decision:
-        if not states:
-            return Decision.BLOCK
-        groups = votes_by_state(states)
-        pc = groups.get(TxnState.PC, set())
-        pa = groups.get(TxnState.PA, set())
-        if TxnState.C in groups or self.strategy.holds_all_primaries(items, pc):
-            return Decision.COMMIT
-        if (
-            TxnState.A in groups
-            or TxnState.Q in groups
-            or self.strategy.holds_some_primary(items, pa)
-        ):
-            return Decision.ABORT
-        not_pa = set(states) - pa
-        if pc and self.strategy.holds_all_primaries(items, not_pa):
-            return Decision.TRY_COMMIT
-        not_pc = set(states) - pc
-        if self.strategy.holds_some_primary(items, not_pc):
-            return Decision.TRY_ABORT
-        return Decision.BLOCK
-
-    def commit_round_ok(
-        self,
-        items: list[str],
-        supporters: Iterable[int],
-        participants: Iterable[int] | None = None,
-        catalog=None,
-    ) -> bool:
-        return self.strategy.holds_all_primaries(items, supporters)
-
-    def abort_round_ok(
-        self,
-        items: list[str],
-        supporters: Iterable[int],
-        participants: Iterable[int] | None = None,
-        catalog=None,
-    ) -> bool:
-        return self.strategy.holds_some_primary(items, supporters)
+    def aborts(self, items, sites, participants, catalog) -> bool:
+        return any(catalog.primary(x) in sites for x in items)
 
 
 class QTPPrimaryEngine(CommitProtocolEngine):
@@ -99,16 +55,11 @@ class QTPPrimaryEngine(CommitProtocolEngine):
 
     family = "qtpp"
 
-    def __init__(self, *args, strategy: PrimaryCopyStrategy, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.strategy = strategy
-
     def _all_voted_yes(self, round_: _CoordinationRound) -> None:
         self._send_prepare(round_)
 
     def _on_ack_progress(self, round_: _CoordinationRound, acker: int) -> None:
-        items = sorted(round_.writes)
-        if self.strategy.holds_all_primaries(items, round_.ackers):
+        if self.rule.commits(list(round_.writes), round_.ackers, round_.participants, round_.catalog):
             self.node.trace(
                 "coord-early-commit",
                 round_.txn,

@@ -1,35 +1,39 @@
-"""Quorum predicates of the paper's termination protocols (Figs. 5, 8).
+"""Fig. 5's decision table, written once, and the paper's two rules.
 
-Both rules evaluate *data-item* votes: "at least w(x) votes for every
-data item x in W(TR) from participants in PC state" and its variants.
-The helper :func:`votes_by_state` partitions the polled sites by their
-reported local state; everything else is vote arithmetic against the
-:class:`~repro.replication.catalog.ReplicaCatalog`.
+Every quorum termination rule in this library is Fig. 5's five-row
+table over one pair of predicates on a set of polled sites:
+``commits(sites)`` — do these sites hold the right to commit? — and
+``aborts(sites)`` — the right to abort.  Both are evaluated in the
+catalog of the epoch the transaction started in and against its
+participant set, which the engine passes with every call:
 
-Decision tables, in the exact top-to-bottom order of the prototypes:
-
-**Termination protocol 1 (Fig. 5)**
-
-1. COMMIT  — (>= 1 commit state) or (>= w(x) votes ∀x from PC sites)
-2. ABORT   — (>= 1 abort or initial state) or (>= r(x) votes ∃x from PA sites)
-3. TRY_COMMIT — (∃ PC site) and (>= w(x) votes ∀x from sites not in PA)
-4. TRY_ABORT  — (>= r(x) votes ∃x from sites not in PC)
+1. COMMIT  — (>= 1 commit state) or commits(PC sites)
+2. ABORT   — (>= 1 abort or initial state) or aborts(PA sites)
+3. TRY_COMMIT — (∃ PC site) and commits(sites not in PA)
+4. TRY_ABORT  — aborts(sites not in PC)
 5. BLOCK
-   Round conditions: commit round needs >= w(x) ∀x from PC-repliers +
-   PC-ACKers; abort round needs >= r(x) ∃x from PA-repliers + PA-ACKers.
+   Round conditions: the commit round needs commits(PC-repliers +
+   PC-ACKers); the abort round needs aborts(PA-repliers + PA-ACKers).
 
-**Termination protocol 2 (Fig. 8)** — the same skeleton with the
-read/write thresholds swapped:
+The four rules are four pairs:
 
-1. COMMIT  — (>= 1 commit state) or (>= r(x) votes ∃x from PC sites)
-2. ABORT   — (>= 1 abort or initial state) or (>= w(x) votes ∀x from PA sites)
-3. TRY_COMMIT — (∃ PC site) and (>= r(x) votes ∃x from sites not in PA)
-4. TRY_ABORT  — (>= w(x) votes ∀x from sites not in PC)
-5. BLOCK
-   Round conditions: commit round >= r(x) ∃x; abort round >= w(x) ∀x.
+==================  =========================  =========================
+rule                commits(sites)             aborts(sites)
+==================  =========================  =========================
+1 (Fig. 5)          >= w(x) votes for every x  >= r(x) votes for some x
+2 (Fig. 8)          >= r(x) votes for some x   >= w(x) votes for every x
+primary copy (§5)   the primary of every x     the primary of some x
+Skeen's [16]        >= Vc sites                >= Va sites
+==================  =========================  =========================
 
-Why this is safe (the intuition behind Lemmas 1 and 2): in rule 1, a
-commit quorum locks up w(x) votes of every item in PC, and since
+The last two live beside their engines
+(:mod:`repro.protocols.qtp.generalized`, :mod:`repro.protocols.skeen`).
+
+Why the table is safe (the intuition behind Lemmas 1 and 2), for any
+pair under which two *disjoint* site sets can never satisfy
+``commits`` and ``aborts`` at once — the §5 condition that two
+partitions never both hold the access right.  In rule 1, a commit
+quorum locks up w(x) votes of every item in PC, and since
 ``r(x) + w(x) > v(x)`` no other partition can ever gather r(x) votes
 for any item from non-PC sites — the abort conditions become
 unsatisfiable everywhere, forever.  Rule 2 trades the thresholds the
@@ -39,11 +43,14 @@ quorums harmless (several abort quorums may form — they agree).
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from abc import abstractmethod
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.protocols.base import Decision, TerminationRule
 from repro.protocols.states import TxnState
-from repro.replication.catalog import ReplicaCatalog
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.replication.catalog import ReplicaCatalog
 
 
 def votes_by_state(
@@ -56,110 +63,107 @@ def votes_by_state(
     return groups
 
 
-class _QtpRuleBase(TerminationRule):
-    """Shared plumbing of the two rules: vote tests in the catalog of
-    the transaction's epoch (the engine passes it with every call)."""
+class QuorumTerminationRule(TerminationRule):
+    """Fig. 5's table over :meth:`commits` / :meth:`aborts`.
 
-    # -- threshold predicates over a site set --------------------------------
+    A subclass supplies the pair; ``sites`` is always a set, and
+    ``participants`` / ``catalog`` are the transaction's own.
+    """
 
-    @staticmethod
-    def _w_all(catalog: ReplicaCatalog, items: list[str], sites: Iterable[int]) -> bool:
-        """>= w(x) votes for *every* item x from ``sites``."""
-        site_set = set(sites)
-        return bool(items) and all(
-            catalog.votes(x, site_set) >= catalog.w(x) for x in items
-        )
+    @abstractmethod
+    def commits(
+        self,
+        items: list[str],
+        sites: set[int],
+        participants: Iterable[int] | None,
+        catalog: "ReplicaCatalog | None",
+    ) -> bool:
+        """Do ``sites`` hold the commit access right?"""
 
-    @staticmethod
-    def _r_some(catalog: ReplicaCatalog, items: list[str], sites: Iterable[int]) -> bool:
-        """>= r(x) votes for *some* item x from ``sites``."""
-        site_set = set(sites)
-        return any(catalog.votes(x, site_set) >= catalog.r(x) for x in items)
+    @abstractmethod
+    def aborts(
+        self,
+        items: list[str],
+        sites: set[int],
+        participants: Iterable[int] | None,
+        catalog: "ReplicaCatalog | None",
+    ) -> bool:
+        """Do ``sites`` hold the abort access right?"""
+
+    def evaluate(
+        self,
+        items: list[str],
+        states: Mapping[int, TxnState],
+        participants: Iterable[int] | None = None,
+        catalog: "ReplicaCatalog | None" = None,
+    ) -> Decision:
+        if not states:
+            return Decision.BLOCK
+        groups = votes_by_state(states)
+        pc = groups.get(TxnState.PC, set())
+        pa = groups.get(TxnState.PA, set())
+        if TxnState.C in groups or self.commits(items, pc, participants, catalog):
+            return Decision.COMMIT
+        if (
+            TxnState.A in groups
+            or TxnState.Q in groups
+            or self.aborts(items, pa, participants, catalog)
+        ):
+            return Decision.ABORT
+        if pc and self.commits(items, set(states) - pa, participants, catalog):
+            return Decision.TRY_COMMIT
+        if self.aborts(items, set(states) - pc, participants, catalog):
+            return Decision.TRY_ABORT
+        return Decision.BLOCK
+
+    def commit_round_ok(
+        self,
+        items: list[str],
+        supporters: Iterable[int],
+        participants: Iterable[int] | None = None,
+        catalog: "ReplicaCatalog | None" = None,
+    ) -> bool:
+        return self.commits(items, set(supporters), participants, catalog)
+
+    def abort_round_ok(
+        self,
+        items: list[str],
+        supporters: Iterable[int],
+        participants: Iterable[int] | None = None,
+        catalog: "ReplicaCatalog | None" = None,
+    ) -> bool:
+        return self.aborts(items, set(supporters), participants, catalog)
 
 
-class TerminationRule1(_QtpRuleBase):
+def _w_all(catalog: "ReplicaCatalog", items: list[str], sites: set[int]) -> bool:
+    """>= w(x) votes for *every* item x from ``sites``."""
+    return bool(items) and all(catalog.votes(x, sites) >= catalog.w(x) for x in items)
+
+
+def _r_some(catalog: "ReplicaCatalog", items: list[str], sites: set[int]) -> bool:
+    """>= r(x) votes for *some* item x from ``sites``."""
+    return any(catalog.votes(x, sites) >= catalog.r(x) for x in items)
+
+
+class TerminationRule1(QuorumTerminationRule):
     """Termination protocol 1 (Fig. 5)."""
 
     name = "qtp-termination-1"
 
-    def evaluate(
-        self,
-        items: list[str],
-        states: Mapping[int, TxnState],
-        participants: Iterable[int] | None = None,
-        catalog: ReplicaCatalog | None = None,
-    ) -> Decision:
-        if not states:
-            return Decision.BLOCK
-        groups = votes_by_state(states)
-        pc = groups.get(TxnState.PC, set())
-        pa = groups.get(TxnState.PA, set())
-        if TxnState.C in groups or self._w_all(catalog, items, pc):
-            return Decision.COMMIT
-        if (
-            TxnState.A in groups
-            or TxnState.Q in groups
-            or self._r_some(catalog, items, pa)
-        ):
-            return Decision.ABORT
-        not_pa = set(states) - pa
-        if pc and self._w_all(catalog, items, not_pa):
-            return Decision.TRY_COMMIT
-        not_pc = set(states) - pc
-        if self._r_some(catalog, items, not_pc):
-            return Decision.TRY_ABORT
-        return Decision.BLOCK
+    def commits(self, items, sites, participants, catalog) -> bool:
+        return _w_all(catalog, items, sites)
 
-    def commit_round_ok(
-        self, items: list[str], supporters: Iterable[int], participants=None, catalog=None
-    ) -> bool:
-        return self._w_all(catalog, items, supporters)
-
-    def abort_round_ok(
-        self, items: list[str], supporters: Iterable[int], participants=None, catalog=None
-    ) -> bool:
-        return self._r_some(catalog, items, supporters)
+    def aborts(self, items, sites, participants, catalog) -> bool:
+        return _r_some(catalog, items, sites)
 
 
-class TerminationRule2(_QtpRuleBase):
+class TerminationRule2(QuorumTerminationRule):
     """Termination protocol 2 (Fig. 8) — thresholds swapped."""
 
     name = "qtp-termination-2"
 
-    def evaluate(
-        self,
-        items: list[str],
-        states: Mapping[int, TxnState],
-        participants: Iterable[int] | None = None,
-        catalog: ReplicaCatalog | None = None,
-    ) -> Decision:
-        if not states:
-            return Decision.BLOCK
-        groups = votes_by_state(states)
-        pc = groups.get(TxnState.PC, set())
-        pa = groups.get(TxnState.PA, set())
-        if TxnState.C in groups or self._r_some(catalog, items, pc):
-            return Decision.COMMIT
-        if (
-            TxnState.A in groups
-            or TxnState.Q in groups
-            or self._w_all(catalog, items, pa)
-        ):
-            return Decision.ABORT
-        not_pa = set(states) - pa
-        if pc and self._r_some(catalog, items, not_pa):
-            return Decision.TRY_COMMIT
-        not_pc = set(states) - pc
-        if self._w_all(catalog, items, not_pc):
-            return Decision.TRY_ABORT
-        return Decision.BLOCK
+    def commits(self, items, sites, participants, catalog) -> bool:
+        return _r_some(catalog, items, sites)
 
-    def commit_round_ok(
-        self, items: list[str], supporters: Iterable[int], participants=None, catalog=None
-    ) -> bool:
-        return self._r_some(catalog, items, supporters)
-
-    def abort_round_ok(
-        self, items: list[str], supporters: Iterable[int], participants=None, catalog=None
-    ) -> bool:
-        return self._w_all(catalog, items, supporters)
+    def aborts(self, items, sites, participants, catalog) -> bool:
+        return _w_all(catalog, items, sites)

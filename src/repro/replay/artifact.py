@@ -59,18 +59,21 @@ _MALFORMED = (KeyError, TypeError, ValueError, ReproError)
 
 def encode_catalog(catalog: ReplicaCatalog) -> dict[str, Any]:
     """Placement + quorums as a JSON-able dict (copies as pair lists,
-    so site ids stay integers through the round trip)."""
+    so site ids stay integers through the round trip).  An item carries
+    a ``primary`` only when one was set explicitly, so a catalog with
+    the default primaries encodes as it always has."""
     items = []
     for name in catalog.item_names:
         config = catalog.item(name)
-        items.append(
-            {
-                "name": name,
-                "copies": [[site, votes] for site, votes in sorted(config.copies.items())],
-                "r": config.read_quorum,
-                "w": config.write_quorum,
-            }
-        )
+        item = {
+            "name": name,
+            "copies": [[site, votes] for site, votes in sorted(config.copies.items())],
+            "r": config.read_quorum,
+            "w": config.write_quorum,
+        }
+        if config.primary is not None:
+            item["primary"] = config.primary
+        items.append(item)
     return {"items": items}
 
 
@@ -83,6 +86,7 @@ def decode_catalog(payload: dict[str, Any]) -> ReplicaCatalog:
                 copies={int(site): votes for site, votes in item["copies"]},
                 read_quorum=item["r"],
                 write_quorum=item["w"],
+                primary=item.get("primary"),
             )
             for item in payload["items"]
         )

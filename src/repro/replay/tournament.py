@@ -115,7 +115,9 @@ def derive_catalog(
     installation; items that lose every copy are omitted entirely (the
     replay projection then skips their ops).  ``quorum`` re-derives
     r/w per the policy; shrunk items whose recorded quorums no longer
-    satisfy the vote constraints fall back to majority.
+    satisfy the vote constraints fall back to majority.  A primary
+    keeps its site while that site keeps its copy; otherwise the lowest
+    remaining host takes over.
     """
     sites = sorted(catalog.all_sites())
     if drop_sites >= len(sites):
@@ -129,7 +131,8 @@ def derive_catalog(
             continue
         total = sum(copies.values())
         r, w = _policy_quorums(total, config.read_quorum, config.write_quorum, quorum)
-        items.append(ItemConfig(name=name, copies=copies, read_quorum=r, write_quorum=w))
+        primary = config.primary if config.primary in copies else None
+        items.append(ItemConfig(name, copies, r, w, primary))
     if not items:
         raise StoreError("derived catalog is empty: drop_sites removed every copy")
     return ReplicaCatalog(items)

@@ -22,13 +22,11 @@ implements the Eager & Sevcik adaptive optimisation the paper cites [5].
 from repro.replication.accessor import QuorumPlanner, ReadResult
 from repro.replication.catalog import CatalogBuilder, ItemConfig, ReplicaCatalog
 from repro.replication.missing_writes import MissingWritesTracker
-from repro.replication.primary import PrimaryCopyStrategy
 
 __all__ = [
     "CatalogBuilder",
     "ItemConfig",
     "MissingWritesTracker",
-    "PrimaryCopyStrategy",
     "QuorumPlanner",
     "ReadResult",
     "ReplicaCatalog",

@@ -1,19 +1,21 @@
-"""Replica catalog: where each item's copies live and their votes.
+"""Replica catalog: where each item's copies live, their votes and
+its primary copy.
 
 The catalog is consulted by three different layers, which is exactly
 the integration the paper advocates:
 
 1. the **database layer** plans quorum reads and writes from it;
 2. the **commit protocols** (Fig. 9) derive their PC-ACK thresholds
-   from ``w(x)`` / ``r(x)``;
-3. the **termination protocols** (Fig. 5 / Fig. 8) evaluate commit and
-   abort quorums over it.
+   from ``w(x)`` / ``r(x)`` (the §5 primary-copy engine from the
+   primaries);
+3. the **termination protocols** (Fig. 5 / Fig. 8 / §5) evaluate
+   commit and abort quorums over it.
 
 Placement is a value.  A catalog never changes; a join or a leave
 builds the next one, numbered one :attr:`~ReplicaCatalog.epoch` later.
 Layers 2 and 3 count a transaction's votes in the catalog of the epoch
-it started in, so a membership change never re-derives ``w(x)`` under
-a transaction in flight.
+it started in, so a membership change never re-derives ``w(x)`` (or
+moves a primary) under a transaction in flight.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ class ItemConfig:
         copies: site -> votes held by that site's copy.
         read_quorum: r(x).
         write_quorum: w(x).
+        primary: the site of the item's primary copy (§5's primary-copy
+            strategy: a partition may access the item iff it holds this
+            site), or ``None`` for the default, the lowest-id host; read
+            it through :meth:`ReplicaCatalog.primary`.
         ranked: the hosting sites by descending votes, ties by
             ascending site — the order the quorum planner takes copies
             in.  A config never changes, so this is derived once, on
@@ -46,6 +52,7 @@ class ItemConfig:
     copies: Mapping[int, int]
     read_quorum: int
     write_quorum: int
+    primary: int | None = None
 
     @cached_property
     def ranked(self) -> tuple[int, ...]:
@@ -85,6 +92,10 @@ class ItemConfig:
         if w > v or r > v:
             raise ConfigurationError(
                 f"item {self.name!r}: a quorum exceeds the total votes v = {v}"
+            )
+        if self.primary is not None and self.primary not in self.copies:
+            raise ConfigurationError(
+                f"primary {self.primary} hosts no copy of {self.name!r}"
             )
 
 
@@ -174,6 +185,11 @@ class ReplicaCatalog:
         """Total votes v(x)."""
         return self.item(item).total_votes
 
+    def primary(self, item: str) -> int:
+        """The site of ``item``'s primary copy (default: its lowest-id host)."""
+        config = self.item(item)
+        return min(config.copies) if config.primary is None else config.primary
+
     # ------------------------------------------------------------------
     # vote arithmetic (the protocols' oracle)
     # ------------------------------------------------------------------
@@ -201,7 +217,8 @@ class ReplicaCatalog:
         Each touched item's quorums are re-derived majority-style over
         the enlarged vote total (``w = v//2 + 1``, ``r = v - w + 1`` —
         the same defaults :meth:`CatalogBuilder.replicated_item` uses),
-        so the Gifford constraints hold by construction.
+        so the Gifford constraints hold by construction.  Every primary
+        stays where it was.
 
         Raises:
             ConfigurationError: unknown item, non-positive votes or a
@@ -214,7 +231,9 @@ class ReplicaCatalog:
                 raise ConfigurationError(
                     f"site {site} already hosts a copy of {item!r}"
                 )
-            updated[item] = _majority(item, {**config.copies, site: copies[item]})
+            updated[item] = _majority(
+                item, {**config.copies, site: copies[item]}, self.primary(item)
+            )
         return ReplicaCatalog(updated.values(), self.epoch + 1)
 
     def evict_site(self, site: int) -> tuple["ReplicaCatalog", dict[str, int]]:
@@ -223,7 +242,9 @@ class ReplicaCatalog:
         The dual of :meth:`admit_site` (graceful decommission): each
         item the site hosts sheds that copy's votes and has its quorums
         re-derived majority-style over the shrunken vote total — the
-        same hand-off arithmetic a join uses, run in reverse.
+        same hand-off arithmetic a join uses, run in reverse.  An item
+        whose primary leaves takes its lowest-id remaining host as the
+        next epoch's primary; every other primary stays.
 
         Returns:
             ``(catalog, evicted)``: the next catalog, and the evicted
@@ -245,16 +266,17 @@ class ReplicaCatalog:
                     f"site {site} holds the only copy of {item!r}; "
                     "cannot evict without losing the item"
                 )
-            updated[item] = _majority(item, remaining)
+            primary = None if config.primary == site else config.primary
+            updated[item] = _majority(item, remaining, primary)
             evicted[item] = config.copies[site]
         return ReplicaCatalog(updated.values(), self.epoch + 1), evicted
 
 
-def _majority(name: str, copies: Mapping[int, int]) -> ItemConfig:
+def _majority(name: str, copies: Mapping[int, int], primary: int | None) -> ItemConfig:
     """``name`` over ``copies`` with majority-style quorums."""
     v = sum(copies.values())
     w = v // 2 + 1
-    return ItemConfig(name, copies, v - w + 1, w)
+    return ItemConfig(name, copies, v - w + 1, w, primary)
 
 
 class CatalogBuilder:
@@ -279,9 +301,11 @@ class CatalogBuilder:
         copies: Mapping[int, int],
         r: int,
         w: int,
+        primary: int | None = None,
     ) -> "CatalogBuilder":
-        """Add one item; returns self for chaining."""
-        self._configs.append(ItemConfig(name, dict(copies), r, w))
+        """Add one item (``primary``: its primary site, default the
+        lowest-id host); returns self for chaining."""
+        self._configs.append(ItemConfig(name, dict(copies), r, w, primary))
         return self
 
     def replicated_item(
@@ -290,6 +314,7 @@ class CatalogBuilder:
         sites: Iterable[int],
         r: int | None = None,
         w: int | None = None,
+        primary: int | None = None,
     ) -> "CatalogBuilder":
         """Add an item with one vote per copy and majority-style defaults.
 
@@ -302,7 +327,7 @@ class CatalogBuilder:
             w = v // 2 + 1
         if r is None:
             r = v - w + 1
-        return self.item(name, {s: 1 for s in site_list}, r, w)
+        return self.item(name, {s: 1 for s in site_list}, r, w, primary)
 
     def build(self) -> ReplicaCatalog:
         """Validate everything and freeze the catalog."""

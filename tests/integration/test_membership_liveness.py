@@ -1,10 +1,11 @@
 """Membership changes and termination: healed and up means decided.
 
-A transaction keeps the catalog of the epoch it started in, a leaving
-site drains its open coordinator rounds (and a forced leave silences
-it), and a termination poll asks a coordinator that holds no copy for
-the decision it logged.  Each regression below names the run that
-stranded a transaction, or crashed, before those three held.
+A transaction keeps the catalog of the epoch it started in — its
+quorums and its primaries — a leaving site drains its open coordinator
+rounds (and a forced leave silences it), and a termination poll asks a
+coordinator that holds no copy for the decision it logged.  Each
+regression below names the run that stranded a transaction, or
+crashed, before those held.
 """
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from repro.experiments import SCENARIOS
 from repro.traffic import run_scenario
 
-PROTOCOLS = ("2pc", "3pc", "skq", "qtp1", "qtp2")
+PROTOCOLS = ("2pc", "3pc", "skq", "qtp1", "qtp2", "qtpp")
 
 #: the ``SMALL_SHAPES`` of ``test_replay_tournament.py`` for the three
 #: scenarios whose runs change membership or coordinate from afar
@@ -54,6 +55,26 @@ def test_a_join_leaves_the_quorums_of_a_transaction_in_flight_alone():
     assert healed_and_up(cluster)
     assert cluster.live_undecided("T6.11") == []
     assert len(cluster.epochs) > 1  # the run did change placement
+
+
+def test_qtpp_reads_the_primaries_of_the_transactions_own_epoch():
+    # site 1, x's epoch-0 primary of i1, left at t = 13; T3.27 began
+    # later over participants [3, 8], both acked, and the commit check
+    # still wanted site 1's ack: 8 blocked in PC with every site up
+    cluster = run_scenario(
+        SCENARIOS["rolling_upgrade"](**SHAPES["rolling_upgrade"]), "qtpp", 0
+    ).cluster
+    assert healed_and_up(cluster)
+    assert cluster.live_undecided("T3.27") == []
+    assert stranded(cluster) == {}
+
+
+def test_qtpp_elastic_join_strands_nothing():
+    # one transaction stayed in doubt behind an epoch-0 primary
+    cluster = run_scenario(SCENARIOS["elastic_join"](**SHAPES["elastic_join"]), "qtpp", 1).cluster
+    assert healed_and_up(cluster)
+    assert len(cluster.epochs) > 1
+    assert stranded(cluster) == {}
 
 
 def test_a_leaving_coordinator_drains_its_open_round():

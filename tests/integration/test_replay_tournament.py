@@ -6,6 +6,7 @@ deterministic counters exactly.  Everything else — artifact round-trips,
 what-if overrides, the tournament sweep — is layered on that guarantee.
 """
 
+import dataclasses
 import gc
 import gzip
 import json
@@ -29,6 +30,7 @@ from repro.replay import (
     run_tournament,
 )
 from repro.experiments.workload_study import heavy_workload_scenario
+from repro.replication.catalog import ReplicaCatalog
 from repro.sim.failures import JoinSite
 from repro.traffic import run_scenario
 from repro.workload.scenarios import wan_storm_scenario
@@ -204,6 +206,33 @@ class TestArtifact:
         again = tmp_path / "again.jsonl.gz"
         loaded.save(again)
         assert path.read_bytes() == again.read_bytes()
+
+    def test_explicit_primaries_travel_with_a_qtpp_trace(self, tmp_path):
+        recorded = record(heavy_workload_scenario(n_txns=12, n_sites=6, n_items=4), "qtpp", seed=2)
+        default = recorded.catalog
+        # every primary on its item's highest host instead of its lowest
+        primaries = {x: max(default.item(x).copies) for x in default.item_names}
+        explicit = ReplicaCatalog(
+            dataclasses.replace(default.item(x), primary=primaries[x]) for x in default.item_names
+        )
+        assert all("primary" not in item for item in encode_catalog(default)["items"])
+        assert {item["name"]: item["primary"] for item in encode_catalog(explicit)["items"]} == primaries
+        trace = dataclasses.replace(recorded, catalog=explicit)
+        row = replay_trace(trace)
+        trace.counters = {key: row[key] for key in recorded.counters}
+        path = tmp_path / "qtpp.jsonl.gz"
+        trace.save(path)
+        loaded = RecordedTrace.load(path)
+        assert {x: loaded.catalog.primary(x) for x in loaded.catalog.item_names} == primaries
+        assert fixed_point_ok(loaded, replay_trace(loaded))
+        assert loaded.encode() == trace.encode()
+
+    def test_a_decoded_primary_hosting_no_copy_is_a_store_error(self):
+        lines = json.loads(json.dumps(small_trace().to_lines()))
+        placement = next(line for line in lines if line.get("type") == "catalog")
+        placement["items"][0]["primary"] = 99
+        with pytest.raises(StoreError, match="hosts no copy"):
+            RecordedTrace.from_lines(lines)
 
     def test_truncated_artifact_rejected(self, tmp_path):
         lines = small_trace().to_lines()

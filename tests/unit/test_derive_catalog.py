@@ -27,3 +27,15 @@ def test_keeps_the_lowest_sites(drop):
 def test_dropping_every_site_is_refused(drop):
     with pytest.raises(StoreError, match="derived catalog is empty"):
         derive_catalog(SIX_SITES, drop_sites=drop)
+
+
+def test_a_primary_keeps_its_site_while_the_site_keeps_its_copy():
+    catalog = ReplicaCatalog(
+        [
+            ItemConfig("x", {1: 1, 2: 1, 3: 1}, 2, 2, primary=2),
+            ItemConfig("y", {3: 1, 4: 1, 5: 1}, 2, 2, primary=5),
+        ]
+    )
+    derived = derive_catalog(catalog, quorum="majority", drop_sites=1)
+    assert derived.primary("x") == 2
+    assert derived.primary("y") == 3  # site 5 was dropped: the lowest remaining host

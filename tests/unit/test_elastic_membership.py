@@ -166,32 +166,26 @@ class TestClusterJoin:
 
 
 class TestSkeenVotesPerEpoch:
-    """skq sizes a transaction's adaptive ``Vc`` / ``Va`` from the site
-    votes of the epoch it started in; a leave that finishes under it
-    used to shrink ``Vp`` (one vote table, edited in place)."""
+    """skq sizes a transaction's adaptive ``Vc`` / ``Va`` from its own
+    participants, so a leave that finishes under it cannot shrink
+    ``Vp``; pinned ones are checked against the current epoch's sites."""
 
-    def test_a_finished_leave_keeps_the_quorums_of_earlier_epochs(self):
-        cluster = Cluster(small_catalog(), protocol="skq")
-        first = cluster.catalog
-        cluster.leave_site(3)  # nothing in flight: it finishes at once
-        assert 3 in cluster.departed and cluster.catalog.epoch == first.epoch + 1
-        rule = cluster.skeen_rule
-        # a transaction of epoch 0 over 1, 2, 3: Vp = 3, Vc = Va = 2
-        assert not rule.abort_round_ok(["x"], {1}, participants=[1, 2, 3], catalog=first)
-        assert rule.abort_round_ok(["x"], {1, 2}, participants=[1, 2, 3], catalog=first)
-        assert not rule.commit_round_ok(["x"], {1}, participants=[1, 2, 3], catalog=first)
-        # the new epoch holds no votes of the leaver
-        assert rule.votes(cluster.catalog) == {1: 1, 2: 1, 4: 1}
-        assert rule.votes(first) == {1: 1, 2: 1, 3: 1, 4: 1}
-
-    def test_a_join_derives_the_next_table_and_leaves_the_old_alone(self):
-        cluster = Cluster(small_catalog(), protocol="skq")
-        first = cluster.catalog
-        cluster.join_site(7, {"x": 1})
-        rule = cluster.skeen_rule
-        assert rule.votes(first) == {1: 1, 2: 1, 3: 1, 4: 1}
-        assert rule.votes(cluster.catalog) == {1: 1, 2: 1, 3: 1, 4: 1, 7: 1}
-        assert rule.votes() is rule.votes(cluster.catalog)  # no catalog: the current epoch
+    def test_a_draining_leaver_no_longer_counts_towards_pinned_quorums(self):
+        cluster = Cluster(
+            small_catalog(),
+            protocol="skq",
+            commit_quorum=3,
+            abort_quorum=2,
+            delay_model=FixedDelay(1.0),
+        )
+        cluster.update(origin=1, writes={"x": 1})
+        cluster.run_until(1.5)
+        cluster.leave_site(3, drain_interval=0.5)
+        assert 3 in cluster.sites  # still draining: in doubt about the update
+        cluster.join_site(7, {"x": 1})  # V = 4 - 1 + 1, and Vc + Va = 5 > V
+        with pytest.raises(ConfigurationError, match="must exceed"):
+            cluster.join_site(8, {"x": 1})
+        assert 8 not in cluster.sites
 
     def test_a_lone_participant_cannot_abort_after_a_forced_leave(self):
         # T over 1, 2, 3 (coordinated by 4, which crashes before the

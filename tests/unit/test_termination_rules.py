@@ -174,19 +174,19 @@ class TestRule2:
 class TestSkeenRule:
     @pytest.fixture
     def rule(self):
-        return SkeenQuorumRule({s: 1 for s in range(1, 9)}, vc=5, va=4)
+        return SkeenQuorumRule(vc=5, va=4, sites=8)
 
     def test_quorum_constraint_enforced(self):
         with pytest.raises(ConfigurationError, match="must exceed"):
-            SkeenQuorumRule({1: 1, 2: 1, 3: 1}, vc=2, va=1)
+            SkeenQuorumRule(vc=2, va=1, sites=3)
 
     def test_nonpositive_quorum_rejected(self):
         with pytest.raises(ConfigurationError):
-            SkeenQuorumRule({1: 1, 2: 1}, vc=0, va=3)
+            SkeenQuorumRule(vc=0, va=3, sites=2)
 
     def test_unattainable_quorum_rejected(self):
         with pytest.raises(ConfigurationError):
-            SkeenQuorumRule({1: 1, 2: 1}, vc=5, va=1)
+            SkeenQuorumRule(vc=5, va=1, sites=2)
 
     def test_example1_partitions_all_block(self, rule):
         assert rule.evaluate(ITEMS, {2: W, 3: W}) is Decision.BLOCK
@@ -205,16 +205,26 @@ class TestSkeenRule:
         states = {1: PC, 2: W, 3: W, 4: W, 5: W}
         assert rule.evaluate(ITEMS, states) is Decision.TRY_COMMIT
 
-    def test_weighted_site_votes(self):
-        rule = SkeenQuorumRule({1: 3, 2: 1, 3: 1}, vc=4, va=2)
-        # site 1 alone (3 votes) cannot commit, can try-abort (Va=2 needs 2)
-        assert rule.evaluate(ITEMS, {1: W}) is Decision.TRY_ABORT
-
     def test_immediate_abort_paths(self, rule):
         assert rule.evaluate(ITEMS, {1: A, 2: PC}) is Decision.ABORT
         assert rule.evaluate(ITEMS, {1: Q, 2: W}) is Decision.ABORT
         states = {s: PA for s in range(1, 5)}  # Va votes in PA
         assert rule.evaluate(ITEMS, states) is Decision.ABORT
+
+    def test_adaptive_quorums_size_against_the_participants(self):
+        rule = SkeenQuorumRule()
+        assert rule.quorums([1, 2, 3], None) == (2, 2)
+        assert rule.quorums([1, 2, 3, 4], None) == (3, 2)
+        assert not rule.abort_round_ok(ITEMS, {1}, participants=[1, 2, 3])
+        assert rule.abort_round_ok(ITEMS, {1, 2}, participants=[1, 2, 3])
+        # no participant set: the hosts of the catalog handed in
+        assert rule.quorums(None, FIG3) == (5, 4)
+
+    def test_pinned_quorums_check_a_grown_total(self, rule):
+        rule.check_total(8)
+        with pytest.raises(ConfigurationError, match="must exceed"):
+            rule.check_total(9)
+        SkeenQuorumRule().check_total(100)  # adaptive quorums always pass
 
     def test_rounds_check_site_weights(self, rule):
         assert rule.commit_round_ok(ITEMS, {1, 2, 3, 4, 5})
