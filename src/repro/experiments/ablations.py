@@ -57,7 +57,7 @@ def _adversarial_scenario(protocol: str, cross_pair: bool) -> PairingResult:
     if cross_pair:
         crossed = TerminationRule1() if protocol == "qtp2" else TerminationRule2()
         for site in cluster.sites.values():
-            site.engine.rule = crossed
+            site.ensure_engine().rule = crossed
     # the prepare round reaches only sites 1 and 2
     cluster.network.add_filter(
         lambda m: m.mtype.endswith(".prepare") and m.dst in (3, 4)
@@ -125,7 +125,7 @@ def timeout_ablation(
             origin, writes = random_update(rng, catalog, max_items=2)
             cluster = Cluster(catalog, protocol="qtp1", seed=seed)
             for site in cluster.sites.values():
-                site.engine._T = cluster.T * scale  # the wrong estimate
+                site.ensure_engine()._T = cluster.T * scale  # the wrong estimate
             txn = cluster.update(origin, writes)
             plan = random_fault_plan(
                 rng, cluster.network.sites, origin, heal_at=rng.uniform(30.0, 50.0)

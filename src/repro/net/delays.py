@@ -120,6 +120,7 @@ class UniformDelay(DelayModel):
             raise ValueError("need 0 < low <= high")
         self._low = low
         self._high = high
+        self._width = high - low
 
     @property
     def max_delay(self) -> float:
@@ -127,8 +128,10 @@ class UniformDelay(DelayModel):
         return self._high
 
     def sample(self, rng: random.Random, src: int, dst: int) -> float:
-        """One uniform draw per message."""
-        return rng.uniform(self._low, self._high)
+        """One uniform draw per message: the body of ``random.uniform``
+        (``a + (b - a) * random()``) without its Python-level call, so
+        the same floats from the same draws."""
+        return self._low + self._width * rng.random()
 
     def __repr__(self) -> str:
         return f"UniformDelay({self._low}, {self._high})"

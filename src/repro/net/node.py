@@ -28,6 +28,13 @@ creates a few dozen bound methods, not 480.  A handler registered
 explicitly with :meth:`Node.on` before the first delivery wins over the
 table; a type in neither is traced ``unhandled`` and ignored.
 
+Engines, like handlers, bind on first delivery.  A node may reserve a
+table for an owner it has not built yet (``bind_on_delivery(None,
+names)``); the first delivery of one of its types asks
+:meth:`Node.build_late_owner` for the owner, which binds itself.  A
+database site reserves its engine class's table that way, so a site no
+message reaches never builds its engine (see :mod:`repro.db.site`).
+
 What a node binds once.  The tracer and the scheduler are fixed for
 the network's lifetime, so a node takes both when it is built:
 :attr:`Node.now`, :meth:`Node.trace` and :meth:`Node.set_timer` read
@@ -93,19 +100,29 @@ class Node:
             raise ValueError(f"node {self.node_id}: duplicate handler for {mtype!r}")
         self._handlers[mtype] = handler
 
-    def bind_on_delivery(self, owner: object, names: Mapping[str, str]) -> None:
+    def bind_on_delivery(self, owner: object | None, names: Mapping[str, str]) -> None:
         """Let ``owner``'s methods handle the types in ``names``, lazily.
 
         ``names`` maps a message type to the name of the ``owner``
         method that handles it; it is shared (a per-class table), never
         copied.  Nothing is registered now: :meth:`deliver` calls
         :meth:`on` with the bound method the first time a type arrives.
-        One owner per node.
+        ``owner`` None reserves the table for an owner not built yet:
+        the first delivery of one of its types gets it from
+        :meth:`build_late_owner`, which binds it here.  One owner per
+        node.
         """
         if self._late_owner is not None:
             raise ValueError(f"node {self.node_id}: duplicate handler table")
         self._late_owner = owner
         self._late_names = names
+
+    def build_late_owner(self) -> object:
+        """Build the owner of a table reserved with ``owner`` None; it
+        must bind itself through :meth:`bind_on_delivery`.  A plain
+        node builds none: a subclass that reserves a table overrides
+        this."""
+        raise ValueError(f"node {self.node_id}: no owner for its handler table")
 
     def deliver(self, msg: Message) -> None:
         """Called by the network when a message arrives.
@@ -127,7 +144,10 @@ class Node:
                 return
             # first delivery of this type: register it like any other
             # handler, then dispatch whatever ``on`` stored
-            self.on(mtype, getattr(self._late_owner, name))
+            owner = self._late_owner
+            if owner is None:
+                owner = self.build_late_owner()
+            self.on(mtype, getattr(owner, name))
             handler = self._handlers[mtype]
         handler(msg)
 
@@ -246,8 +266,9 @@ class Node:
         """Hook for subclasses (default: nothing)."""
 
     def trace(self, category: str, txn: str = "", **detail: Any) -> None:
-        """Record a trace event attributed to this site."""
-        self._tracer.record(self._scheduler.now, self.node_id, category, txn, **detail)
+        """Record a trace event attributed to this site; ``detail`` is
+        handed to the tracer as the row's dict, not copied."""
+        self._tracer.record(self._scheduler.now, self.node_id, category, txn, detail)
 
     def __repr__(self) -> str:
         status = "up" if self.alive else "DOWN"

@@ -35,7 +35,9 @@ the ``kind -> "family.kind"`` table every send reads (no message type
 is formatted per send).  An engine hands the handler table to its node
 (:meth:`Node.bind_on_delivery <repro.net.node.Node.bind_on_delivery>`),
 which registers a handler the first time a message of its type is
-delivered — building an engine creates no bound methods.  A subclass
+delivered — building an engine creates no bound methods.  A database
+site goes one step further and builds its engine only when a message
+first reaches it or it first coordinates (:mod:`repro.db.site`).  A subclass
 that handles a new kind overrides
 ``HANDLERS = {**CommitProtocolEngine.HANDLERS, "my-kind": "_on_my_kind"}``.
 
@@ -177,6 +179,11 @@ class ProtocolHooks:
 #: protocol step, and an enum member lookup costs more than the test
 _DECIDED = (TxnState.C, TxnState.A)
 
+#: state name -> state, the table ``TxnState[name]`` reads through a
+#: Python-level ``EnumType.__getitem__``; the termination path reads it
+#: (and a member's ``_name_``, not the ``name`` property) directly
+_STATE_BY_NAME: Mapping[str, TxnState] = TxnState._member_map_
+
 
 @dataclass(slots=True)
 class TxnRecord:
@@ -201,11 +208,13 @@ class TxnRecord:
     heard_higher: bool = False
     election_rounds: int = 0
 
-    # termination-coordinator bookkeeping
+    # termination-coordinator bookkeeping; a record that never
+    # coordinates a termination never allocates the two tables:
+    # ``_run_termination`` sets both before anything reads them
     terminating: bool = False
     term_attempt: int = 0
-    term_states: dict[int, TxnState] = field(default_factory=dict)
-    term_supporters: set[int] = field(default_factory=set)
+    term_states: dict[int, TxnState] = field(init=False, repr=False, compare=False)
+    term_supporters: set[int] = field(init=False, repr=False, compare=False)
     term_mode: str = ""
 
     _timers: dict[str, "EventHandle"] = field(default_factory=dict)
@@ -742,7 +751,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
             self.mtypes["t.state"],
             msg.txn,
             attempt=msg.payload["attempt"],
-            state=record.state.name,
+            state=record.state._name_,
         )
         if not record.decided:
             self._arm_watchdog(record)
@@ -753,7 +762,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
             return
         if msg.payload["attempt"] != record.term_attempt:
             return  # stale attempt
-        record.term_states[msg.src] = TxnState[msg.payload["state"]]
+        record.term_states[msg.src] = _STATE_BY_NAME[msg.payload["state"]]
 
     def _term_phase2(self, txn: str, attempt: int) -> None:
         record = self._records.get(txn)
@@ -768,7 +777,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
             txn,
             attempt=attempt,
             decision=decision.value,
-            states={s: st.name for s, st in sorted(states.items())},
+            states={s: st._name_ for s, st in sorted(states.items())},
         )
         if decision is Decision.COMMIT:
             self._term_command(record, "commit")

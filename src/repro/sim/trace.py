@@ -23,7 +23,19 @@ site / category / txn / detail — and a row has one of two shapes:
   tuple with the keys and key order of the equivalent ``record(...)``.
 * a *generic* row (everything else — decisions, quorum checks,
   elections, faults; about one row in ten) comes through
-  :meth:`Tracer.record` with a detail dict, stored the same way.
+  :meth:`Tracer.record` with a detail dict, stored the same way.  A
+  caller that already holds the row's dict hands it over positionally
+  (:meth:`Node.trace <repro.net.node.Node.trace>` passes its own
+  keyword dict), so the dict is built once, not re-packed per hop.
+
+**First sights.**  A shared detail is found by a membership test per
+level (``key in table``, then the subscript) and built by
+:func:`_share` only when a level misses.  Every cluster gets a fresh
+tracer, so in a WAN storm about one scanned row in five brings a
+detail its tracer has not seen yet: a first sight costs a failed
+membership test, not a raised and caught ``KeyError``, and a repeat
+costs no call at all (``dict.get`` would add a C-level call per level
+to every row).
 
 :class:`TraceRecord` views are materialized lazily (and memoized) only
 when somebody iterates or filters.
@@ -176,10 +188,18 @@ class Tracer:
         site: int,
         category: str,
         txn: str = "",
-        **detail: Any,
+        detail: dict[str, Any] | None = None,
+        /,
+        **fields: Any,
     ) -> None:
-        """Append one record."""
-        position = self._append(time, site, category, txn, detail)
+        """Append one generic record.
+
+        Its detail is ``detail`` when given — a dict the caller hands
+        over and no longer changes, stored as it is — and the keyword
+        ``fields`` otherwise.  The first five parameters are
+        positional-only, so every keyword is a detail field.
+        """
+        position = self._append(time, site, category, txn, fields if detail is None else detail)
         if category in SCANNED:
             return
         rows = self._by_cat.get(category)
@@ -196,10 +216,11 @@ class Tracer:
 
     def record_send(self, time: float, site: int, txn: str, mtype: str, dst: int) -> None:
         """Fast-path append of a ``send`` record (no detail dict built)."""
-        try:
-            detail = self._pairs[mtype][dst]
-        except KeyError:
-            detail = _share(self._pairs, mtype, dst)
+        pairs = self._pairs
+        if mtype in pairs and dst in (peers := pairs[mtype]):
+            detail = peers[dst]
+        else:
+            detail = _share(pairs, mtype, dst)
         self._times.append(time)
         self._sites.append(site)
         self._cats.append("send")
@@ -208,10 +229,11 @@ class Tracer:
 
     def record_deliver(self, time: float, site: int, txn: str, mtype: str, src: int) -> None:
         """Fast-path append of a ``deliver`` record."""
-        try:
-            detail = self._pairs[mtype][src]
-        except KeyError:
-            detail = _share(self._pairs, mtype, src)
+        pairs = self._pairs
+        if mtype in pairs and src in (peers := pairs[mtype]):
+            detail = peers[src]
+        else:
+            detail = _share(pairs, mtype, src)
         self._times.append(time)
         self._sites.append(site)
         self._cats.append("deliver")
@@ -222,10 +244,11 @@ class Tracer:
         self, time: float, site: int, txn: str, mtype: str, dst: int, reason: str
     ) -> None:
         """Fast-path append of a ``drop`` record (with its reason)."""
-        try:
-            detail = self._drops[reason][mtype][dst]
-        except KeyError:
-            detail = _share(self._drops.setdefault(reason, {}), mtype, dst, reason)
+        drops = self._drops
+        if reason in drops and mtype in (pairs := drops[reason]) and dst in (peers := pairs[mtype]):
+            detail = peers[dst]
+        else:
+            detail = _share(drops.setdefault(reason, {}), mtype, dst, reason)
         self._times.append(time)
         self._sites.append(site)
         self._cats.append("drop")
@@ -236,10 +259,11 @@ class Tracer:
         self, time: float, site: int, txn: str, src: str, dst: str, via: str
     ) -> None:
         """Fast-path append of a ``state`` transition ``src -> dst``."""
-        try:
-            detail = self._states[via][src][dst]
-        except KeyError:
-            detail = _share(self._states.setdefault(via, {}), src, dst, via)
+        states = self._states
+        if via in states and src in (pairs := states[via]) and dst in (dsts := pairs[src]):
+            detail = dsts[dst]
+        else:
+            detail = _share(states.setdefault(via, {}), src, dst, via)
         self._times.append(time)
         self._sites.append(site)
         self._cats.append("state")

@@ -224,8 +224,8 @@ def run_example3_scenario(
     cluster.arm_failures(plan)
 
     def drive_two_coordinators() -> None:
-        cluster.sites[2].engine._run_termination(txn.txn)
-        cluster.sites[5].engine._run_termination(txn.txn)
+        cluster.sites[2].ensure_engine()._run_termination(txn.txn)
+        cluster.sites[5].ensure_engine()._run_termination(txn.txn)
 
     cluster.scheduler.call_at(4.01, drive_two_coordinators)
     cluster.run()

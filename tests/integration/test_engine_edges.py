@@ -28,7 +28,7 @@ def committed_cluster(cluster):
 class TestIdempotency:
     def test_duplicate_commit_command_absorbed(self, cluster):
         txn = committed_cluster(cluster)
-        engine = cluster.sites[2].engine
+        engine = cluster.sites[2].ensure_engine()
         before = len(cluster.sites[2].wal)
         engine._on_commit_cmd(Message(1, 2, "qtp1.commit", txn.txn))
         assert len(cluster.sites[2].wal) == before  # no re-logging
@@ -36,7 +36,7 @@ class TestIdempotency:
 
     def test_conflicting_command_traced_not_applied(self, cluster):
         txn = committed_cluster(cluster)
-        engine = cluster.sites[2].engine
+        engine = cluster.sites[2].ensure_engine()
         engine._on_abort_cmd(Message(1, 2, "qtp1.abort", txn.txn))
         # the first decision stands; the conflict is recorded
         assert engine.record(txn.txn).state is TxnState.C
@@ -45,7 +45,7 @@ class TestIdempotency:
 
     def test_duplicate_vote_req_ignored(self, cluster):
         txn = committed_cluster(cluster)
-        engine = cluster.sites[2].engine
+        engine = cluster.sites[2].ensure_engine()
         begins_before = len([r for r in cluster.sites[2].wal if r.kind == "begin"])
         engine._on_vote_req(
             Message(
@@ -68,7 +68,7 @@ class TestIdempotency:
         """A re-delivered PREPARE to a PC site is re-acked, not re-logged."""
         txn = cluster.update(origin=1, writes={"x": 5})
         cluster.run_until(3.2)  # participants are in PC now
-        engine = cluster.sites[2].engine
+        engine = cluster.sites[2].ensure_engine()
         assert engine.record(txn.txn).state is TxnState.PC
         pcs_before = len([r for r in cluster.sites[2].wal if r.kind == "pc"])
         engine._on_prepare(Message(1, 2, "qtp1.prepare", txn.txn))
@@ -76,7 +76,7 @@ class TestIdempotency:
         assert pcs_after == pcs_before
 
     def test_commands_for_unknown_txn_ignored(self, cluster):
-        engine = cluster.sites[2].engine
+        engine = cluster.sites[2].ensure_engine()
         engine._on_commit_cmd(Message(1, 2, "qtp1.commit", "ghost"))
         engine._on_abort_cmd(Message(1, 2, "qtp1.abort", "ghost"))
         assert engine.record("ghost") is None
@@ -87,7 +87,7 @@ class TestStaleTerminationMessages:
         txn = cluster.update(origin=1, writes={"x": 5})
         cluster.arm_failures(FailurePlan().crash(1.5, 1))
         cluster.run_until(7.0)  # site 3 is coordinating attempt 1
-        engine = cluster.sites[3].engine
+        engine = cluster.sites[3].ensure_engine()
         record = engine.record(txn.txn)
         if record.terminating:
             engine._on_term_state(
@@ -101,7 +101,7 @@ class TestStaleTerminationMessages:
         txn = cluster.update(origin=1, writes={"x": 5})
         cluster.arm_failures(FailurePlan().crash(1.5, 1))
         cluster.run_until(7.0)
-        engine = cluster.sites[3].engine
+        engine = cluster.sites[3].ensure_engine()
         record = engine.record(txn.txn)
         engine._on_term_pc_ack(
             Message(2, 3, "qtp1.t.pc-ack", txn.txn, {"attempt": 999})
@@ -113,7 +113,7 @@ class TestStaleTerminationMessages:
     def test_state_req_materializes_q_record(self, cluster):
         """A site that never saw the vote-req answers a termination poll
         from the initial state — the paper's immediate-abort witness."""
-        engine = cluster.sites[3].engine
+        engine = cluster.sites[3].ensure_engine()
         engine._on_term_state_req(
             Message(
                 2,
@@ -135,7 +135,7 @@ class TestStaleTerminationMessages:
 
     def test_q_site_never_accepts_prepare(self, cluster):
         """A Q participant must not enter a committable state."""
-        engine = cluster.sites[3].engine
+        engine = cluster.sites[3].ensure_engine()
         engine._on_term_state_req(
             Message(
                 2, 3, "qtp1.t.state-req", "T-q",

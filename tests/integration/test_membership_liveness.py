@@ -82,7 +82,7 @@ def test_a_leaving_coordinator_drains_its_open_round():
     # to deregister anyway and its timer then sent from a departed site
     run = run_scenario(SCENARIOS["rolling_upgrade"](), "2pc", 19)
     assert run.counters()["leaves_applied"] > 0
-    assert all(not site.engine.open_rounds() for site in run.cluster.departed.values())
+    assert all(site.engine is None or not site.engine.open_rounds() for site in run.cluster.departed.values())
 
 
 def test_the_termination_poll_asks_a_coordinator_holding_no_copy():

@@ -9,12 +9,14 @@ what-if overrides, the tournament sweep — is layered on that guarantee.
 import dataclasses
 import gc
 import gzip
+import hashlib
 import json
 import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import PROTOCOL_NAMES
 from repro.common.errors import StoreError
 from repro.experiments import SCENARIOS
 from repro.replay import (
@@ -186,6 +188,117 @@ class TestEveryScenario:
             assert cluster() is None
         finally:
             gc.enable()
+
+
+#: SHA-256 of ``tracer.dump() + json.dumps(run.counters(), sort_keys=True)``
+#: for every scenario x protocol at ``SMALL_SHAPES``, seed 0 — the blob
+#: CI's hash-seed step prints.  Pinned when every site's commit engine
+#: was still built with its cluster; building an engine on the site's
+#: first delivery (or first coordination) must not move one byte of any
+#: run's trace or counters.
+RUN_SHA256 = {
+    "workload": {
+        "2pc": "7f30b6d4ee205ac6ba8fe1db9ee3718f9635a833172454ec517af9fb5cfbba55",
+        "3pc": "fac6c3a73ffb4f604a80366b7078c0decf76de4adae9c951bd96b79b3842ef02",
+        "skq": "c733ef83475aedc965d211745b06cf72c243a86c3076fcc7ff0b0081bbc94f9c",
+        "qtp1": "44757399a5b9a53a556185d2eeb2e2eeb29fcc9d52f55f11499b3382d6845c50",
+        "qtp2": "f5ff45c551d32f1e654ee23e48d359c2db1b05bea68526d147063d07a4728f1f",
+        "qtpp": "e862a6a17cdfccf404d9e494f4d2bf747341abf23115748a95b5b695e782038d",
+    },
+    "heavy_workload": {
+        "2pc": "1e44043d4014a671e7fe109a79625febe4f571942e6a18d4596b5d76e1113237",
+        "3pc": "da0c9dfe37aae96d11e309c52c472219d5705fd48b388ecb7aa1b4e89c1bfb99",
+        "skq": "378c1325cf4f34fe159aab24356d15dcb9a0fcf26015a97a6f6659dc682752cf",
+        "qtp1": "4e4346042240bf0f73e899150b66631dfb1219bdfc03c76719ac12d3c9031551",
+        "qtp2": "988c6709f130c7923ecf4d87c8b89a8c569661565f48cd370fa216961b0f325d",
+        "qtpp": "cf7dbbabd81d2ea62bfefbab97dac1df30048cf8cf21acfcd180c664bd5deda7",
+    },
+    "wan_storm": {
+        "2pc": "37ed3bc8b634c833f2467570f09f888c450730bfa1bac0cc8ee3481375ecef25",
+        "3pc": "b2bc3f071ff657c9c3bdd63de0e2d110e4d39fc85ef73da96477b38b5b29d804",
+        "skq": "cb468caf0208edec505dbd9c06c5e8ca83c58eb61c13648c7886e13e4cf0ead1",
+        "qtp1": "51a27e0d8b9bd0e5a78bb305666c2c420814c5bb9155d39ac8c17473809283b1",
+        "qtp2": "512cece8db01da91471e08648acefefeb8eb66e619b0125d08f78967af8a89a3",
+        "qtpp": "fd509647aaecc003f911b442e12296024259bd600077447e85fba8283227ee45",
+    },
+    "skewed_contention": {
+        "2pc": "aebd9b590ea3af50ee243b276634769b6d0d5d8265f671649da0e8e0aac75bc1",
+        "3pc": "8527d1e10306381148f6363edb285002c102e976d199eddf34a53ac050e4b17c",
+        "skq": "12299980b48e6baa66cb9750dbf99d391c13249d6cedebdb436e962c4ab52d71",
+        "qtp1": "01a507910b5a9efce5ae89258771006467e27bbb88b8b138e73b42ba7520db5d",
+        "qtp2": "5b9f26c2fbfd1ec5f3ed66aaae6566ee75ab62d602c848bede0817c59972dda1",
+        "qtpp": "5137aa671ab39f9af0b2b86b5aff8a23941550e46629d834cb67465bb1170f27",
+    },
+    "read_mostly": {
+        "2pc": "3d0d9bfc017be03eb2d5226f69ebe419afedf892ae77f38ec06c909a3d167e42",
+        "3pc": "f74267b49c4eed4a3f4a8b603eb5dca9c177146565dad5aa90f66a80392facaf",
+        "skq": "bd262314a27529da9bec962ecbaf2beabca72cf86c874baef316baf917194226",
+        "qtp1": "3aa1cb26e2087960309e1833b108856499d84480e83a62da87db69e0f0392a04",
+        "qtp2": "bee674ecded91e280dcf2d7595cb41d14fbe502729782a3135d6114cc0fabad4",
+        "qtpp": "1504c08a5c4bdfba0c004adf184017196b76dcec7c23877b313c0c8e52c6a270",
+    },
+    "cross_region": {
+        "2pc": "9971549610a2d344b402b327c8a97b0075361d6a7e1b626428fdd90b5c03dadf",
+        "3pc": "cae97e0b6ea0cd889d9d1c2d33538ecd0a04e9c4437dea9744975ed6180f007a",
+        "skq": "5ec87a4e7d0b0d4e2677877638f4667d3650a12049aaf1dc65cf01bcf568d423",
+        "qtp1": "6eda0d7dd51e5c7a8acd462d61e2718963971912fd97a314538b113a8d9455f6",
+        "qtp2": "f4580f5188ab9a923d49c3d7375edf340afc958dfd3e5eb203a9153021766719",
+        "qtpp": "b32619c5ae7f34ed977c0f6c20b7187d658e9e35cb9b35990f04c91e63cecba5",
+    },
+    "elastic_join": {
+        "2pc": "96e6c29704c092007f31f17ef8dad8c59cb6845ba082672ba84410659d59b6c4",
+        "3pc": "3486c2d4374999e168209f262c42a84118397a874ea5fb217115a2fdaa51cf40",
+        "skq": "6e4f024e410c60ee9db65927ae0d6d10f556b24efd4ab38992aae305a11fe602",
+        "qtp1": "a6089372b0ad957137b06614688c7f5917fcc45ce4c2297d238a66ffd31fed77",
+        "qtp2": "2946d28aed8897399c4ad5f33bd84b824803876f4c3fd8724209220612dd8d66",
+        "qtpp": "c390467398443b1f72a3c66f3a4eff2dbbae014ae6c67cf44b2965400403186b",
+    },
+    "open_loop": {
+        "2pc": "50e2e24e8c11ee2157db30d19fe89427863aa25e1ceddfa051ff6cd50e244d60",
+        "3pc": "bf0a4b37bf5daaba8a016202ac37496488305af4204abb3c1efa2fb076510f5f",
+        "skq": "a4b8979dbaa26e01407baf673d7a261c5420c1cdffcfe53dceabade9a913f234",
+        "qtp1": "6df4365f7277ecea7a7822d288158a1ed8b480e9ae87c09d2850e4a2d382c4bf",
+        "qtp2": "ac04a90db387c3d444c12f8223e8d50548fd020339b0cc4f4c0a1551c2adc272",
+        "qtpp": "7fe4736ed23aa4c26ef9ba9b7bdb18c519433c97d2e9580297204fcee3dbd231",
+    },
+    "rolling_upgrade": {
+        "2pc": "44cbfc8ec28471b05248763cfd2c941954e4f84ed78064c95e9050a7249551ac",
+        "3pc": "2c4932b175d953068837b23b05c5d9f7c986470a28feb5cc6f34b45e15566859",
+        "skq": "8eca5cdecb93d8d1f0eef790269cb75e62f34c9c5150e41daad114851e2711e8",
+        "qtp1": "96b3f5e664b8de49edbffc7abfca4d184ab4384ccbe53b24e06d64e7232b1fc9",
+        "qtp2": "bb3c9891c70e71c78b25f9142e956e552a089b854e36aa2c9e52094e40cb7a52",
+        "qtpp": "7f1f268f20b0acc12959912b5b8bf180e57a7c100df6ea6ea92f6ea3c67168f5",
+    },
+    "flash_crowd": {
+        "2pc": "ad546fb8219ebf287d0dc8e77ef8a8e8b9ecb24e1052e4a8ef95b32102a98671",
+        "3pc": "8496d317a29d5bf16f2def6b422b7d014e390a57f09b12363cc6f874e62c1ad1",
+        "skq": "144742125a6d0d08e83a5a921762080c02fcd8832a659810c8a29205b300d3f6",
+        "qtp1": "daf2a5f2d7788704264c3f32cc77d4aed0c7e2f19c5ecc6943a6cb571a7161a9",
+        "qtp2": "ba2e08e66173325d99ff64fb89cedab3cd8b79ac89e93aff13c3ed267216311f",
+        "qtpp": "00973492c635af14024d5e3adccb1c02553282d1392c0bee3fc5527d6fd383f0",
+    },
+    "gray_failure": {
+        "2pc": "c55d1d8b2af5bac9799254169e1fdc9bd2277c2df0df8b91c02ba20a6ddee7bb",
+        "3pc": "24d4b8834a166d8e1efa84e9ae38bddbd407fbdfd3fad3789e7e11fc13b933bd",
+        "skq": "9d69844de94a4c940f3b9eeff247058f0cd263bb51c203505381a640a816bc8f",
+        "qtp1": "ce7d4750c8767e0bd7fe8d5af7796463143c732567471a7a074d97599d983dd4",
+        "qtp2": "ccd0f6f1825d0f509e31cd5b05435c1ae433f873c755e25a9c910eaad7ba99b9",
+        "qtpp": "ad2394b9f19aa597ee74b8ce53a7977fbc9ed44c2178c8702827228ca92a25dd",
+    },
+}
+
+
+class TestRunIdentityPins:
+    def test_every_scenario_and_protocol_is_pinned(self):
+        assert set(RUN_SHA256) == set(SCENARIOS)
+        assert all(set(per) == set(PROTOCOL_NAMES) for per in RUN_SHA256.values())
+
+    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_trace_and_counters_do_not_move(self, name, protocol):
+        run = run_scenario(SCENARIOS[name](**SMALL_SHAPES[name]), protocol, 0)
+        blob = run.cluster.tracer.dump() + json.dumps(run.counters(), sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == RUN_SHA256[name][protocol]
 
 
 class TestArtifact:

@@ -366,7 +366,7 @@ class TestRoundTalliesEqualRecount:
     @settings(max_examples=40, deadline=None)
     def test_commit_at_the_first_ack_the_recount_allows(self, protocol, catalog, acks):
         cluster = _cluster_for(catalog, protocol)
-        engine = cluster.sites[7].engine
+        engine = cluster.sites[7].ensure_engine()
         participants = catalog.all_sites()
         writes = {x: (1, 1) for x in catalog.item_names}
         round_ = _CoordinationRound("T7.1", writes, participants, catalog, phase="preparing")
@@ -397,7 +397,7 @@ class TestRoundTalliesEqualRecount:
         # yes votes, and one no at ``no_at`` if that is within the stream
         votes = [(site, index != no_at) for index, site in enumerate(voters)]
         cluster = _cluster_for(catalog, protocol)
-        engine = cluster.sites[7].engine
+        engine = cluster.sites[7].ensure_engine()
         participants = catalog.all_sites()
         writes = {x: (1, 1) for x in catalog.item_names}
         round_ = _CoordinationRound(
@@ -441,6 +441,9 @@ def checked_every_step(cluster_box, checked):
         cluster = cluster_box[0]
         for site in (*cluster.sites.values(), *cluster.departed.values()):
             engine = site.engine
+            if engine is None:  # no message has reached the site yet
+                assert site.undecided_txns() == set()
+                continue
             scan = [(t, r) for t, r in engine.records().items() if not r.decided]
             assert list(engine.undecided.items()) == scan
             assert site.undecided_txns() == {t for t, _ in scan}

@@ -1,14 +1,16 @@
 """Late binding, shared trace details and direct hops change cost, not behaviour.
 
-A node registers a protocol handler the first time a message of its
-type is delivered, the tracer appends one shared detail tuple per
+A site builds its commit engine on its first delivery (or when it first
+coordinates), a node registers a protocol handler the first time a
+message of its type is delivered, the tracer appends one shared detail tuple per
 distinct ``(mtype, peer[, reason])`` straight into its columns, the
 clock is an attribute the scheduler alone writes, a node's ``send``
 stamps its message, a connectivity change kicks only the engines that
 hold an undecided transaction, and the open-loop service reads
 decisions from a trace cursor.  All of it must be invisible in
 everything a run leaves behind.  The reference defined in this file —
-every table entry bound when the engine is built, a fresh detail tuple
+every site's engine built with the site, every table entry bound when
+the engine is built, a fresh detail tuple
 per record routed through ``Tracer._append``, the clock behind a chain
 of properties, a frozen ``Message`` per ``send``, every engine kicked,
 one trace query per in-flight transaction per arrival — is patched over
@@ -29,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Cluster, FixedDelay
 from repro.common.errors import SiteDownError
+from repro.db.site import Site
 from repro.net.message import Message
 from repro.net.node import Node
 from repro.replay.recorder import cluster_counters
@@ -51,8 +54,20 @@ REGIONS = wan_regions(4, 8)
 ALL_SITES = [s for region in REGIONS for s in region]
 
 
+_site_init = Site.__init__
+
+
+def _site_with_engine(self, *args):
+    """Reference: a site builds its engine along with its stack."""
+    _site_init(self, *args)
+    self.ensure_engine()
+
+
 def _bind_eagerly(self, owner, names):
-    """Reference: one ``on`` per table entry, when the engine is built."""
+    """Reference: one ``on`` per table entry, when the engine is built
+    (the site's reservation, made before its engine, binds nothing)."""
+    if owner is None:
+        return
     for mtype, name in names.items():
         self.on(mtype, getattr(owner, name))
 
@@ -118,6 +133,7 @@ def reference_arm():
     HOPS.clear()
     with contextlib.ExitStack() as stack:
         patch = mock.patch.object
+        stack.enter_context(patch(Site, "__init__", _site_with_engine))
         stack.enter_context(patch(Node, "bind_on_delivery", _bind_eagerly))
         stack.enter_context(patch(Tracer, "record_send", _fresh_send))
         stack.enter_context(patch(Tracer, "record_deliver", _fresh_deliver))
@@ -181,6 +197,9 @@ class TestStormEquivalence:
         eager = sum(len(site._handlers) for site in eager_cluster.sites.values())
         lazy = sum(len(site._handlers) for site in lazy_cluster.sites.values())
         assert eager == 15 * len(ALL_SITES) and lazy < eager
+        assert all(site.engine is not None for site in eager_cluster.sites.values())
+        built = [site for site in lazy_cluster.sites.values() if site.engine is not None]
+        assert 0 < len(built) < len(ALL_SITES)
         assert "_now" in vars(eager_cluster.scheduler) and "now" in vars(lazy_cluster.scheduler)
         assert HOPS["now"] > 0
         assert HOPS["kick"] >= 2 * len(ALL_SITES) - 2  # everyone up, every change

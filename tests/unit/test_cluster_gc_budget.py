@@ -12,7 +12,10 @@ Three driver shapes, the three the end-to-end benchmark times: a WAN
 storm run to quiescence with its coordinator crashed, a closed loop
 under a partition and a crash/recover pair, and an open-loop service
 cut short with events still queued while a degradation, a flapping
-link, a join and a leave are in play.
+link, a join and a leave are in play.  A site builds its engine on its
+first delivery, so a storm leaves most of its 32 sites without one:
+those untouched sites — each holding the cluster's engine factory —
+must fall with the rest.
 """
 
 import gc
@@ -149,7 +152,11 @@ def test_a_finished_cluster_dies_by_refcount(shape, protocol, collector_off):
     drive(protocol)  # warm imports, per-class tables and first-use caches
     gc.collect()
     cluster, engine = drive(protocol)
-    site = next(iter(cluster.departed.values() or cluster.sites.values()))
+    everyone = [*cluster.departed.values(), *cluster.sites.values()]
+    site = next(s for s in everyone if s.engine is not None)
+    untouched = [s for s in everyone if s.engine is None]
+    if shape == "wan_storm":
+        assert len(untouched) > len(everyone) // 2  # most sites never heard a message
     parts = {
         "cluster": weakref.ref(cluster),
         "network": weakref.ref(cluster.network),
@@ -157,8 +164,9 @@ def test_a_finished_cluster_dies_by_refcount(shape, protocol, collector_off):
         "site": weakref.ref(site),
         "engine": weakref.ref(site.engine),
         "driver": weakref.ref(engine),
+        **{f"untouched site {s.node_id}": weakref.ref(s) for s in untouched},
     }
-    del cluster, engine, site
+    del cluster, engine, site, everyone, untouched
     assert [name for name, ref in parts.items() if ref() is not None] == []
     assert gc.collect() == 0  # 800-42 000 objects before, all but 1-4 of them here
 
@@ -177,11 +185,11 @@ def test_a_half_built_cluster_is_released_too(collector_off):
     catalog = random_catalog(random.Random(1), n_sites=4, n_items=2, replication=3)
     networks = []
 
-    def fail(self, *args):
-        networks.append(weakref.ref(self.network))
-        raise ConfigurationError("no engines today")
+    def fail(scheduler, network, **kwargs):
+        networks.append(weakref.ref(network))
+        raise ConfigurationError("no injector today")
 
-    with mock.patch.object(Cluster, "_attach_engines", fail):
+    with mock.patch("repro.db.cluster.FailureInjector", fail):
         with pytest.raises(ConfigurationError):
             Cluster(catalog)  # four sites are registered by then
     assert [ref() for ref in networks] == [None]

@@ -71,7 +71,8 @@ class TestClusterJoin:
         cluster = Cluster(small_catalog(), protocol="qtp1")
         site = cluster.join_site(7, {"x": 1})
         assert cluster.sites[7] is site
-        assert site.engine is not None
+        assert site.engine is None  # built on the joiner's first delivery
+        assert site.ensure_engine().catalog is cluster.catalog
         assert site.store.hosts("x") and not site.store.hosts("y")
         assert 7 in cluster.catalog.sites_of("x")
 

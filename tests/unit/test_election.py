@@ -22,33 +22,33 @@ def with_records(cluster):
 
 class TestStartElection:
     def test_no_record_is_noop(self, cluster):
-        engine = cluster.sites[2].engine
+        engine = cluster.sites[2].ensure_engine()
         engine.start_election("ghost")  # must not raise
         assert not cluster.tracer.where(category="election", txn="ghost")
 
     def test_decided_record_is_noop(self, cluster):
         txn = cluster.update(origin=1, writes={"x": 1})
         cluster.run()
-        engine = cluster.sites[2].engine
+        engine = cluster.sites[2].ensure_engine()
         engine.start_election(txn.txn)
         assert not cluster.tracer.where(category="election", txn=txn.txn)
 
     def test_blocked_record_is_noop(self, cluster):
         txn = with_records(cluster)
-        record = cluster.sites[2].engine.record(txn.txn)
+        record = cluster.sites[2].ensure_engine().record(txn.txn)
         record.blocked = True
-        cluster.sites[2].engine.start_election(txn.txn)
+        cluster.sites[2].ensure_engine().start_election(txn.txn)
         assert record.election_rounds == 0
 
     def test_round_counter_increments(self, cluster):
         txn = with_records(cluster)
-        engine = cluster.sites[2].engine
+        engine = cluster.sites[2].ensure_engine()
         engine.start_election(txn.txn)
         assert engine.record(txn.txn).election_rounds == 1
 
     def test_round_budget_enforced(self, cluster):
         txn = with_records(cluster)
-        engine = cluster.sites[2].engine
+        engine = cluster.sites[2].ensure_engine()
         record = engine.record(txn.txn)
         record.election_rounds = MAX_ELECTION_ROUNDS
         engine.start_election(txn.txn)
@@ -62,7 +62,7 @@ class TestStartElection:
 
     def test_highest_site_self_elects_immediately(self, cluster):
         txn = with_records(cluster)
-        engine = cluster.sites[4].engine  # no higher participant
+        engine = cluster.sites[4].ensure_engine()  # no higher participant
         engine.start_election(txn.txn)
         cluster.run_until(cluster.scheduler.now + 0.01)
         assert cluster.tracer.where(category="coordinator", txn=txn.txn, site=4)
@@ -71,7 +71,7 @@ class TestStartElection:
 class TestInquiryResponses:
     def test_alive_reply_to_inquiry(self, cluster):
         txn = with_records(cluster)
-        engine = cluster.sites[3].engine
+        engine = cluster.sites[3].ensure_engine()
         engine._on_elect_inquiry(Message(2, 3, "elect.inquiry", txn.txn))
         cluster.run()
         alive = [
@@ -85,21 +85,21 @@ class TestInquiryResponses:
         txn = cluster.update(origin=1, writes={"x": 1})
         cluster.run()
         sends_before = cluster.tracer.count("send")
-        engine = cluster.sites[3].engine
+        engine = cluster.sites[3].ensure_engine()
         engine._on_elect_inquiry(Message(2, 3, "elect.inquiry", txn.txn))
         new_sends = cluster.tracer.where(category="send")[sends_before:]
         mtypes = {r.detail["mtype"] for r in new_sends}
         assert "qtp1.commit" in mtypes
 
     def test_nonparticipant_stays_silent(self, cluster):
-        engine = cluster.sites[3].engine
+        engine = cluster.sites[3].ensure_engine()
         sends_before = cluster.tracer.count("send")
         engine._on_elect_inquiry(Message(2, 3, "elect.inquiry", "ghost"))
         assert cluster.tracer.count("send") == sends_before
 
     def test_alive_marks_heard_higher(self, cluster):
         txn = with_records(cluster)
-        engine = cluster.sites[2].engine
+        engine = cluster.sites[2].ensure_engine()
         record = engine.record(txn.txn)
         record.electing = True
         engine._on_elect_alive(Message(3, 2, "elect.alive", txn.txn))

@@ -80,7 +80,7 @@ class TestApplyHooks:
 class TestSiteRecovery:
     def test_double_engine_rejected(self, cluster):
         with pytest.raises(ValueError, match="already has an engine"):
-            cluster.sites[1].attach_engine(cluster.sites[1].engine)
+            cluster.sites[1].attach_engine(cluster.sites[1].ensure_engine())
 
     def test_crash_clears_lock_table(self, cluster):
         site = cluster.sites[1]
