@@ -8,15 +8,11 @@ but the aliases below document intent at call sites.
 
 from __future__ import annotations
 
-import itertools
-
 SiteId = int
 TxnId = str
 
-_txn_counter = itertools.count(1)
 
-
-def make_txn_id(origin: SiteId, counter: int | None = None) -> TxnId:
+def make_txn_id(origin: SiteId, counter: int) -> TxnId:
     """Build a globally unique transaction identifier.
 
     The id embeds the originating site so that ids minted concurrently at
@@ -25,18 +21,9 @@ def make_txn_id(origin: SiteId, counter: int | None = None) -> TxnId:
 
     Args:
         origin: site where the transaction was issued.
-        counter: explicit local sequence number; when omitted a
-            process-wide counter is used (convenient for tests).
+        counter: the issuer's local sequence number.
 
     Returns:
         A string such as ``"T3.17"`` (transaction 17 issued at site 3).
     """
-    if counter is None:
-        counter = next(_txn_counter)
     return f"T{origin}.{counter}"
-
-
-def reset_txn_counter() -> None:
-    """Reset the process-wide transaction counter (test isolation)."""
-    global _txn_counter
-    _txn_counter = itertools.count(1)

@@ -8,15 +8,12 @@ the analysis layer to validate whole runs (including cross-partition
 runs under the voting strategy).
 
 * :class:`~repro.concurrency.locks.LockManager` — shared/exclusive
-  locks with FIFO queuing per item.
-* :func:`~repro.concurrency.deadlock.find_deadlock` — waits-for-graph
-  cycle detection across sites.
+  locks, granted or refused at once (no wait queue).
 * :class:`~repro.concurrency.serializability.ConflictGraph` — conflict
   serializability check over committed transaction histories.
 """
 
-from repro.concurrency.deadlock import build_waits_for, find_deadlock
-from repro.concurrency.locks import LockManager, LockMode, LockRequest
+from repro.concurrency.locks import LockManager, LockMode
 from repro.concurrency.serializability import CommittedTxn, ConflictGraph
 
 __all__ = [
@@ -24,7 +21,4 @@ __all__ = [
     "ConflictGraph",
     "LockManager",
     "LockMode",
-    "LockRequest",
-    "build_waits_for",
-    "find_deadlock",
 ]

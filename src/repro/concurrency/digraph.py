@@ -1,11 +1,11 @@
 """The two graph questions this library asks, over a plain adjacency dict.
 
-A conflict graph and a waits-for graph are both small digraphs of
-transaction ids, and all anyone wants of them is *a topological order,
-if there is one* and *one cycle, if there is one*.  A graph here is a
-mapping ``node -> iterable of successors`` in which every node is a key
-(a ``dict`` of ``dict``\\ s in practice, so iteration order — and with it
-every answer — is the insertion order, never the hash order).
+A conflict graph is a small digraph of transaction ids, and all anyone
+wants of it is *a topological order, if there is one* and *one cycle,
+if there is one*.  A graph here is a mapping ``node -> iterable of
+successors`` in which every node is a key (a ``dict`` of ``dict``\\ s in
+practice, so iteration order — and with it every answer — is the
+insertion order, never the hash order).
 """
 
 from __future__ import annotations

@@ -29,10 +29,11 @@ ranking; nothing is sorted per call.
 
 Lock conflicts surface immediately as :class:`TransactionAborted`
 (no waiting): a participant that cannot lock now votes no / a reader
-that cannot lock now aborts.  This no-wait policy makes deadlock
-impossible by construction (there is never a waits-for edge), at the
-cost of aborting under contention — the classical trade-off, chosen
-here because the paper's subject is the *commit* path, not contention
+that cannot lock now aborts.  The lock table has no wait path at all:
+a request is granted or refused at once.  So deadlock is impossible by
+construction (there is never a waits-for edge), at the cost of
+aborting under contention — the classical trade-off, chosen here
+because the paper's subject is the *commit* path, not contention
 management.
 
 Every committed transaction's footprint (item -> version read /
@@ -47,7 +48,6 @@ import enum
 from typing import TYPE_CHECKING, Any
 
 from repro.common.errors import ConfigurationError, ProtocolError, TransactionAborted
-from repro.common.ids import make_txn_id
 from repro.concurrency.locks import LockMode
 from repro.db.txn import TxnHandle
 from repro.replication.accessor import QuorumPlanner
@@ -73,10 +73,10 @@ class InteractiveTransaction:
     the simulation).
     """
 
-    def __init__(self, cluster: "Cluster", origin: int, txn_id: str | None = None) -> None:
+    def __init__(self, cluster: "Cluster", origin: int, txn_id: str) -> None:
         self._cluster = cluster
         self.origin = origin
-        self.txn = txn_id or make_txn_id(origin)
+        self.txn = txn_id
         self.phase = TxnPhase.ACTIVE
         self._reads: dict[str, int] = {}  # item -> version read
         self._read_values: dict[str, Any] = {}

@@ -186,10 +186,6 @@ class SweepSpec:
         """All grid cells, in deterministic expansion order."""
         return list(self.iter_cells())
 
-    def seed_for(self, params: Mapping[str, Any], run: int) -> int:
-        """The seed of run ``run`` in cell ``params``."""
-        return cell_seeder(self.base_seed, self.name, params, self.seeding)(run)
-
     def iter_chunks(self, size: int) -> Iterator["TaskChunk"]:
         """The tasks in index order, cut into :class:`TaskChunk`s of at
         most ``size`` consecutive tasks.

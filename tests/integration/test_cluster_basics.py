@@ -83,7 +83,7 @@ class TestVoteNoPath:
         # a foreign lock on site 2's copy of x forces a no vote there
         from repro.concurrency.locks import LockMode
 
-        cluster.sites[2].locks.acquire("intruder", "x", LockMode.EXCLUSIVE)
+        cluster.sites[2].locks.try_acquire("intruder", "x", LockMode.EXCLUSIVE)
         txn = cluster.update(origin=1, writes={"x": 5})
         cluster.run()
         report = cluster.outcome(txn.txn)
@@ -96,7 +96,7 @@ class TestVoteNoPath:
         from repro.concurrency.locks import LockMode
 
         cluster = Cluster(paper_catalog, protocol="qtp1")
-        cluster.sites[2].locks.acquire("intruder", "x", LockMode.EXCLUSIVE)
+        cluster.sites[2].locks.try_acquire("intruder", "x", LockMode.EXCLUSIVE)
         cluster.update(origin=1, writes={"x": 5})
         cluster.run()
         assert cluster.sites[3].store.read("x").value == 0

@@ -94,7 +94,7 @@ class TestVoteNoFlow:
 
         catalog = CatalogBuilder().replicated_item("x", sites=[1, 2, 3], r=2, w=2).build()
         cluster = Cluster(catalog, protocol="2pc")
-        cluster.sites[2].locks.acquire("intruder", "x", LockMode.EXCLUSIVE)
+        cluster.sites[2].locks.try_acquire("intruder", "x", LockMode.EXCLUSIVE)
         cluster.update(origin=1, writes={"x": 1})
         cluster.run()
         counts = cluster.message_counts()

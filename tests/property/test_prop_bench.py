@@ -27,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bench import compare_case, default_suite, encode
 from repro.common.errors import StorageError
-from repro.concurrency.locks import LockManager
+from repro.concurrency.locks import LockManager, LockMode
 from repro.engine import SweepRunner, SweepSpec, run_sweep
 from repro.experiments.workload_study import heavy_workload_scenario
 from repro.net.network import Network
@@ -93,10 +93,19 @@ class _FreshViewNetwork(Network):
 
 
 class _ScanLockManager(LockManager):
-    """Reference: the compatibility matrix, scanned over every holder."""
+    """Reference: every grant decided by the compatibility matrix,
+    scanned over every holder; only a granted lock reaches the table."""
 
-    def _grantable(self, entry, mode):
-        return not entry.queue and all(mode.compatible_with(h) for h in entry.holders.values())
+    def try_acquire(self, txn, item, mode):
+        holders = self.holder_modes(item)
+        held = holders.get(txn)
+        if held is None:
+            grant = all(mode.compatible_with(h) for h in holders.values())
+        else:  # re-acquisition, or a sole holder's S -> X upgrade
+            grant = held is mode or held is LockMode.EXCLUSIVE or len(holders) == 1
+        if grant:
+            assert super().try_acquire(txn, item, mode), "the table refused a compatible lock"
+        return grant
 
 
 def _rebuilt_catalog(rng, key, build):

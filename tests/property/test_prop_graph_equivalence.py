@@ -1,19 +1,19 @@
 """The library's own graph answers agree with networkx's.
 
-``ConflictGraph`` and the deadlock detector used to hand their digraphs
-to networkx; they now keep a plain adjacency mapping and answer through
+``ConflictGraph`` used to hand its digraph to networkx; it now keeps a
+plain adjacency mapping and answers through
 ``repro.concurrency.digraph``.  networkx stays a *test-time* reference:
 over random committed histories (lost updates and write skew among
-them) and random waits-for graphs, the verdicts must agree and every
-witness — a cycle, a serial order — must be a real one in the reference
-graph.
+them) and random digraphs (self-loops among them), the verdicts must
+agree and every witness — a cycle, a serial order — must be a real one
+in the reference graph.
 """
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.common.errors import NotSerializableError, ReproError
-from repro.concurrency.deadlock import build_waits_for, find_deadlock
+from repro.concurrency.digraph import find_cycle, topological_order
 from repro.concurrency.serializability import CommittedTxn, ConflictGraph
 
 nx = pytest.importorskip("networkx")
@@ -92,31 +92,40 @@ def test_conflict_graph_agrees_with_networkx(history):
         assert is_cycle_of(reference, raised.value.cycle)
 
 
-class Edges:
-    """All the deadlock detector asks of a lock manager."""
-
-    def __init__(self, edges):
-        self._edges = edges
-
-    def waits_edges(self):
-        return self._edges
+NODES = st.sampled_from([f"T{i}" for i in range(7)])
+DIGRAPHS = st.lists(st.tuples(NODES, NODES), max_size=12)
 
 
-TXNS = st.sampled_from([f"T{i}" for i in range(7)])
-WAITS = st.lists(st.lists(st.tuples(TXNS, TXNS), max_size=6), max_size=4)
+def adjacency(edges):
+    """``edges`` as the ``node -> {successor: None}`` mapping digraph reads."""
+    graph = {}
+    for u, v in edges:
+        graph.setdefault(u, {})[v] = None
+        graph.setdefault(v, {})
+    return graph
 
 
 @settings(max_examples=300, deadline=None)
-@given(WAITS)
-def test_deadlock_detection_agrees_with_networkx(per_site_edges):
-    managers = [Edges(edges) for edges in per_site_edges]
-    reference = nx.DiGraph(edge for edges in per_site_edges for edge in edges)
-    graph = build_waits_for(managers)
-    assert {u: set(vs) for u, vs in graph.items()} == {u: set(reference.adj[u]) for u in reference}
-    cycle = find_deadlock(managers)
+@given(DIGRAPHS)
+def test_find_cycle_agrees_with_networkx(edges):
+    reference = nx.DiGraph(edges)
+    cycle = find_cycle(adjacency(edges))
     try:
         nx.find_cycle(reference)
     except nx.NetworkXNoCycle:
         assert cycle is None
     else:
         assert is_cycle_of(reference, cycle)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DIGRAPHS)
+def test_topological_order_agrees_with_networkx(edges):
+    reference = nx.DiGraph(edges)
+    order = topological_order(adjacency(edges))
+    if not nx.is_directed_acyclic_graph(reference):
+        assert order is None
+    else:
+        assert sorted(order) == sorted(reference)
+        rank = {node: i for i, node in enumerate(order)}
+        assert all(rank[u] < rank[v] for u, v in reference.edges)

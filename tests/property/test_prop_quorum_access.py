@@ -9,7 +9,7 @@ version decides.  The references live here, and only here:
 * :func:`_sorted_select` — sort the available copies per call, by
   descending votes then ascending site, and take a prefix;
 * :class:`_ScanLockManager` — ``release_all`` scans the whole lock
-  table for the transaction's holds and queued requests;
+  table for the transaction's holds;
 * ``Network.reachable_from`` — a sorted list of the live sites in the
   source's component.
 """
@@ -165,24 +165,13 @@ class _ScanLockManager(LockManager):
     def release_all(self, txn):
         self._by_txn.pop(txn, None)
         released = []
-        touched = []
         for item, entry in self._items.items():
-            changed = False
             held = entry.holders.pop(txn, None)
             if held is not None:
                 entry.exclusive -= held is LockMode.EXCLUSIVE
                 released.append(item)
-                changed = True
-            if entry.queue and any(r.txn == txn for r in entry.queue):
-                entry.queue = [r for r in entry.queue if r.txn != txn]
-                changed = True
-            if changed:
-                touched.append(item)
-        for item in touched:
-            self._wake(item)
-        for item in touched:
-            entry = self._items[item]
-            if not entry.holders and not entry.queue:
+        for item in released:
+            if not self._items[item].holders:
                 del self._items[item]
         return released
 
@@ -195,7 +184,6 @@ ITEMS = ("a", "b", "c", "d", "e")
 
 _lock_ops = st.lists(
     st.one_of(
-        st.tuples(st.just("acquire"), st.sampled_from(TXNS), st.sampled_from(ITEMS), st.sampled_from(LockMode)),
         st.tuples(st.just("try"), st.sampled_from(TXNS), st.sampled_from(ITEMS), st.sampled_from(LockMode)),
         st.tuples(st.just("release"), st.sampled_from(TXNS), st.none(), st.none()),
     ),
@@ -205,71 +193,36 @@ _lock_ops = st.lists(
 
 def _table(manager):
     """Everything the table holds, in the table's own order."""
-    return [
-        (
-            item,
-            manager.holder_modes(item),
-            [(r.txn, r.mode, r.granted) for r in manager.waiting(item)],
-        )
-        for item in manager._items
-    ]
+    return [(item, manager.holder_modes(item)) for item in manager._items]
 
 
 def _play(manager, ops):
-    """Apply ``ops``; return every answer and every grant callback."""
-    grants = []
+    """Apply ``ops``; return every answer and every hold after it."""
     answers = []
-    for step, (op, txn, item, mode) in enumerate(ops):
-        if op == "acquire":
-            tag = (step, txn, item, mode)
-            answers.append(manager.acquire(txn, item, mode, on_grant=lambda tag=tag: grants.append(tag)))
-        elif op == "try":
+    for op, txn, item, mode in ops:
+        if op == "try":
             answers.append(manager.try_acquire(txn, item, mode))
         else:
             answers.append(sorted(manager.release_all(txn)))
         answers.append([manager.held_by(t) for t in TXNS])
-    return answers, grants
+    return answers
 
 
 class TestIndexedReleaseAgreesWithTableScan:
     @given(_lock_ops)
     @settings(max_examples=400, deadline=None)
-    def test_same_grants_releases_callbacks_and_table(self, ops):
+    def test_same_grants_releases_and_table(self, ops):
         indexed, scanned = LockManager(1), _ScanLockManager(1)
-        answers, grants = _play(indexed, ops)
-        ref_answers, ref_grants = _play(scanned, ops)
-        assert answers == ref_answers  # grants, releases, holds after each op
-        assert grants == ref_grants  # on_grant callbacks, in order
+        assert _play(indexed, ops) == _play(scanned, ops)  # grants, releases, holds after each op
         assert _table(indexed) == _table(scanned)
-        assert indexed.waits_edges() == scanned.waits_edges()
-
-    def test_grant_callbacks_fire_in_table_order(self):
-        """The releasing transaction touched b before a, but the table
-        made a first: waiters are woken in the table's order."""
-        ops = [
-            ("try", "T4", "a", LockMode.SHARED),  # the table makes a first
-            ("acquire", "T1", "b", LockMode.EXCLUSIVE),  # T1 touches b first
-            ("acquire", "T1", "a", LockMode.SHARED),
-            ("release", "T4", None, None),
-            ("acquire", "T2", "a", LockMode.EXCLUSIVE),  # waits on T1
-            ("acquire", "T3", "b", LockMode.EXCLUSIVE),  # waits on T1
-            ("release", "T1", None, None),
-        ]
-        __, grants = _play(LockManager(1), ops)
-        assert grants == _play(_ScanLockManager(1), ops)[1]
-        assert [(txn, item) for __, txn, item, __ in grants] == [("T2", "a"), ("T3", "b")]
 
     @given(_lock_ops)
     @settings(max_examples=200, deadline=None)
-    def test_index_names_exactly_the_held_and_queued_items(self, ops):
+    def test_index_names_exactly_the_held_items(self, ops):
         manager = LockManager(1)
         _play(manager, ops)
         for txn in TXNS:
-            expected = {
-                item
-                for item, holders, queue in _table(manager)
-                if txn in holders or any(t == txn for t, __, __ in queue)
-            }
+            expected = {item for item, holders in _table(manager) if txn in holders}
             assert set(manager._by_txn.get(txn, {})) == expected
         for txn in TXNS:
             manager.release_all(txn)

@@ -23,7 +23,7 @@ def snapshot(catalog, groups=None, locks=None, blocked=None, active=None):
     partition = PartitionView(sites, groups)
     managers = {s: LockManager(s) for s in sites}
     for site, item, txn in locks or []:
-        managers[site].acquire(txn, item, LockMode.EXCLUSIVE)
+        managers[site].try_acquire(txn, item, LockMode.EXCLUSIVE)
     return availability_snapshot(
         catalog,
         partition,

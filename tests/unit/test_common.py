@@ -8,21 +8,18 @@ from repro.common.errors import (
     TransactionAborted,
     TransactionBlocked,
 )
-from repro.common.ids import make_txn_id, reset_txn_counter
+from repro.common.ids import make_txn_id
 
 
 class TestIds:
     def test_embeds_origin_and_counter(self):
         assert make_txn_id(3, 17) == "T3.17"
 
-    def test_global_counter_monotone(self):
-        reset_txn_counter()
-        first = make_txn_id(1)
-        second = make_txn_id(1)
-        assert first == "T1.1" and second == "T1.2"
+    def test_counter_is_required(self):
+        with pytest.raises(TypeError):
+            make_txn_id(3)
 
     def test_different_origins_never_collide(self):
-        reset_txn_counter()
         assert make_txn_id(1, 5) != make_txn_id(2, 5)
 
 

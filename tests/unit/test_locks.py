@@ -1,55 +1,54 @@
-"""Unit tests for the lock manager and deadlock detection."""
+"""Unit tests for the no-wait lock manager."""
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.concurrency.deadlock import build_waits_for, choose_victim, find_deadlock
 from repro.concurrency.locks import LockManager, LockMode
 
 
 class TestBasicLocking:
     def test_exclusive_excludes(self):
         lm = LockManager(1)
-        assert lm.acquire("T1", "x", LockMode.EXCLUSIVE)
-        assert not lm.acquire("T2", "x", LockMode.EXCLUSIVE)
+        assert lm.try_acquire("T1", "x", LockMode.EXCLUSIVE)
+        assert not lm.try_acquire("T2", "x", LockMode.EXCLUSIVE)
 
     def test_shared_locks_coexist(self):
         lm = LockManager(1)
-        assert lm.acquire("T1", "x", LockMode.SHARED)
-        assert lm.acquire("T2", "x", LockMode.SHARED)
+        assert lm.try_acquire("T1", "x", LockMode.SHARED)
+        assert lm.try_acquire("T2", "x", LockMode.SHARED)
 
     def test_shared_blocks_exclusive(self):
         lm = LockManager(1)
-        lm.acquire("T1", "x", LockMode.SHARED)
-        assert not lm.acquire("T2", "x", LockMode.EXCLUSIVE)
+        lm.try_acquire("T1", "x", LockMode.SHARED)
+        assert not lm.try_acquire("T2", "x", LockMode.EXCLUSIVE)
+
+    def test_exclusive_blocks_shared(self):
+        lm = LockManager(1)
+        lm.try_acquire("T1", "x", LockMode.EXCLUSIVE)
+        assert not lm.try_acquire("T2", "x", LockMode.SHARED)
+        assert lm.holder_modes("x") == {"T1": LockMode.EXCLUSIVE}
 
     def test_reacquire_is_granted(self):
         lm = LockManager(1)
-        lm.acquire("T1", "x", LockMode.EXCLUSIVE)
-        assert lm.acquire("T1", "x", LockMode.EXCLUSIVE)
-        assert lm.acquire("T1", "x", LockMode.SHARED)  # X covers S
+        lm.try_acquire("T1", "x", LockMode.EXCLUSIVE)
+        assert lm.try_acquire("T1", "x", LockMode.EXCLUSIVE)
+        assert lm.try_acquire("T1", "x", LockMode.SHARED)  # X covers S
 
     def test_sole_holder_upgrade(self):
         lm = LockManager(1)
-        lm.acquire("T1", "x", LockMode.SHARED)
-        assert lm.acquire("T1", "x", LockMode.EXCLUSIVE)
+        lm.try_acquire("T1", "x", LockMode.SHARED)
+        assert lm.try_acquire("T1", "x", LockMode.EXCLUSIVE)
         assert lm.holder_modes("x")["T1"] is LockMode.EXCLUSIVE
 
     def test_upgrade_blocked_by_other_sharer(self):
         lm = LockManager(1)
-        lm.acquire("T1", "x", LockMode.SHARED)
-        lm.acquire("T2", "x", LockMode.SHARED)
-        assert not lm.acquire("T1", "x", LockMode.EXCLUSIVE)
+        lm.try_acquire("T1", "x", LockMode.SHARED)
+        lm.try_acquire("T2", "x", LockMode.SHARED)
+        assert not lm.try_acquire("T1", "x", LockMode.EXCLUSIVE)
 
 
 class TestTryAcquire:
-    def test_try_acquire_never_queues(self):
-        lm = LockManager(1)
-        lm.acquire("T1", "x", LockMode.EXCLUSIVE)
-        assert not lm.try_acquire("T2", "x", LockMode.EXCLUSIVE)
-        assert lm.waiting("x") == []
-
     def test_try_acquire_grants_when_free(self):
         lm = LockManager(1)
         assert lm.try_acquire("T1", "x", LockMode.EXCLUSIVE)
@@ -60,74 +59,49 @@ class TestTryAcquire:
         lm.try_acquire("T1", "x", LockMode.SHARED)
         assert lm.try_acquire("T1", "x", LockMode.EXCLUSIVE)
 
-
-class TestReleaseAndWake:
-    def test_release_wakes_fifo(self):
+    def test_try_acquire_never_queues(self):
         lm = LockManager(1)
-        granted = []
-        lm.acquire("T1", "x", LockMode.EXCLUSIVE)
-        lm.acquire("T2", "x", LockMode.EXCLUSIVE, on_grant=lambda: granted.append("T2"))
-        lm.acquire("T3", "x", LockMode.EXCLUSIVE, on_grant=lambda: granted.append("T3"))
-        lm.release_all("T1")
-        assert granted == ["T2"]
-        lm.release_all("T2")
-        assert granted == ["T2", "T3"]
+        lm.try_acquire("T1", "x", LockMode.EXCLUSIVE)
+        assert not lm.try_acquire("T2", "x", LockMode.SHARED)
+        assert lm.held_by("T2") == []
+        # the refused request left nothing behind to be granted later
+        assert lm.release_all("T1") == ["x"]
+        assert not lm.is_locked("x")
+        assert lm.held_by("T2") == []
+        assert lm.release_all("T2") == []
 
-    def test_release_wakes_compatible_prefix(self):
-        lm = LockManager(1)
-        granted = []
-        lm.acquire("T1", "x", LockMode.EXCLUSIVE)
-        lm.acquire("T2", "x", LockMode.SHARED, on_grant=lambda: granted.append("T2"))
-        lm.acquire("T3", "x", LockMode.SHARED, on_grant=lambda: granted.append("T3"))
-        lm.release_all("T1")
-        assert granted == ["T2", "T3"]
 
+class TestRelease:
     def test_release_returns_items(self):
         lm = LockManager(1)
-        lm.acquire("T1", "x", LockMode.EXCLUSIVE)
-        lm.acquire("T1", "y", LockMode.SHARED)
+        lm.try_acquire("T1", "x", LockMode.EXCLUSIVE)
+        lm.try_acquire("T1", "y", LockMode.SHARED)
         assert sorted(lm.release_all("T1")) == ["x", "y"]
 
-    def test_release_drops_queued_requests(self):
+    def test_release_keeps_other_sharers(self):
         lm = LockManager(1)
-        lm.acquire("T1", "x", LockMode.EXCLUSIVE)
-        lm.acquire("T2", "x", LockMode.EXCLUSIVE)
-        lm.release_all("T2")  # T2 gives up while queued
-        assert lm.waiting("x") == []
+        lm.try_acquire("T1", "x", LockMode.SHARED)
+        lm.try_acquire("T2", "x", LockMode.SHARED)
+        assert lm.release_all("T1") == ["x"]
+        assert lm.holder_modes("x") == {"T2": LockMode.SHARED}
+        assert lm.release_all("T1") == []
 
-    def test_fifo_prevents_queue_jumping(self):
+    def test_release_frees_item_for_others(self):
         lm = LockManager(1)
-        lm.acquire("T1", "x", LockMode.SHARED)
-        lm.acquire("T2", "x", LockMode.EXCLUSIVE)  # queued
-        # T3's shared request is compatible with T1 but must not jump T2
-        assert not lm.acquire("T3", "x", LockMode.SHARED)
+        lm.try_acquire("T1", "x", LockMode.EXCLUSIVE)
+        assert not lm.try_acquire("T2", "x", LockMode.EXCLUSIVE)
+        lm.release_all("T1")
+        assert lm.try_acquire("T2", "x", LockMode.EXCLUSIVE)
+        assert lm.holder_modes("x") == {"T2": LockMode.EXCLUSIVE}
 
-    def test_queued_abort_wakes_followers(self):
-        """Lost-wakeup regression: a txn aborting while its ungranted
-        request heads another item's queue must wake the waiters behind
-        it — they were only blocked by FIFO fairness."""
+    def test_release_after_upgrade_unlocks(self):
         lm = LockManager(1)
-        granted = []
-        lm.acquire("T1", "x", LockMode.SHARED)
-        lm.acquire("T2", "x", LockMode.EXCLUSIVE)  # queued at the head
-        lm.acquire("T3", "x", LockMode.SHARED, on_grant=lambda: granted.append("T3"))
-        lm.release_all("T2")  # T2 aborts while queued, holding nothing
-        assert granted == ["T3"]
-        assert lm.holder_modes("x") == {"T1": LockMode.SHARED, "T3": LockMode.SHARED}
-        assert lm.waiting("x") == []
-
-    def test_queued_abort_wakes_on_every_item(self):
-        """The head request may sit on several items' queues at once."""
-        lm = LockManager(1)
-        granted = []
-        for item in ("x", "y"):
-            lm.acquire("H", item, LockMode.SHARED)
-            lm.acquire("T2", item, LockMode.EXCLUSIVE)
-            lm.acquire(
-                "T3", item, LockMode.SHARED, on_grant=lambda item=item: granted.append(item)
-            )
-        lm.release_all("T2")
-        assert granted == ["x", "y"]
+        lm.try_acquire("T1", "x", LockMode.SHARED)
+        assert lm.try_acquire("T1", "x", LockMode.EXCLUSIVE)
+        assert lm.release_all("T1") == ["x"]  # one index entry, upgraded in place
+        assert not lm.is_locked("x")
+        assert lm.try_acquire("T2", "x", LockMode.SHARED)
+        assert lm.try_acquire("T3", "x", LockMode.SHARED)
 
 
 class TestTableFootprint:
@@ -136,7 +110,7 @@ class TestTableFootprint:
 
     def test_refused_try_acquire_allocates_no_entry(self):
         lm = LockManager(1)
-        lm.acquire("T1", "x", LockMode.EXCLUSIVE)
+        lm.try_acquire("T1", "x", LockMode.EXCLUSIVE)
         base = len(lm._items)
         for __ in range(50):
             assert not lm.try_acquire("T2", "x", LockMode.EXCLUSIVE)
@@ -148,7 +122,6 @@ class TestTableFootprint:
             item = f"ghost{i}"
             assert not lm.is_locked(item)
             assert lm.holder_modes(item) == {}
-            assert lm.waiting(item) == []
         assert len(lm._items) == 0
 
     def test_release_prunes_empty_entries(self):
@@ -159,63 +132,35 @@ class TestTableFootprint:
         lm.release_all("T1")
         assert len(lm._items) == 0
 
-    def test_release_keeps_entries_with_waiters(self):
-        lm = LockManager(1)
-        lm.acquire("T1", "x", LockMode.EXCLUSIVE)
-        lm.acquire("T2", "x", LockMode.EXCLUSIVE)  # queued
-        lm.acquire("T3", "x", LockMode.EXCLUSIVE)  # queued behind T2
-        lm.release_all("T1")  # wakes T2; T3 still waits — entry must stay
-        assert lm.holder_modes("x") == {"T2": LockMode.EXCLUSIVE}
-        assert [r.txn for r in lm.waiting("x")] == ["T3"]
-
 
 class TestIntrospection:
     def test_is_locked_unrestricted(self):
         lm = LockManager(1)
         assert not lm.is_locked("x")
-        lm.acquire("T1", "x", LockMode.SHARED)
+        lm.try_acquire("T1", "x", LockMode.SHARED)
         assert lm.is_locked("x")
 
     def test_is_locked_filtered_by_txn_set(self):
         lm = LockManager(1)
-        lm.acquire("T1", "x", LockMode.EXCLUSIVE)
+        lm.try_acquire("T1", "x", LockMode.EXCLUSIVE)
         assert lm.is_locked("x", {"T1"})
         assert not lm.is_locked("x", {"T9"})
 
-    def test_waits_edges(self):
+    def test_held_by_sorted_and_cleared_by_release(self):
         lm = LockManager(1)
-        lm.acquire("T1", "x", LockMode.EXCLUSIVE)
-        lm.acquire("T2", "x", LockMode.EXCLUSIVE)
-        assert lm.waits_edges() == [("T2", "T1")]
+        for item in ["z", "x", "y"]:
+            lm.try_acquire("T1", item, LockMode.SHARED)
+        assert lm.held_by("T1") == ["x", "y", "z"]
+        lm.release_all("T1")
+        assert lm.held_by("T1") == []
 
-
-class TestDeadlock:
-    def _cycle(self):
-        lm1, lm2 = LockManager(1), LockManager(2)
-        lm1.acquire("T1", "x", LockMode.EXCLUSIVE)
-        lm2.acquire("T2", "y", LockMode.EXCLUSIVE)
-        lm1.acquire("T2", "x", LockMode.EXCLUSIVE)  # T2 waits on T1
-        lm2.acquire("T1", "y", LockMode.EXCLUSIVE)  # T1 waits on T2
-        return [lm1, lm2]
-
-    def test_detects_cross_site_cycle(self):
-        cycle = find_deadlock(self._cycle())
-        assert cycle is not None
-        assert set(cycle) == {"T1", "T2"}
-
-    def test_no_cycle_returns_none(self):
+    def test_holder_modes_is_a_snapshot(self):
         lm = LockManager(1)
-        lm.acquire("T1", "x", LockMode.EXCLUSIVE)
-        lm.acquire("T2", "x", LockMode.EXCLUSIVE)
-        assert find_deadlock([lm]) is None
-
-    def test_victim_is_greatest(self):
-        assert choose_victim(["T1", "T3", "T2"]) == "T3"
-
-    def test_waits_for_graph_nodes(self):
-        graph = build_waits_for(self._cycle())
-        assert set(graph) == {"T1", "T2"}
-        assert set(graph["T1"]) == {"T2"} and set(graph["T2"]) == {"T1"}
+        lm.try_acquire("T1", "x", LockMode.SHARED)
+        modes = lm.holder_modes("x")
+        modes["T2"] = LockMode.EXCLUSIVE
+        assert lm.holder_modes("x") == {"T1": LockMode.SHARED}
+        assert lm.try_acquire("T2", "x", LockMode.SHARED)
 
 
 class TestProbeParity:
@@ -232,8 +177,6 @@ class TestProbeParity:
         held = holders.get(txn)
         if held is not None:  # re-acquisition, or a sole holder's S -> X upgrade
             return held is mode or held is LockMode.EXCLUSIVE or len(holders) == 1
-        if lm.waiting(item):  # FIFO fairness
-            return False
         return all(mode.compatible_with(h) for h in holders.values())
 
     @given(st.integers(0, 2**20))
@@ -244,22 +187,17 @@ class TestProbeParity:
         txns = [f"T{i}" for i in range(5)]
         items = ["x", "y", "z"]
         for _ in range(60):
-            action = rng.randrange(3)
             txn = rng.choice(txns)
             item = rng.choice(items)
             mode = LockMode.EXCLUSIVE if rng.random() < 0.5 else LockMode.SHARED
-            if action == 0:
+            if rng.random() < 0.7:
                 expected = self._expected_grant(lm, txn, item, mode)
-                assert lm.acquire(txn, item, mode) == expected
-            elif action == 1:
-                expected = self._expected_grant(lm, txn, item, mode)
-                queued = [r.txn for r in lm.waiting(item)]
                 assert lm.try_acquire(txn, item, mode) == expected
-                assert [r.txn for r in lm.waiting(item)] == queued  # never queues
             else:
                 held = lm.held_by(txn)
                 assert sorted(lm.release_all(txn)) == held
                 assert lm.held_by(txn) == []
+            assert all(entry.holders for entry in lm._items.values())  # only held items have entries
             for probe_item in items:
                 modes = list(lm.holder_modes(probe_item).values())
                 assert len(modes) <= 1 or all(m is LockMode.SHARED for m in modes)
@@ -275,8 +213,6 @@ class TestProbeParity:
             mode = LockMode.EXCLUSIVE if rng.random() < 0.5 else LockMode.SHARED
             if rng.random() < 0.3:
                 lm.release_all(txn)
-            elif rng.random() < 0.5:
-                lm.acquire(txn, "hot", mode)
             else:
                 lm.try_acquire(txn, "hot", mode)
             entry = lm._items.get("hot")

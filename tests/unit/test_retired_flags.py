@@ -46,6 +46,14 @@ one ``emit(chunk)`` and states a plan for them, never ``None``; the
 sinks, the fallback plan, the row-object encoder and folds, and the
 chunk hook that only that protocol served stay undefined under
 ``src/repro/engine/``.
+
+So is the lock table's wait path: every lock request is granted or
+refused at once, so the wait queue, its grant callbacks, the waits-for
+edges and the deadlock detector that searched them stay deleted, and
+``acquire`` stays a second name of ``try_acquire``, not a second grant
+path.  Nor does a process-wide transaction counter or ``SweepSpec``'s
+uncalled per-run seed helper come back: every transaction id is minted
+by its issuer.
 """
 
 import importlib
@@ -58,6 +66,8 @@ import pytest
 import repro.engine as engine
 from repro.bench import BenchCase, BenchSuite, cases, compare_case, diff_against_baselines
 from repro.bench.cases import default_suite
+from repro.common import ids
+from repro.concurrency import locks
 from repro.concurrency.locks import LockManager
 from repro.db.cluster import Cluster
 from repro.engine import (
@@ -346,6 +356,7 @@ RETIRED_ATTRIBUTES = {
     "ResultSink.note_quarantined": (ResultSink, "note_quar" + "antined"),
     "TeeSink.note_quarantined": (lambda: TeeSink(ResultSink()), "note_quar" + "antined"),
     "TaskChunk.start": (lambda: TaskChunk(SWEEP, []), "start"),
+    "SweepSpec.seed_for": (lambda: SWEEP, "seed" + "_for"),
 }
 
 
@@ -461,3 +472,43 @@ def test_retired_wrapper_is_neither_defined_nor_exported(name):
     src = REPO / "src" / "repro"
     assert [p.name for p in src.rglob("*.py") if defined.search(p.read_text())] == []
 
+
+
+#: what only a waiting lock request needed (split so a grep of the
+#: source for them stays empty)
+RETIRED_LOCK_NAMES = [
+    head + tail
+    for head, tail in [
+        ("Lock", "Request"),
+        ("on", "_grant"),
+        ("waits", "_edges"),
+        ("wait", "ing"),
+        ("_wa", "ke"),
+    ]
+]
+CONCURRENCY_SRC = Path(locks.__file__).parent
+
+
+def test_the_deadlock_detector_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.concurrency." + "dead" + "lock")
+
+
+@pytest.mark.parametrize("name", RETIRED_LOCK_NAMES)
+def test_retired_lock_name_stays_undefined(name):
+    for home in (locks, LockManager, importlib.import_module("repro.concurrency")):
+        assert not hasattr(home, name), f"{home.__name__}.{name}"
+    # defined, bound, passed or called ("no waiting" in prose is fine)
+    use = re.compile(rf"\b(?:def|class) {name}\b|\.{name}\b|\b{name}\s*[=:(]|[\"']{name}[\"']")
+    sources = sorted(CONCURRENCY_SRC.glob("*.py"))
+    assert [p.name for p in sources if use.search(p.read_text())] == []
+
+
+def test_the_lock_table_has_one_grant_path():
+    assert "queue" not in locks._ItemLocks.__slots__
+    assert LockManager.acquire is LockManager.try_acquire
+
+
+@pytest.mark.parametrize("name", ["_txn" + "_counter", "reset_txn" + "_counter"])
+def test_the_process_wide_txn_counter_is_gone(name):
+    assert not hasattr(ids, name)

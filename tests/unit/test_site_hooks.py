@@ -28,7 +28,7 @@ class TestVoteHook:
 
     def test_no_vote_rolls_back_partial_locks(self, cluster):
         site = cluster.sites[1]
-        site.locks.acquire("intruder", "y", LockMode.EXCLUSIVE)
+        site.locks.try_acquire("intruder", "y", LockMode.EXCLUSIVE)
         hooks = SiteHooks(site)
         assert not hooks.vote("T1", {"x": (5, 1), "y": (6, 1)})
         assert site.locks.held_by("T1") == []  # x was rolled back
@@ -41,7 +41,7 @@ class TestVoteHook:
 
     def test_vote_no_traced(self, cluster):
         site = cluster.sites[1]
-        site.locks.acquire("intruder", "x", LockMode.EXCLUSIVE)
+        site.locks.try_acquire("intruder", "x", LockMode.EXCLUSIVE)
         SiteHooks(site).vote("T1", {"x": (5, 1)})
         assert cluster.tracer.count("vote-no", txn="T1") == 1
 
@@ -84,7 +84,7 @@ class TestSiteRecovery:
 
     def test_crash_clears_lock_table(self, cluster):
         site = cluster.sites[1]
-        site.locks.acquire("T1", "x", LockMode.EXCLUSIVE)
+        site.locks.try_acquire("T1", "x", LockMode.EXCLUSIVE)
         site.crash()
         site.recover()
         assert site.locks.held_by("T1") == []
