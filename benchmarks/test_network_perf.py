@@ -1,15 +1,16 @@
 """Network fan-out hot-path performance.
 
-The randomized studies push 10^5+ messages per run.  Without a filter
-or a lossy link installed, ``Network`` answers connectivity from the
-partition-epoch reachable-peer cache; with one, every message takes
-the per-message path, which evaluates connectivity at send time *and*
-delivery time.  Two claims are pinned here:
+The randomized studies push 10^5+ messages per run.  ``Network``
+answers connectivity from the partition-epoch reachable-peer cache and
+hoists per-source work out of a fan-out; the per-message reference
+(``per_message_network``, defined in the root ``conftest.py``) judges
+every message on its own, at send time *and* delivery time.  Two claims
+are pinned here:
 
-* the two paths agree on every counter under a storm with partitions,
+* the two agree on every counter under a storm with partitions,
   crashes and heals (and, over whole scenario runs, in
   ``tests/property/test_prop_bench.py``);
-* the cached path is not slower than the per-message path.  The
+* the cached path is not slower than the per-message reference.  The
   assertion is deliberately loose so a loaded CI machine cannot flake
   the suite; the scenario cases' ``BENCH_*.json`` pin the cached
   path's counters, not its time.
@@ -24,14 +25,6 @@ from repro.net.node import Node
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import Scheduler
 from repro.sim.trace import Tracer
-
-
-class _SlowPathNetwork(Network):
-    """A no-op filter is installed, so every message goes per-message."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.add_filter(lambda msg: False)
 
 
 class _Sink(Node):
@@ -85,14 +78,14 @@ def test_fanout_storm_throughput(benchmark):
 
 
 @pytest.mark.perf
-def test_cached_fanout_not_slower_than_legacy():
-    # best-of-3 each way; the cache should win clearly (~1.5x), but the
-    # gate only demands it never *loses* badly, to stay noise-proof.
+def test_cached_fanout_not_slower_than_per_message_reference(per_message_network):
+    # best-of-3 each way; the cache should win clearly, but the gate
+    # only demands it never *loses* badly, to stay noise-proof.
     slow = []
     cached = []
     for _ in range(3):
         t0 = time.perf_counter()
-        base = fanout_storm(1, _SlowPathNetwork)
+        base = fanout_storm(1, per_message_network)
         slow.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
         fast = fanout_storm(1)

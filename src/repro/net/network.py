@@ -32,20 +32,23 @@ Semantics (matching the paper's fault model):
 
 Hot paths (the randomized studies push 10^5+ messages per run):
 
-* **Connectivity is evaluated per epoch, not per message.**  The
-  network precomputes, per *connectivity epoch*, the reachable peer set
-  of each source.  An epoch is bumped — and the cache busted — by every
-  event that can change who may talk to whom or who is alive:
+* **One send path, connectivity evaluated per epoch.**  Every message
+  — a :meth:`send` as much as each destination of a :meth:`fanout` —
+  passes the same checks in the same order: unknown destination, sender
+  down, filtered, link loss, partitioned, then the delay draw.  Filters
+  and link loss are consulted only while one exists, and the loss RNG
+  is drawn only for a link with ``0 < p < 1``.  The partition check
+  reads a per-*connectivity-epoch* cache of each source's reachable
+  peers.  An epoch is bumped — and the cache busted — by every event
+  that can change who may talk to whom or who is alive:
   ``set_partition``, ``heal``, ``crash_site``, ``recover_site``,
-  ``register``, ``deregister`` and ``place_with``.  A message sent
-  under epoch ``e`` to a then-live destination is delivered without
-  re-checking connectivity as long as the epoch is still ``e`` on
-  arrival (nothing can have changed); any epoch change in flight falls
-  back to the fully checked :meth:`Network._deliver`, so drop reasons
-  (``partitioned-in-flight``, ``destination-down``) are exact.  With a
-  message filter or a lossy link installed every message takes the
-  per-message path (:meth:`Network._send_slow`), which evaluates the
-  filters and draws the loss RNG in send order.
+  ``register``, ``deregister`` and ``place_with``.  Each delivery is
+  one non-cancellable event carrying its send's epoch: if the epoch
+  still holds on arrival nothing can have changed and the message is
+  delivered; otherwise — or when the destination was down at send time
+  (epoch ``-1``, which never matches) — the destination and the
+  partition are checked again, so drop reasons
+  (``partitioned-in-flight``, ``destination-down``) are exact.
 * **Partition views are interned.**  Storm-heavy failure plans apply
   the same group layout over and over; building a
   :class:`~repro.net.partitions.PartitionView` re-validates the groups
@@ -67,14 +70,10 @@ Hot paths (the randomized studies push 10^5+ messages per run):
   ``send`` / ``deliver`` / ``drop`` records go through
   :meth:`Tracer.record_send` and friends, which append straight into
   the columnar store — one call, no detail dict, no record object.
-* **Every message in flight is a stamp.**  :meth:`fanout` and
-  :meth:`Node.send <repro.net.node.Node.send>` construct a
-  :class:`~repro.net.message.MessageStamp` (plain slot stores) per
-  destination, never a frozen-dataclass :class:`Message`; only the
-  filtered / lossy arm of :meth:`fanout` builds the public value type,
-  because filters are written against it.  Delivery, tracing, drop
-  bookkeeping and ``msg_id`` draws are the same for both — stamps
-  duck-type messages exactly.
+* **A message is built with plain slot stores.**  :meth:`fanout` and
+  :meth:`Node.send <repro.net.node.Node.send>` construct one
+  :class:`~repro.net.message.Message` per destination; its constructor
+  is six slot stores, and a fan-out shares one payload dict.
 * **The clock is an attribute load.**  ``send``, ``fanout``, the
   deliveries and ``_drop`` read :attr:`Scheduler.now
   <repro.sim.scheduler.Scheduler.now>` off the scheduler this network
@@ -87,7 +86,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.net.delays import DelayModel, FixedDelay
-from repro.net.message import Message, MessageStamp
+from repro.net.message import Message
 from repro.net.partitions import PartitionView
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -148,11 +147,9 @@ class Network:
         # connectivity-epoch cache (see module docstring): the epoch
         # counts connectivity/liveness changes; _sendable maps a source
         # to the frozenset of sites in its component under the current
-        # epoch; _labels memoizes per-mtype scheduler labels.
+        # epoch.
         self._epoch = 0
         self._sendable: dict[int, frozenset[int]] = {}
-        self._labels: dict[str, str] = {}
-        self._fast_path = True  # no filters, no lossy links (see _refresh_fast_path)
         # interned partition views, keyed by normalized group signature
         # (None = the healed view); cleared when the universe changes.
         self._view_cache: dict[tuple[tuple[int, ...], ...] | None, PartitionView] = {}
@@ -204,7 +201,6 @@ class Network:
         stale = [pair for pair in self._link_loss if site in pair]
         for pair in stale:
             del self._link_loss[pair]
-        self._refresh_fast_path()
         self._tracer.record(self._scheduler.now, site, "leave")
 
     def place_with(self, site: int, near: int) -> None:
@@ -292,10 +288,6 @@ class Network:
             view = self._view_cache[key] = PartitionView(self._nodes, groups)
         return view
 
-    def _refresh_fast_path(self) -> None:
-        """Fast sends are only legal with no filters and no lossy links."""
-        self._fast_path = not self._filters and not self._link_loss
-
     @property
     def scheduler(self) -> "Scheduler":
         """The scheduler this network runs on."""
@@ -339,8 +331,13 @@ class Network:
         Includes ``src`` itself when alive.  This is the population a
         newly elected coordinator can poll in phase 1 of a termination
         protocol.
+
+        Raises:
+            ValueError: ``src`` is not a registered site.
         """
         nodes = self._nodes
+        if src not in nodes:
+            raise ValueError(f"unknown site {src}")
         live = [s for s in (nodes if among is None else among) if s in nodes and nodes[s].alive]
         if not live:
             return live
@@ -413,7 +410,6 @@ class Network:
         self._view = self._interned_view(None)
         self._link_loss.clear()
         self._bump_epoch()
-        self._refresh_fast_path()
         self._tracer.record(self._scheduler.now, GLOBAL_SITE, "heal")
         self._notify("heal")
 
@@ -438,18 +434,22 @@ class Network:
 
     def restore_site(self, site: int) -> None:
         """Remove ``site``'s latency-degradation overlay (if any)."""
+        if site not in self._nodes:
+            raise ValueError(f"unknown site {site}")
         self._degraded.pop(site, None)
         self._tracer.record(self._scheduler.now, site, "restore")
 
     def set_link_loss(self, src: int, dst: int, p: float) -> None:
         """Set the drop probability of the directed link ``src -> dst``."""
+        for site in (src, dst):
+            if site not in self._nodes:
+                raise ValueError(f"unknown site {site}")
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"loss probability {p} outside [0, 1]")
         if p == 0.0:
             self._link_loss.pop((src, dst), None)
         else:
             self._link_loss[(src, dst)] = p
-        self._refresh_fast_path()
 
     def add_filter(self, pred: Callable[[Message], bool]) -> None:
         """Install a message filter; messages with ``pred(msg) == True`` drop.
@@ -459,12 +459,10 @@ class Network:
         blunt instrument for sweeps.
         """
         self._filters.append(pred)
-        self._refresh_fast_path()
 
     def clear_filters(self) -> None:
         """Remove all installed message filters."""
         self._filters.clear()
-        self._refresh_fast_path()
 
     # ------------------------------------------------------------------
     # transmission
@@ -473,11 +471,12 @@ class Network:
     def send(self, msg: Message) -> None:
         """Transmit a message, subject to the fault model.
 
-        The message is dropped (with a traced reason) when the sender is
-        down, the destination is unknown, a filter matches, the link is
-        lossy, or the partition separates the pair at send time.  It is
-        dropped again at delivery time if the destination crashed or the
-        partition changed while it was in flight.
+        The message is dropped (with a traced reason) when the
+        destination is unknown, the sender is down, a filter matches,
+        the link loses it, or the partition separates the pair at send
+        time — checked in that order.  It is dropped again at delivery
+        time if the destination crashed or left, or the partition
+        changed, while it was in flight.
         """
         self.sent += 1
         src = msg.src
@@ -485,13 +484,6 @@ class Network:
         sched = self._scheduler
         now = sched.now
         self._tracer.record_send(now, src, msg.txn, msg.mtype, dst)
-        if not self._fast_path:
-            self._send_slow(msg)
-            return
-        # Fast path: no filters, no lossy links.  Same checks in the
-        # same precedence order as _drop_reason_at_send, but against the
-        # per-epoch reachable-peer cache instead of per-message
-        # connectivity evaluation.
         nodes = self._nodes
         dst_node = nodes.get(dst)
         if dst_node is None:
@@ -501,12 +493,18 @@ class Network:
         if src_node is not None and not src_node.alive:
             self._drop(msg, "sender-down")
             return
+        if self._filters and any(pred(msg) for pred in self._filters):
+            self._drop(msg, "filtered")
+            return
+        if self._link_loss:
+            p = self._link_loss.get((src, dst))
+            if p is not None and (p >= 1.0 or self._rng.random() < p):
+                self._drop(msg, "link-loss")
+                return
         peers = self._sendable.get(src)
         if peers is None:
-            # component_of raises on an unknown source, exactly like the
-            # per-message reachable() check does.
-            peers = self.partition.component_of(src)
-            self._sendable[src] = peers
+            # component_of raises on an unknown source
+            peers = self._sendable[src] = self.partition.component_of(src)
         if dst not in peers:
             self._drop(msg, "partitioned")
             return
@@ -519,16 +517,10 @@ class Network:
             degraded = self._degraded
             if degraded:
                 delay *= degraded.get(src, 1.0) * degraded.get(dst, 1.0)
-        if dst_node.alive:
-            # destination is live and reachable now; as long as the
-            # epoch is unchanged on arrival nothing can have changed,
-            # so delivery skips the per-message re-checks.  Deliveries
-            # are never cancelled, so no EventHandle is needed.
-            sched.call_fixed(now + delay, self._deliver_fast, dst_node, msg, self._epoch)
-        else:
-            # destined to drop as "destination-down" unless the target
-            # recovers in flight — keep the fully checked path.
-            sched.call_fixed(now + delay, self._deliver, msg)
+        # deliveries are never cancelled, so no EventHandle is needed; a
+        # destination down now must be re-checked on arrival (-1 is no epoch)
+        epoch = self._epoch if dst_node.alive else -1
+        sched.call_fixed(now + delay, self._deliver, dst_node, msg, epoch)
 
     def fanout(
         self,
@@ -544,42 +536,36 @@ class Network:
         <repro.net.node.Node.broadcast>` and :meth:`Node.multicast
         <repro.net.node.Node.multicast>`: the protocol engines route
         vote requests, PREPAREs, decisions and termination polls here.
-        Per-destination messages are distinct objects with distinct
-        ``msg_id``\\ s (delivery, tracing and drop bookkeeping are per
-        message, exactly as with :meth:`send`), but the sender-liveness
-        check, the reachable-peer set and the virtual clock are read
-        once per fan-out instead of once per destination — no events run
-        between the per-destination sends, so the clock cannot advance
-        mid-loop.  Each destination gets a
-        :class:`~repro.net.message.MessageStamp`; the payload dict is
-        shared across the fan-out — messages are immutable by contract.
-
-        Falls back to per-message :meth:`send` whenever filters or lossy
-        links are active, so the fault model and RNG draw order are
-        bit-identical to a manual send loop.
+        Each destination gets its own :class:`~repro.net.message.Message`
+        with its own ``msg_id``, judged by :meth:`send`'s checks in
+        :meth:`send`'s order (so the loss RNG is drawn exactly as a
+        manual send loop draws it); the sender-liveness check, the
+        reachable-peer set and the virtual clock are read once per
+        fan-out instead of once per destination — no events run between
+        the per-destination sends, so none of them can change mid-loop.
+        The payload dict is shared across the fan-out — messages are
+        immutable by contract.
         """
         payload = payload if payload is not None else {}
-        if not self._fast_path:
-            for dst in dsts:
-                self.send(Message(src, dst, mtype, txn, payload))
-            return
         nodes = self._nodes
         record_send = self._tracer.record_send
         sched = self._scheduler
         drop = self._drop
         src_node = nodes.get(src)
         src_down = src_node is not None and not src_node.alive
+        filters = self._filters
+        link_loss = self._link_loss
         peers = self._sendable.get(src)
         sample = self._delay_model.sample
         rng = self._rng
         degraded = self._degraded
         epoch = self._epoch
-        deliver_fast = self._deliver_fast
+        deliver = self._deliver
         now = sched.now
         for dst in dsts:
             self.sent += 1
             record_send(now, src, txn, mtype, dst)
-            msg = MessageStamp(src, dst, mtype, txn, payload)
+            msg = Message(src, dst, mtype, txn, payload)
             dst_node = nodes.get(dst)
             if dst_node is None:
                 drop(msg, "unknown-destination")
@@ -587,6 +573,14 @@ class Network:
             if src_down:
                 drop(msg, "sender-down")
                 continue
+            if filters and any(pred(msg) for pred in filters):
+                drop(msg, "filtered")
+                continue
+            if link_loss:
+                p = link_loss.get((src, dst))
+                if p is not None and (p >= 1.0 or rng.random() < p):
+                    drop(msg, "link-loss")
+                    continue
             if peers is None:
                 peers = self._sendable[src] = self.partition.component_of(src)
             if dst not in peers:
@@ -595,77 +589,33 @@ class Network:
             delay = 0.0 if src == dst else sample(rng, src, dst)
             if degraded and delay:
                 delay *= degraded.get(src, 1.0) * degraded.get(dst, 1.0)
-            if dst_node.alive:
-                sched.call_fixed(now + delay, deliver_fast, dst_node, msg, epoch)
-            else:
-                sched.call_fixed(now + delay, self._deliver, msg)
+            sched.call_fixed(now + delay, deliver, dst_node, msg, epoch if dst_node.alive else -1)
 
-    def _send_slow(self, msg: Message) -> None:
-        """The per-message send path: filters and link loss are live."""
-        reason = self._drop_reason_at_send(msg)
-        if reason is not None:
-            self._drop(msg, reason)
-            return
-        if msg.src == msg.dst:
-            delay = 0.0
-        else:
-            delay = self._delay_model.sample(self._rng, msg.src, msg.dst)
-            degraded = self._degraded
-            if degraded:
-                delay *= degraded.get(msg.src, 1.0) * degraded.get(msg.dst, 1.0)
-        label = self._labels.get(msg.mtype)
-        if label is None:
-            label = self._labels[msg.mtype] = f"deliver:{msg.mtype}"
-        self._scheduler.call_after(delay, self._deliver, msg, label=label)
+    def _deliver(self, node: "Node", msg: Message, epoch: int) -> None:
+        """Deliver ``msg`` to ``node``, the destination it was sent to.
 
-    def _drop_reason_at_send(self, msg: Message) -> str | None:
-        if msg.dst not in self._nodes:
-            return "unknown-destination"
-        if msg.src in self._nodes and not self._nodes[msg.src].alive:
-            return "sender-down"
-        for pred in self._filters:
-            if pred(msg):
-                return "filtered"
-        p = self._link_loss.get((msg.src, msg.dst))
-        if p is not None and (p >= 1.0 or self._rng.random() < p):
-            return "link-loss"
-        if not self.partition.reachable(msg.src, msg.dst):
-            return "partitioned"
-        return None
-
-    def _deliver_fast(self, node: "Node", msg: Message, epoch: int) -> None:
-        """Deliver a message whose connectivity was proven at send time.
-
-        Valid only while the connectivity epoch is unchanged (no
-        partition / heal / crash / recover since the send-time check);
-        otherwise — or if the destination died through a side door that
-        bypassed :meth:`crash_site` — fall back to the fully checked
-        delivery so drop reasons stay exact.
+        While the connectivity epoch is still the send's and the node
+        is up, nothing can have changed since the send-time checks.
+        Otherwise — an epoch change in flight, a destination down at
+        send time, or one that died through a side door that bypassed
+        :meth:`crash_site` — the destination and the partition are
+        checked again, so drop reasons stay exact.
         """
         if epoch != self._epoch or not node.alive:
-            self._deliver(msg)
-            return
-        self.delivered += 1
-        self._tracer.record_deliver(
-            self._scheduler.now, msg.dst, msg.txn, msg.mtype, msg.src
-        )
-        node.deliver(msg)
-
-    def _deliver(self, msg: Message) -> None:
-        node = self._nodes.get(msg.dst)
-        if node is None:
-            # destination deregistered (graceful leave) while in flight
-            self._drop(msg, "departed-in-flight")
-            return
-        if not node.alive:
-            self._drop(msg, "destination-down")
-            return
-        # a departed *sender* has no component in the current view; its
-        # in-flight tail delivers like a crashed sender's would (leave
-        # must never be harsher than crash)
-        if msg.src in self._nodes and not self.partition.reachable(msg.src, msg.dst):
-            self._drop(msg, "partitioned-in-flight")
-            return
+            node = self._nodes.get(msg.dst)
+            if node is None:
+                # destination deregistered (graceful leave) while in flight
+                self._drop(msg, "departed-in-flight")
+                return
+            if not node.alive:
+                self._drop(msg, "destination-down")
+                return
+            # a departed *sender* has no component in the current view;
+            # its in-flight tail delivers like a crashed sender's would
+            # (leave must never be harsher than crash)
+            if msg.src in self._nodes and not self.partition.reachable(msg.src, msg.dst):
+                self._drop(msg, "partitioned-in-flight")
+                return
         self.delivered += 1
         self._tracer.record_deliver(self._scheduler.now, msg.dst, msg.txn, msg.mtype, msg.src)
         node.deliver(msg)

@@ -41,8 +41,9 @@ the network's lifetime, so a node takes both when it is built:
 the clock as ``self._scheduler.now`` — two attribute loads — and a
 node timer is one :meth:`Scheduler.call_at
 <repro.sim.scheduler.Scheduler.call_at>` after the node's own
-liveness and negative-delay checks.  :meth:`Node.send` stamps its
-message the way a fan-out does (:class:`~repro.net.message.MessageStamp`).
+liveness and negative-delay checks.  :meth:`Node.send` builds its
+:class:`~repro.net.message.Message` the way a fan-out builds each of
+its own.
 
 Crash semantics follow the paper's model:
 
@@ -59,7 +60,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from repro.common.errors import SiteDownError
-from repro.net.message import Message, MessageStamp
+from repro.net.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.network import Network
@@ -164,7 +165,7 @@ class Node:
         """Send one message; raises :class:`SiteDownError` if this site is down."""
         if not self.alive:
             raise SiteDownError(f"site {self.node_id} is down")
-        self.network.send(MessageStamp(self.node_id, dst, mtype, txn, payload))
+        self.network.send(Message(self.node_id, dst, mtype, txn, payload))
 
     def broadcast(self, dsts: list[int], mtype: str, txn: str = "", **payload: Any) -> None:
         """Send the same message to every destination (excluding self).

@@ -18,6 +18,7 @@ small trial here, against the optimized path, on the same seeds.
 """
 
 import contextlib
+import dataclasses
 import random
 from collections import Counter
 from typing import Any, Iterator, NamedTuple
@@ -29,10 +30,15 @@ from repro.bench import compare_case, default_suite, encode
 from repro.common.errors import StorageError
 from repro.concurrency.locks import LockManager, LockMode
 from repro.engine import SweepRunner, SweepSpec, run_sweep
+from repro.experiments.resilience_study import gray_failure_scenario
 from repro.experiments.workload_study import heavy_workload_scenario
+from repro.net.delays import UniformDelay
+from repro.net.message import Message
 from repro.net.network import Network
+from repro.net.node import Node
 from repro.net.partitions import PartitionView
 from repro.replay import cluster_counters
+from repro.sim.failures import FailurePlan
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import Scheduler
 from repro.sim.trace import Tracer, TraceRecord
@@ -40,7 +46,7 @@ from repro.storage.recovery import recover_protocol_states, replay_data
 from repro.storage.store import ReplicaStore
 from repro.storage.wal import LogRecord, WriteAheadLog
 from repro.traffic import run_scenario
-from repro.workload.scenarios import wan_storm_scenario
+from repro.workload.scenarios import run_example1_scenario, run_example3_scenario, wan_storm_scenario
 from repro.workload.spec import WorkloadSpec
 
 #: every registered case is cheap enough at quick scale to run
@@ -74,15 +80,6 @@ class TestFixedPoint:
             serial = _payload_bytes(suite, name, workers=1)
             parallel = _payload_bytes(suite, name, workers=2)
             assert serial == parallel, f"case {name} differs across worker counts"
-
-
-class _SlowPathNetwork(Network):
-    """Every message takes the per-message path: a filter is installed
-    (it drops nothing), so the epoch cache and fan-out stamps never run."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.add_filter(lambda msg: False)
 
 
 class _FreshViewNetwork(Network):
@@ -131,6 +128,115 @@ def _counters(seed, target=None, reference=None):
     patched over ``target`` while they run."""
     with mock.patch(target, reference) if target else contextlib.nullcontext():
         return [{**run.counters(), **cluster_counters(run.cluster)} for run in _runs(seed)]
+
+
+def _with_lossy_links(scenario):
+    """``scenario`` with lossy links added to its fault plan: one link
+    flaps severed, and the links between one site and three others lose
+    40% / 60% of their messages, set again after each heal clears them."""
+
+    def plan(rng, cluster, first):
+        built = scenario.plan(rng, cluster, first) or FailurePlan()
+        a, b, *others = sorted(cluster.catalog.all_sites())[:5]
+        built.flap(1.0, a, b, period=4.0, cycles=10)
+        for t in (0.5, 15.0, 30.0, 45.0):
+            for other in others:
+                built.sever(t, b, other, p=0.4).sever(t, other, b, p=0.6)
+        return built
+
+    return dataclasses.replace(scenario, plan=plan)
+
+
+def _fault_runs(seed):
+    """Every trace row, counter and ``net`` draw of whole runs whose
+    faults reach past crashes and partitions: lossy and flapping links
+    (beside a slow site in the gray failure), and the paper's
+    counterexamples, which lose all PREPAREs but one through a filter."""
+    runs = [
+        run_scenario(_with_lossy_links(heavy_workload_scenario(n_txns=24, n_sites=6)), "qtp1", seed),
+        run_scenario(_with_lossy_links(heavy_workload_scenario(n_txns=30, n_sites=8)), "qtp2", seed),
+        run_scenario(gray_failure_scenario(duration=60.0, episode_start=10.0), "qtp1", seed),
+    ]
+    clusters = [run.cluster for run in runs] + [
+        run_example1_scenario("qtp1", seed).cluster,
+        run_example3_scenario(False, "qtp1", seed).cluster,
+    ]
+    return [
+        (cluster_counters(c), c.tracer.dump(), c.rng.stream("net").getstate()) for c in clusters
+    ]
+
+
+class _Inbox(Node):
+    """A node that keeps what it is delivered, rendered."""
+
+    def __init__(self, node_id, network):
+        super().__init__(node_id, network)
+        self.received = []
+        self.on("t.ping", lambda msg: self.received.append(str(msg)))
+
+
+_SITES = (1, 2, 3, 4, 5)
+_site = st.sampled_from(_SITES)
+_LOSS = st.tuples(
+    st.just("loss"), _site, _site, st.one_of(st.floats(0.01, 0.99), st.sampled_from((0.0, 1.0)))
+)
+#: one fault-model step: a send or fan-out (at the network, so a dead
+#: sender's traffic is dropped, not refused), a lossy link with
+#: ``0 < p < 1`` (or severed, or mended), a filter, a partition, a heal,
+#: a crash or recovery, or time passing with messages in flight
+_NET_OPS = st.one_of(
+    st.tuples(st.just("send"), _site, st.sampled_from((*_SITES, 9))),
+    st.tuples(st.just("fanout"), _site, st.lists(st.sampled_from((*_SITES, 9)), max_size=6)),
+    _LOSS,
+    _LOSS,  # twice, so most runs hold a lossy link or two
+    st.tuples(st.just("filter"), _site),
+    st.tuples(st.just("partition"), st.lists(st.integers(0, 2), min_size=5, max_size=5)),
+    st.tuples(st.just("heal")),
+    st.tuples(st.just("crash"), _site),
+    st.tuples(st.just("recover"), _site),
+    st.tuples(st.just("advance"), st.floats(0.0, 1.5)),
+)
+
+
+def _lossy_run(seed, ops, network_class):
+    """Drive ``ops`` through a five-site network of ``network_class``,
+    each op followed by a round of traffic from every site to every site
+    and to an unknown one, so every fault meets messages on both send
+    paths.  Returns the trace, the counters, what each site was
+    delivered and the state of the ``net`` stream afterwards."""
+    scheduler, rng = Scheduler(), RngRegistry(seed)
+    network = network_class(scheduler, Tracer(), rng, UniformDelay(0.2, 1.0))
+    nodes = [_Inbox(site, network) for site in _SITES]
+    for n, (kind, *args) in enumerate(ops):
+        if kind == "send":
+            network.send(Message(args[0], args[1], "t.ping", f"T{n}"))
+        elif kind == "fanout":
+            network.fanout(args[0], args[1], "t.ping", f"T{n}", {"n": n})
+        elif kind == "loss":
+            network.set_link_loss(*args)
+        elif kind == "filter":
+            network.add_filter(lambda msg, dst=args[0], txn=f"R{n}": msg.dst == dst and msg.txn == txn)
+        elif kind == "partition":
+            groups = [[s for s, g in zip(_SITES, args[0]) if g == group] for group in range(3)]
+            network.set_partition([group for group in groups if group])
+        elif kind == "heal":
+            network.heal()
+        elif kind == "crash":
+            network.crash_site(args[0])
+        elif kind == "recover":
+            network.recover_site(args[0])
+        else:
+            scheduler.run_until(scheduler.now + args[0])
+        for src in _SITES:  # as a fan-out after even ops, as sends after odd ones
+            if n % 2:
+                for dst in (*_SITES, 9):
+                    network.send(Message(src, dst, "t.ping", f"R{n}"))
+            else:
+                network.fanout(src, (*_SITES, 9), "t.ping", f"R{n}")
+    scheduler.run()
+    counters = (network.sent, network.delivered, network.dropped, scheduler.events_run)
+    inboxes = [node.received for node in nodes]
+    return network.tracer.dump(), counters, inboxes, rng.stream("net").getstate()
 
 
 class _ListTracer:
@@ -498,10 +604,28 @@ class TestHotPathsAgreeWithReferences:
 
     @given(st.integers(0, 2**20))
     @settings(max_examples=20, deadline=None)
-    def test_fanout_counters_identical_across_modes(self, seed):
-        # the per-message path checks connectivity at send and at
-        # delivery and builds a full Message per fan-out destination
-        assert _counters(seed, "repro.db.cluster.Network", _SlowPathNetwork) == _counters(seed)
+    def test_fanout_counters_identical_to_the_per_message_network(self, per_message_network, seed):
+        # the reference checks connectivity at send and at delivery,
+        # with no epoch cache and nothing hoisted out of a fan-out
+        reference = _counters(seed, "repro.db.cluster.Network", per_message_network)
+        assert reference == _counters(seed)
+
+    @given(st.integers(0, 2**20))
+    @settings(max_examples=20, deadline=None)
+    def test_filtered_and_flapping_runs_identical_to_the_per_message_network(
+        self, per_message_network, seed
+    ):
+        with mock.patch("repro.db.cluster.Network", per_message_network):
+            reference = _fault_runs(seed)
+        assert reference == _fault_runs(seed)
+
+    @given(st.integers(0, 2**20), st.lists(_NET_OPS, min_size=4, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_lossy_links_draw_like_the_per_message_network(self, per_message_network, seed, ops):
+        # no registered scenario draws the loss RNG (every sever / flap
+        # is p = 1); here links lose with 0 < p < 1 between partitions,
+        # crashes, recoveries and filters, with messages in flight
+        assert _lossy_run(seed, ops, Network) == _lossy_run(seed, ops, per_message_network)
 
     @given(st.integers(0, 2**20))
     @settings(max_examples=10, deadline=None)

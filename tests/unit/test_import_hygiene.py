@@ -212,27 +212,25 @@ def test_only_the_scheduler_assigns_the_clock():
     assert writers == {"sim/scheduler.py"}
 
 
-def _message_calls(node, function=None, guard=None):
-    """``(function, innermost enclosing if-test)`` of every
-    ``Message(...)`` call under ``node``."""
+def _message_calls(node, function=None):
+    """The enclosing function of every ``Message(...)`` call under
+    ``node``."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         function = node.name
-    elif isinstance(node, ast.If):
-        guard = ast.unparse(node.test)
     elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Message":
-        yield function, guard
+        yield function
     for child in ast.iter_child_nodes(node):
-        yield from _message_calls(child, function, guard)
+        yield from _message_calls(child, function)
 
 
-def test_the_one_frozen_message_is_built_on_the_filtered_path():
-    """Everything the library sends is a stamp; ``Message`` — the public
-    value type — is constructed under ``src/repro/`` only where filters
-    or lossy links force the per-message path of ``Network.fanout``."""
-    built = [
-        (name, *call) for name, tree in _trees().items() for call in _message_calls(tree)
-    ]
-    assert built == [("net/network.py", "fanout", "not self._fast_path")]
+def test_messages_are_built_only_where_they_are_sent():
+    """The library has one message type and builds it in two places:
+    ``Node.send`` for one message, ``Network.fanout`` for one per
+    destination.  Nothing else under ``src/repro/`` constructs one."""
+    built = sorted(
+        (name, function) for name, tree in _trees().items() for function in _message_calls(tree)
+    )
+    assert built == [("net/network.py", "fanout"), ("net/node.py", "send")]
 
 
 def _private_names(tree: ast.Module, classes: set[str]) -> set[str]:

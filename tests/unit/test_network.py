@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import SiteDownError
-from repro.net.message import Message, MessageStamp
+from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.node import Node
 from repro.net.partitions import PartitionView
@@ -237,6 +237,16 @@ class TestDrops:
         with pytest.raises(ValueError):
             network.set_link_loss(1, 2, 1.5)
 
+    @pytest.mark.parametrize("src, dst", [(1, 42), (42, 1)])
+    def test_link_loss_on_an_unknown_site_is_refused(self, net, src, dst):
+        scheduler, network, nodes = net
+        with pytest.raises(ValueError, match="unknown site 42"):
+            network.set_link_loss(src, dst, 1.0)
+        assert network._link_loss == {}
+        nodes[1].send(2, "test.ping")
+        scheduler.run()
+        assert len(nodes[2].received) == 1
+
 
 class TestReachability:
     def test_reachable_from_respects_partition(self, net):
@@ -252,6 +262,19 @@ class TestReachability:
     def test_reachable_from_restricted_pool(self, net):
         __, network, __nodes = net
         assert network.reachable_from(1, among=[2, 3]) == [2, 3]
+
+    @pytest.mark.parametrize("among", [None, [2], []])
+    def test_reachable_from_an_unknown_site_is_refused(self, net, among):
+        __, network, __nodes = net
+        with pytest.raises(ValueError, match="unknown site 99"):
+            network.reachable_from(99, among)
+
+    def test_restoring_an_unknown_site_is_refused(self, net):
+        __, network, __nodes = net
+        rows = len(network.tracer)
+        with pytest.raises(ValueError, match="unknown site 42"):
+            network.restore_site(42)
+        assert len(network.tracer) == rows  # no row for a site that never existed
 
     def test_active_sites(self, net):
         __, network, __nodes = net
@@ -356,41 +379,38 @@ class TestViewInterning:
         assert network.partition == PartitionView(network.sites)
 
 
-class TestFanoutFlyweight:
-    def _network(self, slow=False):
+class TestFanoutMessages:
+    def _network(self, network_class=Network):
         scheduler = Scheduler()
-        network = Network(scheduler, Tracer(), RngRegistry(0))
-        if slow:
-            # a filter that drops nothing still forces the per-message
-            # path, which builds one full Message per destination
-            network.add_filter(lambda m: False)
+        network = network_class(scheduler, Tracer(), RngRegistry(0))
         nodes = {i: Recorder(i, network) for i in (1, 2, 3)}
         return scheduler, network, nodes
 
-    def test_stamps_deliver_like_messages(self):
+    def test_fanout_messages_share_the_payload(self):
         scheduler, network, nodes = self._network()
         payload = {"k": 7}
         network.fanout(1, [2, 3], "test.ping", "T1", payload)
         scheduler.run()
         for node_id in (2, 3):
             (msg,) = nodes[node_id].received
-            assert isinstance(msg, MessageStamp)
+            assert type(msg) is Message
             assert (msg.src, msg.dst, msg.mtype, msg.txn) == (1, node_id, "test.ping", "T1")
             assert msg.payload is payload  # envelope shared, by contract
         ids = [nodes[2].received[0].msg_id, nodes[3].received[0].msg_id]
         assert ids[0] != ids[1]
 
-    def test_counters_and_trace_identical_across_modes(self):
-        # stamped fan-out vs the per-message path's full Messages
+    def test_counters_and_trace_identical_to_the_per_message_reference(self, per_message_network):
         tallies = []
-        for slow in (True, False):
-            scheduler, network, nodes = self._network(slow)
+        for network_class in (per_message_network, Network):
+            scheduler, network, nodes = self._network(network_class)
             network.fanout(1, [1, 2, 3, 9], "test.ping", "T1")  # 9 unknown
             network.crash_site(3)
             network.fanout(1, [2, 3], "test.ping", "T1")
+            network.add_filter(lambda m: m.dst == 1)
+            network.set_link_loss(1, 2, 0.5)
+            for _ in range(8):
+                network.fanout(1, [1, 2, 3], "test.ping", "T2")
             scheduler.run()
-            kind = Message if slow else MessageStamp
-            assert [type(m) for m in nodes[2].received] == [kind, kind]
             tallies.append(
                 (
                     network.sent,
@@ -398,13 +418,12 @@ class TestFanoutFlyweight:
                     network.dropped,
                     [str(m) for m in nodes[2].received],
                     network.tracer.dump(),
+                    network._rng.getstate(),
                 )
             )
         assert tallies[0] == tallies[1]
 
-    def test_slow_path_still_used_with_filters(self):
-        # filters disable the fast path entirely; the flyweight never
-        # bypasses the per-message fault evaluation
+    def test_filters_judge_each_fanout_destination(self):
         scheduler, network, nodes = self._network()
         network.add_filter(lambda m: m.dst == 2)
         network.fanout(1, [2, 3], "test.ping", "T1")

@@ -2,10 +2,10 @@
 
 The cache is only sound if *every* event that can change who may talk
 to whom — partition, heal, crash, recover, registration — busts it.
-These tests pin the invalidation triggers, the fast/slow path handoff
-around filters and lossy links, and the equivalence of the cached
-fan-out path and the per-message path (forced by installing a filter
-that matches nothing) on full storms.
+These tests pin the invalidation triggers, filters and lossy links on
+the one send path, and the equivalence of the cached fan-out path and
+the per-message reference network (``per_message_network``) on full
+storms with partitions, crashes, filters and flapping links.
 """
 
 import pytest
@@ -26,13 +26,9 @@ class Recorder(Node):
         self.on("t.ping", self.received.append)
 
 
-def build(n=4, slow=False):
+def build(n=4, network_class=Network):
     scheduler = Scheduler()
-    network = Network(scheduler, Tracer(), RngRegistry(0))
-    if slow:
-        # a filter that drops nothing still routes every message through
-        # the per-message path
-        network.add_filter(lambda m: False)
+    network = network_class(scheduler, Tracer(), RngRegistry(0))
     nodes = {i: Recorder(i, network) for i in range(1, n + 1)}
     return scheduler, network, nodes
 
@@ -118,35 +114,36 @@ class TestEpochInvalidation:
         assert network.delivered == 0
 
 
-class TestFastSlowHandoff:
-    def test_filters_disable_fast_path_and_clear_restores_it(self):
+class TestFiltersAndLinkLoss:
+    def test_filters_drop_matching_messages_until_cleared(self):
         scheduler, network, nodes = build()
-        assert network._fast_path
         network.add_filter(lambda m: m.dst == 3)
-        assert not network._fast_path
         nodes[1].send(3, "t.ping")
         nodes[1].send(2, "t.ping")
         scheduler.run()
         assert nodes[3].received == []
         assert len(nodes[2].received) == 1
         network.clear_filters()
-        assert network._fast_path
+        nodes[1].send(3, "t.ping")
+        scheduler.run()
+        assert len(nodes[3].received) == 1
 
-    def test_link_loss_disables_fast_path_until_healed(self):
+    def test_severed_link_drops_until_healed(self):
         scheduler, network, nodes = build()
         network.set_link_loss(1, 2, 1.0)
-        assert not network._fast_path
         nodes[1].send(2, "t.ping")
         scheduler.run()
         assert nodes[2].received == []
         network.heal()  # clears link loss
-        assert network._fast_path
+        nodes[1].send(2, "t.ping")
+        scheduler.run()
+        assert len(nodes[2].received) == 1
 
 
 class TestFanout:
-    def test_fanout_matches_manual_sends(self):
-        for slow in (True, False):
-            scheduler, network, nodes = build(slow=slow)
+    def test_fanout_matches_manual_sends(self, per_message_network):
+        for network_class in (per_message_network, Network):
+            scheduler, network, nodes = build(network_class=network_class)
             network.set_partition([[1, 2, 3], [4]])
             network.crash_site(3)
             nodes[1].broadcast([1, 2, 3, 4], "t.ping", "T1")
@@ -180,24 +177,29 @@ class TestFanout:
         drops = network.tracer.where(category="drop")
         assert [d.detail["reason"] for d in drops] == ["sender-down", "sender-down"]
 
-    def test_storm_counters_identical_cached_vs_legacy(self):
-        """Full storm with partitions, crashes and heals: both paths
-        must agree on every counter and every delivered message."""
+    def test_storm_counters_identical_to_the_per_message_reference(self, per_message_network):
+        """Full storm with partitions, crashes, heals, a filter and a
+        flapping lossy link: the network and the reference must agree
+        on every counter, every trace row, every delivered message and
+        every loss draw."""
         tallies = []
-        for slow in (True, False):
-            scheduler, network, nodes = build(n=9, slow=slow)
-            assert network._fast_path is not slow
+        for network_class in (per_message_network, Network):
+            scheduler, network, nodes = build(n=9, network_class=network_class)
+            network.add_filter(lambda m: m.txn == "P1" and m.dst == 5)
             everyone = list(nodes)
             for wave in range(3):
+                network.set_link_loss(everyone[wave], everyone[wave + 1], 0.5)
                 for node in nodes.values():
                     if node.alive:
                         node.broadcast(everyone, "t.ping", f"W{wave}")
                 scheduler.run()
                 network.set_partition([everyone[:4], everyone[4:]])
                 network.crash_site(everyone[wave])
+                network.set_link_loss(everyone[wave + 4], everyone[wave + 5], 1.0)
                 for node in nodes.values():
                     if node.alive:
                         node.broadcast(everyone, "t.ping", f"P{wave}")
+                        node.send(everyone[-1], "t.ping", f"S{wave}")
                 scheduler.run()
                 network.heal()
                 network.recover_site(everyone[wave])
@@ -207,17 +209,17 @@ class TestFanout:
                     network.delivered,
                     network.dropped,
                     scheduler.events_run,
-                    tuple(len(n.received) for n in nodes.values()),
-                    [str(r) for r in network.tracer.records],
+                    tuple(tuple(map(str, n.received)) for n in nodes.values()),
+                    network.tracer.dump(),
+                    network._rng.getstate(),
                 )
             )
         assert tallies[0] == tallies[1]
+        assert "link-loss" in tallies[1][5] and "filtered" in tallies[1][5]
 
 
 class TestMessageSlots:
-    def test_message_remains_frozen_and_unique(self):
+    def test_messages_get_unique_ids(self):
         a = Message(1, 2, "t.ping", "T1")
         b = Message(1, 2, "t.ping", "T1")
         assert a.msg_id != b.msg_id
-        with pytest.raises(AttributeError):
-            a.dst = 9

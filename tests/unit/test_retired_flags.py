@@ -47,6 +47,13 @@ sinks, the fallback plan, the row-object encoder and folds, and the
 chunk hook that only that protocol served stay undefined under
 ``src/repro/engine/``.
 
+So is the network's second send path: every message is one
+``Message`` judged by one chain of checks, filters and link loss
+included, and delivered by one method; the slot-store twin of the
+message class, the per-message send arm, the flag that chose between
+the arms and the label memo only that arm used stay undefined under
+``src/repro/net/``.
+
 So is the lock table's wait path: every lock request is granted or
 refused at once, so the wait queue, its grant callbacks, the waits-for
 edges and the deadlock detector that searched them stay deleted, and
@@ -96,8 +103,10 @@ from repro.experiments import (
     workload_study,
 )
 from repro.experiments.sweeps import wan_partition_storm
+from repro.net import message, network, node
 from repro.experiments.workload_study import heavy_traffic_study
 from repro.net.network import Network
+from repro.net.node import Node
 from repro.replay import run_tournament
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import Scheduler
@@ -512,3 +521,30 @@ def test_the_lock_table_has_one_grant_path():
 @pytest.mark.parametrize("name", ["_txn" + "_counter", "reset_txn" + "_counter"])
 def test_the_process_wide_txn_counter_is_gone(name):
     assert not hasattr(ids, name)
+
+
+#: what only the second send path needed (split so a grep of the
+#: network's source for them stays empty)
+RETIRED_NET_NAMES = [
+    head + tail
+    for head, tail in [
+        ("Message", "Stamp"),
+        ("_send", "_slow"),
+        ("_drop_reason", "_at_send"),
+        ("_fast", "_path"),
+        ("_refresh", "_fast_path"),
+        ("_deliver", "_fast"),
+        ("_lab", "els"),
+    ]
+]
+NET_SRC = Path(network.__file__).parent
+
+
+@pytest.mark.parametrize("name", RETIRED_NET_NAMES)
+def test_retired_net_name_stays_undefined(name):
+    built = Network(Scheduler(), Tracer(), RngRegistry(0))
+    for home in (message, network, node, Network, Node, built):
+        assert not hasattr(home, name), f"{home}.{name}"
+    word = re.compile(rf"\b{name}\b")
+    sources = sorted(NET_SRC.glob("*.py"))
+    assert [p.name for p in sources if word.search(p.read_text())] == []
