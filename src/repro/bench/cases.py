@@ -17,8 +17,8 @@ their counters here and held against naive references in
 ``tests/property/test_prop_bench.py``.
 
 A case is declared in one place, a row of :data:`CASES` at the bottom
-of this module: its trial, grid, run count and the trial's keywords at
-full and at quick scale.
+of this module: its trial, grid, run count and the trial's committed
+keywords.
 
 Which experiment and which scenario each case pins is the table in
 :mod:`repro.experiments`.  Three cases are not one scenario run:
@@ -34,9 +34,8 @@ Which experiment and which scenario each case pins is the table in
 
 from __future__ import annotations
 
-from typing import Any, Callable, NamedTuple
+from typing import Any
 
-from repro.bench.suite import BenchCase, BenchSuite
 from repro.common.errors import QuorumUnreachableError, TransactionAborted
 from repro.db.cluster import Cluster
 from repro.engine.spec import SweepSpec
@@ -239,120 +238,71 @@ def trace_replay_trial(
 
 
 # ----------------------------------------------------------------------
-# the default suite
+# the registry
 # ----------------------------------------------------------------------
 
-
-class _Row(NamedTuple):
-    """One case, declared once: its trial, its sweep shape (every case
-    seeds ``offset``: the protocols of a grid replay the same runs), and
-    the trial's keywords at full (committed baselines) and quick (tests)
-    scale."""
-
-    task: Callable[..., dict[str, Any]]
-    grid: dict[str, list[Any]]
-    runs: int
-    full: dict[str, Any]
-    quick: dict[str, Any]
-
-
-#: the registry, in run order: ``BENCH_<name>.json`` is the sweep
-#: ``bench-<name>``.  Adding a case is one trial function above plus
-#: one row here (then ``bench update``).
-CASES: dict[str, _Row] = {
-    "commit_mix": _Row(
-        commit_mix_trial,
-        {"protocol": ["2pc", "3pc", "qtp1", "qtp2"]},
-        2,
-        full={"n_txns": 16},
-        quick={"n_txns": 6},
-    ),
-    "heavy_workload": _Row(
-        heavy_workload_trial,
-        {"protocol": ["2pc", "qtp1"]},
-        2,
-        full={"n_txns": 120, "n_sites": 12},
-        quick={"n_txns": 24, "n_sites": 6},
-    ),
-    "wan_storm": _Row(
-        wan_storm_trial, {"protocol": ["qtp1", "qtp2"], "heal": [False, True]}, 1, full={}, quick={}
-    ),
-    "skewed_contention": _Row(
-        skewed_contention_trial, {"protocol": ["2pc", "qtp1"]}, 2, full={"n_txns": 80}, quick={"n_txns": 16}
-    ),
-    "read_mostly": _Row(
-        read_mostly_trial, {"protocol": ["2pc", "qtp1"]}, 2, full={"n_txns": 100}, quick={"n_txns": 20}
-    ),
-    "cross_region_txn": _Row(
-        cross_region_trial, {"protocol": ["qtp1", "qtp2"]}, 2, full={"n_txns": 40}, quick={"n_txns": 10}
-    ),
-    "elastic_join": _Row(
-        elastic_join_trial, {"protocol": ["qtp1", "qtp2"]}, 2, full={"n_txns": 60}, quick={"n_txns": 24}
-    ),
-    "open_loop_service": _Row(
-        open_loop_service_trial,
-        {"protocol": ["2pc", "qtp1"]},
-        2,
-        full={"rate": 1.5, "duration": 120.0, "n_sites": 9},
-        quick={"rate": 0.8, "duration": 30.0, "n_sites": 6},
-    ),
-    "ramp_ceiling": _Row(
-        ramp_ceiling_trial,
-        {"protocol": ["qtp1", "qtp2"]},
-        1,
-        full={"rates": [0.5, 1.0, 2.0, 4.0, 8.0], "duration": 60.0},
-        quick={"rates": [0.5, 1.5], "duration": 20.0},
-    ),
-    "rolling_upgrade": _Row(
-        rolling_upgrade_trial,
-        {"protocol": ["qtp1", "qtp2"]},
-        2,
-        full={"n_txns": 70, "waves": 3},
-        quick={"n_txns": 30, "waves": 2},
-    ),
-    "flash_crowd": _Row(
-        flash_crowd_trial,
-        {"protocol": ["2pc", "qtp2"]},
-        2,
-        full={"duration": 120.0, "surge_start": 40.0, "surge_length": 30.0},
-        quick={"duration": 60.0, "surge_start": 20.0, "surge_length": 15.0},
-    ),
-    "gray_failure": _Row(
-        gray_failure_trial,
-        {"protocol": ["qtp1", "qtp2"]},
-        2,
-        full={"rate": 1.5, "duration": 120.0, "episode_start": 30.0, "episode_length": 40.0},
-        quick={"rate": 0.8, "duration": 40.0, "episode_start": 10.0, "episode_length": 20.0},
-    ),
-    "trace_replay_tournament": _Row(
-        trace_replay_trial,
-        {},
-        2,
-        full={"configs": ["recorded", "2pc", "3pc", "rowa"], "n_txns": 60, "n_sites": 8},
-        quick={"configs": ["recorded", "2pc", "3pc", "rowa"], "n_txns": 16, "n_sites": 6},
-    ),
-}
-
-#: workload scales a row carries keywords for.
-SCALES = ("full", "quick")
-
-
-def default_suite(scale: str = "full") -> BenchSuite:
-    """The registered benchmark suite at ``"full"`` (committed
-    baselines) or ``"quick"`` (tests) scale."""
-    if scale not in SCALES:
-        raise ValueError(f"unknown scale {scale!r}; choose from {sorted(SCALES)}")
-    return BenchSuite(
-        BenchCase(
-            name,
-            SweepSpec(
-                name="bench-" + name.replace("_", "-"),
-                task=row.task,
-                grid=row.grid,
-                runs=row.runs,
-                seeding="offset",
-                fixed=getattr(row, scale),
-            ),
-        )
-        for name, row in CASES.items()
+#: the registry, in run order: case name -> (trial, grid, runs, the
+#: trial's committed keywords).  ``BENCH_<name>.json`` pins the sweep
+#: ``bench-<name>``; every case seeds ``offset``, so the protocols of a
+#: grid replay the same runs.  Adding a case is one trial function above
+#: plus one row here (then ``bench update``).
+CASES: dict[str, SweepSpec] = {
+    name: SweepSpec(
+        "bench-" + name.replace("_", "-"),
+        task,
+        grid=grid,
+        runs=runs,
+        seeding="offset",
+        fixed=keywords,
     )
+    for name, (task, grid, runs, keywords) in {
+        "commit_mix": (commit_mix_trial, {"protocol": ["2pc", "3pc", "qtp1", "qtp2"]}, 2, {"n_txns": 16}),
+        "heavy_workload": (
+            heavy_workload_trial,
+            {"protocol": ["2pc", "qtp1"]},
+            2,
+            {"n_txns": 120, "n_sites": 12},
+        ),
+        "wan_storm": (wan_storm_trial, {"protocol": ["qtp1", "qtp2"], "heal": [False, True]}, 1, {}),
+        "skewed_contention": (skewed_contention_trial, {"protocol": ["2pc", "qtp1"]}, 2, {"n_txns": 80}),
+        "read_mostly": (read_mostly_trial, {"protocol": ["2pc", "qtp1"]}, 2, {"n_txns": 100}),
+        "cross_region_txn": (cross_region_trial, {"protocol": ["qtp1", "qtp2"]}, 2, {"n_txns": 40}),
+        "elastic_join": (elastic_join_trial, {"protocol": ["qtp1", "qtp2"]}, 2, {"n_txns": 60}),
+        "open_loop_service": (
+            open_loop_service_trial,
+            {"protocol": ["2pc", "qtp1"]},
+            2,
+            {"rate": 1.5, "duration": 120.0, "n_sites": 9},
+        ),
+        "ramp_ceiling": (
+            ramp_ceiling_trial,
+            {"protocol": ["qtp1", "qtp2"]},
+            1,
+            {"rates": [0.5, 1.0, 2.0, 4.0, 8.0], "duration": 60.0},
+        ),
+        "rolling_upgrade": (
+            rolling_upgrade_trial,
+            {"protocol": ["qtp1", "qtp2"]},
+            2,
+            {"n_txns": 70, "waves": 3},
+        ),
+        "flash_crowd": (
+            flash_crowd_trial,
+            {"protocol": ["2pc", "qtp2"]},
+            2,
+            {"duration": 120.0, "surge_start": 40.0, "surge_length": 30.0},
+        ),
+        "gray_failure": (
+            gray_failure_trial,
+            {"protocol": ["qtp1", "qtp2"]},
+            2,
+            {"rate": 1.5, "duration": 120.0, "episode_start": 30.0, "episode_length": 40.0},
+        ),
+        "trace_replay_tournament": (
+            trace_replay_trial,
+            {},
+            2,
+            {"configs": ["recorded", "2pc", "3pc", "rowa"], "n_txns": 60, "n_sites": 8},
+        ),
+    }.items()
+}

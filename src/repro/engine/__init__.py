@@ -59,7 +59,6 @@ the pool once per chunk, not once per task.
 from repro.engine.aggregate import (
     Accumulator,
     CountAcc,
-    DigestMergeAcc,
     MeanAcc,
     QuantileDigest,
     RowReducer,
@@ -98,12 +97,10 @@ from repro.engine.store import (
     SCHEMA_VERSION,
     ResultStore,
     canonical_line,
-    count_where,
     fraction_of,
     group_by,
     jsonable,
     mean_of,
-    values_of,
 )
 
 __all__ = [
@@ -115,7 +112,6 @@ __all__ = [
     "Accumulator",
     "ChunkPlan",
     "CountAcc",
-    "DigestMergeAcc",
     "FoldedChunk",
     "JsonlSink",
     "MeanAcc",
@@ -132,7 +128,6 @@ __all__ = [
     "TeeSink",
     "WorkerCrashError",
     "canonical_line",
-    "count_where",
     "default_chunksize",
     "default_workers",
     "derive_seed",
@@ -149,6 +144,5 @@ __all__ = [
     "run_sweep",
     "shared_runner",
     "shutdown_shared_runners",
-    "values_of",
     "worker_cache",
 ]

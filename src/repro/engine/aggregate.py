@@ -392,77 +392,6 @@ class QuantileDigest(Accumulator):
     def fresh(self) -> "QuantileDigest":
         return QuantileDigest(self.lo, self.hi, self.bins)
 
-    def state(self) -> dict[str, Any]:
-        """The digest's full JSON-able state (exact bin counts).
-
-        Round-trips through :meth:`from_state` (then :meth:`merge`), so a
-        run can ship its latency digest inside a result row and a later
-        consumer can merge digests across runs without ever having seen
-        the raw samples.
-        """
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "bins": self.bins,
-            "counts": list(self.counts),
-            "n": self.n,
-            "min": self.min,
-            "max": self.max,
-        }
-
-    @classmethod
-    def from_state(cls, state: Mapping[str, Any]) -> "QuantileDigest":
-        """Rebuild a digest from :meth:`state` output (e.g. a JSON row)."""
-        digest = cls(state["lo"], state["hi"], state["bins"])
-        counts = list(state["counts"])
-        if len(counts) != digest.bins:
-            raise ValueError(
-                f"state carries {len(counts)} counts for {digest.bins} bins"
-            )
-        digest.counts = counts
-        digest.n = int(state["n"])
-        digest.min = state["min"]
-        digest.max = state["max"]
-        return digest
-
-
-class DigestMergeAcc(Accumulator):
-    """Fold serialized digest states from result rows into one digest.
-
-    Rows produced by open-loop service runs carry their latency digest
-    as a :meth:`QuantileDigest.state` dict; this accumulator merges
-    those states so a sweep's reducer can report fleet-wide tail
-    percentiles (p999 included) without per-op lists ever existing.
-    Merging bin counts is integer addition, so partials grouped any way
-    summarize byte-identically.
-    """
-
-    kind = "digest_merge"
-
-    def __init__(self, lo: float, hi: float, bins: int = 64) -> None:
-        self.digest = QuantileDigest(lo, hi, bins)
-
-    def add(self, value: Any) -> None:
-        self.digest.merge(QuantileDigest.from_state(value))
-
-    def merge(self, other: "DigestMergeAcc") -> None:
-        self.digest.merge(other.digest)
-
-    def summary(self) -> dict[str, Any]:
-        digest = self.digest
-        return {
-            "kind": self.kind,
-            "n": digest.n,
-            "min": digest.min if digest.min is not None else 0.0,
-            "max": digest.max if digest.max is not None else 0.0,
-            "p50": digest.quantile(0.50),
-            "p99": digest.quantile(0.99),
-            "p999": digest.quantile(0.999),
-        }
-
-    def fresh(self) -> "DigestMergeAcc":
-        return DigestMergeAcc(self.digest.lo, self.digest.hi, self.digest.bins)
-
 
 def resolve_path(value: Any, path: str) -> Any:
     """Pull a metric out of a row value by dotted path.

@@ -36,7 +36,7 @@ header, a missing or miscounting ``end`` record — is a ``StoreError``
 naming the path and, inside a stream, the line and byte offset.
 
 The module-level helpers (:func:`mean_of`, :func:`fraction_of`,
-:func:`count_where`, :func:`group_by`) operate on plain result rows —
+:func:`group_by`) operate on plain result rows —
 either live :class:`~repro.engine.spec.RunResult` objects or the dicts
 a loaded artifact yields — so aggregation code is the same on both
 sides of a save/load round trip.
@@ -376,24 +376,15 @@ def group_by(rows: Iterable[Any], param: str) -> dict[Any, list[Any]]:
     return groups
 
 
-def values_of(rows: Iterable[Any], pick: Callable[[Any], Any] | None = None) -> list[Any]:
-    """The ``value`` of each row, optionally projected through ``pick``."""
-    out = [_get(row, "value") for row in rows]
-    return [pick(v) for v in out] if pick is not None else out
-
-
 def mean_of(rows: Iterable[Any], pick: Callable[[Any], float] | None = None) -> float:
     """Mean of (picked) values; 0.0 on empty input."""
-    vals = values_of(rows, pick)
+    vals = [_get(row, "value") for row in rows]
+    if pick is not None:
+        vals = [pick(v) for v in vals]
     return sum(vals) / len(vals) if vals else 0.0
-
-
-def count_where(rows: Iterable[Any], pred: Callable[[Any], bool]) -> int:
-    """How many rows' values satisfy ``pred``."""
-    return sum(1 for v in values_of(rows) if pred(v))
 
 
 def fraction_of(rows: Iterable[Any], pred: Callable[[Any], bool]) -> float:
     """Fraction of rows' values satisfying ``pred``; 0.0 on empty input."""
     rows = list(rows)
-    return count_where(rows, pred) / len(rows) if rows else 0.0
+    return sum(1 for row in rows if pred(_get(row, "value"))) / len(rows) if rows else 0.0

@@ -122,9 +122,6 @@ class OpenLoopResult:
     readable_fraction: float
     #: streaming latency summary: n / min / max / p50 / p99 / p999.
     latency: dict[str, float] = field(default_factory=dict)
-    #: the full digest state (exact bin counts), mergeable across runs
-    #: via :class:`~repro.engine.aggregate.DigestMergeAcc`.
-    digest_state: dict[str, Any] = field(default_factory=dict)
     #: adaptive-admission trajectory (``None`` unless an
     #: :class:`AdaptiveWindow` drove the run; counters stay conditional
     #: so fixed-window payloads are byte-stable).
@@ -373,7 +370,6 @@ def run_open_loop(
         serializable=base.serializable,
         readable_fraction=base.readable_fraction,
         latency=latency_summary(digest),
-        digest_state=digest.state(),
         window_final=run.window if adapt is not None else None,
         window_widened=run.widened,
         window_narrowed=run.narrowed,

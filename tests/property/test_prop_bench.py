@@ -24,9 +24,10 @@ from collections import Counter
 from typing import Any, Iterator, NamedTuple
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bench import compare_case, default_suite, encode
+from repro.bench import CASES, encode, run_case
 from repro.common.errors import StorageError
 from repro.concurrency.locks import LockManager, LockMode
 from repro.engine import SweepRunner, SweepSpec, run_sweep
@@ -49,37 +50,21 @@ from repro.traffic import run_scenario
 from repro.workload.scenarios import run_example1_scenario, run_example3_scenario, wan_storm_scenario
 from repro.workload.spec import WorkloadSpec
 
-#: every registered case is cheap enough at quick scale to run
-#: repeatedly inside tier-1.
-QUICK_CASES = default_suite("quick").names
-
-
-def _payload_bytes(suite, name, workers=1):
-    return encode(suite.run_case(name, workers=workers))
+@pytest.fixture(scope="module")
+def serial_payloads():
+    """One serial run of every registered case at its committed shape,
+    encoded (about a second for the whole registry)."""
+    return {name: encode(run_case(name)) for name in CASES}
 
 
 class TestFixedPoint:
-    def test_two_runs_byte_identical(self):
-        suite = default_suite("quick")
-        for name in QUICK_CASES:
-            first = _payload_bytes(suite, name)
-            second = _payload_bytes(suite, name)
-            assert first == second, f"case {name} is not a fixed point"
+    def test_two_runs_byte_identical(self, serial_payloads):
+        for name, first in serial_payloads.items():
+            assert encode(run_case(name)) == first, f"case {name} is not a fixed point"
 
-    def test_diff_of_two_runs_is_clean(self):
-        suite = default_suite("quick")
-        for name in QUICK_CASES:
-            baseline = suite.run_case(name)
-            fresh = suite.run_case(name)
-            verdict = compare_case(baseline, fresh)
-            assert verdict.ok, f"{name}: {verdict.errors}"
-
-    def test_serial_vs_parallel_byte_identical(self):
-        suite = default_suite("quick")
-        for name in QUICK_CASES:
-            serial = _payload_bytes(suite, name, workers=1)
-            parallel = _payload_bytes(suite, name, workers=2)
-            assert serial == parallel, f"case {name} differs across worker counts"
+    def test_serial_vs_parallel_byte_identical(self, serial_payloads):
+        for name, serial in serial_payloads.items():
+            assert encode(run_case(name, workers=2)) == serial, f"case {name} differs across worker counts"
 
 
 class _FreshViewNetwork(Network):

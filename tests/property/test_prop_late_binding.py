@@ -329,5 +329,5 @@ class TestDecisionCursorEqualsPolling:
         shipped = gray_service(seed, protocol)
         assert shipped == reference
         result = shipped[0]
-        assert result["latency"]["n"] > 10 and result["digest_state"]["n"] == result["latency"]["n"]
+        assert result["latency"]["n"] > 10 and result["latency"]["p50"] <= result["latency"]["p999"]
         assert result["window_final"] is not None and polled > result["offered"]

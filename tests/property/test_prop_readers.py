@@ -23,9 +23,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bench import BaselineStore
+from repro.bench import load as load_baseline
 from repro.common.errors import StoreError
 from repro.engine import JsonlSink, ResultStore, SweepSpec, load_stream, run_sweep
+from repro.engine.store import write_document
 from repro.replay import (
     TRACE_DRIVERS,
     RecordedTrace,
@@ -70,10 +71,6 @@ def _store_content(path):
     return ResultStore(path.parent).load(path.stem)
 
 
-def _baseline_content(path):
-    return BaselineStore(path.parent).load(path.stem[len("BENCH_") :])
-
-
 _ARTIFACTS: dict[str, tuple[str, bytes, object]] = {}
 
 
@@ -91,10 +88,11 @@ def artifacts() -> dict[str, tuple[str, bytes, object]]:
             _ARTIFACTS[f"trace-{name}"] = ("trace.jsonl.gz", data, _trace_content)
         stored = ResultStore(tmp).save(run_sweep(SPEC))
         _ARTIFACTS["store"] = (stored.name, stored.read_bytes(), _store_content)
-        baseline = BaselineStore(tmp).save(
-            {"case": "toy", "schema": 1, "spec": SPEC.summary(), "rows": [{"run": 0, "counters": {"n": 3}}]}
+        baseline = write_document(
+            tmp / "BENCH_toy.json",
+            {"case": "toy", "schema": 1, "spec": SPEC.summary(), "rows": [{"run": 0, "counters": {"n": 3}}]},
         )
-        _ARTIFACTS["baseline"] = (baseline.name, baseline.read_bytes(), _baseline_content)
+        _ARTIFACTS["baseline"] = (baseline.name, baseline.read_bytes(), load_baseline)
     return _ARTIFACTS
 
 
@@ -188,18 +186,18 @@ class TestDocumentsNameThePath:
             assert str(store.path_for("demo")) in str(err.value)
 
     @pytest.mark.parametrize("text", BENT.values(), ids=BENT.keys())
-    def test_baseline_store(self, tmp_path, text):
-        store = BaselineStore(tmp_path)
-        store.path_for("toy").write_text(text)
+    def test_bench_baseline(self, tmp_path, text):
+        path = tmp_path / "BENCH_toy.json"
+        path.write_text(text)
         with pytest.raises(StoreError) as err:
-            store.load("toy")
-        assert str(store.path_for("toy")) in str(err.value)
+            load_baseline(path)
+        assert str(path) in str(err.value)
 
     def test_an_absent_file_is_still_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             ResultStore(tmp_path).load("demo")
         with pytest.raises(FileNotFoundError):
-            BaselineStore(tmp_path).load("toy")
+            load_baseline(tmp_path / "BENCH_toy.json")
 
 
 class TestMalformedTraceRecords:

@@ -9,13 +9,11 @@ from repro.engine import (
     SCHEMA_VERSION,
     ResultStore,
     SweepSpec,
-    count_where,
     fraction_of,
     group_by,
     jsonable,
     mean_of,
     run_sweep,
-    values_of,
 )
 
 
@@ -152,11 +150,10 @@ class TestAggregationHelpers:
         loaded = mean_of(store.results("agg"), lambda v: v["score"])
         assert live == loaded
 
-    def test_values_count_fraction(self):
+    def test_fraction_of(self):
         rows = self._rows()
-        scores = values_of(rows, lambda v: v["score"])
-        assert len(scores) == 8
-        n_zero = count_where(rows, lambda v: v["score"] == 0.0)
+        assert len(rows) == 8
+        n_zero = sum(1 for row in rows if row.value["score"] == 0.0)
         assert fraction_of(rows, lambda v: v["score"] == 0.0) == n_zero / 8
 
     def test_empty_inputs(self):

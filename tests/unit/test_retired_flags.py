@@ -71,8 +71,9 @@ from pathlib import Path
 import pytest
 
 import repro.engine as engine
-from repro.bench import BenchCase, BenchSuite, cases, compare_case, diff_against_baselines
-from repro.bench.cases import default_suite
+import repro.bench as bench
+from repro.bench import cases, check, compare, gate, run_case, update
+from repro.bench.__main__ import main as bench_main
 from repro.common import ids
 from repro.concurrency import locks
 from repro.concurrency.locks import LockManager
@@ -119,7 +120,6 @@ from repro.workload.spec import WorkloadSpec
 
 BENCH_SRC = Path(cases.__file__).parent
 REPO = BENCH_SRC.parents[2]
-TOY_SPEC = default_suite("quick").case("commit_mix").spec
 
 
 def toy_task(seed: int) -> int:
@@ -152,11 +152,14 @@ RETIRED_KEYWORDS = {
         WriteAheadLog(1), ReplicaStore(1), **_kw("full", "scan", True)
     ),
     "LockManager-legacy-probe": lambda: LockManager(1, **_kw("legacy", "probe", True)),
-    "BenchCase-repeats": lambda: BenchCase("toy", TOY_SPEC, repeats=3),
-    "BenchCase-derived": lambda: BenchCase("toy", TOY_SPEC, derived=None),
-    "run_case-measure-time": lambda: BenchSuite().run_case("toy", measure_time=False),
-    "run-measure-time": lambda: BenchSuite().run(measure_time=False),
-    "compare_case-time-tolerance": lambda: compare_case({}, {}, time_tolerance=5.0),
+    "run_case-measure-time": lambda: run_case("commit_mix", measure_time=False),
+    "compare-time-tolerance": lambda: compare({}, {}, time_tolerance=5.0),
+    "run_case-timeout-s": lambda: run_case("commit_mix", timeout_s=900.0),
+    "run_case-scale": lambda: run_case("commit_mix", scale="quick"),
+    "check-workers": lambda: check(REPO, workers=2),
+    "check-timeout-s": lambda: check(REPO, timeout_s=900.0),
+    "update-workers": lambda: update(REPO, workers=2),
+    "update-timeout-s": lambda: update(REPO, timeout_s=900.0),
     "run_sweep-on-error": lambda: run_sweep(SWEEP, **_kw("on", "error", "retry")),
     "run_sweep-resume-from": lambda: run_sweep(SWEEP, **_kw("resume", "from", "rows.jsonl.gz")),
     "SweepRunner.run_sweep-on-error": lambda: SweepRunner(1).run_sweep(SWEEP, **_kw("on", "error", "retry")),
@@ -167,9 +170,8 @@ RETIRED_KEYWORDS = {
     "SweepRunner.run_sweep-reduce": lambda: SweepRunner(1).run_sweep(SWEEP, reduce=REDUCER),
     "run_tournament-share-trace": lambda: run_tournament(None, **_kw("share", "trace", True)),
     "run_scenario-probe": lambda: run_scenario(None, "qtp1", 0, probe=print),
-    "run_case-runner": lambda: BenchSuite().run_case("toy", runner=None),
-    "run-runner": lambda: BenchSuite().run(runner=None),
-    "diff_against_baselines-runner": lambda: diff_against_baselines(BenchSuite(), None, runner=None),
+    "run_case-runner": lambda: run_case("commit_mix", runner=None),
+    "check-runner": lambda: check(REPO, runner=None),
     "Tracer-capacity": lambda: Tracer(capacity=8),
     "Tracer-ring": lambda: Tracer(ring=True),
     "Cluster-tracer": lambda: Cluster(None, tracer=Tracer()),
@@ -197,8 +199,8 @@ def test_retired_keyword_is_rejected(call):
 def test_no_bench_case_selects_a_retired_arm():
     retired_axes = {"tracked", "cached", "grouped", "columnar", "intern", "flyweight", "indexed"}
     retired_axes |= {"memo", "warm", "resilient", "streaming", "alias"}
-    for case in default_suite():
-        assert not retired_axes & set(case.spec.grid), case.name
+    for name, spec in cases.CASES.items():
+        assert not retired_axes & set(spec.grid), name
 
 
 #: the counter-only microbenches of synthetic inputs; what each pinned is
@@ -226,8 +228,8 @@ def test_retired_case_stays_unregistered(name):
     assert not (REPO / f"BENCH_{name}.json").exists()
 
 
-#: what only the gate's own clock ever needed (the soft-timeout watchdog
-#: is a ``threading.Timer``; bare ``derived`` is a seeding mode and stays).
+#: what only the gate's own clock ever needed (bare ``derived`` is a
+#: seeding mode and stays).
 CLOCK_WORDS = re.compile(
     r"perf_counter|import time|\"timing\"|wall_s|measure_time|time_tolerance|strict_time"
     r"|repeats=|derived=|mean_ci|experiments\.stats"
@@ -236,27 +238,79 @@ CLOCK_WORDS = re.compile(
 
 def test_the_bench_gate_reads_no_clock():
     files = sorted(BENCH_SRC.glob("*.py"))
-    assert {p.name for p in files} >= {"cases.py", "suite.py", "diff.py", "__main__.py"}
+    assert {p.name for p in files} == {"__init__.py", "__main__.py", "cases.py", "gate.py"}
     hits = {p.name: sorted(set(CLOCK_WORDS.findall(p.read_text()))) for p in files}
     assert {name: found for name, found in hits.items() if found} == {}
 
 
-@pytest.mark.parametrize("flag", ["--time-tolerance", "--strict-time"])
-def test_retired_cli_flag_is_rejected(flag, capsys):
-    from repro.bench.__main__ import build_parser
+#: the bench's second surface: the registry, store and verdict classes,
+#: the differs and summary around them, the soft watchdog and the quick
+#: scale (split so a grep of the bench for them stays empty)
+RETIRED_BENCH_NAMES = [
+    head + tail
+    for head, tail in [
+        ("Bench", "Case"),
+        ("Bench", "Suite"),
+        ("Baseline", "Store"),
+        ("Case", "Diff"),
+        ("Bench", "Timeout"),
+        ("_Case", "Watchdog"),
+        ("compare", "_case"),
+        ("diff_against", "_baselines"),
+        ("diff_stored", "_payloads"),
+        ("orphan", "_baselines"),
+        ("markdown", "_summary"),
+        ("default", "_suite"),
+        ("SCA", "LES"),
+        ("deterministic", "_rows"),
+    ]
+]
 
+
+@pytest.mark.parametrize("name", RETIRED_BENCH_NAMES)
+def test_retired_bench_name_stays_undefined(name):
+    assert name not in bench.__all__
+    for home in (bench, cases, gate, importlib.import_module("repro.bench.__main__")):
+        assert not hasattr(home, name), f"{home.__name__}.{name}"
+    word = re.compile(rf"\b{name}\b")
+    assert [p.name for p in sorted(BENCH_SRC.glob("*.py")) if word.search(p.read_text())] == []
+
+
+@pytest.mark.parametrize("module", ["suite", "diff"])
+def test_the_retired_bench_module_is_gone(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.bench." + module)
+
+
+#: flags the bench CLI no longer takes: the clock's, the warm pool's, and
+#: the ones only the ``run`` subcommand, the stored-payload diff, the
+#: summary table, the worker count, the quick scale and the watchdog used
+RETIRED_CLI_FLAGS = [
+    "--time-tolerance",
+    "--strict-time",
+    "--persistent-pool",
+    "--out",
+    "--fresh",
+    "--root",
+    "--workers",
+    "--scale",
+    "--timeout-s",
+    "--summary",
+]
+
+
+@pytest.mark.parametrize("command", ["diff", "update"])
+@pytest.mark.parametrize("flag", RETIRED_CLI_FLAGS)
+def test_retired_cli_flag_is_rejected(command, flag, capsys):
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["diff", flag, "25"])
-    assert "unrecognized arguments" in capsys.readouterr().err
+        bench_main([command, flag, "25"])
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["run", "diff", "update"])
-def test_the_warm_pool_flag_is_rejected(command, capsys):
-    from repro.bench.__main__ import main
-
+def test_the_run_subcommand_is_gone(capsys):
     with pytest.raises(SystemExit):
-        main([command, "--persistent-pool"])
-    assert "unrecognized arguments: --persistent-pool" in capsys.readouterr().err
+        bench_main(["run"])
+    assert "invalid choice: 'run'" in capsys.readouterr().err
 
 
 ENGINE_SRC = Path(cases.__file__).parent.parent / "engine"
@@ -339,6 +393,9 @@ RETIRED_ENGINE_NAMES = [
         ("Fold", "Sink"),
         ("map", "_runs"),
         ("Shared", "Payload"),
+        ("DigestMerge", "Acc"),  # and the digest state it folded, below
+        ("count", "_where"),
+        ("values", "_of"),
     ]
 ]
 
@@ -366,6 +423,8 @@ RETIRED_ATTRIBUTES = {
     "TeeSink.note_quarantined": (lambda: TeeSink(ResultSink()), "note_quar" + "antined"),
     "TaskChunk.start": (lambda: TaskChunk(SWEEP, []), "start"),
     "SweepSpec.seed_for": (lambda: SWEEP, "seed" + "_for"),
+    "QuantileDigest.state": (lambda: QuantileDigest(0.0, 1.0), "state"),
+    "QuantileDigest.from_state": (lambda: QuantileDigest(0.0, 1.0), "from" + "_state"),
 }
 
 
