@@ -34,10 +34,11 @@ from repro.db.transactions import InteractiveTransaction
 from repro.db.txn import TxnHandle
 from repro.net.delays import DelayModel
 from repro.net.network import Network
-from repro.protocols.qtp.commit import QTP1Engine, QTP2Engine
-from repro.protocols.qtp.generalized import PrimaryTerminationRule, QTPPrimaryEngine
+from repro.protocols.base import CommitProtocolEngine
+from repro.protocols.qtp.commit import QuorumCommitEngine
+from repro.protocols.qtp.generalized import PrimaryTerminationRule
 from repro.protocols.qtp.quorums import TerminationRule1, TerminationRule2
-from repro.protocols.skeen import SkeenEngine, SkeenQuorumRule
+from repro.protocols.skeen import SkeenQuorumRule
 from repro.protocols.threepc import ThreePCEngine, ThreePCTerminationRule
 from repro.protocols.twopc import CooperativeTerminationRule, TwoPCEngine
 from repro.replication.accessor import QuorumPlanner, ReadResult
@@ -48,7 +49,22 @@ from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import Scheduler
 from repro.sim.trace import Tracer
 
-PROTOCOL_NAMES = ("2pc", "3pc", "skq", "qtp1", "qtp2", "qtpp")
+#: protocol name -> engine class, and the termination rule built from
+#: the cluster's explicit commit / abort quorums and number of sites (a
+#: rule holds no per-site or per-epoch state: one serves every engine,
+#: joiners too).  Only skq reads them: explicit quorums pin Vc/Va
+#: globally (the paper's Example 1 setup); otherwise they adapt per
+#: transaction to its participants.
+_PROTOCOLS = {
+    "2pc": (TwoPCEngine, lambda vc, va, n_sites: CooperativeTerminationRule()),
+    "3pc": (ThreePCEngine, lambda vc, va, n_sites: ThreePCTerminationRule()),
+    "skq": (CommitProtocolEngine, SkeenQuorumRule),
+    "qtp1": (QuorumCommitEngine, lambda vc, va, n_sites: TerminationRule1()),
+    "qtp2": (QuorumCommitEngine, lambda vc, va, n_sites: TerminationRule2()),
+    "qtpp": (QuorumCommitEngine, lambda vc, va, n_sites: PrimaryTerminationRule()),
+}
+
+PROTOCOL_NAMES = tuple(_PROTOCOLS)
 
 
 def _weakly(method: Callable[..., None]) -> Callable[..., None]:
@@ -178,8 +194,9 @@ class Cluster:
         self._closed = False  # from here on close() has something to release
         hosted = catalog.items_by_site()
         site_ids = sorted(hosted.keys() | set(extra_sites))
-        engine_cls, rule = self._engine_for_protocol(commit_quorum, abort_quorum, len(site_ids))
-        self._engines = EngineFactory(engine_cls, rule, catalog, self.epochs, enforce_ignore_rules)
+        engine_cls, build_rule = _PROTOCOLS[protocol]
+        rule = build_rule(commit_quorum, abort_quorum, len(site_ids))
+        self._engines = EngineFactory(protocol, engine_cls, rule, catalog, self.epochs, enforce_ignore_rules)
         for site_id in site_ids:
             self.sites[site_id] = Site(site_id, self.network, hosted.get(site_id, ()), self._engines)
         self.injector = FailureInjector(
@@ -213,24 +230,6 @@ class Cluster:
         self.scheduler.clear()
 
     __del__ = close
-
-    def _engine_for_protocol(self, commit_quorum: int | None, abort_quorum: int | None, n_sites: int):
-        """Engine class and termination rule: the rules hold no per-site
-        or per-epoch state, so one serves every engine (joiners too)."""
-        if self.protocol == "2pc":
-            return TwoPCEngine, CooperativeTerminationRule()
-        if self.protocol == "3pc":
-            return ThreePCEngine, ThreePCTerminationRule()
-        if self.protocol == "skq":
-            # explicit quorums pin Vc/Va globally (the paper's Example 1
-            # setup); otherwise they adapt per transaction to its
-            # participants (majority-style defaults)
-            return SkeenEngine, SkeenQuorumRule(commit_quorum, abort_quorum, n_sites)
-        if self.protocol == "qtp1":
-            return QTP1Engine, TerminationRule1()
-        if self.protocol == "qtpp":
-            return QTPPrimaryEngine, PrimaryTerminationRule()
-        return QTP2Engine, TerminationRule2()
 
     # ------------------------------------------------------------------
     # client API

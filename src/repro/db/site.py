@@ -16,7 +16,7 @@ A :class:`Site` composes the substrates built elsewhere:
 apply an abort (release locks).
 
 Engines, like handlers, bind on first delivery.  A site is built
-without its engine: it reserves its engine class's handler table on
+without its engine: it reserves its protocol's handler table on
 its node (:meth:`Node.bind_on_delivery
 <repro.net.node.Node.bind_on_delivery>` with no owner yet), and the
 cluster's :class:`EngineFactory` builds the engine the first time a
@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.concurrency.locks import LockManager, LockMode
 from repro.net.node import Node
-from repro.protocols.base import ProtocolHooks
+from repro.protocols.base import ProtocolHooks, message_tables
 from repro.protocols.states import TxnState
 from repro.storage.recovery import replay_data
 from repro.storage.store import ReplicaStore
@@ -87,7 +87,8 @@ class SiteHooks(ProtocolHooks):
 class EngineFactory:
     """How one cluster builds its sites' commit engines.
 
-    One per cluster, shared by its sites: the protocol's engine class,
+    One per cluster, shared by its sites: the protocol's name (its
+    engines' message namespace) and handler table, its engine class,
     its termination rule (one serves every engine: a rule holds no
     per-site or per-epoch state), the current catalog — the owner swaps
     in the next one, so an engine built after a membership change
@@ -96,16 +97,19 @@ class EngineFactory:
     site keeps it without keeping the cluster alive.
     """
 
-    __slots__ = ("engine_cls", "rule", "catalog", "epochs", "enforce_ignore_rules")
+    __slots__ = ("family", "handler_table", "engine_cls", "rule", "catalog", "epochs", "enforce_ignore_rules")
 
     def __init__(
         self,
+        family: str,
         engine_cls: "type[CommitProtocolEngine]",
         rule: "TerminationRule",
         catalog: "ReplicaCatalog",
         epochs: Mapping[int, "ReplicaCatalog"],
         enforce_ignore_rules: bool,
     ) -> None:
+        self.family = family
+        self.handler_table = message_tables(family)[1]
         self.engine_cls = engine_cls
         self.rule = rule
         self.catalog = catalog
@@ -120,6 +124,7 @@ class EngineFactory:
             catalog=self.catalog,
             epochs=self.epochs,
             rule=self.rule,
+            family=self.family,
             hooks=SiteHooks(site),
             enforce_ignore_rules=self.enforce_ignore_rules,
         )
@@ -146,7 +151,7 @@ class Site(Node):
         self.locks = LockManager(site_id)
         self.engine: "CommitProtocolEngine | None" = None
         self._engines = engines
-        self.bind_on_delivery(None, engines.engine_cls.handler_table)
+        self.bind_on_delivery(None, engines.handler_table)
         for item in hosted:
             self.store.host(item, value=0, version=0)
 

@@ -25,6 +25,18 @@ from repro.replication.catalog import CatalogBuilder
 from repro.sim.failures import FailurePlan
 
 
+class _Rule1BehindCP2(TerminationRule1):
+    """Rule 1's table behind commit protocol 2's commit point."""
+
+    commit_tally = TerminationRule2.commit_tally
+
+
+class _Rule2BehindCP1(TerminationRule2):
+    """Rule 2's table behind commit protocol 1's commit point."""
+
+    commit_tally = TerminationRule1.commit_tally
+
+
 @dataclass
 class PairingResult:
     """Outcome of one CP/TP pairing on the adversarial scenario."""
@@ -55,7 +67,9 @@ def _adversarial_scenario(protocol: str, cross_pair: bool) -> PairingResult:
     catalog = CatalogBuilder().replicated_item("x", sites=[1, 2, 3, 4], r=2, w=3).build()
     cluster = Cluster(catalog, protocol=protocol)
     if cross_pair:
-        crossed = TerminationRule1() if protocol == "qtp2" else TerminationRule2()
+        # the engine's rule also builds its commit point: keep the
+        # protocol's own, swap the termination table
+        crossed = _Rule1BehindCP2() if protocol == "qtp2" else _Rule2BehindCP1()
         for site in cluster.sites.values():
             site.ensure_engine().rule = crossed
     # the prepare round reaches only sites 1 and 2

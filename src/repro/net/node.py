@@ -105,7 +105,7 @@ class Node:
         """Let ``owner``'s methods handle the types in ``names``, lazily.
 
         ``names`` maps a message type to the name of the ``owner``
-        method that handles it; it is shared (a per-class table), never
+        method that handles it; it is shared (one table per protocol), never
         copied.  Nothing is registered now: :meth:`deliver` calls
         :meth:`on` with the bound method the first time a type arrives.
         ``owner`` None reserves the table for an owner not built yet:

@@ -1,8 +1,8 @@
 """Shared commit/termination machinery (system S8).
 
 Every protocol family in this library — 2PC, 3PC, Skeen's site-quorum
-protocol [16], and the paper's quorum protocols QTP1/QTP2 — shares the
-same skeleton:
+protocol [16], the paper's quorum protocols QTP1/QTP2 and their §5
+primary-copy variant — shares the same skeleton:
 
 * a **coordinator** at the origin site distributes the update values
   (vote-req), collects votes, possibly runs a prepare round, and
@@ -14,11 +14,19 @@ same skeleton:
   the three-phase poll / prepare / command structure of Fig. 5 and
   Fig. 8.
 
-What actually *differs* between the families is captured by two small
-strategy objects:
+The protocols differ in two places only:
 
-* the engine subclass's ``_all_voted_yes`` (one method: what the
-  coordinator does after a unanimous yes), and
+* the coordinator's commit point.  :class:`CommitProtocolEngine` is
+  the three-phase flow of 3PC and of Skeen's protocol, used as it
+  stands for ``skq``: PREPARE after a unanimous yes, COMMIT once every
+  participant has acked, and an election when the ack window closes
+  short.  Three subclasses are the other behaviours — 2PC commits on
+  the votes (:class:`~repro.protocols.twopc.TwoPCEngine`), 3PC also
+  commits when the ack window closes short
+  (:class:`~repro.protocols.threepc.ThreePCEngine`), and the quorum
+  protocols commit as soon as the PC-ACKs satisfy their rule's commit
+  predicate (:class:`~repro.protocols.qtp.commit.QuorumCommitEngine`,
+  one class for ``qtp1``, ``qtp2`` and ``qtpp``);
 * a :class:`TerminationRule` — the pure decision logic of the
   termination protocol (the tables in Fig. 5 / Fig. 8, Skeen's
   site-vote rule, 3PC's committable-present rule, 2PC's cooperative
@@ -27,19 +35,18 @@ strategy objects:
 
 Message handlers are declared, not installed.
 :attr:`CommitProtocolEngine.HANDLERS` maps a message kind (the part
-after ``family.``) to the name of the method that handles it; when a
-subclass is defined, ``__init_subclass__`` expands it once with the
-subclass's ``family`` (plus the family-independent election types) into
-the class's ``handler_table``, and into :attr:`~CommitProtocolEngine.mtypes`,
-the ``kind -> "family.kind"`` table every send reads (no message type
-is formatted per send).  An engine hands the handler table to its node
+after ``family.``) to the name of the method that handles it.  The
+family is the protocol's name (``"qtp1"``, ``"skq"``, ...), which the
+engine is built with; :func:`message_tables` expands the kinds once
+per name into the ``kind -> "family.kind"`` table every send reads
+(no message type is formatted per send) and into the handler table —
+the family's types plus the family-independent election types.  An
+engine hands the handler table to its node
 (:meth:`Node.bind_on_delivery <repro.net.node.Node.bind_on_delivery>`),
 which registers a handler the first time a message of its type is
 delivered — building an engine creates no bound methods.  A database
 site goes one step further and builds its engine only when a message
-first reaches it or it first coordinates (:mod:`repro.db.site`).  A subclass
-that handles a new kind overrides
-``HANDLERS = {**CommitProtocolEngine.HANDLERS, "my-kind": "_on_my_kind"}``.
+first reaches it or it first coordinates (:mod:`repro.db.site`).
 
 What a protocol step costs does not grow with the transaction's
 history:
@@ -58,8 +65,9 @@ history:
   contract, and nothing writes to a write set once it is sent.
 * **Tallies fold one reply at a time.**  A round keeps the
   participants whose vote, then whose ack, it still awaits; the quorum
-  engines keep what each item still lacks of its threshold.  A repeated
-  reply changes nothing.
+  engine keeps what each part of its rule's commit predicate still
+  lacks (:class:`~repro.protocols.qtp.quorums.QuorumTally`).  A
+  repeated reply changes nothing.
 * **Kicks visit only undecided records.**  :attr:`CommitProtocolEngine.undecided`
   holds the undecided records, kept up to date wherever a record is
   created, decided, rebuilt or dropped.
@@ -68,6 +76,7 @@ history:
 from __future__ import annotations
 
 import enum
+import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Mapping
@@ -288,8 +297,8 @@ class _CoordinationRound:
     #: round's next step); registered here and nowhere else
     vote_window: "EventHandle | None" = None
     ack_window: "EventHandle | None" = None
-    #: the family's running ack tally, when it keeps one (the quorum
-    #: engines: what each written item still lacks of its threshold)
+    #: the running ack tally of the quorum engine: what each part of
+    #: its rule's commit predicate still lacks
     tally: Any = None
 
     def armed(self) -> bool:
@@ -309,17 +318,17 @@ class _CoordinationRound:
 # ----------------------------------------------------------------------
 
 
-class CommitProtocolEngine(ElectionMixin, ABC):
+class CommitProtocolEngine(ElectionMixin):
     """One site's commit + termination protocol instance.
 
-    Subclasses set :attr:`family` (the message-type namespace) and
-    implement :meth:`_all_voted_yes`; everything else — participant
-    state machine, decision handling, termination, election — is
-    shared and driven by the :class:`TerminationRule`.
+    As it stands, Skeen's quorum commit protocol [16] (``skq``): the
+    3PC flow, committing once every participant has acked and electing
+    a terminator when the ack window closes short.  A subclass changes
+    the commit point through :meth:`_all_voted_yes`,
+    :meth:`_on_ack_progress` and :meth:`_on_ack_timeout`; everything
+    else — participant state machine, decision handling, termination,
+    election — is shared and driven by the :class:`TerminationRule`.
     """
-
-    #: message-type namespace, e.g. ``"qtp1"``; set by subclasses.
-    family: str = "abstract"
 
     #: message kind -> name of the method handling ``<family>.<kind>``
     HANDLERS: ClassVar[Mapping[str, str]] = {
@@ -337,20 +346,6 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         "t.pa-ack": "_on_term_pa_ack",
         "t.blocked": "_on_term_blocked",
     }
-    #: full message type -> handler method name, built per subclass
-    handler_table: ClassVar[Mapping[str, str]] = {}
-    #: message kind -> full message type ``"<family>.<kind>"``, built
-    #: per subclass: what every send of the family reads
-    mtypes: ClassVar[Mapping[str, str]] = {}
-
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-        cls.mtypes = {kind: f"{cls.family}.{kind}" for kind in cls.HANDLERS}
-        cls.handler_table = {
-            **{cls.mtypes[kind]: name for kind, name in cls.HANDLERS.items()},
-            **cls.ELECTION_HANDLERS,
-        }
-
     def __init__(
         self,
         node: "Node",
@@ -358,6 +353,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         catalog: "ReplicaCatalog",
         epochs: Mapping[int, "ReplicaCatalog"],
         rule: TerminationRule,
+        family: str,
         hooks: ProtocolHooks | None = None,
         enforce_ignore_rules: bool = True,
     ) -> None:
@@ -371,6 +367,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
             epochs: every catalog a transaction here may have started
                 in, by epoch (the vote oracle); the owner adds to it.
             rule: termination decision logic for this protocol family.
+            family: the message-type namespace: the protocol's name.
             hooks: database-layer callbacks (default: vote yes, no-op).
             enforce_ignore_rules: when False, participants respond to
                 PREPARE-TO-COMMIT in PA and PREPARE-TO-ABORT in PC —
@@ -382,6 +379,9 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         self.catalog = catalog
         self.epochs = epochs
         self.rule = rule
+        #: message kind -> full message type ``"<family>.<kind>"``:
+        #: what every send reads
+        self.mtypes, handler_table = message_tables(family)
         self.hooks = hooks or ProtocolHooks()
         self.enforce_ignore_rules = enforce_ignore_rules
         self._records: dict[str, TxnRecord] = {}
@@ -394,7 +394,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         self._tracer = node.network.tracer
         self._scheduler = node.network.scheduler
         self._eps = 1e-6 * self._T
-        node.bind_on_delivery(self, self.handler_table)
+        node.bind_on_delivery(self, handler_table)
 
     # -- small helpers ---------------------------------------------------------
 
@@ -517,9 +517,9 @@ class CommitProtocolEngine(ElectionMixin, ABC):
             round_.phase = "preparing"
             self._all_voted_yes(round_)
 
-    @abstractmethod
     def _all_voted_yes(self, round_: _CoordinationRound) -> None:
-        """Family-specific continuation after a unanimous yes vote."""
+        """Continue after a unanimous yes vote: run the prepare round."""
+        self._send_prepare(round_)
 
     def _send_prepare(self, round_: _CoordinationRound, window_factor: float = 2.0) -> None:
         """Broadcast PREPARE(-TO-COMMIT) and open the ack window."""
@@ -544,17 +544,28 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         self._on_ack_progress(round_, msg.src)
 
     def _on_ack_progress(self, round_: _CoordinationRound, acker: int) -> None:
-        """Family hook: ``acker``'s first PC-ACK was just added to
-        ``round_.ackers`` (quorum protocols commit early)."""
+        """``acker``'s first PC-ACK was just added to ``round_.ackers``:
+        commit once every participant has acked."""
+        waiting = round_.waiting
+        waiting.discard(acker)
+        if not waiting:
+            self._coord_decide(round_, "commit")
 
     def _ack_window_closed(self, txn: str) -> None:
         round_ = self._rounds.get(txn)
         if round_ is None or round_.phase != "preparing":
             return
+        self.node.trace(
+            "coord-ack-timeout",
+            round_.txn,
+            missing=[s for s in round_.participants if s not in round_.ackers],
+        )
         self._on_ack_timeout(round_)
 
     def _on_ack_timeout(self, round_: _CoordinationRound) -> None:
-        """Family hook: ack window expired without the family's condition."""
+        """The ack window closed short of the commit point: fall to the
+        termination protocol (its quorums decide)."""
+        self.start_election(round_.txn)
 
     def _coord_decide(self, round_: _CoordinationRound, outcome: str) -> None:
         """Coordinator reaches a decision and broadcasts the command."""
@@ -1038,3 +1049,20 @@ class CommitProtocolEngine(ElectionMixin, ABC):
             record.term_attempt = self._term_attempt_counter
             record.term_mode = ""
             self._arm_watchdog(record, factor=1.0)
+
+
+@functools.cache
+def message_tables(family: str) -> tuple[Mapping[str, str], Mapping[str, str]]:
+    """The message tables of the protocol named ``family``, built on
+    the name's first use and shared by every engine of that name:
+    ``kind -> "family.kind"`` for each :attr:`CommitProtocolEngine.HANDLERS`
+    kind, and the handler table — each of those types, and each
+    election type, to the name of the method that handles it.  The
+    tables are shared: nothing writes to them."""
+    handlers = CommitProtocolEngine.HANDLERS
+    mtypes = {kind: f"{family}.{kind}" for kind in handlers}
+    handler_table = {
+        **{mtypes[kind]: name for kind, name in handlers.items()},
+        **CommitProtocolEngine.ELECTION_HANDLERS,
+    }
+    return mtypes, handler_table

@@ -1,18 +1,21 @@
 """The paper's quorum-based commit and termination protocols (S12–S15).
 
 * :mod:`repro.protocols.qtp.quorums` — Fig. 5's decision table over a
-  commit / abort predicate pair, and the two data-item-vote pairs:
-  termination rules 1 and 2 (Fig. 5 and Fig. 8).
-* :mod:`repro.protocols.qtp.commit` — commit protocols 1 and 2
-  (Fig. 9): the coordinator sends COMMIT as soon as the PC-ACKs it
-  holds make an abort quorum impossible forever.
+  commit / abort predicate pair, the two data-item-vote pairs
+  (termination rules 1 and 2, Fig. 5 and Fig. 8), and the
+  :class:`QuorumTally` each rule's commit predicate folds into.
+* :mod:`repro.protocols.qtp.commit` — the one commit engine of
+  ``qtp1``, ``qtp2`` and ``qtpp`` (Fig. 9 and §5): the coordinator
+  sends COMMIT as soon as the PC-ACKs it holds meet its rule's commit
+  tally, which makes an abort quorum impossible forever.
 * :mod:`repro.protocols.qtp.generalized` — the §5 generalization: the
   same table and early commit over primary copies.
 """
 
-from repro.protocols.qtp.commit import QTP1Engine, QTP2Engine
-from repro.protocols.qtp.generalized import PrimaryTerminationRule, QTPPrimaryEngine
+from repro.protocols.qtp.commit import QuorumCommitEngine
+from repro.protocols.qtp.generalized import PrimaryTerminationRule
 from repro.protocols.qtp.quorums import (
+    QuorumTally,
     QuorumTerminationRule,
     TerminationRule1,
     TerminationRule2,
@@ -21,9 +24,8 @@ from repro.protocols.qtp.quorums import (
 
 __all__ = [
     "PrimaryTerminationRule",
-    "QTP1Engine",
-    "QTP2Engine",
-    "QTPPrimaryEngine",
+    "QuorumCommitEngine",
+    "QuorumTally",
     "QuorumTerminationRule",
     "TerminationRule1",
     "TerminationRule2",

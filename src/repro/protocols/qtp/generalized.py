@@ -26,15 +26,21 @@ partition can ever hold "the primary of some item" outside PC — the
 abort branches are dead everywhere, forever; and symmetrically an
 in-PA primary of x forever bars the all-primaries commit condition.
 
-The matching commit protocol (:class:`QTPPrimaryEngine`) commits as
-soon as the PC-ACKs satisfy the rule's commit predicate — usually far
-fewer acks than CP1's write quorums.
+The matching commit protocol is commit protocols 1 and 2's engine
+(:class:`~repro.protocols.qtp.commit.QuorumCommitEngine`) over this
+rule's commit tally: it commits as soon as the PC-ACKs cover every
+written item's primary site — usually far fewer acks than CP1's write
+quorums.
 """
 
 from __future__ import annotations
 
-from repro.protocols.base import CommitProtocolEngine, _CoordinationRound
-from repro.protocols.qtp.quorums import QuorumTerminationRule
+from typing import TYPE_CHECKING, Iterable
+
+from repro.protocols.qtp.quorums import QuorumTally, QuorumTerminationRule
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.replication.catalog import ReplicaCatalog
 
 
 class PrimaryTerminationRule(QuorumTerminationRule):
@@ -48,32 +54,6 @@ class PrimaryTerminationRule(QuorumTerminationRule):
     def aborts(self, items, sites, participants, catalog) -> bool:
         return any(catalog.primary(x) in sites for x in items)
 
-
-class QTPPrimaryEngine(CommitProtocolEngine):
-    """Commit protocol paired with the primary rule: COMMIT once the
-    PC-ACKs cover every written item's primary site."""
-
-    family = "qtpp"
-
-    def _all_voted_yes(self, round_: _CoordinationRound) -> None:
-        self._send_prepare(round_)
-
-    def _on_ack_progress(self, round_: _CoordinationRound, acker: int) -> None:
-        if self.rule.commits(list(round_.writes), round_.ackers, round_.participants, round_.catalog):
-            self.node.trace(
-                "coord-early-commit",
-                round_.txn,
-                ackers=sorted(round_.ackers),
-                of=len(round_.participants),
-            )
-            self._coord_decide(round_, "commit")
-
-    def _on_ack_timeout(self, round_: _CoordinationRound) -> None:
-        self.node.trace(
-            "coord-ack-timeout",
-            round_.txn,
-            missing=[s for s in round_.participants if s not in round_.ackers],
-        )
-        record = self._records.get(round_.txn)
-        if record is not None and not record.decided:
-            self.start_election(round_.txn)
+    def commit_tally(self, catalog: "ReplicaCatalog", items: Iterable[str]) -> QuorumTally:
+        """The primary of every x: one vote, at the primary's site."""
+        return QuorumTally([({catalog.primary(x): 1}, 1) for x in items], every=True)

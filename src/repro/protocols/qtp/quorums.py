@@ -26,8 +26,13 @@ primary copy (§5)   the primary of every x     the primary of some x
 Skeen's [16]        >= Vc sites                >= Va sites
 ==================  =========================  =========================
 
-The last two live beside their engines
+The last two live in their own modules
 (:mod:`repro.protocols.qtp.generalized`, :mod:`repro.protocols.skeen`).
+
+The three data-item rules also build their commit predicate as a
+:class:`QuorumTally` (:meth:`commit_tally`): the commit protocol paired
+with each (:class:`~repro.protocols.qtp.commit.QuorumCommitEngine`)
+folds its PC-ACKs into it and commits the moment it is met.
 
 Why the table is safe (the intuition behind Lemmas 1 and 2), for any
 pair under which two *disjoint* site sets can never satisfy
@@ -44,7 +49,7 @@ quorums harmless (several abort quorums may form — they agree).
 from __future__ import annotations
 
 from abc import abstractmethod
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.protocols.base import Decision, TerminationRule
 from repro.protocols.states import TxnState
@@ -61,6 +66,45 @@ def votes_by_state(
     for site, state in states.items():
         groups.setdefault(state, set()).add(site)
     return groups
+
+
+class QuorumTally:
+    """A commit predicate folded one site at a time.
+
+    The predicate is a list of parts, each a ``(weights, threshold)``
+    pair — a site's votes towards the part, and how many it needs —
+    met when the sites added so far hold ``threshold`` votes of
+    **every** part (``every``) or of **some** part.  No parts are never
+    met.  :meth:`add` lowers what each part still lacks by the new
+    site's votes; the caller adds each site once.  An ack costs the
+    number of parts, never a recount over every site so far.
+    """
+
+    __slots__ = ("_weights", "_left", "_unmet", "_limit")
+
+    def __init__(self, parts: Sequence[tuple[Mapping[int, int], int]], every: bool) -> None:
+        self._weights = [weights for weights, _ in parts]
+        self._left = [threshold for _, threshold in parts]
+        self._unmet = sum(1 for left in self._left if left > 0)
+        # met while at most this many parts are unmet: none of them
+        # (every), all but one (some); -1 makes no parts never met
+        self._limit = (0 if parts else -1) if every else len(parts) - 1
+
+    def add(self, site: int) -> None:
+        """Count a new site's votes."""
+        left = self._left
+        for index, weights in enumerate(self._weights):
+            votes = weights.get(site)
+            if votes:
+                still = left[index]
+                if still > 0:
+                    left[index] = still = still - votes
+                    if still <= 0:
+                        self._unmet -= 1
+
+    def met(self) -> bool:
+        """Do the sites added so far satisfy the predicate?"""
+        return self._unmet <= self._limit
 
 
 class QuorumTerminationRule(TerminationRule):
@@ -145,6 +189,14 @@ def _r_some(catalog: "ReplicaCatalog", items: list[str], sites: set[int]) -> boo
     return any(catalog.votes(x, sites) >= catalog.r(x) for x in items)
 
 
+def _quorum_parts(
+    catalog: "ReplicaCatalog", items: Iterable[str], quorum: str
+) -> list[tuple[Mapping[int, int], int]]:
+    """Each item's copies and its ``quorum`` threshold (an
+    :class:`~repro.replication.catalog.ItemConfig` field name)."""
+    return [(config.copies, getattr(config, quorum)) for config in map(catalog.item, items)]
+
+
 class TerminationRule1(QuorumTerminationRule):
     """Termination protocol 1 (Fig. 5)."""
 
@@ -155,6 +207,10 @@ class TerminationRule1(QuorumTerminationRule):
 
     def aborts(self, items, sites, participants, catalog) -> bool:
         return _r_some(catalog, items, sites)
+
+    def commit_tally(self, catalog: "ReplicaCatalog", items: Iterable[str]) -> QuorumTally:
+        """Commit protocol 1: w(x) votes for every x."""
+        return QuorumTally(_quorum_parts(catalog, items, "write_quorum"), every=True)
 
 
 class TerminationRule2(QuorumTerminationRule):
@@ -167,3 +223,7 @@ class TerminationRule2(QuorumTerminationRule):
 
     def aborts(self, items, sites, participants, catalog) -> bool:
         return _w_all(catalog, items, sites)
+
+    def commit_tally(self, catalog: "ReplicaCatalog", items: Iterable[str]) -> QuorumTally:
+        """Commit protocol 2: r(x) votes for some x."""
+        return QuorumTally(_quorum_parts(catalog, items, "read_quorum"), every=False)

@@ -11,7 +11,10 @@ hold fewer than ``min(Vc, Va)`` votes, the transaction blocks
 everywhere, and items x and y are inaccessible even in partitions
 holding read or write quorums for them.
 
-Normal operation is the 3PC message flow; the difference is the
+Normal operation is the 3PC message flow, committing once every
+participant has acked and electing a terminator when the ack window
+closes short — :class:`~repro.protocols.base.CommitProtocolEngine` as
+it stands, so this module defines no engine.  The difference is the
 termination rule below (and, symmetrically to the paper's protocols,
 a PA state used while forming abort quorums).
 """
@@ -21,7 +24,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.common.errors import ConfigurationError
-from repro.protocols.base import CommitProtocolEngine, _CoordinationRound
 from repro.protocols.qtp.quorums import QuorumTerminationRule
 
 
@@ -99,28 +101,3 @@ class SkeenQuorumRule(QuorumTerminationRule):
     def aborts(self, items, sites, participants, catalog) -> bool:
         return len(sites) >= self.quorums(participants, catalog)[1]
 
-
-class SkeenEngine(CommitProtocolEngine):
-    """[16]'s engine: 3PC-style flow with the site-quorum termination rule."""
-
-    family = "skq"
-
-    def _all_voted_yes(self, round_: _CoordinationRound) -> None:
-        self._send_prepare(round_)
-
-    def _on_ack_progress(self, round_: _CoordinationRound, acker: int) -> None:
-        waiting = round_.waiting
-        waiting.discard(acker)
-        if not waiting:  # every participant has acked
-            self._coord_decide(round_, "commit")
-
-    def _on_ack_timeout(self, round_: _CoordinationRound) -> None:
-        """Missing acks: fall to the termination protocol (quorum decides)."""
-        self.node.trace(
-            "coord-ack-timeout",
-            round_.txn,
-            missing=[s for s in round_.participants if s not in round_.ackers],
-        )
-        record = self._records.get(round_.txn)
-        if record is not None and not record.decided:
-            self.start_election(round_.txn)

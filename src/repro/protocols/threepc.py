@@ -56,24 +56,10 @@ class ThreePCTerminationRule(TerminationRule):
             return Decision.BLOCK
         return Decision.ABORT
 
-    def commit_round_ok(self, items: list[str], supporters, participants=None, catalog=None) -> bool:
-        """Site failures only: whoever did not ack is presumed crashed."""
-        return True
-
 
 class ThreePCEngine(CommitProtocolEngine):
-    """3PC engine: vote -> prepare -> ack -> commit."""
-
-    family = "3pc"
-
-    def _all_voted_yes(self, round_: _CoordinationRound) -> None:
-        self._send_prepare(round_)
-
-    def _on_ack_progress(self, round_: _CoordinationRound, acker: int) -> None:
-        waiting = round_.waiting
-        waiting.discard(acker)
-        if not waiting:  # every participant has acked
-            self._coord_decide(round_, "commit")
+    """3PC engine: vote -> prepare -> ack -> commit, with or without
+    every ack."""
 
     def _on_ack_timeout(self, round_: _CoordinationRound) -> None:
         """Non-acking sites are treated as failed; commit proceeds.
@@ -82,9 +68,4 @@ class ThreePCEngine(CommitProtocolEngine):
         the transaction's fate is sealed; sites that missed the round
         learn the outcome from termination or recovery.
         """
-        self.node.trace(
-            "coord-ack-timeout",
-            round_.txn,
-            missing=[s for s in round_.participants if s not in round_.ackers],
-        )
         self._coord_decide(round_, "commit")

@@ -48,15 +48,11 @@ class CooperativeTerminationRule(TerminationRule):
             return Decision.COMMIT
         if TxnState.A in reported or TxnState.Q in reported:
             return Decision.ABORT
-        if not states:
-            return Decision.BLOCK
         return Decision.BLOCK
 
 
 class TwoPCEngine(CommitProtocolEngine):
     """2PC engine: no prepare phase; the vote outcome *is* the decision."""
-
-    family = "2pc"
 
     def _all_voted_yes(self, round_: _CoordinationRound) -> None:
         """Unanimous yes: 2PC commits immediately (the commit point is

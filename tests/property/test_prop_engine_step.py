@@ -15,13 +15,13 @@ replaced, kept in this file:
   both ways, and no engine callback may run on a down site or on a site
   that was forced out (one run on a site that left gracefully acts on
   nothing).
-* **Folded tallies.**  The waiting set of a round and the per-item
-  :class:`~repro.protocols.qtp.commit.QuorumTally` must decide at the
-  very vote or ack at which the recount — ``all(votes)`` over the
-  participants, ``set(participants) <= ackers``,
-  ``catalog.votes(x, ackers) >= w(x)`` for every x or ``>= r(x)`` for
-  some x — first holds, over hypothesis catalogs with weighted votes and
-  repeated replies.
+* **Folded tallies.**  The waiting set of a round and the
+  :class:`~repro.protocols.qtp.quorums.QuorumTally` a quorum rule builds
+  must decide at the very vote or ack at which the recount — ``all(votes)``
+  over the participants, ``set(participants) <= ackers``, the rule's
+  own ``commits`` (w(x) votes for every x, r(x) votes for some x, the
+  primary of every x) — first holds, over hypothesis catalogs with
+  weighted votes, any primaries and repeated replies.
 * **The undecided index.**  After every scheduler step of random runs,
   each engine's ``undecided`` equals a scan of its ``records()`` for the
   records not yet decided, in the same order.
@@ -34,11 +34,12 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import Cluster, FailurePlan, FixedDelay, UniformDelay
+from repro import PROTOCOL_NAMES, Cluster, FailurePlan, FixedDelay, UniformDelay
 from repro.common.errors import SiteDownError
 from repro.net.message import Message
 from repro.protocols.base import CommitProtocolEngine, _CoordinationRound
-from repro.protocols.qtp.commit import QuorumTally
+from repro.protocols.qtp.generalized import PrimaryTerminationRule
+from repro.protocols.qtp.quorums import TerminationRule1, TerminationRule2
 from repro.replay.recorder import cluster_counters
 from repro.replication.catalog import ItemConfig, ReplicaCatalog
 from repro.sim.scheduler import Scheduler
@@ -52,7 +53,7 @@ from repro.workload.generators import (
 )
 from repro.workload.spec import WorkloadSpec
 
-PROTOCOLS = ["2pc", "3pc", "skq", "qtp1", "qtp2"]
+PROTOCOLS = list(PROTOCOL_NAMES)
 REGIONS = wan_regions(4, 8)
 ALL_SITES = [s for region in REGIONS for s in region]
 
@@ -304,8 +305,8 @@ def forced_leave(seed, protocol):
 
 @st.composite
 def weighted_catalogs(draw):
-    """1-4 items over sites 1-6 with 1-3 votes per copy and any legal
-    (r, w) pair."""
+    """1-4 items over sites 1-6 with 1-3 votes per copy, any legal
+    (r, w) pair and any host (or the default) as the primary."""
     configs = []
     for index in range(draw(st.integers(1, 4))):
         hosts = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5, unique=True))
@@ -313,7 +314,8 @@ def weighted_catalogs(draw):
         v = sum(copies.values())
         w = draw(st.integers(v // 2 + 1, v))
         r = draw(st.integers(v - w + 1, v))
-        configs.append(ItemConfig(f"i{index}", copies, r, w))
+        primary = draw(st.none() | st.sampled_from(hosts))
+        configs.append(ItemConfig(f"i{index}", copies, r, w, primary))
     return ReplicaCatalog(configs)
 
 
@@ -330,22 +332,35 @@ def replies(draw):
 REPLIES = replies()
 
 
+#: the quorum rules, each building the commit tally of its commit protocol
+QUORUM_RULES = [TerminationRule1(), TerminationRule2(), PrimaryTerminationRule()]
+
+
 class TestQuorumTallyEqualsRecount:
-    @given(catalog=weighted_catalogs(), acks=REPLIES)
+    @pytest.mark.parametrize("rule", QUORUM_RULES, ids=lambda rule: rule.name)
+    @given(catalog=weighted_catalogs(), acks=REPLIES, data=st.data())
     @settings(max_examples=200, deadline=None)
-    def test_every_prefix_of_acks(self, catalog, acks):
-        items = catalog.item_names
-        writes = set(items)
-        cp1 = QuorumTally(catalog, writes, "write_quorum")
-        cp2 = QuorumTally(catalog, writes, "read_quorum")
+    def test_every_prefix_of_acks(self, rule, catalog, acks, data):
+        # any write set, the empty one included
+        items = sorted(data.draw(st.sets(st.sampled_from(catalog.item_names))))
+        tally = rule.commit_tally(catalog, items)
         ackers = set()
+        assert tally.met() == rule.commits(items, ackers, None, catalog)
         for site in acks:
             if site not in ackers:  # the engine adds each acker once
                 ackers.add(site)
-                cp1.add(site)
-                cp2.add(site)
-            assert cp1.all_met() == all(catalog.votes(x, ackers) >= catalog.w(x) for x in items)
-            assert cp2.any_met() == any(catalog.votes(x, ackers) >= catalog.r(x) for x in items)
+                tally.add(site)
+            assert tally.met() == rule.commits(items, ackers, None, catalog)
+
+    @pytest.mark.parametrize("rule", QUORUM_RULES, ids=lambda rule: rule.name)
+    @given(catalog=weighted_catalogs())
+    @settings(max_examples=20, deadline=None)
+    def test_no_written_item_never_commits(self, rule, catalog):
+        tally = rule.commit_tally(catalog, [])
+        for site in catalog.all_sites():
+            tally.add(site)
+        assert not tally.met()
+        assert not rule.commits([], set(catalog.all_sites()), None, catalog)
 
 
 def _cluster_for(catalog, protocol):
@@ -357,11 +372,13 @@ def _recount(protocol, catalog, participants, ackers):
         return all(catalog.votes(x, ackers) >= catalog.w(x) for x in catalog.item_names)
     if protocol == "qtp2":
         return any(catalog.votes(x, ackers) >= catalog.r(x) for x in catalog.item_names)
+    if protocol == "qtpp":
+        return all(catalog.primary(x) in ackers for x in catalog.item_names)
     return set(participants) <= ackers
 
 
 class TestRoundTalliesEqualRecount:
-    @pytest.mark.parametrize("protocol", ["3pc", "skq", "qtp1", "qtp2"])
+    @pytest.mark.parametrize("protocol", ["3pc", "skq", "qtp1", "qtp2", "qtpp"])
     @given(catalog=weighted_catalogs(), acks=REPLIES)
     @settings(max_examples=40, deadline=None)
     def test_commit_at_the_first_ack_the_recount_allows(self, protocol, catalog, acks):

@@ -30,7 +30,7 @@ from unittest import mock
 
 import pytest
 
-from repro import Cluster, FailurePlan, FixedDelay, UniformDelay
+from repro import PROTOCOL_NAMES, Cluster, FailurePlan, FixedDelay, UniformDelay
 from repro.experiments.service_study import open_loop_scenario
 from repro.net.message import Message
 from repro.net.network import Network
@@ -50,7 +50,7 @@ from repro.workload.generators import (
 )
 from repro.workload.spec import WorkloadSpec
 
-PROTOCOLS = ["2pc", "3pc", "skq", "qtp1", "qtp2"]
+PROTOCOLS = list(PROTOCOL_NAMES)
 REGIONS = wan_regions(4, 8)
 ALL_SITES = [s for region in REGIONS for s in region]
 

@@ -61,6 +61,13 @@ edges and the deadlock detector that searched them stay deleted, and
 path.  Nor does a process-wide transaction counter or ``SweepSpec``'s
 uncalled per-run seed helper come back: every transaction id is minted
 by its issuer.
+
+So are the per-protocol engine classes: an engine class is a commit
+behaviour and the protocol's name is its message namespace, so the
+protocol layer keeps four engine classes — the base engine (Skeen's
+protocol), 2PC's, 3PC's and the one quorum engine of qtp1, qtp2 and
+qtpp — and the five classes, the threshold attribute and the
+per-variant test the quorum engine replaced stay undefined.
 """
 
 import importlib
@@ -71,6 +78,7 @@ from pathlib import Path
 import pytest
 
 import repro.engine as engine
+import repro.protocols as protocols
 import repro.bench as bench
 from repro.bench import cases, check, compare, gate, run_case, update
 from repro.bench.__main__ import main as bench_main
@@ -607,3 +615,65 @@ def test_retired_net_name_stays_undefined(name):
     word = re.compile(rf"\b{name}\b")
     sources = sorted(NET_SRC.glob("*.py"))
     assert [p.name for p in sources if word.search(p.read_text())] == []
+
+
+#: the per-protocol engine classes and the quorum engine's per-variant
+#: hooks (split so a grep of the source for them stays empty)
+RETIRED_ENGINE_CLASSES = [
+    head + tail
+    for head, tail in [
+        ("Skeen", "Engine"),
+        ("_Quorum", "CommitEngine"),
+        ("QTP1", "Engine"),
+        ("QTP2", "Engine"),
+        ("QTPPrimary", "Engine"),
+        ("ack", "_quorum"),
+        ("_commit_quorum", "_reached"),
+    ]
+]
+PROTOCOLS_SRC = Path(protocols.__file__).parent
+PROTOCOL_MODULES = [
+    "repro.protocols",
+    "repro.protocols.base",
+    "repro.protocols.twopc",
+    "repro.protocols.threepc",
+    "repro.protocols.skeen",
+    "repro.protocols.qtp",
+    "repro.protocols.qtp.commit",
+    "repro.protocols.qtp.generalized",
+    "repro.protocols.qtp.quorums",
+    "repro.db.cluster",
+]
+
+
+@pytest.mark.parametrize("name", RETIRED_ENGINE_CLASSES)
+def test_retired_engine_class_stays_undefined(name):
+    from repro.protocols.base import CommitProtocolEngine
+    from repro.protocols.qtp import QuorumCommitEngine
+
+    for home in PROTOCOL_MODULES:
+        module = importlib.import_module(home)
+        assert not hasattr(module, name), f"{home}.{name}"
+        assert name not in getattr(module, "__all__", ()), home
+    for cls in (CommitProtocolEngine, QuorumCommitEngine):
+        assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+    word = re.compile(rf"\b{name}\b")
+    sources = [*sorted(PROTOCOLS_SRC.rglob("*.py")), REPO / "src" / "repro" / "db" / "cluster.py"]
+    assert [p.name for p in sources if word.search(p.read_text())] == []
+
+
+def test_four_engine_classes_and_no_family_attribute():
+    from repro.protocols.base import CommitProtocolEngine
+
+    def subclasses(cls):
+        return {cls}.union(*(subclasses(sub) for sub in cls.__subclasses__()))
+
+    # importing the cluster imports every protocol
+    importlib.import_module("repro.db.cluster")
+    engines = subclasses(CommitProtocolEngine)
+    names = {cls.__name__ for cls in engines}
+    assert names == {"CommitProtocolEngine", "TwoPCEngine", "ThreePCEngine", "QuorumCommitEngine"}
+    for cls in engines:
+        for attribute in ("family", "handler_table", "mtypes"):
+            assert attribute not in vars(cls), f"{cls.__name__}.{attribute}"
+
