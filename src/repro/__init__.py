@@ -43,7 +43,6 @@ from repro.common.errors import (
     QuorumUnreachableError,
     ReproError,
     TransactionAborted,
-    TransactionBlocked,
 )
 from repro.db.cluster import PROTOCOL_NAMES, Cluster
 from repro.db.txn import TxnHandle
@@ -70,7 +69,6 @@ __all__ = [
     "ReplicaCatalog",
     "ReproError",
     "TransactionAborted",
-    "TransactionBlocked",
     "TxnHandle",
     "TxnState",
     "UniformDelay",

@@ -7,7 +7,6 @@ depends on any other ``repro`` package.
 
 from repro.common.errors import (
     ConfigurationError,
-    ElectionError,
     NotSerializableError,
     ProtocolError,
     QuorumUnreachableError,
@@ -16,13 +15,11 @@ from repro.common.errors import (
     StorageError,
     StoreError,
     TransactionAborted,
-    TransactionBlocked,
 )
 from repro.common.ids import SiteId, TxnId, make_txn_id
 
 __all__ = [
     "ConfigurationError",
-    "ElectionError",
     "NotSerializableError",
     "ProtocolError",
     "QuorumUnreachableError",
@@ -32,7 +29,6 @@ __all__ = [
     "StorageError",
     "StoreError",
     "TransactionAborted",
-    "TransactionBlocked",
     "TxnId",
     "make_txn_id",
 ]

@@ -58,10 +58,6 @@ class ProtocolError(ReproError):
     """
 
 
-class ElectionError(ReproError):
-    """The election substrate was used incorrectly."""
-
-
 class TransactionAborted(ReproError):
     """Raised to a client whose transaction was aborted."""
 
@@ -69,14 +65,6 @@ class TransactionAborted(ReproError):
         super().__init__(f"transaction {txn_id} aborted: {reason or 'unspecified'}")
         self.txn_id = txn_id
         self.reason = reason
-
-
-class TransactionBlocked(ReproError):
-    """Raised to a client that demanded a decided outcome for a blocked txn."""
-
-    def __init__(self, txn_id: str) -> None:
-        super().__init__(f"transaction {txn_id} is blocked awaiting failure recovery")
-        self.txn_id = txn_id
 
 
 class NotSerializableError(ReproError):

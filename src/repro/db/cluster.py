@@ -243,14 +243,18 @@ class Cluster:
     ) -> TxnHandle:
         """Submit an update transaction and start its commit procedure.
 
-        Gifford semantics: the participants are the *reachable* hosts
-        of the writeset copies, and they must muster ``w(x)`` votes for
-        every written item (unreachable copies go stale; version
-        numbers mask them at read time).  New version numbers are
-        resolved from the reachable copies (max observed + 1).  The
-        commit protocol then runs asynchronously — call :meth:`run` to
-        let it play out and :meth:`outcome` / :meth:`states` to
-        inspect the result.
+        A write-only :meth:`transaction`: each item of ``writes`` is
+        staged with :meth:`InteractiveTransaction.write
+        <repro.db.transactions.InteractiveTransaction.write>` and the
+        transaction submitted, so an update takes the one write path
+        an interactive transaction takes.  Gifford semantics: the
+        participants are the *reachable* hosts of the writeset copies,
+        and they must muster ``w(x)`` votes for every written item
+        (unreachable copies go stale; version numbers mask them at read
+        time).  New version numbers are resolved from the reachable
+        copies (max observed + 1).  The commit protocol then runs
+        asynchronously — call :meth:`run` to let it play out and
+        :meth:`outcome` / :meth:`states` to inspect the result.
 
         Raises:
             QuorumUnreachableError: the origin's partition lacks a
@@ -258,47 +262,40 @@ class Cluster:
             SiteDownError: the origin is down (crashed, or left);
                 nothing was registered or logged.
         """
-        self._counter += 1
-        txn = txn_id or make_txn_id(origin, self._counter)
-        origin_site = self.sites.get(origin)
-        if origin_site is None or not origin_site.alive:
+        txn = self.transaction(origin, txn_id)
+        site = self.sites.get(origin)
+        if site is None or not site.alive:
             raise SiteDownError(f"site {origin} is down")
-        planner = self.planner
-        live = self.network.live_peers(origin)
-        versioned: dict[str, tuple[Any, int]] = {}
-        hosts: set[int] = set()
-        for item in sorted(writes):
-            item_hosts, version = self.write_target(planner, live, item)
-            hosts.update(item_hosts)
-            versioned[item] = (writes[item], version)
-        participants = tuple(sorted(hosts))
-        handle = TxnHandle(txn, origin, versioned, participants)
-        self._txns[txn] = handle
-        origin_site.ensure_engine().begin_commit(txn, versioned, participants=participants)
-        return handle
+        for item, value in writes.items():
+            txn.write(item, value)
+        return txn.submit()
 
     def write_target(
         self, planner: QuorumPlanner, live: Container[int], item: str, base: int | None = None
     ) -> tuple[list[int], int]:
         """Where a write of ``item`` goes, and the version it installs.
 
-        The one write-quorum rule of :meth:`update` and
+        The one write-quorum rule, applied by
         :meth:`InteractiveTransaction.submit
-        <repro.db.transactions.InteractiveTransaction.submit>`: the
-        write goes to every copy in ``live`` (in ranked order), which
-        must muster ``w(x)`` votes, and installs one past ``base`` —
-        the version the transaction read — or, when it read none, one
-        past the newest of those copies.  Under ``qtpp`` ``live`` must
-        also hold the item's primary (§5: only the primary's partition
-        may write it); without it the transaction could never gather
-        its primary's ack, vote or state, and would block for good.
+        <repro.db.transactions.InteractiveTransaction.submit>` (and so
+        by :meth:`update`): the write goes to every copy in ``live`` (in
+        ranked order), which must muster ``w(x)`` votes, and installs
+        one past ``base`` — the version the transaction read — or, when
+        it read none, one past the newest of those copies.  Under a
+        rule whose writes need the primary (``qtpp``, see
+        :attr:`TerminationRule.writes_need_primary
+        <repro.protocols.base.TerminationRule.writes_need_primary>`)
+        ``live`` must also hold the item's primary (§5: only the
+        primary's partition may write it); without it the transaction
+        could never gather its primary's ack, vote or state, and would
+        block for good.
 
         Raises:
             QuorumUnreachableError: ``live`` lacks ``w(x)`` votes, or
                 the primary under ``qtpp``.
         """
         hosts = planner.write_hosts(item, live)
-        if self.protocol == "qtpp" and planner.catalog.primary(item) not in live:
+        if self._engines.rule.writes_need_primary and planner.catalog.primary(item) not in live:
             raise QuorumUnreachableError(item, "primary-copy write", 0, 1)
         if base is None:
             sites = self.sites
@@ -308,20 +305,22 @@ class Cluster:
     def transaction(self, origin: int, txn_id: str | None = None) -> "InteractiveTransaction":
         """Open an interactive transaction (quorum reads + staged writes).
 
-        Ids come from this cluster's own counter, so identically seeded
-        runs produce identical transaction ids (the experiment harness
-        compares runs by id).  See
+        Every call takes the next ordinal of this cluster's counter,
+        whether or not ``txn_id`` names the transaction; without one the
+        id is built from the origin and that ordinal, so identically
+        seeded runs produce identical transaction ids (the experiment
+        harness compares runs by id).  See
         :class:`repro.db.transactions.InteractiveTransaction`.
         """
-        if txn_id is None:
-            self._counter += 1
-            txn_id = make_txn_id(origin, self._counter)
-        return InteractiveTransaction(self, origin, txn_id)
+        self._counter += 1
+        return InteractiveTransaction(self, origin, txn_id or make_txn_id(origin, self._counter))
 
     def register_submitted(self, handle: TxnHandle, reads: Mapping[str, int]) -> None:
-        """Record a submitted interactive transaction's read footprint."""
+        """Record a submitted transaction and its read footprint (a
+        write-only one, as every :meth:`update` is, has none to keep)."""
         self._txns[handle.txn] = handle
-        self._read_footprints[handle.txn] = dict(reads)
+        if reads:
+            self._read_footprints[handle.txn] = dict(reads)
 
     def record_footprint(self, txn: str, reads: Mapping[str, int], writes: Mapping[str, int]) -> None:
         """Record a read-only transaction that committed client-side."""
@@ -503,8 +502,7 @@ class Cluster:
             raise ConfigurationError(f"cannot join near unknown site {near}")
         copies = dict(copies or {})
         catalog = self.catalog.admit_site(site_id, copies)
-        if self.protocol == "skq":
-            self._engines.rule.check_total(len(self.sites) - len(self._draining) + 1)
+        self._engines.rule.check_total(len(self.sites) - len(self._draining) + 1)
         self._enter_epoch(catalog)
         # registers on the network; its engine is built on first use
         site = Site(site_id, self.network, sorted(copies), self._engines)

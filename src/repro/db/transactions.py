@@ -15,6 +15,9 @@ user of the database holds while executing:
    releases *all* the transaction's locks — including read locks at
    sites that host none of the written items.
 
+:meth:`Cluster.update <repro.db.cluster.Cluster.update>` is steps 2 and
+3 alone: a write-only transaction, submitted through this same path.
+
 A transaction whose origin site is down (crashed, or left) is refused
 before it takes a lock, registers, or writes a log row: :meth:`read`
 and :meth:`submit` release whatever it already holds and raise
@@ -163,7 +166,7 @@ class InteractiveTransaction:
         participants = sorted(write_hosts | self._locked_sites)
         handle = TxnHandle(self.txn, self.origin, versioned, tuple(participants))
         self.phase = TxnPhase.SUBMITTED
-        cluster.register_submitted(handle, dict(self._reads))
+        cluster.register_submitted(handle, self._reads)
         cluster.sites[self.origin].ensure_engine().begin_commit(
             self.txn, versioned, participants=participants
         )

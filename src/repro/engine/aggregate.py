@@ -262,23 +262,6 @@ class MeanAcc(Accumulator):
     def sd(self) -> float:
         return self.variance() ** 0.5
 
-    def ci(self, confidence: float = 0.95) -> tuple[float, float]:
-        """Two-sided t confidence interval (matches ``stats.mean_ci``).
-
-        Not part of :meth:`summary` — the t quantile comes from scipy,
-        whose last-ulp behaviour may drift across versions, and summary
-        output must stay byte-stable enough to commit as a baseline.
-        """
-        mean = self.mean()
-        sd = self.sd()
-        if self.n < 2 or sd == 0.0:
-            return mean, mean
-        from scipy import stats
-
-        sem = sd / self.n**0.5
-        low, high = stats.t.interval(confidence, df=self.n - 1, loc=mean, scale=sem)
-        return float(low), float(high)
-
     def summary(self) -> dict[str, Any]:
         return {
             "kind": self.kind,

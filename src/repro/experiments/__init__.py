@@ -56,7 +56,6 @@ from repro.experiments.resilience_study import (
     rolling_upgrade_scenario,
 )
 from repro.experiments.service_study import open_loop_scenario
-from repro.experiments.stats import mean_ci, paired_comparison
 from repro.experiments.sweeps import (
     availability_sweep,
     modelcheck,
@@ -101,10 +100,8 @@ __all__ = [
     "CommitMetrics",
     "availability_sweep",
     "latency_sweep",
-    "mean_ci",
     "measure_commit",
     "modelcheck",
-    "paired_comparison",
     "pairing_ablation",
     "reenterability_storm",
     "timeout_ablation",

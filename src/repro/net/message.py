@@ -6,13 +6,13 @@ string namespaces the protocol family (``"2pc.vote-req"``,
 carries protocol-specific fields.  Keeping one type means the network,
 tracer, and failure injector never need protocol-specific knowledge.
 
-Hot-path note: every message the library sends — a single
-:meth:`Node.send <repro.net.node.Node.send>` as much as each
-destination of a fan-out — is built here, so the constructor is six
-plain slot stores (a frozen dataclass pays one ``object.__setattr__``
-per field).  A message is immutable by contract: nothing in the library
-mutates one in flight, and a fan-out shares one payload dict across
-its destinations.
+Hot-path note: every message the library sends is built in one place,
+:meth:`Network.fanout <repro.net.network.Network.fanout>` — a single
+:meth:`Node.send <repro.net.node.Node.send>` is a fan-out to one
+destination — so the constructor is six plain slot stores (a frozen
+dataclass pays one ``object.__setattr__`` per field).  A message is
+immutable by contract: nothing in the library mutates one in flight,
+and a fan-out shares one payload dict across its destinations.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 ``Network`` is the single facade the rest of the library talks to:
 
-* protocol engines call :meth:`send`;
+* protocol engines call :meth:`fanout` (through their node);
 * the failure injector calls :meth:`crash_site`, :meth:`recover_site`,
   :meth:`set_partition`, :meth:`heal`, :meth:`set_link_loss`;
 * the analysis layer reads :attr:`partition` and :meth:`active_sites`.
@@ -33,13 +33,15 @@ Semantics (matching the paper's fault model):
 Hot paths (the randomized studies push 10^5+ messages per run):
 
 * **One send path, connectivity evaluated per epoch.**  Every message
-  — a :meth:`send` as much as each destination of a :meth:`fanout` —
-  passes the same checks in the same order: unknown destination, sender
-  down, filtered, link loss, partitioned, then the delay draw.  Filters
-  and link loss are consulted only while one exists, and the loss RNG
-  is drawn only for a link with ``0 < p < 1``.  The partition check
-  reads a per-*connectivity-epoch* cache of each source's reachable
-  peers.  An epoch is bumped — and the cache busted — by every event
+  is judged by one body, :meth:`fanout`: :meth:`send` and
+  :meth:`Node.send <repro.net.node.Node.send>` are fan-outs to one
+  destination.  Each destination passes the same checks in the same
+  order: unknown destination, sender down, filtered, link loss,
+  partitioned, then the delay draw.  Filters and link loss are
+  consulted only while one exists, and the loss RNG is drawn only for
+  a link with ``0 < p < 1``.  The partition check reads a
+  per-*connectivity-epoch* cache of each source's reachable peers.  An
+  epoch is bumped — and the cache busted — by every event
   that can change who may talk to whom or who is alive:
   ``set_partition``, ``heal``, ``crash_site``, ``recover_site``,
   ``register``, ``deregister`` and ``place_with``.  Each delivery is
@@ -70,15 +72,15 @@ Hot paths (the randomized studies push 10^5+ messages per run):
   ``send`` / ``deliver`` / ``drop`` records go through
   :meth:`Tracer.record_send` and friends, which append straight into
   the columnar store — one call, no detail dict, no record object.
-* **A message is built with plain slot stores.**  :meth:`fanout` and
-  :meth:`Node.send <repro.net.node.Node.send>` construct one
-  :class:`~repro.net.message.Message` per destination; its constructor
-  is six slot stores, and a fan-out shares one payload dict.
-* **The clock is an attribute load.**  ``send``, ``fanout``, the
-  deliveries and ``_drop`` read :attr:`Scheduler.now
+* **A message is built in one place, with plain slot stores.**
+  :meth:`fanout` constructs one :class:`~repro.net.message.Message` per
+  destination and nothing else in the library constructs one; its
+  constructor is six slot stores, and a fan-out shares one payload dict.
+* **The clock is an attribute load.**  ``fanout``, the deliveries and
+  ``_drop`` read :attr:`Scheduler.now
   <repro.sim.scheduler.Scheduler.now>` off the scheduler this network
-  holds — a plain attribute, read once per ``send`` / ``fanout``; no
-  property sits between an event and the time it happens at.
+  holds — a plain attribute, read once per ``fanout``; no property sits
+  between an event and the time it happens at.
 """
 
 from __future__ import annotations
@@ -350,8 +352,8 @@ class Network:
 
         ``site in network.live_peers(src)`` agrees with ``site in
         network.reachable_from(src)``, but the component comes from the
-        per-epoch reachable-peer cache :meth:`send` and :meth:`fanout`
-        keep, and nothing is sorted.
+        per-epoch reachable-peer cache :meth:`fanout` keeps, and
+        nothing is sorted.
 
         Raises:
             ValueError: ``src`` is not a registered site.
@@ -469,58 +471,12 @@ class Network:
     # ------------------------------------------------------------------
 
     def send(self, msg: Message) -> None:
-        """Transmit a message, subject to the fault model.
+        """Transmit ``msg``: a fan-out to its one destination.
 
-        The message is dropped (with a traced reason) when the
-        destination is unknown, the sender is down, a filter matches,
-        the link loses it, or the partition separates the pair at send
-        time — checked in that order.  It is dropped again at delivery
-        time if the destination crashed or left, or the partition
-        changed, while it was in flight.
+        :meth:`fanout` judges it and builds the message that travels
+        (so ``msg`` itself is not the object delivered).
         """
-        self.sent += 1
-        src = msg.src
-        dst = msg.dst
-        sched = self._scheduler
-        now = sched.now
-        self._tracer.record_send(now, src, msg.txn, msg.mtype, dst)
-        nodes = self._nodes
-        dst_node = nodes.get(dst)
-        if dst_node is None:
-            self._drop(msg, "unknown-destination")
-            return
-        src_node = nodes.get(src)
-        if src_node is not None and not src_node.alive:
-            self._drop(msg, "sender-down")
-            return
-        if self._filters and any(pred(msg) for pred in self._filters):
-            self._drop(msg, "filtered")
-            return
-        if self._link_loss:
-            p = self._link_loss.get((src, dst))
-            if p is not None and (p >= 1.0 or self._rng.random() < p):
-                self._drop(msg, "link-loss")
-                return
-        peers = self._sendable.get(src)
-        if peers is None:
-            # component_of raises on an unknown source
-            peers = self._sendable[src] = self.partition.component_of(src)
-        if dst not in peers:
-            self._drop(msg, "partitioned")
-            return
-        if src == dst:
-            # local processing: no propagation delay, but still a separate
-            # scheduler event so handlers never re-enter each other.
-            delay = 0.0
-        else:
-            delay = self._delay_model.sample(self._rng, src, dst)
-            degraded = self._degraded
-            if degraded:
-                delay *= degraded.get(src, 1.0) * degraded.get(dst, 1.0)
-        # deliveries are never cancelled, so no EventHandle is needed; a
-        # destination down now must be re-checked on arrival (-1 is no epoch)
-        epoch = self._epoch if dst_node.alive else -1
-        sched.call_fixed(now + delay, self._deliver, dst_node, msg, epoch)
+        self.fanout(msg.src, (msg.dst,), msg.mtype, msg.txn, msg.payload)
 
     def fanout(
         self,
@@ -530,19 +486,25 @@ class Network:
         txn: str = "",
         payload: dict | None = None,
     ) -> None:
-        """Send one message per destination, hoisting per-source work.
+        """Transmit one message per destination, subject to the fault model.
 
-        The fan-out primitive behind :meth:`Node.broadcast
+        The one body that judges a send: :meth:`send`, :meth:`Node.send
+        <repro.net.node.Node.send>`, :meth:`Node.broadcast
         <repro.net.node.Node.broadcast>` and :meth:`Node.multicast
-        <repro.net.node.Node.multicast>`: the protocol engines route
-        vote requests, PREPAREs, decisions and termination polls here.
-        Each destination gets its own :class:`~repro.net.message.Message`
-        with its own ``msg_id``, judged by :meth:`send`'s checks in
-        :meth:`send`'s order (so the loss RNG is drawn exactly as a
-        manual send loop draws it); the sender-liveness check, the
-        reachable-peer set and the virtual clock are read once per
-        fan-out instead of once per destination — no events run between
-        the per-destination sends, so none of them can change mid-loop.
+        <repro.net.node.Node.multicast>` all come here, and the
+        protocol engines route vote requests, PREPAREs, decisions and
+        termination polls through it.  Each destination gets its own
+        :class:`~repro.net.message.Message` with its own ``msg_id``,
+        dropped (with a traced reason) when the destination is unknown,
+        the sender is down, a filter matches, the link loses it, or the
+        partition separates the pair at send time — checked in that
+        order, destination by destination, so the loss RNG is drawn
+        exactly as a loop of single sends draws it.  It is dropped
+        again at delivery time if the destination crashed or left, or
+        the partition changed, while it was in flight.  The
+        sender-liveness check, the reachable-peer set and the virtual
+        clock are read once per call — no events run between the
+        per-destination sends, so none of them can change mid-loop.
         The payload dict is shared across the fan-out — messages are
         immutable by contract.
         """
@@ -582,13 +544,18 @@ class Network:
                     drop(msg, "link-loss")
                     continue
             if peers is None:
+                # component_of raises on an unknown source
                 peers = self._sendable[src] = self.partition.component_of(src)
             if dst not in peers:
                 drop(msg, "partitioned")
                 continue
+            # a local message has no propagation delay, but is still a
+            # separate scheduler event so handlers never re-enter each other
             delay = 0.0 if src == dst else sample(rng, src, dst)
             if degraded and delay:
                 delay *= degraded.get(src, 1.0) * degraded.get(dst, 1.0)
+            # deliveries are never cancelled, so no EventHandle is needed; a
+            # destination down now must be re-checked on arrival (-1 is no epoch)
             sched.call_fixed(now + delay, deliver, dst_node, msg, epoch if dst_node.alive else -1)
 
     def _deliver(self, node: "Node", msg: Message, epoch: int) -> None:

@@ -41,9 +41,11 @@ the network's lifetime, so a node takes both when it is built:
 the clock as ``self._scheduler.now`` — two attribute loads — and a
 node timer is one :meth:`Scheduler.call_at
 <repro.sim.scheduler.Scheduler.call_at>` after the node's own
-liveness and negative-delay checks.  :meth:`Node.send` builds its
-:class:`~repro.net.message.Message` the way a fan-out builds each of
-its own.
+liveness and negative-delay checks.  A node builds no
+:class:`~repro.net.message.Message`: :meth:`Node.send` is a
+:meth:`Network.fanout <repro.net.network.Network.fanout>` to one
+destination, as :meth:`Node.broadcast` and :meth:`Node.multicast` are
+to many, so every message is built and judged in that one place.
 
 Crash semantics follow the paper's model:
 
@@ -162,10 +164,12 @@ class Node:
         return self._scheduler.now
 
     def send(self, dst: int, mtype: str, txn: str = "", **payload: Any) -> None:
-        """Send one message; raises :class:`SiteDownError` if this site is down."""
+        """Send one message: a :meth:`Network.fanout
+        <repro.net.network.Network.fanout>` to ``(dst,)``.  Raises
+        :class:`SiteDownError` if this site is down."""
         if not self.alive:
             raise SiteDownError(f"site {self.node_id} is down")
-        self.network.send(Message(self.node_id, dst, mtype, txn, payload))
+        self.network.fanout(self.node_id, (dst,), mtype, txn, payload)
 
     def broadcast(self, dsts: list[int], mtype: str, txn: str = "", **payload: Any) -> None:
         """Send the same message to every destination (excluding self).

@@ -123,6 +123,9 @@ class TerminationRule(ABC):
 
     #: short name used in traces and experiment tables.
     name: str = "abstract"
+    #: whether a write must reach its item's primary copy (§5's access
+    #: rule; the cluster's write-quorum rule reads it)
+    writes_need_primary: bool = False
 
     @abstractmethod
     def evaluate(
@@ -133,6 +136,12 @@ class TerminationRule(ABC):
         catalog: "ReplicaCatalog | None" = None,
     ) -> Decision:
         """Phase-2 decision given phase-1 state reports."""
+
+    def check_total(self, sites: int) -> None:
+        """May the installation grow to ``sites`` sites?  Called on
+        every join; a rule whose quorums are counted over a fixed site
+        total raises :class:`~repro.common.errors.ConfigurationError`
+        here.  The default accepts any total."""
 
     def commit_round_ok(
         self,
@@ -518,16 +527,17 @@ class CommitProtocolEngine(ElectionMixin):
             self._all_voted_yes(round_)
 
     def _all_voted_yes(self, round_: _CoordinationRound) -> None:
-        """Continue after a unanimous yes vote: run the prepare round."""
+        """Continue after a unanimous yes vote: run the prepare round,
+        awaiting every participant's ack."""
+        round_.waiting = set(round_.participants)
         self._send_prepare(round_)
 
-    def _send_prepare(self, round_: _CoordinationRound, window_factor: float = 2.0) -> None:
+    def _send_prepare(self, round_: _CoordinationRound) -> None:
         """Broadcast PREPARE(-TO-COMMIT) and open the ack window."""
         self.node.multicast(round_.participants, self.mtypes["prepare"], round_.txn)
-        round_.waiting = set(round_.participants)
         sched = self._scheduler
         round_.ack_window = sched.call_at(
-            sched.now + window_factor * self._T + self._eps,
+            sched.now + 2 * self._T + self._eps,
             self._ack_window_closed,
             round_.txn,
             label="ack-window",

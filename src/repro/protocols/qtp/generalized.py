@@ -31,6 +31,11 @@ The matching commit protocol is commit protocols 1 and 2's engine
 rule's commit tally: it commits as soon as the PC-ACKs cover every
 written item's primary site — usually far fewer acks than CP1's write
 quorums.
+
+The rule carries §5's access rule too: its
+:attr:`~repro.protocols.base.TerminationRule.writes_need_primary` makes
+the cluster refuse a write whose origin's partition lacks the item's
+primary.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ class PrimaryTerminationRule(QuorumTerminationRule):
     """Fig. 5's table over the primary-copy strategy."""
 
     name = "qtp-primary"
+    writes_need_primary = True
 
     def commits(self, items, sites, participants, catalog) -> bool:
         return bool(items) and all(catalog.primary(x) in sites for x in items)

@@ -159,8 +159,9 @@ class Tracer:
         # mtype -> peer -> (mtype, peer) for send and deliver records,
         # reason -> mtype -> peer -> (mtype, peer, reason) for drops,
         # via -> src -> dst -> (src, dst, via) for state transitions.
-        # Engines build a fresh f"{family}.{kind}" string per message;
-        # a shared tuple keeps the one it was first seen with.
+        # Engines take their mtypes from tables built once per protocol
+        # name, so every message of a type carries the one string its
+        # shared tuple holds.
         self._pairs: dict[str, dict[int, tuple[str, int]]] = {}
         self._drops: dict[str, dict[str, dict[int, tuple[str, int, str]]]] = {}
         self._states: dict[str, dict[str, dict[str, tuple[str, str, str]]]] = {}

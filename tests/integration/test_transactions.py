@@ -157,6 +157,25 @@ class TestWriteAndSubmit:
         for site in cluster.sites.values():
             assert site.locks.held_by(handle.txn) == []
 
+    def test_update_with_no_writes_commits_client_side(self, cluster):
+        handle = cluster.update(1, {})
+        assert (handle.writes, handle.participants) == ({}, ())
+        assert handle.txn not in cluster._txns  # no commit protocol ran
+        assert cluster.network.sent == 0
+        assert [(c.txn, c.reads, c.writes) for c in cluster.committed_history()] == [(handle.txn, {}, {})]
+
+    def test_write_only_update_keeps_no_read_footprint(self, cluster):
+        update = cluster.update(1, {"x": 1})
+        cluster.run()
+        txn = cluster.transaction(origin=2)
+        txn.write("y", txn.read("x") + 1)
+        reader = txn.submit()
+        cluster.run()
+        assert update.txn in cluster._txns and update.txn not in cluster._read_footprints
+        assert cluster._read_footprints == {reader.txn: {"x": 1}}
+        history = {c.txn: (c.reads, c.writes) for c in cluster.committed_history()}
+        assert history == {update.txn: ({}, {"x": 1}), reader.txn: ({"x": 1}, {"y": 1})}
+
     def test_client_abort_releases_locks(self, cluster):
         txn = cluster.transaction(origin=1)
         txn.read("x")

@@ -6,7 +6,6 @@ from repro.common.errors import (
     QuorumUnreachableError,
     ReproError,
     TransactionAborted,
-    TransactionBlocked,
 )
 from repro.common.ids import make_txn_id
 
@@ -25,7 +24,7 @@ class TestIds:
 
 class TestErrors:
     def test_hierarchy(self):
-        for exc_type in (TransactionAborted, TransactionBlocked, QuorumUnreachableError):
+        for exc_type in (TransactionAborted, QuorumUnreachableError):
             assert issubclass(exc_type, ReproError)
 
     def test_transaction_aborted_carries_context(self):
@@ -40,9 +39,6 @@ class TestErrors:
         exc = QuorumUnreachableError("x", "read", gathered=1, needed=2)
         assert (exc.item, exc.kind, exc.gathered, exc.needed) == ("x", "read", 1, 2)
         assert "1 of 2" in str(exc)
-
-    def test_blocked_message(self):
-        assert "blocked" in str(TransactionBlocked("T9"))
 
     def test_catching_base_class(self):
         with pytest.raises(ReproError):

@@ -5,11 +5,11 @@ A finished cluster is reclaimed by reference count (see
 the cyclic collector's knobs to hide one that is not; and the graph
 questions are answered in ``repro.concurrency.digraph``, so ``import
 repro`` pulls in no networkx (28 000 collector-tracked objects and half
-the import time when it did), nor the ``stats`` extra's numpy / scipy.
-Neither does the sweep engine's warm pool: its warm-up imports the
-experiment drivers, and with the extras missing that import used to
-fail inside the pool-creation guard and turn every persistent sweep
-serial without a word.
+the import time when it did), nor numpy / scipy (the package has no
+optional dependency).  Neither does the sweep engine's warm pool: its
+warm-up imports the experiment drivers, and with numpy missing that
+import used to fail inside the pool-creation guard and turn every
+persistent sweep serial without a word.
 """
 
 import ast
@@ -224,13 +224,14 @@ def _message_calls(node, function=None):
 
 
 def test_messages_are_built_only_where_they_are_sent():
-    """The library has one message type and builds it in two places:
-    ``Node.send`` for one message, ``Network.fanout`` for one per
-    destination.  Nothing else under ``src/repro/`` constructs one."""
+    """The library has one message type and builds it in one place:
+    ``Network.fanout``, one per destination (``Network.send`` and
+    ``Node.send`` are fan-outs to one destination).  Nothing else under
+    ``src/repro/`` constructs one."""
     built = sorted(
         (name, function) for name, tree in _trees().items() for function in _message_calls(tree)
     )
-    assert built == [("net/network.py", "fanout"), ("net/node.py", "send")]
+    assert built == [("net/network.py", "fanout")]
 
 
 def _private_names(tree: ast.Module, classes: set[str]) -> set[str]:

@@ -433,6 +433,45 @@ class TestFanoutMessages:
         assert type(nodes[3].received[0]) is Message
 
 
+    def test_send_delivers_a_message_fanout_built(self):
+        scheduler, network, nodes = self._network()
+        sent = Message(1, 2, "test.ping", "T1", {"k": 7})
+        network.send(sent)
+        scheduler.run()
+        (got,) = nodes[2].received
+        assert (got.src, got.dst, got.mtype, got.txn) == (1, 2, "test.ping", "T1")
+        assert got.payload is sent.payload
+        assert got is not sent and got.msg_id != sent.msg_id
+
+    def test_send_judges_as_a_one_destination_fanout(self):
+        tallies = []
+        for one_destination in (
+            lambda network, dst, txn: network.send(Message(1, dst, "test.ping", txn)),
+            lambda network, dst, txn: network.fanout(1, (dst,), "test.ping", txn),
+        ):
+            scheduler, network, nodes = self._network()
+            one_destination(network, 9, "T0")  # unknown destination
+            network.add_filter(lambda m: m.dst == 3)
+            network.set_link_loss(1, 2, 0.5)
+            for i in range(8):
+                for dst in (1, 2, 3):
+                    one_destination(network, dst, f"T{i}")
+            network.crash_site(1)
+            one_destination(network, 2, "T9")  # sender down
+            scheduler.run()
+            tallies.append(
+                (
+                    network.sent,
+                    network.delivered,
+                    network.dropped,
+                    [str(m) for m in nodes[2].received],
+                    network.tracer.dump(),
+                    network._rng.getstate(),
+                )
+            )
+        assert tallies[0] == tallies[1]
+
+
 class TestMessage:
     def test_family_prefix(self):
         msg = Message(1, 2, "qtp1.vote-req", "T1")

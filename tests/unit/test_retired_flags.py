@@ -68,6 +68,12 @@ protocol layer keeps four engine classes — the base engine (Skeen's
 protocol), 2PC's, 3PC's and the one quorum engine of qtp1, qtp2 and
 qtpp — and the five classes, the threshold attribute and the
 per-variant test the quorum engine replaced stay undefined.
+
+So is what nothing called: the experiment layer's scipy statistics
+module and the reducer's scipy confidence interval (the package has no
+optional dependency left), the two error classes nothing raised, and
+the prepare round's window factor that every caller left at its
+default.
 """
 
 import importlib
@@ -91,6 +97,7 @@ from repro.engine import (
     ChunkPlan,
     FoldedChunk,
     JsonlSink,
+    MeanAcc,
     QuantileDigest,
     ReducerSink,
     ResultSink,
@@ -677,3 +684,29 @@ def test_four_engine_classes_and_no_family_attribute():
         for attribute in ("family", "handler_table", "mtypes"):
             assert attribute not in vars(cls), f"{cls.__name__}.{attribute}"
 
+
+
+def test_the_scipy_statistics_are_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.experiments." + "stats")
+    assert not hasattr(MeanAcc(), "ci")
+    assert "optional-dependencies" not in (REPO / "pyproject.toml").read_text()
+
+
+#: error classes nothing raised (split so a grep for them stays empty)
+RETIRED_ERRORS = ["Election" + "Error", "Transaction" + "Blocked"]
+
+
+@pytest.mark.parametrize("name", RETIRED_ERRORS)
+def test_retired_error_stays_undefined(name):
+    for home in ("repro", "repro.common", "repro.common.errors"):
+        module = importlib.import_module(home)
+        assert not hasattr(module, name), f"{home}.{name}"
+        assert name not in getattr(module, "__all__", ()), home
+
+
+def test_the_prepare_round_takes_no_window_factor():
+    from repro.protocols.base import CommitProtocolEngine
+
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        CommitProtocolEngine._send_prepare(None, None, **_kw("window", "factor", 2.0))

@@ -10,6 +10,7 @@ per copy, r=2, w=3).
 import pytest
 
 from repro.protocols.base import Decision
+from repro.protocols.qtp.generalized import PrimaryTerminationRule
 from repro.protocols.qtp.quorums import TerminationRule1, TerminationRule2, votes_by_state
 from repro.protocols.skeen import SkeenQuorumRule
 from repro.protocols.states import TxnState
@@ -280,3 +281,29 @@ class TestCooperativeRule:
 
     def test_empty_blocks(self, rule):
         assert rule.evaluate(ITEMS, {}) is Decision.BLOCK
+
+
+ALL_RULES = [
+    TerminationRule1,
+    TerminationRule2,
+    PrimaryTerminationRule,
+    SkeenQuorumRule,
+    ThreePCTerminationRule,
+    CooperativeTerminationRule,
+]
+
+
+@pytest.mark.parametrize("rule_class", ALL_RULES, ids=lambda c: c.__name__)
+def test_only_the_primary_rule_makes_writes_need_the_primary(rule_class):
+    """§5's access rule is a property of the rule, not of a protocol name."""
+    assert rule_class.writes_need_primary is (rule_class is PrimaryTerminationRule)
+
+
+@pytest.mark.parametrize(
+    "rule_class",
+    [r for r in ALL_RULES if r is not SkeenQuorumRule],
+    ids=lambda c: c.__name__,
+)
+def test_a_rule_without_a_pinned_total_accepts_any_join(rule_class):
+    """Every join calls ``check_total``; only pinned Skeen quorums refuse."""
+    assert rule_class().check_total(10**6) is None
