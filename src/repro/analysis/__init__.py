@@ -13,10 +13,14 @@ Everything here *observes* runs — none of it participates in them:
 * :mod:`repro.analysis.consistency` — atomic-commitment checking over
   traces (no mixed commit/abort, no per-site conflicts, no illegal
   Fig. 6 transitions, Lemma 1/2 conformance).
+* :mod:`repro.analysis.invariants` — the whole-run oracle: atomicity,
+  one-copy serializability, message conservation and "healed and up
+  means decided", judged on a finished cluster.
 """
 
 from repro.analysis.availability import AvailabilityReport, ItemAvailability
 from repro.analysis.consistency import ConsistencyReport, check_atomicity
+from repro.analysis.invariants import Violation, check_invariants, healed_and_up
 from repro.analysis.liveness import TerminationTimeline, termination_timeline
 from repro.analysis.partition_states import (
     PartitionState,
@@ -34,10 +38,13 @@ __all__ = [
     "PartitionState",
     "TerminationTimeline",
     "TransitionAudit",
+    "Violation",
     "audit_transitions",
     "check_atomicity",
+    "check_invariants",
     "classify_partition",
     "concurrency_sets",
+    "healed_and_up",
     "impossibility_argument",
     "observed_transitions",
     "reachable_global_states",

@@ -1,0 +1,80 @@
+"""Whole-run invariants: the paper's claims, checked on a finished run.
+
+:func:`check_invariants` judges one finished cluster by four predicates
+and returns what it found — an empty list for a run that keeps every
+claim:
+
+* **atomicity** — no transaction ends ``mixed`` (committed at one
+  participant, aborted at another), except under 3PC, whose
+  termination protocol the paper's Example 2 shows may do exactly that;
+* **serializability** — the committed history is one-copy serializable
+  (:class:`~repro.concurrency.serializability.ConflictGraph`), checked
+  when no transaction is mixed (a mixed run has no single committed
+  history);
+* **conservation** — at quiescence every message sent was delivered or
+  dropped: ``sent == delivered + dropped``;
+* **liveness** — healed and up means decided: at quiescence, with the
+  network healed (:attr:`Network.healed <repro.net.network.Network.healed>`)
+  and every registered site up, no live participant of any transaction
+  is still in doubt (:meth:`Cluster.live_undecided
+  <repro.db.cluster.Cluster.live_undecided>`).
+
+The checks only read: no RNG draw, no scheduler event, no trace row or
+log row is added, so a run checked is the run that would have been.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, NamedTuple
+
+from repro.concurrency.serializability import ConflictGraph
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.db.cluster import Cluster
+
+
+class Violation(NamedTuple):
+    """One broken claim: the predicate's name and what broke it."""
+
+    predicate: str
+    detail: str
+
+
+def healed_and_up(cluster: "Cluster") -> bool:
+    """At quiescence, healed, and every registered site up: the state in
+    which the liveness predicate holds every transaction to a decision."""
+    return (
+        cluster.scheduler.pending == 0
+        and cluster.network.healed
+        and all(site.alive for site in cluster.sites.values())
+    )
+
+
+def check_invariants(cluster: "Cluster") -> list[Violation]:
+    """The violations of the four predicates (see the module docstring)
+    by the finished ``cluster``, under its own protocol."""
+    found = []
+    submitted = cluster.submitted
+    mixed = [txn for txn in submitted if cluster.outcome(txn).outcome == "mixed"]
+    if mixed and cluster.protocol != "3pc":
+        found.append(
+            Violation("atomicity", f"{len(mixed)} mixed outcome(s) under {cluster.protocol}: {mixed}")
+        )
+    if not mixed:
+        cycle = ConflictGraph(cluster.committed_history()).cycle()
+        if cycle is not None:
+            found.append(Violation("serializability", f"committed history has a cycle {cycle}"))
+    if cluster.scheduler.pending == 0:  # nothing left in flight
+        net = cluster.network
+        if net.sent != net.delivered + net.dropped:
+            found.append(
+                Violation(
+                    "conservation",
+                    f"sent {net.sent} != delivered {net.delivered} + dropped {net.dropped}",
+                )
+            )
+    if healed_and_up(cluster):
+        stranded = {txn: live for txn in submitted if (live := cluster.live_undecided(txn))}
+        if stranded:
+            found.append(Violation("liveness", f"healed and up, still in doubt: {stranded}"))
+    return found

@@ -135,6 +135,21 @@ class Cluster:
 
     ``import repro``: 0.19 s -> 0.09 s, collector-tracked objects at
     rest 34 954 -> 12 225.
+
+    A live cluster gives the collector less to walk once a decided
+    transaction keeps only its durable state (no timer table, no copied
+    participant list, no done round's tallies, no trace key per
+    ``(category, txn)``, no event handle per closed-loop arrival).  Seed
+    1, full scale, Python 3.11.7 (shares: the mean of two passes),
+    before -> after:
+
+    ===========================  ================  ================  ===============
+    per pass                     wan_termination   closed_heavy      open_service
+    ===========================  ================  ================  ===============
+    collections, gen 0/1/2       457/41/3 ->       165/15/1 ->       202/18/1 ->
+                                 456/41/3          110/10/0          144/13/1
+    collector share of the pass  9.3% -> 8.9%      5.5% -> 3.8%      4.7% -> 4.0%
+    ===========================  ================  ================  ===============
     """
 
     #: nothing to release until ``__init__`` has built the owned parts
@@ -314,6 +329,12 @@ class Cluster:
         """
         self._counter += 1
         return InteractiveTransaction(self, origin, txn_id or make_txn_id(origin, self._counter))
+
+    @property
+    def submitted(self) -> Mapping[str, TxnHandle]:
+        """Every transaction handed to the commit protocol, by id, in
+        submission order (a live view: read it, do not mutate it)."""
+        return self._txns
 
     def register_submitted(self, handle: TxnHandle, reads: Mapping[str, int]) -> None:
         """Record a submitted transaction and its read footprint (a

@@ -167,9 +167,9 @@ class InteractiveTransaction:
         handle = TxnHandle(self.txn, self.origin, versioned, tuple(participants))
         self.phase = TxnPhase.SUBMITTED
         cluster.register_submitted(handle, self._reads)
-        cluster.sites[self.origin].ensure_engine().begin_commit(
-            self.txn, versioned, participants=participants
-        )
+        # the engine keeps both as they are: the handle's write set is
+        # the mapping every participant receives
+        cluster.sites[self.origin].ensure_engine().begin_commit(self.txn, versioned, participants)
         return handle
 
     def abort(self) -> None:

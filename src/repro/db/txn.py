@@ -13,7 +13,9 @@ class TxnHandle:
     Attributes:
         txn: transaction id.
         origin: the site that coordinates the commit.
-        writes: item -> (value, version) as distributed to participants.
+        writes: item -> (value, version): the very mapping the
+            coordinator's round, its log and every participant's record
+            share, not a copy — read it, do not mutate it.
         participants: the sites involved (hosts of writeset copies).
     """
 

@@ -68,7 +68,7 @@ def skewed_contention_scenario(
         hot = run.cluster.catalog.item_names[0]
         return {
             **_with_reads_committed(run),
-            "hot_txns": sum(1 for txn in run.cluster._txns.values() if hot in txn.writes),
+            "hot_txns": sum(1 for txn in run.cluster.submitted.values() if hot in txn.writes),
         }
 
     return dataclasses.replace(

@@ -322,6 +322,12 @@ class Network:
             view = self._view = self._interned_view(None)
         return view
 
+    @property
+    def healed(self) -> bool:
+        """No partition, no lossy link and no message filter: the fault
+        model loses nothing between two live sites."""
+        return not self.partition.is_partitioned and not self._link_loss and not self._filters
+
     def active_sites(self, among: Iterable[int] | None = None) -> list[int]:
         """Sites that are currently up (optionally restricted to ``among``)."""
         pool = self._nodes if among is None else among

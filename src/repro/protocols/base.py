@@ -60,14 +60,23 @@ history:
   so a crash (:meth:`CommitProtocolEngine.on_crash`) and a forced leave
   cancel them here, through :meth:`CommitProtocolEngine.cancel_timers`.
 * **Write sets travel by reference.**  vote-req and t.state-req carry
-  the coordinator's (or terminator's) ``writes`` mapping itself, and a
-  participant's record keeps it as it came; messages are immutable by
-  contract, and nothing writes to a write set once it is sent.
+  the coordinator's (or terminator's) ``writes`` mapping and
+  participant list themselves — the coordinator's are the ones the
+  client submitted — and a participant's record keeps both as they
+  came; messages are immutable by contract, and nothing writes to a
+  write set or a participant list once it is sent.
 * **Tallies fold one reply at a time.**  A round keeps the
   participants whose vote, then whose ack, it still awaits; the quorum
   engine keeps what each part of its rule's commit predicate still
   lacks (:class:`~repro.protocols.qtp.quorums.QuorumTally`).  A
   repeated reply changes nothing.
+* **A decision keeps only what the paper's state needs.**  After its
+  decision a participant record holds its state and the write set and
+  participant list it shares with the vote-req, and no timer table; a
+  done coordination round holds its phase and its two window handles,
+  and no tally.  The log and the decision are the transaction's record
+  from then on, so a long run leaves the cyclic collector no
+  per-transaction volatile state to walk.
 * **Kicks visit only undecided records.**  :attr:`CommitProtocolEngine.undecided`
   holds the undecided records, kept up to date wherever a record is
   created, decided, rebuilt or dropped.
@@ -210,6 +219,13 @@ class TxnRecord:
     Volatile except where noted; the durable subset lives in the WAL
     (begin payload, vote, pc/pa entry, decision) and is reconstructed
     by :func:`repro.storage.recovery.recover_protocol_states`.
+
+    ``participants`` and ``writes`` are the vote-req's (or the
+    termination poll's) own list and mapping, shared and never written
+    to.  The timer table exists only from a record's first armed timer
+    to its decision (or a crash, or a forced leave): a decided record
+    keeps its state, those two shared references and — only if it
+    coordinated a termination — that attempt's poll tables.
     """
 
     txn: str
@@ -235,7 +251,9 @@ class TxnRecord:
     term_supporters: set[int] = field(init=False, repr=False, compare=False)
     term_mode: str = ""
 
-    _timers: dict[str, "EventHandle"] = field(default_factory=dict)
+    #: label -> armed timer; None before the first timer and after
+    #: :meth:`cancel_all_timers`
+    _timers: dict[str, "EventHandle"] | None = None
 
     @property
     def decided(self) -> bool:
@@ -264,50 +282,66 @@ class TxnRecord:
         a crash, a forced leave) cancel it — the node never sees it.
         """
         timers = self._timers
-        handle = timers.pop(label, None)
-        if handle is not None:
-            handle.cancel()
+        if timers is not None:
+            handle = timers.pop(label, None)
+            if handle is not None:
+                handle.cancel()
         if delay <= 0:
             # fires on the very next tick and is never cancelled (nothing
             # holds a handle to it), so it can skip the EventHandle
             # allocation entirely.
             scheduler.call_fixed_after(0, fn, *args)
             return
-        timers[label] = scheduler.call_at(scheduler.now + delay, fn, *args, label=label)
+        handle = scheduler.call_at(scheduler.now + delay, fn, *args, label=label)
+        if timers is None:
+            self._timers = {label: handle}
+        else:
+            timers[label] = handle
 
     def cancel_timer(self, label: str) -> None:
         """Cancel one named timer if armed."""
-        handle = self._timers.pop(label, None)
-        if handle is not None:
-            handle.cancel()
+        if self._timers is not None:
+            handle = self._timers.pop(label, None)
+            if handle is not None:
+                handle.cancel()
 
     def cancel_all_timers(self) -> None:
-        """Cancel every timer (on decision or crash)."""
-        for handle in self._timers.values():
-            handle.cancel()
-        self._timers.clear()
+        """Cancel every timer and drop the table (on decision, crash or
+        forced leave)."""
+        if self._timers is not None:
+            for handle in self._timers.values():
+                handle.cancel()
+            self._timers = None
 
 
 @dataclass
 class _CoordinationRound:
-    """Coordinator-side volatile state for the original commit attempt."""
+    """Coordinator-side volatile state for the original commit attempt.
+
+    ``writes`` and ``participants`` are the submitted transaction's
+    own mapping and sorted list, shared with its handle, its log row
+    and its vote-req.  A done round keeps its phase and its two window
+    handles (so a crash still cancels a pending window): its decision
+    releases the tallies, which nothing reads after it.
+    """
 
     txn: str
     writes: dict[str, tuple[Any, int]]
     participants: list[int]
     catalog: "ReplicaCatalog"
     phase: str = "voting"  # voting -> preparing -> done
-    votes: dict[int, bool] = field(default_factory=dict)
-    ackers: set[int] = field(default_factory=set)
+    #: participants whose PC-ACK arrived (None once done)
+    ackers: set[int] | None = field(default_factory=set)
     #: participants whose yes vote (voting), then whose ack (preparing,
     #: for the families that wait for every ack) is still awaited
-    waiting: set[int] = field(default_factory=set)
+    #: (None once done)
+    waiting: set[int] | None = field(default_factory=set)
     #: the vote window's timer, then the ack window's (each fires the
     #: round's next step); registered here and nowhere else
     vote_window: "EventHandle | None" = None
     ack_window: "EventHandle | None" = None
     #: the running ack tally of the quorum engine: what each part of
-    #: its rule's commit predicate still lacks
+    #: its rule's commit predicate still lacks (None once done)
     tally: Any = None
 
     def armed(self) -> bool:
@@ -465,22 +499,27 @@ class CommitProtocolEngine(ElectionMixin):
     def begin_commit(
         self,
         txn: str,
-        writes: Mapping[str, tuple[Any, int]],
-        participants: Iterable[int] | None = None,
+        writes: dict[str, tuple[Any, int]],
+        participants: list[int],
     ) -> None:
         """Start the commit procedure for a transaction at this site.
+
+        Both arguments are taken as they are, not copied: the round,
+        the begin row, the vote-req and every participant's record
+        share them, so the caller hands over a mapping and a list that
+        nothing writes to afterwards (:meth:`InteractiveTransaction.submit
+        <repro.db.transactions.InteractiveTransaction.submit>` builds
+        both per transaction).  The round keeps them, its phase and its
+        windows once it is done.
 
         Args:
             txn: transaction id.
             writes: item -> (new value, new version).
-            participants: the sites to involve; defaults to every site
-                holding a copy of a writeset item (the paper's "all
-                sites which contain data items to be updated").
+            participants: the sites to involve, sorted: the hosts of
+                the writeset copies the transaction writes (the paper's
+                "all sites which contain data items to be updated") and
+                the sites it holds read locks at.
         """
-        writes = dict(writes)
-        if participants is None:
-            participants = self.catalog.sites_of_any(writes)
-        participants = sorted(participants)
         catalog = self.catalog
         round_ = _CoordinationRound(txn, writes, participants, catalog, waiting=set(participants))
         self._rounds[txn] = round_
@@ -507,7 +546,10 @@ class CommitProtocolEngine(ElectionMixin):
         round_ = self._rounds.get(txn)
         if round_ is None or round_.phase != "voting":
             return
-        missing = [s for s in round_.participants if s not in round_.votes]
+        # a no vote decides at once, so the voters not yet heard from
+        # are exactly the ones still awaited
+        waiting = round_.waiting
+        missing = [s for s in round_.participants if s in waiting]
         self.node.trace("coord-vote-timeout", txn, missing=missing)
         self._coord_decide(round_, "abort")
 
@@ -515,9 +557,7 @@ class CommitProtocolEngine(ElectionMixin):
         round_ = self._rounds.get(msg.txn)
         if round_ is None or round_.phase != "voting":
             return
-        yes = bool(msg.payload["yes"])
-        round_.votes[msg.src] = yes
-        if not yes:
+        if not msg.payload["yes"]:
             self._coord_decide(round_, "abort")
             return
         waiting = round_.waiting
@@ -582,6 +622,8 @@ class CommitProtocolEngine(ElectionMixin):
         if round_.phase == "done":
             return
         round_.phase = "done"
+        # nothing reads a done round's tallies
+        round_.ackers = round_.waiting = round_.tally = None
         prior = self.wal.decision(round_.txn)
         if prior is not None and prior != outcome:
             # A termination attempt on this site already decided the
@@ -618,12 +660,13 @@ class CommitProtocolEngine(ElectionMixin):
     def _record_from_payload(
         self, txn: str, payload: Mapping[str, Any], state: TxnState = TxnState.Q
     ) -> TxnRecord:
-        # the write set as sent: the sender's mapping, shared, not copied
+        # the write set and participant list as sent: the sender's,
+        # shared, not copied
         return self._add_record(
             TxnRecord(
                 txn=txn,
                 coordinator=payload["coordinator"],
-                participants=list(payload["participants"]),
+                participants=payload["participants"],
                 writes=payload["writes"],
                 epoch=payload["epoch"],
                 state=state,

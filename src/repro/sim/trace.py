@@ -41,11 +41,14 @@ to every row).
 when somebody iterates or filters.
 
 **Indexes.**  A generic row goes into a per-category index and a
-per-``(category, txn)`` index as it is appended, so the verdict readers
-(:meth:`Tracer.entries`, :meth:`~Tracer.decisions`, :meth:`~Tracer.count`
-by ``txn=``) read one short list of positions and touch no message
-row.  A scanned category is indexed the same two ways only when a query
-names it, by the O(new rows) column read :meth:`Tracer.since` uses; the
+nested per-category, per-txn index (``category -> txn -> positions``)
+as it is appended, so the verdict readers (:meth:`Tracer.entries`,
+:meth:`~Tracer.decisions`, :meth:`~Tracer.count` by ``txn=``) read one
+short list of positions and touch no message row.  The nested index
+keys on the row's own strings, so an append builds no key object: one
+table per category holds one position list per transaction.  A
+scanned category is indexed the same two ways only when a query names
+it, by the O(new rows) column read :meth:`Tracer.since` uses; the
 per-txn index (all categories) only when a query filters by txn alone
 (:meth:`~Tracer.txn_scope`, ``where(txn=...)``).  Each lazily built
 index remembers how far it has read and is extended, never rebuilt.
@@ -174,7 +177,8 @@ class Tracer:
         self._memo: dict[int, TraceRecord] = {}  # position -> materialized view
         # position indexes (see the module docstring); no list is empty
         self._by_cat: dict[str, list[int]] = {}
-        self._by_key: dict[tuple[str, str], list[int]] = {}
+        # category -> txn -> positions, over the categories of _by_cat
+        self._by_cat_txn: dict[str, dict[str, list[int]]] = {}
         self._scanned: dict[str, int] = {}  # scanned category -> positions indexed
         self._by_txn: dict[str, list[int]] = {}
         self._txn_upto = 0  # positions the per-txn index has read
@@ -206,12 +210,13 @@ class Tracer:
         rows = self._by_cat.get(category)
         if rows is None:
             self._by_cat[category] = [position]
-        else:
-            rows.append(position)
-        key = (category, txn)
-        rows = self._by_key.get(key)
+            self._by_cat_txn[category] = {txn: [position]}
+            return
+        rows.append(position)
+        by_txn = self._by_cat_txn[category]
+        rows = by_txn.get(txn)
         if rows is None:
-            self._by_key[key] = [position]
+            by_txn[txn] = [position]
         else:
             rows.append(position)
 
@@ -299,10 +304,10 @@ class Tracer:
         if not positions:
             return
         self._by_cat.setdefault(category, []).extend(positions)
-        by_key = self._by_key
+        by_txn = self._by_cat_txn.setdefault(category, {})
         txns = self._txns
         for pos in positions:
-            by_key.setdefault((category, txns[pos]), []).append(pos)
+            by_txn.setdefault(txns[pos], []).append(pos)
 
     def _index_txns(self) -> None:
         """Extend the per-txn index over the new rows."""
@@ -324,7 +329,8 @@ class Tracer:
             self._index_scanned(category)
         if txn is None:
             return self._by_cat.get(category, ())
-        return self._by_key.get((category, txn), ())
+        by_txn = self._by_cat_txn.get(category)
+        return () if by_txn is None else by_txn.get(txn, ())
 
     def _recs(self, positions: Sequence[int]) -> Iterator[TraceRecord]:
         """The (memoized) materialized views of the records at ``positions``."""

@@ -39,10 +39,13 @@ keyword dict as-is.
 
 A begin row keeps the engine's writeset mapping (item -> ``(value,
 version)``) and its participant list *by reference*.  That is safe
-because nothing mutates either once the commit starts: the coordinator
-copies the caller's writeset before its round begins, a participant
-builds both from the vote-req payload, and no code path writes to a
-round's or a record's writeset or participant list afterwards.
+because nothing mutates either once the commit starts.  Both belong to
+the submitted transaction: :meth:`InteractiveTransaction.submit
+<repro.db.transactions.InteractiveTransaction.submit>` builds them once,
+its handle, the coordinator's round and begin row and the vote-req share
+them, and a participant's record and begin row keep the vote-req's.  No
+code path writes to a handle's, a round's or a record's writeset or
+participant list afterwards.
 
 **Views on read.**  A :class:`LogRecord` is built, and memoised, only
 when something reads the row back: iteration, :meth:`for_txn` (crash

@@ -327,8 +327,10 @@ class TrafficEngine:
         """
         if submit is None:
             submit = self.submit_interactive
+        # an arrival is never cancelled: no handle per arrival
+        call_fixed = self.cluster.scheduler.call_fixed
         for i, at in enumerate(self.compiled.arrivals(self.rng)):
-            self.cluster.scheduler.call_at(at, submit, i)
+            call_fixed(at, submit, i)
         self.cluster.run()
         return self.outcomes, self.handles
 

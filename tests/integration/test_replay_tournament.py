@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import PROTOCOL_NAMES
+from repro.analysis import check_invariants
 from repro.common.errors import StoreError
 from repro.experiments import SCENARIOS
 from repro.replay import (
@@ -299,6 +300,8 @@ class TestRunIdentityPins:
         run = run_scenario(SCENARIOS[name](**SMALL_SHAPES[name]), protocol, 0)
         blob = run.cluster.tracer.dump() + json.dumps(run.counters(), sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest() == RUN_SHA256[name][protocol]
+        # the same run keeps the paper's claims (the oracle only reads)
+        assert check_invariants(run.cluster) == []
 
 
 class TestArtifact:

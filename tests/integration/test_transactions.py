@@ -160,7 +160,7 @@ class TestWriteAndSubmit:
     def test_update_with_no_writes_commits_client_side(self, cluster):
         handle = cluster.update(1, {})
         assert (handle.writes, handle.participants) == ({}, ())
-        assert handle.txn not in cluster._txns  # no commit protocol ran
+        assert handle.txn not in cluster.submitted  # no commit protocol ran
         assert cluster.network.sent == 0
         assert [(c.txn, c.reads, c.writes) for c in cluster.committed_history()] == [(handle.txn, {}, {})]
 
@@ -171,7 +171,7 @@ class TestWriteAndSubmit:
         txn.write("y", txn.read("x") + 1)
         reader = txn.submit()
         cluster.run()
-        assert update.txn in cluster._txns and update.txn not in cluster._read_footprints
+        assert update.txn in cluster.submitted and update.txn not in cluster._read_footprints
         assert cluster._read_footprints == {reader.txn: {"x": 1}}
         history = {c.txn: (c.reads, c.writes) for c in cluster.committed_history()}
         assert history == {update.txn: ({}, {"x": 1}), reader.txn: ({"x": 1}, {"y": 1})}
@@ -284,7 +284,7 @@ class TestDownOrigin:
             txn.submit()
         assert txn.phase is TxnPhase.ABORTED
         assert self._held(cluster, txn.txn) == {}
-        assert txn.txn not in cluster._txns  # never registered
+        assert txn.txn not in cluster.submitted  # never registered
         assert cluster.sites[4].wal.begins() == []
         # the copies it had read-locked are free for the next writer
         writer = cluster.transaction(1)
@@ -307,5 +307,5 @@ class TestDownOrigin:
     def test_update_at_a_crashed_origin_registers_and_logs_nothing(self, crashed):
         with pytest.raises(SiteDownError):
             crashed.update(4, {"i0": 1})
-        assert crashed._txns == {}  # never registered
+        assert crashed.submitted == {}  # never registered
         assert crashed.sites[4].wal.begins() == []

@@ -258,7 +258,7 @@ def test_traffic_and_db_reach_into_no_tracer_and_no_engine():
     private = _private_names(trees["sim/trace.py"], {"Tracer"})
     private |= _private_names(trees["protocols/base.py"], {"CommitProtocolEngine"})
     private |= _private_names(trees["election/bully.py"], {"ElectionMixin"})
-    assert {"_append", "_by_cat", "_by_key", "_times", "_records", "_rounds", "_tracer"} <= private
+    assert {"_append", "_by_cat", "_by_cat_txn", "_times", "_records", "_rounds", "_tracer"} <= private
     reached = [
         (name, node.lineno, node.attr)
         for name, tree in trees.items()

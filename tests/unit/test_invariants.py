@@ -1,0 +1,121 @@
+"""The whole-run oracle: each predicate holds on a clean run and bites
+on a run that breaks it.
+
+Every broken run here is made through the public API — a filter that
+strands a participant, a read-only footprint no serial order explains,
+the paper's Example 3 with its ignore rules off — except conservation,
+whose counters no correct network can unbalance, so that test moves
+one by hand.
+"""
+
+import pytest
+
+from repro import PROTOCOL_NAMES, Cluster, FixedDelay
+from repro.analysis import Violation, check_invariants, healed_and_up
+from repro.replication.catalog import ItemConfig, ReplicaCatalog
+from repro.workload.scenarios import run_example3_scenario
+
+
+def two_items():
+    copies = {1: 1, 2: 1, 3: 1}
+    return ReplicaCatalog([ItemConfig("x", copies, 2, 2), ItemConfig("y", copies, 2, 2)])
+
+
+def one_update(protocol, isolate=None):
+    """One update of x and y from site 1, run to quiescence; ``isolate``
+    hears its vote-req and nothing after it."""
+    cluster = Cluster(two_items(), protocol=protocol, seed=0, delay_model=FixedDelay(1.0))
+    if isolate is not None:
+        cluster.network.add_filter(lambda m: m.dst == isolate and not m.mtype.endswith(".vote-req"))
+    handle = cluster.update(1, {"x": 1, "y": 2})
+    cluster.run()
+    return cluster, handle
+
+
+def predicates(violations):
+    return [v.predicate for v in violations]
+
+
+@pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+def test_a_clean_run_keeps_every_claim(protocol):
+    cluster, handle = one_update(protocol)
+    assert cluster.outcome(handle.txn).outcome == "commit"
+    assert healed_and_up(cluster)
+    assert check_invariants(cluster) == []
+
+
+@pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+def test_a_participant_left_in_doubt_once_healed_is_a_liveness_violation(protocol):
+    cluster, handle = one_update(protocol, isolate=3)
+    assert cluster.live_undecided(handle.txn) == [3]
+    # the filter is a fault: the predicate does not apply while it is in place
+    assert not healed_and_up(cluster)
+    assert check_invariants(cluster) == []
+    cluster.network.clear_filters()
+    assert healed_and_up(cluster)
+    [violation] = check_invariants(cluster)
+    assert violation.predicate == "liveness" and handle.txn in violation.detail
+
+
+def test_a_mixed_outcome_breaks_atomicity_outside_3pc():
+    broken = run_example3_scenario(enforce_ignore_rules=False)
+    assert broken.outcome == "mixed"
+    assert predicates(check_invariants(broken.cluster)) == ["atomicity"]
+    assert check_invariants(run_example3_scenario(enforce_ignore_rules=True).cluster) == []
+
+
+def test_3pc_may_end_mixed_and_then_skips_serializability():
+    # the paper's Example 2: 3PC's termination protocol splits the outcome
+    broken = run_example3_scenario(enforce_ignore_rules=False, protocol="3pc")
+    assert broken.outcome == "mixed"
+    assert check_invariants(broken.cluster) == []
+
+
+def test_a_history_no_serial_order_explains_breaks_serializability():
+    cluster, handle = one_update("qtp1")
+    x_version, y_version = handle.writes["x"][1], handle.writes["y"][1]
+    # a reader that saw y after the update and x before it
+    cluster.record_footprint("R", {"x": x_version - 1, "y": y_version}, {})
+    [violation] = check_invariants(cluster)
+    assert violation.predicate == "serializability"
+    assert "'R'" in violation.detail and f"'{handle.txn}'" in violation.detail
+
+
+def test_a_lost_message_count_breaks_conservation_only_at_quiescence():
+    cluster, _handle = one_update("qtp1")
+    cluster.network.sent += 1
+    assert check_invariants(cluster) == [
+        Violation(
+            "conservation",
+            f"sent {cluster.network.sent} != delivered {cluster.network.delivered}"
+            f" + dropped {cluster.network.dropped}",
+        )
+    ]
+    # mid-run, messages in flight are neither delivered nor dropped yet
+    cluster = Cluster(two_items(), protocol="qtp1", seed=0, delay_model=FixedDelay(1.0))
+    cluster.update(1, {"x": 1})
+    cluster.run_until(0.5)
+    net = cluster.network
+    assert net.sent > net.delivered + net.dropped
+    assert check_invariants(cluster) == []
+
+
+def test_the_oracle_only_reads():
+    cluster, _handle = one_update("qtp1", isolate=3)
+    cluster.network.clear_filters()
+    before = (
+        len(cluster.tracer),
+        cluster.scheduler.events_run,
+        cluster.scheduler.pending,
+        cluster.network.sent,
+        cluster.rng.stream("net").getstate(),
+    )
+    check_invariants(cluster)
+    check_invariants(cluster)
+    assert (
+        len(cluster.tracer),
+        cluster.scheduler.events_run,
+        cluster.scheduler.pending,
+        cluster.network.sent,
+        cluster.rng.stream("net").getstate(),
+    ) == before

@@ -236,10 +236,11 @@ class TestEveryRowIsKept:
         _query_everything(tracer)
         tracer.where(category="deliver")
         tracer.where(category="drop")
-        for (category, txn), positions in tracer._by_key.items():
-            assert [expected[p] for p in positions] == _naive_where(
-                expected, category, txn=txn
-            )
+        for category, by_txn in tracer._by_cat_txn.items():
+            for txn, positions in by_txn.items():
+                assert [expected[p] for p in positions] == _naive_where(
+                    expected, category, txn=txn
+                )
         for txn, positions in tracer._by_txn.items():
             assert [expected[p] for p in positions] == _naive_where(expected, txn=txn)
 
@@ -252,9 +253,10 @@ class TestEveryRowIsKept:
             _fill(reference, 11)
             assert _query_everything(tracer) == _query_everything(_rebuilt(reference))
             assert sum(map(len, tracer._by_txn.values())) == len(tracer)
-            for index in (tracer._by_cat, tracer._by_key, tracer._by_txn):
-                for positions in index.values():
-                    assert positions == sorted(set(positions))
+            nested = [positions for by_txn in tracer._by_cat_txn.values() for positions in by_txn.values()]
+            for positions in [*tracer._by_cat.values(), *nested, *tracer._by_txn.values()]:
+                assert positions == sorted(set(positions))
+            assert tracer._by_cat_txn.keys() == tracer._by_cat.keys()
 
 
 def _rebuilt(tracer: Tracer) -> Tracer:
