@@ -24,13 +24,30 @@ so a verdict reads a handful of positions: it builds no
 :class:`~repro.sim.trace.TraceRecord` and reads no ``send`` /
 ``deliver`` / ``drop`` / ``state`` row, however long the run.  The
 tracer keeps every row, so a verdict sees every site's decision.
+
+A whole run is judged by :func:`run_outcomes`, which reads the
+``decision`` rows of every transaction in one pass
+(:meth:`~repro.sim.trace.Tracer.txn_entries`) and gives each the
+outcome :func:`check_atomicity` would; both apply the one rule
+:data:`OUTCOME`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Mapping
 
 from repro.sim.trace import Tracer
+
+
+#: The outcome rule: a transaction's outcome by whether some participant's
+#: first decision was commit and whether some participant's was abort.
+OUTCOME: dict[tuple[bool, bool], str] = {
+    (True, True): "mixed",
+    (True, False): "commit",
+    (False, True): "abort",
+    (False, False): "blocked",
+}
 
 
 @dataclass
@@ -54,13 +71,7 @@ class ConsistencyReport:
     @property
     def outcome(self) -> str:
         """"commit" / "abort" / "blocked" / "mixed" summary."""
-        if self.committed_sites and self.aborted_sites:
-            return "mixed"
-        if self.committed_sites:
-            return "commit"
-        if self.aborted_sites:
-            return "abort"
-        return "blocked"
+        return OUTCOME[bool(self.committed_sites), bool(self.aborted_sites)]
 
     @property
     def fully_terminated(self) -> bool:
@@ -113,6 +124,37 @@ def check_atomicity(
         conflicts=conflicts,
         illegal_transitions=illegal,
     )
+
+
+def run_outcomes(tracer: Tracer, participants: Mapping[str, Iterable[int]]) -> dict[str, str]:
+    """Each transaction's ``check_atomicity(tracer, txn, sites).outcome``,
+    for every ``txn -> sites`` of ``participants``, from one read of the
+    run's ``decision`` rows.
+
+    A site's decision is its *first* decision row, as in
+    :func:`check_atomicity`; a transaction with no decision row at any
+    of its participants is ``"blocked"``.
+    """
+    first: dict[str, dict[int, str]] = {}
+    for site, txn, detail in tracer.txn_entries("decision"):
+        if txn not in first:
+            first[txn] = {site: detail["outcome"]}
+        elif site not in first[txn]:
+            first[txn][site] = detail["outcome"]
+    outcomes = {}
+    for txn, sites in participants.items():
+        committed = aborted = False
+        if txn in first:
+            decided = first[txn]
+            for site in sites:
+                if site not in decided:
+                    continue
+                if decided[site] == "commit":
+                    committed = True
+                elif decided[site] == "abort":
+                    aborted = True
+        outcomes[txn] = OUTCOME[committed, aborted]
+    return outcomes
 
 
 def first_decision_consistency(tracer: Tracer, txn: str) -> bool:

@@ -2,11 +2,14 @@
 
 :func:`check_invariants` judges one finished cluster by four predicates
 and returns what it found — an empty list for a run that keeps every
-claim:
+claim, at most one :class:`Violation` per predicate:
 
 * **atomicity** — no transaction ends ``mixed`` (committed at one
-  participant, aborted at another), except under 3PC, whose
-  termination protocol the paper's Example 2 shows may do exactly that;
+  participant, aborted at another), no site is told to decide against
+  its own decision (a ``decision-conflict`` row) and no site makes a
+  transition Fig. 6 forbids (an ``illegal-transition`` row) — except
+  under 3PC, whose termination protocol the paper's Example 2 shows
+  may do exactly that;
 * **serializability** — the committed history is one-copy serializable
   (:class:`~repro.concurrency.serializability.ConflictGraph`), checked
   when no transaction is mixed (a mixed run has no single committed
@@ -19,8 +22,14 @@ claim:
   is still in doubt (:meth:`Cluster.live_undecided
   <repro.db.cluster.Cluster.live_undecided>`).
 
-The checks only read: no RNG draw, no scheduler event, no trace row or
-log row is added, so a run checked is the run that would have been.
+The whole run is judged in one read of each verdict category, never
+once per transaction: every transaction's outcome comes from one pass
+over the ``decision`` rows (:meth:`Cluster.outcomes
+<repro.db.cluster.Cluster.outcomes>`), the committed history from
+another, and the ``decision-conflict`` / ``illegal-transition`` rows
+from their category indexes.  The checks only read: no RNG draw, no
+scheduler event, no trace row or log row is added, so a run checked is
+the run that would have been.
 """
 
 from __future__ import annotations
@@ -54,12 +63,16 @@ def check_invariants(cluster: "Cluster") -> list[Violation]:
     """The violations of the four predicates (see the module docstring)
     by the finished ``cluster``, under its own protocol."""
     found = []
-    submitted = cluster.submitted
-    mixed = [txn for txn in submitted if cluster.outcome(txn).outcome == "mixed"]
-    if mixed and cluster.protocol != "3pc":
-        found.append(
-            Violation("atomicity", f"{len(mixed)} mixed outcome(s) under {cluster.protocol}: {mixed}")
-        )
+    outcomes = cluster.outcomes()
+    mixed = [txn for txn, outcome in outcomes.items() if outcome == "mixed"]
+    if cluster.protocol != "3pc":
+        broken = [f"{len(mixed)} mixed outcome(s): {mixed}"] if mixed else []
+        for category in ("decision-conflict", "illegal-transition"):
+            rows = list(cluster.tracer.txn_entries(category))
+            if rows:
+                broken.append(f"{len(rows)} {category} row(s): {sorted({txn for _, txn, _ in rows})}")
+        if broken:
+            found.append(Violation("atomicity", f"under {cluster.protocol}: " + "; ".join(broken)))
     if not mixed:
         cycle = ConflictGraph(cluster.committed_history()).cycle()
         if cycle is not None:
@@ -74,7 +87,7 @@ def check_invariants(cluster: "Cluster") -> list[Violation]:
                 )
             )
     if healed_and_up(cluster):
-        stranded = {txn: live for txn in submitted if (live := cluster.live_undecided(txn))}
+        stranded = {txn: live for txn in outcomes if (live := cluster.live_undecided(txn))}
         if stranded:
             found.append(Violation("liveness", f"healed and up, still in doubt: {stranded}"))
     return found

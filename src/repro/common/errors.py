@@ -94,3 +94,18 @@ class QuorumUnreachableError(ReproError):
         self.kind = kind
         self.gathered = gathered
         self.needed = needed
+
+
+class InvariantViolationError(ReproError):
+    """A finished run broke one of the paper's claims.
+
+    Raised by :func:`repro.traffic.run_scenario`, which judges every run
+    it returns with :func:`repro.analysis.check_invariants`.  Carries
+    the violations found, each a ``(predicate, detail)`` pair; the
+    message names every one.
+    """
+
+    def __init__(self, run: str, violations: list) -> None:
+        named = "; ".join(f"{predicate}: {detail}" for predicate, detail in violations)
+        super().__init__(f"{run} broke {len(violations)} claim(s): {named}")
+        self.violations = violations

@@ -25,7 +25,7 @@ import weakref
 from typing import Any, Callable, Container, Iterable, Mapping
 
 from repro.analysis.availability import AvailabilityReport, availability_snapshot
-from repro.analysis.consistency import ConsistencyReport, check_atomicity
+from repro.analysis.consistency import ConsistencyReport, check_atomicity, run_outcomes
 from repro.common.errors import ConfigurationError, QuorumUnreachableError, SiteDownError
 from repro.concurrency.serializability import CommittedTxn
 from repro.common.ids import make_txn_id
@@ -350,15 +350,23 @@ class Cluster:
     def committed_history(self) -> list[CommittedTxn]:
         """The committed transactions' footprints, for 1SR checking.
 
-        A transaction counts as committed when any participant recorded
-        a commit decision (decisions are atomic across participants in
-        the safe protocols — and if they were not, the consistency
-        checker flags the run anyway).
+        A submitted transaction counts as committed when some site's
+        *last* decision record for it says commit (as
+        :meth:`Tracer.decisions <repro.sim.trace.Tracer.decisions>` reads
+        it).  Decisions are atomic across sites in the safe protocols —
+        and if they were not, the consistency checker flags the run
+        anyway.  Every transaction's decisions come from one read of
+        the run's decision records.
         """
+        last: dict[str, dict[int, str]] = {}
+        for site, txn, detail in self.tracer.txn_entries("decision"):
+            if txn in last:
+                last[txn][site] = detail["outcome"]
+            else:
+                last[txn] = {site: detail["outcome"]}
         history = list(self._readonly_committed)
         for txn, handle in self._txns.items():
-            decisions = set(self.tracer.decisions(txn).values())
-            if "commit" not in decisions:
+            if txn not in last or "commit" not in last[txn].values():
                 continue
             history.append(
                 CommittedTxn(
@@ -478,7 +486,10 @@ class Cluster:
         # to re-arm
         for site in self.sites.values():
             if site.alive and site.engine is not None and site.engine.undecided:
-                site.engine.kick()
+                if event == "restore":
+                    site.engine.retry_blocked()
+                else:
+                    site.engine.kick()
 
     # ------------------------------------------------------------------
     # elastic membership
@@ -688,6 +699,12 @@ class Cluster:
         handle = self._txns.get(txn)
         participants = list(handle.participants) if handle else []
         return check_atomicity(self.tracer, txn, participants)
+
+    def outcomes(self) -> dict[str, str]:
+        """Every submitted transaction's outcome — ``self.outcome(txn).outcome``
+        for each, in submission order — from one read of the run's
+        decision records."""
+        return run_outcomes(self.tracer, {txn: h.participants for txn, h in self._txns.items()})
 
     def blocked_map(self) -> dict[int, set[str]]:
         """Per-site undecided transactions (their locks block access)."""

@@ -150,7 +150,10 @@ class Network:
         # counts connectivity/liveness changes; _sendable maps a source
         # to the frozenset of sites in its component under the current
         # epoch.
-        self._epoch = 0
+        #: the connectivity epoch (bumps on partition, heal, crash,
+        #: recover and register): a plain attribute, so the engines read
+        #: it without a call; only this class moves it
+        self.epoch = 0
         self._sendable: dict[int, frozenset[int]] = {}
         # interned partition views, keyed by normalized group signature
         # (None = the healed view); cleared when the universe changes.
@@ -243,14 +246,9 @@ class Network:
         self._observers.clear()
         self._filters.clear()
 
-    @property
-    def epoch(self) -> int:
-        """The connectivity epoch (bumps on partition/heal/crash/recover/register)."""
-        return self._epoch
-
     def _bump_epoch(self) -> None:
         """Invalidate the reachable-peer cache after a connectivity change."""
-        self._epoch += 1
+        self.epoch += 1
         self._sendable.clear()
 
     def _partitioned_groups(self) -> tuple[tuple[int, ...], ...] | None:
@@ -376,11 +374,13 @@ class Network:
     def subscribe(self, observer: Callable[[str], None]) -> None:
         """Register a connectivity-change observer.
 
-        Observers fire after every partition / heal / recovery event with
-        the event name.  The database cluster uses this to re-kick
-        termination for transactions that blocked in an earlier
-        connectivity epoch — the paper's "wait for the failures to
-        recover" made operational.
+        Observers fire after every partition / heal / recovery event,
+        and after a slow site is restored, with the event name.  The
+        database cluster uses this to re-kick termination for
+        transactions that blocked in an earlier connectivity epoch — the
+        paper's "wait for the failures to recover" made operational — and,
+        on a ``"restore"``, to retry the ones blocked while the site was
+        slow.
         """
         self._observers.append(observer)
 
@@ -441,11 +441,13 @@ class Network:
         self._tracer.record(self._scheduler.now, site, "degrade", factor=factor)
 
     def restore_site(self, site: int) -> None:
-        """Remove ``site``'s latency-degradation overlay (if any)."""
+        """Remove ``site``'s latency-degradation overlay (if any), and
+        tell the observers (a ``"restore"`` event)."""
         if site not in self._nodes:
             raise ValueError(f"unknown site {site}")
         self._degraded.pop(site, None)
         self._tracer.record(self._scheduler.now, site, "restore")
+        self._notify("restore")
 
     def set_link_loss(self, src: int, dst: int, p: float) -> None:
         """Set the drop probability of the directed link ``src -> dst``."""
@@ -527,7 +529,7 @@ class Network:
         sample = self._delay_model.sample
         rng = self._rng
         degraded = self._degraded
-        epoch = self._epoch
+        epoch = self.epoch
         deliver = self._deliver
         now = sched.now
         for dst in dsts:
@@ -574,7 +576,7 @@ class Network:
         :meth:`crash_site` — the destination and the partition are
         checked again, so drop reasons stay exact.
         """
-        if epoch != self._epoch or not node.alive:
+        if epoch != self.epoch or not node.alive:
             node = self._nodes.get(msg.dst)
             if node is None:
                 # destination deregistered (graceful leave) while in flight

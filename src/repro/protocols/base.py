@@ -433,6 +433,8 @@ class CommitProtocolEngine(ElectionMixin):
         self.undecided: dict[str, TxnRecord] = {}
         self._rounds: dict[str, _CoordinationRound] = {}
         self._term_attempt_counter = 0
+        #: the connectivity epoch of this engine's last :meth:`kick`
+        self._kicked_in = 0
         self._T = node.network.T
         self._tracer = node.network.tracer
         self._scheduler = node.network.scheduler
@@ -973,12 +975,18 @@ class CommitProtocolEngine(ElectionMixin):
         record.cancel_timer("watchdog")
         record.cancel_timer("elect-defer-watchdog")
         self.node.trace("blocked", record.txn, reason="no-quorum")
-        reachable = self.node.network.reachable_from(self.site, record.participants)
-        self.node.broadcast(reachable, self.mtypes["t.blocked"], record.txn)
+        network = self.node.network
+        reachable = network.reachable_from(self.site, record.participants)
+        self.node.broadcast(reachable, self.mtypes["t.blocked"], record.txn, epoch=network.epoch)
 
     def _on_term_blocked(self, msg: Message) -> None:
         record = self._records.get(msg.txn)
         if record is None or record.decided:
+            return
+        if msg.payload["epoch"] < self._kicked_in:
+            # the notice judged a connectivity that changed before it
+            # arrived: that change's kick re-armed this record, and no
+            # later kick would undo a block taken on the stale verdict
             return
         record.blocked = True
         record.cancel_timer("watchdog")
@@ -1092,6 +1100,7 @@ class CommitProtocolEngine(ElectionMixin):
         rest in the new connectivity epoch.  Visits only the undecided
         records: a kick costs what is in doubt here, not the history.
         """
+        self._kicked_in = self.node.network.epoch
         for record in self.undecided.values():
             record.blocked = False
             record.election_rounds = 0
@@ -1102,6 +1111,21 @@ class CommitProtocolEngine(ElectionMixin):
             record.term_attempt = self._term_attempt_counter
             record.term_mode = ""
             self._arm_watchdog(record, factor=1.0)
+
+    def retry_blocked(self) -> None:
+        """A slow site was restored: retry termination for the blocked
+        transactions only.
+
+        A termination attempt that heard the slow site's state too late
+        blocks as if that site were cut off; restoring its latency is
+        the repair the block waits for, as a heal is for a partition.
+        Nothing else changed, so nothing else is re-armed.
+        """
+        for record in self.undecided.values():
+            if record.blocked:
+                record.blocked = False
+                record.election_rounds = 0
+                self._arm_watchdog(record, factor=1.0)
 
 
 @functools.cache

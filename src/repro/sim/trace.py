@@ -47,11 +47,14 @@ as it is appended, so the verdict readers (:meth:`Tracer.entries`,
 short list of positions and touch no message row.  The nested index
 keys on the row's own strings, so an append builds no key object: one
 table per category holds one position list per transaction.  A
-scanned category is indexed the same two ways only when a query names
-it, by the O(new rows) column read :meth:`Tracer.since` uses; the
-per-txn index (all categories) only when a query filters by txn alone
-(:meth:`~Tracer.txn_scope`, ``where(txn=...)``).  Each lazily built
-index remembers how far it has read and is extended, never rebuilt.
+whole-run verdict — every transaction's outcome, the committed history
+— reads a category's index once, through :meth:`Tracer.txn_entries`,
+instead of one short list per transaction.  A scanned category is
+indexed the same two ways only when a query names it, by an O(new rows)
+read of the category column; the per-txn index (all categories) only
+when a query filters by txn alone (:meth:`~Tracer.txn_scope`,
+``where(txn=...)``).  Each lazily built index remembers how far it has
+read and is extended, never rebuilt.
 
 **Positions.**  The tracer has one storage mode: every row is kept,
 for the life of the run.  The record stored ``k``-th sits in slot ``k``
@@ -62,7 +65,10 @@ A reader that follows the run as it goes — the open-loop service
 retiring decided transactions at each arrival — uses the cursor read
 :meth:`Tracer.since` instead of a query: it keeps a position, gets the
 ``(time, site, txn)`` of one category's records appended after it, and
-pays O(new rows) with no index and no :class:`TraceRecord` built.
+builds no :class:`TraceRecord`.  For a generic category the cursor
+bisects that category's position list, so a read costs the category's
+new records, not every new row; a scanned category, which has no index
+until a query names it, is read from the category column in place.
 
 There is deliberately no bounded mode.  Atomicity and termination are
 judged from every site's decision record, and those verdicts
@@ -74,7 +80,9 @@ history and turn a wrong verdict into a silent one.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
+from itertools import repeat
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -421,17 +429,38 @@ class Tracer:
         """
         return {site: detail["outcome"] for _time, site, detail in self.entries("decision", txn)}
 
+    def txn_entries(self, category: str) -> Iterator[tuple[int, str, Any]]:
+        """``(site, txn, detail)`` of every ``category`` record, in append
+        order: a whole-run verdict's one read of a category, where
+        :meth:`entries` serves one transaction at a time.
+
+        Served lazily from the category index (an iterator: read it
+        once), so a whole-run read holds no list of rows.  A detail is
+        the record's own dict: do not mutate it.
+        """
+        rows = self._rows(category, None)
+        details = map(self._details.__getitem__, rows)
+        if category in SCANNED:
+            details = map(_expand_detail, repeat(category), details)
+        return zip(map(self._sites.__getitem__, rows), map(self._txns.__getitem__, rows), details)
+
     def since(self, position: int, category: str) -> tuple[int, list[tuple[float, int, str]]]:
         """The ``category`` records appended after ``position``: a cursor read.
 
         Returns ``(new position, [(time, site, txn), ...])`` in append
         order; a caller that starts at 0 and feeds each returned
         position into its next call sees every record of the category
-        once.  The cost is O(records appended since ``position``): the
-        new rows' category column is scanned in place — no index is
-        built and no :class:`TraceRecord` is materialized.
+        once.  No :class:`TraceRecord` is materialized.  A generic
+        category's records are found by bisecting its position index at
+        ``position`` — the cost is the category's new records; a scanned
+        category's by reading the new rows' category column in place —
+        O(rows appended since ``position``), with no index built.
         """
-        positions, end = self._scan(position, category)
+        if category in SCANNED:
+            positions, end = self._scan(position, category)
+        else:
+            rows = self._by_cat.get(category, ())
+            positions, end = rows[bisect_left(rows, position) :], len(self._cats)
         times, sites, txns = self._times, self._sites, self._txns
         return end, [(times[p], sites[p], txns[p]) for p in positions]
 

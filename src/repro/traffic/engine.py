@@ -38,6 +38,7 @@ recorded trace just another workload.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -130,11 +131,20 @@ def tally_stream(
     outcomes: dict[str, str],
     handles: dict[str, object],
 ) -> WorkloadResult:
-    """Resolve submitted handles against protocol verdicts and tally."""
+    """Resolve submitted handles against protocol verdicts and tally.
+
+    The verdicts are the whole run's, read once: every submitted
+    transaction's outcome (:meth:`Cluster.outcomes
+    <repro.db.cluster.Cluster.outcomes>`, one pass over the decision
+    records) and the committed history, whose conflict graph keeps only
+    the direct dependencies (:class:`ConflictGraph`).  A handle the
+    cluster never took has no participant, so it is ``"blocked"``, as
+    :meth:`Cluster.outcome <repro.db.cluster.Cluster.outcome>` reads it.
+    """
     committed = protocol_aborted = blocked = 0
+    verdicts = cluster.outcomes()
     for txn in handles:
-        report = cluster.outcome(txn)
-        outcome = report.outcome
+        outcome = verdicts.get(txn, "blocked")
         if outcome == "commit":
             committed += 1
         elif outcome == "abort":
@@ -142,21 +152,18 @@ def tally_stream(
         else:
             blocked += 1
         outcomes[txn] = outcome
-    client_aborted = sum(1 for o in outcomes.values() if o == "client-aborted")
-    reads_committed = sum(1 for o in outcomes.values() if o == "read-committed")
-
-    history = cluster.committed_history()
+    client_side = Counter(outcomes.values())
     return WorkloadResult(
         protocol=protocol,
         submitted=len(outcomes),
         committed=committed,
-        client_aborted=client_aborted,
+        client_aborted=client_side["client-aborted"],
         protocol_aborted=protocol_aborted,
         blocked=blocked,
-        serializable=ConflictGraph(history).is_serializable(),
+        serializable=ConflictGraph(cluster.committed_history()).is_serializable(),
         readable_fraction=cluster.availability().readable_fraction,
         txn_outcomes=outcomes,
-        reads_committed=reads_committed,
+        reads_committed=client_side["read-committed"],
     )
 
 

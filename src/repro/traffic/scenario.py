@@ -15,7 +15,12 @@ position in full):
    events keep the scheduler sequence numbers they always had;
 4. **drive** — closed, direct, single or open;
 5. **tally** — the verdict loop; the finished cluster comes back on the
-   :class:`ScenarioRun`.
+   :class:`ScenarioRun`;
+6. **judge** — every run is put through the whole-run oracle
+   (:func:`~repro.analysis.invariants.check_invariants`), which only
+   reads; a run that breaks a claim raises
+   :class:`~repro.common.errors.InvariantViolationError` instead of
+   coming back.
 
 The three pins (``workload`` / ``catalog`` / ``failures``) replace what
 steps 1–3 would generate, so a recorded trace and a live generator are
@@ -33,6 +38,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
+from repro.analysis.invariants import check_invariants
+from repro.common.errors import InvariantViolationError
 from repro.db.cluster import Cluster
 from repro.db.txn import TxnHandle
 from repro.replication.catalog import ReplicaCatalog
@@ -133,6 +140,11 @@ def run_scenario(
     pin the placement and the fault schedule.  A catalog is a value, so
     the memoized or pinned one is handed over as it is: the plan's joins
     and leaves give the cluster new catalogs and leave this one alone.
+
+    Raises:
+        InvariantViolationError: the finished run broke one of the
+            paper's claims (:func:`~repro.analysis.invariants.check_invariants`);
+            the error names every violation.
     """
     from repro.workload.generators import memoized_catalog
 
@@ -166,4 +178,7 @@ def run_scenario(
         else:
             engine.run_closed(engine.submit_direct if scenario.drive == "direct" else None)
         result = engine.tally(protocol)
+    violations = check_invariants(cluster)
+    if violations:
+        raise InvariantViolationError(f"{scenario.name} under {protocol}, seed {seed}", violations)
     return ScenarioRun(scenario, cluster, engine, result, txn)

@@ -303,6 +303,22 @@ class TestRunIdentityPins:
         # the same run keeps the paper's claims (the oracle only reads)
         assert check_invariants(run.cluster) == []
 
+    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_one_pass_verdicts_equal_the_per_transaction_reads(self, name, protocol):
+        cluster = run_scenario(SCENARIOS[name](**SMALL_SHAPES[name]), protocol, 0).cluster
+        submitted = cluster.submitted
+        assert submitted
+        # every outcome: the first decision of each participant
+        assert cluster.outcomes() == {txn: cluster.outcome(txn).outcome for txn in submitted}
+        # the committed history: some site's last decision is a commit
+        committed = [txn for txn in submitted if "commit" in cluster.tracer.decisions(txn).values()]
+        history = [entry for entry in cluster.committed_history() if entry.txn in submitted]
+        assert [entry.txn for entry in history] == committed
+        for entry in history:
+            handle = submitted[entry.txn]
+            assert entry.writes == {item: version for item, (_, version) in handle.writes.items()}
+
 
 class TestArtifact:
     def test_roundtrip_preserves_fixed_point(self, tmp_path):

@@ -113,7 +113,10 @@ def _kick_everyone(self, event):
     for site in self.sites.values():
         if site.alive and site.engine is not None:
             HOPS["kick"] += 1
-            site.engine.kick()
+            if event == "restore":
+                site.engine.retry_blocked()
+            else:
+                site.engine.kick()
 
 
 def _polling_retire(self):

@@ -64,6 +64,40 @@ def test_a_mixed_outcome_breaks_atomicity_outside_3pc():
     assert check_invariants(run_example3_scenario(enforce_ignore_rules=True).cluster) == []
 
 
+@pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+def test_a_conflicting_command_breaks_atomicity_outside_3pc(protocol):
+    cluster, handle = one_update(protocol)
+    # a stale abort reaches a participant that committed: its first
+    # decision stands, so no outcome is mixed, but it records the
+    # conflict — the row the mixed-only check used to miss
+    cluster.network.fanout(1, (3,), f"{protocol}.abort", handle.txn, {})
+    cluster.run()
+    assert cluster.outcome(handle.txn).outcome == "commit"
+    assert cluster.tracer.count("decision-conflict", txn=handle.txn) == 1
+    found = check_invariants(cluster)
+    if protocol == "3pc":
+        assert found == []
+    else:
+        [violation] = found
+        assert violation.predicate == "atomicity"
+        assert f"1 decision-conflict row(s): ['{handle.txn}']" in violation.detail
+        assert "mixed" not in violation.detail
+
+
+@pytest.mark.parametrize("protocol", ["qtp1", "3pc"])
+def test_an_illegal_transition_breaks_atomicity_outside_3pc(protocol):
+    cluster, handle = one_update(protocol)
+    # by hand: no correct engine makes a move Fig. 6 forbids
+    cluster.tracer.record(
+        cluster.scheduler.now, 2, "illegal-transition", handle.txn, src="PC", dst="PA", via="hand"
+    )
+    found = check_invariants(cluster)
+    if protocol == "3pc":
+        assert found == []
+    else:
+        assert found == [Violation("atomicity", f"under qtp1: 1 illegal-transition row(s): ['{handle.txn}']")]
+
+
 def test_3pc_may_end_mixed_and_then_skips_serializability():
     # the paper's Example 2: 3PC's termination protocol splits the outcome
     broken = run_example3_scenario(enforce_ignore_rules=False, protocol="3pc")

@@ -50,6 +50,14 @@ class TestQueries:
         tracer.record(2.0, 2, "decision", "T1", outcome="commit")
         assert tracer.decisions("T1") == {1: "commit", 2: "commit"}
 
+    @pytest.mark.parametrize("category", ["decision", "partition", "send", "state"])
+    def test_txn_entries_is_every_record_of_a_category_in_order(self, category):
+        tracer = Tracer()
+        expected = _fill(tracer, 40)
+        assert list(tracer.txn_entries(category)) == [
+            (r.site, r.txn, r.detail) for r in _naive_where(expected, category)
+        ]
+
     def test_decisions_scoped_to_txn(self, tracer):
         tracer.record(1.0, 1, "decision", "T1", outcome="commit")
         tracer.record(1.0, 1, "decision", "T2", outcome="abort")
@@ -328,6 +336,26 @@ class TestCursor:
                 slow = (position, slow[1] + rows)
         assert fast == (len(tracer), self._keys(tracer.records, "decision"))
         assert slow == (len(tracer), self._keys(tracer.records, "send"))
+
+    @pytest.mark.parametrize("category", ["decision", "partition"])
+    def test_interleaved_appends_and_reads_of_a_generic_category_match_a_naive_filter(self, category):
+        # a generic category's cursor bisects its index: from any
+        # position — a batch boundary, mid-batch, past the end — a read
+        # returns what a filter over every row from that position keeps
+        tracer = Tracer()
+        cursor = 0
+        for batch in range(1, 30):
+            _fill(tracer, batch % 7)
+            records = tracer.records
+            for position in (cursor, cursor // 2, len(tracer) - 1, len(tracer) + 3):
+                expected = [
+                    (r.time, r.site, r.txn)
+                    for pos, r in enumerate(records)
+                    if pos >= position and r.category == category
+                ]
+                assert tracer.since(position, category) == (len(tracer), expected)
+            cursor = tracer.since(cursor, category)[0]
+        assert cursor == len(tracer)
 
     @pytest.mark.parametrize(
         "category", ["send", "deliver", "drop", "state", "decision", "partition"]

@@ -7,10 +7,13 @@ determinism — and the open-loop mode's admission accounting identity
 ``offered == admitted + shed_backpressure + shed_unreachable``.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, InvariantViolationError, ReproError
 from repro.db.cluster import Cluster
+from repro.experiments import SCENARIOS
 from repro.experiments.service_study import (
     discover_ceiling,
     open_loop_scenario,
@@ -68,6 +71,23 @@ class TestClosedLoop:
         run = run_scenario(scenario, "qtp1", 0)
         assert run.cluster.scheduler.pending == 0 and run.cluster.scheduler.now > 0
         assert run.result == run_scenario(scenario, "qtp1", 0).result
+
+    def test_a_run_that_breaks_a_claim_is_not_handed_back(self):
+        # a quiet single update that writes i0 and i1 at version 1, plus
+        # a read-only footprint that saw i1 after it and i0 before it,
+        # and a stale command's conflict row: two claims broken
+        def break_two_claims(rng, cluster, first):
+            cluster.record_footprint("R", {"i0": 0, "i1": 1}, {})
+            cluster.tracer.record(0.0, 1, "decision-conflict", first.txn, have="C", wanted="A")
+
+        scenario = dataclasses.replace(SCENARIOS["wan_storm"](), plan=break_two_claims)
+        with pytest.raises(InvariantViolationError) as raised:
+            run_scenario(scenario, "qtp1", 0)
+        assert isinstance(raised.value, ReproError)
+        assert [v.predicate for v in raised.value.violations] == ["atomicity", "serializability"]
+        message = str(raised.value)
+        assert message.startswith("wan_storm under qtp1, seed 0 broke 2 claim(s): atomicity: ")
+        assert "decision-conflict" in message and "serializability: " in message and "'R'" in message
 
     def test_read_only_ops_commit_on_fast_path(self):
         spec = WorkloadSpec(
