@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.net.message import Message
-from repro.protocols.states import TxnState
+from repro.protocols.states import STATE_OUTCOME
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.protocols.base import TxnRecord
@@ -112,8 +112,7 @@ class ElectionMixin:
         self.node.send(msg.src, "elect.alive", msg.txn)
         if record.decided:
             # Share the decision instead of re-running termination.
-            outcome = "commit" if record.state is TxnState.C else "abort"
-            self.node.send(msg.src, self.mtypes[outcome], msg.txn)
+            self.node.send(msg.src, self.mtypes[STATE_OUTCOME[record.state]], msg.txn)
             return
         if not record.electing and not record.terminating:
             self.start_election(msg.txn)

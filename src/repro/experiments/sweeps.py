@@ -17,6 +17,13 @@ These operationalize the paper's comparative and correctness claims:
 * **E21 WAN partition storm** — the same questions at installation
   scale: 32+ sites split region-wise by repeated partition waves.
 
+Every sweep run is judged by :func:`~repro.analysis.invariants.check_invariants`.
+E13, E14 and E21 are single-drive scenarios that
+:func:`~repro.traffic.run_scenario` runs and judges (E13's and E14's
+are unregistered, so no pin set grows).  E11 builds its own cluster —
+its ``skq-pinned`` row needs a :class:`~repro.db.cluster.Cluster`
+keyword no scenario carries — and judges it as the runner does.
+
 All drivers route through :mod:`repro.engine`: each accepts a
 ``workers=`` argument to fan runs out over a process pool, and a
 ``store=`` argument (a :class:`repro.engine.ResultStore`) to persist
@@ -32,10 +39,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.analysis.invariants import check_invariants
+from repro.common.errors import InvariantViolationError
 from repro.db.cluster import Cluster
 from repro.engine import ResultStore, SweepSpec, fold_cells
 from repro.sim.failures import FailurePlan
 from repro.sim.rng import RngRegistry
+from repro.traffic import Scenario, run_scenario
 from repro.workload.generators import (
     memoized_catalog,
     random_catalog,
@@ -43,8 +53,8 @@ from repro.workload.generators import (
     random_partition_groups,
     random_update,
 )
-from repro.traffic import run_scenario
 from repro.workload.scenarios import wan_storm_scenario
+from repro.workload.spec import WorkloadSpec
 
 
 @dataclass
@@ -107,6 +117,9 @@ def availability_run(seed: int, protocol: str) -> tuple[float, float, bool, bool
     )
     cluster.arm_failures(plan)
     cluster.run()
+    violations = check_invariants(cluster)
+    if violations:
+        raise InvariantViolationError(f"e11-availability under {protocol}, seed {seed}", violations)
     report = cluster.outcome(txn.txn)
     availability = cluster.availability()
     writeset_rows = [row for row in availability.rows if row.item in writes]
@@ -216,32 +229,42 @@ def _fold_storm(state, result):
     return state
 
 
+def storm_scenario(waves: int = 3) -> Scenario:
+    """E13: one update, its coordinator crashed early, ``waves`` random
+    two-way partitions during termination, then heal and recovery."""
+    params = dict(locals())
+
+    def plan(rng, cluster, first):
+        storm = FailurePlan()
+        storm.crash(rng.uniform(1.0, 4.0), first.origin)
+        t = 5.0
+        for _ in range(waves):
+            storm.partition(t, *random_partition_groups(rng, cluster.network.sites, 2))
+            t += rng.uniform(8.0, 15.0)
+        storm.heal(t)
+        storm.recover(t + 5.0, first.origin)
+        return storm
+
+    return Scenario(
+        name="reenterability_storm",
+        params=params,
+        stream="storm",
+        catalog=(random_catalog, dict(n_sites=6, n_items=3, replication=3)),
+        workload=WorkloadSpec(n_txns=1, footprint=(1, 2)),
+        plan=plan,
+        drive="single",
+    )
+
+
 def storm_run(seed: int, protocol: str, waves: int = 3) -> tuple[bool, bool, int]:
     """One E13 sample; returns (consistent, terminated, term_attempts)."""
-    registry = RngRegistry(seed)
-    rng = registry.stream("storm")
-    catalog = memoized_catalog(
-        rng, ("e13-storm", 6, 3, 3), lambda r: random_catalog(r, n_sites=6, n_items=3, replication=3)
-    )
-    origin, writes = random_update(rng, catalog, max_items=2)
-    cluster = Cluster(catalog, protocol=protocol, seed=seed)
-    txn = cluster.update(origin, writes)
-    plan = FailurePlan()
-    plan.crash(rng.uniform(1.0, 4.0), origin)
-    t = 5.0
-    for _ in range(waves):
-        groups = random_partition_groups(rng, cluster.network.sites, 2)
-        plan.partition(t, *groups)
-        t += rng.uniform(8.0, 15.0)
-    plan.heal(t)
-    plan.recover(t + 5.0, origin)
-    cluster.arm_failures(plan)
-    cluster.run()
-    report = cluster.outcome(txn.txn)
+    run = run_scenario(storm_scenario(waves), protocol, seed)
+    cluster, txn = run.cluster, run.txn.txn
+    report = cluster.outcome(txn)
     return (
         bool(report.atomic),
         bool(report.fully_terminated),
-        cluster.tracer.count("term-phase1", txn=txn.txn),
+        cluster.tracer.count("term-phase1", txn=txn),
     )
 
 
@@ -304,30 +327,37 @@ class ModelCheckResult:
         )
 
 
+def modelcheck_scenario(heal: bool = True) -> Scenario:
+    """E14: one update under a random fault schedule (crashes, a
+    2-3-way partition, and with ``heal`` a heal and recovery)."""
+    params = dict(locals())
+
+    def plan(rng, cluster, first):
+        return random_fault_plan(
+            rng,
+            sites=cluster.network.sites,
+            coordinator=first.origin,
+            crash_coordinator=rng.random() < 0.8,
+            n_extra_crashes=rng.choice([0, 0, 1]),
+            n_groups=rng.choice([2, 2, 3]),
+            heal_at=rng.uniform(30.0, 60.0) if heal else None,
+        )
+
+    return Scenario(
+        name="modelcheck",
+        params=params,
+        stream="modelcheck",
+        catalog=(random_catalog, dict(n_sites=7, n_items=3, replication=3)),
+        workload=WorkloadSpec(n_txns=1, footprint=(1, 2)),
+        plan=plan,
+        drive="single",
+    )
+
+
 def modelcheck_run(seed: int, protocol: str, heal: bool = True) -> bool:
     """One E14 schedule; returns whether termination stayed atomic."""
-    registry = RngRegistry(seed)
-    rng = registry.stream("modelcheck")
-    catalog = memoized_catalog(
-        rng,
-        ("e14-modelcheck", 7, 3, 3),
-        lambda r: random_catalog(r, n_sites=7, n_items=3, replication=3),
-    )
-    origin, writes = random_update(rng, catalog, max_items=2)
-    cluster = Cluster(catalog, protocol=protocol, seed=seed)
-    txn = cluster.update(origin, writes)
-    plan = random_fault_plan(
-        rng,
-        sites=cluster.network.sites,
-        coordinator=origin,
-        crash_coordinator=rng.random() < 0.8,
-        n_extra_crashes=rng.choice([0, 0, 1]),
-        n_groups=rng.choice([2, 2, 3]),
-        heal_at=rng.uniform(30.0, 60.0) if heal else None,
-    )
-    cluster.arm_failures(plan)
-    cluster.run()
-    return bool(cluster.outcome(txn.txn).atomic)
+    run = run_scenario(modelcheck_scenario(heal), protocol, seed)
+    return bool(run.cluster.outcome(run.txn.txn).atomic)
 
 
 def _fold_modelcheck(state, result):

@@ -16,13 +16,16 @@ availability *through the termination protocol* after random failures:
   item).
 
 The same fault scenarios run against each policy; only the catalog
-differs.
+differs.  The update is fixed, not drawn, so a run is no scenario: it
+builds its own cluster and judges it as :func:`~repro.traffic.run_scenario` does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis.invariants import check_invariants
+from repro.common.errors import InvariantViolationError
 from repro.db.cluster import Cluster
 from repro.engine import ResultStore, SweepSpec, fold_cells
 from repro.replication.catalog import CatalogBuilder, ReplicaCatalog
@@ -95,6 +98,9 @@ def policy_run(
     )
     cluster.arm_failures(plan)
     cluster.run()
+    violations = check_invariants(cluster)
+    if violations:
+        raise InvariantViolationError(f"e19-vote-policies {policy} under qtp1, seed {seed}", violations)
     report = cluster.outcome(txn.txn)
     availability = cluster.availability()
     return (

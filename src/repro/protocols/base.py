@@ -33,6 +33,11 @@ The protocols differ in two places only:
   rule).  Rules are pure functions over the polled states, which makes
   them directly unit- and property-testable.
 
+Everything else is written once.  The termination protocol's phase 3
+is one round in one of two mirrored directions, and each of its steps
+(prepare, ack, close, command) is one handler for both; a two-entry
+table (``_COMMIT_ROUND`` / ``_ABORT_ROUND``) holds what differs.
+
 Message handlers are declared, not installed.
 :attr:`CommitProtocolEngine.HANDLERS` maps a message kind (the part
 after ``family.``) to the name of the method that handles it.  The
@@ -88,11 +93,11 @@ import enum
 import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Mapping, NamedTuple
 
 from repro.election.bully import ElectionMixin
 from repro.net.message import Message
-from repro.protocols.states import LEGAL_TRANSITIONS, TxnState
+from repro.protocols.states import LEGAL_TRANSITIONS, OUTCOME_STATE, TxnState
 from repro.storage.wal import WriteAheadLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -128,6 +133,11 @@ class TerminationRule(ABC):
     :class:`~repro.protocols.qtp.quorums.QuorumTerminationRule`).
     Implementations must be side-effect free and hold no state that
     changes during a run.
+
+    :meth:`evaluate` is phase 2; a phase-3 round holds its quorum when
+    :meth:`commits` (or, for an abort round, :meth:`aborts`) holds of
+    its supporters.  A rule without quorums keeps the defaults, which
+    always hold (3PC's TRY_COMMIT round cannot fail).
     """
 
     #: short name used in traces and experiment tables.
@@ -152,24 +162,24 @@ class TerminationRule(ABC):
         total raises :class:`~repro.common.errors.ConfigurationError`
         here.  The default accepts any total."""
 
-    def commit_round_ok(
+    def commits(
         self,
         items: list[str],
-        supporters: Iterable[int],
-        participants: Iterable[int] | None = None,
-        catalog: "ReplicaCatalog | None" = None,
+        sites: set[int],
+        participants: Iterable[int] | None,
+        catalog: "ReplicaCatalog | None",
     ) -> bool:
-        """Phase 3a: may COMMIT be sent given PC-repliers + PC-ACKers?"""
+        """Do ``sites`` hold the commit access right?  Always, here."""
         return True
 
-    def abort_round_ok(
+    def aborts(
         self,
         items: list[str],
-        supporters: Iterable[int],
-        participants: Iterable[int] | None = None,
-        catalog: "ReplicaCatalog | None" = None,
+        sites: set[int],
+        participants: Iterable[int] | None,
+        catalog: "ReplicaCatalog | None",
     ) -> bool:
-        """Phase 3b: may ABORT be sent given PA-repliers + PA-ACKers?"""
+        """Do ``sites`` hold the abort access right?  Always, here."""
         return True
 
 
@@ -212,6 +222,25 @@ _DECIDED = (TxnState.C, TxnState.A)
 _STATE_BY_NAME: Mapping[str, TxnState] = TxnState._member_map_
 
 
+class _Round(NamedTuple):
+    """One direction of a termination round (phase 3 of Fig. 5 / Fig. 8):
+    the ``term-phase3`` row's ``mode``, the ``prepare`` and ``ack``
+    kinds, the ``state`` a prepare enters (also the supporters' state),
+    the state that ignores the prepare (Fig. 6 has no PC <-> PA move)
+    and the ``outcome`` a round that holds its quorum sends."""
+
+    mode: str
+    prepare: str
+    ack: str
+    state: TxnState
+    ignored_in: TxnState
+    outcome: str
+
+
+_COMMIT_ROUND = _Round("commit-round", "t.ptc", "t.pc-ack", TxnState.PC, TxnState.PA, "commit")
+_ABORT_ROUND = _Round("abort-round", "t.pta", "t.pa-ack", TxnState.PA, TxnState.PC, "abort")
+
+
 @dataclass(slots=True)
 class TxnRecord:
     """Everything one site knows about one in-flight transaction.
@@ -249,7 +278,8 @@ class TxnRecord:
     term_attempt: int = 0
     term_states: dict[int, TxnState] = field(init=False, repr=False, compare=False)
     term_supporters: set[int] = field(init=False, repr=False, compare=False)
-    term_mode: str = ""
+    #: the attempt's phase-3 round, once phase 2 has chosen one
+    term_round: _Round | None = None
 
     #: label -> armed timer; None before the first timer and after
     #: :meth:`cancel_all_timers`
@@ -379,14 +409,14 @@ class CommitProtocolEngine(ElectionMixin):
         "vote": "_on_vote",
         "prepare": "_on_prepare",
         "ack": "_on_prepare_ack",
-        "commit": "_on_commit_cmd",
-        "abort": "_on_abort_cmd",
+        "commit": "_on_command",
+        "abort": "_on_command",
         "t.state-req": "_on_term_state_req",
         "t.state": "_on_term_state",
-        "t.ptc": "_on_term_prepare_commit",
-        "t.pta": "_on_term_prepare_abort",
-        "t.pc-ack": "_on_term_pc_ack",
-        "t.pa-ack": "_on_term_pa_ack",
+        "t.ptc": "_on_term_prepare",
+        "t.pta": "_on_term_prepare",
+        "t.pc-ack": "_on_term_ack",
+        "t.pa-ack": "_on_term_ack",
         "t.blocked": "_on_term_blocked",
     }
     def __init__(
@@ -688,17 +718,13 @@ class CommitProtocolEngine(ElectionMixin):
             self.node.send(msg.src, self.mtypes["ack"], msg.txn)  # idempotent re-ack
         # PA / decided: ignore (the Fig. 6 no-PC<->PA rule)
 
-    def _on_commit_cmd(self, msg: Message) -> None:
+    def _on_command(self, msg: Message) -> None:
+        """COMMIT or ABORT, from a coordinator or a terminator."""
         record = self._records.get(msg.txn)
         if record is None:
             return
-        self._decide(record, "commit", via=f"command-from-{msg.src}")
-
-    def _on_abort_cmd(self, msg: Message) -> None:
-        record = self._records.get(msg.txn)
-        if record is None:
-            return
-        self._decide(record, "abort", via=f"command-from-{msg.src}")
+        outcome = "commit" if msg.mtype == self.mtypes["commit"] else "abort"
+        self._decide(record, outcome, via=f"command-from-{msg.src}")
 
     def _decide(self, record: TxnRecord, outcome: str, via: str) -> None:
         """Terminate the transaction locally (idempotent, irrevocable).
@@ -710,7 +736,7 @@ class CommitProtocolEngine(ElectionMixin):
         variants of Examples 2 and 3 do, and the analysis layer counts
         these events as atomicity violations.
         """
-        wanted = TxnState.C if outcome == "commit" else TxnState.A
+        wanted = OUTCOME_STATE[outcome]
         if record.decided:
             if record.state is not wanted:
                 self.node.trace(
@@ -751,7 +777,7 @@ class CommitProtocolEngine(ElectionMixin):
         record.term_attempt = self._term_attempt_counter
         record.term_states = {}
         record.term_supporters = set()
-        record.term_mode = ""
+        record.term_round = None
         polled = record.participants
         if record.coordinator not in polled:
             polled = [*polled, record.coordinator]
@@ -790,7 +816,7 @@ class CommitProtocolEngine(ElectionMixin):
                     self.mtypes["t.state"],
                     msg.txn,
                     attempt=msg.payload["attempt"],
-                    state="C" if decision == "commit" else "A",
+                    state=OUTCOME_STATE[decision]._name_,
                 )
             return
         if record is None:
@@ -805,8 +831,7 @@ class CommitProtocolEngine(ElectionMixin):
             # half never joined, so it answers Q and takes the command.)
             decision = self.wal.participant_decision(msg.txn)
             if decision is not None:
-                state = TxnState.C if decision == "commit" else TxnState.A
-                record = self._record_from_payload(msg.txn, msg.payload, state)
+                record = self._record_from_payload(msg.txn, msg.payload, OUTCOME_STATE[decision])
             else:
                 record = self._record_from_payload(msg.txn, msg.payload)
                 self.wal.begin(
@@ -849,83 +874,60 @@ class CommitProtocolEngine(ElectionMixin):
             self._term_command(record, "commit")
         elif decision is Decision.ABORT:
             self._term_command(record, "abort")
-        elif decision is Decision.TRY_COMMIT:
-            record.term_mode = "commit-round"
-            record.term_supporters = {
-                s for s, st in states.items() if st is TxnState.PC
-            }
-            self._term_prepare_round(record, "t.ptc", states)
-        elif decision is Decision.TRY_ABORT:
-            record.term_mode = "abort-round"
-            record.term_supporters = {
-                s for s, st in states.items() if st is TxnState.PA
-            }
-            self._term_prepare_round(record, "t.pta", states)
-        else:
+        elif decision is Decision.BLOCK:
             self._term_block(record)
+        else:
+            # phase 3: one round, in the direction the rule chose
+            round_ = _COMMIT_ROUND if decision is Decision.TRY_COMMIT else _ABORT_ROUND
+            record.term_round = round_
+            record.term_supporters = {s for s, st in states.items() if st is round_.state}
+            wait_sites = [s for s, st in states.items() if st is TxnState.W]
+            self.node.multicast(wait_sites, self.mtypes[round_.prepare], txn, attempt=record.term_attempt)
+            record.set_timer(
+                self._scheduler,
+                2 * self._T + self._eps,
+                self._term_round_closed,
+                txn,
+                record.term_attempt,
+                label="term-round",
+            )
 
-    def _term_prepare_round(
-        self, record: TxnRecord, mtype: str, states: Mapping[int, TxnState]
-    ) -> None:
-        wait_sites = [s for s, st in states.items() if st is TxnState.W]
-        self.node.multicast(wait_sites, self.mtypes[mtype], record.txn, attempt=record.term_attempt)
-        record.set_timer(
-            self._scheduler,
-            2 * self._T + self._eps,
-            self._term_round_closed,
-            record.txn,
-            record.term_attempt,
-            label="term-round",
-        )
-
-    def _on_term_prepare_commit(self, msg: Message) -> None:
+    def _on_term_prepare(self, msg: Message) -> None:
+        """PREPARE-TO-COMMIT or PREPARE-TO-ABORT from a terminator."""
         record = self._records.get(msg.txn)
         if record is None or record.decided:
             return
-        if record.state is TxnState.PA and self.enforce_ignore_rules:
+        round_ = _COMMIT_ROUND if msg.mtype == self.mtypes["t.ptc"] else _ABORT_ROUND
+        state = record.state
+        if state is round_.ignored_in and self.enforce_ignore_rules:
             # "A participant should ignore PREPARE-TO-COMMIT messages if
-            # it is in PA state" — the rule Example 3 shows is essential.
-            self.node.trace("ignored", msg.txn, mtype="t.ptc", state=record.state.name)
+            # it is in PA state and PREPARE-TO-ABORT messages if it is in
+            # PC state" — the rule Example 3 shows is essential.
+            self.node.trace("ignored", msg.txn, mtype=round_.prepare, state=state._name_)
             return
-        if record.state not in (TxnState.W, TxnState.PC, TxnState.PA):
+        if state not in (TxnState.W, TxnState.PC, TxnState.PA):
             return  # Q never voted; it must not enter a committable state
-        if record.state is not TxnState.PC:
-            self.wal.pc(msg.txn)
-            self._transition(record, TxnState.PC, via=f"t.ptc-from-{msg.src}")
-        self.node.send(
-            msg.src, self.mtypes["t.pc-ack"], msg.txn, attempt=msg.payload["attempt"]
-        )
+        if state is not round_.state:
+            if round_ is _COMMIT_ROUND:
+                self.wal.pc(msg.txn)
+            else:
+                self.wal.pa(msg.txn)
+            self._transition(record, round_.state, via=f"{round_.prepare}-from-{msg.src}")
+        self.node.send(msg.src, self.mtypes[round_.ack], msg.txn, attempt=msg.payload["attempt"])
         self._arm_watchdog(record)
 
-    def _on_term_prepare_abort(self, msg: Message) -> None:
-        record = self._records.get(msg.txn)
-        if record is None or record.decided:
-            return
-        if record.state is TxnState.PC and self.enforce_ignore_rules:
-            # "...and ignore PREPARE-TO-ABORT messages if it is in PC state."
-            self.node.trace("ignored", msg.txn, mtype="t.pta", state=record.state.name)
-            return
-        if record.state not in (TxnState.W, TxnState.PA, TxnState.PC):
-            return
-        if record.state is not TxnState.PA:
-            self.wal.pa(msg.txn)
-            self._transition(record, TxnState.PA, via=f"t.pta-from-{msg.src}")
-        self.node.send(
-            msg.src, self.mtypes["t.pa-ack"], msg.txn, attempt=msg.payload["attempt"]
-        )
-        self._arm_watchdog(record)
-
-    def _on_term_pc_ack(self, msg: Message) -> None:
-        self._collect_term_ack(msg, "commit-round")
-
-    def _on_term_pa_ack(self, msg: Message) -> None:
-        self._collect_term_ack(msg, "abort-round")
-
-    def _collect_term_ack(self, msg: Message, mode: str) -> None:
+    def _on_term_ack(self, msg: Message) -> None:
+        """A PC-ACK or PA-ACK: a supporter of this attempt's round, if
+        it is of the round's kind."""
         record = self._records.get(msg.txn)
         if record is None or not record.terminating:
             return
-        if record.term_mode != mode or msg.payload["attempt"] != record.term_attempt:
+        round_ = record.term_round
+        if (
+            round_ is None
+            or msg.mtype != self.mtypes[round_.ack]
+            or msg.payload["attempt"] != record.term_attempt
+        ):
             return
         record.term_supporters.add(msg.src)
 
@@ -934,27 +936,19 @@ class CommitProtocolEngine(ElectionMixin):
         if record is None or record.decided or record.term_attempt != attempt:
             return
         supporters = set(record.term_supporters)
-        catalog = self.epochs[record.epoch]
-        if record.term_mode == "commit-round":
-            ok = self.rule.commit_round_ok(
-                record.items, supporters, participants=record.participants, catalog=catalog
-            )
-            outcome = "commit"
-        else:
-            ok = self.rule.abort_round_ok(
-                record.items, supporters, participants=record.participants, catalog=catalog
-            )
-            outcome = "abort"
+        round_ = record.term_round
+        holds = self.rule.commits if round_ is _COMMIT_ROUND else self.rule.aborts
+        ok = holds(record.items, supporters, record.participants, self.epochs[record.epoch])
         self.node.trace(
             "term-phase3",
             txn,
             attempt=attempt,
-            mode=record.term_mode,
+            mode=round_.mode,
             supporters=sorted(supporters),
             quorum=ok,
         )
         if ok:
-            self._term_command(record, outcome)
+            self._term_command(record, round_.outcome)
         else:
             # "else start the election protocol" (Fig. 5) — additional
             # failures happened during the round; re-enter.
@@ -1047,7 +1041,7 @@ class CommitProtocolEngine(ElectionMixin):
                 # so termination polls are answered with C / A, never Q
                 # — a recovered committed site reporting "initial" would
                 # let a new coordinator abort a committed transaction.
-                state = TxnState.C if decision == "commit" else TxnState.A
+                state = OUTCOME_STATE[decision]
             else:
                 state = undecided.get(txn, TxnState.Q)
             record = self._add_record(
@@ -1109,7 +1103,6 @@ class CommitProtocolEngine(ElectionMixin):
             # compare against term_attempt and will no-op
             self._term_attempt_counter += 1
             record.term_attempt = self._term_attempt_counter
-            record.term_mode = ""
             self._arm_watchdog(record, factor=1.0)
 
     def retry_blocked(self) -> None:

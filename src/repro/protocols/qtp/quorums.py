@@ -12,8 +12,9 @@ participant set, which the engine passes with every call:
 3. TRY_COMMIT — (∃ PC site) and commits(sites not in PA)
 4. TRY_ABORT  — aborts(sites not in PC)
 5. BLOCK
-   Round conditions: the commit round needs commits(PC-repliers +
-   PC-ACKers); the abort round needs aborts(PA-repliers + PA-ACKers).
+   Round conditions: the engine asks the same pair of a round's
+   supporters — commits(PC-repliers + PC-ACKers) closes a commit
+   round, aborts(PA-repliers + PA-ACKers) an abort round.
 
 The four rules are four pairs:
 
@@ -108,30 +109,20 @@ class QuorumTally:
 
 
 class QuorumTerminationRule(TerminationRule):
-    """Fig. 5's table over :meth:`commits` / :meth:`aborts`.
+    """Fig. 5's table over :meth:`commits` / :meth:`aborts`, the pair
+    the engine also asks of a termination round's supporters.
 
-    A subclass supplies the pair; ``sites`` is always a set, and
+    A subclass supplies the pair (abstract here, where the base rule
+    grants both rights); ``sites`` is always a set, and
     ``participants`` / ``catalog`` are the transaction's own.
     """
 
     @abstractmethod
-    def commits(
-        self,
-        items: list[str],
-        sites: set[int],
-        participants: Iterable[int] | None,
-        catalog: "ReplicaCatalog | None",
-    ) -> bool:
+    def commits(self, items, sites, participants, catalog) -> bool:
         """Do ``sites`` hold the commit access right?"""
 
     @abstractmethod
-    def aborts(
-        self,
-        items: list[str],
-        sites: set[int],
-        participants: Iterable[int] | None,
-        catalog: "ReplicaCatalog | None",
-    ) -> bool:
+    def aborts(self, items, sites, participants, catalog) -> bool:
         """Do ``sites`` hold the abort access right?"""
 
     def evaluate(
@@ -159,24 +150,6 @@ class QuorumTerminationRule(TerminationRule):
         if self.aborts(items, set(states) - pc, participants, catalog):
             return Decision.TRY_ABORT
         return Decision.BLOCK
-
-    def commit_round_ok(
-        self,
-        items: list[str],
-        supporters: Iterable[int],
-        participants: Iterable[int] | None = None,
-        catalog: "ReplicaCatalog | None" = None,
-    ) -> bool:
-        return self.commits(items, set(supporters), participants, catalog)
-
-    def abort_round_ok(
-        self,
-        items: list[str],
-        supporters: Iterable[int],
-        participants: Iterable[int] | None = None,
-        catalog: "ReplicaCatalog | None" = None,
-    ) -> bool:
-        return self.aborts(items, set(supporters), participants, catalog)
 
 
 def _w_all(catalog: "ReplicaCatalog", items: list[str], sites: set[int]) -> bool:

@@ -32,6 +32,7 @@ is the fact Example 3's counterexample (and our test
 from __future__ import annotations
 
 import enum
+from typing import Mapping
 
 
 class TxnState(enum.Enum):
@@ -63,6 +64,11 @@ COMMITTABLE: frozenset[TxnState] = frozenset({TxnState.PC, TxnState.C})
 
 #: terminal (irrevocable) states.
 TERMINAL: frozenset[TxnState] = frozenset({TxnState.A, TxnState.C})
+
+#: each outcome's terminal state, and the other way round: the one
+#: spelling of "commit is C, abort is A"
+OUTCOME_STATE: Mapping[str, TxnState] = {"commit": TxnState.C, "abort": TxnState.A}
+STATE_OUTCOME: Mapping[TxnState, str] = {state: outcome for outcome, state in OUTCOME_STATE.items()}
 
 #: the Fig. 6 transition relation.  W splits on quorum participation:
 #: W -> PC (joins a commit quorum), W -> PA (joins an abort quorum),

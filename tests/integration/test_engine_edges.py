@@ -28,16 +28,15 @@ def committed_cluster(cluster):
 class TestIdempotency:
     def test_duplicate_commit_command_absorbed(self, cluster):
         txn = committed_cluster(cluster)
-        engine = cluster.sites[2].ensure_engine()
         before = len(cluster.sites[2].wal)
-        engine._on_commit_cmd(Message(1, 2, "qtp1.commit", txn.txn))
+        cluster.sites[2].deliver(Message(1, 2, "qtp1.commit", txn.txn))
         assert len(cluster.sites[2].wal) == before  # no re-logging
         assert cluster.outcome(txn.txn).conflicts == 0
 
     def test_conflicting_command_traced_not_applied(self, cluster):
         txn = committed_cluster(cluster)
         engine = cluster.sites[2].ensure_engine()
-        engine._on_abort_cmd(Message(1, 2, "qtp1.abort", txn.txn))
+        cluster.sites[2].deliver(Message(1, 2, "qtp1.abort", txn.txn))
         # the first decision stands; the conflict is recorded
         assert engine.record(txn.txn).state is TxnState.C
         assert cluster.tracer.count("decision-conflict", txn=txn.txn) == 1
@@ -77,8 +76,8 @@ class TestIdempotency:
 
     def test_commands_for_unknown_txn_ignored(self, cluster):
         engine = cluster.sites[2].ensure_engine()
-        engine._on_commit_cmd(Message(1, 2, "qtp1.commit", "ghost"))
-        engine._on_abort_cmd(Message(1, 2, "qtp1.abort", "ghost"))
+        cluster.sites[2].deliver(Message(1, 2, "qtp1.commit", "ghost"))
+        cluster.sites[2].deliver(Message(1, 2, "qtp1.abort", "ghost"))
         assert engine.record("ghost") is None
 
 
@@ -103,12 +102,26 @@ class TestStaleTerminationMessages:
         cluster.run_until(7.0)
         engine = cluster.sites[3].ensure_engine()
         record = engine.record(txn.txn)
-        engine._on_term_pc_ack(
-            Message(2, 3, "qtp1.t.pc-ack", txn.txn, {"attempt": 999})
-        )
+        cluster.sites[3].deliver(Message(2, 3, "qtp1.t.pc-ack", txn.txn, {"attempt": 999}))
         assert 2 not in record.term_supporters
         cluster.run()
         assert cluster.outcome(txn.txn).atomic
+
+    def test_ack_of_the_other_direction_ignored(self, cluster):
+        """An abort round counts PA-ACKs of its attempt, never a PC-ACK."""
+        txn = cluster.update(origin=1, writes={"x": 5})
+        cluster.arm_failures(FailurePlan().crash(1.5, 1))
+        cluster.run_until(7.0)  # site 3 runs attempt 1's abort round
+        site = cluster.sites[3]
+        record = site.engine.record(txn.txn)
+        assert record.term_round.mode == "abort-round"
+        assert record.term_supporters == {3}
+        site.deliver(Message(2, 3, "qtp1.t.pc-ack", txn.txn, {"attempt": 1}))
+        assert record.term_supporters == {3}
+        site.deliver(Message(2, 3, "qtp1.t.pa-ack", txn.txn, {"attempt": 1}))
+        assert record.term_supporters == {2, 3}
+        cluster.run()
+        assert cluster.outcome(txn.txn).outcome == "abort"
 
     def test_state_req_materializes_q_record(self, cluster):
         """A site that never saw the vote-req answers a termination poll
@@ -143,10 +156,88 @@ class TestStaleTerminationMessages:
                  "participants": [1, 2, 3], "epoch": 0},
             )
         )
-        engine._on_term_prepare_commit(
-            Message(2, 3, "qtp1.t.ptc", "T-q", {"attempt": 1})
-        )
+        cluster.sites[3].deliver(Message(2, 3, "qtp1.t.ptc", "T-q", {"attempt": 1}))
         assert engine.record("T-q").state is TxnState.Q
+
+
+class TestIgnoreRuleBothDirections:
+    """Fig. 6 has no PC <-> PA move, so a site in PA ignores
+    PREPARE-TO-COMMIT and a site in PC ignores PREPARE-TO-ABORT: each
+    direction of the one prepare handler.  With the rule off (Example
+    3's broken variant) both prepares are taken and acked."""
+
+    @staticmethod
+    def prepared(catalog, enforce):
+        """Site 2 in PA and site 3 in PC, put there by site 1's
+        prepares while every participant waits in W."""
+        cluster = Cluster(catalog, protocol="qtp1", enforce_ignore_rules=enforce)
+        txn = cluster.update(origin=1, writes={"x": 5}).txn
+        cluster.run_until(1.5)  # every participant voted yes
+        cluster.sites[2].deliver(Message(1, 2, "qtp1.t.pta", txn, {"attempt": 1}))
+        cluster.sites[3].deliver(Message(1, 3, "qtp1.t.ptc", txn, {"attempt": 1}))
+        return cluster, txn
+
+    @staticmethod
+    def cross_prepares(cluster, txn):
+        """Each site gets the other direction's prepare."""
+        cluster.sites[2].deliver(Message(1, 2, "qtp1.t.ptc", txn, {"attempt": 1}))
+        cluster.sites[3].deliver(Message(1, 3, "qtp1.t.pta", txn, {"attempt": 1}))
+
+    @staticmethod
+    def observed(cluster, txn):
+        """(acks sent, state moves, prepared-state log rows) per site 2 and 3."""
+        tracer = cluster.tracer
+        acks = [
+            (site, detail["mtype"])
+            for _, site, detail in tracer.entries("send", txn)
+            if detail["mtype"].endswith("-ack")
+        ]
+        moves = [
+            (site, detail["src"], detail["dst"], detail["via"])
+            for _, site, detail in tracer.entries("state", txn)
+            if site in (2, 3) and detail["via"].startswith("t.")
+        ]
+        logged = {
+            site: [r.kind for r in cluster.sites[site].wal if r.kind in ("pc", "pa")]
+            for site in (2, 3)
+        }
+        return acks, moves, logged
+
+    def test_pa_ignores_ptc_and_pc_ignores_pta(self, catalog):
+        cluster, txn = self.prepared(catalog, enforce=True)
+        self.cross_prepares(cluster, txn)
+        ignored = [
+            (site, detail["mtype"], detail["state"])
+            for _, site, detail in cluster.tracer.entries("ignored", txn)
+        ]
+        assert ignored == [(2, "t.ptc", "PA"), (3, "t.pta", "PC")]
+        acks, moves, logged = self.observed(cluster, txn)
+        assert acks == [(2, "qtp1.t.pa-ack"), (3, "qtp1.t.pc-ack")]
+        assert moves == [(2, "W", "PA", "t.pta-from-1"), (3, "W", "PC", "t.ptc-from-1")]
+        assert logged == {2: ["pa"], 3: ["pc"]}
+        assert cluster.sites[2].engine.record(txn).state is TxnState.PA
+        assert cluster.sites[3].engine.record(txn).state is TxnState.PC
+
+    def test_without_the_rule_both_prepares_are_acked(self, catalog):
+        cluster, txn = self.prepared(catalog, enforce=False)
+        self.cross_prepares(cluster, txn)
+        assert cluster.tracer.count("ignored", txn=txn) == 0
+        acks, moves, logged = self.observed(cluster, txn)
+        assert acks == [
+            (2, "qtp1.t.pa-ack"),
+            (3, "qtp1.t.pc-ack"),
+            (2, "qtp1.t.pc-ack"),
+            (3, "qtp1.t.pa-ack"),
+        ]
+        assert moves == [
+            (2, "W", "PA", "t.pta-from-1"),
+            (3, "W", "PC", "t.ptc-from-1"),
+            (2, "PA", "PC", "t.ptc-from-1"),
+            (3, "PC", "PA", "t.pta-from-1"),
+        ]
+        assert logged == {2: ["pa", "pc"], 3: ["pc", "pa"]}
+        # the moves Fig. 6 forbids, each traced as such
+        assert cluster.tracer.count("illegal-transition", txn=txn) == 2
 
 
 class TestCoordinatorRecoveryCorners:

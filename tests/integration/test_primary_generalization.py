@@ -101,11 +101,11 @@ class TestPrimaryRule:
 
     def test_rounds(self, rule):
         catalog = self.CATALOG
-        assert rule.commit_round_ok(self.ITEMS, {2, 6}, catalog=catalog)
-        assert not rule.commit_round_ok(self.ITEMS, {2}, catalog=catalog)
-        assert not rule.commit_round_ok([], {2, 6}, catalog=catalog)  # vacuous no
-        assert rule.abort_round_ok(self.ITEMS, {6}, catalog=catalog)
-        assert not rule.abort_round_ok(self.ITEMS, {3, 7}, catalog=catalog)
+        assert rule.commits(self.ITEMS, {2, 6}, None, catalog)
+        assert not rule.commits(self.ITEMS, {2}, None, catalog)
+        assert not rule.commits([], {2, 6}, None, catalog)  # vacuous no
+        assert rule.aborts(self.ITEMS, {6}, None, catalog)
+        assert not rule.aborts(self.ITEMS, {3, 7}, None, catalog)
 
     def test_q_and_c_dominance(self, rule):
         assert self.decide(rule, {2: Q, 6: PC}) is Decision.ABORT

@@ -79,14 +79,14 @@ class TestRule1CrossPartitionSafety:
         if rule.evaluate(["x"], states_a, catalog=catalog) is Decision.COMMIT and states_b:
             # every site of B is outside A's PC set; B's abort round
             # needs r(x) votes from B sites (all non-PC w.r.t. A's quorum)
-            assert not rule.abort_round_ok(["x"], set(states_b), catalog=catalog)
+            assert not rule.aborts(["x"], set(states_b), None, catalog)
 
     @given(catalog_and_split())
     @settings(max_examples=300, deadline=None)
     def test_abort_completion_excludes_remote_immediate_commit(self, data):
         catalog, states_a, states_b = data
         rule = TerminationRule1()
-        if states_b and rule.abort_round_ok(["x"], set(states_b), catalog=catalog):
+        if states_b and rule.aborts(["x"], set(states_b), None, catalog):
             # B holds >= r votes, so A holds <= v - r < w votes: A can
             # never have w(x) votes in PC
             pc_a = {s for s, state in states_a.items() if state is TxnState.PC}
@@ -99,8 +99,8 @@ class TestRule1CrossPartitionSafety:
         """w + w > v: two disjoint site sets can never both hold w votes."""
         catalog, states_a, states_b = data
         rule = TerminationRule1()
-        both = rule.commit_round_ok(["x"], set(states_a), catalog=catalog) and rule.commit_round_ok(
-            ["x"], set(states_b), catalog=catalog
+        both = rule.commits(["x"], set(states_a), None, catalog) and rule.commits(
+            ["x"], set(states_b), None, catalog
         )
         assert not both
 
@@ -113,8 +113,8 @@ class TestRule2CrossPartitionSafety:
         w(x) votes from the disjoint remainder; r + w > v forbids both."""
         catalog, states_a, states_b = data
         rule = TerminationRule2()
-        both = rule.commit_round_ok(["x"], set(states_a), catalog=catalog) and rule.abort_round_ok(
-            ["x"], set(states_b), catalog=catalog
+        both = rule.commits(["x"], set(states_a), None, catalog) and rule.aborts(
+            ["x"], set(states_b), None, catalog
         )
         assert not both
 
@@ -162,19 +162,22 @@ def skeen_split(draw):
     return (rule, list(range(1, n + 1)), *draw(split_states(range(1, n + 1))))
 
 
-def assert_disjoint_sets_never_both_decide(rule, items, states_a, states_b, **context):
+def assert_disjoint_sets_never_both_decide(
+    rule, items, states_a, states_b, participants=None, catalog=None
+):
     """Neither side can hold the commit right while the other holds
     the abort right, and immediate decisions never conflict."""
     a, b = set(states_a), set(states_b)
     for one, other in ((a, b), (b, a)):
         assert not (
-            rule.commit_round_ok(items, one, **context) and rule.abort_round_ok(items, other, **context)
+            rule.commits(items, one, participants, catalog)
+            and rule.aborts(items, other, participants, catalog)
         )
-    d_a = rule.evaluate(items, states_a, **context)
-    d_b = rule.evaluate(items, states_b, **context)
+    d_a = rule.evaluate(items, states_a, participants, catalog)
+    d_b = rule.evaluate(items, states_b, participants, catalog)
     if d_a is Decision.COMMIT and states_b:
         assert d_b is not Decision.ABORT
-        assert not rule.abort_round_ok(items, b, **context)
+        assert not rule.aborts(items, b, participants, catalog)
     if d_b is Decision.ABORT and states_a:
         assert d_a is not Decision.COMMIT
 

@@ -69,6 +69,13 @@ protocol), 2PC's, 3PC's and the one quorum engine of qtp1, qtp2 and
 qtpp — and the five classes, the threshold attribute and the
 per-variant test the quorum engine replaced stay undefined.
 
+So are the termination round's per-direction twins: each step of phase
+3 — prepare, ack, close, command — is one engine handler for both
+directions, and a round closes on its rule's own ``commits`` /
+``aborts``, so the per-direction handlers, the round predicates that
+only forwarded to that pair and the record's round-mode string stay
+undefined.
+
 So is what nothing called: the experiment layer's scipy statistics
 module and the reducer's scipy confidence interval (the package has no
 optional dependency left), the two error classes nothing raised, and
@@ -684,6 +691,46 @@ def test_four_engine_classes_and_no_family_attribute():
         for attribute in ("family", "handler_table", "mtypes"):
             assert attribute not in vars(cls), f"{cls.__name__}.{attribute}"
 
+
+
+#: the termination round's per-direction twins (split so a grep of the
+#: source for them stays empty)
+RETIRED_ROUND_NAMES = [
+    head + tail
+    for head, tail in [
+        ("commit_round", "_ok"),
+        ("abort_round", "_ok"),
+        ("term", "_mode"),
+        ("_collect", "_term_ack"),
+        ("_term_prepare", "_round"),
+        ("_on_term_prepare", "_commit"),
+        ("_on_term_prepare", "_abort"),
+        ("_on_term_pc", "_ack"),
+        ("_on_term_pa", "_ack"),
+        ("_on_commit", "_cmd"),
+        ("_on_abort", "_cmd"),
+    ]
+]
+
+
+@pytest.mark.parametrize("name", RETIRED_ROUND_NAMES)
+def test_retired_round_name_stays_undefined(name):
+    from repro.protocols.base import CommitProtocolEngine, TerminationRule, TxnRecord
+    from repro.protocols.qtp.quorums import QuorumTerminationRule
+
+    for cls in (CommitProtocolEngine, TerminationRule, QuorumTerminationRule, TxnRecord):
+        assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+    word = re.compile(rf"\b{name}\b")
+    sources = [*sorted(PROTOCOLS_SRC.rglob("*.py")), REPO / "src" / "repro" / "election" / "bully.py"]
+    assert [p.name for p in sources if word.search(p.read_text())] == []
+
+
+def test_each_termination_step_is_one_handler_for_both_directions():
+    from repro.protocols.base import CommitProtocolEngine
+
+    handlers = CommitProtocolEngine.HANDLERS
+    for commit_kind, abort_kind in (("commit", "abort"), ("t.ptc", "t.pta"), ("t.pc-ack", "t.pa-ack")):
+        assert handlers[commit_kind] == handlers[abort_kind]
 
 
 def test_the_scipy_statistics_are_gone():

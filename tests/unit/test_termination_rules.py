@@ -112,14 +112,14 @@ class TestRule1:
         assert rule1.evaluate(ITEMS, {4: W, 5: PC}, catalog=FIG3) is Decision.BLOCK
 
     def test_commit_round_requires_w_every_item(self, rule1):
-        assert rule1.commit_round_ok(ITEMS, {1, 2, 3, 5, 6, 7}, catalog=FIG3)
-        assert not rule1.commit_round_ok(ITEMS, {1, 2, 3, 5, 6}, catalog=FIG3)
-        assert not rule1.commit_round_ok(ITEMS, {1, 2, 5, 6, 7}, catalog=FIG3)
+        assert rule1.commits(ITEMS, {1, 2, 3, 5, 6, 7}, None, FIG3)
+        assert not rule1.commits(ITEMS, {1, 2, 3, 5, 6}, None, FIG3)
+        assert not rule1.commits(ITEMS, {1, 2, 5, 6, 7}, None, FIG3)
 
     def test_abort_round_requires_r_some_item(self, rule1):
-        assert rule1.abort_round_ok(ITEMS, {2, 3}, catalog=FIG3)     # r(x)
-        assert rule1.abort_round_ok(ITEMS, {6, 7}, catalog=FIG3)     # r(y)
-        assert not rule1.abort_round_ok(ITEMS, {3, 6}, catalog=FIG3)  # 1 vote each
+        assert rule1.aborts(ITEMS, {2, 3}, None, FIG3)     # r(x)
+        assert rule1.aborts(ITEMS, {6, 7}, None, FIG3)     # r(y)
+        assert not rule1.aborts(ITEMS, {3, 6}, None, FIG3)  # 1 vote each
 
 
 class TestRule2:
@@ -158,12 +158,12 @@ class TestRule2:
         assert rule2.evaluate(ITEMS, states, catalog=FIG3) is Decision.TRY_ABORT
 
     def test_commit_round_r_some(self, rule2):
-        assert rule2.commit_round_ok(ITEMS, {1, 2}, catalog=FIG3)
-        assert not rule2.commit_round_ok(ITEMS, {1, 5}, catalog=FIG3)
+        assert rule2.commits(ITEMS, {1, 2}, None, FIG3)
+        assert not rule2.commits(ITEMS, {1, 5}, None, FIG3)
 
     def test_abort_round_w_every(self, rule2):
-        assert rule2.abort_round_ok(ITEMS, {1, 2, 3, 5, 6, 7}, catalog=FIG3)
-        assert not rule2.abort_round_ok(ITEMS, {1, 2, 3}, catalog=FIG3)
+        assert rule2.aborts(ITEMS, {1, 2, 3, 5, 6, 7}, None, FIG3)
+        assert not rule2.aborts(ITEMS, {1, 2, 3}, None, FIG3)
 
     def test_immediate_abort_on_q(self, rule2):
         assert rule2.evaluate(ITEMS, {1: Q, 2: PC}, catalog=FIG3) is Decision.ABORT
@@ -216,8 +216,8 @@ class TestSkeenRule:
         rule = SkeenQuorumRule()
         assert rule.quorums([1, 2, 3], None) == (2, 2)
         assert rule.quorums([1, 2, 3, 4], None) == (3, 2)
-        assert not rule.abort_round_ok(ITEMS, {1}, participants=[1, 2, 3])
-        assert rule.abort_round_ok(ITEMS, {1, 2}, participants=[1, 2, 3])
+        assert not rule.aborts(ITEMS, {1}, [1, 2, 3], None)
+        assert rule.aborts(ITEMS, {1, 2}, [1, 2, 3], None)
         # no participant set: the hosts of the catalog handed in
         assert rule.quorums(None, FIG3) == (5, 4)
 
@@ -228,10 +228,10 @@ class TestSkeenRule:
         SkeenQuorumRule().check_total(100)  # adaptive quorums always pass
 
     def test_rounds_check_site_weights(self, rule):
-        assert rule.commit_round_ok(ITEMS, {1, 2, 3, 4, 5})
-        assert not rule.commit_round_ok(ITEMS, {1, 2, 3, 4})
-        assert rule.abort_round_ok(ITEMS, {1, 2, 3, 4})
-        assert not rule.abort_round_ok(ITEMS, {1, 2, 3})
+        assert rule.commits(ITEMS, {1, 2, 3, 4, 5}, None, None)
+        assert not rule.commits(ITEMS, {1, 2, 3, 4}, None, None)
+        assert rule.aborts(ITEMS, {1, 2, 3, 4}, None, None)
+        assert not rule.aborts(ITEMS, {1, 2, 3}, None, None)
 
 
 class TestThreePCRule:
@@ -255,7 +255,7 @@ class TestThreePCRule:
         assert rule.evaluate(ITEMS, {1: A, 2: W}) is Decision.ABORT
 
     def test_commit_round_never_blocks(self, rule):
-        assert rule.commit_round_ok(ITEMS, set())
+        assert rule.commits(ITEMS, set(), None, None)
 
     def test_empty_blocks(self, rule):
         assert rule.evaluate(ITEMS, {}) is Decision.BLOCK
