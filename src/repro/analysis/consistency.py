@@ -25,9 +25,8 @@ so a verdict reads a handful of positions: it builds no
 ``deliver`` / ``drop`` / ``state`` row, however long the run.  The
 tracer keeps every row, so a verdict sees every site's decision.
 
-A whole run is judged by :func:`run_outcomes`, which reads the
-``decision`` rows of every transaction in one pass
-(:meth:`~repro.sim.trace.Tracer.txn_entries`) and gives each the
+A whole run is read by :func:`read_decisions`, the only whole-run
+reader of the ``decision`` rows: one pass gives each transaction the
 outcome :func:`check_atomicity` would; both apply the one rule
 :data:`OUTCOME`.
 """
@@ -126,35 +125,38 @@ def check_atomicity(
     )
 
 
-def run_outcomes(tracer: Tracer, participants: Mapping[str, Iterable[int]]) -> dict[str, str]:
-    """Each transaction's ``check_atomicity(tracer, txn, sites).outcome``,
-    for every ``txn -> sites`` of ``participants``, from one read of the
-    run's ``decision`` rows.
+def read_decisions(
+    tracer: Tracer, participants: Mapping[str, Iterable[int]]
+) -> tuple[dict[str, str], dict[str, list[int]]]:
+    """``(outcomes, undecided)`` of every ``txn -> sites`` of
+    ``participants``, from one pass over the run's ``decision`` rows:
+    each ``check_atomicity(tracer, txn, sites).outcome``, and the sites
+    with no decision row of each transaction that has any.
 
     A site's decision is its *first* decision row, as in
-    :func:`check_atomicity`; a transaction with no decision row at any
-    of its participants is ``"blocked"``.
+    :func:`check_atomicity` — and its only one: the log refuses a second.
     """
-    first: dict[str, dict[int, str]] = {}
+    decided: dict[str, dict[int, str]] = {}
     for site, txn, detail in tracer.txn_entries("decision"):
-        if txn not in first:
-            first[txn] = {site: detail["outcome"]}
-        elif site not in first[txn]:
-            first[txn][site] = detail["outcome"]
+        if txn not in decided:
+            decided[txn] = {site: detail["outcome"]}
+        elif site not in decided[txn]:
+            decided[txn][site] = detail["outcome"]
     outcomes = {}
+    undecided: dict[str, list[int]] = {}
+    nothing: dict[int, str] = {}
     for txn, sites in participants.items():
         committed = aborted = False
-        if txn in first:
-            decided = first[txn]
-            for site in sites:
-                if site not in decided:
-                    continue
-                if decided[site] == "commit":
-                    committed = True
-                elif decided[site] == "abort":
-                    aborted = True
+        by_site = decided[txn] if txn in decided else nothing
+        for site in sites:
+            if site not in by_site:
+                undecided.setdefault(txn, []).append(site)
+            elif by_site[site] == "commit":
+                committed = True
+            elif by_site[site] == "abort":
+                aborted = True
         outcomes[txn] = OUTCOME[committed, aborted]
-    return outcomes
+    return outcomes, undecided
 
 
 def first_decision_consistency(tracer: Tracer, txn: str) -> bool:

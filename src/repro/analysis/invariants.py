@@ -20,16 +20,17 @@ claim, at most one :class:`Violation` per predicate:
   network healed (:attr:`Network.healed <repro.net.network.Network.healed>`)
   and every registered site up, no live participant of any transaction
   is still in doubt (:meth:`Cluster.live_undecided
-  <repro.db.cluster.Cluster.live_undecided>`).
+  <repro.db.cluster.Cluster.live_undecided>`, read for every
+  transaction at once).
 
-The whole run is judged in one read of each verdict category, never
-once per transaction: every transaction's outcome comes from one pass
-over the ``decision`` rows (:meth:`Cluster.outcomes
-<repro.db.cluster.Cluster.outcomes>`), the committed history from
-another, and the ``decision-conflict`` / ``illegal-transition`` rows
-from their category indexes.  The checks only read: no RNG draw, no
-scheduler event, no trace row or log row is added, so a run checked is
-the run that would have been.
+:func:`judge` reads the whole run once — one pass over the ``decision``
+rows (:meth:`Cluster.verdicts <repro.db.cluster.Cluster.verdicts>`),
+one :class:`ConflictGraph` of the committed history, the
+``decision-conflict`` / ``illegal-transition`` category indexes — and
+that read is also the tally of a traffic run
+(:meth:`TrafficEngine.tally <repro.traffic.engine.TrafficEngine.tally>`).
+The checks only read: no RNG draw, no scheduler event, no trace row or
+log row is added, so a run checked is the run that would have been.
 """
 
 from __future__ import annotations
@@ -59,11 +60,19 @@ def healed_and_up(cluster: "Cluster") -> bool:
     )
 
 
-def check_invariants(cluster: "Cluster") -> list[Violation]:
-    """The violations of the four predicates (see the module docstring)
-    by the finished ``cluster``, under its own protocol."""
+class Judgement(NamedTuple):
+    """One read of a finished run: what its tally and the oracle need."""
+
+    outcomes: dict[str, str]
+    serializable: bool
+    violations: list[Violation]
+
+
+def judge(cluster: "Cluster") -> Judgement:
+    """Read the finished ``cluster`` once and judge it by the four
+    predicates (see the module docstring) under its own protocol."""
     found = []
-    outcomes = cluster.outcomes()
+    outcomes, history, in_doubt = cluster.verdicts()
     mixed = [txn for txn, outcome in outcomes.items() if outcome == "mixed"]
     if cluster.protocol != "3pc":
         broken = [f"{len(mixed)} mixed outcome(s): {mixed}"] if mixed else []
@@ -73,10 +82,10 @@ def check_invariants(cluster: "Cluster") -> list[Violation]:
                 broken.append(f"{len(rows)} {category} row(s): {sorted({txn for _, txn, _ in rows})}")
         if broken:
             found.append(Violation("atomicity", f"under {cluster.protocol}: " + "; ".join(broken)))
-    if not mixed:
-        cycle = ConflictGraph(cluster.committed_history()).cycle()
-        if cycle is not None:
-            found.append(Violation("serializability", f"committed history has a cycle {cycle}"))
+    graph = ConflictGraph(history)
+    serializable = graph.is_serializable()
+    if not serializable and not mixed:
+        found.append(Violation("serializability", f"committed history has a cycle {graph.cycle()}"))
     if cluster.scheduler.pending == 0:  # nothing left in flight
         net = cluster.network
         if net.sent != net.delivered + net.dropped:
@@ -86,8 +95,12 @@ def check_invariants(cluster: "Cluster") -> list[Violation]:
                     f"sent {net.sent} != delivered {net.delivered} + dropped {net.dropped}",
                 )
             )
-    if healed_and_up(cluster):
-        stranded = {txn: live for txn in outcomes if (live := cluster.live_undecided(txn))}
-        if stranded:
-            found.append(Violation("liveness", f"healed and up, still in doubt: {stranded}"))
-    return found
+    if in_doubt and healed_and_up(cluster):
+        found.append(Violation("liveness", f"healed and up, still in doubt: {in_doubt}"))
+    return Judgement(outcomes, serializable, found)
+
+
+def check_invariants(cluster: "Cluster") -> list[Violation]:
+    """The violations of the four predicates (see the module docstring)
+    by the finished ``cluster``: ``judge(cluster).violations``."""
+    return judge(cluster).violations

@@ -36,7 +36,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.common.errors import QuorumUnreachableError, TransactionAborted
+from repro.analysis.invariants import judge
+from repro.common.errors import InvariantViolationError, QuorumUnreachableError, TransactionAborted
 from repro.db.cluster import Cluster
 from repro.engine.spec import SweepSpec
 from repro.experiments.resilience_study import (
@@ -74,15 +75,21 @@ def _scenario_counters(scenario: Any, protocol: str, seed: int) -> dict[str, Any
 
 def commit_mix_trial(seed: int, protocol: str, n_txns: int = 16) -> dict[str, Any]:
     """Drive ``n_txns`` single-item updates through one partition
-    episode under ``protocol`` and tally outcomes and traffic."""
+    episode under ``protocol`` and tally outcomes and traffic.
+
+    The finished run is judged as :func:`~repro.traffic.run_scenario`
+    judges its runs, and tallied from the same read.
+
+    Raises:
+        InvariantViolationError: the run broke one of the paper's claims.
+    """
     registry = RngRegistry(seed)
     rng = registry.stream("commit-mix")
     catalog = random_catalog(rng, n_sites=6, n_items=4, replication=3)
     cluster = Cluster(catalog, protocol=protocol, seed=seed)
     groups = random_partition_groups(rng, cluster.network.sites, 2)
     cluster.arm_failures(FailurePlan().partition(25.0, *groups).heal(60.0))
-
-    outcomes: dict[str, str] = {}
+    tally = {"commit": 0, "abort": 0, "blocked": 0, "client-aborted": 0}
 
     def submit_one(index: int) -> None:
         item = rng.choice(catalog.item_names)
@@ -90,22 +97,18 @@ def commit_mix_trial(seed: int, protocol: str, n_txns: int = 16) -> dict[str, An
         if not cluster.sites[origin].alive:
             return
         try:
-            handle = cluster.update(origin, {item: index})
+            cluster.update(origin, {item: index})
         except (QuorumUnreachableError, TransactionAborted):
-            outcomes[f"client-{index}"] = "client-aborted"
-            return
-        outcomes[handle.txn] = "submitted"
+            tally["client-aborted"] += 1
 
     for i in range(n_txns):
         cluster.scheduler.call_at(1.0 + i * 5.0, submit_one, i)
     cluster.run()
 
-    tally = {"commit": 0, "abort": 0, "blocked": 0, "client-aborted": 0}
-    for txn, status in outcomes.items():
-        if status == "client-aborted":
-            tally["client-aborted"] += 1
-            continue
-        verdict = cluster.outcome(txn).outcome
+    outcomes, _serializable, violations = judge(cluster)
+    if violations:
+        raise InvariantViolationError(f"commit_mix under {protocol}, seed {seed}", violations)
+    for verdict in outcomes.values():
         tally[verdict] = tally.get(verdict, 0) + 1
     return {**tally, **cluster_counters(cluster)}
 

@@ -22,10 +22,10 @@ name       protocol                                        termination
 from __future__ import annotations
 
 import weakref
-from typing import Any, Callable, Container, Iterable, Mapping
+from typing import Any, Callable, Container, Iterable, Mapping, NamedTuple
 
 from repro.analysis.availability import AvailabilityReport, availability_snapshot
-from repro.analysis.consistency import ConsistencyReport, check_atomicity, run_outcomes
+from repro.analysis.consistency import ConsistencyReport, check_atomicity, read_decisions
 from repro.common.errors import ConfigurationError, QuorumUnreachableError, SiteDownError
 from repro.concurrency.serializability import CommittedTxn
 from repro.common.ids import make_txn_id
@@ -65,6 +65,14 @@ _PROTOCOLS = {
 }
 
 PROTOCOL_NAMES = tuple(_PROTOCOLS)
+
+
+class RunVerdicts(NamedTuple):
+    """A finished run's verdicts (:meth:`Cluster.verdicts`)."""
+
+    outcomes: dict[str, str]
+    history: list[CommittedTxn]
+    in_doubt: dict[str, list[int]]
 
 
 def _weakly(method: Callable[..., None]) -> Callable[..., None]:
@@ -296,26 +304,34 @@ class Cluster:
         by :meth:`update`): the write goes to every copy in ``live`` (in
         ranked order), which must muster ``w(x)`` votes, and installs
         one past ``base`` — the version the transaction read — or, when
-        it read none, one past the newest of those copies.  Under a
-        rule whose writes need the primary (``qtpp``, see
-        :attr:`TerminationRule.writes_need_primary
-        <repro.protocols.base.TerminationRule.writes_need_primary>`)
-        ``live`` must also hold the item's primary (§5: only the
-        primary's partition may write it); without it the transaction
-        could never gather its primary's ack, vote or state, and would
-        block for good.
+        it read none, one past the newest of those copies.
 
         Raises:
-            QuorumUnreachableError: ``live`` lacks ``w(x)`` votes, or
-                the primary under ``qtpp``.
+            QuorumUnreachableError: ``live`` lacks ``w(x)`` votes.
         """
         hosts = planner.write_hosts(item, live)
-        if self._engines.rule.writes_need_primary and planner.catalog.primary(item) not in live:
-            raise QuorumUnreachableError(item, "primary-copy write", 0, 1)
         if base is None:
             sites = self.sites
             return hosts, QuorumPlanner.next_version(sites[s].store.read(item).version for s in hosts)
         return hosts, base + 1
+
+    def admit(self, catalog: ReplicaCatalog, items: list[str], participants: list[int]) -> None:
+        """The commit-quorum rule of submission: a transaction writing
+        ``items`` is admitted only if its ``participants`` pass the
+        cluster's termination rule
+        (:meth:`TerminationRule.admits
+        <repro.protocols.base.TerminationRule.admits>`) — under qtp2,
+        ``r(x)`` votes of some written item; under qtpp, every written
+        item's primary (§5: only the primary's partition may write it).
+        Applied by :meth:`InteractiveTransaction.submit
+        <repro.db.transactions.InteractiveTransaction.submit>`.
+
+        Raises:
+            QuorumUnreachableError: the transaction could never commit.
+        """
+        rule = self._engines.rule
+        if not rule.admits(items, participants, catalog):
+            raise QuorumUnreachableError(", ".join(items), f"{rule.name} commit", 0, 1)
 
     def transaction(self, origin: int, txn_id: str | None = None) -> "InteractiveTransaction":
         """Open an interactive transaction (quorum reads + staged writes).
@@ -347,35 +363,27 @@ class Cluster:
         """Record a read-only transaction that committed client-side."""
         self._readonly_committed.append(CommittedTxn(txn, dict(reads), dict(writes)))
 
-    def committed_history(self) -> list[CommittedTxn]:
-        """The committed transactions' footprints, for 1SR checking.
-
-        A submitted transaction counts as committed when some site's
-        *last* decision record for it says commit (as
-        :meth:`Tracer.decisions <repro.sim.trace.Tracer.decisions>` reads
-        it).  Decisions are atomic across sites in the safe protocols —
-        and if they were not, the consistency checker flags the run
-        anyway.  Every transaction's decisions come from one read of
-        the run's decision records.
-        """
-        last: dict[str, dict[int, str]] = {}
-        for site, txn, detail in self.tracer.txn_entries("decision"):
-            if txn in last:
-                last[txn][site] = detail["outcome"]
-            else:
-                last[txn] = {site: detail["outcome"]}
+    def verdicts(self) -> RunVerdicts:
+        """From one read of the run's decision rows
+        (:func:`~repro.analysis.consistency.read_decisions`): every
+        submitted transaction's outcome (:meth:`outcomes`), the
+        committed history (:meth:`committed_history`) and, for each
+        transaction that has any, its live participants still in doubt
+        (:meth:`live_undecided`)."""
+        txns = self._txns
+        outcomes, undecided = read_decisions(self.tracer, {txn: h.participants for txn, h in txns.items()})
         history = list(self._readonly_committed)
-        for txn, handle in self._txns.items():
-            if txn not in last or "commit" not in last[txn].values():
-                continue
-            history.append(
-                CommittedTxn(
-                    txn,
-                    reads=dict(self._read_footprints.get(txn, {})),
-                    writes={item: version for item, (__, version) in handle.writes.items()},
-                )
-            )
-        return history
+        for txn, outcome in outcomes.items():
+            if outcome == "commit" or outcome == "mixed":
+                writes = {item: version for item, (__, version) in txns[txn].writes.items()}
+                history.append(CommittedTxn(txn, dict(self._read_footprints.get(txn, {})), writes))
+        in_doubt = {txn: live for txn, sites in undecided.items() if (live := self._in_doubt(txn, sites))}
+        return RunVerdicts(outcomes, history, in_doubt)
+
+    def committed_history(self) -> list[CommittedTxn]:
+        """The committed footprints, for 1SR checking: the read-only ones,
+        then each submitted one some participant decided to commit."""
+        return self.verdicts().history
 
     def read(self, origin: int, item: str) -> ReadResult:
         """Quorum-read an item from the origin's partition.
@@ -701,10 +709,9 @@ class Cluster:
         return check_atomicity(self.tracer, txn, participants)
 
     def outcomes(self) -> dict[str, str]:
-        """Every submitted transaction's outcome — ``self.outcome(txn).outcome``
-        for each, in submission order — from one read of the run's
-        decision records."""
-        return run_outcomes(self.tracer, {txn: h.participants for txn, h in self._txns.items()})
+        """``self.outcome(txn).outcome`` of every submitted transaction,
+        in submission order."""
+        return self.verdicts().outcomes
 
     def blocked_map(self) -> dict[int, set[str]]:
         """Per-site undecided transactions (their locks block access)."""
@@ -722,16 +729,15 @@ class Cluster:
         outcome, never a commit, since commits need every vote).
         """
         handle = self._txns.get(txn)
-        participants = set(handle.participants) if handle else set()
-        decided = set(self.tracer.decisions(txn))
-        return sorted(
-            s
-            for s in participants
-            if s not in decided
-            and s in self.sites
-            and self.sites[s].alive
-            and self.sites[s].wal.for_txn(txn)
-        )
+        if handle is None:
+            return []
+        decided = self.tracer.decisions(txn)
+        return self._in_doubt(txn, [s for s in handle.participants if s not in decided])
+
+    def _in_doubt(self, txn: str, undecided: Iterable[int]) -> list[int]:
+        """Those of ``undecided`` that are live and durably joined ``txn``."""
+        sites = self.sites
+        return sorted(s for s in undecided if s in sites and sites[s].alive and sites[s].wal.holds(txn))
 
     def availability(self) -> AvailabilityReport:
         """Current data availability across all partitions."""

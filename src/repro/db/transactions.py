@@ -144,7 +144,10 @@ class InteractiveTransaction:
 
         Raises:
             QuorumUnreachableError: the origin's partition lacks w(x)
-                votes for a written item; the transaction stays ACTIVE.
+                votes for a written item, or the participants could
+                never commit (:meth:`Cluster.admit
+                <repro.db.cluster.Cluster.admit>`); the transaction
+                stays ACTIVE.
             TransactionAborted: the origin is down; nothing was
                 registered or logged, and the locks are released.
         """
@@ -164,6 +167,7 @@ class InteractiveTransaction:
             write_hosts.update(hosts)
             versioned[item] = (self._writes[item], version)
         participants = sorted(write_hosts | self._locked_sites)
+        cluster.admit(planner.catalog, list(versioned), participants)
         handle = TxnHandle(self.txn, self.origin, versioned, tuple(participants))
         self.phase = TxnPhase.SUBMITTED
         cluster.register_submitted(handle, self._reads)

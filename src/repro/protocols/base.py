@@ -93,7 +93,7 @@ import enum
 import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.election.bully import ElectionMixin
 from repro.net.message import Message
@@ -142,9 +142,6 @@ class TerminationRule(ABC):
 
     #: short name used in traces and experiment tables.
     name: str = "abstract"
-    #: whether a write must reach its item's primary copy (§5's access
-    #: rule; the cluster's write-quorum rule reads it)
-    writes_need_primary: bool = False
 
     @abstractmethod
     def evaluate(
@@ -161,6 +158,12 @@ class TerminationRule(ABC):
         every join; a rule whose quorums are counted over a fixed site
         total raises :class:`~repro.common.errors.ConfigurationError`
         here.  The default accepts any total."""
+
+    def admits(self, items: list[str], participants: Sequence[int], catalog: "ReplicaCatalog") -> bool:
+        """May a transaction writing ``items`` over ``participants`` be
+        submitted?  The cluster asks at submission and refuses it
+        otherwise.  Always, here."""
+        return True
 
     def commits(
         self,
@@ -419,6 +422,7 @@ class CommitProtocolEngine(ElectionMixin):
         "t.pa-ack": "_on_term_ack",
         "t.blocked": "_on_term_blocked",
     }
+
     def __init__(
         self,
         node: "Node",

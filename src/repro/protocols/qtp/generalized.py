@@ -32,10 +32,12 @@ rule's commit tally: it commits as soon as the PC-ACKs cover every
 written item's primary site — usually far fewer acks than CP1's write
 quorums.
 
-The rule carries §5's access rule too: its
-:attr:`~repro.protocols.base.TerminationRule.writes_need_primary` makes
-the cluster refuse a write whose origin's partition lacks the item's
-primary.
+§5's access rule — only the primary's partition may write an item —
+is this rule's admission check
+(:meth:`~repro.protocols.qtp.quorums.QuorumTerminationRule.admits`):
+participants without every written item's primary fail
+:meth:`~PrimaryTerminationRule.commits`, so the cluster refuses the
+write.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ class PrimaryTerminationRule(QuorumTerminationRule):
     """Fig. 5's table over the primary-copy strategy."""
 
     name = "qtp-primary"
-    writes_need_primary = True
 
     def commits(self, items, sites, participants, catalog) -> bool:
         return bool(items) and all(catalog.primary(x) in sites for x in items)

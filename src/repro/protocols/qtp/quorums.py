@@ -117,6 +117,13 @@ class QuorumTerminationRule(TerminationRule):
     ``participants`` / ``catalog`` are the transaction's own.
     """
 
+    def admits(self, items, participants, catalog) -> bool:
+        """Only when the participants themselves hold the commit right.
+        A transaction whose participants fail :meth:`commits` could
+        never commit, and once they were in PC it could not abort
+        either: it would block for good, healed and up."""
+        return self.commits(items, set(participants), participants, catalog)
+
     @abstractmethod
     def commits(self, items, sites, participants, catalog) -> bool:
         """Do ``sites`` hold the commit access right?"""
@@ -174,6 +181,11 @@ class TerminationRule1(QuorumTerminationRule):
     """Termination protocol 1 (Fig. 5)."""
 
     name = "qtp-termination-1"
+
+    def admits(self, items, participants, catalog) -> bool:
+        """Every transaction: its write hosts, all participants, already
+        hold w(x) votes of every written item (the commit right)."""
+        return True
 
     def commits(self, items, sites, participants, catalog) -> bool:
         return _w_all(catalog, items, sites)

@@ -95,6 +95,13 @@ class SkeenQuorumRule(QuorumTerminationRule):
         vc = vp // 2 + 1
         return vc, vp - vc + 1
 
+    def admits(self, items, participants, catalog) -> bool:
+        """Every transaction, as [16] does: under pinned quorums one
+        with fewer than ``Vc`` participants can never terminate to
+        commit, and blocks once in PC (the paper's Example 1 setting,
+        E11's ``skq-pinned`` row); adaptive quorums always fit."""
+        return True
+
     def commits(self, items, sites, participants, catalog) -> bool:
         return len(sites) >= self.quorums(participants, catalog)[0]
 

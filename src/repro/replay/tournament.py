@@ -159,21 +159,23 @@ def project_plan(actions, sites: set[int]):
 
 
 def _mean_commit_latency(cluster, committed: Sequence[str]) -> float:
-    """Mean (first commit decision − first protocol event) over
-    committed transactions, in virtual time; 0.0 when none decided."""
-    latencies = []
-    for txn in committed:
-        scope = cluster.tracer.txn_scope(txn)
-        if not scope:
-            continue
-        start = scope[0].time
-        decisions = [
-            rec.time
-            for rec in scope
-            if rec.category == "decision" and rec.detail.get("outcome") == "commit"
-        ]
-        if decisions:
-            latencies.append(min(decisions) - start)
+    """Mean (first commit decision − ``coord-begin``) over committed
+    transactions, in virtual time; 0.0 when none decided.
+
+    One pass over each of the two categories (no
+    :class:`~repro.sim.trace.TraceRecord` is built).  A committed
+    transaction's decision rows all say commit — no participant
+    aborted, and a site decides once — so its first is its first
+    commit.
+    """
+    tracer = cluster.tracer
+    begun: dict[str, float] = {}
+    for time, _site, txn in tracer.since(0, "coord-begin")[1]:
+        begun.setdefault(txn, time)
+    first: dict[str, float] = {}
+    for time, _site, txn in tracer.since(0, "decision")[1]:
+        first.setdefault(txn, time)
+    latencies = [first[txn] - begun[txn] for txn in committed if txn in first and txn in begun]
     return sum(latencies) / len(latencies) if latencies else 0.0
 
 

@@ -47,9 +47,9 @@ as it is appended, so the verdict readers (:meth:`Tracer.entries`,
 short list of positions and touch no message row.  The nested index
 keys on the row's own strings, so an append builds no key object: one
 table per category holds one position list per transaction.  A
-whole-run verdict — every transaction's outcome, the committed history
-— reads a category's index once, through :meth:`Tracer.txn_entries`,
-instead of one short list per transaction.  A scanned category is
+whole-run verdict reads a category's index once, through
+:meth:`Tracer.txn_entries`, instead of one short list per transaction
+(:func:`~repro.analysis.consistency.read_decisions`).  A scanned category is
 indexed the same two ways only when a query names it, by an O(new rows)
 read of the category column; the per-txn index (all categories) only
 when a query filters by txn alone (:meth:`~Tracer.txn_scope`,
@@ -72,10 +72,10 @@ until a query names it, is read from the category column in place.
 
 There is deliberately no bounded mode.  Atomicity and termination are
 judged from every site's decision record, and those verdicts
-(``Cluster.outcome``, ``live_undecided``, ``committed_history``, the
-open-loop decision cursor) read them from this trace; a tracer that
-refused new rows or evicted old ones would hand those readers a partial
-history and turn a wrong verdict into a silent one.
+(``Cluster.verdicts``, ``outcome``, ``live_undecided``, the open-loop
+decision cursor) read them from this trace; a tracer that refused new
+rows or evicted old ones would hand those readers a partial history and
+turn a wrong verdict into a silent one.
 """
 
 from __future__ import annotations

@@ -328,6 +328,11 @@ class WriteAheadLog:
         view = self._view
         return [view(pos) for pos in self._index().get(txn, ())]
 
+    def holds(self, txn: str) -> bool:
+        """Has this site logged anything for ``txn``?  A scan of the
+        rows' txn column: no index is built and no record viewed."""
+        return txn in self._txns
+
     def decision(self, txn: str) -> str | None:
         """The logged decision ("commit"/"abort") for txn, if any, in
         either role."""

@@ -10,7 +10,7 @@ ceiling discovery, and :mod:`repro.traffic.scenario` for the
 documents the semantics and comparability rules.
 """
 
-from repro.traffic.engine import RetryPolicy, TrafficEngine, WorkloadResult, tally_stream
+from repro.traffic.engine import RetryPolicy, TrafficEngine, WorkloadResult
 from repro.traffic.open_loop import (
     DEFAULT_BINS,
     DEFAULT_WINDOW,
@@ -38,5 +38,4 @@ __all__ = [
     "ramp",
     "run_open_loop",
     "run_scenario",
-    "tally_stream",
 ]

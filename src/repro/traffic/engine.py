@@ -42,8 +42,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.analysis.invariants import Violation, judge
 from repro.common.errors import QuorumUnreachableError, TransactionAborted
-from repro.concurrency.serializability import ConflictGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.cluster import Cluster
@@ -125,48 +125,6 @@ class WorkloadResult:
         )
 
 
-def tally_stream(
-    protocol: str,
-    cluster: "Cluster",
-    outcomes: dict[str, str],
-    handles: dict[str, object],
-) -> WorkloadResult:
-    """Resolve submitted handles against protocol verdicts and tally.
-
-    The verdicts are the whole run's, read once: every submitted
-    transaction's outcome (:meth:`Cluster.outcomes
-    <repro.db.cluster.Cluster.outcomes>`, one pass over the decision
-    records) and the committed history, whose conflict graph keeps only
-    the direct dependencies (:class:`ConflictGraph`).  A handle the
-    cluster never took has no participant, so it is ``"blocked"``, as
-    :meth:`Cluster.outcome <repro.db.cluster.Cluster.outcome>` reads it.
-    """
-    committed = protocol_aborted = blocked = 0
-    verdicts = cluster.outcomes()
-    for txn in handles:
-        outcome = verdicts.get(txn, "blocked")
-        if outcome == "commit":
-            committed += 1
-        elif outcome == "abort":
-            protocol_aborted += 1
-        else:
-            blocked += 1
-        outcomes[txn] = outcome
-    client_side = Counter(outcomes.values())
-    return WorkloadResult(
-        protocol=protocol,
-        submitted=len(outcomes),
-        committed=committed,
-        client_aborted=client_side["client-aborted"],
-        protocol_aborted=protocol_aborted,
-        blocked=blocked,
-        serializable=ConflictGraph(cluster.committed_history()).is_serializable(),
-        readable_fraction=cluster.availability().readable_fraction,
-        txn_outcomes=outcomes,
-        reads_committed=client_side["read-committed"],
-    )
-
-
 class TrafficEngine:
     """Drives one compiled op stream through one cluster.
 
@@ -193,6 +151,8 @@ class TrafficEngine:
         self.handles: dict[str, object] = {}
         #: the direct-submit policy's admission tallies (E24 shape).
         self.tallies: dict[str, int] = {"submitted": 0, "refused": 0, "cross_origin": 0}
+        #: what the whole-run oracle found at the last :meth:`tally`.
+        self.violations: list[Violation] = []
         #: interactive re-submissions performed under :attr:`retry`.
         self.retry_attempts = 0
         #: what the last ``_submit_op`` call decided (client-visible
@@ -350,8 +310,30 @@ class TrafficEngine:
     # ------------------------------------------------------------------
 
     def tally(self, protocol: str) -> WorkloadResult:
-        """Resolve this engine's handles into a :class:`WorkloadResult`."""
-        return tally_stream(protocol, self.cluster, self.outcomes, self.handles)
+        """Resolve this engine's handles into a :class:`WorkloadResult`
+        from one read of the run (:func:`~repro.analysis.invariants.judge`),
+        which also judges it: its violations are kept in
+        :attr:`violations`.  A handle the cluster never took has no
+        participant, so it is ``"blocked"``, as :meth:`Cluster.outcome
+        <repro.db.cluster.Cluster.outcome>` reads it.
+        """
+        verdicts, serializable, self.violations = judge(self.cluster)
+        outcomes = self.outcomes
+        for txn in self.handles:
+            outcomes[txn] = verdicts.get(txn, "blocked")
+        counts = Counter(outcomes.values())
+        return WorkloadResult(
+            protocol=protocol,
+            submitted=len(outcomes),
+            committed=counts["commit"],
+            client_aborted=counts["client-aborted"],
+            protocol_aborted=counts["abort"],
+            blocked=counts["blocked"] + counts["mixed"],
+            serializable=serializable,
+            readable_fraction=self.cluster.availability().readable_fraction,
+            txn_outcomes=outcomes,
+            reads_committed=counts["read-committed"],
+        )
 
     # ------------------------------------------------------------------
     # open-loop drive (implemented in repro.traffic.open_loop)

@@ -52,7 +52,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.engine.aggregate import QuantileDigest
-from repro.traffic.engine import TrafficEngine, tally_stream
+from repro.traffic.engine import TrafficEngine
 
 #: default per-site in-flight window (admission control).
 DEFAULT_WINDOW = 4
@@ -353,7 +353,7 @@ def run_open_loop(
     run.retire_decided()
     unresolved = len(run.submitted)
 
-    base = tally_stream(protocol, cluster, engine.outcomes, engine.handles)
+    base = engine.tally(protocol)
     return OpenLoopResult(
         protocol=protocol,
         rate=float(spec.rate),

@@ -14,11 +14,11 @@ position in full):
 3. **plan** — drawn and armed before any arrival is scheduled, so fault
    events keep the scheduler sequence numbers they always had;
 4. **drive** — closed, direct, single or open;
-5. **tally** — the verdict loop; the finished cluster comes back on the
+5. **tally** — one read of the finished run, which comes back on the
    :class:`ScenarioRun`;
-6. **judge** — every run is put through the whole-run oracle
-   (:func:`~repro.analysis.invariants.check_invariants`), which only
-   reads; a run that breaks a claim raises
+6. **judge** — that read is the whole-run oracle
+   (:func:`~repro.analysis.invariants.judge`), which only reads; a run
+   that breaks a claim raises
    :class:`~repro.common.errors.InvariantViolationError` instead of
    coming back.
 
@@ -38,7 +38,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.analysis.invariants import check_invariants
 from repro.common.errors import InvariantViolationError
 from repro.db.cluster import Cluster
 from repro.db.txn import TxnHandle
@@ -143,7 +142,7 @@ def run_scenario(
 
     Raises:
         InvariantViolationError: the finished run broke one of the
-            paper's claims (:func:`~repro.analysis.invariants.check_invariants`);
+            paper's claims (:func:`~repro.analysis.invariants.judge`);
             the error names every violation.
     """
     from repro.workload.generators import memoized_catalog
@@ -178,7 +177,6 @@ def run_scenario(
         else:
             engine.run_closed(engine.submit_direct if scenario.drive == "direct" else None)
         result = engine.tally(protocol)
-    violations = check_invariants(cluster)
-    if violations:
-        raise InvariantViolationError(f"{scenario.name} under {protocol}, seed {seed}", violations)
+    if engine.violations:
+        raise InvariantViolationError(f"{scenario.name} under {protocol}, seed {seed}", engine.violations)
     return ScenarioRun(scenario, cluster, engine, result, txn)

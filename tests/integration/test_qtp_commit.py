@@ -7,7 +7,8 @@ PC-ACKs have arrived — after ``w(x)`` votes for every item (CP1) or
 
 import pytest
 
-from repro import CatalogBuilder, Cluster, FailurePlan
+from repro import CatalogBuilder, Cluster, FailurePlan, QuorumUnreachableError
+from repro.bench.cases import commit_mix_trial
 
 
 def catalog_5(r=2, w=4):
@@ -120,3 +121,35 @@ class TestEarlyCommitSafety:
         report = cluster.outcome(txn.txn)
         assert report.atomic
         assert not cluster.live_undecided(txn.txn)
+
+
+class TestAdmission:
+    """CP2 commits on ``r(x)`` votes of some item, so a write whose
+    reachable copies hold ``w(x)`` but fewer than ``r(x)`` votes of every
+    written item could never commit — once in PC it blocks for good."""
+
+    #: x at sites 1-3 with r(x) = 3 > w(x) = 2
+    CATALOG = CatalogBuilder().replicated_item("x", sites=[1, 2, 3], r=3, w=2).build()
+
+    def test_cp2_refuses_a_write_its_participants_could_never_commit(self):
+        for protocol, admitted in (("qtp1", True), ("qtp2", False)):
+            cluster = Cluster(self.CATALOG, protocol=protocol)
+            cluster.network.set_partition([[1], [2, 3]])
+            if admitted:
+                cluster.update(origin=2, writes={"x": 1})
+                continue
+            with pytest.raises(QuorumUnreachableError, match="qtp-termination-2 commit"):
+                cluster.update(origin=2, writes={"x": 1})
+            assert not cluster.submitted and not cluster.sites[2].wal.forced
+            cluster.network.heal()
+            txn = cluster.update(origin=2, writes={"x": 1})
+            cluster.run()
+            assert cluster.outcome(txn.txn).outcome == "commit"
+
+    def test_commit_mix_seed_189_leaves_no_transaction_in_doubt(self):
+        """T6.9 wrote i2 (copies 3, 5, 6; r=3, w=2) with site 3 cut off:
+        sites 5 and 6 reached PC and blocked, healed and up.  Refused at
+        admission now; the trial judges its run and would raise."""
+        counters = commit_mix_trial(189, "qtp2")
+        assert counters["blocked"] == 0
+        assert counters["client-aborted"] == 5

@@ -12,6 +12,7 @@ import gzip
 import hashlib
 import json
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -318,6 +319,14 @@ class TestRunIdentityPins:
         for entry in history:
             handle = submitted[entry.txn]
             assert entry.writes == {item: version for item, (_, version) in handle.writes.items()}
+        # what the one read rests on: a site decides a transaction at most
+        # once, and only a participant decides it
+        rows = Counter((site, txn) for site, txn, _ in cluster.tracer.txn_entries("decision"))
+        assert set(rows.values()) <= {1}
+        assert all(site in submitted[txn].participants for site, txn in rows)
+        # the oracle's in-doubt sets are the per-transaction reads
+        stranded = {txn: live for txn in submitted if (live := cluster.live_undecided(txn))}
+        assert cluster.verdicts().in_doubt == stranded
 
 
 class TestArtifact:
@@ -469,6 +478,22 @@ class TestWhatIfConfigs:
 
 
 class TestTournament:
+    def test_commit_latency_starts_at_the_transactions_own_begin(self):
+        """The recorded E18 trace: first commit decision − coord-begin,
+        not − the run's first global row (the first partition, t=20)."""
+        scenario = heavy_workload_scenario(n_txns=60, n_sites=8)
+        run = run_scenario(scenario, "qtp1", 0)
+        tracer = run.cluster.tracer
+        latencies = []
+        for txn, outcome in run.result.txn_outcomes.items():
+            if outcome == "commit":
+                decided = [t for t, _, d in tracer.entries("decision", txn) if d["outcome"] == "commit"]
+                latencies.append(min(decided) - tracer.entries("coord-begin", txn)[0][0])
+        row = replay_trace(record(scenario, "qtp1", seed=0))
+        assert row["committed"] == len(latencies) == 31
+        assert row["mean_commit_latency"] == pytest.approx(sum(latencies) / len(latencies))
+        assert row["mean_commit_latency"] == pytest.approx(4.0)  # 27.73 from the first partition row
+
     def test_diff_covers_all_default_configs(self):
         rows = run_tournament(small_trace())
         assert [r["config"] for r in rows] == [c.name for c in DEFAULT_CONFIGS]

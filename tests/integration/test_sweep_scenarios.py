@@ -10,6 +10,7 @@ E11 and E19 build their own clusters and judge them as the runner does.
 
 import pytest
 
+from repro.analysis import invariants
 from repro.common.errors import InvariantViolationError
 from repro.db.cluster import PROTOCOL_NAMES, Cluster
 from repro.experiments import sweeps, vote_study
@@ -23,7 +24,8 @@ from repro.experiments.sweeps import (
 from repro.experiments.vote_study import policy_run
 from repro.sim.failures import FailurePlan
 from repro.sim.rng import RngRegistry
-from repro.traffic import run_scenario, scenario
+from repro.traffic import engine as traffic_engine
+from repro.traffic import run_scenario
 from repro.workload.generators import (
     random_catalog,
     random_fault_plan,
@@ -106,11 +108,15 @@ def _one_violation(cluster):
     return [("atomicity", "planted")]
 
 
+def _judge_one_violation(cluster):
+    return invariants.judge(cluster)._replace(violations=_one_violation(cluster))
+
+
 class TestEverySweepRunIsJudged:
     """A violation the oracle reports ends the run with an error."""
 
     def test_storm_and_modelcheck_through_the_runner(self, monkeypatch):
-        monkeypatch.setattr(scenario, "check_invariants", _one_violation)
+        monkeypatch.setattr(traffic_engine, "judge", _judge_one_violation)
         with pytest.raises(InvariantViolationError, match="reenterability_storm under qtp1"):
             storm_run(0, "qtp1")
         with pytest.raises(InvariantViolationError, match="modelcheck under qtp2"):

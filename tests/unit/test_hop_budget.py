@@ -17,9 +17,10 @@ transaction.
 The trace bars run on the storm and on a 12-site closed loop (the
 benchmark's ``closed_heavy`` shape, cut to 60 transactions): a state
 transition is one call into :mod:`repro.sim.trace`, and judging a
-finished cluster (``TrafficEngine.tally`` → ``Cluster.outcome``)
+finished cluster (``TrafficEngine.tally``, ``Cluster.outcome``)
 builds no :class:`~repro.sim.trace.TraceRecord` and reads no ``send``
-/ ``deliver`` / ``drop`` / ``state`` row.
+/ ``deliver`` / ``drop`` / ``state`` row.  A judged ``run_scenario``
+reads its decision rows once and builds one conflict graph.
 """
 
 import cProfile
@@ -31,7 +32,9 @@ from unittest import mock
 import pytest
 
 from repro import PROTOCOL_NAMES, Cluster, FailurePlan, FixedDelay, UniformDelay
+from repro.concurrency.serializability import ConflictGraph
 from repro.experiments.service_study import open_loop_scenario
+from repro.experiments.workload_study import heavy_workload_scenario
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.node import Node
@@ -41,6 +44,7 @@ from repro.sim.scheduler import Scheduler
 from repro.sim.trace import TraceRecord, Tracer
 from repro.traffic import TrafficEngine, run_scenario
 from repro.traffic.open_loop import _OpenLoopRun
+from repro.workload.scenarios import wan_storm_scenario
 from repro.workload.generators import (
     random_catalog,
     random_partition_groups,
@@ -272,6 +276,47 @@ class TestOpenLoopHopBudget:
                 result = run_scenario(scenario, "qtp1", 2).result
         assert result.offered > 50 and result.latency["n"] > 10
         assert queried == []  # one query per in-flight txn per arrival before
+
+
+class TestOneReadJudgesARun:
+    """``run_scenario`` tallies and judges a run from one read of its
+    decision rows and one conflict graph: no per-transaction read."""
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            heavy_workload_scenario(n_txns=30, n_sites=6, n_items=5),
+            open_loop_scenario(n_sites=9, rate=1.5, duration=30.0),
+            wan_storm_scenario(n_regions=3, sites_per_region=4, heal=True),
+        ],
+        ids=lambda scenario: scenario.drive,
+    )
+    def test_a_judged_run_reads_its_decisions_once(self, scenario):
+        decision_reads, graphs, per_txn = [], [], []
+        txn_entries, build = Tracer.txn_entries, ConflictGraph.__init__
+
+        def counted_entries(self, category):
+            decision_reads.extend([category] if category == "decision" else [])
+            return txn_entries(self, category)
+
+        def counted_build(self, history):
+            graphs.append(len(history))
+            build(self, history)
+
+        def per_txn_read(name):
+            return lambda *args: per_txn.append(name)
+
+        with (
+            mock.patch.object(Tracer, "txn_entries", counted_entries),
+            mock.patch.object(ConflictGraph, "__init__", counted_build),
+            mock.patch.object(Tracer, "decisions", per_txn_read("Tracer.decisions")),
+            mock.patch.object(Cluster, "live_undecided", per_txn_read("Cluster.live_undecided")),
+        ):
+            run = run_scenario(scenario, "qtp1", 1)
+        assert len(run.cluster.submitted) > 0
+        assert decision_reads == ["decision"]
+        assert len(graphs) == 1
+        assert per_txn == []
 
 
 class ReadLog(list):

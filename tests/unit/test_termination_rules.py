@@ -293,10 +293,36 @@ ALL_RULES = [
 ]
 
 
-@pytest.mark.parametrize("rule_class", ALL_RULES, ids=lambda c: c.__name__)
-def test_only_the_primary_rule_makes_writes_need_the_primary(rule_class):
-    """§5's access rule is a property of the rule, not of a protocol name."""
-    assert rule_class.writes_need_primary is (rule_class is PrimaryTerminationRule)
+#: z at sites 1-3 (its primary is site 1) with r(z) = 3 > w(z) = 2: a
+#: write quorum need not hold a read quorum
+R_OVER_W = CatalogBuilder().replicated_item("z", sites=[1, 2, 3], r=3, w=2).build()
+
+
+@pytest.mark.parametrize(
+    "rule", [TerminationRule1(), TerminationRule2(), PrimaryTerminationRule()], ids=lambda r: r.name
+)
+def test_admission_is_the_rules_own_commit_predicate(rule):
+    for participants in ([1, 2], [2, 3], [1, 2, 3]):
+        admitted = rule.admits(["z"], participants, R_OVER_W)
+        assert admitted is rule.commits(["z"], set(participants), participants, R_OVER_W)
+
+
+def test_which_write_quorums_each_rule_admits():
+    assert TerminationRule1().admits(["z"], [2, 3], R_OVER_W)  # w(z) is all CP1 needs
+    assert not TerminationRule2().admits(["z"], [2, 3], R_OVER_W)  # CP2 needs r(z)
+    assert not PrimaryTerminationRule().admits(["z"], [2, 3], R_OVER_W)  # §5: z's primary
+    assert PrimaryTerminationRule().admits(["z"], [1, 2], R_OVER_W)
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [SkeenQuorumRule(vc=5, va=4), ThreePCTerminationRule(), CooperativeTerminationRule()],
+    ids=lambda r: r.name,
+)
+def test_a_rule_without_data_quorums_admits_every_transaction(rule):
+    """Pinned Skeen quorums admit two participants short of ``Vc``:
+    the paper's Example 1 is that such a transaction blocks."""
+    assert rule.admits(["z"], [2, 3], R_OVER_W)
 
 
 @pytest.mark.parametrize(
