@@ -17,13 +17,17 @@ class PerMessageNetwork(Network):
     (through ``partition.reachable``) — then draws its delay; each
     delivery checks the destination and ``partition.reachable`` again.
     :class:`~repro.net.network.Network` must agree with it on every
-    trace row, counter, delivered message and ``net`` RNG draw.
+    trace row, counter (``sent_by_type`` and ``dropped_by`` included),
+    delivered message and ``net`` RNG draw.  Drops go through the
+    network's own ``_drop``.
     """
 
     def send(self, msg: Message) -> None:
         self.sent += 1
+        self.sent_by_type[msg.mtype] = self.sent_by_type.get(msg.mtype, 0) + 1
         now = self.scheduler.now
-        self.tracer.record_send(now, msg.src, msg.txn, msg.mtype, msg.dst)
+        if self.tracer.messages:
+            self.tracer.record_send(now, msg.src, msg.txn, msg.mtype, msg.dst)
         reason = self._reason_at_send(msg)
         if reason is not None:
             self._drop(msg, reason)
@@ -64,7 +68,8 @@ class PerMessageNetwork(Network):
             self._drop(msg, "partitioned-in-flight")
         else:
             self.delivered += 1
-            self.tracer.record_deliver(self.scheduler.now, msg.dst, msg.txn, msg.mtype, msg.src)
+            if self.tracer.messages:
+                self.tracer.record_deliver(self.scheduler.now, msg.dst, msg.txn, msg.mtype, msg.src)
             node.deliver(msg)
 
 

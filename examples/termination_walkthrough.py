@@ -15,7 +15,8 @@ from repro.sim.msc import message_sequence_chart
 
 def main() -> None:
     catalog = CatalogBuilder().replicated_item("x", sites=[1, 2, 3, 4], r=2, w=3).build()
-    cluster = Cluster(catalog, protocol="qtp1")
+    # the chart draws every message, so the trace keeps a row per message
+    cluster = Cluster(catalog, protocol="qtp1", message_rows=True)
     txn = cluster.update(origin=1, writes={"x": 42})
     # coordinator dies after collecting votes; sites {2,3} split from {4}
     cluster.arm_failures(FailurePlan().crash(2.5, 1).partition(2.5, [2, 3], [4]))

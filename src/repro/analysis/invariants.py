@@ -15,7 +15,11 @@ claim, at most one :class:`Violation` per predicate:
   when no transaction is mixed (a mixed run has no single committed
   history);
 * **conservation** — at quiescence every message sent was delivered or
-  dropped: ``sent == delivered + dropped``;
+  dropped, ``sent == delivered + dropped``, and the network's
+  breakdowns add up: its per-type sends
+  (:attr:`Network.sent_by_type <repro.net.network.Network.sent_by_type>`)
+  sum to ``sent`` and its per-reason drops (``dropped_by``) to
+  ``dropped``;
 * **liveness** — healed and up means decided: at quiescence, with the
   network healed (:attr:`Network.healed <repro.net.network.Network.healed>`)
   and every registered site up, no live participant of any transaction
@@ -88,13 +92,15 @@ def judge(cluster: "Cluster") -> Judgement:
         found.append(Violation("serializability", f"committed history has a cycle {graph.cycle()}"))
     if cluster.scheduler.pending == 0:  # nothing left in flight
         net = cluster.network
+        broken = []
         if net.sent != net.delivered + net.dropped:
-            found.append(
-                Violation(
-                    "conservation",
-                    f"sent {net.sent} != delivered {net.delivered} + dropped {net.dropped}",
-                )
-            )
+            broken.append(f"sent {net.sent} != delivered {net.delivered} + dropped {net.dropped}")
+        if (by_type := sum(net.sent_by_type.values())) != net.sent:
+            broken.append(f"sent by type {by_type} != sent {net.sent}")
+        if (by_reason := sum(net.dropped_by.values())) != net.dropped:
+            broken.append(f"dropped by reason {by_reason} != dropped {net.dropped}")
+        if broken:
+            found.append(Violation("conservation", "; ".join(broken)))
     if in_doubt and healed_and_up(cluster):
         found.append(Violation("liveness", f"healed and up, still in doubt: {in_doubt}"))
     return Judgement(outcomes, serializable, found)

@@ -7,6 +7,7 @@ depends on any other ``repro`` package.
 
 from repro.common.errors import (
     ConfigurationError,
+    MessageRowsOffError,
     NotSerializableError,
     ProtocolError,
     QuorumUnreachableError,
@@ -20,6 +21,7 @@ from repro.common.ids import SiteId, TxnId, make_txn_id
 
 __all__ = [
     "ConfigurationError",
+    "MessageRowsOffError",
     "NotSerializableError",
     "ProtocolError",
     "QuorumUnreachableError",

@@ -39,6 +39,21 @@ class StoreError(ReproError, ValueError):
     """
 
 
+class MessageRowsOffError(ReproError, LookupError):
+    """A trace query named ``send`` / ``deliver`` / ``drop`` rows on a
+    tracer that kept none (a cluster built without ``message_rows=True``).
+
+    Raised instead of answering with an empty list, which would read as
+    "no message was sent".
+    """
+
+    def __init__(self, category: str) -> None:
+        super().__init__(
+            f"this trace keeps no {category!r} rows: build the cluster with "
+            "message_rows=True (or the tracer with messages=True) to read them"
+        )
+
+
 class SiteDownError(ReproError):
     """An operation was attempted on a crashed site.
 

@@ -173,6 +173,7 @@ class Cluster:
         commit_quorum: int | None = None,
         abort_quorum: int | None = None,
         enforce_ignore_rules: bool = True,
+        message_rows: bool = False,
     ) -> None:
         """Build a cluster.
 
@@ -191,6 +192,14 @@ class Cluster:
             abort_quorum: for ``skq``: explicit Va.
             enforce_ignore_rules: pass False only to reproduce
                 Example 3's broken variant.
+            message_rows: keep a ``send`` / ``deliver`` / ``drop`` trace
+                row per message (a message-sequence chart, or a test
+                that reads the wire row by row, needs them).  Off, the
+                trace keeps every protocol fact and the network counts
+                the wire (:meth:`message_counts`,
+                ``network.dropped_by``); a query that names a message
+                category then raises
+                :class:`~repro.common.errors.MessageRowsOffError`.
         """
         if protocol not in PROTOCOL_NAMES:
             raise ConfigurationError(
@@ -204,7 +213,7 @@ class Cluster:
         self.epochs: dict[int, ReplicaCatalog] = {catalog.epoch: catalog}
         self.protocol = protocol
         self.scheduler = Scheduler()
-        self.tracer = Tracer()
+        self.tracer = Tracer(messages=message_rows)
         self.rng = RngRegistry(seed)
         self.network = Network(self.scheduler, self.tracer, self.rng, delay_model)
         self.sites: dict[int, Site] = {}
@@ -750,8 +759,10 @@ class Cluster:
         )
 
     def message_counts(self) -> dict[str, int]:
-        """Histogram of message types sent so far."""
-        return self.tracer.message_counts()
+        """Histogram of message types sent so far, in the order each type
+        was first sent: the network's ``sent_by_type`` counter, kept
+        whether or not the trace keeps message rows."""
+        return dict(self.network.sent_by_type)
 
     def __repr__(self) -> str:
         return (

@@ -68,10 +68,16 @@ Hot paths (the randomized studies push 10^5+ messages per run):
   an active partition* rebuilds the view at once, because the existing
   components must be carried over and the newcomer lands as a
   singleton.
-* **Trace appends use the tracer's fast paths.**  The per-message
-  ``send`` / ``deliver`` / ``drop`` records go through
-  :meth:`Tracer.record_send` and friends, which append straight into
-  the columnar store — one call, no detail dict, no record object.
+* **The wire is counted; message rows are opt-in.**  Besides ``sent``
+  / ``delivered`` / ``dropped``, the network keeps
+  :attr:`~Network.sent_by_type` (``mtype -> count``, bumped once per
+  :meth:`fanout` by the destinations it handled) and
+  :attr:`~Network.dropped_by` (``reason -> count``).  Per-message
+  ``send`` / ``deliver`` / ``drop`` trace rows are written only when
+  the tracer keeps them (``Tracer(messages=True)``, which a cluster
+  builds from its ``message_rows`` switch): the switch is read once,
+  here at construction, and each row then goes through the tracer's
+  one-call fast path (:meth:`Tracer.record_send` and friends).
 * **A message is built in one place, with plain slot stores.**
   :meth:`fanout` constructs one :class:`~repro.net.message.Message` per
   destination and nothing else in the library constructs one; its
@@ -146,6 +152,12 @@ class Network:
         self.sent = 0
         self.delivered = 0
         self.dropped = 0
+        #: messages sent, by type, in the order each type was first sent
+        self.sent_by_type: dict[str, int] = {}
+        #: messages dropped, by reason
+        self.dropped_by: dict[str, int] = {}
+        # write send / deliver / drop trace rows (read once, here)
+        self._message_rows = tracer.messages
         # connectivity-epoch cache (see module docstring): the epoch
         # counts connectivity/liveness changes; _sendable maps a source
         # to the frozenset of sites in its component under the current
@@ -503,7 +515,7 @@ class Network:
         protocol engines route vote requests, PREPAREs, decisions and
         termination polls through it.  Each destination gets its own
         :class:`~repro.net.message.Message` with its own ``msg_id``,
-        dropped (with a traced reason) when the destination is unknown,
+        dropped (counted by reason) when the destination is unknown,
         the sender is down, a filter matches, the link loses it, or the
         partition separates the pair at send time — checked in that
         order, destination by destination, so the loss RNG is drawn
@@ -514,10 +526,14 @@ class Network:
         clock are read once per call — no events run between the
         per-destination sends, so none of them can change mid-loop.
         The payload dict is shared across the fan-out — messages are
-        immutable by contract.
+        immutable by contract.  The call adds the destinations it
+        handled to :attr:`sent` and to ``mtype``'s :attr:`sent_by_type`
+        count, and writes one ``send`` row per destination only when the
+        tracer keeps message rows.
         """
         payload = payload if payload is not None else {}
         nodes = self._nodes
+        rows = self._message_rows
         record_send = self._tracer.record_send
         sched = self._scheduler
         drop = self._drop
@@ -532,9 +548,11 @@ class Network:
         epoch = self.epoch
         deliver = self._deliver
         now = sched.now
+        sent = 0
         for dst in dsts:
-            self.sent += 1
-            record_send(now, src, txn, mtype, dst)
+            sent += 1
+            if rows:
+                record_send(now, src, txn, mtype, dst)
             msg = Message(src, dst, mtype, txn, payload)
             dst_node = nodes.get(dst)
             if dst_node is None:
@@ -565,6 +583,10 @@ class Network:
             # deliveries are never cancelled, so no EventHandle is needed; a
             # destination down now must be re-checked on arrival (-1 is no epoch)
             sched.call_fixed(now + delay, deliver, dst_node, msg, epoch if dst_node.alive else -1)
+        if sent:
+            self.sent += sent
+            by_type = self.sent_by_type
+            by_type[mtype] = by_type.get(mtype, 0) + sent
 
     def _deliver(self, node: "Node", msg: Message, epoch: int) -> None:
         """Deliver ``msg`` to ``node``, the destination it was sent to.
@@ -592,11 +614,13 @@ class Network:
                 self._drop(msg, "partitioned-in-flight")
                 return
         self.delivered += 1
-        self._tracer.record_deliver(self._scheduler.now, msg.dst, msg.txn, msg.mtype, msg.src)
+        if self._message_rows:
+            self._tracer.record_deliver(self._scheduler.now, msg.dst, msg.txn, msg.mtype, msg.src)
         node.deliver(msg)
 
     def _drop(self, msg: Message, reason: str) -> None:
         self.dropped += 1
-        self._tracer.record_drop(
-            self._scheduler.now, msg.src, msg.txn, msg.mtype, msg.dst, reason
-        )
+        by_reason = self.dropped_by
+        by_reason[reason] = by_reason.get(reason, 0) + 1
+        if self._message_rows:
+            self._tracer.record_drop(self._scheduler.now, msg.src, msg.txn, msg.mtype, msg.dst, reason)

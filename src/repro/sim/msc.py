@@ -15,6 +15,7 @@ each figure) and by ``examples/termination_walkthrough.py``.
 
 from __future__ import annotations
 
+from repro.common.errors import MessageRowsOffError
 from repro.sim.trace import TraceRecord, Tracer
 
 
@@ -72,11 +73,15 @@ def message_sequence_chart(
     """Render a run (optionally one transaction) as an ASCII chart.
 
     Args:
-        tracer: the run's trace.
+        tracer: the run's trace; it must keep message rows (a cluster
+            built with ``message_rows=True``), or the chart raises
+            :class:`~repro.common.errors.MessageRowsOffError`.
         txn: restrict to one transaction's records plus global events.
         include_drops: chart dropped messages (with their reason).
         max_lines: truncate long charts (an ellipsis line is added).
     """
+    if not tracer.messages:
+        raise MessageRowsOffError("send")
     # txn_scope merges the per-txn row indexes (O(k)); a full chart
     # materializes every record anyway.
     records = tracer.records if txn is None else tracer.txn_scope(txn)

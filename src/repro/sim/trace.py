@@ -11,8 +11,8 @@ against the recorded history of the run.
 **Row shapes.**  The store is columnar — parallel arrays for time /
 site / category / txn / detail — and a row has one of two shapes:
 
-* a *scanned* row (``send``, ``deliver``, ``drop``, ``state``: about
-  nine rows in ten) carries a compact detail tuple, **shared**: one
+* a *scanned* row (``send``, ``deliver``, ``drop``, ``state``) carries
+  a compact detail tuple, **shared**: one
   tuple per distinct ``(mtype, peer)`` (``(mtype, peer, reason)`` for
   drops, ``(src, dst, via)`` for state transitions) is built on first
   sight and appended by reference afterwards, so a repeated row
@@ -22,11 +22,24 @@ site / category / txn / detail — and a row has one of two shapes:
   the five column appends in place.  :func:`_expand_detail` renders the
   tuple with the keys and key order of the equivalent ``record(...)``.
 * a *generic* row (everything else — decisions, quorum checks,
-  elections, faults; about one row in ten) comes through
+  elections, faults) comes through
   :meth:`Tracer.record` with a detail dict, stored the same way.  A
   caller that already holds the row's dict hands it over positionally
   (:meth:`Node.trace <repro.net.node.Node.trace>` passes its own
   keyword dict), so the dict is built once, not re-packed per hop.
+
+**Message rows are opt-in.**  The ``send`` / ``deliver`` / ``drop``
+rows (:data:`MESSAGES`) are kept only by a tracer built with
+``messages=True``.  A bare ``Tracer()`` keeps them.  A
+:class:`~repro.db.cluster.Cluster` builds its tracer from its
+``message_rows`` switch, off by default; its network counts the wire
+either way (``Network.sent_by_type``, ``Network.dropped_by``).  With
+the switch on, scanned rows are about nine rows in ten and generic rows
+one in ten; with it off, a run keeps its ``state`` rows and its generic
+rows only.  A query that names a message category on a tracer that
+kept none raises :class:`~repro.common.errors.MessageRowsOffError`,
+which names the switch, rather than answer with an empty list that
+reads as "no message was sent".
 
 **First sights.**  A shared detail is found by a membership test per
 level (``key in table``, then the subscript) and built by
@@ -56,8 +69,8 @@ when a query filters by txn alone (:meth:`~Tracer.txn_scope`,
 ``where(txn=...)``).  Each lazily built index remembers how far it has
 read and is extended, never rebuilt.
 
-**Positions.**  The tracer has one storage mode: every row is kept,
-for the life of the run.  The record stored ``k``-th sits in slot ``k``
+**Positions.**  The tracer has one storage mode: every row it keeps is
+kept for the life of the run.  The record stored ``k``-th sits in slot ``k``
 of every column, and every index — and the cursor :meth:`Tracer.since`
 hands out — holds these positions.
 
@@ -75,7 +88,8 @@ judged from every site's decision record, and those verdicts
 (``Cluster.verdicts``, ``outcome``, ``live_undecided``, the open-loop
 decision cursor) read them from this trace; a tracer that refused new
 rows or evicted old ones would hand those readers a partial history and
-turn a wrong verdict into a silent one.
+turn a wrong verdict into a silent one.  Message rows are no verdict's
+input: the conservation check reads the network's counters.
 """
 
 from __future__ import annotations
@@ -86,9 +100,13 @@ from itertools import repeat
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
+from repro.common.errors import MessageRowsOffError
+
 #: the categories with a compact, shared detail and a fast-path append;
 #: they are indexed only when a query names them
 SCANNED = frozenset({"send", "deliver", "drop", "state"})
+#: the per-message categories, kept only by a ``Tracer(messages=True)``
+MESSAGES = frozenset({"send", "deliver", "drop"})
 
 
 @dataclass(frozen=True)
@@ -162,10 +180,14 @@ class Tracer:
     The helpers cover the questions the analysis layer asks most:
     "all decision records for txn", "did site s ever enter state PC",
     "how many messages of type m were sent".  Every row is kept (see
-    the module docstring).
+    the module docstring); the message rows only when ``messages`` is
+    true, which :attr:`messages` reports.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, messages: bool = True) -> None:
+        #: whether this trace keeps ``send`` / ``deliver`` / ``drop`` rows
+        #: (read once by the network built on it)
+        self.messages = messages
         # shared compact details (see the module docstring):
         # mtype -> peer -> (mtype, peer) for send and deliver records,
         # reason -> mtype -> peer -> (mtype, peer, reason) for drops,
@@ -301,7 +323,11 @@ class Tracer:
     def _scan(self, start: int, category: str) -> tuple[list[int], int]:
         """Positions of the ``category`` records from ``start`` on, and the
         position after the last record: one read of the category column
-        over the new rows."""
+        over the new rows.  Every read of a scanned category comes here,
+        so this is where a message category this tracer did not keep is
+        refused."""
+        if category in MESSAGES and not self.messages:
+            raise MessageRowsOffError(category)
         end = len(self._cats)
         cats = self._cats
         return [pos for pos in range(start, end) if cats[pos] == category], end
@@ -465,7 +491,9 @@ class Tracer:
         return end, [(times[p], sites[p], txns[p]) for p in positions]
 
     def message_counts(self) -> dict[str, int]:
-        """Histogram of sent message types (for the Fig. 1 / Fig. 2 benches)."""
+        """Histogram of sent message types, read from the ``send`` rows;
+        a cluster's own :meth:`~repro.db.cluster.Cluster.message_counts`
+        reads its network's counter, with or without message rows."""
         details = self._details
         counts = Counter(
             det[0] if type(det := details[pos]) is tuple else det.get("mtype", "?")

@@ -129,6 +129,7 @@ def run_scenario(
     workload: object | None = None,
     catalog: ReplicaCatalog | None = None,
     failures: FailurePlan | None = None,
+    message_rows: bool = False,
 ) -> ScenarioRun:
     """Run ``scenario`` once under ``protocol`` (see the module docstring
     for the order of steps and why it is fixed).
@@ -139,6 +140,9 @@ def run_scenario(
     pin the placement and the fault schedule.  A catalog is a value, so
     the memoized or pinned one is handed over as it is: the plan's joins
     and leaves give the cluster new catalogs and leave this one alone.
+    ``message_rows`` is handed to the :class:`~repro.db.cluster.Cluster`
+    as it is: true keeps a trace row per message sent, delivered and
+    dropped; the run is otherwise the same.
 
     Raises:
         InvariantViolationError: the finished run broke one of the
@@ -158,7 +162,7 @@ def run_scenario(
     spec = workload if workload is not None else scenario.workload
     compiled = spec.compile(catalog, scenario.regions) if hasattr(spec, "compile") else spec
     everyone = [site for region in scenario.regions or () for site in region]
-    cluster = Cluster(catalog, protocol=protocol, seed=seed, extra_sites=everyone)
+    cluster = Cluster(catalog, protocol=protocol, seed=seed, extra_sites=everyone, message_rows=message_rows)
     engine = TrafficEngine(cluster, compiled, rng, retry=scenario.retry)
     txn = None
     if scenario.drive == "single":

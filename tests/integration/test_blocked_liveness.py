@@ -21,7 +21,7 @@ from repro.traffic import run_scenario
 
 def test_a_notice_from_before_the_heal_does_not_block_again():
     scenario = open_loop_scenario(rate=0.8, duration=25.0, n_sites=6, episode_window=(8.0, 6.0))
-    cluster = run_scenario(scenario, "2pc", 0).cluster
+    cluster = run_scenario(scenario, "2pc", 0, message_rows=True).cluster
     tracer = cluster.tracer
     [heal] = [time for time, _, _ in tracer.entries("heal")]
     # blocked notices sent inside the partition still land after the heal

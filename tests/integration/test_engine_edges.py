@@ -170,7 +170,7 @@ class TestIgnoreRuleBothDirections:
     def prepared(catalog, enforce):
         """Site 2 in PA and site 3 in PC, put there by site 1's
         prepares while every participant waits in W."""
-        cluster = Cluster(catalog, protocol="qtp1", enforce_ignore_rules=enforce)
+        cluster = Cluster(catalog, protocol="qtp1", enforce_ignore_rules=enforce, message_rows=True)
         txn = cluster.update(origin=1, writes={"x": 5}).txn
         cluster.run_until(1.5)  # every participant voted yes
         cluster.sites[2].deliver(Message(1, 2, "qtp1.t.pta", txn, {"attempt": 1}))

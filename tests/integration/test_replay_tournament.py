@@ -194,7 +194,8 @@ class TestEveryScenario:
 
 #: SHA-256 of ``tracer.dump() + json.dumps(run.counters(), sort_keys=True)``
 #: for every scenario x protocol at ``SMALL_SHAPES``, seed 0 — the blob
-#: CI's hash-seed step prints.  Pinned when every site's commit engine
+#: CI's hash-seed step prints, both with message rows kept
+#: (``message_rows=True``).  Pinned when every site's commit engine
 #: was still built with its cluster; building an engine on the site's
 #: first delivery (or first coordination) must not move one byte of any
 #: run's trace or counters.
@@ -298,7 +299,7 @@ class TestRunIdentityPins:
     @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
     @pytest.mark.parametrize("name", SCENARIOS)
     def test_trace_and_counters_do_not_move(self, name, protocol):
-        run = run_scenario(SCENARIOS[name](**SMALL_SHAPES[name]), protocol, 0)
+        run = run_scenario(SCENARIOS[name](**SMALL_SHAPES[name]), protocol, 0, message_rows=True)
         blob = run.cluster.tracer.dump() + json.dumps(run.counters(), sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest() == RUN_SHA256[name][protocol]
         # the same run keeps the paper's claims (the oracle only reads)

@@ -19,6 +19,7 @@ small trial here, against the optimized path, on the same seeds.
 
 import contextlib
 import dataclasses
+import functools
 import random
 from collections import Counter
 from typing import Any, Iterator, NamedTuple
@@ -29,6 +30,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bench import CASES, encode, run_case
 from repro.common.errors import StorageError
+from repro.db.cluster import Cluster
 from repro.concurrency.locks import LockManager, LockMode
 from repro.engine import SweepRunner, SweepSpec, run_sweep
 from repro.experiments.resilience_study import gray_failure_scenario
@@ -109,10 +111,18 @@ def _runs(seed):
 
 
 def _counters(seed, target=None, reference=None):
-    """The runs' counters and cluster fingerprints, with ``reference``
-    patched over ``target`` while they run."""
+    """The runs' counters, cluster fingerprints and network breakdowns,
+    with ``reference`` patched over ``target`` while they run."""
     with mock.patch(target, reference) if target else contextlib.nullcontext():
-        return [{**run.counters(), **cluster_counters(run.cluster)} for run in _runs(seed)]
+        return [
+            {
+                **run.counters(),
+                **cluster_counters(run.cluster),
+                "sent_by_type": run.cluster.network.sent_by_type,
+                "dropped_by": run.cluster.network.dropped_by,
+            }
+            for run in _runs(seed)
+        ]
 
 
 def _with_lossy_links(scenario):
@@ -133,21 +143,30 @@ def _with_lossy_links(scenario):
 
 
 def _fault_runs(seed):
-    """Every trace row, counter and ``net`` draw of whole runs whose
-    faults reach past crashes and partitions: lossy and flapping links
-    (beside a slow site in the gray failure), and the paper's
-    counterexamples, which lose all PREPAREs but one through a filter."""
-    runs = [
-        run_scenario(_with_lossy_links(heavy_workload_scenario(n_txns=24, n_sites=6)), "qtp1", seed),
-        run_scenario(_with_lossy_links(heavy_workload_scenario(n_txns=30, n_sites=8)), "qtp2", seed),
-        run_scenario(gray_failure_scenario(duration=60.0, episode_start=10.0), "qtp1", seed),
+    """Every trace row (message rows kept), counter, per-type and
+    per-reason count and ``net`` draw of whole runs whose faults reach
+    past crashes and partitions: lossy and flapping links (beside a slow
+    site in the gray failure), and the paper's counterexamples, which
+    lose all PREPAREs but one through a filter."""
+    scenarios = [
+        (_with_lossy_links(heavy_workload_scenario(n_txns=24, n_sites=6)), "qtp1"),
+        (_with_lossy_links(heavy_workload_scenario(n_txns=30, n_sites=8)), "qtp2"),
+        (gray_failure_scenario(duration=60.0, episode_start=10.0), "qtp1"),
     ]
-    clusters = [run.cluster for run in runs] + [
-        run_example1_scenario("qtp1", seed).cluster,
-        run_example3_scenario(False, "qtp1", seed).cluster,
-    ]
+    runs = [run_scenario(scenario, protocol, seed, message_rows=True) for scenario, protocol in scenarios]
+    # the counterexamples build their own clusters
+    with mock.patch("repro.workload.scenarios.Cluster", functools.partial(Cluster, message_rows=True)):
+        examples = [run_example1_scenario("qtp1", seed), run_example3_scenario(False, "qtp1", seed)]
+    clusters = [run.cluster for run in runs] + [example.cluster for example in examples]
     return [
-        (cluster_counters(c), c.tracer.dump(), c.rng.stream("net").getstate()) for c in clusters
+        (
+            cluster_counters(c),
+            c.tracer.dump(),
+            c.network.sent_by_type,
+            c.network.dropped_by,
+            c.rng.stream("net").getstate(),
+        )
+        for c in clusters
     ]
 
 
@@ -219,7 +238,14 @@ def _lossy_run(seed, ops, network_class):
             else:
                 network.fanout(src, (*_SITES, 9), "t.ping", f"R{n}")
     scheduler.run()
-    counters = (network.sent, network.delivered, network.dropped, scheduler.events_run)
+    counters = (
+        network.sent,
+        network.delivered,
+        network.dropped,
+        network.sent_by_type,
+        network.dropped_by,
+        scheduler.events_run,
+    )
     inboxes = [node.received for node in nodes]
     return network.tracer.dump(), counters, inboxes, rng.stream("net").getstate()
 

@@ -163,8 +163,14 @@ def storm(seed: int, protocol: str) -> tuple[Cluster, dict]:
     plan.crash(rng.uniform(1.0, 2.5), origin)
     if heal:
         plan.recover(max(a.time for a in plan.actions) + 5.0, origin)
+    # message rows kept: most shared details are theirs
     cluster = Cluster(
-        catalog, protocol=protocol, seed=seed, delay_model=FixedDelay(1.0), extra_sites=ALL_SITES
+        catalog,
+        protocol=protocol,
+        seed=seed,
+        delay_model=FixedDelay(1.0),
+        extra_sites=ALL_SITES,
+        message_rows=True,
     )
     submit_rng = random.Random()
     submit_rng.setstate(submit_state)

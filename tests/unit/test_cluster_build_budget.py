@@ -42,9 +42,14 @@ def catalog():
     )
 
 
-def build(catalog, protocol="qtp1"):
+def build(catalog, protocol="qtp1", message_rows=False):
     return Cluster(
-        catalog, protocol=protocol, seed=1, delay_model=FixedDelay(1.0), extra_sites=ALL_SITES
+        catalog,
+        protocol=protocol,
+        seed=1,
+        delay_model=FixedDelay(1.0),
+        extra_sites=ALL_SITES,
+        message_rows=message_rows,
     )
 
 
@@ -128,7 +133,7 @@ class TestHandlerTable:
         assert all(s._handlers == {} for s in silent)
 
     def test_a_storm_binds_only_what_it_delivers(self, catalog):
-        cluster = build(catalog)
+        cluster = build(catalog, message_rows=True)
         origin = ALL_SITES[0]
         cluster.update(origin, {"i0": 1, "i1": 2})
         cluster.run()

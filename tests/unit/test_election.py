@@ -7,10 +7,14 @@ from repro.election.bully import MAX_ELECTION_ROUNDS
 from repro.net.message import Message
 
 
+def build(**kwargs):
+    catalog = CatalogBuilder().replicated_item("x", sites=[1, 2, 3, 4], r=2, w=3).build()
+    return Cluster(catalog, protocol="qtp1", **kwargs)
+
+
 @pytest.fixture
 def cluster():
-    catalog = CatalogBuilder().replicated_item("x", sites=[1, 2, 3, 4], r=2, w=3).build()
-    return Cluster(catalog, protocol="qtp1")
+    return build()
 
 
 def with_records(cluster):
@@ -69,6 +73,11 @@ class TestStartElection:
 
 
 class TestInquiryResponses:
+    @pytest.fixture
+    def cluster(self):
+        # the replies are read from the trace's send rows
+        return build(message_rows=True)
+
     def test_alive_reply_to_inquiry(self, cluster):
         txn = with_records(cluster)
         engine = cluster.sites[3].ensure_engine()

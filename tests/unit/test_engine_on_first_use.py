@@ -63,7 +63,7 @@ def left_behind(cluster, txns):
     }
 
 
-def storm(protocol, eager=False, seed=4):
+def storm(protocol, eager=False, seed=4, message_rows=False):
     """One update on a fresh 4 x 8-site WAN whose coordinator crashes
     under two healing partition waves; a site hosting no copy crashes
     and recovers mid-run.  Returns the cluster, what it left behind
@@ -81,7 +81,12 @@ def storm(protocol, eager=False, seed=4):
     plan.crash(3.0, bystander).recover(9.0, bystander)
     with engines_built_with_sites(eager):
         cluster = Cluster(
-            catalog, protocol=protocol, seed=seed, delay_model=FixedDelay(1.0), extra_sites=ALL_SITES
+            catalog,
+            protocol=protocol,
+            seed=seed,
+            delay_model=FixedDelay(1.0),
+            extra_sites=ALL_SITES,
+            message_rows=message_rows,
         )
     submit_rng = random.Random()
     submit_rng.setstate(submit_state)
@@ -136,7 +141,7 @@ class TestUntouchedSites:
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_a_never_touched_site_has_no_engine(self, protocol):
-        cluster, _, bystander = storm(protocol)
+        cluster, _, bystander = storm(protocol, message_rows=True)
         reached = {rec.site for rec in cluster.tracer.where(category="deliver")}
         coordinators = {rec.site for rec in cluster.tracer.where(category="coord-begin")}
         built = {sid for sid, site in cluster.sites.items() if site.engine is not None}

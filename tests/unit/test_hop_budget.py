@@ -41,7 +41,7 @@ from repro.net.node import Node
 from repro.protocols.base import CommitProtocolEngine, TxnRecord
 from repro.sim import trace
 from repro.sim.scheduler import Scheduler
-from repro.sim.trace import TraceRecord, Tracer
+from repro.sim.trace import MESSAGES, TraceRecord, Tracer
 from repro.traffic import TrafficEngine, run_scenario
 from repro.traffic.open_loop import _OpenLoopRun
 from repro.workload.scenarios import wan_storm_scenario
@@ -63,7 +63,7 @@ ALL_SITES = [s for region in REGIONS for s in region]
 CLOCK_AND_BINDINGS = [(Scheduler, "now"), (Network, "scheduler"), (Network, "tracer"), (Node, "now")]
 
 
-def armed_storm(seed, protocol):
+def armed_storm(seed, protocol, message_rows=False):
     """A fresh 32-site WAN cluster with its one update submitted and a
     healing two-wave storm plus the coordinator's crash armed; nothing
     has run yet.  Returns the cluster, its traffic engine and the
@@ -77,7 +77,12 @@ def armed_storm(seed, protocol):
     plan.crash(rng.uniform(1.0, 2.5), origin)
     plan.recover(max(a.time for a in plan.actions) + 5.0, origin)
     cluster = Cluster(
-        catalog, protocol=protocol, seed=seed, delay_model=FixedDelay(1.0), extra_sites=ALL_SITES
+        catalog,
+        protocol=protocol,
+        seed=seed,
+        delay_model=FixedDelay(1.0),
+        extra_sites=ALL_SITES,
+        message_rows=message_rows,
     )
     submit_rng = random.Random()
     submit_rng.setstate(submit_state)
@@ -160,8 +165,18 @@ def storm_profile(request):
     )
     profile = RunProfile(cluster, engine.run_to_quiescence, lambda: cluster.outcome(txn))
     assert profile.events > 100 and cluster.network.sent > 50  # the storm did run
-    assert isinstance(cluster.tracer, Tracer) and cluster.tracer.count("send") == cluster.network.sent
+    assert isinstance(cluster.tracer, Tracer)
+    assert sum(cluster.message_counts().values()) == cluster.network.sent
     return profile, kicks_due
+
+
+@pytest.fixture(params=PROTOCOLS, scope="module")
+def storm_rows_profile(request):
+    """The storm of ``storm_profile``, its cluster keeping message rows."""
+    cluster, engine, txn = armed_storm(4, request.param, message_rows=True)
+    profile = RunProfile(cluster, engine.run_to_quiescence, lambda: cluster.outcome(txn))
+    assert cluster.tracer.count("send") == cluster.network.sent > 50
+    return profile
 
 
 @pytest.fixture(params=PROTOCOLS, scope="module")
@@ -195,13 +210,18 @@ class TestStormHopBudget:
         assert profile.sent > 50
         assert profile.calls(Message.__init__) == profile.sent
 
-    def test_message_rows_append_in_place(self, storm_profile):
-        profile, _ = storm_profile
+    def test_message_rows_append_in_place(self, storm_rows_profile):
         rows = 0
         for fast_path in (Tracer.record_send, Tracer.record_deliver, Tracer.record_drop):
-            rows += profile.calls(fast_path)
-            assert profile.calls_from(fast_path, Tracer._append) == 0
+            rows += storm_rows_profile.calls(fast_path)
+            assert storm_rows_profile.calls_from(fast_path, Tracer._append) == 0
         assert rows > 100
+
+    def test_without_message_rows_no_message_row_is_written(self, storm_profile):
+        profile, _ = storm_profile
+        for fast_path in (Tracer.record_send, Tracer.record_deliver, Tracer.record_drop):
+            assert profile.calls(fast_path) == 0
+        assert not {rec.category for rec in profile.cluster.tracer} & MESSAGES
 
     def test_a_timer_is_one_scheduler_call(self, storm_profile):
         profile, _ = storm_profile

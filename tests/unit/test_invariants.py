@@ -4,14 +4,17 @@ on a run that breaks it.
 Every broken run here is made through the public API — a filter that
 strands a participant, a read-only footprint no serial order explains,
 the paper's Example 3 with its ignore rules off — except conservation,
-whose counters no correct network can unbalance, so that test moves
-one by hand.
+whose counters no correct network can unbalance, so those tests move
+one by hand or run a network patched to miscount.
 """
+
+from unittest import mock
 
 import pytest
 
 from repro import PROTOCOL_NAMES, Cluster, FixedDelay
 from repro.analysis import Violation, check_invariants, healed_and_up
+from repro.net.network import Network
 from repro.replication.catalog import ItemConfig, ReplicaCatalog
 from repro.workload.scenarios import run_example3_scenario
 
@@ -122,7 +125,8 @@ def test_a_lost_message_count_breaks_conservation_only_at_quiescence():
         Violation(
             "conservation",
             f"sent {cluster.network.sent} != delivered {cluster.network.delivered}"
-            f" + dropped {cluster.network.dropped}",
+            f" + dropped {cluster.network.dropped}; sent by type {cluster.network.sent - 1}"
+            f" != sent {cluster.network.sent}",
         )
     ]
     # mid-run, messages in flight are neither delivered nor dropped yet
@@ -132,6 +136,40 @@ def test_a_lost_message_count_breaks_conservation_only_at_quiescence():
     net = cluster.network
     assert net.sent > net.delivered + net.dropped
     assert check_invariants(cluster) == []
+
+
+def _drop_without_its_reason(network, msg, reason):
+    network.dropped += 1
+
+
+_FANOUT = Network.fanout
+
+
+def _fanout_without_its_type(network, *args):
+    counted, network.sent_by_type = network.sent_by_type, {}
+    try:
+        _FANOUT(network, *args)
+    finally:
+        network.sent_by_type = counted
+
+
+@pytest.mark.parametrize(
+    ("method", "mutant", "broken"),
+    [
+        ("_drop", _drop_without_its_reason, "dropped by reason"),
+        ("fanout", _fanout_without_its_type, "sent by type"),
+    ],
+)
+def test_a_breakdown_that_misses_a_message_breaks_conservation(method, mutant, broken):
+    # the filter drops every message to site 3 after its vote-req, so
+    # both breakdowns have something to miss
+    with mock.patch.object(Network, method, mutant):
+        cluster, _handle = one_update("qtp1", isolate=3)
+    net = cluster.network
+    assert net.dropped and net.sent == net.delivered + net.dropped
+    [violation] = check_invariants(cluster)
+    assert violation.predicate == "conservation"
+    assert violation.detail.startswith(broken)
 
 
 def test_the_oracle_only_reads():

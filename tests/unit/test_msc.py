@@ -1,6 +1,9 @@
 """Unit tests for the message-sequence-chart renderer."""
 
+import pytest
+
 from repro import CatalogBuilder, Cluster, FailurePlan
+from repro.common.errors import MessageRowsOffError
 from repro.sim.msc import format_event, message_sequence_chart
 from repro.sim.trace import TraceRecord, Tracer
 
@@ -45,7 +48,7 @@ class TestFormatEvent:
 class TestChart:
     def _run(self):
         catalog = CatalogBuilder().replicated_item("x", sites=[1, 2, 3], r=2, w=2).build()
-        cluster = Cluster(catalog, protocol="qtp1")
+        cluster = Cluster(catalog, protocol="qtp1", message_rows=True)
         txn = cluster.update(origin=1, writes={"x": 1})
         cluster.run()
         return cluster, txn
@@ -67,7 +70,7 @@ class TestChart:
 
     def test_send_and_drop_merged(self):
         catalog = CatalogBuilder().replicated_item("x", sites=[1, 2], r=1, w=2).build()
-        cluster = Cluster(catalog, protocol="qtp1")
+        cluster = Cluster(catalog, protocol="qtp1", message_rows=True)
         cluster.network.set_link_loss(1, 2, 1.0)
         txn = cluster.update(origin=1, writes={"x": 1})
         cluster.run()
@@ -91,3 +94,14 @@ class TestChart:
 
     def test_empty_trace(self):
         assert message_sequence_chart(Tracer()) == ""
+
+    def test_a_trace_without_message_rows_is_refused(self):
+        catalog = CatalogBuilder().replicated_item("x", sites=[1, 2, 3], r=2, w=2).build()
+        cluster = Cluster(catalog, protocol="qtp1")
+        txn = cluster.update(origin=1, writes={"x": 1})
+        cluster.run()
+        # an empty or arrowless chart would read as "no message was sent"
+        with pytest.raises(MessageRowsOffError, match="message_rows=True"):
+            message_sequence_chart(cluster.tracer, txn.txn)
+        with pytest.raises(MessageRowsOffError, match="message_rows=True"):
+            message_sequence_chart(Tracer(messages=False))

@@ -1,5 +1,7 @@
 """Unit tests for the network facade and node actors."""
 
+from collections import Counter
+
 import pytest
 
 from repro.common.errors import SiteDownError
@@ -419,9 +421,37 @@ class TestFanoutMessages:
                     [str(m) for m in nodes[2].received],
                     network.tracer.dump(),
                     network._rng.getstate(),
+                    network.sent_by_type,
+                    network.dropped_by,
                 )
             )
         assert tallies[0] == tallies[1]
+
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_without_message_rows_the_wire_is_counted_not_traced(self, per_message_network, reference):
+        runs = []
+        for tracer in (Tracer(), Tracer(messages=False)):
+            scheduler = Scheduler()
+            network = (per_message_network if reference else Network)(scheduler, tracer, RngRegistry(0))
+            for i in (1, 2, 3):
+                Recorder(i, network)
+            network.fanout(1, [1, 2, 3, 9], "test.ping", "T1")  # 9 unknown
+            network.fanout(2, [], "test.none", "T1")  # sends nothing, so no type
+            network.crash_site(3)
+            network.fanout(1, [2, 3], "test.pong", "T1")
+            network.fanout(3, [1], "test.ping", "T1")  # a dead sender's
+            scheduler.run()
+            runs.append((network, tracer))
+        (on, on_trace), (off, off_trace) = runs
+        assert on.sent_by_type == off.sent_by_type == {"test.ping": 5, "test.pong": 2}
+        assert list(off.sent_by_type.items()) == list(on_trace.message_counts().items())
+        drops = {"unknown-destination": 1, "destination-down": 2, "sender-down": 1}
+        assert on.dropped_by == off.dropped_by == drops
+        assert Counter(r.detail["reason"] for r in on_trace.where(category="drop")) == drops
+        assert (on.sent, on.delivered, on.dropped) == (off.sent, off.delivered, off.dropped) == (7, 3, 4)
+        # the crash, and the pong site 2 has no handler for
+        assert [r.category for r in off_trace] == ["crash", "unhandled"]
+        assert len(on_trace) == len(off_trace) + 7 + 3 + 4
 
     def test_filters_judge_each_fanout_destination(self):
         scheduler, network, nodes = self._network()

@@ -212,6 +212,8 @@ class TestFanout:
                     tuple(tuple(map(str, n.received)) for n in nodes.values()),
                     network.tracer.dump(),
                     network._rng.getstate(),
+                    network.sent_by_type,
+                    network.dropped_by,
                 )
             )
         assert tallies[0] == tallies[1]

@@ -3,11 +3,13 @@
 The columnar store must be observationally a plain list of records —
 materialized views compare equal to hand-built ``TraceRecord`` values,
 every indexed query answers like a naive filter over ``tracer.records``, and
-dumps render record by record.  Every row appended is kept.
+dumps render record by record.  Every row appended is kept, and a
+tracer built without message rows refuses to answer for them.
 """
 
 import pytest
 
+from repro.common.errors import MessageRowsOffError
 from repro.sim.trace import TraceRecord, Tracer
 
 
@@ -380,3 +382,47 @@ class TestRecordRendering:
         _fill(tracer, 12)
         subset = tracer.where(category="send")
         assert tracer.dump(subset) == "\n".join(str(r) for r in subset)
+
+
+class TestWithoutMessageRows:
+    """A tracer built with ``messages=False`` keeps no send / deliver /
+    drop row, and every query that names one of them says so instead
+    of answering with nothing."""
+
+    @staticmethod
+    def tracer():
+        tracer = Tracer(messages=False)
+        tracer.record_state(1.0, 1, "T1", "Q", "W", "vote-req")
+        tracer.record(2.0, 1, "decision", "T1", outcome="commit")
+        return tracer
+
+    @pytest.mark.parametrize("category", ["send", "deliver", "drop"])
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda t, c: t.where(category=c),
+            lambda t, c: t.where(category=c, txn="T1"),
+            lambda t, c: t.count(c),
+            lambda t, c: t.count(c, txn="T1"),
+            lambda t, c: t.entries(c),
+            lambda t, c: t.entries(c, "T1"),
+            lambda t, c: t.txn_entries(c),
+            lambda t, c: t.since(0, c),
+        ],
+        ids=["where", "where-txn", "count", "count-txn", "entries", "entries-txn", "txn_entries", "since"],
+    )
+    def test_a_query_naming_a_message_category_raises(self, query, category):
+        with pytest.raises(MessageRowsOffError, match="message_rows=True"):
+            query(self.tracer(), category)
+
+    def test_message_counts_raises(self):
+        with pytest.raises(MessageRowsOffError, match="message_rows=True"):
+            self.tracer().message_counts()
+
+    def test_every_other_row_is_kept_and_read(self):
+        tracer = self.tracer()
+        assert not tracer.messages and Tracer().messages
+        assert [r.category for r in tracer] == ["state", "decision"]
+        assert tracer.count("state") == 1 and tracer.decisions("T1") == {1: "commit"}
+        assert tracer.since(0, "state") == (2, [(1.0, 1, "T1")])
+        assert [r.category for r in tracer.txn_scope("T1")] == ["state", "decision"]
