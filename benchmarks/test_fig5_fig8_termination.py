@@ -10,7 +10,7 @@ TRY_ABORT (rule 1) entries on the Example-1 partitions.
 import pytest
 
 from repro.experiments.figures import run_decision_matrix
-from repro.workload.scenarios import run_example1_scenario
+from repro.experiments.examples import run_example1_scenario
 
 
 def test_decision_matrix(benchmark):

@@ -10,7 +10,7 @@ where the vote mass sits.
 
 from repro import CatalogBuilder, Cluster, FailurePlan
 from repro.experiments.sweeps import modelcheck
-from repro.workload.scenarios import EXAMPLE1_GROUPS
+from repro.experiments.examples import EXAMPLE1_GROUPS
 
 
 def run_fig3_with_primaries(primaries):

@@ -10,7 +10,7 @@ how quickly.
 import math
 
 from repro.analysis.liveness import termination_timeline
-from repro.workload.scenarios import run_example1_scenario
+from repro.experiments.examples import run_example1_scenario
 
 
 def test_termination_latency_fig3(benchmark):

@@ -46,6 +46,7 @@ from repro.experiments.resilience_study import (
     rolling_upgrade_scenario,
 )
 from repro.experiments.service_study import discover_ceiling, open_loop_scenario
+from repro.experiments.sweeps import wan_storm_scenario
 from repro.experiments.workload_scenarios import (
     cross_region_scenario,
     elastic_join_scenario,
@@ -58,7 +59,6 @@ from repro.sim.failures import FailurePlan
 from repro.sim.rng import RngRegistry
 from repro.traffic import run_scenario
 from repro.workload.generators import random_catalog, random_partition_groups
-from repro.workload.scenarios import wan_storm_scenario
 
 
 def _scenario_counters(scenario: Any, protocol: str, seed: int) -> dict[str, Any]:

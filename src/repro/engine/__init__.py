@@ -73,7 +73,6 @@ from repro.engine.executor import (
     WorkerCrashError,
     default_chunksize,
     default_workers,
-    fold_cells,
     run_sweep,
     shared_runner,
     shutdown_shared_runners,
@@ -131,7 +130,6 @@ __all__ = [
     "default_chunksize",
     "default_workers",
     "derive_seed",
-    "fold_cells",
     "fold_chunk",
     "fraction_of",
     "group_by",

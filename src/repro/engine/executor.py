@@ -140,7 +140,6 @@ def _warm_worker() -> None:
     import repro.db.cluster  # noqa: F401  (pulls protocols, net, sim, storage)
     import repro.experiments.workload_study  # noqa: F401
     import repro.workload.generators  # noqa: F401
-    import repro.workload.scenarios  # noqa: F401
 
 
 #: set in every pool worker: a sweep issued from inside one runs serially
@@ -483,27 +482,3 @@ def _stream(spec: SweepSpec, chunksize: int | None, sink: ResultSink, runner: Sw
     sink.close()
     return summary
 
-
-def fold_cells(
-    spec: SweepSpec,
-    fold: Callable[[Any, RunResult], Any],
-    workers: int = 1,
-    store: "ResultStore | None" = None,
-) -> list[tuple[dict[str, Any], Any]]:
-    """Run ``spec`` and fold its results per grid cell, in task order.
-
-    ``fold(state, result) -> state`` runs once per row against its
-    cell's state (``None`` on the cell's first row); returns
-    ``(params, state)`` per cell, in expansion order.  The sweep keeps
-    every row (so ``store`` persists the full artifact) and the fold
-    runs over them afterwards, a cell keyed by its parameter values (by
-    their ``repr`` where one is unhashable).
-    """
-    cells: dict[tuple, list] = {}
-    for result in run_sweep(spec, workers=workers, store=store).results:
-        try:
-            seat = cells.setdefault(tuple(result.params.values()), [result.params, None])
-        except TypeError:  # an unhashable value
-            seat = cells.setdefault(tuple(map(repr, result.params.items())), [result.params, None])
-        seat[1] = fold(seat[1], result)
-    return [(params, state) for params, state in cells.values()]

@@ -1,12 +1,14 @@
 """Experiment harness (system S21) — one runner per paper artifact.
 
 Experiment ids follow DESIGN.md §4; E15 onward extend the paper.  A
-runner module is ``repro.experiments.<module>``, except E21's
-``repro.workload.scenarios`` and the pytest ``benchmarks/`` of E15
-(``test_missing_writes``), E16 (``test_termination_latency``) and E20
-(``test_generalization``).  A macro experiment (E17, E18, E21 on) is
-the :class:`~repro.traffic.Scenario` constructor ``<key>_scenario`` of
-its module, registered in :data:`SCENARIOS` under ``key`` — run it with
+runner module is ``repro.experiments.<module>``, except the pytest
+``benchmarks/`` of E15 (``test_missing_writes``), E16
+(``test_termination_latency``) and E20 (``test_generalization``).
+``examples`` also holds the worked examples' runnable scenarios
+(``run_example1_scenario``, ``run_example3_scenario``) and their
+catalogs.  A macro experiment (E17, E18, E21 on) is the
+:class:`~repro.traffic.Scenario` constructor ``<key>_scenario`` of its
+module, registered in :data:`SCENARIOS` under ``key`` — run it with
 ``run_scenario(SCENARIOS[key](**shape), protocol, seed)``, record it
 with :func:`repro.replay.record` — and the bench case beside it pins
 its counters in ``BENCH_<case>.json`` (E26's ramp is ``ramp_ceiling``,
@@ -31,7 +33,7 @@ E17       workload across a partition    ``workload_study``      ``workload``
 E18       heavy traffic                  ``workload_study``      ``heavy_workload``     ``heavy_workload``
 E19       vote assignment policies       ``vote_study``
 E20       the §5 generalization          ``benchmarks/``
-E21       WAN region storm (32 sites)    ``workload.scenarios``  ``wan_storm``          ``wan_storm``
+E21       WAN region storm (32 sites)    ``sweeps``              ``wan_storm``          ``wan_storm``
 E22       Zipf-skewed contention         ``workload_scenarios``  ``skewed_contention``  ``skewed_contention``
 E23       read-mostly mix                ``workload_scenarios``  ``read_mostly``        ``read_mostly``
 E24       cross-region transactions      ``workload_scenarios``  ``cross_region``       ``cross_region_txn``
@@ -60,6 +62,7 @@ from repro.experiments.sweeps import (
     availability_sweep,
     modelcheck,
     reenterability_storm,
+    wan_storm_scenario,
 )
 from repro.experiments.vote_study import vote_assignment_study
 from repro.experiments.workload_scenarios import (
@@ -73,7 +76,6 @@ from repro.experiments.workload_study import (
     workload_scenario,
     workload_study,
 )
-from repro.workload.scenarios import wan_storm_scenario
 
 #: every :class:`~repro.traffic.Scenario` constructor by name (E17, E18,
 #: E21–E28 and the gray-failure run; E22/E23 are E18 and E28/gray are

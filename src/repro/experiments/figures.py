@@ -18,11 +18,11 @@ from repro.analysis.partition_states import (
     format_concurrency_table,
     impossibility_argument,
 )
+from repro.experiments.examples import example1_catalog
 from repro.protocols.base import TerminationRule
 from repro.protocols.qtp.quorums import TerminationRule1, TerminationRule2
 from repro.protocols.skeen import SkeenQuorumRule
 from repro.protocols.states import TxnState
-from repro.workload.scenarios import example1_catalog
 
 
 @dataclass

@@ -18,7 +18,8 @@ These operationalize the paper's comparative and correctness claims:
   scale: 32+ sites split region-wise by repeated partition waves.
 
 Every sweep run is judged by :func:`~repro.analysis.invariants.check_invariants`.
-E13, E14 and E21 are single-drive scenarios that
+E13, E14 and E21 (:func:`wan_storm_scenario`, registered as
+``wan_storm``) are single-drive scenarios that
 :func:`~repro.traffic.run_scenario` runs and judges (E13's and E14's
 are unregistered, so no pin set grows).  E11 builds its own cluster —
 its ``skq-pinned`` row needs a :class:`~repro.db.cluster.Cluster`
@@ -27,12 +28,13 @@ keyword no scenario carries — and judges it as the runner does.
 All drivers route through :mod:`repro.engine`: each accepts a
 ``workers=`` argument to fan runs out over a process pool, and a
 ``store=`` argument (a :class:`repro.engine.ResultStore`) to persist
-the raw per-run artifact.  Per-run seeds come from the spec, not from
-execution order, so every aggregate below is bit-identical at every
-worker count.  The ``seeding="offset"`` mode (seed = base_seed + run)
-keeps the historical trajectories: every protocol sees the *same*
-scenario sequence, and results match the pre-engine serial loops
-exactly.
+the raw per-run artifact.  Each study reads its sweep's rows once, in
+task order, and builds its rows from them.  Per-run seeds come from the
+spec, not from execution order, so every aggregate below is
+bit-identical at every worker count.  The ``seeding="offset"`` mode
+(seed = base_seed + run) keeps the historical trajectories: every
+protocol sees the *same* scenario sequence, and results match the
+pre-engine serial loops exactly.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 from repro.analysis.invariants import check_invariants
 from repro.common.errors import InvariantViolationError
 from repro.db.cluster import Cluster
-from repro.engine import ResultStore, SweepSpec, fold_cells
+from repro.engine import ResultStore, RunResult, SweepSpec, group_by, run_sweep
 from repro.sim.failures import FailurePlan
 from repro.sim.rng import RngRegistry
 from repro.traffic import Scenario, run_scenario
@@ -52,8 +54,10 @@ from repro.workload.generators import (
     random_fault_plan,
     random_partition_groups,
     random_update,
+    region_storm_plan,
+    wan_catalog,
+    wan_regions,
 )
-from repro.workload.scenarios import wan_storm_scenario
 from repro.workload.spec import WorkloadSpec
 
 
@@ -134,36 +138,29 @@ def availability_run(seed: int, protocol: str) -> tuple[float, float, bool, bool
     )
 
 
-def _fold_availability(state, result):
-    """Per-cell streaming fold over (readable, writable, blocked,
-    violated, decided) samples — same additions, in the same order, as
-    the historical ``sum()``-over-collected-samples aggregation."""
-    if state is None:
-        state = [0, 0, 0, 0, 0, 0]  # n, readable, writable, blocked, violated, decided
-    readable, writable, blocked, violated, decided = result.value
-    state[0] += 1
-    state[1] += readable
-    state[2] += writable
-    state[3] += blocked
-    state[4] += violated
-    state[5] += decided
-    return state
-
-
-def _availability_rows(cells) -> list[SweepRow]:
-    """One :class:`SweepRow` per folded cell, in expansion order."""
-    return [
-        SweepRow(
-            protocol=params["protocol"],
-            runs=state[0],
-            readable_fraction=state[1] / state[0],
-            writable_fraction=state[2] / state[0],
-            blocked_runs=state[3],
-            violation_runs=state[4],
-            decided_runs=state[5],
+def _availability_rows(results: list[RunResult]) -> list[SweepRow]:
+    """One :class:`SweepRow` per protocol over (readable, writable,
+    blocked, violated, decided) samples, in expansion order.  The float
+    totals add left to right, in sample order: ``sum()`` over floats is
+    compensated from Python 3.12 on and would round differently."""
+    rows = []
+    for protocol, cell in group_by(results, "protocol").items():
+        readable = writable = 0
+        for result in cell:
+            readable += result.value[0]
+            writable += result.value[1]
+        rows.append(
+            SweepRow(
+                protocol=protocol,
+                runs=len(cell),
+                readable_fraction=readable / len(cell),
+                writable_fraction=writable / len(cell),
+                blocked_runs=sum(r.value[2] for r in cell),
+                violation_runs=sum(r.value[3] for r in cell),
+                decided_runs=sum(r.value[4] for r in cell),
+            )
         )
-        for params, state in cells
-    ]
+    return rows
 
 
 def availability_sweep(
@@ -190,7 +187,7 @@ def availability_sweep(
         base_seed=base_seed,
         seeding="offset",
     )
-    return _availability_rows(fold_cells(spec, _fold_availability, workers, store))
+    return _availability_rows(run_sweep(spec, workers=workers, store=store).results)
 
 
 @dataclass
@@ -215,18 +212,6 @@ class StormResult:
             f"consistent={self.consistent_runs:<4} terminated={self.terminated_runs:<4} "
             f"termination-attempts={self.total_term_attempts}"
         )
-
-
-def _fold_storm(state, result):
-    """Single-cell streaming fold over (consistent, terminated, attempts)."""
-    if state is None:
-        state = [0, 0, 0, 0]  # n, consistent, terminated, term attempts
-    consistent, terminated, attempts = result.value
-    state[0] += 1
-    state[1] += consistent
-    state[2] += terminated
-    state[3] += attempts
-    return state
 
 
 def storm_scenario(waves: int = 3) -> Scenario:
@@ -292,14 +277,13 @@ def reenterability_storm(
         seeding="offset",
         fixed={"waves": waves},
     )
-    cells = fold_cells(spec, _fold_storm, workers, store)
-    state = cells[0][1] if cells else [0, 0, 0, 0]
+    results = run_sweep(spec, workers=workers, store=store).results
     return StormResult(
         protocol=protocol,
         runs=runs,
-        consistent_runs=state[1],
-        terminated_runs=state[2],
-        total_term_attempts=state[3],
+        consistent_runs=sum(r.value[0] for r in results),
+        terminated_runs=sum(r.value[1] for r in results),
+        total_term_attempts=sum(r.value[2] for r in results),
     )
 
 
@@ -360,17 +344,6 @@ def modelcheck_run(seed: int, protocol: str, heal: bool = True) -> bool:
     return bool(run.cluster.outcome(run.txn.txn).atomic)
 
 
-def _fold_modelcheck(state, result):
-    """Single-cell streaming fold: atomic count plus violating seeds."""
-    if state is None:
-        state = [0, []]  # atomic runs, seeds with violations
-    if result.value:
-        state[0] += 1
-    else:
-        state[1].append(result.seed)
-    return state
-
-
 def modelcheck(
     protocol: str,
     runs: int = 100,
@@ -396,9 +369,59 @@ def modelcheck(
         seeding="offset",
         fixed={"heal": heal},
     )
-    cells = fold_cells(spec, _fold_modelcheck, workers, store)
-    atomic, bad_seeds = cells[0][1] if cells else (0, [])
-    return ModelCheckResult(protocol, runs, atomic, len(bad_seeds), bad_seeds)
+    results = run_sweep(spec, workers=workers, store=store).results
+    bad_seeds = [r.seed for r in results if not r.value]
+    return ModelCheckResult(protocol, runs, len(results) - len(bad_seeds), len(bad_seeds), bad_seeds)
+
+
+def wan_storm_scenario(
+    n_regions: int = 4,
+    sites_per_region: int = 8,
+    n_items: int = 8,
+    region_replication: int = 3,
+    waves: int = 4,
+    heal: bool = False,
+) -> Scenario:
+    """E21 as a scenario: one multi-item update on a WAN catalog, its
+    coordinator crashed early, ``waves`` region storms through the
+    in-flight termination (healed, coordinator recovered, if ``heal``):
+    the E11 question at installation scale, or with ``heal`` the E13
+    one — does every site terminate consistently?"""
+    params = dict(locals())
+    regions = wan_regions(n_regions, sites_per_region)
+
+    def plan(rng, cluster, first):
+        storm = region_storm_plan(rng, regions, waves=waves, heal=heal)
+        storm.crash(rng.uniform(1.0, 2.5), first.origin)
+        if heal:
+            storm.recover(max(a.time for a in storm.actions) + 5.0, first.origin)
+        return storm
+
+    def counters(run):
+        return {
+            "outcome": run.result.txn_outcomes[run.txn.txn],
+            "decided_sites": len(run.cluster.tracer.decisions(run.txn.txn)),
+        }
+
+    return Scenario(
+        name="wan_storm",
+        params=params,
+        stream="wan-storm",
+        catalog=(
+            wan_catalog,
+            dict(
+                n_regions=n_regions,
+                sites_per_region=sites_per_region,
+                n_items=n_items,
+                region_replication=region_replication,
+            ),
+        ),
+        workload=WorkloadSpec(n_txns=1, footprint=(1, 3)),
+        plan=plan,
+        counters=counters,
+        drive="single",
+        regions=regions,
+    )
 
 
 def wan_storm_run(
@@ -467,4 +490,4 @@ def wan_partition_storm(
             "heal": heal,
         },
     )
-    return _availability_rows(fold_cells(spec, _fold_availability, workers, store))
+    return _availability_rows(run_sweep(spec, workers=workers, store=store).results)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from repro.analysis.invariants import check_invariants
 from repro.common.errors import InvariantViolationError
 from repro.db.cluster import Cluster
-from repro.engine import ResultStore, SweepSpec, fold_cells
+from repro.engine import ResultStore, SweepSpec, group_by, run_sweep
 from repro.replication.catalog import CatalogBuilder, ReplicaCatalog
 from repro.sim.rng import RngRegistry
 from repro.workload.generators import random_fault_plan
@@ -112,21 +112,6 @@ def policy_run(
     )
 
 
-def _fold_policy(state, result):
-    """Per-cell streaming fold over (readable, writable, committed,
-    blocked, violated) samples, in historical addition order."""
-    if state is None:
-        state = [0, 0, 0, 0, 0, 0]  # n, readable, writable, committed, blocked, violated
-    readable, writable, committed, blocked, violated = result.value
-    state[0] += 1
-    state[1] += readable
-    state[2] += writable
-    state[3] += committed
-    state[4] += blocked
-    state[5] += violated
-    return state
-
-
 def vote_assignment_study(
     policies: tuple[str, ...] = POLICIES,
     runs: int = 40,
@@ -145,15 +130,22 @@ def vote_assignment_study(
         seeding="offset",
         fixed={"n_sites": n_sites},
     )
-    return [
-        PolicyRow(
-            policy=params["policy"],
-            runs=state[0],
-            readable_fraction=state[1] / state[0],
-            writable_fraction=state[2] / state[0],
-            committed_runs=state[3],
-            blocked_runs=state[4],
-            violations=state[5],
+    results = run_sweep(spec, workers=workers, store=store).results
+    rows = []
+    for policy, cell in group_by(results, "policy").items():
+        readable = writable = 0  # left-to-right float totals, as E11's
+        for result in cell:
+            readable += result.value[0]
+            writable += result.value[1]
+        rows.append(
+            PolicyRow(
+                policy=policy,
+                runs=len(cell),
+                readable_fraction=readable / len(cell),
+                writable_fraction=writable / len(cell),
+                committed_runs=sum(r.value[2] for r in cell),
+                blocked_runs=sum(r.value[3] for r in cell),
+                violations=sum(r.value[4] for r in cell),
+            )
         )
-        for params, state in fold_cells(spec, _fold_policy, workers, store)
-    ]
+    return rows

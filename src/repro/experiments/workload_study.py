@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.engine import ResultStore, SweepSpec, fold_cells
+from repro.engine import ResultStore, RunResult, SweepSpec, group_by, run_sweep
 from repro.sim.failures import FailurePlan
 from repro.traffic import Scenario, WorkloadResult, run_scenario
 from repro.workload.generators import random_catalog, random_partition_groups
@@ -72,45 +72,30 @@ def _workload_run(seed: int, protocol: str, **shape: Any) -> WorkloadResult:
     return run_scenario(workload_scenario(**shape), protocol, seed).result
 
 
-def _fold_workload(state, result):
-    """Per-cell streaming fold over :class:`WorkloadResult` samples.
+def _workload_rows(results: list[RunResult]) -> list[WorkloadResult]:
+    """One summed :class:`WorkloadResult` per protocol, in expansion
+    order; every run must be serializable for the sum to be.
 
-    Integer tallies accumulate directly; ``readable_fraction`` samples
-    are kept (one float per run) because the historical aggregation
-    sums ``r / n`` terms and ``n`` is only known at the end — dividing
-    first and summing after would round differently.
-    """
-    if state is None:
-        state = [0, 0, 0, 0, 0, True, [], 0]
-        # submitted, committed, client_aborted, protocol_aborted,
-        # blocked, serializable, readable samples, reads_committed
-    value = result.value
-    state[0] += value.submitted
-    state[1] += value.committed
-    state[2] += value.client_aborted
-    state[3] += value.protocol_aborted
-    state[4] += value.blocked
-    state[5] &= value.serializable
-    state[6].append(value.readable_fraction)
-    state[7] += value.reads_committed
-    return state
-
-
-def _workload_rows(cells) -> list[WorkloadResult]:
-    """One summed :class:`WorkloadResult` per folded cell.
-
-    Replays the historical float order exactly: ``readable_fraction``
-    is ``0.0 + r_0/n + r_1/n + ...`` in sample order.
+    ``readable_fraction`` is ``0.0 + r_0/n + r_1/n + ...`` in sample
+    order: dividing once at the end, or ``sum()`` (compensated over
+    floats from Python 3.12 on), would round differently.
     """
     rows = []
-    for params, state in cells:
-        total = WorkloadResult(params["protocol"], 0, 0, 0, 0, 0, True, 0.0)
-        total.submitted, total.committed = state[0], state[1]
-        total.client_aborted, total.protocol_aborted = state[2], state[3]
-        total.blocked, total.serializable = state[4], state[5]
-        total.reads_committed = state[7]
-        for readable in state[6]:
-            total.readable_fraction += readable / len(state[6])
+    for protocol, cell in group_by(results, "protocol").items():
+        samples = [r.value for r in cell]
+        total = WorkloadResult(
+            protocol,
+            submitted=sum(v.submitted for v in samples),
+            committed=sum(v.committed for v in samples),
+            client_aborted=sum(v.client_aborted for v in samples),
+            protocol_aborted=sum(v.protocol_aborted for v in samples),
+            blocked=sum(v.blocked for v in samples),
+            serializable=all(v.serializable for v in samples),
+            readable_fraction=0.0,
+            reads_committed=sum(v.reads_committed for v in samples),
+        )
+        for v in samples:
+            total.readable_fraction += v.readable_fraction / len(samples)
         rows.append(total)
     return rows
 
@@ -137,7 +122,7 @@ def workload_study(
         seeding="offset",
         fixed={"n_txns": n_txns},
     )
-    return _workload_rows(fold_cells(spec, _fold_workload, workers, store))
+    return _workload_rows(run_sweep(spec, workers=workers, store=store).results)
 
 
 def heavy_failure_plan(
@@ -214,4 +199,4 @@ def heavy_traffic_study(
         seeding="offset",
         fixed={"n_txns": n_txns},
     )
-    return _workload_rows(fold_cells(spec, _fold_workload, workers, store))
+    return _workload_rows(run_sweep(spec, workers=workers, store=store).results)

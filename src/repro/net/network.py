@@ -387,12 +387,12 @@ class Network:
         """Register a connectivity-change observer.
 
         Observers fire after every partition / heal / recovery event,
-        and after a slow site is restored, with the event name.  The
-        database cluster uses this to re-kick termination for
-        transactions that blocked in an earlier connectivity epoch — the
-        paper's "wait for the failures to recover" made operational — and,
-        on a ``"restore"``, to retry the ones blocked while the site was
-        slow.
+        and after a slow site is restored or a link's loss lowered, with
+        the event name.  The database cluster uses this to re-kick
+        termination for transactions that blocked in an earlier
+        connectivity epoch — the paper's "wait for the failures to
+        recover" made operational — and, on a ``"restore"``, to retry
+        the ones blocked while the site was slow or the link lossy.
         """
         self._observers.append(observer)
 
@@ -462,16 +462,23 @@ class Network:
         self._notify("restore")
 
     def set_link_loss(self, src: int, dst: int, p: float) -> None:
-        """Set the drop probability of the directed link ``src -> dst``."""
+        """Set the drop probability of the directed link ``src -> dst``.
+
+        Lowering it is a repair, as restoring a slow site is: the
+        observers hear a ``"restore"`` event, so a flapping link's heal
+        retries what its cut blocked."""
         for site in (src, dst):
             if site not in self._nodes:
                 raise ValueError(f"unknown site {site}")
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"loss probability {p} outside [0, 1]")
+        before = self._link_loss.get((src, dst), 0.0)
         if p == 0.0:
             self._link_loss.pop((src, dst), None)
         else:
             self._link_loss[(src, dst)] = p
+        if p < before:
+            self._notify("restore")
 
     def add_filter(self, pred: Callable[[Message], bool]) -> None:
         """Install a message filter; messages with ``pred(msg) == True`` drop.

@@ -26,10 +26,6 @@ The three pins (``workload`` / ``catalog`` / ``failures``) replace what
 steps 1–3 would generate, so a recorded trace and a live generator are
 interchangeable: recording, replaying and benching a scenario are all
 this one call.
-
-``repro.workload``'s package init imports the worked examples, which
-import this module — so nothing here may import ``repro.workload`` at
-module level (the catalog memo is imported inside the runner).
 """
 
 from __future__ import annotations
@@ -45,6 +41,7 @@ from repro.replication.catalog import ReplicaCatalog
 from repro.sim.failures import FailurePlan
 from repro.sim.rng import RngRegistry
 from repro.traffic.engine import TrafficEngine
+from repro.workload.generators import memoized_catalog
 
 #: how a scenario feeds its stream to the cluster.
 DRIVES = ("closed", "direct", "single", "open")
@@ -149,8 +146,6 @@ def run_scenario(
             paper's claims (:func:`~repro.analysis.invariants.judge`);
             the error names every violation.
     """
-    from repro.workload.generators import memoized_catalog
-
     rng = RngRegistry(seed).stream(scenario.stream)
     if catalog is None:
         build, shape = scenario.catalog

@@ -1,11 +1,8 @@
-"""Workload and scenario generation (system S20).
+"""Workload generation (system S20): a spec and its generators.
 
 * :mod:`repro.workload.spec` — declarative :class:`WorkloadSpec`
   (item popularity, read:write mix, footprint, arrivals, cross-region
   pattern) compiling to the generator callables the drivers consume.
-* :mod:`repro.workload.scenarios` — the paper's worked examples
-  (Examples 1–4 with Figs. 3 and 7) as parameterized, runnable
-  scenarios shared by the tests, benchmarks and examples.
 * :mod:`repro.workload.generators` — random transaction workloads,
   random replica placements and random fault schedules for the sweeps
   and the randomized model-checking experiments.
@@ -17,26 +14,14 @@ from repro.workload.generators import (
     random_partition_groups,
     random_update,
 )
-from repro.workload.scenarios import (
-    ScenarioResult,
-    example1_catalog,
-    example3_catalog,
-    run_example1_scenario,
-    run_example3_scenario,
-)
 from repro.workload.spec import CompiledWorkload, WorkloadOp, WorkloadSpec
 
 __all__ = [
     "CompiledWorkload",
-    "ScenarioResult",
     "WorkloadOp",
     "WorkloadSpec",
-    "example1_catalog",
-    "example3_catalog",
     "random_catalog",
     "random_fault_plan",
     "random_partition_groups",
     "random_update",
-    "run_example1_scenario",
-    "run_example3_scenario",
 ]

@@ -1,8 +1,8 @@
-"""Named regressions for two ways a blocked transaction stayed blocked
+"""Named regressions for three ways a blocked transaction stayed blocked
 after its fault was repaired.
 
 Judging every ``run_scenario`` run with the whole-run oracle (healed
-and up means decided) found both in tier-1's random-seed property
+and up means decided) found each in tier-1's random-seed property
 runs:
 
 * a ``t.blocked`` notice sent before a heal and delivered after it
@@ -10,7 +10,10 @@ runs:
   it again (about one open-loop 2PC run in five at the shape below);
 * a termination attempt that heard a slow site's state too late blocked
   every participant, and restoring the site's latency retried nothing
-  (about one gray-failure run in a hundred).
+  (about one gray-failure run in a hundred);
+* an attempt that blocked while a flapping link was cut stayed blocked
+  when the link healed: lowering a link's loss retried nothing (three
+  in three hundred qtp2 runs at the record → replay property's shape).
 """
 
 from repro.analysis import check_invariants, healed_and_up
@@ -42,3 +45,15 @@ def test_restoring_a_slow_site_retries_what_its_slowness_blocked():
     assert healed_and_up(cluster) and check_invariants(cluster) == []
     assert cluster.live_undecided("T3.10") == []
     assert cluster.outcome("T3.10").outcome in ("commit", "abort")
+
+
+def test_a_healed_lossy_link_retries_what_its_cut_blocked(gray_service):
+    # a slow site restored at t=16 and a link cut for 3 of every 6 seconds from t=6
+    service, plan = gray_service(23290)
+    cluster = run_scenario(service, "qtp2", 23290, failures=plan).cluster
+    assert [time for time, _, _ in cluster.tracer.entries("restore")] == [16.0]
+    # blocked again during the last cut (18-21), after the site was restored
+    assert any(time > 18.0 for time, _, _ in cluster.tracer.entries("blocked", "T3.4"))
+    assert healed_and_up(cluster) and check_invariants(cluster) == []
+    assert cluster.live_undecided("T3.4") == []
+    assert cluster.outcome("T3.4").outcome in ("commit", "abort")

@@ -14,7 +14,7 @@ from repro.experiments.sweeps import modelcheck_run, storm_run
 from repro.experiments.workload_study import workload_scenario
 from repro.replay import cluster_counters
 from repro.traffic import run_scenario
-from repro.workload.scenarios import wan_storm_scenario
+from repro.experiments.sweeps import wan_storm_scenario
 
 
 class TestStreamIdentity:

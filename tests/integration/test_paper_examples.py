@@ -13,7 +13,7 @@ from repro.experiments.examples import (
     run_example3,
     run_example4,
 )
-from repro.workload.scenarios import run_example1_scenario
+from repro.experiments.examples import run_example1_scenario
 
 
 class TestExample1:

@@ -8,7 +8,7 @@ from repro.experiments.sweeps import modelcheck
 from repro.protocols.base import Decision
 from repro.protocols.qtp.generalized import PrimaryTerminationRule
 from repro.protocols.states import TxnState
-from repro.workload.scenarios import example1_catalog
+from repro.experiments.examples import example1_catalog
 
 W, PA, PC, A, C, Q = (
     TxnState.W,

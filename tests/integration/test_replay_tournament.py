@@ -37,7 +37,7 @@ from repro.experiments.workload_study import heavy_workload_scenario
 from repro.replication.catalog import ReplicaCatalog
 from repro.sim.failures import JoinSite
 from repro.traffic import run_scenario
-from repro.workload.scenarios import wan_storm_scenario
+from repro.experiments.sweeps import wan_storm_scenario
 
 #: one small E18 recording shared across the read-only tests.
 _TRACE_CACHE: dict[str, RecordedTrace] = {}

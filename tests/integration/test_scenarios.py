@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.workload.scenarios import (
+from repro.experiments.examples import (
     EXAMPLE1_GROUPS,
     FAILURE_TIME,
     example1_catalog,

@@ -29,7 +29,7 @@ from repro.experiments import SCENARIOS
 from repro.replay import TRACE_DRIVERS
 from repro.sim.trace import Tracer
 from repro.traffic import run_scenario
-from repro.workload.scenarios import run_example3_scenario
+from repro.experiments.examples import run_example3_scenario
 
 PROTOCOLS = ["2pc", "3pc", "skq", "qtp1", "qtp2"]
 #: the WAN storm seed whose 3PC run commits at some sites and aborts at others

@@ -5,7 +5,7 @@ import pytest
 from repro.experiments.sweeps import wan_partition_storm, wan_storm_run
 from repro.workload.generators import region_storm_plan, wan_catalog, wan_regions
 from repro.traffic import run_scenario
-from repro.workload.scenarios import wan_storm_scenario
+from repro.experiments.sweeps import wan_storm_scenario
 from repro.sim.rng import RngRegistry
 
 

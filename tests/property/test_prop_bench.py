@@ -33,7 +33,9 @@ from repro.common.errors import StorageError
 from repro.db.cluster import Cluster
 from repro.concurrency.locks import LockManager, LockMode
 from repro.engine import SweepRunner, SweepSpec, run_sweep
+from repro.experiments.examples import run_example1_scenario, run_example3_scenario
 from repro.experiments.resilience_study import gray_failure_scenario
+from repro.experiments.sweeps import wan_storm_scenario
 from repro.experiments.workload_study import heavy_workload_scenario
 from repro.net.delays import UniformDelay
 from repro.net.message import Message
@@ -49,7 +51,6 @@ from repro.storage.recovery import recover_protocol_states, replay_data
 from repro.storage.store import ReplicaStore
 from repro.storage.wal import LogRecord, WriteAheadLog
 from repro.traffic import run_scenario
-from repro.workload.scenarios import run_example1_scenario, run_example3_scenario, wan_storm_scenario
 from repro.workload.spec import WorkloadSpec
 
 @pytest.fixture(scope="module")
@@ -155,7 +156,7 @@ def _fault_runs(seed):
     ]
     runs = [run_scenario(scenario, protocol, seed, message_rows=True) for scenario, protocol in scenarios]
     # the counterexamples build their own clusters
-    with mock.patch("repro.workload.scenarios.Cluster", functools.partial(Cluster, message_rows=True)):
+    with mock.patch("repro.experiments.examples.Cluster", functools.partial(Cluster, message_rows=True)):
         examples = [run_example1_scenario("qtp1", seed), run_example3_scenario(False, "qtp1", seed)]
     clusters = [run.cluster for run in runs] + [example.cluster for example in examples]
     return [

@@ -16,7 +16,7 @@ historical byte-exact behavior while pinning the "on" side's algebra:
 from hypothesis import given, settings, strategies as st
 
 from repro.db.cluster import Cluster
-from repro.experiments.resilience_study import gray_failure_plan, rolling_upgrade_scenario
+from repro.experiments.resilience_study import rolling_upgrade_scenario
 from repro.experiments.service_study import open_loop_scenario
 from repro.replay import DEFAULT_CONFIGS, RecordedTrace, fixed_point_ok, record, replay_trace
 from repro.replay.recorder import cluster_counters
@@ -148,25 +148,11 @@ class TestLeaveThenJoinRoundTrip:
 
 
 class TestGrayRecordReplayFixedPoint:
-    def _gray_trace(self, seed: int, protocol: str) -> RecordedTrace:
-        rng = RngRegistry(seed).stream("open-loop")
-        catalog = memoized_catalog(
-            rng,
-            ("open-loop", 6, 4, 3),
-            lambda r: random_catalog(r, n_sites=6, n_items=4, replication=3),
-        )
-        hosts = sorted(catalog.all_sites())
-        plan = gray_failure_plan(
-            6.0, 10.0, slow_site=hosts[0], factor=5.0,
-            flap_src=hosts[1], flap_dst=hosts[2],
-        )
-        service = open_loop_scenario(rate=1.2, duration=24.0, n_sites=6, n_items=4, replication=3)
-        return record(service, protocol, seed, failures=plan)
-
     @given(st.integers(0, 2**16), st.sampled_from(["2pc", "qtp2"]))
     @settings(max_examples=4, deadline=None)
-    def test_gray_service_replays_to_fixed_point(self, seed, protocol):
-        trace = self._gray_trace(seed, protocol)
+    def test_gray_service_replays_to_fixed_point(self, gray_service, seed, protocol):
+        service, plan = gray_service(seed)
+        trace = record(service, protocol, seed, failures=plan)
         # the plan fired in full: degrade + flap + restore all applied
         kinds = [type(action).__name__ for action in trace.actions]
         assert kinds.count("DegradeSite") == 1
@@ -178,8 +164,9 @@ class TestGrayRecordReplayFixedPoint:
             f"gray-failure replay diverged at seed {seed}: {row}"
         )
 
-    def test_gray_artifact_bytes_stable_through_round_trip(self, tmp_path):
-        trace = self._gray_trace(11, "qtp2")
+    def test_gray_artifact_bytes_stable_through_round_trip(self, gray_service, tmp_path):
+        service, plan = gray_service(11)
+        trace = record(service, "qtp2", 11, failures=plan)
         path = tmp_path / "gray.jsonl.gz"
         trace.save(path)
         reloaded = RecordedTrace.load(path)

@@ -21,7 +21,7 @@ from repro.engine import (
     RowReducer,
     SweepSpec,
     TeeSink,
-    fold_cells,
+    group_by,
     iter_stream_rows,
     load_stream,
     merge_digests,
@@ -388,57 +388,16 @@ class TestOneSweepPerSink:
         assert tee.rows_emitted == jsonl.rows_emitted == reducer.rows_emitted == 10
 
 
-def mix_task(seed: int, mix: list, w: dict) -> int:
-    return sum(mix) * w["a"] + seed % 7
+class TestStudyCells:
+    """What a study reads: its sweep's rows, grouped by its one grid
+    parameter."""
 
-
-def sized_task(seed: int, cell: object) -> int:
-    return len(repr(cell)) * 10 + seed
-
-
-#: grid values no dict can key by, one cell kind each
-UNHASHABLE_CELLS = {
-    "lists": [[1, 2], [3], [1, 2, 3]],
-    "dicts": [{"a": 1}, {"a": 2}],
-    "tuples-holding-lists": [(1, [2]), (1, [3])],
-}
-
-
-class TestFoldCells:
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_matches_a_grouping_of_the_rows(self, workers):
-        outcome = run_sweep(_spec())
-        cells = fold_cells(_spec(), lambda state, r: (state or 0) + r.value["x"], workers=workers)
-        groups: dict = {}
-        for result in outcome.results:
-            groups.setdefault(result.params["scale"], (result.params, []))[1].append(result)
-        expected = [(params, sum(r.value["x"] for r in results)) for params, results in groups.values()]
-        assert cells == expected
-
-    def test_cells_straddling_chunks_fold_as_one(self):
-        """A cell whose runs span two chunks reaches the fold as two
-        ``params`` dicts; it is still one cell."""
+    def test_cells_straddling_chunks_come_back_whole(self, workers):
         spec = SweepSpec("t", probe_task, grid={"scale": [1, 3]}, runs=300)  # > MAX_CHUNK_ROWS
-        cells = fold_cells(spec, lambda state, r: (state or 0) + 1)
-        assert cells == [({"scale": 1}, 300), ({"scale": 3}, 300)]
-
-    def test_unhashable_cell_values_fall_back_to_their_repr(self):
-        """List-valued grid cells and a dict-valued ``fixed`` cannot key
-        a dict; the cells still fold apart, in expansion order."""
-        spec = SweepSpec("t", mix_task, grid={"mix": [[1, 2], [3]]}, runs=2, fixed={"w": {"a": 1}})
-        cells = fold_cells(spec, lambda state, r: [*(state or []), r.value])
-        values = run_sweep(spec).values()
-        assert cells == [
-            ({"mix": [1, 2], "w": {"a": 1}}, values[:2]),
-            ({"mix": [3], "w": {"a": 1}}, values[2:]),
-        ]
-
-    @pytest.mark.parametrize("grid", UNHASHABLE_CELLS.values(), ids=UNHASHABLE_CELLS.keys())
-    def test_unhashable_cells_fold_apart_whatever_their_kind(self, grid):
-        spec = SweepSpec("t", sized_task, grid={"cell": grid}, runs=3, seeding="offset")
-        cells = fold_cells(spec, lambda state, r: [*(state or []), r.value])
-        values = run_sweep(spec).values()
-        assert cells == [({"cell": cell}, values[3 * i : 3 * i + 3]) for i, cell in enumerate(grid)]
+        cells = group_by(run_sweep(spec, workers=workers).results, "scale")
+        assert list(cells) == [1, 3]
+        assert [[r.run for r in rows] for rows in cells.values()] == [list(range(300))] * 2
 
 
 class TestTeeSink:

@@ -44,7 +44,7 @@ from repro.sim.scheduler import Scheduler
 from repro.sim.trace import MESSAGES, TraceRecord, Tracer
 from repro.traffic import TrafficEngine, run_scenario
 from repro.traffic.open_loop import _OpenLoopRun
-from repro.workload.scenarios import wan_storm_scenario
+from repro.experiments.sweeps import wan_storm_scenario
 from repro.workload.generators import (
     random_catalog,
     random_partition_groups,

@@ -16,7 +16,7 @@ from repro import PROTOCOL_NAMES, Cluster, FixedDelay
 from repro.analysis import Violation, check_invariants, healed_and_up
 from repro.net.network import Network
 from repro.replication.catalog import ItemConfig, ReplicaCatalog
-from repro.workload.scenarios import run_example3_scenario
+from repro.experiments.examples import run_example3_scenario
 
 
 def two_items():

@@ -38,8 +38,10 @@ no store, pool or sink of its own.
 So are the macro experiments' pass-through wrappers: a scenario is run
 by ``run_scenario`` and recorded by ``record`` and by nothing else, so
 the fourteen ``run_*`` / ``record_*`` functions that only forwarded to
-them stay undefined and unexported, and neither a study driver nor
-``fold_cells`` takes the ``sink=`` no caller passed.
+them stay undefined and unexported, and no study driver takes the
+``sink=`` no caller passed.  A study reads its sweep's rows itself:
+the engine's per-cell fold helper stays deleted, and so does the
+module that kept two experiments inside ``repro.workload``.
 
 So is the sink's per-row protocol: a sink takes folded chunks through
 one ``emit(chunk)`` and states a plan for them, never ``None``; the
@@ -113,7 +115,6 @@ from repro.engine import (
     SweepRunner,
     SweepSpec,
     TeeSink,
-    fold_cells,
     run_sweep,
 )
 from repro.engine import aggregate, executor, sink
@@ -146,10 +147,6 @@ REPO = BENCH_SRC.parents[2]
 
 def toy_task(seed: int) -> int:
     return seed
-
-
-def toy_fold(state, result):
-    raise AssertionError("a refused sweep folded a row")
 
 
 SWEEP = SweepSpec("retired", toy_task, grid={}, runs=2)
@@ -208,7 +205,6 @@ RETIRED_KEYWORDS = {
     "workload_study-sink": lambda: workload_study(sink=None),
     "heavy_traffic_study-sink": lambda: heavy_traffic_study(sink=None),
     "vote_assignment_study-sink": lambda: vote_assignment_study(sink=None),
-    "fold_cells-sink": lambda: fold_cells(SWEEP, toy_fold, sink=None),
 }
 
 
@@ -505,7 +501,6 @@ SWEEP_SIGNATURES = {
     "run_sweep": (run_sweep, ["spec", "workers", "chunksize", "store", "persistent_pool", "sink"]),
     "SweepRunner.run_sweep": (SweepRunner.run_sweep, ["self", "spec", "chunksize", "store", "sink"]),
     "run_tournament": (run_tournament, ["trace", "configs", "workers"]),
-    "fold_cells": (fold_cells, ["spec", "fold", "workers", "store"]),
 }
 
 
@@ -548,7 +543,6 @@ WRAPPER_HOMES = [
     "repro.replay.recorder",
     "repro.traffic",
     "repro.workload",
-    "repro.workload.scenarios",
 ]
 
 
@@ -561,6 +555,21 @@ def test_retired_wrapper_is_neither_defined_nor_exported(name):
     defined = re.compile(rf"^\s*def {name}\(", re.MULTILINE)
     src = REPO / "src" / "repro"
     assert [p.name for p in src.rglob("*.py") if defined.search(p.read_text())] == []
+
+
+def test_the_engine_keeps_no_per_cell_fold():
+    """Each study reads its sweep's rows and groups them itself."""
+    engine = importlib.import_module("repro.engine")
+    name = "fold" + "_cells"
+    assert not hasattr(engine, name)
+    assert name not in engine.__all__
+    assert not hasattr(engine.executor, name)
+
+
+def test_the_workload_package_holds_no_experiment():
+    """The worked examples and E21's scenario live in ``repro.experiments``."""
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.workload." + "scenarios")
 
 
 
