@@ -47,6 +47,17 @@ liveness and negative-delay checks.  A node builds no
 destination, as :meth:`Node.broadcast` and :meth:`Node.multicast` are
 to many, so every message is built and judged in that one place.
 
+What a node builds on first use.  Its handler table and its timer list
+are built by their first entry — the first :meth:`Node.on` (which the
+first delivery of a tabled type calls) and the first
+:meth:`Node.set_timer`, which no protocol engine calls.  Until then the
+node reads a shared, read-only empty table (a ``MappingProxyType``)
+and the empty tuple, so readers take no branch and a write that skips
+the first-use step raises instead of reaching another node.  A crash's
+:meth:`Node.cancel_timers` and :meth:`Node.close` put the shared empties
+back.  Most sites of a WAN storm never hear a message, and none arms a
+node timer, so neither table is ever built for them.
+
 Crash semantics follow the paper's model:
 
 * ``crash()`` flips ``alive``, cancels every pending node timer and
@@ -59,7 +70,8 @@ Crash semantics follow the paper's model:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.common.errors import SiteDownError
 from repro.net.message import Message
@@ -69,7 +81,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.scheduler import EventHandle
 
 
-_NO_NAMES: Mapping[str, str] = {}
+#: the tables of a node that has bound nothing: shared by every such
+#: node and read-only, so a write that skips the first-use step raises
+#: instead of reaching another node
+_NO_HANDLERS: Mapping[str, Callable[[Message], None]] = MappingProxyType({})
+_NO_NAMES: Mapping[str, str] = MappingProxyType({})
+_NO_TIMERS: Sequence["EventHandle"] = ()
 _MIN_PRUNE = 64
 
 
@@ -80,11 +97,11 @@ class Node:
         self.node_id = node_id
         self.network = network
         self.alive = True
-        self._handlers: dict[str, Callable[[Message], None]] = {}
+        self._handlers: Mapping[str, Callable[[Message], None]] = _NO_HANDLERS
         # handlers not bound yet: method names on _late_owner by mtype
         self._late_owner: object = None
         self._late_names: Mapping[str, str] = _NO_NAMES
-        self._timers: list["EventHandle"] = []
+        self._timers: Sequence["EventHandle"] = _NO_TIMERS
         self._prune_at = _MIN_PRUNE  # len(_timers) that triggers a prune
         # the tracer and the scheduler are fixed for the network's
         # lifetime; bound here, every trace(), set_timer() and clock
@@ -99,9 +116,13 @@ class Node:
 
     def on(self, mtype: str, handler: Callable[[Message], None]) -> None:
         """Register the handler for a message type (one handler per type)."""
-        if mtype in self._handlers:
+        handlers = self._handlers
+        if mtype in handlers:
             raise ValueError(f"node {self.node_id}: duplicate handler for {mtype!r}")
-        self._handlers[mtype] = handler
+        if handlers is _NO_HANDLERS:  # the first binding builds the table
+            self._handlers = {mtype: handler}
+        else:
+            handlers[mtype] = handler
 
     def bind_on_delivery(self, owner: object | None, names: Mapping[str, str]) -> None:
         """Let ``owner``'s methods handle the types in ``names``, lazily.
@@ -215,6 +236,9 @@ class Node:
             sched.now + delay, self._guarded, fn, args, label=label or f"timer@{self.node_id}"
         )
         timers = self._timers
+        if timers is _NO_TIMERS:  # the first timer builds the list
+            self._timers = [handle]
+            return handle
         timers.append(handle)
         if len(timers) > self._prune_at:
             # drop fired / cancelled handles; the next prune waits until
@@ -243,7 +267,7 @@ class Node:
         """Cancel every pending timer of this node."""
         for timer in self._timers:
             timer.cancel()
-        self._timers.clear()
+        self._timers = _NO_TIMERS
         self._prune_at = _MIN_PRUNE
 
     def recover(self) -> None:
@@ -259,10 +283,10 @@ class Node:
         the timer list holds callbacks bound to this node.  The node
         handles nothing afterwards.
         """
-        self._handlers.clear()
+        self._handlers = _NO_HANDLERS
         self._late_owner = None
         self._late_names = _NO_NAMES
-        self._timers.clear()
+        self._timers = _NO_TIMERS
 
     def on_crash(self) -> None:
         """Hook for subclasses (default: nothing)."""

@@ -5,12 +5,20 @@ scheme [8] identifies the most recent copy in a read quorum by version
 number, so every copy carries one.  The store is deliberately simple —
 a dict of item -> (value, version) — because all the interesting
 machinery (votes, quorums, locks) lives above it.
+
+**One initial copy.**  A site's copies start at value 0, version 0, and
+a :class:`VersionedValue` is frozen, so every initial copy of every site
+is the one :data:`INITIAL` value: ``ReplicaStore(site, hosted)`` fills
+the table from the placement in one step, with no per-copy
+:meth:`~ReplicaStore.host` call or allocation.  A write never changes a
+copy in place — it installs a new value — so sharing it is safe.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Collection, Iterator
 
 from repro.common.errors import StorageError
 
@@ -26,12 +34,24 @@ class VersionedValue:
         return f"{self.value!r}@v{self.version}"
 
 
+#: every copy's state before its first write, shared by all of them
+INITIAL = VersionedValue(0, 0)
+
+
 class ReplicaStore:
     """The copies hosted by one site."""
 
-    def __init__(self, site: int) -> None:
+    def __init__(self, site: int, hosted: Collection[str] = ()) -> None:
+        """Host a copy of each item in ``hosted``, each at :data:`INITIAL`.
+
+        Raises:
+            StorageError: an item named twice, as :meth:`host` raises.
+        """
         self.site = site
-        self._copies: dict[str, VersionedValue] = {}
+        self._copies: dict[str, VersionedValue] = dict.fromkeys(hosted, INITIAL)
+        if len(self._copies) != len(hosted):
+            twice = next(item for item, n in Counter(hosted).items() if n > 1)
+            raise StorageError(f"site {site} already hosts a copy of {twice!r}")
 
     def host(self, item: str, value: Any = None, version: int = 0) -> None:
         """Start hosting a copy of ``item`` with an initial value."""

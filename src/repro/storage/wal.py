@@ -57,10 +57,17 @@ reads begins in their stored shape through :meth:`begins`) and the
 per-*item* newest-``apply`` index (:meth:`latest_applies`, so recovery
 replays O(items touched); see :func:`~repro.storage.recovery.replay_data`)
 are likewise built on the first read and extended by later ones over
-the rows appended since.  What the protocol asks while it runs stays O(1)
-and eager: :meth:`decision` and :meth:`participant_decision` (the
-decision index is also where irrevocability is enforced), and the
-group-commit accounting.
+the rows appended since — the containers too: the first read of a row
+builds the three indexes and the first view builds the memo.  What the
+protocol asks while it runs stays O(1) and is kept on append:
+:meth:`decision` and :meth:`participant_decision` (the decision index is
+also where irrevocability is enforced), whose two tables the first
+logged decision builds, and the group-commit accounting.  Until its
+first read or decision a log holds one shared, read-only empty mapping
+(a ``MappingProxyType``) in each of those places, so readers take no
+branch and a write that skips the first-use step raises instead of
+reaching another site's log.  A site that never logs — most of a WAN
+storm's — allocates its three columns and nothing else.
 
 **Group commit.**  Stable-storage writes are modelled with a group-commit
 buffer: ``begin`` and ``apply`` rows accumulate in the open batch, and a
@@ -72,7 +79,8 @@ before the site replies to anyone) closes it.  :attr:`flushes` vs
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping, NamedTuple
+from types import MappingProxyType
+from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.common.errors import StorageError
 
@@ -84,6 +92,10 @@ _DECISION_KINDS = ("commit", "abort")
 #: the vote it precedes is flushed, and applies are re-derivable from
 #: the decision + writeset on recovery.
 _FLUSH_KINDS = frozenset({"vote", "pc", "pa", "commit", "abort"})
+#: the indexes of a log nothing has read or decided yet: shared by every
+#: such log and read-only, so a write that skips the first-use step
+#: raises instead of reaching another site's log
+_NONE: Mapping[Any, Any] = MappingProxyType({})
 
 
 class LogRecord(NamedTuple):
@@ -134,21 +146,22 @@ class WriteAheadLog:
         self._txns: list[str] = []
         self._kinds: list[str] = []
         self._payloads: list[Any] = []
-        # decision indexes, kept on append: any role, and participant role
-        self._decisions: dict[str, str] = {}
-        self._participant_decisions: dict[str, str] = {}
+        # decision indexes, kept on append from the first decision on:
+        # any role, and participant role
+        self._decisions: Mapping[str, str] = _NONE
+        self._participant_decisions: Mapping[str, str] = _NONE
         # group-commit accounting: records in the open batch, and how
         # many stable-storage flushes have been charged so far.
         self._unflushed = 0
         self.flushes = 0
-        # built on read (see _index / _view): rows indexed so far, txn ->
-        # row positions, begin positions, item -> (version, value) of the
-        # newest apply, memoised views
+        # built by the first read (see _index / _view): rows indexed so
+        # far, txn -> row positions, begin positions, item -> (version,
+        # value) of the newest apply, memoised views
         self._indexed = 0
-        self._by_txn: dict[str, list[int]] = {}
-        self._begins: list[int] = []
-        self._applies: dict[str, tuple[int, Any]] = {}
-        self._views: dict[int, LogRecord] = {}
+        self._by_txn: Mapping[str, list[int]] = _NONE
+        self._begins: Sequence[int] = ()
+        self._applies: Mapping[str, tuple[int, Any]] = _NONE
+        self._views: Mapping[int, LogRecord] = _NONE
 
     @property
     def forced(self) -> int:
@@ -221,6 +234,9 @@ class WriteAheadLog:
         self._unflushed += 1
 
     def _log_decision(self, txn: str, outcome: str, role: str | None) -> None:
+        if self._decisions is _NONE:  # the first decision builds the indexes
+            self._decisions = {}
+            self._participant_decisions = {}
         prior = self._decisions.setdefault(txn, outcome)
         if prior != outcome:
             raise StorageError(
@@ -281,16 +297,22 @@ class WriteAheadLog:
         """The memoised record of row ``pos``."""
         view = self._views.get(pos)
         if view is None:
+            if self._views is _NONE:  # the first view builds the memo
+                self._views = {}
             kind = self._kinds[pos]
             payload = _payload_view(kind, self._payloads[pos])
             view = self._views[pos] = LogRecord(pos + 1, self._txns[pos], kind, payload)
         return view
 
-    def _index(self) -> dict[str, list[int]]:
+    def _index(self) -> Mapping[str, list[int]]:
         """Extend the read-side indexes over the rows appended since the
         last read; returns txn -> row positions."""
-        by_txn = self._by_txn
         end = len(self._kinds)
+        if self._indexed == end:
+            return self._by_txn
+        if self._by_txn is _NONE:  # the first read of a row builds the indexes
+            self._by_txn, self._begins, self._applies = {}, [], {}
+        by_txn = self._by_txn
         for pos in range(self._indexed, end):
             txn, kind = self._txns[pos], self._kinds[pos]
             bucket = by_txn.get(txn)

@@ -7,7 +7,7 @@ replaced, kept in this file:
 * **Engine-owned timers.**  A record's timers and a coordination
   round's vote and ack windows are one ``Scheduler.call_at`` each,
   registered only in the engine.  The reference routes every one of
-  them through the node again — appended to ``Node._timers``, fired
+  them through the node again — added to ``Node._timers``, fired
   through ``Node._guarded``, cancelled by ``Node.cancel_timers`` — by
   handing each engine a scheduler stand-in built from ``Node.set_timer``'s
   body.  Random closed loops and storms with crash, recover and leave
@@ -37,6 +37,7 @@ from hypothesis import given, settings, strategies as st
 from repro import PROTOCOL_NAMES, Cluster, FailurePlan, FixedDelay, UniformDelay
 from repro.common.errors import SiteDownError
 from repro.net.message import Message
+from repro.net.node import _NO_TIMERS
 from repro.protocols.base import CommitProtocolEngine, _CoordinationRound
 from repro.protocols.qtp.generalized import PrimaryTerminationRule
 from repro.protocols.qtp.quorums import TerminationRule1, TerminationRule2
@@ -157,7 +158,11 @@ class _NodeRegistry:
         handle = self._scheduler.call_at(
             time, node._guarded, fn, args, label=label or f"timer@{node.node_id}"
         )
-        node._timers.append(handle)  # crash() cancels these
+        # crash() cancels these; the node's first timer builds its list
+        if node._timers is _NO_TIMERS:
+            node._timers = [handle]
+        else:
+            node._timers.append(handle)
         return handle
 
     def call_fixed_after(self, delay, fn, *args):

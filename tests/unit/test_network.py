@@ -308,12 +308,13 @@ class TestCrashRecovery:
                 rebuilds += 1
                 filtered += size
         # every timer is live, so no prune frees anything: the threshold
-        # must back off (65 -> 129 -> 257 -> 513), not re-filter per call
+        # must back off (65 -> 129 -> 257 -> 513), not re-filter per call;
+        # the first timer builds the list (one more rebuild, of one)
         assert len(node._timers) == 1000
         assert rebuilds <= 8  # 936 before
         assert filtered <= 2 * 1000
         network.crash_site(1)
-        assert node._timers == []
+        assert node._timers == () and node._timers is nodes[2]._timers  # the shared empty
         scheduler.run()
         assert fired == []
 
