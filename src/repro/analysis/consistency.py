@@ -157,9 +157,3 @@ def read_decisions(
                 aborted = True
         outcomes[txn] = OUTCOME[committed, aborted]
     return outcomes, undecided
-
-
-def first_decision_consistency(tracer: Tracer, txn: str) -> bool:
-    """The Lemma 1/2 property: all decisions agree with the first one."""
-    outcomes = [detail["outcome"] for _time, _site, detail in tracer.entries("decision", txn)]
-    return all(outcome == outcomes[0] for outcome in outcomes)

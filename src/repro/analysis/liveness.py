@@ -34,11 +34,6 @@ class TerminationTimeline:
     term_attempts: int
 
     @property
-    def decision_latency(self) -> float:
-        """begin -> last decision (NaN when nothing ever decided)."""
-        return self.last_decision_time - self.begin_time
-
-    @property
     def termination_latency(self) -> float:
         """first fault -> last decision; NaN without fault or decision."""
         return self.last_decision_time - self.first_fault_time

@@ -8,7 +8,6 @@ depends on any other ``repro`` package.
 from repro.common.errors import (
     ConfigurationError,
     MessageRowsOffError,
-    NotSerializableError,
     ProtocolError,
     QuorumUnreachableError,
     ReproError,
@@ -22,7 +21,6 @@ from repro.common.ids import SiteId, TxnId, make_txn_id
 __all__ = [
     "ConfigurationError",
     "MessageRowsOffError",
-    "NotSerializableError",
     "ProtocolError",
     "QuorumUnreachableError",
     "ReproError",

@@ -82,17 +82,6 @@ class TransactionAborted(ReproError):
         self.reason = reason
 
 
-class NotSerializableError(ReproError):
-    """A serial order was asked of a history whose conflict graph has a cycle.
-
-    Carries one conflict cycle (transaction ids, in cycle order).
-    """
-
-    def __init__(self, cycle: list[str]) -> None:
-        super().__init__(f"history is not serializable: conflict cycle {cycle}")
-        self.cycle = cycle
-
-
 class QuorumUnreachableError(ReproError):
     """A read/write quorum could not be assembled in the caller's partition.
 

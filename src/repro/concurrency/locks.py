@@ -17,6 +17,8 @@ items inaccessible").
 from __future__ import annotations
 
 import enum
+from types import MappingProxyType
+from typing import Any, Mapping
 
 
 class LockMode(enum.Enum):
@@ -25,12 +27,11 @@ class LockMode(enum.Enum):
     SHARED = "S"
     EXCLUSIVE = "X"
 
-    def compatible_with(self, other: "LockMode") -> bool:
-        """Classical compatibility: only S/S coexist."""
-        return self is LockMode.SHARED and other is LockMode.SHARED
 
-    def __str__(self) -> str:
-        return self.value
+#: the tables of a manager that has granted nothing yet: shared by every
+#: such manager and read-only, so a write that skips the first grant's
+#: step raises instead of reaching another site's table
+_NONE: Mapping[Any, Any] = MappingProxyType({})
 
 
 class _ItemLocks:
@@ -53,13 +54,15 @@ class LockManager:
     of its last holder drops it.  Besides the per-item table, the
     manager indexes it by transaction: ``txn -> {item: entry}`` for
     every item the transaction holds, kept at every grant, so
-    :meth:`release_all` visits only that transaction's items.
+    :meth:`release_all` visits only that transaction's items.  Both
+    tables are built by the first grant; until then they are one shared
+    read-only empty, as most sites of a large installation never lock.
     """
 
     def __init__(self, site: int) -> None:
         self.site = site
-        self._items: dict[str, _ItemLocks] = {}
-        self._by_txn: dict[str, dict[str, _ItemLocks]] = {}
+        self._items: Mapping[str, _ItemLocks] = _NONE
+        self._by_txn: Mapping[str, dict[str, _ItemLocks]] = _NONE
 
     def try_acquire(self, txn: str, item: str, mode: LockMode) -> bool:
         """Grant the lock now, or refuse it; never waits.
@@ -75,6 +78,8 @@ class LockManager:
         """
         entry = self._items.get(item)
         if entry is None:  # unlocked item: grant installs the entry
+            if self._items is _NONE:  # the first grant builds both tables
+                self._items, self._by_txn = {}, {}
             entry = self._items[item] = _ItemLocks()
         else:
             held = entry.holders.get(txn)
@@ -110,7 +115,10 @@ class LockManager:
         the transaction index names them.  The items come back in no
         particular order.
         """
-        touched = self._by_txn.pop(txn, None)
+        by_txn = self._by_txn
+        if by_txn is _NONE:  # nothing granted yet
+            return []
+        touched = by_txn.pop(txn, None)
         if touched is None:
             return []
         table = self._items

@@ -20,9 +20,9 @@ above it.  The full conflict graph also joins a reader to *every*
 writer below and above its version; each of those edges is implied by
 a path along the item's ``ww`` chain through the nearest one, so both
 graphs have the same transitive closure.  Hence the same verdict, and
-every cycle or serial order read off this graph is a cycle or a serial
-order of the full one, while the graph is built in O(accesses × log
-writers per item) instead of O(readers × writers per item).
+every cycle read off this graph is a cycle of the full one, while the
+graph is built in O(accesses × log writers per item) instead of
+O(readers × writers per item).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from repro.common.errors import NotSerializableError
 from repro.concurrency.digraph import find_cycle, topological_order
 
 
@@ -116,15 +115,3 @@ class ConflictGraph:
         """One conflict cycle (txn ids, in cycle order), or None when
         serializable."""
         return find_cycle(self._graph)
-
-    def serial_order(self) -> list[str]:
-        """A witness serial order (topological sort).
-
-        Raises:
-            NotSerializableError: when the history is not serializable;
-                the exception carries one conflict cycle.
-        """
-        order = topological_order(self._graph)
-        if order is None:
-            raise NotSerializableError(find_cycle(self._graph))
-        return order

@@ -512,10 +512,6 @@ class Cluster:
         """Run the simulation to quiescence; returns final virtual time."""
         return self.scheduler.run()
 
-    def run_until(self, deadline: float) -> float:
-        """Run the simulation up to a virtual-time deadline."""
-        return self.scheduler.run_until(deadline)
-
     def arm_failures(self, plan: FailurePlan) -> None:
         """Schedule a failure plan for this run."""
         self.injector.arm(plan)
@@ -739,11 +735,6 @@ class Cluster:
         handle = self._txns.get(txn)
         participants = list(handle.participants) if handle else []
         return check_atomicity(self.tracer, txn, participants)
-
-    def outcomes(self) -> dict[str, str]:
-        """``self.outcome(txn).outcome`` of every submitted transaction,
-        in submission order."""
-        return self.verdicts().outcomes
 
     def blocked_map(self) -> dict[int, set[str]]:
         """Per-site undecided transactions (their locks block access)."""

@@ -23,11 +23,3 @@ class TxnHandle:
     origin: int
     writes: dict[str, tuple[Any, int]] = field(default_factory=dict)
     participants: tuple[int, ...] = ()
-
-    @property
-    def items(self) -> list[str]:
-        """The writeset item names, sorted."""
-        return sorted(self.writes)
-
-    def __str__(self) -> str:
-        return f"{self.txn} (origin {self.origin}, writes {self.items})"

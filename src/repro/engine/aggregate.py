@@ -25,7 +25,7 @@ fold produces.  A worker folds a row as plain fields
 (:meth:`RowReducer.fold`: task index, digest, value), never as a
 :class:`~repro.engine.spec.RunResult`; each reducer splits its metric
 paths once, when it is built — once per chunk — and a plain ``dict``
-row value is indexed without :func:`resolve_path`'s ABC checks.
+row value is indexed without the ABC checks.
 :class:`CountAcc` builds its summary once per state, so a sweep's
 aggregate and a later ``summary()`` of the same reducer stringify and
 sort its keys once.  ``MeanAcc`` and ``QuantileDigest`` refuse a
@@ -376,20 +376,15 @@ class QuantileDigest(Accumulator):
         return QuantileDigest(self.lo, self.hi, self.bins)
 
 
-def resolve_path(value: Any, path: str) -> Any:
-    """Pull a metric out of a row value by dotted path.
-
-    An empty path is the value itself; each segment indexes a mapping,
-    indexes a sequence (numeric segments, e.g. ``"latencies.0"``), or
-    reads an attribute — so live dataclass results and rows loaded from
-    a JSON artifact resolve identically.
-    """
-    return _resolve(value, path.split(".")) if path else value
-
-
 def _resolve(value: Any, parts: Sequence[str]) -> Any:
-    """:func:`resolve_path` over a path already split into segments; a
-    plain ``dict`` is indexed without the ABC checks."""
+    """Pull a metric out of a row value by a dotted path already split
+    into segments.
+
+    Each segment indexes a mapping, indexes a sequence (numeric
+    segments, e.g. ``"latencies.0"``), or reads an attribute — so live
+    dataclass results and rows loaded from a JSON artifact resolve
+    identically; a plain ``dict`` is indexed without the ABC checks.
+    """
     for part in parts:
         if type(value) is dict:
             value = value[part]

@@ -214,16 +214,11 @@ class SweepSpec:
             yield TaskChunk(self, entries)
 
     def iter_tasks(self) -> Iterator[RunTask]:
-        """Expand lazily into tasks (cells × runs), in index order.
-
-        Identical content to :meth:`tasks`, and the same expansion a
-        sweep's chunks go through — here one chunk per cell.
+        """Expand lazily into tasks (cells × runs), in index order: the
+        same expansion a sweep's chunks go through — here one chunk per
+        cell.
         """
         return itertools.chain.from_iterable(self.iter_chunks(self.runs))
-
-    def tasks(self) -> list[RunTask]:
-        """Expand into the full task list (cells × runs)."""
-        return list(self.iter_tasks())
 
     @property
     def n_tasks(self) -> int:

@@ -324,10 +324,6 @@ class ResultStore:
         """
         return read_document(self.path_for(sweep_name), "sweep artifact", SCHEMA_VERSION, "results")
 
-    def results(self, sweep_name: str) -> list[dict[str, Any]]:
-        """The result rows of a stored sweep."""
-        return self.load(sweep_name)["results"]
-
     @staticmethod
     def row_payload(result: Any) -> dict[str, Any]:
         """One result's canonical artifact row.

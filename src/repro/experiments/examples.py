@@ -122,7 +122,7 @@ def run_example1_scenario(
     if run_to is None:
         cluster.run()
     else:
-        cluster.run_until(run_to)
+        cluster.scheduler.run_until(run_to)
     return ScenarioResult(cluster, txn, cluster.outcome(txn.txn))
 
 

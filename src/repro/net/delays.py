@@ -87,10 +87,6 @@ class GroupedDelay(DelayModel):
         """Worst case: a cross-group message with full jitter."""
         return self._inter * (1 + self._jitter)
 
-    def group_of(self, site: int) -> int | None:
-        """The group a site belongs to (None when unassigned)."""
-        return self._groups.get(site)
-
     def sample(self, rng: random.Random, src: int, dst: int) -> float:
         """Intra- or inter-group base delay, with multiplicative jitter."""
         same = (

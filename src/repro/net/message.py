@@ -50,12 +50,6 @@ class Message:
         self.payload = {} if payload is None else payload
         self.msg_id = next(_msg_counter)
 
-    @property
-    def family(self) -> str:
-        """The protocol family prefix of ``mtype`` (before the first dot)."""
-        head, _, __ = self.mtype.partition(".")
-        return head
-
     def __str__(self) -> str:
         body = f" {self.payload}" if self.payload else ""
         txn = f" [{self.txn}]" if self.txn else ""

@@ -5,7 +5,7 @@
 * protocol engines call :meth:`fanout` (through their node);
 * the failure injector calls :meth:`crash_site`, :meth:`recover_site`,
   :meth:`set_partition`, :meth:`heal`, :meth:`set_link_loss`;
-* the analysis layer reads :attr:`partition` and :meth:`active_sites`.
+* the analysis layer reads :attr:`partition`.
 
 Semantics (matching the paper's fault model):
 
@@ -320,10 +320,6 @@ class Network:
         """All registered site ids, sorted."""
         return sorted(self._nodes)
 
-    def node(self, site: int) -> "Node":
-        """The node object for ``site``."""
-        return self._nodes[site]
-
     @property
     def partition(self) -> PartitionView:
         """Current connectivity view (a stale healed view is built here)."""
@@ -337,11 +333,6 @@ class Network:
         """No partition, no lossy link and no message filter: the fault
         model loses nothing between two live sites."""
         return not self.partition.is_partitioned and not self._link_loss and not self._filters
-
-    def active_sites(self, among: Iterable[int] | None = None) -> list[int]:
-        """Sites that are currently up (optionally restricted to ``among``)."""
-        pool = self._nodes if among is None else among
-        return sorted(s for s in pool if s in self._nodes and self._nodes[s].alive)
 
     def reachable_from(self, src: int, among: Iterable[int] | None = None) -> list[int]:
         """Active sites in ``src``'s component (optionally within ``among``).

@@ -179,11 +179,6 @@ class Node:
     # sending and timing
     # ------------------------------------------------------------------
 
-    @property
-    def now(self) -> float:
-        """Current virtual time."""
-        return self._scheduler.now
-
     def send(self, dst: int, mtype: str, txn: str = "", **payload: Any) -> None:
         """Send one message: a :meth:`Network.fanout
         <repro.net.network.Network.fanout>` to ``(dst,)``.  Raises

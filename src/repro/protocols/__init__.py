@@ -26,6 +26,6 @@ protocol is an engine class, a termination rule and its name, which
 namespaces its messages (:data:`repro.db.cluster.PROTOCOL_NAMES`).
 """
 
-from repro.protocols.states import TxnState, is_committable, can_transition
+from repro.protocols.states import TxnState
 
-__all__ = ["TxnState", "is_committable", "can_transition"]
+__all__ = ["TxnState"]

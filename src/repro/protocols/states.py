@@ -104,22 +104,3 @@ FORBIDDEN_TRANSITIONS: frozenset[tuple[TxnState, TxnState]] = frozenset(
         (TxnState.C, TxnState.A),
     }
 )
-
-
-def is_committable(state: TxnState) -> bool:
-    """True for states a site may occupy only after a unanimous yes."""
-    return state in COMMITTABLE
-
-
-def is_terminal(state: TxnState) -> bool:
-    """True for the irrevocable states A and C."""
-    return state in TERMINAL
-
-
-def can_transition(src: TxnState, dst: TxnState) -> bool:
-    """True when ``src -> dst`` is a legal Fig. 6 transition.
-
-    Self-loops are legal everywhere (re-delivered commands are absorbed
-    idempotently); any terminal -> different-state move is illegal.
-    """
-    return src is dst or (src, dst) in LEGAL_TRANSITIONS

@@ -5,7 +5,7 @@ schema-versioned artifact (:mod:`repro.replay.artifact`), replay it as
 just another workload source (:mod:`repro.replay.workload`), and run
 one recorded trace against a matrix of alternative configurations
 (:mod:`repro.replay.tournament`).  ``python -m repro.replay`` exposes
-the record / replay / diff workflow on the command line; see
+the record / replay workflow on the command line; see
 ``src/repro/replay/README.md`` for the artifact schema and the
 record→replay fixed-point contract.
 """

@@ -1,4 +1,4 @@
-"""``python -m repro.replay`` — the record / replay / diff CLI.
+"""``python -m repro.replay`` — the record / replay CLI.
 
 Subcommands:
 
@@ -8,8 +8,9 @@ Subcommands:
 * ``replay`` — replay a trace artifact, optionally under an alternative
   configuration; without overrides the replay is fixed-point checked
   against the recorded counters.
-* ``diff``   — replay one trace against a configuration matrix and
-  print the per-configuration diff table.
+
+The tournament table over one trace is :func:`repro.replay.run_tournament`
+(``examples/replay_tournament.py`` prints it).
 """
 
 from __future__ import annotations
@@ -24,15 +25,7 @@ from repro.db.cluster import PROTOCOL_NAMES
 from repro.experiments import SCENARIOS
 from repro.replay.artifact import TRACE_DRIVERS, RecordedTrace
 from repro.replay.recorder import record
-from repro.replay.tournament import (
-    DEFAULT_CONFIGS,
-    QUORUM_POLICIES,
-    TournamentConfig,
-    fixed_point_ok,
-    format_diff_table,
-    replay_trace,
-    run_tournament,
-)
+from repro.replay.tournament import QUORUM_POLICIES, TournamentConfig, fixed_point_ok, replay_trace
 
 
 def _takes_n_txns(constructor) -> bool:
@@ -106,24 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay = sub.add_parser("replay", help="replay a trace artifact")
     replay.add_argument("trace", help="trace artifact path")
     _add_overrides(replay)
-
-    diff = sub.add_parser("diff", help="tournament diff table over one trace")
-    diff.add_argument("trace", help="trace artifact path")
-    diff.add_argument(
-        "--config",
-        action="append",
-        dest="configs",
-        metavar="NAME",
-        help="restrict to one default config (repeatable: recorded, 2pc, "
-        "3pc, rowa; default: all)",
-    )
-    diff.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process count for the tournament sweep (default 1; rows are "
-        "identical at every worker count)",
-    )
     return parser
 
 
@@ -166,27 +141,12 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_diff(args: argparse.Namespace) -> int:
-    trace = RecordedTrace.load(args.trace)
-    configs = DEFAULT_CONFIGS
-    if args.configs:
-        by_name = {c.name: c for c in DEFAULT_CONFIGS}
-        unknown = [n for n in args.configs if n not in by_name]
-        if unknown:
-            print(f"unknown config(s) {unknown}; choose from {sorted(by_name)}")
-            return 2
-        configs = tuple(by_name[n] for n in args.configs)
-    rows = run_tournament(trace, configs, workers=args.workers)
-    print(format_diff_table(rows))
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "record":
         return _cmd_record(args)
     try:
-        return _cmd_replay(args) if args.command == "replay" else _cmd_diff(args)
+        return _cmd_replay(args)
     except StoreError as exc:  # an unreadable, truncated or malformed artifact
         print(f"error: {exc}", file=sys.stderr)
         return 2

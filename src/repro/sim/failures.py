@@ -428,13 +428,6 @@ class FailurePlan:
         """Append a graceful site decommission; returns self for chaining."""
         return self._add(LeaveSite(time, site))
 
-    def __len__(self) -> int:
-        return len(self.actions)
-
-    def describe(self) -> str:
-        """One line per action, in schedule order (for experiment logs)."""
-        return "\n".join(f"t={a.time:g}: {a}" for a in sorted(self.actions, key=lambda a: a.time))
-
 
 class FailureInjector:
     """Arms a :class:`FailurePlan` on a scheduler against a network.

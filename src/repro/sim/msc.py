@@ -84,7 +84,7 @@ def message_sequence_chart(
         raise MessageRowsOffError("send")
     # txn_scope merges the per-txn row indexes (O(k)); a full chart
     # materializes every record anyway.
-    records = tracer.records if txn is None else tracer.txn_scope(txn)
+    records = list(tracer) if txn is None else tracer.txn_scope(txn)
     lines: list[str] = []
     for i, rec in enumerate(records):
         if rec.category == "drop" and not include_drops:

@@ -34,11 +34,6 @@ class RngRegistry:
         self._seed = seed
         self._streams: dict[str, random.Random] = {}
 
-    @property
-    def seed(self) -> int:
-        """The run seed this registry was built from."""
-        return self._seed
-
     def stream(self, name: str) -> random.Random:
         """Return the stream for ``name``, creating it on first use."""
         rng = self._streams.get(name)
@@ -46,14 +41,6 @@ class RngRegistry:
             rng = random.Random(_derive(self._seed, name))
             self._streams[name] = rng
         return rng
-
-    def fork(self, name: str) -> "RngRegistry":
-        """Create a child registry whose streams are independent of ours.
-
-        Used when one experiment spawns many sub-runs (e.g. the
-        availability sweep runs hundreds of scenarios from one seed).
-        """
-        return RngRegistry(_derive(self._seed, f"fork:{name}"))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RngRegistry seed={self._seed} streams={sorted(self._streams)}>"

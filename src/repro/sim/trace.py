@@ -393,12 +393,8 @@ class Tracer:
         return len(self._times)
 
     def __iter__(self) -> Iterator[TraceRecord]:
+        """Every record, in append order."""
         return self._recs(self._rows(None, None))
-
-    @property
-    def records(self) -> list[TraceRecord]:
-        """Materialized record list, in append order (do not mutate)."""
-        return list(self)
 
     # ------------------------------------------------------------------
     # queries
@@ -514,4 +510,4 @@ class Tracer:
 
     def dump(self, records: Iterable[TraceRecord] | None = None) -> str:
         """Human-readable multi-line rendering (used by examples)."""
-        return "\n".join(str(r) for r in (records if records is not None else self.records))
+        return "\n".join(str(r) for r in (records if records is not None else self))

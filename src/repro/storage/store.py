@@ -94,13 +94,3 @@ class ReplicaStore:
         """Iterate ``(item, versioned_value)`` pairs, sorted by item."""
         for item in sorted(self._copies):
             yield item, self._copies[item]
-
-    def snapshot(self) -> dict[str, VersionedValue]:
-        """A shallow copy of the current contents (for assertions)."""
-        return dict(self._copies)
-
-    def __len__(self) -> int:
-        return len(self._copies)
-
-    def __contains__(self, item: str) -> bool:
-        return item in self._copies

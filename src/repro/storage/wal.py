@@ -106,10 +106,6 @@ class LogRecord(NamedTuple):
     kind: str
     payload: dict[str, Any]
 
-    def __str__(self) -> str:
-        body = f" {self.payload}" if self.payload else ""
-        return f"[{self.lsn}] {self.txn} {self.kind}{body}"
-
 
 #: one begin row as recovery reads it: (txn, role, writes, participants,
 #: coordinator, epoch), writes as item -> (value, version).

@@ -140,12 +140,6 @@ class OpenLoopResult:
         aborted = self.client_aborted + self.protocol_aborted
         return aborted / self.admitted if self.admitted else 0.0
 
-    @property
-    def shed_rate(self) -> float:
-        """Shed arrivals (both kinds) per offered arrival."""
-        shed = self.shed_backpressure + self.shed_unreachable
-        return shed / self.offered if self.offered else 0.0
-
     def counters(self) -> dict[str, Any]:
         """Flat deterministic tallies (the bench-baseline fingerprint)."""
         out = {

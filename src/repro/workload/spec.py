@@ -214,25 +214,6 @@ class WorkloadSpec:
             )
         return CompiledWorkload(self, catalog, regions)
 
-    def describe(self) -> str:
-        """One line for experiment logs."""
-        parts = [f"n={self.n_txns}", self.popularity]
-        if self.popularity == "zipf":
-            parts.append(f"s={self.zipf_s:g}")
-        if self.read_fraction:
-            parts.append(f"reads={self.read_fraction:.0%}")
-        parts.append(f"footprint={self.footprint[0]}-{self.footprint[1]}")
-        if self.arrival == "open":
-            parts.append(f"open@{self.rate:g}/s x{self.duration:g}s")
-            if self.rate_schedule is not None:
-                peak = max(r for _, r in self.rate_schedule)
-                parts.append(f"λ(t)[{len(self.rate_schedule)} steps, peak {peak:g}/s]")
-        else:
-            parts.append(f"{self.arrival}@{self.mean_spacing:g}")
-        if self.cross_region:
-            parts.append(f"cross-region={self.cross_region:.0%}")
-        return " ".join(parts)
-
 
 class CompiledWorkload:
     """A :class:`WorkloadSpec` bound to a catalog; the drivers' generator.
@@ -429,4 +410,4 @@ class CompiledWorkload:
         return origin, {item: rng.randrange(self.spec.value_pool) for item in items}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<CompiledWorkload {self.spec.describe()} items={len(self._names)}>"
+        return f"<CompiledWorkload {self.spec!r} items={len(self._names)}>"

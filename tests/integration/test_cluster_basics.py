@@ -24,7 +24,7 @@ class TestConstruction:
 
     def test_extra_sites_host_nothing(self, simple_catalog):
         cluster = Cluster(simple_catalog, extra_sites=[9])
-        assert len(cluster.sites[9].store) == 0
+        assert list(cluster.sites[9].store.items()) == []
 
     def test_T_reflects_delay_model(self, simple_catalog):
         from repro import FixedDelay

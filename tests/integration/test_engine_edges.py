@@ -66,7 +66,7 @@ class TestIdempotency:
     def test_duplicate_prepare_reacked(self, cluster):
         """A re-delivered PREPARE to a PC site is re-acked, not re-logged."""
         txn = cluster.update(origin=1, writes={"x": 5})
-        cluster.run_until(3.2)  # participants are in PC now
+        cluster.scheduler.run_until(3.2)  # participants are in PC now
         engine = cluster.sites[2].ensure_engine()
         assert engine.record(txn.txn).state is TxnState.PC
         pcs_before = len([r for r in cluster.sites[2].wal if r.kind == "pc"])
@@ -85,7 +85,7 @@ class TestStaleTerminationMessages:
     def test_stale_attempt_state_reply_ignored(self, cluster):
         txn = cluster.update(origin=1, writes={"x": 5})
         cluster.arm_failures(FailurePlan().crash(1.5, 1))
-        cluster.run_until(7.0)  # site 3 is coordinating attempt 1
+        cluster.scheduler.run_until(7.0)  # site 3 is coordinating attempt 1
         engine = cluster.sites[3].ensure_engine()
         record = engine.record(txn.txn)
         if record.terminating:
@@ -99,7 +99,7 @@ class TestStaleTerminationMessages:
     def test_stale_ack_ignored(self, cluster):
         txn = cluster.update(origin=1, writes={"x": 5})
         cluster.arm_failures(FailurePlan().crash(1.5, 1))
-        cluster.run_until(7.0)
+        cluster.scheduler.run_until(7.0)
         engine = cluster.sites[3].ensure_engine()
         record = engine.record(txn.txn)
         cluster.sites[3].deliver(Message(2, 3, "qtp1.t.pc-ack", txn.txn, {"attempt": 999}))
@@ -111,7 +111,7 @@ class TestStaleTerminationMessages:
         """An abort round counts PA-ACKs of its attempt, never a PC-ACK."""
         txn = cluster.update(origin=1, writes={"x": 5})
         cluster.arm_failures(FailurePlan().crash(1.5, 1))
-        cluster.run_until(7.0)  # site 3 runs attempt 1's abort round
+        cluster.scheduler.run_until(7.0)  # site 3 runs attempt 1's abort round
         site = cluster.sites[3]
         record = site.engine.record(txn.txn)
         assert record.term_round.mode == "abort-round"
@@ -172,7 +172,7 @@ class TestIgnoreRuleBothDirections:
         prepares while every participant waits in W."""
         cluster = Cluster(catalog, protocol="qtp1", enforce_ignore_rules=enforce, message_rows=True)
         txn = cluster.update(origin=1, writes={"x": 5}).txn
-        cluster.run_until(1.5)  # every participant voted yes
+        cluster.scheduler.run_until(1.5)  # every participant voted yes
         cluster.sites[2].deliver(Message(1, 2, "qtp1.t.pta", txn, {"attempt": 1}))
         cluster.sites[3].deliver(Message(1, 3, "qtp1.t.ptc", txn, {"attempt": 1}))
         return cluster, txn
@@ -251,7 +251,7 @@ class TestCoordinatorRecoveryCorners:
         )
         txn = cluster.update(origin=1, writes={"x": 5})
         cluster.arm_failures(FailurePlan().crash(2.5, 1))
-        cluster.run_until(4.0)
+        cluster.scheduler.run_until(4.0)
         cluster.network.clear_filters()
         cluster.arm_failures(FailurePlan().recover(50.0, 1))
         cluster.run()
@@ -298,7 +298,7 @@ class TestMultiTransactionIndependence:
 
     def test_interleaved_transactions_both_atomic(self, cluster):
         t1 = cluster.update(origin=1, writes={"x": 1})
-        cluster.run_until(0.5)
+        cluster.scheduler.run_until(0.5)
         # t2 conflicts on locks and will vote no -> abort; t1 commits
         cluster.update(origin=2, writes={"x": 2}, txn_id="T-late")
         cluster.run()

@@ -27,7 +27,7 @@ class TestParticipantRecovery:
         txn = cluster.update(origin=1, writes={"x": 5})
         # crash site 3 after it voted yes (t=1) but before prepare (t=3)
         cluster.arm_failures(FailurePlan().crash(2.0, 3))
-        cluster.run_until(10.0)
+        cluster.scheduler.run_until(10.0)
         cluster.network.recover_site(3)
         record = cluster.sites[3].engine.record(txn.txn)
         assert record is not None
@@ -37,7 +37,7 @@ class TestParticipantRecovery:
         cluster = Cluster(catalog, protocol="qtp1")
         txn = cluster.update(origin=1, writes={"x": 5})
         cluster.arm_failures(FailurePlan().crash(2.0, 3))
-        cluster.run_until(10.0)
+        cluster.scheduler.run_until(10.0)
         assert cluster.sites[3].locks.held_by(txn.txn) == []  # lost in crash
         cluster.network.recover_site(3)
         assert cluster.sites[3].locks.held_by(txn.txn) == ["x"]

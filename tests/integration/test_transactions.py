@@ -68,7 +68,7 @@ class TestReadPath:
         w2 = cluster.transaction(origin=1)
         w2.write("x", 2)
         w2.submit()  # locks not yet taken (vote-req in flight)...
-        cluster.run_until(cluster.scheduler.now + 1.5)  # ...now they are
+        cluster.scheduler.run_until(cluster.scheduler.now + 1.5)  # ...now they are
         reader = cluster.transaction(origin=2)
         with pytest.raises(TransactionAborted, match="read lock conflict"):
             reader.read("x")
@@ -79,7 +79,7 @@ class TestReadPath:
         w = cluster.transaction(origin=1)
         w.write("x", 2)
         w.submit()
-        cluster.run_until(1.5)
+        cluster.scheduler.run_until(1.5)
         reader = cluster.transaction(origin=2)
         reader_txn = reader.txn
         with pytest.raises(TransactionAborted):
@@ -220,7 +220,7 @@ class TestSerializabilityEndToEnd:
         a = cluster.transaction(origin=1)
         a.write("x", a.read("x") + 1)
         a.submit()
-        cluster.run_until(1.5)  # a's X locks are now held at vote time
+        cluster.scheduler.run_until(1.5)  # a's X locks are now held at vote time
         b = cluster.transaction(origin=2)
         with pytest.raises(TransactionAborted):
             b.read("x")

@@ -1,7 +1,7 @@
 """The verdicts read from columns equal the ``where()``-based readers.
 
-``check_atomicity``, ``first_decision_consistency`` and
-``termination_timeline`` read ``(time, site, detail)`` through
+``check_atomicity`` and ``termination_timeline`` read ``(time, site,
+detail)`` through
 ``Tracer.entries`` and count through the ``(category, txn)`` index;
 ``Cluster.live_undecided`` goes through ``Tracer.decisions``, served
 the same way, and ``Cluster.committed_history`` reads every decision
@@ -19,11 +19,7 @@ from unittest import mock
 
 import pytest
 
-from repro.analysis.consistency import (
-    ConsistencyReport,
-    check_atomicity,
-    first_decision_consistency,
-)
+from repro.analysis.consistency import ConsistencyReport, check_atomicity
 from repro.analysis.liveness import TerminationTimeline, termination_timeline
 from repro.experiments import SCENARIOS
 from repro.replay import TRACE_DRIVERS
@@ -54,14 +50,6 @@ def where_check_atomicity(tracer, txn, participants):
     return ConsistencyReport(txn, committed, aborted, undecided, blocked, conflicts, illegal)
 
 
-def where_first_decision_consistency(tracer, txn):
-    records = tracer.where(category="decision", txn=txn)
-    if not records:
-        return True
-    first = records[0].detail["outcome"]
-    return all(rec.detail["outcome"] == first for rec in records)
-
-
 def where_termination_timeline(tracer, txn):
     begins = tracer.where(category="coord-begin", txn=txn)
     faults = [r.time for category in ("crash", "partition") for r in tracer.where(category=category)]
@@ -90,7 +78,7 @@ def same_timeline(a, b):
 
 def check_run(cluster, handles):
     tracer = cluster.tracer
-    txns = sorted({rec.txn for rec in tracer.records if rec.txn}) + ["no-such-txn"]
+    txns = sorted({rec.txn for rec in list(tracer) if rec.txn}) + ["no-such-txn"]
     assert len(txns) > 1
     for txn in txns:
         handle = handles.get(txn)
@@ -98,7 +86,6 @@ def check_run(cluster, handles):
         assert check_atomicity(tracer, txn, participants) == where_check_atomicity(
             tracer, txn, participants
         )
-        assert first_decision_consistency(tracer, txn) == where_first_decision_consistency(tracer, txn)
         assert same_timeline(termination_timeline(tracer, txn), where_termination_timeline(tracer, txn))
         assert tracer.decisions(txn) == where_decisions(tracer, txn)
     undecided = [cluster.live_undecided(txn) for txn in txns]

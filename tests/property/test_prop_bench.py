@@ -85,7 +85,7 @@ class _ScanLockManager(LockManager):
         holders = self.holder_modes(item)
         held = holders.get(txn)
         if held is None:
-            grant = all(mode.compatible_with(h) for h in holders.values())
+            grant = all(mode is h is LockMode.SHARED for h in holders.values())  # only S/S coexist
         else:  # re-acquisition, or a sole holder's S -> X upgrade
             grant = held is mode or held is LockMode.EXCLUSIVE or len(holders) == 1
         if grant:

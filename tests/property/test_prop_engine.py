@@ -116,7 +116,7 @@ class TestSpecExpansion:
             base_seed=base,
             seeding=seeding,
         )
-        tasks = spec.tasks()
+        tasks = list(spec.iter_tasks())
         assert len(tasks) == spec.n_tasks == len(values) * runs
         assert [t.index for t in tasks] == list(range(len(tasks)))
         pairs = {(t.params["scale"], t.run) for t in tasks}
@@ -127,7 +127,7 @@ class TestSpecExpansion:
             "p", pure_task, grid={"scale": [1, 2, 3]}, runs=4, base_seed=9, seeding="offset"
         )
         by_cell = {}
-        for t in spec.tasks():
+        for t in spec.iter_tasks():
             by_cell.setdefault(t.params["scale"], []).append(t.seed)
         assert all(seeds == [9, 10, 11, 12] for seeds in by_cell.values())
 
@@ -191,7 +191,6 @@ class TestChunkExpansion:
             # what a pool worker expands: the chunk after a pickle round trip
             [task for chunk in chunks for task in pickle.loads(pickle.dumps(chunk))],
             list(spec.iter_tasks()),
-            spec.tasks(),
         ):
             fields = [(t.index, t.params, t.run, t.seed) for t in expansion]
             assert fields == expected

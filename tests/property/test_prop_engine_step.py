@@ -297,7 +297,7 @@ def forced_leave(seed, protocol):
 
     def run():
         cluster.update(origin, {item: 1})
-        cluster.run_until(1.5)
+        cluster.scheduler.run_until(1.5)
         cluster.leave_site(leaver, drain_interval=0.5, drain_polls=1)
         cluster.run()
 

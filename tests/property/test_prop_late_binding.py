@@ -142,7 +142,7 @@ def reference_arm():
         stack.enter_context(patch(Tracer, "record_deliver", _fresh_deliver))
         stack.enter_context(patch(Tracer, "record_drop", _fresh_drop))
         stack.enter_context(patch(Scheduler, "now", _now_property, create=True))
-        stack.enter_context(patch(Node, "now", property(_chained_now)))
+        stack.enter_context(patch(Node, "now", property(_chained_now), create=True))
         stack.enter_context(patch(Node, "trace", _chained_trace))
         stack.enter_context(patch(Node, "send", _message_send))
         stack.enter_context(patch(Cluster, "_on_connectivity_change", _kick_everyone))

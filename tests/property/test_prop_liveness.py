@@ -45,7 +45,7 @@ def test_eventual_heal_terminates_everyone(plan, protocol):
     cluster.update(origin=1, writes={"x": 1}, txn_id="T-live")
     cluster.arm_failures(plan)
     cluster.run()
-    assert cluster.live_undecided("T-live") == [], plan.describe()
+    assert cluster.live_undecided("T-live") == [], plan.actions
 
 
 @given(eventually_good_plans())
@@ -63,4 +63,4 @@ def test_terminated_runs_agree_with_wal(plan):
         for s in (1, 2, 3, 4)
         if cluster.sites[s].wal.decision("T-live") is not None
     }
-    assert len(decisions) <= 1, plan.describe()
+    assert len(decisions) <= 1, plan.actions

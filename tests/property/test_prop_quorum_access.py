@@ -163,7 +163,8 @@ class _ScanLockManager(LockManager):
     index is dropped unread, so acquisitions may keep feeding it)."""
 
     def release_all(self, txn):
-        self._by_txn.pop(txn, None)
+        if self._by_txn:
+            self._by_txn.pop(txn, None)
         released = []
         for item, entry in self._items.items():
             held = entry.holders.pop(txn, None)

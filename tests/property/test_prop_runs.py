@@ -53,7 +53,7 @@ class TestWholeRunSafety:
     def test_qtp1_atomic_under_any_schedule(self, plan):
         cluster = run_with_plan("qtp1", plan)
         report = cluster.outcome("T-prop")
-        assert report.atomic, plan.describe()
+        assert report.atomic, plan.actions
         assert report.illegal_transitions == 0
 
     @given(fault_plans())
@@ -61,7 +61,7 @@ class TestWholeRunSafety:
     def test_qtp2_atomic_under_any_schedule(self, plan):
         cluster = run_with_plan("qtp2", plan)
         report = cluster.outcome("T-prop")
-        assert report.atomic, plan.describe()
+        assert report.atomic, plan.actions
 
     @given(fault_plans())
     @settings(max_examples=40, deadline=None)

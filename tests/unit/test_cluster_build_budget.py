@@ -105,7 +105,9 @@ class TestBuildBudget:
         # 482 before: fifteen bound handlers per site
         assert sum(type(obj) is types.MethodType for obj in tracked) <= 4
         if sys.version_info >= (3, 11):  # 3.10 adds a __dict__ per instance
-            # 300 on 3.11-3.13; 411 while every site built its timer
+            # 300 on 3.11-3.13 (an empty dict is not tracked, so the
+            # lock tables built on first grant left this at 300); 411
+            # while every site built its timer
             # list, its WAL's read and decision indexes and a value per
             # copy, 476 while it built its engine and its hooks with
             # the cluster, 968 before handlers bound on first delivery
@@ -129,9 +131,10 @@ class TestBuildBudget:
             if was_enabled:
                 gc.enable()
         assert len(cluster.sites) == 32
-        # 422 on 3.11-3.13; 726 while every site built its timer list,
+        # 359 on 3.11-3.13 (358 on 3.13); 422 while every site built
+        # its two lock tables, 726 while it also built its timer list,
         # handler table, WAL read and decision indexes and copy values
-        assert grown <= 450, grown
+        assert grown <= 380, grown
 
     def test_one_termination_rule_per_cluster(self, catalog):
         cluster = build(catalog)

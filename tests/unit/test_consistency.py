@@ -1,6 +1,6 @@
 """Unit tests for the atomicity checker."""
 
-from repro.analysis.consistency import check_atomicity, first_decision_consistency
+from repro.analysis.consistency import check_atomicity
 from repro.sim.trace import Tracer
 
 
@@ -70,18 +70,3 @@ class TestAtomicity:
     def test_describe_renders(self):
         report = check_atomicity(trace_with([(1, "commit")]), "T1", [1])
         assert "T1" in report.describe()
-
-
-class TestFirstDecision:
-    def test_consistent_history(self):
-        assert first_decision_consistency(
-            trace_with([(1, "commit"), (2, "commit")]), "T1"
-        )
-
-    def test_inconsistent_history(self):
-        assert not first_decision_consistency(
-            trace_with([(1, "abort"), (2, "commit")]), "T1"
-        )
-
-    def test_empty_history_consistent(self):
-        assert first_decision_consistency(Tracer(), "T1")

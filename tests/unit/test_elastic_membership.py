@@ -180,7 +180,7 @@ class TestSkeenVotesPerEpoch:
             delay_model=FixedDelay(1.0),
         )
         cluster.update(origin=1, writes={"x": 1})
-        cluster.run_until(1.5)
+        cluster.scheduler.run_until(1.5)
         cluster.leave_site(3, drain_interval=0.5)
         assert 3 in cluster.sites  # still draining: in doubt about the update
         cluster.join_site(7, {"x": 1})  # V = 4 - 1 + 1, and Vc + Va = 5 > V
@@ -196,10 +196,10 @@ class TestSkeenVotesPerEpoch:
         cluster = Cluster(small_catalog(), protocol="skq", delay_model=FixedDelay(1.0))
         cluster.arm_failures(FailurePlan().crash(1.5, 4).partition(2.5, [1], [2], [4]))
         txn = cluster.update(origin=4, writes={"x": 1}).txn
-        cluster.run_until(1.5)
+        cluster.scheduler.run_until(1.5)
         assert cluster.states(txn) == {1: "W", 2: "W", 3: "W"}
         cluster.leave_site(3, drain_interval=0.5, drain_polls=1)
-        cluster.run_until(40.0)
+        cluster.scheduler.run_until(40.0)
         assert 3 in cluster.departed
         assert cluster.tracer.where(category="leave-forced")
         assert cluster.states(txn) == {1: "W", 2: "W"}

@@ -20,7 +20,7 @@ def cluster():
 def with_records(cluster):
     """Give every site a W-state record without running a protocol."""
     txn = cluster.update(origin=1, writes={"x": 1})
-    cluster.run_until(1.5)  # votes cast; records exist, state W
+    cluster.scheduler.run_until(1.5)  # votes cast; records exist, state W
     return txn
 
 
@@ -68,7 +68,7 @@ class TestStartElection:
         txn = with_records(cluster)
         engine = cluster.sites[4].ensure_engine()  # no higher participant
         engine.start_election(txn.txn)
-        cluster.run_until(cluster.scheduler.now + 0.01)
+        cluster.scheduler.run_until(cluster.scheduler.now + 0.01)
         assert cluster.tracer.where(category="coordinator", txn=txn.txn, site=4)
 
 

@@ -27,8 +27,8 @@ class TestSweepSpec:
     def test_fixed_params_flow_into_tasks_but_not_seeds(self):
         with_fixed = SweepSpec("s", trial, grid={"protocol": ["a"]}, fixed={"waves": 7})
         without = SweepSpec("s", trial, grid={"protocol": ["a"]})
-        assert with_fixed.tasks()[0].params == {"protocol": "a", "waves": 7}
-        assert with_fixed.tasks()[0].seed == without.tasks()[0].seed
+        assert list(with_fixed.iter_tasks())[0].params == {"protocol": "a", "waves": 7}
+        assert list(with_fixed.iter_tasks())[0].seed == list(without.iter_tasks())[0].seed
 
     def test_overlapping_fixed_and_grid_rejected(self):
         with pytest.raises(ValueError, match="both in grid and fixed"):
@@ -46,22 +46,22 @@ class TestSweepSpec:
         spec = SweepSpec(
             "s", trial, grid={"protocol": ["a", "b"]}, runs=3, base_seed=100, seeding="offset"
         )
-        assert [t.seed for t in spec.tasks()] == [100, 101, 102, 100, 101, 102]
+        assert [t.seed for t in spec.iter_tasks()] == [100, 101, 102, 100, 101, 102]
 
     def test_derived_seeding_differs_per_cell(self):
         spec = SweepSpec("s", trial, grid={"protocol": ["a", "b"]}, runs=2)
-        seeds = [t.seed for t in spec.tasks()]
+        seeds = [t.seed for t in spec.iter_tasks()]
         assert len(set(seeds)) == 4
 
     def test_base_seed_shifts_derived_seeds(self):
         a = SweepSpec("s", trial, grid={"protocol": ["a"]}, base_seed=0)
         b = SweepSpec("s", trial, grid={"protocol": ["a"]}, base_seed=1)
-        assert a.tasks()[0].seed != b.tasks()[0].seed
+        assert list(a.iter_tasks())[0].seed != list(b.iter_tasks())[0].seed
 
     def test_sweep_name_shifts_derived_seeds(self):
         a = SweepSpec("alpha", trial, grid={"protocol": ["a"]})
         b = SweepSpec("beta", trial, grid={"protocol": ["a"]})
-        assert a.tasks()[0].seed != b.tasks()[0].seed
+        assert list(a.iter_tasks())[0].seed != list(b.iter_tasks())[0].seed
 
     def test_summary_is_json_safe(self):
         import json

@@ -85,7 +85,7 @@ class TestResultStore:
     def test_rows_keep_task_order(self, tmp_path):
         store = ResultStore(tmp_path)
         store.save(self._outcome())
-        rows = store.results("demo")
+        rows = store.load("demo")["results"]
         assert [r["index"] for r in rows] == list(range(6))
 
     def test_newer_schema_rejected(self, tmp_path):
@@ -147,7 +147,7 @@ class TestAggregationHelpers:
         store = ResultStore(tmp_path)
         outcome = run_sweep(spec, store=store)
         live = mean_of(outcome.results, lambda v: v["score"])
-        loaded = mean_of(store.results("agg"), lambda v: v["score"])
+        loaded = mean_of(store.load("agg")["results"], lambda v: v["score"])
         assert live == loaded
 
     def test_fraction_of(self):

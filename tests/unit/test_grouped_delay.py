@@ -34,10 +34,6 @@ class TestGroupedDelay:
             assert 1.0 <= delay <= 1.5
         assert model.max_delay == 1.5
 
-    def test_group_of(self, model):
-        assert model.group_of(1) == 0
-        assert model.group_of(99) is None
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             GroupedDelay({}, intra=2.0, inter=1.0)

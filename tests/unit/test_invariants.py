@@ -132,7 +132,7 @@ def test_a_lost_message_count_breaks_conservation_only_at_quiescence():
     # mid-run, messages in flight are neither delivered nor dropped yet
     cluster = Cluster(two_items(), protocol="qtp1", seed=0, delay_model=FixedDelay(1.0))
     cluster.update(1, {"x": 1})
-    cluster.run_until(0.5)
+    cluster.scheduler.run_until(0.5)
     net = cluster.network
     assert net.sent > net.delivered + net.dropped
     assert check_invariants(cluster) == []

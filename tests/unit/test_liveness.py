@@ -26,7 +26,6 @@ class TestTimeline:
         assert timeline.begin_time == 0.0
         assert timeline.first_fault_time == 3.5
         assert timeline.last_decision_time == 13.0
-        assert timeline.decision_latency == 13.0
         assert timeline.termination_latency == 9.5
         assert timeline.ever_decided
 

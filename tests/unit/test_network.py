@@ -278,13 +278,6 @@ class TestReachability:
             network.restore_site(42)
         assert len(network.tracer) == rows  # no row for a site that never existed
 
-    def test_active_sites(self, net):
-        __, network, __nodes = net
-        network.crash_site(3)
-        assert network.active_sites() == [1, 2]
-        network.recover_site(3)
-        assert network.active_sites() == [1, 2, 3]
-
 
 class TestCrashRecovery:
     def test_crash_cancels_timers(self, net):
@@ -504,10 +497,6 @@ class TestFanoutMessages:
 
 
 class TestMessage:
-    def test_family_prefix(self):
-        msg = Message(1, 2, "qtp1.vote-req", "T1")
-        assert msg.family == "qtp1"
-
     def test_msg_ids_unique(self):
         a = Message(1, 2, "x.y")
         b = Message(1, 2, "x.y")

@@ -83,6 +83,13 @@ module and the reducer's scipy confidence interval (the package has no
 optional dependency left), the two error classes nothing raised, and
 the prepare round's window factor that every caller left at its
 default.
+
+So is the API that no driver reached (``benchmarks/reach_probe.py``
+lists what none of the example scripts, the experiment report, the
+bench gate, record + replay, the e2e smoke run or the paper-figure
+tests calls): the functions and methods below stay undefined, none is
+exported from ``repro`` or its package, and ``python -m repro.replay``
+takes no ``diff`` subcommand (``run_tournament`` prints the table).
 """
 
 import importlib
@@ -766,3 +773,77 @@ def test_the_prepare_round_takes_no_window_factor():
 
     with pytest.raises(TypeError, match="unexpected keyword argument"):
         CommitProtocolEngine._send_prepare(None, None, **_kw("window", "factor", 2.0))
+
+
+#: module-level functions and classes no driver called
+RETIRED_UNREACHED_NAMES = [
+    ("repro.analysis.consistency", "first_decision_consistency"),
+    ("repro.protocols.states", "is_committable"),
+    ("repro.protocols.states", "is_terminal"),
+    ("repro.protocols.states", "can_transition"),
+    ("repro.common.errors", "NotSerializableError"),
+    ("repro.engine.aggregate", "resolve_path"),
+]
+
+
+@pytest.mark.parametrize("home, name", RETIRED_UNREACHED_NAMES, ids=[n for _, n in RETIRED_UNREACHED_NAMES])
+def test_unreached_function_stays_undefined_and_unexported(home, name):
+    module = importlib.import_module(home)
+    assert not hasattr(module, name), f"{home}.{name}"
+    for package in ("repro", home.rsplit(".", 1)[0]):
+        exported = importlib.import_module(package)
+        assert not hasattr(exported, name), f"{package}.{name}"
+        assert name not in getattr(exported, "__all__", ()), package
+
+
+#: methods and properties no driver called, by their class
+RETIRED_UNREACHED_ATTRIBUTES = [
+    ("repro.analysis.liveness", "TerminationTimeline", "decision_latency"),
+    ("repro.concurrency.locks", "LockMode", "compatible_with"),
+    ("repro.concurrency.locks", "LockMode", "__str__"),
+    ("repro.concurrency.serializability", "ConflictGraph", "serial_order"),
+    ("repro.db.cluster", "Cluster", "run_until"),
+    ("repro.db.cluster", "Cluster", "outcomes"),
+    ("repro.db.txn", "TxnHandle", "items"),
+    ("repro.db.txn", "TxnHandle", "__str__"),
+    ("repro.engine.spec", "SweepSpec", "tasks"),
+    ("repro.engine.store", "ResultStore", "results"),
+    ("repro.net.delays", "GroupedDelay", "group_of"),
+    ("repro.net.message", "Message", "family"),
+    ("repro.net.network", "Network", "node"),
+    ("repro.net.network", "Network", "active_sites"),
+    ("repro.net.node", "Node", "now"),
+    ("repro.sim.failures", "FailurePlan", "describe"),
+    ("repro.sim.failures", "FailurePlan", "__len__"),
+    ("repro.sim.rng", "RngRegistry", "fork"),
+    ("repro.sim.rng", "RngRegistry", "seed"),
+    ("repro.sim.trace", "Tracer", "records"),
+    ("repro.storage.store", "ReplicaStore", "snapshot"),
+    ("repro.storage.store", "ReplicaStore", "__len__"),
+    ("repro.storage.store", "ReplicaStore", "__contains__"),
+    ("repro.storage.wal", "LogRecord", "__str__"),
+    ("repro.traffic.open_loop", "OpenLoopResult", "shed_rate"),
+    ("repro.workload.spec", "WorkloadSpec", "describe"),
+]
+
+
+@pytest.mark.parametrize(
+    "home, cls, name",
+    RETIRED_UNREACHED_ATTRIBUTES,
+    ids=[f"{cls}.{name}" for _, cls, name in RETIRED_UNREACHED_ATTRIBUTES],
+)
+def test_unreached_method_stays_undefined(home, cls, name):
+    owner = getattr(importlib.import_module(home), cls)
+    if name.startswith("__"):  # a dunder is inherited from object or tuple
+        assert name not in vars(owner), f"{cls}.{name}"
+    else:
+        assert not hasattr(owner, name), f"{cls}.{name}"
+
+
+def test_the_replay_cli_takes_no_diff_subcommand(tmp_path, capsys):
+    from repro.replay.__main__ import main as replay_main
+
+    with pytest.raises(SystemExit) as exited:
+        replay_main(["diff", str(tmp_path / "trace.jsonl.gz")])
+    assert exited.value.code == 2
+    assert "invalid choice: 'diff'" in capsys.readouterr().err

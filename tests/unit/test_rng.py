@@ -42,19 +42,3 @@ class TestDeterminism:
         assert 0.0 <= value < 1.0
         again = RngRegistry(3).stream("x").random()
         assert value == again
-
-
-class TestFork:
-    def test_fork_is_deterministic(self):
-        a = RngRegistry(5).fork("sub").stream("s")
-        b = RngRegistry(5).fork("sub").stream("s")
-        assert a.random() == b.random()
-
-    def test_fork_differs_from_parent(self):
-        parent = RngRegistry(5)
-        child = parent.fork("sub")
-        assert parent.seed != child.seed
-
-    def test_distinct_forks_differ(self):
-        parent = RngRegistry(5)
-        assert parent.fork("a").seed != parent.fork("b").seed

@@ -91,7 +91,7 @@ class TestSiteRecovery:
 
     def test_undecided_txns_reported(self, cluster):
         txn = cluster.update(origin=1, writes={"x": 1})
-        cluster.run_until(1.5)
+        cluster.scheduler.run_until(1.5)
         assert txn.txn in cluster.sites[2].undecided_txns()
         cluster.run()
         assert txn.txn not in cluster.sites[2].undecided_txns()

@@ -1,8 +1,8 @@
 """A site builds its per-site tables on first use, and sharing the
 empties and the initial copy leaks nothing between sites.
 
-Until a site binds a handler, arms a node timer, logs a decision or
-reads its log, the table is one shared, read-only empty; every initial
+Until a site binds a handler, arms a node timer, logs a decision,
+reads its log or grants a lock, the table is one shared, read-only empty; every initial
 copy of every site is one frozen value.  A write to one site must never
 show at another: a shared empty refuses the write, the first use gives
 the site a table of its own, and a write to a copy installs a new value.
@@ -14,6 +14,7 @@ import pytest
 
 from repro import Cluster, FixedDelay
 from repro.common.errors import StorageError
+from repro.concurrency.locks import LockManager, LockMode
 from repro.net.message import Message
 from repro.storage.store import INITIAL, ReplicaStore, VersionedValue
 from repro.workload.generators import wan_catalog, wan_regions
@@ -89,6 +90,9 @@ class TestSharedEmptyTables:
                 table["T1"] = "commit"
         with pytest.raises(AttributeError):
             wal._begins.append(0)
+        for table in (site.locks._items, site.locks._by_txn):
+            with pytest.raises(TypeError):
+                table["i0"] = None
 
     def test_untouched_sites_share_their_empties(self, cluster):
         first, *rest = cluster.sites.values()
@@ -96,6 +100,7 @@ class TestSharedEmptyTables:
             assert site._handlers is first._handlers and site._timers is first._timers
             for name in ("_decisions", "_participant_decisions", "_by_txn", "_begins", "_applies", "_views"):
                 assert getattr(site.wal, name) is getattr(first.wal, name), name
+            assert site.locks._items is first.locks._items and site.locks._by_txn is first.locks._by_txn
 
     def test_the_first_handler_binding_gives_the_site_its_own_table(self, cluster):
         site, other = cluster.sites[ALL_SITES[0]], cluster.sites[ALL_SITES[1]]
@@ -131,3 +136,33 @@ class TestSharedEmptyTables:
         assert other.wal.for_txn("T1") == [] and other.wal.latest_applies() == {}
         assert other.wal.begins() == [] and list(other.wal) == []
         assert other.wal._by_txn == {} and other.wal._views == {} and other.wal._begins == ()
+
+    def test_a_site_that_never_locks_keeps_the_shared_lock_tables(self, cluster):
+        origin = ALL_SITES[0]
+        shared = cluster.sites[ALL_SITES[-1]].locks._items
+        cluster.update(origin, {"i0": 1})
+        cluster.run()
+        participants = set(cluster.catalog.sites_of("i0"))
+        for site_id, site in cluster.sites.items():
+            if site_id not in participants:
+                assert site.locks._items is shared and site.locks._by_txn is shared, site_id
+                assert site.locks.release_all("T-none") == []
+
+    def test_the_first_grant_gives_the_manager_its_own_tables(self):
+        manager, other = LockManager(1), LockManager(2)
+        assert manager.release_all("T1") == []  # nothing granted: nothing built
+        assert manager._items is other._items
+        assert manager.try_acquire("T1", "x", LockMode.EXCLUSIVE)
+        assert manager._items is not other._items and manager._by_txn is not other._by_txn
+        assert manager.is_locked("x") and not other.is_locked("x")
+        assert other._items == {} and other._by_txn == {}
+        assert manager.release_all("T1") == ["x"] and manager._items == {}
+
+    def test_a_crash_drops_the_granted_tables_for_the_shared_empties(self, cluster):
+        site = cluster.sites[ALL_SITES[0]]
+        shared = cluster.sites[ALL_SITES[1]].locks._items
+        assert site.locks.try_acquire("T1", "i0", LockMode.EXCLUSIVE)
+        assert site.locks._items is not shared
+        site.crash()
+        assert site.locks._items is shared and site.locks._by_txn is shared
+        assert not site.locks.is_locked("i0")

@@ -113,11 +113,6 @@ class TestStore:
         store.host("a")
         assert [name for name, __ in store.items()] == ["a", "b"]
 
-    def test_contains(self):
-        store = ReplicaStore(1)
-        store.host("x")
-        assert "x" in store and "y" not in store
-
 
 class TestRecovery:
     def test_replay_installs_committed_writes(self):
@@ -223,7 +218,7 @@ class TestIndexedReplay:
         _scan_replay(wal, scanned)
         indexed = _fresh_store(1)
         replay_data(wal, indexed)
-        assert indexed.snapshot() == scanned.snapshot()
+        assert list(indexed.items()) == list(scanned.items())
         assert indexed.read("x").version == 3
         assert indexed.read("x").value == 20
         assert indexed.read("y").version == 2  # stale applies skipped

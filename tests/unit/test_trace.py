@@ -2,7 +2,7 @@
 
 The columnar store must be observationally a plain list of records —
 materialized views compare equal to hand-built ``TraceRecord`` values,
-every indexed query answers like a naive filter over ``tracer.records``, and
+every indexed query answers like a naive filter over ``list(tracer)``, and
 dumps render record by record.  Every row appended is kept, and a
 tracer built without message rows refuses to answer for them.
 """
@@ -146,7 +146,7 @@ class TestColumnarLegacyEquivalence:
     def test_records_and_dump_identical(self):
         tracer = Tracer()
         expected = _fill(tracer)
-        assert tracer.records == expected
+        assert list(tracer) == expected
         assert tracer.dump() == "\n".join(str(r) for r in expected)
         assert list(tracer) == expected
         assert len(tracer) == len(expected)
@@ -154,7 +154,7 @@ class TestColumnarLegacyEquivalence:
     def test_queries_identical(self):
         tracer = Tracer()
         _fill(tracer)
-        records = tracer.records
+        records = list(tracer)
         for kwargs in [
             {"category": "send"},
             {"category": "send", "site": 0},
@@ -188,7 +188,7 @@ class TestColumnarLegacyEquivalence:
         tracer.record_deliver(2.0, 2, "T", "m", 0)
         tracer.record_drop(3.0, 0, "T", "m", 2, "sender-down")
         tracer.record_state(4.0, 2, "T", "W", "PC", "prepare")
-        send, deliver, drop, state = tracer.records
+        send, deliver, drop, state = list(tracer)
         assert list(send.detail) == ["mtype", "dst"]
         assert list(deliver.detail) == ["mtype", "src"]
         assert list(drop.detail) == ["mtype", "dst", "reason"]
@@ -199,8 +199,8 @@ class TestColumnarLegacyEquivalence:
     def test_materialized_views_are_memoized(self):
         tracer = Tracer()
         _fill(tracer, 10)
-        assert tracer.records[0] is tracer.records[0]
-        assert tracer.where(category="send")[0] is tracer.records[0]
+        assert list(tracer)[0] is list(tracer)[0]
+        assert tracer.where(category="send")[0] is list(tracer)[0]
 
     def test_queries_see_appends_after_a_query(self):
         # indexes extend incrementally once built
@@ -235,7 +235,7 @@ class TestEveryRowIsKept:
         for _ in range(100):
             expected += _fill(tracer, 30)
         assert len(tracer) == 3000
-        assert tracer.records == expected
+        assert list(tracer) == expected
         assert tracer.decisions("T1") == {
             r.site: r.detail["outcome"] for r in _naive_where(expected, "decision", txn="T1")
         }
@@ -272,7 +272,7 @@ class TestEveryRowIsKept:
 def _rebuilt(tracer: Tracer) -> Tracer:
     """A fresh tracer holding ``tracer``'s records, indexed from scratch."""
     fresh = Tracer()
-    for r in tracer.records:
+    for r in list(tracer):
         fresh.record(r.time, r.site, r.category, r.txn, **r.detail)
     return fresh
 
@@ -295,9 +295,9 @@ class TestCursor:
             assert rows == self._keys(expected, "decision") != []
             seen += rows
         assert position == len(tracer) == 36
-        assert seen == self._keys(tracer.records, "decision")
+        assert seen == self._keys(list(tracer), "decision")
         assert tracer.since(position, "decision") == (36, [])
-        assert tracer.since(0, "send")[1] == self._keys(tracer.records, "send")
+        assert tracer.since(0, "send")[1] == self._keys(list(tracer), "send")
 
     def test_a_read_builds_no_index_and_no_record(self):
         tracer = Tracer()
@@ -336,8 +336,8 @@ class TestCursor:
             if batch % 3 == 2:
                 position, rows = tracer.since(slow[0], "send")
                 slow = (position, slow[1] + rows)
-        assert fast == (len(tracer), self._keys(tracer.records, "decision"))
-        assert slow == (len(tracer), self._keys(tracer.records, "send"))
+        assert fast == (len(tracer), self._keys(list(tracer), "decision"))
+        assert slow == (len(tracer), self._keys(list(tracer), "send"))
 
     @pytest.mark.parametrize("category", ["decision", "partition"])
     def test_interleaved_appends_and_reads_of_a_generic_category_match_a_naive_filter(self, category):
@@ -348,7 +348,7 @@ class TestCursor:
         cursor = 0
         for batch in range(1, 30):
             _fill(tracer, batch % 7)
-            records = tracer.records
+            records = list(tracer)
             for position in (cursor, cursor // 2, len(tracer) - 1, len(tracer) + 3):
                 expected = [
                     (r.time, r.site, r.txn)

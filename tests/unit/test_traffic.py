@@ -133,10 +133,6 @@ class TestOpenSpec:
         with pytest.raises(ConfigurationError, match="arrival"):
             run_scenario(open_loop_scenario(), "qtp1", 0, workload=WorkloadSpec(n_txns=5))
 
-    def test_describe_names_the_service(self):
-        spec = WorkloadSpec(arrival="open", rate=1.5, duration=60.0)
-        assert "open@1.5/s x60s" in spec.describe()
-
 
 class TestOpenLoop:
     def test_admission_accounting_identity(self):
@@ -173,7 +169,6 @@ class TestOpenLoop:
         scenario = open_loop_scenario(rate=8.0, duration=20.0, window=1, episode_window=None)
         result = run_scenario(scenario, "qtp1", 2).result
         assert result.shed_backpressure > 0
-        assert result.shed_rate > 0.0
 
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError):
