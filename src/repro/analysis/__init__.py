@@ -20,7 +20,7 @@ Everything here *observes* runs — none of it participates in them:
 
 from repro.analysis.availability import AvailabilityReport, ItemAvailability
 from repro.analysis.consistency import ConsistencyReport, check_atomicity
-from repro.analysis.invariants import Violation, check_invariants, healed_and_up
+from repro.analysis.invariants import Violation, healed_and_up, judge
 from repro.analysis.liveness import TerminationTimeline, termination_timeline
 from repro.analysis.partition_states import (
     PartitionState,
@@ -41,11 +41,11 @@ __all__ = [
     "Violation",
     "audit_transitions",
     "check_atomicity",
-    "check_invariants",
     "classify_partition",
     "concurrency_sets",
     "healed_and_up",
     "impossibility_argument",
+    "judge",
     "observed_transitions",
     "reachable_global_states",
     "termination_timeline",

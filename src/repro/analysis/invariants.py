@@ -1,8 +1,8 @@
 """Whole-run invariants: the paper's claims, checked on a finished run.
 
-:func:`check_invariants` judges one finished cluster by four predicates
-and returns what it found — an empty list for a run that keeps every
-claim, at most one :class:`Violation` per predicate:
+:func:`judge` reads one finished cluster once and judges it by four
+predicates, returning what it found — no violation for a run that keeps
+every claim, at most one :class:`Violation` per predicate:
 
 * **atomicity** — no transaction ends ``mixed`` (committed at one
   participant, aborted at another), no site is told to decide against
@@ -27,12 +27,15 @@ claim, at most one :class:`Violation` per predicate:
   <repro.db.cluster.Cluster.live_undecided>`, read for every
   transaction at once).
 
-:func:`judge` reads the whole run once — one pass over the ``decision``
-rows (:meth:`Cluster.verdicts <repro.db.cluster.Cluster.verdicts>`),
-one :class:`ConflictGraph` of the committed history, the
-``decision-conflict`` / ``illegal-transition`` category indexes — and
-that read is also the tally of a traffic run
-(:meth:`TrafficEngine.tally <repro.traffic.engine.TrafficEngine.tally>`).
+That one read — one pass over the ``decision`` rows
+(:meth:`Cluster.verdicts <repro.db.cluster.Cluster.verdicts>`), one
+:class:`ConflictGraph` of the committed history, the
+``decision-conflict`` / ``illegal-transition`` category indexes — is
+also the tally of the run (:meth:`TrafficEngine.tally
+<repro.traffic.engine.TrafficEngine.tally>`, its only caller in the
+library), and :func:`~repro.traffic.run_scenario`, the one path every
+run in ``repro`` takes, raises unless the predicates broken are exactly
+the ones a designed counterexample names: so every run is judged.
 The checks only read: no RNG draw, no scheduler event, no trace row or
 log row is added, so a run checked is the run that would have been.
 """
@@ -105,8 +108,3 @@ def judge(cluster: "Cluster") -> Judgement:
         found.append(Violation("liveness", f"healed and up, still in doubt: {in_doubt}"))
     return Judgement(outcomes, serializable, found)
 
-
-def check_invariants(cluster: "Cluster") -> list[Violation]:
-    """The violations of the four predicates (see the module docstring)
-    by the finished ``cluster``: ``judge(cluster).violations``."""
-    return judge(cluster).violations

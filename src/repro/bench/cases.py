@@ -6,7 +6,7 @@ counters: a dict that is a pure function of the seed and the keywords.
 No trial reads a clock — wall time belongs to ``benchmarks/e2e``.
 
 Every case pins a whole commit and termination trajectory — the runs
-Huang & Li's claims are about.  The scenario-driven cases
+Huang & Li's claims are about.  The registered-scenario cases
 (``heavy_workload`` … ``gray_failure`` below) hold no driver code of
 their own: each trial is one :func:`~repro.traffic.run_scenario` call on
 a registered :data:`~repro.experiments.SCENARIOS` constructor and passes
@@ -21,10 +21,11 @@ of this module: its trial, grid, run count and the trial's committed
 keywords.
 
 Which experiment and which scenario each case pins is the table in
-:mod:`repro.experiments`.  Three cases are not one scenario run:
+:mod:`repro.experiments`.  ``commit_mix`` — a 2PC / 3PC / QTP commit
+mix through a mid-run partition episode (the paper's protocol spread,
+E17-flavoured) — runs the unregistered :func:`commit_mix_scenario`
+defined here.  Two cases are not one scenario run:
 
-* ``commit_mix`` — a 2PC / 3PC / QTP commit mix through a mid-run
-  partition episode (the paper's protocol spread, E17-flavoured).
 * ``ramp_ceiling`` — E26 ramp: step the arrival rate across fresh
   service intervals until the p99 knee or the abort-rate SLO trips
   (:func:`~repro.experiments.service_study.discover_ceiling`).
@@ -36,9 +37,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.analysis.invariants import judge
-from repro.common.errors import InvariantViolationError, QuorumUnreachableError, TransactionAborted
-from repro.db.cluster import Cluster
 from repro.engine.spec import SweepSpec
 from repro.experiments.resilience_study import (
     flash_crowd_scenario,
@@ -56,8 +54,7 @@ from repro.experiments.workload_scenarios import (
 from repro.experiments.workload_study import heavy_workload_scenario
 from repro.replay import DEFAULT_CONFIGS, cluster_counters, fixed_point_ok, record, replay_trace
 from repro.sim.failures import FailurePlan
-from repro.sim.rng import RngRegistry
-from repro.traffic import run_scenario
+from repro.traffic import Scenario, run_scenario
 from repro.workload.generators import random_catalog, random_partition_groups
 
 
@@ -73,44 +70,60 @@ def _scenario_counters(scenario: Any, protocol: str, seed: int) -> dict[str, Any
 # ----------------------------------------------------------------------
 
 
+class _CommitMixStream:
+    """``n_txns`` single-item updates, one every 5 s from t=1: each
+    draws its item, then its origin among the item's hosts, when it is
+    submitted, and writes its index as the value.  ``compile`` hands
+    each run a fresh stream: the index is a cursor."""
+
+    def __init__(self, n_txns: int) -> None:
+        self.n_txns = n_txns
+        self._index = 0
+
+    def compile(self, catalog, regions) -> "_CommitMixStream":
+        return _CommitMixStream(self.n_txns)
+
+    def arrivals(self, rng) -> list[float]:
+        return [1.0 + i * 5.0 for i in range(self.n_txns)]
+
+    def next_update(self, rng) -> tuple[int, dict[str, int]]:
+        item = rng.choice(self.catalog.item_names)
+        origin = rng.choice(self.catalog.sites_of(item))
+        self._index += 1
+        return origin, {item: self._index - 1}
+
+
+def commit_mix_scenario(n_txns: int = 16) -> Scenario:
+    """Direct single-item updates on a random 6-site catalog through one
+    partition episode (a random 2-way split at t=25, healed at t=60)."""
+    params = dict(locals())
+
+    def plan(rng, cluster, first):
+        groups = random_partition_groups(rng, cluster.network.sites, 2)
+        return FailurePlan().partition(25.0, *groups).heal(60.0)
+
+    def counters(run):
+        tally = {"commit": 0, "abort": 0, "blocked": 0, "client-aborted": run.engine.tallies["refused"]}
+        for verdict in run.result.txn_outcomes.values():
+            tally[verdict] = tally.get(verdict, 0) + 1
+        return {**tally, **cluster_counters(run.cluster)}
+
+    return Scenario(
+        name="commit_mix",
+        params=params,
+        stream="commit-mix",
+        catalog=(random_catalog, {"n_sites": 6, "n_items": 4, "replication": 3}),
+        workload=_CommitMixStream(n_txns),
+        plan=plan,
+        counters=counters,
+        drive="direct",
+    )
+
+
 def commit_mix_trial(seed: int, protocol: str, n_txns: int = 16) -> dict[str, Any]:
     """Drive ``n_txns`` single-item updates through one partition
-    episode under ``protocol`` and tally outcomes and traffic.
-
-    The finished run is judged as :func:`~repro.traffic.run_scenario`
-    judges its runs, and tallied from the same read.
-
-    Raises:
-        InvariantViolationError: the run broke one of the paper's claims.
-    """
-    registry = RngRegistry(seed)
-    rng = registry.stream("commit-mix")
-    catalog = random_catalog(rng, n_sites=6, n_items=4, replication=3)
-    cluster = Cluster(catalog, protocol=protocol, seed=seed)
-    groups = random_partition_groups(rng, cluster.network.sites, 2)
-    cluster.arm_failures(FailurePlan().partition(25.0, *groups).heal(60.0))
-    tally = {"commit": 0, "abort": 0, "blocked": 0, "client-aborted": 0}
-
-    def submit_one(index: int) -> None:
-        item = rng.choice(catalog.item_names)
-        origin = rng.choice(catalog.sites_of(item))
-        if not cluster.sites[origin].alive:
-            return
-        try:
-            cluster.update(origin, {item: index})
-        except (QuorumUnreachableError, TransactionAborted):
-            tally["client-aborted"] += 1
-
-    for i in range(n_txns):
-        cluster.scheduler.call_at(1.0 + i * 5.0, submit_one, i)
-    cluster.run()
-
-    outcomes, _serializable, violations = judge(cluster)
-    if violations:
-        raise InvariantViolationError(f"commit_mix under {protocol}, seed {seed}", violations)
-    for verdict in outcomes.values():
-        tally[verdict] = tally.get(verdict, 0) + 1
-    return {**tally, **cluster_counters(cluster)}
+    episode under ``protocol`` and tally outcomes and traffic."""
+    return run_scenario(commit_mix_scenario(n_txns), protocol, seed).counters()
 
 
 # ----------------------------------------------------------------------

@@ -101,12 +101,12 @@ class QuorumUnreachableError(ReproError):
 
 
 class InvariantViolationError(ReproError):
-    """A finished run broke one of the paper's claims.
+    """A finished run broke one of the paper's claims, or a designed
+    counterexample did not break the one it names.
 
     Raised by :func:`repro.traffic.run_scenario`, which judges every run
-    it returns with :func:`repro.analysis.check_invariants`.  Carries
-    the violations found, each a ``(predicate, detail)`` pair; the
-    message names every one.
+    with :func:`repro.analysis.judge`.  Carries the violations found,
+    each a ``(predicate, detail)`` pair; the message names every one.
     """
 
     def __init__(self, run: str, violations: list) -> None:

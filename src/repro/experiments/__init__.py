@@ -4,9 +4,11 @@ Experiment ids follow DESIGN.md §4; E15 onward extend the paper.  A
 runner module is ``repro.experiments.<module>``, except the pytest
 ``benchmarks/`` of E15 (``test_missing_writes``), E16
 (``test_termination_latency``) and E20 (``test_generalization``).
-``examples`` also holds the worked examples' runnable scenarios
-(``run_example1_scenario``, ``run_example3_scenario``) and their
-catalogs.  A macro experiment (E17, E18, E21 on) is the
+Every run of every runner is a :class:`~repro.traffic.Scenario` that
+:func:`~repro.traffic.run_scenario` builds, drives and judges: the
+worked examples (``examples.example1_scenario`` /
+``example3_scenario``), the flows, ablations and sweeps each define
+their own unregistered constructor.  A macro experiment (E17, E18, E21 on) is the
 :class:`~repro.traffic.Scenario` constructor ``<key>_scenario`` of its
 module, registered in :data:`SCENARIOS` under ``key`` — run it with
 ``run_scenario(SCENARIOS[key](**shape), protocol, seed)``, record it

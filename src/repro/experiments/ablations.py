@@ -13,6 +13,11 @@
   running the model-check with aggressively shortened windows (spurious
   timeouts everywhere) still yields zero violations; only liveness
   (attempt counts) degrades.
+
+Both are scenarios (:func:`pairing_scenario`, :func:`timeout_scenario`)
+that :func:`~repro.traffic.run_scenario` runs and judges like any other
+run: CP2 behind rule 1 is the oracle's designed counterexample and must
+break atomicity; every other run must break nothing.
 """
 
 from __future__ import annotations
@@ -23,6 +28,9 @@ from repro.db.cluster import Cluster
 from repro.protocols.qtp.quorums import TerminationRule1, TerminationRule2
 from repro.replication.catalog import CatalogBuilder
 from repro.sim.failures import FailurePlan
+from repro.traffic import Scenario, run_scenario
+from repro.workload.generators import random_catalog, random_fault_plan
+from repro.workload.spec import FixedUpdate, WorkloadSpec
 
 
 class _Rule1BehindCP2(TerminationRule1):
@@ -47,7 +55,7 @@ class PairingResult:
     atomic: bool
 
 
-def _adversarial_scenario(protocol: str, cross_pair: bool) -> PairingResult:
+def pairing_scenario(cross_pair: bool) -> Scenario:
     """The interleaving that separates safe from unsafe pairings.
 
     Database: x with 4 one-vote copies at sites 1-4, r=2, w=3 (note
@@ -63,29 +71,34 @@ def _adversarial_scenario(protocol: str, cross_pair: bool) -> PairingResult:
       sites to abort -> blocks.  Safe.
     * rule 1 (crossed): r(x) of some item from non-PC sites suffices
       -> aborts, while {1,2} already committed.  Violation.
+
+    With ``cross_pair`` the protocol's commit point stays and the other
+    rule's termination table replaces its own.
     """
-    catalog = CatalogBuilder().replicated_item("x", sites=[1, 2, 3, 4], r=2, w=3).build()
-    cluster = Cluster(catalog, protocol=protocol)
-    if cross_pair:
-        # the engine's rule also builds its commit point: keep the
-        # protocol's own, swap the termination table
-        crossed = _Rule1BehindCP2() if protocol == "qtp2" else _Rule2BehindCP1()
-        for site in cluster.sites.values():
-            site.ensure_engine().rule = crossed
-    # the prepare round reaches only sites 1 and 2
-    cluster.network.add_filter(
-        lambda m: m.mtype.endswith(".prepare") and m.dst in (3, 4)
+    params = dict(locals())
+
+    def setup(cluster: Cluster) -> None:
+        if cross_pair:
+            # the engine's rule also builds its commit point: keep the
+            # protocol's own, swap the termination table
+            crossed = _Rule1BehindCP2() if cluster.protocol == "qtp2" else _Rule2BehindCP1()
+            for site in cluster.sites.values():
+                site.ensure_engine().rule = crossed
+        # the prepare round reaches only sites 1 and 2
+        cluster.network.add_filter(lambda m: m.mtype.endswith(".prepare") and m.dst in (3, 4))
+        # the early COMMIT command never escapes {1, 2}
+        cluster.network.add_filter(lambda m: m.mtype.endswith(".commit") and m.dst in (3, 4))
+
+    return Scenario(
+        name="pairing",
+        params=params,
+        stream="pairing",
+        catalog=(lambda rng: CatalogBuilder().replicated_item("x", sites=[1, 2, 3, 4], r=2, w=3).build(), {}),
+        workload=FixedUpdate(1, {"x": 7}),
+        plan=lambda rng, cluster, first: FailurePlan().partition(4.5, [1, 2], [3, 4]),
+        drive="single",
+        setup=setup,
     )
-    # the early COMMIT command never escapes {1, 2}
-    cluster.network.add_filter(
-        lambda m: m.mtype.endswith(".commit") and m.dst in (3, 4)
-    )
-    txn = cluster.update(origin=1, writes={"x": 7})
-    cluster.arm_failures(FailurePlan().partition(4.5, [1, 2], [3, 4]))
-    cluster.run()
-    report = cluster.outcome(txn.txn)
-    rule_name = cluster.sites[1].engine.rule.name
-    return PairingResult(protocol, rule_name, report.outcome, report.atomic)
 
 
 def pairing_ablation() -> list[PairingResult]:
@@ -94,12 +107,20 @@ def pairing_ablation() -> list[PairingResult]:
     Expected: the paper's pairings (CP1+TP1, CP2+TP2) and the
     conservative cross (CP1+TP2) stay atomic; CP2+TP1 violates.
     """
-    return [
-        _adversarial_scenario("qtp1", cross_pair=False),
-        _adversarial_scenario("qtp2", cross_pair=False),
-        _adversarial_scenario("qtp1", cross_pair=True),
-        _adversarial_scenario("qtp2", cross_pair=True),
-    ]
+    results = []
+    for cross_pair in (False, True):
+        for protocol in ("qtp1", "qtp2"):
+            unsafe = cross_pair and protocol == "qtp2"
+            run = run_scenario(
+                pairing_scenario(cross_pair),
+                protocol,
+                0,
+                expect=frozenset({"atomicity"}) if unsafe else frozenset(),
+            )
+            report = run.cluster.outcome(run.txn.txn)
+            rule_name = run.cluster.sites[1].engine.rule.name
+            results.append(PairingResult(protocol, rule_name, report.outcome, report.atomic))
+    return results
 
 
 @dataclass
@@ -110,6 +131,31 @@ class TimeoutAblationRow:
     runs: int
     violations: int
     mean_term_attempts: float
+
+
+def timeout_scenario(scale: float = 1.0) -> Scenario:
+    """E14's question on a 6-site random catalog, with every engine's
+    view of ``T`` scaled by ``scale``: one update, a random fault
+    schedule, healed at a random time in [30, 50]."""
+    params = dict(locals())
+
+    def setup(cluster: Cluster) -> None:
+        for site in cluster.sites.values():
+            site.ensure_engine()._T = cluster.T * scale  # the wrong estimate
+
+    def plan(rng, cluster, first):
+        return random_fault_plan(rng, cluster.network.sites, first.origin, heal_at=rng.uniform(30.0, 50.0))
+
+    return Scenario(
+        name="timeout",
+        params=params,
+        stream="timeout-ablation",
+        catalog=(random_catalog, {"n_sites": 6, "n_items": 3, "replication": 3}),
+        workload=WorkloadSpec(n_txns=1, footprint=(1, 2)),
+        plan=plan,
+        drive="single",
+        setup=setup,
+    )
 
 
 def timeout_ablation(
@@ -124,30 +170,14 @@ def timeout_ablation(
     (acks arriving after the window closed), which is exactly the
     failure mode a wrong delay estimate causes in practice.
     """
-    from repro.sim.rng import RngRegistry
-    from repro.workload.generators import random_catalog, random_fault_plan, random_update
-
     rows = []
     for scale in scales:
         violations = 0
         attempts = 0
         for i in range(runs):
-            seed = base_seed + i
-            registry = RngRegistry(seed)
-            rng = registry.stream("timeout-ablation")
-            catalog = random_catalog(rng, n_sites=6, n_items=3, replication=3)
-            origin, writes = random_update(rng, catalog, max_items=2)
-            cluster = Cluster(catalog, protocol="qtp1", seed=seed)
-            for site in cluster.sites.values():
-                site.ensure_engine()._T = cluster.T * scale  # the wrong estimate
-            txn = cluster.update(origin, writes)
-            plan = random_fault_plan(
-                rng, cluster.network.sites, origin, heal_at=rng.uniform(30.0, 50.0)
-            )
-            cluster.arm_failures(plan)
-            cluster.run()
-            report = cluster.outcome(txn.txn)
-            violations += not report.atomic
-            attempts += cluster.tracer.count("term-phase1", txn=txn.txn)
+            run = run_scenario(timeout_scenario(scale), "qtp1", base_seed + i)
+            txn = run.txn.txn
+            violations += not run.cluster.outcome(txn).atomic
+            attempts += run.cluster.tracer.count("term-phase1", txn=txn)
         rows.append(TimeoutAblationRow(scale, runs, violations, attempts / runs))
     return rows

@@ -14,12 +14,16 @@ Examples 1–4 all share one database (the paper's Fig. 3 layout):
 Example 3 (Fig. 7) uses a 5-site database with both items replicated
 at sites 2–5 and a healed partition giving rise to two coordinators.
 
-Each ``run_example*_scenario`` function builds a fresh cluster, replays
-the scenario deterministically, and returns a :class:`ScenarioResult`
-holding the cluster plus the derived verdicts — tests, benches and
-examples all consume the same object.  Each ``run_example*`` runner
-distills the paper's prose claim from one such result into a
-structured verdict the benchmarks print and the tests assert.
+Each scenario is a :class:`~repro.traffic.Scenario` constructor
+(:func:`example1_scenario`, :func:`example3_scenario`) that
+:func:`~repro.traffic.run_scenario` runs and judges like any other run:
+Example 3 without the ignore rules is the oracle's designed
+counterexample and must break atomicity.  ``run_example*_scenario``
+hands one finished run back as a :class:`ScenarioResult` — tests,
+benches and examples all consume the same object — and each
+``run_example*`` runner distills the paper's prose claim from one such
+result into a structured verdict the benchmarks print and the tests
+assert.
 """
 
 from __future__ import annotations
@@ -29,8 +33,11 @@ from dataclasses import dataclass
 from repro.analysis.consistency import ConsistencyReport
 from repro.db.cluster import Cluster
 from repro.db.txn import TxnHandle
+from repro.net.message import Message
 from repro.replication.catalog import CatalogBuilder, ReplicaCatalog
 from repro.sim.failures import FailurePlan
+from repro.traffic import Scenario, run_scenario
+from repro.workload.spec import FixedUpdate
 
 #: the partition of Examples 1, 2 and 4 (Fig. 3).
 EXAMPLE1_GROUPS = ([1, 2, 3], [4, 5], [6, 7, 8])
@@ -64,6 +71,11 @@ def example3_catalog() -> ReplicaCatalog:
     )
 
 
+def _lost_prepare(message: Message) -> bool:
+    """Only site 5's PREPARE gets through before the failure (Fig. 3)."""
+    return message.mtype.endswith(".prepare") and message.dst != PREPARED_SITE
+
+
 @dataclass
 class ScenarioResult:
     """Everything a consumer needs from one scenario run."""
@@ -82,62 +94,34 @@ class ScenarioResult:
         return self.cluster.states(self.txn.txn)
 
 
-def run_example1_scenario(
-    protocol: str,
-    seed: int = 0,
-    run_to: float | None = None,
-    enforce_ignore_rules: bool = True,
-) -> ScenarioResult:
-    """Replay the Fig. 3 failure under any protocol.
-
-    Used for Example 1 (``protocol="skq"``: everything blocks),
-    Example 2 (``protocol="3pc"``: inconsistent termination) and
-    Example 4 (``protocol="qtp1"``: G1 and G3 abort and unblock).
-
-    Args:
-        protocol: cluster protocol name.
-        seed: run seed.
-        run_to: stop at this virtual time (default: run to quiescence).
-        enforce_ignore_rules: forwarded to the cluster.
-    """
-    cluster = Cluster(
-        example1_catalog(),
-        protocol=protocol,
-        seed=seed,
-        commit_quorum=5,
-        abort_quorum=4,
-        enforce_ignore_rules=enforce_ignore_rules,
+def example1_scenario() -> Scenario:
+    """The Fig. 3 failure: TR, issued at site 1, writes x and y; only
+    site 5 receives PREPARE; at t=3.5 the coordinator crashes and the
+    network splits into G1, G2, G3.  Skeen's site quorums are pinned at
+    ``Vc = 5``, ``Va = 4`` (only ``skq`` reads them)."""
+    return Scenario(
+        name="example1",
+        params={},
+        stream="example1",
+        catalog=(lambda rng: example1_catalog(), {}),
+        workload=FixedUpdate(1, {"x": 10, "y": 20}),
+        plan=lambda rng, cluster, first: (
+            FailurePlan().crash(FAILURE_TIME, 1).partition(FAILURE_TIME, *EXAMPLE1_GROUPS)
+        ),
+        drive="single",
+        cluster={"commit_quorum": 5, "abort_quorum": 4},
+        setup=lambda cluster: cluster.network.add_filter(_lost_prepare),
     )
-    # Only site 5's PREPARE gets through before the failure (Fig. 3).
-    cluster.network.add_filter(
-        lambda m: m.mtype.endswith(".prepare") and m.dst != PREPARED_SITE
-    )
-    txn = cluster.update(origin=1, writes={"x": 10, "y": 20})
-    plan = (
-        FailurePlan()
-        .crash(FAILURE_TIME, 1)
-        .partition(FAILURE_TIME, *EXAMPLE1_GROUPS)
-    )
-    cluster.arm_failures(plan)
-    if run_to is None:
-        cluster.run()
-    else:
-        cluster.scheduler.run_until(run_to)
-    return ScenarioResult(cluster, txn, cluster.outcome(txn.txn))
 
 
-def run_example3_scenario(
-    enforce_ignore_rules: bool,
-    protocol: str = "qtp1",
-    seed: int = 0,
-) -> ScenarioResult:
-    """Replay Example 3 / Fig. 7: two coordinators in a healed partition.
+def example3_scenario(enforce_ignore_rules: bool) -> Scenario:
+    """Example 3 / Fig. 7: two coordinators in a healed partition.
 
     The network partitions into {1,2} | {3,4,5} leaving site 5 in PC,
     then heals "just before [the lower coordinator] starts collecting
     local state information" — with the messages between the two
     coordinators, and from the lower coordinator to the PC site, lost.
-    Both coordinators then poll concurrently:
+    Both coordinators then poll concurrently (at t=4.01):
 
     * the low coordinator (site 2) sees only W states worth r(x) votes
       and runs a PREPARE-TO-ABORT round;
@@ -149,35 +133,61 @@ def run_example3_scenario(
     (the paper's counterexample); with the rules enforced, one round
     fails its quorum and termination stays consistent.
     """
-    cluster = Cluster(
-        example3_catalog(),
-        protocol=protocol,
-        extra_sites=[1],
-        seed=seed,
-        enforce_ignore_rules=enforce_ignore_rules,
-    )
-    cluster.network.add_filter(
-        lambda m: m.mtype.endswith(".prepare") and m.dst != PREPARED_SITE
-    )
-    txn = cluster.update(origin=1, writes={"x": 7, "y": 8})
-    plan = (
-        FailurePlan()
-        .crash(FAILURE_TIME, 1)
-        .partition(FAILURE_TIME, [1, 2], [3, 4, 5])
-        .heal(4.0)
-        # the paper's lost messages: site2 <-> site3 and site2 -> site5
-        .sever_both(4.0, 2, 3)
-        .sever(4.0, 2, 5)
-    )
-    cluster.arm_failures(plan)
+    params = dict(locals())
 
-    def drive_two_coordinators() -> None:
-        cluster.sites[2].ensure_engine()._run_termination(txn.txn)
-        cluster.sites[5].ensure_engine()._run_termination(txn.txn)
+    def setup(cluster: Cluster) -> None:
+        cluster.network.add_filter(_lost_prepare)
 
-    cluster.scheduler.call_at(4.01, drive_two_coordinators)
-    cluster.run()
-    return ScenarioResult(cluster, txn, cluster.outcome(txn.txn))
+        def two_coordinators() -> None:
+            [txn] = cluster.submitted
+            cluster.sites[2].ensure_engine()._run_termination(txn)
+            cluster.sites[5].ensure_engine()._run_termination(txn)
+
+        cluster.scheduler.call_at(4.01, two_coordinators)
+
+    return Scenario(
+        name="example3",
+        params=params,
+        stream="example3",
+        catalog=(lambda rng: example3_catalog(), {}),
+        workload=FixedUpdate(1, {"x": 7, "y": 8}),
+        plan=lambda rng, cluster, first: (
+            FailurePlan()
+            .crash(FAILURE_TIME, 1)
+            .partition(FAILURE_TIME, [1, 2], [3, 4, 5])
+            .heal(4.0)
+            # the paper's lost messages: site2 <-> site3 and site2 -> site5
+            .sever_both(4.0, 2, 3)
+            .sever(4.0, 2, 5)
+        ),
+        drive="single",
+        cluster={"extra_sites": [1], "enforce_ignore_rules": enforce_ignore_rules},
+        setup=setup,
+    )
+
+
+def run_example1_scenario(protocol: str, seed: int = 0) -> ScenarioResult:
+    """Replay the Fig. 3 failure under any protocol.
+
+    Used for Example 1 (``protocol="skq"``: everything blocks),
+    Example 2 (``protocol="3pc"``: inconsistent termination) and
+    Example 4 (``protocol="qtp1"``: G1 and G3 abort and unblock).
+    """
+    run = run_scenario(example1_scenario(), protocol, seed)
+    return ScenarioResult(run.cluster, run.txn, run.cluster.outcome(run.txn.txn))
+
+
+def run_example3_scenario(enforce_ignore_rules: bool, seed: int = 0) -> ScenarioResult:
+    """Replay Example 3 / Fig. 7 (:func:`example3_scenario`) under the
+    paper's protocol 1.  Without the ignore rules the run must break
+    atomicity: it is the oracle's designed counterexample."""
+    run = run_scenario(
+        example3_scenario(enforce_ignore_rules),
+        "qtp1",
+        seed,
+        expect=frozenset() if enforce_ignore_rules else frozenset({"atomicity"}),
+    )
+    return ScenarioResult(run.cluster, run.txn, run.cluster.outcome(run.txn.txn))
 
 
 @dataclass

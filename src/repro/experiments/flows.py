@@ -12,6 +12,9 @@ executable counterparts here measure, for a failure-free commit over
 E12 sweeps the decision time across seeds with randomized per-message
 delays, quantifying the paper's §5 claim: *commit protocol 2 runs
 faster than commit protocol 1*, and both beat 3PC's wait-for-all-acks.
+
+A commit is the single-shot scenario :func:`commit_scenario`, which
+:func:`~repro.traffic.run_scenario` runs and judges like any other run.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass, field
 
-from repro.db.cluster import Cluster
 from repro.net.delays import UniformDelay
 from repro.replication.catalog import CatalogBuilder, ReplicaCatalog
+from repro.traffic import Scenario, run_scenario
+from repro.workload.spec import FixedUpdate
 
 
 def _uniform_catalog(n_sites: int, r: int | None = None, w: int | None = None) -> ReplicaCatalog:
@@ -57,6 +61,34 @@ class CommitMetrics:
         )
 
 
+def commit_scenario(
+    n_sites: int = 5,
+    jitter: bool = False,
+    r: int | None = None,
+    w: int | None = None,
+) -> Scenario:
+    """One failure-free commit: site 1 writes x, replicated at every one
+    of ``n_sites`` sites with one vote per copy.
+
+    Args:
+        n_sites: number of participant sites (all host the item).
+        jitter: use UniformDelay(0.1, 1.0) instead of the fixed delay —
+            required to expose the CP1/CP2 early-commit difference.
+        r, w: explicit quorum sizes (defaults: majority write).
+    """
+    params = dict(locals())
+    return Scenario(
+        name="commit",
+        params=params,
+        stream="commit",
+        catalog=(lambda rng, **shape: _uniform_catalog(**shape), {"n_sites": n_sites, "r": r, "w": w}),
+        workload=FixedUpdate(1, {"x": 1}),
+        plan=lambda rng, cluster, first: None,
+        drive="single",
+        cluster={"delay_model": UniformDelay(0.1, 1.0) if jitter else None},
+    )
+
+
 def measure_commit(
     protocol: str,
     n_sites: int = 5,
@@ -65,30 +97,17 @@ def measure_commit(
     r: int | None = None,
     w: int | None = None,
 ) -> CommitMetrics:
-    """Run one failure-free commit and collect its metrics.
-
-    Args:
-        protocol: protocol family name.
-        n_sites: number of participant sites (all host the item).
-        seed: run seed.
-        jitter: use UniformDelay(0.1, 1.0) instead of the fixed delay —
-            required to expose the CP1/CP2 early-commit difference.
-        r, w: explicit quorum sizes (defaults: majority write).
-    """
-    catalog = _uniform_catalog(n_sites, r=r, w=w)
-    delay = UniformDelay(0.1, 1.0) if jitter else None
-    cluster = Cluster(catalog, protocol=protocol, seed=seed, delay_model=delay)
-    txn = cluster.update(origin=1, writes={"x": 1})
-    quiesce = cluster.run()
-    decisions = cluster.tracer.where(category="coord-decision", txn=txn.txn)
-    decision_time = decisions[0].time if decisions else float("nan")
-    report = cluster.outcome(txn.txn)
+    """Run one failure-free commit (:func:`commit_scenario`) under
+    ``protocol`` and collect its metrics."""
+    run = run_scenario(commit_scenario(n_sites, jitter, r, w), protocol, seed)
+    cluster, txn = run.cluster, run.txn.txn
+    decisions = cluster.tracer.where(category="coord-decision", txn=txn)
     return CommitMetrics(
         protocol=protocol,
         n_participants=n_sites,
-        outcome=report.outcome,
-        decision_time=decision_time,
-        quiescence_time=quiesce,
+        outcome=cluster.outcome(txn).outcome,
+        decision_time=decisions[0].time if decisions else float("nan"),
+        quiescence_time=cluster.scheduler.now,
         messages=cluster.message_counts(),
     )
 

@@ -17,13 +17,12 @@ These operationalize the paper's comparative and correctness claims:
 * **E21 WAN partition storm** — the same questions at installation
   scale: 32+ sites split region-wise by repeated partition waves.
 
-Every sweep run is judged by :func:`~repro.analysis.invariants.check_invariants`.
-E13, E14 and E21 (:func:`wan_storm_scenario`, registered as
-``wan_storm``) are single-drive scenarios that
-:func:`~repro.traffic.run_scenario` runs and judges (E13's and E14's
-are unregistered, so no pin set grows).  E11 builds its own cluster —
-its ``skq-pinned`` row needs a :class:`~repro.db.cluster.Cluster`
-keyword no scenario carries — and judges it as the runner does.
+Every sweep run is a single-drive scenario that
+:func:`~repro.traffic.run_scenario` runs and judges: E11's
+(:func:`availability_scenario`, whose ``skq-pinned`` row pins Skeen's
+quorums through the scenario's ``cluster`` keywords), E13's, E14's and
+E21's (:func:`wan_storm_scenario`, registered as ``wan_storm``; the
+other three are unregistered, so no pin set grows).
 
 All drivers route through :mod:`repro.engine`: each accepts a
 ``workers=`` argument to fan runs out over a process pool, and a
@@ -41,19 +40,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.invariants import check_invariants
-from repro.common.errors import InvariantViolationError
-from repro.db.cluster import Cluster
 from repro.engine import ResultStore, RunResult, SweepSpec, group_by, run_sweep
 from repro.sim.failures import FailurePlan
-from repro.sim.rng import RngRegistry
 from repro.traffic import Scenario, run_scenario
 from repro.workload.generators import (
-    memoized_catalog,
     random_catalog,
     random_fault_plan,
     random_partition_groups,
-    random_update,
     region_storm_plan,
     wan_catalog,
     wan_regions,
@@ -84,49 +77,53 @@ class SweepRow:
         )
 
 
+def availability_scenario(pinned_quorums: bool = False) -> Scenario:
+    """E11: one update of up to two items on a random 8-site catalog,
+    then a random 2- or 3-way partition with crashes in t = 1–4.5.
+
+    With ``pinned_quorums`` Skeen's site quorums are the paper's
+    Example-1 configuration: pinned over the whole installation (Vc =
+    majority of all site votes), so small participant sets can never
+    reach either quorum.
+    """
+    params = dict(locals())
+
+    def plan(rng, cluster, first):
+        return random_fault_plan(
+            rng,
+            sites=cluster.network.sites,
+            coordinator=first.origin,
+            t_window=(1.0, 4.5),
+            n_groups=rng.choice([2, 2, 3]),
+        )
+
+    return Scenario(
+        name="availability",
+        params=params,
+        stream="sweep",
+        catalog=(random_catalog, {"n_sites": 8, "n_items": 4, "replication": 4}),
+        workload=WorkloadSpec(n_txns=1, footprint=(1, 2)),
+        plan=plan,
+        drive="single",
+        cluster={"commit_quorum": 5, "abort_quorum": 4} if pinned_quorums else {},
+    )
+
+
 def availability_run(seed: int, protocol: str) -> tuple[float, float, bool, bool, bool]:
     """One sweep sample; returns (readable, writable, blocked, violated, decided).
 
-    Availability is measured over the *writeset* items only — those are
-    the items the in-doubt transaction holds locks on; items it never
-    touched are equally available under every protocol and would only
-    dilute the comparison.  "Blocked" means some live participant is
-    still undecided at quiescence.
+    ``skq-pinned`` is ``skq`` on :func:`availability_scenario` with
+    pinned quorums.  Availability is measured over the *writeset* items
+    only — those are the items the in-doubt transaction holds locks on;
+    items it never touched are equally available under every protocol
+    and would only dilute the comparison.  "Blocked" means some live
+    participant is still undecided at quiescence.
     """
-    registry = RngRegistry(seed)
-    rng = registry.stream("sweep")
-    # every protocol cell replays the same seeds (seeding="offset"), so
-    # the catalog memo rebuilds each scenario's catalog once, not once
-    # per protocol — stream-identical by state capture/restore
-    catalog = memoized_catalog(
-        rng, ("e11-sweep", 8, 4, 4), lambda r: random_catalog(r, n_sites=8, n_items=4, replication=4)
-    )
-    origin, writes = random_update(rng, catalog, max_items=2)
-    if protocol == "skq-pinned":
-        # the paper's Example-1 configuration: quorums pinned over the
-        # whole installation (Vc = majority of all site votes), so small
-        # participant sets can never reach either quorum.
-        cluster = Cluster(
-            catalog, protocol="skq", seed=seed, commit_quorum=5, abort_quorum=4
-        )
-    else:
-        cluster = Cluster(catalog, protocol=protocol, seed=seed)
-    txn = cluster.update(origin, writes)
-    plan = random_fault_plan(
-        rng,
-        sites=cluster.network.sites,
-        coordinator=origin,
-        t_window=(1.0, 4.5),
-        n_groups=rng.choice([2, 2, 3]),
-    )
-    cluster.arm_failures(plan)
-    cluster.run()
-    violations = check_invariants(cluster)
-    if violations:
-        raise InvariantViolationError(f"e11-availability under {protocol}, seed {seed}", violations)
+    pinned = protocol == "skq-pinned"
+    run = run_scenario(availability_scenario(pinned), "skq" if pinned else protocol, seed)
+    cluster, txn = run.cluster, run.txn
     report = cluster.outcome(txn.txn)
-    availability = cluster.availability()
-    writeset_rows = [row for row in availability.rows if row.item in writes]
+    writeset_rows = [row for row in cluster.availability().rows if row.item in txn.writes]
     readable = sum(r.readable for r in writeset_rows) / len(writeset_rows)
     writable = sum(r.writable for r in writeset_rows) / len(writeset_rows)
     return (

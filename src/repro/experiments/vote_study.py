@@ -16,21 +16,20 @@ availability *through the termination protocol* after random failures:
   item).
 
 The same fault scenarios run against each policy; only the catalog
-differs.  The update is fixed, not drawn, so a run is no scenario: it
-builds its own cluster and judges it as :func:`~repro.traffic.run_scenario` does.
+differs.  A run is the single-shot scenario :func:`policy_scenario`,
+whose update is fixed, not drawn; :func:`~repro.traffic.run_scenario`
+runs and judges it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.invariants import check_invariants
-from repro.common.errors import InvariantViolationError
-from repro.db.cluster import Cluster
 from repro.engine import ResultStore, SweepSpec, group_by, run_sweep
 from repro.replication.catalog import CatalogBuilder, ReplicaCatalog
-from repro.sim.rng import RngRegistry
+from repro.traffic import Scenario, run_scenario
 from repro.workload.generators import random_fault_plan
+from repro.workload.spec import FixedUpdate
 
 
 def _policy_catalog(policy: str, sites: list[int]) -> ReplicaCatalog:
@@ -79,35 +78,42 @@ class PolicyRow:
 POLICIES = ("uniform-majority", "read-one", "primary-weighted")
 
 
+def policy_scenario(policy: str, n_sites: int = 5) -> Scenario:
+    """E19: site 1 writes x, replicated at ``n_sites`` sites under
+    ``policy``; a random 2-way partition with crashes in t = 1–4.5."""
+    params = dict(locals())
+
+    def plan(rng, cluster, first):
+        return random_fault_plan(rng, cluster.network.sites, coordinator=1, t_window=(1.0, 4.5), n_groups=2)
+
+    return Scenario(
+        name="vote_policy",
+        params=params,
+        stream="vote-study",
+        catalog=(
+            lambda rng, policy, n_sites: _policy_catalog(policy, list(range(1, n_sites + 1))),
+            {"policy": policy, "n_sites": n_sites},
+        ),
+        workload=FixedUpdate(1, {"x": 1}),
+        plan=plan,
+        drive="single",
+    )
+
+
 def policy_run(
     seed: int, policy: str, n_sites: int = 5
 ) -> tuple[float, float, bool, bool, bool]:
-    """One E19 sample; returns (readable, writable, committed, blocked,
-    violated)."""
-    sites = list(range(1, n_sites + 1))
-    rng = RngRegistry(seed).stream("vote-study")
-    catalog = _policy_catalog(policy, sites)
-    cluster = Cluster(catalog, protocol="qtp1", seed=seed)
-    txn = cluster.update(origin=1, writes={"x": 1})
-    plan = random_fault_plan(
-        rng,
-        cluster.network.sites,
-        coordinator=1,
-        t_window=(1.0, 4.5),
-        n_groups=2,
-    )
-    cluster.arm_failures(plan)
-    cluster.run()
-    violations = check_invariants(cluster)
-    if violations:
-        raise InvariantViolationError(f"e19-vote-policies {policy} under qtp1, seed {seed}", violations)
-    report = cluster.outcome(txn.txn)
+    """One E19 sample under QTP1; returns (readable, writable,
+    committed, blocked, violated)."""
+    run = run_scenario(policy_scenario(policy, n_sites), "qtp1", seed)
+    cluster, txn = run.cluster, run.txn.txn
+    report = cluster.outcome(txn)
     availability = cluster.availability()
     return (
         availability.readable_fraction,
         availability.writable_fraction,
         report.outcome == "commit",
-        bool(cluster.live_undecided(txn.txn)),
+        bool(cluster.live_undecided(txn)),
         not report.atomic,
     )
 

@@ -52,11 +52,6 @@ class PartitionView:
         self._universe = universe
         self._components = tuple(components)
         self._component_of = {s: comp for comp in components for s in comp}
-        # order-insensitive identity, computed once: __eq__ / __hash__
-        # run on every interning lookup and view comparison, and used to
-        # rebuild set(self._components) per call before.
-        self._component_set = frozenset(self._components)
-        self._hash = hash(self._component_set)
         self._sorted: list[list[int]] | None = None
 
     @property
@@ -95,14 +90,6 @@ class PartitionView:
         if self._sorted is None:
             self._sorted = [sorted(c) for c in self._components]
         return self._sorted
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PartitionView):
-            return NotImplemented
-        return self._component_set == other._component_set
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         comps = " | ".join("{" + ",".join(map(str, sorted(c))) + "}" for c in self._components)

@@ -1,24 +1,29 @@
-"""One ``Scenario``, one ``run_scenario``: the macro drivers' shared runner.
+"""One ``Scenario``, one ``run_scenario``: the one path every run takes.
 
-Every macro experiment (E17, E18, E21–E28, the gray-failure run) asks
-what a failure schedule does to a transaction stream under one commit
-protocol, and used to answer with its own copy of the same five steps.
-A :class:`Scenario` *declares* what differs between them;
-:func:`run_scenario` performs the steps once, in the single order that
-keeps every pinned trajectory (``README.md``, *Scenarios*, argues each
-position in full):
+Every run in ``repro`` — the paper's worked examples, the message flows,
+the ablations, the sweeps, the macro experiments (E17, E18, E21–E28,
+the gray-failure run) and the bench trials — asks what a failure
+schedule does to a transaction stream under one commit protocol.  A
+:class:`Scenario` *declares* what differs between them;
+:func:`run_scenario` is the only code that builds a
+:class:`~repro.db.cluster.Cluster`, drives it and judges it, in the
+single order that keeps every pinned trajectory (``README.md``,
+*Scenarios*, argues each position in full):
 
 1. **catalog** — the first draws of the scenario's named RNG stream;
-2. **cluster** — and, for the single-shot drive, its one update *now*:
-   the storm plan crashes that update's origin, so cannot precede it;
+2. **cluster** — built with the scenario's ``cluster`` keywords, then
+   its ``setup`` (network filters, engine overrides, a scheduled call)
+   and, for the single-shot drive, its one update *now*: the storm
+   plan crashes that update's origin, so cannot precede it;
 3. **plan** — drawn and armed before any arrival is scheduled, so fault
    events keep the scheduler sequence numbers they always had;
 4. **drive** — closed, direct, single or open;
 5. **tally** — one read of the finished run, which comes back on the
    :class:`ScenarioRun`;
 6. **judge** — that read is the whole-run oracle
-   (:func:`~repro.analysis.invariants.judge`), which only reads; a run
-   that breaks a claim raises
+   (:func:`~repro.analysis.invariants.judge`), which only reads.  The
+   predicates a run breaks must be exactly ``expect`` — none, unless
+   the run is a designed counterexample — or the run raises
    :class:`~repro.common.errors.InvariantViolationError` instead of
    coming back.
 
@@ -79,6 +84,12 @@ class Scenario:
         service: open-loop settings passed to
             :func:`~repro.traffic.open_loop.run_open_loop` (``window``,
             ``latency_hi``, ``bins``, ``adapt``).
+        cluster: further :class:`~repro.db.cluster.Cluster` keywords
+            (``commit_quorum`` / ``abort_quorum``,
+            ``enforce_ignore_rules``, ``delay_model``, ``extra_sites``).
+        setup: ``setup(cluster)`` runs once the cluster is built, before
+            anything is submitted: network filters, a swapped
+            termination rule or timeout, a call scheduled on the clock.
     """
 
     name: str
@@ -92,6 +103,8 @@ class Scenario:
     regions: Sequence[Sequence[int]] | None = None
     retry: Any = None
     service: Mapping[str, Any] = field(default_factory=dict)
+    cluster: Mapping[str, Any] = field(default_factory=dict)
+    setup: Callable[[Cluster], None] | None = None
 
     def __post_init__(self) -> None:
         if self.drive not in DRIVES:
@@ -127,6 +140,7 @@ def run_scenario(
     catalog: ReplicaCatalog | None = None,
     failures: FailurePlan | None = None,
     message_rows: bool = False,
+    expect: frozenset[str] = frozenset(),
 ) -> ScenarioRun:
     """Run ``scenario`` once under ``protocol`` (see the module docstring
     for the order of steps and why it is fixed).
@@ -139,12 +153,13 @@ def run_scenario(
     and leaves give the cluster new catalogs and leave this one alone.
     ``message_rows`` is handed to the :class:`~repro.db.cluster.Cluster`
     as it is: true keeps a trace row per message sent, delivered and
-    dropped; the run is otherwise the same.
+    dropped; the run is otherwise the same.  ``expect`` names the
+    predicates a designed counterexample must break.
 
     Raises:
-        InvariantViolationError: the finished run broke one of the
-            paper's claims (:func:`~repro.analysis.invariants.judge`);
-            the error names every violation.
+        InvariantViolationError: the set of predicates the finished run
+            broke (:func:`~repro.analysis.invariants.judge`) is not
+            ``expect``; the error names every violation.
     """
     rng = RngRegistry(seed).stream(scenario.stream)
     if catalog is None:
@@ -157,7 +172,10 @@ def run_scenario(
     spec = workload if workload is not None else scenario.workload
     compiled = spec.compile(catalog, scenario.regions) if hasattr(spec, "compile") else spec
     everyone = [site for region in scenario.regions or () for site in region]
-    cluster = Cluster(catalog, protocol=protocol, seed=seed, extra_sites=everyone, message_rows=message_rows)
+    options = {"extra_sites": everyone, **scenario.cluster}
+    cluster = Cluster(catalog, protocol=protocol, seed=seed, message_rows=message_rows, **options)
+    if scenario.setup is not None:
+        scenario.setup(cluster)
     engine = TrafficEngine(cluster, compiled, rng, retry=scenario.retry)
     txn = None
     if scenario.drive == "single":
@@ -176,6 +194,9 @@ def run_scenario(
         else:
             engine.run_closed(engine.submit_direct if scenario.drive == "direct" else None)
         result = engine.tally(protocol)
-    if engine.violations:
-        raise InvariantViolationError(f"{scenario.name} under {protocol}, seed {seed}", engine.violations)
+    if {predicate for predicate, _detail in engine.violations} != expect:
+        run = f"{scenario.name} under {protocol}, seed {seed}"
+        if expect:
+            run += f" (expected to break exactly {sorted(expect)})"
+        raise InvariantViolationError(run, engine.violations)
     return ScenarioRun(scenario, cluster, engine, result, txn)

@@ -411,3 +411,19 @@ class CompiledWorkload:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CompiledWorkload {self.spec!r} items={len(self._names)}>"
+
+
+class FixedUpdate:
+    """One direct update chosen in advance, as a compiled stream: the
+    paper's worked examples, the commit flows and the fixed-update
+    studies submit it through the single-shot drive.  ``next_update``
+    returns it and draws nothing; it keeps no cursor, so a scenario
+    holding one can run any number of times."""
+
+    def __init__(self, origin: int, writes: dict[str, Any]) -> None:
+        self.origin = origin
+        self.writes = writes
+
+    def next_update(self, rng: random.Random) -> tuple[int, dict[str, Any]]:
+        """The update (``rng`` untouched)."""
+        return self.origin, dict(self.writes)

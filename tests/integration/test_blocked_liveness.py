@@ -16,7 +16,7 @@ runs:
   in three hundred qtp2 runs at the record → replay property's shape).
 """
 
-from repro.analysis import check_invariants, healed_and_up
+from repro.analysis import healed_and_up, judge
 from repro.experiments.resilience_study import gray_failure_scenario
 from repro.experiments.service_study import open_loop_scenario
 from repro.traffic import run_scenario
@@ -30,7 +30,7 @@ def test_a_notice_from_before_the_heal_does_not_block_again():
     # blocked notices sent inside the partition still land after the heal
     late = [rec for rec in tracer.where(category="deliver") if rec.detail["mtype"] == "2pc.t.blocked"]
     assert any(rec.time >= heal for rec in late)
-    assert healed_and_up(cluster) and check_invariants(cluster) == []
+    assert healed_and_up(cluster) and judge(cluster).violations == []
     for txn in ("T6.3", "T5.4"):  # in doubt at site 2 for good before
         assert cluster.live_undecided(txn) == [] and cluster.outcome(txn).outcome == "abort"
 
@@ -42,7 +42,7 @@ def test_restoring_a_slow_site_retries_what_its_slowness_blocked():
     [restore] = [time for time, _, _ in tracer.entries("restore")]
     blocked = {site for time, site, _ in tracer.entries("blocked", "T3.10") if time < restore}
     assert blocked == {1, 2, 3}  # every participant blocked while site 1 was slow
-    assert healed_and_up(cluster) and check_invariants(cluster) == []
+    assert healed_and_up(cluster) and judge(cluster).violations == []
     assert cluster.live_undecided("T3.10") == []
     assert cluster.outcome("T3.10").outcome in ("commit", "abort")
 
@@ -54,6 +54,6 @@ def test_a_healed_lossy_link_retries_what_its_cut_blocked(gray_service):
     assert [time for time, _, _ in cluster.tracer.entries("restore")] == [16.0]
     # blocked again during the last cut (18-21), after the site was restored
     assert any(time > 18.0 for time, _, _ in cluster.tracer.entries("blocked", "T3.4"))
-    assert healed_and_up(cluster) and check_invariants(cluster) == []
+    assert healed_and_up(cluster) and judge(cluster).violations == []
     assert cluster.live_undecided("T3.4") == []
     assert cluster.outcome("T3.4").outcome in ("commit", "abort")

@@ -10,7 +10,7 @@ crashed, before those held.
 
 import pytest
 
-from repro.analysis import check_invariants, healed_and_up
+from repro.analysis import healed_and_up, judge
 from repro.experiments import SCENARIOS
 from repro.traffic import run_scenario
 
@@ -33,7 +33,7 @@ def test_healed_and_up_means_decided(name, protocol):
     for seed in range(10):
         cluster = run_scenario(SCENARIOS[name](**SHAPES[name]), protocol, seed).cluster
         assert healed_and_up(cluster), (name, protocol, seed)
-        assert check_invariants(cluster) == [], (name, protocol, seed)
+        assert judge(cluster).violations == [], (name, protocol, seed)
 
 
 def test_a_join_leaves_the_quorums_of_a_transaction_in_flight_alone():
@@ -54,7 +54,7 @@ def test_qtpp_reads_the_primaries_of_the_transactions_own_epoch():
     ).cluster
     assert healed_and_up(cluster)
     assert cluster.live_undecided("T3.27") == []
-    assert check_invariants(cluster) == []
+    assert judge(cluster).violations == []
 
 
 def test_qtpp_elastic_join_strands_nothing():
@@ -62,7 +62,7 @@ def test_qtpp_elastic_join_strands_nothing():
     cluster = run_scenario(SCENARIOS["elastic_join"](**SHAPES["elastic_join"]), "qtpp", 1).cluster
     assert healed_and_up(cluster)
     assert len(cluster.epochs) > 1
-    assert check_invariants(cluster) == []
+    assert judge(cluster).violations == []
 
 
 def test_a_leaving_coordinator_drains_its_open_round():

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import PROTOCOL_NAMES
-from repro.analysis import check_invariants
+from repro.analysis import judge
 from repro.common.errors import StoreError
 from repro.experiments import SCENARIOS
 from repro.replay import (
@@ -303,7 +303,7 @@ class TestRunIdentityPins:
         blob = run.cluster.tracer.dump() + json.dumps(run.counters(), sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest() == RUN_SHA256[name][protocol]
         # the same run keeps the paper's claims (the oracle only reads)
-        assert check_invariants(run.cluster) == []
+        assert judge(run.cluster).violations == []
 
     @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
     @pytest.mark.parametrize("name", SCENARIOS)

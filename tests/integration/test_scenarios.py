@@ -29,9 +29,14 @@ class TestCatalogs:
 class TestExample1Scenario:
     def test_snapshot_state_is_fig3(self):
         """At the failure instant, site 5 is in PC and every other
-        active participant is in W — exactly Fig. 3."""
-        result = run_example1_scenario("qtp1", run_to=FAILURE_TIME)
-        states = result.states()
+        active participant is in W — exactly Fig. 3 (the last state row
+        of each site up to that instant)."""
+        result = run_example1_scenario("qtp1")
+        states = {
+            row.site: row.detail["dst"]
+            for row in result.cluster.tracer.where(category="state", txn=result.txn.txn)
+            if row.time <= FAILURE_TIME
+        }
         assert states[5] == "PC"
         for site in (2, 3, 4, 6, 7, 8):
             assert states[site] == "W"

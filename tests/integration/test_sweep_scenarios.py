@@ -5,7 +5,9 @@ through :func:`~repro.traffic.run_scenario`.  The references below
 build the same runs by hand — catalog, update, cluster, fault plan,
 drawn from the same named stream in the same order — so a draw that
 moves between the two shows as a different trace dump or result.
-E11 and E19 build their own clusters and judge them as the runner does.
+E11's ``availability_run`` and E19's ``policy_run`` run single-drive
+scenarios through the same runner (their rows are pinned in
+``test_study_rows.py``).
 """
 
 import pytest
@@ -13,7 +15,6 @@ import pytest
 from repro.analysis import invariants
 from repro.common.errors import InvariantViolationError
 from repro.db.cluster import PROTOCOL_NAMES, Cluster
-from repro.experiments import sweeps, vote_study
 from repro.experiments.sweeps import (
     availability_run,
     modelcheck_run,
@@ -104,30 +105,20 @@ class TestScenarioRunsAreTheHandBuiltRuns:
             assert modelcheck_run(seed, protocol, heal) == bool(cluster.outcome(txn).atomic)
 
 
-def _one_violation(cluster):
-    return [("atomicity", "planted")]
-
-
 def _judge_one_violation(cluster):
-    return invariants.judge(cluster)._replace(violations=_one_violation(cluster))
+    return invariants.judge(cluster)._replace(violations=[("atomicity", "planted")])
 
 
 class TestEverySweepRunIsJudged:
     """A violation the oracle reports ends the run with an error."""
 
-    def test_storm_and_modelcheck_through_the_runner(self, monkeypatch):
+    def test_every_sweep_through_the_runner(self, monkeypatch):
         monkeypatch.setattr(traffic_engine, "judge", _judge_one_violation)
         with pytest.raises(InvariantViolationError, match="reenterability_storm under qtp1"):
             storm_run(0, "qtp1")
         with pytest.raises(InvariantViolationError, match="modelcheck under qtp2"):
             modelcheck_run(0, "qtp2")
-
-    def test_availability(self, monkeypatch):
-        monkeypatch.setattr(sweeps, "check_invariants", _one_violation)
-        with pytest.raises(InvariantViolationError, match="e11-availability under skq-pinned, seed 3"):
+        with pytest.raises(InvariantViolationError, match="availability under skq, seed 3"):
             availability_run(3, "skq-pinned")
-
-    def test_vote_policies(self, monkeypatch):
-        monkeypatch.setattr(vote_study, "check_invariants", _one_violation)
-        with pytest.raises(InvariantViolationError, match="read-one under qtp1, seed 2"):
+        with pytest.raises(InvariantViolationError, match="vote_policy under qtp1, seed 2"):
             policy_run(2, "read-one")

@@ -19,7 +19,6 @@ small trial here, against the optimized path, on the same seeds.
 
 import contextlib
 import dataclasses
-import functools
 import random
 from collections import Counter
 from typing import Any, Iterator, NamedTuple
@@ -30,10 +29,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bench import CASES, encode, run_case
 from repro.common.errors import StorageError
-from repro.db.cluster import Cluster
 from repro.concurrency.locks import LockManager, LockMode
 from repro.engine import SweepRunner, SweepSpec, run_sweep
-from repro.experiments.examples import run_example1_scenario, run_example3_scenario
+from repro.experiments.examples import example1_scenario, example3_scenario
 from repro.experiments.resilience_study import gray_failure_scenario
 from repro.experiments.sweeps import wan_storm_scenario
 from repro.experiments.workload_study import heavy_workload_scenario
@@ -155,10 +153,11 @@ def _fault_runs(seed):
         (gray_failure_scenario(duration=60.0, episode_start=10.0), "qtp1"),
     ]
     runs = [run_scenario(scenario, protocol, seed, message_rows=True) for scenario, protocol in scenarios]
-    # the counterexamples build their own clusters
-    with mock.patch("repro.experiments.examples.Cluster", functools.partial(Cluster, message_rows=True)):
-        examples = [run_example1_scenario("qtp1", seed), run_example3_scenario(False, "qtp1", seed)]
-    clusters = [run.cluster for run in runs] + [example.cluster for example in examples]
+    runs.append(run_scenario(example1_scenario(), "qtp1", seed, message_rows=True))
+    runs.append(
+        run_scenario(example3_scenario(False), "qtp1", seed, message_rows=True, expect=frozenset({"atomicity"}))
+    )
+    clusters = [run.cluster for run in runs]
     return [
         (
             cluster_counters(c),

@@ -215,15 +215,19 @@ def test_only_the_scheduler_assigns_the_clock():
     assert writers == {"sim/scheduler.py"}
 
 
-def _message_calls(node, function=None):
-    """The enclosing function of every ``Message(...)`` call under
-    ``node``."""
+def _calls(node, callee, function=None):
+    """The enclosing function of every call of the name ``callee``
+    (``callee(...)`` or ``module.callee(...)``) under ``node``."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         function = node.name
-    elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Message":
+    elif isinstance(node, ast.Call) and callee in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
         yield function
     for child in ast.iter_child_nodes(node):
-        yield from _message_calls(child, function)
+        yield from _calls(child, callee, function)
+
+
+def _callers(callee):
+    return sorted((name, function) for name, tree in _trees().items() for function in _calls(tree, callee))
 
 
 def test_messages_are_built_only_where_they_are_sent():
@@ -231,10 +235,17 @@ def test_messages_are_built_only_where_they_are_sent():
     ``Network.fanout``, one per destination (``Network.send`` and
     ``Node.send`` are fan-outs to one destination).  Nothing else under
     ``src/repro/`` constructs one."""
-    built = sorted(
-        (name, function) for name, tree in _trees().items() for function in _message_calls(tree)
-    )
-    assert built == [("net/network.py", "fanout")]
+    assert _callers("Message") == [("net/network.py", "fanout")]
+
+
+def test_every_run_is_built_and_judged_on_one_path():
+    """``run_scenario`` is the one place under ``src/repro/`` that builds
+    a ``Cluster``, and the oracle's one caller is the tally it returns
+    (``TrafficEngine.tally``): a run no scenario declares would be a run
+    nobody judges.  Docstring examples are text, not calls, and do not
+    count."""
+    assert _callers("Cluster") == [("traffic/scenario.py", "run_scenario")]
+    assert _callers("judge") == [("traffic/engine.py", "tally")]
 
 
 def _private_names(tree: ast.Module, classes: set[str]) -> set[str]:

@@ -13,10 +13,11 @@ from unittest import mock
 import pytest
 
 from repro import PROTOCOL_NAMES, Cluster, FixedDelay
-from repro.analysis import Violation, check_invariants, healed_and_up
+from repro.analysis import Violation, healed_and_up, judge
 from repro.net.network import Network
 from repro.replication.catalog import ItemConfig, ReplicaCatalog
-from repro.experiments.examples import run_example3_scenario
+from repro.experiments.examples import example3_scenario, run_example3_scenario
+from repro.traffic import run_scenario
 
 
 def two_items():
@@ -44,7 +45,7 @@ def test_a_clean_run_keeps_every_claim(protocol):
     cluster, handle = one_update(protocol)
     assert cluster.outcome(handle.txn).outcome == "commit"
     assert healed_and_up(cluster)
-    assert check_invariants(cluster) == []
+    assert judge(cluster).violations == []
 
 
 @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
@@ -53,18 +54,18 @@ def test_a_participant_left_in_doubt_once_healed_is_a_liveness_violation(protoco
     assert cluster.live_undecided(handle.txn) == [3]
     # the filter is a fault: the predicate does not apply while it is in place
     assert not healed_and_up(cluster)
-    assert check_invariants(cluster) == []
+    assert judge(cluster).violations == []
     cluster.network.clear_filters()
     assert healed_and_up(cluster)
-    [violation] = check_invariants(cluster)
+    [violation] = judge(cluster).violations
     assert violation.predicate == "liveness" and handle.txn in violation.detail
 
 
 def test_a_mixed_outcome_breaks_atomicity_outside_3pc():
     broken = run_example3_scenario(enforce_ignore_rules=False)
     assert broken.outcome == "mixed"
-    assert predicates(check_invariants(broken.cluster)) == ["atomicity"]
-    assert check_invariants(run_example3_scenario(enforce_ignore_rules=True).cluster) == []
+    assert predicates(judge(broken.cluster).violations) == ["atomicity"]
+    assert judge(run_example3_scenario(enforce_ignore_rules=True).cluster).violations == []
 
 
 @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
@@ -77,7 +78,7 @@ def test_a_conflicting_command_breaks_atomicity_outside_3pc(protocol):
     cluster.run()
     assert cluster.outcome(handle.txn).outcome == "commit"
     assert cluster.tracer.count("decision-conflict", txn=handle.txn) == 1
-    found = check_invariants(cluster)
+    found = judge(cluster).violations
     if protocol == "3pc":
         assert found == []
     else:
@@ -94,7 +95,7 @@ def test_an_illegal_transition_breaks_atomicity_outside_3pc(protocol):
     cluster.tracer.record(
         cluster.scheduler.now, 2, "illegal-transition", handle.txn, src="PC", dst="PA", via="hand"
     )
-    found = check_invariants(cluster)
+    found = judge(cluster).violations
     if protocol == "3pc":
         assert found == []
     else:
@@ -103,9 +104,9 @@ def test_an_illegal_transition_breaks_atomicity_outside_3pc(protocol):
 
 def test_3pc_may_end_mixed_and_then_skips_serializability():
     # the paper's Example 2: 3PC's termination protocol splits the outcome
-    broken = run_example3_scenario(enforce_ignore_rules=False, protocol="3pc")
-    assert broken.outcome == "mixed"
-    assert check_invariants(broken.cluster) == []
+    broken = run_scenario(example3_scenario(enforce_ignore_rules=False), "3pc", 0)
+    assert broken.cluster.outcome(broken.txn.txn).outcome == "mixed"
+    assert judge(broken.cluster).violations == []
 
 
 def test_a_history_no_serial_order_explains_breaks_serializability():
@@ -113,7 +114,7 @@ def test_a_history_no_serial_order_explains_breaks_serializability():
     x_version, y_version = handle.writes["x"][1], handle.writes["y"][1]
     # a reader that saw y after the update and x before it
     cluster.record_footprint("R", {"x": x_version - 1, "y": y_version}, {})
-    [violation] = check_invariants(cluster)
+    [violation] = judge(cluster).violations
     assert violation.predicate == "serializability"
     assert "'R'" in violation.detail and f"'{handle.txn}'" in violation.detail
 
@@ -121,7 +122,7 @@ def test_a_history_no_serial_order_explains_breaks_serializability():
 def test_a_lost_message_count_breaks_conservation_only_at_quiescence():
     cluster, _handle = one_update("qtp1")
     cluster.network.sent += 1
-    assert check_invariants(cluster) == [
+    assert judge(cluster).violations == [
         Violation(
             "conservation",
             f"sent {cluster.network.sent} != delivered {cluster.network.delivered}"
@@ -135,7 +136,7 @@ def test_a_lost_message_count_breaks_conservation_only_at_quiescence():
     cluster.scheduler.run_until(0.5)
     net = cluster.network
     assert net.sent > net.delivered + net.dropped
-    assert check_invariants(cluster) == []
+    assert judge(cluster).violations == []
 
 
 def _drop_without_its_reason(network, msg, reason):
@@ -167,7 +168,7 @@ def test_a_breakdown_that_misses_a_message_breaks_conservation(method, mutant, b
         cluster, _handle = one_update("qtp1", isolate=3)
     net = cluster.network
     assert net.dropped and net.sent == net.delivered + net.dropped
-    [violation] = check_invariants(cluster)
+    [violation] = judge(cluster).violations
     assert violation.predicate == "conservation"
     assert violation.detail.startswith(broken)
 
@@ -182,8 +183,8 @@ def test_the_oracle_only_reads():
         cluster.network.sent,
         cluster.rng.stream("net").getstate(),
     )
-    check_invariants(cluster)
-    check_invariants(cluster)
+    judge(cluster)
+    judge(cluster)
     assert (
         len(cluster.tracer),
         cluster.scheduler.events_run,

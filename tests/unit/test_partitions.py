@@ -52,19 +52,17 @@ class TestQueries:
             covered |= comp
         assert covered == {1, 2, 3, 4, 5}
 
-    def test_equality_ignores_group_order(self):
+    def test_group_order_is_construction_order(self):
         a = PartitionView([1, 2, 3], [[1], [2, 3]])
         b = PartitionView([1, 2, 3], [[2, 3], [1]])
-        assert a == b
-        assert hash(a) == hash(b)
+        assert set(a.components) == set(b.components)
+        assert a.components == (frozenset([1]), frozenset([2, 3]))
+        assert b.components == (frozenset([2, 3]), frozenset([1]))
 
-    def test_inequality(self):
+    def test_different_groups_differ(self):
         a = PartitionView([1, 2, 3], [[1], [2, 3]])
         b = PartitionView([1, 2, 3], [[1, 2], [3]])
-        assert a != b
-
-    def test_eq_against_other_types(self):
-        assert PartitionView([1, 2]) != "not-a-view"
+        assert set(a.components) != set(b.components)
 
     def test_sorted_components_memoized_and_ordered(self):
         view = PartitionView([1, 2, 3, 4, 5], [[3, 1], [5, 4]])
@@ -72,8 +70,3 @@ class TestQueries:
         assert rendered == [[1, 3], [4, 5], [2]]
         assert view.sorted_components() is rendered  # memoized
 
-    def test_hash_is_stable_and_usable_as_key(self):
-        a = PartitionView([1, 2, 3], [[1], [2, 3]])
-        b = PartitionView([1, 2, 3], [[2, 3], [1]])
-        views = {a: "first"}
-        assert views[b] == "first"

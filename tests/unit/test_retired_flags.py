@@ -90,6 +90,13 @@ bench gate, record + replay, the e2e smoke run or the paper-figure
 tests calls): the functions and methods below stay undefined, none is
 exported from ``repro`` or its package, and ``python -m repro.replay``
 takes no ``diff`` subcommand (``run_tournament`` prints the table).
+
+So are the paper examples' hand-driven options: every run goes through
+``run_scenario``, which drains the run and judges it, so Example 1
+takes no stop time (the Fig. 3 snapshot is read from the run's
+``state`` rows) and no ignore-rule switch nothing set, Example 3 runs
+under the paper's protocol 1 only, and the oracle has one entry,
+``judge`` — ``check_invariants`` stays undefined.
 """
 
 import importlib
@@ -133,6 +140,7 @@ from repro.experiments import (
     vote_assignment_study,
     workload_study,
 )
+from repro.experiments.examples import run_example1_scenario, run_example3_scenario
 from repro.experiments.sweeps import wan_partition_storm
 from repro.net import message, network, node
 from repro.experiments.workload_study import heavy_traffic_study
@@ -212,6 +220,9 @@ RETIRED_KEYWORDS = {
     "workload_study-sink": lambda: workload_study(sink=None),
     "heavy_traffic_study-sink": lambda: heavy_traffic_study(sink=None),
     "vote_assignment_study-sink": lambda: vote_assignment_study(sink=None),
+    "run_example1_scenario-run-to": lambda: run_example1_scenario("qtp1", **_kw("run", "to", 3.5)),
+    "run_example1_scenario-enforce-ignore-rules": lambda: run_example1_scenario("qtp1", enforce_ignore_rules=False),
+    "run_example3_scenario-protocol": lambda: run_example3_scenario(False, protocol="3pc"),
 }
 
 
@@ -783,6 +794,7 @@ RETIRED_UNREACHED_NAMES = [
     ("repro.protocols.states", "can_transition"),
     ("repro.common.errors", "NotSerializableError"),
     ("repro.engine.aggregate", "resolve_path"),
+    ("repro.analysis.invariants", "check_invariants"),
 ]
 
 
@@ -812,6 +824,8 @@ RETIRED_UNREACHED_ATTRIBUTES = [
     ("repro.net.message", "Message", "family"),
     ("repro.net.network", "Network", "node"),
     ("repro.net.network", "Network", "active_sites"),
+    ("repro.net.partitions", "PartitionView", "__eq__"),
+    ("repro.net.partitions", "PartitionView", "__hash__"),
     ("repro.net.node", "Node", "now"),
     ("repro.sim.failures", "FailurePlan", "describe"),
     ("repro.sim.failures", "FailurePlan", "__len__"),
